@@ -94,7 +94,8 @@ def build_subquery_search(
             raise SearchError(
                 "search kernel 'vectorized' needs a compact view exposing "
                 "the CSR surface (graph / weight_row_array / "
-                f"bounds_row_array); {type(view).__name__} does not — build "
+                "bounds_row_array and their log twins); "
+                f"{type(view).__name__} does not — build "
                 "the engine with compact=True or pass kernel='auto'"
             )
     return SubQuerySearch(view, subquery, matcher, config, subquery_index, clock)
@@ -293,6 +294,15 @@ class SubQuerySearch:
             pivot_uid=state.uid,
             pss=state.priority,
         )
+
+    def materialise(self, match: PathMatch) -> PathMatch:
+        """The match with its path built — here, the match itself.
+
+        Part of the pull surface the engine drives: the array-backed
+        kernel emits path-less pending matches and builds paths on
+        request; this search builds them eagerly at emission.
+        """
+        return match
 
     def _arrivals(self, state: _State) -> List[_State]:
         """All states generated by expanding ``state`` one hop."""

@@ -18,9 +18,11 @@ is a **row**, not a pair:
 
 Rows are exactly the cross-query reuse unit, so when the view is backed
 by a shared :class:`~repro.serve.cache.SemanticGraphCache` it gets/puts
-whole rows (``kind in {"weights", "bounds"}``) — one cache round-trip per
-(query predicate) instead of one per (edge) — and the serving layer's
-warm-workload win composes with the kernel's cold-query win.
+whole rows (``kind in {"weights", "bounds"}``, plus their exact-log
+twins ``"log_weights"`` / ``"log_bounds"`` for the array-backed search
+kernel) — one cache round-trip per (query predicate) instead of one per
+(edge) — and the serving layer's warm-workload win composes with the
+kernel's cold-query win.
 
 Equivalence with the lazy view is exact, not approximate: both serve
 weights from the same cached ``PredicateSpace`` rows, slots keep
@@ -37,6 +39,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
+from repro.core.pss import log_weight
 from repro.embedding.predicate_space import PredicateSpace
 from repro.errors import UnknownPredicateError
 from repro.kg.compact import CompactGraph
@@ -96,6 +99,28 @@ def _space_index_for(
     return index, known
 
 
+def _exact_log_array(values: np.ndarray) -> np.ndarray:
+    """``log_weight`` over an array, bit-identical to the scalar path.
+
+    ``np.log`` is not guaranteed bit-identical to ``math.log`` (numpy
+    ships its own SIMD loops, allowed to differ by an ulp), and the A*
+    heap order hangs on exact priority bits — so logs go through
+    :func:`~repro.core.pss.log_weight`, amortised over the *distinct*
+    values: a weight or ``m(u)`` row draws from at most one value per
+    graph predicate, so the scalar loop runs tens of times, not
+    per-node.
+    """
+    distinct, inverse = np.unique(values, return_inverse=True)
+    logs = np.fromiter(
+        (log_weight(value) for value in distinct.tolist()),
+        dtype=np.float64,
+        count=distinct.size,
+    )
+    row = logs[inverse]
+    row.flags.writeable = False
+    return row
+
+
 class CompactSemanticGraphView:
     """Weighted view of a :class:`~repro.kg.compact.CompactGraph`.
 
@@ -151,10 +176,14 @@ class CompactSemanticGraphView:
         # list mirror serves the scalar hot loop (python floats, no
         # np.float64 boxing per element).
         self._weight_rows: Dict[str, Tuple[np.ndarray, List[float]]] = {}
-        # L1, per query: query predicate -> per-node m(u) list, plus the
-        # read-only array the vectorized search kernel consumes.
-        self._bounds_rows: Dict[str, List[float]] = {}
+        # L1, per query: query predicate -> read-only per-node m(u)
+        # array (what the vectorized search kernel consumes), plus a
+        # plain-list mirror built only for the scalar callers.
         self._bounds_arrays: Dict[str, np.ndarray] = {}
+        self._bounds_rows: Dict[str, List[float]] = {}
+        # L1, per query: (kind, query predicate) -> exact-log twin of the
+        # weight / m(u) row.
+        self._log_rows: Dict[Tuple[str, str], np.ndarray] = {}
         self._touched_nodes: Set[int] = set()
         # Pair weights materialised by this view.  The unit of work is a
         # whole row, so each computed row counts |graph predicates| pairs
@@ -206,43 +235,34 @@ class CompactSemanticGraphView:
         return entry
 
     def _bounds_row(self, query_predicate: str) -> List[float]:
-        """``m(u)`` of Lemma 1 for every node — one vectorized segment-max.
+        """Plain-list mirror of the ``m(u)`` row, for scalar reads.
 
-        The shared cache holds the compact ``float64`` vector (8 bytes
-        per node); the per-view L1 holds a plain-list mirror for fast
-        scalar reads.  Rebuilding the mirror on a shared hit costs one
-        ``tolist`` per (view, predicate) — far below the segment-max it
-        replaces — and keeps cache entries 4-5x smaller than boxed
-        floats would be.
+        Only :meth:`max_adjacent_weight` / :meth:`max_adjacent_weight_any`
+        (the reference search's per-state probes) come through here; the
+        vectorized kernel reads :meth:`bounds_row_array` and never pays
+        the num_nodes-sized ``tolist``.
         """
         bounds = self._bounds_rows.get(query_predicate)
-        if bounds is not None:
-            return bounds
-        if self._cache is not None:
-            shared = self._cache.get_row("bounds", query_predicate)
-            if shared is not None:
-                bounds = shared.tolist()
-                self._bounds_rows[query_predicate] = bounds
-                self._bounds_arrays[query_predicate] = shared
-                self.cache_hits += 1
-                return bounds
-        row, _row_list = self._weight_row(query_predicate)
-        graph = self.graph
-        values = np.zeros(graph.num_nodes)
-        slot_weights = row[graph.slot_predicate]
-        starts = graph.indptr[:-1]
-        nonempty = starts < graph.indptr[1:]
-        if slot_weights.size:
-            # reduceat needs non-empty segments: reduce only rows with
-            # incidence, leave isolated nodes at m(u) = 0.
-            values[nonempty] = np.maximum.reduceat(slot_weights, starts[nonempty])
-        values.flags.writeable = False
-        bounds = values.tolist()
-        self._bounds_rows[query_predicate] = bounds
-        self._bounds_arrays[query_predicate] = values
-        if self._cache is not None:
-            self._cache.put_row("bounds", query_predicate, values)
+        if bounds is None:
+            bounds = self.bounds_row_array(query_predicate).tolist()
+            self._bounds_rows[query_predicate] = bounds
         return bounds
+
+    def _log_row(self, kind: str, query_predicate: str, values: np.ndarray) -> np.ndarray:
+        """The exact-log twin of one row, cached beside it as ``kind``."""
+        key = (kind, query_predicate)
+        logs = self._log_rows.get(key)
+        if logs is None:
+            if self._cache is not None:
+                logs = self._cache.get_row(kind, query_predicate)
+            if logs is not None:
+                self.cache_hits += 1
+            else:
+                logs = _exact_log_array(values)
+                if self._cache is not None:
+                    self._cache.put_row(kind, query_predicate, logs)
+            self._log_rows[key] = logs
+        return logs
 
     # ------------------------------------------------------------------
     # WeightedGraphView protocol
@@ -329,12 +349,52 @@ class CompactSemanticGraphView:
         return self._weight_row(query_predicate)[0]
 
     def bounds_row_array(self, query_predicate: str) -> np.ndarray:
-        """Read-only ``m(u)`` (Lemma 1) per node, as one float64 vector."""
-        array = self._bounds_arrays.get(query_predicate)
-        if array is None:
-            self._bounds_row(query_predicate)
-            array = self._bounds_arrays[query_predicate]
-        return array
+        """Read-only ``m(u)`` (Lemma 1) per node — one vectorized segment-max.
+
+        The shared cache and the per-view L1 both hold the compact
+        ``float64`` vector (8 bytes per node).
+        """
+        values = self._bounds_arrays.get(query_predicate)
+        if values is not None:
+            return values
+        if self._cache is not None:
+            values = self._cache.get_row("bounds", query_predicate)
+            if values is not None:
+                self._bounds_arrays[query_predicate] = values
+                self.cache_hits += 1
+                return values
+        row, _row_list = self._weight_row(query_predicate)
+        graph = self.graph
+        values = np.zeros(graph.num_nodes)
+        slot_weights = row[graph.slot_predicate]
+        starts = graph.indptr[:-1]
+        nonempty = starts < graph.indptr[1:]
+        if slot_weights.size:
+            # reduceat needs non-empty segments: reduce only rows with
+            # incidence, leave isolated nodes at m(u) = 0.
+            values[nonempty] = np.maximum.reduceat(slot_weights, starts[nonempty])
+        values.flags.writeable = False
+        self._bounds_arrays[query_predicate] = values
+        if self._cache is not None:
+            self._cache.put_row("bounds", query_predicate, values)
+        return values
+
+    def log_weight_row_array(self, query_predicate: str) -> np.ndarray:
+        """``log_weight`` of :meth:`weight_row_array`, element for element.
+
+        Bit-equal to the scalar :func:`~repro.core.pss.log_weight` of each
+        weight (see :func:`_exact_log_array`) and shared across queries
+        like the row itself (row kind ``"log_weights"``).
+        """
+        return self._log_row(
+            "log_weights", query_predicate, self._weight_row(query_predicate)[0]
+        )
+
+    def log_bounds_row_array(self, query_predicate: str) -> np.ndarray:
+        """``log_weight`` of :meth:`bounds_row_array` (row kind ``"log_bounds"``)."""
+        return self._log_row(
+            "log_bounds", query_predicate, self.bounds_row_array(query_predicate)
+        )
 
     def note_touched(self, uids: Iterable[int]) -> None:
         """Record nodes a search kernel consulted out-of-band.

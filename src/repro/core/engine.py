@@ -26,7 +26,7 @@ from repro.core.assembly import ASSEMBLY_KERNELS, MatchStream, assemble_top_k
 from repro.core.astar import SEARCH_KERNELS, SubQuerySearch, build_subquery_search
 from repro.core.compact_view import CompactViewFactory, ViewFactory, lazy_view_factory
 from repro.core.config import SearchConfig
-from repro.core.results import QueryResult
+from repro.core.results import FinalMatch, QueryResult
 from repro.core.semantic_graph import SemanticGraphView, WeightCache, WeightedGraphView
 from repro.core.time_bounded import TimeBoundedCoordinator
 from repro.embedding.predicate_space import PredicateSpace
@@ -71,6 +71,22 @@ class _PullTimer:
                 self.seconds += time.perf_counter() - started
 
         return timed
+
+
+def _materialise_paths(
+    matches: List[FinalMatch], searches: List[SubQuerySearch]
+) -> None:
+    """Swap every returned component for its path-carrying ``PathMatch``.
+
+    The array-backed kernel emits path-less pending matches (sub-query
+    ``i``'s matches come from ``searches[i]``); building paths here, for
+    the final top-k only, keeps every match TA assembly merely looked at
+    path-free — and leaves nothing in the result that refers back to a
+    search's state pool.
+    """
+    for final in matches:
+        for index, component in final.components.items():
+            final.components[index] = searches[index].materialise(component)
 
 
 @dataclass(frozen=True)
@@ -517,6 +533,7 @@ class SemanticGraphQueryEngine:
         assembly_seconds = max(
             time.perf_counter() - assembly_started - pull_timer.seconds, 0.0
         )
+        _materialise_paths(assembly.matches, searches)
         for search in searches:
             # getattr: the stats attributes are view extras, not part of
             # the WeightedGraphView protocol a custom view_factory must
@@ -575,6 +592,7 @@ class SemanticGraphQueryEngine:
         streams = [MatchStream.from_list(harvest) for harvest in outcome.harvests]
         assembly = assemble_top_k(streams, k, kernel=self.assembly_kernel)
         assembly_seconds = time.perf_counter() - assembly_started
+        _materialise_paths(assembly.matches, searches)
         for search in searches:
             # getattr: the stats attributes are view extras, not part of
             # the WeightedGraphView protocol a custom view_factory must

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.kg.graph import KnowledgeGraph
 from repro.kg.paths import Path
@@ -25,6 +25,23 @@ class PathMatch:
 
     def describe(self, kg: KnowledgeGraph) -> str:
         return f"[g{self.subquery_index}] {self.path.describe(kg)} (pss={self.pss:.3f})"
+
+
+class PendingMatch(NamedTuple):
+    """A sub-query match whose path has not been built yet.
+
+    What the array-backed search kernel emits: everything TA assembly
+    reads (sub-query index, pivot, pss) plus the row of the emitting
+    search's state pool the match ends at.  Only that search can turn it
+    into a :class:`PathMatch` (``search.materialise(match)``), and the
+    engine does so for the components of the returned top-k alone — a
+    pending match never leaves the engine.
+    """
+
+    subquery_index: int
+    pivot_uid: int
+    pss: float
+    pool_index: int
 
 
 @dataclass

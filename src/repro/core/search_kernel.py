@@ -19,18 +19,25 @@ compact CSR kernel (:class:`~repro.kg.compact.CompactGraph`, via
   objects, the priority queue holds bare pool indexes, and
   :meth:`pool_arrays` exports the columns as flat numpy arrays for
   vector consumers (the ROADMAP's shard/multiprocess items);
-- **per-segment tables** are materialised once with whole-array numpy
-  ops — one fancy-index scatters the query predicate's weight row and
-  its exact logs onto CSR slots, alongside node-indexed columns for the
-  boundary's φ-match bitmask (:meth:`CompactGraph.uid_mask` over
-  ``NodeMatcher.matches``) and the segment-max ``m(u)`` bounds — so the
-  per-arrival cost of a weight probe, an ``is_match`` call and a
-  per-predicate ``m(u)`` scan drops to a handful of list reads;
-- expansion is **adaptive**: small CSR rows (the common case) run a
-  lean scalar loop over the precomputed tables, hub rows gather the
-  τ-positive slots with one vectorized mask first; both paths feed the
-  same per-slot body in the same slot order, so the decisions cannot
-  diverge;
+- **per-segment tables are predicate- and node-sized, never
+  slot-sized**: a slot resolves to its interned predicate id through the
+  graph's memoized ``slot_predicate_list()`` mirror, and the id indexes
+  the query predicate's weight row and its exact-log twin (two
+  ``tolist`` calls over |P| entries per segment); the segment-max
+  ``m(u)`` bounds and their logs are node-indexed, and the boundary's
+  φ-matches are a set built from ``NodeMatcher.matches`` — so nothing a
+  search sets up is proportional to |E|, and the per-arrival cost of a
+  weight probe, an ``is_match`` call and a per-predicate ``m(u)`` scan
+  is a handful of list reads and one set probe;
+- **one expansion loop**: a popped state's CSR row runs a lean scalar
+  loop over those tables in slot order, counting the reference's
+  ``weight <= 0`` prunes as it meets them (a vectorized τ-gather for
+  hub rows measured slower on the ledger and is gone);
+- **paths are built on request**: a pop (or a TBQ harvest) emits a
+  :class:`~repro.core.results.PendingMatch` — pivot, pss and the pool
+  row it ends at — and :meth:`VectorizedSubQuerySearch.materialise`
+  walks the parent column into a :class:`~repro.kg.paths.Path` only for
+  the matches the engine returns;
 - the **simple-path check walks no chains**: each pool row carries its
   hop-bounded ancestor tuple (≤ N̂ + 1 uids), and membership is one C
   containment test per arrival.
@@ -42,17 +49,18 @@ order), the same τ / visited / bound prunes, the same heap tie-breaking
 (monotone insertion counter), and bit-identical priorities — which is
 why every transcendental stays on ``math.exp`` / ``math.log``: numpy's
 SIMD ``np.exp`` / ``np.log`` loops may differ from libm by an ulp, and
-one flipped bit in a priority reorders the heap.  Exact logs are
-amortised over *distinct* weights (a weight or ``m(u)`` row draws from
-at most one value per graph predicate), so the scalar log cost stays
-out of the hot loop.  ``tests/test_search_kernel.py`` pins matches,
-pss, emission order and every search counter against the reference
-across randomized graphs, policies and τ sweeps;
+one flipped bit in a priority reorders the heap.  The exact logs come
+from the view as rows (``log_weight_row_array`` /
+``log_bounds_row_array``), computed once per query predicate and shared
+across queries like the rows they mirror, so no log is taken per search.
+``tests/test_search_kernel.py`` pins matches, pss, emission order, the
+materialised path of every emitted match and every search counter
+against the reference across randomized graphs, policies and τ sweeps;
 ``repro.bench.searchbench`` re-proves it in CI.
 
 The public surface mirrors :class:`SubQuerySearch` exactly —
-``next_match`` / ``run`` / ``step(harvest=)`` / ``exhausted`` /
-``stats`` — so TA assembly's sorted access and TBQ's
+``next_match`` / ``run`` / ``step(harvest=)`` / ``materialise`` /
+``exhausted`` / ``stats`` — so TA assembly's sorted access and TBQ's
 :class:`~repro.core.time_bounded.TimeBoundedCoordinator` drive either
 kernel unchanged.
 """
@@ -61,13 +69,13 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 import numpy as np
 
 from repro.core.config import PssMode, SearchConfig, VisitedPolicy
-from repro.core.pss import LOG_ZERO, estimate_pss, log_weight
-from repro.core.results import PathMatch, SearchStats
+from repro.core.pss import LOG_ZERO, estimate_pss
+from repro.core.results import PathMatch, PendingMatch, SearchStats
 from repro.errors import SearchError
 from repro.kg.paths import Path, PathStep
 from repro.query.model import SubQueryGraph
@@ -79,69 +87,43 @@ from repro.utils.timing import Clock, Stopwatch, WallClock
 #: ``exact_pss_from_log`` (anything at or below reads as weight 0).
 _LOG_PRUNE = LOG_ZERO / 2
 
-#: CSR rows at least this long take the vectorized τ-gather before the
-#: scalar admit loop; shorter rows skip straight to it (numpy call
-#: overhead beats the mask win on a handful of slots).  Purely a cost
-#: knob: both paths run the identical per-slot body in slot order.
-_GATHER_MIN_DEGREE = 48
-
-
 def supports_vectorized_search(view) -> bool:
     """Whether ``view`` exposes the compact surface this kernel needs.
 
-    Duck-typed on the three capabilities the kernel consumes — the
-    frozen CSR graph plus whole-graph weight and ``m(u)`` rows — so any
-    future view over a :class:`~repro.kg.compact.CompactGraph` (a shard
-    proxy, say) qualifies without inheriting from
+    Duck-typed on the capabilities the kernel consumes — the frozen CSR
+    graph (static topology mirrors) plus a predicate-sized weight row
+    and a node-sized ``m(u)`` row per query predicate, each with its
+    exact-log twin — so any future view over a
+    :class:`~repro.kg.compact.CompactGraph` (a shard proxy, say)
+    qualifies without inheriting from
     :class:`~repro.core.compact_view.CompactSemanticGraphView`.
     """
-    return (
-        getattr(view, "graph", None) is not None
-        and hasattr(view, "weight_row_array")
-        and hasattr(view, "bounds_row_array")
+    return getattr(view, "graph", None) is not None and all(
+        hasattr(view, name)
+        for name in (
+            "weight_row_array",
+            "log_weight_row_array",
+            "bounds_row_array",
+            "log_bounds_row_array",
+        )
     )
-
-
-def _exact_log_array(values: np.ndarray) -> np.ndarray:
-    """``log_weight`` over an array, bit-identical to the scalar path.
-
-    ``np.log`` is not guaranteed bit-identical to ``math.log`` (numpy
-    ships its own SIMD loops, allowed to differ by an ulp), and heap
-    order hangs on exact priority bits — so logs go through
-    :func:`~repro.core.pss.log_weight`, amortised over the *distinct*
-    values: a weight or ``m(u)`` row draws from at most one value per
-    graph predicate, so the scalar loop runs tens of times, not
-    per-node.
-    """
-    distinct, inverse = np.unique(values, return_inverse=True)
-    logs = np.fromiter(
-        (log_weight(value) for value in distinct.tolist()),
-        dtype=np.float64,
-        count=distinct.size,
-    )
-    return logs[inverse]
 
 
 class _SegmentTable:
-    """Per-segment expansion tables (one fancy-index, reused forever).
+    """Per-segment expansion tables, none of them slot-sized.
 
-    ``pos`` / ``pos_l`` / ``pos_count`` / ``w_l`` / ``lw_l`` are
-    slot-indexed (per arriving edge); ``phi_l`` / ``m_*`` / ``logm_*``
-    are node-indexed (per arrival endpoint) — same per-arrival read
-    count, num_nodes-sized mirrors.  ``pos`` stays an array for the
-    hub-row τ-gather; everything the scalar admit loop reads is a
-    plain-list mirror.  ``m_adv_l`` / ``logm_adv_l`` are ``None`` on the
-    last segment, where an advance is a goal and gets an exact pss
-    instead of an estimate.
+    ``w_l`` / ``lw_l`` are indexed by interned predicate id (a slot
+    reaches them through the graph's ``slot_predicate_list()``);
+    ``m_*`` / ``logm_*`` are node-indexed; ``phi`` is the set of
+    φ-matches of the node closing the segment.  ``m_adv_l`` /
+    ``logm_adv_l`` are ``None`` on the last segment, where an advance is
+    a goal and gets an exact pss instead of an estimate.
     """
 
     __slots__ = (
-        "pos",
-        "pos_l",
-        "pos_count",
         "w_l",
         "lw_l",
-        "phi_l",
+        "phi",
         "m_cont_l",
         "logm_cont_l",
         "m_adv_l",
@@ -166,7 +148,7 @@ class VectorizedSubQuerySearch:
             anything else raises :class:`~repro.errors.SearchError`.
         subquery: the path-shaped sub-query to match.
         matcher: node-match relation φ (consulted once per boundary at
-            construction to build the φ bitmasks, never in the hot loop).
+            construction to build the φ-match sets, never in the hot loop).
         config: τ, n̂ and policy knobs.
         subquery_index: position of this sub-query in the decomposition.
         clock: time source; TBQ passes a shared clock.
@@ -184,8 +166,8 @@ class VectorizedSubQuerySearch:
         if not supports_vectorized_search(view):
             raise SearchError(
                 "vectorized search kernel needs a compact view exposing "
-                "graph / weight_row_array / bounds_row_array; "
-                f"{type(view).__name__} does not"
+                "graph / weight_row_array / bounds_row_array and their "
+                f"log twins; {type(view).__name__} does not"
             )
         self.view = view
         self.subquery = subquery
@@ -210,11 +192,11 @@ class VectorizedSubQuerySearch:
         self._seg_mult = self._num_segments + 1
         self._hops_mult = self._total_bound + 1
         self._his_mult = config.path_bound + 1
-        # Per-boundary φ-match bitmask over entity ids: node_labels[1..m]
-        # close segments 0..m-1; matcher.matches is the φ oracle and is
-        # consulted exactly once per boundary, here.
-        self._phi = [
-            graph.uid_mask(matcher.matches(subquery.query.node(label)))
+        # Per-boundary φ-match set: node_labels[1..m] close segments
+        # 0..m-1; matcher.matches is the φ oracle and is consulted
+        # exactly once per boundary, here.
+        self._phi: List[FrozenSet[int]] = [
+            frozenset(matcher.matches(subquery.query.node(label)))
             for label in subquery.node_labels[1:]
         ]
 
@@ -223,17 +205,16 @@ class VectorizedSubQuerySearch:
         # search over it.
         self._indptr_l: List[int] = graph.indptr_list()
         self._nbr_l: List[int] = graph.slot_neighbor_list()
+        self._spred_l: List[int] = graph.slot_predicate_list()
         self._note = getattr(view, "note_touched", None)
 
-        # Lazy per-segment tables and segment-max m(u) columns
-        # (array, exact-log array, and their list mirrors).
+        # Lazy per-segment tables and segment-max m(u) columns (list
+        # mirrors of the values and of their exact logs).
         self._tables: Dict[int, _SegmentTable] = {}
-        self._m_memo: Dict[
-            int, Tuple[np.ndarray, np.ndarray, List[float], List[float]]
-        ] = {}
+        self._m_memo: Dict[int, Tuple[List[float], List[float]]] = {}
 
         # Struct-of-arrays state pool: append-only scalar columns (an
-        # index, once handed to the heap or a PathMatch, stays valid
+        # index, once handed to the heap or a PendingMatch, stays valid
         # forever).  pool_arrays() exports the columns as flat numpy
         # arrays; the hot loop reads/writes the python columns directly
         # so nothing boxes np scalars per state.
@@ -265,31 +246,35 @@ class VectorizedSubQuerySearch:
     # ------------------------------------------------------------------
     # precomputed tables
     # ------------------------------------------------------------------
-    def _m_any(
-        self, segment: int
-    ) -> Tuple[np.ndarray, np.ndarray, List[float], List[float]]:
+    def _m_any(self, segment: int) -> Tuple[List[float], List[float]]:
         """``m(u)`` against predicates[segment:] for all nodes, plus logs.
 
         The elementwise max over the remaining predicates' bounds rows —
         the batched equivalent of the reference's
         ``max_adjacent_weight_any`` scan (max of floats is exact, so the
-        values match bit for bit).  Returns the arrays and their list
-        mirrors (shared by the seeds and every segment table).
+        values match bit for bit) — with each log taken from the row
+        that supplied the max, so it equals ``log_weight`` of that max
+        whatever libm does.  Returns plain-list mirrors (shared by the
+        seeds and every segment table).
         """
         entry = self._m_memo.get(segment)
         if entry is None:
-            rows = [
-                self.view.bounds_row_array(predicate)
-                for predicate in self._predicates[segment:]
-            ]
-            m = rows[0] if len(rows) == 1 else np.maximum.reduce(rows)
-            log_m = _exact_log_array(m)
-            entry = (m, log_m, m.tolist(), log_m.tolist())
+            first, *rest = self._predicates[segment:]
+            m = self.view.bounds_row_array(first)
+            log_m = self.view.log_bounds_row_array(first)
+            for predicate in rest:
+                row = self.view.bounds_row_array(predicate)
+                higher = row > m
+                m = np.where(higher, row, m)
+                log_m = np.where(
+                    higher, self.view.log_bounds_row_array(predicate), log_m
+                )
+            entry = (m.tolist(), log_m.tolist())
             self._m_memo[segment] = entry
         return entry
 
     def _segment_table(self, segment: int) -> _SegmentTable:
-        """Slot-parallel weight/φ/m tables for one segment, built once.
+        """Predicate-sized weight and node-sized φ/m tables, built once.
 
         Built on the segment's first non-isolated expansion — the same
         trigger at which the reference search first materialises the
@@ -299,32 +284,16 @@ class VectorizedSubQuerySearch:
         table = self._tables.get(segment)
         if table is not None:
             return table
-        graph = self.graph
-        slot_predicate = graph.slot_predicate
-        row = self.view.weight_row_array(self._predicates[segment])
-        slot_w = row[slot_predicate]
-        pos = slot_w > 0.0
-        counts = np.zeros(graph.num_nodes, dtype=np.int64)
-        starts = graph.indptr[:-1]
-        nonempty = starts < graph.indptr[1:]
-        if pos.size:
-            counts[nonempty] = np.add.reduceat(pos, starts[nonempty])
-        log_row = _exact_log_array(row)
-        # Weight columns are slot-indexed (per arriving edge); the φ and
-        # m(u) columns are node-indexed — same per-arrival read count,
-        # num_nodes-sized mirrors instead of num_slots-sized ones.
-        _m, _logm, m_cont_l, logm_cont_l = self._m_any(segment)
+        predicate = self._predicates[segment]
+        m_cont_l, logm_cont_l = self._m_any(segment)
         if segment + 1 < self._num_segments:
-            _m, _logm, m_adv_l, logm_adv_l = self._m_any(segment + 1)
+            m_adv_l, logm_adv_l = self._m_any(segment + 1)
         else:
             m_adv_l = logm_adv_l = None
         table = _SegmentTable(
-            pos=pos,
-            pos_l=pos.tolist(),
-            pos_count=counts.tolist(),
-            w_l=slot_w.tolist(),
-            lw_l=log_row[slot_predicate].tolist(),
-            phi_l=self._phi[segment].tolist(),
+            w_l=self.view.weight_row_array(predicate).tolist(),
+            lw_l=self.view.log_weight_row_array(predicate).tolist(),
+            phi=self._phi[segment],
             m_cont_l=m_cont_l,
             logm_cont_l=logm_cont_l,
             m_adv_l=m_adv_l,
@@ -438,7 +407,7 @@ class VectorizedSubQuerySearch:
             return
         if self._note is not None:
             self._note(seeds)
-        _m, _logm, m_l, logm_l = self._m_any(0)
+        m_l, logm_l = self._m_any(0)
         for uid in seeds:
             priority = self._estimate(0.0, 0, 0.0, m_l[uid], logm_l[uid])
             self._push(uid, 0, 0, 0, 0.0, 0.0, -1, -1, priority)
@@ -512,12 +481,26 @@ class VectorizedSubQuerySearch:
     # ------------------------------------------------------------------
     # expansion (Algorithm 1 lines 3-10, one shot per pop)
     # ------------------------------------------------------------------
-    def _make_match(self, index: int) -> PathMatch:
+    def _make_match(self, index: int) -> PendingMatch:
+        return PendingMatch(
+            self.subquery_index,
+            self._uid_c[index],
+            self._priority_c[index],
+            index,
+        )
+
+    def materialise(self, match: PendingMatch) -> PathMatch:
+        """Build the path of a match this search emitted.
+
+        Walks the parent column from the match's pool row back to its
+        seed; the edges are the source graph's own ``Edge`` objects, so
+        the result equals the reference search's eager match.
+        """
         graph = self.graph
         slot_edge = graph.slot_edge
         slot_forward = graph.slot_forward
         steps: List[PathStep] = []
-        cursor = index
+        cursor = match.pool_index
         while True:
             parent = self._parent_c[cursor]
             if parent < 0:
@@ -532,10 +515,10 @@ class VectorizedSubQuerySearch:
             cursor = parent
         steps.reverse()
         return PathMatch(
-            subquery_index=self.subquery_index,
+            subquery_index=match.subquery_index,
             path=Path(start=self._uid_c[cursor], steps=tuple(steps)),
-            pivot_uid=self._uid_c[index],
-            pss=self._priority_c[index],
+            pivot_uid=match.pivot_uid,
+            pss=match.pss,
         )
 
     def _admit_harvest(
@@ -549,7 +532,7 @@ class VectorizedSubQuerySearch:
         parent: int,
         slot: int,
         priority: float,
-        harvest: Dict[int, PathMatch],
+        harvest: Dict[int, PendingMatch],
     ) -> None:
         """Route one goal arrival into M̂_i (Algorithm 2, lines 10-11).
 
@@ -581,7 +564,7 @@ class VectorizedSubQuerySearch:
         harvest[uid] = self._make_match(index)
 
     def _expand(
-        self, index: int, segment: int, harvest: Optional[Dict[int, PathMatch]]
+        self, index: int, segment: int, harvest: Optional[Dict[int, PendingMatch]]
     ) -> None:
         # The loop body inlines _estimate (geometric), the τ check and
         # _push: at ~5 generated states per pop, the method-call overhead
@@ -601,13 +584,6 @@ class VectorizedSubQuerySearch:
             return
         table = self._segment_table(segment)
         stats = self.stats
-        stats.pruned_by_tau += (end - start) - table.pos_count[uid]
-        if end - start >= _GATHER_MIN_DEGREE:
-            # Hub row: gather the τ-positive slots with one vectorized
-            # mask before the scalar admit loop.
-            candidates = (np.flatnonzero(table.pos[start:end]) + start).tolist()
-        else:
-            candidates = range(start, end)
         anc = self._anc[index]
         log_product = self._lp_c[index]
         weight_sum = self._ws_c[index]
@@ -618,10 +594,10 @@ class VectorizedSubQuerySearch:
         advance_is_goal = segment1 == self._num_segments
         estimating = continuing or not advance_is_goal
         nbr_l = self._nbr_l
-        pos_l = table.pos_l
+        spred_l = self._spred_l
         w_l = table.w_l
         lw_l = table.lw_l
-        phi_l = table.phi_l
+        phi = table.phi
         m_adv_l = table.m_adv_l
         logm_adv_l = table.logm_adv_l
         m_cont_l = table.m_cont_l
@@ -662,15 +638,19 @@ class VectorizedSubQuerySearch:
         max_queue = stats.max_queue_size
         pool_n = len(self._uid_c)
         touched: List[int] = [] if estimating else None
-        for slot in candidates:
-            if not pos_l[slot]:
-                continue  # weight <= 0 (already counted as τ prunes)
+        nonpositive = 0
+        for slot in range(start, end):
+            pid = spred_l[slot]
+            w = w_l[pid]
+            if w <= 0.0:
+                nonpositive += 1  # the reference's weight <= 0 τ prune
+                continue
             neighbor = nbr_l[slot]
             if neighbor in anc:
                 continue  # simple paths only
-            lp = log_product + lw_l[slot]
-            ws = weight_sum + w_l[slot]
-            if phi_l[neighbor]:
+            lp = log_product + lw_l[pid]
+            ws = weight_sum + w
+            if neighbor in phi:
                 if advance_is_goal:
                     priority = (
                         (0.0 if lp <= _LOG_PRUNE else exp(lp / hops1))
@@ -789,12 +769,15 @@ class VectorizedSubQuerySearch:
                 stats.pruned_by_bound += 1
         queue._counter = counter
         stats.max_queue_size = max_queue
+        stats.pruned_by_tau += nonpositive
         if touched and self._note is not None:
             # Estimate bookkeeping: the reference touches a neighbour
             # whenever it computes an Eq. 7 estimate for it.
             self._note(touched)
 
-    def step(self, harvest: Optional[Dict[int, PathMatch]] = None) -> Optional[PathMatch]:
+    def step(
+        self, harvest: Optional[Dict[int, PendingMatch]] = None
+    ) -> Optional[PendingMatch]:
         """One pop-and-expand iteration (same contract as the reference)."""
         if self._exhausted:
             return None
@@ -830,7 +813,7 @@ class VectorizedSubQuerySearch:
     def exhausted(self) -> bool:
         return self._exhausted
 
-    def next_match(self) -> Optional[PathMatch]:
+    def next_match(self) -> Optional[PendingMatch]:
         """Run until the next match pops; ``None`` when exhausted."""
         while not self._exhausted:
             match = self.step()
@@ -840,11 +823,11 @@ class VectorizedSubQuerySearch:
         self.stats.elapsed_seconds = self._watch.elapsed()
         return None
 
-    def run(self, k: int) -> List[PathMatch]:
+    def run(self, k: int) -> List[PendingMatch]:
         """Collect up to ``k`` matches (Algorithm 1 in one call)."""
         if k < 1:
             raise SearchError("k must be at least 1")
-        matches: List[PathMatch] = []
+        matches: List[PendingMatch] = []
         while len(matches) < k:
             match = self.next_match()
             if match is None:

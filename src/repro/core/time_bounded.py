@@ -24,20 +24,26 @@ BudgetClock` can replace the wall clock in tests (one tick per expansion).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Union
 
 from repro.core.astar import SubQuerySearch
 from repro.core.config import SearchConfig
-from repro.core.results import PathMatch
+from repro.core.results import PathMatch, PendingMatch
 from repro.errors import TimeBudgetError
 from repro.utils.timing import Clock, Stopwatch, WallClock
 
 
 @dataclass
 class TimeBoundedOutcome:
-    """What the coordinator produced for one TBQ run."""
+    """What the coordinator produced for one TBQ run.
 
-    harvests: List[List[PathMatch]]
+    ``harvests`` holds the matches as the searches emitted them: the
+    array-backed kernel's are path-less
+    :class:`~repro.core.results.PendingMatch` values, which the engine
+    materialises for the assembled top-k only.
+    """
+
+    harvests: List[List[Union[PathMatch, PendingMatch]]]
     elapsed_search_seconds: float
     estimated_assembly_seconds: float
     stopped_by_time: bool
@@ -111,7 +117,7 @@ class TimeBoundedCoordinator:
                         break
 
         elapsed = watch.elapsed()
-        harvests: List[List[PathMatch]] = [list(h.values()) for h in harvest_maps]
+        harvests = [list(h.values()) for h in harvest_maps]
         harvested = sum(len(h) for h in harvests)
         return TimeBoundedOutcome(
             harvests=harvests,

@@ -120,6 +120,7 @@ class CompactGraph:
         "_names",
         "_indptr_list",
         "_slot_neighbor_list",
+        "_slot_predicate_list",
         "_shm_block",
     )
 
@@ -135,6 +136,7 @@ class CompactGraph:
         "_names",
         "_indptr_list",
         "_slot_neighbor_list",
+        "_slot_predicate_list",
         "_shm_block",
     )
 
@@ -422,19 +424,17 @@ class CompactGraph:
             )
         return self._slot_neighbor_list
 
-    def uid_mask(self, uids) -> np.ndarray:
-        """Boolean node mask from an iterable of entity ids.
+    def slot_predicate_list(self) -> List[int]:
+        """Python-int mirror of ``slot_predicate`` (see :meth:`indptr_list`).
 
-        The building block for per-boundary φ-match bitmasks: a
-        ``NodeMatcher.matches`` candidate list becomes one ``bool`` array
-        the search kernel can fancy-index by ``slot_neighbor``, turning
-        per-arrival φ tests into one vectorized gather.
+        Maps a slot to its interned predicate id, which is what lets
+        every per-search weight table be predicate-sized.
         """
-        mask = np.zeros(self.num_nodes, dtype=bool)
-        uid_list = list(uids)
-        if uid_list:
-            mask[uid_list] = True
-        return mask
+        if self._slot_predicate_list is None:
+            object.__setattr__(
+                self, "_slot_predicate_list", self.slot_predicate.tolist()
+            )
+        return self._slot_predicate_list
 
     # ------------------------------------------------------------------
     def is_stale(self, kg: Optional[KnowledgeGraph] = None) -> bool:

@@ -20,7 +20,9 @@ A third LRU map holds **rows** — opaque whole-graph vectors keyed by
 ``(kind, query predicate)`` — for the compact CSR kernel
 (:mod:`repro.core.compact_view`), whose unit of sharing is one query
 predicate against the entire graph (``kind="weights"``: clamped weight
-per interned graph-predicate id; ``kind="bounds"``: ``m(u)`` per node).
+per interned graph-predicate id; ``kind="bounds"``: ``m(u)`` per node;
+``kind="log_weights"`` / ``"log_bounds"``: their exact-log twins, which
+the array-backed search kernel reads instead of taking logs per search).
 Rows are treated as immutable by contract; the cache never copies them.
 
 Eviction never affects correctness — a miss recomputes — so the LRU bound
@@ -151,12 +153,14 @@ class SemanticGraphCache:
         max_adjacency: capacity of the adjacency map, the memory-heavy one
             (up to ``|touched nodes| × |query predicates seen|`` entries).
         max_rows: capacity of the row map used by compact views.  The
-            live count is ``2 × |query predicates seen|``; the bound caps
+            live count is ``4 × |query predicates seen|`` (weights,
+            bounds and the exact-log twin of each); the bound caps
             adversarial predicate churn.  Unlike the scalar maps, each
-            entry here is a whole-graph vector — bounds rows cost 8 bytes
-            *per graph node* — so deployments on very large graphs should
-            size ``max_rows`` against ``8 × num_nodes`` per entry, not
-            treat it as a near-free ceiling.
+            entry here is a whole-graph vector — bounds rows and their
+            logs cost 8 bytes *per graph node* — so deployments on very
+            large graphs should size ``max_rows`` against
+            ``8 × num_nodes`` per entry, not treat it as a near-free
+            ceiling.
     """
 
     def __init__(

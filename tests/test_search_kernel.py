@@ -6,10 +6,18 @@ visited policies — so drained match streams (pivots, bit-equal pss,
 emission order, paths down to shared ``Edge`` objects) and every search
 counter (expansions, τ/visited/bound prunes, stale pops, queue peak)
 must be identical, across randomized graphs, multi-segment sub-queries,
-τ sweeps and mid-stream ``next_match`` resumption.  The identity
-predicates are shared with the CI gate (`repro.bench.equivalence`), so
-the tests and the gate cannot drift in what they check.
+τ sweeps and mid-stream ``next_match`` resumption.  The kernel emits
+path-less pending matches, so the suites build the path of *every*
+emitted match (``materialised``) before comparing — not only of the
+top-k the engine would return.  The identity predicates are shared with
+the CI gate (`repro.bench.equivalence`), so the tests and the gate
+cannot drift in what they check.
 """
+
+import gc
+import pickle
+import random
+import weakref
 
 import pytest
 
@@ -28,12 +36,16 @@ from repro.core.astar import (
 from repro.core.compact_view import CompactViewFactory
 from repro.core.config import SearchConfig, VisitedPolicy
 from repro.core.engine import SemanticGraphQueryEngine
+from repro.core.results import PathMatch, PendingMatch, QueryResultPayload
 from repro.core.search_kernel import (
     VectorizedSubQuerySearch,
+    _SegmentTable,
     supports_vectorized_search,
 )
 from repro.core.semantic_graph import SemanticGraphView
 from repro.errors import SearchError
+from repro.kg.graph import KnowledgeGraph
+from repro.query.builder import QueryGraphBuilder
 from repro.utils.timing import BudgetClock
 
 BUNDLE_SPECS = (("dbpedia", 1.0, 11), ("dbpedia", 0.6, 3), ("freebase", 0.8, 5))
@@ -63,6 +75,13 @@ def build_pair(bundle, subquery, matcher, config, view=None):
     return reference, vectorized
 
 
+def materialised(search, matches):
+    """Every emitted match with its path built by the search it came from."""
+    built = [search.materialise(match) for match in matches]
+    assert all(type(match) is PathMatch for match in built)
+    return built
+
+
 class TestRandomizedConformance:
     """Drained streams and counters identical on generated graphs."""
 
@@ -82,6 +101,8 @@ class TestRandomizedConformance:
                     )
                     ref_matches = reference.run(10**6)
                     vec_matches = vectorized.run(10**6)
+                    assert all(type(m) is PendingMatch for m in vec_matches)
+                    vec_matches = materialised(vectorized, vec_matches)
                     label = f"{query.qid}/g{index}/tau={tau}"
                     problem = path_matches_differ(label, ref_matches, vec_matches)
                     assert problem is None, problem
@@ -118,7 +139,9 @@ class TestRandomizedConformance:
                     assert ref_match is None and vec_match is None
                     break
                 problem = path_matches_differ(
-                    f"{query.qid}/g{index}#{pulled}", [ref_match], [vec_match]
+                    f"{query.qid}/g{index}#{pulled}",
+                    [ref_match],
+                    materialised(vectorized, [vec_match]),
                 )
                 assert problem is None, problem
                 pulled += 1
@@ -153,7 +176,7 @@ class TestRandomizedConformance:
             problem = path_matches_differ(
                 f"{query.qid}/g{index}/harvest",
                 list(ref_harvest.values()),
-                list(vec_harvest.values()),
+                materialised(vectorized, vec_harvest.values()),
             )
             assert problem is None, problem
             problem = search_stats_differ(
@@ -174,7 +197,7 @@ class TestRandomizedConformance:
             rand_bundle, decomposition.subqueries[0], engine.matcher, config
         )
         ref_matches = reference.run(10**6)
-        vec_matches = vectorized.run(10**6)
+        vec_matches = materialised(vectorized, vectorized.run(10**6))
         assert path_matches_differ("cap", ref_matches, vec_matches) is None
         assert reference.stats.expansions == vectorized.stats.expansions <= 25
 
@@ -391,3 +414,136 @@ class TestEngineCallSites:
         assert result.pruned_by_visited == total.pruned_by_visited
         assert result.stale_pops == total.stale_pops
         assert result.max_queue_size == total.max_queue_size > 0
+
+
+def dense_graph(num_nodes=120, num_edges=3000, seed=5):
+    """|E| ≫ |V| ≫ |P|: 25 edges per node over the 7 fig2 predicates."""
+    rng = random.Random(seed)
+    kg = KnowledgeGraph("dense")
+    kg.add_entity("Germany", "Country")
+    for i in range(1, num_nodes):
+        kg.add_entity(f"n{i}", "Automobile" if i % 2 else "Person")
+    predicates = (
+        "assembly", "country", "designer", "nationality", "engine",
+        "language", "product",
+    )
+    while kg.num_edges < num_edges:
+        source, target = rng.sample(range(num_nodes), 2)
+        kg.add_edge(source, rng.choice(predicates), target)
+    return kg
+
+
+def capture_searches(engine, monkeypatch):
+    """Record every search the engine builds from here on."""
+    built = []
+    original = engine._build_searches
+
+    def recording(*args, **kwargs):
+        searches = original(*args, **kwargs)
+        built.extend(searches)
+        return searches
+
+    monkeypatch.setattr(engine, "_build_searches", recording)
+    return built
+
+
+class TestSetUpIndependentOfEdges:
+    """Nothing a search sets up is proportional to |E|."""
+
+    def test_no_table_column_is_slot_sized(
+        self, fig2_space, fig2_matcher, monkeypatch
+    ):
+        kg = dense_graph()
+        engine = SemanticGraphQueryEngine(
+            kg,
+            fig2_space,
+            fig2_matcher.library,
+            SearchConfig(tau=0.5, path_bound=2),
+            compact=True,
+        )
+        graph = engine.view_factory.frozen_graph
+        num_predicates = len(graph.predicate_names)
+        assert graph.num_edges >= 20 * graph.num_nodes >= 200 * num_predicates
+        query = (
+            QueryGraphBuilder()
+            .target("v1", "Automobile")
+            .specific("v2", "Germany", "Country")
+            .target("v3", "Person")
+            .edge("e1", "v1", "product", "v2")
+            .edge("e2", "v3", "designer", "v1")
+            .build()
+        )
+        searches = capture_searches(engine, monkeypatch)
+        mirror = graph.slot_predicate_list()
+        assert len(mirror) == 2 * graph.num_edges
+        for _ in range(2):
+            assert engine.search(query, k=5).matches
+        assert engine.search_time_bounded(query, k=5, time_bound=5.0).matches
+        assert len(searches) >= 3
+        limit = max(num_predicates, graph.num_nodes)
+        tables = 0
+        for search in searches:
+            assert isinstance(search, VectorizedSubQuerySearch)
+            assert search._spred_l is mirror  # one mirror per graph, not per search
+            for table in search._tables.values():
+                tables += 1
+                for name in _SegmentTable.__slots__:
+                    column = getattr(table, name)
+                    assert column is None or len(column) <= limit, name
+                assert len(table.w_l) == len(table.lw_l) == num_predicates
+            for m_l, logm_l in search._m_memo.values():
+                assert len(m_l) == len(logm_l) == graph.num_nodes
+        assert tables > 0
+
+
+class TestReturnedAnswersAreDetached:
+    """Results carry plain values; nothing keeps a search's pool alive."""
+
+    @pytest.fixture()
+    def engine(self, small_bundle):
+        return SemanticGraphQueryEngine(
+            small_bundle.kg, small_bundle.space, small_bundle.library, compact=True
+        )
+
+    @pytest.mark.parametrize("mode", ["sgq", "tbq"])
+    def test_searches_die_and_result_pickles(
+        self, engine, small_bundle, monkeypatch, mode
+    ):
+        query = small_bundle.workload[0].query
+        reference = SemanticGraphQueryEngine(
+            small_bundle.kg,
+            small_bundle.space,
+            small_bundle.library,
+            compact=True,
+            search_kernel="reference",
+        )
+        searches = capture_searches(engine, monkeypatch)
+
+        def run(target):
+            if mode == "sgq":
+                return target.search(query, k=5)
+            return target.search_time_bounded(
+                query, k=5, time_bound=0.05,
+                clock=BudgetClock(seconds_per_tick=0.001),
+            )
+
+        result = run(engine)
+        assert result.matches and searches
+        refs = [weakref.ref(search) for search in searches]
+        del searches[:]
+        gc.collect()
+        assert all(ref() is None for ref in refs)  # result still held
+
+        for final in result.matches:
+            assert final.components
+            for component in final.components.values():
+                assert type(component) is PathMatch
+                assert component.path.end == component.pivot_uid
+        payload = QueryResultPayload.from_result(result)
+        blob = pickle.dumps(payload)
+        assert final_matches_differ(
+            mode, result.matches, pickle.loads(blob).to_result().matches
+        ) is None
+        # The boundary ships exactly what the eager kernel's result does.
+        expected = pickle.dumps(QueryResultPayload.from_result(run(reference)))
+        assert len(blob) == len(expected)
