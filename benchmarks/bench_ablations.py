@@ -1,4 +1,5 @@
-"""Ablation benches for the design choices DESIGN.md calls out.
+"""Ablation benches for the design choices docs/architecture.md calls out
+("Substitutions and ablation hooks").
 
 1. Scoring mode: geometric mean (Eq. 6) vs arithmetic mean.
 2. Visited policy: EXPAND (re-opening; default) vs GENERATE (Algorithm 1

@@ -3,7 +3,9 @@
 (a) effectiveness: precision/recall/F1 improve as the bound grows and
     converge to SGQ's values;
 (b) efficiency: the measured response time tracks the bound with small
-    variation, never exploding past it.
+    variation, never exploding past it — and never past SGQ's own time
+    either: a bound generous enough for the TA to terminate is certified
+    exact and returns when SGQ would, not when the bound ends.
 """
 
 from __future__ import annotations
@@ -15,6 +17,10 @@ from repro.bench.reporting import emit, format_table
 from repro.core.engine import SemanticGraphQueryEngine
 
 K = 100
+#: Factor by which a measured time may exceed what it is held against
+#: (the bound, or SGQ's own time) before the bench fails: wall-clock jitter
+#: plus the assembly that runs after the alert.
+OVERSHOOT_SLACK = 5.0
 
 
 def test_fig15_time_bounds(dbpedia_sweep_bundle, benchmark):
@@ -33,6 +39,7 @@ def test_fig15_time_bounds(dbpedia_sweep_bundle, benchmark):
     rows = []
     jaccards = []
     overshoots = []
+    measured = []
     for fraction in fractions:
         bound = max(sgq_time * fraction, 1e-4)
         result = engine.search_time_bounded(query.query, k=K, time_bound=bound)
@@ -40,6 +47,7 @@ def test_fig15_time_bounds(dbpedia_sweep_bundle, benchmark):
         similarity = jaccard(result.answer_uids(), reference_answers)
         jaccards.append(similarity)
         overshoots.append(result.elapsed_seconds / bound)
+        measured.append(result.elapsed_seconds)
         rows.append(
             (
                 f"{fraction:.1f}x",
@@ -65,15 +73,19 @@ def test_fig15_time_bounds(dbpedia_sweep_bundle, benchmark):
     # (a) more time -> closer to the optimal answer set (Theorem 4 trend,
     # allowing small non-monotonic wiggles from wall-clock jitter).
     assert jaccards[-1] >= jaccards[0]
-    assert jaccards[-1] >= 0.9  # generous bound converges
+    # The generous bound (the last run) is certified: TBQ *is* SGQ there
+    # (Theorem 4).
+    assert result.approximate is False
+    assert jaccards[-1] == 1.0
     first_half = sum(jaccards[:4]) / 4
     second_half = sum(jaccards[-4:]) / 4
     assert second_half >= first_half
 
     # (b) the response time stays within a small factor of the bound
-    # (excluding the deliberately generous convergence run, where the
-    # search exhausts long before the bound).
-    assert max(overshoots[:-1]) < 5.0
+    # (excluding the deliberately generous convergence run, which stops
+    # long before the bound), and no bound costs more than SGQ itself.
+    assert max(overshoots[:-1]) < OVERSHOOT_SLACK
+    assert max(measured) < sgq_time * OVERSHOOT_SLACK
 
     benchmark(
         lambda: engine.search_time_bounded(

@@ -1,8 +1,8 @@
 """Table VII — user study PCC per query (simulated annotators).
 
 Protocol (Section VII-D, Baidu platform replaced by the simulated pool —
-see DESIGN.md): per query, k = validation-set size, 30 cross-group answer
-pairs, 10 annotators each.  Paper shape: strong (PCC >= 0.5) correlation
+see docs/architecture.md): per query, k = validation-set size, 30
+cross-group answer pairs, 10 annotators each.  Paper shape: strong (PCC >= 0.5) correlation
 on most queries, medium on a few, none negative.
 """
 

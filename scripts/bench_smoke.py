@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """CI smoke gate for the kernels and the execution-backend seam.
 
-Runs nine result-equivalence gates on small fixed workloads and exits
+Runs ten result-equivalence gates on small fixed workloads and exits
 non-zero **only** on a mismatch — the one property CI can judge on shared
 runners.  Timing numbers are recorded in the artifacts but never gate the
 build (CI machines are too noisy for that; the full-scale benches in
@@ -50,11 +50,18 @@ build (CI machines are too noisy for that; the full-scale benches in
    exact-answer digests must be equal, the largest shard's resident
    bytes must stay strictly below the unsharded kernel's and within
    the divided-edge-mass budget, and no per-shard ``/dev/shm`` segment
-   may survive) → ``benchmarks/results/BENCH_sharded_graph.json``.
+   may survive) → ``benchmarks/results/BENCH_sharded_graph.json``;
+10. the TBQ contract gate (``repro.scenarios.run_tbq_contract_gate``:
+    the held-out scenario's exact queries run time-bounded on a
+    deterministic ``BudgetClock`` — a bound no query can exhaust must
+    certify all of them, ``approximate=False``, with the scenario's own
+    golden digest, and a one-tick bound must flag every answer
+    ``approximate=True``) →
+    ``benchmarks/results/BENCH_tbq_contract.json``.
 
 Each gate is one row in the :data:`GATES` registry — a name, the
 implementing module, the artifact stem, the floors it enforces, and a
-runner returning a uniform :class:`GateResult` — so adding gate 10 is a
+runner returning a uniform :class:`GateResult` — so adding gate 11 is a
 runner function plus one registry line; the emit/print/judge loop in
 :func:`main` never changes.
 
@@ -101,6 +108,7 @@ from repro.scenarios import (  # noqa: E402
     Workload,
     load_golden,
     run_scenario_gate,
+    run_tbq_contract_gate,
 )
 
 SCENARIO_DIR = REPO / "benchmarks" / "scenarios"
@@ -463,6 +471,28 @@ def _gate_sharded(ctx: GateContext) -> GateResult:
     )
 
 
+def _gate_tbq_contract(ctx: GateContext) -> GateResult:
+    gate = run_tbq_contract_gate(ctx.workload, ctx.golden)
+    return GateResult(
+        payload=gate.to_json(),
+        passed=gate.passed,
+        summary=[
+            f"tbq contract: {gate.workload} under BudgetClock — generous "
+            f"bound certified {gate.certified}/{gate.exact_queries}, "
+            f"one-tick bound flagged {gate.starved_approximate}/"
+            f"{gate.exact_queries} approximate; "
+            f"digest {gate.digest.split(':', 1)[1][:12]}"
+        ],
+        ok=(
+            f"tbq-contract gate OK: all {gate.exact_queries} exact queries "
+            "certified with the golden digest, every starved answer "
+            "flagged approximate"
+        ),
+        failures=["TBQ CONTRACT VIOLATED on the held-out scenario suite:"]
+        + _clip(gate.problems),
+    )
+
+
 #: The smoke gates, in run order.  Adding a gate = a runner + one row.
 GATES: Tuple[Gate, ...] = (
     Gate("compact-kernel", "repro.bench.compactbench",
@@ -497,6 +527,10 @@ GATES: Tuple[Gate, ...] = (
          "BENCH_sharded_graph",
          "digest partition-invariant, max shard bytes divided, no leaks",
          _gate_sharded),
+    Gate("tbq-contract", "repro.scenarios",
+         "BENCH_tbq_contract",
+         "generous bound certified at the golden digest, starved => approximate",
+         _gate_tbq_contract),
 )
 
 

@@ -10,6 +10,12 @@ Checks, across all tracked ``*.md`` files (skipping ``benchmarks/results``):
    only tokens that contain a ``/`` and end in ``.py`` or ``.md`` are
    treated as path claims, so prose code spans stay unaffected.
 
+And, across the Python sources under ``src/`` and ``benchmarks/*.py``:
+
+3. every ``*.md`` file a docstring or comment names exists, at the path
+   given or — for a bare name like ``README.md`` — at the repository
+   root (the sources cited a ``DESIGN.md`` that never existed).
+
 Exit code 0 when clean, 1 with a per-file report otherwise.
 """
 
@@ -23,6 +29,7 @@ REPO = Path(__file__).resolve().parent.parent
 MD_LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 CODE_SPAN = re.compile(r"`([^`]+)`")
 PATH_CLAIM = re.compile(r"^[\w./-]+/[\w.-]+\.(?:py|md)$")
+MD_MENTION = re.compile(r"[\w./-]*\w\.md\b")
 EXTERNAL = ("http://", "https://", "mailto:")
 # Research scaffolding (issue briefs, paper-retrieval dumps) — not
 # project docs; their link targets live outside this repository.
@@ -44,16 +51,30 @@ def check_file(md: Path) -> list:
     return problems
 
 
+def check_source(py: Path) -> list:
+    mentions = sorted(set(MD_MENTION.findall(py.read_text(encoding="utf-8"))))
+    return [
+        f"missing doc: {mention}"
+        for mention in mentions
+        if not (REPO / mention).exists()
+    ]
+
+
 def main() -> int:
     failures = 0
+    checked = []
     for md in sorted(REPO.rglob("*.md")):
         if "benchmarks/results" in str(md) or ".git" in md.parts:
             continue
         if md.name in SKIP_NAMES:
             continue
-        problems = check_file(md)
+        checked.append((md, check_file(md)))
+    sources = sorted((REPO / "src").rglob("*.py"))
+    sources += sorted((REPO / "benchmarks").glob("*.py"))
+    checked.extend((py, check_source(py)) for py in sources)
+    for path, problems in checked:
         for problem in problems:
-            print(f"{md.relative_to(REPO)}: {problem}")
+            print(f"{path.relative_to(REPO)}: {problem}")
         failures += len(problems)
     if failures:
         print(f"\n{failures} problem(s) found")

@@ -4,7 +4,8 @@ Each baseline implements the *feature set* the paper's Table II assigns to
 it (node similarity / edge-to-path mapping / predicate awareness), behind
 the shared :class:`~repro.baselines.base.GraphQueryMethod` interface.  The
 paper's accuracy ordering is driven by those features, so reimplementing
-the feature sets reproduces the ordering (see DESIGN.md, substitutions).
+the feature sets reproduces the ordering (see docs/architecture.md,
+"Substitutions").
 
 | method | node similarity | edge-to-path | predicates |
 |--------|-----------------|--------------|------------|

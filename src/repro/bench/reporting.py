@@ -2,7 +2,7 @@
 
 Every benchmark module prints its paper-style table through these helpers
 and also appends it to ``benchmarks/results/`` so the final run's numbers
-can be lifted into EXPERIMENTS.md verbatim.
+can be lifted into README.md verbatim.
 """
 
 from __future__ import annotations

@@ -65,6 +65,7 @@ def build_subquery_search(
     clock: Optional[Clock] = None,
     *,
     kernel: str = "auto",
+    budget=None,
 ):
     """Construct the A* search for one sub-query behind the kernel seam.
 
@@ -75,6 +76,9 @@ def build_subquery_search(
     picks the vectorized kernel exactly when the view can feed it.  Both
     kernels are decision-identical — same matches, same pss, same
     emission order, same search stats — so the choice only moves cost.
+    ``budget`` is TBQ's :class:`~repro.core.time_bounded.
+    TimeBoundedCoordinator`, charged once per expansion; ``None`` (SGQ)
+    searches unbudgeted.
     """
     if kernel not in SEARCH_KERNELS:
         raise SearchError(
@@ -88,7 +92,7 @@ def build_subquery_search(
 
         if supports_vectorized_search(view):
             return VectorizedSubQuerySearch(
-                view, subquery, matcher, config, subquery_index, clock
+                view, subquery, matcher, config, subquery_index, clock, budget
             )
         if kernel == "vectorized":
             raise SearchError(
@@ -98,7 +102,9 @@ def build_subquery_search(
                 f"{type(view).__name__} does not — build "
                 "the engine with compact=True or pass kernel='auto'"
             )
-    return SubQuerySearch(view, subquery, matcher, config, subquery_index, clock)
+    return SubQuerySearch(
+        view, subquery, matcher, config, subquery_index, clock, budget
+    )
 
 
 @dataclass
@@ -172,6 +178,9 @@ class SubQuerySearch:
             (recorded on emitted matches for assembly).
         clock: time source; TBQ passes a shared clock, SGQ measures wall
             time for stats.
+        budget: TBQ's coordinator, charged once per expansion by
+            :meth:`next_match` (its ``charge`` may raise
+            :class:`~repro.core.time_bounded.TimeAlert`); ``None`` for SGQ.
     """
 
     def __init__(
@@ -182,6 +191,7 @@ class SubQuerySearch:
         config: SearchConfig,
         subquery_index: int = 0,
         clock: Optional[Clock] = None,
+        budget=None,
     ):
         self.view = view
         self.subquery = subquery
@@ -189,7 +199,11 @@ class SubQuerySearch:
         self.config = config
         self.subquery_index = subquery_index
         self.clock = clock if clock is not None else WallClock()
+        self._charge = budget.charge if budget is not None else None
         self.stats = SearchStats()
+        #: pivot -> the best goal state pushed for it so far, popped or
+        #: not: Algorithm 2's harvest-on-generate set M̂_i.
+        self.generated_goals: Dict[int, _State] = {}
 
         self._predicates = subquery.predicates()
         self._num_segments = len(self._predicates)
@@ -262,6 +276,10 @@ class SubQuerySearch:
                 return False
             self._best_g[fine] = state.log_product
         self._queue.push(state.priority, state)
+        if self._is_goal(state):
+            held = self.generated_goals.get(state.uid)
+            if held is None or state.priority > held.priority:
+                self.generated_goals[state.uid] = state
         self.stats.states_generated += 1
         if len(self._queue) > self.stats.max_queue_size:
             self.stats.max_queue_size = len(self._queue)
@@ -303,6 +321,16 @@ class SubQuerySearch:
         request; this search builds them eagerly at emission.
         """
         return match
+
+    def harvest(self) -> List[PathMatch]:
+        """M̂_i as matches: the best generated goal per pivot, popped or not.
+
+        What TBQ assembles from when the time alert fires (Algorithm 2,
+        lines 10-11).  Every goal passed the τ check when it was pushed
+        and its priority is its exact pss; ties keep the first generated,
+        the one :meth:`next_match` would emit.
+        """
+        return [self._make_match(state) for state in self.generated_goals.values()]
 
     def _arrivals(self, state: _State) -> List[_State]:
         """All states generated by expanding ``state`` one hop."""
@@ -364,37 +392,12 @@ class SubQuerySearch:
                 self.stats.pruned_by_bound += 1
         return out
 
-    def _admit(self, arrival: _State, harvest: Optional[Dict[int, PathMatch]]) -> None:
-        """τ-prune then route one arrival (queue, or TBQ harvest)."""
-        if arrival.priority < self.config.tau:
-            self.stats.pruned_by_tau += 1
-            return
-        if harvest is not None and self._is_goal(arrival):
-            # Algorithm 2, lines 10-11: goals go straight to M̂_i.  The
-            # harvest keeps the best match per pivot, so with enough time
-            # it converges to the optimal match set (Lemma 7).
-            key = arrival.key()
-            if self.config.visited_policy is VisitedPolicy.GENERATE:
-                if key in self._visited:
-                    self.stats.pruned_by_visited += 1
-                    return
-                self._visited.add(key)
-            existing = harvest.get(arrival.uid)
-            if existing is None:
-                self.stats.goals_emitted += 1
-                harvest[arrival.uid] = self._make_match(arrival)
-            elif arrival.priority > existing.pss:
-                harvest[arrival.uid] = self._make_match(arrival)
-            return
-        self._push(arrival)
-
-    def step(self, harvest: Optional[Dict[int, PathMatch]] = None) -> Optional[PathMatch]:
+    def step(self) -> Optional[PathMatch]:
         """One pop-and-expand iteration.
 
-        Returns a :class:`PathMatch` when the popped state is a goal (SGQ
-        mode only — TBQ passes ``harvest`` and collects goals at
-        generation), otherwise ``None``.  Raises nothing on exhaustion;
-        check :attr:`exhausted`.
+        Returns a :class:`PathMatch` when the popped state is a goal,
+        otherwise ``None``.  Raises nothing on exhaustion; check
+        :attr:`exhausted`.
         """
         if self._exhausted:
             return None
@@ -419,7 +422,10 @@ class SubQuerySearch:
             return self._make_match(state)
 
         for arrival in self._arrivals(state):
-            self._admit(arrival, harvest)
+            if arrival.priority < self.config.tau:
+                self.stats.pruned_by_tau += 1
+            else:
+                self._push(arrival)
         return None
 
     # ------------------------------------------------------------------
@@ -435,15 +441,21 @@ class SubQuerySearch:
         Returns ``None`` when the search space is exhausted.  Successive
         calls return matches in non-increasing pss order (Theorem 2: the
         first pop is the global optimum among n̂-bounded matches, the
-        second is the runner-up, and so on).
+        second is the runner-up, and so on).  Under a TBQ budget every
+        expansion is charged, and the charge that fires the time alert
+        raises out of this call.
         """
-        while not self._exhausted:
-            match = self.step()
-            if match is not None:
-                self.stats.elapsed_seconds = self._watch.elapsed()
-                return match
-        self.stats.elapsed_seconds = self._watch.elapsed()
-        return None
+        charge = self._charge
+        try:
+            while not self._exhausted:
+                match = self.step()
+                if charge is not None:
+                    charge()
+                if match is not None:
+                    return match
+            return None
+        finally:
+            self.stats.elapsed_seconds = self._watch.elapsed()
 
     def run(self, k: int) -> List[PathMatch]:
         """Collect up to ``k`` matches (Algorithm 1 in one call)."""

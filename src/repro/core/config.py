@@ -3,7 +3,8 @@
 Paper defaults (Section VII-A): pss threshold τ = 0.8 and user-desired path
 length n̂ = 4.  Everything else exists either to make experiments
 controllable (clock source, assembly cost constant) or as an explicit
-ablation hook documented in DESIGN.md (scoring mode, visited policy).
+ablation hook documented in docs/architecture.md (scoring mode, visited
+policy).
 """
 
 from __future__ import annotations

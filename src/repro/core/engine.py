@@ -20,9 +20,14 @@ from __future__ import annotations
 import dataclasses
 import time
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
-from repro.core.assembly import ASSEMBLY_KERNELS, MatchStream, assemble_top_k
+from repro.core.assembly import (
+    ASSEMBLY_KERNELS,
+    AssemblyResult,
+    MatchStream,
+    assemble_top_k,
+)
 from repro.core.astar import SEARCH_KERNELS, SubQuerySearch, build_subquery_search
 from repro.core.compact_view import CompactViewFactory, ViewFactory, lazy_view_factory
 from repro.core.config import SearchConfig
@@ -46,7 +51,7 @@ from repro.kg.sharded import (
 from repro.query.decompose import Decomposition, decompose_query
 from repro.query.model import QueryGraph
 from repro.query.transform import NodeMatcher, TransformationLibrary
-from repro.utils.timing import Clock, Stopwatch, WallClock
+from repro.utils.timing import Clock, Stopwatch
 
 
 class _PullTimer:
@@ -479,6 +484,7 @@ class SemanticGraphQueryEngine:
         decomposition: Decomposition,
         view: WeightedGraphView,
         clock: Optional[Clock] = None,
+        budget: Optional[TimeBoundedCoordinator] = None,
     ) -> List[SubQuerySearch]:
         return [
             build_subquery_search(
@@ -489,9 +495,58 @@ class SemanticGraphQueryEngine:
                 subquery_index=index,
                 clock=clock,
                 kernel=self.search_kernel,
+                budget=budget,
             )
             for index, subquery in enumerate(decomposition.subqueries)
         ]
+
+    def _pull_top_k(
+        self, searches: List[SubQuerySearch], k: int, exhaustive: bool = False
+    ) -> Tuple[AssemblyResult, float]:
+        """Lazy TA over the still-running searches — the whole of SGQ.
+
+        Returns the assembly and the seconds spent inside the TA itself
+        (sorted-access pull time, which *is* the A* search, subtracted).
+        """
+        pull_timer = _PullTimer()
+        streams = [
+            MatchStream(pull_timer.wrap(search.next_match)) for search in searches
+        ]
+        started = time.perf_counter()
+        assembly = assemble_top_k(
+            streams, k, exhaustive=exhaustive, kernel=self.assembly_kernel
+        )
+        seconds = time.perf_counter() - started - pull_timer.seconds
+        return assembly, max(seconds, 0.0)
+
+    def _result(
+        self,
+        watch: Stopwatch,
+        view: WeightedGraphView,
+        searches: List[SubQuerySearch],
+        assembly: AssemblyResult,
+        assembly_seconds: float,
+        approximate: bool = False,
+        time_bound: Optional[float] = None,
+    ) -> QueryResult:
+        _materialise_paths(assembly.matches, searches)
+        for search in searches:
+            # getattr: the stats attributes are view extras, not part of
+            # the WeightedGraphView protocol a custom view_factory must
+            # satisfy — a minimal view just reports zeros.
+            search.stats.nodes_touched = getattr(view, "touched_nodes", 0)
+            search.stats.edges_weighted = getattr(view, "edges_weighted", 0)
+        return QueryResult(
+            matches=assembly.matches,
+            elapsed_seconds=watch.elapsed(),
+            approximate=approximate,
+            subquery_stats=[search.stats for search in searches],
+            ta_accesses=assembly.accesses,
+            ta_rounds=assembly.rounds,
+            ta_truncated=assembly.truncated,
+            assembly_seconds=assembly_seconds,
+            time_bound=time_bound,
+        )
 
     # ------------------------------------------------------------------
     def search(
@@ -522,34 +577,10 @@ class SemanticGraphQueryEngine:
             decomposition = self.decompose(query, pivot=pivot, strategy=strategy)
         view = self._make_view()
         searches = self._build_searches(decomposition, view)
-        pull_timer = _PullTimer()
-        streams = [
-            MatchStream(pull_timer.wrap(search.next_match)) for search in searches
-        ]
-        assembly_started = time.perf_counter()
-        assembly = assemble_top_k(
-            streams, k, exhaustive=exhaustive_assembly, kernel=self.assembly_kernel
+        assembly, assembly_seconds = self._pull_top_k(
+            searches, k, exhaustive_assembly
         )
-        assembly_seconds = max(
-            time.perf_counter() - assembly_started - pull_timer.seconds, 0.0
-        )
-        _materialise_paths(assembly.matches, searches)
-        for search in searches:
-            # getattr: the stats attributes are view extras, not part of
-            # the WeightedGraphView protocol a custom view_factory must
-            # satisfy — a minimal view just reports zeros.
-            search.stats.nodes_touched = getattr(view, "touched_nodes", 0)
-            search.stats.edges_weighted = getattr(view, "edges_weighted", 0)
-        return QueryResult(
-            matches=assembly.matches,
-            elapsed_seconds=watch.elapsed(),
-            approximate=False,
-            subquery_stats=[search.stats for search in searches],
-            ta_accesses=assembly.accesses,
-            ta_rounds=assembly.rounds,
-            ta_truncated=assembly.truncated,
-            assembly_seconds=assembly_seconds,
-        )
+        return self._result(watch, view, searches, assembly, assembly_seconds)
 
     # ------------------------------------------------------------------
     def search_time_bounded(
@@ -564,49 +595,46 @@ class SemanticGraphQueryEngine:
         clock: Optional[Clock] = None,
         check_interval: int = 8,
     ) -> QueryResult:
-        """TBQ: approximate top-k within ``time_bound`` seconds (Problem 2).
+        """TBQ: top-k within ``time_bound`` seconds (Problem 2).
 
-        Harvested non-optimal match sets are assembled with the same TA;
-        given enough time the harvest is a superset of the optimal match
-        sets, so the result converges to :meth:`search`'s (Theorem 4).
+        Runs :meth:`search`'s lazy TA under Algorithm 3's budget.  If the
+        TA certifies the top-k first, the result *is* :meth:`search`'s
+        (``approximate=False``) and no time past the certificate is
+        spent; if the time alert fires first, the goals generated so far
+        (M̂) are assembled with the same TA and the result is flagged
+        ``approximate=True``.  Given enough time the first case always
+        wins (Theorem 4).
         """
         if k < 1:
             raise SearchError("k must be at least 1")
         watch = Stopwatch()
+        coordinator = TimeBoundedCoordinator(
+            time_bound, self.config, clock=clock, check_interval=check_interval
+        )
         if decomposition is None:
             decomposition = self.decompose(query, pivot=pivot, strategy=strategy)
         view = self._make_view()
-        run_clock = clock if clock is not None else WallClock()
-        searches = self._build_searches(decomposition, view, clock=run_clock)
-        coordinator = TimeBoundedCoordinator(
-            searches,
-            time_bound,
-            self.config,
-            clock=run_clock,
-            check_interval=check_interval,
+        searches = self._build_searches(
+            decomposition, view, clock=coordinator.clock, budget=coordinator
         )
-        outcome = coordinator.run()
-        # The M̂ replay (sort + TA) is wholly assembly work: the searches
-        # already ran under the coordinator, so no pull-time subtraction.
-        assembly_started = time.perf_counter()
-        streams = [MatchStream.from_list(harvest) for harvest in outcome.harvests]
-        assembly = assemble_top_k(streams, k, kernel=self.assembly_kernel)
-        assembly_seconds = time.perf_counter() - assembly_started
-        _materialise_paths(assembly.matches, searches)
-        for search in searches:
-            # getattr: the stats attributes are view extras, not part of
-            # the WeightedGraphView protocol a custom view_factory must
-            # satisfy — a minimal view just reports zeros.
-            search.stats.nodes_touched = getattr(view, "touched_nodes", 0)
-            search.stats.edges_weighted = getattr(view, "edges_weighted", 0)
-        return QueryResult(
-            matches=assembly.matches,
-            elapsed_seconds=watch.elapsed(),
-            approximate=True,
-            subquery_stats=[search.stats for search in searches],
-            ta_accesses=assembly.accesses,
-            ta_rounds=assembly.rounds,
-            ta_truncated=assembly.truncated,
-            assembly_seconds=assembly_seconds,
+        outcome = coordinator.run(searches, lambda: self._pull_top_k(searches, k))
+        if outcome.stopped_by_time:
+            # The M̂ replay (sort + TA) is wholly assembly work.
+            started = time.perf_counter()
+            assembly = assemble_top_k(
+                [MatchStream.from_list(harvest) for harvest in outcome.harvests],
+                k,
+                kernel=self.assembly_kernel,
+            )
+            assembly_seconds = time.perf_counter() - started
+        else:
+            assembly, assembly_seconds = outcome.answer
+        return self._result(
+            watch,
+            view,
+            searches,
+            assembly,
+            assembly_seconds,
+            approximate=outcome.stopped_by_time,
             time_bound=time_bound,
         )

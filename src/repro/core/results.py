@@ -135,8 +135,12 @@ class QueryResult:
     """Everything a query run returns.
 
     ``matches`` are the top-k final matches, best first.  ``approximate``
-    is True for TBQ runs (the match set may differ from the global
-    optimum); ``elapsed_seconds`` is the measured system response time.
+    is True exactly when a TBQ run's time alert fired and the answer was
+    assembled from the goals generated so far (the match set may differ
+    from the global optimum); a TBQ run whose TA terminated inside the
+    bound is the SGQ answer and says False, with ``time_bound`` still
+    recording the bound it ran under.  ``elapsed_seconds`` is the measured
+    system response time.
 
     TA bookkeeping: ``ta_accesses`` counts sorted accesses, ``ta_rounds``
     the assembly rounds, and ``ta_truncated`` is True when a

@@ -33,7 +33,7 @@ compact CSR kernel (:class:`~repro.kg.compact.CompactGraph`, via
   loop over those tables in slot order, counting the reference's
   ``weight <= 0`` prunes as it meets them (a vectorized τ-gather for
   hub rows measured slower on the ledger and is gone);
-- **paths are built on request**: a pop (or a TBQ harvest) emits a
+- **paths are built on request**: a pop (or TBQ's ``harvest()``) emits a
   :class:`~repro.core.results.PendingMatch` — pivot, pss and the pool
   row it ends at — and :meth:`VectorizedSubQuerySearch.materialise`
   walks the parent column into a :class:`~repro.kg.paths.Path` only for
@@ -59,8 +59,9 @@ against the reference across randomized graphs, policies and τ sweeps;
 ``repro.bench.searchbench`` re-proves it in CI.
 
 The public surface mirrors :class:`SubQuerySearch` exactly —
-``next_match`` / ``run`` / ``step(harvest=)`` / ``materialise`` /
-``exhausted`` / ``stats`` — so TA assembly's sorted access and TBQ's
+``next_match`` / ``run`` / ``step`` / ``materialise`` / ``exhausted`` /
+``stats``, plus ``generated_goals`` / ``harvest`` for TBQ — so TA
+assembly's sorted access and TBQ's
 :class:`~repro.core.time_bounded.TimeBoundedCoordinator` drive either
 kernel unchanged.
 """
@@ -152,6 +153,8 @@ class VectorizedSubQuerySearch:
         config: τ, n̂ and policy knobs.
         subquery_index: position of this sub-query in the decomposition.
         clock: time source; TBQ passes a shared clock.
+        budget: TBQ's coordinator, charged once per expansion by
+            :meth:`next_match`; ``None`` for SGQ.
     """
 
     def __init__(
@@ -162,6 +165,7 @@ class VectorizedSubQuerySearch:
         config: SearchConfig,
         subquery_index: int = 0,
         clock: Optional[Clock] = None,
+        budget=None,
     ):
         if not supports_vectorized_search(view):
             raise SearchError(
@@ -175,7 +179,11 @@ class VectorizedSubQuerySearch:
         self.config = config
         self.subquery_index = subquery_index
         self.clock = clock if clock is not None else WallClock()
+        self._charge = budget.charge if budget is not None else None
         self.stats = SearchStats()
+        #: pivot -> pool row of the best goal state pushed for it so far,
+        #: popped or not: Algorithm 2's harvest-on-generate set M̂_i.
+        self.generated_goals: Dict[int, int] = {}
 
         graph = view.graph
         self.graph = graph
@@ -316,7 +324,7 @@ class VectorizedSubQuerySearch:
         parent: int,
         slot: int,
         priority: float,
-        key: int = -1,
+        key: int,
     ) -> int:
         index = len(self._uid_c)
         self._uid_c.append(uid)
@@ -379,7 +387,7 @@ class VectorizedSubQuerySearch:
         arithmetic ablation delegates to the shared function (no
         transcendentals there to amortise).  The expansion loop inlines
         the geometric branch again — this method serves the cold call
-        sites (seeds, harvest, arithmetic mode).
+        sites (seeds, arithmetic mode).
         """
         if self._geometric:
             if hops > self._total_bound:
@@ -430,8 +438,8 @@ class VectorizedSubQuerySearch:
         """Admit a generated state subject to the visited policy.
 
         The expansion loop inlines this decision sequence; this method
-        serves the cold call sites (seeds, the TBQ harvest fallthrough)
-        and documents the contract both share.
+        serves the seeds (never goals: a sub-query has at least one
+        edge) and documents the contract both share.
         """
         if self._generate:
             key = uid * self._seg_mult + segment
@@ -521,55 +529,15 @@ class VectorizedSubQuerySearch:
             pss=match.pss,
         )
 
-    def _admit_harvest(
-        self,
-        uid: int,
-        segment: int,
-        hops_total: int,
-        hops_in_segment: int,
-        log_product: float,
-        weight_sum: float,
-        parent: int,
-        slot: int,
-        priority: float,
-        harvest: Dict[int, PendingMatch],
-    ) -> None:
-        """Route one goal arrival into M̂_i (Algorithm 2, lines 10-11).
+    def harvest(self) -> List[PendingMatch]:
+        """M̂_i as matches (same contract as the reference ``harvest``)."""
+        return [self._make_match(index) for index in self.generated_goals.values()]
 
-        The caller already τ-checked; the harvest keeps the best match
-        per pivot, mirroring the reference ``_admit`` goal branch.
-        """
-        if self._generate:
-            key = uid * self._seg_mult + segment
-            if key in self._visited:
-                self.stats.pruned_by_visited += 1
-                return
-            self._visited.add(key)
-        existing = harvest.get(uid)
-        if existing is None:
-            self.stats.goals_emitted += 1
-        elif priority <= existing.pss:
-            return
-        index = self._alloc(
-            uid,
-            segment,
-            hops_total,
-            hops_in_segment,
-            log_product,
-            weight_sum,
-            parent,
-            slot,
-            priority,
-        )
-        harvest[uid] = self._make_match(index)
-
-    def _expand(
-        self, index: int, segment: int, harvest: Optional[Dict[int, PendingMatch]]
-    ) -> None:
+    def _expand(self, index: int, segment: int) -> None:
         # The loop body inlines _estimate (geometric), the τ check and
         # _push: at ~5 generated states per pop, the method-call overhead
         # alone was costing as much as the decisions themselves.  Every
-        # branch mirrors the reference _arrivals/_admit/_push sequence
+        # branch mirrors the reference _arrivals/τ/_push sequence
         # exactly — same order, same counters.
         his = self._his_c[index]
         bound = self.config.path_bound
@@ -630,6 +598,8 @@ class VectorizedSubQuerySearch:
         slot_app = self._slot_c.append
         key_app = self._key_c.append
         anc_app = anc_c.append
+        goals = self.generated_goals
+        priority_c = self._priority_c
         queue = self._queue
         heap = queue._heap
         heap_push = heapq.heappush
@@ -668,16 +638,10 @@ class VectorizedSubQuerySearch:
                         )
                     else:
                         priority = self._estimate(lp, hops1, ws, m, 0.0)
-                # τ then visited policy then push (the reference _admit
-                # sequence, inlined; harvest goals take the cold method).
+                # τ then visited policy then push (the reference
+                # sequence, inlined).
                 if priority < tau:
                     stats.pruned_by_tau += 1
-                elif harvest is not None and advance_is_goal:
-                    self._admit_harvest(
-                        neighbor, segment1, hops1, 0, lp, ws, index, slot,
-                        priority, harvest,
-                    )
-                    pool_n = len(self._uid_c)  # harvest may allocate
                 else:
                     if generate:
                         key = neighbor * seg_mult + segment1
@@ -709,6 +673,10 @@ class VectorizedSubQuerySearch:
                         key_app(key)
                         anc_app(anc + (neighbor,))
                         heap_push(heap, (-priority, counter, pool_n))
+                        if advance_is_goal:
+                            held = goals.get(neighbor)
+                            if held is None or priority > priority_c[held]:
+                                goals[neighbor] = pool_n
                         counter += 1
                         pool_n += 1
                         queue_size += 1
@@ -775,9 +743,7 @@ class VectorizedSubQuerySearch:
             # whenever it computes an Eq. 7 estimate for it.
             self._note(touched)
 
-    def step(
-        self, harvest: Optional[Dict[int, PendingMatch]] = None
-    ) -> Optional[PendingMatch]:
+    def step(self) -> Optional[PendingMatch]:
         """One pop-and-expand iteration (same contract as the reference)."""
         if self._exhausted:
             return None
@@ -803,7 +769,7 @@ class VectorizedSubQuerySearch:
             self.stats.goals_emitted += 1
             return self._make_match(index)
 
-        self._expand(index, segment, harvest)
+        self._expand(index, segment)
         return None
 
     # ------------------------------------------------------------------
@@ -814,14 +780,22 @@ class VectorizedSubQuerySearch:
         return self._exhausted
 
     def next_match(self) -> Optional[PendingMatch]:
-        """Run until the next match pops; ``None`` when exhausted."""
-        while not self._exhausted:
-            match = self.step()
-            if match is not None:
-                self.stats.elapsed_seconds = self._watch.elapsed()
-                return match
-        self.stats.elapsed_seconds = self._watch.elapsed()
-        return None
+        """Run until the next match pops; ``None`` when exhausted.
+
+        Under a TBQ budget every expansion is charged, and the charge
+        that fires the time alert raises out of this call.
+        """
+        charge = self._charge
+        try:
+            while not self._exhausted:
+                match = self.step()
+                if charge is not None:
+                    charge()
+                if match is not None:
+                    return match
+            return None
+        finally:
+            self.stats.elapsed_seconds = self._watch.elapsed()
 
     def run(self, k: int) -> List[PendingMatch]:
         """Collect up to ``k`` matches (Algorithm 1 in one call)."""

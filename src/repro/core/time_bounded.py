@@ -1,72 +1,93 @@
-"""Time-bounded A* semantic search — TBQ (Algorithms 2-3, Section VI).
+"""Time-bounded query — TBQ (Algorithms 2-3, Section VI) as a budgeted SGQ.
 
-Three modifications to Algorithm 1, exactly as the paper lists them:
+TBQ runs the *same* search SGQ runs — TA assembly pulling
+``next_match`` out of the sub-query A* searches — under Algorithm 3's
+budget, and falls back to the generated-goal sets only when the budget
+runs out first:
 
-1. matches are harvested into the non-optimal set M̂_i the moment they are
-   *generated* during expansion (not when they pop) — implemented by
-   passing a harvest list into :meth:`SubQuerySearch.step`;
-2. the termination condition becomes an execution-time check;
-3. a synchronised estimator decides when to stop searching and launch the
-   TA assembly so the whole query finishes inside the bound ``T``:
+1. every search is built with the :class:`TimeBoundedCoordinator` as its
+   budget and charges it once per expansion; every ``check_interval``
+   charges the coordinator evaluates the synchronised estimate
 
-       T̂ = max{T_A*} + Σ|M̂_i|·t ,  stop when T̂ ≥ T·r%      (Algorithm 3)
+       T̂ = max{T_A*} + Σ|M̂_i|·t ,  alert when T̂ ≥ T·r%      (Algorithm 3)
 
-**Threading substitution (documented in DESIGN.md).**  The paper runs one
-thread per sub-query; under CPython's GIL real threads buy no parallelism,
-so the coordinator interleaves the searches round-robin on one thread.
-``max{T_A*}`` — the wall time of the slowest parallel thread — is then the
-elapsed time of the interleaved loop itself, which is also exactly the
-quantity that must stay under the bound for the user-visible SRT, so the
-estimator uses it directly.  A deterministic :class:`~repro.utils.timing.
-BudgetClock` can replace the wall clock in tests (one tick per expansion).
+   and raises :class:`TimeAlert` out of the pull when it fires;
+2. if TA terminates first (Theorem 3) the answer is the exact SGQ answer
+   — nothing was approximated, and no time past the certificate is
+   spent;
+3. if the alert fires first, the pull is abandoned and the answer is
+   assembled from M̂_i, every goal state search *i* has **generated** so
+   far, popped or not, best per pivot — Algorithm 2's harvest-on-generate
+   set, which each search keeps as it pushes goals (``generated_goals``)
+   and hands out as matches on request (``harvest()``).  Every goal was
+   τ-checked at generation and carries its exact pss, and the searches
+   are a prefix of the SGQ run's, so a bounded answer never scores an
+   entity above what SGQ gives it and converges to SGQ as ``T`` grows
+   (Theorem 4).
+
+``t`` is ``SearchConfig.assembly_seconds_per_match``, a fixed constant;
+:func:`calibrate_assembly_seconds_per_match` measures it for a host but
+nothing in the engine calls it.
+
+**Threading substitution (see docs/architecture.md).**  The paper runs
+one thread per sub-query; under CPython's GIL real threads buy no
+parallelism, so the searches interleave on one thread in TA's
+sorted-access order.  ``max{T_A*}`` — the wall time of the slowest
+parallel thread — is then the elapsed time of the budgeted pull itself,
+which is also exactly the quantity that must stay under the bound for
+the user-visible SRT, so the estimator uses it directly.  A
+deterministic :class:`~repro.utils.timing.BudgetClock` can replace the
+wall clock in tests (one tick per expansion).
+
+The coordinator holds no search: the searches hold it (as their budget)
+and it holds only their goal tables, so there is no reference cycle and
+a finished query's state pools are freed by reference counting alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Any, Callable, List, Optional, Sequence, Union
 
-from repro.core.astar import SubQuerySearch
 from repro.core.config import SearchConfig
 from repro.core.results import PathMatch, PendingMatch
 from repro.errors import TimeBudgetError
 from repro.utils.timing import Clock, Stopwatch, WallClock
 
 
+class TimeAlert(Exception):
+    """Algorithm 3's alert fired inside a pull (control flow, not an error)."""
+
+
 @dataclass
 class TimeBoundedOutcome:
-    """What the coordinator produced for one TBQ run.
+    """What one budgeted run produced.
 
-    ``harvests`` holds the matches as the searches emitted them: the
-    array-backed kernel's are path-less
+    ``answer`` is whatever the pull returned when it finished inside the
+    budget; when the alert fired instead, ``harvests`` holds M̂_i per
+    search — the array-backed kernel's are path-less
     :class:`~repro.core.results.PendingMatch` values, which the engine
     materialises for the assembled top-k only.
     """
 
-    harvests: List[List[Union[PathMatch, PendingMatch]]]
-    elapsed_search_seconds: float
-    estimated_assembly_seconds: float
-    stopped_by_time: bool
-    time_checks: int = 0
+    answer: Any = None
+    harvests: Optional[List[List[Union[PathMatch, PendingMatch]]]] = None
 
     @property
-    def total_harvested(self) -> int:
-        return sum(len(h) for h in self.harvests)
+    def stopped_by_time(self) -> bool:
+        return self.harvests is not None
 
 
 class TimeBoundedCoordinator:
-    """Round-robin driver of several time-bounded sub-query searches.
+    """Algorithm 3's estimator and the driver of the budgeted pull.
 
-    ``searches`` may mix search kernels: anything with the
-    :class:`SubQuerySearch` pull surface (``step(harvest=)`` /
-    ``exhausted``) qualifies, so the array-backed
-    :class:`~repro.core.search_kernel.VectorizedSubQuerySearch` harvests
-    through the same path as the reference search.
+    Pass it as ``budget=`` to
+    :func:`~repro.core.astar.build_subquery_search` (either kernel), then
+    :meth:`run` the pull over those searches.
     """
 
     def __init__(
         self,
-        searches: Sequence[SubQuerySearch],
         time_bound: float,
         config: SearchConfig,
         clock: Optional[Clock] = None,
@@ -76,57 +97,38 @@ class TimeBoundedCoordinator:
             raise TimeBudgetError("time bound T must be positive")
         if check_interval < 1:
             raise TimeBudgetError("check_interval must be at least 1")
-        if not searches:
-            raise TimeBudgetError("coordinator needs at least one search")
-        self.searches = list(searches)
-        self.time_bound = time_bound
-        self.config = config
         self.clock = clock if clock is not None else WallClock()
         self.check_interval = check_interval
+        self._alert = time_bound * config.alert_ratio
+        self._seconds_per_match = config.assembly_seconds_per_match
+        self._until_check = check_interval
+        self._watch = Stopwatch(self.clock)
+        self._goal_tables: Sequence[dict] = ()
 
-    def _estimate_total(self, elapsed: float, harvested: int) -> float:
-        """Algorithm 3's T̂ = max{T_A*} + Σ|M̂_i|·t."""
-        return elapsed + harvested * self.config.assembly_seconds_per_match
+    def charge(self) -> None:
+        """Account one A* expansion; raise :class:`TimeAlert` on the alert."""
+        self._until_check -= 1
+        if self._until_check:
+            return
+        self._until_check = self.check_interval
+        generated = sum(map(len, self._goal_tables))
+        estimate = self._watch.elapsed() + generated * self._seconds_per_match
+        if estimate >= self._alert:
+            raise TimeAlert
 
-    def run(self) -> TimeBoundedOutcome:
-        """Search until the time estimate fires or every search exhausts."""
-        harvest_maps: List[dict] = [{} for _ in self.searches]
-        watch = Stopwatch(self.clock)
-        steps_since_check = 0
-        time_checks = 0
-        stopped_by_time = False
-        alert = self.time_bound * self.config.alert_ratio
-
-        active = True
-        while active:
-            active = False
-            for search, harvest in zip(self.searches, harvest_maps):
-                if search.exhausted:
-                    continue
-                search.step(harvest=harvest)
-                if not search.exhausted:
-                    active = True
-                steps_since_check += 1
-                if steps_since_check >= self.check_interval:
-                    steps_since_check = 0
-                    time_checks += 1
-                    harvested = sum(len(h) for h in harvest_maps)
-                    if self._estimate_total(watch.elapsed(), harvested) >= alert:
-                        stopped_by_time = True
-                        active = False
-                        break
-
-        elapsed = watch.elapsed()
-        harvests = [list(h.values()) for h in harvest_maps]
-        harvested = sum(len(h) for h in harvests)
-        return TimeBoundedOutcome(
-            harvests=harvests,
-            elapsed_search_seconds=elapsed,
-            estimated_assembly_seconds=harvested
-            * self.config.assembly_seconds_per_match,
-            stopped_by_time=stopped_by_time,
-            time_checks=time_checks,
-        )
+    def run(self, searches: Sequence, pull: Callable[[], Any]) -> TimeBoundedOutcome:
+        """Run ``pull`` (which drives ``searches``) until it returns or the
+        alert fires; on the alert, harvest M̂ from the searches."""
+        if not searches:
+            raise TimeBudgetError("coordinator needs at least one search")
+        self._goal_tables = [search.generated_goals for search in searches]
+        self._watch.restart()
+        try:
+            return TimeBoundedOutcome(answer=pull())
+        except TimeAlert:
+            return TimeBoundedOutcome(
+                harvests=[search.harvest() for search in searches]
+            )
 
 
 def calibrate_assembly_seconds_per_match(
@@ -137,9 +139,10 @@ def calibrate_assembly_seconds_per_match(
     Runs a simulated assembly over synthetic single-stream matches (the
     paper: "we get this empirical time via the simulated TA based
     assembly") and returns seconds per match.  ``kernel`` selects the
-    assembly implementation to calibrate; the default matches the
-    engine's default (the vectorized kernel), so TBQ's time-budget
-    estimate reflects the assembler that will actually run.
+    assembly implementation to calibrate (default: the engine's default,
+    the vectorized kernel).  A measurement aid only: the engine's estimate
+    uses the constant ``SearchConfig.assembly_seconds_per_match`` and
+    nothing outside the tests calls this.
     """
     from repro.core.assembly import MatchStream, assemble_top_k
     from repro.kg.paths import Path

@@ -21,8 +21,8 @@ structure (:meth:`~repro.kg.schema.DomainSchema.cluster_affinity`):
 The result is a valid inner-product space whose pairwise cosines track the
 declared affinities to within a few hundredths — and, unlike a freshly
 trained TransE on a small synthetic graph, it is identical on every run.
-DESIGN.md records this as the substitution for "embeddings pretrained on
-full DBpedia/Freebase/YAGO2"; the trainer remains implemented, tested and
+docs/architecture.md ("Substitutions") records this as the substitution
+for "embeddings pretrained on full DBpedia/Freebase/YAGO2"; the trainer remains implemented, tested and
 used by default in the quickstart pipeline.
 """
 

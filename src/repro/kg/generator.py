@@ -2,7 +2,7 @@
 
 Builds a :class:`~repro.kg.graph.KnowledgeGraph` from a
 :class:`~repro.kg.schema.DomainSchema`.  The generator reproduces the three
-structural properties the paper's evaluation depends on (see DESIGN.md):
+structural properties the paper's evaluation depends on (see docs/architecture.md, "Substitutions"):
 
 1. **Semantic predicate clusters** — predicates in the same cluster connect
    overlapping type pairs and are attached with correlated endpoints, so an

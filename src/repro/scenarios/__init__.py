@@ -21,11 +21,13 @@ from repro.scenarios.intents import INTENT_NAMES, generate_intent_queries
 from repro.scenarios.replay import (
     ScenarioGateReport,
     ScenarioReplayResult,
+    TbqContractReport,
     answer_digest,
     build_resources,
     load_golden,
     replay_scenario,
     run_scenario_gate,
+    run_tbq_contract_gate,
     scenario_items,
 )
 from repro.scenarios.suite import (
@@ -51,6 +53,7 @@ __all__ = [
     "ScenarioQuery",
     "ScenarioReplayResult",
     "ScenarioSuite",
+    "TbqContractReport",
     "WORKLOAD_FORMAT_VERSION",
     "Workload",
     "WorkloadBuilder",
@@ -64,6 +67,7 @@ __all__ = [
     "predicate_affinity",
     "replay_scenario",
     "run_scenario_gate",
+    "run_tbq_contract_gate",
     "scenario_items",
     "split_workload",
 ]

@@ -17,12 +17,18 @@ and the serving stack:
   same artifact on any backend must print the same digest;
 - :func:`run_scenario_gate` is CI gate 5: golden-answer equivalence on
   the exact queries (quality regression) plus per-intent p95 latency
-  within the artifact's declared budget (latency regression).
+  within the artifact's declared budget (latency regression);
+- :func:`run_tbq_contract_gate` is CI gate 10: the Section VI contract
+  of the time-bounded mode on the same queries, under a deterministic
+  :class:`~repro.utils.timing.BudgetClock`.
 
-TBQ items are deliberately excluded from the answer digest and the
-golden comparison: a deadline-bounded result is time-dependent by
-design (the paper's anytime semantics), so only its latency and its
-``approximate`` flag are meaningful to gate on.
+Deadline items stay out of the *replay* digest and the golden
+comparison: on the wall clock a bounded result depends on how far the
+search got (the paper's anytime semantics), so a replay gates only its
+latency and ``approximate`` flag.  Under a ``BudgetClock`` TBQ is
+deterministic, and a bound the search cannot exhaust is certified exact
+(``approximate=False``) — that answer *is* digestable, and the contract
+gate holds it to the scenario's own golden digest.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Union
 
 from repro.core.config import SearchConfig
+from repro.core.engine import SemanticGraphQueryEngine
 from repro.embedding.oracle import oracle_predicate_space
 from repro.embedding.predicate_space import PredicateSpace
 from repro.errors import ScenarioError
@@ -52,6 +59,7 @@ from repro.serve.workload import (
     replay,
 )
 from repro.utils.stats import percentile
+from repro.utils.timing import BudgetClock
 
 
 @dataclass(frozen=True)
@@ -352,4 +360,95 @@ def run_scenario_gate(
                 )
         report.latency_ms[intent] = row
     report.budget_ok = not report.budget_violations
+    return report
+
+
+@dataclass
+class TbqContractReport:
+    """What CI gate 10 measured: TBQ at the two ends of the time bound."""
+
+    workload: str
+    exact_queries: int
+    certified: int
+    starved_approximate: int
+    digest: str
+    golden_digest: str
+    problems: List[str] = field(default_factory=list)
+
+    @property
+    def passed(self) -> bool:
+        return not self.problems
+
+    def to_json(self) -> dict:
+        return {
+            "workload": self.workload,
+            "exact_queries": self.exact_queries,
+            "certified": self.certified,
+            "starved_approximate": self.starved_approximate,
+            "digest": self.digest,
+            "golden_digest": self.golden_digest,
+            "problems": list(self.problems),
+            "passed": self.passed,
+        }
+
+
+def run_tbq_contract_gate(
+    workload: Workload, golden: Mapping[str, Sequence[str]]
+) -> TbqContractReport:
+    """Hold TBQ to Section VI on the scenario's exact queries.
+
+    One tick of the ``BudgetClock`` is one A* expansion.  A bound no
+    query can exhaust must certify every query (``approximate=False``)
+    with exactly the golden answers — TBQ converged to SGQ (Theorem 4) —
+    and a bound the first time check already exceeds must flag every
+    answer ``approximate=True``: the flag means "the alert fired",
+    nothing else.
+    """
+    resources = build_resources(workload)
+    engine = SemanticGraphQueryEngine(
+        resources.kg,
+        resources.space,
+        resources.library,
+        resources.config,
+        compact=True,
+    )
+    tick = 1e-3
+    answers: Dict[str, List[str]] = {}
+    certified = starved = 0
+    problems: List[str] = []
+    for item in workload.queries:
+        if item.qid not in golden:
+            continue  # the artifact froze this one as a deadline item
+        generous = engine.search_time_bounded(
+            item.query, workload.k, time_bound=1e6, clock=BudgetClock(tick)
+        )
+        certified += not generous.approximate
+        if generous.approximate:
+            problems.append(f"{item.qid}: a 1e6 s bound was not certified")
+        answers[item.qid] = sorted(
+            resources.kg.entity(uid).name for uid in generous.answer_uids()
+        )
+        starving = engine.search_time_bounded(
+            item.query,
+            workload.k,
+            time_bound=tick,
+            clock=BudgetClock(tick),
+            check_interval=1,
+        )
+        starved += starving.approximate
+        if not starving.approximate:
+            problems.append(f"{item.qid}: a one-tick bound was not flagged")
+    report = TbqContractReport(
+        workload=workload.name,
+        exact_queries=len(answers),
+        certified=certified,
+        starved_approximate=starved,
+        digest=answer_digest(answers),
+        golden_digest=answer_digest(golden),
+        problems=problems,
+    )
+    if report.digest != report.golden_digest:
+        report.problems.append(
+            f"certified digest {report.digest} != golden {report.golden_digest}"
+        )
     return report

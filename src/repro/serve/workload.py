@@ -119,8 +119,10 @@ class ReplayReport:
     items' complexity class (sorted ascending per bucket); empty when no
     item carried a class.  ``arrival`` names the arrival process
     (``"uniform"`` / ``"poisson"``; meaningless when ``rate`` is
-    ``None``), ``deadline_requests`` counts the TBQ share of the mix,
-    and ``stats`` is the backend-labelled cache/memo report —
+    ``None``), ``deadline_requests`` counts the TBQ share of the mix —
+    of those that completed, ``deadline_certified`` were certified exact
+    inside their bound and ``deadline_bounded`` stopped on the time alert
+    (``QueryResult.approximate``) — and ``stats`` is the backend-labelled cache/memo report —
     ``cache_stats`` keeps the bare weight-cache counters for older
     consumers.
 
@@ -146,6 +148,8 @@ class ReplayReport:
     class_latencies: Dict[str, List[float]] = field(default_factory=dict)
     arrival: str = "uniform"
     deadline_requests: int = 0
+    deadline_certified: int = 0
+    deadline_bounded: int = 0
     stats: Optional[ServingStatsReport] = None
     resilience: Dict[str, int] = field(default_factory=dict)
     answers: Dict[str, int] = field(default_factory=dict)
@@ -186,7 +190,9 @@ class ReplayReport:
             total = self.completed + self.failed
             lines.append(
                 f"mix: {total - self.deadline_requests} sgq + "
-                f"{self.deadline_requests} tbq requests"
+                f"{self.deadline_requests} tbq requests "
+                f"({self.deadline_certified} certified exact, "
+                f"{self.deadline_bounded} stopped on the bound)"
             )
         if self.latencies:
             lines.append(
@@ -489,6 +495,7 @@ def replay(
     class_latencies: Dict[str, List[float]] = {}
     failures = [0]
     truncated = [0]
+    tbq_flags: List[bool] = []  # QueryResult.approximate per TBQ answer
     splits: List[QueryBreakdown] = []
     lock = threading.Lock()
     done = threading.Semaphore(0)
@@ -536,6 +543,8 @@ def replay(
                         on_result(index, request, result)
                     if result.ta_truncated:
                         truncated[0] += 1
+                    if request.deadline is not None:
+                        tbq_flags.append(result.approximate)
                     if breakdown:
                         splits.append(
                             QueryBreakdown(
@@ -609,6 +618,8 @@ def replay(
         deadline_requests=sum(
             1 for request in requests if request.deadline is not None
         ),
+        deadline_certified=tbq_flags.count(False),
+        deadline_bounded=tbq_flags.count(True),
         stats=stats,
         resilience=resilience,
         answers=answers,

@@ -141,16 +141,25 @@ class TestSGQEngine:
 
 
 class TestTBQ:
-    def test_result_flagged_approximate(self, engine):
-        result = engine.search_time_bounded(product_query(), k=5, time_bound=0.5)
-        assert result.approximate
-        assert result.time_bound == 0.5
+    def test_approximate_means_the_alert_fired(self, engine):
+        starved = engine.search_time_bounded(
+            product_query(), k=5, time_bound=0.01,
+            clock=BudgetClock(seconds_per_tick=0.001),
+        )
+        assert starved.approximate
+        assert starved.time_bound == 0.01
+        certified = engine.search_time_bounded(
+            product_query(), k=5, time_bound=30.0
+        )
+        assert not certified.approximate
+        assert certified.time_bound == 30.0
 
-    def test_generous_bound_converges_to_sgq(self, engine):
-        """Theorem 4 endpoint: with enough time, M̂ = M."""
+    def test_generous_bound_is_the_sgq_answer(self, engine):
+        """Theorem 4 endpoint: with enough time TBQ *is* SGQ."""
         exact = engine.search(product_query(), k=10)
-        approx = engine.search_time_bounded(product_query(), k=10, time_bound=30.0)
-        assert jaccard(exact.answer_uids(), approx.answer_uids()) == 1.0
+        bounded = engine.search_time_bounded(product_query(), k=10, time_bound=30.0)
+        assert bounded.answer_uids() == exact.answer_uids()
+        assert bounded.expansions == exact.expansions
 
     def test_budget_clock_is_deterministic(self, engine):
         results = []
@@ -181,7 +190,11 @@ class TestTBQ:
 
     def test_coordinator_validation(self):
         with pytest.raises(TimeBudgetError):
-            TimeBoundedCoordinator([], 1.0, SearchConfig())
+            TimeBoundedCoordinator(0.0, SearchConfig())
+        with pytest.raises(TimeBudgetError):
+            TimeBoundedCoordinator(1.0, SearchConfig(), check_interval=0)
+        with pytest.raises(TimeBudgetError):
+            TimeBoundedCoordinator(1.0, SearchConfig()).run([], lambda: None)
 
     def test_wall_clock_respects_bound_roughly(self, engine):
         bound = 0.05

@@ -156,35 +156,41 @@ class TestRandomizedConformance:
 
     @pytest.mark.parametrize("policy", list(VisitedPolicy))
     def test_tbq_harvest_identical(self, rand_bundle, policy):
-        """Algorithm 2 harvesting produces the same M̂_i per sub-query."""
+        """Abandoned mid-search, both kernels hold the same M̂_i: the best
+        generated goal per pivot, popped or not, in generation order."""
         engine = SemanticGraphQueryEngine(
             rand_bundle.kg, rand_bundle.space, rand_bundle.library, compact=True
         )
         config = SearchConfig(tau=0.5, visited_policy=policy)
         query = rand_bundle.workload[0]
         decomposition = engine.decompose(query.query)
+        unpopped = 0
         for index, subquery in enumerate(decomposition.subqueries):
-            reference, vectorized = build_pair(
-                rand_bundle, subquery, engine.matcher, config
-            )
-            harvests = ({}, {})
-            for search, harvest in zip((reference, vectorized), harvests):
-                while not search.exhausted:
-                    search.step(harvest=harvest)
-            ref_harvest, vec_harvest = harvests
-            assert list(ref_harvest) == list(vec_harvest)  # insertion order
-            problem = path_matches_differ(
-                f"{query.qid}/g{index}/harvest",
-                list(ref_harvest.values()),
-                materialised(vectorized, vec_harvest.values()),
-            )
-            assert problem is None, problem
-            problem = search_stats_differ(
-                f"{query.qid}/g{index}/harvest",
-                reference.stats,
-                vectorized.stats,
-            )
-            assert problem is None, problem
+            for steps in (5, 40, 10**6):
+                reference, vectorized = build_pair(
+                    rand_bundle, subquery, engine.matcher, config
+                )
+                for search in (reference, vectorized):
+                    for _ in range(steps):
+                        if search.exhausted:
+                            break
+                        search.step()
+                label = f"{query.qid}/g{index}/harvest@{steps}"
+                ref_harvest = reference.harvest()
+                problem = path_matches_differ(
+                    label, ref_harvest, materialised(vectorized, vectorized.harvest())
+                )
+                assert problem is None, problem
+                problem = search_stats_differ(
+                    label, reference.stats, vectorized.stats
+                )
+                assert problem is None, problem
+                pivots = [match.pivot_uid for match in ref_harvest]
+                assert len(set(pivots)) == len(pivots)  # best per pivot
+                assert all(match.pss >= config.tau for match in ref_harvest)
+                unpopped += len(ref_harvest) - reference.stats.goals_emitted
+        # The harvest must actually reach past what has popped.
+        assert unpopped > 0
 
     def test_max_expansions_cap_identical(self, rand_bundle):
         engine = SemanticGraphQueryEngine(
@@ -383,19 +389,6 @@ class TestEngineCallSites:
             assert reference.stale_pops == vectorized.stale_pops, item.qid
             assert reference.max_queue_size == vectorized.max_queue_size, item.qid
 
-    def test_tbq_identical_under_budget_clock(self, engines, small_bundle):
-        item = small_bundle.workload[0]
-        results = {}
-        for kernel, engine in engines.items():
-            clock = BudgetClock(seconds_per_tick=0.001)
-            results[kernel] = engine.search_time_bounded(
-                item.query, k=10, time_bound=0.05, clock=clock
-            )
-        reference, vectorized = results["reference"], results["vectorized"]
-        problem = final_matches_differ("tbq", reference.matches, vectorized.matches)
-        assert problem is None, problem
-        assert reference.ta_accesses == vectorized.ta_accesses
-
     def test_view_stats_comparable_across_kernels(self, engines, small_bundle):
         """nodes_touched/edges_weighted stay kernel-independent (the
         vectorized kernel reports the nodes the reference's view calls
@@ -414,6 +407,120 @@ class TestEngineCallSites:
         assert result.pruned_by_visited == total.pruned_by_visited
         assert result.stale_pops == total.stale_pops
         assert result.max_queue_size == total.max_queue_size > 0
+
+
+TICK = 0.001  # BudgetClock seconds per A* expansion
+
+
+class TestSectionVIContract:
+    """TBQ is SGQ under Algorithm 3's budget (deterministic BudgetClock)."""
+
+    @pytest.fixture(scope="class")
+    def engines(self, rand_bundle):
+        return {
+            kernel: SemanticGraphQueryEngine(
+                rand_bundle.kg,
+                rand_bundle.space,
+                rand_bundle.library,
+                SearchConfig(tau=0.5),
+                compact=True,
+                search_kernel=kernel,
+            )
+            for kernel in ("reference", "vectorized")
+        }
+
+    @staticmethod
+    def bounded(engine, query, bound, k=10, check_interval=8):
+        clock = BudgetClock(seconds_per_tick=TICK)
+        result = engine.search_time_bounded(
+            query, k=k, time_bound=bound, clock=clock,
+            check_interval=check_interval,
+        )
+        return result, round(clock.now() / TICK)
+
+    @pytest.mark.parametrize("kernel", ["reference", "vectorized"])
+    def test_generous_bound_certifies_the_exact_answer(
+        self, engines, rand_bundle, kernel
+    ):
+        """(a) approximate is False and uid, pss and path equal search()'s;
+        (d) at no more clock ticks than search() plus check_interval."""
+        engine = engines[kernel]
+        for item in rand_bundle.workload:
+            exact = engine.search(item.query, k=10)
+            result, ticks = self.bounded(engine, item.query, 1e6)
+            assert result.approximate is False, item.qid
+            problem = final_matches_differ(item.qid, exact.matches, result.matches)
+            assert problem is None, problem
+            assert result.ta_accesses == exact.ta_accesses, item.qid
+            assert ticks == result.expansions, item.qid  # one tick each
+            assert ticks <= exact.expansions + 8, item.qid
+
+    @pytest.mark.parametrize("kernel", ["reference", "vectorized"])
+    def test_alerted_answers_never_beat_exact(self, engines, rand_bundle, kernel):
+        """(b) every returned component has τ ≤ pss ≤ the exact run's."""
+        engine = engines[kernel]
+        tau = engine.config.tau
+        alerted = 0
+        for item in rand_bundle.workload:
+            drained = engine.search(item.query, k=10**6, exhaustive_assembly=True)
+            exact = {match.pivot_uid: match for match in drained.matches}
+            for bound in (0.01, 0.04, 0.16):
+                result, _ticks = self.bounded(engine, item.query, bound)
+                alerted += result.approximate
+                for match in result.matches:
+                    reference = exact[match.pivot_uid]
+                    assert match.score <= reference.score + 1e-12, item.qid
+                    for index, component in match.components.items():
+                        assert component.pivot_uid == match.pivot_uid
+                        best = reference.components[index].pss
+                        assert tau <= component.pss <= best, (item.qid, bound)
+        assert alerted > 0  # the bounds above must actually starve something
+
+    def test_kernels_agree_at_every_bound(self, engines, rand_bundle):
+        """(c) identical answers, flags and SearchStats, alerted or not."""
+        flags = set()
+        for item in rand_bundle.workload:
+            for bound in (0.01, 0.04, 0.16, 1e6):
+                reference, ref_ticks = self.bounded(
+                    engines["reference"], item.query, bound
+                )
+                vectorized, vec_ticks = self.bounded(
+                    engines["vectorized"], item.query, bound
+                )
+                label = f"{item.qid}@{bound}"
+                assert reference.approximate == vectorized.approximate, label
+                assert ref_ticks == vec_ticks, label
+                problem = final_matches_differ(
+                    label, reference.matches, vectorized.matches
+                )
+                assert problem is None, problem
+                assert reference.ta_accesses == vectorized.ta_accesses, label
+                for a, b in zip(reference.subquery_stats, vectorized.subquery_stats):
+                    problem = search_stats_differ(label, a, b)
+                    assert problem is None, problem
+                flags.add(reference.approximate)
+        assert flags == {True, False}
+
+    @pytest.mark.parametrize("kernel", ["reference", "vectorized"])
+    @pytest.mark.parametrize("bound", [0.01, 1e6], ids=["alerted", "certified"])
+    def test_no_reference_cycle_keeps_pools_alive(
+        self, engines, rand_bundle, monkeypatch, kernel, bound
+    ):
+        """The budget and the searches it counts goals for form no cycle:
+        with the collector off, a finished call's searches are dead."""
+        engine = engines[kernel]
+        searches = capture_searches(engine, monkeypatch)
+        gc.collect()
+        gc.disable()
+        try:
+            result, _ticks = self.bounded(engine, rand_bundle.workload[0].query, bound)
+            assert result.approximate is (bound < 1.0)
+            refs = [weakref.ref(search) for search in searches]
+            assert refs
+            del searches[:]
+            assert all(ref() is None for ref in refs)
+        finally:
+            gc.enable()
 
 
 def dense_graph(num_nodes=120, num_edges=3000, seed=5):

@@ -116,7 +116,7 @@ class TestProcessBackend:
             backend="process", workers=2, compact=True,
         ) as service:
             result = service.submit(_product_query(), k=K, deadline=0.5).result()
-            assert result.approximate is True
+            assert result.approximate is False  # certified inside the bound
             assert 0 < result.time_bound <= 0.5
             assert service.stats.time_bounded == 1
 
@@ -291,9 +291,9 @@ class TestSeededReplayDeterminism:
             for q in small_bundle.workload[:4]
         ]
         # A deliberately generous deadline: the TBQ slice runs through the
-        # time-bounded coordinator (approximate results by contract) but
-        # never actually truncates on these millisecond queries, so its
-        # decisions stay deterministic and comparable across backends.
+        # time-bounded coordinator but always certifies these millisecond
+        # queries before the alert, so its answers are the exact ones on
+        # every backend.
         items = mix_deadlines(items, 0.25, 5.0, seed=3)
 
         def run(backend):
