@@ -40,7 +40,8 @@ build (CI machines are too noisy for that; the full-scale benches in
 8. the answer-cache gate (``repro.bench.cachebench``: the held-out
    scenario resampled under a seeded Zipf popularity law and replayed
    with the result-level answer cache off and on, on the inline and
-   process+shm backends — all four exact-answer digests must be equal,
+   process+shm backends, then once more per backend through a 3-entry
+   cache that must evict — all six exact-answer digests must be equal,
    the hot hit rate must reach 0.5 and a p50 cache hit must be at
    least 5x faster than a p50 miss) →
    ``benchmarks/results/BENCH_answer_cache.json``;
@@ -386,6 +387,18 @@ def _gate_answer_cache(ctx: GateContext) -> GateResult:
             "DIGEST MISMATCH with the answer cache enabled: "
             f"{cache_gate.digests}"
         )
+    if not cache_gate.evicting_equivalent:
+        failures.append(
+            "DIGEST MISMATCH while the answer cache was evicting "
+            f"(capacity {cache_gate.evicting_capacity}): "
+            f"{cache_gate.evicting_digests} vs cache-off "
+            f"{cache_gate.digests['inline']['off']}"
+        )
+    if not cache_gate.evicted:
+        failures.append(
+            f"NO EVICTION at capacity {cache_gate.evicting_capacity}: "
+            f"{cache_gate.evicting_answers} — the evicting arm proved nothing"
+        )
     if cache_gate.hit_rate < cache_gate.min_hit_rate:
         failures.append(
             f"HIT RATE {cache_gate.hit_rate:.2f} is below the "
@@ -408,11 +421,15 @@ def _gate_answer_cache(ctx: GateContext) -> GateResult:
             f"{cache_gate.misses} misses "
             f"(hit_rate={cache_gate.hit_rate:.2f}), p50 hit "
             f"{cache_gate.p50_hit_ms:.3f} ms vs miss "
-            f"{cache_gate.p50_miss_ms:.3f} ms ({cache_gate.speedup:.0f}x)"
+            f"{cache_gate.p50_miss_ms:.3f} ms ({cache_gate.speedup:.0f}x)",
+            f"answer cache: evicting arm (capacity "
+            f"{cache_gate.evicting_capacity}) policy "
+            f"{cache_gate.retention.get('policy')} vs LRU oracle "
+            f"{cache_gate.retention.get('lru_oracle')}",
         ],
         ok=(
             "answer-cache gate OK: digest identical cache on/off on "
-            "inline and process+shm, hit rate >= "
+            "inline and process+shm, also while evicting; hit rate >= "
             f"{cache_gate.min_hit_rate}, hits >= "
             f"{cache_gate.min_speedup:.0f}x faster"
         ),

@@ -18,7 +18,17 @@ claim cannot drift from what CI checks:
    exact request as hit or miss via the service's own counters and
    times it — the gate requires a hot hit rate of at least
    :data:`MIN_HIT_RATE` and a p50 hit at least :data:`MIN_SPEEDUP`
-   times faster than a p50 miss.
+   times faster than a p50 miss;
+4. the **evicting arm**: the same sequence through a cache of
+   :data:`EVICTING_CAPACITY` entries — fewer than the distinct exact
+   queries — on both backends.  Both digests must equal the cache-off
+   digest *and* both replays must actually have evicted, so the
+   retention path is digest-gated, not only the roomy cache of step 2.
+   The arm also records what retention bought on that trace: hit rate,
+   evictions and saved search seconds of the cache's policy next to a
+   recency-only oracle (an :class:`~repro.serve.cache.LruMap` of the
+   same capacity) fed the same (key, cost) sequence (recorded, never
+   gated — the costs are wall-clock measurements).
 
 TBQ items bypass the cache by design (a deadline-bounded answer is a
 function of the clock), so they appear in the replay but never in the
@@ -29,7 +39,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.scenarios.replay import (
     build_resources,
@@ -37,6 +47,8 @@ from repro.scenarios.replay import (
     scenario_items,
 )
 from repro.scenarios.suite import Workload
+from repro.serve.answer_cache import canonicalize
+from repro.serve.cache import LruMap
 from repro.serve.service import QueryService
 from repro.serve.workload import PopularitySpec, apply_popularity
 
@@ -59,6 +71,27 @@ MIN_SPEEDUP = 5.0
 #: count — the gate measures hit behaviour, not eviction pressure).
 DEFAULT_CAPACITY = 256
 
+#: Capacity of the evicting arm: half the six distinct exact queries the
+#: gate's Zipf draw touches, so every replay of it must evict.
+EVICTING_CAPACITY = 3
+
+
+def _rounded(rows: Dict[str, Dict[str, float]]) -> Dict[str, Dict[str, float]]:
+    """Counter rows for the artifact (``answer_saved_seconds`` is a float)."""
+    return {
+        backend: {name: round(value, 6) for name, value in row.items()}
+        for backend, row in rows.items()
+    }
+
+
+def _retention_row(hits: int, misses: int, evictions: int, saved: float) -> dict:
+    lookups = hits + misses
+    return {
+        "hit_rate": round(hits / lookups, 4) if lookups else 0.0,
+        "evictions": evictions,
+        "saved_ms": round(saved * 1000.0, 3),
+    }
+
 
 @dataclass
 class CacheBenchReport:
@@ -73,7 +106,7 @@ class CacheBenchReport:
     #: backend -> {"off": digest, "on": digest}
     digests: Dict[str, Dict[str, str]] = field(default_factory=dict)
     #: answer-cache counter deltas of each cache-on replay, per backend.
-    answers: Dict[str, Dict[str, int]] = field(default_factory=dict)
+    answers: Dict[str, Dict[str, float]] = field(default_factory=dict)
     equivalent: bool = False
     hit_rate: float = 0.0
     hits: int = 0
@@ -82,6 +115,13 @@ class CacheBenchReport:
     p50_miss_ms: float = 0.0
     min_hit_rate: float = MIN_HIT_RATE
     min_speedup: float = MIN_SPEEDUP
+    #: the evicting arm: capacity, backend -> cache-on digest, backend ->
+    #: counter deltas, and the policy / LRU-oracle retention rows.
+    evicting_capacity: int = EVICTING_CAPACITY
+    evicting_digests: Dict[str, str] = field(default_factory=dict)
+    evicting_answers: Dict[str, Dict[str, float]] = field(default_factory=dict)
+    evicting_equivalent: bool = False
+    retention: Dict[str, dict] = field(default_factory=dict)
 
     @property
     def speedup(self) -> float:
@@ -90,11 +130,22 @@ class CacheBenchReport:
         return self.p50_miss_ms / self.p50_hit_ms
 
     @property
+    def evicted(self) -> bool:
+        """Every evicting-arm replay really exercised the eviction path."""
+        return bool(self.evicting_answers) and all(
+            row.get("answer_evictions", 0) > 0
+            for row in self.evicting_answers.values()
+        )
+
+    @property
     def passed(self) -> bool:
-        """Digest-identical on and off across backends, hot traffic
-        actually hitting, and hits materially faster than misses."""
+        """Digest-identical on and off across backends — also while
+        evicting — hot traffic actually hitting, and hits materially
+        faster than misses."""
         return (
             self.equivalent
+            and self.evicting_equivalent
+            and self.evicted
             and self.hit_rate >= self.min_hit_rate
             and self.speedup >= self.min_speedup
         )
@@ -110,9 +161,7 @@ class CacheBenchReport:
             "digests": {
                 backend: dict(row) for backend, row in self.digests.items()
             },
-            "answers": {
-                backend: dict(row) for backend, row in self.answers.items()
-            },
+            "answers": _rounded(self.answers),
             "equivalent": self.equivalent,
             "hit_rate": round(self.hit_rate, 4),
             "hits": self.hits,
@@ -122,6 +171,14 @@ class CacheBenchReport:
             "speedup": round(min(self.speedup, 1e9), 2),
             "min_hit_rate": self.min_hit_rate,
             "min_speedup": self.min_speedup,
+            "evicting": {
+                "capacity": self.evicting_capacity,
+                "digests": dict(self.evicting_digests),
+                "answers": _rounded(self.evicting_answers),
+                "equivalent": self.evicting_equivalent,
+                "evicted": self.evicted,
+                "retention": dict(self.retention),
+            },
             "passed": self.passed,
         }
 
@@ -143,13 +200,17 @@ def _measure_hot_path(
 
     Classification uses the service's own ``answer_hits`` counter delta
     per request — the same signal the stats report exposes — so the
-    measurement cannot disagree with the accounting it gates.
+    measurement cannot disagree with the accounting it gates.  The
+    ``trace`` is the (canonical key, engine seconds) sequence of the
+    exact requests — a hit reports the seconds of the answer it served —
+    and ``stats`` the service's final counters.
     """
     items = apply_popularity(
         scenario_items(workload), popularity, workload.seed
     )
     hit_seconds: List[float] = []
     miss_seconds: List[float] = []
+    trace: List[Tuple[object, float]] = []
     with QueryService.build(
         resources.kg,
         resources.space,
@@ -163,14 +224,22 @@ def _measure_hot_path(
             if item.deadline is not None:
                 service.submit_request(item.to_request()).result()
                 continue
+            request = item.to_request()
             hits_before = service.stats_snapshot().answer_hits
             start = time.perf_counter()
-            service.submit_request(item.to_request()).result()
+            result = service.submit_request(request).result()
             elapsed = time.perf_counter() - start
             if service.stats_snapshot().answer_hits > hits_before:
                 hit_seconds.append(elapsed)
             else:
                 miss_seconds.append(elapsed)
+            trace.append(
+                (
+                    canonicalize(request, service.answer_cache.fingerprint),
+                    result.elapsed_seconds,
+                )
+            )
+        stats = service.stats_snapshot()
     served = len(hit_seconds)
     lookups = served + len(miss_seconds)
     return {
@@ -179,6 +248,8 @@ def _measure_hot_path(
         "hit_rate": served / lookups if lookups else 0.0,
         "p50_hit_ms": _median(hit_seconds) * 1000.0,
         "p50_miss_ms": _median(miss_seconds) * 1000.0,
+        "trace": trace,
+        "stats": stats,
     }
 
 
@@ -217,25 +288,50 @@ def run_cache_gate(
         ("inline", {}),
         ("process", {"workers": workers, "shared_graph": True}),
     ):
-        off = replay_scenario(
-            workload,
-            backend=backend,
-            resources=resources,
-            popularity=popularity,
-            **backend_kwargs,
-        )
-        on = replay_scenario(
-            workload,
-            backend=backend,
-            resources=resources,
-            popularity=popularity,
-            answer_cache=capacity,
-            **backend_kwargs,
+        off, on, evicting = (
+            replay_scenario(
+                workload,
+                backend=backend,
+                resources=resources,
+                popularity=popularity,
+                answer_cache=answer_cache,
+                **backend_kwargs,
+            )
+            for answer_cache in (0, capacity, report.evicting_capacity)
         )
         report.digests[backend] = {"off": off.digest, "on": on.digest}
         report.answers[backend] = dict(on.report.answers)
+        report.evicting_digests[backend] = evicting.digest
+        report.evicting_answers[backend] = dict(evicting.report.answers)
         digests.extend([off.digest, on.digest])
     report.equivalent = len(set(digests)) == 1
+    report.evicting_equivalent = set(report.evicting_digests.values()) == {
+        report.digests["inline"]["off"]
+    }
+
+    scan = _measure_hot_path(
+        workload, resources, popularity, report.evicting_capacity
+    )
+    # Recency-only retention, the policy the answer cache replaced.
+    oracle = LruMap(report.evicting_capacity)
+    oracle_saved = 0.0
+    for key, cost in scan["trace"]:
+        if oracle.get(key) is None:
+            oracle.put(key, cost)
+        else:
+            oracle_saved += cost
+    report.retention = {
+        "requests": len(scan["trace"]),
+        "policy": _retention_row(
+            scan["stats"].answer_hits,
+            scan["stats"].answer_misses,
+            scan["stats"].answer_evictions,
+            scan["stats"].answer_saved_seconds,
+        ),
+        "lru_oracle": _retention_row(
+            oracle.hits, oracle.misses, oracle.evictions, oracle_saved
+        ),
+    }
 
     hot = _measure_hot_path(workload, resources, popularity, capacity)
     report.hits = hot["hits"]

@@ -19,12 +19,17 @@ closes that gap with three pieces:
   (τ, n̂, ``min_weight``, scoring, visited-policy) configuration and the
   graph epoch all enter the key via the :class:`EngineFingerprint`
   token.
-- :class:`AnswerCache` is a bounded, thread-safe LRU (+ optional TTL)
-  of detached :class:`~repro.core.results.QueryResultPayload` entries
-  with **singleflight** deduplication: N concurrent identical misses
-  run the engine exactly once — one leader executes, N−1 followers get
-  futures resolved from the leader's payload (their latency is the wait
-  for the leader, never a second search).
+- :class:`AnswerCache` is a bounded, thread-safe store (+ optional
+  TTL) of detached :class:`~repro.core.results.QueryResultPayload`
+  entries that **keeps what is expensive to recompute**: an entry's
+  retention priority is its use count times the search time the engine
+  measured for it, over an aging floor (GreedyDual-Size-Frequency at
+  unit size — see the class docstring), so a full cache gives up a
+  1 ms answer before a 30 ms one.  **Singleflight** deduplication: N
+  concurrent identical misses run the engine exactly once — one leader
+  executes, N−1 followers get futures resolved from the leader's
+  payload (their latency is the wait for the leader, never a second
+  search).
 - **Epoch invalidation**: the cache binds to an
   :class:`EngineFingerprint` the way
   :class:`~repro.serve.cache.SemanticGraphCache.bind` pins a weight
@@ -57,6 +62,7 @@ import time
 from collections import OrderedDict
 from concurrent.futures import Future
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, List, Optional, Tuple
 
 from repro.core.config import SearchConfig
@@ -378,6 +384,10 @@ class AnswerCacheStats:
     expirations: int = 0
     entries: int = 0
     in_flight: int = 0
+    #: Σ ``cost`` over every hit and collapsed follower: the engine
+    #: seconds the cache spared, which is what retention maximises
+    #: (``hit_rate`` counts a spared 1 ms search like a spared 30 ms one).
+    saved_seconds: float = 0.0
 
     @property
     def lookups(self) -> int:
@@ -393,6 +403,7 @@ class AnswerCacheStats:
     def describe(self) -> str:
         return (
             f"hit_rate={self.hit_rate:.3f} "
+            f"saved={self.saved_seconds * 1000:.1f}ms "
             f"(hits={self.hits}, misses={self.misses}, "
             f"collapsed={self.singleflight_collapsed}, "
             f"evictions={self.evictions}, "
@@ -410,16 +421,64 @@ class _Flight:
         self.followers: List[Future] = []
 
 
+class _Entry:
+    """One cached answer and what the retention policy knows about it."""
+
+    __slots__ = ("key", "payload", "expires", "cost", "hits", "priority")
+
+    def __init__(self, key, payload, expires, cost, hits, priority):
+        self.key = key
+        self.payload = payload
+        self.expires = expires
+        self.cost = cost
+        self.hits = hits
+        self.priority = priority
+
+
+_PRIORITY = attrgetter("priority")
+
+
 class AnswerCache:
-    """Bounded, thread-safe LRU (+ optional TTL) of detached answers.
+    """Bounded, thread-safe, cost-aware (+ optional TTL) answer store.
 
     Stores :class:`~repro.core.results.QueryResultPayload` values keyed
     by :class:`CanonicalQueryKey`.  One instance is safely shared by
     every request thread of a service — and, being front-of-process,
     by a process backend whose cached hits then skip IPC entirely.
 
+    **Retention** is GreedyDual-Size-Frequency at unit size.  Search
+    time is heavy-tailed (on the perf ledger's pool p95 is 14x p50), so
+    once the cache is smaller than the working set, which answers it
+    keeps decides the miss path's cost, not only its count.  Every
+    entry carries
+
+    - ``cost`` — ``payload.elapsed_seconds``, the engine's own measured
+      time for the miss that produced the answer.  It is taken inside
+      the engine, so it is the same number on the inline and process
+      backends: no queue wait, pickling or IPC in it;
+    - ``hits`` — the requests the entry has answered: the miss that
+      paid for it, each collapsed singleflight follower, each later hit;
+    - a priority ``H = L + hits × cost``, where ``L`` is the cache-wide
+      *floor*.
+
+    An insert that overflows ``capacity`` evicts the entry with the
+    smallest ``H`` and raises ``L`` to that ``H``.  The floor is the
+    aging: an entry's ``H`` is only re-based on the current ``L`` when
+    it is used, so an old favourite that stopped being asked for is
+    overtaken by newcomers priced above a risen floor — no entry is
+    immortal.  Ties on ``H`` fall to the least recently used entry, so
+    with equal costs and counts (or payloads that report no time) the
+    policy *is* LRU.  Unit size is a stated simplification: every entry
+    is one top-k payload and ``capacity`` counts entries, so payload
+    bytes do not enter the priority.  Per-key counts restart when a key
+    is evicted and comes back.
+
+    The eviction is a linear scan for the minimum; it runs only on an
+    overflowing insert, i.e. right after a miss that cost milliseconds
+    of search (a few microseconds at 64 entries).
+
     Args:
-        capacity: LRU bound on cached answers (each entry is one top-k
+        capacity: bound on cached answers (each entry is one top-k
             payload, small; the bound is a memory ceiling, not a
             correctness knob — a miss recomputes).
         ttl_seconds: optional time-to-live; expired entries count as
@@ -446,10 +505,11 @@ class AnswerCache:
         self.ttl_seconds = ttl_seconds
         self._clock = clock
         self._lock = threading.Lock()
-        # key -> (payload, expiry deadline or None)
-        self._entries: "OrderedDict[CanonicalQueryKey, Tuple[QueryResultPayload, Optional[float]]]" = (
-            OrderedDict()
-        )
+        # Iteration order is recency order (oldest first): uses and
+        # inserts move to the end, and the eviction scan's ``min``
+        # returns the first minimum it meets — the LRU tie-break.
+        self._entries: "OrderedDict[CanonicalQueryKey, _Entry]" = OrderedDict()
+        self._floor = 0.0
         self._flights: dict = {}
         self._fingerprint: Optional[EngineFingerprint] = None
         self._hits = 0
@@ -458,6 +518,7 @@ class AnswerCache:
         self._evictions = 0
         self._invalidations = 0
         self._expirations = 0
+        self._saved_seconds = 0.0
 
     # -- epoch binding --------------------------------------------------
     def bind(self, fingerprint: EngineFingerprint) -> None:
@@ -489,6 +550,43 @@ class AnswerCache:
         with self._lock:
             return self._fingerprint
 
+    # -- retention (callers hold the lock) -----------------------------
+    def _live_entry(self, key: CanonicalQueryKey) -> Optional[_Entry]:
+        """The unexpired entry of ``key``; an expired one is dropped."""
+        entry = self._entries.get(key)
+        if (
+            entry is not None
+            and entry.expires is not None
+            and self._clock() >= entry.expires
+        ):
+            del self._entries[key]
+            self._expirations += 1
+            return None
+        return entry
+
+    def _insert(
+        self, key: CanonicalQueryKey, payload: QueryResultPayload, hits: int
+    ) -> None:
+        """Cache ``payload`` as most recent; evict the cheapest to lose."""
+        cost = payload.elapsed_seconds
+        expires = (
+            self._clock() + self.ttl_seconds
+            if self.ttl_seconds is not None
+            else None
+        )
+        self._entries[key] = _Entry(
+            key, payload, expires, cost, hits, self._floor + hits * cost
+        )
+        self._entries.move_to_end(key)
+        while len(self._entries) > self.capacity:
+            # The newcomer is a candidate like any other: a cheap
+            # one-shot does not displace a cache of dearer answers, it
+            # only raises the floor the next newcomer starts from.
+            victim = min(self._entries.values(), key=_PRIORITY)
+            del self._entries[victim.key]
+            self._floor = victim.priority
+            self._evictions += 1
+
     # -- singleflight protocol -----------------------------------------
     def acquire(self, key: CanonicalQueryKey):
         """Classify one lookup atomically.
@@ -507,16 +605,14 @@ class AnswerCache:
         registered.
         """
         with self._lock:
-            entry = self._entries.get(key)
+            entry = self._live_entry(key)
             if entry is not None:
-                payload, expires = entry
-                if expires is not None and self._clock() >= expires:
-                    del self._entries[key]
-                    self._expirations += 1
-                else:
-                    self._entries.move_to_end(key)
-                    self._hits += 1
-                    return "hit", payload
+                entry.hits += 1
+                entry.priority = self._floor + entry.hits * entry.cost
+                self._entries.move_to_end(key)
+                self._hits += 1
+                self._saved_seconds += entry.cost
+                return "hit", entry.payload
             flight = self._flights.get(key)
             if flight is not None:
                 future: Future = Future()
@@ -539,53 +635,34 @@ class AnswerCache:
         Returns ``(followers, payload, error)``; the caller resolves the
         follower futures *outside* the cache lock (resolution runs
         arbitrary ``add_done_callback`` code).  On ``error`` nothing is
-        cached — the next identical request leads a fresh flight.
+        cached — the next identical request leads a fresh flight.  Each
+        follower counts as a use of the new entry and as one search
+        saved.
         """
         with self._lock:
             self._flights.pop(flight.key, None)
-            if error is None and payload is not None:
-                expires = (
-                    self._clock() + self.ttl_seconds
-                    if self.ttl_seconds is not None
-                    else None
-                )
-                self._entries[flight.key] = (payload, expires)
-                self._entries.move_to_end(flight.key)
-                while len(self._entries) > self.capacity:
-                    self._entries.popitem(last=False)
-                    self._evictions += 1
             followers = list(flight.followers)
             flight.followers = []
+            if error is None and payload is not None:
+                self._insert(flight.key, payload, 1 + len(followers))
+                self._saved_seconds += len(followers) * payload.elapsed_seconds
         return followers, payload, error
 
     # -- plain map access (tests, warm priming) ------------------------
     def lookup(self, key: CanonicalQueryKey) -> Optional[QueryResultPayload]:
-        """Counter-free peek (does not classify as hit or miss)."""
+        """Policy-neutral peek: no counter, no use count, no reordering.
+
+        A probe must not change what gets evicted.  TTL expiry is the
+        one side effect: an expired entry is dropped, as on any access.
+        """
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                return None
-            payload, expires = entry
-            if expires is not None and self._clock() >= expires:
-                del self._entries[key]
-                self._expirations += 1
-                return None
-            self._entries.move_to_end(key)
-            return payload
+            entry = self._live_entry(key)
+            return entry.payload if entry is not None else None
 
     def store(self, key: CanonicalQueryKey, payload: QueryResultPayload) -> None:
         """Insert one answer outside the singleflight protocol."""
         with self._lock:
-            expires = (
-                self._clock() + self.ttl_seconds
-                if self.ttl_seconds is not None
-                else None
-            )
-            self._entries[key] = (payload, expires)
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-                self._evictions += 1
+            self._insert(key, payload, 1)
 
     # -- introspection / maintenance -----------------------------------
     def stats(self) -> AnswerCacheStats:
@@ -599,6 +676,7 @@ class AnswerCache:
                 expirations=self._expirations,
                 entries=len(self._entries),
                 in_flight=len(self._flights),
+                saved_seconds=self._saved_seconds,
             )
 
     def __len__(self) -> int:
@@ -619,3 +697,4 @@ class AnswerCache:
             self._evictions = 0
             self._invalidations = 0
             self._expirations = 0
+            self._saved_seconds = 0.0

@@ -148,13 +148,14 @@ class ServiceStats:
     future resolves with an error); a retried request is counted
     ``completed`` or ``failed`` exactly once, by its final outcome.
 
-    The answer-cache counters (``answer_hits`` … ``answer_invalidations``)
+    The answer-cache counters (``answer_hits`` … ``answer_saved_seconds``)
     stay zero without an :class:`~repro.serve.answer_cache.AnswerCache`.
     A hit or collapsed follower is still ``submitted`` and ``completed``
-    — it just never reached the execution backend.  ``answer_evictions``
-    and ``answer_invalidations`` live inside the cache and are mirrored
-    into :meth:`QueryService.stats_snapshot` copies (the live object
-    keeps them zero).
+    — it just never reached the execution backend.  ``answer_evictions``,
+    ``answer_invalidations`` and ``answer_saved_seconds`` (the engine
+    seconds hits and followers did not spend) live inside the cache and
+    are mirrored into :meth:`QueryService.stats_snapshot` copies (the
+    live object keeps them zero).
     """
 
     submitted: int = 0
@@ -172,6 +173,7 @@ class ServiceStats:
     singleflight_collapsed: int = 0
     answer_evictions: int = 0
     answer_invalidations: int = 0
+    answer_saved_seconds: float = 0.0
     backend: str = "thread"
 
     @property
@@ -366,7 +368,7 @@ class QueryService:
             that open the circuit, and seconds before a half-open probe.
         answer_cache: result-level answer caching
             (:mod:`repro.serve.answer_cache`).  An ``int`` enables a
-            private LRU of that capacity; an
+            private cache of that capacity; an
             :class:`~repro.serve.answer_cache.AnswerCache` instance is
             shared (e.g. across services over the same graph — it binds
             to this engine's fingerprint and self-clears on epoch
@@ -983,9 +985,9 @@ class QueryService:
     def stats_snapshot(self) -> ServiceStats:
         """A consistent copy of the counters, taken under the lock.
 
-        Eviction/invalidation counts live inside the
-        :class:`AnswerCache` (they happen on cache-internal paths, not
-        per-request) and are mirrored into the snapshot here.
+        Eviction/invalidation counts and the saved search seconds live
+        inside the :class:`AnswerCache` (they happen on cache-internal
+        paths, not per-request) and are mirrored into the snapshot here.
         """
         answers = (
             self._answer_cache.stats() if self._answer_cache is not None else None
@@ -995,6 +997,7 @@ class QueryService:
         if answers is not None:
             snapshot.answer_evictions = answers.evictions
             snapshot.answer_invalidations = answers.invalidations
+            snapshot.answer_saved_seconds = answers.saved_seconds
         return snapshot
 
     def warmup(self, timeout: Optional[float] = None) -> int:

@@ -133,8 +133,9 @@ class ReplayReport:
 
     ``answers`` carries the answer-cache counters this pass caused, the
     same delta way: answer_hits, answer_misses, singleflight_collapsed,
-    answer_evictions, answer_invalidations.  All zero without an
-    answer cache.
+    answer_evictions, answer_invalidations, answer_saved_seconds (the
+    engine seconds the hits and followers did not spend).  All zero
+    without an answer cache.
     """
 
     completed: int
@@ -152,7 +153,7 @@ class ReplayReport:
     deadline_bounded: int = 0
     stats: Optional[ServingStatsReport] = None
     resilience: Dict[str, int] = field(default_factory=dict)
-    answers: Dict[str, int] = field(default_factory=dict)
+    answers: Dict[str, float] = field(default_factory=dict)
 
     @property
     def throughput_qps(self) -> float:
@@ -238,7 +239,8 @@ class ReplayReport:
                 f"answer cache (shared): {a.get('answer_hits', 0)} hits, "
                 f"{a.get('answer_misses', 0)} misses, "
                 f"{a.get('singleflight_collapsed', 0)} collapsed "
-                f"(hit_rate={rate:.3f}; "
+                f"(hit_rate={rate:.3f}, "
+                f"saved={a.get('answer_saved_seconds', 0.0) * 1000:.1f}ms; "
                 f"{a.get('answer_evictions', 0)} evictions, "
                 f"{a.get('answer_invalidations', 0)} invalidations)"
             )
@@ -513,6 +515,7 @@ def replay(
         "singleflight_collapsed",
         "answer_evictions",
         "answer_invalidations",
+        "answer_saved_seconds",
     )
     stats_before = service.stats_snapshot()
     watch = Stopwatch()
@@ -849,11 +852,13 @@ def _build_parser() -> argparse.ArgumentParser:
         default=0,
         metavar="N",
         help=(
-            "enable the front-side result-level answer cache with an LRU "
+            "enable the front-side result-level answer cache with a "
             "capacity of N entries: exact (SGQ) answers are memoized "
             "under a canonical query fingerprint with singleflight "
             "dedup, so repeated hot queries skip the engine (and IPC on "
-            "the process backend) entirely (default: 0 = off)"
+            "the process backend) entirely; when full it evicts the "
+            "answer with the least hits x measured search time "
+            "(default: 0 = off)"
         ),
     )
     parser.add_argument(

@@ -1,4 +1,4 @@
-"""Answer-cache suite: canonical keys, LRU/TTL, singleflight, composition.
+"""Answer-cache suite: canonical keys, retention/TTL, singleflight, composition.
 
 Covers the three claims the result-level cache makes:
 
@@ -7,8 +7,9 @@ Covers the three claims the result-level cache makes:
    to one picklable key, while anything result-relevant (``k``, τ,
    visited policy, pivot, strategy, predicates) keeps keys apart;
 2. :class:`~repro.serve.answer_cache.AnswerCache` is a correct bounded
-   LRU (+ TTL) with a singleflight protocol: N concurrent identical
-   misses run the engine exactly once;
+   store (+ TTL) that retains by hits × measured search time over an
+   aging floor (LRU on ties), with a singleflight protocol: N
+   concurrent identical misses run the engine exactly once;
 3. composed into :class:`~repro.serve.service.QueryService`, a hit is
    bit-identical to recomputation, bypasses TBQ by design, and — under
    supervision — consumes no retry budget and is never shed by
@@ -16,7 +17,11 @@ Covers the three claims the result-level cache makes:
 """
 
 import pickle
+import random
 import threading
+from collections import OrderedDict
+from concurrent.futures import Future
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings
@@ -276,6 +281,38 @@ def _key(i):
     )
 
 
+@dataclass(frozen=True)
+class _Answer:
+    """Payload stub: the cache reads nothing but ``elapsed_seconds``."""
+
+    name: str
+    elapsed_seconds: float = 0.0
+
+
+def _request_through(cache, key, cost):
+    """One request served the way the service does: hit, or lead + settle."""
+    state, value = cache.acquire(key)
+    if state == "lead":
+        cache.complete(value, payload=_Answer("answer", cost))
+    return state
+
+
+class _LruOracle:
+    """Recency-only retention: what the cache did before it priced answers."""
+
+    def __init__(self, capacity):
+        self.capacity, self.entries, self.saved_seconds = capacity, OrderedDict(), 0.0
+
+    def request(self, key, cost):
+        if key in self.entries:
+            self.entries.move_to_end(key)
+            self.saved_seconds += cost
+            return
+        self.entries[key] = cost
+        if len(self.entries) > self.capacity:
+            self.entries.popitem(last=False)
+
+
 class TestAnswerCacheUnit:
     def test_capacity_and_ttl_validated(self):
         with pytest.raises(ServeError):
@@ -284,22 +321,94 @@ class TestAnswerCacheUnit:
             AnswerCache(4, ttl_seconds=0.0)
 
     def test_lru_eviction_honours_recency(self):
+        """Payloads that report no search time tie on priority: pure LRU."""
+        one, two, three = _Answer("one"), _Answer("two"), _Answer("three")
         cache = AnswerCache(2)
-        cache.store(_key(1), "one")
-        cache.store(_key(2), "two")
-        assert cache.lookup(_key(1)) == "one"  # touch 1 -> 2 is oldest
-        cache.store(_key(3), "three")
+        cache.store(_key(1), one)
+        cache.store(_key(2), two)
+        assert cache.acquire(_key(1)) == ("hit", one)  # touch 1 -> 2 is oldest
+        cache.store(_key(3), three)
         assert cache.lookup(_key(2)) is None
-        assert cache.lookup(_key(1)) == "one"
-        assert cache.lookup(_key(3)) == "three"
+        assert cache.lookup(_key(1)) is one
+        assert cache.lookup(_key(3)) is three
         assert cache.stats().evictions == 1
+
+    def test_lookup_is_policy_neutral(self):
+        """A probe neither reorders nor counts: it cannot save an entry."""
+        cache = AnswerCache(2)
+        cache.store(_key(1), _Answer("one", 0.005))
+        cache.store(_key(2), _Answer("two", 0.005))
+        assert cache.lookup(_key(1)).name == "one"
+        cache.store(_key(3), _Answer("three", 0.005))
+        assert cache.lookup(_key(1)) is None
+        assert cache.lookup(_key(2)).name == "two"
+        stats = cache.stats()
+        assert (stats.hits, stats.misses, stats.saved_seconds) == (0, 0, 0.0)
+
+    def test_equal_cost_equal_count_evicts_in_lru_order(self):
+        capacity = 3
+        cache = AnswerCache(capacity)
+        for i in range(10):
+            cache.store(_key(i), _Answer(str(i), 0.005))
+            held = [j for j in range(i + 1) if cache.lookup(_key(j)) is not None]
+            assert held == list(range(max(0, i - capacity + 1), i + 1))
+
+    def test_expensive_hot_entry_outlives_a_scan_but_is_not_immortal(self):
+        capacity = 8
+        cache = AnswerCache(capacity)
+        hot = _key(0)
+        cache.store(hot, _Answer("hot", 0.030))
+        assert cache.acquire(hot)[0] == "hit"
+        assert cache.acquire(hot)[0] == "hit"
+        # A scan of one-shot cheap keys, as long as the cache: under LRU
+        # the hot entry would be gone by the end of it.
+        for i in range(1, 2 * capacity):
+            cache.store(_key(i), _Answer("scan", 0.001))
+        assert cache.lookup(hot) is not None
+        assert len(cache) == capacity
+        # The floor keeps rising under the scan; the favourite nobody
+        # asks for any more is overtaken eventually.
+        inserts = 2 * capacity
+        while cache.lookup(hot) is not None:
+            cache.store(_key(inserts), _Answer("scan", 0.001))
+            inserts += 1
+            assert inserts < 200 * capacity, "hot entry never aged out"
+
+    def test_saved_seconds_sums_cost_over_hits_and_followers(self):
+        cache = AnswerCache(4)
+        _, flight = cache.acquire(_key(1))
+        cache.acquire(_key(1))
+        cache.acquire(_key(1))
+        cache.complete(flight, payload=_Answer("answer", 0.25))
+        assert cache.stats().saved_seconds == 0.5  # two followers
+        cache.acquire(_key(1))
+        stats = cache.stats()
+        assert stats.saved_seconds == 0.75
+        assert "saved=750.0ms" in stats.describe()
+        cache.reset_stats()
+        assert cache.stats().saved_seconds == 0.0
+
+    def test_saves_at_least_what_lru_saves_on_a_skewed_costly_trace(self):
+        """Zipf(1.1) over 200 keys through 64 entries, 40 % of the keys
+        thirty times dearer than the rest (the ledger's ``zipf-cached``
+        shape): retention must spare at least the search time LRU does."""
+        rng = random.Random(7)
+        keys = [_key(i) for i in range(200)]
+        costs = [0.030 if rng.random() < 0.4 else 0.001 for _ in keys]
+        weights = [1.0 / (rank + 1) ** 1.1 for rank in range(len(keys))]
+        cache, oracle = AnswerCache(64), _LruOracle(64)
+        for index in rng.choices(range(len(keys)), weights=weights, k=5000):
+            _request_through(cache, keys[index], costs[index])
+            oracle.request(keys[index], costs[index])
+        assert cache.stats().saved_seconds >= oracle.saved_seconds
+        assert cache.stats().evictions > 0
 
     def test_ttl_expiry_counts_and_drops(self):
         now = [0.0]
         cache = AnswerCache(4, ttl_seconds=10.0, clock=lambda: now[0])
-        cache.store(_key(1), "one")
+        cache.store(_key(1), _Answer("one"))
         now[0] = 9.9
-        assert cache.lookup(_key(1)) == "one"
+        assert cache.lookup(_key(1)).name == "one"
         now[0] = 10.0
         assert cache.lookup(_key(1)) is None
         stats = cache.stats()
@@ -312,7 +421,7 @@ class TestAnswerCacheUnit:
     def test_bind_self_clears_on_epoch_change(self):
         cache = AnswerCache(4)
         cache.bind(_fingerprint())
-        cache.store(_key(1), "one")
+        cache.store(_key(1), _Answer("one"))
         cache.bind(_fingerprint())  # same token: entries survive
         assert len(cache) == 1
         cache.bind(_fingerprint(graph=("kg", "other", 7, 9)))
@@ -320,17 +429,18 @@ class TestAnswerCacheUnit:
         assert cache.stats().invalidations == 1
 
     def test_singleflight_protocol(self):
+        answer = _Answer("answer")
         cache = AnswerCache(4)
         state, flight = cache.acquire(_key(1))
         assert state == "lead"
         state, future = cache.acquire(_key(1))
         assert state == "follow"
         assert not future.done()
-        followers, payload, error = cache.complete(flight, payload="answer")
+        followers, payload, error = cache.complete(flight, payload=answer)
         assert followers == [future]
-        assert (payload, error) == ("answer", None)
+        assert (payload, error) == (answer, None)
         state, value = cache.acquire(_key(1))
-        assert (state, value) == ("hit", "answer")
+        assert (state, value) == ("hit", answer)
         stats = cache.stats()
         assert stats.misses == 1
         assert stats.singleflight_collapsed == 1
@@ -346,6 +456,88 @@ class TestAnswerCacheUnit:
         state, _ = cache.acquire(_key(1))
         assert state == "lead"
         assert len(cache) == 0
+
+
+_KEY_INDEX = st.integers(min_value=0, max_value=7)
+_CACHE_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("acquire"), _KEY_INDEX),
+        st.tuples(st.just("complete"), _KEY_INDEX, st.booleans()),
+        st.tuples(st.just("store"), _KEY_INDEX),
+        st.tuples(st.just("expire"), st.floats(min_value=0.0, max_value=6.0)),
+        st.tuples(st.just("clear")),
+        st.tuples(st.just("bind"), st.integers(min_value=0, max_value=1)),
+    ),
+    max_size=80,
+)
+
+
+class TestAnswerCacheSequences:
+    """Hypothesis: any interleaving of the public operations keeps the
+    bound, the per-entry bookkeeping and the singleflight contract."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        ops=_CACHE_OPS,
+        capacity=st.integers(min_value=1, max_value=4),
+        costs=st.lists(
+            st.sampled_from([0.0, 0.001, 0.001, 0.030]), min_size=8, max_size=8
+        ),
+    )
+    def test_bound_bookkeeping_and_followers_hold(self, ops, capacity, costs):
+        now = [0.0]
+        cache = AnswerCache(capacity, ttl_seconds=5.0, clock=lambda: now[0])
+        outstanding = {}  # key index -> (flight, follower futures)
+        followers_seen = []
+
+        def settle(index, fail):
+            flight, registered = outstanding.pop(index)
+            if fail:
+                followers, _, _ = cache.complete(flight, error=RuntimeError("x"))
+            else:
+                followers, _, _ = cache.complete(
+                    flight, payload=_Answer(str(index), costs[index])
+                )
+            assert [id(f) for f in followers] == [id(f) for f in registered]
+            for follower in followers:
+                follower.set_result(index)  # raises if resolved twice
+            followers_seen.extend(followers)
+
+        for op in ops:
+            if op[0] == "acquire":
+                state, value = cache.acquire(_key(op[1]))
+                if state == "lead":
+                    assert op[1] not in outstanding
+                    outstanding[op[1]] = (value, [])
+                elif state == "follow":
+                    assert isinstance(value, Future) and not value.done()
+                    outstanding[op[1]][1].append(value)
+                else:
+                    assert value == _Answer(str(op[1]), costs[op[1]])
+            elif op[0] == "complete":
+                if op[1] in outstanding:
+                    settle(op[1], fail=op[2])
+            elif op[0] == "store":
+                cache.store(_key(op[1]), _Answer(str(op[1]), costs[op[1]]))
+            elif op[0] == "expire":
+                now[0] += op[1]
+            elif op[0] == "clear":
+                cache.clear()
+            else:
+                cache.bind(_fingerprint(graph=("kg", "epoch", op[1], op[1])))
+
+            assert len(cache) <= capacity
+            for key, entry in cache._entries.items():
+                assert entry.key == key
+                assert entry.hits >= 1
+                assert entry.cost == entry.payload.elapsed_seconds
+                assert entry.priority >= cache._floor
+            assert cache.stats().in_flight == len(outstanding)
+
+        for index in list(outstanding):
+            settle(index, fail=False)
+        assert all(f.done() for f in followers_seen)
+        assert len(followers_seen) == cache.stats().singleflight_collapsed
 
 
 # ----------------------------------------------------------------------
