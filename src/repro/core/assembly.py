@@ -36,8 +36,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence
 from repro.core.results import FinalMatch, PathMatch
 from repro.errors import SearchError
 
-#: Valid ``kernel=`` names, owned here (the dispatch point); the engine
-#: and the workload CLI import this rather than re-hardcoding the set.
+#: Valid ``kernel=`` names, owned and checked here (the dispatch point).
 ASSEMBLY_KERNELS = ("vectorized", "reference")
 
 

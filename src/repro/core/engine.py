@@ -17,18 +17,12 @@ without guessing how many matches each sub-query must contribute.
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple, Union, get_args
 
-from repro.core.assembly import (
-    ASSEMBLY_KERNELS,
-    AssemblyResult,
-    MatchStream,
-    assemble_top_k,
-)
-from repro.core.astar import SEARCH_KERNELS, SubQuerySearch, build_subquery_search
+from repro.core.assembly import AssemblyResult, MatchStream, assemble_top_k
+from repro.core.astar import SubQuerySearch, build_subquery_search
 from repro.core.compact_view import CompactViewFactory, ViewFactory, lazy_view_factory
 from repro.core.config import SearchConfig
 from repro.core.results import FinalMatch, QueryResult
@@ -94,45 +88,69 @@ def _materialise_paths(
             final.components[index] = searches[index].materialise(component)
 
 
+#: What an :class:`EngineSpec` can be built over — the type *is* the
+#: choice of view: a ``KnowledgeGraph`` is served through the paper's lazy
+#: view, a frozen ``CompactGraph`` (by value, or by shared-memory handle)
+#: through the CSR kernel, a ``ShardedGraph`` (by value or by handle)
+#: through the rank-merged fan-out view.
+GraphStore = Union[
+    KnowledgeGraph,
+    CompactGraph,
+    CompactGraphHandle,
+    ShardedGraph,
+    ShardedGraphHandle,
+]
+
+
+def store_identity(store: GraphStore) -> Tuple:
+    """``(kind, name, nodes, edges[, shards, strategy, seed])`` of a store.
+
+    The graph part of the answer cache's epoch token.  A store and its
+    shared-memory handle read the same identity (a pool rebuild keeps
+    the epoch); the sharded forms add the partitioning, because
+    resharding is an epoch change even though answers are identical.
+    """
+    if isinstance(store, (ShardedGraph, ShardedGraphHandle)):
+        return (
+            "sharded",
+            store.kg_name,
+            store.num_nodes,
+            store.num_edges,
+            store.num_shards,
+            store.strategy,
+            store.seed,
+        )
+    if isinstance(store, KnowledgeGraph):
+        return ("kg", store.name, store.num_entities, store.num_edges)
+    return ("kg", store.kg_name, store.num_nodes, store.num_edges)
+
+
 @dataclass(frozen=True)
 class EngineSpec:
-    """A frozen, picklable description of one engine configuration.
+    """A frozen, picklable description of one engine over one graph store.
 
     The construction half of the engine split: everything
     :func:`build_engine` needs to bootstrap a
-    :class:`SemanticGraphQueryEngine` in another process — the graph, the
-    predicate space, the transformation library, the search config, and
-    the kernel/view flags — with **no** live runtime state (no weight
-    cache, no worker pool, no view factory closures).  A
-    ``ProcessPoolExecutor`` worker unpickles one spec in its initializer,
-    builds its engine once, and serves every subsequent request from it.
+    :class:`SemanticGraphQueryEngine` in another process — the store, the
+    predicate space, the transformation library and the search config —
+    with **no** live runtime state (no weight cache, no worker pool, no
+    view factory closures).  A ``ProcessPoolExecutor`` worker unpickles
+    one spec in its initializer, builds its engine once, and serves every
+    subsequent request from it.
 
-    ``compact_graph`` optionally carries the pre-frozen CSR kernel so a
-    worker does not redo the O(V+E) freeze; on unpickle the snapshot's
-    source-graph reference is dropped (``CompactGraph.__setstate__``) and
-    the view factory keeps it as long as its counts still match ``kg``.
+    ``store`` is exactly one :data:`GraphStore`.  A handle
+    (``QueryService.build(shared_graph=True)``) makes the spec pickle
+    O(metadata) instead of O(graph): workers attach the segment(s)
+    zero-copy.
 
-    ``graph_handle`` is the zero-copy alternative: a
-    :class:`~repro.kg.compact.CompactGraphHandle` naming a shared-memory
-    segment published by the service process
-    (``QueryService.build(shared_graph=True)``).  A spec carrying a
-    handle may drop ``kg`` entirely — workers attach the segment and
-    serve the graph API through a
-    :class:`~repro.kg.compact.CompactKnowledgeGraph` facade, so the spec
-    pickle is O(metadata) instead of O(graph).  ``compact_graph`` and
-    ``graph_handle`` are mutually exclusive (arrays by value vs by
-    reference).
-
-    ``sharded_graph`` / ``sharded_handle`` are the entity-partitioned
-    equivalents (:mod:`repro.kg.sharded`): N per-shard kernels by value,
-    or one O(metadata) :class:`~repro.kg.sharded.ShardedGraphHandle`
-    naming N shared segments.  Mutually exclusive with
-    ``compact_graph``/``graph_handle`` — one spec describes one store —
-    and served through a
-    :class:`~repro.kg.sharded.ShardedKnowledgeGraph` facade plus a
-    rank-merging :class:`~repro.kg.sharded.ShardedGraphView` when ``kg``
-    is absent.  ``shard_fanout`` picks the per-shard gather schedule
-    (``"inline"`` or ``"pool"``); results are bit-identical either way.
+    ``kg`` optionally names the ``KnowledgeGraph`` a frozen or sharded
+    store was built from, so entity lookups resolve through the caller's
+    object graph; when absent the store's own read-only facade
+    (:class:`~repro.kg.compact.CompactKnowledgeGraph` /
+    :class:`~repro.kg.sharded.ShardedKnowledgeGraph`) serves them.  Pass
+    it alongside a ``CompactGraph`` frozen in this process: a kernel that
+    still remembers its source graph is re-frozen by its view factory
+    when asked to serve any other graph object, the facade included.
 
     ``fault_plan`` optionally carries a picklable chaos-injection plan
     (see :class:`repro.serve.faults.FaultPlan`) to the worker
@@ -147,88 +165,25 @@ class EngineSpec:
     only segment names and column manifests.
     """
 
-    kg: Optional[KnowledgeGraph]
+    store: GraphStore
     space: PredicateSpace
     library: Optional[TransformationLibrary] = None
     config: Optional[SearchConfig] = None
-    compact: bool = False
-    assembly_kernel: str = "vectorized"
-    search_kernel: str = "auto"
-    compact_graph: Optional[CompactGraph] = None
-    graph_handle: Optional[CompactGraphHandle] = None
-    sharded_graph: Optional[ShardedGraph] = None
-    sharded_handle: Optional[ShardedGraphHandle] = None
-    shard_fanout: str = "inline"
+    kg: Optional[KnowledgeGraph] = None
     fault_plan: Optional[object] = None
 
     def __post_init__(self) -> None:
-        if self.assembly_kernel not in ASSEMBLY_KERNELS:
+        if not isinstance(self.store, get_args(GraphStore)):
             raise SearchError(
-                f"unknown assembly kernel {self.assembly_kernel!r} "
-                f"(expected one of {ASSEMBLY_KERNELS})"
+                "an EngineSpec store must be a KnowledgeGraph, CompactGraph, "
+                "ShardedGraph or one of their shared-memory handles, got "
+                f"{type(self.store).__name__}"
             )
-        if self.search_kernel not in SEARCH_KERNELS:
+        if self.kg is not None and isinstance(self.store, KnowledgeGraph):
             raise SearchError(
-                f"unknown search kernel {self.search_kernel!r} "
-                f"(expected one of {SEARCH_KERNELS})"
+                "kg= names the source graph of a frozen or sharded store; "
+                "a KnowledgeGraph store is its own entity surface"
             )
-        if self.compact_graph is not None and not self.compact:
-            raise SearchError("compact_graph requires compact=True")
-        if self.graph_handle is not None and not self.compact:
-            raise SearchError("graph_handle requires compact=True")
-        if self.graph_handle is not None and self.compact_graph is not None:
-            raise SearchError(
-                "pass either compact_graph (arrays by value) or "
-                "graph_handle (arrays by shared-memory reference), not both"
-            )
-        if self.sharded_graph is not None and not self.compact:
-            raise SearchError("sharded_graph requires compact=True")
-        if self.sharded_handle is not None and not self.compact:
-            raise SearchError("sharded_handle requires compact=True")
-        if self.sharded_graph is not None and self.sharded_handle is not None:
-            raise SearchError(
-                "pass either sharded_graph (arrays by value) or "
-                "sharded_handle (arrays by shared-memory reference), not both"
-            )
-        sharded = self.sharded_graph is not None or self.sharded_handle is not None
-        if sharded and (
-            self.compact_graph is not None or self.graph_handle is not None
-        ):
-            raise SearchError(
-                "sharded_graph/sharded_handle are mutually exclusive with "
-                "compact_graph/graph_handle — one spec describes one store"
-            )
-        if self.shard_fanout not in ("inline", "pool"):
-            raise SearchError(
-                f"unknown shard_fanout {self.shard_fanout!r} "
-                "(expected 'inline' or 'pool')"
-            )
-        if (
-            self.kg is None
-            and self.graph_handle is None
-            and self.sharded_graph is None
-            and self.sharded_handle is None
-        ):
-            raise SearchError(
-                "a spec without kg needs a graph_handle (or a sharded "
-                "graph/handle) to rebuild the graph surface from"
-            )
-        if self.search_kernel == "vectorized" and sharded:
-            raise SearchError(
-                "search_kernel='vectorized' needs a single compact CSR; "
-                "the sharded view fans out across shards and only feeds "
-                "the reference kernel (use search_kernel='auto')"
-            )
-        if self.search_kernel == "vectorized" and not self.compact:
-            raise SearchError(
-                "search_kernel='vectorized' needs compact views; set "
-                "compact=True on the spec"
-            )
-
-    def build(self, *, weight_cache: Optional[WeightCache] = None
-              ) -> "SemanticGraphQueryEngine":
-        """Alias of :func:`build_engine` for fluent call sites."""
-        return build_engine(self, weight_cache=weight_cache)
 
 
 def build_engine(
@@ -238,74 +193,32 @@ def build_engine(
 
     ``weight_cache`` is deliberately *not* part of the spec — it is
     per-process runtime state; a multiprocess worker passes its own
-    private cache here.  When the spec carries a pre-frozen
-    ``compact_graph`` the engine is wired through a
-    :class:`~repro.core.compact_view.CompactViewFactory` holding that
-    snapshot instead of re-freezing.  When it carries a ``graph_handle``
-    the kernel is *attached* from shared memory (zero-copy, O(metadata))
-    and — absent an explicit ``kg`` — the graph API is served by a
-    :class:`~repro.kg.compact.CompactKnowledgeGraph` facade over the
-    shared columns.
+    private cache here.  A handle store is *attached* from shared memory
+    (zero-copy, O(metadata)); a frozen or sharded store is served
+    through its view factory and — absent an explicit ``kg`` — its
+    read-only graph facade.
     """
-    if spec.sharded_graph is not None or spec.sharded_handle is not None:
-        sharded = (
-            spec.sharded_graph
-            if spec.sharded_graph is not None
-            else ShardedGraph.from_handle(spec.sharded_handle)
-        )
-        kg = spec.kg if spec.kg is not None else ShardedKnowledgeGraph(sharded)
-        engine = SemanticGraphQueryEngine(
-            kg,
-            spec.space,
-            spec.library,
-            spec.config,
-            weight_cache=weight_cache,
-            view_factory=ShardedViewFactory(sharded, fanout=spec.shard_fanout),
-            assembly_kernel=spec.assembly_kernel,
-            search_kernel=spec.search_kernel,
-        )
-        engine._compact = True
-        engine._spec = spec
-        return engine
-    if spec.graph_handle is not None:
-        attached = CompactGraph.from_handle(spec.graph_handle)
-        kg = spec.kg if spec.kg is not None else CompactKnowledgeGraph(attached)
-        engine = SemanticGraphQueryEngine(
-            kg,
-            spec.space,
-            spec.library,
-            spec.config,
-            weight_cache=weight_cache,
-            view_factory=CompactViewFactory(attached),
-            assembly_kernel=spec.assembly_kernel,
-            search_kernel=spec.search_kernel,
-        )
-        engine._compact = True
-    elif spec.compact and spec.compact_graph is not None:
-        engine = SemanticGraphQueryEngine(
-            spec.kg,
-            spec.space,
-            spec.library,
-            spec.config,
-            weight_cache=weight_cache,
-            view_factory=CompactViewFactory(spec.compact_graph),
-            assembly_kernel=spec.assembly_kernel,
-            search_kernel=spec.search_kernel,
-        )
-        engine._compact = True
+    store = spec.store
+    if isinstance(store, CompactGraphHandle):
+        store = CompactGraph.from_handle(store)
+    elif isinstance(store, ShardedGraphHandle):
+        store = ShardedGraph.from_handle(store)
+    if isinstance(store, KnowledgeGraph):
+        kg, view_factory = store, None
+    elif isinstance(store, CompactGraph):
+        kg = spec.kg if spec.kg is not None else CompactKnowledgeGraph(store)
+        view_factory = CompactViewFactory(store)
     else:
-        engine = SemanticGraphQueryEngine(
-            spec.kg,
-            spec.space,
-            spec.library,
-            spec.config,
-            weight_cache=weight_cache,
-            compact=spec.compact,
-            assembly_kernel=spec.assembly_kernel,
-            search_kernel=spec.search_kernel,
-        )
-    engine._spec = spec
-    return engine
+        kg = spec.kg if spec.kg is not None else ShardedKnowledgeGraph(store)
+        view_factory = ShardedViewFactory(store)
+    return SemanticGraphQueryEngine(
+        kg,
+        spec.space,
+        spec.library,
+        spec.config,
+        weight_cache=weight_cache,
+        view_factory=view_factory,
+    )
 
 
 class SemanticGraphQueryEngine:
@@ -332,19 +245,18 @@ class SemanticGraphQueryEngine:
             vectorises weight materialisation and ``m(u)`` bounds.
             Results are identical to the lazy view; only cost changes.
             Mutually exclusive with ``view_factory``.
-        assembly_kernel: TA assembly implementation — ``"vectorized"``
-            (default; the incremental numpy kernel,
-            :mod:`repro.core.assembly_kernel`) or ``"reference"`` (the
-            pure-Python Eq. 8-11 transcription).  Results are identical;
-            only assembly cost changes.
-        search_kernel: per-sub-query A* implementation — ``"auto"``
-            (default: the array-backed
-            :mod:`repro.core.search_kernel` whenever the query view
-            exposes the compact CSR surface, the reference search
-            otherwise), ``"vectorized"`` (force the array kernel;
-            raises on views that cannot feed it) or ``"reference"``
-            (the Algorithm 1 transcription, :mod:`repro.core.astar`).
-            Results are identical; only search cost changes.
+        assembly_kernel / search_kernel: the oracle seam.  Production is
+            ``"vectorized"`` TA assembly plus ``"auto"`` A* (the
+            array-backed :mod:`repro.core.search_kernel` on every view
+            exposing the compact CSR surface, the Algorithm 1
+            transcription otherwise); ``"reference"`` selects the
+            pure-Python transcriptions the conformance suites and golden
+            passes compare against, ``search_kernel="vectorized"`` forces
+            the array kernel.  Results are identical; only cost changes.
+            The names are validated where they are dispatched
+            (:func:`~repro.core.assembly.assemble_top_k`,
+            :func:`~repro.core.astar.build_subquery_search`), i.e. on
+            the first query.
     """
 
     def __init__(
@@ -362,26 +274,6 @@ class SemanticGraphQueryEngine:
     ):
         if compact and view_factory is not None:
             raise SearchError("pass either compact=True or view_factory, not both")
-        if assembly_kernel not in ASSEMBLY_KERNELS:
-            raise SearchError(
-                f"unknown assembly kernel {assembly_kernel!r} "
-                f"(expected one of {ASSEMBLY_KERNELS})"
-            )
-        if search_kernel not in SEARCH_KERNELS:
-            raise SearchError(
-                f"unknown search kernel {search_kernel!r} "
-                f"(expected one of {SEARCH_KERNELS})"
-            )
-        if search_kernel == "vectorized" and not compact and view_factory is None:
-            # Statically knowable misconfiguration: the default lazy view
-            # can never feed the vectorized kernel, so fail at
-            # construction rather than on every query.  A custom
-            # view_factory is checked per query (it may produce compact
-            # views).
-            raise SearchError(
-                "search_kernel='vectorized' needs compact views; pass "
-                "compact=True (or a view_factory producing compact views)"
-            )
         self.assembly_kernel = assembly_kernel
         self.search_kernel = search_kernel
         self.kg = kg
@@ -390,9 +282,6 @@ class SemanticGraphQueryEngine:
         self.config = config if config is not None else SearchConfig()
         self.matcher = NodeMatcher(kg, library)
         self.weight_cache = weight_cache
-        self._compact = compact
-        self._custom_view_factory = view_factory is not None
-        self._spec: Optional[EngineSpec] = None
         if compact:
             # Freeze eagerly: construction is the predictable place to
             # pay the O(V+E) snapshot, not the first query's latency.
@@ -405,50 +294,31 @@ class SemanticGraphQueryEngine:
     def to_spec(self) -> EngineSpec:
         """The :class:`EngineSpec` this engine could be rebuilt from.
 
-        Engines built by :func:`build_engine` return their originating
-        spec; directly constructed engines derive one (including the
-        already-frozen compact kernel, so workers skip the re-freeze).
-        An engine wired through a *custom* ``view_factory`` has no
+        Read off the view factory: the lazy view describes a
+        ``KnowledgeGraph`` store, the compact and sharded factories the
+        frozen kernel / shard set they already hold (so workers skip the
+        re-freeze).  The kernel names are not part of a spec — a rebuilt
+        engine runs the production pair, which returns the same answers.
+        An engine wired through any other ``view_factory`` has no
         picklable description and raises.
         """
-        if self._spec is not None:
-            spec = self._spec
-            if (
-                spec.compact
-                and spec.compact_graph is None
-                and spec.graph_handle is None
-                and isinstance(self.view_factory, CompactViewFactory)
-                and self.view_factory.frozen_graph is not None
-            ):
-                # The originating spec predates the freeze; graft the
-                # kernel on so shipped workers skip redoing it.
-                spec = dataclasses.replace(
-                    spec, compact_graph=self.view_factory.frozen_graph
-                )
-                self._spec = spec
-            return spec
-        if self._custom_view_factory:
+        factory = self.view_factory
+        if factory is lazy_view_factory:
+            return EngineSpec(self.kg, self.space, self.library, self.config)
+        if isinstance(factory, CompactViewFactory):
+            store = factory.compact_graph(self.kg)
+        elif isinstance(factory, ShardedViewFactory):
+            store = factory.sharded
+        else:
             raise SearchError(
                 "an engine built on a custom view_factory cannot be "
                 "described by an EngineSpec (the factory may close over "
                 "unpicklable state); construct via EngineSpec/build_engine "
                 "or use compact=True instead"
             )
-        compact_graph = None
-        if self._compact and isinstance(self.view_factory, CompactViewFactory):
-            compact_graph = self.view_factory.frozen_graph
-        spec = EngineSpec(
-            kg=self.kg,
-            space=self.space,
-            library=self.library,
-            config=self.config,
-            compact=self._compact,
-            assembly_kernel=self.assembly_kernel,
-            search_kernel=self.search_kernel,
-            compact_graph=compact_graph,
-        )
-        self._spec = spec
-        return spec
+        # A facade kg is rebuilt from the store on the other side.
+        kg = self.kg if isinstance(self.kg, KnowledgeGraph) else None
+        return EngineSpec(store, self.space, self.library, self.config, kg=kg)
 
     def _make_view(self) -> WeightedGraphView:
         """A per-query ``SG_Q`` view, shared-cache-backed when configured."""

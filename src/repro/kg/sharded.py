@@ -34,9 +34,8 @@ results stay bit-identical to the unsharded kernel:
 
 :class:`ShardedGraphView` implements the minimal
 :class:`~repro.core.semantic_graph.WeightedGraphView` protocol over the
-shard set, fanning the gathers out sequentially inline or concurrently on
-a small thread pool (the merge is rank-keyed, so both schedules produce
-the same sequence).  Each shard gets its **own**
+shard set, gathering shard by shard on the calling thread.  Each shard
+gets its **own**
 :class:`~repro.serve.cache.SemanticGraphCache` and its own private
 :class:`~repro.embedding.predicate_space.PredicateSpace` row LRU
 (:meth:`PredicateSpace.with_private_rows`), so the serving-layer cache
@@ -56,7 +55,6 @@ O(metadata) :class:`ShardedGraphHandle` rides the
 from __future__ import annotations
 
 import heapq
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
@@ -794,8 +792,7 @@ class ShardedGraphView:
     ``weighted_incident`` gathers each shard's slice of the node's row
     (weights from that shard's own cached row) and merges by the global
     rank table — a stable sort over unique keys, so the yielded sequence
-    is bit-identical to the unsharded view's, whichever schedule ran the
-    gathers.  ``max_adjacent_weight_any`` is the max over per-shard
+    is bit-identical to the unsharded view's.  ``max_adjacent_weight_any`` is the max over per-shard
     segment-max bounds (exact for floats).
 
     The view deliberately does **not** expose the single-CSR surface
@@ -808,13 +805,10 @@ class ShardedGraphView:
         self,
         sharded: ShardedGraph,
         views: Sequence,  # per-shard CompactSemanticGraphView
-        *,
-        pool: Optional[ThreadPoolExecutor] = None,
     ):
         self._sharded = sharded
         self._views = list(views)
         self._shards = sharded.shards
-        self._pool = pool if len(self._views) > 1 else None
         self._touched: Set[int] = set()
 
     # ------------------------------------------------------------------
@@ -840,21 +834,9 @@ class ShardedGraphView:
     ) -> Iterable[Tuple[Edge, int, float]]:
         """``(edge, neighbour, weight)`` in exact global slot order."""
         self._touched.add(uid)
-        if self._pool is not None:
-            parts = list(
-                self._pool.map(
-                    lambda index: self._shard_part(index, uid, query_predicate),
-                    range(len(self._views)),
-                )
-            )
-        else:
-            parts = [
-                self._shard_part(index, uid, query_predicate)
-                for index in range(len(self._views))
-            ]
         merged: List[Tuple[int, Edge, int, float]] = []
-        for part in parts:
-            merged.extend(part)
+        for index in range(len(self._views)):
+            merged.extend(self._shard_part(index, uid, query_predicate))
         merged.sort(key=lambda item: item[0])
         for _rank, edge, neighbor, weight in merged:
             yield edge, neighbor, weight
@@ -877,12 +859,6 @@ class ShardedGraphView:
         """``m(u)`` against several predicates — max over shards, exact."""
         self._touched.add(uid)
         predicates = list(query_predicates)
-        if self._pool is not None:
-            bounds = self._pool.map(
-                lambda view: view.max_adjacent_weight_any(uid, predicates),
-                self._views,
-            )
-            return max(bounds)
         best = 0.0
         for view in self._views:
             bound = view.max_adjacent_weight_any(uid, predicates)
@@ -940,28 +916,20 @@ class ShardedViewFactory:
 
     Matches the engine's ``view_factory`` seam.  Holds the persistent
     per-shard state the views share across queries: one
-    :class:`~repro.serve.cache.SemanticGraphCache` per shard, one
-    private-row :class:`PredicateSpace` clone per (shard, space), and —
-    when ``fanout="pool"`` — one small thread pool for concurrent
-    gathers.  The engine's shared ``cache`` argument is deliberately
+    :class:`~repro.serve.cache.SemanticGraphCache` per shard and one
+    private-row :class:`PredicateSpace` clone per (shard, space).
+    The engine's shared ``cache`` argument is deliberately
     ignored: per-shard caches *are* the sharded serving win, and a
     single shared cache would serialise every shard on one lock.
     """
 
-    def __init__(self, sharded: ShardedGraph, *, fanout: str = "inline"):
-        if fanout not in ("inline", "pool"):
-            raise GraphError(
-                f"unknown shard fanout {fanout!r} "
-                "(expected 'inline' or 'pool')"
-            )
+    def __init__(self, sharded: ShardedGraph):
         self._sharded = sharded
-        self.fanout = fanout
         self._caches: Optional[List] = None
         # id(space) -> (weakref-free space anchor, per-shard clones);
         # one engine uses one space, so this holds a single entry in
         # practice.
         self._space_clones: Dict[int, Tuple[object, List]] = {}
-        self._pool: Optional[ThreadPoolExecutor] = None
 
     @property
     def sharded(self) -> ShardedGraph:
@@ -987,16 +955,6 @@ class ShardedViewFactory:
         self._space_clones = {id(space): (space, clones)}
         return clones
 
-    def _fanout_pool(self) -> Optional[ThreadPoolExecutor]:
-        if self.fanout != "pool" or self._sharded.num_shards < 2:
-            return None
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=min(self._sharded.num_shards, 4),
-                thread_name_prefix="shard-fanout",
-            )
-        return self._pool
-
     def __call__(
         self,
         kg,
@@ -1018,9 +976,7 @@ class ShardedViewFactory:
             )
             for shard in self._sharded.shards
         ]
-        return ShardedGraphView(
-            self._sharded, views, pool=self._fanout_pool()
-        )
+        return ShardedGraphView(self._sharded, views)
 
     def shard_stats(self) -> List[ShardCacheStats]:
         """Cumulative per-shard cache stats across every query served."""
@@ -1041,9 +997,3 @@ class ShardedViewFactory:
                 )
             )
         return rows
-
-    def close(self) -> None:
-        """Shut the fan-out pool down (idempotent)."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None

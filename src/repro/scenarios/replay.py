@@ -156,7 +156,6 @@ def replay_scenario(
     popularity: Optional[PopularitySpec] = None,
     shards: int = 0,
     shard_strategy: str = "hash",
-    shard_fanout: str = "inline",
 ) -> ScenarioReplayResult:
     """One replay pass of the artifact through a fresh service.
 
@@ -170,8 +169,8 @@ def replay_scenario(
     cache; ``popularity`` resamples the item sequence on top of anything
     the artifact froze (seeded by the workload) — the cache gate uses
     both to prove the Zipf-skewed digest is cache-invariant.
-    ``shards``/``shard_strategy``/``shard_fanout`` serve the pass off
-    the entity-partitioned store (:mod:`repro.kg.sharded`; requires
+    ``shards``/``shard_strategy`` serve the pass off the
+    entity-partitioned store (:mod:`repro.kg.sharded`; requires
     ``compact=True``) — the sharding gate uses them to prove the digest
     is partition-invariant.
     """
@@ -205,7 +204,6 @@ def replay_scenario(
     if shards:
         extra["shards"] = shards
         extra["shard_strategy"] = shard_strategy
-        extra["shard_fanout"] = shard_fanout
     with QueryService.build(
         resources.kg,
         resources.space,

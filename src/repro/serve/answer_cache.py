@@ -66,6 +66,7 @@ from operator import attrgetter
 from typing import Callable, List, Optional, Tuple
 
 from repro.core.config import SearchConfig
+from repro.core.engine import store_identity
 from repro.core.results import QueryResultPayload
 from repro.errors import ServeError
 from repro.kg.sharded import ShardedKnowledgeGraph, ShardedViewFactory
@@ -133,25 +134,6 @@ class EngineFingerprint:
             config.max_expansions,
         )
 
-    @staticmethod
-    def _sharded_token(sharded) -> Tuple:
-        """Graph token of a sharded store (ShardedGraph *or* its handle).
-
-        Shard count, partitioning strategy and seed all join the token:
-        answers are bit-identical across shardings by construction, but
-        the partitioning is part of the engine's identity — resharding
-        is an epoch change, and a cache must never silently span one.
-        """
-        return (
-            "sharded",
-            sharded.kg_name,
-            sharded.num_nodes,
-            sharded.num_edges,
-            sharded.num_shards,
-            sharded.strategy,
-            sharded.seed,
-        )
-
     @classmethod
     def from_engine(cls, engine) -> "EngineFingerprint":
         """Fingerprint a live engine (inline/thread backends)."""
@@ -165,7 +147,7 @@ class EngineFingerprint:
             # the entity surface, is what answers flow through).
             sharded = engine.view_factory.sharded
         if sharded is not None:
-            graph = cls._sharded_token(sharded)
+            graph = store_identity(sharded)
         else:
             graph = ("kg", kg.name, kg.num_entities, kg.num_edges)
         token = (
@@ -179,36 +161,16 @@ class EngineFingerprint:
     def from_spec(cls, spec) -> "EngineFingerprint":
         """Fingerprint a picklable spec (the process backend's parent side).
 
-        The spec may carry the graph by value (``kg``), as a frozen
-        kernel (``compact_graph``), as a shared-memory handle, or as a
-        sharded store (by value or by multi-segment handle) — all five
-        know their entity/edge counts, and the sharded forms share one
-        token shape so a pool rebuild (same shards, fresh segments)
-        keeps the epoch.  ``shard_fanout`` deliberately stays out of the
-        token: the fan-out schedule changes wall-clock, never answers.
+        Whatever form the spec's store takes, it and its shared-memory
+        handle read the same :func:`~repro.core.engine.store_identity`,
+        so a pool rebuild (same store, fresh segments) keeps the epoch.
         """
-        if getattr(spec, "sharded_graph", None) is not None:
-            graph = cls._sharded_token(spec.sharded_graph)
-            anchor = spec.sharded_graph
-        elif getattr(spec, "sharded_handle", None) is not None:
-            graph = cls._sharded_token(spec.sharded_handle)
-            anchor = spec.sharded_handle
-        elif spec.kg is not None:
-            graph = ("kg", spec.kg.name, spec.kg.num_entities, spec.kg.num_edges)
-            anchor = spec.kg
-        elif spec.compact_graph is not None:
-            cg = spec.compact_graph
-            graph = ("compact", cg.kg_name, cg.num_nodes, cg.num_edges)
-            anchor = cg
-        else:
-            handle = spec.graph_handle
-            graph = ("handle", handle.kg_name, handle.num_nodes, handle.num_edges)
-            anchor = handle
         token = (
-            graph,
+            store_identity(spec.store),
             ("space", len(spec.space), spec.space.dim),
             cls._config_token(spec.config),
         )
+        anchor = spec.kg if spec.kg is not None else spec.store
         return cls(token, anchors=(anchor, spec.space), library=spec.library)
 
     def matches(self, other: "EngineFingerprint") -> bool:

@@ -276,39 +276,21 @@ def query_shape_key(
 
 
 def _share_graph(spec: EngineSpec) -> Tuple[EngineSpec, GraphLease]:
-    """Rewrite a compact spec to ship its graph by shared-memory reference.
+    """Rewrite a spec to ship its store by shared-memory reference.
 
-    Freezes the CSR kernel if the spec does not already carry one,
-    publishes its columns into one segment, and returns the worker-bound
-    spec — ``kg`` and ``compact_graph`` dropped, ``graph_handle`` set, so
-    its pickle is O(metadata) — together with the owning lease the caller
+    Publishes the frozen store — one segment for a ``CompactGraph``, one
+    per shard for a ``ShardedGraph`` — and returns the worker-bound spec
+    (``kg`` dropped, ``store`` replaced by the lease's handle, so its
+    pickle is O(metadata)) together with the owning lease the caller
     must keep alive while workers are attached and close afterwards.
-
-    A sharded spec publishes one segment per shard instead and ships a
-    :class:`~repro.kg.sharded.ShardedGraphHandle`; the returned
-    :class:`~repro.kg.sharded.SharedShardedGraph` multi-lease releases
-    its segments in reverse publication order on close.
     """
-    if not spec.compact:
+    if not isinstance(spec.store, (CompactGraph, ShardedGraph)):
         raise ServeError(
-            "shared_graph needs the compact CSR kernel; build the service "
-            "with compact=True (--view compact)"
+            "shared_graph publishes a frozen CompactGraph or ShardedGraph "
+            "store; build the service with compact=True"
         )
-    if spec.sharded_graph is not None:
-        lease = spec.sharded_graph.to_shared()
-        shared_spec = replace(
-            spec, kg=None, sharded_graph=None, sharded_handle=lease.handle
-        )
-        return shared_spec, lease
-    compact_graph = spec.compact_graph
-    if compact_graph is None:
-        assert spec.kg is not None
-        compact_graph = CompactGraph.freeze(spec.kg)
-    lease = compact_graph.to_shared()
-    shared_spec = replace(
-        spec, kg=None, compact_graph=None, graph_handle=lease.handle
-    )
-    return shared_spec, lease
+    lease = spec.store.to_shared()
+    return replace(spec, kg=None, store=lease.handle), lease
 
 
 class QueryService:
@@ -341,9 +323,9 @@ class QueryService:
             :class:`~repro.kg.compact.CompactGraphHandle` instead of the
             graph arrays.  Workers attach zero-copy (O(metadata) warmup,
             one physical graph copy pool-wide); results stay bit-identical.
-            Requires a compact spec.  The service owns the segment: it is
-            unlinked on :meth:`close` (after the pool is down) and by a
-            finalizer if the owner crashes.
+            Requires a frozen (compact or sharded) store.  The service
+            owns the segment: it is unlinked on :meth:`close` (after the
+            pool is down) and by a finalizer if the owner crashes.
         supervised: wrap the backend in a
             :class:`~repro.serve.resilience.SupervisedBackend` — retries
             for retryable failures, in-place pool rebuild on
@@ -683,119 +665,64 @@ class QueryService:
         config: Optional[SearchConfig] = None,
         *,
         compact: bool = False,
-        view_factory=None,
-        assembly_kernel: str = "vectorized",
-        search_kernel: str = "auto",
         backend: str = "thread",
         workers: Optional[int] = None,
         shards: int = 0,
         shard_strategy: str = "hash",
         shard_seed: int = 0,
-        shard_fanout: str = "inline",
         **kwargs,
     ) -> "QueryService":
         """Build an engine (or spec) and wrap it in one call.
 
         ``compact=True`` serves every query off the frozen CSR kernel
-        (:mod:`repro.core.compact_view`); ``view_factory`` passes a custom
-        view seam through (shared-memory backends only — it may not
-        pickle); ``assembly_kernel`` picks the TA assembly implementation
-        and ``search_kernel`` the per-sub-query A* implementation;
-        ``backend``/``workers`` pick the execution backend and pool size.
-        ``shared_graph=True`` (process backend, with ``compact=True``)
-        publishes the frozen kernel into shared memory so workers attach
-        zero-copy instead of unpickling graph arrays.  ``shards=N``
-        (with ``compact=True``) partitions the frozen kernel into N
-        entity-owned shards (:mod:`repro.kg.sharded`) served through the
-        rank-merged fan-out view — per-shard caches, per-shard shm
+        (:mod:`repro.core.compact_view`) instead of the paper's lazy
+        view; ``backend``/``workers`` pick the execution backend and pool
+        size.  ``shared_graph=True`` (process backend, with
+        ``compact=True``) publishes the frozen kernel into shared memory
+        so workers attach zero-copy instead of unpickling graph arrays.
+        ``shards=N`` (with ``compact=True``) partitions the frozen kernel
+        into N entity-owned shards (:mod:`repro.kg.sharded`) served
+        through the rank-merged view — per-shard caches, per-shard shm
         segments under ``shared_graph``; ``shard_strategy`` /
-        ``shard_seed`` pick the partitioner and ``shard_fanout``
-        (``"inline"``/``"pool"``) the gather schedule.  Exact results
-        are identical under every combination.
+        ``shard_seed`` pick the partitioner.  Exact results are
+        identical under every combination.  A caller with its own
+        ``view_factory`` or oracle kernels builds the engine and passes
+        it to :class:`QueryService` directly.
         """
         if shards < 0:
             raise ServeError(f"shards must be non-negative, got {shards}")
-        if shards:
-            if not compact:
-                raise ServeError(
-                    "shards need the compact CSR kernel; build the service "
-                    "with compact=True (--view compact)"
-                )
-            if view_factory is not None:
-                raise ServeError(
-                    "pass either shards or view_factory, not both — the "
-                    "sharded store brings its own fan-out view factory"
-                )
-            if shard_strategy not in SHARD_STRATEGIES:
-                raise ServeError(
-                    f"unknown shard strategy {shard_strategy!r} "
-                    f"(expected one of {SHARD_STRATEGIES})"
-                )
-        elif shard_fanout != "inline":
+        if shards and not compact:
             raise ServeError(
-                f"shard_fanout={shard_fanout!r} needs shards; pass shards=N"
+                "shards need the compact CSR kernel; build the service "
+                "with compact=True"
             )
-        if view_factory is not None:
-            if backend == "process":
-                raise ServeError(
-                    "the process backend cannot ship a custom view_factory "
-                    "to its workers; use compact=True or a shared-memory "
-                    "backend"
-                )
-            engine = SemanticGraphQueryEngine(
-                kg,
+        if shards and shard_strategy not in SHARD_STRATEGIES:
+            raise ServeError(
+                f"unknown shard strategy {shard_strategy!r} "
+                f"(expected one of {SHARD_STRATEGIES})"
+            )
+        # Freeze / partition once in the parent: every backend (and every
+        # process worker, via the spec pickle or the shm handles) serves
+        # the same store instead of redoing the O(V+E) work.
+        if shards:
+            # ``kg`` stays out of the spec so all backends uniformly
+            # query through the sharded facade.
+            spec = EngineSpec(
+                ShardedGraph.build(
+                    kg, shards, strategy=shard_strategy, seed=shard_seed
+                ),
                 space,
                 library,
                 config,
-                compact=compact,
-                view_factory=view_factory,
-                assembly_kernel=assembly_kernel,
-                search_kernel=search_kernel,
             )
-            return cls(engine, backend=backend, workers=workers, **kwargs)
-        if shards:
-            # Partition once in the parent; every backend (and every
-            # process worker, via the spec pickle or the per-shard shm
-            # handles) serves the same shard set.  The spec drops ``kg``
-            # so all backends uniformly query through the sharded facade.
-            sharded = ShardedGraph.build(
-                kg, shards, strategy=shard_strategy, seed=shard_seed
-            )
+        elif compact:
             spec = EngineSpec(
-                kg=None,
-                space=space,
-                library=library,
-                config=config,
-                compact=True,
-                assembly_kernel=assembly_kernel,
-                search_kernel=search_kernel,
-                sharded_graph=sharded,
-                shard_fanout=shard_fanout,
+                CompactGraph.freeze(kg), space, library, config, kg=kg
             )
-            if backend == "process":
-                return cls(spec=spec, backend=backend, workers=workers, **kwargs)
-            return cls(
-                build_engine(spec), spec=spec, backend=backend,
-                workers=workers, **kwargs,
-            )
-        spec = EngineSpec(
-            kg=kg,
-            space=space,
-            library=library,
-            config=config,
-            compact=compact,
-            assembly_kernel=assembly_kernel,
-            search_kernel=search_kernel,
-        )
-        if backend == "process":
-            if compact:
-                # Freeze once in the parent and ship the snapshot, so N
-                # workers do not each redo the O(V+E) freeze.
-                from repro.kg.compact import CompactGraph
-
-                spec = replace(spec, compact_graph=CompactGraph.freeze(kg))
-            return cls(spec=spec, backend=backend, workers=workers, **kwargs)
-        return cls(build_engine(spec), backend=backend, workers=workers, **kwargs)
+        else:
+            spec = EngineSpec(kg, space, library, config)
+        engine = None if backend == "process" else build_engine(spec)
+        return cls(engine, spec=spec, backend=backend, workers=workers, **kwargs)
 
     # ------------------------------------------------------------------
     # submission API

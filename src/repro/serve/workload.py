@@ -50,9 +50,7 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
-from repro.core.assembly import ASSEMBLY_KERNELS
-from repro.core.astar import SEARCH_KERNELS
-from repro.errors import OverloadError, ScenarioError, ServeError
+from repro.errors import OverloadError, ScenarioError, SearchError, ServeError
 from repro.kg.sharded import SHARD_STRATEGIES
 from repro.query.model import QueryGraph
 from repro.serve.backends import EXECUTION_BACKENDS
@@ -638,7 +636,8 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="repro-serve-workload",
         description=(
             "Replay a preset query workload through the cache-backed "
-            "QueryService and report throughput/latency per pass."
+            "QueryService (frozen CSR graph, production kernels) and "
+            "report throughput/latency per pass."
         ),
     )
     parser.add_argument(
@@ -722,7 +721,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--shared-graph",
         action="store_true",
         help=(
-            "process backend only (with --view compact): publish the "
+            "process backend only: publish the "
             "frozen CSR graph into one shared-memory segment; workers "
             "attach zero-copy instead of unpickling graph arrays "
             "(identical results, O(metadata) worker warmup, one physical "
@@ -735,9 +734,8 @@ def _build_parser() -> argparse.ArgumentParser:
         default=0,
         metavar="N",
         help=(
-            "partition the frozen CSR graph into N entity-owned shards "
-            "(requires --view compact): per-shard caches, rank-merged "
-            "incident fan-out, and — with --shared-graph — one shm "
+            "partition the frozen CSR graph into N entity-owned shards: "
+            "per-shard caches, rank-merged incident rows, and — with --shared-graph — one shm "
             "segment per shard.  Exact results are bit-identical to the "
             "unsharded store (default: 0 = unsharded)"
         ),
@@ -751,48 +749,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "mixing) or 'balanced-degree' (greedy degree-mass "
             "balancing).  Deterministic; identical answers either way "
             "(default: hash)"
-        ),
-    )
-    parser.add_argument(
-        "--shard-fanout",
-        default="inline",
-        choices=("inline", "pool"),
-        help=(
-            "per-shard gather schedule for --shards: 'inline' runs the "
-            "shards sequentially on the calling thread, 'pool' fans out "
-            "on a small thread pool.  The merge is rank-keyed, so both "
-            "produce identical results (default: inline)"
-        ),
-    )
-    parser.add_argument(
-        "--view",
-        default="lazy",
-        choices=("lazy", "compact"),
-        help=(
-            "semantic-graph kernel: 'lazy' is the paper's per-query "
-            "on-demand view, 'compact' the frozen CSR kernel with "
-            "vectorized weights (identical results, different cost)"
-        ),
-    )
-    parser.add_argument(
-        "--assembly-kernel",
-        default="vectorized",
-        choices=ASSEMBLY_KERNELS,
-        help=(
-            "TA assembly implementation: the incremental numpy kernel "
-            "(default) or the pure-Python reference assembler "
-            "(identical results, different cost)"
-        ),
-    )
-    parser.add_argument(
-        "--search-kernel",
-        default="auto",
-        choices=SEARCH_KERNELS,
-        help=(
-            "A* search implementation: 'auto' runs the array-backed "
-            "kernel whenever the view is compact, 'vectorized' forces it "
-            "(requires --view compact), 'reference' forces the Algorithm "
-            "1 transcription (identical results, different cost)"
         ),
     )
     parser.add_argument(
@@ -926,25 +882,20 @@ def _resilience_kwargs(args, parser) -> Dict[str, object]:
 
 
 def _answer_cache_kwargs(args, parser) -> Dict[str, object]:
-    """Validate the answer-cache flags and build QueryService.build kwargs."""
+    """Range-check the answer-cache flags and build QueryService.build kwargs."""
     if args.answer_cache < 0:
         parser.error(
             f"--answer-cache must be non-negative, got {args.answer_cache}"
         )
-    if args.answer_cache_ttl is not None:
-        if args.answer_cache == 0:
-            parser.error("--answer-cache-ttl requires --answer-cache")
-        if args.answer_cache_ttl <= 0:
-            parser.error(
-                f"--answer-cache-ttl must be positive, "
-                f"got {args.answer_cache_ttl}"
-            )
-    kwargs: Dict[str, object] = {}
-    if args.answer_cache:
-        kwargs["answer_cache"] = args.answer_cache
-        if args.answer_cache_ttl is not None:
-            kwargs["answer_cache_ttl"] = args.answer_cache_ttl
-    return kwargs
+    if args.answer_cache_ttl is not None and args.answer_cache_ttl <= 0:
+        parser.error(
+            f"--answer-cache-ttl must be positive, got {args.answer_cache_ttl}"
+        )
+    # 0 entries means no cache; a ttl without one is the service's to reject.
+    return {
+        "answer_cache": args.answer_cache,
+        "answer_cache_ttl": args.answer_cache_ttl,
+    }
 
 
 def _parse_popularity(args, parser) -> PopularitySpec:
@@ -952,6 +903,96 @@ def _parse_popularity(args, parser) -> PopularitySpec:
         return PopularitySpec.parse(args.popularity)
     except ServeError as exc:
         parser.error(f"--popularity: {exc}")
+
+
+def _serve_passes(
+    args,
+    parser,
+    resources,
+    items: Sequence[WorkloadItem],
+    *,
+    rate: Optional[float],
+    arrival: str,
+    seed: int,
+    answer_digest: Optional[Callable[[Dict[str, List[str]]], str]] = None,
+) -> int:
+    """Build the service the flags describe and replay ``--repeats`` passes.
+
+    ``resources`` is ``(kg, space, library, config)``.  Combinations the
+    service rejects (``--shared-graph`` off the process backend, a ttl
+    without a cache, ...) exit through ``parser.error`` with the
+    service's own message.  With ``answer_digest`` every pass also prints
+    the digest of its exact answers — identical seeds must print an
+    identical digest on every pass, run and backend.
+    """
+    kg, space, library, config = resources
+    resilience_kwargs = _resilience_kwargs(args, parser)
+    answer_kwargs = _answer_cache_kwargs(args, parser)
+    plan = resilience_kwargs.get("fault_plan")
+    if plan is not None:
+        print(f"fault plan: {plan.describe()}")
+    if args.answer_cache:
+        ttl = args.answer_cache_ttl
+        ttl_note = f", ttl {ttl} s" if ttl is not None else ""
+        print(f"answer cache: {args.answer_cache} entries{ttl_note}")
+    if args.shards:
+        print(
+            f"sharded store: {args.shards} shards "
+            f"({args.shard_strategy} partitioner)"
+        )
+    try:
+        service = QueryService.build(
+            kg,
+            space,
+            library,
+            config,
+            compact=True,
+            backend=args.backend,
+            workers=args.workers,
+            shared_graph=args.shared_graph,
+            shards=args.shards,
+            shard_strategy=args.shard_strategy,
+            **resilience_kwargs,
+            **answer_kwargs,
+        )
+    except (ServeError, SearchError) as exc:
+        parser.error(str(exc))
+    with service:
+        if args.backend == "process":
+            warmed = service.warmup()
+            graph_note = " (shared graph)" if args.shared_graph else ""
+            print(
+                f"warmed {warmed}/{service.workers} process workers"
+                f"{graph_note}"
+            )
+        for run in range(1, args.repeats + 1):
+            service.reset_serving_stats()
+            answers: Dict[str, List[str]] = {}
+
+            def _collect(index, request, result) -> None:
+                if request.deadline is None:
+                    answers[request.tag] = sorted(
+                        kg.entity(uid).name for uid in result.answer_uids()
+                    )
+
+            report = replay(
+                service,
+                items,
+                rate=rate,
+                arrival=arrival,
+                seed=seed,
+                breakdown=args.breakdown,
+                on_result=_collect if answer_digest is not None else None,
+            )
+            label = "cold" if run == 1 else "warm"
+            print(f"\n--- pass {run}/{args.repeats} ({label}) ---")
+            print(report.describe())
+            if answer_digest is not None:
+                print(
+                    f"exact-match digest: {answer_digest(answers)} "
+                    f"({len(answers)} exact queries)"
+                )
+    return 0
 
 
 def _run_scenario(args, parser) -> int:
@@ -973,12 +1014,6 @@ def _run_scenario(args, parser) -> int:
         scenario_items,
     )
     from repro.scenarios.suite import Workload
-    # Under ``python -m repro.serve.workload`` this file runs as
-    # ``__main__`` while the scenario machinery imports the canonical
-    # ``repro.serve.workload`` module — two distinct ``WorkloadItem``
-    # classes.  Replay through the canonical module so its isinstance
-    # checks see the class ``scenario_items`` actually constructed.
-    from repro.serve.workload import replay as canonical_replay
 
     try:
         workload = Workload.from_pickle(args.scenario)
@@ -994,7 +1029,7 @@ def _run_scenario(args, parser) -> int:
         f"{workload.scale} ({resources.kg.num_entities} entities, "
         f"{resources.kg.num_edges} edges), {len(workload.queries)} queries, "
         f"k={workload.k}, tau={workload.tau} "
-        f"({args.view} view, {args.backend} backend)"
+        f"(compact view, {args.backend} backend)"
     )
     print(
         "intent mix: "
@@ -1016,79 +1051,20 @@ def _run_scenario(args, parser) -> int:
             f"popularity: {popularity.describe()} — resampled to "
             f"{len(items)} requests"
         )
-    kg = resources.kg
-    resilience_kwargs = _resilience_kwargs(args, parser)
-    answer_kwargs = _answer_cache_kwargs(args, parser)
-    plan = resilience_kwargs.get("fault_plan")
-    if plan is not None:
-        print(f"fault plan: {plan.describe()}")
-    if answer_kwargs:
-        ttl = answer_kwargs.get("answer_cache_ttl")
-        ttl_note = f", ttl {ttl} s" if ttl is not None else ""
-        print(f"answer cache: {args.answer_cache} entries{ttl_note}")
-    if args.shards:
-        print(
-            f"sharded store: {args.shards} shards "
-            f"({args.shard_strategy} partitioner, "
-            f"{args.shard_fanout} fan-out)"
-        )
-    with QueryService.build(
-        resources.kg,
-        resources.space,
-        resources.library,
-        resources.config,
-        backend=args.backend,
-        workers=args.workers,
-        compact=(args.view == "compact"),
-        assembly_kernel=args.assembly_kernel,
-        search_kernel=args.search_kernel,
-        shared_graph=args.shared_graph,
-        shards=args.shards,
-        shard_strategy=args.shard_strategy,
-        shard_fanout=args.shard_fanout,
-        **resilience_kwargs,
-        **answer_kwargs,
-    ) as service:
-        if args.backend == "process":
-            warmed = service.warmup()
-            graph_note = " (shared graph)" if args.shared_graph else ""
-            print(
-                f"warmed {warmed}/{service.workers} process workers"
-                f"{graph_note}"
-            )
-        for run in range(1, args.repeats + 1):
-            service.reset_serving_stats()
-            answers: Dict[str, List[str]] = {}
-
-            def _collect(index, request, result) -> None:
-                if request.deadline is None:
-                    answers[request.tag] = sorted(
-                        kg.entity(uid).name for uid in result.answer_uids()
-                    )
-
-            report = canonical_replay(
-                service,
-                items,
-                rate=workload.arrival.rate,
-                arrival=(
-                    workload.arrival.process
-                    if workload.arrival.rate is not None
-                    else "uniform"
-                ),
-                seed=workload.seed,
-                breakdown=args.breakdown,
-                on_result=_collect,
-            )
-            label = "cold" if run == 1 else "warm"
-            print(f"\n--- pass {run}/{args.repeats} ({label}) ---")
-            print(report.describe())
-            # The determinism contract: identical seeds must print an
-            # identical digest on every pass, run and backend.
-            print(
-                f"exact-match digest: {answer_digest(answers)} "
-                f"({len(answers)} exact queries)"
-            )
-    return 0
+    return _serve_passes(
+        args,
+        parser,
+        (resources.kg, resources.space, resources.library, resources.config),
+        items,
+        rate=workload.arrival.rate,
+        arrival=(
+            workload.arrival.process
+            if workload.arrival.rate is not None
+            else "uniform"
+        ),
+        seed=workload.seed,
+        answer_digest=answer_digest,
+    )
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -1116,24 +1092,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             parser.error("--tbq-fraction requires --deadline")
     if args.workers < 1:
         parser.error(f"--workers must be at least 1, got {args.workers}")
-    if args.search_kernel == "vectorized" and args.view != "compact":
-        parser.error("--search-kernel vectorized requires --view compact")
-    if args.shared_graph and args.backend != "process":
-        parser.error("--shared-graph requires --backend process")
-    if args.shared_graph and args.view != "compact":
-        parser.error("--shared-graph requires --view compact")
     if args.shards < 0:
         parser.error(f"--shards must be non-negative, got {args.shards}")
-    if args.shards and args.view != "compact":
-        parser.error("--shards requires --view compact")
-    if args.shards and args.search_kernel == "vectorized":
-        parser.error(
-            "--shards feeds the rank-merged fan-out view, which only the "
-            "reference search kernel consumes; drop --search-kernel "
-            "vectorized (use auto)"
-        )
-    if args.shard_fanout != "inline" and not args.shards:
-        parser.error("--shard-fanout requires --shards")
     if args.scenario is not None:
         return _run_scenario(args, parser)
     # Deferred import: bundle generation pulls in the full bench stack.
@@ -1143,7 +1103,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     print(
         f"{args.preset}: {bundle.kg.num_entities} entities, "
         f"{bundle.kg.num_edges} edges, {len(bundle.workload)} queries "
-        f"({args.view} view, {args.backend} backend)"
+        f"(compact view, {args.backend} backend)"
     )
     # With a --tbq-fraction only the seeded slice gets the deadline;
     # without one the historical all-or-nothing semantics apply.
@@ -1169,59 +1129,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             f"popularity: {popularity.describe()} — resampled to "
             f"{len(items)} requests"
         )
-    resilience_kwargs = _resilience_kwargs(args, parser)
-    answer_kwargs = _answer_cache_kwargs(args, parser)
-    plan = resilience_kwargs.get("fault_plan")
-    if plan is not None:
-        print(f"fault plan: {plan.describe()}")
-    if answer_kwargs:
-        ttl = answer_kwargs.get("answer_cache_ttl")
-        ttl_note = f", ttl {ttl} s" if ttl is not None else ""
-        print(f"answer cache: {args.answer_cache} entries{ttl_note}")
-    if args.shards:
-        print(
-            f"sharded store: {args.shards} shards "
-            f"({args.shard_strategy} partitioner, "
-            f"{args.shard_fanout} fan-out)"
-        )
-    with QueryService.build(
-        bundle.kg,
-        bundle.space,
-        bundle.library,
-        backend=args.backend,
-        workers=args.workers,
-        compact=(args.view == "compact"),
-        assembly_kernel=args.assembly_kernel,
-        search_kernel=args.search_kernel,
-        shared_graph=args.shared_graph,
-        shards=args.shards,
-        shard_strategy=args.shard_strategy,
-        shard_fanout=args.shard_fanout,
-        **resilience_kwargs,
-        **answer_kwargs,
-    ) as service:
-        if args.backend == "process":
-            warmed = service.warmup()
-            graph_note = " (shared graph)" if args.shared_graph else ""
-            print(
-                f"warmed {warmed}/{service.workers} process workers"
-                f"{graph_note}"
-            )
-        for run in range(1, args.repeats + 1):
-            service.reset_serving_stats()
-            report = replay(
-                service,
-                items,
-                rate=args.rate,
-                arrival=args.arrival,
-                seed=args.seed,
-                breakdown=args.breakdown,
-            )
-            label = "cold" if run == 1 else "warm"
-            print(f"\n--- pass {run}/{args.repeats} ({label}) ---")
-            print(report.describe())
-    return 0
+    return _serve_passes(
+        args,
+        parser,
+        (bundle.kg, bundle.space, bundle.library, None),
+        items,
+        rate=args.rate,
+        arrival=args.arrival,
+        seed=args.seed,
+    )
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via console script
-    sys.exit(main())
+    # ``python -m repro.serve.workload`` runs this file as ``__main__``
+    # beside the canonical module the rest of the package imports; hand
+    # over to that one so there is a single ``WorkloadItem`` class.
+    from repro.serve.workload import main as _canonical_main
+
+    sys.exit(_canonical_main())

@@ -324,13 +324,14 @@ class TestEngineCallSites:
         ]
 
     def test_engine_rejects_unknown_kernel(self, small_bundle):
+        engine = SemanticGraphQueryEngine(
+            small_bundle.kg,
+            small_bundle.space,
+            small_bundle.library,
+            assembly_kernel="simd",
+        )
         with pytest.raises(SearchError):
-            SemanticGraphQueryEngine(
-                small_bundle.kg,
-                small_bundle.space,
-                small_bundle.library,
-                assembly_kernel="simd",
-            )
+            engine.search(small_bundle.workload[0].query, k=3)
 
     def test_timing_split_reported(self, engines, small_bundle):
         result = engines["vectorized"].search(small_bundle.workload[0].query, k=5)

@@ -16,6 +16,7 @@ Each test checks equality where value semantics exist and behaviour
 """
 
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -154,14 +155,12 @@ class TestEngineSpec:
     def test_rebuilt_engine_is_behaviourally_identical(
         self, small_bundle, compact
     ):
+        kg = small_bundle.kg
         spec = EngineSpec(
-            kg=small_bundle.kg,
+            store=CompactGraph.freeze(kg) if compact else kg,
             space=small_bundle.space,
             library=small_bundle.library,
-            compact=compact,
-            compact_graph=(
-                CompactGraph.freeze(small_bundle.kg) if compact else None
-            ),
+            kg=kg if compact else None,
         )
         original = build_engine(spec)
         rebuilt = build_engine(_roundtrip(spec))
@@ -179,33 +178,46 @@ class TestEngineSpec:
         )
         spec = engine.to_spec()
         # The already-frozen kernel rides along — workers skip the freeze.
-        assert spec.compact_graph is not None
+        assert spec.store is engine.view_factory.frozen_graph
+        assert spec.kg is small_bundle.kg
         thawed = _roundtrip(spec)
-        assert thawed.compact and thawed.compact_graph is not None
-        assert thawed.compact_graph.num_edges == small_bundle.kg.num_edges
+        assert isinstance(thawed.store, CompactGraph)
+        assert thawed.store.num_edges == small_bundle.kg.num_edges
 
-    def test_to_spec_grafts_frozen_kernel_onto_cached_spec(self, small_bundle):
-        """An engine built from a graphless compact spec still ships the
-        kernel it froze, so process workers never redo the O(V+E) freeze."""
+    def test_to_spec_of_a_spec_built_engine_ships_the_same_kernel(
+        self, small_bundle
+    ):
+        """An engine built from a compact spec ships the kernel it was
+        given, so process workers never redo the O(V+E) freeze."""
+        frozen = CompactGraph.freeze(small_bundle.kg)
         spec = EngineSpec(
-            kg=small_bundle.kg,
+            store=frozen,
             space=small_bundle.space,
             library=small_bundle.library,
-            compact=True,
+            kg=small_bundle.kg,
         )
-        assert spec.compact_graph is None
-        engine = build_engine(spec)
-        shipped = engine.to_spec()
-        assert shipped.compact_graph is not None
-        assert shipped.compact_graph.num_edges == small_bundle.kg.num_edges
+        shipped = build_engine(spec).to_spec()
+        assert shipped.store is frozen and shipped.kg is small_bundle.kg
+        # Without the source graph the facade stands in, and stays home.
+        shipped = build_engine(replace(spec, kg=None)).to_spec()
+        assert isinstance(shipped.store, CompactGraph) and shipped.kg is None
+
+    def test_store_must_be_one_of_the_five_forms(self, small_bundle):
+        from repro.errors import SearchError
+        from repro.kg.compact import CompactKnowledgeGraph
+
+        facade = CompactKnowledgeGraph(CompactGraph.freeze(small_bundle.kg))
+        for not_a_store in (facade, None, "dbpedia"):
+            with pytest.raises(SearchError, match="store"):
+                EngineSpec(store=not_a_store, space=small_bundle.space)
 
     def test_custom_view_factory_has_no_spec(self, small_bundle):
-        from repro.core.compact_view import lazy_view_factory
+        from repro.core.semantic_graph import SemanticGraphView
         from repro.errors import SearchError
 
         engine = SemanticGraphQueryEngine(
             small_bundle.kg, small_bundle.space, small_bundle.library,
-            view_factory=lazy_view_factory,
+            view_factory=SemanticGraphView,
         )
         with pytest.raises(SearchError):
             engine.to_spec()
@@ -317,7 +329,7 @@ class TestFaultPlan:
 
         plan = FaultPlan(transient_at=(1,), seed=3)
         spec = EngineSpec(
-            kg=small_bundle.kg,
+            store=small_bundle.kg,
             space=small_bundle.space,
             library=small_bundle.library,
             fault_plan=plan,

@@ -307,25 +307,28 @@ class TestDispatch:
             )
 
     def test_engine_validates_search_kernel(self, small_bundle):
+        """The name check lives at the dispatch point, so a bad name
+        surfaces on the first query."""
+        engine = SemanticGraphQueryEngine(
+            small_bundle.kg,
+            small_bundle.space,
+            small_bundle.library,
+            search_kernel="simd",
+        )
         with pytest.raises(SearchError):
-            SemanticGraphQueryEngine(
-                small_bundle.kg,
-                small_bundle.space,
-                small_bundle.library,
-                search_kernel="simd",
-            )
+            engine.search(small_bundle.workload[0].query, k=3)
         assert "auto" in SEARCH_KERNELS
 
-    def test_engine_rejects_vectorized_on_lazy_views_eagerly(self, small_bundle):
-        """The default lazy view can never feed the vectorized kernel,
-        so the engine fails at construction, not per query."""
+    def test_engine_rejects_vectorized_on_lazy_views(self, small_bundle):
+        """The default lazy view can never feed the vectorized kernel."""
+        engine = SemanticGraphQueryEngine(
+            small_bundle.kg,
+            small_bundle.space,
+            small_bundle.library,
+            search_kernel="vectorized",
+        )
         with pytest.raises(SearchError):
-            SemanticGraphQueryEngine(
-                small_bundle.kg,
-                small_bundle.space,
-                small_bundle.library,
-                search_kernel="vectorized",
-            )
+            engine.search(small_bundle.workload[0].query, k=3)
         # compact=True (and a compact-capable factory) remain valid.
         engine = SemanticGraphQueryEngine(
             small_bundle.kg,

@@ -9,12 +9,18 @@ excluded: they measure cache warmth, which per-worker caches change by
 design (same exclusion the view-kernel conformance suite makes).
 """
 
+from contextlib import ExitStack
+
 import pytest
 
 from repro.bench.equivalence import final_matches_differ, search_stats_differ
-from repro.core.engine import SemanticGraphQueryEngine
+from repro.core.engine import EngineSpec, SemanticGraphQueryEngine
 from repro.errors import ServeError
+from repro.kg.compact import CompactGraph
+from repro.kg.sharded import ShardedGraph
+from repro.kg.shm import leaked_segments
 from repro.query.builder import QueryGraphBuilder
+from repro.scenarios.replay import answer_digest
 from repro.serve.backends import EXECUTION_BACKENDS
 from repro.serve.cache import SemanticGraphCache
 from repro.serve.service import QueryService
@@ -59,6 +65,56 @@ def reference_results(small_bundle):
         for q in small_bundle.workload[:4]:
             out[(compact, q.qid)] = engine.search(q.query, k=K)
     return out
+
+
+def _exact_digest(kg, items, results):
+    return answer_digest(
+        {
+            item.qid: sorted(kg.entity(uid).name for uid in result.answer_uids())
+            for item, result in zip(items, results)
+        }
+    )
+
+
+class TestStoreForms:
+    """One spec describes one store; every store form — by value or by
+    shared-memory handle, in this process or a worker — serves the
+    reference kernels' answers."""
+
+    @pytest.fixture(scope="class")
+    def oracle_digest(self, small_bundle):
+        kg, items = small_bundle.kg, small_bundle.workload[:4]
+        oracle = SemanticGraphQueryEngine(
+            kg, small_bundle.space, small_bundle.library,
+            assembly_kernel="reference", search_kernel="reference",
+        )
+        return _exact_digest(
+            kg, items, [oracle.search(item.query, k=K) for item in items]
+        )
+
+    @pytest.mark.parametrize("backend", ["inline", "process"])
+    @pytest.mark.parametrize(
+        "form",
+        ["kg", "compact", "compact-handle", "sharded", "sharded-handle"],
+    )
+    def test_every_store_form_returns_the_same_digest(
+        self, small_bundle, oracle_digest, form, backend
+    ):
+        kg, items = small_bundle.kg, small_bundle.workload[:4]
+        with ExitStack() as stack:
+            if form == "kg":
+                store = kg
+            elif form.startswith("compact"):
+                store = CompactGraph.freeze(kg)
+            else:
+                store = ShardedGraph.build(kg, 2)
+            if form.endswith("-handle"):
+                store = stack.enter_context(store.to_shared()).handle
+            spec = EngineSpec(store, small_bundle.space, small_bundle.library)
+            with QueryService(spec=spec, backend=backend, workers=1) as service:
+                served = service.search_many([item.query for item in items], k=K)
+        assert _exact_digest(kg, items, served) == oracle_digest
+        assert leaked_segments() == []
 
 
 class TestCrossBackendConformance:
@@ -185,16 +241,18 @@ class TestProcessBackend:
             )
 
     def test_custom_view_factory_rejected(self, small_bundle):
-        from repro.core.compact_view import lazy_view_factory
+        from repro.core.semantic_graph import SemanticGraphView
+        from repro.errors import SearchError
 
-        with pytest.raises(ServeError):
-            QueryService.build(
-                small_bundle.kg,
-                small_bundle.space,
-                small_bundle.library,
-                backend="process",
-                view_factory=lazy_view_factory,
-            )
+        engine = SemanticGraphQueryEngine(
+            small_bundle.kg,
+            small_bundle.space,
+            small_bundle.library,
+            view_factory=SemanticGraphView,
+        )
+        # No picklable description to ship to the workers.
+        with pytest.raises(SearchError):
+            QueryService(engine, backend="process")
 
     def test_unknown_backend_rejected(self, small_bundle):
         engine = SemanticGraphQueryEngine(

@@ -1,8 +1,11 @@
 """Tests for the batched QueryService (repro.serve.service)."""
 
+import dataclasses
+import inspect
+
 import pytest
 
-from repro.core.engine import SemanticGraphQueryEngine
+from repro.core.engine import EngineSpec, SemanticGraphQueryEngine
 from repro.errors import SearchError, ServeError
 from repro.serve.cache import SemanticGraphCache
 from repro.serve.service import QueryRequest, QueryService, query_shape_key
@@ -32,6 +35,35 @@ def service(small_bundle):
     )
     yield svc
     svc.close()
+
+
+def test_configuration_surface_snapshot():
+    """What can be set, spelled out: a PR that adds (or re-adds) a
+    selector has to edit these lists in the open."""
+    from repro.serve.workload import _build_parser
+
+    assert list(inspect.signature(QueryService.build).parameters) == [
+        "kg", "space", "library", "config",
+        "compact", "backend", "workers",
+        "shards", "shard_strategy", "shard_seed",
+        "kwargs",
+    ]
+    assert [f.name for f in dataclasses.fields(EngineSpec)] == [
+        "store", "space", "library", "config", "kg", "fault_plan",
+    ]
+    options = {
+        option
+        for action in _build_parser()._actions
+        for option in action.option_strings
+    }
+    assert sorted(options - {"-h", "--help"}) == [
+        "--answer-cache", "--answer-cache-ttl", "--arrival", "--backend",
+        "--breakdown", "--deadline", "--fault-plan", "--hard-timeout", "--k",
+        "--max-pending", "--popularity", "--preset", "--rate", "--repeats",
+        "--retries", "--scale", "--scenario", "--seed", "--shard-strategy",
+        "--shards", "--shared-graph", "--supervised", "--tbq-fraction",
+        "--workers",
+    ]
 
 
 class TestEquivalence:

@@ -265,6 +265,7 @@ class TestConsoleEntrypoint:
         )
         assert code == 0
         out = capsys.readouterr().out
+        assert "(compact view, thread backend)" in out
         assert "pass 1/2 (cold)" in out
         assert "pass 2/2 (warm)" in out
         assert "throughput" in out
@@ -292,82 +293,28 @@ class TestConsoleEntrypoint:
         out = capsys.readouterr().out
         assert "assembly share" in out
         assert "search vs assembly per query" in out
-
-    def test_main_search_kernel_vectorized_requires_compact(self):
-        with pytest.raises(SystemExit):
-            workload_main(
-                [
-                    "--preset", "dbpedia", "--scale", "1.0",
-                    "--search-kernel", "vectorized",
-                ]
-            )
-
-    def test_main_compact_vectorized_search(self, capsys):
-        code = workload_main(
-            [
-                "--preset", "dbpedia", "--scale", "1.0", "--seed", "11",
-                "--repeats", "1", "--k", "4", "--workers", "2",
-                "--view", "compact", "--search-kernel", "vectorized",
-                "--breakdown",
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
         assert "latency by complexity class:" in out
         assert "search totals:" in out
 
-    def test_main_reference_assembly_kernel(self, capsys):
-        code = workload_main(
-            [
-                "--preset",
-                "dbpedia",
-                "--scale",
-                "1.0",
-                "--seed",
-                "11",
-                "--repeats",
-                "1",
-                "--k",
-                "4",
-                "--workers",
-                "2",
-                "--assembly-kernel",
-                "reference",
-            ]
+    def test_main_reports_the_services_own_rejection(self, capsys):
+        """Combinations the service owns are not re-checked by the CLI:
+        its ServeError comes back as an argparse error (exit 2)."""
+        with pytest.raises(SystemExit) as exit_info:
+            workload_main(
+                ["--preset", "dbpedia", "--scale", "1.0", "--shared-graph"]
+            )
+        assert exit_info.value.code == 2
+        assert (
+            "shared_graph only applies to the process backend"
+            in capsys.readouterr().err
         )
-        assert code == 0
-        assert "throughput" in capsys.readouterr().out
-
-    def test_main_compact_view(self, capsys):
-        code = workload_main(
-            [
-                "--preset",
-                "dbpedia",
-                "--scale",
-                "1.0",
-                "--seed",
-                "11",
-                "--repeats",
-                "2",
-                "--k",
-                "4",
-                "--workers",
-                "2",
-                "--view",
-                "compact",
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "(compact view, thread backend)" in out
-        assert "pass 2/2 (warm)" in out
 
     def test_main_process_backend(self, capsys):
         code = workload_main(
             [
                 "--preset", "dbpedia", "--scale", "1.0", "--seed", "11",
                 "--repeats", "2", "--k", "4", "--workers", "2",
-                "--view", "compact", "--backend", "process", "--breakdown",
+                "--backend", "process", "--breakdown",
             ]
         )
         assert code == 0
@@ -427,8 +374,7 @@ class TestScenarioEntrypoint:
 
     def test_scenario_replay_prints_identical_digests(self, capsys):
         code = workload_main(
-            ["--scenario", self.ARTIFACT, "--repeats", "2",
-             "--view", "compact", "--workers", "2"]
+            ["--scenario", self.ARTIFACT, "--repeats", "2", "--workers", "2"]
         )
         assert code == 0
         out = capsys.readouterr().out

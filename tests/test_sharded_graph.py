@@ -15,8 +15,12 @@ import numpy as np
 import pytest
 
 from repro.bench.equivalence import final_matches_differ
-from repro.core.engine import EngineSpec, build_engine
-from repro.errors import GraphError, SearchError, ServeError
+from repro.core.engine import (
+    EngineSpec,
+    SemanticGraphQueryEngine,
+    build_engine,
+)
+from repro.errors import GraphError, ServeError
 from repro.kg.compact import CompactGraph
 from repro.kg.sharded import (
     SHARD_SEGMENT_PREFIX,
@@ -178,51 +182,23 @@ class TestEngineConformance:
     def test_end_to_end_payloads_identical(
         self, small_bundle, sharded4, search_kernel
     ):
-        baseline = build_engine(
-            EngineSpec(
-                kg=small_bundle.kg,
-                space=small_bundle.space,
-                library=small_bundle.library,
-                compact=True,
-                search_kernel="reference",
-            )
+        baseline = SemanticGraphQueryEngine(
+            small_bundle.kg,
+            small_bundle.space,
+            small_bundle.library,
+            compact=True,
+            search_kernel="reference",
         )
-        sharded_engine = build_engine(
-            EngineSpec(
-                kg=None,
-                space=small_bundle.space,
-                library=small_bundle.library,
-                compact=True,
-                search_kernel=search_kernel,
-                sharded_graph=sharded4,
-            )
+        sharded_engine = SemanticGraphQueryEngine(
+            ShardedKnowledgeGraph(sharded4),
+            small_bundle.space,
+            small_bundle.library,
+            view_factory=ShardedViewFactory(sharded4),
+            search_kernel=search_kernel,
         )
         for item in small_bundle.workload[:4]:
             expected = baseline.search(item.query, k=5)
             actual = sharded_engine.search(item.query, k=5)
-            problem = final_matches_differ(
-                item.qid, expected.matches, actual.matches
-            )
-            assert problem is None, problem
-
-    def test_pool_fanout_matches_inline(self, small_bundle, sharded4):
-        inline = build_engine(
-            EngineSpec(
-                kg=None, space=small_bundle.space,
-                library=small_bundle.library, compact=True,
-                sharded_graph=sharded4, shard_fanout="inline",
-            )
-        )
-        pooled = build_engine(
-            EngineSpec(
-                kg=None, space=small_bundle.space,
-                library=small_bundle.library, compact=True,
-                sharded_graph=sharded4, shard_fanout="pool",
-            )
-        )
-        for item in small_bundle.workload[:3]:
-            expected = inline.search(item.query, k=5)
-            actual = pooled.search(item.query, k=5)
             problem = final_matches_differ(
                 item.qid, expected.matches, actual.matches
             )
@@ -301,17 +277,15 @@ class TestShmLifecycle:
     ):
         baseline = build_engine(
             EngineSpec(
-                kg=None, space=small_bundle.space,
-                library=small_bundle.library, compact=True,
-                sharded_graph=sharded4,
+                store=sharded4, space=small_bundle.space,
+                library=small_bundle.library,
             )
         )
         with sharded4.to_shared() as lease:
             attached = build_engine(
                 EngineSpec(
-                    kg=None, space=small_bundle.space,
-                    library=small_bundle.library, compact=True,
-                    sharded_handle=lease.handle,
+                    store=lease.handle, space=small_bundle.space,
+                    library=small_bundle.library,
                 )
             )
             for item in small_bundle.workload[:3]:
@@ -325,38 +299,6 @@ class TestShmLifecycle:
 
 
 class TestValidation:
-    def test_factory_rejects_unknown_fanout(self, sharded4):
-        with pytest.raises(GraphError, match="fanout"):
-            ShardedViewFactory(sharded4, fanout="ludicrous")
-
-    def test_spec_rejects_sharded_without_compact(
-        self, small_bundle, sharded4
-    ):
-        with pytest.raises(SearchError, match="compact"):
-            EngineSpec(
-                kg=None, space=small_bundle.space,
-                library=small_bundle.library, compact=False,
-                sharded_graph=sharded4,
-            )
-
-    def test_spec_rejects_sharded_plus_compact_graph(
-        self, small_bundle, frozen, sharded4
-    ):
-        with pytest.raises(SearchError, match="mutually exclusive"):
-            EngineSpec(
-                kg=None, space=small_bundle.space,
-                library=small_bundle.library, compact=True,
-                sharded_graph=sharded4, compact_graph=frozen,
-            )
-
-    def test_spec_rejects_vectorized_search(self, small_bundle, sharded4):
-        with pytest.raises(SearchError, match="vectorized"):
-            EngineSpec(
-                kg=None, space=small_bundle.space,
-                library=small_bundle.library, compact=True,
-                search_kernel="vectorized", sharded_graph=sharded4,
-            )
-
     def test_service_validates_shard_arguments(self, small_bundle):
         build = dict(
             space=small_bundle.space, library=small_bundle.library
@@ -372,14 +314,10 @@ class TestValidation:
                 small_bundle.kg, shards=2, compact=True,
                 shard_strategy="modulo", **build,
             )
-        with pytest.raises(ServeError):
-            QueryService.build(
-                small_bundle.kg, shard_fanout="pool", **build
-            )
 
 
 class TestServeIntegration:
-    def test_sharded_service_answers_and_stats(self, small_bundle):
+    def test_sharded_service_answers_and_stats(self, small_bundle, frozen):
         with QueryService.build(
             small_bundle.kg,
             small_bundle.space,
@@ -390,8 +328,9 @@ class TestServeIntegration:
         ) as service:
             baseline = build_engine(
                 EngineSpec(
-                    kg=small_bundle.kg, space=small_bundle.space,
-                    library=small_bundle.library, compact=True,
+                    store=frozen,
+                    space=small_bundle.space,
+                    library=small_bundle.library, kg=small_bundle.kg,
                 )
             )
             for item in small_bundle.workload[:3]:
@@ -410,21 +349,21 @@ class TestServeIntegration:
             assert "per-shard caches" in report.describe()
 
     def test_fingerprint_token_separates_layouts(
-        self, small_bundle, sharded4
+        self, small_bundle, frozen, sharded4
     ):
         from repro.serve.answer_cache import EngineFingerprint
 
         unsharded = EngineFingerprint.from_spec(
             EngineSpec(
-                kg=small_bundle.kg, space=small_bundle.space,
-                library=small_bundle.library, compact=True,
+                store=frozen,
+                space=small_bundle.space,
+                library=small_bundle.library, kg=small_bundle.kg,
             )
         )
         sharded = EngineFingerprint.from_spec(
             EngineSpec(
-                kg=None, space=small_bundle.space,
-                library=small_bundle.library, compact=True,
-                sharded_graph=sharded4,
+                store=sharded4, space=small_bundle.space,
+                library=small_bundle.library,
             )
         )
         assert sharded.token != unsharded.token
@@ -434,19 +373,8 @@ class TestServeIntegration:
         with sharded4.to_shared() as lease:
             via_handle = EngineFingerprint.from_spec(
                 EngineSpec(
-                    kg=None, space=small_bundle.space,
-                    library=small_bundle.library, compact=True,
-                    sharded_handle=lease.handle,
+                    store=lease.handle, space=small_bundle.space,
+                    library=small_bundle.library,
                 )
             )
             assert via_handle.token == sharded.token
-        # Fan-out schedule never changes answers, so it must not
-        # change the token either.
-        pooled = EngineFingerprint.from_spec(
-            EngineSpec(
-                kg=None, space=small_bundle.space,
-                library=small_bundle.library, compact=True,
-                sharded_graph=sharded4, shard_fanout="pool",
-            )
-        )
-        assert pooled.token == sharded.token

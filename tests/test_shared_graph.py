@@ -28,7 +28,11 @@ import pytest
 
 from repro.bench.equivalence import final_matches_differ
 from repro.errors import GraphError, ServeError, UnknownEntityError
-from repro.kg.compact import CompactGraph, CompactKnowledgeGraph
+from repro.kg.compact import (
+    CompactGraph,
+    CompactGraphHandle,
+    CompactKnowledgeGraph,
+)
 from repro.kg.shm import ShmArrayBlock, leaked_segments
 from repro.serve.service import QueryService
 
@@ -257,8 +261,7 @@ class TestSharedGraphService:
         ) as service:
             spec = service.spec
             assert spec.kg is None
-            assert spec.compact_graph is None
-            assert spec.graph_handle is not None
+            assert isinstance(spec.store, CompactGraphHandle)
             with QueryService.build(
                 small_bundle.kg, small_bundle.space, small_bundle.library,
                 backend="process", workers=2, compact=True,
