@@ -1,19 +1,19 @@
-"""Incremental vectorized TA assembly kernel vs reference assembler.
+"""Incremental TA assembly kernel vs reference assembler.
 
 Not a figure from the paper: the paper's construction is the pure-Python
-Eq. 8-11 / Theorem 3 assembler; this bench measures the numpy-backed
-incremental kernel the reproduction adds
-(`src/repro/core/assembly_kernel.py`).  Claims verified:
+Eq. 8-11 / Theorem 3 assembler; this bench measures the incremental
+kernel the reproduction adds (`src/repro/core/assembly_kernel.py`).
+Claims verified:
 
 1. **Identical results** — every synthetic assembly case returns the same
    final matches under both kernels: pivots, bit-equal scores, component
    pss/paths, plus equal sorted-access counts, round counts and
    termination flags.  Incrementalisation changes cost, never answers.
 2. **≥3x kernel speedup** — the many-candidate / many-stream microbench
-   sweep runs at least 3x faster on the vectorized kernel (bounded heap
-   frontier + one matvec per Theorem 3 evaluation + monotone fast paths,
-   vs a full re-sort and per-candidate upper-bound recomputation every
-   round).
+   sweep runs at least 3x faster on the incremental kernel (a lazy heap
+   per unseen-stream mask + one over the top-k, so Theorem 3 costs O(2^m)
+   heap peeks per round, vs a full re-sort and per-candidate upper-bound
+   recomputation every round).
 3. **End-to-end win on D12** — the assembly-bound Fig. 12 complex query
    (~60% of its time in the TA, per the ROADMAP profiling) gets faster
    through the whole engine path, with the search-vs-assembly split

@@ -9,7 +9,7 @@ build (CI machines are too noisy for that; the full-scale benches in
 
 1. lazy vs compact semantic-graph view (``repro.bench.compactbench``) →
    ``benchmarks/results/BENCH_compact_kernel.json``;
-2. reference vs vectorized TA assembly (``repro.bench.assemblybench``:
+2. reference vs incremental TA assembly (``repro.bench.assemblybench``:
    fixed synthetic stream cases plus one end-to-end engine query) →
    ``benchmarks/results/BENCH_ta_assembly.json``;
 3. reference vs array-backed A* search (``repro.bench.searchbench``:
@@ -203,7 +203,7 @@ def _gate_assembly(ctx: GateContext) -> GateResult:
             f"assembly equivalence OK on all {assembly.num_cases} cases "
             f"+ {assembly.d12['qid']}"
         ),
-        failures=["EQUIVALENCE MISMATCH between vectorized and reference "
+        failures=["EQUIVALENCE MISMATCH between incremental and reference "
                   "assembly kernels:"] + _clip(assembly.mismatches),
     )
 
@@ -517,7 +517,7 @@ GATES: Tuple[Gate, ...] = (
          "result equivalence lazy vs compact", _gate_compact),
     Gate("ta-assembly", "repro.bench.assemblybench",
          "BENCH_ta_assembly",
-         "result equivalence reference vs vectorized TA", _gate_assembly),
+         "result equivalence reference vs incremental TA", _gate_assembly),
     Gate("astar-kernel", "repro.bench.searchbench",
          "BENCH_astar_kernel",
          "decision equivalence reference vs array-backed A*", _gate_search),

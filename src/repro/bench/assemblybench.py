@@ -2,7 +2,7 @@
 
 Runs the same synthetic many-candidate / many-stream assemblies through
 both TA kernels — the pure-Python reference assembler and the incremental
-vectorized kernel (:mod:`repro.core.assembly_kernel`) — and:
+production kernel (:mod:`repro.core.assembly_kernel`) — and:
 
 1. asserts **identical results** on every case: same final matches
    (pivots, bit-equal scores, component pss/paths and insertion order),
@@ -33,10 +33,10 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.bench.datasets import DatasetBundle
-from repro.bench.equivalence import final_matches_differ
+from repro.bench.equivalence import assembly_results_differ, query_results_differ
 from repro.core.assembly import AssemblyResult, MatchStream, assemble_top_k
 from repro.core.engine import SemanticGraphQueryEngine
-from repro.core.results import PathMatch, QueryResult
+from repro.core.results import PathMatch
 from repro.errors import ReproError
 from repro.kg.paths import Path
 
@@ -110,24 +110,6 @@ def run_case(
         max_rounds=case.max_rounds,
         kernel=kernel,
     )
-
-
-def _assembly_results_differ(
-    name: str, reference: AssemblyResult, vectorized: AssemblyResult
-) -> Optional[str]:
-    """First difference between two assembly outcomes, or ``None``."""
-    if reference.accesses != vectorized.accesses:
-        return f"{name}: accesses {reference.accesses} != {vectorized.accesses}"
-    if reference.rounds != vectorized.rounds:
-        return f"{name}: rounds {reference.rounds} != {vectorized.rounds}"
-    if reference.terminated_early != vectorized.terminated_early:
-        return (
-            f"{name}: terminated_early {reference.terminated_early} "
-            f"!= {vectorized.terminated_early}"
-        )
-    if reference.truncated != vectorized.truncated:
-        return f"{name}: truncated {reference.truncated} != {vectorized.truncated}"
-    return final_matches_differ(name, reference.matches, vectorized.matches)
 
 
 def _time_case(
@@ -209,7 +191,7 @@ def compare_assembly_kernels(
         match_lists = synthetic_streams(case)
         reference = run_case(match_lists, case, "reference")
         vectorized = run_case(match_lists, case, "vectorized")
-        problem = _assembly_results_differ(case.name, reference, vectorized)
+        problem = assembly_results_differ(case.name, reference, vectorized)
         if problem is not None:
             mismatches.append(problem)
         reference_seconds = _time_case(match_lists, case, "reference", passes)
@@ -237,19 +219,6 @@ def compare_assembly_kernels(
         case_mismatches=mismatches,
         per_case=per_case,
     )
-
-
-def _query_results_differ(
-    qid: str, reference: QueryResult, vectorized: QueryResult
-) -> Optional[str]:
-    if reference.ta_accesses != vectorized.ta_accesses:
-        return (
-            f"{qid}: ta_accesses {reference.ta_accesses} "
-            f"!= {vectorized.ta_accesses}"
-        )
-    if reference.ta_rounds != vectorized.ta_rounds:
-        return f"{qid}: ta_rounds {reference.ta_rounds} != {vectorized.ta_rounds}"
-    return final_matches_differ(qid, reference.matches, vectorized.matches)
 
 
 def d12_comparison(
@@ -296,7 +265,7 @@ def d12_comparison(
     # Warm the shared matcher/space memos identically, and check identity.
     reference = engines["reference"].search(item.query, k=k)
     vectorized = engines["vectorized"].search(item.query, k=k)
-    mismatch = _query_results_differ(qid, reference, vectorized)
+    mismatch = query_results_differ(qid, reference, vectorized)
     timings = {}
     for kernel, engine in engines.items():
         best = float("inf")

@@ -1,7 +1,7 @@
 """Shared result-identity predicates for the kernel equivalence gates.
 
 Every kernel this reproduction adds (the compact CSR semantic-graph view,
-the vectorized TA assembly kernel, the array-backed A* search kernel)
+the incremental TA assembly kernel, the array-backed A* search kernel)
 claims *identical results* to its reference implementation — same final
 matches, bit-equal scores, same components, and for the search kernel
 the same per-sub-query emission stream and counters.  This module owns
@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.core.results import FinalMatch, PathMatch, SearchStats
+from repro.core.assembly import AssemblyResult
+from repro.core.results import FinalMatch, PathMatch, QueryResult, SearchStats
 
 #: SearchStats counters that must match bit-for-bit across search
 #: kernels.  ``nodes_touched`` / ``edges_weighted`` are *view*-level
@@ -98,4 +99,54 @@ def search_stats_differ(
         b = getattr(actual, field)
         if a != b:
             return f"{label}: {field} {a} != {b}"
+    return None
+
+
+def assembly_results_differ(
+    label: str, reference: AssemblyResult, actual: AssemblyResult
+) -> Optional[str]:
+    """First difference between two assembly outcomes, or ``None``.
+
+    Identical means: equal ``accesses``, ``rounds``, ``terminated_early``
+    and ``truncated``, and identical final matches.
+    """
+    if reference.accesses != actual.accesses:
+        return f"{label}: accesses {reference.accesses} != {actual.accesses}"
+    if reference.rounds != actual.rounds:
+        return f"{label}: rounds {reference.rounds} != {actual.rounds}"
+    if reference.terminated_early != actual.terminated_early:
+        return (
+            f"{label}: terminated_early {reference.terminated_early} "
+            f"!= {actual.terminated_early}"
+        )
+    if reference.truncated != actual.truncated:
+        return f"{label}: truncated {reference.truncated} != {actual.truncated}"
+    return final_matches_differ(label, reference.matches, actual.matches)
+
+
+def query_results_differ(
+    label: str, reference: QueryResult, actual: QueryResult
+) -> Optional[str]:
+    """First way two engines' answers to one query differ, or ``None``.
+
+    Identical means: identical final matches, equal ``ta_rounds`` and
+    ``ta_accesses``, and every sub-query search equal counter for
+    counter (``SEARCH_STAT_FIELDS``).
+    """
+    problem = final_matches_differ(label, reference.matches, actual.matches)
+    if problem is not None:
+        return problem
+    if reference.ta_rounds != actual.ta_rounds:
+        return f"{label}: ta_rounds {reference.ta_rounds} != {actual.ta_rounds}"
+    if reference.ta_accesses != actual.ta_accesses:
+        return (
+            f"{label}: ta_accesses {reference.ta_accesses} "
+            f"!= {actual.ta_accesses}"
+        )
+    for index, (expected, stats) in enumerate(
+        zip(reference.subquery_stats, actual.subquery_stats)
+    ):
+        problem = search_stats_differ(f"{label}/g{index}", expected, stats)
+        if problem is not None:
+            return problem
     return None

@@ -30,15 +30,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.bench.datasets import DatasetBundle
 from repro.bench.equivalence import (
-    final_matches_differ,
     path_matches_differ,
+    query_results_differ,
     search_stats_differ,
 )
 from repro.core.astar import build_subquery_search
 from repro.core.compact_view import CompactViewFactory
 from repro.core.config import SearchConfig, VisitedPolicy
 from repro.core.engine import SemanticGraphQueryEngine
-from repro.core.results import QueryResult
 from repro.errors import ReproError
 
 #: Drain bound per sub-query search: effectively "until exhaustion" on
@@ -227,25 +226,6 @@ def compare_search_kernels(
     )
 
 
-def _query_results_differ(
-    qid: str, reference: QueryResult, vectorized: QueryResult
-) -> Optional[str]:
-    if reference.ta_accesses != vectorized.ta_accesses:
-        return (
-            f"{qid}: ta_accesses {reference.ta_accesses} "
-            f"!= {vectorized.ta_accesses}"
-        )
-    if reference.expansions != vectorized.expansions:
-        return f"{qid}: expansions {reference.expansions} != {vectorized.expansions}"
-    for ref_stats, vec_stats in zip(
-        reference.subquery_stats, vectorized.subquery_stats
-    ):
-        problem = search_stats_differ(qid, ref_stats, vec_stats)
-        if problem is not None:
-            return problem
-    return final_matches_differ(qid, reference.matches, vectorized.matches)
-
-
 def d12_search_comparison(
     bundle: DatasetBundle, *, qid: str = "D12", k: int = 10, passes: int = 2
 ) -> Dict:
@@ -286,7 +266,7 @@ def d12_search_comparison(
     # Warm the shared matcher/space memos identically, and check identity.
     reference = engines["reference"].search(item.query, k=k)
     vectorized = engines["vectorized"].search(item.query, k=k)
-    mismatch = _query_results_differ(qid, reference, vectorized)
+    mismatch = query_results_differ(qid, reference, vectorized)
     timings = {}
     for kernel, engine in engines.items():
         best = float("inf")

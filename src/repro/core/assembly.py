@@ -19,13 +19,16 @@ Two interchangeable kernels implement the round loop:
   recomputes every upper bound each round (O(C·S + C log C) per round),
   which makes it the easy-to-audit conformance baseline but a hot spot on
   assembly-heavy queries.
-- ``kernel="vectorized"`` (the default) — the incremental numpy kernel in
-  :mod:`repro.core.assembly_kernel`: interned candidate table, bounded
-  heap over the top-k lower bounds, one matvec per Theorem 3 evaluation
-  and monotone fast paths that skip the evaluation entirely.  It makes
-  the *same decision at the same round* as the reference on the same
-  streams, so results (matches, scores, accesses, rounds) are identical;
-  only the cost changes.
+- ``kernel="vectorized"`` (the default) — the incremental kernel in
+  :mod:`repro.core.assembly_kernel`: candidates grouped by their
+  unseen-stream bitmask, one lazy heap per group and one over the top-k,
+  so a round's Theorem 3 check is O(2^m) heap peeks whatever the
+  candidate count.  It makes the *same decision at the same round* as
+  the reference on the same streams, so results (matches, scores,
+  accesses, rounds) are identical; only the cost changes.  (The
+  spelling predates the kernel losing its numpy arrays; renaming it
+  ripples through artifact field names and waits for the
+  ``repro.reference`` move in ROADMAP 4.1b.)
 """
 
 from __future__ import annotations
@@ -131,9 +134,9 @@ def assemble_top_k(
             every stream and then ranks — Theorem 3 says the result set is
             identical).
         max_rounds: optional safety cap on TA rounds.
-        kernel: ``"vectorized"`` (default) runs the incremental numpy
-            kernel (:mod:`repro.core.assembly_kernel`); ``"reference"``
-            runs the pure-Python transcription below.  Both return
+        kernel: ``"vectorized"`` (default) runs the incremental kernel
+            (:mod:`repro.core.assembly_kernel`); ``"reference"`` runs
+            the pure-Python transcription below.  Both return
             identical results.
 
     Returns ``k`` (or fewer, if the data runs out) final matches sorted by
@@ -147,9 +150,9 @@ def assemble_top_k(
     scores at the cost of draining every stream.
     """
     if kernel == "vectorized":
-        from repro.core.assembly_kernel import assemble_top_k_vectorized
+        from repro.core.assembly_kernel import assemble_top_k_incremental
 
-        return assemble_top_k_vectorized(
+        return assemble_top_k_incremental(
             streams, k, exhaustive=exhaustive, max_rounds=max_rounds
         )
     if kernel != "reference":

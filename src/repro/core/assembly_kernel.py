@@ -1,253 +1,110 @@
-"""Incremental vectorized TA assembly kernel (Section V-C, numpy-backed).
+"""Incremental TA assembly kernel (Section V-C): one lazy heap per mask.
 
 The reference assembler (``assemble_top_k(..., kernel="reference")`` in
 :mod:`repro.core.assembly`) re-sorts every candidate and recomputes every
-upper bound each round — O(C·S + C log C) Python per round, quadratic over
-a drain — which profiling shows dominating assembly-heavy queries.  This
-kernel keeps the identical round structure (one sorted access per stream
-per round, the same Theorem 3 decision at the same round) but makes the
-per-round bookkeeping incremental:
+upper bound each round.  This kernel keeps the round structure (one
+sorted access per unexhausted stream per round, Theorem 3 decided at the
+same round) and makes the bookkeeping incremental, in pure Python — no
+table here is ever scanned per round.
 
-- **candidate table** — pivot uids are interned into rows of a growable
-  table: the candidate's :class:`~repro.core.results.FinalMatch` itself
-  (fed through the same ``add_component`` calls, in the same order, as
-  the reference assembler performs — so components, replacements and the
-  running Eq. 8 lower bound are identical by construction), a ``lower``
-  float mirror of the scores and an ``unseen`` C×S 0/1 float matrix
-  (1 where the stream has not yet yielded the pivot);
-- **bounded heap frontier** — the k best lower bounds live in a lazy
-  min-heap of size k.  Lower bounds only rise, so the streaming-top-k
-  invariant holds (a row that once fell below the frontier minimum can
-  never silently re-enter without an update) and the frontier minimum is
-  exactly Theorem 3's ``L_k`` — no per-round sort;
-- **vectorized Theorem 3** — when the fast paths cannot decide, every
-  candidate's upper bound is evaluated in one step,
-  ``U = lower + unseen @ ψ_cur`` (Eq. 10-11), an argpartition-style
-  split selects the exact top-k rows (value partition plus first-seen
-  tie order, replicating the reference's stable sort) and one max over
-  the rest yields ``U_max``;
-- **monotone fast paths** — ψ_cur only falls and lower bounds only rise,
-  so two exact shortcuts bracket the full evaluation: (a) while
-  ``Σψ > L_k`` the unseen-candidate bound alone defeats termination and
-  the matvec is skipped; (b) after a full evaluation caches
-  ``U_cap = max(max U, Σψ)``, any later round with ``L_k ≥ U_cap``
-  terminates immediately — every existing candidate's U is bounded by
-  its past value and every later-born candidate by the unseen bound
-  folded into ``U_cap``.  (The cache is dropped whenever the monotone
-  premises break, which the ≤1e-9 stream sortedness tolerance permits:
-  a ψ rising round-over-round, or a component replacement raising a
-  candidate's lower — and hence upper — bound.)  Both paths decide
-  exactly as the full evaluation would, so the kernel's termination
-  round — and therefore its access counts and result set — is identical
-  to the reference's.
+**Data layout.**  Pivot uids are interned into rows in first-seen order.
+A row *is* the reference's :class:`~repro.core.results.FinalMatch`, fed
+through the same ``add_component`` calls in the same order, so
+components, replacements and the running Eq. 8 lower bound are identical
+by construction; ``lower[row]`` mirrors its score and ``masks[row]`` is
+the bitmask of streams that have not yielded the pivot yet.
 
-One honest float caveat: the matvec associates its sum differently than
-the reference's left-to-right Python loop, so on arbitrary real-valued
-pss an upper bound can differ from the reference's by a few ulps — a
-termination flip then requires ``L_k`` and ``U_max`` to collide within
-those ulps *without* being exactly equal, which for cosine-derived pss
-is a measure-zero coincidence (exact ties, the common case, agree under
-every association).  The conformance suites therefore fuzz with
-grid-valued pss (every sum exact in float64, so equality assertions are
-sharp) *and* pin the engine call sites on real cosine workloads.
+- *top-k*: a size-k lazy min-heap of ``(lower, -row)`` plus a member
+  set.  Its order — lower descending, first-seen row ascending — is the
+  total order of the reference's stable sort, boundary ties included;
+  lower bounds only rise, so a row outside it can enter only on its own
+  update, and the live minimum is Theorem 3's ``L_k``.  An entry is live
+  iff its row is a member and still has that lower bound.
+- *groups*: every candidate outside the top-k that still lacks a stream
+  sits in the lazy max-heap of its mask, as ``(-lower, row)``.  An entry
+  is live iff the row is outside the top-k and still has that mask and
+  that lower bound; a first sighting, an upward replacement or an
+  eviction from the top-k pushes a fresh entry, and dead entries are
+  dropped when they surface.
 
-Conformance is enforced by the randomized cross-kernel suite in
-``tests/test_assembly_kernel.py`` and by the ``scripts/bench_smoke.py``
-CI gate; ``benchmarks/bench_ta_assembly.py`` measures the speedup.
+**Theorem 3 in O(2^m) per round.**  A candidate's upper bound (Eq.
+10-11) is ``f_M(lower) = lower + ψ_a + ψ_b + …`` over the streams of its
+mask ``M``, added left to right in index order — the reference's own
+loop.  Float addition is monotone (``x ≤ y`` implies ``x + c ≤ y + c``
+after rounding), so within a group ``max f_M(lower) = f_M(max lower)``:
+one heap peek per non-empty group yields ``U_max`` as the very float the
+reference computes, and the termination decision cannot differ in any
+ulp.  While ``Σψ > L_k`` the unseen-candidate bound alone defeats the
+check and the groups are not visited at all.  A complete candidate
+outside the top-k has ``U = lower ≤ L_k`` and is filed nowhere.
+
+The same streams are pulled in the same rounds as the reference, so
+matches, scores, components, ``accesses``, ``rounds`` and both flags are
+identical.  Conformance is enforced by ``tests/test_assembly_kernel.py``
+and by gate 2 of ``scripts/bench_smoke.py``.
 """
 
 from __future__ import annotations
 
-import heapq
-from typing import Dict, List, Optional, Sequence, Set
+from heapq import heappop, heappush, heapreplace, nlargest
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-import numpy as np
-
-from repro.core.results import FinalMatch, PathMatch
+from repro.core.assembly import AssemblyResult, MatchStream
+from repro.core.results import FinalMatch
 from repro.errors import SearchError
 
-_INITIAL_ROWS = 64
 
-
-class _Frontier:
-    """Bounded lazy min-heap over the k best candidate lower bounds.
-
-    Scores only rise, so once the frontier is full a row outside it can
-    only enter by exceeding the current minimum — stale heap entries are
-    skipped lazily.  :meth:`kth` is Theorem 3's ``L_k``.
-    """
-
-    __slots__ = ("k", "_heap", "_members", "_best")
-
-    def __init__(self, k: int):
-        self.k = k
-        self._heap: List[tuple] = []
-        self._members: Set[int] = set()
-        self._best: Dict[int, float] = {}
-
-    def update(self, row: int, score: float) -> None:
-        previous = self._best.get(row)
-        self._best[row] = score
-        if row in self._members:
-            if previous != score:
-                heapq.heappush(self._heap, (score, row))
-            return
-        if len(self._members) < self.k:
-            self._members.add(row)
-            heapq.heappush(self._heap, (score, row))
-            return
-        if score > self.kth():
-            evicted = self._pop_live_min()
-            self._members.discard(evicted)
-            self._members.add(row)
-            heapq.heappush(self._heap, (score, row))
-
-    def kth(self) -> float:
-        """The k-th largest lower bound (call only once k rows exist)."""
-        while True:
-            score, row = self._heap[0]
-            if row in self._members and score == self._best[row]:
-                return score
-            heapq.heappop(self._heap)
-
-    def _pop_live_min(self) -> int:
-        while True:
-            score, row = heapq.heappop(self._heap)
-            if row in self._members and score == self._best[row]:
-                return row
-
-
-class _CandidateTable:
-    """Growable interned-pivot arrays: lower bounds + seen bookkeeping.
-
-    Each row *is* the reference assembler's per-candidate
-    :class:`FinalMatch`, fed through the very same ``add_component``
-    calls in the very same order — so component insertion order,
-    replacement behaviour and the running score are identical by
-    construction, and the returned objects need no post-hoc rebuild.
-    The table merely mirrors the scores into ``lower`` (for the
-    vectorized Theorem 3 evaluation) and flips ``unseen`` (the 0/1
-    matvec mask) as streams report pivots.
-    """
-
-    __slots__ = ("num_streams", "row_of", "uids", "lower", "finals",
-                 "unseen", "count", "replacement_raised")
-
-    def __init__(self, num_streams: int):
-        self.num_streams = num_streams
-        self.row_of: Dict[int, int] = {}
-        self.uids: List[int] = []
-        # Python floats for the per-access scalar updates (cheap), a numpy
-        # view is materialised only at full Theorem 3 evaluations.
-        self.lower: List[float] = []
-        self.finals: List[FinalMatch] = []
-        self.unseen = np.ones((_INITIAL_ROWS, num_streams))
-        self.count = 0
-        self.replacement_raised = False
-
-    def _grow(self) -> None:
-        capacity = self.unseen.shape[0] * 2
-        unseen = np.ones((capacity, self.num_streams))
-        unseen[: self.count] = self.unseen[: self.count]
-        self.unseen = unseen
-
-    def intern(self, uid: int) -> int:
-        row = self.row_of.get(uid)
-        if row is None:
-            if self.count == self.unseen.shape[0]:
-                self._grow()
-            row = self.count
-            self.count += 1
-            self.row_of[uid] = row
-            self.uids.append(uid)
-            self.lower.append(0.0)
-            self.finals.append(
-                FinalMatch(pivot_uid=uid, expected_components=self.num_streams)
-            )
-        return row
-
-    def observe(self, row: int, stream_index: int, match: PathMatch) -> Optional[float]:
-        """Fold one sorted access into the candidate's bounds.
-
-        Returns the row's lower bound when this access was its first
-        sighting or changed its score (the frontier must learn both),
-        else ``None``.
-        """
-        final = self.finals[row]
-        first_sighting = stream_index not in final.components
-        if first_sighting:
-            self.unseen[row, stream_index] = 0.0
-        final.add_component(match)
-        if first_sighting or final.score != self.lower[row]:
-            if not first_sighting:
-                # A replacement (possible via the ≤1e-9 sortedness
-                # tolerance) raised this candidate's upper bound too —
-                # a cached U_cap no longer dominates it.
-                self.replacement_raised = True
-            self.lower[row] = final.score
-            return final.score
-        return None
-
-
-def assemble_top_k_vectorized(
-    streams: Sequence["MatchStream"],  # noqa: F821 - structural, avoids cycle
+def assemble_top_k_incremental(
+    streams: Sequence[MatchStream],
     k: int,
     *,
     exhaustive: bool = False,
     max_rounds: Optional[int] = None,
-) -> "AssemblyResult":  # noqa: F821
+) -> AssemblyResult:
     """Drop-in replacement for the reference ``assemble_top_k`` loop.
 
-    See the module docstring for the data layout; see
+    See the module docstring for the data layout and the stop lemma; see
     ``repro.core.assembly.assemble_top_k`` for parameter semantics (this
     function is normally reached through its ``kernel="vectorized"``
     default).
     """
-    from repro.core.assembly import AssemblyResult
-
     if k < 1:
         raise SearchError("k must be at least 1")
     if not streams:
         raise SearchError("assembly needs at least one stream")
 
     num_streams = len(streams)
-    table = _CandidateTable(num_streams)
-    frontier = _Frontier(k)
-    psi = [1.0] * num_streams  # ψ_cur per stream (1.0 before any access)
-    u_cap: Optional[float] = None
+    full_mask = (1 << num_streams) - 1
+    row_of: Dict[int, int] = {}
+    finals: List[FinalMatch] = []
+    lower: List[float] = []
+    masks: List[int] = []
+    top: List[Tuple[float, int]] = []  # (lower, -row): worst member first
+    members: Set[int] = set()
+    # mask -> (heap of (-lower, row), the mask's streams in index order)
+    groups: Dict[int, Tuple[List[Tuple[float, int]], Tuple[int, ...]]] = {}
     rounds = 0
     terminated_early = False
     truncated = False
 
-    def termination_reached() -> bool:
-        nonlocal u_cap
-        if table.count < k:
-            return False
-        lower_k = frontier.kth()
-        # Reference operand order (left-to-right Python sum over streams)
-        # so the unseen-candidate bound is the identical float.
-        unseen_total = sum(psi)
-        if unseen_total > lower_k:
-            return False  # the virtual candidate alone defeats Theorem 3
-        if u_cap is not None and lower_k >= u_cap:
-            return True  # every U only fell since the cached evaluation
-        count = table.count
-        lower = np.asarray(table.lower)
-        U = lower + table.unseen[:count] @ np.asarray(psi)
-        if count > k:
-            # Exact top-k rows: strictly-greater rows are in; boundary
-            # ties fill up in row (= first-seen) order, replicating the
-            # reference's stable sort.
-            in_top = lower > lower_k
-            need = k - int(np.count_nonzero(in_top))
-            if need > 0:
-                in_top = in_top.copy()
-                in_top[np.flatnonzero(lower == lower_k)[:need]] = True
-            rest_upper = float(U[~in_top].max())
-        else:
-            rest_upper = 0.0
-        u_cap = max(float(U.max()), unseen_total)
-        return lower_k >= max(rest_upper, unseen_total)
+    def enqueue(row: int) -> None:
+        """File a candidate outside the top-k under its current mask."""
+        mask = masks[row]
+        group = groups.get(mask)
+        if group is None:
+            group = groups[mask] = (
+                [],
+                tuple(j for j in range(num_streams) if mask >> j & 1),
+            )
+        heappush(group[0], (-lower[row], row))
+
+    def worst_member() -> Tuple[float, int]:
+        """The live minimum of the top-k heap; its lower bound is L_k."""
+        while True:
+            entry = top[0]
+            if -entry[1] in members and lower[-entry[1]] == entry[0]:
+                return entry
+            heappop(top)
 
     while True:
         progressed = False
@@ -256,64 +113,94 @@ def assemble_top_k_vectorized(
             if match is None:
                 continue
             progressed = True
-            row = table.intern(match.pivot_uid)
-            changed = table.observe(row, index, match)
-            if changed is not None and not exhaustive:
-                frontier.update(row, changed)
+            uid = match.pivot_uid
+            row = row_of.get(uid)
+            if row is None:
+                row = row_of[uid] = len(finals)
+                finals.append(
+                    FinalMatch(pivot_uid=uid, expected_components=num_streams)
+                )
+                lower.append(0.0)
+                masks.append(full_mask)
+            final = finals[row]
+            final.add_component(match)
+            score = final.score
+            bit = 1 << index
+            if masks[row] & bit:
+                masks[row] ^= bit  # first sighting in this stream
+            elif score == lower[row]:
+                continue  # a repeat that did not improve the component
+            lower[row] = score
+            if exhaustive:
+                continue
+            if row in members:
+                heappush(top, (score, -row))
+            elif len(members) < k:
+                members.add(row)
+                heappush(top, (score, -row))
+            else:
+                worst = worst_member()
+                if (score, -row) > worst:
+                    heapreplace(top, (score, -row))
+                    members.add(row)
+                    members.discard(-worst[1])
+                    if masks[-worst[1]]:
+                        enqueue(-worst[1])
+                elif masks[row]:
+                    enqueue(row)
         rounds += 1
         if not progressed:
             break  # every stream exhausted
-        if not exhaustive:
-            if table.replacement_raised:
-                u_cap = None  # a lower bound (and its U) rose past the cap
-                table.replacement_raised = False
-            for index, stream in enumerate(streams):
-                current = stream.current_pss
-                if current > psi[index]:
-                    u_cap = None  # sortedness tolerance let ψ rise
-                psi[index] = current
-            if termination_reached():
-                terminated_early = True
-                break
+        if not exhaustive and len(finals) >= k:
+            lower_k = worst_member()[0]
+            psi = [stream.current_pss for stream in streams]
+            # Reference operand order (left-to-right sum over streams), so
+            # the unseen-candidate bound is the identical float.
+            unseen_total = sum(psi)
+            if unseen_total <= lower_k:
+                u_max = unseen_total
+                for mask, (heap, lacking) in groups.items():
+                    while heap:
+                        negated, row = heap[0]
+                        if (
+                            masks[row] == mask
+                            and lower[row] == -negated
+                            and row not in members
+                        ):
+                            upper = -negated
+                            for j in lacking:
+                                upper += psi[j]
+                            if upper > u_max:
+                                u_max = upper
+                            break
+                        heappop(heap)
+                if lower_k >= u_max:
+                    terminated_early = True
+                    break
         if max_rounds is not None and rounds >= max_rounds:
             truncated = True
             break
 
-    matches = [table.finals[row] for row in _ranked_rows(table, k)]
-    total_accesses = sum(stream.accesses for stream in streams)
     return AssemblyResult(
-        matches=matches,
-        accesses=total_accesses,
+        matches=_ranked(finals, lower, k),
+        accesses=sum(stream.accesses for stream in streams),
         terminated_early=terminated_early,
         rounds=rounds,
         truncated=truncated,
     )
 
 
-def _ranked_rows(table: _CandidateTable, k: int) -> List[int]:
-    """Rows of the top-k candidates, ordered by (-score, pivot uid).
+def _ranked(finals: List[FinalMatch], lower: List[float], k: int) -> List[FinalMatch]:
+    """The top-k candidates ordered by (-score, pivot uid).
 
-    Selection uses a value partition plus explicit boundary-tie handling
-    (ties admitted in ascending pivot-uid order), which reproduces the
-    reference's full ``sorted(..., key=(-score, pivot_uid))`` ranking
-    while only ever sorting k rows.
+    Only rows at or above the k-th largest score are sorted, boundary
+    ties included, which reproduces the reference's full
+    ``sorted(..., key=(-score, pivot_uid))[:k]``.
     """
-    count = table.count
-    if count == 0:
-        return []
-    lower = np.asarray(table.lower)
-    uids = table.uids
-    if count > k:
-        kth = np.partition(lower, count - k)[count - k]
-        rows = [int(r) for r in np.flatnonzero(lower > kth)]
-        need = k - len(rows)
-        if need > 0:
-            tied = sorted(
-                (int(r) for r in np.flatnonzero(lower == kth)),
-                key=lambda r: uids[r],
-            )
-            rows.extend(tied[:need])
+    if len(finals) > k:
+        kth = nlargest(k, lower)[-1]
+        rows = [row for row, score in enumerate(lower) if score >= kth]
     else:
-        rows = list(range(count))
-    rows.sort(key=lambda r: (-lower[r], uids[r]))
-    return rows
+        rows = list(range(len(finals)))
+    rows.sort(key=lambda row: (-lower[row], finals[row].pivot_uid))
+    return [finals[row] for row in rows[:k]]

@@ -29,10 +29,13 @@ compact CSR kernel (:class:`~repro.kg.compact.CompactGraph`, via
   search sets up is proportional to |E|, and the per-arrival cost of a
   weight probe, an ``is_match`` call and a per-predicate ``m(u)`` scan
   is a handful of list reads and one set probe;
-- **one expansion loop**: a popped state's CSR row runs a lean scalar
-  loop over those tables in slot order, counting the reference's
-  ``weight <= 0`` prunes as it meets them (a vectorized τ-gather for
-  hub rows measured slower on the ledger and is gone);
+- **one loop per match**: ``next_match`` is a single pop → stale-check
+  → goal-or-expand loop; the pool columns, heap, CSR mirrors and policy
+  constants are bound to locals once per call and the segment table's
+  lists only when a pop changes segment, and a popped state's CSR row
+  runs a lean scalar loop over them in slot order, counting the
+  reference's ``weight <= 0`` prunes as it meets them (a vectorized
+  τ-gather for hub rows measured slower on the ledger and is gone);
 - **paths are built on request**: a pop (or TBQ's ``harvest()``) emits a
   :class:`~repro.core.results.PendingMatch` — pivot, pss and the pool
   row it ends at — and :meth:`VectorizedSubQuerySearch.materialise`
@@ -236,7 +239,7 @@ class VectorizedSubQuerySearch:
         self._parent_c: List[int] = []
         self._slot_c: List[int] = []
         # Encoded visited-policy key per state (fine under EXPAND,
-        # coarse under GENERATE): _pop re-checks staleness without
+        # coarse under GENERATE): a pop re-checks staleness without
         # rebuilding it.
         self._key_c: List[int] = []
         # Hop-bounded ancestor tuple per state (≤ N̂ + 1 uids): the
@@ -313,36 +316,6 @@ class VectorizedSubQuerySearch:
     # ------------------------------------------------------------------
     # state pool
     # ------------------------------------------------------------------
-    def _alloc(
-        self,
-        uid: int,
-        segment: int,
-        hops_total: int,
-        hops_in_segment: int,
-        log_product: float,
-        weight_sum: float,
-        parent: int,
-        slot: int,
-        priority: float,
-        key: int,
-    ) -> int:
-        index = len(self._uid_c)
-        self._uid_c.append(uid)
-        self._segment_c.append(segment)
-        self._hops_c.append(hops_total)
-        self._his_c.append(hops_in_segment)
-        self._lp_c.append(log_product)
-        self._ws_c.append(weight_sum)
-        self._priority_c.append(priority)
-        self._parent_c.append(parent)
-        self._slot_c.append(slot)
-        self._key_c.append(key)
-        if parent >= 0:
-            self._anc.append(self._anc[parent] + (uid,))
-        else:
-            self._anc.append((uid,))
-        return index
-
     @property
     def pool_size(self) -> int:
         """States allocated so far (pruned arrivals never allocate)."""
@@ -456,47 +429,26 @@ class VectorizedSubQuerySearch:
                 self.stats.pruned_by_visited += 1
                 return
             self._best_g[key] = log_product
-        index = self._alloc(
-            uid,
-            segment,
-            hops_total,
-            hops_in_segment,
-            log_product,
-            weight_sum,
-            parent,
-            slot,
-            priority,
-            key,
-        )
+        index = len(self._uid_c)
+        self._uid_c.append(uid)
+        self._segment_c.append(segment)
+        self._hops_c.append(hops_total)
+        self._his_c.append(hops_in_segment)
+        self._lp_c.append(log_product)
+        self._ws_c.append(weight_sum)
+        self._priority_c.append(priority)
+        self._parent_c.append(parent)
+        self._slot_c.append(slot)
+        self._key_c.append(key)
+        self._anc.append((self._anc[parent] if parent >= 0 else ()) + (uid,))
         self._queue.push(priority, index)
         self.stats.states_generated += 1
         if len(self._queue) > self.stats.max_queue_size:
             self.stats.max_queue_size = len(self._queue)
 
-    def _pop(self) -> Optional[int]:
-        best_g = self._best_g
-        expand = not self._generate
-        while self._queue:
-            _priority, index = self._queue.pop_max()
-            if expand:
-                best = best_g.get(self._key_c[index])
-                if best is not None and self._lp_c[index] < best:
-                    self.stats.stale_pops += 1
-                    continue  # superseded by a better path to this state
-            return index
-        return None
-
     # ------------------------------------------------------------------
-    # expansion (Algorithm 1 lines 3-10, one shot per pop)
+    # matches
     # ------------------------------------------------------------------
-    def _make_match(self, index: int) -> PendingMatch:
-        return PendingMatch(
-            self.subquery_index,
-            self._uid_c[index],
-            self._priority_c[index],
-            index,
-        )
-
     def materialise(self, match: PendingMatch) -> PathMatch:
         """Build the path of a match this search emitted.
 
@@ -531,246 +483,12 @@ class VectorizedSubQuerySearch:
 
     def harvest(self) -> List[PendingMatch]:
         """M̂_i as matches (same contract as the reference ``harvest``)."""
-        return [self._make_match(index) for index in self.generated_goals.values()]
-
-    def _expand(self, index: int, segment: int) -> None:
-        # The loop body inlines _estimate (geometric), the τ check and
-        # _push: at ~5 generated states per pop, the method-call overhead
-        # alone was costing as much as the decisions themselves.  Every
-        # branch mirrors the reference _arrivals/τ/_push sequence
-        # exactly — same order, same counters.
-        his = self._his_c[index]
-        bound = self.config.path_bound
-        if his >= bound:
-            return  # segment exhausted its n̂ hops; only advances survive
-        uid = self._uid_c[index]
-        if self._note is not None:
-            self._note((uid,))
-        start = self._indptr_l[uid]
-        end = self._indptr_l[uid + 1]
-        if start == end:
-            return
-        table = self._segment_table(segment)
-        stats = self.stats
-        anc = self._anc[index]
-        log_product = self._lp_c[index]
-        weight_sum = self._ws_c[index]
-        hops1 = self._hops_c[index] + 1
-        his1 = his + 1
-        continuing = his1 < bound
-        segment1 = segment + 1
-        advance_is_goal = segment1 == self._num_segments
-        estimating = continuing or not advance_is_goal
-        nbr_l = self._nbr_l
-        spred_l = self._spred_l
-        w_l = table.w_l
-        lw_l = table.lw_l
-        phi = table.phi
-        m_adv_l = table.m_adv_l
-        logm_adv_l = table.logm_adv_l
-        m_cont_l = table.m_cont_l
-        logm_cont_l = table.logm_cont_l
-        geometric = self._geometric
-        generate = self._generate
-        total_bound = self._total_bound
-        hops_over = hops1 > total_bound
-        tau = self.config.tau
-        exp = math.exp
-        visited = self._visited
-        best_g = self._best_g
-        seg_mult = self._seg_mult
-        hops_mult = self._hops_mult
-        his_mult = self._his_mult
-        # Pool columns and the heap, bound as locals: at ~5 generated
-        # states per pop the attribute/method dispatch would cost as
-        # much as the appends themselves.  The heap counter and queue
-        # length are synced back after the loop (only this loop pushes
-        # between pops, so the local view is exact).
-        anc_c = self._anc
-        uid_app = self._uid_c.append
-        seg_app = self._segment_c.append
-        hops_app = self._hops_c.append
-        his_app = self._his_c.append
-        lp_app = self._lp_c.append
-        ws_app = self._ws_c.append
-        pr_app = self._priority_c.append
-        par_app = self._parent_c.append
-        slot_app = self._slot_c.append
-        key_app = self._key_c.append
-        anc_app = anc_c.append
-        goals = self.generated_goals
-        priority_c = self._priority_c
-        queue = self._queue
-        heap = queue._heap
-        heap_push = heapq.heappush
-        counter = queue._counter
-        queue_size = len(heap)
-        max_queue = stats.max_queue_size
-        pool_n = len(self._uid_c)
-        touched: List[int] = [] if estimating else None
-        nonpositive = 0
-        for slot in range(start, end):
-            pid = spred_l[slot]
-            w = w_l[pid]
-            if w <= 0.0:
-                nonpositive += 1  # the reference's weight <= 0 τ prune
-                continue
-            neighbor = nbr_l[slot]
-            if neighbor in anc:
-                continue  # simple paths only
-            lp = log_product + lw_l[pid]
-            ws = weight_sum + w
-            if neighbor in phi:
-                if advance_is_goal:
-                    priority = (
-                        (0.0 if lp <= _LOG_PRUNE else exp(lp / hops1))
-                        if geometric
-                        else ws / hops1
-                    )
-                else:
-                    touched.append(neighbor)
-                    m = m_adv_l[neighbor]
-                    if geometric:
-                        priority = (
-                            0.0
-                            if hops_over or m <= 0.0 or lp <= _LOG_PRUNE
-                            else exp((lp + logm_adv_l[neighbor]) / total_bound)
-                        )
-                    else:
-                        priority = self._estimate(lp, hops1, ws, m, 0.0)
-                # τ then visited policy then push (the reference
-                # sequence, inlined).
-                if priority < tau:
-                    stats.pruned_by_tau += 1
-                else:
-                    if generate:
-                        key = neighbor * seg_mult + segment1
-                        if key in visited:
-                            stats.pruned_by_visited += 1
-                            key = None
-                        else:
-                            visited.add(key)
-                    else:
-                        key = (
-                            (neighbor * seg_mult + segment1) * hops_mult + hops1
-                        ) * his_mult
-                        best = best_g.get(key)
-                        if best is not None and lp <= best:
-                            stats.pruned_by_visited += 1
-                            key = None
-                        else:
-                            best_g[key] = lp
-                    if key is not None:
-                        uid_app(neighbor)
-                        seg_app(segment1)
-                        hops_app(hops1)
-                        his_app(0)
-                        lp_app(lp)
-                        ws_app(ws)
-                        pr_app(priority)
-                        par_app(index)
-                        slot_app(slot)
-                        key_app(key)
-                        anc_app(anc + (neighbor,))
-                        heap_push(heap, (-priority, counter, pool_n))
-                        if advance_is_goal:
-                            held = goals.get(neighbor)
-                            if held is None or priority > priority_c[held]:
-                                goals[neighbor] = pool_n
-                        counter += 1
-                        pool_n += 1
-                        queue_size += 1
-                        stats.states_generated += 1
-                        if queue_size > max_queue:
-                            max_queue = queue_size
-            if continuing:
-                touched.append(neighbor)
-                m = m_cont_l[neighbor]
-                if geometric:
-                    priority = (
-                        0.0
-                        if hops_over or m <= 0.0 or lp <= _LOG_PRUNE
-                        else exp((lp + logm_cont_l[neighbor]) / total_bound)
-                    )
-                else:
-                    priority = self._estimate(lp, hops1, ws, m, 0.0)
-                if priority < tau:
-                    stats.pruned_by_tau += 1
-                else:
-                    if generate:
-                        key = neighbor * seg_mult + segment
-                        if key in visited:
-                            stats.pruned_by_visited += 1
-                            key = None
-                        else:
-                            visited.add(key)
-                    else:
-                        key = (
-                            (neighbor * seg_mult + segment) * hops_mult + hops1
-                        ) * his_mult + his1
-                        best = best_g.get(key)
-                        if best is not None and lp <= best:
-                            stats.pruned_by_visited += 1
-                            key = None
-                        else:
-                            best_g[key] = lp
-                    if key is not None:
-                        uid_app(neighbor)
-                        seg_app(segment)
-                        hops_app(hops1)
-                        his_app(his1)
-                        lp_app(lp)
-                        ws_app(ws)
-                        pr_app(priority)
-                        par_app(index)
-                        slot_app(slot)
-                        key_app(key)
-                        anc_app(anc + (neighbor,))
-                        heap_push(heap, (-priority, counter, pool_n))
-                        counter += 1
-                        pool_n += 1
-                        queue_size += 1
-                        stats.states_generated += 1
-                        if queue_size > max_queue:
-                            max_queue = queue_size
-            else:
-                stats.pruned_by_bound += 1
-        queue._counter = counter
-        stats.max_queue_size = max_queue
-        stats.pruned_by_tau += nonpositive
-        if touched and self._note is not None:
-            # Estimate bookkeeping: the reference touches a neighbour
-            # whenever it computes an Eq. 7 estimate for it.
-            self._note(touched)
-
-    def step(self) -> Optional[PendingMatch]:
-        """One pop-and-expand iteration (same contract as the reference)."""
-        if self._exhausted:
-            return None
-        if (
-            self.config.max_expansions is not None
-            and self.stats.expansions >= self.config.max_expansions
-        ):
-            self._exhausted = True
-            return None
-        index = self._pop()
-        if index is None:
-            self._exhausted = True
-            return None
-        self.stats.expansions += 1
-        self.clock.tick()
-
-        segment = self._segment_c[index]
-        if segment == self._num_segments:
-            pivot = self._uid_c[index]
-            if pivot in self._emitted_pivots:
-                return None  # EXPAND policy can re-pop a pivot; keep first
-            self._emitted_pivots.add(pivot)
-            self.stats.goals_emitted += 1
-            return self._make_match(index)
-
-        self._expand(index, segment)
-        return None
+        return [
+            PendingMatch(
+                self.subquery_index, self._uid_c[index], self._priority_c[index], index
+            )
+            for index in self.generated_goals.values()
+        ]
 
     # ------------------------------------------------------------------
     # public pull interface
@@ -779,23 +497,307 @@ class VectorizedSubQuerySearch:
     def exhausted(self) -> bool:
         return self._exhausted
 
+    def step(self) -> Optional[PendingMatch]:
+        """One pop-and-expand iteration (same contract as the reference)."""
+        return self._advance(None, True)
+
     def next_match(self) -> Optional[PendingMatch]:
         """Run until the next match pops; ``None`` when exhausted.
 
         Under a TBQ budget every expansion is charged, and the charge
         that fires the time alert raises out of this call.
         """
-        charge = self._charge
+        return self._advance(self._charge, False)
+
+    def _advance(self, charge, single: bool) -> Optional[PendingMatch]:
+        """The search loop: pop, stale-check, then emit a goal or expand.
+
+        One iteration is the reference's ``step`` — one ``clock.tick()``
+        per expansion, one ``charge()`` per iteration including the one
+        that finds the queue empty or hits ``max_expansions`` — and
+        every branch mirrors the reference's pop / arrivals / τ / push
+        sequence: same order, same counters.  Everything an iteration
+        reads is bound to a local once per call (at ~3 generated states
+        per pop the attribute and method dispatch cost as much as the
+        decisions); the counters live in locals too and are written back
+        in the ``finally``, which also runs when ``charge`` raises.
+        """
+        if self._exhausted:
+            return None
+        stats = self.stats
+        config = self.config
+        max_expansions = config.max_expansions
+        bound = config.path_bound
+        tau = config.tau
+        tick = self.clock.tick
+        note = self._note
+        estimate = self._estimate
+        subquery_index = self.subquery_index
+        num_segments = self._num_segments
+        geometric = self._geometric
+        generate = self._generate
+        total_bound = self._total_bound
+        seg_mult = self._seg_mult
+        hops_mult = self._hops_mult
+        his_mult = self._his_mult
+        log_prune = _LOG_PRUNE
+        exp = math.exp
+        indptr_l = self._indptr_l
+        nbr_l = self._nbr_l
+        spred_l = self._spred_l
+        visited = self._visited
+        best_g = self._best_g
+        emitted = self._emitted_pivots
+        goals = self.generated_goals
+        uid_c = self._uid_c
+        segment_c = self._segment_c
+        hops_c = self._hops_c
+        his_c = self._his_c
+        lp_c = self._lp_c
+        ws_c = self._ws_c
+        priority_c = self._priority_c
+        key_c = self._key_c
+        anc_c = self._anc
+        uid_app = uid_c.append
+        seg_app = segment_c.append
+        hops_app = hops_c.append
+        his_app = his_c.append
+        lp_app = lp_c.append
+        ws_app = ws_c.append
+        pr_app = priority_c.append
+        par_app = self._parent_c.append
+        slot_app = self._slot_c.append
+        key_app = key_c.append
+        anc_app = anc_c.append
+        queue = self._queue
+        heap = queue._heap
+        heap_push = heapq.heappush
+        heap_pop = heapq.heappop
+        counter = queue._counter
+        pool_n = len(uid_c)
+        expansions = stats.expansions
+        generated = stats.states_generated
+        by_tau = stats.pruned_by_tau
+        by_visited = stats.pruned_by_visited
+        by_bound = stats.pruned_by_bound
+        stale_pops = stats.stale_pops
+        goals_emitted = stats.goals_emitted
+        max_queue = stats.max_queue_size
+        # The segment table's lists, re-bound only when a pop changes segment.
+        bound_segment = -1
+        w_l = lw_l = phi = m_adv_l = logm_adv_l = m_cont_l = logm_cont_l = None
         try:
-            while not self._exhausted:
-                match = self.step()
+            while True:
+                match = None
+                index = -1
+                if max_expansions is None or expansions < max_expansions:
+                    while heap:
+                        popped = heap_pop(heap)[2]
+                        if not generate:
+                            best = best_g.get(key_c[popped])
+                            if best is not None and lp_c[popped] < best:
+                                stale_pops += 1
+                                continue  # superseded by a better path
+                        index = popped
+                        break
+                if index < 0:
+                    self._exhausted = True
+                else:
+                    expansions += 1
+                    tick()
+                    segment = segment_c[index]
+                    his = his_c[index]
+                    if segment == num_segments:
+                        pivot = uid_c[index]
+                        # EXPAND policy can re-pop a pivot; keep the first.
+                        if pivot not in emitted:
+                            emitted.add(pivot)
+                            goals_emitted += 1
+                            match = PendingMatch(
+                                subquery_index, pivot, priority_c[index], index
+                            )
+                    elif his < bound:  # else only advances survived
+                        uid = uid_c[index]
+                        if note is not None:
+                            note((uid,))
+                        start = indptr_l[uid]
+                        end = indptr_l[uid + 1]
+                        if start != end and segment != bound_segment:
+                            table = self._segment_table(segment)
+                            w_l = table.w_l
+                            lw_l = table.lw_l
+                            phi = table.phi
+                            m_adv_l = table.m_adv_l
+                            logm_adv_l = table.logm_adv_l
+                            m_cont_l = table.m_cont_l
+                            logm_cont_l = table.logm_cont_l
+                            bound_segment = segment
+                        anc = anc_c[index]
+                        log_product = lp_c[index]
+                        weight_sum = ws_c[index]
+                        hops1 = hops_c[index] + 1
+                        his1 = his + 1
+                        continuing = his1 < bound
+                        segment1 = segment + 1
+                        advance_is_goal = segment1 == num_segments
+                        hops_over = hops1 > total_bound
+                        queue_size = len(heap)
+                        touched = [] if continuing or not advance_is_goal else None
+                        for slot in range(start, end):
+                            pid = spred_l[slot]
+                            w = w_l[pid]
+                            if w <= 0.0:
+                                by_tau += 1  # the reference's weight <= 0 prune
+                                continue
+                            neighbor = nbr_l[slot]
+                            if neighbor in anc:
+                                continue  # simple paths only
+                            lp = log_product + lw_l[pid]
+                            ws = weight_sum + w
+                            if neighbor in phi:
+                                if advance_is_goal:
+                                    priority = (
+                                        (0.0 if lp <= log_prune else exp(lp / hops1))
+                                        if geometric
+                                        else ws / hops1
+                                    )
+                                else:
+                                    touched.append(neighbor)
+                                    m = m_adv_l[neighbor]
+                                    if geometric:
+                                        priority = (
+                                            0.0
+                                            if hops_over or m <= 0.0 or lp <= log_prune
+                                            else exp(
+                                                (lp + logm_adv_l[neighbor])
+                                                / total_bound
+                                            )
+                                        )
+                                    else:
+                                        priority = estimate(lp, hops1, ws, m, 0.0)
+                                # τ, then the visited policy, then the push.
+                                if priority < tau:
+                                    by_tau += 1
+                                else:
+                                    if generate:
+                                        key = neighbor * seg_mult + segment1
+                                        if key in visited:
+                                            by_visited += 1
+                                            key = None
+                                        else:
+                                            visited.add(key)
+                                    else:
+                                        key = (
+                                            (neighbor * seg_mult + segment1)
+                                            * hops_mult
+                                            + hops1
+                                        ) * his_mult
+                                        best = best_g.get(key)
+                                        if best is not None and lp <= best:
+                                            by_visited += 1
+                                            key = None
+                                        else:
+                                            best_g[key] = lp
+                                    if key is not None:
+                                        uid_app(neighbor)
+                                        seg_app(segment1)
+                                        hops_app(hops1)
+                                        his_app(0)
+                                        lp_app(lp)
+                                        ws_app(ws)
+                                        pr_app(priority)
+                                        par_app(index)
+                                        slot_app(slot)
+                                        key_app(key)
+                                        anc_app(anc + (neighbor,))
+                                        heap_push(heap, (-priority, counter, pool_n))
+                                        if advance_is_goal:
+                                            held = goals.get(neighbor)
+                                            if (
+                                                held is None
+                                                or priority > priority_c[held]
+                                            ):
+                                                goals[neighbor] = pool_n
+                                        counter += 1
+                                        pool_n += 1
+                                        queue_size += 1
+                                        generated += 1
+                                        if queue_size > max_queue:
+                                            max_queue = queue_size
+                            if continuing:
+                                touched.append(neighbor)
+                                m = m_cont_l[neighbor]
+                                if geometric:
+                                    priority = (
+                                        0.0
+                                        if hops_over or m <= 0.0 or lp <= log_prune
+                                        else exp(
+                                            (lp + logm_cont_l[neighbor]) / total_bound
+                                        )
+                                    )
+                                else:
+                                    priority = estimate(lp, hops1, ws, m, 0.0)
+                                if priority < tau:
+                                    by_tau += 1
+                                else:
+                                    if generate:
+                                        key = neighbor * seg_mult + segment
+                                        if key in visited:
+                                            by_visited += 1
+                                            key = None
+                                        else:
+                                            visited.add(key)
+                                    else:
+                                        key = (
+                                            (neighbor * seg_mult + segment) * hops_mult
+                                            + hops1
+                                        ) * his_mult + his1
+                                        best = best_g.get(key)
+                                        if best is not None and lp <= best:
+                                            by_visited += 1
+                                            key = None
+                                        else:
+                                            best_g[key] = lp
+                                    if key is not None:
+                                        uid_app(neighbor)
+                                        seg_app(segment)
+                                        hops_app(hops1)
+                                        his_app(his1)
+                                        lp_app(lp)
+                                        ws_app(ws)
+                                        pr_app(priority)
+                                        par_app(index)
+                                        slot_app(slot)
+                                        key_app(key)
+                                        anc_app(anc + (neighbor,))
+                                        heap_push(heap, (-priority, counter, pool_n))
+                                        counter += 1
+                                        pool_n += 1
+                                        queue_size += 1
+                                        generated += 1
+                                        if queue_size > max_queue:
+                                            max_queue = queue_size
+                            else:
+                                by_bound += 1
+                        if touched and note is not None:
+                            # The reference touches a neighbour whenever it
+                            # computes an Eq. 7 estimate for it.
+                            note(touched)
                 if charge is not None:
                     charge()
-                if match is not None:
+                if match is not None or single or index < 0:
                     return match
-            return None
         finally:
-            self.stats.elapsed_seconds = self._watch.elapsed()
+            queue._counter = counter
+            stats.expansions = expansions
+            stats.states_generated = generated
+            stats.pruned_by_tau = by_tau
+            stats.pruned_by_visited = by_visited
+            stats.pruned_by_bound = by_bound
+            stats.stale_pops = stale_pops
+            stats.goals_emitted = goals_emitted
+            stats.max_queue_size = max_queue
+            stats.elapsed_seconds = self._watch.elapsed()
 
     def run(self, k: int) -> List[PendingMatch]:
         """Collect up to ``k`` matches (Algorithm 1 in one call)."""

@@ -179,7 +179,10 @@ def decompose_query(
 
     average_degree = 8.0
     if kg is not None and kg.num_entities > 0:
-        average_degree = max(kg.statistics().average_degree, 2.0)
+        # Every edge adds one to two nodes' degrees, so this is the same
+        # int / int division ``statistics().average_degree`` performs,
+        # without its O(|V|) degree scan on every call.
+        average_degree = max(2 * kg.num_edges / kg.num_entities, 2.0)
     cost_model = CostModel(average_degree=average_degree, path_bound=path_bound)
 
     if pivot is not None:

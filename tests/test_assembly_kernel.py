@@ -1,15 +1,13 @@
-"""Cross-kernel conformance: vectorized TA assembly vs the reference.
+"""Cross-kernel conformance: incremental TA assembly vs the reference.
 
-The vectorized kernel (`repro.core.assembly_kernel`) must make the same
+The production kernel (`repro.core.assembly_kernel`) must make the same
 Theorem 3 decision at the same round as the pure-Python reference on the
 same streams — so matches, bit-equal scores, component order, sorted
 access counts, round counts and termination flags must all be identical.
 
 The fuzz suites draw pss values from a 1/64 grid, so every bound either
 kernel computes (sums of at most a few dozen such values) is exact in
-float64: summation-order differences between the matvec and the Python
-loops cannot perturb a comparison, which lets the suite assert *exact*
-equality instead of tolerances.
+float64 and the suite asserts *exact* equality instead of tolerances.
 """
 
 import random
@@ -108,9 +106,9 @@ class TestFuzzConformance:
 
 class TestToleranceWiggleConformance:
     """Streams that rise by ≤1e-9 between pulls (the sortedness
-    tolerance) exercise every monotone-premise invalidation in the
-    kernel: ψ rises and upward component replacements, both of which
-    must drop the cached U_cap.  Values are multiples of 2^-32, so sums
+    tolerance) exercise the kernel's lazy-heap liveness rules: ψ rises
+    and components are replaced upwards, so a filed entry goes dead and
+    a fresh one must be pushed.  Values are multiples of 2^-32, so sums
     stay exact and the identity assertions are sharp."""
 
     WIGGLE = 2.0 ** -32  # ≈2.3e-10; even 3 steps stay under the 1e-9 gate
@@ -234,6 +232,130 @@ class TestEdgeCases:
             assemble_top_k(
                 [MatchStream.from_list([grid_match(0, 1, 10)])], 1, kernel="numba"
             )
+
+
+def stream_of(index, pairs):
+    return [grid_match(index, pivot, value) for pivot, value in pairs]
+
+
+class TestGroupedHeaps:
+    """Directed cases for the top-k heap and the per-mask groups."""
+
+    # Pivots 1-3 come only from stream 0, pivots 11-18 only from stream
+    # 1; the long low tail keeps stream 0 yielding to the end.
+    HEAD = [(1, 60), (2, 58), (3, 56), (4, 4)]
+    TAIL = [(20 + i, 3) for i in range(8)]
+    PLATEAU = [(11 + i, 12) for i in range(8)]
+
+    def test_member_that_never_gets_its_missing_component(self):
+        """Top-2 = pivots 1 and 2, neither ever seen in stream 1, and
+        pivot 3 blocks Theorem 3 until ψ_1 reaches 0: stream 1 runs to
+        exhaustion and the members keep their single component."""
+        specs = [stream_of(0, self.HEAD + self.TAIL), stream_of(1, self.PLATEAU)]
+        reference, vectorized = assert_identical(specs, k=2)
+        assert vectorized.terminated_early
+        assert vectorized.rounds == len(self.PLATEAU) + 1
+        assert [m.pivot_uid for m in vectorized.matches] == [1, 2]
+        assert all(list(m.components) == [0] for m in vectorized.matches)
+
+    def test_boundary_tie_goes_to_the_first_seen_row(self):
+        """Two candidates tie at L_k (k=1): one complete, one still
+        lacking a stream.  Which of them the top-1 holds — the first
+        seen — decides whether the other's upper bound blocks."""
+        complete_first = [
+            stream_of(0, [(5, 22), (7, 10), (8, 9)]),
+            stream_of(1, [(3, 32), (5, 10), (9, 10), (6, 10)]),
+        ]
+        reference, vectorized = assert_identical(complete_first, k=1)
+        # Pivot 5 (complete, first seen) holds the top-1; pivot 3 blocks
+        # until stream 0 runs dry in round 4.  The ranking then breaks
+        # the score tie by uid.
+        assert vectorized.rounds == 4
+        assert [m.pivot_uid for m in vectorized.matches] == [3]
+        lacking_first = [
+            stream_of(0, [(3, 32), (5, 10), (7, 10)]),
+            stream_of(1, [(5, 22), (9, 10), (8, 9)]),
+        ]
+        reference, vectorized = assert_identical(lacking_first, k=1)
+        assert vectorized.rounds == 2  # pivot 3 is the member, nothing blocks
+
+    def test_upward_replacement_within_the_tolerance(self):
+        """A stream re-emits a pivot 5e-10 higher (inside the sortedness
+        tolerance): the filed entry goes dead, a fresh one is pushed."""
+        bumped = PathMatch(
+            subquery_index=1, path=Path.single_node(11), pivot_uid=11,
+            pss=12 / GRID + 5e-10,
+        )
+        plateau = stream_of(1, self.PLATEAU)
+        specs = [stream_of(0, self.HEAD + self.TAIL), plateau[:6] + [bumped] + plateau[6:]]
+        run_ordered = TestToleranceWiggleConformance.run_ordered
+        ref_streams, reference = run_ordered(specs, 2, "reference")
+        vec_streams, vectorized = run_ordered(specs, 2, "vectorized")
+        assert reference.accesses == vectorized.accesses
+        assert reference.rounds == vectorized.rounds
+        assert reference.terminated_early == vectorized.terminated_early
+        assert [(m.pivot_uid, m.score) for m in reference.matches] == [
+            (m.pivot_uid, m.score) for m in vectorized.matches
+        ]
+
+    def test_single_stream(self):
+        specs = [stream_of(0, [(pivot, GRID - pivot) for pivot in range(10)])]
+        reference, vectorized = assert_identical(specs, k=3)
+        assert vectorized.rounds == 3 and vectorized.terminated_early
+
+    @pytest.mark.parametrize("k", [1, 5, 20])
+    def test_six_streams_every_mask(self, k):
+        """m = 6: one pivot per proper seen-set, so all 62 masks between
+        "seen everywhere" and "seen nowhere" hold a candidate."""
+        rng = random.Random(k)
+        specs = [
+            stream_of(
+                stream,
+                [
+                    (seen, rng.randint(1, GRID))
+                    for seen in range(1, 63)
+                    if seen >> stream & 1
+                ],
+            )
+            for stream in range(6)
+        ]
+        assert_identical(specs, k)
+
+    def test_k_larger_than_the_candidate_count(self):
+        specs = [
+            stream_of(0, [(1, 40), (2, 30)]),
+            stream_of(1, [(2, 50), (3, 20)]),
+        ]
+        reference, vectorized = assert_identical(specs, k=10)
+        assert len(vectorized.matches) == 3
+        assert not vectorized.terminated_early
+
+    @pytest.mark.parametrize(
+        "plateau, depth, k", [(300, 250, 5), (500, 499, 5), (200, 120, 3)]
+    )
+    def test_ledger_shaped_plateau(self, plateau, depth, k):
+        """The tail query's shape: the top-k pivots head streams 0 and 1
+        but sit ``depth`` ties down stream 2's plateau; a pivot strong
+        in streams 0 and 1 and absent from stream 2 blocks Theorem 3
+        until they surface, hundreds of rounds and candidates later."""
+        winners = list(range(1, k + 1))
+        blocker = 1000
+
+        def descending(offset):
+            head = [(pivot, GRID) for pivot in winners] + [(blocker, 61)]
+            body = [(offset + i, max(60 - 2 * i, 1)) for i in range(plateau)]
+            return head + body
+
+        ties = [(5000 + i, 62) for i in range(plateau)]
+        ties[depth - k:depth] = [(pivot, 62) for pivot in winners]
+        specs = [
+            stream_of(0, descending(2000)),
+            stream_of(1, descending(3000)),
+            stream_of(2, ties + [(9000, 8)]),
+        ]
+        reference, vectorized = assert_identical(specs, k)
+        assert vectorized.rounds >= depth and vectorized.terminated_early
+        assert sorted(m.pivot_uid for m in vectorized.matches) == winners
 
 
 class TestFinalMatchIncrementalScore:

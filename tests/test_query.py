@@ -7,7 +7,9 @@ from repro.errors import DecompositionError, QueryError
 from repro.kg.generator import build_dataset
 from repro.kg.schema import dbpedia_like_schema
 from repro.query.builder import QueryGraphBuilder
-from repro.query.decompose import decompose_query
+from repro.kg.compact import CompactGraph, CompactKnowledgeGraph
+from repro.kg.sharded import ShardedGraph, ShardedKnowledgeGraph
+from repro.query.decompose import CostModel, _cover_cost, decompose_query
 from repro.query.model import QueryEdge, QueryGraph, QueryNode, SubQueryGraph, SubQueryStep
 from repro.query.noise import add_edge_noise, add_node_noise, apply_noise_to_workload
 from repro.query.transform import (
@@ -322,6 +324,43 @@ class TestDecomposition:
         chosen = decompose_query(chain_query(), kg=kg, matcher=matcher)
         forced = decompose_query(chain_query(), kg=kg, matcher=matcher, pivot="v3")
         assert chosen.cost <= forced.cost
+
+
+class TestAverageDegreeWithoutTheScan:
+    """``decompose_query`` reads d̄ as ``2|E| / |V|`` instead of calling
+    ``statistics()`` (an O(|V|) degree scan) on every call."""
+
+    @pytest.fixture(scope="class")
+    def facades(self, small_bundle):
+        kg = small_bundle.kg
+        return {
+            "object": kg,
+            "compact": CompactKnowledgeGraph(CompactGraph.freeze(kg)),
+            "sharded": ShardedKnowledgeGraph(ShardedGraph.build(kg, 4)),
+        }
+
+    def test_same_float_as_statistics_on_every_facade(self, facades):
+        for name, kg in facades.items():
+            shortcut = 2 * kg.num_edges / kg.num_entities
+            assert shortcut == kg.statistics().average_degree, name
+
+    def test_decompositions_unchanged(self, small_bundle, facades):
+        kg = small_bundle.kg
+        matcher = NodeMatcher(kg, small_bundle.library)
+        scanned = CostModel(
+            average_degree=max(kg.statistics().average_degree, 2.0), path_bound=4
+        )
+        for item in small_bundle.workload:
+            chosen = decompose_query(item.query, kg=kg, matcher=matcher)
+            # The cost is the one the scanned average yields, bit for bit.
+            cost, subqueries = _cover_cost(
+                item.query, chosen.pivot_label, matcher, scanned
+            )
+            assert (chosen.cost, chosen.subqueries) == (cost, subqueries), item.qid
+            for name, facade in facades.items():
+                assert decompose_query(
+                    item.query, kg=facade, matcher=matcher
+                ) == chosen, (item.qid, name)
 
 
 class TestNoise:

@@ -557,6 +557,187 @@ def capture_searches(engine, monkeypatch):
     return built
 
 
+class TestFusedLoop:
+    """``next_match`` is one pop → stale-check → goal-or-expand loop with
+    its state bound per call; the branches that only exist because of
+    that are pinned here, counter for counter against the reference."""
+
+    @pytest.fixture()
+    def two_segment(self, fig2_space, fig2_matcher):
+        """Germany -product- Automobile -designer- Person over the dense
+        graph at n̂ = 2: one sub-query, two segments."""
+        kg = dense_graph()
+        engine = SemanticGraphQueryEngine(
+            kg, fig2_space, fig2_matcher.library, compact=True
+        )
+        query = (
+            QueryGraphBuilder()
+            .target("v1", "Automobile")
+            .specific("v2", "Germany", "Country")
+            .target("v3", "Person")
+            .edge("e1", "v1", "product", "v2")
+            .edge("e2", "v3", "designer", "v1")
+            .build()
+        )
+        (subquery,) = engine.decompose(query, pivot="v3").subqueries
+        assert len(subquery.predicates()) == 2
+
+        def pair(config):
+            view = engine.view_factory(
+                kg, fig2_space, min_weight=config.min_weight, cache=None
+            )
+            return tuple(
+                build_subquery_search(
+                    view, subquery, engine.matcher, config, kernel=kernel
+                )
+                for kernel in ("reference", "vectorized")
+            )
+
+        return pair
+
+    @pytest.mark.parametrize("policy", list(VisitedPolicy))
+    def test_pops_alternating_between_segments(self, two_segment, policy):
+        """The segment table is re-bound inside a call whenever a pop
+        changes segment."""
+        config = SearchConfig(tau=0.5, path_bound=2, visited_policy=policy)
+        reference, vectorized = two_segment(config)
+        popped = []
+        pop = reference._pop
+
+        def recording():
+            state = pop()
+            if state is not None:
+                popped.append(state.segment)
+            return state
+
+        reference._pop = recording
+        ref_matches = reference.run(10**6)
+        vec_matches = materialised(vectorized, vectorized.run(10**6))
+        assert ref_matches
+        assert path_matches_differ("alternate", ref_matches, vec_matches) is None
+        assert search_stats_differ("alternate", reference.stats, vectorized.stats) is None
+        assert sorted(vectorized._tables) == [0, 1]
+        # Identical decisions mean identical pop order; count the segment
+        # switches between expansions of one call (a goal pop ends it).
+        switches, previous = 0, None
+        for segment in popped:
+            if segment == 2:
+                previous = None
+                continue
+            switches += previous is not None and segment != previous
+            previous = segment
+        assert switches >= 3
+
+    @pytest.mark.parametrize("policy", list(VisitedPolicy))
+    def test_max_expansions_cuts_mid_stream(self, two_segment, policy):
+        """The cap lands inside a ``next_match`` call that has already
+        expanded states: it returns ``None``, charges once more, and
+        leaves the counters where the reference's are."""
+        config = SearchConfig(tau=0.5, path_bound=2, visited_policy=policy)
+        probe, _ = two_segment(config)
+        marks = []  # expansions spent when each match popped
+        while probe.next_match() is not None:
+            marks.append(probe.stats.expansions)
+        gaps = [after - before for before, after in zip(marks, marks[1:])]
+        widest = max(range(len(gaps)), key=gaps.__getitem__)
+        assert gaps[widest] >= 4
+        expected = widest + 1  # matches out before the widest gap
+        cap = marks[widest] + gaps[widest] // 2  # lands inside it
+        capped = SearchConfig(
+            tau=0.5, path_bound=2, visited_policy=policy, max_expansions=cap
+        )
+
+        class Budget:
+            charges = 0
+
+            def charge(self):
+                self.charges += 1
+
+        view_pair = two_segment(capped)
+        budgets = []
+        outcomes = []
+        for search in view_pair:
+            budget = Budget()
+            search._charge = budget.charge
+            matches = []
+            while True:
+                match = search.next_match()
+                if match is None:
+                    break
+                matches.append(search.materialise(match))
+            assert search.next_match() is None  # stays exhausted, no charge
+            budgets.append(budget.charges)
+            outcomes.append(matches)
+        reference, vectorized = view_pair
+        assert len(outcomes[0]) == expected
+        assert path_matches_differ("cap", *outcomes) is None
+        assert search_stats_differ("cap", reference.stats, vectorized.stats) is None
+        assert reference.stats.expansions == vectorized.stats.expansions == cap
+        assert reference.exhausted and vectorized.exhausted
+        # One charge per iteration, the capped one included.
+        assert budgets[0] == budgets[1] == cap + 1
+
+    @pytest.mark.parametrize("policy", list(VisitedPolicy))
+    def test_budget_clock_ticks_and_alert_expansion(self, small_bundle, policy):
+        """TBQ under a BudgetClock: same tick count, same expansion at
+        which the alert fires, same harvest — under both policies."""
+        engines = {
+            kernel: SemanticGraphQueryEngine(
+                small_bundle.kg,
+                small_bundle.space,
+                small_bundle.library,
+                SearchConfig(tau=0.5, visited_policy=policy),
+                compact=True,
+                search_kernel=kernel,
+            )
+            for kernel in ("reference", "vectorized")
+        }
+        alerted = 0
+        for item in small_bundle.workload[:4]:
+            for bound in (0.01, 0.04, 1e6):
+                runs = {
+                    kernel: TestSectionVIContract.bounded(engine, item.query, bound)
+                    for kernel, engine in engines.items()
+                }
+                (reference, ref_ticks), (vectorized, vec_ticks) = (
+                    runs["reference"], runs["vectorized"]
+                )
+                label = f"{item.qid}@{bound}/{policy.value}"
+                assert ref_ticks == vec_ticks == vectorized.expansions, label
+                assert reference.approximate == vectorized.approximate, label
+                alerted += vectorized.approximate
+                assert final_matches_differ(
+                    label, reference.matches, vectorized.matches
+                ) is None
+                for a, b in zip(reference.subquery_stats, vectorized.subquery_stats):
+                    assert search_stats_differ(label, a, b) is None
+        assert alerted > 0
+
+    def test_pool_export_and_materialise_across_resumption(self, two_segment):
+        config = SearchConfig(tau=0.5, path_bound=2)
+        reference, vectorized = two_segment(config)
+        pulled = [vectorized.next_match()]
+        before = vectorized.pool_arrays()
+        assert vectorized.pool_size == vectorized.stats.states_generated
+        while vectorized.pool_size == len(before["uid"]):
+            pulled.append(vectorized.next_match())  # resumes the same loop
+        after = vectorized.pool_arrays()
+        assert vectorized.pool_size == vectorized.stats.states_generated
+        for name, column in before.items():  # append-only: a strict prefix
+            assert (after[name][: len(column)] == column).all(), name
+        for match in pulled:
+            assert after["uid"][match.pool_index] == match.pivot_uid
+            assert after["priority"][match.pool_index] == match.pss
+            assert after["segment"][match.pool_index] == 2
+        # Matches emitted before a resumption still build their paths.
+        problem = path_matches_differ(
+            "resumed",
+            [reference.next_match() for _ in pulled],
+            materialised(vectorized, pulled),
+        )
+        assert problem is None, problem
+
+
 class TestSetUpIndependentOfEdges:
     """Nothing a search sets up is proportional to |E|."""
 
