@@ -29,6 +29,7 @@ SEARCH_STAT_FIELDS = (
     "pruned_by_tau",
     "pruned_by_visited",
     "pruned_by_bound",
+    "pruned_by_reach",
     "stale_pops",
     "goals_emitted",
     "max_queue_size",

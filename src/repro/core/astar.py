@@ -30,6 +30,30 @@ with re-opening, which makes Theorem 2's optimality unconditional even on
 adversarial weight layouts; the ablation bench quantifies the (tiny)
 difference.  Under both policies each emitted match ends at a distinct
 pivot entity, which is what TA assembly joins on.
+
+**Reach prune.**  Eq. 7 knows how *good* a continuation could be and
+nothing about whether one *exists*.  When the view offers a
+``hop_label`` (``d_s[u]``: hops from ``u`` to the nearest φ-match of the
+node closing segment ``s``, at least 1), a continuing arrival at ``v``
+with ``h'`` hops spent in segment ``s`` is dropped when ``h' + d_s[v] >
+n̂``, and an advance into segment ``s + 1`` or a seed when its label
+exceeds ``n̂`` — before its estimate is computed, counted in
+``SearchStats.pruned_by_reach``.  Under ``EXPAND`` this only deletes
+work: a dropped state has no goal descendant; deadness is a function of
+``(uid, segment, hops_in_segment)``, all part of the closed-set key, so
+two states sharing a key are both dead or both live and a dead state can
+only have closed a key for (or made stale) other dead states; and the
+heap breaks ties on a monotone insertion counter, so deleting insertions
+keeps the relative order of the rest.  Goal emission order, every pss,
+``generated_goals`` and every TA round and access are therefore those of
+the unpruned search; only ``expansions`` / ``states_generated`` /
+``stale_pops`` / ``max_queue_size`` and the ``pruned_by_*`` split fall.
+Under ``GENERATE`` a dead arrival marks ``(u, segment)`` visited and
+blocks later live ones, so dropping it would change Algorithm 1's
+literal output (and not monotonically); that policy runs unpruned.  With
+``max_expansions`` set the cap now buys more live work, so a capped
+search may emit more than it used to.  The array kernel makes the same
+decisions, including the reach prune.
 """
 
 from __future__ import annotations
@@ -75,7 +99,8 @@ def build_subquery_search(
     and raises when the view cannot support it; ``"auto"`` (the default)
     picks the vectorized kernel exactly when the view can feed it.  Both
     kernels are decision-identical — same matches, same pss, same
-    emission order, same search stats — so the choice only moves cost.
+    emission order, same search stats, same reach prune — so the choice
+    only moves cost.
     ``budget`` is TBQ's :class:`~repro.core.time_bounded.
     TimeBoundedCoordinator`, charged once per expansion; ``None`` (SGQ)
     searches unbudgeted.
@@ -98,7 +123,7 @@ def build_subquery_search(
             raise SearchError(
                 "search kernel 'vectorized' needs a compact view exposing "
                 "the CSR surface (graph / weight_row_array / "
-                "bounds_row_array and their log twins); "
+                "bounds_row_array and their log twins / hop_label); "
                 f"{type(view).__name__} does not — build "
                 "the engine with compact=True or pass kernel='auto'"
             )
@@ -212,6 +237,14 @@ class SubQuerySearch:
         self._boundary_nodes = [
             subquery.query.node(label) for label in subquery.node_labels[1:]
         ]
+        # The reach prune applies exactly when the view offers a label
+        # and the policy is EXPAND (see the module docstring).
+        self._hop_label = (
+            getattr(view, "hop_label", None)
+            if config.visited_policy is VisitedPolicy.EXPAND
+            else None
+        )
+        self._reach_memo: Dict[int, bytes] = {}
 
         self._queue: MaxHeap[_State] = MaxHeap()
         self._visited: Set[Tuple[int, int]] = set()
@@ -241,9 +274,26 @@ class SubQuerySearch:
             weight_sum=state.weight_sum,
         )
 
+    def _reach(self, segment: int) -> bytes:
+        """``d_segment``: hops to the nearest φ-match closing ``segment``."""
+        label = self._reach_memo.get(segment)
+        if label is None:
+            node = self._boundary_nodes[segment]
+            label = self._hop_label(
+                (node.name, node.etype),
+                self.matcher.matches(node),
+                self.config.path_bound,
+            )
+            self._reach_memo[segment] = label
+        return label
+
     def _seed_start_states(self) -> None:
         start_node = self.subquery.start
+        bound = self.config.path_bound
         for uid in self.matcher.matches(start_node):
+            if self._hop_label is not None and self._reach(0)[uid] > bound:
+                self.stats.pruned_by_reach += 1
+                continue
             state = _State(
                 uid=uid,
                 segment=0,
@@ -339,8 +389,11 @@ class SubQuerySearch:
         if state.hops_in_segment >= self.config.path_bound:
             return []  # segment exhausted its n̂ hops; only advances survive
         out: List[_State] = []
+        bound = self.config.path_bound
         predicate = self._predicates[state.segment]
         boundary = self._boundary_nodes[state.segment]
+        advance_is_goal = state.segment + 1 == self._num_segments
+        prune = self._hop_label is not None
         for edge, neighbor, weight in self.view.weighted_incident(state.uid, predicate):
             if weight <= 0.0:
                 self.stats.pruned_by_tau += 1
@@ -354,28 +407,42 @@ class SubQuerySearch:
             hops_in_segment = state.hops_in_segment + 1
 
             if self.matcher.is_match(boundary, neighbor):
-                advanced = _State(
-                    uid=neighbor,
-                    segment=state.segment + 1,
-                    hops_total=hops_total,
-                    hops_in_segment=0,
-                    log_product=log_product,
-                    weight_sum=weight_sum,
-                    parent=state,
-                    step=step,
-                )
-                if self._is_goal(advanced):
-                    advanced.priority = exact_pss_from_log(
-                        log_product,
-                        hops_total,
-                        mode=self.config.scoring,
-                        weight_sum=weight_sum,
-                    )
+                if (
+                    prune
+                    and not advance_is_goal
+                    and self._reach(state.segment + 1)[neighbor] > bound
+                ):
+                    self.stats.pruned_by_reach += 1
                 else:
-                    advanced.priority = self._estimate(advanced)
-                out.append(advanced)
+                    advanced = _State(
+                        uid=neighbor,
+                        segment=state.segment + 1,
+                        hops_total=hops_total,
+                        hops_in_segment=0,
+                        log_product=log_product,
+                        weight_sum=weight_sum,
+                        parent=state,
+                        step=step,
+                    )
+                    if advance_is_goal:
+                        advanced.priority = exact_pss_from_log(
+                            log_product,
+                            hops_total,
+                            mode=self.config.scoring,
+                            weight_sum=weight_sum,
+                        )
+                    else:
+                        advanced.priority = self._estimate(advanced)
+                    out.append(advanced)
 
-            if hops_in_segment < self.config.path_bound:
+            if hops_in_segment >= bound:
+                self.stats.pruned_by_bound += 1
+            elif (
+                prune
+                and hops_in_segment + self._reach(state.segment)[neighbor] > bound
+            ):
+                self.stats.pruned_by_reach += 1
+            else:
                 continuing = _State(
                     uid=neighbor,
                     segment=state.segment,
@@ -388,8 +455,6 @@ class SubQuerySearch:
                 )
                 continuing.priority = self._estimate(continuing)
                 out.append(continuing)
-            else:
-                self.stats.pruned_by_bound += 1
         return out
 
     def step(self) -> Optional[PathMatch]:

@@ -20,9 +20,10 @@ Rows are exactly the cross-query reuse unit, so when the view is backed
 by a shared :class:`~repro.serve.cache.SemanticGraphCache` it gets/puts
 whole rows (``kind in {"weights", "bounds"}``, plus their exact-log
 twins ``"log_weights"`` / ``"log_bounds"`` for the array-backed search
-kernel) — one cache round-trip per (query predicate) instead of one per
-(edge) — and the serving layer's warm-workload win composes with the
-kernel's cold-query win.
+kernel, and ``"hop_label"`` per φ signature for the reach prune) — one
+cache round-trip per (query predicate) instead of one per (edge) — and
+the serving layer's warm-workload win composes with the kernel's
+cold-query win.
 
 Equivalence with the lazy view is exact, not approximate: both serve
 weights from the same cached ``PredicateSpace`` rows, slots keep
@@ -45,10 +46,12 @@ from repro.errors import UnknownPredicateError
 from repro.kg.compact import CompactGraph
 from repro.kg.graph import Edge, KnowledgeGraph
 from repro.core.semantic_graph import (
+    PhiKey,
     RowWeightCache,
     SemanticGraphView,
     WeightCache,
     WeightedGraphView,
+    shared_hop_label,
 )
 
 # The engine's view-construction seam: (kg, space, *, min_weight, cache) ->
@@ -184,6 +187,8 @@ class CompactSemanticGraphView:
         # L1, per query: (kind, query predicate) -> exact-log twin of the
         # weight / m(u) row.
         self._log_rows: Dict[Tuple[str, str], np.ndarray] = {}
+        # L1, per query: (name, etype, n̂) -> hop label (see hop_label).
+        self._hop_labels: Dict[Tuple, bytes] = {}
         self._touched_nodes: Set[int] = set()
         # Pair weights materialised by this view.  The unit of work is a
         # whole row, so each computed row counts |graph predicates| pairs
@@ -395,6 +400,38 @@ class CompactSemanticGraphView:
         return self._log_row(
             "log_bounds", query_predicate, self.bounds_row_array(query_predicate)
         )
+
+    def hop_label(self, key: PhiKey, phi: Iterable[int], bound: int) -> bytes:
+        """Hops from every node to the nearest φ-match, one byte per node.
+
+        Same contract, bytes and row key as the lazy view's
+        :meth:`~repro.core.semantic_graph.SemanticGraphView.hop_label`
+        (its breadth-first search is the oracle): ``n̂`` frontier sweeps,
+        each the segment-``or`` of "my neighbour has a walk of exactly
+        ``k - 1`` hops to φ" over the CSR rows, the same ``reduceat``
+        idiom as :meth:`bounds_row_array` — no extra topology mirror.
+        """
+
+        def sweeps(cap: int) -> bytes:
+            graph = self.graph
+            distance = np.full(graph.num_nodes, cap, dtype=np.uint8)
+            starts = graph.indptr[:-1]
+            nonempty = starts < graph.indptr[1:]
+            row_starts = starts[nonempty]
+            reach = np.zeros(graph.num_nodes, dtype=bool)
+            reach[np.fromiter(phi, dtype=np.int64)] = True
+            if row_starts.size:
+                for hop in range(1, cap):
+                    # reduceat needs non-empty segments, as in bounds_row_array.
+                    arrived = np.logical_or.reduceat(
+                        reach[graph.slot_neighbor], row_starts
+                    )
+                    reach = np.zeros(graph.num_nodes, dtype=bool)
+                    reach[nonempty] = arrived
+                    distance[reach & (distance > hop)] = hop
+            return distance.tobytes()
+
+        return shared_hop_label(self, key, bound, sweeps)
 
     def note_touched(self, uids: Iterable[int]) -> None:
         """Record nodes a search kernel consulted out-of-band.

@@ -58,7 +58,9 @@ class SearchConfig:
         max_expansions: hard safety cap on A* expansions per sub-query
             (None = unlimited); exceeded caps raise nothing — the search
             just reports exhaustion, which keeps worst-case bench queries
-            bounded.
+            bounded.  The reach prune (:mod:`repro.core.astar`) spends
+            no expansion on states that cannot finish, so a cap buys
+            more live work than it did before that prune existed.
         assembly_seconds_per_match: the empirical constant ``t`` of
             Algorithm 3 (estimated TA time per collected match).
         alert_ratio: the ``r%`` of Algorithm 3 (default 0.8: launch

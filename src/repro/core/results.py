@@ -99,6 +99,10 @@ class SearchStats:
     decrease-key leaves the old entry in the queue).  They cost a pop
     each without becoming expansions, so queue-health reporting needs
     them separately; under the GENERATE policy the counter stays 0.
+    ``pruned_by_reach`` counts arrivals (and seeds) dropped because no
+    φ-match of their segment's closing node lies within the hops they
+    have left (the view's ``hop_label``); it stays 0 under GENERATE and
+    on views that offer no label.
     """
 
     expansions: int = 0
@@ -106,6 +110,7 @@ class SearchStats:
     pruned_by_tau: int = 0
     pruned_by_visited: int = 0
     pruned_by_bound: int = 0
+    pruned_by_reach: int = 0
     stale_pops: int = 0
     goals_emitted: int = 0
     max_queue_size: int = 0
@@ -121,6 +126,7 @@ class SearchStats:
             pruned_by_tau=self.pruned_by_tau + other.pruned_by_tau,
             pruned_by_visited=self.pruned_by_visited + other.pruned_by_visited,
             pruned_by_bound=self.pruned_by_bound + other.pruned_by_bound,
+            pruned_by_reach=self.pruned_by_reach + other.pruned_by_reach,
             stale_pops=self.stale_pops + other.stale_pops,
             goals_emitted=self.goals_emitted + other.goals_emitted,
             max_queue_size=max(self.max_queue_size, other.max_queue_size),
@@ -187,6 +193,11 @@ class QueryResult:
         return sum(stats.pruned_by_visited for stats in self.subquery_stats)
 
     @property
+    def pruned_by_reach(self) -> int:
+        """Arrivals and seeds dropped by the hop label (no φ-match in reach)."""
+        return sum(stats.pruned_by_reach for stats in self.subquery_stats)
+
+    @property
     def stale_pops(self) -> int:
         """EXPAND-policy pops discarded as superseded heap entries."""
         return sum(stats.stale_pops for stats in self.subquery_stats)
@@ -245,6 +256,7 @@ class QueryResultPayload:
     expansions: int
     pruned_by_tau: int
     pruned_by_visited: int
+    pruned_by_reach: int
     stale_pops: int
     max_queue_size: int
 
@@ -264,6 +276,7 @@ class QueryResultPayload:
             expansions=result.expansions,
             pruned_by_tau=result.pruned_by_tau,
             pruned_by_visited=result.pruned_by_visited,
+            pruned_by_reach=result.pruned_by_reach,
             stale_pops=result.stale_pops,
             max_queue_size=result.max_queue_size,
         )

@@ -48,7 +48,10 @@ compact CSR kernel (:class:`~repro.kg.compact.CompactGraph`, via
 **Decision identity.**  The kernel makes the same decision as the
 reference search at every step under both visited policies: same seeds
 in the same order, same arrival order (advance before continue, CSR slot
-order), the same τ / visited / bound prunes, the same heap tie-breaking
+order), the same reach / τ / visited / bound prunes (the reach prune and
+why it only deletes work under ``EXPAND`` are in
+:mod:`repro.core.astar`; ``GENERATE`` reads an all-zero label here,
+which never fires), the same heap tie-breaking
 (monotone insertion counter), and bit-identical priorities — which is
 why every transcendental stays on ``math.exp`` / ``math.log``: numpy's
 SIMD ``np.exp`` / ``np.log`` loops may differ from libm by an ulp, and
@@ -95,9 +98,10 @@ def supports_vectorized_search(view) -> bool:
     """Whether ``view`` exposes the compact surface this kernel needs.
 
     Duck-typed on the capabilities the kernel consumes — the frozen CSR
-    graph (static topology mirrors) plus a predicate-sized weight row
-    and a node-sized ``m(u)`` row per query predicate, each with its
-    exact-log twin — so any future view over a
+    graph (static topology mirrors), a predicate-sized weight row and a
+    node-sized ``m(u)`` row per query predicate, each with its exact-log
+    twin, and the node-sized hop label per φ set — so any future view
+    over a
     :class:`~repro.kg.compact.CompactGraph` (a shard proxy, say)
     qualifies without inheriting from
     :class:`~repro.core.compact_view.CompactSemanticGraphView`.
@@ -109,6 +113,7 @@ def supports_vectorized_search(view) -> bool:
             "log_weight_row_array",
             "bounds_row_array",
             "log_bounds_row_array",
+            "hop_label",
         )
     )
 
@@ -121,7 +126,10 @@ class _SegmentTable:
     ``m_*`` / ``logm_*`` are node-indexed; ``phi`` is the set of
     φ-matches of the node closing the segment.  ``m_adv_l`` /
     ``logm_adv_l`` are ``None`` on the last segment, where an advance is
-    a goal and gets an exact pss instead of an estimate.
+    a goal and gets an exact pss instead of an estimate.  ``d_cont`` /
+    ``d_adv`` are the hop labels of this segment's and the next
+    segment's closing node (``d_adv`` all zero on the last segment: a
+    goal has nowhere left to go).
     """
 
     __slots__ = (
@@ -132,6 +140,8 @@ class _SegmentTable:
         "logm_cont_l",
         "m_adv_l",
         "logm_adv_l",
+        "d_cont",
+        "d_adv",
     )
 
     def __init__(self, **fields):
@@ -173,8 +183,8 @@ class VectorizedSubQuerySearch:
         if not supports_vectorized_search(view):
             raise SearchError(
                 "vectorized search kernel needs a compact view exposing "
-                "graph / weight_row_array / bounds_row_array and their "
-                f"log twins; {type(view).__name__} does not"
+                "graph / weight_row_array / bounds_row_array, their log "
+                f"twins and hop_label; {type(view).__name__} does not"
             )
         self.view = view
         self.subquery = subquery
@@ -206,10 +216,16 @@ class VectorizedSubQuerySearch:
         # Per-boundary φ-match set: node_labels[1..m] close segments
         # 0..m-1; matcher.matches is the φ oracle and is consulted
         # exactly once per boundary, here.
-        self._phi: List[FrozenSet[int]] = [
-            frozenset(matcher.matches(subquery.query.node(label)))
-            for label in subquery.node_labels[1:]
+        boundary_nodes = [
+            subquery.query.node(label) for label in subquery.node_labels[1:]
         ]
+        self._phi: List[FrozenSet[int]] = [
+            frozenset(matcher.matches(node)) for node in boundary_nodes
+        ]
+        self._phi_keys = [(node.name, node.etype) for node in boundary_nodes]
+        # What GENERATE (and a goal advance) reads in place of a hop
+        # label: zeros never exceed a hop budget.
+        self._no_label = bytes(graph.num_nodes)
 
         # CSR scalars for the hot loop (python ints, no np boxing),
         # memoized on the frozen graph — pure mirrors, shared by every
@@ -284,6 +300,18 @@ class VectorizedSubQuerySearch:
             self._m_memo[segment] = entry
         return entry
 
+    def _reach(self, segment: int) -> bytes:
+        """``d_segment``: hops to the nearest φ-match closing ``segment``.
+
+        The view memoises labels per φ key, so this is a dict probe after
+        the process's first search against that key.
+        """
+        if self._generate or segment == self._num_segments:
+            return self._no_label
+        return self.view.hop_label(
+            self._phi_keys[segment], self._phi[segment], self.config.path_bound
+        )
+
     def _segment_table(self, segment: int) -> _SegmentTable:
         """Predicate-sized weight and node-sized φ/m tables, built once.
 
@@ -309,6 +337,8 @@ class VectorizedSubQuerySearch:
             logm_cont_l=logm_cont_l,
             m_adv_l=m_adv_l,
             logm_adv_l=logm_adv_l,
+            d_cont=self._reach(segment),
+            d_adv=self._reach(segment + 1),
         )
         self._tables[segment] = table
         return table
@@ -386,6 +416,11 @@ class VectorizedSubQuerySearch:
         seeds = self.matcher.matches(self.subquery.start)
         if not seeds:
             return
+        bound = self.config.path_bound
+        reach = self._reach(0)
+        live = [uid for uid in seeds if reach[uid] <= bound]
+        self.stats.pruned_by_reach += len(seeds) - len(live)
+        seeds = live
         if self._note is not None:
             self._note(seeds)
         m_l, logm_l = self._m_any(0)
@@ -580,12 +615,14 @@ class VectorizedSubQuerySearch:
         by_tau = stats.pruned_by_tau
         by_visited = stats.pruned_by_visited
         by_bound = stats.pruned_by_bound
+        by_reach = stats.pruned_by_reach
         stale_pops = stats.stale_pops
         goals_emitted = stats.goals_emitted
         max_queue = stats.max_queue_size
         # The segment table's lists, re-bound only when a pop changes segment.
         bound_segment = -1
         w_l = lw_l = phi = m_adv_l = logm_adv_l = m_cont_l = logm_cont_l = None
+        d_cont = d_adv = None
         try:
             while True:
                 match = None
@@ -631,6 +668,8 @@ class VectorizedSubQuerySearch:
                             logm_adv_l = table.logm_adv_l
                             m_cont_l = table.m_cont_l
                             logm_cont_l = table.logm_cont_l
+                            d_cont = table.d_cont
+                            d_adv = table.d_adv
                             bound_segment = segment
                         anc = anc_c[index]
                         log_product = lp_c[index]
@@ -638,6 +677,7 @@ class VectorizedSubQuerySearch:
                         hops1 = hops_c[index] + 1
                         his1 = his + 1
                         continuing = his1 < bound
+                        slack = bound - his1  # hops a continuing arrival has left
                         segment1 = segment + 1
                         advance_is_goal = segment1 == num_segments
                         hops_over = hops1 > total_bound
@@ -655,76 +695,85 @@ class VectorizedSubQuerySearch:
                             lp = log_product + lw_l[pid]
                             ws = weight_sum + w
                             if neighbor in phi:
-                                if advance_is_goal:
-                                    priority = (
-                                        (0.0 if lp <= log_prune else exp(lp / hops1))
-                                        if geometric
-                                        else ws / hops1
-                                    )
+                                if d_adv[neighbor] > bound:
+                                    by_reach += 1  # cannot close the next segment
                                 else:
-                                    touched.append(neighbor)
-                                    m = m_adv_l[neighbor]
-                                    if geometric:
-                                        priority = (
-                                            0.0
-                                            if hops_over or m <= 0.0 or lp <= log_prune
-                                            else exp(
-                                                (lp + logm_adv_l[neighbor])
-                                                / total_bound
+                                    if advance_is_goal:
+                                        if not geometric:
+                                            priority = ws / hops1
+                                        elif lp <= log_prune:
+                                            priority = 0.0
+                                        else:
+                                            priority = exp(lp / hops1)
+                                    else:
+                                        touched.append(neighbor)
+                                        m = m_adv_l[neighbor]
+                                        if geometric:
+                                            if hops_over or m <= 0.0 or lp <= log_prune:
+                                                priority = 0.0
+                                            else:
+                                                priority = exp(
+                                                    (lp + logm_adv_l[neighbor])
+                                                    / total_bound
+                                                )
+                                        else:
+                                            priority = estimate(lp, hops1, ws, m, 0.0)
+                                    # τ, then the visited policy, then the push.
+                                    if priority < tau:
+                                        by_tau += 1
+                                    else:
+                                        if generate:
+                                            key = neighbor * seg_mult + segment1
+                                            if key in visited:
+                                                by_visited += 1
+                                                key = None
+                                            else:
+                                                visited.add(key)
+                                        else:
+                                            key = (
+                                                (neighbor * seg_mult + segment1)
+                                                * hops_mult
+                                                + hops1
+                                            ) * his_mult
+                                            best = best_g.get(key)
+                                            if best is not None and lp <= best:
+                                                by_visited += 1
+                                                key = None
+                                            else:
+                                                best_g[key] = lp
+                                        if key is not None:
+                                            uid_app(neighbor)
+                                            seg_app(segment1)
+                                            hops_app(hops1)
+                                            his_app(0)
+                                            lp_app(lp)
+                                            ws_app(ws)
+                                            pr_app(priority)
+                                            par_app(index)
+                                            slot_app(slot)
+                                            key_app(key)
+                                            anc_app(anc + (neighbor,))
+                                            heap_push(
+                                                heap, (-priority, counter, pool_n)
                                             )
-                                        )
-                                    else:
-                                        priority = estimate(lp, hops1, ws, m, 0.0)
-                                # τ, then the visited policy, then the push.
-                                if priority < tau:
-                                    by_tau += 1
-                                else:
-                                    if generate:
-                                        key = neighbor * seg_mult + segment1
-                                        if key in visited:
-                                            by_visited += 1
-                                            key = None
-                                        else:
-                                            visited.add(key)
-                                    else:
-                                        key = (
-                                            (neighbor * seg_mult + segment1)
-                                            * hops_mult
-                                            + hops1
-                                        ) * his_mult
-                                        best = best_g.get(key)
-                                        if best is not None and lp <= best:
-                                            by_visited += 1
-                                            key = None
-                                        else:
-                                            best_g[key] = lp
-                                    if key is not None:
-                                        uid_app(neighbor)
-                                        seg_app(segment1)
-                                        hops_app(hops1)
-                                        his_app(0)
-                                        lp_app(lp)
-                                        ws_app(ws)
-                                        pr_app(priority)
-                                        par_app(index)
-                                        slot_app(slot)
-                                        key_app(key)
-                                        anc_app(anc + (neighbor,))
-                                        heap_push(heap, (-priority, counter, pool_n))
-                                        if advance_is_goal:
-                                            held = goals.get(neighbor)
-                                            if (
-                                                held is None
-                                                or priority > priority_c[held]
-                                            ):
-                                                goals[neighbor] = pool_n
-                                        counter += 1
-                                        pool_n += 1
-                                        queue_size += 1
-                                        generated += 1
-                                        if queue_size > max_queue:
-                                            max_queue = queue_size
-                            if continuing:
+                                            if advance_is_goal:
+                                                held = goals.get(neighbor)
+                                                if (
+                                                    held is None
+                                                    or priority > priority_c[held]
+                                                ):
+                                                    goals[neighbor] = pool_n
+                                            counter += 1
+                                            pool_n += 1
+                                            queue_size += 1
+                                            generated += 1
+                                            if queue_size > max_queue:
+                                                max_queue = queue_size
+                            if not continuing:
+                                by_bound += 1
+                            elif d_cont[neighbor] > slack:
+                                by_reach += 1  # no φ-match within the hops left
+                            else:
                                 touched.append(neighbor)
                                 m = m_cont_l[neighbor]
                                 if geometric:
@@ -777,8 +826,6 @@ class VectorizedSubQuerySearch:
                                         generated += 1
                                         if queue_size > max_queue:
                                             max_queue = queue_size
-                            else:
-                                by_bound += 1
                         if touched and note is not None:
                             # The reference touches a neighbour whenever it
                             # computes an Eq. 7 estimate for it.
@@ -794,6 +841,7 @@ class VectorizedSubQuerySearch:
             stats.pruned_by_tau = by_tau
             stats.pruned_by_visited = by_visited
             stats.pruned_by_bound = by_bound
+            stats.pruned_by_reach = by_reach
             stats.stale_pops = stale_pops
             stats.goals_emitted = goals_emitted
             stats.max_queue_size = max_queue

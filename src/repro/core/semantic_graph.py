@@ -25,7 +25,17 @@ backing cache the view behaves exactly as before — a private per-query
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Protocol, Set, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Hashable,
+    Iterable,
+    List,
+    Optional,
+    Protocol,
+    Set,
+    Tuple,
+)
 
 from repro.embedding.predicate_space import PredicateSpace
 from repro.errors import UnknownPredicateError
@@ -66,21 +76,55 @@ class WeightCache(Protocol):
 class RowWeightCache(WeightCache, Protocol):
     """A :class:`WeightCache` that can also share whole-graph *rows*.
 
-    A "row" is an opaque value covering one query predicate against the
-    entire bound graph — e.g. the vector of clamped weights per interned
-    graph-predicate id, or the vector of ``m(u)`` bounds per node.  Rows
-    are the compact kernel's unit of sharing; they are immutable by
-    contract and obey the same purity/evictability invariants as pair
-    entries.  Row support is *optional* for cache implementations:
-    compact views probe for it at runtime and simply skip the shared
-    cache when absent (``SemanticGraphCache`` implements it).
+    A "row" is an opaque value covering one key against the entire
+    bound graph — e.g. the vector of clamped weights of a query predicate
+    per interned graph-predicate id, the vector of its ``m(u)`` bounds
+    per node, or (kind ``"hop_label"``, keyed ``(name, etype, n̂)``) the
+    one-byte-per-node hop distance to a query node's φ set.  Rows are
+    the compact kernel's unit of sharing; they are immutable by contract
+    and obey the same purity/evictability invariants as pair entries.
+    Row support is *optional* for cache implementations: views probe for
+    it at runtime and simply skip the shared cache when absent
+    (``SemanticGraphCache`` implements it).
     """
 
-    def get_row(self, kind: str, query_predicate: str) -> Optional[object]:
+    def get_row(self, kind: str, key: Hashable) -> Optional[object]:
         ...
 
-    def put_row(self, kind: str, query_predicate: str, row: object) -> None:
+    def put_row(self, kind: str, key: Hashable, row: object) -> None:
         ...
+
+
+#: The φ signature a hop label is keyed by: ``(node.name, node.etype)``,
+#: the :class:`~repro.query.transform.NodeMatcher` memo key.
+PhiKey = Tuple[Optional[str], Optional[str]]
+
+
+def shared_hop_label(
+    view, key: PhiKey, bound: int, compute: Callable[[int], bytes]
+) -> bytes:
+    """A view's hop label through its per-query memo and the row cache.
+
+    The one place that knows the row kind (``"hop_label"``), its key
+    (``key + (n̂,)``) and the value a label saturates at (``n̂ + 1``,
+    held to one byte, handed to ``compute``); the two views differ only
+    in how they compute a missing label.
+    """
+    row_key = key + (bound,)
+    label = view._hop_labels.get(row_key)
+    if label is None:
+        # Row support is optional for a cache (see RowWeightCache).
+        cache = view._cache if hasattr(view._cache, "get_row") else None
+        if cache is not None:
+            label = cache.get_row("hop_label", row_key)
+        if label is not None:
+            view.cache_hits += 1
+        else:
+            label = compute(min(bound + 1, 255))
+            if cache is not None:
+                cache.put_row("hop_label", row_key, label)
+        view._hop_labels[row_key] = label
+    return label
 
 
 class WeightedGraphView(Protocol):
@@ -89,7 +133,9 @@ class WeightedGraphView(Protocol):
     Kept minimal so alternative backends can stand in for
     :class:`SemanticGraphView` — the numpy-backed
     :class:`~repro.core.compact_view.CompactSemanticGraphView` today,
-    shard proxies later.
+    shard proxies later.  A view may additionally offer ``hop_label``
+    (see :meth:`SemanticGraphView.hop_label`); the search applies the
+    reach prune exactly when it does.
     """
 
     def weighted_incident(
@@ -142,6 +188,8 @@ class SemanticGraphView:
         # L1, per query: (uid, query predicate) -> max adjacent weight
         # (the m(u) of Lemma 1)
         self._max_adjacent_cache: Dict[Tuple[int, str], float] = {}
+        # L1, per query: (name, etype, n̂) -> hop label (see hop_label)
+        self._hop_labels: Dict[Tuple, bytes] = {}
         self._touched_nodes: Set[int] = set()
         self.edges_weighted = 0  # similarities actually computed by this view
         self.cache_hits = 0  # lookups served by the shared cache
@@ -235,6 +283,43 @@ class SemanticGraphView:
             if weight > best:
                 best = weight
         return best
+
+    def hop_label(self, key: PhiKey, phi: Iterable[int], bound: int) -> bytes:
+        """``d[u]``: hops from ``u`` to the nearest φ-match, one byte per node.
+
+        ``d[u]`` is the length of the shortest walk of **at least one**
+        hop from ``u`` to a member of ``phi`` over the undirected
+        incidence (a φ-match itself reads the way back to the set, not
+        0), saturating at ``n̂ + 1``.  A segment closes only by
+        *arriving* at a φ-match, so a state at ``u`` with ``h`` hops
+        spent needs ``h + d[u] <= n̂`` to ever close it — weights, τ and
+        the simple-path rule can only lengthen the way, never shorten
+        it.  ``key`` is the query node's ``(name, etype)``: the label
+        depends on topology and φ alone, so it is shared across queries
+        (row kind ``"hop_label"``, keyed ``key + (n̂,)``) by any cache
+        that serves one matcher.
+
+        This breadth-first search is the definition the compact view's
+        vectorized sweeps are tested against.  Only newly labelled nodes
+        are expanded: a node first reached in ``k + 1`` hops has a
+        neighbour first reached in ``k`` (or in φ, for ``k = 0``).
+        """
+
+        def breadth_first(cap: int) -> bytes:
+            incident = self.kg.incident
+            distance = bytearray([cap]) * self.kg.num_entities
+            frontier = list(phi)
+            for hop in range(1, cap):
+                reached = []
+                for uid in frontier:
+                    for _edge, neighbor in incident(uid):
+                        if distance[neighbor] > hop:
+                            distance[neighbor] = hop
+                            reached.append(neighbor)
+                frontier = reached
+            return bytes(distance)
+
+        return shared_hop_label(self, key, bound, breadth_first)
 
     # ------------------------------------------------------------------
     @property

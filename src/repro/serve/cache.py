@@ -45,7 +45,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Hashable, Optional, Tuple
 
 from repro.errors import ServeError
 
@@ -154,13 +154,14 @@ class SemanticGraphCache:
             (up to ``|touched nodes| × |query predicates seen|`` entries).
         max_rows: capacity of the row map used by compact views.  The
             live count is ``4 × |query predicates seen|`` (weights,
-            bounds and the exact-log twin of each); the bound caps
-            adversarial predicate churn.  Unlike the scalar maps, each
-            entry here is a whole-graph vector — bounds rows and their
-            logs cost 8 bytes *per graph node* — so deployments on very
-            large graphs should size ``max_rows`` against
-            ``8 × num_nodes`` per entry, not treat it as a near-free
-            ceiling.
+            bounds and the exact-log twin of each) plus one hop label
+            per (query-node signature, n̂) seen; the bound caps
+            adversarial predicate and entity churn.  Unlike the scalar
+            maps, each entry here is a whole-graph vector — bounds rows
+            and their logs cost 8 bytes *per graph node*, a hop label
+            1 — so deployments on very large graphs should size
+            ``max_rows`` against ``8 × num_nodes`` per entry, not treat
+            it as a near-free ceiling.
     """
 
     def __init__(
@@ -221,15 +222,15 @@ class SemanticGraphCache:
         with self._lock:
             self._adjacent.put((uid, query_predicate), weight)
 
-    def get_row(self, kind: str, query_predicate: str) -> Optional[object]:
+    def get_row(self, kind: str, key: Hashable) -> Optional[object]:
         """One whole-graph row (compact-kernel protocol); ``None`` on miss."""
         with self._lock:
-            return self._rows.get((kind, query_predicate))
+            return self._rows.get((kind, key))
 
-    def put_row(self, kind: str, query_predicate: str, row: object) -> None:
+    def put_row(self, kind: str, key: Hashable, row: object) -> None:
         """Publish a whole-graph row.  Rows are immutable by contract."""
         with self._lock:
-            self._rows.put((kind, query_predicate), row)
+            self._rows.put((kind, key), row)
 
     # ------------------------------------------------------------------
     # introspection / maintenance

@@ -99,6 +99,7 @@ class QueryBreakdown:
     expansions: int = 0
     pruned_by_tau: int = 0
     pruned_by_visited: int = 0
+    pruned_by_reach: int = 0
     stale_pops: int = 0
     max_queue_size: int = 0
 
@@ -257,7 +258,8 @@ class ReplayReport:
             share = assembly / total if total > 0 else 0.0
             expansions = sum(b.expansions for b in self.breakdown)
             pruned = sum(
-                b.pruned_by_tau + b.pruned_by_visited for b in self.breakdown
+                b.pruned_by_tau + b.pruned_by_visited + b.pruned_by_reach
+                for b in self.breakdown
             )
             stale = sum(b.stale_pops for b in self.breakdown)
             lines.append(
@@ -286,7 +288,8 @@ class ReplayReport:
                     f" + assembly {row.assembly_seconds * 1000:.1f}"
                     f" ({row.assembly_share * 100.0:.1f}% assembly,"
                     f" {row.ta_rounds} rounds; {row.expansions} exp,"
-                    f" {row.pruned_by_tau}+{row.pruned_by_visited} pruned,"
+                    f" {row.pruned_by_tau}+{row.pruned_by_visited}"
+                    f"+{row.pruned_by_reach} pruned,"
                     f" q<={row.max_queue_size}){flag}"
                 )
         return "\n".join(lines)
@@ -558,6 +561,7 @@ def replay(
                                 expansions=result.expansions,
                                 pruned_by_tau=result.pruned_by_tau,
                                 pruned_by_visited=result.pruned_by_visited,
+                                pruned_by_reach=result.pruned_by_reach,
                                 stale_pops=result.stale_pops,
                                 max_queue_size=result.max_queue_size,
                             )

@@ -87,7 +87,9 @@ def pearson_correlation(xs: Sequence[float], ys: Sequence[float]) -> float:
 
     Returns 0.0 when either list has zero variance (the convention used by
     the user-study evaluation, where a constant preference list carries no
-    ranking signal).
+    ranking signal).  The coefficient is clamped to ``[-1, 1]``: with a
+    denormal variance the quotient can land ~1e-7 outside the interval
+    Cauchy-Schwarz guarantees.
     """
     if len(xs) != len(ys):
         raise ValueError("pearson_correlation requires equal-length inputs")
@@ -102,4 +104,4 @@ def pearson_correlation(xs: Sequence[float], ys: Sequence[float]) -> float:
     if denominator == 0.0:
         # Either list is constant (or its variance underflowed): no signal.
         return 0.0
-    return cov / denominator
+    return max(-1.0, min(1.0, cov / denominator))

@@ -4,12 +4,23 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.bench.datasets import load_bundle
 from repro.embedding.predicate_space import PredicateSpace
 from repro.kg.graph import KnowledgeGraph
 from repro.kg.schema import dbpedia_like_schema
 from repro.query.transform import NodeMatcher, TransformationLibrary
+
+# Tier-1 reruns are bit-identical: every hypothesis suite draws the same
+# examples on every run.  CI searches for new counter-examples in a
+# separate, non-blocking step with ``--hypothesis-profile=default``.
+settings.register_profile("tier1", derandomize=True)
+
+
+def pytest_configure(config):
+    if not config.getoption("hypothesis_profile", None):
+        settings.load_profile("tier1")
 
 
 def _unit(vector):

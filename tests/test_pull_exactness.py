@@ -5,14 +5,19 @@ fused A* loop — must return what the paper's transcriptions
 (``assembly_kernel="reference", search_kernel="reference"``) return:
 equal pivots, bit-equal scores, equal components with equal pss and
 paths, equal ``ta_rounds`` and ``ta_accesses``, and every sub-query
-search equal counter for counter.  Checked over the small bundle and two
-generated pools (the perf ledger's recipe at smoke size), not only by
-the ledger's uid judge.
+search equal counter for counter (``pruned_by_reach`` included: both
+sides take the same reach prune under ``EXPAND`` and none under
+``GENERATE``).  Checked over the small bundle and two generated pools
+(the perf ledger's recipe at smoke size) under both visited policies,
+not only by the ledger's uid judge.
 """
+
+import dataclasses
 
 import pytest
 
 from repro.bench.equivalence import query_results_differ
+from repro.core.config import SearchConfig, VisitedPolicy
 from repro.core.engine import SemanticGraphQueryEngine
 from repro.scenarios import WorkloadBuilder, build_resources
 
@@ -49,15 +54,19 @@ def inputs(request, small_bundle):
     return ledger_pool(int(request.param.rsplit("-", 1)[1]))
 
 
-def test_production_pull_equals_the_oracle_pair(inputs):
+@pytest.mark.parametrize("policy", list(VisitedPolicy), ids=lambda p: p.value)
+def test_production_pull_equals_the_oracle_pair(inputs, policy):
     kg, space, library, config, queries = inputs
+    config = dataclasses.replace(config or SearchConfig(), visited_policy=policy)
     oracle = SemanticGraphQueryEngine(
         kg, space, library, config, compact=True,
         assembly_kernel="reference", search_kernel="reference",
     )
     production = SemanticGraphQueryEngine(kg, space, library, config, compact=True)
+    pruned = 0
     for qid, query in queries:
-        problem = query_results_differ(
-            qid, oracle.search(query, k=TOP_K), production.search(query, k=TOP_K)
-        )
+        answer = production.search(query, k=TOP_K)
+        problem = query_results_differ(qid, oracle.search(query, k=TOP_K), answer)
         assert problem is None, problem
+        pruned += answer.pruned_by_reach
+    assert (pruned > 0) == (policy is VisitedPolicy.EXPAND)

@@ -4,8 +4,8 @@ The vectorized kernel (`repro.core.search_kernel`) must make the same
 decision as the linked-state reference search at every step under both
 visited policies — so drained match streams (pivots, bit-equal pss,
 emission order, paths down to shared ``Edge`` objects) and every search
-counter (expansions, τ/visited/bound prunes, stale pops, queue peak)
-must be identical, across randomized graphs, multi-segment sub-queries,
+counter (expansions, reach/τ/visited/bound prunes, stale pops, queue
+peak) must be identical, across randomized graphs, multi-segment sub-queries,
 τ sweeps and mid-stream ``next_match`` resumption.  The kernel emits
 path-less pending matches, so the suites build the path of *every*
 emitted match (``materialised``) before comparing — not only of the
@@ -205,6 +205,7 @@ class TestRandomizedConformance:
         ref_matches = reference.run(10**6)
         vec_matches = materialised(vectorized, vectorized.run(10**6))
         assert path_matches_differ("cap", ref_matches, vec_matches) is None
+        assert search_stats_differ("cap", reference.stats, vectorized.stats) is None
         assert reference.stats.expansions == vectorized.stats.expansions <= 25
 
 

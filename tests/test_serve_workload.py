@@ -129,11 +129,13 @@ class TestReplay:
             assert row.expansions > 0
             assert row.pruned_by_tau >= 0
             assert row.pruned_by_visited >= 0
+            assert row.pruned_by_reach >= 0
             assert row.stale_pops >= 0
             assert row.max_queue_size > 0
         text = report.describe()
         assert "search totals:" in text
         assert "expansions" in text and "stale pops" in text
+        assert sum(row.pruned_by_reach for row in report.breakdown) > 0
 
     def test_class_latency_buckets(self, service, small_bundle):
         items = [
