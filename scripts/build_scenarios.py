@@ -6,11 +6,12 @@ takes the held-out split, and writes three artifacts under
 ``benchmarks/scenarios/``:
 
 - ``held_out_v1.pkl`` — the frozen :class:`~repro.scenarios.Workload`
-  (the thing ``repro-serve-workload --scenario`` and CI gate 5 replay);
+  (the thing ``repro-serve-workload --scenario`` and
+  ``tests/test_held_out_conformance.py`` replay);
 - ``held_out_v1.manifest.json`` — the pure-JSON manifest of the same
   workload, for human diffing and format-drift detection in review;
 - ``held_out_v1.golden.json`` — the recorded exact-query answer sets
-  the gate asserts equivalence against.
+  every replay is asserted equal to.
 
 Before writing anything the script replays the workload twice and
 refuses to proceed unless both passes produce the identical answer

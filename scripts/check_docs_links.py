@@ -9,6 +9,9 @@ Checks, across all tracked ``*.md`` files (skipping ``benchmarks/results``):
 2. inline-code repo paths like ``src/repro/core/engine.py`` exist —
    only tokens that contain a ``/`` and end in ``.py`` or ``.md`` are
    treated as path claims, so prose code spans stay unaffected.
+   ``ROADMAP.md`` and ``CHANGES.md`` are exempt from this rule (not from
+   rule 1): a plan abbreviates paths and a changelog names files that
+   existed when the entry was written.
 
 And, across the Python sources under ``src/`` and ``benchmarks/*.py``:
 
@@ -34,6 +37,8 @@ EXTERNAL = ("http://", "https://", "mailto:")
 # Research scaffolding (issue briefs, paper-retrieval dumps) — not
 # project docs; their link targets live outside this repository.
 SKIP_NAMES = {"ISSUE.md", "PAPERS.md", "SNIPPETS.md", "PAPER.md"}
+# Planning scaffolding and history: links are checked, path claims not.
+HISTORY_NAMES = {"ROADMAP.md", "CHANGES.md"}
 
 
 def check_file(md: Path) -> list:
@@ -45,7 +50,8 @@ def check_file(md: Path) -> list:
         resolved = (md.parent / target.split("#")[0]).resolve()
         if not resolved.exists():
             problems.append(f"broken link: ({target})")
-    for span in CODE_SPAN.findall(text):
+    spans = () if md.name in HISTORY_NAMES else CODE_SPAN.findall(text)
+    for span in spans:
         if PATH_CLAIM.match(span) and not (REPO / span).exists():
             problems.append(f"missing path: `{span}`")
     return problems

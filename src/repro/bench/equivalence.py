@@ -1,14 +1,12 @@
-"""Shared result-identity predicates for the kernel equivalence gates.
+"""Shared result-identity predicates for the kernel conformance suites.
 
 Every kernel this reproduction adds (the compact CSR semantic-graph view,
 the incremental TA assembly kernel, the array-backed A* search kernel)
 claims *identical results* to its reference implementation — same final
 matches, bit-equal scores, same components, and for the search kernel
 the same per-sub-query emission stream and counters.  This module owns
-the one definition of those claims, so the CI gates
-(`repro.bench.compactbench`, `repro.bench.assemblybench`,
-`repro.bench.searchbench`, `scripts/bench_smoke.py`) and the conformance
-test suites cannot drift in what they actually check.
+the one definition of those claims, so the conformance test suites
+cannot drift in what they actually check.
 """
 
 from __future__ import annotations

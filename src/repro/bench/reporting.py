@@ -1,16 +1,15 @@
 """Plain-text table rendering for benchmark output.
 
 Every benchmark module prints its paper-style table through these helpers
-and also appends it to ``benchmarks/results/`` so the final run's numbers
-can be lifted into README.md verbatim.
+and, when run from a checkout, also writes it under
+``benchmarks/results/logs/`` so the final run's numbers can be lifted
+into README.md verbatim.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.bench.runner import SweepRow
 
@@ -62,43 +61,27 @@ def format_sweep(rows: Sequence[SweepRow], title: str) -> str:
     )
 
 
-def results_dir() -> Path:
-    """``benchmarks/results`` relative to the repository root."""
-    root = Path(__file__).resolve().parents[3]
-    path = root / "benchmarks" / "results"
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+def logs_dir() -> Optional[Path]:
+    """``benchmarks/results/logs`` of the checkout this module runs from.
 
-
-def logs_dir() -> Path:
-    """``benchmarks/results/logs`` — human-readable, git-ignored output.
-
-    Kept apart from the machine-readable ``BENCH_*.json`` artifacts (the
-    only files force-added from the ignored results tree), so a bench run
-    can never leave a stray text log looking like a tracked artifact.
+    Human-readable, git-ignored output.  ``None`` when no ``benchmarks/``
+    directory sits beside ``src/``: under a regular (non-editable)
+    install three levels up is the interpreter's ``lib/`` directory, and
+    nothing is to be created there.
     """
-    path = results_dir() / "logs"
+    benchmarks = Path(__file__).resolve().parents[3] / "benchmarks"
+    if not benchmarks.is_dir():
+        return None
+    path = benchmarks / "results" / "logs"
     path.mkdir(parents=True, exist_ok=True)
     return path
 
 
 def emit(name: str, text: str) -> None:
-    """Print a report block and persist it under benchmarks/results/logs/."""
+    """Print a report block; in a checkout, also persist it under
+    ``benchmarks/results/logs/``."""
     print()
     print(text)
-    target = logs_dir() / f"{name}.txt"
-    with target.open("w", encoding="utf-8") as handle:
-        handle.write(text + "\n")
-
-
-def emit_json(name: str, payload: dict) -> Path:
-    """Persist a machine-readable report as ``benchmarks/results/<name>.json``.
-
-    Used for ``BENCH_*.json`` artifacts that CI uploads (e.g. the
-    compact-kernel equivalence/speedup report); returns the written path.
-    """
-    target = results_dir() / f"{name}.json"
-    with target.open("w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return target
+    logs = logs_dir()
+    if logs is not None:
+        (logs / f"{name}.txt").write_text(text + "\n", encoding="utf-8")

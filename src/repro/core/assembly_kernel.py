@@ -40,8 +40,7 @@ outside the top-k has ``U = lower ≤ L_k`` and is filed nowhere.
 
 The same streams are pulled in the same rounds as the reference, so
 matches, scores, components, ``accesses``, ``rounds`` and both flags are
-identical.  Conformance is enforced by ``tests/test_assembly_kernel.py``
-and by gate 2 of ``scripts/bench_smoke.py``.
+identical.  Conformance is enforced by ``tests/test_assembly_kernel.py``.
 """
 
 from __future__ import annotations

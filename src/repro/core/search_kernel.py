@@ -61,8 +61,7 @@ from the view as rows (``log_weight_row_array`` /
 across queries like the rows they mirror, so no log is taken per search.
 ``tests/test_search_kernel.py`` pins matches, pss, emission order, the
 materialised path of every emitted match and every search counter
-against the reference across randomized graphs, policies and τ sweeps;
-``repro.bench.searchbench`` re-proves it in CI.
+against the reference across randomized graphs, policies and τ sweeps.
 
 The public surface mirrors :class:`SubQuerySearch` exactly —
 ``next_match`` / ``run`` / ``step`` / ``materialise`` / ``exhausted`` /

@@ -19,15 +19,11 @@ from repro.scenarios.augment import (
 )
 from repro.scenarios.intents import INTENT_NAMES, generate_intent_queries
 from repro.scenarios.replay import (
-    ScenarioGateReport,
     ScenarioReplayResult,
-    TbqContractReport,
     answer_digest,
     build_resources,
     load_golden,
     replay_scenario,
-    run_scenario_gate,
-    run_tbq_contract_gate,
     scenario_items,
 )
 from repro.scenarios.suite import (
@@ -49,11 +45,9 @@ __all__ = [
     "DeadlineMix",
     "DomainVocabulary",
     "INTENT_NAMES",
-    "ScenarioGateReport",
     "ScenarioQuery",
     "ScenarioReplayResult",
     "ScenarioSuite",
-    "TbqContractReport",
     "WORKLOAD_FORMAT_VERSION",
     "Workload",
     "WorkloadBuilder",
@@ -66,8 +60,6 @@ __all__ = [
     "paraphrase_predicate",
     "predicate_affinity",
     "replay_scenario",
-    "run_scenario_gate",
-    "run_tbq_contract_gate",
     "scenario_items",
     "split_workload",
 ]

@@ -4,7 +4,7 @@ A :class:`Workload` is the frozen output of the scenario pipeline —
 domain, intent mix, augmentation provenance, arrival spec, k, τ and the
 deadline mix, plus every generated query — picklable as one artifact and
 reconstructible from a pure-JSON manifest.  The replay driver
-(``repro-serve-workload --scenario``) and the CI scenario gate consume
+(``repro-serve-workload --scenario``) and the held-out conformance tests consume
 these artifacts, never live generator state, so a benched workload can
 be checked in, diffed and replayed byte-identically years later.
 
@@ -40,10 +40,11 @@ from repro.utils.rng import derive_rng
 #: Bump on any incompatible change to the artifact layout.
 WORKLOAD_FORMAT_VERSION = 1
 
-#: Default per-intent p95 latency budget (milliseconds) for the CI gate.
-#: Generous on purpose: scenario queries run in single-digit milliseconds
-#: at gate scale, so the budget catches order-of-magnitude regressions
-#: without flaking on shared-runner noise.
+#: Default per-intent p95 latency budget (milliseconds), asserted by
+#: ``tests/test_held_out_conformance.py``.  Generous on purpose: scenario
+#: queries run in single-digit milliseconds at the checked-in scale, so
+#: the budget catches order-of-magnitude regressions without flaking on
+#: shared-runner noise.
 DEFAULT_LATENCY_BUDGET_P95_MS = 2000.0
 
 

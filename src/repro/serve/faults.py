@@ -1,7 +1,7 @@
 """Deterministic, picklable fault injection for the serving stack.
 
 Chaos testing is only trustworthy when it is reproducible: a crash that
-happens on a different request every run produces flaky gates and
+happens on a different request every run produces flaky tests and
 undebuggable failures.  This module therefore separates the *plan* from
 the *runtime*:
 
@@ -19,7 +19,7 @@ the *runtime*:
 Plans are *epoch-scoped*: ``epochs`` counts the pool generations the
 plan poisons.  The supervisor calls :meth:`FaultPlan.next_epoch` on
 every pool rebuild, so with the default ``epochs=1`` a rebuilt pool
-comes up healthy — which is exactly the property the chaos gate needs
+comes up healthy — which is exactly the property a chaos replay needs
 (crash, recover, converge to the fault-free answers).
 """
 

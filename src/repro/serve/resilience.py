@@ -172,8 +172,8 @@ class CircuitBreaker:
 class ResilienceStats:
     """Supervision counters (monotonic over the supervisor's lifetime).
 
-    ``rebuild_seconds`` records each pool rebuild's wall-clock cost —
-    the recovery-latency number the chaos gate reports.
+    ``rebuild_seconds`` records each pool rebuild's wall-clock cost (the
+    recovery latency).
     ``breaker_state`` is a gauge sampled when the snapshot was taken.
     """
 

@@ -37,8 +37,8 @@ functions of the graph/space, memoized decompositions are deterministic,
 worker scheduling never reorders per-query state, and a process worker's
 engine is built from a pickle-faithful copy of the same graph, space and
 library.  The cross-backend conformance suite
-(``tests/test_serve_backends.py``) and CI gate 4
-(``scripts/bench_smoke.py``) pin this.
+(``tests/test_serve_backends.py``) and the held-out replay against its
+golden answers (``tests/test_held_out_conformance.py``) pin this.
 """
 
 from __future__ import annotations

@@ -272,82 +272,19 @@ class TestReporting:
         text = format_sweep(rows, "demo")
         assert "SGQ" in text and "time (ms)" in text
 
+    def test_emit_persists_only_inside_a_checkout(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        from repro.bench import reporting
 
-class TestAssemblyBenchHarness:
-    def test_comparison_equivalence_folds_in_endtoend_mismatch(self):
-        """Equivalence must reflect *every* gate — the synthetic cases
-        and an attached end-to-end comparison — in the object and the
-        CI artifact alike."""
-        from repro.bench.assemblybench import AssemblyKernelComparison
-
-        comparison = AssemblyKernelComparison(
-            num_cases=1,
-            reference_seconds=1.0,
-            vectorized_seconds=0.1,
-        )
-        assert comparison.equivalent
-        assert comparison.to_json()["equivalent"]
-        comparison.d12 = {
-            "equivalent": False,
-            "mismatch": "D12#0: score 1.0 != 2.0",
-        }
-        assert not comparison.equivalent
-        payload = comparison.to_json()
-        assert not payload["equivalent"]
-        assert payload["mismatches"] == ["D12#0: score 1.0 != 2.0"]
-
-    def test_smoke_cases_conformant(self):
-        """The exact case mix the CI gate runs stays result-identical."""
-        from repro.bench.assemblybench import (
-            compare_assembly_kernels,
-            default_cases,
-        )
-
-        comparison = compare_assembly_kernels(default_cases("smoke"), passes=1)
-        assert comparison.equivalent, comparison.mismatches
-        assert comparison.num_cases == 5
-
-
-class TestMulticoreSpeedupGate:
-    """Branch selection for the parallel-serving speedup assertion.
-
-    The benchmark's >= 4-core assertion path historically never ran in
-    CI containers and was therefore untested; the gate is now a pure
-    function so every branch is exercised with injected core counts.
-    """
-
-    def test_enough_cores_asserts(self):
-        from repro.bench.parallelbench import multicore_speedup_gate
-
-        should_assert, reason = multicore_speedup_gate(4)
-        assert should_assert
-        assert "4 core(s)" in reason
-
-        should_assert, reason = multicore_speedup_gate(16)
-        assert should_assert
-        assert "16 core(s)" in reason
-
-    def test_too_few_cores_skips_with_measured_count(self):
-        from repro.bench.parallelbench import multicore_speedup_gate
-
-        for cores in (1, 2, 3):
-            should_assert, reason = multicore_speedup_gate(cores)
-            assert not should_assert
-            # The skip reason must carry the measured count so the test
-            # report shows *why* the assertion did not run.
-            assert f"only {cores} core(s)" in reason
-            assert "informational" in reason
-
-    def test_undetermined_cpu_count_counts_as_one_core(self):
-        from repro.bench.parallelbench import multicore_speedup_gate
-
-        should_assert, reason = multicore_speedup_gate(None)
-        assert not should_assert
-        assert "only 1 core(s)" in reason
-
-    def test_custom_threshold(self):
-        from repro.bench.parallelbench import multicore_speedup_gate
-
-        assert multicore_speedup_gate(2, min_cores=2)[0]
-        assert not multicore_speedup_gate(2, min_cores=8)[0]
-        assert "< 8" in multicore_speedup_gate(2, min_cores=8)[1]
+        # A regular install: three levels up is lib/, with no benchmarks/.
+        module = tmp_path / "lib" / "site-packages" / "repro" / "bench"
+        monkeypatch.setattr(reporting, "__file__", str(module / "reporting.py"))
+        reporting.emit("demo", "table")
+        assert "table" in capsys.readouterr().out
+        assert list(tmp_path.iterdir()) == []
+        # A checkout: benchmarks/ sits beside the source tree.
+        (tmp_path / "lib" / "benchmarks").mkdir(parents=True)
+        reporting.emit("demo", "table")
+        log = tmp_path / "lib" / "benchmarks" / "results" / "logs" / "demo.txt"
+        assert log.read_text() == "table\n"

@@ -8,6 +8,7 @@ import pickle
 
 import pytest
 
+from repro.bench.equivalence import final_matches_differ
 from repro.core.compact_view import CompactSemanticGraphView, CompactViewFactory
 from repro.core.engine import SemanticGraphQueryEngine
 from repro.core.semantic_graph import SemanticGraphView
@@ -201,14 +202,8 @@ class TestViewConformance:
 # engine-level conformance: identical matches, with and without caches
 # ----------------------------------------------------------------------
 def _assert_same_results(a, b):
-    assert len(a.matches) == len(b.matches)
-    for ma, mb in zip(a.matches, b.matches):
-        assert ma.pivot_uid == mb.pivot_uid
-        assert ma.score == mb.score  # bit-equal, not approx
-        assert sorted(ma.components) == sorted(mb.components)
-        for index, part in ma.components.items():
-            assert part.pss == mb.components[index].pss
-            assert part.path == mb.components[index].path
+    problem = final_matches_differ("lazy vs compact", a.matches, b.matches)
+    assert problem is None, problem
 
 
 class TestEngineConformance:

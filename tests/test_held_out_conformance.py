@@ -1,0 +1,208 @@
+"""Held-out scenario conformance: every serving arm against one oracle.
+
+The paper's contract is exactness — Theorem 2 (A* emits sub-matches in
+pss order) and Theorem 3 (the TA stops with the true top-k) — so every
+backend, store form, shard layout, cache state and recovery path must
+return *the same answers*.  This module replays the checked-in
+``benchmarks/scenarios/held_out_v1.pkl`` through
+:func:`repro.scenarios.replay_scenario` on each such arm and judges all
+of them against the checked-in golden answers, never against another
+replay: every qid a replay returns must equal ``golden[qid]``, and an
+arm that replays every exact query must print the golden digest.
+
+Each arm also keeps the guard that stops it passing vacuously: the chaos
+arm needs a real pool rebuild, the evicting arm real evictions, the
+roomy cache a hot hit rate from the service's own counters, and no arm
+may leave a ``/dev/shm`` segment behind.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from repro.core.engine import SemanticGraphQueryEngine
+from repro.kg.shm import leaked_segments
+from repro.scenarios import (
+    Workload,
+    answer_digest,
+    build_resources,
+    load_golden,
+    replay_scenario,
+)
+from repro.serve.faults import FaultPlan
+from repro.serve.resilience import BackoffPolicy
+from repro.serve.workload import PopularitySpec
+from repro.utils.stats import percentile
+from repro.utils.timing import BudgetClock
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "benchmarks" / "scenarios"
+
+INLINE = {"backend": "inline"}
+PROCESS_SHM = {"backend": "process", "workers": 2, "shared_graph": True}
+
+#: Arms that replay every exact query once: the golden digest, whole.
+FULL_COVERAGE_ARMS = {
+    "inline": INLINE,
+    "thread": {"backend": "thread", "workers": 2},
+    "process": {"backend": "process", "workers": 2},
+    "process-shm": PROCESS_SHM,
+    "inline-2shards": dict(INLINE, shards=2),
+    "inline-4shards": dict(INLINE, shards=4),
+    "process-shm-2shards": dict(PROCESS_SHM, shards=2),
+    "process-shm-4shards": dict(PROCESS_SHM, shards=4),
+}
+
+#: One worker SIGKILLed on its 3rd request (the whole pool breaks — the
+#: expensive recovery path) plus a transient error on a 2nd (the cheap
+#: retry path); the plan's default ``epochs=1`` leaves the rebuilt pool
+#: healthy.
+CHAOS_PLAN = "crash@3;transient@2;seed=11"
+#: Worst case the plan stacks on one request: a transient failure, the
+#: retry landing on the crashing worker, then a pool break racing the
+#: rebuild — three failures — with headroom.
+CHAOS_POLICY = BackoffPolicy(retries=5, base_seconds=0.005, cap_seconds=0.05, seed=11)
+
+#: Hot-key traffic: a seeded Zipf draw, four requests per frozen query.
+ZIPF_SKEW = 1.2
+ROOMY_CAPACITY = 256
+#: Fewer entries than the distinct exact queries the draw touches.
+EVICTING_CAPACITY = 3
+
+
+@pytest.fixture(scope="module")
+def workload():
+    return Workload.from_pickle(SCENARIO_DIR / "held_out_v1.pkl")
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return load_golden(SCENARIO_DIR / "held_out_v1.golden.json")
+
+
+@pytest.fixture(scope="module")
+def resources(workload):
+    return build_resources(workload)
+
+
+def golden_problems(answers, golden):
+    """One line per replayed qid whose answer set is not the golden one."""
+    problems = []
+    for qid, names in sorted(answers.items()):
+        if qid not in golden:
+            problems.append(f"{qid}: no golden record")
+            continue
+        actual, expected = set(names), set(golden[qid])
+        if actual != expected:
+            problems.append(
+                f"{qid}: gained {sorted(actual - expected)}, "
+                f"lost {sorted(expected - actual)}"
+            )
+    return problems
+
+
+def replay_arm(workload, resources, golden, **arm):
+    """Replay one arm; every answer it returns is the golden one, nothing
+    failed and nothing leaked."""
+    run = replay_scenario(workload, resources=resources, **arm)
+    assert run.answers, "the replay returned no exact answer"
+    assert golden_problems(run.answers, golden) == []
+    assert run.report.failed == 0
+    assert leaked_segments() == []
+    return run
+
+
+def test_golden_problems_names_gained_and_lost_answers():
+    golden = {"q1": ["a", "b"], "q2": ["c"]}
+    assert golden_problems({"q1": ["b", "a"]}, golden) == []
+    assert golden_problems({"q1": ["a", "x"], "q3": []}, golden) == [
+        "q1: gained ['x'], lost ['b']",
+        "q3: no golden record",
+    ]
+
+
+@pytest.mark.parametrize("arm", sorted(FULL_COVERAGE_ARMS))
+def test_arm_prints_the_golden_digest(workload, resources, golden, arm):
+    run = replay_arm(workload, resources, golden, **FULL_COVERAGE_ARMS[arm])
+    assert run.digest == answer_digest(golden)
+
+
+def test_per_intent_p95_within_the_artifact_budget(workload, resources, golden):
+    """Generous by design (2 s per class): a latency regression only an
+    order of magnitude could cause — no ledger row is per intent yet."""
+    run = replay_arm(workload, resources, golden, **INLINE)
+    assert set(run.report.class_latencies) == set(workload.latency_budget_p95_ms)
+    for intent, latencies in run.report.class_latencies.items():
+        p95_ms = percentile(latencies, 95) * 1000.0
+        assert p95_ms <= workload.latency_budget_p95_ms[intent], intent
+
+
+def test_injected_crash_still_prints_the_golden_digest(workload, resources, golden):
+    run = replay_arm(
+        workload,
+        resources,
+        golden,
+        fault_plan=FaultPlan.parse(CHAOS_PLAN),
+        retry_policy=CHAOS_POLICY,
+        **PROCESS_SHM,
+    )
+    assert run.digest == answer_digest(golden)
+    # Otherwise the crash never fired and the arm proved nothing.
+    assert run.report.resilience["pool_rebuilds"] >= 1
+
+
+@pytest.mark.parametrize("capacity", [0, ROOMY_CAPACITY, EVICTING_CAPACITY],
+                         ids=["off", "roomy", "evicting"])
+@pytest.mark.parametrize("arm", [INLINE, PROCESS_SHM], ids=["inline", "process-shm"])
+def test_answer_cache_serves_golden_answers_on_zipf_traffic(
+    workload, resources, golden, arm, capacity
+):
+    run = replay_arm(
+        workload,
+        resources,
+        golden,
+        popularity=PopularitySpec(
+            kind="zipf", s=ZIPF_SKEW, length=4 * len(workload.queries)
+        ),
+        answer_cache=capacity,
+        **arm,
+    )
+    assert len(run.answers) > EVICTING_CAPACITY
+    counters = run.report.answers
+    if capacity == EVICTING_CAPACITY:
+        assert counters["answer_evictions"] > 0
+    elif capacity == ROOMY_CAPACITY:
+        # An unpaced pool replay has every repeat in flight at once, so
+        # there the repeats are singleflight followers, not hits.
+        spared = counters["answer_hits"] + counters["singleflight_collapsed"]
+        assert spared / (spared + counters["answer_misses"]) >= 0.5
+        assert counters["answer_evictions"] == 0
+
+
+def test_tbq_meets_section_vi_at_both_ends_of_the_bound(workload, resources, golden):
+    """One ``BudgetClock`` tick is one A* expansion.  A bound no query
+    can exhaust certifies every query (``approximate=False``) at exactly
+    the golden answers — TBQ converged to SGQ (Theorem 4); a bound the
+    first time check already exceeds flags every answer approximate."""
+    engine = SemanticGraphQueryEngine(
+        resources.kg, resources.space, resources.library, resources.config,
+        compact=True,
+    )
+    tick = 1e-3
+    certified = {}
+    for item in workload.queries:
+        if item.qid not in golden:
+            continue  # the artifact froze this one as a deadline item
+        generous = engine.search_time_bounded(
+            item.query, workload.k, time_bound=1e6, clock=BudgetClock(tick)
+        )
+        assert not generous.approximate, item.qid
+        certified[item.qid] = sorted(
+            resources.kg.entity(uid).name for uid in generous.answer_uids()
+        )
+        starved = engine.search_time_bounded(
+            item.query, workload.k, time_bound=tick, clock=BudgetClock(tick),
+            check_interval=1,
+        )
+        assert starved.approximate, item.qid
+    assert golden_problems(certified, golden) == []
+    assert answer_digest(certified) == answer_digest(golden)

@@ -4,8 +4,8 @@ Covers the pipeline end to end: domain vocabularies indexed off the
 preset schemas, per-intent query generators, the fluent
 ``WorkloadBuilder``, deterministic stratified splits, and replay of the
 checked-in held-out artifact's metadata (the golden *replay* itself is
-CI gate 5 in ``scripts/bench_smoke.py`` — tier-1 only verifies the
-artifact is internally consistent, so the suite stays fast).
+``tests/test_held_out_conformance.py`` — this module only verifies the
+artifact is internally consistent).
 """
 
 import json
@@ -177,7 +177,7 @@ class TestCheckedInArtifact:
 
     Regenerate with ``python scripts/build_scenarios.py`` whenever the
     generator stack changes; these checks catch a drifted or half-updated
-    artifact without replaying it (that is CI gate 5's job).
+    artifact without replaying it (``test_held_out_conformance.py`` does).
     """
 
     def test_pickle_matches_checked_in_manifest(self):

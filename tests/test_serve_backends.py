@@ -62,7 +62,7 @@ def reference_results(small_bundle):
             small_bundle.kg, small_bundle.space, small_bundle.library,
             compact=compact,
         )
-        for q in small_bundle.workload[:4]:
+        for q in small_bundle.workload:
             out[(compact, q.qid)] = engine.search(q.query, k=K)
     return out
 
@@ -83,7 +83,7 @@ class TestStoreForms:
 
     @pytest.fixture(scope="class")
     def oracle_digest(self, small_bundle):
-        kg, items = small_bundle.kg, small_bundle.workload[:4]
+        kg, items = small_bundle.kg, small_bundle.workload
         oracle = SemanticGraphQueryEngine(
             kg, small_bundle.space, small_bundle.library,
             assembly_kernel="reference", search_kernel="reference",
@@ -100,7 +100,7 @@ class TestStoreForms:
     def test_every_store_form_returns_the_same_digest(
         self, small_bundle, oracle_digest, form, backend
     ):
-        kg, items = small_bundle.kg, small_bundle.workload[:4]
+        kg, items = small_bundle.kg, small_bundle.workload
         with ExitStack() as stack:
             if form == "kg":
                 store = kg
@@ -123,7 +123,7 @@ class TestCrossBackendConformance:
     def test_backend_matches_sequential_engine(
         self, small_bundle, reference_results, backend, compact
     ):
-        queries = small_bundle.workload[:4]
+        queries = small_bundle.workload
         with QueryService.build(
             small_bundle.kg,
             small_bundle.space,

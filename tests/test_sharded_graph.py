@@ -6,9 +6,8 @@ exactly one shard, the rank-merged view reproduces the unsharded view's
 incidence sequences bit for bit (so answers cannot drift), memory
 divides where it matters, and the serve layer composes it with shared
 memory, per-shard caches and the engine fingerprint without changing a
-single answer.  ``scripts/bench_smoke.py`` gate 9
-(``repro.bench.shardbench``) re-checks the digest and memory claims in
-CI on the held-out scenario.
+single answer.  ``tests/test_held_out_conformance.py`` holds the 2- and
+4-shard replays of the held-out scenario to its golden digest.
 """
 
 import numpy as np
@@ -31,7 +30,7 @@ from repro.kg.sharded import (
     compact_resident_bytes,
     partition_entities,
 )
-from repro.kg.shm import SHM_PREFIX, leaked_segments
+from repro.kg.shm import SHM_PREFIX, ShmArrayBlock, leaked_segments
 from repro.serve.service import QueryService
 
 
@@ -136,8 +135,24 @@ class TestShardedGraphBuild:
     @pytest.mark.parametrize("count", [2, 4])
     def test_memory_divides(self, small_bundle, frozen, count):
         sharded = ShardedGraph.build(small_bundle.kg, count)
-        assert sharded.max_resident_bytes() < compact_resident_bytes(frozen)
+        unsharded = compact_resident_bytes(frozen)
+        assert sharded.max_resident_bytes() < unsharded
         assert len(sharded.resident_bytes()) == count
+        # Entity columns are replicated per shard by design; the edge
+        # columns and the cut-edge replica table must actually divide.
+        # 1.35 is imbalance headroom for a hash partition of a small
+        # graph: a shard carrying every edge exceeds it at any count.
+        node_bytes = sum(
+            getattr(frozen, name).nbytes
+            for name in ("entity_type", "indptr", "name_blob", "name_offsets")
+        )
+        rank_overhead = sum(
+            shard.slot_rank.nbytes + shard.owned_edges.nbytes
+            for shard in sharded.shards
+        )
+        assert sharded.max_resident_bytes() <= node_bytes + int(
+            1.35 * (unsharded - node_bytes + rank_overhead) / count
+        )
 
 
 class TestViewConformance:
@@ -196,7 +211,7 @@ class TestEngineConformance:
             view_factory=ShardedViewFactory(sharded4),
             search_kernel=search_kernel,
         )
-        for item in small_bundle.workload[:4]:
+        for item in small_bundle.workload:
             expected = baseline.search(item.query, k=5)
             actual = sharded_engine.search(item.query, k=5)
             problem = final_matches_differ(
@@ -271,6 +286,27 @@ class TestShmLifecycle:
             lease.close()
         assert leaked_segments() == before
         lease.close()  # idempotent
+
+    def test_failed_publish_releases_the_shards_already_published(
+        self, sharded4, monkeypatch
+    ):
+        real_create = ShmArrayBlock.create
+        published = []
+
+        def failing_create(arrays, *, prefix):
+            if len(published) == 2:
+                assert len(leaked_segments()) == 2  # really mid-publish
+                raise OSError("no space left on /dev/shm")
+            published.append(prefix)
+            return real_create(arrays, prefix=prefix)
+
+        monkeypatch.setattr(ShmArrayBlock, "create", failing_create)
+        with pytest.raises(OSError, match="no space left") as caught:
+            sharded4.to_shared()
+        # ``caught`` keeps the failed frame, and so the blocks, alive: the
+        # publish released them itself, not a finalizer at collection.
+        assert leaked_segments() == []
+        assert caught.traceback
 
     def test_attached_engine_answers_identically(
         self, small_bundle, sharded4

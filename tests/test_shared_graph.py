@@ -26,7 +26,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.bench.equivalence import final_matches_differ
+from repro.bench.equivalence import query_results_differ
 from repro.errors import GraphError, ServeError, UnknownEntityError
 from repro.kg.compact import (
     CompactGraph,
@@ -273,8 +273,8 @@ class TestSharedGraphService:
             )
 
     def test_results_bit_identical_to_inline(self, small_bundle):
-        queries = [q.query for q in small_bundle.workload[:4]]
-        labels = [q.qid for q in small_bundle.workload[:4]]
+        queries = [q.query for q in small_bundle.workload]
+        labels = [q.qid for q in small_bundle.workload]
         with QueryService.build(
             small_bundle.kg, small_bundle.space, small_bundle.library,
             backend="inline", compact=True,
@@ -290,12 +290,11 @@ class TestSharedGraphService:
                 for label, expected, actual in zip(
                     labels, reference, results
                 ):
-                    problem = final_matches_differ(
-                        f"shm-pass{run}:{label}", expected.matches,
-                        actual.matches,
+                    problem = query_results_differ(
+                        f"shm-pass{run}:{label}", expected, actual
                     )
                     assert problem is None, problem
-                    assert expected.ta_accesses == actual.ta_accesses
+                    assert expected.ta_truncated == actual.ta_truncated
 
 
 class TestNodeMatcherThreadSafety:
