@@ -23,7 +23,7 @@ def main() -> None:
 
     # 2. The serving layer: worker pool + shared weight cache.
     with QueryService.build(
-        bundle.kg, bundle.space, bundle.library, max_workers=4
+        bundle.kg, bundle.space, bundle.library, workers=4
     ) as service:
         # 3. Replay the full workload; pass 1 is cold, 2-3 are warm.
         items = [WorkloadItem(query=q.query, k=10, qid=q.qid) for q in bundle.workload]
@@ -51,9 +51,7 @@ def main() -> None:
               f"in {bounded.elapsed_seconds * 1000:.1f} ms "
               f"(approximate={bounded.approximate})")
 
-        print(f"\nservice: {service.stats.completed} completed, "
-              f"decomposition memo hit rate "
-              f"{service.memo_hit_rate:.2f}")
+        print(f"\nservice: {service.stats.completed} completed")
         print(f"cache: {service.cache.stats.describe()}")
 
 

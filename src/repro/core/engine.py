@@ -30,18 +30,9 @@ from repro.core.semantic_graph import SemanticGraphView, WeightCache, WeightedGr
 from repro.core.time_bounded import TimeBoundedCoordinator
 from repro.embedding.predicate_space import PredicateSpace
 from repro.errors import SearchError
-from repro.kg.compact import (
-    CompactGraph,
-    CompactGraphHandle,
-    CompactKnowledgeGraph,
-)
-from repro.kg.graph import KnowledgeGraph
-from repro.kg.sharded import (
-    ShardedGraph,
-    ShardedGraphHandle,
-    ShardedKnowledgeGraph,
-    ShardedViewFactory,
-)
+from repro.kg.compact import CompactGraph, CompactGraphHandle, FrozenGraphReader
+from repro.kg.graph import GraphReader, KnowledgeGraph
+from repro.kg.sharded import ShardedGraph, ShardedGraphHandle, ShardedViewFactory
 from repro.query.decompose import Decomposition, decompose_query
 from repro.query.model import QueryGraph
 from repro.query.transform import NodeMatcher, TransformationLibrary
@@ -145,12 +136,9 @@ class EngineSpec:
 
     ``kg`` optionally names the ``KnowledgeGraph`` a frozen or sharded
     store was built from, so entity lookups resolve through the caller's
-    object graph; when absent the store's own read-only facade
-    (:class:`~repro.kg.compact.CompactKnowledgeGraph` /
-    :class:`~repro.kg.sharded.ShardedKnowledgeGraph`) serves them.  Pass
-    it alongside a ``CompactGraph`` frozen in this process: a kernel that
-    still remembers its source graph is re-frozen by its view factory
-    when asked to serve any other graph object, the facade included.
+    object graph; when absent a
+    :class:`~repro.kg.compact.FrozenGraphReader` over the store's own
+    node columns serves them (see :func:`build_engine`).
 
     ``fault_plan`` optionally carries a picklable chaos-injection plan
     (see :class:`repro.serve.faults.FaultPlan`) to the worker
@@ -195,8 +183,8 @@ def build_engine(
     per-process runtime state; a multiprocess worker passes its own
     private cache here.  A handle store is *attached* from shared memory
     (zero-copy, O(metadata)); a frozen or sharded store is served
-    through its view factory and — absent an explicit ``kg`` — its
-    read-only graph facade.
+    through its view factory and — absent an explicit ``kg`` — read
+    through a :class:`~repro.kg.compact.FrozenGraphReader`.
     """
     store = spec.store
     if isinstance(store, CompactGraphHandle):
@@ -206,11 +194,15 @@ def build_engine(
     if isinstance(store, KnowledgeGraph):
         kg, view_factory = store, None
     elif isinstance(store, CompactGraph):
-        kg = spec.kg if spec.kg is not None else CompactKnowledgeGraph(store)
+        # A kernel frozen in this process still knows its source graph,
+        # and its view factory re-freezes it when asked to serve any
+        # other object — so that graph is the one to read entities from.
+        kg = spec.kg if spec.kg is not None else store.kg
         view_factory = CompactViewFactory(store)
     else:
-        kg = spec.kg if spec.kg is not None else ShardedKnowledgeGraph(store)
-        view_factory = ShardedViewFactory(store)
+        kg, view_factory = spec.kg, ShardedViewFactory(store)
+    if kg is None:
+        kg = FrozenGraphReader(store)
     return SemanticGraphQueryEngine(
         kg,
         spec.space,
@@ -225,7 +217,10 @@ class SemanticGraphQueryEngine:
     """Top-k semantic similarity search over one knowledge graph.
 
     Args:
-        kg: the knowledge graph to query.
+        kg: the knowledge graph to query — a ``KnowledgeGraph``, or any
+            :class:`~repro.kg.graph.GraphReader` when ``view_factory``
+            serves the edges (:func:`build_engine` does this for frozen
+            stores).
         space: predicate semantic space (trained embedding or oracle).
         library: synonym/abbreviation transformation library for node
             matching; ``None`` allows identical matches only.
@@ -261,7 +256,7 @@ class SemanticGraphQueryEngine:
 
     def __init__(
         self,
-        kg: KnowledgeGraph,
+        kg: GraphReader,
         space: PredicateSpace,
         library: Optional[TransformationLibrary] = None,
         config: Optional[SearchConfig] = None,
@@ -274,6 +269,12 @@ class SemanticGraphQueryEngine:
     ):
         if compact and view_factory is not None:
             raise SearchError("pass either compact=True or view_factory, not both")
+        if view_factory is None and not isinstance(kg, KnowledgeGraph):
+            raise SearchError(
+                "the lazy view walks a KnowledgeGraph; a frozen store is "
+                "served through its view factory (got "
+                f"{type(kg).__name__} and no view_factory)"
+            )
         self.assembly_kernel = assembly_kernel
         self.search_kernel = search_kernel
         self.kg = kg
@@ -316,7 +317,7 @@ class SemanticGraphQueryEngine:
                 "unpicklable state); construct via EngineSpec/build_engine "
                 "or use compact=True instead"
             )
-        # A facade kg is rebuilt from the store on the other side.
+        # A frozen reader is rebuilt from the store on the other side.
         kg = self.kg if isinstance(self.kg, KnowledgeGraph) else None
         return EngineSpec(store, self.space, self.library, self.config, kg=kg)
 

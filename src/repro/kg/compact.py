@@ -23,7 +23,7 @@ plus an **undirected-incidence CSR**:
 - ``name_blob`` / ``name_offsets`` carry the UTF-8 entity names, so a
   snapshot is a *complete* description of the graph: workers attaching a
   shared snapshot rebuild entity records without ever seeing the object
-  graph (:class:`CompactKnowledgeGraph`).
+  graph (:class:`FrozenGraphReader`).
 
 Slot order within a node is exactly ``KnowledgeGraph.incident`` order, so
 a search over the compact kernel expands states in the same sequence as
@@ -48,12 +48,12 @@ are served straight from the shared mapping.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import GraphError, UnknownEntityError
-from repro.kg.graph import Edge, Entity, GraphStatistics, KnowledgeGraph
+from repro.kg.graph import Edge, Entity, KnowledgeGraph
 from repro.kg.shm import ShmArrayBlock, ShmBlockHandle
 
 #: The columns :meth:`CompactGraph.to_shared` publishes — every numeric
@@ -171,7 +171,7 @@ class CompactGraph:
         # Entity names as one UTF-8 blob + offsets: with these on board
         # the snapshot fully describes the graph, which is what lets a
         # shared-memory worker rebuild Entity records without the object
-        # graph (see CompactKnowledgeGraph).
+        # graph (see FrozenGraphReader).
         names = [entity.name for entity in kg.entities()]
         encoded = [name.encode("utf-8") for name in names]
         name_offsets = np.zeros(num_nodes + 1, dtype=np.int64)
@@ -556,99 +556,57 @@ class SharedCompactGraph:
 
 
 # ----------------------------------------------------------------------
-# KnowledgeGraph facade over compact columns
+# the engine's read contract over a frozen store
 # ----------------------------------------------------------------------
 
-class CompactKnowledgeGraph:
-    """A read-only :class:`~repro.kg.graph.KnowledgeGraph` facade over a
-    :class:`CompactGraph`.
+class FrozenGraphReader:
+    """The :class:`~repro.kg.graph.GraphReader` of a frozen store.
 
-    Process workers attaching a shared snapshot need the *graph API* —
-    ``NodeMatcher`` probes names and types, decomposition reads
-    ``statistics()``, the lazy view walks ``incident()`` — but shipping
-    the object graph is exactly what shared memory exists to avoid.
-    This adapter duck-types the ``KnowledgeGraph`` read surface on top of
-    the compact columns with **identical ordering semantics** (entities
-    in uid order, types/predicates in first-use order, incidence out-then-
-    in in insertion order), so every consumer — matcher indexes, pivot
-    selection, search tie-breaks — behaves bit-identically to running
-    against the source graph.
+    One implementation for every frozen form — a :class:`CompactGraph`
+    by value, unpickled or attached from shared memory, and a
+    :class:`~repro.kg.sharded.ShardedGraph` (whose node columns are
+    replicated per shard) — because it reads only what they share:
+    ``kg_name``, ``num_nodes``, ``num_edges``, ``entity_type``,
+    ``type_names`` and ``entity_names()``.  It has no edge surface on
+    purpose: edges are served by the store's view factory, and a
+    traversal method here could answer from one shard's slice.
 
-    Construction is O(1); each index (entity records, by-type, by-name,
-    edge set) is derived lazily once on first use.  The store is
-    immutable — there are deliberately no ``add_entity`` / ``add_edge``.
+    Construction is O(1); the entity table and the per-type index are
+    derived once on first use, in the source graph's order (entities by
+    uid, per-type uids ascending, types by first use), so node matching
+    and pivot selection behave bit-identically to the source graph.
+    The builders are idempotent, so a race between threads only
+    duplicates work.
     """
 
-    def __init__(self, compact: CompactGraph):
-        self._compact = compact
-        self.name = compact.kg_name
+    def __init__(self, store):
+        self._store = store
+        self.name: str = store.kg_name
         self._entities: Optional[List[Entity]] = None
         self._by_type: Optional[Dict[str, List[int]]] = None
-        self._by_name: Optional[Dict[str, List[int]]] = None
-        self._edge_set: Optional[Set[Tuple[int, str, int]]] = None
-        self._predicate_counts: Optional[Dict[str, int]] = None
 
     @property
-    def compact(self) -> CompactGraph:
-        """The backing kernel (shared with any compact view factory)."""
-        return self._compact
+    def num_entities(self) -> int:
+        return self._store.num_nodes
 
-    # ------------------------------------------------------------------
-    # lazy indexes
-    # ------------------------------------------------------------------
+    @property
+    def num_edges(self) -> int:
+        return self._store.num_edges
+
     def _entity_table(self) -> List[Entity]:
         if self._entities is None:
-            names = self._compact.entity_names()
-            type_names = self._compact.type_names
+            names = self._store.entity_names()
+            type_names = self._store.type_names
             self._entities = [
                 Entity(uid=uid, name=names[uid], etype=type_names[tid])
-                for uid, tid in enumerate(self._compact.entity_type.tolist())
+                for uid, tid in enumerate(self._store.entity_type.tolist())
             ]
         return self._entities
 
-    def _type_index(self) -> Dict[str, List[int]]:
-        if self._by_type is None:
-            # uid-ascending per bucket == KnowledgeGraph insertion order.
-            index: Dict[str, List[int]] = {
-                etype: [] for etype in self._compact.type_names
-            }
-            type_names = self._compact.type_names
-            for uid, tid in enumerate(self._compact.entity_type.tolist()):
-                index[type_names[tid]].append(uid)
-            self._by_type = index
-        return self._by_type
-
-    def _name_index(self) -> Dict[str, List[int]]:
-        if self._by_name is None:
-            index: Dict[str, List[int]] = {}
-            for uid, name in enumerate(self._compact.entity_names()):
-                index.setdefault(name, []).append(uid)
-            self._by_name = index
-        return self._by_name
-
-    def _edge_keys(self) -> Set[Tuple[int, str, int]]:
-        if self._edge_set is None:
-            predicate_names = self._compact.predicate_names
-            self._edge_set = {
-                (source, predicate_names[pid], target)
-                for source, pid, target in zip(
-                    self._compact.edge_source.tolist(),
-                    self._compact.edge_predicate.tolist(),
-                    self._compact.edge_target.tolist(),
-                )
-            }
-        return self._edge_set
-
-    # ------------------------------------------------------------------
-    # lookups (KnowledgeGraph surface)
-    # ------------------------------------------------------------------
-    def _check_uid(self, uid: int) -> None:
-        if not 0 <= uid < self._compact.num_nodes:
-            raise UnknownEntityError(uid)
-
     def entity(self, uid: int) -> Entity:
         """The entity record for ``uid``."""
-        self._check_uid(uid)
+        if not 0 <= uid < self._store.num_nodes:
+            raise UnknownEntityError(uid)
         return self._entity_table()[uid]
 
     def entities(self) -> Iterator[Entity]:
@@ -657,154 +615,21 @@ class CompactKnowledgeGraph:
 
     def entities_of_type(self, etype: str) -> List[int]:
         """All entity ids with the given type (empty list if none)."""
-        return list(self._type_index().get(etype, []))
-
-    def entities_named(self, name: str) -> List[int]:
-        """All entity ids with the given exact name (empty list if none)."""
-        return list(self._name_index().get(name, []))
-
-    def entity_by_name(self, name: str) -> Entity:
-        """The unique entity with ``name``; raises if absent or ambiguous."""
-        uids = self._name_index().get(name, [])
-        if not uids:
-            raise UnknownEntityError(name)
-        if len(uids) > 1:
-            raise GraphError(
-                f"entity name {name!r} is ambiguous ({len(uids)} hits)"
-            )
-        return self._entity_table()[uids[0]]
-
-    def has_edge(self, source: int, predicate: str, target: int) -> bool:
-        """Whether the exact directed edge exists."""
-        return (source, predicate, target) in self._edge_keys()
-
-    # ------------------------------------------------------------------
-    # traversal (KnowledgeGraph surface)
-    # ------------------------------------------------------------------
-    def incident(self, uid: int) -> Iterator[Tuple[Edge, int]]:
-        """Iterate ``(edge, neighbour_uid)``, out-then-in insertion order."""
-        self._check_uid(uid)
-        return iter(
-            [(edge, neighbor)
-             for edge, neighbor, _pid in self._compact.node_slots[uid]]
-        )
-
-    def incident_list(self, uid: int) -> List[Tuple[Edge, int]]:
-        """The ``(edge, neighbour_uid)`` incidence in :meth:`incident` order."""
-        self._check_uid(uid)
-        return [
-            (edge, neighbor)
-            for edge, neighbor, _pid in self._compact.node_slots[uid]
-        ]
-
-    def _directed_incident(self, uid: int, forward: bool) -> List[Tuple[Edge, int]]:
-        self._check_uid(uid)
-        start = int(self._compact.indptr[uid])
-        flags = self._compact.slot_forward
-        return [
-            (edge, neighbor)
-            for index, (edge, neighbor, _pid) in enumerate(
-                self._compact.node_slots[uid]
-            )
-            if bool(flags[start + index]) == forward
-        ]
-
-    def out_incident(self, uid: int) -> List[Tuple[Edge, int]]:
-        """``(edge, target)`` pairs for edges leaving ``uid``."""
-        return self._directed_incident(uid, True)
-
-    def in_incident(self, uid: int) -> List[Tuple[Edge, int]]:
-        """``(edge, source)`` pairs for edges entering ``uid``."""
-        return self._directed_incident(uid, False)
-
-    def out_edges(self, uid: int) -> List[Edge]:
-        """Directed edges leaving ``uid``."""
-        return [edge for edge, _other in self._directed_incident(uid, True)]
-
-    def in_edges(self, uid: int) -> List[Edge]:
-        """Directed edges entering ``uid``."""
-        return [edge for edge, _other in self._directed_incident(uid, False)]
-
-    def degree(self, uid: int) -> int:
-        """Undirected degree of ``uid``."""
-        self._check_uid(uid)
-        return self._compact.degree(uid)
-
-    def neighbors(self, uid: int) -> List[int]:
-        """Distinct neighbour ids of ``uid`` (undirected)."""
-        seen: Set[int] = set()
-        out: List[int] = []
-        for _edge, other, _pid in self._compact.node_slots[uid]:
-            if other not in seen:
-                seen.add(other)
-                out.append(other)
-        return out
-
-    # ------------------------------------------------------------------
-    # aggregate views (KnowledgeGraph surface)
-    # ------------------------------------------------------------------
-    @property
-    def num_entities(self) -> int:
-        return self._compact.num_nodes
-
-    @property
-    def num_edges(self) -> int:
-        return self._compact.num_edges
-
-    def predicates(self) -> List[str]:
-        """All distinct predicates, in first-use order."""
-        return list(self._compact.predicate_names)
-
-    def predicate_frequency(self, predicate: str) -> int:
-        """Number of edges carrying ``predicate`` (0 if unused)."""
-        if self._predicate_counts is None:
-            counts = np.bincount(
-                self._compact.edge_predicate,
-                minlength=len(self._compact.predicate_names),
-            )
-            self._predicate_counts = {
-                name: int(counts[pid])
-                for pid, name in enumerate(self._compact.predicate_names)
+        if self._by_type is None:
+            index: Dict[str, List[int]] = {
+                name: [] for name in self._store.type_names
             }
-        return self._predicate_counts.get(predicate, 0)
+            for entity in self._entity_table():
+                index[entity.etype].append(entity.uid)
+            self._by_type = index
+        return list(self._by_type.get(etype, []))
 
     def types(self) -> List[str]:
         """All distinct entity types, in first-use order."""
-        return list(self._compact.type_names)
-
-    def statistics(self) -> GraphStatistics:
-        """Aggregate statistics — value-equal to the source graph's.
-
-        ``sum(degrees)`` is the CSR slot count (``indptr[-1]``), so the
-        average-degree float the cost models read is the *same* division
-        the object graph computes.
-        """
-        num_entities = self._compact.num_nodes
-        if num_entities:
-            slots = int(self._compact.indptr[-1])
-            average = slots / num_entities
-            max_degree = int(np.max(np.diff(self._compact.indptr)))
-        else:
-            average = 0.0
-            max_degree = 0
-        return GraphStatistics(
-            num_entities=num_entities,
-            num_edges=self._compact.num_edges,
-            num_types=len(self._compact.type_names),
-            num_predicates=len(self._compact.predicate_names),
-            average_degree=average,
-            max_degree=max_degree,
-        )
-
-    def triples(self) -> Iterator[Tuple[str, str, str]]:
-        """Iterate ``(head name, predicate, tail name)`` string triples."""
-        names = self._compact.entity_names()
-        for edge in self._compact.edges:
-            yield (names[edge.source], edge.predicate, names[edge.target])
+        return list(self._store.type_names)
 
     def __repr__(self) -> str:
         return (
-            f"CompactKnowledgeGraph(name={self.name!r}, "
-            f"entities={self.num_entities}, edges={self.num_edges}, "
-            f"shared={self._compact.shared})"
+            f"FrozenGraphReader(name={self.name!r}, "
+            f"entities={self.num_entities}, edges={self.num_edges})"
         )

@@ -8,7 +8,8 @@ directed predicate-labelled edges.  This module provides:
 - :class:`KnowledgeGraph` — adjacency storage with the label indexes the
   search layer needs: entities by type, entities by name, predicates by
   (source type, target type) signature, and *undirected* incident-edge
-  iteration (the paper's path definition ignores edge direction, footnote 1).
+  iteration (the paper's path definition ignores edge direction, footnote 1);
+- :class:`GraphReader` — the seven members of it the online engine reads.
 
 The store is append-only: experiments build a graph once and query it many
 times, so there is no node/edge deletion, which keeps the indexes trivially
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Protocol, Set, Tuple
 
 from repro.errors import GraphError, UnknownEntityError
 
@@ -66,6 +67,38 @@ class GraphStatistics:
     num_predicates: int = 0
     average_degree: float = 0.0
     max_degree: int = 0
+
+
+class GraphReader(Protocol):
+    """What the online engine reads of a graph: its entity directory.
+
+    φ(v) node matching (Def. 3), Eq. 1's minCost pivot choice (``|V|``,
+    ``|E|``), answer rendering and the answer cache's epoch stamp go
+    through these seven members and nothing else — every edge the search
+    sees comes from its ``WeightedGraphView``.  :class:`KnowledgeGraph`
+    satisfies the protocol; a frozen store (by value, attached from
+    shared memory, sharded) is read through
+    :class:`~repro.kg.compact.FrozenGraphReader`.  Implementations agree
+    on order: entities by uid, per-type uids ascending, types by first
+    use.
+    """
+
+    name: str
+
+    @property
+    def num_entities(self) -> int: ...
+
+    @property
+    def num_edges(self) -> int: ...
+
+    def entity(self, uid: int) -> Entity:
+        """The record of ``uid``; ``UnknownEntityError`` past the end."""
+
+    def entities(self) -> Iterator[Entity]: ...
+
+    def entities_of_type(self, etype: str) -> List[int]: ...
+
+    def types(self) -> List[str]: ...
 
 
 class KnowledgeGraph:

@@ -56,18 +56,13 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.errors import GraphError
-from repro.kg.compact import (
-    SHARED_COLUMNS,
-    CompactGraph,
-    CompactGraphHandle,
-    CompactKnowledgeGraph,
-)
-from repro.kg.graph import Edge, Entity, GraphStatistics, KnowledgeGraph
+from repro.kg.compact import SHARED_COLUMNS, CompactGraph, CompactGraphHandle
+from repro.kg.graph import Edge, KnowledgeGraph
 from repro.kg.shm import SHM_PREFIX, ShmArrayBlock
 from repro.utils.rng import derive_rng
 
@@ -276,14 +271,15 @@ class ShardedGraphHandle:
     One :class:`~repro.kg.compact.CompactGraphHandle` per shard; the
     entity → shard assignment rides in shard 0's block (column
     ``shard_of``), so — like the single-graph handle — the pickle is
-    O(metadata), independent of V and E.
+    O(metadata), independent of V and E.  ``cut_edges`` is the
+    publisher's per-shard count, so attaching never recounts it.
     """
 
     shards: Tuple[CompactGraphHandle, ...]
     kg_name: str
     num_nodes: int
     num_edges: int
-    cut_edges: int
+    cut_edges: Tuple[int, ...]
     strategy: str
     seed: int
 
@@ -370,6 +366,20 @@ class ShardedGraph:
         """Edges whose endpoints live on different shards."""
         return sum(shard.cut_edges for shard in self.shards)
 
+    # The node columns are replicated in every shard; shard 0's copy is
+    # what a FrozenGraphReader reads.
+    @property
+    def type_names(self) -> List[str]:
+        return self.shards[0].graph.type_names
+
+    @property
+    def entity_type(self) -> np.ndarray:
+        return self.shards[0].graph.entity_type
+
+    def entity_names(self) -> List[str]:
+        """All entity names, uid-ordered."""
+        return self.shards[0].graph.entity_names()
+
     def resident_bytes(self) -> List[int]:
         """Per-shard resident bytes (what each shard's box would hold)."""
         return [shard.resident_bytes() for shard in self.shards]
@@ -424,7 +434,7 @@ class ShardedGraph:
             kg_name=self.kg_name,
             num_nodes=self.num_nodes,
             num_edges=self.num_edges,
-            cut_edges=self.cut_edges,
+            cut_edges=tuple(shard.cut_edges for shard in self.shards),
             strategy=self.strategy,
             seed=self.seed,
         )
@@ -462,23 +472,16 @@ class ShardedGraph:
             )
             if sid == 0:
                 shard_of = block.array(_SHARD_OF_COLUMN)
-            owned = block.array("owned_edges")
             shards.append(
                 GraphShard(
                     shard_id=sid,
                     graph=graph,
                     slot_rank=block.array("slot_rank"),
-                    owned_edges=owned,
-                    cut_edges=-1,  # recomputed below, once shard_of is up
+                    owned_edges=block.array("owned_edges"),
+                    cut_edges=handle.cut_edges[sid],
                 )
             )
         assert shard_of is not None
-        for shard in shards:
-            sources = np.asarray(shard.graph.edge_source)
-            targets = np.asarray(shard.graph.edge_target)
-            shard.cut_edges = int(
-                np.count_nonzero(shard_of[sources] != shard_of[targets])
-            )
         return cls(
             kg=None,
             kg_name=handle.kg_name,
@@ -551,212 +554,6 @@ class SharedShardedGraph:
         return (
             f"SharedShardedGraph({len(self._blocks)} shards, {state}, "
             f"nodes={self.handle.num_nodes}, edges={self.handle.num_edges})"
-        )
-
-
-# ----------------------------------------------------------------------
-# KnowledgeGraph facade over the shard set
-# ----------------------------------------------------------------------
-
-class ShardedKnowledgeGraph:
-    """Read-only :class:`~repro.kg.graph.KnowledgeGraph` facade over shards.
-
-    Entity columns are replicated in every shard, so entity/name/type
-    lookups delegate to a :class:`CompactKnowledgeGraph` over shard 0.
-    Edge-touching surfaces route through the shards: a node's full
-    incidence is the rank-keyed merge of the per-shard rows (exactly the
-    global insertion order), its out-edges live wholly in its owner
-    shard, and aggregate edge counts sum across shards.
-    """
-
-    def __init__(self, sharded: ShardedGraph):
-        self._sharded = sharded
-        self._facades = [
-            CompactKnowledgeGraph(shard.graph) for shard in sharded.shards
-        ]
-        self._base = self._facades[0]
-        self.name = sharded.kg_name
-        self._degree_total: Optional[np.ndarray] = None
-        self._predicate_counts: Optional[Dict[str, int]] = None
-
-    @property
-    def sharded(self) -> ShardedGraph:
-        return self._sharded
-
-    # ------------------------------------------------------------------
-    # entity surface (replicated columns — shard 0 answers)
-    # ------------------------------------------------------------------
-    def entity(self, uid: int) -> Entity:
-        return self._base.entity(uid)
-
-    def entities(self) -> Iterator[Entity]:
-        return self._base.entities()
-
-    def entities_of_type(self, etype: str) -> List[int]:
-        return self._base.entities_of_type(etype)
-
-    def entities_named(self, name: str) -> List[int]:
-        return self._base.entities_named(name)
-
-    def entity_by_name(self, name: str) -> Entity:
-        return self._base.entity_by_name(name)
-
-    def types(self) -> List[str]:
-        return self._base.types()
-
-    def predicates(self) -> List[str]:
-        return self._base.predicates()
-
-    @property
-    def num_entities(self) -> int:
-        return self._sharded.num_nodes
-
-    # ------------------------------------------------------------------
-    # edge surface (merged across shards)
-    # ------------------------------------------------------------------
-    @property
-    def num_edges(self) -> int:
-        return self._sharded.num_edges
-
-    def has_edge(self, source: int, predicate: str, target: int) -> bool:
-        owner = int(self._sharded.shard_of[source])
-        return self._facades[owner].has_edge(source, predicate, target)
-
-    def _merged_slots(self, uid: int) -> List[Tuple[int, Edge, int, bool]]:
-        """(rank, edge, neighbour, forward) across shards, rank-sorted."""
-        merged: List[Tuple[int, Edge, int, bool]] = []
-        for shard in self._sharded.shards:
-            graph = shard.graph
-            slots = graph.node_slots[uid]
-            if not slots:
-                continue
-            start = graph.indptr_list()[uid]
-            ranks = shard.rank_list()
-            forward = graph.slot_forward
-            for offset, (edge, neighbor, _pid) in enumerate(slots):
-                merged.append(
-                    (
-                        ranks[start + offset],
-                        edge,
-                        neighbor,
-                        bool(forward[start + offset]),
-                    )
-                )
-        merged.sort(key=lambda item: item[0])
-        return merged
-
-    def incident(self, uid: int) -> Iterator[Tuple[Edge, int]]:
-        """``(edge, neighbour)`` in global insertion order (rank merge)."""
-        self._base._check_uid(uid)
-        return iter(
-            [(edge, neighbor)
-             for _rank, edge, neighbor, _fwd in self._merged_slots(uid)]
-        )
-
-    def incident_list(self, uid: int) -> List[Tuple[Edge, int]]:
-        self._base._check_uid(uid)
-        return [
-            (edge, neighbor)
-            for _rank, edge, neighbor, _fwd in self._merged_slots(uid)
-        ]
-
-    def out_incident(self, uid: int) -> List[Tuple[Edge, int]]:
-        """Out-edges of ``uid`` — wholly owned by ``uid``'s shard."""
-        self._base._check_uid(uid)
-        owner = int(self._sharded.shard_of[uid])
-        return self._facades[owner].out_incident(uid)
-
-    def in_incident(self, uid: int) -> List[Tuple[Edge, int]]:
-        """In-edges of ``uid``, merged across the shards owning them."""
-        self._base._check_uid(uid)
-        return [
-            (edge, neighbor)
-            for _rank, edge, neighbor, fwd in self._merged_slots(uid)
-            if not fwd
-        ]
-
-    def out_edges(self, uid: int) -> List[Edge]:
-        return [edge for edge, _other in self.out_incident(uid)]
-
-    def in_edges(self, uid: int) -> List[Edge]:
-        return [edge for edge, _other in self.in_incident(uid)]
-
-    def degree(self, uid: int) -> int:
-        self._base._check_uid(uid)
-        return sum(
-            shard.graph.degree(uid) for shard in self._sharded.shards
-        )
-
-    def neighbors(self, uid: int) -> List[int]:
-        seen: Set[int] = set()
-        out: List[int] = []
-        for _rank, _edge, other, _fwd in self._merged_slots(uid):
-            if other not in seen:
-                seen.add(other)
-                out.append(other)
-        return out
-
-    # ------------------------------------------------------------------
-    # aggregates
-    # ------------------------------------------------------------------
-    def predicate_frequency(self, predicate: str) -> int:
-        if self._predicate_counts is None:
-            names = self._base.predicates()
-            totals = np.zeros(len(names), dtype=np.int64)
-            for shard in self._sharded.shards:
-                totals += np.bincount(
-                    shard.graph.edge_predicate, minlength=len(names)
-                )
-            self._predicate_counts = {
-                name: int(totals[pid]) for pid, name in enumerate(names)
-            }
-        return self._predicate_counts.get(predicate, 0)
-
-    def _total_degrees(self) -> np.ndarray:
-        if self._degree_total is None:
-            total = np.zeros(self._sharded.num_nodes, dtype=np.int64)
-            for shard in self._sharded.shards:
-                total += np.diff(shard.graph.indptr)
-            self._degree_total = total
-        return self._degree_total
-
-    def statistics(self) -> GraphStatistics:
-        """Aggregate statistics — value-equal to the unsharded graph's."""
-        num_entities = self._sharded.num_nodes
-        if num_entities:
-            degrees = self._total_degrees()
-            average = int(degrees.sum()) / num_entities
-            max_degree = int(degrees.max())
-        else:
-            average = 0.0
-            max_degree = 0
-        base = self._base.compact
-        return GraphStatistics(
-            num_entities=num_entities,
-            num_edges=self._sharded.num_edges,
-            num_types=len(base.type_names),
-            num_predicates=len(base.predicate_names),
-            average_degree=average,
-            max_degree=max_degree,
-        )
-
-    def triples(self) -> Iterator[Tuple[str, str, str]]:
-        """``(head, predicate, tail)`` triples in global edge-id order."""
-        names = self._base.compact.entity_names()
-        entries: List[Tuple[int, Edge]] = []
-        for shard in self._sharded.shards:
-            owned = shard.owned_edges.tolist()
-            for local, edge in enumerate(shard.graph.edges):
-                entries.append((owned[local], edge))
-        entries.sort(key=lambda item: item[0])
-        for _eid, edge in entries:
-            yield (names[edge.source], edge.predicate, names[edge.target])
-
-    def __repr__(self) -> str:
-        return (
-            f"ShardedKnowledgeGraph(name={self.name!r}, "
-            f"shards={self._sharded.num_shards}, "
-            f"entities={self.num_entities}, edges={self.num_edges})"
         )
 
 

@@ -31,7 +31,7 @@ from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import DecompositionError
-from repro.kg.graph import KnowledgeGraph
+from repro.kg.graph import GraphReader
 from repro.query.model import QueryEdge, QueryGraph, QueryNode, SubQueryGraph, SubQueryStep
 from repro.query.transform import NodeMatcher
 from repro.utils.rng import derive_rng
@@ -150,7 +150,7 @@ def _cover_cost(
 def decompose_query(
     query: QueryGraph,
     *,
-    kg: Optional[KnowledgeGraph] = None,
+    kg: Optional[GraphReader] = None,
     matcher: Optional[NodeMatcher] = None,
     strategy: str = "min_cost",
     pivot: Optional[str] = None,

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import QueryError
-from repro.kg.graph import KnowledgeGraph
+from repro.kg.graph import GraphReader
 from repro.kg.schema import DomainSchema, SynonymFamily
 from repro.query.model import QueryNode
 
@@ -156,7 +156,7 @@ class NodeMatcher:
     # only by long-lived matchers under very diverse serving workloads.
     _IS_MATCH_CACHE_MAX = 1_000_000
 
-    def __init__(self, kg: KnowledgeGraph, library: Optional[TransformationLibrary] = None):
+    def __init__(self, kg: GraphReader, library: Optional[TransformationLibrary] = None):
         self.kg = kg
         self.library = library if library is not None else TransformationLibrary.empty()
         self._lock = threading.Lock()

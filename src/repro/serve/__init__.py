@@ -8,9 +8,9 @@ state across a workload:
   LRU-bounded cross-query store of edge weights and ``m(u)`` adjacency
   bounds, with hit/miss statistics;
 - :class:`~repro.serve.service.QueryService` — pool front-end with
-  ``submit`` / ``submit_batch`` / ``search_many``, decomposition
-  memoization and per-query deadlines (mapped onto the TBQ coordinator),
-  running on a pluggable execution backend;
+  ``submit`` / ``submit_batch`` / ``search_many`` and per-query
+  deadlines (mapped onto the TBQ coordinator), running on a pluggable
+  execution backend;
 - :mod:`repro.serve.backends` — the execution-backend seam: ``inline``
   (caller's thread), ``thread`` (GIL-bound pool, shared caches) and
   ``process`` (true multi-core parallelism; workers bootstrap private
@@ -49,7 +49,6 @@ from repro.serve.service import (
     QueryService,
     ServiceStats,
     ServingStatsReport,
-    query_shape_key,
 )
 from repro.serve.workload import ReplayReport, WorkloadItem, mix_deadlines, replay
 
@@ -72,7 +71,6 @@ __all__ = [
     "QueryService",
     "ServiceStats",
     "ServingStatsReport",
-    "query_shape_key",
     "ReplayReport",
     "WorkloadItem",
     "mix_deadlines",

@@ -69,7 +69,7 @@ from repro.core.config import SearchConfig
 from repro.core.engine import store_identity
 from repro.core.results import QueryResultPayload
 from repro.errors import ServeError
-from repro.kg.sharded import ShardedKnowledgeGraph, ShardedViewFactory
+from repro.kg.sharded import ShardedViewFactory
 from repro.query.model import QueryGraph
 from repro.query.transform import TransformationLibrary, normalize_label
 
@@ -138,16 +138,11 @@ class EngineFingerprint:
     def from_engine(cls, engine) -> "EngineFingerprint":
         """Fingerprint a live engine (inline/thread backends)."""
         kg = engine.kg
-        sharded = None
-        if isinstance(kg, ShardedKnowledgeGraph):
-            sharded = kg.sharded
-        elif isinstance(getattr(engine, "view_factory", None), ShardedViewFactory):
-            # A sharded engine built over an original-KG facade: the
-            # shard set still stamps the epoch (the fan-out seam, not
-            # the entity surface, is what answers flow through).
-            sharded = engine.view_factory.sharded
-        if sharded is not None:
-            graph = store_identity(sharded)
+        factory = getattr(engine, "view_factory", None)
+        if isinstance(factory, ShardedViewFactory):
+            # The shard set stamps the epoch whatever reads the entities:
+            # the fan-out seam is what answers flow through.
+            graph = store_identity(factory.sharded)
         else:
             graph = ("kg", kg.name, kg.num_entities, kg.num_edges)
         token = (

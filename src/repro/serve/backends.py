@@ -17,8 +17,8 @@ contract (:class:`ExecutionBackend`):
   **private engine once** from a pickled
   :class:`~repro.core.engine.EngineSpec` (pool initializer + per-worker
   global, never a per-task rebuild) and reuse it, with its own
-  :class:`~repro.serve.cache.SemanticGraphCache`, decomposition memo and
-  predicate-space row cache, across every request the worker serves.
+  :class:`~repro.serve.cache.SemanticGraphCache` and predicate-space
+  row cache, across every request the worker serves.
   True multi-core parallelism; requests and results cross the process
   boundary as picklable :class:`~repro.serve.service.QueryRequest` /
   :class:`~repro.core.results.QueryResultPayload` values.
@@ -30,8 +30,8 @@ TBQ requests (``deadline=``) are time-dependent by design and only
 promise the paper's anytime semantics, on every backend.
 
 Statistics flow *back* through the same seam: every backend reports
-:class:`WorkerSnapshot` rows (weight-cache, space row-cache and memo
-counters per worker).  The shared-memory backends report one live row;
+:class:`WorkerSnapshot` rows (weight-cache and space row-cache counters
+per worker).  The shared-memory backends report one live row;
 the process backend piggybacks a snapshot on each task result and keeps
 the latest row per worker pid, so aggregation never needs a control
 round-trip into the pool.
@@ -59,8 +59,7 @@ from repro.core.engine import EngineSpec, SemanticGraphQueryEngine, build_engine
 from repro.core.results import QueryResult, QueryResultPayload
 from repro.embedding.predicate_space import SpaceCacheStats
 from repro.errors import ServeError
-from repro.query.decompose import Decomposition
-from repro.serve.cache import CacheStats, LruMap, SemanticGraphCache
+from repro.serve.cache import CacheStats, SemanticGraphCache
 
 try:
     import resource as _resource
@@ -102,8 +101,6 @@ class WorkerSnapshot:
     queries: int
     cache: CacheStats
     space: SpaceCacheStats
-    memo_hits: int
-    memo_misses: int
     max_rss_kb: int = 0
 
 
@@ -111,8 +108,6 @@ def execute_request(
     engine: SemanticGraphQueryEngine,
     request,  # QueryRequest; untyped to avoid a service<->backends cycle
     submitted_wall: float,
-    *,
-    decomposition: Optional[Decomposition] = None,
 ) -> QueryResult:
     """Run one request against an engine, honouring its deadline budget.
 
@@ -132,84 +127,42 @@ def execute_request(
             time_bound=budget,
             pivot=request.pivot,
             strategy=request.strategy,
-            decomposition=decomposition,
         )
     return engine.search(
         request.query,
         request.k,
         pivot=request.pivot,
         strategy=request.strategy,
-        decomposition=decomposition,
     )
 
 
 class _EngineRunner:
-    """Engine + decomposition memo + stats: the per-worker execution core.
+    """Engine + fault hook + stats: the per-worker execution core.
 
     Shared by the inline and thread backends directly (one runner, many
-    threads) and instantiated once per process-pool worker.  The memo is
-    lock-protected; decompositions are deterministic pure functions of
-    the (query shape, pivot policy), so races only duplicate work.
+    threads) and instantiated once per process-pool worker.
     """
 
     def __init__(
         self,
         engine: SemanticGraphQueryEngine,
         *,
-        memoize_decompositions: bool = True,
-        max_memoized: int = 1024,
-        shape_key: Optional[Callable] = None,
         faults=None,  # Optional[repro.serve.faults.FaultInjector]
     ):
         self.engine = engine
-        self._memoize = memoize_decompositions
-        self._memo = LruMap(max_memoized)
         self._lock = threading.Lock()
-        if shape_key is None:
-            from repro.serve.service import query_shape_key
-
-            shape_key = query_shape_key
-        self._shape_key = shape_key
         self._faults = faults
         self._queries = 0
-
-    def decomposition_for(self, request) -> Optional[Decomposition]:
-        if not self._memoize:
-            return None
-        key = self._shape_key(request.query, request.pivot, request.strategy)
-        with self._lock:
-            memoized = self._memo.get(key)  # LruMap counts the hit/miss
-            if memoized is not None:
-                return memoized
-        decomposition = self.engine.decompose(
-            request.query, pivot=request.pivot, strategy=request.strategy
-        )
-        with self._lock:
-            self._memo.put(key, decomposition)
-        return decomposition
 
     def execute(self, request, submitted_wall: float) -> QueryResult:
         if self._faults is not None:
             # Before any real work, so an injected crash models a worker
             # dying mid-request (the request is lost, not half-served).
             self._faults.on_request()
-        decomposition = self.decomposition_for(request)
-        result = execute_request(
-            self.engine, request, submitted_wall, decomposition=decomposition
-        )
+        result = execute_request(self.engine, request, submitted_wall)
         with self._lock:
             self._queries += 1
         return result
-
-    @property
-    def memo_hits(self) -> int:
-        with self._lock:
-            return self._memo.hits
-
-    @property
-    def memo_misses(self) -> int:
-        with self._lock:
-            return self._memo.misses
 
     def snapshot(self, worker_id: str = "shared") -> WorkerSnapshot:
         cache = self.engine.weight_cache
@@ -217,15 +170,12 @@ class _EngineRunner:
             cache.stats if isinstance(cache, SemanticGraphCache) else CacheStats()
         )
         with self._lock:
-            memo_hits, memo_misses = self._memo.hits, self._memo.misses
             queries = self._queries
         return WorkerSnapshot(
             worker_id=worker_id,
             queries=queries,
             cache=cache_stats,
             space=self.engine.space.stats(),
-            memo_hits=memo_hits,
-            memo_misses=memo_misses,
             max_rss_kb=_max_rss_kb(),
         )
 
@@ -365,9 +315,7 @@ class ThreadBackend(ExecutionBackend):
 _WORKER_RUNNER: Optional[_EngineRunner] = None
 
 
-def _process_worker_init(
-    spec_pickle: bytes, memoize_decompositions: bool, max_memoized: int
-) -> None:
+def _process_worker_init(spec_pickle: bytes) -> None:
     """Pool initializer: unpickle the spec, build the engine, attach caches.
 
     The spec arrives pre-pickled (not as a live initarg) so the engine
@@ -386,12 +334,7 @@ def _process_worker_init(
         faults = plan.activate(allow_kill=True)
         faults.on_worker_init()  # may raise (simulated shm-attach loss)
     engine = build_engine(spec, weight_cache=SemanticGraphCache())
-    _WORKER_RUNNER = _EngineRunner(
-        engine,
-        memoize_decompositions=memoize_decompositions,
-        max_memoized=max_memoized,
-        faults=faults,
-    )
+    _WORKER_RUNNER = _EngineRunner(engine, faults=faults)
 
 
 def _process_execute(
@@ -427,8 +370,8 @@ class ProcessBackend(ExecutionBackend):
 
     Each worker bootstraps a private engine once from the pickled
     :class:`~repro.core.engine.EngineSpec` (initializer + per-worker
-    global) and reuses it — with its own weight cache, space row cache
-    and decomposition memo — across all requests it serves.  Request and
+    global) and reuses it — with its own weight cache and space row
+    cache — across all requests it serves.  Request and
     response objects cross the pool as pickles; the parent re-inflates
     each :class:`QueryResultPayload` into a :class:`QueryResult` so
     callers see one result type on every backend.
@@ -436,7 +379,6 @@ class ProcessBackend(ExecutionBackend):
     Args:
         spec: the engine description to ship.
         workers: pool size.
-        memoize_decompositions / max_memoized: per-worker memo settings.
         start_method: multiprocessing start method (``None`` = platform
             default: ``fork`` on Linux — fast, shares the parent's page
             cache; ``spawn`` re-imports everything and exercises the full
@@ -451,8 +393,6 @@ class ProcessBackend(ExecutionBackend):
         spec: EngineSpec,
         workers: int,
         *,
-        memoize_decompositions: bool = True,
-        max_memoized: int = 1024,
         start_method: Optional[str] = None,
         on_complete: Optional[Callable[[bool], None]] = None,
     ):
@@ -480,7 +420,7 @@ class ProcessBackend(ExecutionBackend):
             max_workers=workers,
             mp_context=context,
             initializer=_process_worker_init,
-            initargs=(spec_pickle, memoize_decompositions, max_memoized),
+            initargs=(spec_pickle,),
         )
         self._lock = threading.Lock()
         self._snapshots: Dict[str, WorkerSnapshot] = {}
@@ -608,8 +548,6 @@ def aggregate_snapshots(
             queries=total.queries + row.queries,
             cache=cache,
             space=space,
-            memo_hits=total.memo_hits + row.memo_hits,
-            memo_misses=total.memo_misses + row.memo_misses,
             # Summed like the cache gauges: "how much memory does the
             # pool hold overall" is the question the aggregate answers.
             max_rss_kb=total.max_rss_kb + row.max_rss_kb,
@@ -653,7 +591,5 @@ def diff_snapshots(
         queries=current.queries - baseline.queries,
         cache=cache,
         space=space,
-        memo_hits=current.memo_hits - baseline.memo_hits,
-        memo_misses=current.memo_misses - baseline.memo_misses,
         max_rss_kb=current.max_rss_kb,  # gauge: describes now
     )

@@ -102,9 +102,9 @@ class CacheStats:
 class LruMap:
     """A capacity-bounded LRU dict with hit/miss/eviction counters.
 
-    Not locked — callers (the cache below, the service's decomposition
-    memo) synchronise around it.  Values are arbitrary objects; ``None``
-    is reserved as the miss sentinel.
+    Not locked — callers (the cache below) synchronise around it.
+    Values are arbitrary objects; ``None`` is reserved as the miss
+    sentinel.
     """
 
     def __init__(self, capacity: int):

@@ -14,10 +14,6 @@ budgets.  :class:`QueryService` is the serving seam between the two:
   query's semantic-graph view on the shared-memory backends, so the
   workload amortises edge weighting and ``m(u)`` derivation across
   queries; process workers each own a private cache with the same role;
-- **decomposition memoization**: repeated query shapes (same nodes, edges,
-  pivot policy) reuse the minCost decomposition instead of re-running the
-  Eq. 1 cost model — per service on shared-memory backends, per worker on
-  the process backend;
 - an optional **result-level answer cache**
   (:mod:`repro.serve.answer_cache`): exact answers memoized under a
   canonical query fingerprint (permutation/alias-insensitive, bound to
@@ -33,8 +29,8 @@ budgets.  :class:`QueryService` is the serving seam between the two:
 ``submit`` returns a future; ``submit_batch`` and ``search_many`` are the
 batch conveniences.  Exact (SGQ) results are bit-identical to calling
 ``engine.search`` sequentially on **every** backend: caches store pure
-functions of the graph/space, memoized decompositions are deterministic,
-worker scheduling never reorders per-query state, and a process worker's
+functions of the graph/space, decompositions are deterministic, worker
+scheduling never reorders per-query state, and a process worker's
 engine is built from a pickle-faithful copy of the same graph, space and
 library.  The cross-backend conformance suite
 (``tests/test_serve_backends.py``) and the held-out replay against its
@@ -99,7 +95,6 @@ __all__ = [
     "ServiceStats",
     "ServingStatsReport",
     "MIN_TIME_BOUND",
-    "query_shape_key",
 ]
 
 #: A service's shared-memory graph lease: one segment for the single
@@ -183,11 +178,11 @@ class ServiceStats:
 
 @dataclass(frozen=True)
 class ServingStatsReport:
-    """Cache/memo statistics with their aggregation scope spelled out.
+    """Cache statistics with their aggregation scope spelled out.
 
     ``scope`` is ``"shared"`` when the numbers read live shared
-    structures (inline/thread backends: one weight cache, one space, one
-    memo) and ``"per-worker-sum"`` when they are summed over per-worker
+    structures (inline/thread backends: one weight cache, one space)
+    and ``"per-worker-sum"`` when they are summed over per-worker
     copies (process backend) — a distinction reports must label, because
     a summed hit rate describes pool-wide behaviour, not any single
     cache, and misses repeated once per worker are expected there.
@@ -210,16 +205,9 @@ class ServingStatsReport:
     queries: int
     cache: CacheStats
     space: SpaceCacheStats
-    memo_hits: int
-    memo_misses: int
     answers: Optional[AnswerCacheStats] = None
     answer_scope: str = "shared"
     shards: Tuple[ShardCacheStats, ...] = ()
-
-    @property
-    def memo_hit_rate(self) -> float:
-        lookups = self.memo_hits + self.memo_misses
-        return self.memo_hits / lookups if lookups else 0.0
 
     def scope_label(self) -> str:
         if self.scope == "per-worker-sum":
@@ -234,9 +222,6 @@ class ServingStatsReport:
             f"stats scope [{self.backend} backend]: {self.scope_label()}",
             f"weight cache ({self.scope_label()}): {self.cache.describe()}",
             f"space {self.space.describe()}",
-            f"decomposition memo: hits={self.memo_hits} "
-            f"misses={self.memo_misses} "
-            f"hit_rate={self.memo_hit_rate:.3f}",
         ]
         if self.answers is not None:
             # Deliberately not scope_label(): the answer cache is one
@@ -250,29 +235,6 @@ class ServingStatsReport:
             for row in self.shards:
                 lines.append(f"  {row.describe()}")
         return "\n".join(lines)
-
-
-def query_shape_key(
-    query: QueryGraph, pivot: Optional[str], strategy: str
-) -> Tuple:
-    """A canonical, hashable key for a query's decomposition inputs.
-
-    Two structurally identical query graphs (same labelled nodes with the
-    same names/types, same labelled edges) decompose identically under the
-    same pivot policy, so they may share one memoized decomposition.
-    """
-    # None-ness is encoded explicitly: a target node (name=None) and a
-    # specific node literally named "" are different queries.
-    nodes = tuple(
-        sorted(
-            (n.label, n.etype is None, n.etype or "", n.name is None, n.name or "")
-            for n in query.nodes()
-        )
-    )
-    edges = tuple(
-        sorted((e.label, e.source, e.predicate, e.target) for e in query.edges())
-    )
-    return (nodes, edges, pivot or "", strategy)
 
 
 def _share_graph(spec: EngineSpec) -> Tuple[EngineSpec, GraphLease]:
@@ -306,15 +268,12 @@ class QueryService:
             describing the engine; required (directly or via ``engine``)
             for the process backend.
         backend: ``"inline"``, ``"thread"`` (default) or ``"process"``.
-        max_workers: worker-pool size for the pooled backends (ignored by
-            ``inline``).  ``workers`` is an alias that wins when given.
+        workers: worker-pool size for the pooled backends (ignored by
+            ``inline``).
         cache: explicit :class:`SemanticGraphCache` to share (e.g. between
             services over the same graph); default builds a private one.
             Shared-memory backends only — process workers own private
             caches by construction.
-        memoize_decompositions: reuse decompositions across identical
-            query shapes.
-        max_memoized: LRU bound on the decomposition memo.
         start_method: multiprocessing start method for the process
             backend (``None`` = platform default).
         shared_graph: process backend only — publish the frozen
@@ -373,11 +332,8 @@ class QueryService:
         *,
         spec: Optional[EngineSpec] = None,
         backend: str = "thread",
-        max_workers: int = 4,
-        workers: Optional[int] = None,
+        workers: int = 4,
         cache: Optional[SemanticGraphCache] = None,
-        memoize_decompositions: bool = True,
-        max_memoized: int = 1024,
         start_method: Optional[str] = None,
         shared_graph: bool = False,
         supervised: bool = False,
@@ -395,12 +351,8 @@ class QueryService:
                 f"unknown execution backend {backend!r} "
                 f"(expected one of {EXECUTION_BACKENDS})"
             )
-        if workers is not None:
-            max_workers = workers
-        if max_workers < 1:
-            raise ServeError(f"max_workers must be at least 1, got {max_workers}")
-        if max_memoized < 1:
-            raise ServeError(f"max_memoized must be at least 1, got {max_memoized}")
+        if workers < 1:
+            raise ServeError(f"workers must be at least 1, got {workers}")
         if engine is None and spec is None:
             raise ServeError("QueryService needs an engine or an EngineSpec")
         if shared_graph and backend != "process":
@@ -422,7 +374,7 @@ class QueryService:
         )
 
         self.backend_name = backend
-        self.workers = max_workers if backend != "inline" else 1
+        self.workers = workers if backend != "inline" else 1
         self.stats = ServiceStats(backend=backend)
         self._stats_lock = threading.Lock()
         self._lock = threading.Lock()
@@ -458,11 +410,7 @@ class QueryService:
             # handle-carrying) variant of the current pool generation.
             self._base_spec = spec
             self._shared_graph = shared_graph
-            self._pool_settings = dict(
-                memoize_decompositions=memoize_decompositions,
-                max_memoized=max_memoized,
-                start_method=start_method,
-            )
+            self._start_method = start_method
             self.spec: Optional[EngineSpec] = spec
             # Fingerprint from the pre-share base spec: a pool rebuild
             # republishes the same graph, so the epoch is unchanged.
@@ -492,13 +440,7 @@ class QueryService:
             # In-process injection: crashes surface as WorkerCrashError
             # (killing the only process would defeat the point).
             faults = fault_plan.activate(allow_kill=False)
-        runner = _EngineRunner(
-            engine,
-            memoize_decompositions=memoize_decompositions,
-            max_memoized=max_memoized,
-            shape_key=query_shape_key,
-            faults=faults,
-        )
+        runner = _EngineRunner(engine, faults=faults)
         self._runner = runner
         self._init_answer_cache(
             answer_cache, answer_cache_ttl, EngineFingerprint.from_engine(engine)
@@ -585,8 +527,8 @@ class QueryService:
             backend = ProcessBackend(
                 spec,
                 self.workers,
+                start_method=self._start_method,
                 on_complete=None if self._supervised else self._record_outcome,
-                **self._pool_settings,
             )
         except BaseException:
             if lease is not None:
@@ -642,16 +584,7 @@ class QueryService:
         """
         spec = replace(self._base_spec, fault_plan=None)
         engine = build_engine(spec, weight_cache=SemanticGraphCache())
-        runner = _EngineRunner(
-            engine,
-            shape_key=query_shape_key,
-            **{
-                k: v
-                for k, v in self._pool_settings.items()
-                if k in ("memoize_decompositions", "max_memoized")
-            },
-        )
-        return InlineBackend(runner, on_complete=None)
+        return InlineBackend(_EngineRunner(engine), on_complete=None)
 
     # ------------------------------------------------------------------
     # construction conveniences
@@ -666,7 +599,7 @@ class QueryService:
         *,
         compact: bool = False,
         backend: str = "thread",
-        workers: Optional[int] = None,
+        workers: int = 4,
         shards: int = 0,
         shard_strategy: str = "hash",
         shard_seed: int = 0,
@@ -706,7 +639,7 @@ class QueryService:
         # the same store instead of redoing the O(V+E) work.
         if shards:
             # ``kg`` stays out of the spec so all backends uniformly
-            # query through the sharded facade.
+            # read entities from the shard set's own node columns.
             spec = EngineSpec(
                 ShardedGraph.build(
                     kg, shards, strategy=shard_strategy, seed=shard_seed
@@ -959,10 +892,10 @@ class QueryService:
         return []
 
     def serving_stats(self) -> ServingStatsReport:
-        """Cache/memo statistics with their aggregation scope labelled.
+        """Cache statistics with their aggregation scope labelled.
 
-        Shared-memory backends read the live shared cache, space and
-        memo (scope ``"shared"``); the process backend sums the latest
+        Shared-memory backends read the live shared cache and space
+        (scope ``"shared"``); the process backend sums the latest
         per-worker snapshots (scope ``"per-worker-sum"`` — each worker
         warms its own caches, so pool-wide misses scale with the worker
         count by design).  :meth:`reset_serving_stats` rebases the
@@ -979,8 +912,6 @@ class QueryService:
                 queries=0,
                 cache=CacheStats(),
                 space=SpaceCacheStats(),
-                memo_hits=0,
-                memo_misses=0,
             )
         scope = (
             "per-worker-sum"
@@ -994,8 +925,6 @@ class QueryService:
             queries=total.queries,
             cache=total.cache,
             space=total.space,
-            memo_hits=total.memo_hits,
-            memo_misses=total.memo_misses,
             answers=(
                 self._answer_cache.stats()
                 if self._answer_cache is not None
@@ -1008,7 +937,7 @@ class QueryService:
         )
 
     def reset_serving_stats(self) -> None:
-        """Zero the cache/memo counters reported by :meth:`serving_stats`.
+        """Zero the cache counters reported by :meth:`serving_stats`.
 
         Backend-neutral: shared-memory backends could reset the live
         structures, but process workers cannot be reached synchronously —
@@ -1020,25 +949,6 @@ class QueryService:
         total = aggregate_snapshots(self._backend.snapshots())
         with self._stats_lock:
             self._stats_baseline = total
-
-    @property
-    def memo_hits(self) -> int:
-        """Decomposition-memo hits (summed per worker on ``process``)."""
-        total = aggregate_snapshots(self._backend.snapshots())
-        return total.memo_hits if total is not None else 0
-
-    @property
-    def memo_misses(self) -> int:
-        total = aggregate_snapshots(self._backend.snapshots())
-        return total.memo_misses if total is not None else 0
-
-    @property
-    def memo_hit_rate(self) -> float:
-        total = aggregate_snapshots(self._backend.snapshots())
-        if total is None:
-            return 0.0
-        lookups = total.memo_hits + total.memo_misses
-        return total.memo_hits / lookups if lookups else 0.0
 
     # ------------------------------------------------------------------
     # lifecycle

@@ -54,7 +54,6 @@ from repro.errors import OverloadError, ScenarioError, SearchError, ServeError
 from repro.kg.sharded import SHARD_STRATEGIES
 from repro.query.model import QueryGraph
 from repro.serve.backends import EXECUTION_BACKENDS
-from repro.serve.cache import CacheStats
 from repro.serve.faults import FaultPlan
 from repro.serve.resilience import BackoffPolicy
 from repro.serve.service import QueryRequest, QueryService, ServingStatsReport
@@ -121,9 +120,8 @@ class ReplayReport:
     ``None``), ``deadline_requests`` counts the TBQ share of the mix —
     of those that completed, ``deadline_certified`` were certified exact
     inside their bound and ``deadline_bounded`` stopped on the time alert
-    (``QueryResult.approximate``) — and ``stats`` is the backend-labelled cache/memo report —
-    ``cache_stats`` keeps the bare weight-cache counters for older
-    consumers.
+    (``QueryResult.approximate``) — and ``stats`` is the backend-labelled
+    cache report.
 
     ``resilience`` carries the supervision counters *this pass* caused
     (deltas of the service's monotonic totals): retries, pool_rebuilds,
@@ -142,7 +140,6 @@ class ReplayReport:
     elapsed_seconds: float
     latencies: List[float]
     rate: Optional[float]
-    cache_stats: Optional[CacheStats] = None
     truncated: int = 0
     breakdown: Optional[List[QueryBreakdown]] = None
     class_latencies: Dict[str, List[float]] = field(default_factory=dict)
@@ -223,8 +220,6 @@ class ReplayReport:
                 f"weight cache ({self.stats.scope_label()}): "
                 f"{self.stats.cache.describe()}"
             )
-        elif self.cache_stats is not None:
-            lines.append(f"weight cache: {self.cache_stats.describe()}")
         if self.truncated:
             lines.append(
                 f"ta: {self.truncated} queries hit the assembly round cap"
@@ -273,9 +268,7 @@ class ReplayReport:
             if self.stats is not None:
                 lines.append(
                     f"serving stats [{self.stats.backend} backend, "
-                    f"{self.stats.scope_label()}]: decomposition memo "
-                    f"hits={self.stats.memo_hits} "
-                    f"misses={self.stats.memo_misses}; "
+                    f"{self.stats.scope_label()}]: "
                     f"space {self.stats.space.describe()}"
                 )
             lines.append("search vs assembly per query (slowest assembly first):")
@@ -613,7 +606,6 @@ def replay(
         elapsed_seconds=elapsed,
         latencies=sorted(latencies),
         rate=rate,
-        cache_stats=stats.cache,
         truncated=truncated[0],
         breakdown=splits if breakdown else None,
         class_latencies={

@@ -11,8 +11,10 @@ from repro.core.time_bounded import (
 )
 from repro.embedding.oracle import oracle_predicate_space
 from repro.errors import ConfigError, SearchError, TimeBudgetError
+from repro.kg.compact import CompactGraph, FrozenGraphReader
 from repro.kg.generator import build_dataset
 from repro.kg.schema import dbpedia_like_schema
+from repro.kg.sharded import ShardedGraph
 from repro.query.builder import QueryGraphBuilder
 from repro.query.transform import TransformationLibrary
 from repro.utils.timing import BudgetClock
@@ -83,6 +85,16 @@ class TestSGQEngine:
         assert scores == sorted(scores, reverse=True)
         assert not result.approximate
         assert result.elapsed_seconds > 0
+
+    @pytest.mark.parametrize(
+        "freeze",
+        [CompactGraph.freeze, lambda kg: ShardedGraph.build(kg, 2)],
+        ids=["compact", "sharded"],
+    )
+    def test_a_frozen_reader_needs_its_view_factory(self, engine, freeze):
+        reader = FrozenGraphReader(freeze(engine.kg))
+        with pytest.raises(SearchError, match="through its view factory"):
+            SemanticGraphQueryEngine(reader, engine.space, engine.library)
 
     def test_answers_are_automobiles(self, engine):
         result = engine.search(product_query(), k=10)

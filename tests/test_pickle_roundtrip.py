@@ -198,16 +198,20 @@ class TestEngineSpec:
         )
         shipped = build_engine(spec).to_spec()
         assert shipped.store is frozen and shipped.kg is small_bundle.kg
-        # Without the source graph the facade stands in, and stays home.
+        # A kernel frozen here remembers its graph; one that crossed a
+        # pickle does not, so a frozen reader stands in — and stays home.
         shipped = build_engine(replace(spec, kg=None)).to_spec()
-        assert isinstance(shipped.store, CompactGraph) and shipped.kg is None
+        assert shipped.store is frozen and shipped.kg is small_bundle.kg
+        thawed = _roundtrip(frozen)
+        shipped = build_engine(replace(spec, store=thawed, kg=None)).to_spec()
+        assert shipped.store is thawed and shipped.kg is None
 
     def test_store_must_be_one_of_the_five_forms(self, small_bundle):
         from repro.errors import SearchError
-        from repro.kg.compact import CompactKnowledgeGraph
+        from repro.kg.compact import FrozenGraphReader
 
-        facade = CompactKnowledgeGraph(CompactGraph.freeze(small_bundle.kg))
-        for not_a_store in (facade, None, "dbpedia"):
+        reader = FrozenGraphReader(CompactGraph.freeze(small_bundle.kg))
+        for not_a_store in (reader, None, "dbpedia"):
             with pytest.raises(SearchError, match="store"):
                 EngineSpec(store=not_a_store, space=small_bundle.space)
 

@@ -7,8 +7,6 @@ from repro.errors import DecompositionError, QueryError
 from repro.kg.generator import build_dataset
 from repro.kg.schema import dbpedia_like_schema
 from repro.query.builder import QueryGraphBuilder
-from repro.kg.compact import CompactGraph, CompactKnowledgeGraph
-from repro.kg.sharded import ShardedGraph, ShardedKnowledgeGraph
 from repro.query.decompose import CostModel, _cover_cost, decompose_query
 from repro.query.model import QueryEdge, QueryGraph, QueryNode, SubQueryGraph, SubQueryStep
 from repro.query.noise import add_edge_noise, add_node_noise, apply_noise_to_workload
@@ -328,23 +326,15 @@ class TestDecomposition:
 
 class TestAverageDegreeWithoutTheScan:
     """``decompose_query`` reads d̄ as ``2|E| / |V|`` instead of calling
-    ``statistics()`` (an O(|V|) degree scan) on every call."""
+    ``statistics()`` (an O(|V|) degree scan) on every call.  (That every
+    frozen reader decomposes alike is ``TestGraphReaderConformance``.)"""
 
-    @pytest.fixture(scope="class")
-    def facades(self, small_bundle):
+    def test_same_float_as_statistics(self, small_bundle):
         kg = small_bundle.kg
-        return {
-            "object": kg,
-            "compact": CompactKnowledgeGraph(CompactGraph.freeze(kg)),
-            "sharded": ShardedKnowledgeGraph(ShardedGraph.build(kg, 4)),
-        }
+        shortcut = 2 * kg.num_edges / kg.num_entities
+        assert shortcut == kg.statistics().average_degree
 
-    def test_same_float_as_statistics_on_every_facade(self, facades):
-        for name, kg in facades.items():
-            shortcut = 2 * kg.num_edges / kg.num_entities
-            assert shortcut == kg.statistics().average_degree, name
-
-    def test_decompositions_unchanged(self, small_bundle, facades):
+    def test_decompositions_unchanged(self, small_bundle):
         kg = small_bundle.kg
         matcher = NodeMatcher(kg, small_bundle.library)
         scanned = CostModel(
@@ -357,10 +347,6 @@ class TestAverageDegreeWithoutTheScan:
                 item.query, chosen.pivot_label, matcher, scanned
             )
             assert (chosen.cost, chosen.subqueries) == (cost, subqueries), item.qid
-            for name, facade in facades.items():
-                assert decompose_query(
-                    item.query, kg=facade, matcher=matcher
-                ) == chosen, (item.qid, name)
 
 
 class TestNoise:

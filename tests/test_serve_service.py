@@ -8,7 +8,7 @@ import pytest
 from repro.core.engine import EngineSpec, SemanticGraphQueryEngine
 from repro.errors import SearchError, ServeError
 from repro.serve.cache import SemanticGraphCache
-from repro.serve.service import QueryRequest, QueryService, query_shape_key
+from repro.serve.service import QueryRequest, QueryService
 from repro.query.builder import QueryGraphBuilder
 
 
@@ -31,7 +31,7 @@ def _product_query():
 @pytest.fixture()
 def service(small_bundle):
     svc = QueryService.build(
-        small_bundle.kg, small_bundle.space, small_bundle.library, max_workers=2
+        small_bundle.kg, small_bundle.space, small_bundle.library, workers=2
     )
     yield svc
     svc.close()
@@ -40,8 +40,22 @@ def service(small_bundle):
 def test_configuration_surface_snapshot():
     """What can be set, spelled out: a PR that adds (or re-adds) a
     selector has to edit these lists in the open."""
+    from repro.kg.graph import GraphReader
     from repro.serve.workload import _build_parser
 
+    assert sorted(
+        name for name in {**vars(GraphReader), **GraphReader.__annotations__}
+        if not name.startswith("_")
+    ) == [
+        "entities", "entities_of_type", "entity", "name", "num_edges",
+        "num_entities", "types",
+    ]
+    assert list(inspect.signature(QueryService.__init__).parameters) == [
+        "self", "engine", "spec", "backend", "workers", "cache",
+        "start_method", "shared_graph", "supervised", "fault_plan",
+        "retry_policy", "hard_timeout", "max_pending", "breaker_threshold",
+        "breaker_cooldown", "answer_cache", "answer_cache_ttl",
+    ]
     assert list(inspect.signature(QueryService.build).parameters) == [
         "kg", "space", "library", "config",
         "compact", "backend", "workers",
@@ -134,7 +148,7 @@ class TestCacheSharing:
         engine = SemanticGraphQueryEngine(
             small_bundle.kg, small_bundle.space, small_bundle.library
         )
-        with QueryService(engine, cache=cache, max_workers=1) as svc:
+        with QueryService(engine, cache=cache, workers=1) as svc:
             assert engine.weight_cache is cache
             assert svc.cache is cache
             svc.submit(_product_query(), k=3).result()
@@ -148,55 +162,8 @@ class TestCacheSharing:
             small_bundle.library,
             weight_cache=cache,
         )
-        with QueryService(engine, max_workers=1) as svc:
+        with QueryService(engine, workers=1) as svc:
             assert svc.cache is cache
-
-
-class TestDecompositionMemo:
-    def test_repeated_shape_hits_memo(self, service):
-        query = _product_query()
-        service.submit(query, k=3).result()
-        assert service.memo_misses == 1
-        assert service.memo_hits == 0
-        # A structurally identical but distinct query object also hits.
-        service.submit(_product_query(), k=3).result()
-        assert service.memo_hits == 1
-        assert service.memo_hit_rate == pytest.approx(0.5)
-
-    def test_different_pivot_policy_is_a_different_shape(self, service, small_bundle):
-        medium = next(
-            q for q in small_bundle.workload if q.complexity == "medium"
-        )
-        service.submit(medium.query, k=3).result()
-        service.submit(medium.query, k=3, strategy="random").result()
-        assert service.memo_misses == 2
-
-    def test_shape_key_ignores_declaration_order(self):
-        forward = _product_query()
-        reordered = (
-            QueryGraphBuilder()
-            .specific("v2", "Germany", "Country")
-            .target("v1", "Automobile")
-            .edge("e1", "v1", "product", "v2")
-            .build()
-        )
-        assert query_shape_key(forward, None, "min_cost") == query_shape_key(
-            reordered, None, "min_cost"
-        )
-
-    def test_memo_can_be_disabled(self, small_bundle):
-        with QueryService.build(
-            small_bundle.kg,
-            small_bundle.space,
-            small_bundle.library,
-            max_workers=1,
-            memoize_decompositions=False,
-        ) as svc:
-            query = _product_query()
-            svc.submit(query, k=3).result()
-            svc.submit(query, k=3).result()
-            assert svc.memo_hits == 0
-            assert svc.memo_misses == 0
 
 
 class TestSubmission:
@@ -249,7 +216,7 @@ class TestSubmission:
 class TestLifecycle:
     def test_submit_after_close_raises(self, small_bundle):
         svc = QueryService.build(
-            small_bundle.kg, small_bundle.space, small_bundle.library, max_workers=1
+            small_bundle.kg, small_bundle.space, small_bundle.library, workers=1
         )
         svc.close()
         assert svc.closed
@@ -258,7 +225,7 @@ class TestLifecycle:
 
     def test_context_manager_closes(self, small_bundle):
         with QueryService.build(
-            small_bundle.kg, small_bundle.space, small_bundle.library, max_workers=1
+            small_bundle.kg, small_bundle.space, small_bundle.library, workers=1
         ) as svc:
             svc.submit(_product_query(), k=3).result()
         assert svc.closed
@@ -268,6 +235,4 @@ class TestLifecycle:
             small_bundle.kg, small_bundle.space, small_bundle.library
         )
         with pytest.raises(ServeError):
-            QueryService(engine, max_workers=0)
-        with pytest.raises(ServeError):
-            QueryService(engine, max_memoized=0)
+            QueryService(engine, workers=0)

@@ -34,7 +34,7 @@ class TestPercentile:
 @pytest.fixture()
 def service(small_bundle):
     svc = QueryService.build(
-        small_bundle.kg, small_bundle.space, small_bundle.library, max_workers=2
+        small_bundle.kg, small_bundle.space, small_bundle.library, workers=2
     )
     yield svc
     svc.close()
@@ -52,8 +52,8 @@ class TestReplay:
         assert len(report.latencies) == 4
         assert report.throughput_qps > 0
         assert report.p50 <= report.p90 <= report.p99
-        assert report.cache_stats is not None
-        assert report.cache_stats.lookups > 0
+        assert report.stats is not None
+        assert report.stats.cache.lookups > 0
         text = report.describe()
         assert "throughput" in text and "latency" in text and "hit_rate" in text
 

@@ -20,12 +20,11 @@ from repro.core.engine import (
     build_engine,
 )
 from repro.errors import GraphError, ServeError
-from repro.kg.compact import CompactGraph
+from repro.kg.compact import CompactGraph, FrozenGraphReader
 from repro.kg.sharded import (
     SHARD_SEGMENT_PREFIX,
     SHARD_STRATEGIES,
     ShardedGraph,
-    ShardedKnowledgeGraph,
     ShardedViewFactory,
     compact_resident_bytes,
     partition_entities,
@@ -205,7 +204,7 @@ class TestEngineConformance:
             search_kernel="reference",
         )
         sharded_engine = SemanticGraphQueryEngine(
-            ShardedKnowledgeGraph(sharded4),
+            FrozenGraphReader(sharded4),
             small_bundle.space,
             small_bundle.library,
             view_factory=ShardedViewFactory(sharded4),
@@ -218,44 +217,6 @@ class TestEngineConformance:
                 item.qid, expected.matches, actual.matches
             )
             assert problem is None, problem
-
-
-class TestFacade:
-    """The ShardedKnowledgeGraph facade must read like the original KG."""
-
-    @pytest.fixture(scope="class")
-    def facade(self, sharded4):
-        return ShardedKnowledgeGraph(sharded4)
-
-    def test_entity_surface(self, small_bundle, facade):
-        kg = small_bundle.kg
-        assert facade.num_entities == kg.num_entities
-        assert facade.num_edges == kg.num_edges
-        for uid in (0, 1, kg.num_entities - 1):
-            assert facade.entity(uid).name == kg.entity(uid).name
-        assert facade.types() == kg.types()
-        assert facade.predicates() == kg.predicates()
-
-    def test_incidence_matches_original_order(
-        self, small_bundle, frozen, facade
-    ):
-        kg = small_bundle.kg
-
-        def row(pairs):
-            return [
-                (edge.source, edge.predicate, edge.target, nbr)
-                for edge, nbr in pairs
-            ]
-
-        for uid in _sample_uids(frozen, count=20):
-            assert row(facade.incident_list(uid)) == row(
-                kg.incident_list(uid)
-            ), uid
-            assert facade.degree(uid) == kg.degree(uid)
-
-    def test_statistics_and_triples(self, small_bundle, facade):
-        assert facade.statistics() == small_bundle.kg.statistics()
-        assert list(facade.triples()) == list(small_bundle.kg.triples())
 
 
 class TestShmLifecycle:
@@ -277,6 +238,7 @@ class TestShmLifecycle:
             assert attached.num_shards == sharded4.num_shards
             assert np.array_equal(attached.shard_of, sharded4.shard_of)
             for mine, theirs in zip(sharded4.shards, attached.shards):
+                assert mine.cut_edges == theirs.cut_edges
                 assert np.array_equal(mine.slot_rank, theirs.slot_rank)
                 assert np.array_equal(mine.owned_edges, theirs.owned_edges)
                 assert np.array_equal(

@@ -1,18 +1,15 @@
-"""Shared-memory CompactGraph: lifecycle, facade parity, serving identity.
+"""Shared-memory CompactGraph: lifecycle, serving identity.
 
 The shared-graph path (``repro.kg.shm`` + ``CompactGraph.to_shared`` /
-``from_handle`` + ``QueryService.build(shared_graph=True)``) makes three
-promises this suite pins:
+``from_handle`` + ``QueryService.build(shared_graph=True)``) makes two
+promises this suite pins (that an attached store reads like its source
+graph is ``TestGraphReaderConformance`` in ``tests/test_kg_graph.py``):
 
 1. **Lifecycle** — the owner's close/unlink is idempotent, no
    ``/dev/shm`` segment outlives its owning service, and attaching after
    the owner released the segment fails with a clear ``GraphError``
    (not a raw OS error).
-2. **Facade parity** — ``CompactKnowledgeGraph`` duck-types the
-   ``KnowledgeGraph`` read surface over the shared columns with
-   identical ordering semantics, so matchers, decomposition and views
-   behave bit-identically against it.
-3. **Serving identity** — the shm-backed process backend returns results
+2. **Serving identity** — the shm-backed process backend returns results
    bit-identical to the inline reference while shipping workers an
    O(metadata) spec.
 
@@ -27,12 +24,8 @@ import numpy as np
 import pytest
 
 from repro.bench.equivalence import query_results_differ
-from repro.errors import GraphError, ServeError, UnknownEntityError
-from repro.kg.compact import (
-    CompactGraph,
-    CompactGraphHandle,
-    CompactKnowledgeGraph,
-)
+from repro.errors import GraphError, ServeError
+from repro.kg.compact import CompactGraph, CompactGraphHandle
 from repro.kg.shm import ShmArrayBlock, leaked_segments
 from repro.serve.service import QueryService
 
@@ -165,65 +158,6 @@ class TestSharedCompactGraph:
         del lease
         gc.collect()
         assert name not in leaked_segments()
-
-
-class TestCompactKnowledgeGraphFacade:
-    @pytest.fixture(scope="class")
-    def facade(self, small_bundle):
-        frozen = CompactGraph.freeze(small_bundle.kg)
-        with frozen.to_shared() as lease:
-            yield CompactKnowledgeGraph(CompactGraph.from_handle(lease.handle))
-
-    def test_entity_surface_parity(self, small_bundle, facade):
-        kg = small_bundle.kg
-        assert facade.name == kg.name
-        assert facade.num_entities == kg.num_entities
-        assert facade.num_edges == kg.num_edges
-        assert [
-            (e.uid, e.name, e.etype) for e in facade.entities()
-        ] == [(e.uid, e.name, e.etype) for e in kg.entities()]
-        assert facade.entity(0) == kg.entity(0)
-        with pytest.raises(UnknownEntityError):
-            facade.entity(kg.num_entities)
-
-    def test_index_surface_parity(self, small_bundle, facade):
-        kg = small_bundle.kg
-        assert facade.types() == kg.types()
-        assert facade.predicates() == kg.predicates()
-        for etype in kg.types():
-            assert facade.entities_of_type(etype) == kg.entities_of_type(etype)
-        for predicate in kg.predicates():
-            assert facade.predicate_frequency(
-                predicate
-            ) == kg.predicate_frequency(predicate)
-        sample = kg.entity(0)
-        assert facade.entities_named(sample.name) == kg.entities_named(
-            sample.name
-        )
-
-    def test_traversal_surface_parity(self, small_bundle, facade):
-        kg = small_bundle.kg
-        step = max(kg.num_entities // 25, 1)
-        for uid in range(0, kg.num_entities, step):
-            assert facade.incident_list(uid) == kg.incident_list(uid)
-            assert list(facade.incident(uid)) == list(kg.incident(uid))
-            assert facade.out_incident(uid) == kg.out_incident(uid)
-            assert facade.in_incident(uid) == kg.in_incident(uid)
-            assert facade.out_edges(uid) == kg.out_edges(uid)
-            assert facade.in_edges(uid) == kg.in_edges(uid)
-            assert facade.degree(uid) == kg.degree(uid)
-            assert facade.neighbors(uid) == kg.neighbors(uid)
-
-    def test_aggregate_surface_parity(self, small_bundle, facade):
-        kg = small_bundle.kg
-        assert facade.statistics() == kg.statistics()
-        assert sorted(facade.triples()) == sorted(kg.triples())
-        edge = kg.out_edges(next(
-            uid for uid in range(kg.num_entities) if kg.out_edges(uid)
-        ))[0]
-        assert facade.has_edge(edge.source, edge.predicate, edge.target)
-        assert not facade.has_edge(edge.target, edge.predicate, edge.source) \
-            or kg.has_edge(edge.target, edge.predicate, edge.source)
 
 
 class TestSharedGraphService:
