@@ -125,9 +125,9 @@ class EngineSpec:
     :class:`SemanticGraphQueryEngine` in another process — the store, the
     predicate space, the transformation library and the search config —
     with **no** live runtime state (no weight cache, no worker pool, no
-    view factory closures).  A ``ProcessPoolExecutor`` worker unpickles
-    one spec in its initializer, builds its engine once, and serves every
-    subsequent request from it.
+    view factory closures).  A process-backend worker unpickles one spec
+    as it starts, builds its engine once, and serves every subsequent
+    request from it.
 
     ``store`` is exactly one :data:`GraphStore`.  A handle
     (``QueryService.build(shared_graph=True)``) makes the spec pickle

@@ -127,9 +127,11 @@ class TransientEngineError(RetryableServeError):
 class WorkerCrashError(RetryableServeError):
     """A worker died while serving a request.
 
-    On the process backend a crash usually surfaces as
-    ``concurrent.futures.process.BrokenProcessPool`` (classified
-    retryable by the supervisor, which also rebuilds the pool); this
+    On the process backend a crash surfaces as
+    ``concurrent.futures.process.BrokenProcessPool`` — the standard
+    library's type, raised by :class:`~repro.serve.backends.ProcessBackend`
+    itself when any worker dies (classified retryable by the
+    supervisor, which also rebuilds the pool); this
     type covers the shared-memory backends, where an injected crash
     cannot actually kill the serving process.
     """

@@ -143,6 +143,7 @@ def replay_scenario(
     answer_cache: int = 0,
     popularity: Optional[PopularitySpec] = None,
     shards: int = 0,
+    start_method: Optional[str] = None,
 ) -> ScenarioReplayResult:
     """One unpaced replay pass of the artifact through a fresh service.
 
@@ -153,7 +154,8 @@ def replay_scenario(
     anything the artifact froze (seeded by the workload) — together they
     show the Zipf-skewed answers are cache-invariant.  ``shards`` serves
     the pass off the hash-partitioned store (:mod:`repro.kg.sharded`):
-    the digest must be partition-invariant.
+    the digest must be partition-invariant.  ``start_method`` picks how
+    process workers start (``None``: the platform default).
     """
     if resources is None:
         resources = build_resources(workload)
@@ -189,6 +191,7 @@ def replay_scenario(
         workers=workers,
         compact=True,
         shared_graph=shared_graph,
+        start_method=start_method,
         **extra,
     ) as service:
         if backend == "process":

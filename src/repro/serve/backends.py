@@ -13,14 +13,13 @@ contract (:class:`ExecutionBackend`):
 - ``thread`` — the historical ``ThreadPoolExecutor``.  Request-level
   concurrency (deadline isolation, interleaved batches) and shared-cache
   warmth, but no CPU parallelism under the GIL;
-- ``process`` — a ``ProcessPoolExecutor`` whose workers each bootstrap a
-  **private engine once** from a pickled
-  :class:`~repro.core.engine.EngineSpec` (pool initializer + per-worker
-  global, never a per-task rebuild) and reuse it, with its own
-  :class:`~repro.serve.cache.SemanticGraphCache` and predicate-space
-  row cache, across every request the worker serves.
-  True multi-core parallelism; requests and results cross the process
-  boundary as picklable :class:`~repro.serve.service.QueryRequest` /
+- ``process`` — long-lived worker processes on one shared call pipe and
+  one shared reply pipe, each bootstrapping a **private engine once**
+  from a pickled :class:`~repro.core.engine.EngineSpec` and reusing it,
+  with its own :class:`~repro.serve.cache.SemanticGraphCache` and
+  predicate-space row cache, across every request it serves.  True
+  multi-core parallelism; requests and results cross the boundary as
+  picklable :class:`~repro.serve.service.QueryRequest` /
   :class:`~repro.core.results.QueryResultPayload` values.
 
 Results are bit-identical across backends for exact (SGQ) requests: the
@@ -43,15 +42,14 @@ import os
 import pickle
 import threading
 import time
-from concurrent.futures import (
-    BrokenExecutor,
-    Future,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-)
-from concurrent.futures import TimeoutError as FuturesTimeoutError
+import traceback
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Tuple
+from itertools import count
+from multiprocessing.connection import wait
+from typing import Callable, Dict, List, Optional, Set
 
 import multiprocessing
 
@@ -305,25 +303,20 @@ class ThreadBackend(ExecutionBackend):
 
 
 # ----------------------------------------------------------------------
-# process backend: worker-side bootstrap
+# process backend: worker side
 # ----------------------------------------------------------------------
 
-# The per-worker engine, built exactly once by the pool initializer.  A
-# module-level global is the documented ProcessPoolExecutor idiom for
-# worker-lifetime state: the initializer runs before any task, and every
-# task the worker executes sees the same runner.
-_WORKER_RUNNER: Optional[_EngineRunner] = None
+_POOL_BROKEN = "a worker process ended abruptly; the pool is not usable any more"
 
 
-def _process_worker_init(spec_pickle: bytes) -> None:
-    """Pool initializer: unpickle the spec, build the engine, attach caches.
+def _process_worker_init(spec_pickle: bytes) -> _EngineRunner:
+    """Worker bootstrap: unpickle the spec, build the engine, attach caches.
 
-    The spec arrives pre-pickled (not as a live initarg) so the engine
+    The spec arrives pre-pickled (not as a live argument) so the engine
     description crosses the boundary through one explicit, testable
-    ``pickle.loads`` on *every* start method — fork included, where raw
-    initargs would be silently inherited by memory instead.
+    ``pickle.loads`` on *every* start method — fork included, where a raw
+    argument would be silently inherited by memory instead.
     """
-    global _WORKER_RUNNER
     spec: EngineSpec = pickle.loads(spec_pickle)
     faults = None
     plan = getattr(spec, "fault_plan", None)
@@ -334,47 +327,48 @@ def _process_worker_init(spec_pickle: bytes) -> None:
         faults = plan.activate(allow_kill=True)
         faults.on_worker_init()  # may raise (simulated shm-attach loss)
     engine = build_engine(spec, weight_cache=SemanticGraphCache())
-    _WORKER_RUNNER = _EngineRunner(engine, faults=faults)
+    return _EngineRunner(engine, faults=faults)
 
 
-def _process_execute(
-    request, submitted_wall: float
-) -> Tuple[QueryResultPayload, WorkerSnapshot]:
-    """Task body: run one request, return its payload + a stats snapshot.
+def _process_worker_main(spec_pickle: bytes, calls, replies) -> None:
+    """Worker body: build the engine once, announce the pid, serve calls.
 
-    Piggybacking the snapshot on every result keeps the parent's view of
-    per-worker statistics fresh without control messages; a snapshot is a
-    few dozen integers, noise next to the payload it rides on.
+    Replies are ``(ticket, ok, body)``: ``(None, True, pid)`` announces a
+    ready worker, ``(ticket, True, (payload, snapshot))`` answers a
+    request — the piggybacked snapshot keeps the parent's per-worker
+    statistics fresh without control messages — and ``(ticket, False,
+    (exception, traceback text))`` fails one.  A bootstrap that raises
+    ends the process unannounced: to the parent, a worker death.
     """
-    runner = _WORKER_RUNNER
-    if runner is None:  # pragma: no cover - initializer contract
-        raise ServeError("process worker executed before initialization")
-    result = runner.execute(request, submitted_wall)
-    payload = QueryResultPayload.from_result(result)
-    return payload, runner.snapshot(worker_id=str(os.getpid()))
-
-
-def _process_warmup(hold_seconds: float) -> str:
-    """Warm-up task: the initializer already built the engine; report pid.
-
-    ``hold_seconds`` keeps the worker briefly busy so concurrently
-    submitted warm-up tasks fan out across distinct workers instead of
-    being drained by the first one to come up.
-    """
-    time.sleep(hold_seconds)
-    return str(os.getpid())
+    runner = _process_worker_init(spec_pickle)
+    pid = str(os.getpid())
+    replies.put((None, True, pid))
+    for ticket, request, submitted_wall in iter(calls.get, None):
+        try:
+            result = runner.execute(request, submitted_wall)
+            payload = QueryResultPayload.from_result(result)
+            reply = (ticket, True, (payload, runner.snapshot(worker_id=pid)))
+        except Exception as exc:
+            reply = (ticket, False, (exc, traceback.format_exc()))
+        replies.put(reply)
 
 
 class ProcessBackend(ExecutionBackend):
-    """True-parallel serving over a ``ProcessPoolExecutor``.
+    """True-parallel serving over ``workers`` long-lived processes.
 
     Each worker bootstraps a private engine once from the pickled
-    :class:`~repro.core.engine.EngineSpec` (initializer + per-worker
-    global) and reuses it — with its own weight cache and space row
-    cache — across all requests it serves.  Request and
-    response objects cross the pool as pickles; the parent re-inflates
-    each :class:`QueryResultPayload` into a :class:`QueryResult` so
-    callers see one result type on every backend.
+    :class:`~repro.core.engine.EngineSpec` and reuses it — with its own
+    weight cache and space row cache — across all requests it serves.
+    Two shared pipes join the workers to the parent: ``submit`` writes
+    ``(ticket, request, submitted_wall)`` on the calling thread, whichever
+    worker is idle reads it, and one reader thread re-inflates each
+    replied :class:`QueryResultPayload` into a :class:`QueryResult` and
+    resolves the ticket's future — no thread hop in, one out.
+
+    A worker that dies (or whose bootstrap raises) breaks the whole pool:
+    every accepted and every later request fails with
+    ``BrokenProcessPool`` and the other workers are terminated — one
+    killed inside ``calls.get()`` holds the pipe's read lock for ever.
 
     Args:
         spec: the engine description to ship.
@@ -402,7 +396,7 @@ class ProcessBackend(ExecutionBackend):
         self.workers = workers
         self.spec = spec
         # Pickle eagerly: an unpicklable spec must fail in the parent with
-        # a clear error, not inside a worker's initializer where the pool
+        # a clear error, not inside a worker's bootstrap where the pool
         # just reports BrokenProcessPool.
         try:
             spec_pickle = pickle.dumps(spec)
@@ -411,48 +405,130 @@ class ProcessBackend(ExecutionBackend):
                 f"EngineSpec is not picklable ({exc}); the process backend "
                 "needs a picklable engine description"
             ) from exc
-        context = (
-            multiprocessing.get_context(start_method)
-            if start_method is not None
-            else multiprocessing.get_context()
-        )
-        self._executor = ProcessPoolExecutor(
-            max_workers=workers,
-            mp_context=context,
-            initializer=_process_worker_init,
-            initargs=(spec_pickle,),
-        )
+        context = multiprocessing.get_context(start_method)
         self._lock = threading.Lock()
+        self._ready = threading.Condition(self._lock)  # an announcement, a break
+        self._pids: Set[str] = set()
         self._snapshots: Dict[str, WorkerSnapshot] = {}
+        self._tickets = count()
+        self._futures: Dict[int, "Future[QueryResult]"] = {}  # accepted, unresolved
+        self._backlog: deque = deque()  # accepted calls not yet on the pipe
+        self._unanswered = 0  # calls on the pipe or in a worker
+        self._closing = False
+        self._broken = False
+        self._calls = context.SimpleQueue()
+        self._replies = context.SimpleQueue()
+        self._processes = [
+            context.Process(
+                target=_process_worker_main,
+                args=(spec_pickle, self._calls, self._replies),
+                daemon=True,  # an interpreter exit without close() ends them
+            )
+            for _ in range(workers)
+        ]
+        for process in self._processes:
+            process.start()
+        self._reader = threading.Thread(
+            target=self._read_replies, name="repro-serve-replies", daemon=True
+        )
+        self._reader.start()
+
+    def _feed(self) -> None:
+        """Write backlog calls while the pipe has room (lock held).
+
+        At most ``workers + 1`` requests are unanswered — one per worker
+        plus one a finishing worker finds without waiting for the parent —
+        so the pipe stays far from full and ``submit`` never blocks on it.
+        """
+        while self._backlog and not self._broken:
+            call = self._backlog[0]
+            if call is not None:
+                if self._unanswered > self.workers:
+                    break
+                if not self._futures[call[0]].set_running_or_notify_cancel():
+                    # Cancelled while it waited here: never sent, and the
+                    # request completes as a failure for accounting.
+                    del self._futures[self._backlog.popleft()[0]]
+                    _notify(self._on_complete, False)
+                    continue
+                self._unanswered += 1
+            self._calls.put(self._backlog.popleft())
 
     def submit(self, request, submitted_wall: float) -> "Future[QueryResult]":
-        inner = self._executor.submit(_process_execute, request, submitted_wall)
-        outer: "Future[QueryResult]" = Future()
+        future: "Future[QueryResult]" = Future()
+        with self._lock:
+            if self._broken:
+                raise BrokenProcessPool(_POOL_BROKEN)
+            if self._closing:
+                raise RuntimeError("cannot schedule new futures after shutdown")
+            ticket = next(self._tickets)
+            self._futures[ticket] = future
+            self._backlog.append((ticket, request, submitted_wall))
+            self._feed()
+        return future
 
-        def _relay(done: "Future[Tuple[QueryResultPayload, WorkerSnapshot]]"):
-            exc = done.exception()
-            payload = None
-            if exc is None:
-                # Record the worker snapshot even if the caller cancelled
-                # the outer future: the work happened and the stats are
-                # real either way.
-                payload, snapshot = done.result()
-                with self._lock:
-                    self._snapshots[snapshot.worker_id] = snapshot
-            if not outer.set_running_or_notify_cancel():
-                # Caller cancelled: the result is dropped, so the request
-                # completes as a failure for accounting purposes.
-                _notify(self._on_complete, False)
-                return
-            if exc is not None:
-                _notify(self._on_complete, False)
-                outer.set_exception(exc)
-                return
-            _notify(self._on_complete, True)
-            outer.set_result(payload.to_result())
+    def _read_replies(self) -> None:
+        """Reader thread: resolve futures until every worker has exited."""
+        # SimpleQueue offers no public handle to wait on; the standard
+        # library's own pool waits on this attribute of its result queue.
+        pipe = self._replies._reader
+        sentinels = {process.sentinel: process for process in self._processes}
+        try:
+            while sentinels:
+                ready = wait([pipe, *sentinels])
+                if pipe in ready:
+                    # Before any death: an exited worker's last reply is here.
+                    self._complete(*self._replies.get())
+                    continue
+                for process in map(sentinels.pop, ready):
+                    process.join()
+                    if process.exitcode != 0 or not self._closing:
+                        self._break()
+        except BaseException:
+            self._break()  # nobody is left to resolve them
+            raise
+        finally:
+            self._calls.close()
+            self._replies.close()
 
-        inner.add_done_callback(_relay)
-        return outer
+    def _complete(self, ticket: Optional[int], ok: bool, body) -> None:
+        with self._ready:
+            if ticket is None:
+                self._pids.add(body)
+                self._ready.notify_all()
+                return
+            future = self._futures.pop(ticket, None)
+            if future is None:
+                return  # written before the pool broke, read after
+            self._unanswered -= 1
+            if ok:
+                self._snapshots[body[1].worker_id] = body[1]
+            self._feed()
+        _notify(self._on_complete, ok)
+        if ok:
+            future.set_result(body[0].to_result())
+        else:
+            error, remote_traceback = body
+            error.__cause__ = RuntimeError(f"in a process worker:\n{remote_traceback}")
+            future.set_exception(error)
+
+    def _break(self) -> None:
+        """Fail every accepted request, refuse later ones, end the workers."""
+        with self._ready:
+            if self._broken:
+                return
+            self._broken = True
+            futures = list(self._futures.values())  # in submission order
+            self._futures.clear()
+            self._backlog.clear()
+            self._ready.notify_all()
+        for process in self._processes:
+            process.terminate()
+        error = BrokenProcessPool(_POOL_BROKEN)
+        for future in futures:
+            _notify(self._on_complete, False)
+            if future.running() or future.set_running_or_notify_cancel():
+                future.set_exception(error)
 
     def snapshots(self) -> List[WorkerSnapshot]:
         """Latest per-worker rows (from completed requests).
@@ -465,58 +541,42 @@ class ProcessBackend(ExecutionBackend):
             return list(self._snapshots.values())
 
     def warmup(self, timeout: Optional[float] = None) -> int:
-        """Spin up (up to) all workers and their engines before traffic.
+        """Wait (at most ``timeout``) for every worker to announce its engine.
 
-        Submits one briefly-held task per worker so the pool spawns its
-        full complement; each worker's initializer builds the engine.
-        ``timeout`` bounds the *total* wait.  Returns the number of
-        *distinct* workers that answered in time — on a loaded machine
-        that may be fewer than ``workers``; stragglers finish
-        bootstrapping on their first real request.  A timeout that
-        expires before *any* worker answered, or a pool that breaks
-        while warming, raises a :class:`~repro.errors.ServeError` naming
-        the backend — never a bare futures ``TimeoutError``.
+        Returns the number ready in time — on a loaded machine maybe
+        fewer than ``workers``; stragglers finish booting before their
+        first request.  No worker ready in time, or a pool that broke
+        while booting, raises a :class:`~repro.errors.ServeError`.
         """
-        deadline = time.monotonic() + timeout if timeout is not None else None
-        try:
-            futures = [
-                self._executor.submit(_process_warmup, 0.05)
-                for _ in range(self.workers)
-            ]
-        except BrokenExecutor as exc:
-            raise ServeError(
-                f"{self.name!r} backend failed to warm up: the worker pool "
-                f"is broken ({exc})"
-            ) from exc
-        pids = set()
-        for future in futures:
-            remaining = None
-            if deadline is not None:
-                remaining = max(deadline - time.monotonic(), 0.0)
-            try:
-                pids.add(future.result(timeout=remaining))
-            except FuturesTimeoutError as exc:
-                # (On 3.9/3.10 the futures TimeoutError is not the
-                # builtin.)  Partial warmth is fine — stragglers boot on
-                # their first request — but zero workers inside the
-                # caller's budget deserves a clear, typed error.
-                if not pids:
-                    raise ServeError(
-                        f"{self.name!r} backend warmup timed out after "
-                        f"{timeout:g}s with no worker ready "
-                        f"(workers={self.workers}); raise the timeout or "
-                        "let workers boot lazily with warmup(timeout=None)"
-                    ) from exc
-                break
-            except BrokenExecutor as exc:
+        with self._ready:
+            self._ready.wait_for(
+                lambda: self._broken or len(self._pids) == self.workers, timeout
+            )
+            if self._broken:
                 raise ServeError(
-                    f"{self.name!r} backend failed to warm up: the worker "
-                    f"pool broke while booting ({exc})"
-                ) from exc
-        return len(pids)
+                    f"{self.name!r} backend failed to warm up: the worker pool "
+                    f"is broken ({_POOL_BROKEN})"
+                )
+            if not self._pids:
+                raise ServeError(
+                    f"{self.name!r} backend warmup timed out after "
+                    f"{timeout:g}s with no worker ready "
+                    f"(workers={self.workers}); raise the timeout or "
+                    "let workers boot lazily with warmup(timeout=None)"
+                )
+            return len(self._pids)
 
     def close(self, wait: bool = True) -> None:
-        self._executor.shutdown(wait=wait)
+        """Drain accepted work in order, then end each worker with a ``None``."""
+        with self._lock:
+            if not self._closing:
+                self._closing = True
+                self._backlog.extend([None] * self.workers)
+            self._feed()
+        # The supervisor closes a broken pool from a future's callback,
+        # which runs on the reader thread itself.
+        if wait and threading.current_thread() is not self._reader:
+            self._reader.join()
 
 
 def aggregate_snapshots(

@@ -621,7 +621,7 @@ class _SupervisedRequest:
         cancelled = not self.outer.set_running_or_notify_cancel()
         # Accounting strictly before the outer future resolves; a
         # caller-cancelled request completes as a failure (the result,
-        # if any, is dropped) — mirrors ProcessBackend._relay.
+        # if any, is dropped) — as ProcessBackend counts a cancelled one.
         self._b._request_finished(success and not cancelled)
         if cancelled:
             return True

@@ -967,8 +967,8 @@ class QueryService:
         # sees a submit after shutdown.
         self._backend.close(wait=wait)
         # Strictly after the pool is down: unlinking first would strand a
-        # worker that had not attached yet (workers attach lazily on
-        # their first task).  Workers that are already attached only hold
+        # worker that had not attached yet (a worker attaches while it
+        # boots).  Workers that are already attached only hold
         # mappings, which die with their processes.  Released through the
         # leak probe — on a sharded service that walks every shard
         # segment (reverse publication order) and asserts each left

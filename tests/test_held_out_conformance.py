@@ -46,6 +46,9 @@ FULL_COVERAGE_ARMS = {
     "thread": {"backend": "thread", "workers": 2},
     "process": {"backend": "process", "workers": 2},
     "process-shm": PROCESS_SHM,
+    # Workers that inherit nothing: spec, pipes and shm handle all arrive
+    # by pickle (the other process arms run on the platform's ``fork``).
+    "process-shm-spawn": dict(PROCESS_SHM, start_method="spawn"),
     "inline-2shards": dict(INLINE, shards=2),
     "inline-4shards": dict(INLINE, shards=4),
     "process-shm-2shards": dict(PROCESS_SHM, shards=2),

@@ -281,7 +281,11 @@ class TestWarmupTimeout:
             small_bundle.kg, small_bundle.space, small_bundle.library,
             backend="process", workers=2, compact=True,
         ) as service:
-            with pytest.raises(ServeError, match="'process' backend warmup"):
+            with pytest.raises(
+                ServeError,
+                match="'process' backend warmup timed out after 1e-06s "
+                      "with no worker ready",
+            ):
                 service.warmup(timeout=1e-6)
             # The pool itself is fine — workers just weren't ready inside
             # the budget; a real warmup afterwards succeeds.

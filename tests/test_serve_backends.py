@@ -9,7 +9,14 @@ excluded: they measure cache warmth, which per-worker caches change by
 design (same exclusion the view-kernel conformance suite makes).
 """
 
-from contextlib import ExitStack
+import os
+import signal
+import sys
+import threading
+import time
+from concurrent.futures import BrokenExecutor
+from contextlib import ExitStack, contextmanager
+from multiprocessing import active_children
 
 import pytest
 
@@ -21,9 +28,10 @@ from repro.kg.sharded import ShardedGraph
 from repro.kg.shm import leaked_segments
 from repro.query.builder import QueryGraphBuilder
 from repro.scenarios.replay import answer_digest
-from repro.serve.backends import EXECUTION_BACKENDS
+from repro.serve.backends import EXECUTION_BACKENDS, ProcessBackend
 from repro.serve.cache import SemanticGraphCache
-from repro.serve.service import QueryService
+from repro.serve.faults import FaultPlan
+from repro.serve.service import QueryRequest, QueryService
 
 K = 5
 
@@ -256,6 +264,111 @@ class TestProcessBackend:
         )
         with pytest.raises(ServeError):
             QueryService(engine, backend="greenlet")
+
+
+@contextmanager
+def _bare_pool(bundle, workers, fault_plan, outcomes):
+    """A :class:`ProcessBackend` with no service or supervisor around it,
+    over a shared-memory graph; on exit the pool must have closed within a
+    bounded wait, left no child of this process and no segment behind."""
+    before = set(active_children())
+    with CompactGraph.freeze(bundle.kg).to_shared() as lease:
+        spec = EngineSpec(
+            lease.handle, bundle.space, bundle.library, fault_plan=fault_plan
+        )
+        backend = ProcessBackend(spec, workers, on_complete=outcomes.append)
+        try:
+            yield backend
+        finally:
+            started = time.monotonic()
+            backend.close()
+            assert time.monotonic() - started < 30
+    assert set(active_children()) - before == set()
+    assert leaked_segments() == []
+
+
+class TestProcessSeam:
+    """The backend's own contract, which the supervisor builds on."""
+
+    #: Each worker sleeps 0.5-1.5 x this before its first request, so the
+    #: requests behind it are pending for as long as a test needs.
+    SLOW_FIRST = FaultPlan(latency_at=(1,), latency_seconds=1.0)
+
+    def test_a_worker_death_breaks_the_whole_pool(self, small_bundle):
+        request, outcomes, counted_at_resolution = QueryRequest(_product_query(), k=K), [], []
+        before = set(active_children())
+        with _bare_pool(small_bundle, 2, self.SLOW_FIRST, outcomes) as backend:
+            assert backend.warmup(timeout=60) == 2
+            victim = (set(active_children()) - before).pop()
+            futures = [backend.submit(request, time.time()) for _ in range(6)]
+            for future in futures:
+                future.add_done_callback(
+                    lambda _: counted_at_resolution.append(len(outcomes))
+                )
+            os.kill(victim.pid, signal.SIGKILL)
+            for future in futures:
+                with pytest.raises(BrokenExecutor):
+                    future.result(timeout=30)
+            # Exactly once per request, each before its future resolved.
+            assert outcomes == [False] * 6
+            assert counted_at_resolution == [1, 2, 3, 4, 5, 6]
+            with pytest.raises(BrokenExecutor):
+                backend.submit(request, time.time())
+            assert outcomes == [False] * 6  # a refused submit is the caller's
+
+    def test_a_failing_bootstrap_breaks_the_pool(self, small_bundle):
+        plan = FaultPlan(fail_shm_attach=True)
+        with _bare_pool(small_bundle, 2, plan, []) as backend:
+            with pytest.raises(
+                ServeError, match="failed to warm up: the worker pool is broken"
+            ):
+                backend.warmup(timeout=60)
+            with pytest.raises(BrokenExecutor):
+                backend.submit(QueryRequest(_product_query(), k=K), time.time())
+
+    def test_submit_never_blocks_and_order_is_kept(self, small_bundle):
+        request, outcomes, order = QueryRequest(_product_query(), k=K), [], []
+        with _bare_pool(small_bundle, 1, self.SLOW_FIRST, outcomes) as backend:
+            futures = [backend.submit(request, time.time()) for _ in range(400)]
+            # 400 accepted while the worker still sleeps on the first:
+            # nothing waited for room on a pipe that holds workers + 1.
+            assert not futures[0].done()
+            for index, future in enumerate(futures):
+                future.add_done_callback(lambda _, index=index: order.append(index))
+            assert futures[300].cancel()  # still in the parent's FIFO
+            backend.close(wait=False)  # accepted work is still served
+            served = [f.result(timeout=60) for f in futures if not f.cancelled()]
+            assert len(served) == 399 and all(result.matches for result in served)
+            assert order == [300] + [i for i in range(400) if i != 300]
+            assert sorted(outcomes) == [False] + [True] * 399
+            # The cancelled request never reached the worker.
+            assert [row.queries for row in backend.snapshots()] == [399]
+            with pytest.raises(RuntimeError, match="after shutdown"):
+                backend.submit(request, time.time())
+
+    def test_concurrent_submitters_lose_no_request(self, small_bundle):
+        """Four submitting threads and the reader thread share the FIFO
+        and the in-flight count; a lost update would strand a future."""
+        request, outcomes, futures = QueryRequest(_product_query(), k=K), [], []
+
+        def client():
+            futures.extend(backend.submit(request, time.time()) for _ in range(50))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with _bare_pool(small_bundle, 3, None, outcomes) as backend:
+                clients = [threading.Thread(target=client) for _ in range(4)]
+                for thread in clients:
+                    thread.start()
+                for thread in clients:
+                    thread.join(timeout=60)
+                    assert not thread.is_alive()
+                assert all(f.result(timeout=60).matches for f in futures)
+                assert outcomes == [True] * 200
+                assert sum(row.queries for row in backend.snapshots()) == 200
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestSharedBackends:
