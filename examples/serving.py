@@ -21,10 +21,9 @@ def main() -> None:
         f"{bundle.kg.num_edges} edges; workload: {len(bundle.workload)} queries"
     )
 
-    # 2. The serving layer: worker pool + shared weight cache.
-    with QueryService.build(
-        bundle.kg, bundle.space, bundle.library, workers=4
-    ) as service:
+    # 2. The serving layer: shared weight cache, searches on the caller's
+    #    thread (backend="process", workers=N is the multi-core arm).
+    with QueryService.build(bundle.kg, bundle.space, bundle.library) as service:
         # 3. Replay the full workload; pass 1 is cold, 2-3 are warm.
         items = [WorkloadItem(query=q.query, k=10, qid=q.qid) for q in bundle.workload]
         for run in range(1, 4):

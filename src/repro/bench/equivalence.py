@@ -18,9 +18,9 @@ from repro.core.results import FinalMatch, PathMatch, QueryResult, SearchStats
 
 #: SearchStats counters that must match bit-for-bit across search
 #: kernels.  ``nodes_touched`` / ``edges_weighted`` are *view*-level
-#: materialisation counters (already documented to differ between lazy
-#: and compact views) and ``elapsed_seconds`` is wall time, so they are
-#: compared only where the harness controls the view.
+#: materialisation counters (see :class:`SearchStats`; the lazy view is
+#: the only one that touches nodes) and ``elapsed_seconds`` is wall
+#: time, so none of the three is compared across kernels.
 SEARCH_STAT_FIELDS = (
     "expansions",
     "states_generated",

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import threading
 import weakref
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -189,7 +189,6 @@ class CompactSemanticGraphView:
         self._log_rows: Dict[Tuple[str, str], np.ndarray] = {}
         # L1, per query: (name, etype, n̂) -> hop label (see hop_label).
         self._hop_labels: Dict[Tuple, bytes] = {}
-        self._touched_nodes: Set[int] = set()
         # Pair weights materialised by this view.  The unit of work is a
         # whole row, so each computed row counts |graph predicates| pairs
         # — a *materialisation* count, deliberately not the lazy view's
@@ -302,7 +301,6 @@ class CompactSemanticGraphView:
         the lazy view's ``weighted_incident``; zero-weight edges are
         yielded for the caller's τ-pruning to judge.
         """
-        self._touched_nodes.add(uid)
         slots = self.graph.node_slots[uid]
         if not slots:
             return
@@ -315,7 +313,6 @@ class CompactSemanticGraphView:
 
     def max_adjacent_weight(self, uid: int, query_predicate: str) -> float:
         """``m(u)`` of Lemma 1 — an array read off the segment-max row."""
-        self._touched_nodes.add(uid)
         return self._bounds_row(query_predicate)[uid]
 
     def max_adjacent_weight_any(
@@ -325,11 +322,7 @@ class CompactSemanticGraphView:
 
         Called once per generated A* state: the L1 dict probe is inlined
         so the common (row already materialised) case is two lookups.
-        Nodes whose bound is consulted count as touched — the lazy view
-        materialises their incidence at this point, so counting them
-        keeps ``nodes_touched`` comparable across kernels.
         """
-        self._touched_nodes.add(uid)
         best = 0.0
         rows = self._bounds_rows
         for predicate in query_predicates:
@@ -432,40 +425,6 @@ class CompactSemanticGraphView:
             return distance.tobytes()
 
         return shared_hop_label(self, key, bound, sweeps)
-
-    def note_touched(self, uids: Iterable[int]) -> None:
-        """Record nodes a search kernel consulted out-of-band.
-
-        The vectorized search kernel reads whole-graph rows instead of
-        calling :meth:`weighted_incident` / :meth:`max_adjacent_weight_any`
-        per node; it reports the nodes those calls *would* have touched
-        here, so ``touched_nodes`` stays comparable across kernels.
-        """
-        self._touched_nodes.update(uids)
-
-    # ------------------------------------------------------------------
-    # introspection (parity with SemanticGraphView)
-    # ------------------------------------------------------------------
-    @property
-    def materialized_pairs(self) -> int:
-        """Distinct (query predicate, graph predicate) weights held."""
-        return sum(len(entry[1]) for entry in self._weight_rows.values())
-
-    @property
-    def touched_nodes(self) -> int:
-        """Distinct nodes whose incidence or ``m(u)`` bound was consulted.
-
-        Matches the uncached lazy view exactly (it materialises a node's
-        incidence to derive its bound); a *cache-backed* lazy view counts
-        fewer, since an adjacency hit skips the incident scan.
-        """
-        return len(self._touched_nodes)
-
-    def materialization_ratio(self) -> float:
-        """Fraction of graph nodes ever materialised."""
-        if self.graph.num_nodes == 0:
-            return 0.0
-        return self.touched_nodes / self.graph.num_nodes
 
 
 class CompactViewFactory:

@@ -103,6 +103,12 @@ class SearchStats:
     φ-match of their segment's closing node lies within the hops they
     have left (the view's ``hop_label``); it stays 0 under GENERATE and
     on views that offer no label.
+    ``edges_weighted`` / ``nodes_touched`` are the query's *view's*
+    counters, copied onto every sub-query's stats by the engine: pair
+    weights the view computed (per pair on the lazy view, per whole row
+    on the compact and sharded views, 0 for what a shared cache served),
+    and nodes whose incidence the lazy ``SG_Q`` view materialised
+    (Example 5) — 0 on views that materialise rows and touch no node.
     """
 
     expansions: int = 0

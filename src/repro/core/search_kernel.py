@@ -16,9 +16,7 @@ compact CSR kernel (:class:`~repro.kg.compact.CompactGraph`, via
   uid, segment, hop counters, the Eq. 6 accumulators (log product /
   weight sum), priority, parent index and arrival slot (the slot id
   resolves to the edge id and travel direction) — no per-state Python
-  objects, the priority queue holds bare pool indexes, and
-  :meth:`pool_arrays` exports the columns as flat numpy arrays for
-  vector consumers (the ROADMAP's shard/multiprocess items);
+  objects, and the priority queue holds bare pool indexes;
 - **per-segment tables are predicate- and node-sized, never
   slot-sized**: a slot resolves to its interned predicate id through the
   graph's memoized ``slot_predicate_list()`` mirror, and the id indexes
@@ -232,7 +230,6 @@ class VectorizedSubQuerySearch:
         self._indptr_l: List[int] = graph.indptr_list()
         self._nbr_l: List[int] = graph.slot_neighbor_list()
         self._spred_l: List[int] = graph.slot_predicate_list()
-        self._note = getattr(view, "note_touched", None)
 
         # Lazy per-segment tables and segment-max m(u) columns (list
         # mirrors of the values and of their exact logs).
@@ -241,9 +238,8 @@ class VectorizedSubQuerySearch:
 
         # Struct-of-arrays state pool: append-only scalar columns (an
         # index, once handed to the heap or a PendingMatch, stays valid
-        # forever).  pool_arrays() exports the columns as flat numpy
-        # arrays; the hot loop reads/writes the python columns directly
-        # so nothing boxes np scalars per state.
+        # forever).  Python lists, not numpy arrays: boxing an np scalar
+        # per state would dominate the pop loop.
         self._uid_c: List[int] = []
         self._segment_c: List[int] = []
         self._hops_c: List[int] = []
@@ -314,10 +310,9 @@ class VectorizedSubQuerySearch:
     def _segment_table(self, segment: int) -> _SegmentTable:
         """Predicate-sized weight and node-sized φ/m tables, built once.
 
-        Built on the segment's first non-isolated expansion — the same
-        trigger at which the reference search first materialises the
-        segment predicate's weight row — so ``edges_weighted`` stays
-        comparable across kernels.
+        Built on the segment's first non-isolated expansion, so a
+        segment the search never reaches costs no row, no label and no
+        ``tolist``.
         """
         table = self._tables.get(segment)
         if table is not None:
@@ -341,35 +336,6 @@ class VectorizedSubQuerySearch:
         )
         self._tables[segment] = table
         return table
-
-    # ------------------------------------------------------------------
-    # state pool
-    # ------------------------------------------------------------------
-    @property
-    def pool_size(self) -> int:
-        """States allocated so far (pruned arrivals never allocate)."""
-        return len(self._uid_c)
-
-    def pool_arrays(self) -> Dict[str, np.ndarray]:
-        """The state pool as flat numpy arrays (struct-of-arrays export).
-
-        A snapshot for vector consumers — offline analysis, a future
-        sharded/multiprocess driver — of every state the search has
-        admitted, column per field.  The search itself reads the python
-        columns (np scalar boxing would dominate the pop loop), so this
-        materialises on demand rather than per allocation.
-        """
-        return {
-            "uid": np.asarray(self._uid_c, dtype=np.int64),
-            "segment": np.asarray(self._segment_c, dtype=np.int32),
-            "hops_total": np.asarray(self._hops_c, dtype=np.int32),
-            "hops_in_segment": np.asarray(self._his_c, dtype=np.int32),
-            "log_product": np.asarray(self._lp_c, dtype=np.float64),
-            "weight_sum": np.asarray(self._ws_c, dtype=np.float64),
-            "priority": np.asarray(self._priority_c, dtype=np.float64),
-            "parent": np.asarray(self._parent_c, dtype=np.int64),
-            "slot": np.asarray(self._slot_c, dtype=np.int64),
-        }
 
     # ------------------------------------------------------------------
     # scoring (bit-identical to repro.core.pss on the geometric path)
@@ -420,8 +386,6 @@ class VectorizedSubQuerySearch:
         live = [uid for uid in seeds if reach[uid] <= bound]
         self.stats.pruned_by_reach += len(seeds) - len(live)
         seeds = live
-        if self._note is not None:
-            self._note(seeds)
         m_l, logm_l = self._m_any(0)
         for uid in seeds:
             priority = self._estimate(0.0, 0, 0.0, m_l[uid], logm_l[uid])
@@ -564,7 +528,6 @@ class VectorizedSubQuerySearch:
         bound = config.path_bound
         tau = config.tau
         tick = self.clock.tick
-        note = self._note
         estimate = self._estimate
         subquery_index = self.subquery_index
         num_segments = self._num_segments
@@ -654,8 +617,6 @@ class VectorizedSubQuerySearch:
                             )
                     elif his < bound:  # else only advances survived
                         uid = uid_c[index]
-                        if note is not None:
-                            note((uid,))
                         start = indptr_l[uid]
                         end = indptr_l[uid + 1]
                         if start != end and segment != bound_segment:
@@ -681,7 +642,6 @@ class VectorizedSubQuerySearch:
                         advance_is_goal = segment1 == num_segments
                         hops_over = hops1 > total_bound
                         queue_size = len(heap)
-                        touched = [] if continuing or not advance_is_goal else None
                         for slot in range(start, end):
                             pid = spred_l[slot]
                             w = w_l[pid]
@@ -705,7 +665,6 @@ class VectorizedSubQuerySearch:
                                         else:
                                             priority = exp(lp / hops1)
                                     else:
-                                        touched.append(neighbor)
                                         m = m_adv_l[neighbor]
                                         if geometric:
                                             if hops_over or m <= 0.0 or lp <= log_prune:
@@ -773,7 +732,6 @@ class VectorizedSubQuerySearch:
                             elif d_cont[neighbor] > slack:
                                 by_reach += 1  # no φ-match within the hops left
                             else:
-                                touched.append(neighbor)
                                 m = m_cont_l[neighbor]
                                 if geometric:
                                     priority = (
@@ -825,10 +783,6 @@ class VectorizedSubQuerySearch:
                                         generated += 1
                                         if queue_size > max_queue:
                                             max_queue = queue_size
-                        if touched and note is not None:
-                            # The reference touches a neighbour whenever it
-                            # computes an Eq. 7 estimate for it.
-                            note(touched)
                 if charge is not None:
                     charge()
                 if match is not None or single or index < 0:

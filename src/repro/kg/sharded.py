@@ -56,7 +56,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -603,10 +603,8 @@ class ShardedGraphView:
         sharded: ShardedGraph,
         views: Sequence,  # per-shard CompactSemanticGraphView
     ):
-        self._sharded = sharded
         self._views = list(views)
         self._shards = sharded.shards
-        self._touched: Set[int] = set()
 
     # ------------------------------------------------------------------
     def _shard_part(
@@ -630,7 +628,6 @@ class ShardedGraphView:
         self, uid: int, query_predicate: str
     ) -> Iterable[Tuple[Edge, int, float]]:
         """``(edge, neighbour, weight)`` in exact global slot order."""
-        self._touched.add(uid)
         merged: List[Tuple[int, Edge, int, float]] = []
         for index in range(len(self._views)):
             merged.extend(self._shard_part(index, uid, query_predicate))
@@ -644,7 +641,6 @@ class ShardedGraphView:
 
     def max_adjacent_weight(self, uid: int, query_predicate: str) -> float:
         """Global ``m(u)``: max of the per-shard segment maxima."""
-        self._touched.add(uid)
         return max(
             view.max_adjacent_weight(uid, query_predicate)
             for view in self._views
@@ -654,7 +650,6 @@ class ShardedGraphView:
         self, uid: int, query_predicates: Iterable[str]
     ) -> float:
         """``m(u)`` against several predicates — max over shards, exact."""
-        self._touched.add(uid)
         predicates = list(query_predicates)
         best = 0.0
         for view in self._views:
@@ -663,16 +658,9 @@ class ShardedGraphView:
                 best = bound
         return best
 
-    def note_touched(self, uids: Iterable[int]) -> None:
-        self._touched.update(uids)
-
     # ------------------------------------------------------------------
     # aggregated stats (engine reads these via getattr)
     # ------------------------------------------------------------------
-    @property
-    def touched_nodes(self) -> int:
-        return len(self._touched)
-
     @property
     def edges_weighted(self) -> int:
         """Materialised pair weights, summed across shard views."""
@@ -681,15 +669,6 @@ class ShardedGraphView:
     @property
     def cache_hits(self) -> int:
         return sum(view.cache_hits for view in self._views)
-
-    @property
-    def materialized_pairs(self) -> int:
-        return sum(view.materialized_pairs for view in self._views)
-
-    def materialization_ratio(self) -> float:
-        if self._sharded.num_nodes == 0:
-            return 0.0
-        return self.touched_nodes / self._sharded.num_nodes
 
     def shard_stats(self) -> List[ShardCacheStats]:
         """Per-shard labelled stats rows for this view's query."""

@@ -169,7 +169,7 @@ class ServiceStats:
     answer_evictions: int = 0
     answer_invalidations: int = 0
     answer_saved_seconds: float = 0.0
-    backend: str = "thread"
+    backend: str = "inline"
 
     @property
     def in_flight(self) -> int:
@@ -267,7 +267,7 @@ class QueryService:
         spec: a picklable :class:`~repro.core.engine.EngineSpec`
             describing the engine; required (directly or via ``engine``)
             for the process backend.
-        backend: ``"inline"``, ``"thread"`` (default) or ``"process"``.
+        backend: ``"inline"`` (default), ``"thread"`` or ``"process"``.
         workers: worker-pool size for the pooled backends (ignored by
             ``inline``).
         cache: explicit :class:`SemanticGraphCache` to share (e.g. between
@@ -331,7 +331,7 @@ class QueryService:
         engine: Optional[SemanticGraphQueryEngine] = None,
         *,
         spec: Optional[EngineSpec] = None,
-        backend: str = "thread",
+        backend: str = "inline",
         workers: int = 4,
         cache: Optional[SemanticGraphCache] = None,
         start_method: Optional[str] = None,
@@ -598,7 +598,7 @@ class QueryService:
         config: Optional[SearchConfig] = None,
         *,
         compact: bool = False,
-        backend: str = "thread",
+        backend: str = "inline",
         workers: int = 4,
         shards: int = 0,
         shard_strategy: str = "hash",

@@ -465,7 +465,9 @@ def replay(
         on_result: optional ``(index, request, result)`` callback invoked
             (serialised under the report lock) for every successful
             query — the hook scenario replays use to collect answer sets
-            without the report having to carry full results.
+            without the report having to carry full results.  A hook that
+            raises fails its request; the first such error is re-raised
+            once every request has finished.
     """
     if rate is not None and rate <= 0:
         raise ServeError(f"arrival rate must be positive, got {rate}")
@@ -490,6 +492,7 @@ def replay(
     latencies: List[float] = []
     class_latencies: Dict[str, List[float]] = {}
     failures = [0]
+    hook_errors: List[Exception] = []
     truncated = [0]
     tbq_flags: List[bool] = []  # QueryResult.approximate per TBQ answer
     splits: List[QueryBreakdown] = []
@@ -528,16 +531,22 @@ def replay(
 
         def _finish(f) -> None:
             latency = watch.elapsed() - scheduled
-            with lock:
-                if f.exception() is None:
+            # concurrent.futures logs and drops what a done-callback
+            # raises, so the release the drain below waits for must not
+            # sit behind the hook.
+            try:
+                with lock:
+                    if f.exception() is not None:
+                        failures[0] += 1
+                        return
+                    result = f.result()
+                    if on_result is not None:
+                        on_result(index, request, result)
                     latencies.append(latency)
                     if classes[index]:
                         class_latencies.setdefault(classes[index], []).append(
                             latency
                         )
-                    result = f.result()
-                    if on_result is not None:
-                        on_result(index, request, result)
                     if result.ta_truncated:
                         truncated[0] += 1
                     if request.deadline is not None:
@@ -559,9 +568,12 @@ def replay(
                                 max_queue_size=result.max_queue_size,
                             )
                         )
-                else:
+            except Exception as error:
+                with lock:
                     failures[0] += 1
-            done.release()
+                    hook_errors.append(error)
+            finally:
+                done.release()
 
         future.add_done_callback(_finish)
 
@@ -589,6 +601,8 @@ def replay(
     for _ in requests:
         done.acquire()
     elapsed = watch.elapsed()
+    if hook_errors:
+        raise hook_errors[0]
 
     stats = service.serving_stats()
     stats_after = service.stats_snapshot()
@@ -700,7 +714,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--backend",
-        default="thread",
+        default="inline",
         choices=EXECUTION_BACKENDS,
         help=(
             "execution backend: 'inline' (caller's thread), 'thread' "
@@ -919,7 +933,8 @@ def _serve_passes(
     without a cache, ...) exit through ``parser.error`` with the
     service's own message.  With ``answer_digest`` every pass also prints
     the digest of its exact answers — identical seeds must print an
-    identical digest on every pass, run and backend.
+    identical digest on every pass, run and backend; a pass that
+    disagrees with pass 1 ends the run with exit status 1.
     """
     kg, space, library, config = resources
     resilience_kwargs = _resilience_kwargs(args, parser)
@@ -961,6 +976,7 @@ def _serve_passes(
                 f"warmed {warmed}/{service.workers} process workers"
                 f"{graph_note}"
             )
+        first_digest = None
         for run in range(1, args.repeats + 1):
             service.reset_serving_stats()
             answers: Dict[str, List[str]] = {}
@@ -984,10 +1000,20 @@ def _serve_passes(
             print(f"\n--- pass {run}/{args.repeats} ({label}) ---")
             print(report.describe())
             if answer_digest is not None:
+                digest = answer_digest(answers)
                 print(
-                    f"exact-match digest: {answer_digest(answers)} "
+                    f"exact-match digest: {digest} "
                     f"({len(answers)} exact queries)"
                 )
+                if first_digest is None:
+                    first_digest = digest
+                elif digest != first_digest:
+                    print(
+                        f"exact-match digest mismatch: pass 1 printed "
+                        f"{first_digest}, pass {run} printed {digest}",
+                        file=sys.stderr,
+                    )
+                    return 1
     return 0
 
 

@@ -13,7 +13,8 @@ from repro.core.compact_view import CompactSemanticGraphView, CompactViewFactory
 from repro.core.engine import SemanticGraphQueryEngine
 from repro.core.semantic_graph import SemanticGraphView
 from repro.errors import SearchError, ServeError
-from repro.kg.compact import CompactGraph
+from repro.kg.compact import CompactGraph, FrozenGraphReader
+from repro.kg.sharded import ShardedGraph, ShardedViewFactory
 from repro.serve.cache import SemanticGraphCache
 from repro.utils.rng import derive_rng
 
@@ -324,19 +325,26 @@ class TestEngineConformance:
         )
         result = engine.search(bundle.workload[0].query, k=5)
         total = result.total_stats()
-        assert total.nodes_touched > 0
         assert total.edges_weighted > 0
 
-    def test_touched_nodes_match_lazy_view_uncached(self, small_bundle):
-        # Kernel comparisons read nodes_touched; the counts must agree
-        # (compact counts bound consultations exactly where lazy
-        # materialises incidence to derive the bound).
+    def test_nodes_touched_is_the_lazy_views_count(self, small_bundle):
+        # Example 5's "nodes ever materialised" is a statistic of the
+        # on-demand SG_Q; views that materialise whole rows touch none.
         bundle = small_bundle
+        query = bundle.workload[0].query
         lazy = SemanticGraphQueryEngine(bundle.kg, bundle.space, bundle.library)
         compact = SemanticGraphQueryEngine(
             bundle.kg, bundle.space, bundle.library, compact=True
         )
-        for workload_query in bundle.workload:
-            a = lazy.search(workload_query.query, k=5).total_stats()
-            b = compact.search(workload_query.query, k=5).total_stats()
-            assert a.nodes_touched == b.nodes_touched
+        sharded = ShardedGraph.build(bundle.kg, 2, strategy="hash", seed=0)
+        sharded_engine = SemanticGraphQueryEngine(
+            FrozenGraphReader(sharded),
+            bundle.space,
+            bundle.library,
+            view_factory=ShardedViewFactory(sharded),
+        )
+        assert lazy.search(query, k=5).total_stats().nodes_touched > 0
+        for engine in (compact, sharded_engine):
+            total = engine.search(query, k=5).total_stats()
+            assert total.nodes_touched == 0
+            assert total.edges_weighted > 0

@@ -342,27 +342,50 @@ class TestDispatch:
         result = engine.search(small_bundle.workload[0].query, k=3)
         assert result.matches
 
-    def test_pool_arrays_export(self, small_bundle):
+    def test_drain_reads_only_rows_and_labels_off_the_view(self, small_bundle):
+        """Once built, the search asks its view for rows and hop labels
+        and nothing else: the pop loop calls no view method."""
         engine = SemanticGraphQueryEngine(
             small_bundle.kg, small_bundle.space, small_bundle.library, compact=True
         )
-        decomposition = engine.decompose(small_bundle.workload[0].query)
-        search = build_subquery_search(
-            engine._make_view(),
-            decomposition.subqueries[0],
-            engine.matcher,
-            engine.config,
-            kernel="vectorized",
-        )
-        search.run(5)
-        pool = search.pool_arrays()
-        assert search.pool_size > 0
-        assert set(pool) == {
-            "uid", "segment", "hops_total", "hops_in_segment", "log_product",
-            "weight_sum", "priority", "parent", "slot",
-        }
-        for column in pool.values():
-            assert column.shape == (search.pool_size,)
+        drained = 0
+        for item in small_bundle.workload:
+            for subquery in engine.decompose(item.query).subqueries:
+                sealed = _SealedView(engine._make_view())
+                open_search, sealed_search = (
+                    build_subquery_search(
+                        view, subquery, engine.matcher, engine.config,
+                        kernel="vectorized",
+                    )
+                    for view in (engine._make_view(), sealed)
+                )
+                sealed.sealed = True
+                matches = sealed_search.run(10**6)
+                assert sealed_search.exhausted
+                assert matches == open_search.run(10**6)
+                drained += sealed_search.stats.expansions
+        assert drained > 0
+
+
+class _SealedView:
+    """Forwards to a compact view; once sealed, only the row surface."""
+
+    ROW_SURFACE = frozenset({
+        "weight_row_array",
+        "log_weight_row_array",
+        "bounds_row_array",
+        "log_bounds_row_array",
+        "hop_label",
+    })
+
+    def __init__(self, view):
+        self.inner = view
+        self.sealed = False
+
+    def __getattr__(self, name):
+        if self.sealed and name not in self.ROW_SURFACE:
+            raise AssertionError(f"search read view.{name} after construction")
+        return getattr(self.inner, name)
 
 
 class TestEngineCallSites:
@@ -392,13 +415,10 @@ class TestEngineCallSites:
             assert reference.max_queue_size == vectorized.max_queue_size, item.qid
 
     def test_view_stats_comparable_across_kernels(self, engines, small_bundle):
-        """nodes_touched/edges_weighted stay kernel-independent (the
-        vectorized kernel reports the nodes the reference's view calls
-        would have touched)."""
+        """edges_weighted is the view's row count, whichever kernel reads it."""
         for item in small_bundle.workload[:3]:
             a = engines["reference"].search(item.query, k=5).total_stats()
             b = engines["vectorized"].search(item.query, k=5).total_stats()
-            assert a.nodes_touched == b.nodes_touched, item.qid
             assert a.edges_weighted == b.edges_weighted, item.qid
 
     def test_query_result_counters_aggregate(self, engines, small_bundle):
@@ -712,23 +732,14 @@ class TestFusedLoop:
                     assert search_stats_differ(label, a, b) is None
         assert alerted > 0
 
-    def test_pool_export_and_materialise_across_resumption(self, two_segment):
+    def test_materialise_across_resumption(self, two_segment):
         config = SearchConfig(tau=0.5, path_bound=2)
         reference, vectorized = two_segment(config)
         pulled = [vectorized.next_match()]
-        before = vectorized.pool_arrays()
-        assert vectorized.pool_size == vectorized.stats.states_generated
-        while vectorized.pool_size == len(before["uid"]):
+        before = vectorized.stats.states_generated
+        while vectorized.stats.states_generated == before:
             pulled.append(vectorized.next_match())  # resumes the same loop
-        after = vectorized.pool_arrays()
-        assert vectorized.pool_size == vectorized.stats.states_generated
-        for name, column in before.items():  # append-only: a strict prefix
-            assert (after[name][: len(column)] == column).all(), name
-        for match in pulled:
-            assert after["uid"][match.pool_index] == match.pivot_uid
-            assert after["priority"][match.pool_index] == match.pss
-            assert after["segment"][match.pool_index] == 2
-        # Matches emitted before a resumption still build their paths.
+        # Matches emitted before the pool grew still build their paths.
         problem = path_matches_differ(
             "resumed",
             [reference.next_match() for _ in pulled],

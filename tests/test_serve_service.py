@@ -31,7 +31,8 @@ def _product_query():
 @pytest.fixture()
 def service(small_bundle):
     svc = QueryService.build(
-        small_bundle.kg, small_bundle.space, small_bundle.library, workers=2
+        small_bundle.kg, small_bundle.space, small_bundle.library,
+        backend="thread", workers=2,
     )
     yield svc
     svc.close()
@@ -62,6 +63,10 @@ def test_configuration_surface_snapshot():
         "shards", "shard_strategy", "shard_seed",
         "kwargs",
     ]
+    # The default is the caller's own thread (ROADMAP item 7's table).
+    for signature in (QueryService.__init__, QueryService.build):
+        assert inspect.signature(signature).parameters["backend"].default == "inline"
+    assert _build_parser().get_default("backend") == "inline"
     assert [f.name for f in dataclasses.fields(EngineSpec)] == [
         "store", "space", "library", "config", "kg", "fault_plan",
     ]
@@ -148,7 +153,7 @@ class TestCacheSharing:
         engine = SemanticGraphQueryEngine(
             small_bundle.kg, small_bundle.space, small_bundle.library
         )
-        with QueryService(engine, cache=cache, workers=1) as svc:
+        with QueryService(engine, cache=cache) as svc:
             assert engine.weight_cache is cache
             assert svc.cache is cache
             svc.submit(_product_query(), k=3).result()
@@ -162,7 +167,7 @@ class TestCacheSharing:
             small_bundle.library,
             weight_cache=cache,
         )
-        with QueryService(engine, workers=1) as svc:
+        with QueryService(engine) as svc:
             assert svc.cache is cache
 
 
@@ -216,7 +221,8 @@ class TestSubmission:
 class TestLifecycle:
     def test_submit_after_close_raises(self, small_bundle):
         svc = QueryService.build(
-            small_bundle.kg, small_bundle.space, small_bundle.library, workers=1
+            small_bundle.kg, small_bundle.space, small_bundle.library,
+            backend="thread", workers=1,
         )
         svc.close()
         assert svc.closed
@@ -225,7 +231,8 @@ class TestLifecycle:
 
     def test_context_manager_closes(self, small_bundle):
         with QueryService.build(
-            small_bundle.kg, small_bundle.space, small_bundle.library, workers=1
+            small_bundle.kg, small_bundle.space, small_bundle.library,
+            backend="thread", workers=1,
         ) as svc:
             svc.submit(_product_query(), k=3).result()
         assert svc.closed

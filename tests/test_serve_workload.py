@@ -1,5 +1,6 @@
 """Tests for the workload replay driver (repro.serve.workload)."""
 
+import threading
 from pathlib import Path
 
 import pytest
@@ -34,7 +35,8 @@ class TestPercentile:
 @pytest.fixture()
 def service(small_bundle):
     svc = QueryService.build(
-        small_bundle.kg, small_bundle.space, small_bundle.library, workers=2
+        small_bundle.kg, small_bundle.space, small_bundle.library,
+        backend="thread", workers=2,
     )
     yield svc
     svc.close()
@@ -82,6 +84,38 @@ class TestReplay:
         )
         assert report.completed == 1
         assert report.failed == 1
+
+    @pytest.mark.parametrize("backend", ["inline", "process"])
+    def test_raising_hook_fails_the_replay_instead_of_hanging_it(
+        self, small_bundle, backend
+    ):
+        """A done-callback's exception is swallowed by the future; the
+        replay must still drain, then raise the hook's first error."""
+        calls, raised = [], []
+
+        def hook(index, request, result):
+            calls.append(index)
+            raise KeyError(f"hook {index}")
+
+        query = small_bundle.workload[0].query
+        returned = threading.Event()
+
+        def run():
+            with QueryService.build(
+                small_bundle.kg, small_bundle.space, small_bundle.library,
+                backend=backend, workers=1, compact=True,
+            ) as svc:
+                try:
+                    replay(svc, [query] * 3, k=3, on_result=hook)
+                except KeyError as error:
+                    raised.append(error)
+            returned.set()
+
+        # No pytest-timeout in the test extras: the wait is the guard.
+        threading.Thread(target=run, daemon=True).start()
+        assert returned.wait(timeout=30), "replay() never returned"
+        assert sorted(calls) == [0, 1, 2]  # every request still finished
+        assert [error.args for error in raised] == [(f"hook {calls[0]}",)]
 
     def test_invalid_rate_rejected(self, service):
         with pytest.raises(ServeError):
@@ -261,13 +295,11 @@ class TestConsoleEntrypoint:
                 "2",
                 "--k",
                 "4",
-                "--workers",
-                "2",
             ]
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "(compact view, thread backend)" in out
+        assert "(compact view, inline backend)" in out
         assert "pass 1/2 (cold)" in out
         assert "pass 2/2 (warm)" in out
         assert "throughput" in out
@@ -286,6 +318,8 @@ class TestConsoleEntrypoint:
                 "1",
                 "--k",
                 "4",
+                "--backend",
+                "thread",
                 "--workers",
                 "2",
                 "--breakdown",
@@ -330,7 +364,8 @@ class TestConsoleEntrypoint:
         code = workload_main(
             [
                 "--preset", "dbpedia", "--scale", "1.0", "--seed", "11",
-                "--repeats", "1", "--k", "4", "--workers", "2",
+                "--repeats", "1", "--k", "4",
+                "--backend", "thread", "--workers", "2",
                 "--rate", "200", "--arrival", "poisson",
                 "--deadline", "0.5", "--tbq-fraction", "0.5",
             ]
@@ -376,7 +411,7 @@ class TestScenarioEntrypoint:
 
     def test_scenario_replay_prints_identical_digests(self, capsys):
         code = workload_main(
-            ["--scenario", self.ARTIFACT, "--repeats", "2", "--workers", "2"]
+            ["--scenario", self.ARTIFACT, "--repeats", "2"]
         )
         assert code == 0
         out = capsys.readouterr().out
@@ -390,6 +425,22 @@ class TestScenarioEntrypoint:
         assert digests[0] == digests[1]
         assert "(8 exact queries)" in digests[0]
         assert "replay: 10 completed, 0 failed" in out
+
+    def test_scenario_digest_mismatch_between_passes_exits_1(
+        self, capsys, monkeypatch
+    ):
+        stubbed = iter(["sha256:aaa", "sha256:bbb", "sha256:ccc"])
+        monkeypatch.setattr(
+            "repro.scenarios.replay.answer_digest", lambda answers: next(stubbed)
+        )
+        code = workload_main(["--scenario", self.ARTIFACT, "--repeats", "3"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "pass 2/3" in captured.out and "pass 3/3" not in captured.out
+        assert (
+            "exact-match digest mismatch: pass 1 printed sha256:aaa, "
+            "pass 2 printed sha256:bbb"
+        ) in captured.err
 
     def test_scenario_rejects_conflicting_flags(self):
         for conflict in (
