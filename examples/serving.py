@@ -1,8 +1,8 @@
-"""Serving a query workload: shared cache + batched QueryService.
+"""Serving a query workload: frozen store, shared row cache, QueryService.
 
 Builds the DBpedia-like dataset, stands up a :class:`QueryService` over
 it, and replays the benchmark workload three times — the first pass is
-cold, later passes run against the warm shared semantic-graph cache.
+cold, later passes run against the warm shared cache of whole-graph rows.
 Also shows single-query submission with a per-query deadline (TBQ).
 
 Run:  python examples/serving.py
@@ -21,9 +21,13 @@ def main() -> None:
         f"{bundle.kg.num_edges} edges; workload: {len(bundle.workload)} queries"
     )
 
-    # 2. The serving layer: shared weight cache, searches on the caller's
-    #    thread (backend="process", workers=N is the multi-core arm).
-    with QueryService.build(bundle.kg, bundle.space, bundle.library) as service:
+    # 2. The serving layer: the graph frozen into the CSR kernel, its
+    #    weight / m(u) / hop-label rows shared across queries, searches on
+    #    the caller's thread (backend="process", workers=N is the
+    #    multi-core arm).
+    with QueryService.build(
+        bundle.kg, bundle.space, bundle.library, compact=True
+    ) as service:
         # 3. Replay the full workload; pass 1 is cold, 2-3 are warm.
         items = [WorkloadItem(query=q.query, k=10, qid=q.qid) for q in bundle.workload]
         for run in range(1, 4):

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.core.assembly import AssemblyResult
 from repro.core.results import FinalMatch, PathMatch, QueryResult, SearchStats
 
 #: SearchStats counters that must match bit-for-bit across search
@@ -99,28 +98,6 @@ def search_stats_differ(
         if a != b:
             return f"{label}: {field} {a} != {b}"
     return None
-
-
-def assembly_results_differ(
-    label: str, reference: AssemblyResult, actual: AssemblyResult
-) -> Optional[str]:
-    """First difference between two assembly outcomes, or ``None``.
-
-    Identical means: equal ``accesses``, ``rounds``, ``terminated_early``
-    and ``truncated``, and identical final matches.
-    """
-    if reference.accesses != actual.accesses:
-        return f"{label}: accesses {reference.accesses} != {actual.accesses}"
-    if reference.rounds != actual.rounds:
-        return f"{label}: rounds {reference.rounds} != {actual.rounds}"
-    if reference.terminated_early != actual.terminated_early:
-        return (
-            f"{label}: terminated_early {reference.terminated_early} "
-            f"!= {actual.terminated_early}"
-        )
-    if reference.truncated != actual.truncated:
-        return f"{label}: truncated {reference.truncated} != {actual.truncated}"
-    return final_matches_differ(label, reference.matches, actual.matches)
 
 
 def query_results_differ(

@@ -280,7 +280,7 @@ class SubQuerySearch:
         if label is None:
             node = self._boundary_nodes[segment]
             label = self._hop_label(
-                (node.name, node.etype),
+                self.matcher.phi_key(node),
                 self.matcher.matches(node),
                 self.config.path_bound,
             )

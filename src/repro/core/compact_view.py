@@ -20,10 +20,9 @@ Rows are exactly the cross-query reuse unit, so when the view is backed
 by a shared :class:`~repro.serve.cache.SemanticGraphCache` it gets/puts
 whole rows (``kind in {"weights", "bounds"}``, plus their exact-log
 twins ``"log_weights"`` / ``"log_bounds"`` for the array-backed search
-kernel, and ``"hop_label"`` per φ signature for the reach prune) — one
-cache round-trip per (query predicate) instead of one per (edge) — and
-the serving layer's warm-workload win composes with the kernel's
-cold-query win.
+kernel, and ``"hop_label"`` per φ key for the reach prune) — one cache
+round-trip per query predicate — and the serving layer's warm-workload
+win composes with the kernel's cold-query win.
 
 Equivalence with the lazy view is exact, not approximate: both serve
 weights from the same cached ``PredicateSpace`` rows, slots keep
@@ -47,7 +46,6 @@ from repro.kg.compact import CompactGraph
 from repro.kg.graph import Edge, KnowledgeGraph
 from repro.core.semantic_graph import (
     PhiKey,
-    RowWeightCache,
     SemanticGraphView,
     WeightCache,
     WeightedGraphView,
@@ -136,10 +134,6 @@ class CompactSemanticGraphView:
             :class:`~repro.core.semantic_graph.WeightCache`.  The binding
             fingerprint is the *source* graph's, so one cache may back
             lazy and compact views of the same graph interchangeably.
-            Caches exposing ``get_row``/``put_row`` share whole rows;
-            older caches are simply not consulted on this path (weights
-            are recomputed — cheap — rather than probed pair-by-pair,
-            which would cost more than the matvec it replaces).
     """
 
     def __init__(
@@ -154,13 +148,9 @@ class CompactSemanticGraphView:
         self.kg = graph.kg
         self.space = space
         self.min_weight = min_weight
-        # Only row-capable caches (RowWeightCache) are consulted on this
-        # path; probing pair-by-pair would cost more than the matvec.
-        self._cache: Optional[RowWeightCache] = (
-            cache if hasattr(cache, "get_row") else None  # type: ignore[assignment]
-        )
+        self._cache = cache
         if cache is not None:
-            # Same fingerprint as the lazy view — entries are functions of
+            # Same fingerprint as the lazy view — rows are functions of
             # the source (graph, space, min_weight), however they are laid
             # out, so both view kinds may share one cache — including the
             # *frozen* shape: if the append-only source graph grew past
@@ -187,14 +177,13 @@ class CompactSemanticGraphView:
         # L1, per query: (kind, query predicate) -> exact-log twin of the
         # weight / m(u) row.
         self._log_rows: Dict[Tuple[str, str], np.ndarray] = {}
-        # L1, per query: (name, etype, n̂) -> hop label (see hop_label).
+        # L1, per query: φ key + (n̂,) -> hop label (see hop_label).
         self._hop_labels: Dict[Tuple, bytes] = {}
         # Pair weights materialised by this view.  The unit of work is a
         # whole row, so each computed row counts |graph predicates| pairs
         # — a *materialisation* count, deliberately not the lazy view's
         # touched-pair count (vectorisation materialises eagerly; that is
-        # the point).  Rows served by the shared cache count zero, same
-        # as lazy shared-cache hits.
+        # the point).  Rows served by the shared cache count zero.
         self.edges_weighted = 0
         self.cache_hits = 0  # rows served by the shared cache
 

@@ -228,10 +228,11 @@ class SemanticGraphQueryEngine:
         weight_cache: optional cross-query
             :class:`~repro.core.semantic_graph.WeightCache` (e.g. the
             serving layer's ``SemanticGraphCache``).  When set, every
-            query's view is backed by it, so repeated queries stop
-            re-weighting the same knowledge-graph edges; when ``None``
-            each query builds a private view, the paper's one-shot
-            behaviour.
+            query's view shares whole-graph rows through it, so
+            repeated queries stop re-deriving the same weight, ``m(u)``
+            and hop-label rows (the lazy view computes only the last
+            kind); when ``None`` each query builds a private view, the
+            paper's one-shot behaviour.
         view_factory: the view-construction seam — a callable
             ``(kg, space, *, min_weight, cache) -> WeightedGraphView``.
             Default builds the paper's lazy :class:`SemanticGraphView`.

@@ -219,7 +219,7 @@ class VectorizedSubQuerySearch:
         self._phi: List[FrozenSet[int]] = [
             frozenset(matcher.matches(node)) for node in boundary_nodes
         ]
-        self._phi_keys = [(node.name, node.etype) for node in boundary_nodes]
+        self._phi_keys = [matcher.phi_key(node) for node in boundary_nodes]
         # What GENERATE (and a goal advance) reads in place of a hop
         # label: zeros never exceed a hop budget.
         self._no_label = bytes(graph.num_nodes)

@@ -12,15 +12,13 @@ Weights are Eq. 5 cosines **clamped to [0, 1]**: the pss machinery
 negative cosine means "semantically opposite", which the search should
 treat as unrelated (weight 0 ⇒ pruned by any τ > 0).
 
-**Serving-layer indirection.**  Weights depend only on (query predicate,
-graph predicate) and ``m(u)`` (Lemma 1) only on (node, query predicate) —
-for a fixed graph, space and ``min_weight`` neither depends on the query
-*instance*.  A view can therefore be backed by a persistent cross-query
-:class:`WeightCache` (see :class:`repro.serve.cache.SemanticGraphCache`):
-per-query lookups land in a local L1 dict first, fall through to the
-shared cache, and only compute (and publish) on a shared miss.  Without a
-backing cache the view behaves exactly as before — a private per-query
-``SG_Q``.
+**The oracle, not the serving store.**  This view is the paper's one-shot
+``SG_Q``: two private dicts that live for one query.  The conformance
+suites and the golden pass run it as the definition the production path
+(:mod:`repro.core.compact_view` over a frozen store) is tested against.
+Cross-query sharing is a matter of whole-graph *rows* (see
+:class:`WeightCache`); the only row this view computes is its hop label,
+so that is all it reads from or publishes to a shared cache.
 """
 
 from __future__ import annotations
@@ -30,7 +28,6 @@ from typing import (
     Dict,
     Hashable,
     Iterable,
-    List,
     Optional,
     Protocol,
     Set,
@@ -43,12 +40,19 @@ from repro.kg.graph import Edge, KnowledgeGraph
 
 
 class WeightCache(Protocol):
-    """Cross-query store of semantic-graph weights.
+    """Cross-query store of whole-graph *rows*.
 
-    The cache invariant: every entry is a pure function of the (graph,
-    space, ``min_weight``) triple the cache was bound to — so entries may
-    be shared by any number of concurrent per-query views and evicted at
-    any time without affecting correctness (a miss just recomputes).
+    A row is an opaque value covering one key against the entire bound
+    graph — the vector of clamped weights of a query predicate per
+    interned graph-predicate id, the vector of its ``m(u)`` bounds per
+    node, or (kind ``"hop_label"``) the one-byte-per-node hop distance
+    to a query node's φ set.  The cache invariant: every row is a pure
+    function of its key and the (graph, space, ``min_weight``) triple
+    the cache was bound to — so rows may be shared by any number of
+    concurrent per-query views and evicted at any time without affecting
+    correctness (a miss just recomputes).  Rows are immutable by
+    contract.  :class:`repro.serve.cache.SemanticGraphCache` is the
+    implementation.
     """
 
     def bind(self, fingerprint: Tuple) -> None:
@@ -60,34 +64,6 @@ class WeightCache(Protocol):
         """
         ...
 
-    def get_weight(self, query_predicate: str, graph_predicate: str) -> Optional[float]:
-        ...
-
-    def put_weight(self, query_predicate: str, graph_predicate: str, weight: float) -> None:
-        ...
-
-    def get_adjacent(self, uid: int, query_predicate: str) -> Optional[float]:
-        ...
-
-    def put_adjacent(self, uid: int, query_predicate: str, weight: float) -> None:
-        ...
-
-
-class RowWeightCache(WeightCache, Protocol):
-    """A :class:`WeightCache` that can also share whole-graph *rows*.
-
-    A "row" is an opaque value covering one key against the entire
-    bound graph — e.g. the vector of clamped weights of a query predicate
-    per interned graph-predicate id, the vector of its ``m(u)`` bounds
-    per node, or (kind ``"hop_label"``, keyed ``(name, etype, n̂)``) the
-    one-byte-per-node hop distance to a query node's φ set.  Rows are
-    the compact kernel's unit of sharing; they are immutable by contract
-    and obey the same purity/evictability invariants as pair entries.
-    Row support is *optional* for cache implementations: views probe for
-    it at runtime and simply skip the shared cache when absent
-    (``SemanticGraphCache`` implements it).
-    """
-
     def get_row(self, kind: str, key: Hashable) -> Optional[object]:
         ...
 
@@ -95,9 +71,12 @@ class RowWeightCache(WeightCache, Protocol):
         ...
 
 
-#: The φ signature a hop label is keyed by: ``(node.name, node.etype)``,
-#: the :class:`~repro.query.transform.NodeMatcher` memo key.
-PhiKey = Tuple[Optional[str], Optional[str]]
+#: What a hop label is keyed by — everything its φ set is a function of
+#: beyond the graph: ``(node.name, node.etype, library)``, from
+#: :meth:`~repro.query.transform.NodeMatcher.phi_key`.  The library is
+#: in the key as the object itself, so the cache keeps it alive and two
+#: engines share labels exactly when they share a library.
+PhiKey = Tuple
 
 
 def shared_hop_label(
@@ -113,8 +92,7 @@ def shared_hop_label(
     row_key = key + (bound,)
     label = view._hop_labels.get(row_key)
     if label is None:
-        # Row support is optional for a cache (see RowWeightCache).
-        cache = view._cache if hasattr(view._cache, "get_row") else None
+        cache = view._cache
         if cache is not None:
             label = cache.get_row("hop_label", row_key)
         if label is not None:
@@ -158,8 +136,8 @@ class SemanticGraphView:
         kg: the knowledge graph being viewed.
         space: predicate semantic space providing Eq. 5 similarities.
         min_weight: similarities below this materialise as 0.
-        cache: optional shared :class:`WeightCache`; when given, weights
-            and ``m(u)`` values survive this view and seed future queries.
+        cache: optional shared :class:`WeightCache`; when given, the
+            view's hop labels survive it and seed future queries.
     """
 
     def __init__(
@@ -180,19 +158,18 @@ class SemanticGraphView:
             # recycled onto a different graph/space.  It also pins the
             # graph's shape: the store is append-only, so a changed
             # entity/edge count is the one possible mutation — and it
-            # invalidates cached m(u) bounds (and compact rows), so a
-            # grown graph must get a fresh cache, loudly.
+            # invalidates cached rows, so a grown graph must get a
+            # fresh cache, loudly.
             cache.bind((kg, space, min_weight, kg.num_entities, kg.num_edges))
-        # L1, per query: (query predicate, graph predicate) -> clamped weight
+        # (query predicate, graph predicate) -> clamped weight
         self._weight_cache: Dict[Tuple[str, str], float] = {}
-        # L1, per query: (uid, query predicate) -> max adjacent weight
-        # (the m(u) of Lemma 1)
+        # (uid, query predicate) -> max adjacent weight (the m(u) of Lemma 1)
         self._max_adjacent_cache: Dict[Tuple[int, str], float] = {}
-        # L1, per query: (name, etype, n̂) -> hop label (see hop_label)
+        # φ key + (n̂,) -> hop label (see hop_label)
         self._hop_labels: Dict[Tuple, bytes] = {}
         self._touched_nodes: Set[int] = set()
         self.edges_weighted = 0  # similarities actually computed by this view
-        self.cache_hits = 0  # lookups served by the shared cache
+        self.cache_hits = 0  # hop labels served by the shared cache
 
     # ------------------------------------------------------------------
     def weight(self, query_predicate: str, graph_predicate: str) -> float:
@@ -206,12 +183,6 @@ class SemanticGraphView:
         cached = self._weight_cache.get(key)
         if cached is not None:
             return cached
-        if self._cache is not None:
-            shared = self._cache.get_weight(query_predicate, graph_predicate)
-            if shared is not None:
-                self._weight_cache[key] = shared
-                self.cache_hits += 1
-                return shared
         try:
             raw = self.space.similarity(query_predicate, graph_predicate)
         except UnknownPredicateError:
@@ -221,8 +192,6 @@ class SemanticGraphView:
             clamped = 0.0
         self._weight_cache[key] = clamped
         self.edges_weighted += 1
-        if self._cache is not None:
-            self._cache.put_weight(query_predicate, graph_predicate, clamped)
         return clamped
 
     def weighted_incident(
@@ -246,27 +215,17 @@ class SemanticGraphView:
 
         The value upper-bounds the weight of the first unexplored edge of
         any continuation through ``uid``, hence (weights ≤ 1) the whole
-        unexplored weight product.  A shared-cache hit skips the incident
-        scan entirely, which is the serving layer's dominant saving on
-        repeated workloads.
+        unexplored weight product.
         """
         key = (uid, query_predicate)
         cached = self._max_adjacent_cache.get(key)
         if cached is not None:
             return cached
-        if self._cache is not None:
-            shared = self._cache.get_adjacent(uid, query_predicate)
-            if shared is not None:
-                self._max_adjacent_cache[key] = shared
-                self.cache_hits += 1
-                return shared
         best = 0.0
         for _edge, _neighbor, weight in self.weighted_incident(uid, query_predicate):
             if weight > best:
                 best = weight
         self._max_adjacent_cache[key] = best
-        if self._cache is not None:
-            self._cache.put_adjacent(uid, query_predicate, best)
         return best
 
     def max_adjacent_weight_any(self, uid: int, query_predicates: Iterable[str]) -> float:
@@ -294,10 +253,9 @@ class SemanticGraphView:
         *arriving* at a φ-match, so a state at ``u`` with ``h`` hops
         spent needs ``h + d[u] <= n̂`` to ever close it — weights, τ and
         the simple-path rule can only lengthen the way, never shorten
-        it.  ``key`` is the query node's ``(name, etype)``: the label
+        it.  ``key`` is the query node's :data:`PhiKey`: the label
         depends on topology and φ alone, so it is shared across queries
-        (row kind ``"hop_label"``, keyed ``key + (n̂,)``) by any cache
-        that serves one matcher.
+        (row kind ``"hop_label"``, keyed ``key + (n̂,)``).
 
         This breadth-first search is the definition the compact view's
         vectorized sweeps are tested against.  Only newly labelled nodes

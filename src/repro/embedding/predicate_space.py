@@ -15,11 +15,13 @@ the rest of the system asks:
   top-10 neighbours) and by debugging tools.
 
 Memoisation is **row-level and bounded**: the space keeps an LRU of
-similarity rows (one ``float64`` vector per predicate asked about), and
-``similarity(a, b)`` reads element ``b`` of row ``a``.  Query workloads
-ask about few distinct predicates but pair each with every graph
-predicate, so a row is exactly the reuse unit — and unlike the old
-per-pair dict, the LRU cannot grow without bound under workload replay.
+similarity rows (one ``float64`` vector per predicate asked about — a
+:class:`~repro.utils.lru.LruMap` under the space's own lock, reporting
+the same :class:`~repro.utils.lru.CacheStats` as the serving layer's
+row cache), and ``similarity(a, b)`` reads element ``b`` of row ``a``.
+Query workloads ask about few distinct predicates but pair each with
+every graph predicate, so a row is exactly the reuse unit — and unlike
+a per-pair dict, the LRU cannot grow without bound under workload replay.
 Row reads also make the scalar and vector paths bit-identical: both
 serve from the same matvec output.
 """
@@ -27,41 +29,12 @@ serve from the same matvec output.
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import EmbeddingError, UnknownPredicateError
-
-
-@dataclass
-class SpaceCacheStats:
-    """Snapshot of the similarity-row cache (mirrors ``CacheStats``)."""
-
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-    entries: int = 0
-    capacity: int = 0
-
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of row lookups served from the cache (0.0 when unused)."""
-        lookups = self.lookups
-        return self.hits / lookups if lookups else 0.0
-
-    def describe(self) -> str:
-        return (
-            f"row cache: hit_rate={self.hit_rate:.3f} "
-            f"(hits={self.hits}, misses={self.misses}, "
-            f"evictions={self.evictions}, entries={self.entries}/{self.capacity})"
-        )
+from repro.utils.lru import CacheStats, LruMap
 
 
 class PredicateSpace:
@@ -82,10 +55,6 @@ class PredicateSpace:
     def __init__(self, vectors: Mapping[str, np.ndarray], *, max_cached_rows: int = 256):
         if not vectors:
             raise EmbeddingError("predicate space needs at least one vector")
-        if max_cached_rows < 1:
-            raise EmbeddingError(
-                f"max_cached_rows must be at least 1, got {max_cached_rows}"
-            )
         dims = {np.asarray(v).shape for v in vectors.values()}
         if len(dims) != 1:
             raise EmbeddingError(f"inconsistent vector shapes: {sorted(dims)}")
@@ -105,12 +74,16 @@ class PredicateSpace:
         # and an unsynchronised LRU could evict an entry between a get and
         # its move_to_end (KeyError mid-query).  The critical section is
         # dict bookkeeping or one small matvec — far below query cost.
-        self._rows: "OrderedDict[int, np.ndarray]" = OrderedDict()
+        self._rows = self._fresh_rows(max_cached_rows)
         self._rows_lock = threading.Lock()
-        self._max_rows = max_cached_rows
-        self._hits = 0
-        self._misses = 0
-        self._evictions = 0
+
+    @staticmethod
+    def _fresh_rows(max_cached_rows: int) -> LruMap:
+        if max_cached_rows < 1:
+            raise EmbeddingError(
+                f"max_cached_rows must be at least 1, got {max_cached_rows}"
+            )
+        return LruMap(max_cached_rows)
 
     # ------------------------------------------------------------------
     @property
@@ -143,10 +116,7 @@ class PredicateSpace:
         with self._rows_lock:
             row = self._rows.get(index)
             if row is not None:
-                self._rows.move_to_end(index)
-                self._hits += 1
                 return row
-            self._misses += 1
             # Elementwise product + per-row pairwise sum, NOT a BLAS
             # matvec: the reduction order is then identical for row(a)[b]
             # and row(b)[a], which keeps Eq. 5 exactly symmetric at the
@@ -157,10 +127,7 @@ class PredicateSpace:
             # callers see the identity the paper's Eq. 5 assumes.
             row[index] = 1.0
             row.flags.writeable = False
-            self._rows[index] = row
-            while len(self._rows) > self._max_rows:
-                self._rows.popitem(last=False)
-                self._evictions += 1
+            self._rows.put(index, row)
             return row
 
     def similarity(self, a: str, b: str) -> float:
@@ -208,16 +175,10 @@ class PredicateSpace:
         self.__dict__.update(state)
         self._rows_lock = threading.Lock()
 
-    def stats(self) -> SpaceCacheStats:
+    def stats(self) -> CacheStats:
         """Hit/miss/eviction counters of the similarity-row cache."""
         with self._rows_lock:
-            return SpaceCacheStats(
-                hits=self._hits,
-                misses=self._misses,
-                evictions=self._evictions,
-                entries=len(self._rows),
-                capacity=self._max_rows,
-            )
+            return self._rows.stats()
 
     def similarities_to(self, predicate: str) -> Dict[str, float]:
         """Cosine from ``predicate`` to every predicate (including itself)."""
@@ -250,18 +211,10 @@ class PredicateSpace:
         clone._names = self._names
         clone._index = self._index
         clone._matrix = self._matrix
-        clone._rows = OrderedDict()
-        clone._rows_lock = threading.Lock()
-        clone._max_rows = (
-            self._max_rows if max_cached_rows is None else max_cached_rows
+        clone._rows = self._fresh_rows(
+            self._rows.capacity if max_cached_rows is None else max_cached_rows
         )
-        if clone._max_rows < 1:
-            raise EmbeddingError(
-                f"max_cached_rows must be at least 1, got {clone._max_rows}"
-            )
-        clone._hits = 0
-        clone._misses = 0
-        clone._evictions = 0
+        clone._rows_lock = threading.Lock()
         return clone
 
     # ------------------------------------------------------------------

@@ -376,10 +376,6 @@ class CompactGraph:
             object.__setattr__(self, "_names", names)
         return self._names
 
-    def entity_name(self, uid: int) -> str:
-        """The display name behind entity ``uid``."""
-        return self.entity_names()[uid]
-
     # ------------------------------------------------------------------
     # escape hatches back to the object graph
     # ------------------------------------------------------------------

@@ -569,7 +569,7 @@ class ShardCacheStats:
     edges_weighted: int
     cache_hits: int
     cache: object  # CacheStats of the shard's SemanticGraphCache
-    space: object  # SpaceCacheStats of the shard's private row LRU
+    space: object  # CacheStats of the shard's private similarity-row LRU
 
     def describe(self) -> str:
         parts = [
@@ -579,7 +579,7 @@ class ShardCacheStats:
         if self.cache is not None:
             parts.append(self.cache.describe())
         if self.space is not None:
-            parts.append(self.space.describe())
+            parts.append(f"space row cache: {self.space.describe()}")
         return " | ".join(parts)
 
 

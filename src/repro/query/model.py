@@ -250,10 +250,6 @@ class SubQueryGraph:
     def num_edges(self) -> int:
         return len(self.steps)
 
-    def intermediate_nodes(self) -> List[QueryNode]:
-        """Query nodes strictly between start and end."""
-        return [self.query.node(label) for label in self.node_labels[1:-1]]
-
     def predicates(self) -> List[str]:
         return [step.predicate for step in self.steps]
 

@@ -229,6 +229,15 @@ class NodeMatcher:
             self._cache[key] = result
         return list(result)
 
+    def phi_key(self, node: QueryNode) -> Tuple:
+        """Everything ``matches(node)`` is a function of beyond the graph.
+
+        What a cross-query cache keys a φ-derived row by (the hop label
+        of :mod:`repro.core.semantic_graph`): the library is part of φ,
+        and two matchers agree on a node exactly when they share one.
+        """
+        return (node.name, node.etype, self.library)
+
     def _surface_names(self, query_name: str) -> List[str]:
         """Normalised name forms to probe in the graph index."""
         forms = {normalize_label(query_name)}

@@ -1,12 +1,12 @@
-"""Serving layer: shared weight cache, batched query service, load driver.
+"""Serving layer: shared row cache, batched query service, load driver.
 
 The paper's engine (``repro.core``) answers one query at a time and
 rebuilds its semantic-graph state per call.  This package amortises that
 state across a workload:
 
 - :class:`~repro.serve.cache.SemanticGraphCache` — thread-safe,
-  LRU-bounded cross-query store of edge weights and ``m(u)`` adjacency
-  bounds, with hit/miss statistics;
+  LRU-bounded cross-query store of whole-graph rows (weights, ``m(u)``
+  bounds, hop labels), with hit/miss statistics;
 - :class:`~repro.serve.service.QueryService` — pool front-end with
   ``submit`` / ``submit_batch`` / ``search_many`` and per-query
   deadlines (mapped onto the TBQ coordinator), running on a pluggable
@@ -36,7 +36,7 @@ from repro.serve.backends import (
     ThreadBackend,
     WorkerSnapshot,
 )
-from repro.serve.cache import CacheStats, SemanticGraphCache
+from repro.serve.cache import SemanticGraphCache
 from repro.serve.faults import FaultInjector, FaultPlan
 from repro.serve.resilience import (
     BackoffPolicy,
@@ -51,6 +51,7 @@ from repro.serve.service import (
     ServingStatsReport,
 )
 from repro.serve.workload import ReplayReport, WorkloadItem, mix_deadlines, replay
+from repro.utils.lru import CacheStats
 
 __all__ = [
     "CacheStats",

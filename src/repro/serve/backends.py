@@ -46,7 +46,7 @@ import traceback
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import count
 from multiprocessing.connection import wait
 from typing import Callable, Dict, List, Optional, Set
@@ -55,9 +55,9 @@ import multiprocessing
 
 from repro.core.engine import EngineSpec, SemanticGraphQueryEngine, build_engine
 from repro.core.results import QueryResult, QueryResultPayload
-from repro.embedding.predicate_space import SpaceCacheStats
 from repro.errors import ServeError
-from repro.serve.cache import CacheStats, SemanticGraphCache
+from repro.serve.cache import SemanticGraphCache
+from repro.utils.lru import CacheStats
 
 try:
     import resource as _resource
@@ -98,7 +98,7 @@ class WorkerSnapshot:
     worker_id: str
     queries: int
     cache: CacheStats
-    space: SpaceCacheStats
+    space: CacheStats
     max_rss_kb: int = 0
 
 
@@ -591,29 +591,15 @@ def aggregate_snapshots(
         return None
     total = snapshots[0]
     for row in snapshots[1:]:
-        cache = CacheStats(
-            **{
-                name: getattr(total.cache, name) + getattr(row.cache, name)
-                for name in CacheStats.__dataclass_fields__
-            }
-        )
-        space = SpaceCacheStats(
-            **{
-                name: getattr(total.space, name) + getattr(row.space, name)
-                for name in SpaceCacheStats.__dataclass_fields__
-            }
-        )
         total = WorkerSnapshot(
             worker_id="sum",
             queries=total.queries + row.queries,
-            cache=cache,
-            space=space,
+            cache=total.cache + row.cache,
+            space=total.space + row.space,
             # Summed like the cache gauges: "how much memory does the
             # pool hold overall" is the question the aggregate answers.
             max_rss_kb=total.max_rss_kb + row.max_rss_kb,
         )
-    if len(snapshots) == 1:
-        total = replace(total, worker_id=snapshots[0].worker_id)
     return total
 
 
@@ -624,32 +610,16 @@ def diff_snapshots(
 
     The backend-neutral way to report per-phase statistics: take an
     aggregate before the phase, another after, and diff.  Gauges
-    (``*_entries``, ``capacity``) describe *now* and are not subtracted.
+    (``entries``, ``capacity``) describe *now* and are not subtracted.
     """
     if current is None:
         return None
     if baseline is None:
         return current
-    gauges = ("weight_entries", "adjacency_entries", "row_entries")
-    cache = CacheStats(
-        **{
-            name: getattr(current.cache, name)
-            - (0 if name in gauges else getattr(baseline.cache, name))
-            for name in CacheStats.__dataclass_fields__
-        }
-    )
-    space_gauges = ("entries", "capacity")
-    space = SpaceCacheStats(
-        **{
-            name: getattr(current.space, name)
-            - (0 if name in space_gauges else getattr(baseline.space, name))
-            for name in SpaceCacheStats.__dataclass_fields__
-        }
-    )
     return WorkerSnapshot(
         worker_id=current.worker_id,
         queries=current.queries - baseline.queries,
-        cache=cache,
-        space=space,
+        cache=current.cache.since(baseline.cache),
+        space=current.space.since(baseline.space),
         max_rss_kb=current.max_rss_kb,  # gauge: describes now
     )

@@ -1,144 +1,48 @@
-"""Shared, thread-safe semantic-graph weight cache.
+"""Shared, thread-safe cache of whole-graph semantic-graph rows.
 
-The engine's per-query :class:`~repro.core.semantic_graph.SemanticGraphView`
-is correct but amnesiac: every query re-weights the same knowledge-graph
-edges against the predicate space and re-derives the same ``m(u)`` bounds
-(Lemma 1).  Both quantities are pure functions of the (graph, space,
-``min_weight``) triple — nothing about a query instance enters them — so a
-workload of repeated or overlapping queries can share them.
+A per-query view is correct but amnesiac: every query re-derives the
+same weights and ``m(u)`` bounds (Lemma 1) for the same query
+predicates.  For a fixed (graph, space, ``min_weight``) none of them
+depends on the query *instance*, so a workload of repeated or
+overlapping queries can share them — and the unit the production path
+(:mod:`repro.core.compact_view`) computes, and therefore shares, is a
+**row**: one key against the entire graph.
 
-:class:`SemanticGraphCache` holds two LRU-bounded maps:
+:class:`SemanticGraphCache` is one LRU of such rows keyed
+``(kind, key)`` — ``"weights"``: clamped weight per interned
+graph-predicate id; ``"bounds"``: ``m(u)`` per node; ``"log_weights"``
+/ ``"log_bounds"``: their exact-log twins, which the array-backed
+search kernel reads instead of taking logs per search; ``"hop_label"``:
+one byte per node, the hop distance to a query node's φ set.  Rows are
+immutable by contract; the cache never copies them.
 
-- **pair weights** ``(query predicate, graph predicate) → weight`` — the
-  Eq. 5 cosines, clamped; cheap individually but looked up on every edge
-  the A* search crosses;
-- **adjacency bounds** ``(node, query predicate) → m(u)`` — each miss costs
-  a full incident-edge scan, which makes this map the dominant saving on
-  repeated workloads (every A* estimate needs an ``m(u)``).
-
-A third LRU map holds **rows** — opaque whole-graph vectors keyed by
-``(kind, query predicate)`` — for the compact CSR kernel
-(:mod:`repro.core.compact_view`), whose unit of sharing is one query
-predicate against the entire graph (``kind="weights"``: clamped weight
-per interned graph-predicate id; ``kind="bounds"``: ``m(u)`` per node;
-``kind="log_weights"`` / ``"log_bounds"``: their exact-log twins, which
-the array-backed search kernel reads instead of taking logs per search).
-Rows are treated as immutable by contract; the cache never copies them.
-
-Eviction never affects correctness — a miss recomputes — so the LRU bound
-is purely a memory ceiling.  All operations take one lock; the critical
-sections are dict lookups, far cheaper than the graph traversal they
-replace.  Hit/miss/eviction counts are kept per map and aggregated by
-:class:`CacheStats`.
+A row must be a function of its key and the binding, nothing else:
+whatever a row depends on beyond the bound (graph, space,
+``min_weight``) — a hop label depends on the matcher's transformation
+library — is part of its key.  Eviction never affects correctness — a
+miss recomputes — so the LRU bound is purely a memory ceiling.  All
+operations take one lock; the critical sections are dict lookups.
 
 The cache must be *bound* to exactly one (graph, space, ``min_weight``)
 combination before use (views do this automatically); re-binding to a
-different combination raises — serving weights from a different predicate
-space would corrupt results silently.  The fingerprint views bind also
-carries the graph's entity/edge counts, so growing the append-only graph
-under a live cache raises at the next view construction instead of
-silently serving stale ``m(u)`` bounds or rows.
+different combination raises — serving weights from a different
+predicate space would corrupt results silently.  The fingerprint views
+bind also carries the graph's entity/edge counts, so growing the
+append-only graph under a live cache raises at the next view
+construction instead of silently serving stale rows.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
-from dataclasses import dataclass
 from typing import Hashable, Optional, Tuple
 
 from repro.errors import ServeError
-
-
-@dataclass
-class CacheStats:
-    """A point-in-time snapshot of cache effectiveness."""
-
-    weight_hits: int = 0
-    weight_misses: int = 0
-    weight_evictions: int = 0
-    adjacency_hits: int = 0
-    adjacency_misses: int = 0
-    adjacency_evictions: int = 0
-    row_hits: int = 0
-    row_misses: int = 0
-    row_evictions: int = 0
-    weight_entries: int = 0
-    adjacency_entries: int = 0
-    row_entries: int = 0
-
-    @property
-    def hits(self) -> int:
-        return self.weight_hits + self.adjacency_hits + self.row_hits
-
-    @property
-    def misses(self) -> int:
-        return self.weight_misses + self.adjacency_misses + self.row_misses
-
-    @property
-    def evictions(self) -> int:
-        return self.weight_evictions + self.adjacency_evictions + self.row_evictions
-
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups served from the cache (0.0 when unused)."""
-        lookups = self.lookups
-        return self.hits / lookups if lookups else 0.0
-
-    def describe(self) -> str:
-        return (
-            f"hit_rate={self.hit_rate:.3f} "
-            f"(hits={self.hits}, misses={self.misses}, "
-            f"evictions={self.evictions}, "
-            f"entries={self.weight_entries}+{self.adjacency_entries}"
-            f"+{self.row_entries})"
-        )
-
-
-class LruMap:
-    """A capacity-bounded LRU dict with hit/miss/eviction counters.
-
-    Not locked — callers (the cache below) synchronise around it.
-    Values are arbitrary objects; ``None`` is reserved as the miss
-    sentinel.
-    """
-
-    def __init__(self, capacity: int):
-        if capacity < 1:
-            raise ServeError(f"cache capacity must be at least 1, got {capacity}")
-        self.capacity = capacity
-        self.entries: "OrderedDict[Tuple, object]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def get(self, key: Tuple):
-        value = self.entries.get(key)
-        if value is None:
-            self.misses += 1
-            return None
-        self.entries.move_to_end(key)
-        self.hits += 1
-        return value
-
-    def put(self, key: Tuple, value) -> None:
-        if key in self.entries:
-            self.entries.move_to_end(key)
-        self.entries[key] = value
-        while len(self.entries) > self.capacity:
-            self.entries.popitem(last=False)
-            self.evictions += 1
-
-    def clear(self) -> None:
-        self.entries.clear()
+from repro.utils.lru import CacheStats, LruMap
 
 
 class SemanticGraphCache:
-    """Cross-query LRU cache of semantic-graph weights and ``m(u)`` bounds.
+    """Cross-query LRU cache of whole-graph rows.
 
     Implements the :class:`~repro.core.semantic_graph.WeightCache`
     protocol; hand one instance to a
@@ -146,34 +50,21 @@ class SemanticGraphCache:
     or let :class:`~repro.serve.service.QueryService` own one.
 
     Args:
-        max_pairs: capacity of the pair-weight map.  The live pair count is
-            ``|query predicates seen| × |graph predicates|`` — small — so
-            the default never evicts in practice; it exists as a hard
-            ceiling for adversarial predicate churn.
-        max_adjacency: capacity of the adjacency map, the memory-heavy one
-            (up to ``|touched nodes| × |query predicates seen|`` entries).
-        max_rows: capacity of the row map used by compact views.  The
-            live count is ``4 × |query predicates seen|`` (weights,
-            bounds and the exact-log twin of each) plus one hop label
-            per (query-node signature, n̂) seen; the bound caps
-            adversarial predicate and entity churn.  Unlike the scalar
-            maps, each entry here is a whole-graph vector — bounds rows
-            and their logs cost 8 bytes *per graph node*, a hop label
-            1 — so deployments on very large graphs should size
-            ``max_rows`` against ``8 × num_nodes`` per entry, not treat
-            it as a near-free ceiling.
+        max_rows: capacity.  The live count is ``4 × |query predicates
+            seen|`` (weights, bounds and the exact-log twin of each)
+            plus one hop label per (query-node signature, n̂) seen; the
+            bound caps adversarial predicate and entity churn.  Each
+            entry is a whole-graph vector — bounds rows and their logs
+            cost 8 bytes *per graph node*, a hop label 1 — so
+            deployments on very large graphs should size ``max_rows``
+            against ``8 × num_nodes`` per entry, not treat it as a
+            near-free ceiling.
     """
 
-    def __init__(
-        self,
-        *,
-        max_pairs: int = 65536,
-        max_adjacency: int = 1_000_000,
-        max_rows: int = 1024,
-    ):
+    def __init__(self, *, max_rows: int = 1024):
+        if max_rows < 1:
+            raise ServeError(f"cache capacity must be at least 1, got {max_rows}")
         self._lock = threading.Lock()
-        self._weights = LruMap(max_pairs)
-        self._adjacent = LruMap(max_adjacency)
         self._rows = LruMap(max_rows)
         self._fingerprint: Optional[Tuple] = None
 
@@ -206,24 +97,8 @@ class SemanticGraphCache:
                     "graph mutation."
                 )
 
-    def get_weight(self, query_predicate: str, graph_predicate: str) -> Optional[float]:
-        with self._lock:
-            return self._weights.get((query_predicate, graph_predicate))
-
-    def put_weight(self, query_predicate: str, graph_predicate: str, weight: float) -> None:
-        with self._lock:
-            self._weights.put((query_predicate, graph_predicate), weight)
-
-    def get_adjacent(self, uid: int, query_predicate: str) -> Optional[float]:
-        with self._lock:
-            return self._adjacent.get((uid, query_predicate))
-
-    def put_adjacent(self, uid: int, query_predicate: str, weight: float) -> None:
-        with self._lock:
-            self._adjacent.put((uid, query_predicate), weight)
-
     def get_row(self, kind: str, key: Hashable) -> Optional[object]:
-        """One whole-graph row (compact-kernel protocol); ``None`` on miss."""
+        """One whole-graph row; ``None`` on miss."""
         with self._lock:
             return self._rows.get((kind, key))
 
@@ -237,37 +112,18 @@ class SemanticGraphCache:
     # ------------------------------------------------------------------
     @property
     def stats(self) -> CacheStats:
-        """Consistent snapshot of counters and entry counts."""
+        """Consistent snapshot of counters and entry count."""
         with self._lock:
-            return CacheStats(
-                weight_hits=self._weights.hits,
-                weight_misses=self._weights.misses,
-                weight_evictions=self._weights.evictions,
-                adjacency_hits=self._adjacent.hits,
-                adjacency_misses=self._adjacent.misses,
-                adjacency_evictions=self._adjacent.evictions,
-                row_hits=self._rows.hits,
-                row_misses=self._rows.misses,
-                row_evictions=self._rows.evictions,
-                weight_entries=len(self._weights.entries),
-                adjacency_entries=len(self._adjacent.entries),
-                row_entries=len(self._rows.entries),
-            )
+            return self._rows.stats()
 
     def __len__(self) -> int:
         with self._lock:
-            return (
-                len(self._weights.entries)
-                + len(self._adjacent.entries)
-                + len(self._rows.entries)
-            )
+            return len(self._rows.entries)
 
     def clear(self) -> None:
         """Drop all entries (the binding and counters survive)."""
         with self._lock:
-            self._weights.clear()
-            self._adjacent.clear()
-            self._rows.clear()
+            self._rows.entries.clear()
 
     def reset_stats(self) -> None:
         """Zero the hit/miss/eviction counters (entries survive).
@@ -277,7 +133,4 @@ class SemanticGraphCache:
         cold misses.
         """
         with self._lock:
-            for lru in (self._weights, self._adjacent, self._rows):
-                lru.hits = 0
-                lru.misses = 0
-                lru.evictions = 0
+            self._rows.reset_stats()

@@ -186,18 +186,6 @@ class ResilienceStats:
     rebuild_seconds: List[float] = field(default_factory=list)
     breaker_state: str = "closed"
 
-    def to_json(self) -> dict:
-        return {
-            "retries": self.retries,
-            "pool_rebuilds": self.pool_rebuilds,
-            "shed": self.shed,
-            "crashes": self.crashes,
-            "timeouts": self.timeouts,
-            "fallbacks": self.fallbacks,
-            "rebuild_seconds": [round(s, 6) for s in self.rebuild_seconds],
-            "breaker_state": self.breaker_state,
-        }
-
 
 def _is_pool_break(exc: BaseException) -> bool:
     return isinstance(exc, BrokenExecutor)

@@ -12,8 +12,9 @@ budgets.  :class:`QueryService` is the serving seam between the two:
   :class:`~repro.core.engine.EngineSpec` and reuses it across requests);
 - a shared :class:`~repro.serve.cache.SemanticGraphCache` backs every
   query's semantic-graph view on the shared-memory backends, so the
-  workload amortises edge weighting and ``m(u)`` derivation across
-  queries; process workers each own a private cache with the same role;
+  workload amortises whole-graph weight, ``m(u)`` and hop-label rows
+  across queries; process workers each own a private cache with the
+  same role;
 - an optional **result-level answer cache**
   (:mod:`repro.serve.answer_cache`): exact answers memoized under a
   canonical query fingerprint (permutation/alias-insensitive, bound to
@@ -48,7 +49,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 from repro.core.config import SearchConfig
 from repro.core.engine import EngineSpec, SemanticGraphQueryEngine, build_engine
 from repro.core.results import QueryResult, QueryResultPayload
-from repro.embedding.predicate_space import PredicateSpace, SpaceCacheStats
+from repro.embedding.predicate_space import PredicateSpace
 from repro.errors import ServeError
 from repro.kg.compact import CompactGraph, SharedCompactGraph
 from repro.kg.graph import KnowledgeGraph
@@ -80,7 +81,7 @@ from repro.serve.backends import (
     aggregate_snapshots,
     diff_snapshots,
 )
-from repro.serve.cache import CacheStats, SemanticGraphCache
+from repro.serve.cache import SemanticGraphCache
 from repro.serve.faults import FaultPlan
 from repro.serve.resilience import (
     BackoffPolicy,
@@ -88,6 +89,7 @@ from repro.serve.resilience import (
     ResilienceStats,
     SupervisedBackend,
 )
+from repro.utils.lru import CacheStats
 
 __all__ = [
     "QueryRequest",
@@ -204,7 +206,7 @@ class ServingStatsReport:
     workers_reporting: int
     queries: int
     cache: CacheStats
-    space: SpaceCacheStats
+    space: CacheStats
     answers: Optional[AnswerCacheStats] = None
     answer_scope: str = "shared"
     shards: Tuple[ShardCacheStats, ...] = ()
@@ -221,7 +223,7 @@ class ServingStatsReport:
         lines = [
             f"stats scope [{self.backend} backend]: {self.scope_label()}",
             f"weight cache ({self.scope_label()}): {self.cache.describe()}",
-            f"space {self.space.describe()}",
+            f"space row cache: {self.space.describe()}",
         ]
         if self.answers is not None:
             # Deliberately not scope_label(): the answer cache is one
@@ -911,7 +913,7 @@ class QueryService:
                 worker_id="none",
                 queries=0,
                 cache=CacheStats(),
-                space=SpaceCacheStats(),
+                space=CacheStats(),
             )
         scope = (
             "per-worker-sum"

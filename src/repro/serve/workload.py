@@ -44,6 +44,7 @@ passes show the cache steady state.  ``--backend {inline,thread,process}
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import threading
 import time
@@ -269,7 +270,7 @@ class ReplayReport:
                 lines.append(
                     f"serving stats [{self.stats.backend} backend, "
                     f"{self.stats.scope_label()}]: "
-                    f"space {self.stats.space.describe()}"
+                    f"space row cache: {self.stats.space.describe()}"
                 )
             lines.append("search vs assembly per query (slowest assembly first):")
             ordered = sorted(self.breakdown, key=lambda b: -b.assembly_seconds)
@@ -286,6 +287,12 @@ class ReplayReport:
                     f" q<={row.max_queue_size}){flag}"
                 )
         return "\n".join(lines)
+
+
+def _positive(value: float) -> bool:
+    """A finite number above zero.  ``nan`` fails every comparison, so a
+    bare ``value <= 0`` guard waves it (and ``inf``) through."""
+    return math.isfinite(value) and value > 0
 
 
 def mix_deadlines(
@@ -305,7 +312,7 @@ def mix_deadlines(
     """
     if not 0.0 <= fraction <= 1.0:
         raise ServeError(f"tbq fraction must be in [0, 1], got {fraction}")
-    if deadline <= 0:
+    if not _positive(deadline):
         raise ServeError(f"deadline must be positive, got {deadline}")
     count = round(fraction * len(items))
     rng = derive_rng(seed, "workload:tbq-mix")
@@ -346,7 +353,7 @@ class PopularitySpec:
                 f"unknown popularity kind {self.kind!r} "
                 f"(expected one of {POPULARITY_KINDS})"
             )
-        if self.kind == "zipf" and self.s <= 0:
+        if self.kind == "zipf" and not _positive(self.s):
             raise ServeError(f"zipf exponent must be positive, got {self.s}")
         if self.length is not None and self.length < 1:
             raise ServeError(
@@ -469,7 +476,7 @@ def replay(
             raises fails its request; the first such error is re-raised
             once every request has finished.
     """
-    if rate is not None and rate <= 0:
+    if rate is not None and not _positive(rate):
         raise ServeError(f"arrival rate must be positive, got {rate}")
     if arrival not in ARRIVAL_PROCESSES:
         raise ServeError(
@@ -866,7 +873,7 @@ def _resilience_kwargs(args, parser) -> Dict[str, object]:
     """Validate the resilience flags and build QueryService.build kwargs."""
     if args.retries is not None and args.retries < 0:
         parser.error(f"--retries must be non-negative, got {args.retries}")
-    if args.hard_timeout is not None and args.hard_timeout <= 0:
+    if args.hard_timeout is not None and not _positive(args.hard_timeout):
         parser.error(
             f"--hard-timeout must be positive, got {args.hard_timeout}"
         )
@@ -897,7 +904,7 @@ def _answer_cache_kwargs(args, parser) -> Dict[str, object]:
         parser.error(
             f"--answer-cache must be non-negative, got {args.answer_cache}"
         )
-    if args.answer_cache_ttl is not None and args.answer_cache_ttl <= 0:
+    if args.answer_cache_ttl is not None and not _positive(args.answer_cache_ttl):
         parser.error(
             f"--answer-cache-ttl must be positive, got {args.answer_cache_ttl}"
         )
@@ -1093,17 +1100,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point for the ``repro-serve-workload`` console script."""
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.scale <= 0:
+    if not _positive(args.scale):
         parser.error(f"--scale must be positive, got {args.scale}")
     if args.k < 1:
         parser.error(f"--k must be at least 1, got {args.k}")
     if args.repeats < 1:
         parser.error(f"--repeats must be at least 1, got {args.repeats}")
-    if args.rate is not None and args.rate <= 0:
+    if args.rate is not None and not _positive(args.rate):
         parser.error(f"--rate must be positive, got {args.rate}")
     if args.arrival == "poisson" and args.rate is None:
         parser.error("--arrival poisson requires --rate")
-    if args.deadline is not None and args.deadline <= 0:
+    if args.deadline is not None and not _positive(args.deadline):
         parser.error(f"--deadline must be positive, got {args.deadline}")
     if args.tbq_fraction is not None:
         if not 0.0 <= args.tbq_fraction <= 1.0:

@@ -239,8 +239,8 @@ class TestEngineConformance:
 
     def test_identical_matches_one_cache_shared_by_both_views(self, small_bundle):
         # One SemanticGraphCache may back lazy AND compact views of the
-        # same graph: entries are pure functions of (graph, space,
-        # min_weight) however they are laid out (pairs vs rows).
+        # same graph: rows are pure functions of their key and the
+        # (graph, space, min_weight) binding, whichever view computed them.
         bundle = small_bundle
         cache = SemanticGraphCache()
         lazy = SemanticGraphQueryEngine(
@@ -255,8 +255,8 @@ class TestEngineConformance:
                 compact.search(workload_query.query, k=10),
             )
         stats = cache.stats
-        assert stats.row_entries > 0  # compact published rows
-        assert stats.weight_entries > 0  # lazy published pairs
+        assert stats.entries > 0  # rows were published
+        assert stats.hits > 0  # and read back (hop labels, across the views)
 
     def test_compact_view_hits_shared_rows_across_queries(self, small_bundle):
         bundle = small_bundle
@@ -269,7 +269,7 @@ class TestEngineConformance:
         cold = cache.stats
         engine.search(query, k=5)
         warm = cache.stats
-        assert warm.row_hits > cold.row_hits  # second query reused rows
+        assert warm.hits > cold.hits  # second query reused rows
 
     def test_time_bounded_equivalent_under_budget_clock(self, small_bundle):
         # With a generous deterministic budget both kernels harvest the

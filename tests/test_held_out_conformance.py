@@ -21,6 +21,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.engine import SemanticGraphQueryEngine
+from repro.kg.sharded import ShardedGraph, ShardedViewFactory
 from repro.kg.shm import leaked_segments
 from repro.scenarios import (
     Workload,
@@ -29,6 +30,7 @@ from repro.scenarios import (
     load_golden,
     replay_scenario,
 )
+from repro.serve.cache import SemanticGraphCache
 from repro.serve.faults import FaultPlan
 from repro.serve.resilience import BackoffPolicy
 from repro.serve.workload import PopularitySpec
@@ -209,3 +211,38 @@ def test_tbq_meets_section_vi_at_both_ends_of_the_bound(workload, resources, gol
         assert starved.approximate, item.qid
     assert golden_problems(certified, golden) == []
     assert answer_digest(certified) == answer_digest(golden)
+
+
+class SealedCache:
+    """The three-method row protocol and nothing else: any other
+    attribute a view or an engine reaches for raises ``AttributeError``."""
+
+    __slots__ = ("bind", "get_row", "put_row")
+
+    def __init__(self, inner):
+        self.bind, self.get_row, self.put_row = inner.bind, inner.get_row, inner.put_row
+
+
+@pytest.mark.parametrize("arm", ["lazy", "compact", "2shards"])
+def test_a_cache_that_only_holds_rows_serves_the_golden_digest(
+    workload, resources, golden, arm
+):
+    inner = [SemanticGraphCache() for _ in range(2 if arm == "2shards" else 1)]
+    sealed = [SealedCache(cache) for cache in inner]
+    if arm == "2shards":  # the factory owns one cache per shard
+        how = {"view_factory": ShardedViewFactory(ShardedGraph.build(resources.kg, 2))}
+        how["view_factory"]._caches = sealed
+    else:
+        how = {"weight_cache": sealed[0], "compact": arm == "compact"}
+    engine = SemanticGraphQueryEngine(
+        resources.kg, resources.space, resources.library, resources.config, **how
+    )
+    answers = {}
+    for _ in range(2):  # cold, then off the rows the first pass published
+        for item in workload.queries:
+            if item.qid in golden:
+                uids = engine.search(item.query, workload.k).answer_uids()
+                answers[item.qid] = sorted(resources.kg.entity(u).name for u in uids)
+    assert golden_problems(answers, golden) == []
+    assert answer_digest(answers) == answer_digest(golden)
+    assert all(cache.stats.hits > 0 for cache in inner)

@@ -142,11 +142,44 @@ class TestHopLabel:
         assert lazy.hop_label(("Germany", "Country"), [3, 7], 4) is label
         assert lazy.cache_hits == hits + 1
         # Memoised per view: the cache is asked once.
-        row_hits = cache.stats.row_hits
+        row_hits = cache.stats.hits
         assert lazy.hop_label(("Germany", "Country"), [3, 7], 4) is label
-        assert cache.stats.row_hits == row_hits
+        assert cache.stats.hits == row_hits
         # The bound is part of the key.
         assert compact.hop_label(("Germany", "Country"), [3, 7], 2) != label
+
+    @pytest.mark.parametrize("compact", [False, True], ids=["lazy", "compact"])
+    @pytest.mark.parametrize("library_first", [False, True])
+    def test_engines_with_different_libraries_share_a_cache(self, compact, library_first):
+        """A label is a function of φ, hence of the library: ``Car`` is only
+        a synonym, so the library-less engine's (correct) all-saturated
+        label must never reach the engine that resolves it."""
+        bundle = load_bundle("dbpedia", scale=1.0, seed=3)
+        query = (
+            QueryGraphBuilder().target("x", "Car").specific("g", "Germany", "Country")
+            .edge("e", "x", "assembly", "g").build()
+        )
+        cache = SemanticGraphCache()
+
+        def answers(library):  # a fresh engine on the one cache
+            engine = SemanticGraphQueryEngine(
+                bundle.kg, bundle.space, library, weight_cache=cache, compact=compact
+            )
+            return len(engine.search(query, k=10).matches)
+
+        def labels():
+            return {key for kind, key in cache._rows.entries if kind == "hop_label"}
+
+        order = (bundle.library, None) if library_first else (None, bundle.library)
+        assert {library: answers(library) for library in order} == {
+            bundle.library: 10, None: 0,
+        }
+        # One library object, one set of labels: another engine's first
+        # query reads the labels the first library engine published.
+        hits, published = cache.stats.hits, labels()
+        assert answers(bundle.library) == 10
+        assert cache.stats.hits > hits and labels() == published
+        assert bundle.library in {key[2] for key in published}
 
     def test_sharded_views_offer_no_label(self, small_bundle):
         """Their searches run unpruned (reference A*, no ``hop_label``)."""

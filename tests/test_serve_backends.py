@@ -28,10 +28,17 @@ from repro.kg.sharded import ShardedGraph
 from repro.kg.shm import leaked_segments
 from repro.query.builder import QueryGraphBuilder
 from repro.scenarios.replay import answer_digest
-from repro.serve.backends import EXECUTION_BACKENDS, ProcessBackend
+from repro.serve.backends import (
+    EXECUTION_BACKENDS,
+    ProcessBackend,
+    WorkerSnapshot,
+    aggregate_snapshots,
+    diff_snapshots,
+)
 from repro.serve.cache import SemanticGraphCache
 from repro.serve.faults import FaultPlan
 from repro.serve.service import QueryRequest, QueryService
+from repro.utils.lru import CacheStats
 
 K = 5
 
@@ -372,28 +379,19 @@ class TestProcessSeam:
 
 
 class TestSharedBackends:
-    def test_inline_backend_shares_service_cache(self, small_bundle):
-        with QueryService.build(
-            small_bundle.kg, small_bundle.space, small_bundle.library,
-            backend="inline",
-        ) as service:
-            service.search_many([_product_query()] * 2, k=K)
-            report = service.serving_stats()
-            assert report.scope == "shared"
-            assert report.backend == "inline"
-            assert service.cache is not None
-            assert report.cache.hits == service.cache.stats.hits
-
-    def test_inline_counts_stats_like_thread(self, small_bundle):
+    def test_inline_shares_the_service_cache_and_counts_like_thread(self, small_bundle):
         with QueryService.build(
             small_bundle.kg, small_bundle.space, small_bundle.library,
             backend="inline",
         ) as service:
             service.search_many([_product_query()] * 3, k=K)
-            assert service.stats.submitted == 3
-            assert service.stats.completed == 3
-            assert service.stats.in_flight == 0
-            assert service.stats.backend == "inline"
+            report = service.serving_stats()
+            assert (report.scope, report.backend) == ("shared", "inline")
+            assert service.cache is not None
+            assert report.cache.hits == service.cache.stats.hits
+            stats = service.stats
+            assert (stats.submitted, stats.completed, stats.in_flight) == (3, 3, 0)
+            assert stats.backend == "inline"
 
     def test_thread_reset_rebases_shared_counters(self, small_bundle):
         with QueryService.build(
@@ -407,6 +405,29 @@ class TestSharedBackends:
             after = service.serving_stats()
             assert after.cache.misses == 0  # fully warm repeat
             assert after.cache.hits > 0
+
+
+def test_snapshots_aggregate_then_diff():
+    """Everything adds across workers; a phase diff subtracts the
+    counters and keeps the gauges (``entries``, ``capacity``, RSS)."""
+
+    def row(worker, base):  # twelve distinct numbers from ``base``
+        n = list(range(base, base + 12))
+        return WorkerSnapshot(worker, n[0], CacheStats(*n[1:6]), CacheStats(*n[6:11]), n[11])
+
+    assert aggregate_snapshots([]) is None
+    assert aggregate_snapshots([row("7", 100)]) == row("7", 100)
+    before = aggregate_snapshots([row("1", 100), row("2", 200)])
+    after = aggregate_snapshots([row("1", 1000), row("2", 3000)])
+    assert before == WorkerSnapshot(
+        "sum", 300, CacheStats(302, 304, 306, 308, 310),
+        CacheStats(312, 314, 316, 318, 320), 322,
+    )
+    assert diff_snapshots(after, None) == after and diff_snapshots(None, before) is None
+    assert diff_snapshots(after, before) == WorkerSnapshot(
+        "sum", 3700, CacheStats(3700, 3700, 3700, 4008, 4010),
+        CacheStats(3700, 3700, 3700, 4018, 4020), 4022,
+    )
 
 
 class TestSeededReplayDeterminism:

@@ -1,4 +1,4 @@
-"""Tests for the shared semantic-graph weight cache (repro.serve.cache)."""
+"""Tests for the shared whole-graph row cache (repro.serve.cache)."""
 
 import threading
 
@@ -10,53 +10,26 @@ from repro.serve.cache import SemanticGraphCache
 
 
 class TestLruBounds:
-    def test_weight_capacity_is_enforced(self):
-        cache = SemanticGraphCache(max_pairs=4, max_adjacency=4)
-        for i in range(10):
-            cache.put_weight("product", f"p{i}", 0.5)
-        stats = cache.stats
-        assert stats.weight_entries == 4
-        assert stats.weight_evictions == 6
-        # The four most recent entries survive.
-        assert cache.get_weight("product", "p9") == 0.5
-        assert cache.get_weight("product", "p5") is None
-
-    def test_adjacency_capacity_is_enforced(self):
-        cache = SemanticGraphCache(max_pairs=4, max_adjacency=3)
-        for uid in range(7):
-            cache.put_adjacent(uid, "product", 0.9)
-        stats = cache.stats
-        assert stats.adjacency_entries == 3
-        assert stats.adjacency_evictions == 4
-
-    def test_get_refreshes_recency(self):
-        cache = SemanticGraphCache(max_pairs=2)
-        cache.put_weight("q", "a", 0.1)
-        cache.put_weight("q", "b", 0.2)
-        assert cache.get_weight("q", "a") == 0.1  # refresh "a"
-        cache.put_weight("q", "c", 0.3)  # evicts "b", not "a"
-        assert cache.get_weight("q", "a") == 0.1
-        assert cache.get_weight("q", "b") is None
-
-    def test_put_existing_key_does_not_evict(self):
-        cache = SemanticGraphCache(max_pairs=2)
-        cache.put_weight("q", "a", 0.1)
-        cache.put_weight("q", "b", 0.2)
-        cache.put_weight("q", "a", 0.15)  # overwrite, no growth
-        stats = cache.stats
-        assert stats.weight_entries == 2
-        assert stats.weight_evictions == 0
-        assert cache.get_weight("q", "a") == 0.15
-
     def test_row_capacity_is_enforced(self):
         cache = SemanticGraphCache(max_rows=2)
         for i in range(5):
             cache.put_row("weights", f"p{i}", [float(i)])
         stats = cache.stats
-        assert stats.row_entries == 2
-        assert stats.row_evictions == 3
+        assert (stats.entries, stats.capacity, stats.evictions) == (2, 2, 3)
+        # The two most recent rows survive.
         assert cache.get_row("weights", "p4") == [4.0]
         assert cache.get_row("weights", "p0") is None
+
+    def test_get_refreshes_recency_and_overwrite_does_not_evict(self):
+        cache = SemanticGraphCache(max_rows=2)
+        cache.put_row("weights", "a", [0.1])
+        cache.put_row("weights", "b", [0.2])
+        cache.put_row("weights", "a", [0.15])  # overwrite, no growth
+        assert cache.stats.evictions == 0
+        assert cache.get_row("weights", "a") == [0.15]  # refresh "a"
+        cache.put_row("weights", "c", [0.3])  # evicts "b", not "a"
+        assert cache.get_row("weights", "a") == [0.15]
+        assert cache.get_row("weights", "b") is None
 
     def test_row_kinds_are_distinct_keys(self):
         cache = SemanticGraphCache()
@@ -64,16 +37,9 @@ class TestLruBounds:
         cache.put_row("bounds", "product", [0.8])
         assert cache.get_row("weights", "product") == [0.9]
         assert cache.get_row("bounds", "product") == [0.8]
-        stats = cache.stats
-        assert stats.row_entries == 2
-        assert stats.row_hits == 2
-        assert stats.hits == 2  # rows count in the aggregate
+        assert len(cache) == 2
 
     def test_invalid_capacity_rejected(self):
-        with pytest.raises(ServeError):
-            SemanticGraphCache(max_pairs=0)
-        with pytest.raises(ServeError):
-            SemanticGraphCache(max_adjacency=0)
         with pytest.raises(ServeError):
             SemanticGraphCache(max_rows=0)
 
@@ -81,37 +47,29 @@ class TestLruBounds:
 class TestStats:
     def test_hit_miss_accounting(self):
         cache = SemanticGraphCache()
-        assert cache.get_weight("q", "a") is None
-        cache.put_weight("q", "a", 0.7)
-        assert cache.get_weight("q", "a") == 0.7
-        assert cache.get_adjacent(1, "q") is None
-        cache.put_adjacent(1, "q", 0.9)
-        assert cache.get_adjacent(1, "q") == 0.9
+        assert cache.stats.hit_rate == 0.0  # unused, not a division by zero
+        assert cache.get_row("weights", "a") is None
+        cache.put_row("weights", "a", [0.7])
+        assert cache.get_row("weights", "a") == [0.7]
         stats = cache.stats
-        assert stats.weight_hits == 1 and stats.weight_misses == 1
-        assert stats.adjacency_hits == 1 and stats.adjacency_misses == 1
-        assert stats.hits == 2 and stats.misses == 2
+        assert (stats.hits, stats.misses, stats.lookups) == (1, 1, 2)
         assert stats.hit_rate == pytest.approx(0.5)
         assert "hit_rate=0.500" in stats.describe()
-
-    def test_empty_cache_hit_rate_is_zero(self):
-        assert SemanticGraphCache().stats.hit_rate == 0.0
+        assert "entries=1/1024" in stats.describe()
 
     def test_reset_stats_keeps_entries(self):
         cache = SemanticGraphCache()
-        cache.put_weight("q", "a", 0.4)
-        cache.get_weight("q", "a")
+        cache.put_row("weights", "a", [0.4])
+        cache.get_row("weights", "a")
         cache.reset_stats()
         stats = cache.stats
-        assert stats.hits == 0 and stats.misses == 0
-        assert cache.get_weight("q", "a") == 0.4  # entry survived
+        assert (stats.hits, stats.misses, stats.entries) == (0, 0, 1)
+        assert cache.get_row("weights", "a") == [0.4]  # entry survived
 
     def test_clear_drops_entries_keeps_binding(self):
         cache = SemanticGraphCache()
         cache.bind(("fp",))
-        cache.put_weight("q", "a", 0.4)
-        cache.put_adjacent(3, "q", 0.2)
-        assert len(cache) == 2
+        cache.put_row("weights", "a", [0.4])
         cache.clear()
         assert len(cache) == 0
         with pytest.raises(ServeError):
@@ -119,13 +77,9 @@ class TestStats:
 
 
 class TestBinding:
-    def test_rebind_same_fingerprint_ok(self):
+    def test_rebinding_needs_the_same_fingerprint(self):
         cache = SemanticGraphCache()
         cache.bind((1, 2, 0.0))
-        cache.bind((1, 2, 0.0))
-
-    def test_rebind_different_fingerprint_raises(self):
-        cache = SemanticGraphCache()
         cache.bind((1, 2, 0.0))
         with pytest.raises(ServeError):
             cache.bind((1, 2, 0.5))
@@ -137,83 +91,44 @@ class TestBinding:
             SemanticGraphView(fig2_kg, fig2_space, min_weight=0.5, cache=cache)
 
 
-class TestViewIntegration:
-    def test_second_view_hits_shared_weights(self, fig2_kg, fig2_space):
-        cache = SemanticGraphCache()
-        first = SemanticGraphView(fig2_kg, fig2_space, cache=cache)
-        value = first.weight("product", "assembly")
-        assert first.edges_weighted == 1 and first.cache_hits == 0
+def test_lazy_view_shares_its_hop_label_and_nothing_else(fig2_kg, fig2_space):
+    cache = SemanticGraphCache()
+    germany = fig2_kg.entities_named("Germany")[0]
+    first = SemanticGraphView(fig2_kg, fig2_space, cache=cache)
+    first.weight("product", "assembly")
+    first.weight("product", "assembly")  # memoised for the query
+    assert first.edges_weighted == 1
+    first.max_adjacent_weight(germany, "product")
+    assert len(cache) == 0 and cache.stats.lookups == 0
+    label = first.hop_label(("Germany", "Country"), [germany], 4)
+    assert len(cache) == 1
 
-        second = SemanticGraphView(fig2_kg, fig2_space, cache=cache)
-        assert second.weight("product", "assembly") == value
-        assert second.edges_weighted == 0 and second.cache_hits == 1
-
-    def test_second_view_hits_shared_adjacency(self, fig2_kg, fig2_space):
-        cache = SemanticGraphCache()
-        germany = fig2_kg.entities_named("Germany")[0]
-        first = SemanticGraphView(fig2_kg, fig2_space, cache=cache)
-        bound = first.max_adjacent_weight(germany, "product")
-
-        second = SemanticGraphView(fig2_kg, fig2_space, cache=cache)
-        assert second.max_adjacent_weight(germany, "product") == bound
-        # Served from the shared cache: no incident scan, no node touched.
-        assert second.touched_nodes == 0
-        assert second.cache_hits == 1
-
-    def test_cached_view_weights_equal_uncached(self, fig2_kg, fig2_space):
-        cache = SemanticGraphCache()
-        warm = SemanticGraphView(fig2_kg, fig2_space, cache=cache)
-        plain = SemanticGraphView(fig2_kg, fig2_space)
-        predicates = ["product", "assembly", "designer", "language"]
-        for qp in predicates:
-            for gp in predicates:
-                assert warm.weight(qp, gp) == plain.weight(qp, gp)
-        # Re-read through a fresh cached view: identical again.
-        reread = SemanticGraphView(fig2_kg, fig2_space, cache=cache)
-        for qp in predicates:
-            for gp in predicates:
-                assert reread.weight(qp, gp) == plain.weight(qp, gp)
-
-    def test_min_weight_zeroing_is_cached_consistently(self, fig2_kg, fig2_space):
-        cache = SemanticGraphCache()
-        view = SemanticGraphView(fig2_kg, fig2_space, min_weight=0.5, cache=cache)
-        assert view.weight("product", "language") == 0.0
-        again = SemanticGraphView(fig2_kg, fig2_space, min_weight=0.5, cache=cache)
-        assert again.weight("product", "language") == 0.0
-        assert again.cache_hits == 1
-
-    def test_view_without_cache_unchanged(self, fig2_kg, fig2_space):
-        view = SemanticGraphView(fig2_kg, fig2_space)
-        view.weight("product", "assembly")
-        view.weight("product", "assembly")
-        assert view.edges_weighted == 1
-        assert view.cache_hits == 0
+    second = SemanticGraphView(fig2_kg, fig2_space, cache=cache)
+    assert second.hop_label(("Germany", "Country"), [germany], 4) is label
+    second.weight("product", "assembly")
+    assert first.cache_hits == 0
+    assert (second.edges_weighted, second.cache_hits) == (1, 1)
 
 
-class TestThreadSafety:
-    def test_concurrent_mixed_operations(self):
-        cache = SemanticGraphCache(max_pairs=64, max_adjacency=64)
-        errors = []
+def test_concurrent_mixed_operations():
+    cache = SemanticGraphCache(max_rows=64)
+    errors = []
 
-        def hammer(worker: int) -> None:
-            try:
-                for i in range(300):
-                    cache.put_weight(f"q{worker}", f"p{i % 80}", 0.5)
-                    cache.get_weight(f"q{worker}", f"p{(i + 1) % 80}")
-                    cache.put_adjacent(i % 80, f"q{worker}", 0.25)
-                    cache.get_adjacent((i + 1) % 80, f"q{worker}")
-                    if i % 50 == 0:
-                        cache.stats  # snapshot under contention
-            except Exception as exc:  # pragma: no cover - failure path
-                errors.append(exc)
+    def hammer(worker: int) -> None:
+        try:
+            for i in range(300):
+                cache.put_row("weights", (worker, i % 80), [0.5])
+                cache.get_row("weights", (worker, (i + 1) % 80))
+                if i % 50 == 0:
+                    cache.stats  # snapshot under contention
+        except Exception as exc:  # pragma: no cover - failure path
+            errors.append(exc)
 
-        threads = [threading.Thread(target=hammer, args=(w,)) for w in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert not errors
-        stats = cache.stats
-        assert stats.weight_entries <= 64
-        assert stats.adjacency_entries <= 64
-        assert stats.lookups == 8 * 300 * 2
+    threads = [threading.Thread(target=hammer, args=(w,)) for w in range(8)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert not errors
+    assert cache.stats.entries <= 64
+    assert cache.stats.lookups == 8 * 300

@@ -3,13 +3,16 @@
 import dataclasses
 import inspect
 
+import numpy as np
 import pytest
 
 from repro.core.engine import EngineSpec, SemanticGraphQueryEngine
+from repro.embedding.predicate_space import PredicateSpace
 from repro.errors import SearchError, ServeError
 from repro.serve.cache import SemanticGraphCache
 from repro.serve.service import QueryRequest, QueryService
 from repro.query.builder import QueryGraphBuilder
+from repro.utils.lru import CacheStats
 
 
 def _results_equal(left, right):
@@ -70,6 +73,15 @@ def test_configuration_surface_snapshot():
     assert [f.name for f in dataclasses.fields(EngineSpec)] == [
         "store", "space", "library", "config", "kg", "fault_plan",
     ]
+    assert list(inspect.signature(SemanticGraphCache.__init__).parameters) == [
+        "self", "max_rows",
+    ]
+    # One stats shape for the row cache and the space's similarity rows.
+    space = PredicateSpace({"a": np.array([1.0])})
+    assert type(space.stats()) is type(SemanticGraphCache().stats) is CacheStats
+    assert [f.name for f in dataclasses.fields(CacheStats)] == [
+        "hits", "misses", "evictions", "entries", "capacity",
+    ]
     options = {
         option
         for action in _build_parser()._actions
@@ -97,40 +109,23 @@ class TestEquivalence:
         for seq, srv in zip(sequential, served):
             _results_equal(seq, srv)
 
-    def test_cached_engine_matches_uncached_across_repeats(self, small_bundle):
-        """Cache-backed search equals plain search on every pass (warm too)."""
+    @pytest.mark.parametrize("max_rows", [1024, 2], ids=["roomy", "tight"])
+    def test_equivalence_under_tight_lru(self, small_bundle, max_rows):
+        """Cache-backed search equals plain search, cold and warm; eviction
+        churn never changes results, only recompute cost."""
+        cached = SemanticGraphQueryEngine(
+            small_bundle.kg, small_bundle.space, small_bundle.library,
+            weight_cache=SemanticGraphCache(max_rows=max_rows), compact=True,
+        )
         plain = SemanticGraphQueryEngine(
             small_bundle.kg, small_bundle.space, small_bundle.library
-        )
-        cached = SemanticGraphQueryEngine(
-            small_bundle.kg,
-            small_bundle.space,
-            small_bundle.library,
-            weight_cache=SemanticGraphCache(),
         )
         queries = [q.query for q in small_bundle.workload]
         baseline = [plain.search(q, k=8) for q in queries]
-        for _ in range(2):  # pass 1 populates the cache, pass 2 runs warm
+        for _ in range(2):  # pass 1 populates the cache, pass 2 reads it
             for query, expected in zip(queries, baseline):
                 _results_equal(expected, cached.search(query, k=8))
-
-    def test_equivalence_under_tight_lru(self, small_bundle):
-        """Eviction churn never changes results, only recompute cost."""
-        cached = SemanticGraphQueryEngine(
-            small_bundle.kg,
-            small_bundle.space,
-            small_bundle.library,
-            weight_cache=SemanticGraphCache(max_pairs=8, max_adjacency=16),
-        )
-        plain = SemanticGraphQueryEngine(
-            small_bundle.kg, small_bundle.space, small_bundle.library
-        )
-        for workload_query in small_bundle.workload[:4]:
-            _results_equal(
-                plain.search(workload_query.query, k=5),
-                cached.search(workload_query.query, k=5),
-            )
-        assert cached.weight_cache.stats.evictions > 0
+        assert (cached.weight_cache.stats.evictions > 0) == (max_rows == 2)
 
 
 class TestCacheSharing:
@@ -148,27 +143,17 @@ class TestCacheSharing:
         assert pass_misses == 0
         assert warm.hit_rate > cold.hit_rate
 
-    def test_explicit_cache_is_attached_and_shared(self, small_bundle):
+    @pytest.mark.parametrize("given_to", ["service", "engine"])
+    def test_explicit_cache_is_attached_and_shared(self, small_bundle, given_to):
         cache = SemanticGraphCache()
         engine = SemanticGraphQueryEngine(
-            small_bundle.kg, small_bundle.space, small_bundle.library
+            small_bundle.kg, small_bundle.space, small_bundle.library,
+            weight_cache=cache if given_to == "engine" else None,
         )
-        with QueryService(engine, cache=cache) as svc:
-            assert engine.weight_cache is cache
-            assert svc.cache is cache
+        with QueryService(engine, cache=cache if given_to == "service" else None) as svc:
+            assert engine.weight_cache is cache and svc.cache is cache
             svc.submit(_product_query(), k=3).result()
         assert cache.stats.misses > 0
-
-    def test_engine_keeps_preexisting_cache(self, small_bundle):
-        cache = SemanticGraphCache()
-        engine = SemanticGraphQueryEngine(
-            small_bundle.kg,
-            small_bundle.space,
-            small_bundle.library,
-            weight_cache=cache,
-        )
-        with QueryService(engine) as svc:
-            assert svc.cache is cache
 
 
 class TestSubmission:

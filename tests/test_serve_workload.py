@@ -375,20 +375,24 @@ class TestConsoleEntrypoint:
         assert "poisson open-loop" in out
         assert "tbq requests" in out
 
-    def test_main_poisson_requires_rate(self):
-        with pytest.raises(SystemExit):
-            workload_main(
-                ["--preset", "dbpedia", "--scale", "1.0", "--arrival", "poisson"]
-            )
-
-    def test_main_tbq_fraction_requires_deadline(self):
-        with pytest.raises(SystemExit):
-            workload_main(
-                [
-                    "--preset", "dbpedia", "--scale", "1.0",
-                    "--tbq-fraction", "0.5",
-                ]
-            )
+    @pytest.mark.parametrize("flag, value, named", [
+        ("--rate", "nan", "--rate"), ("--rate", "inf", "--rate"),
+        ("--deadline", "nan", "--deadline"),
+        ("--popularity", "zipf:nan", "--popularity"),
+        ("--hard-timeout", "nan", "--hard-timeout"),
+        ("--answer-cache-ttl", "nan", "--answer-cache-ttl"),
+        ("--scale", "nan", "--scale"),
+        ("--arrival", "poisson", "requires --rate"),
+        ("--tbq-fraction", "0.5", "requires --deadline"),
+    ])
+    def test_main_rejects_what_no_run_can_use(self, capsys, flag, value, named):
+        """Exit 2 naming the flag — ``nan <= 0`` is false, so non-finite
+        numbers pass a bare positive check."""
+        small = ["--preset", "dbpedia", "--scale", "1.0", "--seed", "11"]
+        with pytest.raises(SystemExit) as exit_info:
+            workload_main(small + ["--answer-cache", "4", flag, value])
+        assert exit_info.value.code == 2
+        assert named in capsys.readouterr().err
 
     def test_report_describe_without_cache_stats(self):
         report = ReplayReport(
