@@ -31,17 +31,18 @@ class PendingMatch(NamedTuple):
     """A sub-query match whose path has not been built yet.
 
     What the array-backed search kernel emits: everything TA assembly
-    reads (sub-query index, pivot, pss) plus the row of the emitting
-    search's state pool the match ends at.  Only that search can turn it
-    into a :class:`PathMatch` (``search.materialise(match)``), and the
-    engine does so for the components of the returned top-k alone — a
-    pending match never leaves the engine.
+    reads (sub-query index, pivot, pss) plus the goal state's entry,
+    which reaches its ancestors through their parent fields.  The
+    emitting search turns it into a :class:`PathMatch`
+    (``search.materialise(match)``), and the engine does so for the
+    components of the returned top-k alone — a pending match never
+    leaves the engine.
     """
 
     subquery_index: int
     pivot_uid: int
     pss: float
-    pool_index: int
+    entry: tuple
 
 
 @dataclass

@@ -12,34 +12,43 @@ pop-and-expand loop is where D12-class queries spend ~90% of their time.
 compact CSR kernel (:class:`~repro.kg.compact.CompactGraph`, via
 :class:`~repro.core.compact_view.CompactSemanticGraphView`):
 
-- the **state pool is struct-of-arrays**: append-only scalar columns for
-  uid, segment, hop counters, the Eq. 6 accumulators (log product /
-  weight sum), priority, parent index and arrival slot (the slot id
-  resolves to the edge id and travel direction) — no per-state Python
-  objects, and the priority queue holds bare pool indexes;
+- a **state is one tuple that is its own heap entry**:
+  ``(-priority, counter, log_product, key, uid, segment, hops,
+  hops_in_segment, weight_sum, ancestors, parent, slot)`` — the heap
+  orders on the first two fields (the counter is unique, so a comparison
+  never reads further), ``key`` is the state's closed-set key, ``parent``
+  the entry it was expanded from (``None`` on a seed) and ``slot`` the
+  CSR slot it arrived through (it resolves to the edge id and travel
+  direction).  A push is one tuple build and one ``heappush``, a pop one
+  ``heappop`` and one unpack; a child holds its parent and nothing holds
+  a child, so a state whose expansion generated nothing is freed as it
+  pops;
 - **per-segment tables are predicate- and node-sized, never
-  slot-sized**: a slot resolves to its interned predicate id through the
-  graph's memoized ``slot_predicate_list()`` mirror, and the id indexes
-  the query predicate's weight row and its exact-log twin (two
-  ``tolist`` calls over |P| entries per segment); the segment-max
-  ``m(u)`` bounds and their logs are node-indexed, and the boundary's
-  φ-matches are a set built from ``NodeMatcher.matches`` — so nothing a
-  search sets up is proportional to |E|, and the per-arrival cost of a
-  weight probe, an ``is_match`` call and a per-predicate ``m(u)`` scan
-  is a handful of list reads and one set probe;
+  slot-sized, and node-sized rows are read where they lie**: a slot
+  resolves to its interned predicate id through the graph's memoized
+  ``slot_predicate_list()`` mirror, and the id indexes the query
+  predicate's weight row and its exact-log twin (two ``tolist`` calls
+  over |P| entries per segment); the segment-max ``m(u)`` bounds and
+  their logs are memoryviews over the view's cached read-only
+  arrays (over one ``np.where`` merge when the remaining suffix has
+  several predicates) — no |V|-sized copy per search — and the
+  boundary's φ-matches are a set built from ``NodeMatcher.matches``; so
+  nothing a search sets up is proportional to |E|, and the per-arrival
+  cost of a weight probe, an ``is_match`` call and a per-predicate
+  ``m(u)`` scan is a handful of indexed reads and one set probe;
 - **one loop per match**: ``next_match`` is a single pop → stale-check
-  → goal-or-expand loop; the pool columns, heap, CSR mirrors and policy
-  constants are bound to locals once per call and the segment table's
-  lists only when a pop changes segment, and a popped state's CSR row
-  runs a lean scalar loop over them in slot order, counting the
-  reference's ``weight <= 0`` prunes as it meets them (a vectorized
-  τ-gather for hub rows measured slower on the ledger and is gone);
+  → goal-or-expand loop; the heap, CSR mirrors and policy constants are
+  bound to locals once per call and the segment table's rows only when
+  a pop changes segment, and a popped state's CSR row runs a lean scalar
+  loop over them in slot order, counting the reference's ``weight <= 0``
+  prunes as it meets them (a vectorized τ-gather for hub rows measured
+  slower on the ledger and is gone);
 - **paths are built on request**: a pop (or TBQ's ``harvest()``) emits a
-  :class:`~repro.core.results.PendingMatch` — pivot, pss and the pool
-  row it ends at — and :meth:`VectorizedSubQuerySearch.materialise`
-  walks the parent column into a :class:`~repro.kg.paths.Path` only for
-  the matches the engine returns;
-- the **simple-path check walks no chains**: each pool row carries its
+  :class:`~repro.core.results.PendingMatch` — pivot, pss and the goal
+  state's entry — and :meth:`VectorizedSubQuerySearch.materialise`
+  follows the parent entries into a :class:`~repro.kg.paths.Path` only
+  for the matches the engine returns;
+- the **simple-path check walks no chains**: each entry carries its
   hop-bounded ancestor tuple (≤ N̂ + 1 uids), and membership is one C
   containment test per arrival.
 
@@ -84,12 +93,16 @@ from repro.errors import SearchError
 from repro.kg.paths import Path, PathStep
 from repro.query.model import SubQueryGraph
 from repro.query.transform import NodeMatcher
-from repro.utils.heap import MaxHeap
 from repro.utils.timing import Clock, Stopwatch, WallClock
 
 #: Log-product collapse threshold, matching ``estimate_pss`` /
 #: ``exact_pss_from_log`` (anything at or below reads as weight 0).
 _LOG_PRUNE = LOG_ZERO / 2
+
+#: Positions in a state entry (layout in the module docstring) that the
+#: cold paths index; the search loop unpacks a whole entry instead.
+_NEG_PRIORITY, _UID, _PARENT, _SLOT = 0, 4, 10, 11
+
 
 def supports_vectorized_search(view) -> bool:
     """Whether ``view`` exposes the compact surface this kernel needs.
@@ -118,9 +131,10 @@ def supports_vectorized_search(view) -> bool:
 class _SegmentTable:
     """Per-segment expansion tables, none of them slot-sized.
 
-    ``w_l`` / ``lw_l`` are indexed by interned predicate id (a slot
-    reaches them through the graph's ``slot_predicate_list()``);
-    ``m_*`` / ``logm_*`` are node-indexed; ``phi`` is the set of
+    ``w_l`` / ``lw_l`` are lists indexed by interned predicate id (a
+    slot reaches them through the graph's ``slot_predicate_list()``);
+    ``m_*`` / ``logm_*`` are node-indexed memoryviews of float64
+    rows (see ``_m_any``); ``phi`` is the set of
     φ-matches of the node closing the segment.  ``m_adv_l`` /
     ``logm_adv_l`` are ``None`` on the last segment, where an advance is
     a goal and gets an exact pss instead of an estimate.  ``d_cont`` /
@@ -191,9 +205,9 @@ class VectorizedSubQuerySearch:
         self.clock = clock if clock is not None else WallClock()
         self._charge = budget.charge if budget is not None else None
         self.stats = SearchStats()
-        #: pivot -> pool row of the best goal state pushed for it so far,
+        #: pivot -> entry of the best goal state pushed for it so far,
         #: popped or not: Algorithm 2's harvest-on-generate set M̂_i.
-        self.generated_goals: Dict[int, int] = {}
+        self.generated_goals: Dict[int, tuple] = {}
 
         graph = view.graph
         self.graph = graph
@@ -202,14 +216,18 @@ class VectorizedSubQuerySearch:
         self._total_bound = self._num_segments * config.path_bound
         self._geometric = config.scoring is PssMode.GEOMETRIC
         self._generate = config.visited_policy is VisitedPolicy.GENERATE
-        # Visited-set keys are single ints (cheaper to build and hash
-        # than tuples): coarse = uid*(m+1)+segment — the paper's (node,
-        # segment) granularity — and fine additionally mixes in both hop
-        # counters.  The encodings are injective, so the sets partition
-        # states exactly as the reference's tuple keys do.
-        self._seg_mult = self._num_segments + 1
+        # Closed-set keys are single ints (cheaper to build and hash than
+        # tuples): coarse = uid*(m+1)+segment — the paper's (node,
+        # segment) granularity, GENERATE's — and fine = ((coarse *
+        # hops_mult) + hops) * his_mult + hops_in_segment, EXPAND's.  Both
+        # are ``uid * stride`` plus a term every arrival of one pop
+        # shares, and injective, so the sets partition states exactly as
+        # the reference's tuple keys do.
         self._hops_mult = self._total_bound + 1
         self._his_mult = config.path_bound + 1
+        self._stride = self._num_segments + 1
+        if not self._generate:
+            self._stride *= self._hops_mult * self._his_mult
         # Per-boundary φ-match set: node_labels[1..m] close segments
         # 0..m-1; matcher.matches is the φ oracle and is consulted
         # exactly once per boundary, here.
@@ -231,33 +249,16 @@ class VectorizedSubQuerySearch:
         self._nbr_l: List[int] = graph.slot_neighbor_list()
         self._spred_l: List[int] = graph.slot_predicate_list()
 
-        # Lazy per-segment tables and segment-max m(u) columns (list
-        # mirrors of the values and of their exact logs).
+        # Lazy per-segment tables and segment-max m(u) rows (the values
+        # and their exact logs).
         self._tables: Dict[int, _SegmentTable] = {}
-        self._m_memo: Dict[int, Tuple[List[float], List[float]]] = {}
+        self._m_memo: Dict[int, Tuple[memoryview, memoryview]] = {}
 
-        # Struct-of-arrays state pool: append-only scalar columns (an
-        # index, once handed to the heap or a PendingMatch, stays valid
-        # forever).  Python lists, not numpy arrays: boxing an np scalar
-        # per state would dominate the pop loop.
-        self._uid_c: List[int] = []
-        self._segment_c: List[int] = []
-        self._hops_c: List[int] = []
-        self._his_c: List[int] = []
-        self._lp_c: List[float] = []
-        self._ws_c: List[float] = []
-        self._priority_c: List[float] = []
-        self._parent_c: List[int] = []
-        self._slot_c: List[int] = []
-        # Encoded visited-policy key per state (fine under EXPAND,
-        # coarse under GENERATE): a pop re-checks staleness without
-        # rebuilding it.
-        self._key_c: List[int] = []
-        # Hop-bounded ancestor tuple per state (≤ N̂ + 1 uids): the
-        # simple-path check is one containment test, no chain walk.
-        self._anc: List[Tuple[int, ...]] = []
-
-        self._queue: MaxHeap[int] = MaxHeap()
+        # The open list: a heapq of state entries, max-first on priority
+        # with ties broken by the insertion counter (the reference's
+        # MaxHeap order).
+        self._heap: List[tuple] = []
+        self._counter = 0
         self._visited: Set[int] = set()
         self._best_g: Dict[int, float] = {}
         self._emitted_pivots: Set[int] = set()
@@ -268,7 +269,7 @@ class VectorizedSubQuerySearch:
     # ------------------------------------------------------------------
     # precomputed tables
     # ------------------------------------------------------------------
-    def _m_any(self, segment: int) -> Tuple[List[float], List[float]]:
+    def _m_any(self, segment: int) -> Tuple[memoryview, memoryview]:
         """``m(u)`` against predicates[segment:] for all nodes, plus logs.
 
         The elementwise max over the remaining predicates' bounds rows —
@@ -276,8 +277,10 @@ class VectorizedSubQuerySearch:
         ``max_adjacent_weight_any`` scan (max of floats is exact, so the
         values match bit for bit) — with each log taken from the row
         that supplied the max, so it equals ``log_weight`` of that max
-        whatever libm does.  Returns plain-list mirrors (shared by the
-        seeds and every segment table).
+        whatever libm does.  Returns memoryviews (an indexed read
+        yields the same Python float ``tolist`` would): over the view's
+        cached read-only arrays themselves for a single remaining
+        predicate, over this search's own merge otherwise.
         """
         entry = self._m_memo.get(segment)
         if entry is None:
@@ -291,7 +294,7 @@ class VectorizedSubQuerySearch:
                 log_m = np.where(
                     higher, self.view.log_bounds_row_array(predicate), log_m
                 )
-            entry = (m.tolist(), log_m.tolist())
+            entry = (memoryview(m), memoryview(log_m))
             self._m_memo[segment] = entry
         return entry
 
@@ -311,8 +314,7 @@ class VectorizedSubQuerySearch:
         """Predicate-sized weight and node-sized φ/m tables, built once.
 
         Built on the segment's first non-isolated expansion, so a
-        segment the search never reaches costs no row, no label and no
-        ``tolist``.
+        segment the search never reaches costs no row and no label.
         """
         table = self._tables.get(segment)
         if table is not None:
@@ -378,71 +380,38 @@ class VectorizedSubQuerySearch:
     # initialisation
     # ------------------------------------------------------------------
     def _seed_start_states(self) -> None:
+        """Push φ(start), reach-pruned, subject to the visited policy.
+
+        The expansion loop inlines the same admit-then-push sequence for
+        every later state; a seed is never a goal (a sub-query has at
+        least one edge).
+        """
         seeds = self.matcher.matches(self.subquery.start)
         if not seeds:
             return
         bound = self.config.path_bound
         reach = self._reach(0)
         live = [uid for uid in seeds if reach[uid] <= bound]
-        self.stats.pruned_by_reach += len(seeds) - len(live)
-        seeds = live
-        m_l, logm_l = self._m_any(0)
-        for uid in seeds:
-            priority = self._estimate(0.0, 0, 0.0, m_l[uid], logm_l[uid])
-            self._push(uid, 0, 0, 0, 0.0, 0.0, -1, -1, priority)
-
-    # ------------------------------------------------------------------
-    # queue plumbing (policy-aware, mirrors SubQuerySearch)
-    # ------------------------------------------------------------------
-    def _push(
-        self,
-        uid: int,
-        segment: int,
-        hops_total: int,
-        hops_in_segment: int,
-        log_product: float,
-        weight_sum: float,
-        parent: int,
-        slot: int,
-        priority: float,
-    ) -> None:
-        """Admit a generated state subject to the visited policy.
-
-        The expansion loop inlines this decision sequence; this method
-        serves the seeds (never goals: a sub-query has at least one
-        edge) and documents the contract both share.
-        """
-        if self._generate:
-            key = uid * self._seg_mult + segment
-            if key in self._visited:
-                self.stats.pruned_by_visited += 1
-                return
-            self._visited.add(key)
-        else:  # EXPAND: lazy decrease-key with re-opening
-            key = (
-                (uid * self._seg_mult + segment) * self._hops_mult + hops_total
-            ) * self._his_mult + hops_in_segment
-            best = self._best_g.get(key)
-            if best is not None and log_product <= best:
-                self.stats.pruned_by_visited += 1
-                return
-            self._best_g[key] = log_product
-        index = len(self._uid_c)
-        self._uid_c.append(uid)
-        self._segment_c.append(segment)
-        self._hops_c.append(hops_total)
-        self._his_c.append(hops_in_segment)
-        self._lp_c.append(log_product)
-        self._ws_c.append(weight_sum)
-        self._priority_c.append(priority)
-        self._parent_c.append(parent)
-        self._slot_c.append(slot)
-        self._key_c.append(key)
-        self._anc.append((self._anc[parent] if parent >= 0 else ()) + (uid,))
-        self._queue.push(priority, index)
-        self.stats.states_generated += 1
-        if len(self._queue) > self.stats.max_queue_size:
-            self.stats.max_queue_size = len(self._queue)
+        stats = self.stats
+        stats.pruned_by_reach += len(seeds) - len(live)
+        m, log_m = self._m_any(0)
+        closed = self._visited if self._generate else self._best_g
+        for uid in live:
+            key = uid * self._stride  # segment 0, no hops yet
+            if key in closed:  # a repeated seed: either policy drops it
+                stats.pruned_by_visited += 1
+                continue
+            if self._generate:
+                self._visited.add(key)
+            else:
+                self._best_g[key] = 0.0
+            priority = self._estimate(0.0, 0, 0.0, m[uid], log_m[uid])
+            counter = self._counter
+            seed = (-priority, counter, 0.0, key, uid, 0, 0, 0, 0.0, (uid,), None, -1)
+            heapq.heappush(self._heap, seed)
+            self._counter += 1
+        stats.states_generated = self._counter
+        stats.max_queue_size = len(self._heap)
 
     # ------------------------------------------------------------------
     # matches
@@ -450,42 +419,38 @@ class VectorizedSubQuerySearch:
     def materialise(self, match: PendingMatch) -> PathMatch:
         """Build the path of a match this search emitted.
 
-        Walks the parent column from the match's pool row back to its
-        seed; the edges are the source graph's own ``Edge`` objects, so
-        the result equals the reference search's eager match.
+        Follows the parent entries from the match's goal state back to
+        its seed; the edges are the source graph's own ``Edge`` objects,
+        so the result equals the reference search's eager match.
         """
         graph = self.graph
         slot_edge = graph.slot_edge
         slot_forward = graph.slot_forward
         steps: List[PathStep] = []
-        cursor = match.pool_index
-        while True:
-            parent = self._parent_c[cursor]
-            if parent < 0:
-                break
-            slot = self._slot_c[cursor]
+        entry = match.entry
+        while entry[_PARENT] is not None:
+            slot = entry[_SLOT]
             steps.append(
                 PathStep(
                     edge=graph.edge(int(slot_edge[slot])),
                     forward=bool(slot_forward[slot]),
                 )
             )
-            cursor = parent
+            entry = entry[_PARENT]
         steps.reverse()
         return PathMatch(
             subquery_index=match.subquery_index,
-            path=Path(start=self._uid_c[cursor], steps=tuple(steps)),
+            path=Path(start=entry[_UID], steps=tuple(steps)),
             pivot_uid=match.pivot_uid,
             pss=match.pss,
         )
 
     def harvest(self) -> List[PendingMatch]:
         """M̂_i as matches (same contract as the reference ``harvest``)."""
+        index = self.subquery_index
         return [
-            PendingMatch(
-                self.subquery_index, self._uid_c[index], self._priority_c[index], index
-            )
-            for index in self.generated_goals.values()
+            PendingMatch(index, entry[_UID], -entry[_NEG_PRIORITY], entry)
+            for entry in self.generated_goals.values()
         ]
 
     # ------------------------------------------------------------------
@@ -512,13 +477,16 @@ class VectorizedSubQuerySearch:
 
         One iteration is the reference's ``step`` — one ``clock.tick()``
         per expansion, one ``charge()`` per iteration including the one
-        that finds the queue empty or hits ``max_expansions`` — and
-        every branch mirrors the reference's pop / arrivals / τ / push
+        that finds the queue empty or hits ``max_expansions`` — and every
+        branch mirrors the reference's pop / arrivals / τ / push
         sequence: same order, same counters.  Everything an iteration
         reads is bound to a local once per call (at ~3 generated states
         per pop the attribute and method dispatch cost as much as the
         decisions); the counters live in locals too and are written back
         in the ``finally``, which also runs when ``charge`` raises.
+        ``states_generated`` is the insertion counter, and the queue's
+        peak is read once per expansion: the heap only grows between two
+        pops.
         """
         if self._exhausted:
             return None
@@ -534,7 +502,7 @@ class VectorizedSubQuerySearch:
         geometric = self._geometric
         generate = self._generate
         total_bound = self._total_bound
-        seg_mult = self._seg_mult
+        stride = self._stride
         hops_mult = self._hops_mult
         his_mult = self._his_mult
         log_prune = _LOG_PRUNE
@@ -546,34 +514,11 @@ class VectorizedSubQuerySearch:
         best_g = self._best_g
         emitted = self._emitted_pivots
         goals = self.generated_goals
-        uid_c = self._uid_c
-        segment_c = self._segment_c
-        hops_c = self._hops_c
-        his_c = self._his_c
-        lp_c = self._lp_c
-        ws_c = self._ws_c
-        priority_c = self._priority_c
-        key_c = self._key_c
-        anc_c = self._anc
-        uid_app = uid_c.append
-        seg_app = segment_c.append
-        hops_app = hops_c.append
-        his_app = his_c.append
-        lp_app = lp_c.append
-        ws_app = ws_c.append
-        pr_app = priority_c.append
-        par_app = self._parent_c.append
-        slot_app = self._slot_c.append
-        key_app = key_c.append
-        anc_app = anc_c.append
-        queue = self._queue
-        heap = queue._heap
+        heap = self._heap
         heap_push = heapq.heappush
         heap_pop = heapq.heappop
-        counter = queue._counter
-        pool_n = len(uid_c)
+        counter = self._counter
         expansions = stats.expansions
-        generated = stats.states_generated
         by_tau = stats.pruned_by_tau
         by_visited = stats.pruned_by_visited
         by_bound = stats.pruned_by_bound
@@ -581,42 +526,42 @@ class VectorizedSubQuerySearch:
         stale_pops = stats.stale_pops
         goals_emitted = stats.goals_emitted
         max_queue = stats.max_queue_size
-        # The segment table's lists, re-bound only when a pop changes segment.
+        # The segment table's rows, re-bound only when a pop changes segment.
         bound_segment = -1
         w_l = lw_l = phi = m_adv_l = logm_adv_l = m_cont_l = logm_cont_l = None
         d_cont = d_adv = None
         try:
             while True:
                 match = None
-                index = -1
+                entry = None
                 if max_expansions is None or expansions < max_expansions:
                     while heap:
-                        popped = heap_pop(heap)[2]
-                        if not generate:
-                            best = best_g.get(key_c[popped])
-                            if best is not None and lp_c[popped] < best:
-                                stale_pops += 1
-                                continue  # superseded by a better path
-                        index = popped
-                        break
-                if index < 0:
+                        entry = heap_pop(heap)
+                        (
+                            neg_priority, _, log_product, key, uid, segment,
+                            hops, his, weight_sum, anc, _, _,
+                        ) = entry
+                        if generate:
+                            break
+                        best = best_g.get(key)
+                        if best is None or log_product >= best:
+                            break
+                        stale_pops += 1  # superseded by a better path
+                        entry = None
+                if entry is None:
                     self._exhausted = True
                 else:
                     expansions += 1
                     tick()
-                    segment = segment_c[index]
-                    his = his_c[index]
                     if segment == num_segments:
-                        pivot = uid_c[index]
                         # EXPAND policy can re-pop a pivot; keep the first.
-                        if pivot not in emitted:
-                            emitted.add(pivot)
+                        if uid not in emitted:
+                            emitted.add(uid)
                             goals_emitted += 1
                             match = PendingMatch(
-                                subquery_index, pivot, priority_c[index], index
+                                subquery_index, uid, -neg_priority, entry
                             )
                     elif his < bound:  # else only advances survived
-                        uid = uid_c[index]
                         start = indptr_l[uid]
                         end = indptr_l[uid + 1]
                         if start != end and segment != bound_segment:
@@ -631,17 +576,21 @@ class VectorizedSubQuerySearch:
                             d_cont = table.d_cont
                             d_adv = table.d_adv
                             bound_segment = segment
-                        anc = anc_c[index]
-                        log_product = lp_c[index]
-                        weight_sum = ws_c[index]
-                        hops1 = hops_c[index] + 1
+                        hops1 = hops + 1
                         his1 = his + 1
                         continuing = his1 < bound
                         slack = bound - his1  # hops a continuing arrival has left
                         segment1 = segment + 1
                         advance_is_goal = segment1 == num_segments
                         hops_over = hops1 > total_bound
-                        queue_size = len(heap)
+                        # An arrival's closed-set key is neighbor * stride
+                        # plus what this pop fixes (see __init__).
+                        if generate:
+                            adv_key = segment1
+                            cont_key = segment
+                        else:
+                            adv_key = (segment1 * hops_mult + hops1) * his_mult
+                            cont_key = (segment * hops_mult + hops1) * his_mult + his1
                         for slot in range(start, end):
                             pid = spred_l[slot]
                             w = w_l[pid]
@@ -680,19 +629,14 @@ class VectorizedSubQuerySearch:
                                     if priority < tau:
                                         by_tau += 1
                                     else:
+                                        key = neighbor * stride + adv_key
                                         if generate:
-                                            key = neighbor * seg_mult + segment1
                                             if key in visited:
                                                 by_visited += 1
                                                 key = None
                                             else:
                                                 visited.add(key)
                                         else:
-                                            key = (
-                                                (neighbor * seg_mult + segment1)
-                                                * hops_mult
-                                                + hops1
-                                            ) * his_mult
                                             best = best_g.get(key)
                                             if best is not None and lp <= best:
                                                 by_visited += 1
@@ -700,33 +644,17 @@ class VectorizedSubQuerySearch:
                                             else:
                                                 best_g[key] = lp
                                         if key is not None:
-                                            uid_app(neighbor)
-                                            seg_app(segment1)
-                                            hops_app(hops1)
-                                            his_app(0)
-                                            lp_app(lp)
-                                            ws_app(ws)
-                                            pr_app(priority)
-                                            par_app(index)
-                                            slot_app(slot)
-                                            key_app(key)
-                                            anc_app(anc + (neighbor,))
-                                            heap_push(
-                                                heap, (-priority, counter, pool_n)
+                                            child = (
+                                                -priority, counter, lp, key, neighbor,
+                                                segment1, hops1, 0, ws,
+                                                anc + (neighbor,), entry, slot,
                                             )
+                                            heap_push(heap, child)
+                                            counter += 1
                                             if advance_is_goal:
                                                 held = goals.get(neighbor)
-                                                if (
-                                                    held is None
-                                                    or priority > priority_c[held]
-                                                ):
-                                                    goals[neighbor] = pool_n
-                                            counter += 1
-                                            pool_n += 1
-                                            queue_size += 1
-                                            generated += 1
-                                            if queue_size > max_queue:
-                                                max_queue = queue_size
+                                                if held is None or child[0] < held[0]:
+                                                    goals[neighbor] = child
                             if not continuing:
                                 by_bound += 1
                             elif d_cont[neighbor] > slack:
@@ -746,51 +674,37 @@ class VectorizedSubQuerySearch:
                                 if priority < tau:
                                     by_tau += 1
                                 else:
+                                    key = neighbor * stride + cont_key
                                     if generate:
-                                        key = neighbor * seg_mult + segment
                                         if key in visited:
                                             by_visited += 1
-                                            key = None
-                                        else:
-                                            visited.add(key)
+                                            continue
+                                        visited.add(key)
                                     else:
-                                        key = (
-                                            (neighbor * seg_mult + segment) * hops_mult
-                                            + hops1
-                                        ) * his_mult + his1
                                         best = best_g.get(key)
                                         if best is not None and lp <= best:
                                             by_visited += 1
-                                            key = None
-                                        else:
-                                            best_g[key] = lp
-                                    if key is not None:
-                                        uid_app(neighbor)
-                                        seg_app(segment)
-                                        hops_app(hops1)
-                                        his_app(his1)
-                                        lp_app(lp)
-                                        ws_app(ws)
-                                        pr_app(priority)
-                                        par_app(index)
-                                        slot_app(slot)
-                                        key_app(key)
-                                        anc_app(anc + (neighbor,))
-                                        heap_push(heap, (-priority, counter, pool_n))
-                                        counter += 1
-                                        pool_n += 1
-                                        queue_size += 1
-                                        generated += 1
-                                        if queue_size > max_queue:
-                                            max_queue = queue_size
+                                            continue
+                                        best_g[key] = lp
+                                    heap_push(
+                                        heap,
+                                        (
+                                            -priority, counter, lp, key, neighbor,
+                                            segment, hops1, his1, ws,
+                                            anc + (neighbor,), entry, slot,
+                                        ),
+                                    )
+                                    counter += 1
+                        if len(heap) > max_queue:
+                            max_queue = len(heap)
                 if charge is not None:
                     charge()
-                if match is not None or single or index < 0:
+                if match is not None or single or entry is None:
                     return match
         finally:
-            queue._counter = counter
+            self._counter = counter
             stats.expansions = expansions
-            stats.states_generated = generated
+            stats.states_generated = counter
             stats.pruned_by_tau = by_tau
             stats.pruned_by_visited = by_visited
             stats.pruned_by_bound = by_bound

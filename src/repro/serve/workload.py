@@ -1167,12 +1167,3 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         arrival=args.arrival,
         seed=args.seed,
     )
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via console script
-    # ``python -m repro.serve.workload`` runs this file as ``__main__``
-    # beside the canonical module the rest of the package imports; hand
-    # over to that one so there is a single ``WorkloadItem`` class.
-    from repro.serve.workload import main as _canonical_main
-
-    sys.exit(_canonical_main())

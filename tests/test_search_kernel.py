@@ -37,6 +37,7 @@ from repro.core.astar import (
 from repro.core.compact_view import CompactViewFactory
 from repro.core.config import SearchConfig, VisitedPolicy
 from repro.core.engine import SemanticGraphQueryEngine
+from repro.core.pss import log_weight
 from repro.core.results import PathMatch, PendingMatch, QueryResultPayload
 from repro.core.search_kernel import (
     VectorizedSubQuerySearch,
@@ -744,6 +745,65 @@ class TestFusedLoop:
             "resumed",
             [reference.next_match() for _ in pulled],
             materialised(vectorized, pulled),
+        )
+        assert problem is None, problem
+
+    def test_node_sized_rows_are_read_in_place(self, small_bundle):
+        """``_m_any`` copies no cached row: a one-predicate suffix reads
+        the view's read-only arrays themselves, a longer one its own
+        merge, element for element the reference's scalar probes."""
+        engine = SemanticGraphQueryEngine(
+            small_bundle.kg, small_bundle.space, small_bundle.library, compact=True
+        )
+        subquery = next(
+            subquery
+            for item in small_bundle.workload
+            for subquery in engine.decompose(item.query).subqueries
+            if len(subquery.predicates()) == 2
+        )
+        _, vectorized = build_pair(
+            small_bundle, subquery, engine.matcher, SearchConfig(tau=0.5)
+        )
+        view, (first, last) = vectorized.view, subquery.predicates()
+        m, log_m = vectorized._m_any(1)
+        assert m.obj is view.bounds_row_array(last)
+        assert log_m.obj is view.log_bounds_row_array(last)
+        assert m.readonly and log_m.readonly
+        m, log_m = vectorized._m_any(0)
+        expected = [
+            view.max_adjacent_weight_any(uid, (first, last))
+            for uid in range(view.graph.num_nodes)
+        ]
+        # The merge takes from both rows, so neither could stand in for it.
+        assert expected != view.bounds_row_array(first).tolist()
+        assert expected != view.bounds_row_array(last).tolist()
+        assert m.tolist() == expected
+        assert log_m.tolist() == [log_weight(weight) for weight in expected]
+
+    def test_matches_carry_their_state_after_the_search_runs_on(self, two_segment):
+        """A pending match is the goal state's entry, which holds its
+        ancestors: an early emission and a harvested goal that never
+        popped both build the reference's path 50 pulls later."""
+        config = SearchConfig(tau=0.5, path_bound=2)
+        reference, vectorized = two_segment(config)
+        first = vectorized.next_match()
+        expected_first = reference.next_match()
+        harvested = {match.pivot_uid: match for match in vectorized.harvest()}
+        expected = {match.pivot_uid: match for match in reference.harvest()}
+        waiting = set(harvested) - {first.pivot_uid}  # generated, not popped
+        assert waiting
+        for pivot in waiting:  # the match is the queued state itself
+            assert any(harvested[pivot].entry is entry for entry in vectorized._heap)
+        for _ in range(50):
+            assert vectorized.next_match() is not None
+        assert path_matches_differ(
+            "early", [expected_first], materialised(vectorized, [first])
+        ) is None
+        pivots = sorted(waiting)
+        problem = path_matches_differ(
+            "harvested",
+            [expected[pivot] for pivot in pivots],
+            materialised(vectorized, [harvested[pivot] for pivot in pivots]),
         )
         assert problem is None, problem
 
