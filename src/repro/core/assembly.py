@@ -28,7 +28,7 @@ Two interchangeable kernels implement the round loop:
   accesses, rounds) are identical; only the cost changes.  (The
   spelling predates the kernel losing its numpy arrays; renaming it
   ripples through artifact field names and waits for the
-  ``repro.reference`` move in ROADMAP 4.1b.)
+  ``repro.reference`` move in ROADMAP item 6(1c).)
 """
 
 from __future__ import annotations
@@ -48,11 +48,14 @@ class MatchStream:
 
     ``pull`` is any callable returning the next-best :class:`PathMatch` or
     ``None`` when exhausted (an A* search's ``next_match``, or an iterator
-    over a pre-collected list).
+    over a pre-collected list).  :meth:`next` is one sorted access with
+    its bookkeeping; the incremental kernel calls ``pull`` itself, keeps
+    ``exhausted`` / ``last_pss`` / ``accesses`` in its own lists while it
+    runs, and writes them back here when it returns or raises.
     """
 
     def __init__(self, pull: Callable[[], Optional[PathMatch]]):
-        self._pull = pull
+        self.pull = pull
         self.exhausted = False
         self.last_pss: Optional[float] = None  # ψ_cur of Eq. 11
         self.accesses = 0
@@ -67,7 +70,7 @@ class MatchStream:
     def next(self) -> Optional[PathMatch]:
         if self.exhausted:
             return None
-        match = self._pull()
+        match = self.pull()
         if match is None:
             # The exhaustion probe is not a sorted access: nothing was
             # read from the stream, the pull merely revealed its end —

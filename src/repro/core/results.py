@@ -110,6 +110,8 @@ class SearchStats:
     on the compact and sharded views, 0 for what a shared cache served),
     and nodes whose incidence the lazy ``SG_Q`` view materialised
     (Example 5) — 0 on views that materialise rows and touch no node.
+    :meth:`QueryResult.total_stats` therefore takes them once rather
+    than summing them.
     """
 
     expansions: int = 0
@@ -224,9 +226,19 @@ class QueryResult:
         return [kg.entity(uid).name for uid in self.answer_uids()]
 
     def total_stats(self) -> SearchStats:
+        """The per-search counters summed across sub-queries.
+
+        ``edges_weighted`` / ``nodes_touched`` are taken once, not
+        summed: they are the query's one view's counters, copied onto
+        every sub-query's stats.
+        """
         total = SearchStats()
         for stats in self.subquery_stats:
             total = total.merge(stats)
+        if self.subquery_stats:
+            view = self.subquery_stats[0]
+            total.edges_weighted = view.edges_weighted
+            total.nodes_touched = view.nodes_touched
         return total
 
 

@@ -174,7 +174,7 @@ class VectorizedSubQuerySearch:
         subquery: the path-shaped sub-query to match.
         matcher: node-match relation φ (consulted once per boundary at
             construction to build the φ-match sets, never in the hot loop).
-        config: τ, n̂ and policy knobs.
+        config: τ, n̂ and policy knobs (read once, at construction).
         subquery_index: position of this sub-query in the decomposition.
         clock: time source; TBQ passes a shared clock.
         budget: TBQ's coordinator, charged once per expansion by
@@ -258,13 +258,34 @@ class VectorizedSubQuerySearch:
         # with ties broken by the insertion counter (the reference's
         # MaxHeap order).
         self._heap: List[tuple] = []
-        self._counter = 0
         self._visited: Set[int] = set()
         self._best_g: Dict[int, float] = {}
         self._emitted_pivots: Set[int] = set()
         self._exhausted = False
         self._watch = Stopwatch(self.clock)
+        # What _advance binds on entry, in one unpack.  It must hold no
+        # bound method of this search: the tuple would then refer back to
+        # it, and a finished query's state pools would wait for the cyclic
+        # collector instead of dying with the search.
+        self._loop = (
+            config.max_expansions, config.path_bound, config.tau,
+            self.clock.tick, subquery_index, self._num_segments,
+            self._geometric, self._generate, self._total_bound,
+            self._stride, self._hops_mult, self._his_mult,
+            self._indptr_l, self._nbr_l, self._spred_l, self._visited,
+            self._best_g, self._emitted_pivots, self.generated_goals,
+            self._heap, heapq.heappush, heapq.heappop, math.exp, _LOG_PRUNE,
+            tuple.__new__,  # builds a PendingMatch without its Python __new__
+        )
         self._seed_start_states()
+        stats = self.stats
+        # The nine counters between two calls, in _advance's order.
+        self._counts = (
+            stats.states_generated, stats.expansions, stats.pruned_by_tau,
+            stats.pruned_by_visited, stats.pruned_by_bound,
+            stats.pruned_by_reach, stats.stale_pops, stats.goals_emitted,
+            stats.max_queue_size,
+        )
 
     # ------------------------------------------------------------------
     # precomputed tables
@@ -396,6 +417,7 @@ class VectorizedSubQuerySearch:
         stats.pruned_by_reach += len(seeds) - len(live)
         m, log_m = self._m_any(0)
         closed = self._visited if self._generate else self._best_g
+        counter = 0
         for uid in live:
             key = uid * self._stride  # segment 0, no hops yet
             if key in closed:  # a repeated seed: either policy drops it
@@ -406,11 +428,10 @@ class VectorizedSubQuerySearch:
             else:
                 self._best_g[key] = 0.0
             priority = self._estimate(0.0, 0, 0.0, m[uid], log_m[uid])
-            counter = self._counter
             seed = (-priority, counter, 0.0, key, uid, 0, 0, 0, 0.0, (uid,), None, -1)
             heapq.heappush(self._heap, seed)
-            self._counter += 1
-        stats.states_generated = self._counter
+            counter += 1
+        stats.states_generated = counter
         stats.max_queue_size = len(self._heap)
 
     # ------------------------------------------------------------------
@@ -483,49 +504,25 @@ class VectorizedSubQuerySearch:
         reads is bound to a local once per call (at ~3 generated states
         per pop the attribute and method dispatch cost as much as the
         decisions); the counters live in locals too and are written back
-        in the ``finally``, which also runs when ``charge`` raises.
-        ``states_generated`` is the insertion counter, and the queue's
-        peak is read once per expansion: the heap only grows between two
-        pops.
+        in the ``finally``, which also runs when ``charge`` raises.  Both
+        come out of one tuple each (``_loop``, built at construction, and
+        ``_counts``, saved by the ``finally``), so a pull's set-up is two
+        unpacks.  ``states_generated`` is the insertion counter, and the
+        queue's peak is read once per expansion: the heap only grows
+        between two pops.
         """
         if self._exhausted:
             return None
-        stats = self.stats
-        config = self.config
-        max_expansions = config.max_expansions
-        bound = config.path_bound
-        tau = config.tau
-        tick = self.clock.tick
-        estimate = self._estimate
-        subquery_index = self.subquery_index
-        num_segments = self._num_segments
-        geometric = self._geometric
-        generate = self._generate
-        total_bound = self._total_bound
-        stride = self._stride
-        hops_mult = self._hops_mult
-        his_mult = self._his_mult
-        log_prune = _LOG_PRUNE
-        exp = math.exp
-        indptr_l = self._indptr_l
-        nbr_l = self._nbr_l
-        spred_l = self._spred_l
-        visited = self._visited
-        best_g = self._best_g
-        emitted = self._emitted_pivots
-        goals = self.generated_goals
-        heap = self._heap
-        heap_push = heapq.heappush
-        heap_pop = heapq.heappop
-        counter = self._counter
-        expansions = stats.expansions
-        by_tau = stats.pruned_by_tau
-        by_visited = stats.pruned_by_visited
-        by_bound = stats.pruned_by_bound
-        by_reach = stats.pruned_by_reach
-        stale_pops = stats.stale_pops
-        goals_emitted = stats.goals_emitted
-        max_queue = stats.max_queue_size
+        (
+            max_expansions, bound, tau, tick, subquery_index, num_segments,
+            geometric, generate, total_bound, stride, hops_mult, his_mult,
+            indptr_l, nbr_l, spred_l, visited, best_g, emitted, goals, heap,
+            heap_push, heap_pop, exp, log_prune, new_tuple,
+        ) = self._loop
+        (
+            counter, expansions, by_tau, by_visited, by_bound, by_reach,
+            stale_pops, goals_emitted, max_queue,
+        ) = self._counts
         # The segment table's rows, re-bound only when a pop changes segment.
         bound_segment = -1
         w_l = lw_l = phi = m_adv_l = logm_adv_l = m_cont_l = logm_cont_l = None
@@ -558,8 +555,9 @@ class VectorizedSubQuerySearch:
                         if uid not in emitted:
                             emitted.add(uid)
                             goals_emitted += 1
-                            match = PendingMatch(
-                                subquery_index, uid, -neg_priority, entry
+                            match = new_tuple(
+                                PendingMatch,
+                                (subquery_index, uid, -neg_priority, entry),
                             )
                     elif his < bound:  # else only advances survived
                         start = indptr_l[uid]
@@ -624,7 +622,7 @@ class VectorizedSubQuerySearch:
                                                     / total_bound
                                                 )
                                         else:
-                                            priority = estimate(lp, hops1, ws, m, 0.0)
+                                            priority = self._estimate(lp, hops1, ws, m, 0.0)
                                     # τ, then the visited policy, then the push.
                                     if priority < tau:
                                         by_tau += 1
@@ -670,7 +668,7 @@ class VectorizedSubQuerySearch:
                                         )
                                     )
                                 else:
-                                    priority = estimate(lp, hops1, ws, m, 0.0)
+                                    priority = self._estimate(lp, hops1, ws, m, 0.0)
                                 if priority < tau:
                                     by_tau += 1
                                 else:
@@ -702,7 +700,11 @@ class VectorizedSubQuerySearch:
                 if match is not None or single or entry is None:
                     return match
         finally:
-            self._counter = counter
+            self._counts = (
+                counter, expansions, by_tau, by_visited, by_bound, by_reach,
+                stale_pops, goals_emitted, max_queue,
+            )
+            stats = self.stats
             stats.expansions = expansions
             stats.states_generated = counter
             stats.pruned_by_tau = by_tau

@@ -17,6 +17,7 @@ from repro.kg.schema import dbpedia_like_schema
 from repro.kg.sharded import ShardedGraph
 from repro.query.builder import QueryGraphBuilder
 from repro.query.transform import TransformationLibrary
+from repro.scenarios import WorkloadBuilder, build_resources
 from repro.utils.timing import BudgetClock
 
 
@@ -133,6 +134,50 @@ class TestSGQEngine:
         assert total.expansions == sum(
             s.expansions for s in result.subquery_stats
         )
+
+    @pytest.mark.parametrize("compact", [False, True], ids=["lazy", "compact"])
+    def test_total_stats_takes_the_view_counters_once(self, compact):
+        """``edges_weighted`` / ``nodes_touched`` are the one view's, copied
+        onto every sub-query's stats: a 3-sub-query total reports them
+        once, not three times."""
+        workload = (
+            WorkloadBuilder("ledger", seed=7)
+            .domain("dbpedia", scale=1.0, generator_seed=11)
+            .intents(star=5, chain=5, noisy_predicate=5, entity_heavy=5, tau_stress=5)
+            .top_k(5)
+            .tau(0.8)
+            .augment(
+                paraphrase_fraction=0.25, node_noise_fraction=0.25,
+                min_similarity=0.8,
+            )
+            .build()
+        )
+        resources = build_resources(workload)
+        engine = SemanticGraphQueryEngine(
+            resources.kg, resources.space, resources.library, resources.config,
+            compact=compact,
+        )
+        query = next(
+            q.query for q in workload.queries
+            if len(engine.decompose(q.query).subqueries) == 3
+        )
+        views = []
+        make_view = engine._make_view
+
+        def recording_make_view():
+            views.append(make_view())
+            return views[-1]
+
+        engine._make_view = recording_make_view
+        result = engine.search(query, k=5)
+        (view,) = views
+        assert len(result.subquery_stats) == 3
+        total = result.total_stats()
+        assert total.edges_weighted == view.edges_weighted > 0
+        if compact:
+            assert total.nodes_touched == 0
+        else:
+            assert total.nodes_touched == view.touched_nodes > 0
 
     def test_reused_decomposition(self, engine):
         decomposition = engine.decompose(product_query())

@@ -1,5 +1,6 @@
 """Property-based tests (hypothesis) for core invariants."""
 
+import itertools
 import math
 
 from hypothesis import example, given, settings
@@ -119,7 +120,104 @@ def _match(pivot, pss, stream=0):
     )
 
 
+@st.composite
+def descending_streams(draw):
+    """1-4 streams of arbitrary floats over a few pivots, descending up to
+    rises of at most 5e-10 — inside the 1e-9 sortedness tolerance, so a
+    repeated pivot can replace its component upwards."""
+    specs = []
+    for index in range(draw(st.integers(1, 4))):
+        value = draw(st.floats(0.05, 1.0))
+        matches = []
+        steps = draw(
+            st.lists(
+                st.tuples(st.integers(0, 5), st.booleans(), st.floats(0.0, 0.3)),
+                max_size=15,
+            )
+        )
+        for pivot, rise, drop in steps:
+            if rise:
+                value += draw(st.floats(0.0, 5e-10))
+            else:
+                value = max(value - drop, 0.0)
+            matches.append(_match(pivot, value, index))
+        specs.append(matches)
+    return specs
+
+
+class _PullFailed(Exception):
+    """Raised by a test pull part-way through a round."""
+
+
+def _failing_pull(matches, fail_at):
+    """A pull over ``matches`` whose call number ``fail_at`` raises."""
+    items = iter(matches)
+    calls = itertools.count()
+
+    def pull():
+        if next(calls) == fail_at:
+            raise _PullFailed
+        return next(items, None)
+
+    return pull
+
+
 class TestAssemblyProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        descending_streams(),
+        st.integers(min_value=1, max_value=6),
+        st.sampled_from([{}, {"exhaustive": True}, {"max_rounds": 3}]),
+        st.one_of(st.none(), st.tuples(st.integers(0, 3), st.integers(0, 20))),
+    )
+    def test_incremental_equals_reference(self, specs, k, kwargs, failure):
+        """The incremental TA against the reference on non-grid floats:
+        same matches, bit-equal scores, same component insertion order,
+        rounds and accesses — and the same stream state afterwards, also
+        when a pull raises part-way through a round (the kernel owns the
+        stream state until its ``finally``)."""
+        failing = None if failure is None else failure[0] % len(specs)
+        outcomes = []
+        for kernel in ("reference", "vectorized"):
+            streams = [
+                MatchStream(
+                    _failing_pull(matches, failure[1] if index == failing else None)
+                )
+                for index, matches in enumerate(specs)
+            ]
+            try:
+                result = assemble_top_k(streams, k, kernel=kernel, **kwargs)
+            except _PullFailed:
+                result = None
+            state = [
+                (s.accesses, s.last_pss, s.exhausted, s.current_pss) for s in streams
+            ]
+            outcomes.append((result, state))
+        (reference, reference_state), (incremental, incremental_state) = outcomes
+        assert incremental_state == reference_state
+        assert (incremental is None) == (reference is None)
+        if reference is None:
+            return
+
+        def summary(result):
+            return (
+                result.accesses,
+                result.rounds,
+                result.terminated_early,
+                result.truncated,
+                [
+                    (
+                        m.pivot_uid,
+                        m.score.hex(),
+                        m.expected_components,
+                        list(m.components.items()),
+                    )
+                    for m in result.matches
+                ],
+            )
+
+        assert summary(incremental) == summary(reference)
+
     @settings(max_examples=50, deadline=None)
     @given(
         st.lists(
