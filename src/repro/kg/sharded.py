@@ -29,17 +29,25 @@ results stay bit-identical to the unsharded kernel:
   the remote endpoint's row in the owner shard carries the slot, and the
   rank says exactly where it belongs in the merge;
 - ``m(u)`` (Lemma 1) is a per-shard segment-max over the shard's slots;
-  the global bound is the max over shards — exact for floats, so the
-  merged bound equals the unsharded one bit for bit.
+  the global row is the elementwise max of the per-shard maxima — exact
+  for floats, so the merged row equals the unsharded one bit for bit;
+- the hop label (the reach prune's φ distance) is ``n̂`` frontier
+  sweeps, each the OR of every shard's segment-``or`` over its own
+  rows: the shards' slots together are exactly the global slot set, so
+  no merged topology is built and the label equals the unsharded one
+  byte for byte.
 
-:class:`ShardedGraphView` implements the minimal
-:class:`~repro.core.semantic_graph.WeightedGraphView` protocol over the
-shard set, gathering shard by shard on the calling thread.  Each shard
-gets its **own**
-:class:`~repro.serve.cache.SemanticGraphCache` and its own private
-:class:`~repro.embedding.predicate_space.PredicateSpace` row LRU
-(:meth:`PredicateSpace.with_private_rows`), so the serving-layer cache
-wins survive partitioning without cross-shard lock contention;
+:class:`ShardedGraphView` implements the
+:class:`~repro.core.semantic_graph.WeightedGraphView` protocol plus
+``hop_label`` over the shard set, gathering shard by shard on the
+calling thread.  The two shard-set rows — one merged ``m(u)`` row per
+query predicate and one hop label per φ set — live in the engine's
+shared weight cache, bound to the shard set; the per-shard weight rows
+the gathers and the merged row read live in each shard's **own**
+:class:`~repro.serve.cache.SemanticGraphCache`, computed through a
+private :class:`~repro.embedding.predicate_space.PredicateSpace` row
+LRU (:meth:`PredicateSpace.with_private_rows`), so the serving-layer
+cache wins survive partitioning without cross-shard lock contention;
 per-shard hit/miss stats surface as labelled :class:`ShardCacheStats`
 rows.
 
@@ -566,18 +574,11 @@ class ShardCacheStats:
     """One labelled per-shard cache-stats row (cf. ``WorkerSnapshot``)."""
 
     shard_id: int
-    edges_weighted: int
-    cache_hits: int
     cache: object  # CacheStats of the shard's SemanticGraphCache
     space: object  # CacheStats of the shard's private similarity-row LRU
 
     def describe(self) -> str:
-        parts = [
-            f"shard {self.shard_id}: edges_weighted={self.edges_weighted} "
-            f"row_hits={self.cache_hits}"
-        ]
-        if self.cache is not None:
-            parts.append(self.cache.describe())
+        parts = [f"shard {self.shard_id}: {self.cache.describe()}"]
         if self.space is not None:
             parts.append(f"space row cache: {self.space.describe()}")
         return " | ".join(parts)
@@ -589,8 +590,13 @@ class ShardedGraphView:
     ``weighted_incident`` gathers each shard's slice of the node's row
     (weights from that shard's own cached row) and merges by the global
     rank table — a stable sort over unique keys, so the yielded sequence
-    is bit-identical to the unsharded view's.  ``max_adjacent_weight_any`` is the max over per-shard
-    segment-max bounds (exact for floats).
+    is bit-identical to the unsharded view's.  ``m(u)`` is read off one
+    merged row per query predicate (:meth:`bounds_row_array`) and
+    :meth:`hop_label` sweeps the shards' own rows, so a search over this
+    view makes the unsharded search's every decision, reach prune
+    included.  Both rows go through ``cache`` (the engine's shared
+    weight cache, bound to the shard set by the factory) and a per-query
+    L1, as the compact view's do.
 
     The view deliberately does **not** expose the single-CSR surface
     (``graph`` / ``weight_row_array``), so the ``"auto"`` search kernel
@@ -602,9 +608,18 @@ class ShardedGraphView:
         self,
         sharded: ShardedGraph,
         views: Sequence,  # per-shard CompactSemanticGraphView
+        *,
+        cache=None,  # Optional[WeightCache], bound to ``sharded``
     ):
         self._views = list(views)
         self._shards = sharded.shards
+        self._cache = cache
+        # L1, per query: query predicate -> plain-list mirror of the
+        # merged m(u) row, for the per-state probes.
+        self._bounds_rows: Dict[str, List[float]] = {}
+        # L1, per query: φ key + (n̂,) -> hop label (see hop_label).
+        self._hop_labels: Dict[Tuple, bytes] = {}
+        self.cache_hits = 0  # shard-set rows served by the shared cache
 
     # ------------------------------------------------------------------
     def _shard_part(
@@ -639,52 +654,110 @@ class ShardedGraphView:
         """Scalar pair weight (shards share one predicate table)."""
         return self._views[0].weight(query_predicate, graph_predicate)
 
+    def _shard_rows(self) -> List[Tuple[object, np.ndarray, np.ndarray]]:
+        """``(shard view, starts of its non-empty rows, non-empty mask)``
+        per shard holding any slot — ``reduceat`` needs non-empty
+        segments, as in the compact view."""
+        rows = []
+        for view in self._views:
+            starts = view.graph.indptr[:-1]
+            nonempty = starts < view.graph.indptr[1:]
+            if nonempty.any():
+                rows.append((view, starts[nonempty], nonempty))
+        return rows
+
+    def bounds_row_array(self, query_predicate: str) -> np.ndarray:
+        """Read-only global ``m(u)`` per node, bit-equal to the unsharded row.
+
+        The elementwise max of every shard's segment-max over its own
+        slots (exact for floats), shared across queries through the
+        engine's cache (row kind ``"bounds"``).  The per-shard maxima
+        are not kept: nothing reads them once merged.
+        """
+        row = None
+        if self._cache is not None:
+            row = self._cache.get_row("bounds", query_predicate)
+        if row is not None:
+            self.cache_hits += 1
+            return row
+        row = np.zeros(self._shards[0].graph.num_nodes)
+        for view, row_starts, nonempty in self._shard_rows():
+            slot_weights = view.weight_row_array(query_predicate)[
+                view.graph.slot_predicate
+            ]
+            row[nonempty] = np.maximum(
+                row[nonempty], np.maximum.reduceat(slot_weights, row_starts)
+            )
+        row.flags.writeable = False
+        if self._cache is not None:
+            self._cache.put_row("bounds", query_predicate, row)
+        return row
+
+    def _bounds_row(self, query_predicate: str) -> List[float]:
+        """Plain-list mirror of the merged ``m(u)`` row, once per query."""
+        bounds = self._bounds_rows.get(query_predicate)
+        if bounds is None:
+            bounds = self.bounds_row_array(query_predicate).tolist()
+            self._bounds_rows[query_predicate] = bounds
+        return bounds
+
     def max_adjacent_weight(self, uid: int, query_predicate: str) -> float:
-        """Global ``m(u)``: max of the per-shard segment maxima."""
-        return max(
-            view.max_adjacent_weight(uid, query_predicate)
-            for view in self._views
-        )
+        """Global ``m(u)`` of Lemma 1 — a read off the merged row."""
+        return self._bounds_row(query_predicate)[uid]
 
     def max_adjacent_weight_any(
         self, uid: int, query_predicates: Iterable[str]
     ) -> float:
-        """``m(u)`` against several predicates — max over shards, exact."""
-        predicates = list(query_predicates)
+        """``m(u)`` against several remaining query predicates (Lemma 1).
+
+        Called once per generated A* state: the L1 dict probe is inlined
+        so the common (row already merged) case is two lookups.
+        """
         best = 0.0
-        for view in self._views:
-            bound = view.max_adjacent_weight_any(uid, predicates)
-            if bound > best:
-                best = bound
+        rows = self._bounds_rows
+        for predicate in query_predicates:
+            row = rows.get(predicate)
+            if row is None:
+                row = self._bounds_row(predicate)
+            weight = row[uid]
+            if weight > best:
+                best = weight
         return best
 
-    # ------------------------------------------------------------------
-    # aggregated stats (engine reads these via getattr)
-    # ------------------------------------------------------------------
+    def hop_label(self, key: Tuple, phi: Iterable[int], bound: int) -> bytes:
+        """Hops from every node to the nearest φ-match, one byte per node.
+
+        The unsharded views' contract, bytes and row key (see
+        :meth:`~repro.core.semantic_graph.SemanticGraphView.hop_label`):
+        ``n̂`` frontier sweeps, each the OR over shards of the shard's
+        segment-``or`` of "my neighbour has a walk of exactly ``k - 1``
+        hops to φ" over its own CSR rows.
+        """
+        from repro.core.semantic_graph import shared_hop_label
+
+        def sweeps(cap: int) -> bytes:
+            num_nodes = self._shards[0].graph.num_nodes
+            shard_rows = self._shard_rows()
+            distance = np.full(num_nodes, cap, dtype=np.uint8)
+            reach = np.zeros(num_nodes, dtype=bool)
+            reach[np.fromiter(phi, dtype=np.int64)] = True
+            for hop in range(1, cap):
+                arrived = np.zeros(num_nodes, dtype=bool)
+                for view, row_starts, nonempty in shard_rows:
+                    arrived[nonempty] |= np.logical_or.reduceat(
+                        reach[view.graph.slot_neighbor], row_starts
+                    )
+                reach = arrived
+                distance[reach & (distance > hop)] = hop
+            return distance.tobytes()
+
+        return shared_hop_label(self, key, bound, sweeps)
+
     @property
     def edges_weighted(self) -> int:
-        """Materialised pair weights, summed across shard views."""
+        """Materialised pair weights, summed across shard views (the
+        engine reads it via getattr)."""
         return sum(view.edges_weighted for view in self._views)
-
-    @property
-    def cache_hits(self) -> int:
-        return sum(view.cache_hits for view in self._views)
-
-    def shard_stats(self) -> List[ShardCacheStats]:
-        """Per-shard labelled stats rows for this view's query."""
-        rows: List[ShardCacheStats] = []
-        for index, view in enumerate(self._views):
-            cache = view._cache
-            rows.append(
-                ShardCacheStats(
-                    shard_id=index,
-                    edges_weighted=view.edges_weighted,
-                    cache_hits=view.cache_hits,
-                    cache=cache.stats if cache is not None else None,
-                    space=view.space.stats(),
-                )
-            )
-        return rows
 
 
 class ShardedViewFactory:
@@ -692,11 +765,13 @@ class ShardedViewFactory:
 
     Matches the engine's ``view_factory`` seam.  Holds the persistent
     per-shard state the views share across queries: one
-    :class:`~repro.serve.cache.SemanticGraphCache` per shard and one
-    private-row :class:`PredicateSpace` clone per (shard, space).
-    The engine's shared ``cache`` argument is deliberately
-    ignored: per-shard caches *are* the sharded serving win, and a
-    single shared cache would serialise every shard on one lock.
+    :class:`~repro.serve.cache.SemanticGraphCache` per shard (the shard
+    views' weight rows) and one private-row
+    :class:`PredicateSpace` clone per (shard, space).  The engine's
+    shared ``cache`` holds what belongs to the whole shard set — the
+    merged ``m(u)`` rows and the hop labels — and is bound to the shard
+    set's identity; per-shard rows stay out of it, so the shards never
+    serialise on one lock.
     """
 
     def __init__(self, sharded: ShardedGraph):
@@ -752,24 +827,22 @@ class ShardedViewFactory:
             )
             for shard in self._sharded.shards
         ]
-        return ShardedGraphView(self._sharded, views)
+        if cache is not None:
+            # The shard set is immutable, so its identity is the whole
+            # graph part of the binding.
+            cache.bind((self._sharded, space, min_weight))
+        return ShardedGraphView(self._sharded, views, cache=cache)
 
     def shard_stats(self) -> List[ShardCacheStats]:
         """Cumulative per-shard cache stats across every query served."""
-        rows: List[ShardCacheStats] = []
         caches = self._shard_caches()
         entry = next(iter(self._space_clones.values()), None)
         clones = entry[1] if entry is not None else None
-        for sid in range(self._sharded.num_shards):
-            rows.append(
-                ShardCacheStats(
-                    shard_id=sid,
-                    edges_weighted=0,
-                    cache_hits=0,
-                    cache=caches[sid].stats,
-                    space=(
-                        clones[sid].stats() if clones is not None else None
-                    ),
-                )
+        return [
+            ShardCacheStats(
+                shard_id=sid,
+                cache=caches[sid].stats,
+                space=clones[sid].stats() if clones is not None else None,
             )
-        return rows
+            for sid in range(self._sharded.num_shards)
+        ]

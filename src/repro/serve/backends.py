@@ -56,6 +56,7 @@ import multiprocessing
 from repro.core.engine import EngineSpec, SemanticGraphQueryEngine, build_engine
 from repro.core.results import QueryResult, QueryResultPayload
 from repro.errors import ServeError
+from repro.kg.sharded import ShardedViewFactory
 from repro.serve.cache import SemanticGraphCache
 from repro.utils.lru import CacheStats
 
@@ -163,17 +164,31 @@ class _EngineRunner:
         return result
 
     def snapshot(self, worker_id: str = "shared") -> WorkerSnapshot:
-        cache = self.engine.weight_cache
+        engine = self.engine
+        cache = engine.weight_cache
         cache_stats = (
             cache.stats if isinstance(cache, SemanticGraphCache) else CacheStats()
         )
+        factory = engine.view_factory
+        if isinstance(factory, ShardedViewFactory):
+            # A sharded engine's searches read the shard caches and the
+            # shards' private space clones beside the shared cache's
+            # merged rows; the engine's own space serves none of them.
+            shards = factory.shard_stats()
+            cache_stats = sum((row.cache for row in shards), cache_stats)
+            space_stats = sum(
+                (row.space for row in shards if row.space is not None),
+                CacheStats(),
+            )
+        else:
+            space_stats = engine.space.stats()
         with self._lock:
             queries = self._queries
         return WorkerSnapshot(
             worker_id=worker_id,
             queries=queries,
             cache=cache_stats,
-            space=self.engine.space.stats(),
+            space=space_stats,
             max_rss_kb=_max_rss_kb(),
         )
 

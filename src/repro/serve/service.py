@@ -194,11 +194,14 @@ class ServingStatsReport:
     its own ``answer_scope`` — always ``"shared"``, even while the
     worker caches above report a per-worker sum.
 
-    ``shards`` carries per-shard labelled cache rows on a sharded
-    service (inline/thread backends, where the one in-process shard set
-    is readable live — cf. the per-worker ``WorkerSnapshot`` rows);
-    empty otherwise.  On the process backend each worker owns a private
-    shard set, so only the summed totals above are reported.
+    On a sharded service ``cache`` and ``space`` are the sums of what
+    its searches read: the shared cache's shard-set rows plus every
+    shard's cache, and the shards' private space clones.  ``shards``
+    carries the per-shard labelled rows of those sums (inline/thread
+    backends, where the one in-process shard set is readable live — cf.
+    the per-worker ``WorkerSnapshot`` rows); empty otherwise.  On the
+    process backend each worker owns a private shard set, so only the
+    summed totals are reported.
     """
 
     backend: str

@@ -227,13 +227,14 @@ class SealedCache:
 def test_a_cache_that_only_holds_rows_serves_the_golden_digest(
     workload, resources, golden, arm
 ):
-    inner = [SemanticGraphCache() for _ in range(2 if arm == "2shards" else 1)]
+    inner = [SemanticGraphCache() for _ in range(3 if arm == "2shards" else 1)]
     sealed = [SealedCache(cache) for cache in inner]
-    if arm == "2shards":  # the factory owns one cache per shard
-        how = {"view_factory": ShardedViewFactory(ShardedGraph.build(resources.kg, 2))}
-        how["view_factory"]._caches = sealed
+    how = {"weight_cache": sealed[0]}
+    if arm == "2shards":  # the shard-set rows, plus one cache per shard
+        how["view_factory"] = ShardedViewFactory(ShardedGraph.build(resources.kg, 2))
+        how["view_factory"]._caches = sealed[1:]
     else:
-        how = {"weight_cache": sealed[0], "compact": arm == "compact"}
+        how["compact"] = arm == "compact"
     engine = SemanticGraphQueryEngine(
         resources.kg, resources.space, resources.library, resources.config, **how
     )

@@ -3,7 +3,8 @@
 Four claims, each pinned here:
 
 1. the compact view's vectorized frontier sweeps produce, byte for byte,
-   the label the lazy view's breadth-first search defines;
+   the label the lazy view's breadth-first search defines, and the
+   sharded view's shard-by-shard sweeps the compact view's;
 2. under ``EXPAND`` the prune only *deletes* work — against a test-only
    view whose label can never fire, every sub-query's emission stream,
    harvest, TA round and access and final match is identical while
@@ -36,7 +37,7 @@ from repro.core.engine import SemanticGraphQueryEngine
 from repro.core.results import QueryResultPayload, SearchStats
 from repro.core.semantic_graph import SemanticGraphView
 from repro.kg.graph import KnowledgeGraph
-from repro.kg.sharded import ShardedGraph, ShardedViewFactory
+from repro.kg.sharded import SHARD_STRATEGIES, ShardedGraph, ShardedViewFactory
 from repro.query.builder import QueryGraphBuilder
 from repro.serve.cache import SemanticGraphCache
 
@@ -181,19 +182,42 @@ class TestHopLabel:
         assert cache.stats.hits > hits and labels() == published
         assert bundle.library in {key[2] for key in published}
 
-    def test_sharded_views_offer_no_label(self, small_bundle):
-        """Their searches run unpruned (reference A*, no ``hop_label``)."""
-        sharded = ShardedGraph.build(small_bundle.kg, 2)
-        view = ShardedViewFactory(sharded)(small_bundle.kg, small_bundle.space)
-        assert not hasattr(view, "hop_label")
-        engine = SemanticGraphQueryEngine(
-            small_bundle.kg,
-            small_bundle.space,
-            small_bundle.library,
-            view_factory=ShardedViewFactory(sharded),
-        )
-        result = engine.search(small_bundle.workload[0].query, k=5)
-        assert result.matches and result.pruned_by_reach == 0
+    @pytest.mark.parametrize("strategy", SHARD_STRATEGIES)
+    @pytest.mark.parametrize("num_shards", [1, 2, 4])
+    def test_sharded_rows_equal_their_unsharded_twins(
+        self, fig2_space, num_shards, strategy
+    ):
+        """The shard set's label is the compact view's byte for byte and
+        its merged ``m(u)`` row the compact bounds row bit for bit, so a
+        sharded search prunes and ranks exactly as an unsharded one."""
+        rng = random.Random(num_shards)
+        for trial in range(8):
+            num_nodes = rng.randint(4, 60)
+            isolated = rng.randint(0, 3)
+            kg = random_graph(
+                rng, num_nodes, rng.randint(0, 3 * num_nodes), isolated=isolated
+            )
+            compact = CompactViewFactory()(kg, fig2_space)
+            shards = ShardedGraph.build(kg, num_shards, strategy=strategy, seed=trial)
+            sharded = ShardedViewFactory(shards)(kg, fig2_space)
+            for predicate in PREDICATES:
+                assert (
+                    sharded.bounds_row_array(predicate).tobytes()
+                    == compact.bounds_row_array(predicate).tobytes()
+                ), (trial, predicate)
+            phi_sets = {
+                "empty": [],
+                "all": list(range(num_nodes)),
+                "isolated": list(range(num_nodes - isolated, num_nodes)),
+                "one": [rng.randrange(num_nodes)],
+                "some": sorted(rng.sample(range(num_nodes), num_nodes // 3)),
+            }
+            for bound in (1, 2, 4):
+                for name, phi in phi_sets.items():
+                    key = (f"{trial}-{name}", None)
+                    assert sharded.hop_label(key, phi, bound) == compact.hop_label(
+                        key, phi, bound
+                    ), (trial, name, bound)
 
 
 @pytest.fixture(

@@ -31,6 +31,7 @@ from repro.kg.sharded import (
 )
 from repro.kg.shm import SHM_PREFIX, ShmArrayBlock, leaked_segments
 from repro.serve.service import QueryService
+from repro.utils.lru import CacheStats
 
 
 @pytest.fixture(scope="module")
@@ -345,6 +346,39 @@ class TestServeIntegration:
             report = service.serving_stats()
             assert len(report.shards) == 2
             assert "per-shard caches" in report.describe()
+
+    @pytest.mark.parametrize("backend", ["inline", "process"])
+    def test_warm_service_reports_the_caches_its_searches_read(
+        self, small_bundle, backend
+    ):
+        """The headline sums the shard-set rows, the shard caches and the
+        shards' space clones — not the engine's own space, which a
+        sharded search never reads."""
+        queries = [item.query for item in small_bundle.workload[:3]]
+        with QueryService.build(
+            small_bundle.kg,
+            small_bundle.space,
+            small_bundle.library,
+            compact=True,
+            shards=2,
+            backend=backend,
+            workers=1,
+        ) as service:
+            service.search_many(queries, k=5)  # cold
+            if backend == "inline":  # the parts are readable live here
+                report = service.serving_stats()
+                shards = report.shards
+                assert report.cache == sum(
+                    (row.cache for row in shards), service.cache.stats
+                )
+                assert report.space == sum(
+                    (row.space for row in shards), CacheStats()
+                )
+            service.reset_serving_stats()
+            service.search_many(queries, k=5)  # warm
+            report = service.serving_stats()
+        assert report.cache.hits > 0 and report.cache.misses == 0
+        assert report.space.entries > 0
 
     def test_fingerprint_token_separates_layouts(
         self, small_bundle, frozen, sharded4
