@@ -100,6 +100,63 @@ def _space_index_for(
     return index, known
 
 
+def shared_weight_row(
+    view, graph: CompactGraph, query_predicate: str
+) -> Tuple[np.ndarray, List[float]]:
+    """A view's clamped weights of ``query_predicate`` per graph-predicate id.
+
+    The one place a weight row is computed, for the compact view over its
+    kernel and the sharded view over its shard set (``graph`` is any
+    kernel carrying the predicate table; every shard carries the same
+    one).  Read through the view's per-query L1 (``_weight_rows``: the
+    row plus a plain-list mirror for the scalar hot loop) and its shared
+    cache (``_cache``, row kind ``"weights"``: the bare read-only
+    ``float64`` vector, the documented row contract); a computed row is
+    one :meth:`PredicateSpace.similarity_row` scattered onto the
+    interned ids, clamped exactly as the lazy view clamps (Eq. 5,
+    [0, 1], ``min_weight`` zeroing).  Counts ``cache_hits`` and
+    ``edges_weighted`` on the view, as :func:`shared_hop_label` does.
+    """
+    entry = view._weight_rows.get(query_predicate)
+    if entry is not None:
+        return entry
+    cache = view._cache
+    row = cache.get_row("weights", query_predicate) if cache is not None else None
+    if row is not None:
+        view.cache_hits += 1
+    else:
+        index, known = _space_index_for(graph, view.space)
+        row = np.zeros(len(graph.predicate_names))
+        try:
+            space_row = view.space.similarity_row(query_predicate)
+        except UnknownPredicateError:
+            pass  # unknown query predicate: every weight is 0
+        else:
+            row[known] = np.clip(space_row[index[known]], 0.0, 1.0)
+            if view.min_weight > 0.0:
+                row[row < view.min_weight] = 0.0
+        row.flags.writeable = False
+        view.edges_weighted += row.shape[0]
+        if cache is not None:
+            cache.put_row("weights", query_predicate, row)
+    entry = (row, row.tolist())
+    view._weight_rows[query_predicate] = entry
+    return entry
+
+
+def pair_weight(
+    space: PredicateSpace, min_weight: float, query_predicate: str, graph_predicate: str
+) -> float:
+    """One clamped pair weight straight off the space — the element
+    :func:`shared_weight_row` would hold for it, for scalar callers."""
+    try:
+        raw = space.similarity(query_predicate, graph_predicate)
+    except UnknownPredicateError:
+        return 0.0
+    clamped = min(max(raw, 0.0), 1.0)
+    return 0.0 if clamped < min_weight else clamped
+
+
 def _exact_log_array(values: np.ndarray) -> np.ndarray:
     """``log_weight`` over an array, bit-identical to the scalar path.
 
@@ -161,13 +218,9 @@ class CompactSemanticGraphView:
             anchor = graph.kg if graph.kg is not None else graph
             cache.bind((anchor, space, min_weight, graph.num_nodes, graph.num_edges))
 
-        # Interned graph-predicate id -> space row index, memoised per
-        # (graph, space) so per-query view construction stays O(1).
-        self._space_index, self._known = _space_index_for(graph, space)
-
-        # L1, per query: query predicate -> (row array, row list).  The
-        # list mirror serves the scalar hot loop (python floats, no
-        # np.float64 boxing per element).
+        # L1, per query: query predicate -> (row array, row list), filled
+        # by shared_weight_row.  The list mirror serves the scalar hot
+        # loop (python floats, no np.float64 boxing per element).
         self._weight_rows: Dict[str, Tuple[np.ndarray, List[float]]] = {}
         # L1, per query: query predicate -> read-only per-node m(u)
         # array (what the vectorized search kernel consumes), plus a
@@ -191,41 +244,8 @@ class CompactSemanticGraphView:
     # row materialisation
     # ------------------------------------------------------------------
     def _weight_row(self, query_predicate: str) -> Tuple[np.ndarray, List[float]]:
-        """Clamped weights of ``query_predicate`` per graph-predicate id.
-
-        The shared cache holds the bare read-only ``float64`` vector (the
-        documented row contract); the per-view L1 pairs it with a
-        plain-list mirror for the scalar hot loop, rebuilt on a shared
-        hit (one small ``tolist`` per view per predicate).
-        """
-        entry = self._weight_rows.get(query_predicate)
-        if entry is not None:
-            return entry
-        if self._cache is not None:
-            shared = self._cache.get_row("weights", query_predicate)
-            if shared is not None:
-                entry = (shared, shared.tolist())
-                self._weight_rows[query_predicate] = entry
-                self.cache_hits += 1
-                return entry
-        row = np.zeros(len(self.graph.predicate_names))
-        try:
-            space_row = self.space.similarity_row(query_predicate)
-        except UnknownPredicateError:
-            pass  # unknown query predicate: every weight is 0
-        else:
-            row[self._known] = np.clip(
-                space_row[self._space_index[self._known]], 0.0, 1.0
-            )
-            if self.min_weight > 0.0:
-                row[row < self.min_weight] = 0.0
-        row.flags.writeable = False
-        entry = (row, row.tolist())
-        self._weight_rows[query_predicate] = entry
-        self.edges_weighted += row.shape[0]
-        if self._cache is not None:
-            self._cache.put_row("weights", query_predicate, row)
-        return entry
+        """Clamped weights of ``query_predicate`` (see :func:`shared_weight_row`)."""
+        return shared_weight_row(self, self.graph, query_predicate)
 
     def _bounds_row(self, query_predicate: str) -> List[float]:
         """Plain-list mirror of the ``m(u)`` row, for scalar reads.
@@ -270,12 +290,9 @@ class CompactSemanticGraphView:
         if pid is None:
             # Predicate absent from the frozen graph: derive the weight
             # directly so the scalar API covers the full space.
-            try:
-                raw = self.space.similarity(query_predicate, graph_predicate)
-            except UnknownPredicateError:
-                return 0.0
-            clamped = min(max(raw, 0.0), 1.0)
-            return 0.0 if clamped < self.min_weight else clamped
+            return pair_weight(
+                self.space, self.min_weight, query_predicate, graph_predicate
+            )
         return self._weight_row(query_predicate)[1][pid]
 
     def weighted_incident(

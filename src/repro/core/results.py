@@ -107,7 +107,9 @@ class SearchStats:
     ``edges_weighted`` / ``nodes_touched`` are the query's *view's*
     counters, copied onto every sub-query's stats by the engine: pair
     weights the view computed (per pair on the lazy view, per whole row
-    on the compact and sharded views, 0 for what a shared cache served),
+    on the compact and sharded views — one row per query predicate for
+    the whole shard set, whatever the shard count — 0 for what a shared
+    cache served),
     and nodes whose incidence the lazy ``SG_Q`` view materialised
     (Example 5) — 0 on views that materialise rows and touch no node.
     :meth:`QueryResult.total_stats` therefore takes them once rather

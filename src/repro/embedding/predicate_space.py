@@ -203,9 +203,11 @@ class PredicateSpace:
         The normalised matrix, name list and index are shared (no copy);
         only the memoised-row cache, its lock and its counters are fresh.
         Rows computed by the clone are bit-identical to this space's —
-        the reduction runs over the very same matrix — so per-consumer
-        clones (e.g. one per graph shard) trade a little recomputation
-        for lock-free independence and per-consumer hit/miss stats.
+        the reduction runs over the very same matrix — so a clone times
+        or counts rows from an empty cache without touching the
+        original's.  Nothing under ``src/`` calls it; the perf ledger's
+        cold-row probe (``benchmarks/ledger/layers.py``) does, and tests
+        use it for a space whose counters start at zero.
         """
         clone = object.__new__(PredicateSpace)
         clone._names = self._names

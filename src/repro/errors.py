@@ -127,13 +127,20 @@ class TransientEngineError(RetryableServeError):
 class WorkerCrashError(RetryableServeError):
     """A worker died while serving a request.
 
-    On the process backend a crash surfaces as
-    ``concurrent.futures.process.BrokenProcessPool`` — the standard
-    library's type, raised by :class:`~repro.serve.backends.ProcessBackend`
-    itself when any worker dies (classified retryable by the
-    supervisor, which also rebuilds the pool); this
-    type covers the shared-memory backends, where an injected crash
-    cannot actually kill the serving process.
+    Raised on the inline and thread backends, where an injected crash
+    cannot actually kill the serving process.  On the process backend a
+    real worker death breaks the whole pool and surfaces as
+    :class:`PoolBrokenError` instead.
+    """
+
+
+class PoolBrokenError(RetryableServeError):
+    """A process-pool worker died, so the whole pool is unusable.
+
+    Raised by :class:`~repro.serve.backends.ProcessBackend` for every
+    accepted and every later request once any worker ends abruptly.  The
+    supervisor retries it and, unlike any other retryable failure,
+    rebuilds the pool first.
     """
 
 

@@ -40,16 +40,14 @@ results stay bit-identical to the unsharded kernel:
 :class:`ShardedGraphView` implements the
 :class:`~repro.core.semantic_graph.WeightedGraphView` protocol plus
 ``hop_label`` over the shard set, gathering shard by shard on the
-calling thread.  The two shard-set rows — one merged ``m(u)`` row per
-query predicate and one hop label per φ set — live in the engine's
-shared weight cache, bound to the shard set; the per-shard weight rows
-the gathers and the merged row read live in each shard's **own**
-:class:`~repro.serve.cache.SemanticGraphCache`, computed through a
-private :class:`~repro.embedding.predicate_space.PredicateSpace` row
-LRU (:meth:`PredicateSpace.with_private_rows`), so the serving-layer
-cache wins survive partitioning without cross-shard lock contention;
-per-shard hit/miss stats surface as labelled :class:`ShardCacheStats`
-rows.
+calling thread.  Every shard carries the same predicate table, so the
+shard set has **one row source**: per query predicate one weight row
+(computed from the engine's own
+:class:`~repro.embedding.predicate_space.PredicateSpace`, exactly as
+the compact view computes it) and one merged ``m(u)`` row, plus one hop
+label per φ set — all in the engine's shared weight cache, bound to the
+shard set.  A sharded engine's caches and stats are therefore an
+unsharded engine's: one row cache, one space.
 
 Lifecycle mirrors the single-graph story: :meth:`ShardedGraph.to_shared`
 publishes one :class:`~repro.kg.shm.ShmArrayBlock` per shard (segment
@@ -456,30 +454,11 @@ class ShardedGraph:
         gone — the owning service closed it or died.
         """
         shards: List[GraphShard] = []
-        shard_of: Optional[np.ndarray] = None
         for sid, shard_handle in enumerate(handle.shards):
-            block = ShmArrayBlock.attach(shard_handle.block)
-            columns = {
-                name: block.array(name) for name in SHARED_COLUMNS
-            }
-            predicate_names = list(shard_handle.predicate_names)
-            type_names = list(shard_handle.type_names)
-            graph = CompactGraph(
-                kg=None,
-                kg_name=shard_handle.kg_name,
-                num_nodes=shard_handle.num_nodes,
-                num_edges=shard_handle.num_edges,
-                predicate_names=predicate_names,
-                predicate_index={
-                    name: i for i, name in enumerate(predicate_names)
-                },
-                type_names=type_names,
-                type_index={name: i for i, name in enumerate(type_names)},
-                _shm_block=block,
-                **columns,
-            )
-            if sid == 0:
-                shard_of = block.array(_SHARD_OF_COLUMN)
+            graph = CompactGraph.from_handle(shard_handle)
+            # The shard's segment carries its extra columns beside the
+            # kernel's own.
+            block = graph._shm_block
             shards.append(
                 GraphShard(
                     shard_id=sid,
@@ -489,14 +468,13 @@ class ShardedGraph:
                     cut_edges=handle.cut_edges[sid],
                 )
             )
-        assert shard_of is not None
         return cls(
             kg=None,
             kg_name=handle.kg_name,
             num_nodes=handle.num_nodes,
             num_edges=handle.num_edges,
             shards=shards,
-            shard_of=shard_of,
+            shard_of=shards[0].graph._shm_block.array(_SHARD_OF_COLUMN),
             strategy=handle.strategy,
             seed=handle.seed,
         )
@@ -566,37 +544,30 @@ class SharedShardedGraph:
 
 
 # ----------------------------------------------------------------------
-# the fan-out view + factory
+# the rank-merged view + factory
 # ----------------------------------------------------------------------
 
-@dataclass
-class ShardCacheStats:
-    """One labelled per-shard cache-stats row (cf. ``WorkerSnapshot``)."""
-
-    shard_id: int
-    cache: object  # CacheStats of the shard's SemanticGraphCache
-    space: object  # CacheStats of the shard's private similarity-row LRU
-
-    def describe(self) -> str:
-        parts = [f"shard {self.shard_id}: {self.cache.describe()}"]
-        if self.space is not None:
-            parts.append(f"space row cache: {self.space.describe()}")
-        return " | ".join(parts)
-
-
 class ShardedGraphView:
-    """Rank-merged :class:`WeightedGraphView` over per-shard compact views.
+    """Rank-merged :class:`WeightedGraphView` over a shard set.
 
     ``weighted_incident`` gathers each shard's slice of the node's row
-    (weights from that shard's own cached row) and merges by the global
-    rank table — a stable sort over unique keys, so the yielded sequence
-    is bit-identical to the unsharded view's.  ``m(u)`` is read off one
+    straight off ``shard.graph`` and ``shard.rank_list()``, weighs it
+    from the shard set's weight row and merges by the global rank table
+    — a stable sort over unique keys, so the yielded sequence is
+    bit-identical to the unsharded view's.  ``m(u)`` is read off one
     merged row per query predicate (:meth:`bounds_row_array`) and
     :meth:`hop_label` sweeps the shards' own rows, so a search over this
     view makes the unsharded search's every decision, reach prune
-    included.  Both rows go through ``cache`` (the engine's shared
-    weight cache, bound to the shard set by the factory) and a per-query
-    L1, as the compact view's do.
+    included.
+
+    An edge's weight is a function of (query predicate, graph predicate)
+    alone (Section IV-B) and every shard carries the same predicate
+    table, so one weight row per query predicate serves the whole shard
+    set: :func:`~repro.core.compact_view.shared_weight_row` computes it
+    from the engine's own space, as it does for the compact view.  The
+    weight row, the merged ``m(u)`` row and the hop label all go through
+    ``cache`` (the engine's shared weight cache, bound to the shard set
+    by the factory) and a per-query L1, as the compact view's rows do.
 
     The view deliberately does **not** expose the single-CSR surface
     (``graph`` / ``weight_row_array``), so the ``"auto"`` search kernel
@@ -607,63 +578,79 @@ class ShardedGraphView:
     def __init__(
         self,
         sharded: ShardedGraph,
-        views: Sequence,  # per-shard CompactSemanticGraphView
+        space,  # PredicateSpace
         *,
+        min_weight: float = 0.0,
         cache=None,  # Optional[WeightCache], bound to ``sharded``
     ):
-        self._views = list(views)
         self._shards = sharded.shards
+        # Shard 0's kernel stands for the predicate table every shard shares.
+        self._table = sharded.shards[0].graph
+        self.space = space
+        self.min_weight = min_weight
         self._cache = cache
+        # L1, per query: query predicate -> (row array, row list), filled
+        # by shared_weight_row.
+        self._weight_rows: Dict[str, Tuple[np.ndarray, List[float]]] = {}
         # L1, per query: query predicate -> plain-list mirror of the
         # merged m(u) row, for the per-state probes.
         self._bounds_rows: Dict[str, List[float]] = {}
         # L1, per query: φ key + (n̂,) -> hop label (see hop_label).
         self._hop_labels: Dict[Tuple, bytes] = {}
-        self.cache_hits = 0  # shard-set rows served by the shared cache
+        # Counted as on the compact view: pair weights of computed rows
+        # (one row per query predicate, whatever the shard count) and
+        # rows served by the shared cache.
+        self.edges_weighted = 0
+        self.cache_hits = 0
 
     # ------------------------------------------------------------------
-    def _shard_part(
-        self, index: int, uid: int, query_predicate: str
-    ) -> List[Tuple[int, Edge, int, float]]:
-        """One shard's slice of ``uid``'s weighted row, rank-tagged."""
-        view = self._views[index]
-        graph = view.graph
-        slots = graph.node_slots[uid]
-        if not slots:
-            return []
-        row_list = view._weight_row(query_predicate)[1]
-        start = graph.indptr_list()[uid]
-        ranks = self._shards[index].rank_list()
-        return [
-            (ranks[start + offset], edge, neighbor, row_list[pid])
-            for offset, (edge, neighbor, pid) in enumerate(slots)
-        ]
+    def _weight_row(self, query_predicate: str) -> Tuple[np.ndarray, List[float]]:
+        from repro.core.compact_view import shared_weight_row
+
+        return shared_weight_row(self, self._table, query_predicate)
 
     def weighted_incident(
         self, uid: int, query_predicate: str
     ) -> Iterable[Tuple[Edge, int, float]]:
         """``(edge, neighbour, weight)`` in exact global slot order."""
+        entry = self._weight_rows.get(query_predicate)
+        if entry is None:
+            entry = self._weight_row(query_predicate)
+        row_list = entry[1]
         merged: List[Tuple[int, Edge, int, float]] = []
-        for index in range(len(self._views)):
-            merged.extend(self._shard_part(index, uid, query_predicate))
+        for shard in self._shards:
+            graph = shard.graph
+            slots = graph.node_slots[uid]
+            if slots:
+                start = graph.indptr_list()[uid]
+                ranks = shard.rank_list()
+                merged += [
+                    (ranks[start + offset], edge, neighbor, row_list[pid])
+                    for offset, (edge, neighbor, pid) in enumerate(slots)
+                ]
         merged.sort(key=lambda item: item[0])
         for _rank, edge, neighbor, weight in merged:
             yield edge, neighbor, weight
 
     def weight(self, query_predicate: str, graph_predicate: str) -> float:
-        """Scalar pair weight (shards share one predicate table)."""
-        return self._views[0].weight(query_predicate, graph_predicate)
+        """Scalar pair weight (tests, debugging); the search reads rows."""
+        from repro.core.compact_view import pair_weight
 
-    def _shard_rows(self) -> List[Tuple[object, np.ndarray, np.ndarray]]:
-        """``(shard view, starts of its non-empty rows, non-empty mask)``
+        return pair_weight(
+            self.space, self.min_weight, query_predicate, graph_predicate
+        )
+
+    def _shard_rows(self) -> List[Tuple[CompactGraph, np.ndarray, np.ndarray]]:
+        """``(shard kernel, starts of its non-empty rows, non-empty mask)``
         per shard holding any slot — ``reduceat`` needs non-empty
         segments, as in the compact view."""
         rows = []
-        for view in self._views:
-            starts = view.graph.indptr[:-1]
-            nonempty = starts < view.graph.indptr[1:]
+        for shard in self._shards:
+            graph = shard.graph
+            starts = graph.indptr[:-1]
+            nonempty = starts < graph.indptr[1:]
             if nonempty.any():
-                rows.append((view, starts[nonempty], nonempty))
+                rows.append((graph, starts[nonempty], nonempty))
         return rows
 
     def bounds_row_array(self, query_predicate: str) -> np.ndarray:
@@ -680,13 +667,12 @@ class ShardedGraphView:
         if row is not None:
             self.cache_hits += 1
             return row
-        row = np.zeros(self._shards[0].graph.num_nodes)
-        for view, row_starts, nonempty in self._shard_rows():
-            slot_weights = view.weight_row_array(query_predicate)[
-                view.graph.slot_predicate
-            ]
+        weights = self._weight_row(query_predicate)[0]
+        row = np.zeros(self._table.num_nodes)
+        for graph, row_starts, nonempty in self._shard_rows():
             row[nonempty] = np.maximum(
-                row[nonempty], np.maximum.reduceat(slot_weights, row_starts)
+                row[nonempty],
+                np.maximum.reduceat(weights[graph.slot_predicate], row_starts),
             )
         row.flags.writeable = False
         if self._cache is not None:
@@ -736,16 +722,16 @@ class ShardedGraphView:
         from repro.core.semantic_graph import shared_hop_label
 
         def sweeps(cap: int) -> bytes:
-            num_nodes = self._shards[0].graph.num_nodes
+            num_nodes = self._table.num_nodes
             shard_rows = self._shard_rows()
             distance = np.full(num_nodes, cap, dtype=np.uint8)
             reach = np.zeros(num_nodes, dtype=bool)
             reach[np.fromiter(phi, dtype=np.int64)] = True
             for hop in range(1, cap):
                 arrived = np.zeros(num_nodes, dtype=bool)
-                for view, row_starts, nonempty in shard_rows:
+                for graph, row_starts, nonempty in shard_rows:
                     arrived[nonempty] |= np.logical_or.reduceat(
-                        reach[view.graph.slot_neighbor], row_starts
+                        reach[graph.slot_neighbor], row_starts
                     )
                 reach = arrived
                 distance[reach & (distance > hop)] = hop
@@ -753,58 +739,24 @@ class ShardedGraphView:
 
         return shared_hop_label(self, key, bound, sweeps)
 
-    @property
-    def edges_weighted(self) -> int:
-        """Materialised pair weights, summed across shard views (the
-        engine reads it via getattr)."""
-        return sum(view.edges_weighted for view in self._views)
-
 
 class ShardedViewFactory:
     """Builds :class:`ShardedGraphView`\\ s over one shard set.
 
-    Matches the engine's ``view_factory`` seam.  Holds the persistent
-    per-shard state the views share across queries: one
-    :class:`~repro.serve.cache.SemanticGraphCache` per shard (the shard
-    views' weight rows) and one private-row
-    :class:`PredicateSpace` clone per (shard, space).  The engine's
-    shared ``cache`` holds what belongs to the whole shard set — the
-    merged ``m(u)`` rows and the hop labels — and is bound to the shard
-    set's identity; per-shard rows stay out of it, so the shards never
-    serialise on one lock.
+    Matches the engine's ``view_factory`` seam and keeps no state beyond
+    the shard set: every row the views read — the weight and merged
+    ``m(u)`` rows per query predicate, the hop labels — lives in the
+    engine's shared ``cache``, bound to the shard set's identity, and is
+    computed from the engine's own space.  A sharded engine therefore
+    reports exactly what an unsharded one does: one row cache, one space.
     """
 
     def __init__(self, sharded: ShardedGraph):
         self._sharded = sharded
-        self._caches: Optional[List] = None
-        # id(space) -> (weakref-free space anchor, per-shard clones);
-        # one engine uses one space, so this holds a single entry in
-        # practice.
-        self._space_clones: Dict[int, Tuple[object, List]] = {}
 
     @property
     def sharded(self) -> ShardedGraph:
         return self._sharded
-
-    def _shard_caches(self) -> List:
-        if self._caches is None:
-            from repro.serve.cache import SemanticGraphCache
-
-            self._caches = [
-                SemanticGraphCache() for _ in range(self._sharded.num_shards)
-            ]
-        return self._caches
-
-    def _shard_spaces(self, space) -> List:
-        entry = self._space_clones.get(id(space))
-        if entry is not None and entry[0] is space:
-            return entry[1]
-        clones = [
-            space.with_private_rows()
-            for _ in range(self._sharded.num_shards)
-        ]
-        self._space_clones = {id(space): (space, clones)}
-        return clones
 
     def __call__(
         self,
@@ -814,35 +766,10 @@ class ShardedViewFactory:
         min_weight: float = 0.0,
         cache=None,
     ) -> ShardedGraphView:
-        from repro.core.compact_view import CompactSemanticGraphView
-
-        caches = self._shard_caches()
-        spaces = self._shard_spaces(space)
-        views = [
-            CompactSemanticGraphView(
-                shard.graph,
-                spaces[shard.shard_id],
-                min_weight=min_weight,
-                cache=caches[shard.shard_id],
-            )
-            for shard in self._sharded.shards
-        ]
         if cache is not None:
             # The shard set is immutable, so its identity is the whole
             # graph part of the binding.
             cache.bind((self._sharded, space, min_weight))
-        return ShardedGraphView(self._sharded, views, cache=cache)
-
-    def shard_stats(self) -> List[ShardCacheStats]:
-        """Cumulative per-shard cache stats across every query served."""
-        caches = self._shard_caches()
-        entry = next(iter(self._space_clones.values()), None)
-        clones = entry[1] if entry is not None else None
-        return [
-            ShardCacheStats(
-                shard_id=sid,
-                cache=caches[sid].stats,
-                space=clones[sid].stats() if clones is not None else None,
-            )
-            for sid in range(self._sharded.num_shards)
-        ]
+        return ShardedGraphView(
+            self._sharded, space, min_weight=min_weight, cache=cache
+        )

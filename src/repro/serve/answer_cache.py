@@ -61,7 +61,7 @@ import threading
 import time
 from collections import OrderedDict
 from concurrent.futures import Future
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from operator import attrgetter
 from typing import Callable, List, Optional, Tuple
 
@@ -356,6 +356,18 @@ class AnswerCacheStats:
         lookups = self.lookups
         served = self.hits + self.singleflight_collapsed
         return served / lookups if lookups else 0.0
+
+    def since(self, baseline: "AnswerCacheStats") -> "AnswerCacheStats":
+        """This snapshot with the counters taken relative to ``baseline``;
+        the gauges (``entries``, ``in_flight``) are kept as they are."""
+        return replace(
+            self,
+            **{
+                f.name: getattr(self, f.name) - getattr(baseline, f.name)
+                for f in fields(self)
+                if f.name not in ("entries", "in_flight")
+            },
+        )
 
     def describe(self) -> str:
         return (

@@ -45,7 +45,6 @@ import time
 import traceback
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from itertools import count
 from multiprocessing.connection import wait
@@ -55,8 +54,7 @@ import multiprocessing
 
 from repro.core.engine import EngineSpec, SemanticGraphQueryEngine, build_engine
 from repro.core.results import QueryResult, QueryResultPayload
-from repro.errors import ServeError
-from repro.kg.sharded import ShardedViewFactory
+from repro.errors import PoolBrokenError, ServeError
 from repro.serve.cache import SemanticGraphCache
 from repro.utils.lru import CacheStats
 
@@ -169,26 +167,13 @@ class _EngineRunner:
         cache_stats = (
             cache.stats if isinstance(cache, SemanticGraphCache) else CacheStats()
         )
-        factory = engine.view_factory
-        if isinstance(factory, ShardedViewFactory):
-            # A sharded engine's searches read the shard caches and the
-            # shards' private space clones beside the shared cache's
-            # merged rows; the engine's own space serves none of them.
-            shards = factory.shard_stats()
-            cache_stats = sum((row.cache for row in shards), cache_stats)
-            space_stats = sum(
-                (row.space for row in shards if row.space is not None),
-                CacheStats(),
-            )
-        else:
-            space_stats = engine.space.stats()
         with self._lock:
             queries = self._queries
         return WorkerSnapshot(
             worker_id=worker_id,
             queries=queries,
             cache=cache_stats,
-            space=space_stats,
+            space=engine.space.stats(),
             max_rss_kb=_max_rss_kb(),
         )
 
@@ -382,8 +367,9 @@ class ProcessBackend(ExecutionBackend):
 
     A worker that dies (or whose bootstrap raises) breaks the whole pool:
     every accepted and every later request fails with
-    ``BrokenProcessPool`` and the other workers are terminated — one
-    killed inside ``calls.get()`` holds the pipe's read lock for ever.
+    :class:`~repro.errors.PoolBrokenError` and the other workers are
+    terminated — one killed inside ``calls.get()`` holds the pipe's read
+    lock for ever.
 
     Args:
         spec: the engine description to ship.
@@ -412,7 +398,7 @@ class ProcessBackend(ExecutionBackend):
         self.spec = spec
         # Pickle eagerly: an unpicklable spec must fail in the parent with
         # a clear error, not inside a worker's bootstrap where the pool
-        # just reports BrokenProcessPool.
+        # just reports a broken pool.
         try:
             spec_pickle = pickle.dumps(spec)
         except Exception as exc:
@@ -473,7 +459,7 @@ class ProcessBackend(ExecutionBackend):
         future: "Future[QueryResult]" = Future()
         with self._lock:
             if self._broken:
-                raise BrokenProcessPool(_POOL_BROKEN)
+                raise PoolBrokenError(_POOL_BROKEN)
             if self._closing:
                 raise RuntimeError("cannot schedule new futures after shutdown")
             ticket = next(self._tickets)
@@ -539,7 +525,7 @@ class ProcessBackend(ExecutionBackend):
             self._ready.notify_all()
         for process in self._processes:
             process.terminate()
-        error = BrokenProcessPool(_POOL_BROKEN)
+        error = PoolBrokenError(_POOL_BROKEN)
         for future in futures:
             _notify(self._on_complete, False)
             if future.running() or future.set_running_or_notify_cancel():

@@ -10,12 +10,12 @@ in order of escalation:
    re-submitted with capped exponential backoff whose jitter comes from
    a seeded stream (:class:`BackoffPolicy`), so a chaos run's retry
    timing is bit-reproducible.
-2. **Pool rebuild** — a ``BrokenExecutor`` from the process backend
-   means a worker died and took the whole pool with it; the supervisor
-   rebuilds the pool in place through a caller-supplied ``rebuild``
-   callable (the service's, which also releases and re-acquires the
-   shared-memory graph lease so ``/dev/shm`` stays leak-free) and
-   replays the victims onto the new pool.
+2. **Pool rebuild** — a :class:`~repro.errors.PoolBrokenError` from the
+   process backend means a worker died and took the whole pool with it;
+   the supervisor rebuilds the pool in place through a caller-supplied
+   ``rebuild`` callable (the service's, which also releases and
+   re-acquires the shared-memory graph lease so ``/dev/shm`` stays
+   leak-free) and replays the victims onto the new pool.
 3. **Circuit breaker + fallback** — when the pool breaks repeatedly
    (``threshold`` consecutive breaks), the breaker *opens* and requests
    ride a caller-supplied inline ``fallback_factory`` backend instead of
@@ -42,12 +42,13 @@ from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import BrokenExecutor, Future
+from concurrent.futures import Future
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
 from repro.errors import (
     OverloadError,
+    PoolBrokenError,
     RequestTimeoutError,
     RetryableServeError,
     RetryExhaustedError,
@@ -185,14 +186,6 @@ class ResilienceStats:
     fallbacks: int = 0
     rebuild_seconds: List[float] = field(default_factory=list)
     breaker_state: str = "closed"
-
-
-def _is_pool_break(exc: BaseException) -> bool:
-    return isinstance(exc, BrokenExecutor)
-
-
-def _is_retryable(exc: BaseException) -> bool:
-    return isinstance(exc, RetryableServeError) or _is_pool_break(exc)
 
 
 _EVENT_FIELDS = {
@@ -350,7 +343,7 @@ class SupervisedBackend(ExecutionBackend):
             try:
                 future = self._inner.submit(request, submitted_wall)
             except BaseException as exc:
-                if _is_pool_break(exc):
+                if isinstance(exc, PoolBrokenError):
                     self._note_broken(generation)
                 raise
         return future, generation
@@ -554,14 +547,14 @@ class _SupervisedRequest:
         with self._flock:
             if self._finished:
                 return
-        if note_break and _is_pool_break(exc):
+        if note_break and isinstance(exc, PoolBrokenError):
             b._note_broken(generation)
         elif isinstance(exc, WorkerCrashError) and exc.__cause__ is None:
             # An injected crash on a shared-memory backend: count the
             # "worker death" even though no pool broke.  (Rebuild-failure
             # wrappers carry a __cause__ and were already counted.)
             b._event("crash")
-        if _is_retryable(exc):
+        if isinstance(exc, RetryableServeError):
             if self._attempt < len(self._schedule):
                 delay = self._schedule[self._attempt]
                 self._attempt += 1

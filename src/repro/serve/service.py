@@ -53,13 +53,7 @@ from repro.embedding.predicate_space import PredicateSpace
 from repro.errors import ServeError
 from repro.kg.compact import CompactGraph, SharedCompactGraph
 from repro.kg.graph import KnowledgeGraph
-from repro.kg.sharded import (
-    SHARD_STRATEGIES,
-    ShardCacheStats,
-    ShardedGraph,
-    ShardedViewFactory,
-    SharedShardedGraph,
-)
+from repro.kg.sharded import SHARD_STRATEGIES, ShardedGraph, SharedShardedGraph
 from repro.kg.shm import leaked_segments
 from repro.query.model import QueryGraph
 from repro.query.transform import TransformationLibrary
@@ -194,14 +188,12 @@ class ServingStatsReport:
     its own ``answer_scope`` — always ``"shared"``, even while the
     worker caches above report a per-worker sum.
 
-    On a sharded service ``cache`` and ``space`` are the sums of what
-    its searches read: the shared cache's shard-set rows plus every
-    shard's cache, and the shards' private space clones.  ``shards``
-    carries the per-shard labelled rows of those sums (inline/thread
-    backends, where the one in-process shard set is readable live — cf.
-    the per-worker ``WorkerSnapshot`` rows); empty otherwise.  On the
-    process backend each worker owns a private shard set, so only the
-    summed totals are reported.
+    A sharded service reports exactly what an unsharded one does: its
+    searches read one row source per shard set, the engine's weight
+    cache and the engine's space.
+
+    Counters (the answer row's included) are taken since the last
+    :meth:`QueryService.reset_serving_stats`; gauges describe now.
     """
 
     backend: str
@@ -212,7 +204,7 @@ class ServingStatsReport:
     space: CacheStats
     answers: Optional[AnswerCacheStats] = None
     answer_scope: str = "shared"
-    shards: Tuple[ShardCacheStats, ...] = ()
+    shards: Tuple = ()  # always empty: kept while the perf ledger reads it
 
     def scope_label(self) -> str:
         if self.scope == "per-worker-sum":
@@ -235,10 +227,6 @@ class ServingStatsReport:
                 f"answer cache ({self.answer_scope}): "
                 f"{self.answers.describe()}"
             )
-        if self.shards:
-            lines.append(f"per-shard caches ({len(self.shards)} shards):")
-            for row in self.shards:
-                lines.append(f"  {row.describe()}")
         return "\n".join(lines)
 
 
@@ -293,9 +281,10 @@ class QueryService:
         supervised: wrap the backend in a
             :class:`~repro.serve.resilience.SupervisedBackend` — retries
             for retryable failures, in-place pool rebuild on
-            ``BrokenProcessPool`` (releasing and re-acquiring the shared
-            graph lease), circuit-breaker fallback to an inline engine,
-            optional hard timeout and load shedding.  Implied by any of
+            :class:`~repro.errors.PoolBrokenError` (releasing and
+            re-acquiring the shared graph lease), circuit-breaker
+            fallback to an inline engine, optional hard timeout and load
+            shedding.  Implied by any of
             ``fault_plan`` / ``retry_policy`` / ``hard_timeout`` /
             ``max_pending``.
         fault_plan: a :class:`~repro.serve.faults.FaultPlan` injected
@@ -385,6 +374,7 @@ class QueryService:
         self._lock = threading.Lock()
         self._closed = False
         self._stats_baseline: Optional[WorkerSnapshot] = None
+        self._answer_baseline: Optional[AnswerCacheStats] = None
         self._graph_lease: Optional[GraphLease] = None
         self._supervised = supervised
         self._fault_plan = fault_plan
@@ -620,9 +610,10 @@ class QueryService:
         so workers attach zero-copy instead of unpickling graph arrays.
         ``shards=N`` (with ``compact=True``) partitions the frozen kernel
         into N entity-owned shards (:mod:`repro.kg.sharded`) served
-        through the rank-merged view — per-shard caches, per-shard shm
-        segments under ``shared_graph``; ``shard_strategy`` /
-        ``shard_seed`` pick the partitioner.  Exact results are
+        through the rank-merged view — one row source for the shard set
+        in the engine's cache, per-shard shm segments under
+        ``shared_graph``; ``shard_strategy`` / ``shard_seed`` pick the
+        partitioner.  Exact results are
         identical under every combination.  A caller with its own
         ``view_factory`` or oracle kernels builds the engine and passes
         it to :class:`QueryService` directly.
@@ -878,24 +869,6 @@ class QueryService:
         """Per-worker statistics rows straight from the backend."""
         return self._backend.snapshots()
 
-    def shard_stats(self) -> List[ShardCacheStats]:
-        """Cumulative per-shard cache rows (sharded inline/thread only).
-
-        The shared-memory backends serve off one in-process shard set,
-        so its per-shard :class:`~repro.kg.sharded.SemanticGraphCache`
-        and private-row space counters are readable live.  Process
-        workers each own a private shard set; only their summed totals
-        travel back through :class:`WorkerSnapshot`, so this returns
-        ``[]`` there (and on any unsharded service).
-        """
-        engine = self.engine
-        if engine is None:
-            return []
-        factory = getattr(engine, "view_factory", None)
-        if isinstance(factory, ShardedViewFactory):
-            return factory.shard_stats()
-        return []
-
     def serving_stats(self) -> ServingStatsReport:
         """Cache statistics with their aggregation scope labelled.
 
@@ -908,9 +881,15 @@ class QueryService:
         """
         snapshots = self._backend.snapshots()
         total = aggregate_snapshots(snapshots)
+        answers = (
+            self._answer_cache.stats() if self._answer_cache is not None else None
+        )
         with self._stats_lock:
             baseline = self._stats_baseline
+            answer_baseline = self._answer_baseline
         total = diff_snapshots(total, baseline)
+        if answers is not None and answer_baseline is not None:
+            answers = answers.since(answer_baseline)
         if total is None:
             total = WorkerSnapshot(
                 worker_id="none",
@@ -930,15 +909,10 @@ class QueryService:
             queries=total.queries,
             cache=total.cache,
             space=total.space,
-            answers=(
-                self._answer_cache.stats()
-                if self._answer_cache is not None
-                else None
-            ),
+            answers=answers,
             # One front-side instance regardless of backend — labelled
             # shared even when the worker caches above are summed.
             answer_scope="shared",
-            shards=tuple(self.shard_stats()),
         )
 
     def reset_serving_stats(self) -> None:
@@ -948,12 +922,18 @@ class QueryService:
         structures, but process workers cannot be reached synchronously —
         so *all* backends rebase against a baseline snapshot instead
         (entries/gauges are never rebased; they describe the present).
-        Lets a workload driver report per-phase hit rates — e.g. reset
-        after a cold pass so the warm pass's rate is not diluted.
+        The answer row is rebased the same way rather than reset: one
+        :class:`AnswerCache` may serve several services.  Lets a workload
+        driver report per-phase hit rates — e.g. reset after a cold pass
+        so the warm pass's rate is not diluted.
         """
         total = aggregate_snapshots(self._backend.snapshots())
+        answers = (
+            self._answer_cache.stats() if self._answer_cache is not None else None
+        )
         with self._stats_lock:
             self._stats_baseline = total
+            self._answer_baseline = answers
 
     # ------------------------------------------------------------------
     # lifecycle

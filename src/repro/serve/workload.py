@@ -752,9 +752,10 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help=(
             "partition the frozen CSR graph into N entity-owned shards: "
-            "per-shard caches, rank-merged incident rows, and — with --shared-graph — one shm "
-            "segment per shard.  Exact results are bit-identical to the "
-            "unsharded store (default: 0 = unsharded)"
+            "one row source for the shard set in the engine's cache, "
+            "rank-merged incident rows, and — with --shared-graph — one "
+            "shm segment per shard.  Exact results are bit-identical to "
+            "the unsharded store (default: 0 = unsharded)"
         ),
     )
     parser.add_argument(

@@ -597,6 +597,25 @@ class TestServiceIntegration:
         assert "answer cache (shared)" in described
         assert "per-worker sum" in described
 
+    def test_reset_serving_stats_rebases_the_answer_row(self, small_bundle):
+        """After a reset the warm pass reads all hits, like the weight and
+        space rows; the cache itself, which several services may share,
+        keeps its cumulative counters."""
+        queries = [item.query for item in small_bundle.workload[:4]]
+        with QueryService.build(
+            small_bundle.kg, small_bundle.space, small_bundle.library,
+            backend="inline", compact=True, answer_cache=16,
+        ) as service:
+            service.search_many(queries, k=K)
+            service.reset_serving_stats()
+            service.search_many(queries, k=K)
+            answers = service.serving_stats().answers
+            cumulative = service.answer_cache.stats()
+        assert (answers.hits, answers.misses, answers.hit_rate) == (4, 0, 1.0)
+        assert answers.entries == cumulative.entries == 4
+        assert (cumulative.hits, cumulative.misses) == (4, 4)
+        assert "hit_rate=1.000" in answers.describe()
+
     def test_shared_cache_survives_across_services(self, small_bundle):
         cache = AnswerCache(8)
         build = dict(backend="inline", compact=False, answer_cache=cache)

@@ -14,7 +14,6 @@ import signal
 import sys
 import threading
 import time
-from concurrent.futures import BrokenExecutor
 from contextlib import ExitStack, contextmanager
 from multiprocessing import active_children
 
@@ -22,7 +21,7 @@ import pytest
 
 from repro.bench.equivalence import final_matches_differ, search_stats_differ
 from repro.core.engine import EngineSpec, SemanticGraphQueryEngine
-from repro.errors import ServeError
+from repro.errors import PoolBrokenError, ServeError
 from repro.kg.compact import CompactGraph
 from repro.kg.sharded import ShardedGraph
 from repro.kg.shm import leaked_segments
@@ -314,12 +313,12 @@ class TestProcessSeam:
                 )
             os.kill(victim.pid, signal.SIGKILL)
             for future in futures:
-                with pytest.raises(BrokenExecutor):
+                with pytest.raises(PoolBrokenError):
                     future.result(timeout=30)
             # Exactly once per request, each before its future resolved.
             assert outcomes == [False] * 6
             assert counted_at_resolution == [1, 2, 3, 4, 5, 6]
-            with pytest.raises(BrokenExecutor):
+            with pytest.raises(PoolBrokenError):
                 backend.submit(request, time.time())
             assert outcomes == [False] * 6  # a refused submit is the caller's
 
@@ -330,7 +329,7 @@ class TestProcessSeam:
                 ServeError, match="failed to warm up: the worker pool is broken"
             ):
                 backend.warmup(timeout=60)
-            with pytest.raises(BrokenExecutor):
+            with pytest.raises(PoolBrokenError):
                 backend.submit(QueryRequest(_product_query(), k=K), time.time())
 
     def test_submit_never_blocks_and_order_is_kept(self, small_bundle):

@@ -5,8 +5,8 @@ detail*: the partitioner is seed-deterministic, every edge is owned by
 exactly one shard, the rank-merged view reproduces the unsharded view's
 incidence sequences bit for bit (so answers cannot drift), memory
 divides where it matters, and the serve layer composes it with shared
-memory, per-shard caches and the engine fingerprint without changing a
-single answer.  ``tests/test_held_out_conformance.py`` holds the 2- and
+memory, the engine's one row cache and the engine fingerprint without
+changing a single answer.  ``tests/test_held_out_conformance.py`` holds the 2- and
 4-shard replays of the held-out scenario to its golden digest.
 """
 
@@ -30,8 +30,8 @@ from repro.kg.sharded import (
     partition_entities,
 )
 from repro.kg.shm import SHM_PREFIX, ShmArrayBlock, leaked_segments
+from repro.serve.cache import SemanticGraphCache
 from repro.serve.service import QueryService
-from repro.utils.lru import CacheStats
 
 
 @pytest.fixture(scope="module")
@@ -339,21 +339,16 @@ class TestServeIntegration:
                     item.qid, expected.matches, actual.matches
                 )
                 assert problem is None, problem
-            rows = service.shard_stats()
-            assert [row.shard_id for row in rows] == [0, 1]
-            for row in rows:
-                assert f"shard {row.shard_id}" in row.describe()
             report = service.serving_stats()
-            assert len(report.shards) == 2
-            assert "per-shard caches" in report.describe()
+            assert report.shards == ()
+            assert "shard" not in report.describe()
 
     @pytest.mark.parametrize("backend", ["inline", "process"])
     def test_warm_service_reports_the_caches_its_searches_read(
         self, small_bundle, backend
     ):
-        """The headline sums the shard-set rows, the shard caches and the
-        shards' space clones — not the engine's own space, which a
-        sharded search never reads."""
+        """The headline is the engine's one weight cache and the engine's
+        space — the row source of the whole shard set."""
         queries = [item.query for item in small_bundle.workload[:3]]
         with QueryService.build(
             small_bundle.kg,
@@ -365,20 +360,46 @@ class TestServeIntegration:
             workers=1,
         ) as service:
             service.search_many(queries, k=5)  # cold
-            if backend == "inline":  # the parts are readable live here
+            if backend == "inline":  # the engine's caches are readable live
                 report = service.serving_stats()
-                shards = report.shards
-                assert report.cache == sum(
-                    (row.cache for row in shards), service.cache.stats
-                )
-                assert report.space == sum(
-                    (row.space for row in shards), CacheStats()
-                )
+                assert report.cache == service.cache.stats
+                assert report.space == service.engine.space.stats()
             service.reset_serving_stats()
             service.search_many(queries, k=5)  # warm
             report = service.serving_stats()
         assert report.cache.hits > 0 and report.cache.misses == 0
+        assert report.cache.capacity == SemanticGraphCache().stats.capacity
         assert report.space.entries > 0
+
+    def test_a_shard_set_reads_one_row_per_query_predicate(self, small_bundle):
+        """Four shards read what the unsharded store reads: one weight row
+        per distinct query predicate in one cache, and as many similarity
+        rows of one space."""
+        queries = [item.query for item in small_bundle.workload]
+        predicates = {edge.predicate for query in queries for edge in query.edges()}
+        reports = {}
+        for shards in (0, 4):
+            with QueryService.build(
+                small_bundle.kg,
+                small_bundle.space.with_private_rows(),  # counts from zero
+                small_bundle.library,
+                compact=True,
+                shards=shards,
+            ) as service:
+                service.search_many(queries, k=5)  # cold
+                service.reset_serving_stats()
+                service.search_many(queries, k=5)  # warm
+                reports[shards] = service.serving_stats()
+                if shards:
+                    cache = service.cache
+                    assert all(
+                        cache.get_row("weights", p) is not None for p in predicates
+                    )
+        sharded, unsharded = reports[4], reports[0]
+        assert sharded.space.entries == unsharded.space.entries
+        assert sharded.space.misses == 0 and sharded.space.entries > 0
+        assert sharded.cache.capacity == SemanticGraphCache().stats.capacity
+        assert sharded.cache.misses == 0
 
     def test_fingerprint_token_separates_layouts(
         self, small_bundle, frozen, sharded4
