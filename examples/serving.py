@@ -28,10 +28,11 @@ def main() -> None:
     with QueryService.build(
         bundle.kg, bundle.space, bundle.library, compact=True
     ) as service:
-        # 3. Replay the full workload; pass 1 is cold, 2-3 are warm.
+        # 3. Replay the full workload; pass 1 is cold, 2-3 are warm.  Each
+        #    report's stats are what that pass did: the service's snapshot
+        #    after it, `since` the one before.
         items = [WorkloadItem(query=q.query, k=10, qid=q.qid) for q in bundle.workload]
         for run in range(1, 4):
-            service.cache.reset_stats()
             report = replay(service, items)
             label = "cold" if run == 1 else "warm"
             print(f"\n--- pass {run} ({label}) ---")
@@ -46,6 +47,7 @@ def main() -> None:
             .edge("e1", "v1", "product", "v2")
             .build()
         )
+        before = service.stats_snapshot()
         exact = service.submit(query, k=5).result()
         bounded = service.submit(query, k=5, deadline=0.02).result()
         print(f"\nexact SGQ: {len(exact.matches)} matches "
@@ -54,8 +56,13 @@ def main() -> None:
               f"in {bounded.elapsed_seconds * 1000:.1f} ms "
               f"(approximate={bounded.approximate})")
 
-        print(f"\nservice: {service.stats.completed} completed")
-        print(f"cache: {service.cache.stats.describe()}")
+        # 5. One snapshot per service; a diff of two is a phase.
+        one_offs = service.stats_snapshot().since(before)
+        total = service.stats_snapshot()
+        print(f"\none-off queries: {one_offs.completed} completed, "
+              f"{one_offs.time_bounded} time-bounded")
+        print(f"service: {total.completed} completed")
+        print(total.describe())
 
 
 if __name__ == "__main__":

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.errors import ConfigError
+from repro.utils.stats import finite_positive
 
 
 class PssMode(enum.Enum):
@@ -86,7 +87,7 @@ class SearchConfig:
             raise ConfigError("min_weight must be in [0, 1]")
         if self.max_expansions is not None and self.max_expansions < 1:
             raise ConfigError("max_expansions must be positive when set")
-        if self.assembly_seconds_per_match < 0:
-            raise ConfigError("assembly_seconds_per_match must be >= 0")
+        if not finite_positive(self.assembly_seconds_per_match, allow_zero=True):
+            raise ConfigError("assembly_seconds_per_match must be finite and >= 0")
         if not 0.0 < self.alert_ratio <= 1.0:
             raise ConfigError("alert_ratio must be in (0, 1]")

@@ -52,6 +52,7 @@ from typing import Any, Callable, List, Optional, Sequence, Union
 from repro.core.config import SearchConfig
 from repro.core.results import PathMatch, PendingMatch
 from repro.errors import TimeBudgetError
+from repro.utils.stats import finite_positive
 from repro.utils.timing import Clock, Stopwatch, WallClock
 
 
@@ -93,8 +94,8 @@ class TimeBoundedCoordinator:
         clock: Optional[Clock] = None,
         check_interval: int = 8,
     ):
-        if time_bound <= 0:
-            raise TimeBudgetError("time bound T must be positive")
+        if not finite_positive(time_bound):
+            raise TimeBudgetError(f"time bound T must be positive, got {time_bound}")
         if check_interval < 1:
             raise TimeBudgetError("check_interval must be at least 1")
         self.clock = clock if clock is not None else WallClock()

@@ -10,7 +10,11 @@ state across a workload:
 - :class:`~repro.serve.service.QueryService` — pool front-end with
   ``submit`` / ``submit_batch`` / ``search_many`` and per-query
   deadlines (mapped onto the TBQ coordinator), running on a pluggable
-  execution backend;
+  execution backend; ``stats_snapshot()`` returns its one stats type,
+  :class:`~repro.serve.service.ServiceStats`, each part read from the
+  one place that counts it (the service, the backend's worker rows, the
+  answer cache, the supervisor), and ``after.since(before)`` takes a
+  phase's counters;
 - :mod:`repro.serve.backends` — the execution-backend seam: ``inline``
   (caller's thread), ``thread`` (GIL-bound pool, shared caches) and
   ``process`` (true multi-core parallelism; workers bootstrap private
@@ -44,12 +48,7 @@ from repro.serve.resilience import (
     ResilienceStats,
     SupervisedBackend,
 )
-from repro.serve.service import (
-    QueryRequest,
-    QueryService,
-    ServiceStats,
-    ServingStatsReport,
-)
+from repro.serve.service import QueryRequest, QueryService, ServiceStats
 from repro.serve.workload import ReplayReport, WorkloadItem, mix_deadlines, replay
 from repro.utils.lru import CacheStats
 
@@ -71,7 +70,6 @@ __all__ = [
     "QueryRequest",
     "QueryService",
     "ServiceStats",
-    "ServingStatsReport",
     "ReplayReport",
     "WorkloadItem",
     "mix_deadlines",

@@ -72,6 +72,7 @@ from repro.errors import ServeError
 from repro.kg.sharded import ShardedViewFactory
 from repro.query.model import QueryGraph
 from repro.query.transform import TransformationLibrary, normalize_label
+from repro.utils.stats import finite_positive
 
 __all__ = [
     "AnswerCache",
@@ -329,7 +330,7 @@ def canonicalize(request, engine_fingerprint: EngineFingerprint) -> CanonicalQue
 # the cache
 # ----------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class AnswerCacheStats:
     """A point-in-time snapshot of answer-cache effectiveness."""
 
@@ -466,7 +467,7 @@ class AnswerCache:
             raise ServeError(
                 f"answer cache capacity must be at least 1, got {capacity}"
             )
-        if ttl_seconds is not None and ttl_seconds <= 0:
+        if ttl_seconds is not None and not finite_positive(ttl_seconds):
             raise ServeError(
                 f"answer cache ttl must be positive, got {ttl_seconds}"
             )
@@ -656,14 +657,3 @@ class AnswerCache:
         """Drop all entries (binding, flights and counters survive)."""
         with self._lock:
             self._entries.clear()
-
-    def reset_stats(self) -> None:
-        """Zero the counters (entries and binding survive)."""
-        with self._lock:
-            self._hits = 0
-            self._misses = 0
-            self._collapsed = 0
-            self._evictions = 0
-            self._invalidations = 0
-            self._expirations = 0
-            self._saved_seconds = 0.0

@@ -45,7 +45,7 @@ import time
 import traceback
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import count
 from multiprocessing.connection import wait
 from typing import Callable, Dict, List, Optional, Set
@@ -88,10 +88,10 @@ class WorkerSnapshot:
 
     ``worker_id`` is ``"shared"`` for the shared-memory backends (one
     row for the whole pool) and the worker pid for process workers.
-    Counters are monotonic over the worker's lifetime; consumers diff
-    against a baseline to report per-phase rates.  ``max_rss_kb`` is a
-    gauge — the reporting process's peak RSS when the snapshot was taken
-    — so memory can be compared per worker across backends.
+    Counters are monotonic over the worker's lifetime; :meth:`since`
+    takes a phase's.  ``max_rss_kb`` is a gauge — the reporting
+    process's peak RSS when the snapshot was taken — so memory can be
+    compared per worker across backends.
     """
 
     worker_id: str
@@ -99,6 +99,15 @@ class WorkerSnapshot:
     cache: CacheStats
     space: CacheStats
     max_rss_kb: int = 0
+
+    def since(self, baseline: "WorkerSnapshot") -> "WorkerSnapshot":
+        """The counters after ``baseline``; the gauges are kept."""
+        return replace(
+            self,
+            queries=self.queries - baseline.queries,
+            cache=self.cache.since(baseline.cache),
+            space=self.space.since(baseline.space),
+        )
 
 
 def execute_request(
@@ -578,49 +587,3 @@ class ProcessBackend(ExecutionBackend):
         # which runs on the reader thread itself.
         if wait and threading.current_thread() is not self._reader:
             self._reader.join()
-
-
-def aggregate_snapshots(
-    snapshots: List[WorkerSnapshot],
-) -> Optional[WorkerSnapshot]:
-    """Sum per-worker rows into one aggregate row (``None`` when empty).
-
-    Counters add; the ``entries``/``capacity`` gauges add too (they
-    answer "how much memory do the pool's caches hold overall").
-    """
-    if not snapshots:
-        return None
-    total = snapshots[0]
-    for row in snapshots[1:]:
-        total = WorkerSnapshot(
-            worker_id="sum",
-            queries=total.queries + row.queries,
-            cache=total.cache + row.cache,
-            space=total.space + row.space,
-            # Summed like the cache gauges: "how much memory does the
-            # pool hold overall" is the question the aggregate answers.
-            max_rss_kb=total.max_rss_kb + row.max_rss_kb,
-        )
-    return total
-
-
-def diff_snapshots(
-    current: Optional[WorkerSnapshot], baseline: Optional[WorkerSnapshot]
-) -> Optional[WorkerSnapshot]:
-    """``current - baseline`` on every counter (entry gauges kept as-is).
-
-    The backend-neutral way to report per-phase statistics: take an
-    aggregate before the phase, another after, and diff.  Gauges
-    (``entries``, ``capacity``) describe *now* and are not subtracted.
-    """
-    if current is None:
-        return None
-    if baseline is None:
-        return current
-    return WorkerSnapshot(
-        worker_id=current.worker_id,
-        queries=current.queries - baseline.queries,
-        cache=current.cache.since(baseline.cache),
-        space=current.space.since(baseline.space),
-        max_rss_kb=current.max_rss_kb,  # gauge: describes now
-    )

@@ -124,13 +124,3 @@ class SemanticGraphCache:
         """Drop all entries (the binding and counters survive)."""
         with self._lock:
             self._rows.entries.clear()
-
-    def reset_stats(self) -> None:
-        """Zero the hit/miss/eviction counters (entries survive).
-
-        Lets a workload driver report per-phase hit rates — e.g. reset
-        after a cold pass so the warm pass's rate is not diluted by the
-        cold misses.
-        """
-        with self._lock:
-            self._rows.reset_stats()

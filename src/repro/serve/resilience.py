@@ -43,7 +43,7 @@ from __future__ import annotations
 import threading
 import time
 from concurrent.futures import Future
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Tuple
 
 from repro.errors import (
@@ -57,6 +57,7 @@ from repro.errors import (
 )
 from repro.serve.backends import ExecutionBackend, WorkerSnapshot, _notify
 from repro.utils.rng import derive_rng
+from repro.utils.stats import finite_positive
 
 __all__ = [
     "BackoffPolicy",
@@ -89,9 +90,12 @@ class BackoffPolicy:
     def __post_init__(self) -> None:
         if self.retries < 0:
             raise ServeError(f"retries must be >= 0, got {self.retries}")
-        if self.base_seconds < 0:
+        if not finite_positive(self.base_seconds, allow_zero=True):
             raise ServeError(f"base_seconds must be >= 0, got {self.base_seconds}")
-        if self.cap_seconds < self.base_seconds:
+        if not (
+            finite_positive(self.cap_seconds, allow_zero=True)
+            and self.cap_seconds >= self.base_seconds
+        ):
             raise ServeError(
                 f"cap_seconds ({self.cap_seconds}) must be >= base_seconds "
                 f"({self.base_seconds})"
@@ -131,7 +135,7 @@ class CircuitBreaker:
     def __init__(self, threshold: int = 3, cooldown_seconds: float = 5.0):
         if threshold < 1:
             raise ServeError(f"breaker threshold must be >= 1, got {threshold}")
-        if cooldown_seconds < 0:
+        if not finite_positive(cooldown_seconds, allow_zero=True):
             raise ServeError(
                 f"breaker cooldown must be >= 0, got {cooldown_seconds}"
             )
@@ -169,7 +173,17 @@ class CircuitBreaker:
             return False
 
 
-@dataclass
+_EVENT_FIELDS = {
+    "retry": "retries",
+    "pool_rebuild": "pool_rebuilds",
+    "shed": "shed",
+    "crash": "crashes",
+    "timeout": "timeouts",
+    "fallback": "fallbacks",
+}
+
+
+@dataclass(frozen=True)
 class ResilienceStats:
     """Supervision counters (monotonic over the supervisor's lifetime).
 
@@ -184,18 +198,31 @@ class ResilienceStats:
     crashes: int = 0
     timeouts: int = 0
     fallbacks: int = 0
-    rebuild_seconds: List[float] = field(default_factory=list)
+    rebuild_seconds: Tuple[float, ...] = ()
     breaker_state: str = "closed"
 
+    @property
+    def events(self) -> int:
+        """Every supervision event counted, of any kind."""
+        return sum(getattr(self, name) for name in _EVENT_FIELDS.values())
 
-_EVENT_FIELDS = {
-    "retry": "retries",
-    "pool_rebuild": "pool_rebuilds",
-    "shed": "shed",
-    "crash": "crashes",
-    "timeout": "timeouts",
-    "fallback": "fallbacks",
-}
+    def since(self, baseline: "ResilienceStats") -> "ResilienceStats":
+        """The events after ``baseline``; the breaker state is kept."""
+        return replace(
+            self,
+            rebuild_seconds=self.rebuild_seconds[len(baseline.rebuild_seconds):],
+            **{
+                name: getattr(self, name) - getattr(baseline, name)
+                for name in _EVENT_FIELDS.values()
+            },
+        )
+
+    def describe(self) -> str:
+        return (
+            f"{self.retries} retries, {self.pool_rebuilds} pool rebuilds, "
+            f"{self.crashes} crashes, {self.shed} shed, "
+            f"{self.timeouts} timeouts, {self.fallbacks} fallback queries"
+        )
 
 
 class SupervisedBackend(ExecutionBackend):
@@ -222,10 +249,10 @@ class SupervisedBackend(ExecutionBackend):
             lazily the first time the circuit opens.
         on_complete: the service's accounting hook; invoked exactly once
             per request, strictly before the returned future resolves.
-        on_event: optional ``(kind: str) -> None`` hook mirroring each
-            supervision event (``retry`` / ``pool_rebuild`` / ``shed`` /
-            ``crash`` / ``timeout`` / ``fallback``) into service-level
-            counters.
+
+    The supervisor is the one counter of its events (retries, rebuilds,
+    shed, crashes, timeouts, fallbacks): :meth:`resilience_stats` is
+    where a service snapshot reads them.
     """
 
     stats_scope = "shared"  # overridden per-instance from the inner backend
@@ -241,9 +268,8 @@ class SupervisedBackend(ExecutionBackend):
         rebuild: Optional[Callable[[], ExecutionBackend]] = None,
         fallback_factory: Optional[Callable[[], ExecutionBackend]] = None,
         on_complete: Optional[Callable[[bool], None]] = None,
-        on_event: Optional[Callable[[str], None]] = None,
     ):
-        if hard_timeout is not None and hard_timeout <= 0:
+        if hard_timeout is not None and not finite_positive(hard_timeout):
             raise ServeError(f"hard_timeout must be > 0, got {hard_timeout}")
         if max_pending is not None and max_pending < 1:
             raise ServeError(f"max_pending must be >= 1, got {max_pending}")
@@ -256,7 +282,6 @@ class SupervisedBackend(ExecutionBackend):
         self._fallback_factory = fallback_factory
         self._fallback: Optional[ExecutionBackend] = None
         self._on_complete = on_complete
-        self._on_event = on_event
         self.name = f"supervised[{inner.name}]"
         self.stats_scope = inner.stats_scope
         self.workers = getattr(inner, "workers", 1)
@@ -280,24 +305,15 @@ class SupervisedBackend(ExecutionBackend):
     def _event(self, kind: str) -> None:
         name = _EVENT_FIELDS[kind]
         with self._stats_lock:
-            setattr(self._stats, name, getattr(self._stats, name) + 1)
-        if self._on_event is not None:
-            self._on_event(kind)
+            self._stats = replace(
+                self._stats, **{name: getattr(self._stats, name) + 1}
+            )
 
     def resilience_stats(self) -> ResilienceStats:
-        """A consistent copy of the supervision counters."""
+        """The supervision counters now, with the breaker state sampled."""
         with self._stats_lock:
-            snap = ResilienceStats(
-                retries=self._stats.retries,
-                pool_rebuilds=self._stats.pool_rebuilds,
-                shed=self._stats.shed,
-                crashes=self._stats.crashes,
-                timeouts=self._stats.timeouts,
-                fallbacks=self._stats.fallbacks,
-                rebuild_seconds=list(self._stats.rebuild_seconds),
-            )
-        snap.breaker_state = self._breaker.state
-        return snap
+            stats = self._stats
+        return replace(stats, breaker_state=self._breaker.state)
 
     @property
     def breaker(self) -> CircuitBreaker:
@@ -391,7 +407,9 @@ class SupervisedBackend(ExecutionBackend):
         self._broken = False
         elapsed = time.monotonic() - start
         with self._stats_lock:
-            self._stats.rebuild_seconds.append(elapsed)
+            self._stats = replace(
+                self._stats, rebuild_seconds=self._stats.rebuild_seconds + (elapsed,)
+            )
         self._event("pool_rebuild")
 
     def _ensure_fallback(self) -> ExecutionBackend:
@@ -434,15 +452,13 @@ class SupervisedBackend(ExecutionBackend):
         return outer
 
     def snapshots(self) -> List[WorkerSnapshot]:
-        from dataclasses import replace as _replace
-
         with self._pool_lock:
             inner = self._inner
             fallback = self._fallback
         rows = list(inner.snapshots())
         if fallback is not None:
             rows.extend(
-                _replace(row, worker_id="fallback") for row in fallback.snapshots()
+                replace(row, worker_id="fallback") for row in fallback.snapshots()
             )
         return rows
 

@@ -43,7 +43,7 @@ from __future__ import annotations
 import threading
 import time
 from concurrent.futures import Future
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.core.config import SearchConfig
@@ -72,8 +72,6 @@ from repro.serve.backends import (
     ThreadBackend,
     WorkerSnapshot,
     _EngineRunner,
-    aggregate_snapshots,
-    diff_snapshots,
 )
 from repro.serve.cache import SemanticGraphCache
 from repro.serve.faults import FaultPlan
@@ -84,14 +82,17 @@ from repro.serve.resilience import (
     SupervisedBackend,
 )
 from repro.utils.lru import CacheStats
+from repro.utils.stats import finite_positive
 
 __all__ = [
     "QueryRequest",
     "QueryService",
     "ServiceStats",
-    "ServingStatsReport",
     "MIN_TIME_BOUND",
 ]
+
+#: The service's own request counters, in :class:`ServiceStats` order.
+_REQUEST_COUNTERS = ("submitted", "completed", "failed", "time_bounded")
 
 #: A service's shared-memory graph lease: one segment for the single
 #: compact graph, one segment per shard for the sharded store.
@@ -118,115 +119,118 @@ class QueryRequest:
     tag: Optional[str] = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class ServiceStats:
-    """Serving counters (monotonic over the service's lifetime).
+    """One read of a service's statistics, each part from its one counter.
 
-    Writers mutate the live object under the service's stats lock;
-    reading the attributes directly is unsynchronised (fine for quiescent
-    services and monotonic counters, but ``in_flight`` combines three of
-    them) — monitoring code should use :meth:`QueryService.stats_snapshot`.
+    - ``submitted`` / ``completed`` / ``failed`` / ``time_bounded``: the
+      service's own request counts.  A cache hit or collapsed follower
+      is still submitted and completed (it just never reached the
+      backend); a shed or timed-out request is also ``failed``; a
+      retried request is ``completed`` or ``failed`` once, by its final
+      outcome.
+    - ``workers``: the backend's :class:`WorkerSnapshot` rows;
+      ``queries``, ``cache`` and ``space`` sum them.  ``scope`` is
+      ``"shared"`` when the rows read live shared structures
+      (inline/thread: one row, one weight cache, one space) and
+      ``"per-worker-sum"`` when they are per-worker copies (process) — a
+      summed hit rate describes the pool, not any one cache, and misses
+      repeated once per worker are expected there.  A sharded service
+      reports what an unsharded one does (one weight cache, one space).
+    - ``answers``: :meth:`AnswerCache.stats
+      <repro.serve.answer_cache.AnswerCache.stats>`, zeros without a
+      cache.  The cache is one front-side instance whatever the backend,
+      so this row is always shared — and an instance shared by several
+      services counts for all of them.
+    - ``resilience``: :meth:`SupervisedBackend.resilience_stats
+      <repro.serve.resilience.SupervisedBackend.resilience_stats>`,
+      zeros on an unsupervised service.
 
-    ``backend`` names the execution backend serving the counters, so a
-    report can say which stats-aggregation semantics apply (shared
-    structures vs summed per-worker copies — see
-    :meth:`QueryService.serving_stats`).
-
-    The resilience counters (``retries`` … ``fallbacks``) stay zero on
-    an unsupervised service; under supervision they mirror the
-    :class:`~repro.serve.resilience.SupervisedBackend` event stream.  A
-    shed or timed-out request is *also* counted in ``failed`` (its
-    future resolves with an error); a retried request is counted
-    ``completed`` or ``failed`` exactly once, by its final outcome.
-
-    The answer-cache counters (``answer_hits`` … ``answer_saved_seconds``)
-    stay zero without an :class:`~repro.serve.answer_cache.AnswerCache`.
-    A hit or collapsed follower is still ``submitted`` and ``completed``
-    — it just never reached the execution backend.  ``answer_evictions``,
-    ``answer_invalidations`` and ``answer_saved_seconds`` (the engine
-    seconds hits and followers did not spend) live inside the cache and
-    are mirrored into :meth:`QueryService.stats_snapshot` copies (the
-    live object keeps them zero).
+    Counters are monotonic over their owners' lifetimes; a phase's are
+    ``after.since(before)``.
     """
 
+    backend: str = "inline"
+    scope: str = "shared"
     submitted: int = 0
     completed: int = 0
     failed: int = 0
     time_bounded: int = 0
-    retries: int = 0
-    pool_rebuilds: int = 0
-    shed: int = 0
-    crashes: int = 0
-    timeouts: int = 0
-    fallbacks: int = 0
-    answer_hits: int = 0
-    answer_misses: int = 0
-    singleflight_collapsed: int = 0
-    answer_evictions: int = 0
-    answer_invalidations: int = 0
-    answer_saved_seconds: float = 0.0
-    backend: str = "inline"
+    workers: Tuple[WorkerSnapshot, ...] = ()
+    answers: AnswerCacheStats = AnswerCacheStats()
+    resilience: ResilienceStats = ResilienceStats()
+    shards: Tuple = ()  # always empty: kept while the perf ledger reads it
 
     @property
     def in_flight(self) -> int:
         return self.submitted - self.completed - self.failed
 
+    @property
+    def workers_reporting(self) -> int:
+        return len(self.workers)
 
-@dataclass(frozen=True)
-class ServingStatsReport:
-    """Cache statistics with their aggregation scope spelled out.
+    @property
+    def queries(self) -> int:
+        return sum(row.queries for row in self.workers)
 
-    ``scope`` is ``"shared"`` when the numbers read live shared
-    structures (inline/thread backends: one weight cache, one space)
-    and ``"per-worker-sum"`` when they are summed over per-worker
-    copies (process backend) — a distinction reports must label, because
-    a summed hit rate describes pool-wide behaviour, not any single
-    cache, and misses repeated once per worker are expected there.
+    @property
+    def cache(self) -> CacheStats:
+        return sum((row.cache for row in self.workers), CacheStats())
 
-    The answer cache is the exception: it sits front-of-process in the
-    service, one instance regardless of backend, so ``answers`` carries
-    its own ``answer_scope`` — always ``"shared"``, even while the
-    worker caches above report a per-worker sum.
+    @property
+    def space(self) -> CacheStats:
+        return sum((row.space for row in self.workers), CacheStats())
 
-    A sharded service reports exactly what an unsharded one does: its
-    searches read one row source per shard set, the engine's weight
-    cache and the engine's space.
+    # The names the perf ledger reads, over the answer cache's own row.
+    answer_hits = property(lambda self: self.answers.hits)
+    answer_misses = property(lambda self: self.answers.misses)
+    answer_evictions = property(lambda self: self.answers.evictions)
+    singleflight_collapsed = property(
+        lambda self: self.answers.singleflight_collapsed
+    )
 
-    Counters (the answer row's included) are taken since the last
-    :meth:`QueryService.reset_serving_stats`; gauges describe now.
-    """
+    def since(self, baseline: "ServiceStats") -> "ServiceStats":
+        """The counters after ``baseline``; every gauge is kept.
 
-    backend: str
-    scope: str
-    workers_reporting: int
-    queries: int
-    cache: CacheStats
-    space: CacheStats
-    answers: Optional[AnswerCacheStats] = None
-    answer_scope: str = "shared"
-    shards: Tuple = ()  # always empty: kept while the perf ledger reads it
+        Worker rows are matched by worker id: a worker the baseline
+        never saw (a rebuilt pool's) counts from zero, and one that has
+        gone since drops out, taking its counts with it.
+        """
+        before = {row.worker_id: row for row in baseline.workers}
+        return replace(
+            self,
+            workers=tuple(
+                row.since(before[row.worker_id])
+                if row.worker_id in before
+                else row
+                for row in self.workers
+            ),
+            answers=self.answers.since(baseline.answers),
+            resilience=self.resilience.since(baseline.resilience),
+            **{
+                name: getattr(self, name) - getattr(baseline, name)
+                for name in _REQUEST_COUNTERS
+            },
+        )
 
     def scope_label(self) -> str:
         if self.scope == "per-worker-sum":
+            count = self.workers_reporting
             return (
-                f"per-worker sum, {self.workers_reporting} worker"
-                f"{'s' if self.workers_reporting != 1 else ''} reporting"
+                f"per-worker sum, {count} worker"
+                f"{'s' if count != 1 else ''} reporting"
             )
         return "shared"
 
     def describe(self) -> str:
         lines = [
-            f"stats scope [{self.backend} backend]: {self.scope_label()}",
             f"weight cache ({self.scope_label()}): {self.cache.describe()}",
             f"space row cache: {self.space.describe()}",
         ]
-        if self.answers is not None:
-            # Deliberately not scope_label(): the answer cache is one
-            # front-side instance even over the process backend.
-            lines.append(
-                f"answer cache ({self.answer_scope}): "
-                f"{self.answers.describe()}"
-            )
+        if self.answers.lookups:
+            lines.append(f"answer cache (shared): {self.answers.describe()}")
+        if self.resilience.events:
+            lines.append(f"resilience: {self.resilience.describe()}")
         return "\n".join(lines)
 
 
@@ -369,12 +373,10 @@ class QueryService:
 
         self.backend_name = backend
         self.workers = workers if backend != "inline" else 1
-        self.stats = ServiceStats(backend=backend)
+        self._counts = dict.fromkeys(_REQUEST_COUNTERS, 0)
         self._stats_lock = threading.Lock()
         self._lock = threading.Lock()
         self._closed = False
-        self._stats_baseline: Optional[WorkerSnapshot] = None
-        self._answer_baseline: Optional[AnswerCacheStats] = None
         self._graph_lease: Optional[GraphLease] = None
         self._supervised = supervised
         self._fault_plan = fault_plan
@@ -498,7 +500,6 @@ class QueryService:
             rebuild=self._rebuild_pool if rebuildable else None,
             fallback_factory=self._build_fallback if rebuildable else None,
             on_complete=self._record_outcome,
-            on_event=self._record_event,
         )
 
     def _build_pool(self) -> ProcessBackend:
@@ -679,6 +680,8 @@ class QueryService:
         )
 
     def submit_request(self, request: QueryRequest) -> "Future[QueryResult]":
+        if request.deadline is not None and not finite_positive(request.deadline):
+            raise ServeError(f"deadline must be positive, got {request.deadline}")
         # The backend submit happens under the same lock close() takes
         # before shutting the backend down, so a closed-check that passes
         # can never race into a shut-down pool.
@@ -689,9 +692,9 @@ class QueryService:
             # request inside submit, and `submitted` must already cover it
             # when its completion is recorded.
             with self._stats_lock:
-                self.stats.submitted += 1
+                self._counts["submitted"] += 1
                 if request.deadline is not None:
-                    self.stats.time_bounded += 1
+                    self._counts["time_bounded"] += 1
             # TBQ results are clock-dependent (anytime semantics): they
             # bypass the answer cache unconditionally.
             if self._answer_cache is not None and request.deadline is None:
@@ -717,22 +720,16 @@ class QueryService:
         cache = self._answer_cache
         assert cache is not None and self._fingerprint is not None
         key = canonicalize(request, self._fingerprint)
-        state, value = cache.acquire(key)
+        state, value = cache.acquire(key)  # counts the hit, miss or follower
         if state == "hit":
-            with self._stats_lock:
-                self.stats.answer_hits += 1
             self._record_outcome(True)
             future: "Future[QueryResult]" = Future()
             future.set_result(value.to_result())
             return future
         if state == "follow":
-            with self._stats_lock:
-                self.stats.singleflight_collapsed += 1
             # Outcome is recorded when the leader settles the flight.
             return value
         flight = value
-        with self._stats_lock:
-            self.stats.answer_misses += 1
         try:
             inner = self._backend.submit(request, time.time())
         except BaseException as exc:
@@ -779,27 +776,7 @@ class QueryService:
         # supervision it fires exactly once per request (final outcome),
         # never once per attempt.
         with self._stats_lock:
-            if success:
-                self.stats.completed += 1
-            else:
-                self.stats.failed += 1
-
-    _EVENT_COUNTERS = {
-        "retry": "retries",
-        "pool_rebuild": "pool_rebuilds",
-        "shed": "shed",
-        "crash": "crashes",
-        "timeout": "timeouts",
-        "fallback": "fallbacks",
-    }
-
-    def _record_event(self, kind: str) -> None:
-        # Mirror of the SupervisedBackend event stream into ServiceStats.
-        name = self._EVENT_COUNTERS.get(kind)
-        if name is None:  # pragma: no cover - supervisor contract
-            return
-        with self._stats_lock:
-            setattr(self.stats, name, getattr(self.stats, name) + 1)
+            self._counts["completed" if success else "failed"] += 1
 
     def submit_batch(
         self, requests: Sequence[Union[QueryRequest, QueryGraph]]
@@ -839,22 +816,30 @@ class QueryService:
     # introspection
     # ------------------------------------------------------------------
     def stats_snapshot(self) -> ServiceStats:
-        """A consistent copy of the counters, taken under the lock.
-
-        Eviction/invalidation counts and the saved search seconds live
-        inside the :class:`AnswerCache` (they happen on cache-internal
-        paths, not per-request) and are mirrored into the snapshot here.
-        """
-        answers = (
-            self._answer_cache.stats() if self._answer_cache is not None else None
-        )
+        """Every counter now, each read from its owner (see
+        :class:`ServiceStats`); diff two with :meth:`ServiceStats.since`."""
+        backend = self._backend
         with self._stats_lock:
-            snapshot = replace(self.stats)
-        if answers is not None:
-            snapshot.answer_evictions = answers.evictions
-            snapshot.answer_invalidations = answers.invalidations
-            snapshot.answer_saved_seconds = answers.saved_seconds
-        return snapshot
+            counts = dict(self._counts)
+        per_worker = backend.stats_scope == "per-worker"
+        return ServiceStats(
+            backend=self.backend_name,
+            scope="per-worker-sum" if per_worker else "shared",
+            workers=tuple(backend.snapshots()),
+            answers=(
+                self._answer_cache.stats()
+                if self._answer_cache is not None
+                else AnswerCacheStats()
+            ),
+            resilience=(
+                backend.resilience_stats()
+                if isinstance(backend, SupervisedBackend)
+                else ResilienceStats()
+            ),
+            **counts,
+        )
+
+    serving_stats = stats_snapshot  # the name the perf ledger reads
 
     def warmup(self, timeout: Optional[float] = None) -> int:
         """Make the first real request pay no construction latency.
@@ -868,72 +853,6 @@ class QueryService:
     def worker_snapshots(self) -> List[WorkerSnapshot]:
         """Per-worker statistics rows straight from the backend."""
         return self._backend.snapshots()
-
-    def serving_stats(self) -> ServingStatsReport:
-        """Cache statistics with their aggregation scope labelled.
-
-        Shared-memory backends read the live shared cache and space
-        (scope ``"shared"``); the process backend sums the latest
-        per-worker snapshots (scope ``"per-worker-sum"`` — each worker
-        warms its own caches, so pool-wide misses scale with the worker
-        count by design).  :meth:`reset_serving_stats` rebases the
-        counters so per-phase rates can be reported on any backend.
-        """
-        snapshots = self._backend.snapshots()
-        total = aggregate_snapshots(snapshots)
-        answers = (
-            self._answer_cache.stats() if self._answer_cache is not None else None
-        )
-        with self._stats_lock:
-            baseline = self._stats_baseline
-            answer_baseline = self._answer_baseline
-        total = diff_snapshots(total, baseline)
-        if answers is not None and answer_baseline is not None:
-            answers = answers.since(answer_baseline)
-        if total is None:
-            total = WorkerSnapshot(
-                worker_id="none",
-                queries=0,
-                cache=CacheStats(),
-                space=CacheStats(),
-            )
-        scope = (
-            "per-worker-sum"
-            if self._backend.stats_scope == "per-worker"
-            else "shared"
-        )
-        return ServingStatsReport(
-            backend=self.backend_name,
-            scope=scope,
-            workers_reporting=len(snapshots),
-            queries=total.queries,
-            cache=total.cache,
-            space=total.space,
-            answers=answers,
-            # One front-side instance regardless of backend — labelled
-            # shared even when the worker caches above are summed.
-            answer_scope="shared",
-        )
-
-    def reset_serving_stats(self) -> None:
-        """Zero the cache counters reported by :meth:`serving_stats`.
-
-        Backend-neutral: shared-memory backends could reset the live
-        structures, but process workers cannot be reached synchronously —
-        so *all* backends rebase against a baseline snapshot instead
-        (entries/gauges are never rebased; they describe the present).
-        The answer row is rebased the same way rather than reset: one
-        :class:`AnswerCache` may serve several services.  Lets a workload
-        driver report per-phase hit rates — e.g. reset after a cold pass
-        so the warm pass's rate is not diluted.
-        """
-        total = aggregate_snapshots(self._backend.snapshots())
-        answers = (
-            self._answer_cache.stats() if self._answer_cache is not None else None
-        )
-        with self._stats_lock:
-            self._stats_baseline = total
-            self._answer_baseline = answers
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -981,18 +900,6 @@ class QueryService:
     def answer_cache(self) -> Optional[AnswerCache]:
         """The front-side answer cache (``None`` when disabled)."""
         return self._answer_cache
-
-    def resilience(self) -> Optional[ResilienceStats]:
-        """Supervision counters (``None`` on an unsupervised service).
-
-        The same events are mirrored into :class:`ServiceStats`; this
-        report adds what only the supervisor knows — per-rebuild
-        recovery latency and the live circuit-breaker state.
-        """
-        backend = self._backend
-        if isinstance(backend, SupervisedBackend):
-            return backend.resilience_stats()
-        return None
 
     @property
     def closed(self) -> bool:

@@ -21,12 +21,12 @@ the way a load generator would hit a deployed system:
   the workload's **complexity class** (simple / medium / complex, Table
   VI) when items carry one — a replay report then shows which class the
   tail belongs to;
-- the report carries a labelled
-  :class:`~repro.serve.service.ServingStatsReport` — *shared* cache
-  counters on the inline/thread backends, *summed per-worker* counters on
-  the process backend (each worker warms its own caches, so pool-wide
-  misses scale with the worker count by design; the label keeps the two
-  from being read as the same thing);
+- the report carries the pass's :class:`~repro.serve.service.ServiceStats`
+  (the service's snapshot after the pass ``since`` the one before it) —
+  *shared* cache counters on the inline/thread backends, *summed
+  per-worker* counters on the process backend (each worker warms its own
+  caches, so pool-wide misses scale with the worker count by design; the
+  scope label keeps the two from being read as the same thing);
 - ``breakdown=True`` (CLI: ``--breakdown``) additionally collects each
   query's **search-vs-assembly time split** plus its A*-side counters
   (expansions, τ/visited prunes, peak queue size) from the engine's
@@ -44,7 +44,6 @@ passes show the cache steady state.  ``--backend {inline,thread,process}
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 import threading
 import time
@@ -57,9 +56,9 @@ from repro.query.model import QueryGraph
 from repro.serve.backends import EXECUTION_BACKENDS
 from repro.serve.faults import FaultPlan
 from repro.serve.resilience import BackoffPolicy
-from repro.serve.service import QueryRequest, QueryService, ServingStatsReport
+from repro.serve.service import QueryRequest, QueryService, ServiceStats
 from repro.utils.rng import derive_rng
-from repro.utils.stats import percentile
+from repro.utils.stats import finite_positive, percentile
 from repro.utils.timing import Stopwatch
 
 ARRIVAL_PROCESSES = ("uniform", "poisson")
@@ -121,19 +120,12 @@ class ReplayReport:
     ``None``), ``deadline_requests`` counts the TBQ share of the mix —
     of those that completed, ``deadline_certified`` were certified exact
     inside their bound and ``deadline_bounded`` stopped on the time alert
-    (``QueryResult.approximate``) — and ``stats`` is the backend-labelled
-    cache report.
-
-    ``resilience`` carries the supervision counters *this pass* caused
-    (deltas of the service's monotonic totals): retries, pool_rebuilds,
-    shed, crashes, timeouts, fallbacks.  All zero on an unsupervised or
-    fault-free run; shed requests are also in ``failed``.
-
-    ``answers`` carries the answer-cache counters this pass caused, the
-    same delta way: answer_hits, answer_misses, singleflight_collapsed,
-    answer_evictions, answer_invalidations, answer_saved_seconds (the
-    engine seconds the hits and followers did not spend).  All zero
-    without an answer cache.
+    (``QueryResult.approximate``) — and ``stats`` is what *this pass*
+    did to the service's counters: its snapshot after the pass
+    :meth:`~repro.serve.service.ServiceStats.since` the one before.  Its
+    ``resilience`` row is all zero on an unsupervised or fault-free run
+    (shed requests are also in ``failed``), its ``answers`` row without
+    an answer cache.
     """
 
     completed: int
@@ -148,9 +140,7 @@ class ReplayReport:
     deadline_requests: int = 0
     deadline_certified: int = 0
     deadline_bounded: int = 0
-    stats: Optional[ServingStatsReport] = None
-    resilience: Dict[str, int] = field(default_factory=dict)
-    answers: Dict[str, float] = field(default_factory=dict)
+    stats: Optional[ServiceStats] = None
 
     @property
     def throughput_qps(self) -> float:
@@ -215,38 +205,10 @@ class ReplayReport:
                     f"p99={percentile(values, 99) * 1000:.2f} ms"
                 )
         if self.stats is not None:
-            # Label the aggregation scope: a shared cache's hit rate and a
-            # per-worker sum are different quantities (see ServingStatsReport).
-            lines.append(
-                f"weight cache ({self.stats.scope_label()}): "
-                f"{self.stats.cache.describe()}"
-            )
+            lines.append(self.stats.describe())
         if self.truncated:
             lines.append(
                 f"ta: {self.truncated} queries hit the assembly round cap"
-            )
-        if self.answers and any(self.answers.values()):
-            a = self.answers
-            served = a.get("answer_hits", 0) + a.get("singleflight_collapsed", 0)
-            lookups = served + a.get("answer_misses", 0)
-            rate = served / lookups if lookups else 0.0
-            lines.append(
-                f"answer cache (shared): {a.get('answer_hits', 0)} hits, "
-                f"{a.get('answer_misses', 0)} misses, "
-                f"{a.get('singleflight_collapsed', 0)} collapsed "
-                f"(hit_rate={rate:.3f}, "
-                f"saved={a.get('answer_saved_seconds', 0.0) * 1000:.1f}ms; "
-                f"{a.get('answer_evictions', 0)} evictions, "
-                f"{a.get('answer_invalidations', 0)} invalidations)"
-            )
-        if self.resilience and any(self.resilience.values()):
-            r = self.resilience
-            lines.append(
-                f"resilience: {r.get('retries', 0)} retries, "
-                f"{r.get('pool_rebuilds', 0)} pool rebuilds, "
-                f"{r.get('crashes', 0)} crashes, {r.get('shed', 0)} shed, "
-                f"{r.get('timeouts', 0)} timeouts, "
-                f"{r.get('fallbacks', 0)} fallback queries"
             )
         if self.breakdown:
             total = sum(b.elapsed_seconds for b in self.breakdown)
@@ -266,12 +228,6 @@ class ReplayReport:
                 f"search totals: {expansions} expansions, {pruned} pruned, "
                 f"{stale} stale pops"
             )
-            if self.stats is not None:
-                lines.append(
-                    f"serving stats [{self.stats.backend} backend, "
-                    f"{self.stats.scope_label()}]: "
-                    f"space row cache: {self.stats.space.describe()}"
-                )
             lines.append("search vs assembly per query (slowest assembly first):")
             ordered = sorted(self.breakdown, key=lambda b: -b.assembly_seconds)
             for row in ordered:
@@ -287,12 +243,6 @@ class ReplayReport:
                     f" q<={row.max_queue_size}){flag}"
                 )
         return "\n".join(lines)
-
-
-def _positive(value: float) -> bool:
-    """A finite number above zero.  ``nan`` fails every comparison, so a
-    bare ``value <= 0`` guard waves it (and ``inf``) through."""
-    return math.isfinite(value) and value > 0
 
 
 def mix_deadlines(
@@ -312,7 +262,7 @@ def mix_deadlines(
     """
     if not 0.0 <= fraction <= 1.0:
         raise ServeError(f"tbq fraction must be in [0, 1], got {fraction}")
-    if not _positive(deadline):
+    if not finite_positive(deadline):
         raise ServeError(f"deadline must be positive, got {deadline}")
     count = round(fraction * len(items))
     rng = derive_rng(seed, "workload:tbq-mix")
@@ -353,7 +303,7 @@ class PopularitySpec:
                 f"unknown popularity kind {self.kind!r} "
                 f"(expected one of {POPULARITY_KINDS})"
             )
-        if self.kind == "zipf" and not _positive(self.s):
+        if self.kind == "zipf" and not finite_positive(self.s):
             raise ServeError(f"zipf exponent must be positive, got {self.s}")
         if self.length is not None and self.length < 1:
             raise ServeError(
@@ -476,7 +426,7 @@ def replay(
             raises fails its request; the first such error is re-raised
             once every request has finished.
     """
-    if rate is not None and not _positive(rate):
+    if rate is not None and not finite_positive(rate):
         raise ServeError(f"arrival rate must be positive, got {rate}")
     if arrival not in ARRIVAL_PROCESSES:
         raise ServeError(
@@ -505,22 +455,6 @@ def replay(
     splits: List[QueryBreakdown] = []
     lock = threading.Lock()
     done = threading.Semaphore(0)
-    resilience_keys = (
-        "retries",
-        "pool_rebuilds",
-        "shed",
-        "crashes",
-        "timeouts",
-        "fallbacks",
-    )
-    answer_keys = (
-        "answer_hits",
-        "answer_misses",
-        "singleflight_collapsed",
-        "answer_evictions",
-        "answer_invalidations",
-        "answer_saved_seconds",
-    )
     stats_before = service.stats_snapshot()
     watch = Stopwatch()
 
@@ -611,16 +545,7 @@ def replay(
     if hook_errors:
         raise hook_errors[0]
 
-    stats = service.serving_stats()
-    stats_after = service.stats_snapshot()
-    resilience = {
-        key: getattr(stats_after, key) - getattr(stats_before, key)
-        for key in resilience_keys
-    }
-    answers = {
-        key: getattr(stats_after, key) - getattr(stats_before, key)
-        for key in answer_keys
-    }
+    stats = service.stats_snapshot().since(stats_before)
     return ReplayReport(
         completed=len(latencies),
         failed=failures[0],
@@ -639,8 +564,6 @@ def replay(
         deadline_certified=tbq_flags.count(False),
         deadline_bounded=tbq_flags.count(True),
         stats=stats,
-        resilience=resilience,
-        answers=answers,
     )
 
 
@@ -874,7 +797,7 @@ def _resilience_kwargs(args, parser) -> Dict[str, object]:
     """Validate the resilience flags and build QueryService.build kwargs."""
     if args.retries is not None and args.retries < 0:
         parser.error(f"--retries must be non-negative, got {args.retries}")
-    if args.hard_timeout is not None and not _positive(args.hard_timeout):
+    if args.hard_timeout is not None and not finite_positive(args.hard_timeout):
         parser.error(
             f"--hard-timeout must be positive, got {args.hard_timeout}"
         )
@@ -905,10 +828,9 @@ def _answer_cache_kwargs(args, parser) -> Dict[str, object]:
         parser.error(
             f"--answer-cache must be non-negative, got {args.answer_cache}"
         )
-    if args.answer_cache_ttl is not None and not _positive(args.answer_cache_ttl):
-        parser.error(
-            f"--answer-cache-ttl must be positive, got {args.answer_cache_ttl}"
-        )
+    ttl = args.answer_cache_ttl
+    if ttl is not None and not finite_positive(ttl):
+        parser.error(f"--answer-cache-ttl must be positive, got {ttl}")
     # 0 entries means no cache; a ttl without one is the service's to reject.
     return {
         "answer_cache": args.answer_cache,
@@ -986,7 +908,6 @@ def _serve_passes(
             )
         first_digest = None
         for run in range(1, args.repeats + 1):
-            service.reset_serving_stats()
             answers: Dict[str, List[str]] = {}
 
             def _collect(index, request, result) -> None:
@@ -1101,17 +1022,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point for the ``repro-serve-workload`` console script."""
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if not _positive(args.scale):
+    if not finite_positive(args.scale):
         parser.error(f"--scale must be positive, got {args.scale}")
     if args.k < 1:
         parser.error(f"--k must be at least 1, got {args.k}")
     if args.repeats < 1:
         parser.error(f"--repeats must be at least 1, got {args.repeats}")
-    if args.rate is not None and not _positive(args.rate):
+    if args.rate is not None and not finite_positive(args.rate):
         parser.error(f"--rate must be positive, got {args.rate}")
     if args.arrival == "poisson" and args.rate is None:
         parser.error("--arrival poisson requires --rate")
-    if args.deadline is not None and not _positive(args.deadline):
+    if args.deadline is not None and not finite_positive(args.deadline):
         parser.error(f"--deadline must be positive, got {args.deadline}")
     if args.tbq_fraction is not None:
         if not 0.0 <= args.tbq_fraction <= 1.0:

@@ -18,8 +18,9 @@ from typing import Hashable
 class CacheStats:
     """A point-in-time snapshot of one LRU's effectiveness.
 
-    ``hits`` / ``misses`` / ``evictions`` are counters, monotonic until
-    reset; ``entries`` / ``capacity`` are gauges — they describe *now*.
+    ``hits`` / ``misses`` / ``evictions`` are monotonic counters (a
+    phase's are :meth:`since` a baseline); ``entries`` / ``capacity``
+    are gauges — they describe *now*.
     """
 
     hits: int = 0
@@ -101,6 +102,3 @@ class LruMap:
             entries=len(self.entries),
             capacity=self.capacity,
         )
-
-    def reset_stats(self) -> None:
-        self.hits = self.misses = self.evictions = 0

@@ -12,6 +12,16 @@ import math
 from typing import Iterable, Sequence
 
 
+def finite_positive(value: float, *, allow_zero: bool = False) -> bool:
+    """A finite number above zero (or equal to it, with ``allow_zero``).
+
+    ``nan`` fails every comparison, so a bare ``value <= 0`` guard waves
+    it (and ``inf``) through; every duration, rate and bound a caller
+    can type is checked with this instead.
+    """
+    return math.isfinite(value) and (value >= 0 if allow_zero else value > 0)
+
+
 def geometric_mean(values: Iterable[float]) -> float:
     """Geometric mean of positive values; 0.0 if any value is <= 0.
 

@@ -385,8 +385,7 @@ class TestAnswerCacheUnit:
         stats = cache.stats()
         assert stats.saved_seconds == 0.75
         assert "saved=750.0ms" in stats.describe()
-        cache.reset_stats()
-        assert cache.stats().saved_seconds == 0.0
+        assert cache.stats().since(stats).saved_seconds == 0.0
 
     def test_saves_at_least_what_lru_saves_on_a_skewed_costly_trace(self):
         """Zipf(1.1) over 200 keys through 64 entries, 40 % of the keys
@@ -588,28 +587,26 @@ class TestServiceIntegration:
         ) as service:
             service.submit(_product_query(), k=K).result()
             service.submit(_product_query(), k=K).result()
-            report = service.serving_stats()
+            report = service.stats_snapshot()
         assert report.scope == "per-worker-sum"
-        assert report.answer_scope == "shared"
-        assert report.answers is not None
         assert report.answers.hits == 1
         described = report.describe()
         assert "answer cache (shared)" in described
         assert "per-worker sum" in described
 
-    def test_reset_serving_stats_rebases_the_answer_row(self, small_bundle):
-        """After a reset the warm pass reads all hits, like the weight and
-        space rows; the cache itself, which several services may share,
-        keeps its cumulative counters."""
+    def test_a_phase_diff_takes_the_answer_row(self, small_bundle):
+        """The warm pass's diff reads all hits, like the weight and space
+        rows; the cache itself, which several services may share, keeps
+        its cumulative counters."""
         queries = [item.query for item in small_bundle.workload[:4]]
         with QueryService.build(
             small_bundle.kg, small_bundle.space, small_bundle.library,
             backend="inline", compact=True, answer_cache=16,
         ) as service:
             service.search_many(queries, k=K)
-            service.reset_serving_stats()
+            before = service.stats_snapshot()
             service.search_many(queries, k=K)
-            answers = service.serving_stats().answers
+            answers = service.stats_snapshot().since(before).answers
             cumulative = service.answer_cache.stats()
         assert (answers.hits, answers.misses, answers.hit_rate) == (4, 0, 1.0)
         assert answers.entries == cumulative.entries == 4
@@ -757,7 +754,7 @@ class TestSupervisedComposition:
             snap = service.stats_snapshot()
         assert hit.answer_uids()
         assert snap.answer_hits == 1
-        assert snap.shed == 1
-        assert snap.retries == 0
+        assert snap.resilience.shed == 1
+        assert snap.resilience.retries == 0
         assert snap.failed == 1  # the shed request, nothing else
         assert snap.completed == 3

@@ -17,6 +17,7 @@ exactly one new one, leaving ``/dev/shm`` leak-free.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import signal
 import time
@@ -32,7 +33,7 @@ from repro.errors import (
 )
 from repro.kg.shm import leaked_segments
 from repro.serve.faults import FaultPlan
-from repro.serve.resilience import BackoffPolicy, CircuitBreaker
+from repro.serve.resilience import BackoffPolicy, CircuitBreaker, ResilienceStats
 from repro.serve.service import QueryService
 
 #: Zero-delay retries keep the unit tests fast; determinism is covered
@@ -173,8 +174,11 @@ class TestInlineSupervision:
             results = service.search_many(_queries(small_bundle), k=5)
             stats = service.stats_snapshot()
             assert service.supervised
+            # The supervisor is the one counter of its events.
+            assert stats.resilience == service._backend.resilience_stats()
         assert _signatures(results) == reference
-        assert stats.retries == 2
+        assert stats.resilience.retries == stats.resilience.events == 2
+        assert "resilience: 2 retries, 0 pool rebuilds" in stats.describe()
         assert stats.failed == 0
         assert stats.completed == len(reference)
 
@@ -189,7 +193,7 @@ class TestInlineSupervision:
             with pytest.raises(ServeError, match="injected fatal"):
                 future.result(timeout=30)
             stats = service.stats_snapshot()
-        assert stats.retries == 0
+        assert stats.resilience.retries == 0
         assert stats.failed == 1
 
     def test_retry_budget_exhaustion_wraps_the_last_failure(self, small_bundle):
@@ -207,7 +211,7 @@ class TestInlineSupervision:
                 future.result(timeout=30)
             assert isinstance(info.value.__cause__, TransientEngineError)
             stats = service.stats_snapshot()
-        assert stats.retries == 2
+        assert stats.resilience.retries == 2
         assert stats.failed == 1
 
     def test_healthy_supervised_service_is_a_passthrough(
@@ -218,13 +222,9 @@ class TestInlineSupervision:
             backend="thread", workers=2, compact=True, supervised=True,
         ) as service:
             results = service.search_many(_queries(small_bundle), k=5)
-            stats = service.stats_snapshot()
-            resilience = service.resilience()
+            resilience = service.stats_snapshot().resilience
         assert _signatures(results) == reference
-        assert (stats.retries, stats.pool_rebuilds, stats.crashes) == (0, 0, 0)
-        assert (stats.shed, stats.timeouts, stats.fallbacks) == (0, 0, 0)
-        assert resilience is not None
-        assert resilience.breaker_state == "closed"
+        assert resilience == ResilienceStats(breaker_state="closed")
 
     def test_unsupervised_service_reports_no_resilience(self, small_bundle):
         with QueryService.build(
@@ -232,7 +232,7 @@ class TestInlineSupervision:
             backend="inline", compact=True,
         ) as service:
             assert not service.supervised
-            assert service.resilience() is None
+            assert service.stats_snapshot().resilience == ResilienceStats()
 
 
 class TestSheddingAndTimeout:
@@ -257,7 +257,7 @@ class TestSheddingAndTimeout:
             for future in futures:
                 future.result(timeout=30)
             stats = service.stats_snapshot()
-        assert stats.shed == shed
+        assert stats.resilience.shed == shed
         assert stats.failed == shed  # shed requests count as failures too
 
     def test_hard_timeout_is_not_a_tbq_deadline(self, small_bundle):
@@ -271,7 +271,7 @@ class TestSheddingAndTimeout:
             with pytest.raises(RequestTimeoutError, match="distinct from a TBQ"):
                 future.result(timeout=30)
             stats = service.stats_snapshot()
-        assert stats.timeouts == 1
+        assert stats.resilience.timeouts == 1
         assert stats.failed == 1
 
 
@@ -311,16 +311,42 @@ class TestProcessRecovery:
             results = service.search_many(_queries(small_bundle), k=5)
             new_lease = service.graph_lease.name
             stats = service.stats_snapshot()
-            resilience = service.resilience()
         assert _signatures(results) == reference
         assert stats.failed == 0
-        assert stats.crashes == 1
-        assert stats.pool_rebuilds == 1
-        assert len(resilience.rebuild_seconds) == 1
+        assert stats.resilience.crashes == 1
+        assert stats.resilience.pool_rebuilds == 1
+        assert len(stats.resilience.rebuild_seconds) == 1
         # The rebuild released the old lease and published exactly one
         # new segment; neither may outlive the service.
         assert new_lease != old_lease
         assert leaked_segments() == []
+
+    def test_a_phase_across_a_rebuild_counts_only_live_workers(
+        self, small_bundle, reference
+    ):
+        """The baseline's worker died with its pool: its rows must not be
+        subtracted from the rebuilt pool's, which count from zero."""
+        queries = _queries(small_bundle)
+        with QueryService.build(
+            small_bundle.kg, small_bundle.space, small_bundle.library,
+            backend="process", workers=1, compact=True,
+            fault_plan=FaultPlan.parse("crash@4;seed=1"),
+            retry_policy=FAST_POLICY,
+        ) as service:
+            first = service.search_many(queries[:3], k=5)
+            before = service.stats_snapshot()
+            second = service.search_many(queries[3:6], k=5)
+            phase = service.stats_snapshot().since(before)
+        assert _signatures(first + second) == reference
+        assert phase.resilience.pool_rebuilds == 1
+        assert phase.queries == 3
+        assert (phase.submitted, phase.completed, phase.failed) == (3, 3, 0)
+        assert min(
+            phase.queries,
+            *dataclasses.astuple(phase.cache),
+            *dataclasses.astuple(phase.space),
+        ) >= 0
+        assert phase.cache.lookups > 0
 
     def test_external_sigkill_mid_replay_recovers(
         self, small_bundle, reference
@@ -352,8 +378,8 @@ class TestProcessRecovery:
         assert _signatures(first) == reference
         assert _signatures(second) == reference
         assert stats.failed == 0
-        assert stats.pool_rebuilds >= 1
-        assert stats.crashes >= 1
+        assert stats.resilience.pool_rebuilds >= 1
+        assert stats.resilience.crashes >= 1
         assert new_lease != old_lease
         assert leaked_segments() == []
 
@@ -369,9 +395,8 @@ class TestProcessRecovery:
         ) as service:
             results = service.search_many(_queries(small_bundle), k=5)
             stats = service.stats_snapshot()
-            resilience = service.resilience()
         assert _signatures(results) == reference
         assert stats.failed == 0
-        assert stats.fallbacks >= 1
-        assert resilience.breaker_state == "open"
+        assert stats.resilience.fallbacks >= 1
+        assert stats.resilience.breaker_state == "open"
         assert leaked_segments() == []

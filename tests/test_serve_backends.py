@@ -27,16 +27,10 @@ from repro.kg.sharded import ShardedGraph
 from repro.kg.shm import leaked_segments
 from repro.query.builder import QueryGraphBuilder
 from repro.scenarios.replay import answer_digest
-from repro.serve.backends import (
-    EXECUTION_BACKENDS,
-    ProcessBackend,
-    WorkerSnapshot,
-    aggregate_snapshots,
-    diff_snapshots,
-)
+from repro.serve.backends import EXECUTION_BACKENDS, ProcessBackend, WorkerSnapshot
 from repro.serve.cache import SemanticGraphCache
 from repro.serve.faults import FaultPlan
-from repro.serve.service import QueryRequest, QueryService
+from repro.serve.service import QueryRequest, QueryService, ServiceStats
 from repro.utils.lru import CacheStats
 
 K = 5
@@ -184,7 +178,7 @@ class TestProcessBackend:
             result = service.submit(_product_query(), k=K, deadline=0.5).result()
             assert result.approximate is False  # certified inside the bound
             assert 0 < result.time_bound <= 0.5
-            assert service.stats.time_bounded == 1
+            assert service.stats_snapshot().time_bounded == 1
 
     def test_failures_cross_the_pool_and_are_counted(self, small_bundle):
         from repro.errors import SearchError
@@ -196,8 +190,8 @@ class TestProcessBackend:
             future = service.submit(_product_query(), k=0)
             with pytest.raises(SearchError):
                 future.result()
-            assert service.stats.failed == 1
-            assert service.stats.completed == 0
+            stats = service.stats_snapshot()
+            assert (stats.failed, stats.completed) == (1, 0)
 
     def test_warmup_reports_ready_workers(self, small_bundle):
         with QueryService.build(
@@ -210,13 +204,13 @@ class TestProcessBackend:
             result = service.submit(_product_query(), k=K).result()
             assert result.matches
 
-    def test_serving_stats_are_labelled_per_worker_sum(self, small_bundle):
+    def test_stats_are_labelled_per_worker_sum(self, small_bundle):
         with QueryService.build(
             small_bundle.kg, small_bundle.space, small_bundle.library,
             backend="process", workers=2, compact=True,
         ) as service:
             service.search_many([_product_query()] * 4, k=K)
-            report = service.serving_stats()
+            report = service.stats_snapshot()
         assert report.backend == "process"
         assert report.scope == "per-worker-sum"
         assert 1 <= report.workers_reporting <= 2
@@ -224,18 +218,17 @@ class TestProcessBackend:
         assert report.cache.lookups > 0
         assert "per-worker sum" in report.describe()
 
-    def test_reset_rebases_counters(self, small_bundle):
+    def test_a_phase_is_a_snapshot_diff(self, small_bundle):
         with QueryService.build(
             small_bundle.kg, small_bundle.space, small_bundle.library,
             backend="process", workers=1, compact=True,
         ) as service:
             service.search_many([_product_query()] * 2, k=K)
-            before = service.serving_stats()
+            before = service.stats_snapshot()
             assert before.queries == 2
-            service.reset_serving_stats()
-            assert service.serving_stats().queries == 0
+            assert before.since(before).queries == 0
             service.search_many([_product_query()], k=K)
-            after = service.serving_stats()
+            after = service.stats_snapshot().since(before)
             assert after.queries == 1
             # The repeat runs fully warm in its worker: no new misses.
             assert after.cache.misses == 0
@@ -384,49 +377,59 @@ class TestSharedBackends:
             backend="inline",
         ) as service:
             service.search_many([_product_query()] * 3, k=K)
-            report = service.serving_stats()
+            report = service.stats_snapshot()
             assert (report.scope, report.backend) == ("shared", "inline")
             assert service.cache is not None
-            assert report.cache.hits == service.cache.stats.hits
-            stats = service.stats
-            assert (stats.submitted, stats.completed, stats.in_flight) == (3, 3, 0)
-            assert stats.backend == "inline"
+            assert report.cache == service.cache.stats
+            assert (report.submitted, report.completed, report.in_flight) == (3, 3, 0)
 
-    def test_thread_reset_rebases_shared_counters(self, small_bundle):
+    def test_thread_phase_diff_of_shared_counters(self, small_bundle):
         with QueryService.build(
             small_bundle.kg, small_bundle.space, small_bundle.library,
             backend="thread", workers=2,
         ) as service:
             service.search_many([_product_query()], k=K)
-            service.reset_serving_stats()
-            assert service.serving_stats().cache.misses == 0
+            before = service.stats_snapshot()
+            assert before.since(before).cache.misses == 0
             service.search_many([_product_query()], k=K)
-            after = service.serving_stats()
+            after = service.stats_snapshot().since(before)
             assert after.cache.misses == 0  # fully warm repeat
             assert after.cache.hits > 0
 
 
-def test_snapshots_aggregate_then_diff():
-    """Everything adds across workers; a phase diff subtracts the
-    counters and keeps the gauges (``entries``, ``capacity``, RSS)."""
+def test_stats_since_matches_workers_by_id():
+    """A phase diff subtracts counters per worker id: a worker that
+    appears counts from zero, one that vanished drops out, and the
+    gauges (``entries``, ``capacity``, RSS) are kept."""
 
     def row(worker, base):  # twelve distinct numbers from ``base``
         n = list(range(base, base + 12))
         return WorkerSnapshot(worker, n[0], CacheStats(*n[1:6]), CacheStats(*n[6:11]), n[11])
 
-    assert aggregate_snapshots([]) is None
-    assert aggregate_snapshots([row("7", 100)]) == row("7", 100)
-    before = aggregate_snapshots([row("1", 100), row("2", 200)])
-    after = aggregate_snapshots([row("1", 1000), row("2", 3000)])
-    assert before == WorkerSnapshot(
-        "sum", 300, CacheStats(302, 304, 306, 308, 310),
-        CacheStats(312, 314, 316, 318, 320), 322,
+    before = ServiceStats(
+        "process", "per-worker-sum", 10, 8, 1, 2,
+        workers=(row("1", 100), row("2", 200)),
     )
-    assert diff_snapshots(after, None) == after and diff_snapshots(None, before) is None
-    assert diff_snapshots(after, before) == WorkerSnapshot(
-        "sum", 3700, CacheStats(3700, 3700, 3700, 4008, 4010),
-        CacheStats(3700, 3700, 3700, 4018, 4020), 4022,
+    after = ServiceStats(
+        "process", "per-worker-sum", 30, 27, 2, 5,
+        workers=(row("1", 1000), row("3", 3000)),  # 2 died, 3 was rebuilt
     )
+    phase = after.since(before)
+    assert (phase.submitted, phase.completed, phase.failed) == (20, 19, 1)
+    assert (phase.time_bounded, phase.in_flight) == (3, 0)
+    assert phase.workers == (
+        WorkerSnapshot(
+            "1", 900, CacheStats(900, 900, 900, 1004, 1005),
+            CacheStats(900, 900, 900, 1009, 1010), 1011,
+        ),
+        row("3", 3000),
+    )
+    assert (phase.queries, phase.workers_reporting) == (3900, 2)
+    assert phase.cache == CacheStats(3901, 3902, 3903, 4008, 4010)
+    assert phase.space.entries == 1009 + 3009
+    assert min(phase.queries, phase.cache.hits, phase.space.misses) >= 0
+    assert "per-worker sum, 2 workers reporting" in phase.describe()
+    assert after.since(after).queries == 0
 
 
 class TestSeededReplayDeterminism:
@@ -555,6 +558,8 @@ class TestAnswerCacheConformance:
                         result,
                     )
             snap = service.stats_snapshot()
+            # The one counter of hits and misses is the cache itself.
+            assert snap.answers == service.answer_cache.stats()
         # The warm pass was served without a single extra engine run.
         assert snap.answer_misses == len(queries)
         assert snap.answer_hits + snap.singleflight_collapsed == len(queries)

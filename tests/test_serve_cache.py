@@ -57,14 +57,14 @@ class TestStats:
         assert "hit_rate=0.500" in stats.describe()
         assert "entries=1/1024" in stats.describe()
 
-    def test_reset_stats_keeps_entries(self):
+    def test_a_phase_is_a_stats_diff_that_keeps_entries(self):
         cache = SemanticGraphCache()
         cache.put_row("weights", "a", [0.4])
-        cache.get_row("weights", "a")
-        cache.reset_stats()
-        stats = cache.stats
-        assert (stats.hits, stats.misses, stats.entries) == (0, 0, 1)
-        assert cache.get_row("weights", "a") == [0.4]  # entry survived
+        cache.get_row("weights", "b")
+        before = cache.stats
+        assert cache.get_row("weights", "a") == [0.4]
+        phase = cache.stats.since(before)
+        assert (phase.hits, phase.misses, phase.entries) == (1, 0, 1)
 
     def test_clear_drops_entries_keeps_binding(self):
         cache = SemanticGraphCache()

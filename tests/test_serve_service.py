@@ -6,11 +6,15 @@ import inspect
 import numpy as np
 import pytest
 
+from repro.core.config import SearchConfig
 from repro.core.engine import EngineSpec, SemanticGraphQueryEngine
+from repro.core.time_bounded import TimeBoundedCoordinator
 from repro.embedding.predicate_space import PredicateSpace
-from repro.errors import SearchError, ServeError
+from repro.errors import ReproError, SearchError, ServeError
+from repro.serve.answer_cache import AnswerCache
 from repro.serve.cache import SemanticGraphCache
-from repro.serve.service import QueryRequest, QueryService
+from repro.serve.resilience import BackoffPolicy, CircuitBreaker
+from repro.serve.service import QueryRequest, QueryService, ServiceStats
 from repro.query.builder import QueryGraphBuilder
 from repro.utils.lru import CacheStats
 
@@ -81,6 +85,11 @@ def test_configuration_surface_snapshot():
     assert type(space.stats()) is type(SemanticGraphCache().stats) is CacheStats
     assert [f.name for f in dataclasses.fields(CacheStats)] == [
         "hits", "misses", "evictions", "entries", "capacity",
+    ]
+    # One stats type for a whole service, each part from its owner.
+    assert [f.name for f in dataclasses.fields(ServiceStats)] == [
+        "backend", "scope", "submitted", "completed", "failed",
+        "time_bounded", "workers", "answers", "resilience", "shards",
     ]
     options = {
         option
@@ -178,7 +187,7 @@ class TestSubmission:
         # Queue wait counts against the deadline: the search gets only the
         # remaining budget, never more than asked for.
         assert 0 < result.time_bound <= 0.5
-        assert service.stats.time_bounded == 1
+        assert service.stats_snapshot().time_bounded == 1
 
     def test_mixed_batch_requests_keep_own_parameters(self, service):
         plain = _product_query()
@@ -193,14 +202,49 @@ class TestSubmission:
         future = service.submit(_product_query(), k=0)
         with pytest.raises(SearchError):
             future.result()
-        assert service.stats.failed == 1
-        assert service.stats.completed + service.stats.failed == service.stats.submitted
+        stats = service.stats_snapshot()
+        assert stats.failed == 1
+        assert stats.completed + stats.failed == stats.submitted
 
     def test_stats_track_completion(self, service, small_bundle):
         service.search_many([q.query for q in small_bundle.workload[:3]], k=3)
-        assert service.stats.submitted == 3
-        assert service.stats.completed == 3
-        assert service.stats.in_flight == 0
+        stats = service.stats_snapshot()
+        assert stats.submitted == 3
+        assert stats.completed == 3
+        assert stats.in_flight == 0
+
+
+def _submit_with_deadline(bundle, deadline):
+    with QueryService.build(bundle.kg, bundle.space, bundle.library) as service:
+        try:
+            service.submit(_product_query(), k=5, deadline=deadline)
+        finally:  # refused before it was counted
+            assert service.stats_snapshot().submitted == 0
+
+
+#: ``nan`` fails every comparison, so a bare ``x <= 0`` guard let it (and
+#: ``inf``) through each of these seams; each must refuse both.
+NON_FINITE_SEAMS = {
+    "deadline": _submit_with_deadline,
+    "hard_timeout": lambda bundle, x: QueryService.build(
+        bundle.kg, bundle.space, bundle.library, hard_timeout=x
+    ),
+    "ttl_seconds": lambda bundle, x: AnswerCache(4, ttl_seconds=x),
+    "base_seconds": lambda bundle, x: BackoffPolicy(base_seconds=x),
+    "cap_seconds": lambda bundle, x: BackoffPolicy(cap_seconds=x),
+    "cooldown_seconds": lambda bundle, x: CircuitBreaker(cooldown_seconds=x),
+    "time_bound": lambda bundle, x: TimeBoundedCoordinator(x, SearchConfig()),
+    "assembly_seconds_per_match": lambda bundle, x: SearchConfig(
+        assembly_seconds_per_match=x
+    ),
+}
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+@pytest.mark.parametrize("seam", sorted(NON_FINITE_SEAMS))
+def test_non_finite_numbers_are_refused_at_every_seam(small_bundle, seam, value):
+    with pytest.raises(ReproError, match="must be"):
+        NON_FINITE_SEAMS[seam](small_bundle, value)
 
 
 class TestLifecycle:

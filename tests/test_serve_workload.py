@@ -199,6 +199,14 @@ class TestReplay:
         assert report.stats.scope == "shared"
         assert "weight cache (shared):" in report.describe()
 
+    def test_a_pass_reports_its_snapshot_diff(self, service, small_bundle):
+        queries = [q.query for q in small_bundle.workload[:3]]
+        service.search_many(queries, k=4)  # counts the pass must not see
+        before = service.stats_snapshot()
+        report = replay(service, queries, k=4)
+        assert report.stats == service.stats_snapshot().since(before)
+        assert (report.stats.submitted, report.stats.queries) == (3, 3)
+
 
 class TestPoissonArrivals:
     def test_poisson_replay_is_seeded_and_reported(self, service, small_bundle):
@@ -358,7 +366,7 @@ class TestConsoleEntrypoint:
         assert "process backend" in out
         assert "warmed" in out
         assert "weight cache (per-worker sum" in out
-        assert "serving stats [process backend, per-worker sum" in out
+        assert "space row cache: hit_rate=" in out
 
     def test_main_poisson_and_tbq_mix(self, capsys):
         code = workload_main(

@@ -339,7 +339,8 @@ class TestServeIntegration:
                     item.qid, expected.matches, actual.matches
                 )
                 assert problem is None, problem
-            report = service.serving_stats()
+            report = service.serving_stats()  # the perf ledger's name
+            assert QueryService.serving_stats is QueryService.stats_snapshot
             assert report.shards == ()
             assert "shard" not in report.describe()
 
@@ -360,13 +361,12 @@ class TestServeIntegration:
             workers=1,
         ) as service:
             service.search_many(queries, k=5)  # cold
+            before = service.stats_snapshot()
             if backend == "inline":  # the engine's caches are readable live
-                report = service.serving_stats()
-                assert report.cache == service.cache.stats
-                assert report.space == service.engine.space.stats()
-            service.reset_serving_stats()
+                assert before.cache == service.cache.stats
+                assert before.space == service.engine.space.stats()
             service.search_many(queries, k=5)  # warm
-            report = service.serving_stats()
+            report = service.stats_snapshot().since(before)
         assert report.cache.hits > 0 and report.cache.misses == 0
         assert report.cache.capacity == SemanticGraphCache().stats.capacity
         assert report.space.entries > 0
@@ -387,9 +387,9 @@ class TestServeIntegration:
                 shards=shards,
             ) as service:
                 service.search_many(queries, k=5)  # cold
-                service.reset_serving_stats()
+                before = service.stats_snapshot()
                 service.search_many(queries, k=5)  # warm
-                reports[shards] = service.serving_stats()
+                reports[shards] = service.stats_snapshot().since(before)
                 if shards:
                     cache = service.cache
                     assert all(
