@@ -48,7 +48,9 @@ are served straight from the shared mapping.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from itertools import chain
+from operator import itemgetter
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -154,16 +156,19 @@ class CompactGraph:
     def freeze(cls, kg: KnowledgeGraph) -> "CompactGraph":
         """Snapshot ``kg`` into interned tables + an incidence CSR.
 
-        O(V + E); every derived array is written once and never mutated.
+        O(V + E), and each column is written whole — one ``np.fromiter``
+        per column or one scatter — never slot by slot, so the cost is a
+        few passes over the source graph's incidence lists.
         """
-        num_nodes = kg.num_entities
+        entities = list(kg.entities())
+        num_nodes = len(entities)
         predicate_names = kg.predicates()
         predicate_index = {name: i for i, name in enumerate(predicate_names)}
         type_names = kg.types()
         type_index = {name: i for i, name in enumerate(type_names)}
 
         entity_type = np.fromiter(
-            (type_index[entity.etype] for entity in kg.entities()),
+            (type_index[entity.etype] for entity in entities),
             dtype=np.int32,
             count=num_nodes,
         )
@@ -172,7 +177,7 @@ class CompactGraph:
         # the snapshot fully describes the graph, which is what lets a
         # shared-memory worker rebuild Entity records without the object
         # graph (see FrozenGraphReader).
-        names = [entity.name for entity in kg.entities()]
+        names = [entity.name for entity in entities]
         encoded = [name.encode("utf-8") for name in names]
         name_offsets = np.zeros(num_nodes + 1, dtype=np.int64)
         if encoded:
@@ -181,59 +186,74 @@ class CompactGraph:
 
         # Edge table: one deterministic id per directed edge, in per-source
         # insertion order.  The Edge objects are shared with kg, not copied.
-        edges: List[Edge] = []
-        edge_id: Dict[Edge, int] = {}
-        for uid in range(num_nodes):
-            for edge, _target in kg.out_incident(uid):
-                edge_id[edge] = len(edges)
-                edges.append(edge)
-        num_edges = len(edges)
-        edge_source = np.fromiter(
-            (edge.source for edge in edges), dtype=np.int64, count=num_edges
+        outs = [kg.out_incident(uid) for uid in range(num_nodes)]
+        ins = [kg.in_incident(uid) for uid in range(num_nodes)]
+        out_degree = np.fromiter(map(len, outs), dtype=np.int64, count=num_nodes)
+        in_degree = np.fromiter(map(len, ins), dtype=np.int64, count=num_nodes)
+        indptr = np.zeros(num_nodes + 1, dtype=np.int64)
+        np.cumsum(out_degree + in_degree, out=indptr[1:])
+        out_pairs = list(chain.from_iterable(outs))
+        in_pairs = list(chain.from_iterable(ins))
+        # kg's own (edge, neighbor) pairs in slot order: node_slots is
+        # built from them, so its neighbor ints are the ones kg holds.
+        slot_pairs = list(
+            chain.from_iterable(map(kg.incident_list, range(num_nodes)))
         )
+        num_edges = len(out_pairs)
+        if not (  # pragma: no cover - append-only invariant
+            len(slot_pairs) == indptr[-1] == 2 * len(in_pairs) == 2 * num_edges
+        ):
+            raise GraphError(
+                f"incidence slots ({len(slot_pairs)}) disagree with edge "
+                f"count ({num_edges}); graph mutated during freeze?"
+            )
+        edges: List[Edge] = list(map(itemgetter(0), out_pairs))
+        edge_source = np.repeat(np.arange(num_nodes, dtype=np.int64), out_degree)
         edge_target = np.fromiter(
-            (edge.target for edge in edges), dtype=np.int64, count=num_edges
+            map(itemgetter(1), out_pairs), dtype=np.int64, count=num_edges
         )
         edge_predicate = np.fromiter(
             (predicate_index[edge.predicate] for edge in edges),
             dtype=np.int32,
             count=num_edges,
         )
+        # An in-list holds the very Edge objects the out-lists do, so the
+        # id map is keyed by identity: an int probe, not Edge.__hash__.
+        edge_id = dict(zip(map(id, edges), range(num_edges)))
+        in_edge = np.fromiter(
+            map(edge_id.__getitem__, map(id, map(itemgetter(0), in_pairs))),
+            dtype=np.int64,
+            count=num_edges,
+        )
+        # Dropped before the slot triples are built: alive beside them,
+        # they add ~1 MB per freeze to the set-up peak RSS.
+        del edge_id, out_pairs, in_pairs
 
         # Undirected-incidence CSR, slot order == KnowledgeGraph.incident
         # order (load-bearing: it keeps compact and lazy searches
-        # expanding in the same sequence).
+        # expanding in the same sequence): node u's out-edges, then its
+        # in-edges, each in insertion order.  Out-edge ``eid`` of u lands
+        # in slot ``indptr[u] + eid - first_out[u]``; the r-th in-edge of
+        # v in slot ``indptr[v] + out_degree[v] + r``.
+        first_out = np.cumsum(out_degree) - out_degree
+        first_in = np.cumsum(in_degree) - in_degree
+        rank = np.arange(num_edges, dtype=np.int64)
+        out_slot = rank + np.repeat(indptr[:-1] - first_out, out_degree)
+        in_slot = rank + np.repeat(
+            indptr[:-1] + out_degree - first_in, in_degree
+        )
         num_slots = 2 * num_edges
-        indptr = np.zeros(num_nodes + 1, dtype=np.int64)
-        slot_neighbor = np.empty(num_slots, dtype=np.int64)
-        slot_predicate = np.empty(num_slots, dtype=np.int32)
         slot_edge = np.empty(num_slots, dtype=np.int64)
-        slot_forward = np.empty(num_slots, dtype=bool)
-        # Python mirror of the CSR for the scalar hot loop: per node, a
-        # tuple of (edge, other endpoint, predicate id) triples.  The A*
-        # expansion iterates this directly — no per-call array slicing,
-        # no np-scalar boxing — while vectorized ops (segment-max bounds)
-        # read the flat arrays.
-        node_slots: List[Tuple[Tuple[Edge, int, int], ...]] = []
-        cursor = 0
-        for uid in range(num_nodes):
-            triples: List[Tuple[Edge, int, int]] = []
-            for edge, neighbor in kg.incident_list(uid):
-                eid = edge_id[edge]
-                pid = int(edge_predicate[eid])
-                slot_neighbor[cursor] = neighbor
-                slot_edge[cursor] = eid
-                slot_predicate[cursor] = pid
-                slot_forward[cursor] = edge.source == uid
-                triples.append((edge, neighbor, pid))
-                cursor += 1
-            node_slots.append(tuple(triples))
-            indptr[uid + 1] = cursor
-        if cursor != num_slots:  # pragma: no cover - append-only invariant
-            raise GraphError(
-                f"incidence slots ({cursor}) disagree with edge count "
-                f"({num_edges}); graph mutated during freeze?"
-            )
+        slot_edge[out_slot] = rank
+        slot_edge[in_slot] = in_edge
+        slot_neighbor = np.empty(num_slots, dtype=np.int64)
+        slot_neighbor[out_slot] = edge_target
+        slot_neighbor[in_slot] = edge_source[in_edge]
+        slot_predicate = edge_predicate[slot_edge]
+        # Self-loops are refused by add_edge, so a slot is forward
+        # exactly when it is an out-slot.
+        slot_forward = np.zeros(num_slots, dtype=bool)
+        slot_forward[out_slot] = True
 
         return cls(
             kg=kg,
@@ -255,7 +275,7 @@ class CompactGraph:
             slot_forward=slot_forward,
             name_blob=name_blob,
             name_offsets=name_offsets,
-            _node_slots=node_slots,
+            _node_slots=_node_slot_triples(slot_pairs, slot_predicate, indptr),
             _edges=edges,
             _names=names,
         )
@@ -342,26 +362,28 @@ class CompactGraph:
     def node_slots(self) -> List[Tuple[Tuple[Edge, int, int], ...]]:
         """Per-node ``(edge, neighbor, predicate id)`` triples.
 
-        The scalar hot loop's mirror of the CSR.  Built eagerly by
+        What ``weighted_incident`` walks: the reference search over a
+        compact view, the sharded gather and the ``view_incident_us``
+        probe.  The array search kernel reads the flat list mirrors
+        (:meth:`indptr_list`, :meth:`slot_neighbor_list`,
+        :meth:`slot_predicate_list`) instead.  Built eagerly by
         :meth:`freeze`, lazily (once, O(V + E)) on unpickled or attached
-        kernels — the vectorized search kernel never touches it, so an
-        attached worker that only runs vectorized searches never pays
-        for it.
+        kernels, so an attached worker that only runs the array kernel
+        never pays for it.
         """
         if self._node_slots is None:
-            edges = self._edge_table()
-            indptr = self.indptr.tolist()
-            slot_edge = self.slot_edge.tolist()
-            slot_neighbor = self.slot_neighbor.tolist()
-            slot_predicate = self.slot_predicate.tolist()
-            node_slots = [
-                tuple(
-                    (edges[slot_edge[s]], slot_neighbor[s], slot_predicate[s])
-                    for s in range(indptr[uid], indptr[uid + 1])
-                )
-                for uid in range(self.num_nodes)
-            ]
-            object.__setattr__(self, "_node_slots", node_slots)
+            object.__setattr__(
+                self,
+                "_node_slots",
+                _node_slot_triples(
+                    zip(
+                        map(self._edge_table().__getitem__, self.slot_edge.tolist()),
+                        self.slot_neighbor.tolist(),
+                    ),
+                    self.slot_predicate,
+                    self.indptr,
+                ),
+            )
         return self._node_slots
 
     def entity_names(self) -> List[str]:
@@ -476,6 +498,21 @@ class CompactGraph:
             f"CompactGraph(nodes={self.num_nodes}, edges={self.num_edges}, "
             f"predicates={len(self.predicate_names)}, types={len(self.type_names)})"
         )
+
+
+def _node_slot_triples(
+    slot_pairs: Iterable[Tuple[Edge, int]],
+    slot_predicate: np.ndarray,
+    indptr: np.ndarray,
+) -> List[Tuple[Tuple[Edge, int, int], ...]]:
+    """Per-node ``(edge, neighbor, predicate id)`` tuples from slot-ordered
+    ``(edge, neighbor)`` pairs: one flat list, cut at ``indptr``."""
+    triples = [
+        (edge, neighbor, pid)
+        for (edge, neighbor), pid in zip(slot_pairs, slot_predicate.tolist())
+    ]
+    bounds = indptr.tolist()
+    return [tuple(triples[start:end]) for start, end in zip(bounds, bounds[1:])]
 
 
 # ----------------------------------------------------------------------

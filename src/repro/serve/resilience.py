@@ -225,6 +225,16 @@ class ResilienceStats:
         )
 
 
+def check_supervision_limits(
+    hard_timeout: Optional[float], max_pending: Optional[int]
+) -> None:
+    """Refuse a ``hard_timeout`` / ``max_pending`` no supervisor can honour."""
+    if hard_timeout is not None and not finite_positive(hard_timeout):
+        raise ServeError(f"hard_timeout must be > 0, got {hard_timeout}")
+    if max_pending is not None and max_pending < 1:
+        raise ServeError(f"max_pending must be >= 1, got {max_pending}")
+
+
 class SupervisedBackend(ExecutionBackend):
     """Retry/rebuild/shed supervision over any execution backend.
 
@@ -269,10 +279,7 @@ class SupervisedBackend(ExecutionBackend):
         fallback_factory: Optional[Callable[[], ExecutionBackend]] = None,
         on_complete: Optional[Callable[[bool], None]] = None,
     ):
-        if hard_timeout is not None and not finite_positive(hard_timeout):
-            raise ServeError(f"hard_timeout must be > 0, got {hard_timeout}")
-        if max_pending is not None and max_pending < 1:
-            raise ServeError(f"max_pending must be >= 1, got {max_pending}")
+        check_supervision_limits(hard_timeout, max_pending)
         self._inner = inner
         self._policy = policy if policy is not None else BackoffPolicy()
         self._hard_timeout = hard_timeout

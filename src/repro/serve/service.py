@@ -80,6 +80,7 @@ from repro.serve.resilience import (
     CircuitBreaker,
     ResilienceStats,
     SupervisedBackend,
+    check_supervision_limits,
 )
 from repro.utils.lru import CacheStats
 from repro.utils.stats import finite_positive
@@ -385,8 +386,14 @@ class QueryService:
         )
         self._hard_timeout = hard_timeout
         self._max_pending = max_pending
-        self._breaker_threshold = breaker_threshold
-        self._breaker_cooldown = breaker_cooldown
+        self._breaker: Optional[CircuitBreaker] = None
+        if supervised:
+            # Refused here, before any worker, reply-reader thread or
+            # shared-memory segment exists to be stranded by the raise.
+            check_supervision_limits(hard_timeout, max_pending)
+            self._breaker = CircuitBreaker(
+                threshold=breaker_threshold, cooldown_seconds=breaker_cooldown
+            )
 
         if backend == "process":
             if cache is not None:
@@ -493,10 +500,7 @@ class QueryService:
             policy=self._retry_policy,
             hard_timeout=self._hard_timeout,
             max_pending=self._max_pending,
-            breaker=CircuitBreaker(
-                threshold=self._breaker_threshold,
-                cooldown_seconds=self._breaker_cooldown,
-            ),
+            breaker=self._breaker,
             rebuild=self._rebuild_pool if rebuildable else None,
             fallback_factory=self._build_fallback if rebuildable else None,
             on_complete=self._record_outcome,

@@ -2,6 +2,8 @@
 
 import dataclasses
 import inspect
+import multiprocessing
+import threading
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from repro.core.engine import EngineSpec, SemanticGraphQueryEngine
 from repro.core.time_bounded import TimeBoundedCoordinator
 from repro.embedding.predicate_space import PredicateSpace
 from repro.errors import ReproError, SearchError, ServeError
+from repro.kg.shm import leaked_segments
 from repro.serve.answer_cache import AnswerCache
 from repro.serve.cache import SemanticGraphCache
 from repro.serve.resilience import BackoffPolicy, CircuitBreaker
@@ -272,3 +275,27 @@ class TestLifecycle:
         )
         with pytest.raises(ServeError):
             QueryService(engine, workers=0)
+
+    @pytest.mark.parametrize(
+        "limit",
+        [
+            {"hard_timeout": float("nan")},
+            {"max_pending": 0},
+            {"supervised": True, "breaker_threshold": 0},
+            {"supervised": True, "breaker_cooldown": float("nan")},
+        ],
+        ids=["hard_timeout", "max_pending", "breaker_threshold", "breaker_cooldown"],
+    )
+    def test_refused_process_build_starts_nothing(self, small_bundle, limit):
+        children = set(multiprocessing.active_children())
+        threads = set(threading.enumerate())
+        segments = set(leaked_segments())
+        with pytest.raises(ServeError, match="must be"):
+            QueryService.build(
+                small_bundle.kg, small_bundle.space, small_bundle.library,
+                compact=True, backend="process", workers=1, shared_graph=True,
+                **limit,
+            )
+        assert set(multiprocessing.active_children()) - children == set()
+        assert set(threading.enumerate()) - threads == set()
+        assert set(leaked_segments()) - segments == set()
