@@ -25,9 +25,7 @@ def main() -> None:
     #    weight / m(u) / hop-label rows shared across queries, searches on
     #    the caller's thread (backend="process", workers=N is the
     #    multi-core arm).
-    with QueryService.build(
-        bundle.kg, bundle.space, bundle.library, compact=True
-    ) as service:
+    with QueryService.build(bundle.kg, bundle.space, bundle.library) as service:
         # 3. Replay the full workload; pass 1 is cold, 2-3 are warm.  Each
         #    report's stats are what that pass did: the service's snapshot
         #    after it, `since` the one before.

@@ -124,8 +124,8 @@ def build_subquery_search(
                 "search kernel 'vectorized' needs a compact view exposing "
                 "the CSR surface (graph / weight_row_array / "
                 "bounds_row_array and their log twins / hop_label); "
-                f"{type(view).__name__} does not — build "
-                "the engine with compact=True or pass kernel='auto'"
+                f"{type(view).__name__} does not — build the engine "
+                "over a frozen store (build_engine) or pass kernel='auto'"
             )
     return SubQuerySearch(
         view, subquery, matcher, config, subquery_index, clock, budget

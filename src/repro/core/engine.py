@@ -80,12 +80,11 @@ def _materialise_paths(
 
 
 #: What an :class:`EngineSpec` can be built over — the type *is* the
-#: choice of view: a ``KnowledgeGraph`` is served through the paper's lazy
-#: view, a frozen ``CompactGraph`` (by value, or by shared-memory handle)
-#: through the CSR kernel, a ``ShardedGraph`` (by value or by handle)
-#: through the rank-merged fan-out view.
+#: choice of view: a frozen ``CompactGraph`` (by value, or by shared-memory
+#: handle) is served through the CSR kernel, a ``ShardedGraph`` (by value
+#: or by handle) through the rank-merged fan-out view.  The paper's lazy
+#: view over a ``KnowledgeGraph`` is the test oracle, built directly.
 GraphStore = Union[
-    KnowledgeGraph,
     CompactGraph,
     CompactGraphHandle,
     ShardedGraph,
@@ -111,8 +110,6 @@ def store_identity(store: GraphStore) -> Tuple:
             store.strategy,
             store.seed,
         )
-    if isinstance(store, KnowledgeGraph):
-        return ("kg", store.name, store.num_entities, store.num_edges)
     return ("kg", store.kg_name, store.num_nodes, store.num_edges)
 
 
@@ -129,14 +126,15 @@ class EngineSpec:
     as it starts, builds its engine once, and serves every subsequent
     request from it.
 
-    ``store`` is exactly one :data:`GraphStore`.  A handle
-    (``QueryService.build(shared_graph=True)``) makes the spec pickle
-    O(metadata) instead of O(graph): workers attach the segment(s)
-    zero-copy.
+    ``store`` is exactly one :data:`GraphStore`, a frozen store by value
+    or by shared-memory handle.  A handle (what a process-backend
+    :class:`~repro.serve.service.QueryService` ships its workers) makes
+    the spec pickle O(metadata) instead of O(graph): workers attach the
+    segment(s) zero-copy.  A lazy-view engine has no spec.
 
-    ``kg`` optionally names the ``KnowledgeGraph`` a frozen or sharded
-    store was built from, so entity lookups resolve through the caller's
-    object graph; when absent a
+    ``kg`` optionally names the ``KnowledgeGraph`` the store was built
+    from, so entity lookups resolve through the caller's object graph;
+    when absent a
     :class:`~repro.kg.compact.FrozenGraphReader` over the store's own
     node columns serves them (see :func:`build_engine`).
 
@@ -163,14 +161,9 @@ class EngineSpec:
     def __post_init__(self) -> None:
         if not isinstance(self.store, get_args(GraphStore)):
             raise SearchError(
-                "an EngineSpec store must be a KnowledgeGraph, CompactGraph, "
-                "ShardedGraph or one of their shared-memory handles, got "
+                "an EngineSpec store must be a CompactGraph, ShardedGraph or "
+                "one of their shared-memory handles, got "
                 f"{type(self.store).__name__}"
-            )
-        if self.kg is not None and isinstance(self.store, KnowledgeGraph):
-            raise SearchError(
-                "kg= names the source graph of a frozen or sharded store; "
-                "a KnowledgeGraph store is its own entity surface"
             )
 
 
@@ -191,9 +184,7 @@ def build_engine(
         store = CompactGraph.from_handle(store)
     elif isinstance(store, ShardedGraphHandle):
         store = ShardedGraph.from_handle(store)
-    if isinstance(store, KnowledgeGraph):
-        kg, view_factory = store, None
-    elif isinstance(store, CompactGraph):
+    if isinstance(store, CompactGraph):
         # A kernel frozen in this process still knows its source graph,
         # and its view factory re-freezes it when asked to serve any
         # other object — so that graph is the one to read entities from.
@@ -235,12 +226,9 @@ class SemanticGraphQueryEngine:
             paper's one-shot behaviour.
         view_factory: the view-construction seam — a callable
             ``(kg, space, *, min_weight, cache) -> WeightedGraphView``.
-            Default builds the paper's lazy :class:`SemanticGraphView`.
-        compact: convenience flag: build views over the frozen CSR kernel
-            (:class:`~repro.core.compact_view.CompactViewFactory`), which
-            vectorises weight materialisation and ``m(u)`` bounds.
-            Results are identical to the lazy view; only cost changes.
-            Mutually exclusive with ``view_factory``.
+            Default builds the paper's lazy :class:`SemanticGraphView`,
+            the oracle; :func:`build_engine` wires the frozen stores'
+            factories (same results, only cost changes).
         assembly_kernel / search_kernel: the oracle seam.  Production is
             ``"vectorized"`` TA assembly plus ``"auto"`` A* (the
             array-backed :mod:`repro.core.search_kernel` on every view
@@ -264,12 +252,9 @@ class SemanticGraphQueryEngine:
         *,
         weight_cache: Optional[WeightCache] = None,
         view_factory: Optional[ViewFactory] = None,
-        compact: bool = False,
         assembly_kernel: str = "vectorized",
         search_kernel: str = "auto",
     ):
-        if compact and view_factory is not None:
-            raise SearchError("pass either compact=True or view_factory, not both")
         if view_factory is None and not isinstance(kg, KnowledgeGraph):
             raise SearchError(
                 "the lazy view walks a KnowledgeGraph; a frozen store is "
@@ -284,39 +269,29 @@ class SemanticGraphQueryEngine:
         self.config = config if config is not None else SearchConfig()
         self.matcher = NodeMatcher(kg, library)
         self.weight_cache = weight_cache
-        if compact:
-            # Freeze eagerly: construction is the predictable place to
-            # pay the O(V+E) snapshot, not the first query's latency.
-            self.view_factory: ViewFactory = CompactViewFactory(
-                CompactGraph.freeze(kg)
-            )
-        else:
-            self.view_factory = view_factory or lazy_view_factory
+        self.view_factory: ViewFactory = view_factory or lazy_view_factory
 
     def to_spec(self) -> EngineSpec:
         """The :class:`EngineSpec` this engine could be rebuilt from.
 
-        Read off the view factory: the lazy view describes a
-        ``KnowledgeGraph`` store, the compact and sharded factories the
-        frozen kernel / shard set they already hold (so workers skip the
-        re-freeze).  The kernel names are not part of a spec — a rebuilt
-        engine runs the production pair, which returns the same answers.
-        An engine wired through any other ``view_factory`` has no
-        picklable description and raises.
+        Read off the view factory: the compact and sharded factories
+        describe the frozen kernel / shard set they already hold (so
+        workers skip the re-freeze).  The kernel names are not part of a
+        spec — a rebuilt engine runs the production pair, which returns
+        the same answers.  The lazy view (the oracle) and any other
+        ``view_factory`` have no spec and raise.
         """
         factory = self.view_factory
-        if factory is lazy_view_factory:
-            return EngineSpec(self.kg, self.space, self.library, self.config)
         if isinstance(factory, CompactViewFactory):
             store = factory.compact_graph(self.kg)
         elif isinstance(factory, ShardedViewFactory):
             store = factory.sharded
         else:
             raise SearchError(
-                "an engine built on a custom view_factory cannot be "
-                "described by an EngineSpec (the factory may close over "
-                "unpicklable state); construct via EngineSpec/build_engine "
-                "or use compact=True instead"
+                "only an engine over a frozen store is described by an "
+                "EngineSpec (the lazy view is the oracle, and a custom "
+                "view_factory may close over unpicklable state); construct "
+                "it via EngineSpec/build_engine"
             )
         # A frozen reader is rebuilt from the store on the other side.
         kg = self.kg if isinstance(self.kg, KnowledgeGraph) else None

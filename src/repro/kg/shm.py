@@ -1,10 +1,10 @@
 """Named shared-memory backing for numpy array blocks.
 
-The process backend (PR 5) ships every worker a pickled
-:class:`~repro.core.engine.EngineSpec`, so N workers hold N private
-copies of the frozen CSR graph — memory and per-worker warmup scale with
-the pool, which the ROADMAP names as the ceiling at scale.  This module
-is the sharing primitive that removes it:
+A process pool that shipped every worker the frozen CSR graph by value
+inside its pickled :class:`~repro.core.engine.EngineSpec` would hold N
+private copies of it — memory and per-worker warmup would scale with
+the pool.  This module is the sharing primitive every process pool reads
+its graph through instead:
 
 - :meth:`ShmArrayBlock.create` packs a set of named arrays into **one**
   POSIX shared-memory segment (64-byte-aligned columns, written once by

@@ -137,7 +137,6 @@ def replay_scenario(
     backend: str = "inline",
     workers: int = 2,
     resources: Optional[ScenarioResources] = None,
-    shared_graph: bool = False,
     fault_plan=None,
     retry_policy=None,
     answer_cache: int = 0,
@@ -189,8 +188,6 @@ def replay_scenario(
         resources.config,
         backend=backend,
         workers=workers,
-        compact=True,
-        shared_graph=shared_graph,
         start_method=start_method,
         **extra,
     ) as service:

@@ -19,13 +19,13 @@ closes that gap with three pieces:
   (τ, n̂, ``min_weight``, scoring, visited-policy) configuration and the
   graph epoch all enter the key via the :class:`EngineFingerprint`
   token.
-- :class:`AnswerCache` is a bounded, thread-safe store (+ optional
-  TTL) of detached :class:`~repro.core.results.QueryResultPayload`
-  entries that **keeps what is expensive to recompute**: an entry's
-  retention priority is its use count times the search time the engine
-  measured for it, over an aging floor (GreedyDual-Size-Frequency at
-  unit size — see the class docstring), so a full cache gives up a
-  1 ms answer before a 30 ms one.  **Singleflight** deduplication: N
+- :class:`AnswerCache` is a bounded, thread-safe store of detached
+  :class:`~repro.core.results.QueryResultPayload` entries that **keeps
+  what is expensive to recompute**: an entry's retention priority is
+  its use count times the search time the engine measured for it, over
+  an aging floor (GreedyDual-Size-Frequency at unit size — see the
+  class docstring), so a full cache gives up a 1 ms answer before a
+  30 ms one.  **Singleflight** deduplication: N
   concurrent identical misses run the engine exactly once — one leader
   executes, N−1 followers get futures resolved from the leader's
   payload (their latency is the wait for the leader, never a second
@@ -35,7 +35,9 @@ closes that gap with three pieces:
   :class:`~repro.serve.cache.SemanticGraphCache.bind` pins a weight
   cache — identity-compared anchors (graph, space) plus a picklable
   token — but *self-clears* on mismatch instead of raising: a rebuilt
-  KG invalidates every cached answer and serving continues cold.
+  KG invalidates every cached answer and serving continues cold.  A
+  served store is immutable, so within one epoch an entry never goes
+  stale: there is no time-to-live.
 
 Scope and safety:
 
@@ -58,12 +60,11 @@ from __future__ import annotations
 
 import itertools
 import threading
-import time
 from collections import OrderedDict
 from concurrent.futures import Future
 from dataclasses import dataclass, fields, replace
 from operator import attrgetter
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.core.config import SearchConfig
 from repro.core.engine import store_identity
@@ -72,7 +73,6 @@ from repro.errors import ServeError
 from repro.kg.sharded import ShardedViewFactory
 from repro.query.model import QueryGraph
 from repro.query.transform import TransformationLibrary, normalize_label
-from repro.utils.stats import finite_positive
 
 __all__ = [
     "AnswerCache",
@@ -339,7 +339,6 @@ class AnswerCacheStats:
     singleflight_collapsed: int = 0
     evictions: int = 0
     invalidations: int = 0
-    expirations: int = 0
     entries: int = 0
     in_flight: int = 0
     #: Σ ``cost`` over every hit and collapsed follower: the engine
@@ -394,12 +393,11 @@ class _Flight:
 class _Entry:
     """One cached answer and what the retention policy knows about it."""
 
-    __slots__ = ("key", "payload", "expires", "cost", "hits", "priority")
+    __slots__ = ("key", "payload", "cost", "hits", "priority")
 
-    def __init__(self, key, payload, expires, cost, hits, priority):
+    def __init__(self, key, payload, cost, hits, priority):
         self.key = key
         self.payload = payload
-        self.expires = expires
         self.cost = cost
         self.hits = hits
         self.priority = priority
@@ -409,7 +407,7 @@ _PRIORITY = attrgetter("priority")
 
 
 class AnswerCache:
-    """Bounded, thread-safe, cost-aware (+ optional TTL) answer store.
+    """Bounded, thread-safe, cost-aware answer store.
 
     Stores :class:`~repro.core.results.QueryResultPayload` values keyed
     by :class:`CanonicalQueryKey`.  One instance is safely shared by
@@ -451,29 +449,14 @@ class AnswerCache:
         capacity: bound on cached answers (each entry is one top-k
             payload, small; the bound is a memory ceiling, not a
             correctness knob — a miss recomputes).
-        ttl_seconds: optional time-to-live; expired entries count as
-            misses and are dropped on access.  ``None`` = no expiry.
-        clock: monotonic time source (injectable for tests).
     """
 
-    def __init__(
-        self,
-        capacity: int = 1024,
-        *,
-        ttl_seconds: Optional[float] = None,
-        clock: Callable[[], float] = time.monotonic,
-    ):
+    def __init__(self, capacity: int = 1024):
         if capacity < 1:
             raise ServeError(
                 f"answer cache capacity must be at least 1, got {capacity}"
             )
-        if ttl_seconds is not None and not finite_positive(ttl_seconds):
-            raise ServeError(
-                f"answer cache ttl must be positive, got {ttl_seconds}"
-            )
         self.capacity = capacity
-        self.ttl_seconds = ttl_seconds
-        self._clock = clock
         self._lock = threading.Lock()
         # Iteration order is recency order (oldest first): uses and
         # inserts move to the end, and the eviction scan's ``min``
@@ -487,7 +470,6 @@ class AnswerCache:
         self._collapsed = 0
         self._evictions = 0
         self._invalidations = 0
-        self._expirations = 0
         self._saved_seconds = 0.0
 
     # -- epoch binding --------------------------------------------------
@@ -521,31 +503,13 @@ class AnswerCache:
             return self._fingerprint
 
     # -- retention (callers hold the lock) -----------------------------
-    def _live_entry(self, key: CanonicalQueryKey) -> Optional[_Entry]:
-        """The unexpired entry of ``key``; an expired one is dropped."""
-        entry = self._entries.get(key)
-        if (
-            entry is not None
-            and entry.expires is not None
-            and self._clock() >= entry.expires
-        ):
-            del self._entries[key]
-            self._expirations += 1
-            return None
-        return entry
-
     def _insert(
         self, key: CanonicalQueryKey, payload: QueryResultPayload, hits: int
     ) -> None:
         """Cache ``payload`` as most recent; evict the cheapest to lose."""
         cost = payload.elapsed_seconds
-        expires = (
-            self._clock() + self.ttl_seconds
-            if self.ttl_seconds is not None
-            else None
-        )
         self._entries[key] = _Entry(
-            key, payload, expires, cost, hits, self._floor + hits * cost
+            key, payload, cost, hits, self._floor + hits * cost
         )
         self._entries.move_to_end(key)
         while len(self._entries) > self.capacity:
@@ -575,7 +539,7 @@ class AnswerCache:
         registered.
         """
         with self._lock:
-            entry = self._live_entry(key)
+            entry = self._entries.get(key)
             if entry is not None:
                 entry.hits += 1
                 entry.priority = self._floor + entry.hits * entry.cost
@@ -622,11 +586,10 @@ class AnswerCache:
     def lookup(self, key: CanonicalQueryKey) -> Optional[QueryResultPayload]:
         """Policy-neutral peek: no counter, no use count, no reordering.
 
-        A probe must not change what gets evicted.  TTL expiry is the
-        one side effect: an expired entry is dropped, as on any access.
+        A probe must not change what gets evicted.
         """
         with self._lock:
-            entry = self._live_entry(key)
+            entry = self._entries.get(key)
             return entry.payload if entry is not None else None
 
     def store(self, key: CanonicalQueryKey, payload: QueryResultPayload) -> None:
@@ -643,7 +606,6 @@ class AnswerCache:
                 singleflight_collapsed=self._collapsed,
                 evictions=self._evictions,
                 invalidations=self._invalidations,
-                expirations=self._expirations,
                 entries=len(self._entries),
                 in_flight=len(self._flights),
                 saved_seconds=self._saved_seconds,

@@ -24,7 +24,8 @@ contract (:class:`ExecutionBackend`):
 
 Results are bit-identical across backends for exact (SGQ) requests: the
 engine is deterministic, caches only change cost, and a worker's engine
-is built from a pickle-faithful copy of the same graph/space/library.
+reads the same frozen store (a service hands its pool a shared-memory
+handle) and a pickle-faithful copy of the same space/library.
 TBQ requests (``deadline=``) are time-dependent by design and only
 promise the paper's anytime semantics, on every backend.
 
@@ -69,8 +70,8 @@ EXECUTION_BACKENDS = ("inline", "thread", "process")
 def _max_rss_kb() -> int:
     """Peak RSS of the calling process in KiB (0 where unsupported).
 
-    ``ru_maxrss`` is KiB on Linux; per-worker rows make the shared-graph
-    memory win measurable (N private graph copies vs one mapped segment).
+    ``ru_maxrss`` is KiB on Linux; per-worker rows show what each worker
+    holds beside the one mapped graph segment.
     """
     if _resource is None:
         return 0

@@ -7,9 +7,10 @@ budgets.  :class:`QueryService` is the serving seam between the two:
 - a pluggable **execution backend** (:mod:`repro.serve.backends`) runs
   the searches: ``inline`` (caller's thread — the reference), ``thread``
   (request-level concurrency, shared caches, GIL-bound compute) or
-  ``process`` (true multi-core parallelism; each worker bootstraps a
-  private engine once from a pickled
-  :class:`~repro.core.engine.EngineSpec` and reuses it across requests);
+  ``process`` (true multi-core parallelism; each worker attaches the
+  frozen store from shared memory, bootstraps a private engine once from
+  a pickled :class:`~repro.core.engine.EngineSpec` and reuses it across
+  requests);
 - a shared :class:`~repro.serve.cache.SemanticGraphCache` backs every
   query's semantic-graph view on the shared-memory backends, so the
   workload amortises whole-graph weight, ``m(u)`` and hop-label rows
@@ -32,10 +33,10 @@ batch conveniences.  Exact (SGQ) results are bit-identical to calling
 ``engine.search`` sequentially on **every** backend: caches store pure
 functions of the graph/space, decompositions are deterministic, worker
 scheduling never reorders per-query state, and a process worker's
-engine is built from a pickle-faithful copy of the same graph, space and
-library.  The cross-backend conformance suite
-(``tests/test_serve_backends.py``) and the held-out replay against its
-golden answers (``tests/test_held_out_conformance.py``) pin this.
+engine reads the same frozen store, space and library.  The
+cross-backend conformance suite (``tests/test_serve_backends.py``) and
+the held-out replay against its golden answers
+(``tests/test_held_out_conformance.py``) pin this.
 """
 
 from __future__ import annotations
@@ -235,36 +236,24 @@ class ServiceStats:
         return "\n".join(lines)
 
 
-def _share_graph(spec: EngineSpec) -> Tuple[EngineSpec, GraphLease]:
-    """Rewrite a spec to ship its store by shared-memory reference.
-
-    Publishes the frozen store — one segment for a ``CompactGraph``, one
-    per shard for a ``ShardedGraph`` — and returns the worker-bound spec
-    (``kg`` dropped, ``store`` replaced by the lease's handle, so its
-    pickle is O(metadata)) together with the owning lease the caller
-    must keep alive while workers are attached and close afterwards.
-    """
-    if not isinstance(spec.store, (CompactGraph, ShardedGraph)):
-        raise ServeError(
-            "shared_graph publishes a frozen CompactGraph or ShardedGraph "
-            "store; build the service with compact=True"
-        )
-    lease = spec.store.to_shared()
-    return replace(spec, kg=None, store=lease.handle), lease
-
-
 class QueryService:
     """Concurrent, cache-backed front-end over one query engine.
 
     Args:
         engine: the engine to serve (shared-memory backends execute on it
             directly; the process backend ships ``engine.to_spec()`` to
-            its workers).  May be ``None`` when ``spec`` is given — the
-            process backend then never builds a parent-side engine at
-            all.
+            its workers, so it refuses a lazy-view engine).  May be
+            ``None`` when ``spec`` is given — the process backend then
+            never builds a parent-side engine at all.
         spec: a picklable :class:`~repro.core.engine.EngineSpec`
             describing the engine; required (directly or via ``engine``)
-            for the process backend.
+            for the process backend.  The process backend publishes a
+            store given by value into shared memory and ships workers a
+            handle (O(metadata) warmup, one physical graph copy
+            pool-wide, bit-identical results); the service owns those
+            segments and unlinks them on :meth:`close` (after the pool is
+            down) or by a finalizer if the owner crashes.  A spec that
+            already carries a handle ships as given.
         backend: ``"inline"`` (default), ``"thread"`` or ``"process"``.
         workers: worker-pool size for the pooled backends (ignored by
             ``inline``).
@@ -274,15 +263,6 @@ class QueryService:
             caches by construction.
         start_method: multiprocessing start method for the process
             backend (``None`` = platform default).
-        shared_graph: process backend only — publish the frozen
-            :class:`~repro.kg.compact.CompactGraph` into one shared-memory
-            segment and ship workers a
-            :class:`~repro.kg.compact.CompactGraphHandle` instead of the
-            graph arrays.  Workers attach zero-copy (O(metadata) warmup,
-            one physical graph copy pool-wide); results stay bit-identical.
-            Requires a frozen (compact or sharded) store.  The service
-            owns the segment: it is unlinked on :meth:`close` (after the
-            pool is down) and by a finalizer if the owner crashes.
         supervised: wrap the backend in a
             :class:`~repro.serve.resilience.SupervisedBackend` — retries
             for retryable failures, in-place pool rebuild on
@@ -319,8 +299,6 @@ class QueryService:
             no retry budget and never counts toward ``max_pending``
             admission.  Only exact (SGQ) requests participate;
             time-bounded requests always execute.
-        answer_cache_ttl: optional per-entry time-to-live (seconds) for
-            the private cache built from an ``int`` ``answer_cache``.
 
     Use as a context manager or call :meth:`close` to release the pool.
     """
@@ -334,7 +312,6 @@ class QueryService:
         workers: int = 4,
         cache: Optional[SemanticGraphCache] = None,
         start_method: Optional[str] = None,
-        shared_graph: bool = False,
         supervised: bool = False,
         fault_plan: Optional[FaultPlan] = None,
         retry_policy: Optional[BackoffPolicy] = None,
@@ -343,7 +320,6 @@ class QueryService:
         breaker_threshold: int = 3,
         breaker_cooldown: float = 5.0,
         answer_cache: Union[None, int, AnswerCache] = None,
-        answer_cache_ttl: Optional[float] = None,
     ):
         if backend not in EXECUTION_BACKENDS:
             raise ServeError(
@@ -354,12 +330,6 @@ class QueryService:
             raise ServeError(f"workers must be at least 1, got {workers}")
         if engine is None and spec is None:
             raise ServeError("QueryService needs an engine or an EngineSpec")
-        if shared_graph and backend != "process":
-            raise ServeError(
-                "shared_graph only applies to the process backend — "
-                "shared-memory backends already share the one in-process "
-                "graph"
-            )
         if fault_plan is not None and not isinstance(fault_plan, FaultPlan):
             raise ServeError(
                 f"fault_plan must be a FaultPlan, got {type(fault_plan).__name__}"
@@ -407,21 +377,18 @@ class QueryService:
                 spec = engine.to_spec()  # raises on unpicklable setups
             self.engine = engine
             self.cache = None
-            # The pre-share spec (graph arrays still by value) is what a
-            # pool *rebuild* republishes the shared segment from, and
-            # what the circuit-breaker fallback builds its inline engine
-            # from; self.spec below is the worker-bound (possibly
-            # handle-carrying) variant of the current pool generation.
+            # The pre-share spec (store still by value, unless the caller
+            # gave a handle) is what a pool *rebuild* republishes the
+            # shared segments from, and what the circuit-breaker fallback
+            # builds its inline engine from; self.spec below is the
+            # handle-carrying variant of the current pool generation.
             self._base_spec = spec
-            self._shared_graph = shared_graph
             self._start_method = start_method
             self.spec: Optional[EngineSpec] = spec
             # Fingerprint from the pre-share base spec: a pool rebuild
             # republishes the same graph, so the epoch is unchanged.
             self._init_answer_cache(
-                answer_cache,
-                answer_cache_ttl,
-                EngineFingerprint.from_spec(self._base_spec),
+                answer_cache, EngineFingerprint.from_spec(self._base_spec)
             )
             inner: ExecutionBackend = self._build_pool()
             self._backend: ExecutionBackend = (
@@ -446,9 +413,7 @@ class QueryService:
             faults = fault_plan.activate(allow_kill=False)
         runner = _EngineRunner(engine, faults=faults)
         self._runner = runner
-        self._init_answer_cache(
-            answer_cache, answer_cache_ttl, EngineFingerprint.from_engine(engine)
-        )
+        self._init_answer_cache(answer_cache, EngineFingerprint.from_engine(engine))
         on_complete = None if supervised else self._record_outcome
         if backend == "inline":
             inner = InlineBackend(runner, on_complete=on_complete)
@@ -461,28 +426,17 @@ class QueryService:
     def _init_answer_cache(
         self,
         answer_cache: Union[None, int, AnswerCache],
-        answer_cache_ttl: Optional[float],
         fingerprint: EngineFingerprint,
     ) -> None:
         """Resolve the ``answer_cache`` argument and bind the epoch."""
         if answer_cache is None or answer_cache == 0:
-            if answer_cache_ttl is not None:
-                raise ServeError(
-                    "answer_cache_ttl needs an answer cache; pass "
-                    "answer_cache=N to enable one"
-                )
             self._answer_cache: Optional[AnswerCache] = None
             self._fingerprint: Optional[EngineFingerprint] = None
             return
         if isinstance(answer_cache, AnswerCache):
-            if answer_cache_ttl is not None:
-                raise ServeError(
-                    "a shared AnswerCache instance carries its own ttl; "
-                    "drop answer_cache_ttl or pass a capacity int instead"
-                )
             cache = answer_cache
         elif isinstance(answer_cache, int) and not isinstance(answer_cache, bool):
-            cache = AnswerCache(answer_cache, ttl_seconds=answer_cache_ttl)
+            cache = AnswerCache(answer_cache)
         else:
             raise ServeError(
                 "answer_cache must be None, a capacity int or an "
@@ -510,19 +464,22 @@ class QueryService:
         """Construct a process pool generation from the base spec.
 
         Stamps the current fault plan into the worker-bound spec (so
-        chaos rides the same vehicle as the engine description) and, for
-        shared-graph services, publishes a fresh shared-memory segment.
-        On construction failure the just-acquired lease is released with
-        a stranded-segment probe — the pool never came up, so nobody
-        else will.
+        chaos rides the same vehicle as the engine description) and
+        publishes a store given by value into fresh shared-memory
+        segments — one for a ``CompactGraph``, one per shard for a
+        ``ShardedGraph`` — shipping workers the handle instead (``kg``
+        dropped, so the pickle is O(metadata)).  On construction failure
+        the just-acquired lease is released with a stranded-segment
+        probe — the pool never came up, so nobody else will.
         """
         spec = self._base_spec
         plan = self._fault_plan
         if plan is not None and plan.active:
             spec = replace(spec, fault_plan=plan)
         lease = None
-        if self._shared_graph:
-            spec, lease = _share_graph(spec)
+        if isinstance(spec.store, (CompactGraph, ShardedGraph)):
+            lease = spec.store.to_shared()
+            spec = replace(spec, kg=None, store=lease.handle)
         try:
             backend = ProcessBackend(
                 spec,
@@ -597,47 +554,54 @@ class QueryService:
         library: Optional[TransformationLibrary] = None,
         config: Optional[SearchConfig] = None,
         *,
-        compact: bool = False,
         backend: str = "inline",
         workers: int = 4,
         shards: int = 0,
         shard_strategy: str = "hash",
         shard_seed: int = 0,
+        compact: bool = True,
+        shared_graph: Optional[bool] = None,
         **kwargs,
     ) -> "QueryService":
-        """Build an engine (or spec) and wrap it in one call.
+        """Freeze ``kg`` once and serve it, in one call.
 
-        ``compact=True`` serves every query off the frozen CSR kernel
-        (:mod:`repro.core.compact_view`) instead of the paper's lazy
-        view; ``backend``/``workers`` pick the execution backend and pool
-        size.  ``shared_graph=True`` (process backend, with
-        ``compact=True``) publishes the frozen kernel into shared memory
-        so workers attach zero-copy instead of unpickling graph arrays.
-        ``shards=N`` (with ``compact=True``) partitions the frozen kernel
-        into N entity-owned shards (:mod:`repro.kg.sharded`) served
-        through the rank-merged view — one row source for the shard set
-        in the engine's cache, per-shard shm segments under
-        ``shared_graph``; ``shard_strategy`` / ``shard_seed`` pick the
-        partitioner.  Exact results are
-        identical under every combination.  A caller with its own
-        ``view_factory`` or oracle kernels builds the engine and passes
-        it to :class:`QueryService` directly.
+        Every query is served off the frozen CSR kernel
+        (:mod:`repro.core.compact_view`); ``backend``/``workers`` pick
+        the execution backend and pool size, and a process pool reads
+        the store from shared memory.  ``shards=N`` partitions the frozen
+        kernel into N entity-owned shards (:mod:`repro.kg.sharded`)
+        served through the rank-merged view — one row source for the
+        shard set in the engine's cache, one shm segment per shard on
+        the process backend; ``shard_strategy`` / ``shard_seed`` pick
+        the partitioner.  Exact results are identical under every
+        combination.  The paper's lazy view is the test oracle: a caller
+        who wants it, its own ``view_factory`` or the reference kernels
+        builds the engine and passes it to :class:`QueryService`
+        directly.
+
+        ``compact`` and ``shared_graph`` say nothing: they are accepted
+        only as the frozen perf ledger spells them (``compact=True``, and
+        ``shared_graph=True`` on the process backend).
         """
+        # Kept only until ROADMAP 1A(f) stops the frozen ledger spelling them.
+        if compact is not True or shared_graph not in (None, True) or (
+            shared_graph and backend != "process"
+        ):
+            raise ServeError(
+                "a service always serves a frozen store, and the process "
+                "backend always reads it from shared memory; drop compact= "
+                "and shared_graph="
+            )
         if shards < 0:
             raise ServeError(f"shards must be non-negative, got {shards}")
-        if shards and not compact:
-            raise ServeError(
-                "shards need the compact CSR kernel; build the service "
-                "with compact=True"
-            )
         if shards and shard_strategy not in SHARD_STRATEGIES:
             raise ServeError(
                 f"unknown shard strategy {shard_strategy!r} "
                 f"(expected one of {SHARD_STRATEGIES})"
             )
         # Freeze / partition once in the parent: every backend (and every
-        # process worker, via the spec pickle or the shm handles) serves
-        # the same store instead of redoing the O(V+E) work.
+        # process worker, via the shm handles) serves the same store
+        # instead of redoing the O(V+E) work.
         if shards:
             # ``kg`` stays out of the spec so all backends uniformly
             # read entities from the shard set's own node columns.
@@ -649,12 +613,10 @@ class QueryService:
                 library,
                 config,
             )
-        elif compact:
+        else:
             spec = EngineSpec(
                 CompactGraph.freeze(kg), space, library, config, kg=kg
             )
-        else:
-            spec = EngineSpec(kg, space, library, config)
         engine = None if backend == "process" else build_engine(spec)
         return cls(engine, spec=spec, backend=backend, workers=workers, **kwargs)
 
@@ -887,7 +849,8 @@ class QueryService:
 
     @property
     def graph_lease(self) -> Optional[GraphLease]:
-        """The shared-memory graph lease (``None`` unless shared_graph).
+        """The shared-memory graph lease (``None`` off the process
+        backend, and when the spec arrived carrying a handle).
 
         Under supervision the lease changes identity across pool
         rebuilds (release old, publish fresh); read it anew rather than

@@ -649,24 +649,14 @@ def _build_parser() -> argparse.ArgumentParser:
         help=(
             "execution backend: 'inline' (caller's thread), 'thread' "
             "(GIL-bound pool, shared caches) or 'process' (true multi-"
-            "core parallelism; per-worker engines bootstrapped from a "
-            "pickled EngineSpec).  Identical exact results on all three."
+            "core parallelism; per-worker engines over the frozen graph "
+            "attached zero-copy from shared memory).  Identical exact "
+            "results on all three."
         ),
     )
     parser.add_argument(
         "--workers", type=int, default=4,
         help="worker pool size (threads or processes; ignored by inline)",
-    )
-    parser.add_argument(
-        "--shared-graph",
-        action="store_true",
-        help=(
-            "process backend only: publish the "
-            "frozen CSR graph into one shared-memory segment; workers "
-            "attach zero-copy instead of unpickling graph arrays "
-            "(identical results, O(metadata) worker warmup, one physical "
-            "graph copy pool-wide)"
-        ),
     )
     parser.add_argument(
         "--shards",
@@ -676,8 +666,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help=(
             "partition the frozen CSR graph into N entity-owned shards: "
             "one row source for the shard set in the engine's cache, "
-            "rank-merged incident rows, and — with --shared-graph — one "
-            "shm segment per shard.  Exact results are bit-identical to "
+            "rank-merged incident rows, and — on the process backend — "
+            "one shm segment per shard.  Exact results are bit-identical to "
             "the unsharded store (default: 0 = unsharded)"
         ),
     )
@@ -759,16 +749,6 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--answer-cache-ttl",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help=(
-            "per-entry time-to-live for --answer-cache entries; expired "
-            "answers recompute on next access (default: no expiry)"
-        ),
-    )
-    parser.add_argument(
         "--popularity",
         default="uniform",
         metavar="SPEC",
@@ -822,22 +802,6 @@ def _resilience_kwargs(args, parser) -> Dict[str, object]:
     return kwargs
 
 
-def _answer_cache_kwargs(args, parser) -> Dict[str, object]:
-    """Range-check the answer-cache flags and build QueryService.build kwargs."""
-    if args.answer_cache < 0:
-        parser.error(
-            f"--answer-cache must be non-negative, got {args.answer_cache}"
-        )
-    ttl = args.answer_cache_ttl
-    if ttl is not None and not finite_positive(ttl):
-        parser.error(f"--answer-cache-ttl must be positive, got {ttl}")
-    # 0 entries means no cache; a ttl without one is the service's to reject.
-    return {
-        "answer_cache": args.answer_cache,
-        "answer_cache_ttl": args.answer_cache_ttl,
-    }
-
-
 def _parse_popularity(args, parser) -> PopularitySpec:
     try:
         return PopularitySpec.parse(args.popularity)
@@ -859,23 +823,19 @@ def _serve_passes(
     """Build the service the flags describe and replay ``--repeats`` passes.
 
     ``resources`` is ``(kg, space, library, config)``.  Combinations the
-    service rejects (``--shared-graph`` off the process backend, a ttl
-    without a cache, ...) exit through ``parser.error`` with the
-    service's own message.  With ``answer_digest`` every pass also prints
+    service rejects exit through ``parser.error`` with the service's own
+    message.  With ``answer_digest`` every pass also prints
     the digest of its exact answers — identical seeds must print an
     identical digest on every pass, run and backend; a pass that
     disagrees with pass 1 ends the run with exit status 1.
     """
     kg, space, library, config = resources
     resilience_kwargs = _resilience_kwargs(args, parser)
-    answer_kwargs = _answer_cache_kwargs(args, parser)
     plan = resilience_kwargs.get("fault_plan")
     if plan is not None:
         print(f"fault plan: {plan.describe()}")
     if args.answer_cache:
-        ttl = args.answer_cache_ttl
-        ttl_note = f", ttl {ttl} s" if ttl is not None else ""
-        print(f"answer cache: {args.answer_cache} entries{ttl_note}")
+        print(f"answer cache: {args.answer_cache} entries")
     if args.shards:
         print(
             f"sharded store: {args.shards} shards "
@@ -887,24 +847,21 @@ def _serve_passes(
             space,
             library,
             config,
-            compact=True,
             backend=args.backend,
             workers=args.workers,
-            shared_graph=args.shared_graph,
             shards=args.shards,
             shard_strategy=args.shard_strategy,
+            answer_cache=args.answer_cache,
             **resilience_kwargs,
-            **answer_kwargs,
         )
     except (ServeError, SearchError) as exc:
         parser.error(str(exc))
     with service:
         if args.backend == "process":
             warmed = service.warmup()
-            graph_note = " (shared graph)" if args.shared_graph else ""
             print(
-                f"warmed {warmed}/{service.workers} process workers"
-                f"{graph_note}"
+                f"warmed {warmed}/{service.workers} process workers "
+                "(shared graph)"
             )
         first_digest = None
         for run in range(1, args.repeats + 1):

@@ -314,11 +314,9 @@ class _LruOracle:
 
 
 class TestAnswerCacheUnit:
-    def test_capacity_and_ttl_validated(self):
+    def test_capacity_validated(self):
         with pytest.raises(ServeError):
             AnswerCache(0)
-        with pytest.raises(ServeError):
-            AnswerCache(4, ttl_seconds=0.0)
 
     def test_lru_eviction_honours_recency(self):
         """Payloads that report no search time tie on priority: pure LRU."""
@@ -402,21 +400,6 @@ class TestAnswerCacheUnit:
         assert cache.stats().saved_seconds >= oracle.saved_seconds
         assert cache.stats().evictions > 0
 
-    def test_ttl_expiry_counts_and_drops(self):
-        now = [0.0]
-        cache = AnswerCache(4, ttl_seconds=10.0, clock=lambda: now[0])
-        cache.store(_key(1), _Answer("one"))
-        now[0] = 9.9
-        assert cache.lookup(_key(1)).name == "one"
-        now[0] = 10.0
-        assert cache.lookup(_key(1)) is None
-        stats = cache.stats()
-        assert stats.expirations == 1
-        assert stats.entries == 0
-        # An expired entry classifies the next acquire as a fresh lead.
-        state, _ = cache.acquire(_key(1))
-        assert state == "lead"
-
     def test_bind_self_clears_on_epoch_change(self):
         cache = AnswerCache(4)
         cache.bind(_fingerprint())
@@ -463,7 +446,6 @@ _CACHE_OPS = st.lists(
         st.tuples(st.just("acquire"), _KEY_INDEX),
         st.tuples(st.just("complete"), _KEY_INDEX, st.booleans()),
         st.tuples(st.just("store"), _KEY_INDEX),
-        st.tuples(st.just("expire"), st.floats(min_value=0.0, max_value=6.0)),
         st.tuples(st.just("clear")),
         st.tuples(st.just("bind"), st.integers(min_value=0, max_value=1)),
     ),
@@ -484,8 +466,7 @@ class TestAnswerCacheSequences:
         ),
     )
     def test_bound_bookkeeping_and_followers_hold(self, ops, capacity, costs):
-        now = [0.0]
-        cache = AnswerCache(capacity, ttl_seconds=5.0, clock=lambda: now[0])
+        cache = AnswerCache(capacity)
         outstanding = {}  # key index -> (flight, follower futures)
         followers_seen = []
 
@@ -518,8 +499,6 @@ class TestAnswerCacheSequences:
                     settle(op[1], fail=op[2])
             elif op[0] == "store":
                 cache.store(_key(op[1]), _Answer(str(op[1]), costs[op[1]]))
-            elif op[0] == "expire":
-                now[0] += op[1]
             elif op[0] == "clear":
                 cache.clear()
             else:
@@ -553,7 +532,7 @@ class TestServiceIntegration:
     def test_hit_is_bit_identical_and_counted(self, small_bundle):
         with QueryService.build(
             small_bundle.kg, small_bundle.space, small_bundle.library,
-            backend="inline", compact=True, answer_cache=8,
+            backend="inline", answer_cache=8,
         ) as service:
             first = service.submit(_product_query(), k=K).result()
             second = service.submit(_product_query(), k=K).result()
@@ -568,7 +547,7 @@ class TestServiceIntegration:
     def test_tbq_requests_bypass_the_cache(self, small_bundle):
         with QueryService.build(
             small_bundle.kg, small_bundle.space, small_bundle.library,
-            backend="inline", compact=True, answer_cache=8,
+            backend="inline", answer_cache=8,
         ) as service:
             service.submit(_product_query(), k=K, deadline=0.5).result()
             service.submit(_product_query(), k=K, deadline=0.5).result()
@@ -583,7 +562,7 @@ class TestServiceIntegration:
         per-worker sum."""
         with QueryService.build(
             small_bundle.kg, small_bundle.space, small_bundle.library,
-            backend="process", workers=2, compact=True, answer_cache=8,
+            backend="process", workers=2, answer_cache=8,
         ) as service:
             service.submit(_product_query(), k=K).result()
             service.submit(_product_query(), k=K).result()
@@ -601,7 +580,7 @@ class TestServiceIntegration:
         queries = [item.query for item in small_bundle.workload[:4]]
         with QueryService.build(
             small_bundle.kg, small_bundle.space, small_bundle.library,
-            backend="inline", compact=True, answer_cache=16,
+            backend="inline", answer_cache=16,
         ) as service:
             service.search_many(queries, k=K)
             before = service.stats_snapshot()
@@ -615,7 +594,7 @@ class TestServiceIntegration:
 
     def test_shared_cache_survives_across_services(self, small_bundle):
         cache = AnswerCache(8)
-        build = dict(backend="inline", compact=False, answer_cache=cache)
+        build = dict(backend="inline", answer_cache=cache)
         with QueryService.build(
             small_bundle.kg, small_bundle.space, small_bundle.library, **build
         ) as service:
@@ -633,21 +612,10 @@ class TestServiceIntegration:
         assert cache.stats().invalidations == 1
 
     def test_cache_argument_validated(self, small_bundle):
-        build = dict(backend="inline", compact=True)
         with pytest.raises(ServeError):
             QueryService.build(
                 small_bundle.kg, small_bundle.space, small_bundle.library,
-                answer_cache_ttl=5.0, **build,
-            )
-        with pytest.raises(ServeError):
-            QueryService.build(
-                small_bundle.kg, small_bundle.space, small_bundle.library,
-                answer_cache=AnswerCache(4), answer_cache_ttl=5.0, **build,
-            )
-        with pytest.raises(ServeError):
-            QueryService.build(
-                small_bundle.kg, small_bundle.space, small_bundle.library,
-                answer_cache="big", **build,
+                answer_cache="big",
             )
 
 
@@ -657,7 +625,7 @@ class TestSingleflight:
         calls = []
         with QueryService.build(
             small_bundle.kg, small_bundle.space, small_bundle.library,
-            backend="thread", workers=4, compact=True, answer_cache=8,
+            backend="thread", workers=4, answer_cache=8,
         ) as service:
             engine = service.engine
             original = engine.search
@@ -690,7 +658,7 @@ class TestSingleflight:
         release = threading.Event()
         with QueryService.build(
             small_bundle.kg, small_bundle.space, small_bundle.library,
-            backend="thread", workers=2, compact=True, answer_cache=8,
+            backend="thread", workers=2, answer_cache=8,
         ) as service:
             engine = service.engine
             original = engine.search
@@ -728,7 +696,7 @@ class TestSupervisedComposition:
         release = threading.Event()
         with QueryService.build(
             small_bundle.kg, small_bundle.space, small_bundle.library,
-            backend="thread", workers=1, compact=True,
+            backend="thread", workers=1,
             answer_cache=8, max_pending=1,
         ) as service:
             service.submit(hot, k=K).result(timeout=60)  # prime the cache

@@ -12,7 +12,7 @@ from repro.bench.equivalence import final_matches_differ
 from repro.core.compact_view import CompactSemanticGraphView, CompactViewFactory
 from repro.core.engine import SemanticGraphQueryEngine
 from repro.core.semantic_graph import SemanticGraphView
-from repro.errors import SearchError, ServeError
+from repro.errors import ServeError
 from repro.kg.compact import CompactGraph, FrozenGraphReader
 from repro.kg.sharded import ShardedGraph, ShardedViewFactory
 from repro.serve.cache import SemanticGraphCache
@@ -207,13 +207,17 @@ def _assert_same_results(a, b):
     assert problem is None, problem
 
 
+def _compact_engine(kg, *args, **kwargs):
+    """An engine served through the frozen CSR kernel of ``kg``."""
+    factory = CompactViewFactory(CompactGraph.freeze(kg))
+    return SemanticGraphQueryEngine(kg, *args, view_factory=factory, **kwargs)
+
+
 class TestEngineConformance:
     def test_identical_matches_uncached(self, small_bundle):
         bundle = small_bundle
         lazy = SemanticGraphQueryEngine(bundle.kg, bundle.space, bundle.library)
-        compact = SemanticGraphQueryEngine(
-            bundle.kg, bundle.space, bundle.library, compact=True
-        )
+        compact = _compact_engine(bundle.kg, bundle.space, bundle.library)
         for workload_query in bundle.workload:
             _assert_same_results(
                 lazy.search(workload_query.query, k=10),
@@ -226,9 +230,9 @@ class TestEngineConformance:
             bundle.kg, bundle.space, bundle.library,
             weight_cache=SemanticGraphCache(),
         )
-        compact = SemanticGraphQueryEngine(
+        compact = _compact_engine(
             bundle.kg, bundle.space, bundle.library,
-            weight_cache=SemanticGraphCache(), compact=True,
+            weight_cache=SemanticGraphCache(),
         )
         for _pass in range(2):  # pass 2 serves from warm caches
             for workload_query in bundle.workload:
@@ -246,8 +250,8 @@ class TestEngineConformance:
         lazy = SemanticGraphQueryEngine(
             bundle.kg, bundle.space, bundle.library, weight_cache=cache
         )
-        compact = SemanticGraphQueryEngine(
-            bundle.kg, bundle.space, bundle.library, weight_cache=cache, compact=True
+        compact = _compact_engine(
+            bundle.kg, bundle.space, bundle.library, weight_cache=cache
         )
         for workload_query in bundle.workload:
             _assert_same_results(
@@ -261,8 +265,8 @@ class TestEngineConformance:
     def test_compact_view_hits_shared_rows_across_queries(self, small_bundle):
         bundle = small_bundle
         cache = SemanticGraphCache()
-        engine = SemanticGraphQueryEngine(
-            bundle.kg, bundle.space, bundle.library, weight_cache=cache, compact=True
+        engine = _compact_engine(
+            bundle.kg, bundle.space, bundle.library, weight_cache=cache
         )
         query = bundle.workload[0].query
         engine.search(query, k=5)
@@ -279,26 +283,14 @@ class TestEngineConformance:
         bundle = small_bundle
         query = bundle.workload[0].query
         results = []
-        for compact in (False, True):
-            engine = SemanticGraphQueryEngine(
-                bundle.kg, bundle.space, bundle.library, compact=compact
-            )
+        for build in (SemanticGraphQueryEngine, _compact_engine):
+            engine = build(bundle.kg, bundle.space, bundle.library)
             results.append(
                 engine.search_time_bounded(
                     query, k=5, time_bound=1e6, clock=BudgetClock(1e-4)
                 )
             )
         _assert_same_results(results[0], results[1])
-
-    def test_compact_and_view_factory_mutually_exclusive(self, small_bundle):
-        with pytest.raises(SearchError):
-            SemanticGraphQueryEngine(
-                small_bundle.kg,
-                small_bundle.space,
-                small_bundle.library,
-                compact=True,
-                view_factory=SemanticGraphView,
-            )
 
     @pytest.mark.parametrize("compact", [False, True])
     def test_graph_growth_under_live_cache_raises(
@@ -309,9 +301,8 @@ class TestEngineConformance:
         # so the next view construction fails loudly instead of serving
         # stale bounds.
         cache = SemanticGraphCache()
-        engine = SemanticGraphQueryEngine(
-            fig2_kg, fig2_space, weight_cache=cache, compact=compact
-        )
+        build = _compact_engine if compact else SemanticGraphQueryEngine
+        engine = build(fig2_kg, fig2_space, weight_cache=cache)
         engine._make_view()  # binds at the current shape
         grown = fig2_kg.add_entity("Porsche", "Automobile")
         fig2_kg.add_edge(grown.uid, "assembly", 3)
@@ -320,9 +311,7 @@ class TestEngineConformance:
 
     def test_engine_stats_populated_by_compact_view(self, small_bundle):
         bundle = small_bundle
-        engine = SemanticGraphQueryEngine(
-            bundle.kg, bundle.space, bundle.library, compact=True
-        )
+        engine = _compact_engine(bundle.kg, bundle.space, bundle.library)
         result = engine.search(bundle.workload[0].query, k=5)
         total = result.total_stats()
         assert total.edges_weighted > 0
@@ -333,9 +322,7 @@ class TestEngineConformance:
         bundle = small_bundle
         query = bundle.workload[0].query
         lazy = SemanticGraphQueryEngine(bundle.kg, bundle.space, bundle.library)
-        compact = SemanticGraphQueryEngine(
-            bundle.kg, bundle.space, bundle.library, compact=True
-        )
+        compact = _compact_engine(bundle.kg, bundle.space, bundle.library)
         sharded = ShardedGraph.build(bundle.kg, 2, strategy="hash", seed=0)
         sharded_engine = SemanticGraphQueryEngine(
             FrozenGraphReader(sharded),

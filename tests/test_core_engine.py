@@ -3,6 +3,7 @@
 import pytest
 
 from repro.bench.metrics import jaccard
+from repro.core.compact_view import CompactViewFactory
 from repro.core.config import PssMode, SearchConfig, VisitedPolicy
 from repro.core.engine import SemanticGraphQueryEngine
 from repro.core.time_bounded import (
@@ -155,7 +156,7 @@ class TestSGQEngine:
         resources = build_resources(workload)
         engine = SemanticGraphQueryEngine(
             resources.kg, resources.space, resources.library, resources.config,
-            compact=compact,
+            view_factory=CompactViewFactory() if compact else None,
         )
         query = next(
             q.query for q in workload.queries

@@ -20,7 +20,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.engine import SemanticGraphQueryEngine
+from repro.core.compact_view import CompactViewFactory
+from repro.core.engine import EngineSpec, SemanticGraphQueryEngine, build_engine
+from repro.kg.compact import CompactGraph
 from repro.kg.sharded import ShardedGraph, ShardedViewFactory
 from repro.kg.shm import leaked_segments
 from repro.scenarios import (
@@ -40,21 +42,21 @@ from repro.utils.timing import BudgetClock
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "benchmarks" / "scenarios"
 
 INLINE = {"backend": "inline"}
-PROCESS_SHM = {"backend": "process", "workers": 2, "shared_graph": True}
+#: A process pool always reads the graph from shared memory.
+PROCESS = {"backend": "process", "workers": 2}
 
 #: Arms that replay every exact query once: the golden digest, whole.
 FULL_COVERAGE_ARMS = {
     "inline": INLINE,
     "thread": {"backend": "thread", "workers": 2},
-    "process": {"backend": "process", "workers": 2},
-    "process-shm": PROCESS_SHM,
+    "process": PROCESS,
     # Workers that inherit nothing: spec, pipes and shm handle all arrive
     # by pickle (the other process arms run on the platform's ``fork``).
-    "process-shm-spawn": dict(PROCESS_SHM, start_method="spawn"),
+    "process-spawn": dict(PROCESS, start_method="spawn"),
     "inline-2shards": dict(INLINE, shards=2),
     "inline-4shards": dict(INLINE, shards=4),
-    "process-shm-2shards": dict(PROCESS_SHM, shards=2),
-    "process-shm-4shards": dict(PROCESS_SHM, shards=4),
+    "process-2shards": dict(PROCESS, shards=2),
+    "process-4shards": dict(PROCESS, shards=4),
 }
 
 #: One worker SIGKILLed on its 3rd request (the whole pool breaks — the
@@ -148,7 +150,7 @@ def test_injected_crash_still_prints_the_golden_digest(workload, resources, gold
         golden,
         fault_plan=FaultPlan.parse(CHAOS_PLAN),
         retry_policy=CHAOS_POLICY,
-        **PROCESS_SHM,
+        **PROCESS,
     )
     assert run.digest == answer_digest(golden)
     # Otherwise the crash never fired and the arm proved nothing.
@@ -157,7 +159,7 @@ def test_injected_crash_still_prints_the_golden_digest(workload, resources, gold
 
 @pytest.mark.parametrize("capacity", [0, ROOMY_CAPACITY, EVICTING_CAPACITY],
                          ids=["off", "roomy", "evicting"])
-@pytest.mark.parametrize("arm", [INLINE, PROCESS_SHM], ids=["inline", "process-shm"])
+@pytest.mark.parametrize("arm", [INLINE, PROCESS], ids=["inline", "process"])
 def test_answer_cache_serves_golden_answers_on_zipf_traffic(
     workload, resources, golden, arm, capacity
 ):
@@ -188,9 +190,11 @@ def test_tbq_meets_section_vi_at_both_ends_of_the_bound(workload, resources, gol
     can exhaust certifies every query (``approximate=False``) at exactly
     the golden answers — TBQ converged to SGQ (Theorem 4); a bound the
     first time check already exceeds flags every answer approximate."""
-    engine = SemanticGraphQueryEngine(
-        resources.kg, resources.space, resources.library, resources.config,
-        compact=True,
+    engine = build_engine(
+        EngineSpec(
+            CompactGraph.freeze(resources.kg), resources.space,
+            resources.library, resources.config, kg=resources.kg,
+        )
     )
     tick = 1e-3
     certified = {}
@@ -231,8 +235,8 @@ def test_a_cache_that_only_holds_rows_serves_the_golden_digest(
     how = {"weight_cache": SealedCache(inner)}
     if arm == "2shards":  # every row of the shard set, in the one cache
         how["view_factory"] = ShardedViewFactory(ShardedGraph.build(resources.kg, 2))
-    else:
-        how["compact"] = arm == "compact"
+    elif arm == "compact":
+        how["view_factory"] = CompactViewFactory(CompactGraph.freeze(resources.kg))
     engine = SemanticGraphQueryEngine(
         resources.kg, resources.space, resources.library, resources.config, **how
     )

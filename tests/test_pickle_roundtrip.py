@@ -16,15 +16,18 @@ Each test checks equality where value semantics exist and behaviour
 """
 
 import pickle
+from contextlib import ExitStack
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.bench.equivalence import final_matches_differ
+from repro.core.compact_view import CompactViewFactory
 from repro.core.engine import EngineSpec, SemanticGraphQueryEngine, build_engine
 from repro.core.results import QueryResultPayload
 from repro.kg.compact import CompactGraph
+from repro.kg.sharded import ShardedGraph
 from repro.query.builder import QueryGraphBuilder
 from repro.serve.service import QueryRequest
 
@@ -120,7 +123,7 @@ class TestShardedGraphHandle:
     O(metadata) pickle, and a behaviourally identical attach."""
 
     def test_handle_roundtrips_and_attaches(self, small_bundle):
-        from repro.kg.sharded import ShardedGraph, ShardedGraphHandle
+        from repro.kg.sharded import ShardedGraphHandle
 
         sharded = ShardedGraph.build(small_bundle.kg, 2, seed=3)
         with sharded.to_shared() as lease:
@@ -139,8 +142,6 @@ class TestShardedGraphHandle:
                 )
 
     def test_handle_pickle_is_metadata_sized(self, small_bundle):
-        from repro.kg.sharded import ShardedGraph
-
         sharded = ShardedGraph.build(small_bundle.kg, 4)
         with sharded.to_shared() as lease:
             handle_bytes = len(pickle.dumps(lease.handle))
@@ -151,30 +152,32 @@ class TestShardedGraphHandle:
 
 
 class TestEngineSpec:
-    @pytest.mark.parametrize("compact", [False, True], ids=["lazy", "compact"])
-    def test_rebuilt_engine_is_behaviourally_identical(
-        self, small_bundle, compact
-    ):
+    @pytest.mark.parametrize(
+        "form", ["compact", "compact-handle", "sharded", "sharded-handle"]
+    )
+    def test_rebuilt_engine_is_behaviourally_identical(self, small_bundle, form):
         kg = small_bundle.kg
-        spec = EngineSpec(
-            store=CompactGraph.freeze(kg) if compact else kg,
-            space=small_bundle.space,
-            library=small_bundle.library,
-            kg=kg if compact else None,
-        )
-        original = build_engine(spec)
-        rebuilt = build_engine(_roundtrip(spec))
-        for q in small_bundle.workload[:3]:
-            expected = original.search(q.query, k=5)
-            actual = rebuilt.search(q.query, k=5)
-            problem = final_matches_differ(q.qid, expected.matches, actual.matches)
-            assert problem is None, problem
-            assert expected.ta_accesses == actual.ta_accesses
+        with ExitStack() as stack:
+            if form.startswith("compact"):
+                store = CompactGraph.freeze(kg)
+            else:
+                store = ShardedGraph.build(kg, 2)
+            if form.endswith("-handle"):
+                store = stack.enter_context(store.to_shared()).handle
+            spec = EngineSpec(store, small_bundle.space, small_bundle.library)
+            original = build_engine(spec)
+            rebuilt = build_engine(_roundtrip(spec))
+            for q in small_bundle.workload[:3]:
+                expected = original.search(q.query, k=5)
+                actual = rebuilt.search(q.query, k=5)
+                problem = final_matches_differ(q.qid, expected.matches, actual.matches)
+                assert problem is None, problem
+                assert expected.ta_accesses == actual.ta_accesses
 
     def test_engine_to_spec_roundtrip(self, small_bundle):
         engine = SemanticGraphQueryEngine(
             small_bundle.kg, small_bundle.space, small_bundle.library,
-            compact=True,
+            view_factory=CompactViewFactory(CompactGraph.freeze(small_bundle.kg)),
         )
         spec = engine.to_spec()
         # The already-frozen kernel rides along — workers skip the freeze.
@@ -206,24 +209,26 @@ class TestEngineSpec:
         shipped = build_engine(replace(spec, store=thawed, kg=None)).to_spec()
         assert shipped.store is thawed and shipped.kg is None
 
-    def test_store_must_be_one_of_the_five_forms(self, small_bundle):
+    def test_store_must_be_one_of_the_four_forms(self, small_bundle):
         from repro.errors import SearchError
         from repro.kg.compact import FrozenGraphReader
 
         reader = FrozenGraphReader(CompactGraph.freeze(small_bundle.kg))
-        for not_a_store in (reader, None, "dbpedia"):
+        # The lazy view's KnowledgeGraph is the oracle, not a store.
+        for not_a_store in (small_bundle.kg, reader, None, "dbpedia"):
             with pytest.raises(SearchError, match="store"):
                 EngineSpec(store=not_a_store, space=small_bundle.space)
 
-    def test_custom_view_factory_has_no_spec(self, small_bundle):
+    @pytest.mark.parametrize("factory", ["lazy", "custom"])
+    def test_only_a_frozen_store_engine_has_a_spec(self, small_bundle, factory):
         from repro.core.semantic_graph import SemanticGraphView
         from repro.errors import SearchError
 
         engine = SemanticGraphQueryEngine(
             small_bundle.kg, small_bundle.space, small_bundle.library,
-            view_factory=SemanticGraphView,
+            view_factory=SemanticGraphView if factory == "custom" else None,
         )
-        with pytest.raises(SearchError):
+        with pytest.raises(SearchError, match="frozen store"):
             engine.to_spec()
 
 
@@ -333,7 +338,7 @@ class TestFaultPlan:
 
         plan = FaultPlan(transient_at=(1,), seed=3)
         spec = EngineSpec(
-            store=small_bundle.kg,
+            store=CompactGraph.freeze(small_bundle.kg),
             space=small_bundle.space,
             library=small_bundle.library,
             fault_plan=plan,

@@ -21,7 +21,9 @@ import pytest
 
 from repro.bench.equivalence import query_results_differ
 from repro.core.config import SearchConfig, VisitedPolicy
-from repro.core.engine import SemanticGraphQueryEngine
+from repro.core.compact_view import CompactViewFactory
+from repro.core.engine import EngineSpec, SemanticGraphQueryEngine, build_engine
+from repro.kg.compact import CompactGraph
 from repro.kg.sharded import SHARD_STRATEGIES, ShardedGraph, ShardedViewFactory
 from repro.scenarios import Workload, WorkloadBuilder, build_resources
 from repro.serve.cache import SemanticGraphCache
@@ -67,11 +69,12 @@ def inputs(request, small_bundle):
 def test_production_pull_equals_the_oracle_pair(inputs, policy):
     kg, space, library, config, queries = inputs
     config = dataclasses.replace(config or SearchConfig(), visited_policy=policy)
+    frozen = CompactGraph.freeze(kg)
     oracle = SemanticGraphQueryEngine(
-        kg, space, library, config, compact=True,
+        kg, space, library, config, view_factory=CompactViewFactory(frozen),
         assembly_kernel="reference", search_kernel="reference",
     )
-    production = SemanticGraphQueryEngine(kg, space, library, config, compact=True)
+    production = build_engine(EngineSpec(frozen, space, library, config, kg=kg))
     pruned = 0
     for qid, query in queries:
         answer = production.search(query, k=TOP_K)
@@ -105,7 +108,9 @@ def test_sharded_engine_equals_the_compact_engine(shard_inputs, num_shards, stra
     The shared cache holding the shard-set rows is warm after the first
     queries, so both its miss and its hit path are checked."""
     kg, space, library, config, queries = shard_inputs
-    compact = SemanticGraphQueryEngine(kg, space, library, config, compact=True)
+    compact = build_engine(
+        EngineSpec(CompactGraph.freeze(kg), space, library, config, kg=kg)
+    )
     sharded = SemanticGraphQueryEngine(
         kg, space, library, config,
         weight_cache=SemanticGraphCache(),

@@ -36,6 +36,7 @@ from repro.core.config import SearchConfig, VisitedPolicy
 from repro.core.engine import SemanticGraphQueryEngine
 from repro.core.results import QueryResultPayload, SearchStats
 from repro.core.semantic_graph import SemanticGraphView
+from repro.kg.compact import CompactGraph
 from repro.kg.graph import KnowledgeGraph
 from repro.kg.sharded import SHARD_STRATEGIES, ShardedGraph, ShardedViewFactory
 from repro.query.builder import QueryGraphBuilder
@@ -62,6 +63,12 @@ def null_label_factory():
         )
 
     return build
+
+
+def _compact_engine(kg, *args, **kwargs):
+    """An engine served through the frozen CSR kernel of ``kg``."""
+    factory = CompactViewFactory(CompactGraph.freeze(kg))
+    return SemanticGraphQueryEngine(kg, *args, view_factory=factory, **kwargs)
 
 
 def random_graph(rng, num_nodes, num_edges, isolated=0):
@@ -163,9 +170,8 @@ class TestHopLabel:
         cache = SemanticGraphCache()
 
         def answers(library):  # a fresh engine on the one cache
-            engine = SemanticGraphQueryEngine(
-                bundle.kg, bundle.space, library, weight_cache=cache, compact=compact
-            )
+            build = _compact_engine if compact else SemanticGraphQueryEngine
+            engine = build(bundle.kg, bundle.space, library, weight_cache=cache)
             return len(engine.search(query, k=10).matches)
 
         def labels():
@@ -235,9 +241,7 @@ class TestDeletionOnly:
 
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_streams_and_harvests_identical_work_only_falls(self, bundle, kernel):
-        engine = SemanticGraphQueryEngine(
-            bundle.kg, bundle.space, bundle.library, compact=True
-        )
+        engine = _compact_engine(bundle.kg, bundle.space, bundle.library)
         config = SearchConfig(tau=0.5)
         labelled_factory = CompactViewFactory()
         null_factory = null_label_factory()
@@ -288,9 +292,7 @@ class TestDeletionOnly:
         assert pruned > 0 and saved > 0  # the suite must exercise the rule
 
     def test_answers_and_ta_bookkeeping_identical(self, bundle):
-        labelled = SemanticGraphQueryEngine(
-            bundle.kg, bundle.space, bundle.library, compact=True
-        )
+        labelled = _compact_engine(bundle.kg, bundle.space, bundle.library)
         unpruned = SemanticGraphQueryEngine(
             bundle.kg, bundle.space, bundle.library, view_factory=null_label_factory()
         )
@@ -325,7 +327,7 @@ class TestSoundness:
         could.  That is the unpruned search's behaviour too, which is
         the arm this compares against.)
         """
-        engine = SemanticGraphQueryEngine(kg, space, library, config, compact=True)
+        engine = _compact_engine(kg, space, library, config)
         (subquery,) = engine.decompose(query, pivot=pivot).subqueries
         oracle = {
             match.pivot_uid: match.pss
@@ -428,12 +430,11 @@ class TestGenerateRunsUnpruned:
 
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_counters_equal_the_parents(self, small_bundle, kernel):
-        engine = SemanticGraphQueryEngine(
+        engine = _compact_engine(
             small_bundle.kg,
             small_bundle.space,
             small_bundle.library,
             SearchConfig(visited_policy=VisitedPolicy.GENERATE),
-            compact=True,
             search_kernel=kernel,
         )
         totals = dict.fromkeys(SEARCH_STAT_FIELDS, 0)
@@ -456,8 +457,8 @@ class TestCounterPlumbing:
         merged = SearchStats(pruned_by_reach=3).merge(SearchStats(pruned_by_reach=4))
         assert merged.pruned_by_reach == 7
         assert pickle.loads(pickle.dumps(merged)) == merged
-        engine = SemanticGraphQueryEngine(
-            small_bundle.kg, small_bundle.space, small_bundle.library, compact=True
+        engine = _compact_engine(
+            small_bundle.kg, small_bundle.space, small_bundle.library
         )
         result = next(
             result

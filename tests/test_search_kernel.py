@@ -46,6 +46,7 @@ from repro.core.search_kernel import (
 )
 from repro.core.semantic_graph import SemanticGraphView
 from repro.errors import SearchError
+from repro.kg.compact import CompactGraph
 from repro.kg.graph import KnowledgeGraph
 from repro.query.builder import QueryGraphBuilder
 from repro.utils.timing import BudgetClock
@@ -84,14 +85,18 @@ def materialised(search, matches):
     return built
 
 
+def _compact_engine(kg, *args, **kwargs):
+    """An engine served through the frozen CSR kernel of ``kg``."""
+    factory = CompactViewFactory(CompactGraph.freeze(kg))
+    return SemanticGraphQueryEngine(kg, *args, view_factory=factory, **kwargs)
+
+
 class TestRandomizedConformance:
     """Drained streams and counters identical on generated graphs."""
 
     @pytest.mark.parametrize("policy", list(VisitedPolicy))
     def test_full_drain_identical(self, rand_bundle, policy):
-        engine = SemanticGraphQueryEngine(
-            rand_bundle.kg, rand_bundle.space, rand_bundle.library, compact=True
-        )
+        engine = _compact_engine(rand_bundle.kg, rand_bundle.space, rand_bundle.library)
         exercised_stale = 0
         for tau in TAUS:
             config = SearchConfig(tau=tau, visited_policy=policy)
@@ -123,9 +128,7 @@ class TestRandomizedConformance:
 
     def test_midstream_resumption_identical(self, rand_bundle):
         """Pull-by-pull interleaving pauses and resumes both kernels."""
-        engine = SemanticGraphQueryEngine(
-            rand_bundle.kg, rand_bundle.space, rand_bundle.library, compact=True
-        )
+        engine = _compact_engine(rand_bundle.kg, rand_bundle.space, rand_bundle.library)
         config = SearchConfig(tau=0.5)
         query = rand_bundle.workload[-1]
         decomposition = engine.decompose(query.query)
@@ -160,9 +163,7 @@ class TestRandomizedConformance:
     def test_tbq_harvest_identical(self, rand_bundle, policy):
         """Abandoned mid-search, both kernels hold the same M̂_i: the best
         generated goal per pivot, popped or not, in generation order."""
-        engine = SemanticGraphQueryEngine(
-            rand_bundle.kg, rand_bundle.space, rand_bundle.library, compact=True
-        )
+        engine = _compact_engine(rand_bundle.kg, rand_bundle.space, rand_bundle.library)
         config = SearchConfig(tau=0.5, visited_policy=policy)
         query = rand_bundle.workload[0]
         decomposition = engine.decompose(query.query)
@@ -195,9 +196,7 @@ class TestRandomizedConformance:
         assert unpopped > 0
 
     def test_max_expansions_cap_identical(self, rand_bundle):
-        engine = SemanticGraphQueryEngine(
-            rand_bundle.kg, rand_bundle.space, rand_bundle.library, compact=True
-        )
+        engine = _compact_engine(rand_bundle.kg, rand_bundle.space, rand_bundle.library)
         config = SearchConfig(tau=0.5, max_expansions=25)
         query = rand_bundle.workload[0]
         decomposition = engine.decompose(query.query)
@@ -217,8 +216,8 @@ class TestBruteForceOracle:
 
     @pytest.fixture(scope="class")
     def setup(self, small_bundle):
-        engine = SemanticGraphQueryEngine(
-            small_bundle.kg, small_bundle.space, small_bundle.library, compact=True
+        engine = _compact_engine(
+            small_bundle.kg, small_bundle.space, small_bundle.library
         )
         return small_bundle, engine
 
@@ -258,8 +257,8 @@ class TestDispatch:
     """The kernel seam: auto resolution, forcing, and rejection."""
 
     def test_auto_picks_vectorized_on_compact_view(self, small_bundle):
-        engine = SemanticGraphQueryEngine(
-            small_bundle.kg, small_bundle.space, small_bundle.library, compact=True
+        engine = _compact_engine(
+            small_bundle.kg, small_bundle.space, small_bundle.library
         )
         decomposition = engine.decompose(small_bundle.workload[0].query)
         view = engine._make_view()
@@ -296,8 +295,8 @@ class TestDispatch:
             )
 
     def test_unknown_kernel_rejected(self, small_bundle):
-        engine = SemanticGraphQueryEngine(
-            small_bundle.kg, small_bundle.space, small_bundle.library, compact=True
+        engine = _compact_engine(
+            small_bundle.kg, small_bundle.space, small_bundle.library
         )
         decomposition = engine.decompose(small_bundle.workload[0].query)
         with pytest.raises(SearchError):
@@ -332,12 +331,11 @@ class TestDispatch:
         )
         with pytest.raises(SearchError):
             engine.search(small_bundle.workload[0].query, k=3)
-        # compact=True (and a compact-capable factory) remain valid.
-        engine = SemanticGraphQueryEngine(
+        # A compact view is a valid host for it.
+        engine = _compact_engine(
             small_bundle.kg,
             small_bundle.space,
             small_bundle.library,
-            compact=True,
             search_kernel="vectorized",
         )
         result = engine.search(small_bundle.workload[0].query, k=3)
@@ -346,8 +344,8 @@ class TestDispatch:
     def test_drain_reads_only_rows_and_labels_off_the_view(self, small_bundle):
         """Once built, the search asks its view for rows and hop labels
         and nothing else: the pop loop calls no view method."""
-        engine = SemanticGraphQueryEngine(
-            small_bundle.kg, small_bundle.space, small_bundle.library, compact=True
+        engine = _compact_engine(
+            small_bundle.kg, small_bundle.space, small_bundle.library
         )
         drained = 0
         for item in small_bundle.workload:
@@ -395,11 +393,10 @@ class TestEngineCallSites:
     @pytest.fixture(scope="class")
     def engines(self, small_bundle):
         return {
-            kernel: SemanticGraphQueryEngine(
+            kernel: _compact_engine(
                 small_bundle.kg,
                 small_bundle.space,
                 small_bundle.library,
-                compact=True,
                 search_kernel=kernel,
             )
             for kernel in ("reference", "vectorized")
@@ -441,12 +438,11 @@ class TestSectionVIContract:
     @pytest.fixture(scope="class")
     def engines(self, rand_bundle):
         return {
-            kernel: SemanticGraphQueryEngine(
+            kernel: _compact_engine(
                 rand_bundle.kg,
                 rand_bundle.space,
                 rand_bundle.library,
                 SearchConfig(tau=0.5),
-                compact=True,
                 search_kernel=kernel,
             )
             for kernel in ("reference", "vectorized")
@@ -587,9 +583,7 @@ class TestFusedLoop:
         """Germany -product- Automobile -designer- Person over the dense
         graph at n̂ = 2: one sub-query, two segments."""
         kg = dense_graph()
-        engine = SemanticGraphQueryEngine(
-            kg, fig2_space, fig2_matcher.library, compact=True
-        )
+        engine = _compact_engine(kg, fig2_space, fig2_matcher.library)
         query = (
             QueryGraphBuilder()
             .target("v1", "Automobile")
@@ -702,12 +696,11 @@ class TestFusedLoop:
         """TBQ under a BudgetClock: same tick count, same expansion at
         which the alert fires, same harvest — under both policies."""
         engines = {
-            kernel: SemanticGraphQueryEngine(
+            kernel: _compact_engine(
                 small_bundle.kg,
                 small_bundle.space,
                 small_bundle.library,
                 SearchConfig(tau=0.5, visited_policy=policy),
-                compact=True,
                 search_kernel=kernel,
             )
             for kernel in ("reference", "vectorized")
@@ -752,8 +745,8 @@ class TestFusedLoop:
         """``_m_any`` copies no cached row: a one-predicate suffix reads
         the view's read-only arrays themselves, a longer one its own
         merge, element for element the reference's scalar probes."""
-        engine = SemanticGraphQueryEngine(
-            small_bundle.kg, small_bundle.space, small_bundle.library, compact=True
+        engine = _compact_engine(
+            small_bundle.kg, small_bundle.space, small_bundle.library
         )
         subquery = next(
             subquery
@@ -815,12 +808,11 @@ class TestSetUpIndependentOfEdges:
         self, fig2_space, fig2_matcher, monkeypatch
     ):
         kg = dense_graph()
-        engine = SemanticGraphQueryEngine(
+        engine = _compact_engine(
             kg,
             fig2_space,
             fig2_matcher.library,
             SearchConfig(tau=0.5, path_bound=2),
-            compact=True,
         )
         graph = engine.view_factory.frozen_graph
         num_predicates = len(graph.predicate_names)
@@ -862,8 +854,8 @@ class TestReturnedAnswersAreDetached:
 
     @pytest.fixture()
     def engine(self, small_bundle):
-        return SemanticGraphQueryEngine(
-            small_bundle.kg, small_bundle.space, small_bundle.library, compact=True
+        return _compact_engine(
+            small_bundle.kg, small_bundle.space, small_bundle.library
         )
 
     @pytest.mark.parametrize("mode", ["sgq", "tbq"])
@@ -871,11 +863,10 @@ class TestReturnedAnswersAreDetached:
         self, engine, small_bundle, monkeypatch, mode
     ):
         query = small_bundle.workload[0].query
-        reference = SemanticGraphQueryEngine(
+        reference = _compact_engine(
             small_bundle.kg,
             small_bundle.space,
             small_bundle.library,
-            compact=True,
             search_kernel="reference",
         )
         searches = capture_searches(engine, monkeypatch)

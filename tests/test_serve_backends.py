@@ -3,7 +3,8 @@
 The seam's contract (`repro.serve.backends`): exact (SGQ) results are
 bit-identical on the inline, thread and process backends — same final
 matches, bit-equal scores, same components, same TA bookkeeping and the
-same per-sub-query decision counters — under both view kernels.  Cache
+same per-sub-query decision counters — and the same as the lazy-view
+oracle's.  Cache
 materialisation counters (``nodes_touched`` / ``edges_weighted``) are
 excluded: they measure cache warmth, which per-worker caches change by
 design (same exclusion the view-kernel conformance suite makes).
@@ -63,16 +64,11 @@ def _assert_identical(label, expected, actual):
 
 @pytest.fixture(scope="module")
 def reference_results(small_bundle):
-    """Sequential engine results per (view kind, qid) — the ground truth."""
-    out = {}
-    for compact in (False, True):
-        engine = SemanticGraphQueryEngine(
-            small_bundle.kg, small_bundle.space, small_bundle.library,
-            compact=compact,
-        )
-        for q in small_bundle.workload:
-            out[(compact, q.qid)] = engine.search(q.query, k=K)
-    return out
+    """Sequential results of the lazy-view oracle per qid — the ground truth."""
+    engine = SemanticGraphQueryEngine(
+        small_bundle.kg, small_bundle.space, small_bundle.library
+    )
+    return {q.qid: engine.search(q.query, k=K) for q in small_bundle.workload}
 
 
 def _exact_digest(kg, items, results):
@@ -85,9 +81,10 @@ def _exact_digest(kg, items, results):
 
 
 class TestStoreForms:
-    """One spec describes one store; every store form — by value or by
-    shared-memory handle, in this process or a worker — serves the
-    reference kernels' answers."""
+    """One spec describes one frozen store; every store form — by value
+    (published into shared memory by a process-backend service) or by a
+    caller's shared-memory handle (shipped as given), in this process or
+    a worker — serves the reference kernels' answers."""
 
     @pytest.fixture(scope="class")
     def oracle_digest(self, small_bundle):
@@ -100,19 +97,16 @@ class TestStoreForms:
             kg, items, [oracle.search(item.query, k=K) for item in items]
         )
 
-    @pytest.mark.parametrize("backend", ["inline", "process"])
+    @pytest.mark.parametrize("backend", EXECUTION_BACKENDS)
     @pytest.mark.parametrize(
-        "form",
-        ["kg", "compact", "compact-handle", "sharded", "sharded-handle"],
+        "form", ["compact", "compact-handle", "sharded", "sharded-handle"]
     )
     def test_every_store_form_returns_the_same_digest(
         self, small_bundle, oracle_digest, form, backend
     ):
         kg, items = small_bundle.kg, small_bundle.workload
         with ExitStack() as stack:
-            if form == "kg":
-                store = kg
-            elif form.startswith("compact"):
+            if form.startswith("compact"):
                 store = CompactGraph.freeze(kg)
             else:
                 store = ShardedGraph.build(kg, 2)
@@ -120,6 +114,13 @@ class TestStoreForms:
                 store = stack.enter_context(store.to_shared()).handle
             spec = EngineSpec(store, small_bundle.space, small_bundle.library)
             with QueryService(spec=spec, backend=backend, workers=1) as service:
+                lease = service.graph_lease
+                if backend == "process" and not form.endswith("-handle"):
+                    # Published by the service: workers get a handle.
+                    assert type(service.spec.store) is type(lease.handle)
+                else:  # nothing to publish, or shipped as given
+                    assert lease is None
+                    assert service.spec.store is store
                 served = service.search_many([item.query for item in items], k=K)
         assert _exact_digest(kg, items, served) == oracle_digest
         assert leaked_segments() == []
@@ -127,9 +128,9 @@ class TestStoreForms:
 
 class TestCrossBackendConformance:
     @pytest.mark.parametrize("backend", EXECUTION_BACKENDS)
-    @pytest.mark.parametrize("compact", [False, True], ids=["lazy", "compact"])
+    @pytest.mark.parametrize("shards", [0, 2], ids=["compact", "sharded"])
     def test_backend_matches_sequential_engine(
-        self, small_bundle, reference_results, backend, compact
+        self, small_bundle, reference_results, backend, shards
     ):
         queries = small_bundle.workload
         with QueryService.build(
@@ -138,16 +139,15 @@ class TestCrossBackendConformance:
             small_bundle.library,
             backend=backend,
             workers=2,
-            compact=compact,
+            shards=shards,
         ) as service:
             # Two passes: warm caches must not change results.
             for run in (1, 2):
                 results = service.search_many([q.query for q in queries], k=K)
                 for q, result in zip(queries, results):
                     _assert_identical(
-                        f"{backend}/{'compact' if compact else 'lazy'}"
-                        f"/pass{run}/{q.qid}",
-                        reference_results[(compact, q.qid)],
+                        f"{backend}/shards{shards}/pass{run}/{q.qid}",
+                        reference_results[q.qid],
                         result,
                     )
 
@@ -157,12 +157,12 @@ class TestCrossBackendConformance:
         batch = [query] * 6
         with QueryService.build(
             small_bundle.kg, small_bundle.space, small_bundle.library,
-            backend="thread", workers=2, compact=True,
+            backend="thread", workers=2,
         ) as thread_svc:
             thread_results = thread_svc.search_many(batch, k=K)
         with QueryService.build(
             small_bundle.kg, small_bundle.space, small_bundle.library,
-            backend="process", workers=2, compact=True,
+            backend="process", workers=2,
         ) as process_svc:
             process_results = process_svc.search_many(batch, k=K)
         for index, (a, b) in enumerate(zip(thread_results, process_results)):
@@ -173,7 +173,7 @@ class TestProcessBackend:
     def test_deadline_requests_run_time_bounded(self, small_bundle):
         with QueryService.build(
             small_bundle.kg, small_bundle.space, small_bundle.library,
-            backend="process", workers=2, compact=True,
+            backend="process", workers=2,
         ) as service:
             result = service.submit(_product_query(), k=K, deadline=0.5).result()
             assert result.approximate is False  # certified inside the bound
@@ -196,7 +196,7 @@ class TestProcessBackend:
     def test_warmup_reports_ready_workers(self, small_bundle):
         with QueryService.build(
             small_bundle.kg, small_bundle.space, small_bundle.library,
-            backend="process", workers=2, compact=True,
+            backend="process", workers=2,
         ) as service:
             warmed = service.warmup()
             assert 1 <= warmed <= 2
@@ -207,7 +207,7 @@ class TestProcessBackend:
     def test_stats_are_labelled_per_worker_sum(self, small_bundle):
         with QueryService.build(
             small_bundle.kg, small_bundle.space, small_bundle.library,
-            backend="process", workers=2, compact=True,
+            backend="process", workers=2,
         ) as service:
             service.search_many([_product_query()] * 4, k=K)
             report = service.stats_snapshot()
@@ -221,7 +221,7 @@ class TestProcessBackend:
     def test_a_phase_is_a_snapshot_diff(self, small_bundle):
         with QueryService.build(
             small_bundle.kg, small_bundle.space, small_bundle.library,
-            backend="process", workers=1, compact=True,
+            backend="process", workers=1,
         ) as service:
             service.search_many([_product_query()] * 2, k=K)
             before = service.stats_snapshot()
@@ -498,7 +498,6 @@ class TestSeededReplayDeterminism:
                 small_bundle.library,
                 backend=backend,
                 workers=2,
-                compact=True,
             ) as service:
                 report = replay(
                     service,
@@ -544,7 +543,6 @@ class TestAnswerCacheConformance:
             small_bundle.library,
             backend=backend,
             workers=2,
-            compact=True,
             answer_cache=32,
         ) as service:
             # Pass 1 is all cold misses; pass 2 is all warm hits.  Both
@@ -554,7 +552,7 @@ class TestAnswerCacheConformance:
                 for q, result in zip(queries, results):
                     _assert_identical(
                         f"{backend}/cache/pass{run}/{q.qid}",
-                        reference_results[(True, q.qid)],
+                        reference_results[q.qid],
                         result,
                     )
             snap = service.stats_snapshot()

@@ -9,12 +9,12 @@ import numpy as np
 import pytest
 
 from repro.core.config import SearchConfig
-from repro.core.engine import EngineSpec, SemanticGraphQueryEngine
+from repro.core.engine import EngineSpec, SemanticGraphQueryEngine, build_engine
 from repro.core.time_bounded import TimeBoundedCoordinator
 from repro.embedding.predicate_space import PredicateSpace
 from repro.errors import ReproError, SearchError, ServeError
+from repro.kg.compact import CompactGraph
 from repro.kg.shm import leaked_segments
-from repro.serve.answer_cache import AnswerCache
 from repro.serve.cache import SemanticGraphCache
 from repro.serve.resilience import BackoffPolicy, CircuitBreaker
 from repro.serve.service import QueryRequest, QueryService, ServiceStats
@@ -63,14 +63,17 @@ def test_configuration_surface_snapshot():
     ]
     assert list(inspect.signature(QueryService.__init__).parameters) == [
         "self", "engine", "spec", "backend", "workers", "cache",
-        "start_method", "shared_graph", "supervised", "fault_plan",
+        "start_method", "supervised", "fault_plan",
         "retry_policy", "hard_timeout", "max_pending", "breaker_threshold",
-        "breaker_cooldown", "answer_cache", "answer_cache_ttl",
+        "breaker_cooldown", "answer_cache",
     ]
     assert list(inspect.signature(QueryService.build).parameters) == [
         "kg", "space", "library", "config",
-        "compact", "backend", "workers",
+        "backend", "workers",
         "shards", "shard_strategy", "shard_seed",
+        # ROADMAP 1A(f): the frozen ledger's spellings, accepted only as
+        # it spells them (compact=True, shared_graph=True on process).
+        "compact", "shared_graph",
         "kwargs",
     ]
     # The default is the caller's own thread (ROADMAP item 7's table).
@@ -100,11 +103,11 @@ def test_configuration_surface_snapshot():
         for option in action.option_strings
     }
     assert sorted(options - {"-h", "--help"}) == [
-        "--answer-cache", "--answer-cache-ttl", "--arrival", "--backend",
+        "--answer-cache", "--arrival", "--backend",
         "--breakdown", "--deadline", "--fault-plan", "--hard-timeout", "--k",
         "--max-pending", "--popularity", "--preset", "--rate", "--repeats",
         "--retries", "--scale", "--scenario", "--seed", "--shard-strategy",
-        "--shards", "--shared-graph", "--supervised", "--tbq-fraction",
+        "--shards", "--supervised", "--tbq-fraction",
         "--workers",
     ]
 
@@ -125,9 +128,12 @@ class TestEquivalence:
     def test_equivalence_under_tight_lru(self, small_bundle, max_rows):
         """Cache-backed search equals plain search, cold and warm; eviction
         churn never changes results, only recompute cost."""
-        cached = SemanticGraphQueryEngine(
-            small_bundle.kg, small_bundle.space, small_bundle.library,
-            weight_cache=SemanticGraphCache(max_rows=max_rows), compact=True,
+        cached = build_engine(
+            EngineSpec(
+                CompactGraph.freeze(small_bundle.kg), small_bundle.space,
+                small_bundle.library, kg=small_bundle.kg,
+            ),
+            weight_cache=SemanticGraphCache(max_rows=max_rows),
         )
         plain = SemanticGraphQueryEngine(
             small_bundle.kg, small_bundle.space, small_bundle.library
@@ -232,7 +238,6 @@ NON_FINITE_SEAMS = {
     "hard_timeout": lambda bundle, x: QueryService.build(
         bundle.kg, bundle.space, bundle.library, hard_timeout=x
     ),
-    "ttl_seconds": lambda bundle, x: AnswerCache(4, ttl_seconds=x),
     "base_seconds": lambda bundle, x: BackoffPolicy(base_seconds=x),
     "cap_seconds": lambda bundle, x: BackoffPolicy(cap_seconds=x),
     "cooldown_seconds": lambda bundle, x: CircuitBreaker(cooldown_seconds=x),
@@ -277,25 +282,61 @@ class TestLifecycle:
             QueryService(engine, workers=0)
 
     @pytest.mark.parametrize(
-        "limit",
+        "refused, match",
         [
-            {"hard_timeout": float("nan")},
-            {"max_pending": 0},
-            {"supervised": True, "breaker_threshold": 0},
-            {"supervised": True, "breaker_cooldown": float("nan")},
+            ({"hard_timeout": float("nan")}, "must be"),
+            ({"max_pending": 0}, "must be"),
+            ({"supervised": True, "breaker_threshold": 0}, "must be"),
+            ({"supervised": True, "breaker_cooldown": float("nan")}, "must be"),
+            ({"compact": False}, "frozen store"),
+            ({"shared_graph": False}, "shared memory"),
+            ("lazy engine", "lazy view is the oracle"),
         ],
-        ids=["hard_timeout", "max_pending", "breaker_threshold", "breaker_cooldown"],
+        ids=[
+            "hard_timeout", "max_pending", "breaker_threshold",
+            "breaker_cooldown", "compact=False", "shared_graph=False",
+            "lazy engine",
+        ],
     )
-    def test_refused_process_build_starts_nothing(self, small_bundle, limit):
+    def test_refused_process_build_starts_nothing(self, small_bundle, refused, match):
         children = set(multiprocessing.active_children())
         threads = set(threading.enumerate())
         segments = set(leaked_segments())
-        with pytest.raises(ServeError, match="must be"):
-            QueryService.build(
-                small_bundle.kg, small_bundle.space, small_bundle.library,
-                compact=True, backend="process", workers=1, shared_graph=True,
-                **limit,
-            )
+        with pytest.raises(ReproError, match=match):
+            if refused == "lazy engine":
+                engine = SemanticGraphQueryEngine(
+                    small_bundle.kg, small_bundle.space, small_bundle.library
+                )
+                QueryService(engine, backend="process", workers=1)
+            else:
+                QueryService.build(
+                    small_bundle.kg, small_bundle.space, small_bundle.library,
+                    backend="process", workers=1, **refused,
+                )
         assert set(multiprocessing.active_children()) - children == set()
         assert set(threading.enumerate()) - threads == set()
         assert set(leaked_segments()) - segments == set()
+
+    @pytest.mark.parametrize(
+        "backend, spelling",
+        [("inline", {}), ("thread", {}), ("process", {}),
+         ("process", {"shared_graph": True})],
+        ids=["inline", "thread", "process", "process-shared_graph"],
+    )
+    def test_ledger_spellings_serve_as_the_default_build(
+        self, small_bundle, backend, spelling
+    ):
+        """The perf ledger's leftover keywords (ROADMAP 1A(f)) are accepted
+        and change nothing: a process pool still reads the frozen store
+        from shared memory, and the answers are the oracle's."""
+        oracle = SemanticGraphQueryEngine(
+            small_bundle.kg, small_bundle.space, small_bundle.library
+        ).search(_product_query(), k=3)
+        with QueryService.build(
+            small_bundle.kg, small_bundle.space, small_bundle.library,
+            backend=backend, workers=1, compact=True, **spelling,
+        ) as service:
+            assert (service.graph_lease is not None) == (backend == "process")
+            result = service.submit(_product_query(), k=3).result()
+        assert result.answer_uids() == oracle.answer_uids()
+        assert leaked_segments() == []

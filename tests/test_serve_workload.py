@@ -103,7 +103,7 @@ class TestReplay:
         def run():
             with QueryService.build(
                 small_bundle.kg, small_bundle.space, small_bundle.library,
-                backend=backend, workers=1, compact=True,
+                backend=backend, workers=1,
             ) as svc:
                 try:
                     replay(svc, [query] * 3, k=3, on_result=hook)
@@ -345,11 +345,11 @@ class TestConsoleEntrypoint:
         its ServeError comes back as an argparse error (exit 2)."""
         with pytest.raises(SystemExit) as exit_info:
             workload_main(
-                ["--preset", "dbpedia", "--scale", "1.0", "--shared-graph"]
+                ["--preset", "dbpedia", "--scale", "1.0", "--answer-cache", "-1"]
             )
         assert exit_info.value.code == 2
         assert (
-            "shared_graph only applies to the process backend"
+            "answer cache capacity must be at least 1, got -1"
             in capsys.readouterr().err
         )
 
@@ -388,7 +388,6 @@ class TestConsoleEntrypoint:
         ("--deadline", "nan", "--deadline"),
         ("--popularity", "zipf:nan", "--popularity"),
         ("--hard-timeout", "nan", "--hard-timeout"),
-        ("--answer-cache-ttl", "nan", "--answer-cache-ttl"),
         ("--scale", "nan", "--scale"),
         ("--arrival", "poisson", "requires --rate"),
         ("--tbq-fraction", "0.5", "requires --deadline"),
@@ -398,7 +397,7 @@ class TestConsoleEntrypoint:
         numbers pass a bare positive check."""
         small = ["--preset", "dbpedia", "--scale", "1.0", "--seed", "11"]
         with pytest.raises(SystemExit) as exit_info:
-            workload_main(small + ["--answer-cache", "4", flag, value])
+            workload_main(small + [flag, value])
         assert exit_info.value.code == 2
         assert named in capsys.readouterr().err
 

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.bench.equivalence import final_matches_differ
+from repro.core.compact_view import CompactViewFactory
 from repro.core.engine import (
     EngineSpec,
     SemanticGraphQueryEngine,
@@ -201,7 +202,7 @@ class TestEngineConformance:
             small_bundle.kg,
             small_bundle.space,
             small_bundle.library,
-            compact=True,
+            view_factory=CompactViewFactory(),
             search_kernel="reference",
         )
         sharded_engine = SemanticGraphQueryEngine(
@@ -306,12 +307,7 @@ class TestValidation:
             QueryService.build(small_bundle.kg, shards=-1, **build)
         with pytest.raises(ServeError):
             QueryService.build(
-                small_bundle.kg, shards=2, compact=False, **build
-            )
-        with pytest.raises(ServeError):
-            QueryService.build(
-                small_bundle.kg, shards=2, compact=True,
-                shard_strategy="modulo", **build,
+                small_bundle.kg, shards=2, shard_strategy="modulo", **build
             )
 
 
@@ -321,7 +317,6 @@ class TestServeIntegration:
             small_bundle.kg,
             small_bundle.space,
             small_bundle.library,
-            compact=True,
             shards=2,
             shard_strategy="balanced-degree",
         ) as service:
@@ -355,7 +350,6 @@ class TestServeIntegration:
             small_bundle.kg,
             small_bundle.space,
             small_bundle.library,
-            compact=True,
             shards=2,
             backend=backend,
             workers=1,
@@ -383,7 +377,6 @@ class TestServeIntegration:
                 small_bundle.kg,
                 small_bundle.space.with_private_rows(),  # counts from zero
                 small_bundle.library,
-                compact=True,
                 shards=shards,
             ) as service:
                 service.search_many(queries, k=5)  # cold

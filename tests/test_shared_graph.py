@@ -1,8 +1,8 @@
 """Shared-memory CompactGraph: lifecycle, serving identity.
 
 The shared-graph path (``repro.kg.shm`` + ``CompactGraph.to_shared`` /
-``from_handle`` + ``QueryService.build(shared_graph=True)``) makes two
-promises this suite pins (that an attached store reads like its source
+``from_handle``, which every process-backend ``QueryService`` takes)
+makes two promises this suite pins (that an attached store reads like its source
 graph is ``TestGraphReaderConformance`` in ``tests/test_kg_graph.py``):
 
 1. **Lifecycle** — the owner's close/unlink is idempotent, no
@@ -19,6 +19,7 @@ locked, hammered here from many threads.
 
 import pickle
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -165,23 +166,19 @@ class TestSharedGraphService:
         with pytest.raises(ServeError, match="process backend"):
             QueryService.build(
                 small_bundle.kg, small_bundle.space, small_bundle.library,
-                backend="thread", compact=True, shared_graph=True,
-            )
-
-    def test_shared_graph_requires_compact(self, small_bundle):
-        with pytest.raises(ServeError, match="compact"):
-            QueryService.build(
-                small_bundle.kg, small_bundle.space, small_bundle.library,
-                backend="process", compact=False, shared_graph=True,
+                backend="thread", shared_graph=True,
             )
 
     def test_no_segment_outlives_the_service(self, small_bundle):
+        """A process build publishes the graph unasked, and its close
+        unlinks the segment."""
         service = QueryService.build(
             small_bundle.kg, small_bundle.space, small_bundle.library,
-            backend="process", workers=2, compact=True, shared_graph=True,
+            backend="process", workers=2,
         )
         lease = service.graph_lease
-        assert lease is not None
+        assert isinstance(service.spec.store, CompactGraphHandle)
+        assert service.spec.store is lease.handle
         assert lease.name in leaked_segments()
         service.close()
         service.close()  # close is idempotent, lease close included
@@ -191,16 +188,14 @@ class TestSharedGraphService:
     def test_spec_ships_handle_not_graph(self, small_bundle):
         with QueryService.build(
             small_bundle.kg, small_bundle.space, small_bundle.library,
-            backend="process", workers=2, compact=True, shared_graph=True,
+            backend="process", workers=2,
         ) as service:
             spec = service.spec
             assert spec.kg is None
             assert isinstance(spec.store, CompactGraphHandle)
-            with QueryService.build(
-                small_bundle.kg, small_bundle.space, small_bundle.library,
-                backend="process", workers=2, compact=True,
-            ) as baseline:
-                arrays_bytes = len(pickle.dumps(baseline.spec))
+            kg = small_bundle.kg  # what the spec would carry by value
+            by_value = replace(spec, store=CompactGraph.freeze(kg), kg=kg)
+            arrays_bytes = len(pickle.dumps(by_value))
             handle_bytes = len(pickle.dumps(spec))
             assert handle_bytes * 10 <= arrays_bytes, (
                 handle_bytes, arrays_bytes,
@@ -211,12 +206,12 @@ class TestSharedGraphService:
         labels = [q.qid for q in small_bundle.workload]
         with QueryService.build(
             small_bundle.kg, small_bundle.space, small_bundle.library,
-            backend="inline", compact=True,
+            backend="inline",
         ) as reference_service:
             reference = reference_service.search_many(queries, k=K)
         with QueryService.build(
             small_bundle.kg, small_bundle.space, small_bundle.library,
-            backend="process", workers=2, compact=True, shared_graph=True,
+            backend="process", workers=2,
         ) as service:
             assert service.warmup(timeout=60) >= 1
             for run in (1, 2):  # warm pass must not change results either
