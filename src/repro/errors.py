@@ -127,8 +127,8 @@ class TransientEngineError(RetryableServeError):
 class WorkerCrashError(RetryableServeError):
     """A worker died while serving a request.
 
-    Raised on the inline and thread backends, where an injected crash
-    cannot actually kill the serving process.  On the process backend a
+    Raised on the inline backend, where an injected crash cannot
+    actually kill the serving process.  On the process backend a
     real worker death breaks the whole pool and surfaces as
     :class:`PoolBrokenError` instead.
     """

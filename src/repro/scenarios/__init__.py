@@ -23,6 +23,7 @@ from repro.scenarios.replay import (
     answer_digest,
     build_resources,
     load_golden,
+    replay_pass,
     replay_scenario,
     scenario_items,
 )
@@ -59,6 +60,7 @@ __all__ = [
     "load_golden",
     "paraphrase_predicate",
     "predicate_affinity",
+    "replay_pass",
     "replay_scenario",
     "scenario_items",
     "split_workload",

@@ -11,10 +11,13 @@ and the serving stack:
   :class:`~repro.serve.workload.WorkloadItem`\\ s — intent class as the
   latency bucket, deadline mix stamped by the artifact's own seed, so
   *which* queries run time-bounded is itself part of the artifact;
-- :func:`replay_scenario` replays through a
-  :class:`~repro.serve.service.QueryService` and collects the exact
-  (SGQ) answer sets into a stable content digest — two replays of the
-  same artifact on any backend must print the same digest;
+- :func:`replay_pass` replays the artifact once through a
+  :class:`~repro.serve.service.QueryService`, paced by its own arrival
+  spec, and collects the exact (SGQ) answer sets into a stable content
+  digest — two replays of the same artifact on any backend must print
+  the same digest.  :func:`replay_scenario` builds, warms and closes a
+  service around one pass; the ``repro-serve-workload`` CLI loops
+  :func:`replay_pass` over one service;
 - :func:`load_golden` reads the recorded answers every replay is judged
   against (``tests/test_held_out_conformance.py`` holds every backend,
   shard count, cache state and an injected crash to them).
@@ -119,45 +122,30 @@ def answer_digest(answers: Mapping[str, Sequence[str]]) -> str:
 class ScenarioReplayResult:
     """One replay pass over a scenario workload, with its exact answers."""
 
-    workload_name: str
-    backend: str
     report: ReplayReport
     #: exact (no-deadline) qid -> sorted answer entity names.
     answers: Dict[str, List[str]]
-    intent_counts: Dict[str, int]
 
     @property
     def digest(self) -> str:
         return answer_digest(self.answers)
 
 
-def replay_scenario(
+def replay_pass(
+    service: QueryService,
     workload: Workload,
+    resources: ScenarioResources,
     *,
-    backend: str = "inline",
-    workers: int = 2,
-    resources: Optional[ScenarioResources] = None,
-    fault_plan=None,
-    retry_policy=None,
-    answer_cache: int = 0,
     popularity: Optional[PopularitySpec] = None,
-    shards: int = 0,
-    start_method: Optional[str] = None,
+    breakdown: bool = False,
 ) -> ScenarioReplayResult:
-    """One unpaced replay pass of the artifact through a fresh service.
+    """One pass of the artifact through ``service``, paced by its arrival spec.
 
-    ``fault_plan``/``retry_policy`` run the pass under supervision (see
-    :mod:`repro.serve.resilience`): an injected crash must still yield
-    the fault-free digest.  ``answer_cache`` enables the front-side
-    answer cache; ``popularity`` resamples the item sequence on top of
-    anything the artifact froze (seeded by the workload) — together they
-    show the Zipf-skewed answers are cache-invariant.  ``shards`` serves
-    the pass off the hash-partitioned store (:mod:`repro.kg.sharded`):
-    the digest must be partition-invariant.  ``start_method`` picks how
-    process workers start (``None``: the platform default).
+    ``popularity`` resamples the item sequence on top of anything the
+    artifact froze (seeded by the workload); ``breakdown`` keeps each
+    query's result in the report (see :func:`~repro.serve.workload.replay`).
+    Exact answers are collected as entity names of ``resources.kg``.
     """
-    if resources is None:
-        resources = build_resources(workload)
     items = scenario_items(workload)
     if popularity is not None:
         items = apply_popularity(items, popularity, workload.seed)
@@ -170,37 +158,45 @@ def replay_scenario(
                 kg.entity(uid).name for uid in result.answer_uids()
             )
 
-    extra = {}
-    if fault_plan is not None:
-        extra["fault_plan"] = fault_plan
-    if retry_policy is not None:
-        extra["retry_policy"] = retry_policy
-    if extra:
-        extra["supervised"] = True
-    if answer_cache:
-        extra["answer_cache"] = answer_cache
-    if shards:
-        extra["shards"] = shards
+    report = replay(
+        service,
+        items,
+        rate=workload.arrival.rate,
+        arrival=workload.arrival.process,
+        seed=workload.seed,
+        breakdown=breakdown,
+        on_result=_collect,
+    )
+    return ScenarioReplayResult(report, answers)
+
+
+def replay_scenario(
+    workload: Workload,
+    *,
+    resources: Optional[ScenarioResources] = None,
+    popularity: Optional[PopularitySpec] = None,
+    **service_kwargs,
+) -> ScenarioReplayResult:
+    """One :func:`replay_pass` of the artifact through a fresh, warmed service.
+
+    ``service_kwargs`` go straight to :meth:`QueryService.build
+    <repro.serve.service.QueryService.build>`: a ``fault_plan`` /
+    ``retry_policy`` runs the pass under supervision (an injected crash
+    must still yield the fault-free digest), ``answer_cache`` with a
+    Zipf ``popularity`` shows the skewed answers are cache-invariant,
+    and ``shards`` shows the digest is partition-invariant.
+    """
+    if resources is None:
+        resources = build_resources(workload)
     with QueryService.build(
         resources.kg,
         resources.space,
         resources.library,
         resources.config,
-        backend=backend,
-        workers=workers,
-        start_method=start_method,
-        **extra,
+        **service_kwargs,
     ) as service:
-        if backend == "process":
-            service.warmup()
-        report = replay(service, items, on_result=_collect)
-    return ScenarioReplayResult(
-        workload_name=workload.name,
-        backend=backend,
-        report=report,
-        answers=answers,
-        intent_counts=workload.intent_counts(),
-    )
+        service.warmup()
+        return replay_pass(service, workload, resources, popularity=popularity)
 
 
 # ----------------------------------------------------------------------

@@ -36,6 +36,7 @@ from repro.scenarios.intents import INTENT_NAMES, generate_intent_queries
 from repro.scenarios.vocab import DomainVocabulary
 from repro.serve.workload import PopularitySpec
 from repro.utils.rng import derive_rng
+from repro.utils.stats import finite_positive
 
 #: Bump on any incompatible change to the artifact layout.
 WORKLOAD_FORMAT_VERSION = 1
@@ -287,7 +288,7 @@ class WorkloadBuilder:
             raise ScenarioError(
                 f"unknown domain {preset!r}; available: {sorted(PRESET_SCHEMAS)}"
             )
-        if scale <= 0:
+        if not finite_positive(scale):
             raise ScenarioError(f"scale must be positive, got {scale}")
         self._domain = preset
         self._scale = float(scale)
@@ -327,7 +328,7 @@ class WorkloadBuilder:
     ) -> "WorkloadBuilder":
         if process not in ("uniform", "poisson"):
             raise ScenarioError(f"unknown arrival process {process!r}")
-        if rate is not None and rate <= 0:
+        if rate is not None and not finite_positive(rate):
             raise ScenarioError(f"arrival rate must be positive, got {rate}")
         if process == "poisson" and rate is None:
             raise ScenarioError("poisson arrivals require a rate")
@@ -337,7 +338,7 @@ class WorkloadBuilder:
     def deadlines(self, fraction: float, deadline: float) -> "WorkloadBuilder":
         if not 0.0 <= fraction <= 1.0:
             raise ScenarioError(f"deadline fraction must be in [0, 1], got {fraction}")
-        if deadline <= 0:
+        if not finite_positive(deadline):
             raise ScenarioError(f"deadline must be positive, got {deadline}")
         self._deadline_mix = DeadlineMix(fraction=fraction, deadline=deadline)
         return self
@@ -383,14 +384,14 @@ class WorkloadBuilder:
         self, default_p95_ms: Optional[float] = None, **per_intent: float
     ) -> "WorkloadBuilder":
         if default_p95_ms is not None:
-            if default_p95_ms <= 0:
+            if not finite_positive(default_p95_ms):
                 raise ScenarioError("latency budget must be positive")
             self._default_latency_budget_ms = float(default_p95_ms)
         for raw, value in per_intent.items():
             intent = raw.replace("_", "-")
             if intent not in INTENT_NAMES:
                 raise ScenarioError(f"unknown intent {intent!r}")
-            if value <= 0:
+            if not finite_positive(value):
                 raise ScenarioError("latency budget must be positive")
             self._latency_budgets[intent] = float(value)
         return self

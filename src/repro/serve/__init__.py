@@ -16,12 +16,13 @@ state across a workload:
   answer cache, the supervisor), and ``after.since(before)`` takes a
   phase's counters;
 - :mod:`repro.serve.backends` — the execution-backend seam: ``inline``
-  (caller's thread), ``thread`` (GIL-bound pool, shared caches) and
-  ``process`` (true multi-core parallelism; workers bootstrap private
-  engines from a pickled :class:`~repro.core.engine.EngineSpec`);
+  (caller's thread) and ``process`` (true multi-core parallelism;
+  workers bootstrap private engines from a pickled
+  :class:`~repro.core.engine.EngineSpec`);
 - :mod:`repro.serve.workload` — open-loop replay driver (uniform or
   Poisson arrivals, mixed SGQ/TBQ) reporting throughput and latency
-  percentiles (also the ``repro-serve-workload`` console script);
+  percentiles (also the ``repro-serve-workload`` console script, which
+  replays one :class:`~repro.scenarios.suite.Workload` per run);
 - :mod:`repro.serve.resilience` + :mod:`repro.serve.faults` — the
   fault-tolerance layer: :class:`~repro.serve.resilience.SupervisedBackend`
   (retries with seeded backoff, in-place pool rebuild, circuit-breaker
@@ -37,7 +38,6 @@ from repro.serve.backends import (
     ExecutionBackend,
     InlineBackend,
     ProcessBackend,
-    ThreadBackend,
     WorkerSnapshot,
 )
 from repro.serve.cache import SemanticGraphCache
@@ -58,7 +58,6 @@ __all__ = [
     "EXECUTION_BACKENDS",
     "ExecutionBackend",
     "InlineBackend",
-    "ThreadBackend",
     "ProcessBackend",
     "WorkerSnapshot",
     "FaultPlan",

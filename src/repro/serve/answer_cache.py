@@ -137,7 +137,7 @@ class EngineFingerprint:
 
     @classmethod
     def from_engine(cls, engine) -> "EngineFingerprint":
-        """Fingerprint a live engine (inline/thread backends)."""
+        """Fingerprint a live engine (the inline backend)."""
         kg = engine.kg
         factory = getattr(engine, "view_factory", None)
         if isinstance(factory, ShardedViewFactory):

@@ -1,18 +1,13 @@
 """Pluggable execution backends for :class:`~repro.serve.service.QueryService`.
 
-The serving layer used to be welded to one ``ThreadPoolExecutor``.  Under
-CPython's GIL that pool serialises CPU-bound SGQ searches — an 8-core box
-serves one query's worth of compute no matter how many workers it has.
-This module is the seam that breaks the weld.  Three backends share one
-contract (:class:`ExecutionBackend`):
+Two backends share one contract (:class:`ExecutionBackend`):
 
 - ``inline`` — no pool at all; ``submit`` runs the query on the calling
   thread and returns an already-resolved future.  The zero-concurrency
-  reference every other backend must match bit-for-bit, and the cheapest
-  option for single-tenant batch jobs;
-- ``thread`` — the historical ``ThreadPoolExecutor``.  Request-level
-  concurrency (deadline isolation, interleaved batches) and shared-cache
-  warmth, but no CPU parallelism under the GIL;
+  reference the process backend must match bit-for-bit, and the default:
+  under CPython's GIL a thread pool adds queueing and no compute
+  (ROADMAP item 7 measured it), so concurrent clients call one inline
+  service from their own threads instead;
 - ``process`` — long-lived worker processes on one shared call pipe and
   one shared reply pipe, each bootstrapping a **private engine once**
   from a pickled :class:`~repro.core.engine.EngineSpec` and reusing it,
@@ -31,10 +26,10 @@ promise the paper's anytime semantics, on every backend.
 
 Statistics flow *back* through the same seam: every backend reports
 :class:`WorkerSnapshot` rows (weight-cache and space row-cache counters
-per worker).  The shared-memory backends report one live row;
-the process backend piggybacks a snapshot on each task result and keeps
-the latest row per worker pid, so aggregation never needs a control
-round-trip into the pool.
+per worker).  The inline backend reports one live row; the process
+backend piggybacks a snapshot on each task result and keeps the latest
+row per worker pid, so aggregation never needs a control round-trip
+into the pool.
 """
 
 from __future__ import annotations
@@ -45,7 +40,7 @@ import threading
 import time
 import traceback
 from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future
 from dataclasses import dataclass, replace
 from itertools import count
 from multiprocessing.connection import wait
@@ -64,7 +59,7 @@ try:
 except ImportError:  # pragma: no cover - non-POSIX platform
     _resource = None
 
-EXECUTION_BACKENDS = ("inline", "thread", "process")
+EXECUTION_BACKENDS = ("inline", "process")
 
 
 def _max_rss_kb() -> int:
@@ -87,8 +82,8 @@ MIN_TIME_BOUND = 1e-3
 class WorkerSnapshot:
     """One worker's cumulative serving-side statistics.
 
-    ``worker_id`` is ``"shared"`` for the shared-memory backends (one
-    row for the whole pool) and the worker pid for process workers.
+    ``worker_id`` is ``"shared"`` for the inline backend (one row for
+    the service) and the worker pid for process workers.
     Counters are monotonic over the worker's lifetime; :meth:`since`
     takes a phase's.  ``max_rss_kb`` is a gauge — the reporting
     process's peak RSS when the snapshot was taken — so memory can be
@@ -146,8 +141,8 @@ def execute_request(
 class _EngineRunner:
     """Engine + fault hook + stats: the per-worker execution core.
 
-    Shared by the inline and thread backends directly (one runner, many
-    threads) and instantiated once per process-pool worker.
+    Shared by every client thread of an inline service (one runner) and
+    instantiated once per process-pool worker.
     """
 
     def __init__(
@@ -269,47 +264,11 @@ class InlineBackend(ExecutionBackend):
         pass
 
 
-class ThreadBackend(ExecutionBackend):
-    """The historical worker pool: shared engine, shared cache, GIL-bound."""
-
-    name = "thread"
-    stats_scope = "shared"
-
-    def __init__(
-        self,
-        runner: _EngineRunner,
-        workers: int,
-        on_complete: Optional[Callable[[bool], None]] = None,
-    ):
-        if workers < 1:
-            raise ServeError(f"workers must be at least 1, got {workers}")
-        self._runner = runner
-        self._on_complete = on_complete
-        self.workers = workers
-        self._executor = ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="repro-serve"
-        )
-
-    def _run(self, request, submitted_wall: float) -> QueryResult:
-        try:
-            result = self._runner.execute(request, submitted_wall)
-        except BaseException:
-            _notify(self._on_complete, False)
-            raise
-        _notify(self._on_complete, True)
-        return result
-
-    def submit(self, request, submitted_wall: float) -> "Future[QueryResult]":
-        return self._executor.submit(self._run, request, submitted_wall)
-
-    def snapshots(self) -> List[WorkerSnapshot]:
-        return [self._runner.snapshot()]
-
-    def warmup(self, timeout: Optional[float] = None) -> int:
-        return self.workers
-
-    def close(self, wait: bool = True) -> None:
-        self._executor.shutdown(wait=wait)
+class ThreadBackend(InlineBackend):
+    """Nothing constructs this: the frozen perf ledger still names
+    ``ThreadBackend.submit`` (ROADMAP 1A(g) deletes both together).  A
+    subclass, not an alias, so its tracer never wraps
+    ``InlineBackend.submit`` twice."""
 
 
 # ----------------------------------------------------------------------

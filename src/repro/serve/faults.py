@@ -119,7 +119,7 @@ class FaultPlan:
 
         ``allow_kill=True`` makes ``crash_at`` faults actually
         ``SIGKILL`` the current process — only ever set inside process
-        workers; shared-memory backends raise
+        workers; the inline backend raises
         :class:`~repro.errors.WorkerCrashError` instead.
         """
         return FaultInjector(self, allow_kill=allow_kill)
@@ -204,9 +204,9 @@ class FaultPlan:
 class FaultInjector:
     """Mutable per-process runtime state of a :class:`FaultPlan`.
 
-    One injector lives in each worker process (or in the single shared
-    runner for the inline/thread backends, where the request counter is
-    service-wide rather than per-worker).
+    One injector lives in each worker process (or in the inline
+    backend's one runner, where the request counter is service-wide
+    rather than per-worker).
     """
 
     plan: FaultPlan

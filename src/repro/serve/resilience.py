@@ -253,7 +253,7 @@ class SupervisedBackend(ExecutionBackend):
         rebuild: zero-arg callable returning a fresh inner backend,
             invoked (serialised under the pool lock) when the current
             one breaks; ``None`` means the inner backend cannot break
-            structurally (inline/thread).
+            structurally (inline).
         fallback_factory: zero-arg callable building the degraded-mode
             backend (typically inline in the parent process), built
             lazily the first time the circuit opens.
@@ -573,7 +573,7 @@ class _SupervisedRequest:
         if note_break and isinstance(exc, PoolBrokenError):
             b._note_broken(generation)
         elif isinstance(exc, WorkerCrashError) and exc.__cause__ is None:
-            # An injected crash on a shared-memory backend: count the
+            # An injected crash on the inline backend: count the
             # "worker death" even though no pool broke.  (Rebuild-failure
             # wrappers carry a __cause__ and were already counted.)
             b._event("crash")

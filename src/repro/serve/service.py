@@ -5,14 +5,14 @@ The engine answers one query at a time; a production deployment sees a
 budgets.  :class:`QueryService` is the serving seam between the two:
 
 - a pluggable **execution backend** (:mod:`repro.serve.backends`) runs
-  the searches: ``inline`` (caller's thread — the reference), ``thread``
-  (request-level concurrency, shared caches, GIL-bound compute) or
-  ``process`` (true multi-core parallelism; each worker attaches the
+  the searches: ``inline`` (caller's thread — the reference; concurrent
+  clients call it from their own threads) or ``process`` (true
+  multi-core parallelism; each worker attaches the
   frozen store from shared memory, bootstraps a private engine once from
   a pickled :class:`~repro.core.engine.EngineSpec` and reuses it across
   requests);
 - a shared :class:`~repro.serve.cache.SemanticGraphCache` backs every
-  query's semantic-graph view on the shared-memory backends, so the
+  query's semantic-graph view on the inline backend, so the
   workload amortises whole-graph weight, ``m(u)`` and hop-label rows
   across queries; process workers each own a private cache with the
   same role;
@@ -70,7 +70,6 @@ from repro.serve.backends import (
     ExecutionBackend,
     InlineBackend,
     ProcessBackend,
-    ThreadBackend,
     WorkerSnapshot,
     _EngineRunner,
 )
@@ -134,7 +133,7 @@ class ServiceStats:
     - ``workers``: the backend's :class:`WorkerSnapshot` rows;
       ``queries``, ``cache`` and ``space`` sum them.  ``scope`` is
       ``"shared"`` when the rows read live shared structures
-      (inline/thread: one row, one weight cache, one space) and
+      (inline: one row, one weight cache, one space) and
       ``"per-worker-sum"`` when they are per-worker copies (process) — a
       summed hit rate describes the pool, not any one cache, and misses
       repeated once per worker are expected there.  A sharded service
@@ -240,7 +239,7 @@ class QueryService:
     """Concurrent, cache-backed front-end over one query engine.
 
     Args:
-        engine: the engine to serve (shared-memory backends execute on it
+        engine: the engine to serve (the inline backend executes on it
             directly; the process backend ships ``engine.to_spec()`` to
             its workers, so it refuses a lazy-view engine).  May be
             ``None`` when ``spec`` is given — the process backend then
@@ -254,13 +253,12 @@ class QueryService:
             segments and unlinks them on :meth:`close` (after the pool is
             down) or by a finalizer if the owner crashes.  A spec that
             already carries a handle ships as given.
-        backend: ``"inline"`` (default), ``"thread"`` or ``"process"``.
-        workers: worker-pool size for the pooled backends (ignored by
-            ``inline``).
+        backend: ``"inline"`` (default) or ``"process"``.
+        workers: process-pool size (ignored by ``inline``).
         cache: explicit :class:`SemanticGraphCache` to share (e.g. between
             services over the same graph); default builds a private one.
-            Shared-memory backends only — process workers own private
-            caches by construction.
+            Inline backend only — process workers own private caches by
+            construction.
         start_method: multiprocessing start method for the process
             backend (``None`` = platform default).
         supervised: wrap the backend in a
@@ -274,7 +272,7 @@ class QueryService:
             ``max_pending``.
         fault_plan: a :class:`~repro.serve.faults.FaultPlan` injected
             into the serving path (process workers receive it through
-            the spec; shared-memory backends activate it in-process) for
+            the spec; the inline backend activates it in-process) for
             deterministic chaos runs.
         retry_policy: a :class:`~repro.serve.resilience.BackoffPolicy`
             overriding the default retry budget and backoff shape.
@@ -414,11 +412,9 @@ class QueryService:
         runner = _EngineRunner(engine, faults=faults)
         self._runner = runner
         self._init_answer_cache(answer_cache, EngineFingerprint.from_engine(engine))
-        on_complete = None if supervised else self._record_outcome
-        if backend == "inline":
-            inner = InlineBackend(runner, on_complete=on_complete)
-        else:
-            inner = ThreadBackend(runner, self.workers, on_complete=on_complete)
+        inner = InlineBackend(
+            runner, on_complete=None if supervised else self._record_outcome
+        )
         self._backend = (
             self._supervise(inner, rebuildable=False) if supervised else inner
         )
@@ -811,7 +807,7 @@ class QueryService:
         """Make the first real request pay no construction latency.
 
         For the process backend this spins up (up to) all workers and
-        builds their engines; shared-memory backends are warm by
+        builds their engines; the inline backend is warm by
         construction.  Returns the number of workers confirmed ready.
         """
         return self._backend.warmup(timeout=timeout)

@@ -23,22 +23,26 @@ the way a load generator would hit a deployed system:
   tail belongs to;
 - the report carries the pass's :class:`~repro.serve.service.ServiceStats`
   (the service's snapshot after the pass ``since`` the one before it) —
-  *shared* cache counters on the inline/thread backends, *summed
-  per-worker* counters on the process backend (each worker warms its own
-  caches, so pool-wide misses scale with the worker count by design; the
-  scope label keeps the two from being read as the same thing);
-- ``breakdown=True`` (CLI: ``--breakdown``) additionally collects each
-  query's **search-vs-assembly time split** plus its A*-side counters
-  (expansions, τ/visited prunes, peak queue size) from the engine's
-  ``QueryResult`` instrumentation, so assembly-bound queries (the D12
+  *shared* cache counters on the inline backend, *summed per-worker*
+  counters on the process backend (each worker warms its own caches, so
+  pool-wide misses scale with the worker count by design; the scope
+  label keeps the two from being read as the same thing);
+- ``breakdown=True`` (CLI: ``--breakdown``) additionally keeps each
+  query's ``(qid, QueryResult)``, whose instrumentation splits search
+  from assembly time and carries the A*-side counters (expansions,
+  τ/visited prunes, peak queue size), so assembly-bound queries (the D12
   class) can be told apart from search-bound ones; TA round-cap
   truncations are counted on every run.
 
 The module doubles as the ``repro-serve-workload`` console entrypoint
-(see ``setup.py``): build a preset dataset bundle, replay its workload for
-N passes, and print one report per pass — pass 1 is the cold run, later
-passes show the cache steady state.  ``--backend {inline,thread,process}
---workers N`` picks the execution backend.
+(see ``setup.py``).  Every run is one frozen
+:class:`~repro.scenarios.suite.Workload` — a ``--scenario`` artifact, or
+a preset bundle's queries frozen with the run's flags — replayed for N
+passes through :func:`repro.scenarios.replay.replay_pass`, one report
+and one exact-match digest per pass: pass 1 is the cold run, later
+passes show the cache steady state, and a pass whose digest disagrees
+with pass 1's ends the run with exit status 1.  ``--backend
+{inline,process} --workers N`` picks the execution backend.
 """
 
 from __future__ import annotations
@@ -48,8 +52,10 @@ import sys
 import threading
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from functools import reduce
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
+from repro.core.results import QueryResult, SearchStats
 from repro.errors import OverloadError, ScenarioError, SearchError, ServeError
 from repro.kg.sharded import SHARD_STRATEGIES
 from repro.query.model import QueryGraph
@@ -85,30 +91,6 @@ class WorkloadItem:
         )
 
 
-@dataclass(frozen=True)
-class QueryBreakdown:
-    """One query's search-vs-assembly split plus A*-side counters."""
-
-    qid: str
-    elapsed_seconds: float
-    search_seconds: float
-    assembly_seconds: float
-    ta_rounds: int
-    truncated: bool
-    expansions: int = 0
-    pruned_by_tau: int = 0
-    pruned_by_visited: int = 0
-    pruned_by_reach: int = 0
-    stale_pops: int = 0
-    max_queue_size: int = 0
-
-    @property
-    def assembly_share(self) -> float:
-        if self.elapsed_seconds <= 0.0:
-            return 0.0
-        return self.assembly_seconds / self.elapsed_seconds
-
-
 @dataclass
 class ReplayReport:
     """Throughput and latency summary of one replay pass.
@@ -125,7 +107,8 @@ class ReplayReport:
     :meth:`~repro.serve.service.ServiceStats.since` the one before.  Its
     ``resilience`` row is all zero on an unsupervised or fault-free run
     (shed requests are also in ``failed``), its ``answers`` row without
-    an answer cache.
+    an answer cache.  ``breakdown`` (``replay(breakdown=True)``) holds
+    each completed query's ``(qid, QueryResult)``.
     """
 
     completed: int
@@ -134,7 +117,7 @@ class ReplayReport:
     latencies: List[float]
     rate: Optional[float]
     truncated: int = 0
-    breakdown: Optional[List[QueryBreakdown]] = None
+    breakdown: Optional[List[Tuple[str, QueryResult]]] = None
     class_latencies: Dict[str, List[float]] = field(default_factory=dict)
     arrival: str = "uniform"
     deadline_requests: int = 0
@@ -211,32 +194,42 @@ class ReplayReport:
                 f"ta: {self.truncated} queries hit the assembly round cap"
             )
         if self.breakdown:
-            total = sum(b.elapsed_seconds for b in self.breakdown)
-            assembly = sum(b.assembly_seconds for b in self.breakdown)
+            results = [result for _qid, result in self.breakdown]
+            total = sum(result.elapsed_seconds for result in results)
+            assembly = sum(result.assembly_seconds for result in results)
             share = assembly / total if total > 0 else 0.0
-            expansions = sum(b.expansions for b in self.breakdown)
-            pruned = sum(
-                b.pruned_by_tau + b.pruned_by_visited + b.pruned_by_reach
-                for b in self.breakdown
+            search = reduce(
+                SearchStats.merge,
+                (stats for result in results for stats in result.subquery_stats),
+                SearchStats(),
             )
-            stale = sum(b.stale_pops for b in self.breakdown)
+            pruned = (
+                search.pruned_by_tau + search.pruned_by_visited
+                + search.pruned_by_reach
+            )
             lines.append(
                 f"assembly share: {share * 100.0:.1f}% of "
                 f"{total * 1000:.1f} ms total query time"
             )
             lines.append(
-                f"search totals: {expansions} expansions, {pruned} pruned, "
-                f"{stale} stale pops"
+                f"search totals: {search.expansions} expansions, {pruned} "
+                f"pruned, {search.stale_pops} stale pops"
             )
             lines.append("search vs assembly per query (slowest assembly first):")
-            ordered = sorted(self.breakdown, key=lambda b: -b.assembly_seconds)
-            for row in ordered:
-                flag = " TRUNCATED" if row.truncated else ""
+            for qid, row in sorted(
+                self.breakdown, key=lambda pair: -pair[1].assembly_seconds
+            ):
+                flag = " TRUNCATED" if row.ta_truncated else ""
+                row_share = (
+                    row.assembly_seconds / row.elapsed_seconds
+                    if row.elapsed_seconds > 0
+                    else 0.0
+                )
                 lines.append(
-                    f"  {row.qid or '?'}: total {row.elapsed_seconds * 1000:.1f} ms"
+                    f"  {qid or '?'}: total {row.elapsed_seconds * 1000:.1f} ms"
                     f" = search {row.search_seconds * 1000:.1f}"
                     f" + assembly {row.assembly_seconds * 1000:.1f}"
-                    f" ({row.assembly_share * 100.0:.1f}% assembly,"
+                    f" ({row_share * 100.0:.1f}% assembly,"
                     f" {row.ta_rounds} rounds; {row.expansions} exp,"
                     f" {row.pruned_by_tau}+{row.pruned_by_visited}"
                     f"+{row.pruned_by_reach} pruned,"
@@ -417,7 +410,7 @@ def replay(
         arrival: arrival process — ``"uniform"`` (fixed spacing) or
             ``"poisson"`` (seeded exponential gaps at mean rate ``rate``).
         seed: RNG seed for the Poisson schedule.
-        breakdown: collect each query's search-vs-assembly split into
+        breakdown: keep each completed query's ``(qid, QueryResult)`` in
             :attr:`ReplayReport.breakdown`.
         on_result: optional ``(index, request, result)`` callback invoked
             (serialised under the report lock) for every successful
@@ -452,7 +445,7 @@ def replay(
     hook_errors: List[Exception] = []
     truncated = [0]
     tbq_flags: List[bool] = []  # QueryResult.approximate per TBQ answer
-    splits: List[QueryBreakdown] = []
+    splits: List[Tuple[str, QueryResult]] = []
     lock = threading.Lock()
     done = threading.Semaphore(0)
     stats_before = service.stats_snapshot()
@@ -493,22 +486,7 @@ def replay(
                     if request.deadline is not None:
                         tbq_flags.append(result.approximate)
                     if breakdown:
-                        splits.append(
-                            QueryBreakdown(
-                                qid=request.tag or f"q{index}",
-                                elapsed_seconds=result.elapsed_seconds,
-                                search_seconds=result.search_seconds,
-                                assembly_seconds=result.assembly_seconds,
-                                ta_rounds=result.ta_rounds,
-                                truncated=result.ta_truncated,
-                                expansions=result.expansions,
-                                pruned_by_tau=result.pruned_by_tau,
-                                pruned_by_visited=result.pruned_by_visited,
-                                pruned_by_reach=result.pruned_by_reach,
-                                stale_pops=result.stale_pops,
-                                max_queue_size=result.max_queue_size,
-                            )
-                        )
+                        splits.append((request.tag or f"q{index}", result))
             except Exception as error:
                 with lock:
                     failures[0] += 1
@@ -647,16 +625,15 @@ def _build_parser() -> argparse.ArgumentParser:
         default="inline",
         choices=EXECUTION_BACKENDS,
         help=(
-            "execution backend: 'inline' (caller's thread), 'thread' "
-            "(GIL-bound pool, shared caches) or 'process' (true multi-"
-            "core parallelism; per-worker engines over the frozen graph "
-            "attached zero-copy from shared memory).  Identical exact "
-            "results on all three."
+            "execution backend: 'inline' (caller's thread) or 'process' "
+            "(true multi-core parallelism; per-worker engines over the "
+            "frozen graph attached zero-copy from shared memory).  "
+            "Identical exact results on both."
         ),
     )
     parser.add_argument(
         "--workers", type=int, default=4,
-        help="worker pool size (threads or processes; ignored by inline)",
+        help="process-pool size (ignored by inline)",
     )
     parser.add_argument(
         "--shards",
@@ -802,35 +779,120 @@ def _resilience_kwargs(args, parser) -> Dict[str, object]:
     return kwargs
 
 
-def _parse_popularity(args, parser) -> PopularitySpec:
+def _scenario_run(args, parser):
+    """The ``--scenario`` artifact and the engine inputs it pins."""
+    if (
+        args.rate is not None
+        or args.arrival != "uniform"
+        or args.deadline is not None
+        or args.tbq_fraction is not None
+    ):
+        parser.error(
+            "--scenario fixes the arrival spec and deadline mix; "
+            "--rate/--arrival/--deadline/--tbq-fraction cannot override it"
+        )
+    # Deferred import: scenario replay pulls in the generator stack.
+    from repro.scenarios.replay import build_resources
+    from repro.scenarios.suite import Workload
+
     try:
-        return PopularitySpec.parse(args.popularity)
-    except ServeError as exc:
-        parser.error(f"--popularity: {exc}")
+        workload = Workload.from_pickle(args.scenario)
+    except FileNotFoundError:
+        parser.error(f"--scenario: no such artifact: {args.scenario}")
+    except ScenarioError as exc:
+        parser.error(f"--scenario: {exc}")
+    return workload, build_resources(workload)
 
 
-def _serve_passes(
-    args,
-    parser,
-    resources,
-    items: Sequence[WorkloadItem],
-    *,
-    rate: Optional[float],
-    arrival: str,
-    seed: int,
-    answer_digest: Optional[Callable[[Dict[str, List[str]]], str]] = None,
-) -> int:
-    """Build the service the flags describe and replay ``--repeats`` passes.
+def _preset_run(args):
+    """A preset bundle's queries frozen into a workload with the run's flags.
 
-    ``resources`` is ``(kg, space, library, config)``.  Combinations the
-    service rejects exit through ``parser.error`` with the service's own
-    message.  With ``answer_digest`` every pass also prints
-    the digest of its exact answers — identical seeds must print an
+    The Table VI class is the intent, ``--seed`` seeds the deadline
+    selection, the Poisson schedule and the popularity draw, and
+    ``--deadline`` stamps every query unless ``--tbq-fraction`` picks a
+    seeded slice.  The engine inputs are the bundle's own.
+    """
+    # Deferred imports: bundle generation pulls in the full bench stack.
+    from repro.bench.datasets import load_bundle
+    from repro.core.config import SearchConfig
+    from repro.scenarios.replay import ScenarioResources
+    from repro.scenarios.suite import (
+        ArrivalSpec,
+        DeadlineMix,
+        ScenarioQuery,
+        Workload,
+    )
+
+    bundle = load_bundle(args.preset, scale=args.scale, seed=args.seed)
+    config = SearchConfig()
+    workload = Workload(
+        name=f"{args.preset}-preset",
+        domain=args.preset,
+        scale=args.scale,
+        generator_seed=args.seed,
+        space_seed=3,  # load_bundle's default
+        seed=args.seed,
+        k=args.k,
+        tau=config.tau,
+        arrival=ArrivalSpec(process=args.arrival, rate=args.rate),
+        deadline_mix=(
+            None
+            if args.deadline is None
+            else DeadlineMix(
+                1.0 if args.tbq_fraction is None else args.tbq_fraction,
+                args.deadline,
+            )
+        ),
+        queries=tuple(
+            ScenarioQuery(qid=q.qid, intent=q.complexity, query=q.query)
+            for q in bundle.workload
+        ),
+    )
+    resources = ScenarioResources(
+        bundle.schema, bundle.kg, bundle.space, bundle.library, config
+    )
+    return workload, resources
+
+
+def _serve_passes(args, parser, workload, resources) -> int:
+    """Serve ``workload`` as the flags describe, ``--repeats`` passes.
+
+    Combinations the service rejects exit through ``parser.error`` with
+    the service's own message.  Every pass prints its report and the
+    digest of its exact answers — identical seeds must print an
     identical digest on every pass, run and backend; a pass that
     disagrees with pass 1 ends the run with exit status 1.
     """
-    kg, space, library, config = resources
+    from repro.scenarios.replay import replay_pass, scenario_items
+
+    try:
+        popularity = PopularitySpec.parse(args.popularity)
+    except ServeError as exc:
+        parser.error(f"--popularity: {exc}")
     resilience_kwargs = _resilience_kwargs(args, parser)
+    kg = resources.kg
+    mix = workload.deadline_mix
+    print(
+        f"scenario {workload.name}: domain {workload.domain} @ scale "
+        f"{workload.scale} ({kg.num_entities} entities, "
+        f"{kg.num_edges} edges), {len(workload.queries)} queries, "
+        f"k={workload.k}, tau={workload.tau} "
+        f"(compact view, {args.backend} backend)"
+    )
+    counts = workload.intent_counts().items()
+    print("intent mix: " + ", ".join(f"{i}={n}" for i, n in counts))
+    if mix is not None and mix.fraction > 0:
+        print(
+            f"deadline mix: {mix.fraction:.0%} of queries time-bounded "
+            f"at {mix.deadline:.2f} s (seeded selection)"
+        )
+    if popularity.kind != "uniform":
+        # Resampled on top of the workload's own sequence, seeded by the
+        # workload, so repeatable.
+        print(
+            f"popularity: {popularity.describe()} — resampled to "
+            f"{popularity.length or len(scenario_items(workload))} requests"
+        )
     plan = resilience_kwargs.get("fault_plan")
     if plan is not None:
         print(f"fault plan: {plan.describe()}")
@@ -844,9 +906,9 @@ def _serve_passes(
     try:
         service = QueryService.build(
             kg,
-            space,
-            library,
-            config,
+            resources.space,
+            resources.library,
+            resources.config,
             backend=args.backend,
             workers=args.workers,
             shards=args.shards,
@@ -865,114 +927,28 @@ def _serve_passes(
             )
         first_digest = None
         for run in range(1, args.repeats + 1):
-            answers: Dict[str, List[str]] = {}
-
-            def _collect(index, request, result) -> None:
-                if request.deadline is None:
-                    answers[request.tag] = sorted(
-                        kg.entity(uid).name for uid in result.answer_uids()
-                    )
-
-            report = replay(
-                service,
-                items,
-                rate=rate,
-                arrival=arrival,
-                seed=seed,
-                breakdown=args.breakdown,
-                on_result=_collect if answer_digest is not None else None,
+            result = replay_pass(
+                service, workload, resources,
+                popularity=popularity, breakdown=args.breakdown,
             )
             label = "cold" if run == 1 else "warm"
             print(f"\n--- pass {run}/{args.repeats} ({label}) ---")
-            print(report.describe())
-            if answer_digest is not None:
-                digest = answer_digest(answers)
+            print(result.report.describe())
+            digest = result.digest
+            print(
+                f"exact-match digest: {digest} "
+                f"({len(result.answers)} exact queries)"
+            )
+            if first_digest is None:
+                first_digest = digest
+            elif digest != first_digest:
                 print(
-                    f"exact-match digest: {digest} "
-                    f"({len(answers)} exact queries)"
+                    f"exact-match digest mismatch: pass 1 printed "
+                    f"{first_digest}, pass {run} printed {digest}",
+                    file=sys.stderr,
                 )
-                if first_digest is None:
-                    first_digest = digest
-                elif digest != first_digest:
-                    print(
-                        f"exact-match digest mismatch: pass 1 printed "
-                        f"{first_digest}, pass {run} printed {digest}",
-                        file=sys.stderr,
-                    )
-                    return 1
+                return 1
     return 0
-
-
-def _run_scenario(args, parser) -> int:
-    """Replay a frozen scenario artifact (the ``--scenario`` path)."""
-    if (
-        args.rate is not None
-        or args.arrival != "uniform"
-        or args.deadline is not None
-        or args.tbq_fraction is not None
-    ):
-        parser.error(
-            "--scenario fixes the arrival spec and deadline mix; "
-            "--rate/--arrival/--deadline/--tbq-fraction cannot override it"
-        )
-    # Deferred import: scenario replay pulls in the generator stack.
-    from repro.scenarios.replay import (
-        answer_digest,
-        build_resources,
-        scenario_items,
-    )
-    from repro.scenarios.suite import Workload
-
-    try:
-        workload = Workload.from_pickle(args.scenario)
-    except FileNotFoundError:
-        parser.error(f"--scenario: no such artifact: {args.scenario}")
-    except ScenarioError as exc:
-        parser.error(f"--scenario: {exc}")
-    resources = build_resources(workload)
-    counts = workload.intent_counts()
-    mix = workload.deadline_mix
-    print(
-        f"scenario {workload.name}: domain {workload.domain} @ scale "
-        f"{workload.scale} ({resources.kg.num_entities} entities, "
-        f"{resources.kg.num_edges} edges), {len(workload.queries)} queries, "
-        f"k={workload.k}, tau={workload.tau} "
-        f"(compact view, {args.backend} backend)"
-    )
-    print(
-        "intent mix: "
-        + ", ".join(f"{intent}={count}" for intent, count in counts.items())
-    )
-    if mix is not None and mix.fraction > 0:
-        print(
-            f"deadline mix: {mix.fraction:.0%} of queries time-bounded "
-            f"at {mix.deadline:.2f} s (seeded selection)"
-        )
-    items = scenario_items(workload)
-    popularity = _parse_popularity(args, parser)
-    if popularity.kind != "uniform":
-        # Explicit resampling on top of the artifact's fixed sequence
-        # (the artifact's own popularity, if any, is already applied by
-        # scenario_items) — seeded by the workload, so repeatable.
-        items = apply_popularity(items, popularity, workload.seed)
-        print(
-            f"popularity: {popularity.describe()} — resampled to "
-            f"{len(items)} requests"
-        )
-    return _serve_passes(
-        args,
-        parser,
-        (resources.kg, resources.space, resources.library, resources.config),
-        items,
-        rate=workload.arrival.rate,
-        arrival=(
-            workload.arrival.process
-            if workload.arrival.rate is not None
-            else "uniform"
-        ),
-        seed=workload.seed,
-        answer_digest=answer_digest,
-    )
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -1003,46 +979,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.shards < 0:
         parser.error(f"--shards must be non-negative, got {args.shards}")
     if args.scenario is not None:
-        return _run_scenario(args, parser)
-    # Deferred import: bundle generation pulls in the full bench stack.
-    from repro.bench.datasets import load_bundle
-
-    bundle = load_bundle(args.preset, scale=args.scale, seed=args.seed)
-    print(
-        f"{args.preset}: {bundle.kg.num_entities} entities, "
-        f"{bundle.kg.num_edges} edges, {len(bundle.workload)} queries "
-        f"(compact view, {args.backend} backend)"
-    )
-    # With a --tbq-fraction only the seeded slice gets the deadline;
-    # without one the historical all-or-nothing semantics apply.
-    per_item_deadline = None if args.tbq_fraction is not None else args.deadline
-    items = [
-        WorkloadItem(
-            query=q.query,
-            k=args.k,
-            deadline=per_item_deadline,
-            qid=q.qid,
-            complexity=q.complexity,
-        )
-        for q in bundle.workload
-    ]
-    if args.tbq_fraction:
-        items = mix_deadlines(
-            items, args.tbq_fraction, args.deadline, seed=args.seed
-        )
-    popularity = _parse_popularity(args, parser)
-    if popularity.kind != "uniform":
-        items = apply_popularity(items, popularity, args.seed)
-        print(
-            f"popularity: {popularity.describe()} — resampled to "
-            f"{len(items)} requests"
-        )
-    return _serve_passes(
-        args,
-        parser,
-        (bundle.kg, bundle.space, bundle.library, None),
-        items,
-        rate=args.rate,
-        arrival=args.arrival,
-        seed=args.seed,
-    )
+        workload, resources = _scenario_run(args, parser)
+    else:
+        workload, resources = _preset_run(args)
+    return _serve_passes(args, parser, workload, resources)

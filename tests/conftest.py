@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from concurrent.futures import Future
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -11,6 +13,7 @@ from repro.embedding.predicate_space import PredicateSpace
 from repro.kg.graph import KnowledgeGraph
 from repro.kg.schema import dbpedia_like_schema
 from repro.query.transform import NodeMatcher, TransformationLibrary
+from repro.serve.backends import InlineBackend
 
 # Tier-1 reruns are bit-identical: every hypothesis suite draws the same
 # examples on every run.  CI searches for new counter-examples in a
@@ -102,3 +105,39 @@ def small_bundle():
 def medium_bundle():
     """A medium DBpedia-like bundle (used where truth sizes matter)."""
     return load_bundle("dbpedia", scale=3.0, seed=1)
+
+
+class HeldBackend(InlineBackend):
+    """A fake pool whose requests wait, unresolved, for :meth:`release`:
+    requests in flight (singleflight followers, full admission, a hung
+    pool) without threads or sleeps."""
+
+    held = ()
+
+    def submit(self, request, submitted_wall):
+        self.held = [*self.held, (Future(), request, submitted_wall)]
+        return self.held[-1][0]
+
+    def release(self):
+        """Run every held request in submission order on this thread."""
+        held, self.held = self.held, ()
+        for future, request, submitted_wall in held:
+            done = super().submit(request, submitted_wall)
+            if done.exception() is None:
+                future.set_result(done.result())
+            else:
+                future.set_exception(done.exception())
+
+
+@pytest.fixture()
+def held_backends(monkeypatch):
+    """Services built in the test run on :class:`HeldBackend`; the list
+    fills with the backends they built, in order."""
+    built = []
+
+    def build(*args, **kwargs):
+        built.append(HeldBackend(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr("repro.serve.service.InlineBackend", build)
+    return built

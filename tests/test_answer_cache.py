@@ -18,7 +18,6 @@ Covers the three claims the result-level cache makes:
 
 import pickle
 import random
-import threading
 from collections import OrderedDict
 from concurrent.futures import Future
 from dataclasses import dataclass
@@ -620,105 +619,86 @@ class TestServiceIntegration:
 
 
 class TestSingleflight:
-    def test_concurrent_identical_misses_run_the_engine_once(self, small_bundle):
-        release = threading.Event()
-        calls = []
+    def test_concurrent_identical_misses_run_the_engine_once(
+        self, small_bundle, held_backends
+    ):
         with QueryService.build(
             small_bundle.kg, small_bundle.space, small_bundle.library,
-            backend="thread", workers=4, answer_cache=8,
+            answer_cache=8,
         ) as service:
-            engine = service.engine
-            original = engine.search
-
-            def gated(query, k=10, **kwargs):
-                calls.append(threading.get_ident())
-                assert release.wait(timeout=30)
-                return original(query, k, **kwargs)
-
-            engine.search = gated
-            try:
-                futures = [service.submit(_product_query(), k=K) for _ in range(8)]
-                # Follower registration is front-side and synchronous:
-                # by the time submit returns, the classification is done.
-                snap = service.stats_snapshot()
-                assert snap.answer_misses == 1
-                assert snap.singleflight_collapsed == 7
-                release.set()
-                results = [f.result(timeout=60) for f in futures]
-            finally:
-                engine.search = original
+            (pool,) = held_backends
+            futures = [service.submit(_product_query(), k=K) for _ in range(8)]
+            # Follower registration is front-side and synchronous:
+            # by the time submit returns, the classification is done.
             snap = service.stats_snapshot()
-        assert len(calls) == 1
+            assert snap.answer_misses == 1
+            assert snap.singleflight_collapsed == 7
+            assert len(pool.held) == 1  # only the leader reached the pool
+            pool.release()
+            results = [f.result(timeout=60) for f in futures]
+            snap = service.stats_snapshot()
+        assert snap.queries == 1
         assert snap.completed == 8
         assert snap.failed == 0
         for other in results[1:]:
             _assert_same_answer(results[0], other)
 
-    def test_leader_failure_fails_followers_and_caches_nothing(self, small_bundle):
-        release = threading.Event()
+    def test_leader_failure_fails_followers_and_caches_nothing(
+        self, small_bundle, held_backends
+    ):
         with QueryService.build(
             small_bundle.kg, small_bundle.space, small_bundle.library,
-            backend="thread", workers=2, answer_cache=8,
+            answer_cache=8,
         ) as service:
-            engine = service.engine
-            original = engine.search
+            (pool,) = held_backends
 
             def failing(query, k=10, **kwargs):
-                assert release.wait(timeout=30)
                 raise RuntimeError("engine exploded")
 
-            engine.search = failing
-            try:
-                futures = [service.submit(_product_query(), k=K) for _ in range(4)]
-                release.set()
-                for future in futures:
-                    with pytest.raises(RuntimeError):
-                        future.result(timeout=60)
-            finally:
-                engine.search = original
+            service.engine.search = failing  # shadows the method
+            futures = [service.submit(_product_query(), k=K) for _ in range(4)]
+            pool.release()
+            for future in futures:
+                with pytest.raises(RuntimeError):
+                    future.result(timeout=60)
+            del service.engine.search
             assert len(service.answer_cache) == 0
             snap = service.stats_snapshot()
             assert snap.failed == 4
             # A retry after the failure leads a fresh flight and succeeds.
-            result = service.submit(_product_query(), k=K).result(timeout=60)
+            future = service.submit(_product_query(), k=K)
+            pool.release()
+            result = future.result(timeout=60)
             assert service.stats_snapshot().answer_misses == 2
         assert result.answer_uids()
 
 
 class TestSupervisedComposition:
-    def test_hit_bypasses_admission_and_retry_budget(self, small_bundle):
+    def test_hit_bypasses_admission_and_retry_budget(
+        self, small_bundle, held_backends
+    ):
         """A cached hit never becomes a backend attempt: it cannot be
         shed by ``max_pending`` and cannot spend retry budget, even while
         the pool is saturated."""
         hot = _product_query()
         cold = _product_query(name="France")
         shed_me = _product_query(name="Italy")
-        release = threading.Event()
         with QueryService.build(
             small_bundle.kg, small_bundle.space, small_bundle.library,
-            backend="thread", workers=1,
             answer_cache=8, max_pending=1,
         ) as service:
-            service.submit(hot, k=K).result(timeout=60)  # prime the cache
-            engine = service.engine
-            original = engine.search
-
-            def gated(query, k=10, **kwargs):
-                assert release.wait(timeout=30)
-                return original(query, k, **kwargs)
-
-            engine.search = gated
-            try:
-                blocked = service.submit(cold, k=K)  # fills max_pending
-                # A distinct miss is shed — admission really is full...
-                with pytest.raises(OverloadError):
-                    service.submit(shed_me, k=K)
-                # ...but the cached request sails through front-side.
-                hit = service.submit(hot, k=K).result(timeout=5)
-            finally:
-                release.set()
-                blocked.result(timeout=60)
-                engine.search = original
+            (pool,) = held_backends
+            primed = service.submit(hot, k=K)  # prime the cache
+            pool.release()
+            primed.result(timeout=60)
+            blocked = service.submit(cold, k=K)  # fills max_pending
+            # A distinct miss is shed — admission really is full...
+            with pytest.raises(OverloadError):
+                service.submit(shed_me, k=K)
+            # ...but the cached request sails through front-side.
+            hit = service.submit(hot, k=K).result(timeout=5)
+            pool.release()
+            blocked.result(timeout=60)
             snap = service.stats_snapshot()
         assert hit.answer_uids()
         assert snap.answer_hits == 1

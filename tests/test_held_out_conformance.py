@@ -48,7 +48,6 @@ PROCESS = {"backend": "process", "workers": 2}
 #: Arms that replay every exact query once: the golden digest, whole.
 FULL_COVERAGE_ARMS = {
     "inline": INLINE,
-    "thread": {"backend": "thread", "workers": 2},
     "process": PROCESS,
     # Workers that inherit nothing: spec, pipes and shm handle all arrive
     # by pickle (the other process arms run on the platform's ``fork``).
@@ -178,9 +177,9 @@ def test_answer_cache_serves_golden_answers_on_zipf_traffic(
     if capacity == EVICTING_CAPACITY:
         assert answers.evictions > 0
     elif capacity == ROOMY_CAPACITY:
-        # An unpaced pool replay has every repeat in flight at once, so
-        # there the repeats are singleflight followers, not hits — and
-        # the hit rate counts both as spared searches.
+        # The artifact paces the replay (Poisson arrivals): on a pool a
+        # repeat arriving while its first request is in flight is a
+        # singleflight follower, not a hit — the hit rate counts both.
         assert answers.hit_rate >= 0.5
         assert answers.evictions == 0
 

@@ -21,6 +21,8 @@ import dataclasses
 import os
 import signal
 import time
+from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 import pytest
 
@@ -219,9 +221,10 @@ class TestInlineSupervision:
     ):
         with QueryService.build(
             small_bundle.kg, small_bundle.space, small_bundle.library,
-            backend="thread", workers=2, supervised=True,
-        ) as service:
-            results = service.search_many(_queries(small_bundle), k=5)
+            supervised=True,
+        ) as service, ThreadPoolExecutor(2) as clients:  # two client threads
+            submit = partial(service.submit, k=5)
+            results = [f.result() for f in clients.map(submit, _queries(small_bundle))]
             resilience = service.stats_snapshot().resilience
         assert _signatures(results) == reference
         assert resilience == ResilienceStats(breaker_state="closed")
@@ -236,36 +239,28 @@ class TestInlineSupervision:
 
 
 class TestSheddingAndTimeout:
-    def test_overload_sheds_beyond_max_pending(self, small_bundle):
-        # Latency faults pin the worker down so submissions pile up.
-        plan = FaultPlan(latency_at=(1, 2, 3), latency_seconds=0.3)
+    def test_overload_sheds_beyond_max_pending(self, small_bundle, held_backends):
         with QueryService.build(
             small_bundle.kg, small_bundle.space, small_bundle.library,
-            backend="thread", workers=1,
-            fault_plan=plan, max_pending=1,
+            max_pending=1,
         ) as service:
+            (pool,) = held_backends  # holds the first request in flight
             queries = _queries(small_bundle, count=3)
             futures = [service.submit(queries[0], k=5)]
-            shed = 0
             for query in queries[1:]:
-                try:
-                    futures.append(service.submit(query, k=5))
-                except OverloadError as exc:
-                    assert "max_pending=1" in str(exc)
-                    shed += 1
-            assert shed >= 1
+                with pytest.raises(OverloadError, match="max_pending=1"):
+                    service.submit(query, k=5)
+            pool.release()
             for future in futures:
                 future.result(timeout=30)
             stats = service.stats_snapshot()
-        assert stats.resilience.shed == shed
-        assert stats.failed == shed  # shed requests count as failures too
+        assert stats.resilience.shed == 2
+        assert stats.failed == 2  # shed requests count as failures too
 
-    def test_hard_timeout_is_not_a_tbq_deadline(self, small_bundle):
-        plan = FaultPlan(latency_at=(1,), latency_seconds=5.0)
+    def test_hard_timeout_is_not_a_tbq_deadline(self, small_bundle, held_backends):
         with QueryService.build(
             small_bundle.kg, small_bundle.space, small_bundle.library,
-            backend="thread", workers=1,
-            fault_plan=plan, hard_timeout=0.1,
+            hard_timeout=0.1,
         ) as service:
             future = service.submit(_queries(small_bundle)[0], k=5)
             with pytest.raises(RequestTimeoutError, match="distinct from a TBQ"):

@@ -167,7 +167,6 @@ class TestReplayDeterminism:
         first = replay_scenario(workload)
         second = replay_scenario(workload)
         assert first.digest == second.digest
-        assert first.intent_counts == second.intent_counts
         assert first.answers == second.answers
         assert len(first.answers) == 5  # no deadline mix -> all exact
 

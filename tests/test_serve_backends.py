@@ -1,7 +1,7 @@
 """Cross-backend conformance suite for the execution-backend seam.
 
 The seam's contract (`repro.serve.backends`): exact (SGQ) results are
-bit-identical on the inline, thread and process backends — same final
+bit-identical on the inline and process backends — same final
 matches, bit-equal scores, same components, same TA bookkeeping and the
 same per-sub-query decision counters — and the same as the lazy-view
 oracle's.  Cache
@@ -15,6 +15,7 @@ import signal
 import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack, contextmanager
 from multiprocessing import active_children
 
@@ -150,23 +151,6 @@ class TestCrossBackendConformance:
                         reference_results[q.qid],
                         result,
                     )
-
-    def test_process_equals_thread_on_repeated_shapes(self, small_bundle):
-        """One shape served over and over agrees across backends."""
-        query = _product_query()
-        batch = [query] * 6
-        with QueryService.build(
-            small_bundle.kg, small_bundle.space, small_bundle.library,
-            backend="thread", workers=2,
-        ) as thread_svc:
-            thread_results = thread_svc.search_many(batch, k=K)
-        with QueryService.build(
-            small_bundle.kg, small_bundle.space, small_bundle.library,
-            backend="process", workers=2,
-        ) as process_svc:
-            process_results = process_svc.search_many(batch, k=K)
-        for index, (a, b) in enumerate(zip(thread_results, process_results)):
-            _assert_identical(f"repeat{index}", a, b)
 
 
 class TestProcessBackend:
@@ -371,7 +355,7 @@ class TestProcessSeam:
 
 
 class TestSharedBackends:
-    def test_inline_shares_the_service_cache_and_counts_like_thread(self, small_bundle):
+    def test_inline_shares_the_service_cache_and_counts(self, small_bundle):
         with QueryService.build(
             small_bundle.kg, small_bundle.space, small_bundle.library,
             backend="inline",
@@ -383,18 +367,22 @@ class TestSharedBackends:
             assert report.cache == service.cache.stats
             assert (report.submitted, report.completed, report.in_flight) == (3, 3, 0)
 
-    def test_thread_phase_diff_of_shared_counters(self, small_bundle):
+    def test_client_threads_phase_diff_of_shared_counters(self, small_bundle):
+        """Client threads over one inline service share its caches and
+        counters: a phase they run together diffs like a serial one."""
         with QueryService.build(
             small_bundle.kg, small_bundle.space, small_bundle.library,
-            backend="thread", workers=2,
         ) as service:
             service.search_many([_product_query()], k=K)
             before = service.stats_snapshot()
             assert before.since(before).cache.misses == 0
-            service.search_many([_product_query()], k=K)
+            with ThreadPoolExecutor(4) as clients:  # four client threads
+                for _ in range(4):
+                    clients.submit(service.search_many, [_product_query()] * 3, K)
             after = service.stats_snapshot().since(before)
             assert after.cache.misses == 0  # fully warm repeat
             assert after.cache.hits > 0
+            assert (after.submitted, after.completed, after.queries) == (12, 12, 12)
 
 
 def test_stats_since_matches_workers_by_id():
@@ -513,19 +501,16 @@ class TestSeededReplayDeterminism:
 
         reference = run("inline")
         assert len(reference) == len(items)
-        for backend in ("thread", "process"):
-            payloads = run(backend)
-            assert payloads.keys() == reference.keys()
-            for index in reference:
-                expected, actual = reference[index], payloads[index]
-                # Payload-level identity on everything except wall time.
-                assert actual.answer_uids() == expected.answer_uids()
-                assert actual.approximate == expected.approximate
-                _assert_identical(
-                    f"{backend}/item{index}",
-                    expected.to_result(),
-                    actual.to_result(),
-                )
+        payloads = run("process")
+        assert payloads.keys() == reference.keys()
+        for index in reference:
+            expected, actual = reference[index], payloads[index]
+            # Payload-level identity on everything except wall time.
+            assert actual.answer_uids() == expected.answer_uids()
+            assert actual.approximate == expected.approximate
+            _assert_identical(
+                f"process/item{index}", expected.to_result(), actual.to_result()
+            )
 
 
 class TestAnswerCacheConformance:

@@ -15,6 +15,8 @@ from repro.embedding.predicate_space import PredicateSpace
 from repro.errors import ReproError, SearchError, ServeError
 from repro.kg.compact import CompactGraph
 from repro.kg.shm import leaked_segments
+from repro.scenarios import WorkloadBuilder
+from repro.serve.backends import EXECUTION_BACKENDS
 from repro.serve.cache import SemanticGraphCache
 from repro.serve.resilience import BackoffPolicy, CircuitBreaker
 from repro.serve.service import QueryRequest, QueryService, ServiceStats
@@ -40,10 +42,7 @@ def _product_query():
 
 @pytest.fixture()
 def service(small_bundle):
-    svc = QueryService.build(
-        small_bundle.kg, small_bundle.space, small_bundle.library,
-        backend="thread", workers=2,
-    )
+    svc = QueryService.build(small_bundle.kg, small_bundle.space, small_bundle.library)
     yield svc
     svc.close()
 
@@ -76,7 +75,9 @@ def test_configuration_surface_snapshot():
         "compact", "shared_graph",
         "kwargs",
     ]
-    # The default is the caller's own thread (ROADMAP item 7's table).
+    # Two backends; the default is the caller's own thread (ROADMAP
+    # item 7's table).
+    assert EXECUTION_BACKENDS == ("inline", "process")
     for signature in (QueryService.__init__, QueryService.build):
         assert inspect.signature(signature).parameters["backend"].default == "inline"
     assert _build_parser().get_default("backend") == "inline"
@@ -231,6 +232,10 @@ def _submit_with_deadline(bundle, deadline):
             assert service.stats_snapshot().submitted == 0
 
 
+def _builder():
+    return WorkloadBuilder("non-finite", seed=1).intents(star=2)
+
+
 #: ``nan`` fails every comparison, so a bare ``x <= 0`` guard let it (and
 #: ``inf``) through each of these seams; each must refuse both.
 NON_FINITE_SEAMS = {
@@ -245,6 +250,12 @@ NON_FINITE_SEAMS = {
     "assembly_seconds_per_match": lambda bundle, x: SearchConfig(
         assembly_seconds_per_match=x
     ),
+    # A workload artifact freezes these numbers, so its builder refuses them.
+    "workload_scale": lambda bundle, x: _builder().domain("dbpedia", scale=x),
+    "workload_rate": lambda bundle, x: _builder().arrivals("poisson", rate=x),
+    "workload_deadline": lambda bundle, x: _builder().deadlines(0.5, x),
+    "workload_latency_budget": lambda bundle, x: _builder().latency_budget(x),
+    "workload_intent_budget": lambda bundle, x: _builder().latency_budget(star=x),
 }
 
 
@@ -259,7 +270,6 @@ class TestLifecycle:
     def test_submit_after_close_raises(self, small_bundle):
         svc = QueryService.build(
             small_bundle.kg, small_bundle.space, small_bundle.library,
-            backend="thread", workers=1,
         )
         svc.close()
         assert svc.closed
@@ -269,7 +279,6 @@ class TestLifecycle:
     def test_context_manager_closes(self, small_bundle):
         with QueryService.build(
             small_bundle.kg, small_bundle.space, small_bundle.library,
-            backend="thread", workers=1,
         ) as svc:
             svc.submit(_product_query(), k=3).result()
         assert svc.closed
@@ -280,6 +289,9 @@ class TestLifecycle:
         )
         with pytest.raises(ServeError):
             QueryService(engine, workers=0)
+        # 'thread' is refused like any unknown backend name.
+        with pytest.raises(ServeError, match="unknown execution backend 'thread'"):
+            QueryService(engine, backend="thread")
 
     @pytest.mark.parametrize(
         "refused, match",
@@ -319,9 +331,8 @@ class TestLifecycle:
 
     @pytest.mark.parametrize(
         "backend, spelling",
-        [("inline", {}), ("thread", {}), ("process", {}),
-         ("process", {"shared_graph": True})],
-        ids=["inline", "thread", "process", "process-shared_graph"],
+        [("inline", {}), ("process", {}), ("process", {"shared_graph": True})],
+        ids=["inline", "process", "process-shared_graph"],
     )
     def test_ledger_spellings_serve_as_the_default_build(
         self, small_bundle, backend, spelling

@@ -34,10 +34,7 @@ class TestPercentile:
 
 @pytest.fixture()
 def service(small_bundle):
-    svc = QueryService.build(
-        small_bundle.kg, small_bundle.space, small_bundle.library,
-        backend="thread", workers=2,
-    )
+    svc = QueryService.build(small_bundle.kg, small_bundle.space, small_bundle.library)
     yield svc
     svc.close()
 
@@ -126,22 +123,22 @@ class TestReplay:
         assert report.completed == 0
         assert report.throughput_qps == 0.0
 
-    def test_breakdown_collects_split_per_query(self, service, small_bundle):
+    @pytest.fixture()
+    def breakdown(self, service, small_bundle):
         items = [
             WorkloadItem(query=q.query, k=4, qid=q.qid)
             for q in small_bundle.workload[:3]
         ]
-        report = replay(service, items, breakdown=True)
-        assert report.breakdown is not None
-        assert len(report.breakdown) == 3
-        qids = {row.qid for row in report.breakdown}
-        assert qids == {q.qid for q in items}
-        for row in report.breakdown:
-            assert row.search_seconds >= 0.0
-            assert row.assembly_seconds >= 0.0
-            assert 0.0 <= row.assembly_share <= 1.0
-            assert row.ta_rounds >= 1
-            assert not row.truncated
+        return items, replay(service, items, breakdown=True)
+
+    def test_breakdown_collects_split_per_query(self, breakdown):
+        items, report = breakdown
+        assert sorted(qid for qid, _row in report.breakdown) == sorted(
+            item.qid for item in items
+        )
+        for _qid, row in report.breakdown:
+            assert 0.0 <= row.assembly_seconds <= row.elapsed_seconds
+            assert row.ta_rounds >= 1 and not row.ta_truncated
         text = report.describe()
         assert "assembly share" in text
         assert "search vs assembly per query" in text
@@ -152,24 +149,14 @@ class TestReplay:
         assert report.truncated == 0
         assert "assembly share" not in report.describe()
 
-    def test_breakdown_carries_search_counters(self, service, small_bundle):
-        items = [
-            WorkloadItem(query=q.query, k=4, qid=q.qid)
-            for q in small_bundle.workload[:3]
-        ]
-        report = replay(service, items, breakdown=True)
-        assert report.breakdown is not None
-        for row in report.breakdown:
-            assert row.expansions > 0
-            assert row.pruned_by_tau >= 0
-            assert row.pruned_by_visited >= 0
-            assert row.pruned_by_reach >= 0
-            assert row.stale_pops >= 0
-            assert row.max_queue_size > 0
-        text = report.describe()
-        assert "search totals:" in text
-        assert "expansions" in text and "stale pops" in text
-        assert sum(row.pruned_by_reach for row in report.breakdown) > 0
+    def test_breakdown_carries_search_counters(self, breakdown):
+        rows = [row for _qid, row in breakdown[1].breakdown]
+        assert all(row.expansions > 0 and row.max_queue_size > 0 for row in rows)
+        assert sum(row.pruned_by_reach for row in rows) > 0
+        # The totals line sums every sub-query's SearchStats.
+        text = breakdown[1].describe()
+        assert f"search totals: {sum(row.expansions for row in rows)} expansions" in text
+        assert f", {sum(row.stale_pops for row in rows)} stale pops" in text
 
     def test_class_latency_buckets(self, service, small_bundle):
         items = [
@@ -290,49 +277,26 @@ class TestMixDeadlines:
 
 
 class TestConsoleEntrypoint:
+    SMALL = ["--preset", "dbpedia", "--scale", "1.0", "--seed", "11", "--k", "4"]
+
     def test_main_smoke(self, capsys):
-        code = workload_main(
-            [
-                "--preset",
-                "dbpedia",
-                "--scale",
-                "1.0",
-                "--seed",
-                "11",
-                "--repeats",
-                "2",
-                "--k",
-                "4",
-            ]
-        )
+        code = workload_main(self.SMALL + ["--repeats", "2"])
         assert code == 0
         out = capsys.readouterr().out
         assert "(compact view, inline backend)" in out
         assert "pass 1/2 (cold)" in out
         assert "pass 2/2 (warm)" in out
+        # A preset run is one Workload pass like a --scenario run.
+        digests = [
+            line for line in out.splitlines()
+            if line.startswith("exact-match digest: sha256:")
+        ]
+        assert len(digests) == 2 and digests[0] == digests[1]
         assert "throughput" in out
         assert "hit_rate" in out
 
     def test_main_breakdown_flag(self, capsys):
-        code = workload_main(
-            [
-                "--preset",
-                "dbpedia",
-                "--scale",
-                "1.0",
-                "--seed",
-                "11",
-                "--repeats",
-                "1",
-                "--k",
-                "4",
-                "--backend",
-                "thread",
-                "--workers",
-                "2",
-                "--breakdown",
-            ]
-        )
+        code = workload_main(self.SMALL + ["--repeats", "1", "--breakdown"])
         assert code == 0
         out = capsys.readouterr().out
         assert "assembly share" in out
@@ -354,13 +318,9 @@ class TestConsoleEntrypoint:
         )
 
     def test_main_process_backend(self, capsys):
-        code = workload_main(
-            [
-                "--preset", "dbpedia", "--scale", "1.0", "--seed", "11",
-                "--repeats", "2", "--k", "4", "--workers", "2",
-                "--backend", "process", "--breakdown",
-            ]
-        )
+        code = workload_main(self.SMALL + [
+            "--repeats", "2", "--workers", "2", "--backend", "process", "--breakdown",
+        ])
         assert code == 0
         out = capsys.readouterr().out
         assert "process backend" in out
@@ -369,15 +329,10 @@ class TestConsoleEntrypoint:
         assert "space row cache: hit_rate=" in out
 
     def test_main_poisson_and_tbq_mix(self, capsys):
-        code = workload_main(
-            [
-                "--preset", "dbpedia", "--scale", "1.0", "--seed", "11",
-                "--repeats", "1", "--k", "4",
-                "--backend", "thread", "--workers", "2",
-                "--rate", "200", "--arrival", "poisson",
-                "--deadline", "0.5", "--tbq-fraction", "0.5",
-            ]
-        )
+        code = workload_main(self.SMALL + [
+            "--repeats", "1", "--rate", "200", "--arrival", "poisson",
+            "--deadline", "0.5", "--tbq-fraction", "0.5",
+        ])
         assert code == 0
         out = capsys.readouterr().out
         assert "poisson open-loop" in out
@@ -391,13 +346,13 @@ class TestConsoleEntrypoint:
         ("--scale", "nan", "--scale"),
         ("--arrival", "poisson", "requires --rate"),
         ("--tbq-fraction", "0.5", "requires --deadline"),
+        ("--backend", "thread", "invalid choice: 'thread'"),
     ])
     def test_main_rejects_what_no_run_can_use(self, capsys, flag, value, named):
         """Exit 2 naming the flag — ``nan <= 0`` is false, so non-finite
         numbers pass a bare positive check."""
-        small = ["--preset", "dbpedia", "--scale", "1.0", "--seed", "11"]
         with pytest.raises(SystemExit) as exit_info:
-            workload_main(small + [flag, value])
+            workload_main(self.SMALL + [flag, value])
         assert exit_info.value.code == 2
         assert named in capsys.readouterr().err
 
@@ -410,6 +365,41 @@ class TestConsoleEntrypoint:
             rate=None,
         )
         assert "weight cache" not in report.describe()
+
+
+@pytest.mark.parametrize("flags", [
+    [],
+    ["--rate", "50", "--arrival", "poisson", "--deadline", "0.2", "--tbq-fraction", "0.25"],
+    ["--deadline", "0.5"],
+    ["--popularity", "zipf:1.1:40", "--deadline", "0.1", "--tbq-fraction", "0"],
+], ids=["plain", "poisson-tbq-mix", "all-tbq", "zipf-no-tbq"])
+def test_preset_workload_replays_the_requests_the_flags_built(flags):
+    """A preset run's frozen Workload yields, item for item, the requests
+    the flags describe: bundle items with a per-item deadline or a seeded
+    --tbq-fraction slice, then the seeded popularity draw, paced by the
+    flags' arrival spec and seed."""
+    from repro.bench.datasets import load_bundle
+    from repro.scenarios import scenario_items
+    from repro.serve.workload import PopularitySpec, _build_parser, _preset_run, apply_popularity
+
+    preset = ["--preset", "dbpedia", "--scale", "1.0", "--k", "5"]
+    args = _build_parser().parse_args(preset + flags)
+    bundle = load_bundle(args.preset, scale=args.scale, seed=args.seed)
+    deadline = None if args.tbq_fraction is not None else args.deadline
+    expected = [
+        WorkloadItem(q.query, args.k, deadline, q.qid, q.complexity) for q in bundle.workload
+    ]
+    if args.tbq_fraction:
+        expected = mix_deadlines(expected, args.tbq_fraction, args.deadline, seed=args.seed)
+    popularity = PopularitySpec.parse(args.popularity)
+    workload, resources = _preset_run(args)
+    assert apply_popularity(scenario_items(workload), popularity, workload.seed) == (
+        apply_popularity(expected, popularity, args.seed)
+    )
+    assert resources.kg is bundle.kg and resources.space is bundle.space
+    assert (workload.arrival.process, workload.arrival.rate, workload.seed) == (
+        args.arrival, args.rate, args.seed,
+    )
 
 
 class TestScenarioEntrypoint:

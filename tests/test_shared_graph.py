@@ -166,7 +166,7 @@ class TestSharedGraphService:
         with pytest.raises(ServeError, match="process backend"):
             QueryService.build(
                 small_bundle.kg, small_bundle.space, small_bundle.library,
-                backend="thread", shared_graph=True,
+                backend="inline", shared_graph=True,
             )
 
     def test_no_segment_outlives_the_service(self, small_bundle):
