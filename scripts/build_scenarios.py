@@ -104,7 +104,7 @@ def main(argv=None) -> int:
         encoding="utf-8",
     )
     for path in (pkl, manifest, golden):
-        print(f"wrote {path.relative_to(REPO)} ({path.stat().st_size} bytes)")
+        print(f"wrote {path} ({path.stat().st_size} bytes)")
     return 0
 
 

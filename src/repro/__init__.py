@@ -5,7 +5,7 @@ Public entry points:
 
 - :class:`repro.kg.KnowledgeGraph` and :func:`repro.kg.generator.build_dataset`
   for the knowledge-graph substrate;
-- :mod:`repro.embedding` for TransE/TransH/TransR and the predicate
+- :mod:`repro.embedding` for TransE and the predicate
   semantic space (Section IV-A);
 - :mod:`repro.query` for query graphs, transformation library and
   decomposition (Sections III, IV-B);

@@ -25,9 +25,7 @@ runs out first:
    entity above what SGQ gives it and converges to SGQ as ``T`` grows
    (Theorem 4).
 
-``t`` is ``SearchConfig.assembly_seconds_per_match``, a fixed constant;
-:func:`calibrate_assembly_seconds_per_match` measures it for a host but
-nothing in the engine calls it.
+``t`` is ``SearchConfig.assembly_seconds_per_match``, a fixed constant.
 
 **Threading substitution (see docs/architecture.md).**  The paper runs
 one thread per sub-query; under CPython's GIL real threads buy no
@@ -130,40 +128,3 @@ class TimeBoundedCoordinator:
             return TimeBoundedOutcome(
                 harvests=[search.harvest() for search in searches]
             )
-
-
-def calibrate_assembly_seconds_per_match(
-    sample_matches: int = 2000, kernel: str = "vectorized"
-) -> float:
-    """Measure the empirical per-match TA cost ``t`` of Algorithm 3.
-
-    Runs a simulated assembly over synthetic single-stream matches (the
-    paper: "we get this empirical time via the simulated TA based
-    assembly") and returns seconds per match.  ``kernel`` selects the
-    assembly implementation to calibrate (default: the engine's default,
-    the vectorized kernel).  A measurement aid only: the engine's estimate
-    uses the constant ``SearchConfig.assembly_seconds_per_match`` and
-    nothing outside the tests calls this.
-    """
-    from repro.core.assembly import MatchStream, assemble_top_k
-    from repro.kg.paths import Path
-
-    if sample_matches < 10:
-        raise TimeBudgetError("need at least 10 samples to calibrate")
-    matches = [
-        PathMatch(
-            subquery_index=0,
-            path=Path.single_node(i),
-            pivot_uid=i,
-            pss=1.0 - i / (sample_matches + 1),
-        )
-        for i in range(sample_matches)
-    ]
-    watch = Stopwatch()
-    assemble_top_k(
-        [MatchStream.from_list(matches)],
-        k=sample_matches,
-        exhaustive=True,
-        kernel=kernel,
-    )
-    return max(watch.elapsed() / sample_matches, 1e-9)

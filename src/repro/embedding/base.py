@@ -2,22 +2,21 @@
 
 The paper summarises the family (Section IV-A): initialise vectors for the
 elements of each triple ``<h, r, t>``, define a scoring function ``g`` such
-that ``t ≈ g(h, r)``, and optimise it.  All three implemented models
-(TransE, TransH, TransR) share the margin-based ranking objective
+that ``t ≈ g(h, r)``, and optimise it under the margin-based ranking
+objective
 
     L = Σ max(0, margin + d(pos) - d(neg))
 
-over corrupted triples, differing only in the distance ``d``.  Subclasses
-implement :meth:`distance` and :meth:`apply_gradients`; the trainer drives
-SGD and negative sampling.
+over corrupted triples.  A model implements the distance ``d``
+(:meth:`distance`) and its SGD step (:meth:`apply_gradients`); the trainer
+drives SGD and negative sampling.  TransE is the one model the paper
+trains (Table IX).
 
 Distances use squared L2, whose gradients are linear and keep the pure-
 numpy implementation simple and fast.
 """
 
 from __future__ import annotations
-
-from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -75,7 +74,7 @@ class TranslationalModel:
         raise NotImplementedError
 
     def post_batch(self) -> None:
-        """Per-batch projection (e.g. entity renormalisation)."""
+        """Renormalise the entity vectors after each batch."""
         normalize_rows(self.entity_vectors)
 
     # ------------------------------------------------------------------
@@ -84,19 +83,13 @@ class TranslationalModel:
     def relation_vector(self, relation: int) -> np.ndarray:
         """The semantic vector exported for a relation (predicate).
 
-        For all three models this is the translation vector itself; TransH
-        and TransR carry extra per-relation parameters, but the translation
-        vector is what encodes "meaning" and is what the predicate space
-        compares (Eq. 5).
+        This is the translation vector, which encodes "meaning" and is
+        what the predicate space compares (Eq. 5).
         """
         if not 0 <= relation < self.num_relations:
             raise EmbeddingError(f"relation index {relation} out of range")
         return self.relation_vectors[relation]
 
-    def parameter_count(self) -> int:
-        """Total number of floats (for the Table IX memory report)."""
-        return self.entity_vectors.size + self.relation_vectors.size
-
     def memory_bytes(self) -> int:
-        """Approximate parameter memory footprint in bytes."""
-        return self.parameter_count() * self.entity_vectors.itemsize
+        """Parameter memory in bytes (for the Table IX memory report)."""
+        return self.entity_vectors.nbytes + self.relation_vectors.nbytes

@@ -1,16 +1,12 @@
 """Negative (corrupted) triple sampling for margin-ranking training.
 
-Implements the two classic strategies:
-
-- ``"uniform"`` — corrupt head or tail with a fair coin (TransE paper);
-- ``"bern"`` — per-relation Bernoulli that corrupts the side with more
-  distinct partners (TransH paper), reducing false negatives on 1-to-N
-  relations such as ``country`` (many cities share one country).
+Corrupts the head or the tail of each triple with a fair coin, the TransE
+paper's "uniform" strategy.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -25,38 +21,13 @@ class NegativeSampler:
         self,
         triples: Sequence[Triple],
         num_entities: int,
-        strategy: str = "uniform",
         seed: int = 0,
     ):
-        if strategy not in ("uniform", "bern"):
-            raise EmbeddingError(f"unknown sampling strategy {strategy!r}")
         if not triples:
             raise EmbeddingError("cannot sample negatives from an empty triple set")
         self.num_entities = num_entities
-        self.strategy = strategy
         self._rng = np.random.default_rng(seed)
         self._known = {(t.head, t.relation, t.tail) for t in triples}
-        self._head_probability = self._bernoulli_table(triples)
-
-    def _bernoulli_table(self, triples: Sequence[Triple]) -> Dict[int, float]:
-        """Per-relation probability of corrupting the head ("bern").
-
-        With tph = mean tails per head and hpt = mean heads per tail, the
-        TransH recipe corrupts the head with probability tph / (tph + hpt).
-        """
-        heads_by_relation: Dict[int, Dict[int, int]] = {}
-        tails_by_relation: Dict[int, Dict[int, int]] = {}
-        for triple in triples:
-            heads_by_relation.setdefault(triple.relation, {}).setdefault(triple.head, 0)
-            heads_by_relation[triple.relation][triple.head] += 1
-            tails_by_relation.setdefault(triple.relation, {}).setdefault(triple.tail, 0)
-            tails_by_relation[triple.relation][triple.tail] += 1
-        table: Dict[int, float] = {}
-        for relation in heads_by_relation:
-            tph = np.mean(list(heads_by_relation[relation].values()))
-            hpt = np.mean(list(tails_by_relation[relation].values()))
-            table[relation] = float(tph / (tph + hpt))
-        return table
 
     def corrupt(self, batch: np.ndarray) -> np.ndarray:
         """Return a corrupted copy of a ``(batch, 3)`` triple array.
@@ -69,13 +40,7 @@ class NegativeSampler:
         """
         negatives = batch.copy()
         size = len(batch)
-        if self.strategy == "uniform":
-            corrupt_head = self._rng.random(size) < 0.5
-        else:
-            probs = np.array(
-                [self._head_probability.get(int(r), 0.5) for r in batch[:, 1]]
-            )
-            corrupt_head = self._rng.random(size) < probs
+        corrupt_head = self._rng.random(size) < 0.5
 
         replacements = self._rng.integers(0, self.num_entities, size=size)
         negatives[corrupt_head, 0] = replacements[corrupt_head]

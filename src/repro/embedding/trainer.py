@@ -13,7 +13,7 @@ reproduced at our dataset scales.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Type
+from typing import List, Optional, Type
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from repro.embedding.negative_sampling import NegativeSampler
 from repro.embedding.predicate_space import PredicateSpace
 from repro.embedding.transe import TransE
 from repro.kg.graph import KnowledgeGraph
-from repro.kg.triples import Triple, graph_to_id_triples
+from repro.kg.triples import graph_to_id_triples
 from repro.utils.timing import Stopwatch
 
 
@@ -36,7 +36,6 @@ class TrainingConfig:
     batch_size: int = 512
     learning_rate: float = 0.01
     margin: float = 1.0
-    sampling: str = "uniform"
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -96,7 +95,6 @@ class EmbeddingTrainer:
         sampler = NegativeSampler(
             self.triples,
             num_entities=self.kg.num_entities,
-            strategy=config.sampling,
             seed=config.seed + 1,
         )
         rng = np.random.default_rng(config.seed + 2)

@@ -1,10 +1,10 @@
-"""Knowledge-graph substrate: storage, triples I/O, schemas, generators."""
+"""Knowledge-graph substrate: storage, id triples, schemas, generators."""
 
 from repro.kg.compact import CompactGraph
 from repro.kg.graph import Edge, Entity, KnowledgeGraph
 from repro.kg.paths import Path, PathStep, enumerate_paths
 from repro.kg.schema import DomainSchema, PredicateSpec, SynonymFamily
-from repro.kg.triples import Triple, read_triples, write_triples
+from repro.kg.triples import Triple
 from repro.kg.generator import GeneratorConfig, SyntheticKGBuilder
 
 __all__ = [
@@ -19,8 +19,6 @@ __all__ = [
     "PredicateSpec",
     "SynonymFamily",
     "Triple",
-    "read_triples",
-    "write_triples",
     "GeneratorConfig",
     "SyntheticKGBuilder",
 ]

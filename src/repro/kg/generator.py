@@ -21,8 +21,8 @@ All randomness flows from ``GeneratorConfig.seed`` through
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -49,9 +49,6 @@ class GeneratorConfig:
             Real KGs are highly coherent — a car assembled in Germany has a
             German manufacturer — and multi-hop correct schemas only reach
             consistent answers when this holds.
-        untyped_fraction: fraction of entities whose type is withheld
-            (replaced by ``UNKNOWN_TYPE``) to exercise the probabilistic
-            entity-typing component (Example 1 / ref [54] of the paper).
     """
 
     seed: int = 7
@@ -59,7 +56,6 @@ class GeneratorConfig:
     density: float = 1.0
     hub_bias: float = 0.3
     coherence: float = 0.93
-    untyped_fraction: float = 0.0
 
     def __post_init__(self) -> None:
         if self.scale <= 0:
@@ -70,11 +66,6 @@ class GeneratorConfig:
             raise SchemaError("hub_bias must be in [0, 1)")
         if not 0.0 <= self.coherence <= 1.0:
             raise SchemaError("coherence must be in [0, 1]")
-        if not 0.0 <= self.untyped_fraction < 1.0:
-            raise SchemaError("untyped_fraction must be in [0, 1)")
-
-
-UNKNOWN_TYPE = "Thing"
 
 
 class SyntheticKGBuilder:
@@ -98,7 +89,6 @@ class SyntheticKGBuilder:
         uids_by_type = self._generate_entities(kg)
         self._assign_latents(kg, uids_by_type)
         self._generate_edges(kg, uids_by_type)
-        self._withhold_types(kg)
         return kg
 
     # ------------------------------------------------------------------
@@ -246,24 +236,6 @@ class SyntheticKGBuilder:
                 return bucket[int(rng.integers(len(bucket)))]
         pick = int(rng.choice(len(targets), p=probs))
         return targets[pick]
-
-    def _withhold_types(self, kg: KnowledgeGraph) -> None:
-        """Replace a fraction of entity types with ``UNKNOWN_TYPE``.
-
-        Implemented as a rebuild marker list consumed by
-        :mod:`repro.kg.typing_model`; the graph itself keeps true types so
-        ground truth stays computable, and the typing model is evaluated
-        against them.
-        """
-        fraction = self.config.untyped_fraction
-        if fraction <= 0:
-            self.untyped_uids: List[int] = []
-            return
-        rng = derive_rng(self.config.seed, f"untyped:{self.schema.name}")
-        count = int(kg.num_entities * fraction)
-        self.untyped_uids = sorted(
-            int(u) for u in rng.choice(kg.num_entities, size=count, replace=False)
-        )
 
 
 def _poisson_like(expected: float, rng: np.random.Generator) -> int:

@@ -327,11 +327,8 @@ class KnowledgeGraph:
         )
 
     def triples(self) -> Iterator[Tuple[str, str, str]]:
-        """Iterate ``(head name, predicate, tail name)`` string triples.
-
-        Head/tail are rendered with their uid suffix when names collide, so
-        the output round-trips through :mod:`repro.kg.triples`.
-        """
+        """Iterate ``(head name, predicate, tail name)`` string triples,
+        source-major in uid order."""
         for uid in range(self.num_entities):
             for edge, _other in self._incident_out[uid]:
                 yield (

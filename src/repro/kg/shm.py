@@ -348,10 +348,6 @@ class ShmArrayBlock:
         self._arrays[key] = view
         return view
 
-    def arrays(self) -> Dict[str, np.ndarray]:
-        """All columns as a ``key -> view`` dict."""
-        return {key: self.array(key) for key in self.handle.keys}
-
     # ------------------------------------------------------------------
     def close(self) -> None:
         """Detach from the segment (idempotent).

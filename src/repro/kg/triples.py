@@ -1,27 +1,15 @@
-"""Triple records and a tab-separated persistence format.
+"""Id triples for embedding training.
 
-The embedding trainer consumes ``(head, relation, tail)`` id triples; the
-benchmark harness persists generated datasets so that expensive graphs are
-built once per session.  The on-disk format is a plain TSV with a one-line
-header, one triple per line::
-
-    # repro-triples v1
-    Audi_TT|Automobile\tassembly\tGermany|Country
-
-Entity cells carry ``name|type`` so a graph can be reconstructed without a
-separate node file.
+The embedding trainer consumes ``(head, relation, tail)`` id triples built
+from a graph's edges.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Iterable, List, Tuple, Union
+from typing import List, Tuple
 
-from repro.errors import GraphError
 from repro.kg.graph import KnowledgeGraph
-
-_HEADER = "# repro-triples v1"
 
 
 @dataclass(frozen=True)
@@ -50,98 +38,3 @@ def graph_to_id_triples(
         for edge in kg.out_edges(uid)
     ]
     return triples, vocab
-
-
-def _render_entity(name: str, etype: str) -> str:
-    if "|" in name or "\t" in name or "|" in etype or "\t" in etype:
-        raise GraphError(f"name/type may not contain '|' or tab: {name!r}/{etype!r}")
-    return f"{name}|{etype}"
-
-
-def _parse_entity(cell: str) -> Tuple[str, str]:
-    name, sep, etype = cell.rpartition("|")
-    if not sep or not name or not etype:
-        raise GraphError(f"malformed entity cell: {cell!r}")
-    return name, etype
-
-
-def write_triples(kg: KnowledgeGraph, path: Union[str, Path]) -> int:
-    """Write the graph's edges to ``path``; returns the triple count.
-
-    Isolated entities (degree 0) are appended as ``name|type`` lines with no
-    predicate so the reconstruction is lossless.
-    """
-    path = Path(path)
-    count = 0
-    with path.open("w", encoding="utf-8") as handle:
-        handle.write(_HEADER + "\n")
-        for uid in range(kg.num_entities):
-            entity = kg.entity(uid)
-            if kg.degree(uid) == 0:
-                handle.write(_render_entity(entity.name, entity.etype) + "\n")
-        for uid in range(kg.num_entities):
-            for edge in kg.out_edges(uid):
-                head = kg.entity(edge.source)
-                tail = kg.entity(edge.target)
-                handle.write(
-                    "\t".join(
-                        (
-                            _render_entity(head.name, head.etype),
-                            edge.predicate,
-                            _render_entity(tail.name, tail.etype),
-                        )
-                    )
-                    + "\n"
-                )
-                count += 1
-    return count
-
-
-def read_triples(path: Union[str, Path], name: str = "kg") -> KnowledgeGraph:
-    """Load a graph previously written by :func:`write_triples`.
-
-    Entities are deduplicated by ``(name, type)``; edge order follows file
-    order.  Raises :class:`GraphError` on a bad header or malformed line.
-    """
-    path = Path(path)
-    kg = KnowledgeGraph(name=name)
-    uid_of = {}
-
-    def intern(cell: str) -> int:
-        key = _parse_entity(cell)
-        if key not in uid_of:
-            uid_of[key] = kg.add_entity(*key).uid
-        return uid_of[key]
-
-    with path.open("r", encoding="utf-8") as handle:
-        header = handle.readline().rstrip("\n")
-        if header != _HEADER:
-            raise GraphError(f"unrecognized triple file header: {header!r}")
-        for line_no, raw in enumerate(handle, start=2):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            cells = line.split("\t")
-            if len(cells) == 1:
-                intern(cells[0])
-            elif len(cells) == 3:
-                head, predicate, tail = cells
-                kg.add_edge(intern(head), predicate, intern(tail))
-            else:
-                raise GraphError(f"{path}:{line_no}: expected 1 or 3 cells, got {len(cells)}")
-    return kg
-
-
-def iter_predicate_contexts(kg: KnowledgeGraph) -> Iterable[Tuple[str, str, str]]:
-    """Yield ``(predicate, source type, target type)`` for every edge.
-
-    The context-oracle embedding (``repro.embedding.oracle``) builds
-    predicate vectors from the distribution of these type signatures.
-    """
-    for uid in range(kg.num_entities):
-        for edge in kg.out_edges(uid):
-            yield (
-                edge.predicate,
-                kg.entity(edge.source).etype,
-                kg.entity(edge.target).etype,
-            )

@@ -8,7 +8,7 @@ state across a workload:
   LRU-bounded cross-query store of whole-graph rows (weights, ``m(u)``
   bounds, hop labels), with hit/miss statistics;
 - :class:`~repro.serve.service.QueryService` — pool front-end with
-  ``submit`` / ``submit_batch`` / ``search_many`` and per-query
+  ``submit`` / ``search_many`` and per-query
   deadlines (mapped onto the TBQ coordinator), running on a pluggable
   execution backend; ``stats_snapshot()`` returns its one stats type,
   :class:`~repro.serve.service.ServiceStats`, each part read from the

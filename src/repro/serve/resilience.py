@@ -322,22 +322,6 @@ class SupervisedBackend(ExecutionBackend):
             stats = self._stats
         return replace(stats, breaker_state=self._breaker.state)
 
-    @property
-    def breaker(self) -> CircuitBreaker:
-        return self._breaker
-
-    @property
-    def generation(self) -> int:
-        """How many pools have served (increments on every rebuild)."""
-        with self._pool_lock:
-            return self._generation
-
-    @property
-    def inner(self) -> ExecutionBackend:
-        """The currently-serving inner backend (changes across rebuilds)."""
-        with self._pool_lock:
-            return self._inner
-
     # ------------------------------------------------------------------
     # pool lifecycle
     # ------------------------------------------------------------------

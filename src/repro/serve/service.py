@@ -28,9 +28,9 @@ budgets.  :class:`QueryService` is the serving seam between the two:
   deadline bounds latency, not service time), while requests without a
   deadline get exact SGQ semantics.
 
-``submit`` returns a future; ``submit_batch`` and ``search_many`` are the
-batch conveniences.  Exact (SGQ) results are bit-identical to calling
-``engine.search`` sequentially on **every** backend: caches store pure
+``submit`` returns a future; ``search_many`` is the batch convenience.
+Exact (SGQ) results are bit-identical to calling ``engine.search``
+sequentially on **every** backend: caches store pure
 functions of the graph/space, decompositions are deterministic, worker
 scheduling never reorders per-query state, and a process worker's
 engine reads the same frozen store, space and library.  The
@@ -740,12 +740,6 @@ class QueryService:
         with self._stats_lock:
             self._counts["completed" if success else "failed"] += 1
 
-    def submit_batch(
-        self, requests: Sequence[Union[QueryRequest, QueryGraph]]
-    ) -> List["Future[QueryResult]"]:
-        """Enqueue a batch; futures are returned in submission order."""
-        return [self.submit_request(self._coerce(r)) for r in requests]
-
     def search_many(
         self,
         queries: Sequence[Union[QueryRequest, QueryGraph]],
@@ -766,9 +760,7 @@ class QueryService:
 
     @staticmethod
     def _coerce(
-        item: Union[QueryRequest, QueryGraph],
-        k: int = 10,
-        deadline: Optional[float] = None,
+        item: Union[QueryRequest, QueryGraph], k: int, deadline: Optional[float]
     ) -> QueryRequest:
         if isinstance(item, QueryRequest):
             return item

@@ -1,13 +1,12 @@
-"""Small shared utilities: heaps, clocks, RNG helpers, statistics."""
+"""Small shared utilities: a heap, clocks, RNG helpers, statistics."""
 
-from repro.utils.heap import MaxHeap, MinHeap
+from repro.utils.heap import MaxHeap
 from repro.utils.rng import derive_rng, stable_hash
 from repro.utils.stats import geometric_mean, mean, pearson_correlation
 from repro.utils.timing import BudgetClock, Clock, Stopwatch, WallClock
 
 __all__ = [
     "MaxHeap",
-    "MinHeap",
     "derive_rng",
     "stable_hash",
     "geometric_mean",

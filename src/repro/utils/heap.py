@@ -1,4 +1,4 @@
-"""Max/min heap wrappers over :mod:`heapq` with stable tie-breaking.
+"""A max-heap wrapper over :mod:`heapq` with stable tie-breaking.
 
 The paper's Algorithm 1 keeps two max-heaps: the priority queue ``q`` of
 partial paths ordered by estimated pss, and the match set ``Mi`` ordered by
@@ -11,7 +11,7 @@ which keeps the search (and therefore every experiment) reproducible.
 from __future__ import annotations
 
 import heapq
-from typing import Generic, Iterator, List, Optional, Tuple, TypeVar
+from typing import Generic, List, Tuple, TypeVar
 
 T = TypeVar("T")
 
@@ -48,61 +48,6 @@ class MaxHeap(Generic[T]):
         """
         neg, _count, item = heapq.heappop(self._heap)
         return -neg, item
-
-    def peek_max(self) -> Tuple[float, T]:
-        """Return the max ``(priority, item)`` pair without removing it."""
-        neg, _count, item = self._heap[0]
-        return -neg, item
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def __bool__(self) -> bool:
-        return bool(self._heap)
-
-    def __iter__(self) -> Iterator[Tuple[float, T]]:
-        """Iterate over ``(priority, item)`` pairs in descending order.
-
-        The heap itself is not consumed; iteration sorts a copy.
-        """
-        for neg, _count, item in sorted(self._heap):
-            yield -neg, item
-
-    def drain(self) -> List[Tuple[float, T]]:
-        """Pop everything, returning pairs in descending priority order."""
-        out = []
-        while self._heap:
-            out.append(self.pop_max())
-        return out
-
-    @property
-    def max_priority(self) -> Optional[float]:
-        """Priority of the top item, or ``None`` if the heap is empty."""
-        if not self._heap:
-            return None
-        return -self._heap[0][0]
-
-
-class MinHeap(Generic[T]):
-    """A min-heap counterpart of :class:`MaxHeap` (used by TA bookkeeping)."""
-
-    __slots__ = ("_heap", "_counter")
-
-    def __init__(self) -> None:
-        self._heap: List[Tuple[float, int, T]] = []
-        self._counter = 0
-
-    def push(self, priority: float, item: T) -> None:
-        heapq.heappush(self._heap, (priority, self._counter, item))
-        self._counter += 1
-
-    def pop_min(self) -> Tuple[float, T]:
-        prio, _count, item = heapq.heappop(self._heap)
-        return prio, item
-
-    def peek_min(self) -> Tuple[float, T]:
-        prio, _count, item = self._heap[0]
-        return prio, item
 
     def __len__(self) -> int:
         return len(self._heap)

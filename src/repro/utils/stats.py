@@ -46,22 +46,6 @@ def geometric_mean(values: Iterable[float]) -> float:
     return math.exp(log_sum / count)
 
 
-def nth_root_product(values: Iterable[float], n: int) -> float:
-    """``(prod values) ** (1/n)`` in log space; 0.0 if any value <= 0.
-
-    This is the estimated-pss form of Eq. 7, where the root order ``n`` (the
-    user-desired path length bound) can exceed the number of factors.
-    """
-    if n <= 0:
-        raise ValueError("root order must be positive")
-    log_sum = 0.0
-    for value in values:
-        if value <= 0.0:
-            return 0.0
-        log_sum += math.log(value)
-    return math.exp(log_sum / n)
-
-
 def mean(values: Sequence[float]) -> float:
     """Arithmetic mean; raises :class:`ValueError` on empty input."""
     if not values:

@@ -6,10 +6,7 @@ from repro.bench.metrics import jaccard
 from repro.core.compact_view import CompactViewFactory
 from repro.core.config import PssMode, SearchConfig, VisitedPolicy
 from repro.core.engine import SemanticGraphQueryEngine
-from repro.core.time_bounded import (
-    TimeBoundedCoordinator,
-    calibrate_assembly_seconds_per_match,
-)
+from repro.core.time_bounded import TimeBoundedCoordinator
 from repro.embedding.oracle import oracle_predicate_space
 from repro.errors import ConfigError, SearchError, TimeBudgetError
 from repro.kg.compact import CompactGraph, FrozenGraphReader
@@ -260,14 +257,6 @@ class TestTBQ:
         # Fig. 15(b): the response time stays within a small variation of
         # the bound; allow generous slack for CI jitter.
         assert result.elapsed_seconds < bound * 3
-
-    def test_calibration_positive(self):
-        t = calibrate_assembly_seconds_per_match(500)
-        assert t > 0
-
-    def test_calibration_validates(self):
-        with pytest.raises(TimeBudgetError):
-            calibrate_assembly_seconds_per_match(5)
 
 
 class TestVisitedPolicyAblation:

@@ -5,27 +5,26 @@ import itertools
 import numpy as np
 import pytest
 
-from repro.embedding.base import TranslationalModel, normalize_rows
-from repro.embedding.evaluation import evaluate_link_prediction
+from repro.embedding.base import normalize_rows
 from repro.embedding.negative_sampling import NegativeSampler
 from repro.embedding.oracle import oracle_predicate_space
 from repro.embedding.predicate_space import PredicateSpace
-from repro.embedding.trainer import EmbeddingTrainer, TrainingConfig
+from repro.embedding.trainer import (
+    EmbeddingTrainer,
+    TrainingConfig,
+    train_predicate_space,
+)
 from repro.embedding.transe import TransE
-from repro.embedding.transh import TransH
-from repro.embedding.transr import TransR
 from repro.errors import EmbeddingError, UnknownPredicateError
 from repro.kg.generator import build_dataset
+from repro.kg.graph import KnowledgeGraph
 from repro.kg.schema import dbpedia_like_schema
-from repro.kg.triples import Triple, graph_to_id_triples
-
-MODELS = [TransE, TransH, TransR]
+from repro.kg.triples import Triple
 
 
 class TestModelBasics:
-    @pytest.mark.parametrize("model_class", MODELS)
-    def test_distance_shape_and_positivity(self, model_class):
-        model = model_class(num_entities=10, num_relations=3, dim=8, seed=0)
+    def test_distance_shape_and_positivity(self):
+        model = TransE(num_entities=10, num_relations=3, dim=8, seed=0)
         heads = np.array([0, 1, 2])
         rels = np.array([0, 1, 2])
         tails = np.array([3, 4, 5])
@@ -33,9 +32,8 @@ class TestModelBasics:
         assert distances.shape == (3,)
         assert np.all(distances >= 0)
 
-    @pytest.mark.parametrize("model_class", MODELS)
-    def test_gradient_step_reduces_positive_distance(self, model_class):
-        model = model_class(num_entities=8, num_relations=2, dim=8, seed=1)
+    def test_gradient_step_reduces_positive_distance(self):
+        model = TransE(num_entities=8, num_relations=2, dim=8, seed=1)
         pos = np.array([[0, 0, 1]])
         # Disjoint corrupted triple so its push-apart gradient cannot fight
         # the positive pull on shared parameters.
@@ -47,9 +45,8 @@ class TestModelBasics:
         after = model.distance(pos[:, 0], pos[:, 1], pos[:, 2])[0]
         assert after < before
 
-    @pytest.mark.parametrize("model_class", MODELS)
-    def test_no_update_when_nothing_violates(self, model_class):
-        model = model_class(num_entities=6, num_relations=2, dim=4, seed=1)
+    def test_no_update_when_nothing_violates(self):
+        model = TransE(num_entities=6, num_relations=2, dim=4, seed=1)
         snapshot = model.entity_vectors.copy()
         model.apply_gradients(
             np.array([[0, 0, 1]]), np.array([[0, 0, 2]]), np.array([False]), 0.1
@@ -69,12 +66,42 @@ class TestModelBasics:
 
     def test_memory_accounting(self):
         model = TransE(num_entities=10, num_relations=5, dim=16)
-        assert model.parameter_count() == (10 + 5) * 16
-        assert model.memory_bytes() == model.parameter_count() * 8
+        assert model.memory_bytes() == (10 + 5) * 16 * 8
 
-    def test_transr_counts_projections(self):
-        model = TransR(num_entities=4, num_relations=3, dim=8)
-        assert model.parameter_count() == (4 + 3) * 8 + 3 * 8 * 8
+    @pytest.mark.parametrize(
+        "shape", [(0, 3, 8), (10, 0, 8), (10, 3, 0)], ids=["entities", "relations", "dim"]
+    )
+    def test_rejects_empty_shapes(self, shape):
+        entities, relations, dim = shape
+        with pytest.raises(EmbeddingError):
+            TransE(num_entities=entities, num_relations=relations, dim=dim)
+
+    def test_initial_vectors_are_unit_rows(self):
+        model = TransE(num_entities=12, num_relations=4, dim=8, seed=3)
+        for matrix in (model.entity_vectors, model.relation_vectors):
+            assert np.allclose(np.linalg.norm(matrix, axis=1), 1.0)
+
+    def test_initialisation_follows_the_seed(self):
+        first = TransE(num_entities=5, num_relations=2, dim=4, seed=9)
+        again = TransE(num_entities=5, num_relations=2, dim=4, seed=9)
+        other = TransE(num_entities=5, num_relations=2, dim=4, seed=10)
+        assert np.array_equal(first.entity_vectors, again.entity_vectors)
+        assert np.array_equal(first.relation_vectors, again.relation_vectors)
+        assert not np.array_equal(first.entity_vectors, other.entity_vectors)
+
+    def test_exact_translation_has_zero_distance(self):
+        model = TransE(num_entities=3, num_relations=1, dim=4, seed=0)
+        model.entity_vectors[2] = model.entity_vectors[0] + model.relation_vectors[0]
+        distance = model.distance(np.array([0]), np.array([0]), np.array([2]))
+        assert distance[0] == pytest.approx(0.0)
+
+    def test_post_batch_renormalises_entities_only(self):
+        model = TransE(num_entities=4, num_relations=2, dim=4, seed=0)
+        model.entity_vectors *= 3.0
+        model.relation_vectors *= 3.0
+        model.post_batch()
+        assert np.allclose(np.linalg.norm(model.entity_vectors, axis=1), 1.0)
+        assert np.allclose(np.linalg.norm(model.relation_vectors, axis=1), 3.0)
 
     def test_normalize_rows_handles_zero(self):
         matrix = np.array([[3.0, 4.0], [0.0, 0.0]])
@@ -97,18 +124,48 @@ class TestNegativeSampler:
             assert row[1] == neg[1]
             assert sum(changed) <= 1  # may coincidentally redraw same id
 
-    def test_bern_strategy_builds_table(self, triples):
-        sampler = NegativeSampler(triples, num_entities=10, strategy="bern", seed=0)
-        assert set(sampler._head_probability) == {0, 1}
-        assert all(0 < p < 1 for p in sampler._head_probability.values())
-
-    def test_rejects_unknown_strategy(self, triples):
-        with pytest.raises(EmbeddingError):
-            NegativeSampler(triples, 10, strategy="magic")
-
     def test_rejects_empty_triples(self):
         with pytest.raises(EmbeddingError):
             NegativeSampler([], 10)
+
+    @staticmethod
+    def _batch(triples, repeats=50):
+        return np.array([[t.head, t.relation, t.tail] for t in triples] * repeats)
+
+    def test_same_seed_same_negatives(self, triples):
+        batch = self._batch(triples)
+        first = NegativeSampler(triples, num_entities=10, seed=4).corrupt(batch)
+        again = NegativeSampler(triples, num_entities=10, seed=4).corrupt(batch)
+        assert np.array_equal(first, again)
+
+    def test_leaves_the_batch_alone(self, triples):
+        batch = self._batch(triples)
+        snapshot = batch.copy()
+        NegativeSampler(triples, num_entities=10, seed=0).corrupt(batch)
+        assert np.array_equal(batch, snapshot)
+
+    def test_corrupts_heads_and_tails_alike(self, triples):
+        batch = self._batch(triples)
+        negatives = NegativeSampler(triples, num_entities=1000, seed=0).corrupt(batch)
+        heads = int(np.sum(negatives[:, 0] != batch[:, 0]))
+        tails = int(np.sum(negatives[:, 2] != batch[:, 2]))
+        assert heads + tails == len(batch)  # 1000 ids: no redraw of the same one
+        assert 0.35 < heads / len(batch) < 0.65
+
+    def test_replacements_are_entity_ids(self, triples):
+        batch = self._batch(triples)
+        negatives = NegativeSampler(triples, num_entities=10, seed=0).corrupt(batch)
+        assert negatives.min() >= 0
+        assert negatives[:, [0, 2]].max() < 10
+
+    def test_redraws_corruptions_that_are_true_triples(self, triples):
+        # With 5 entities a fifth of the raw draws rebuild a true triple;
+        # the redraws must leave (almost) none of them.
+        batch = self._batch(triples, repeats=100)
+        negatives = NegativeSampler(triples, num_entities=5, seed=0).corrupt(batch)
+        known = {(t.head, t.relation, t.tail) for t in triples}
+        false_negatives = sum(tuple(map(int, row)) in known for row in negatives)
+        assert false_negatives <= len(batch) // 100
 
 
 class TestTrainer:
@@ -162,24 +219,47 @@ class TestTrainer:
         with pytest.raises(EmbeddingError):
             TrainingConfig(learning_rate=0)
 
-    def test_link_prediction_better_than_random(self, kg):
-        trainer = EmbeddingTrainer(
-            kg, TrainingConfig(dim=32, epochs=25, batch_size=128, learning_rate=0.05)
-        )
-        model, _ = trainer.train(TransE)
-        triples, _ = graph_to_id_triples(kg)
-        result = evaluate_link_prediction(
-            model, triples[:60], triples, max_triples=60
-        )
-        random_mean_rank = kg.num_entities / 2
-        assert result.mean_rank < random_mean_rank * 0.7
-        assert 0 <= result.hits_at_10 <= 1
-
-    def test_link_prediction_empty_raises(self, kg):
-        trainer = EmbeddingTrainer(kg, TrainingConfig(dim=8, epochs=1))
-        model, _ = trainer.train(TransE)
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"dim": -1},
+            {"epochs": 0},
+            {"batch_size": 0},
+            {"learning_rate": -0.1},
+            {"margin": -0.5},
+        ],
+        ids=lambda bad: next(iter(bad)),
+    )
+    def test_config_rejects_each_bad_field(self, bad):
         with pytest.raises(EmbeddingError):
-            evaluate_link_prediction(model, [], [])
+            TrainingConfig(**bad)
+
+    def test_zero_margin_is_allowed(self):
+        assert TrainingConfig(margin=0.0).margin == 0.0
+
+    def test_training_is_reproducible(self, kg):
+        config = TrainingConfig(dim=8, epochs=2, batch_size=128, seed=5)
+        first, first_report = EmbeddingTrainer(kg, config).train(TransE)
+        again, again_report = EmbeddingTrainer(kg, config).train(TransE)
+        assert np.array_equal(first.relation_vectors, again.relation_vectors)
+        assert first_report.loss_history == again_report.loss_history
+
+    def test_one_call_pipeline_matches_the_trainer(self, kg):
+        config = TrainingConfig(dim=8, epochs=2, seed=1)
+        space, report = train_predicate_space(kg, config)
+        trainer = EmbeddingTrainer(kg, config)
+        model, _report = trainer.train(TransE)
+        expected = trainer.predicate_space(model)
+        assert report.model_name == "TransE"
+        assert len(report.loss_history) == 2
+        for name in kg.predicates():
+            assert np.array_equal(space.vector(name), expected.vector(name))
+
+    def test_edgeless_graph_is_refused(self):
+        graph = KnowledgeGraph()
+        graph.add_entity("Lonely", "T")
+        with pytest.raises(EmbeddingError):
+            EmbeddingTrainer(graph)
 
 
 class TestPredicateSpace:

@@ -7,7 +7,6 @@ from repro.bench.workloads import q117_truth_constraint, q117_variants
 from repro.bench.groundtruth import constraint_truth
 from repro.core.config import SearchConfig
 from repro.core.engine import SemanticGraphQueryEngine
-from repro.kg.triples import read_triples, write_triples
 
 
 class TestFullPipeline:
@@ -38,25 +37,6 @@ class TestFullPipeline:
         first = engine.search(q117_variants()["G3"], k=25).answer_uids()
         second = engine.search(q117_variants()["G3"], k=25).answer_uids()
         assert first == second
-
-    def test_graph_roundtrip_preserves_query_results(self, medium_bundle, tmp_path):
-        """Persisting and reloading the KG leaves answers identical
-        (entity uids are re-interned, so compare by name)."""
-        bundle = medium_bundle
-        path = tmp_path / "kg.tsv"
-        write_triples(bundle.kg, path)
-        reloaded = read_triples(path)
-
-        original_engine = SemanticGraphQueryEngine(
-            bundle.kg, bundle.space, bundle.library
-        )
-        reloaded_engine = SemanticGraphQueryEngine(
-            reloaded, bundle.space, bundle.library
-        )
-        query = q117_variants()["G4"]
-        original = set(original_engine.search(query, k=30).answer_names(bundle.kg))
-        again = set(reloaded_engine.search(query, k=30).answer_names(reloaded))
-        assert original == again
 
     def test_tau_tightening_monotone_recall(self, medium_bundle):
         """Lemma 3 end to end: a larger τ can only remove answers."""

@@ -1,4 +1,4 @@
-"""Tests for domain schemas, the synthetic generator and entity typing."""
+"""Tests for domain schemas and the synthetic generator."""
 
 import pytest
 
@@ -19,7 +19,6 @@ from repro.kg.schema import (
     preset_schema,
     yago2_like_schema,
 )
-from repro.kg.typing_model import ProbabilisticEntityTyper
 from repro.utils.rng import derive_rng
 
 
@@ -90,6 +89,13 @@ class TestGenerator:
         b = build_dataset("dbpedia", seed=6, scale=0.5)
         assert set(a.triples()) != set(b.triples())
 
+    @pytest.mark.parametrize("preset", ["dbpedia", "freebase", "yago2"])
+    def test_every_entity_carries_a_schema_type(self, preset):
+        kg = build_dataset(preset, seed=2, scale=0.3)
+        declared = set(preset_schema(preset).types())
+        assert {entity.etype for entity in kg.entities()} <= declared
+        assert sum(len(kg.entities_of_type(t)) for t in kg.types()) == kg.num_entities
+
     def test_named_anchors_exist_at_small_scale(self):
         kg = build_dataset("dbpedia", seed=1, scale=0.1)
         assert kg.entity_by_name("Germany").etype == "Country"
@@ -155,16 +161,6 @@ class TestGenerator:
             GeneratorConfig(hub_bias=1.0)
         with pytest.raises(SchemaError):
             GeneratorConfig(coherence=1.5)
-        with pytest.raises(SchemaError):
-            GeneratorConfig(untyped_fraction=1.0)
-
-    def test_untyped_fraction_marks_entities(self):
-        builder = SyntheticKGBuilder(
-            dbpedia_like_schema(),
-            GeneratorConfig(seed=1, scale=0.5, untyped_fraction=0.1),
-        )
-        kg = builder.build()
-        assert len(builder.untyped_uids) == int(kg.num_entities * 0.1)
 
     def test_poisson_like_expectation(self):
         rng = derive_rng(0, "t")
@@ -179,51 +175,3 @@ class TestGenerator:
             dbpedia_like_schema(), GeneratorConfig(seed=1, hub_bias=0.6)
         ).build()
         assert skewed.statistics().max_degree > flat.statistics().max_degree
-
-
-class TestEntityTyping:
-    @pytest.fixture(scope="class")
-    def setup(self):
-        builder = SyntheticKGBuilder(
-            dbpedia_like_schema(),
-            GeneratorConfig(seed=3, scale=1.0, untyped_fraction=0.08),
-        )
-        kg = builder.build()
-        typer = ProbabilisticEntityTyper.fit(kg, exclude=builder.untyped_uids)
-        return kg, typer, builder.untyped_uids
-
-    def test_accuracy_beats_majority_class(self, setup):
-        kg, typer, untyped = setup
-        connected = [u for u in untyped if kg.degree(u) > 0]
-        accuracy = typer.accuracy(kg, connected)
-        majority = max(
-            len(kg.entities_of_type(t)) for t in kg.types()
-        ) / kg.num_entities
-        assert accuracy > majority + 0.2
-
-    def test_prediction_has_alternatives(self, setup):
-        kg, typer, untyped = setup
-        prediction = typer.predict(kg, untyped[0], top_n=2)
-        assert len(prediction.alternatives) == 2
-        assert prediction.etype not in [t for t, _s in prediction.alternatives]
-
-    def test_scores_sorted_descending(self, setup):
-        kg, typer, _untyped = setup
-        scores = typer.score(kg, 0)
-        values = [s for _t, s in scores]
-        assert values == sorted(values, reverse=True)
-
-    def test_fit_rejects_empty(self):
-        from repro.errors import GraphError
-        from repro.kg.graph import KnowledgeGraph
-
-        kg = KnowledgeGraph()
-        with pytest.raises(GraphError):
-            ProbabilisticEntityTyper.fit(kg)
-
-    def test_accuracy_requires_uids(self, setup):
-        from repro.errors import GraphError
-
-        kg, typer, _ = setup
-        with pytest.raises(GraphError):
-            typer.accuracy(kg, [])

@@ -1,4 +1,6 @@
-"""Tests for triples I/O and path utilities."""
+"""Tests for id triples and path utilities."""
+
+import dataclasses
 
 import pytest
 
@@ -11,12 +13,7 @@ from repro.kg.paths import (
     follow_pattern,
     reverse_pattern,
 )
-from repro.kg.triples import (
-    graph_to_id_triples,
-    iter_predicate_contexts,
-    read_triples,
-    write_triples,
-)
+from repro.kg.triples import Triple, graph_to_id_triples
 
 
 @pytest.fixture()
@@ -32,45 +29,41 @@ def kg():
     return graph
 
 
-class TestTriplesIO:
-    def test_roundtrip(self, kg, tmp_path):
-        path = tmp_path / "kg.tsv"
-        count = write_triples(kg, path)
-        assert count == 3
-        loaded = read_triples(path)
-        assert loaded.num_entities == 4  # isolated entity survives
-        assert loaded.num_edges == 3
-        assert loaded.entity_by_name("Island").etype == "T4"
-        assert set(loaded.triples()) == set(kg.triples())
-
-    def test_bad_header_rejected(self, tmp_path):
-        path = tmp_path / "bad.tsv"
-        path.write_text("nope\n")
-        with pytest.raises(GraphError):
-            read_triples(path)
-
-    def test_malformed_line_rejected(self, tmp_path):
-        path = tmp_path / "bad.tsv"
-        path.write_text("# repro-triples v1\nA|T1\tp\n")
-        with pytest.raises(GraphError):
-            read_triples(path)
-
-    def test_pipe_in_name_rejected(self, tmp_path):
-        kg = KnowledgeGraph()
-        kg.add_entity("bad|name", "T")
-        with pytest.raises(GraphError):
-            write_triples(kg, tmp_path / "x.tsv")
-
+class TestIdTriples:
     def test_graph_to_id_triples(self, kg):
         triples, vocab = graph_to_id_triples(kg)
         assert len(triples) == 3
         assert vocab == ["p", "q", "r"]
         assert all(0 <= t.relation < len(vocab) for t in triples)
 
-    def test_predicate_contexts(self, kg):
-        contexts = set(iter_predicate_contexts(kg))
-        assert ("p", "T1", "T2") in contexts
-        assert len(contexts) == 3
+    def test_ids_are_graph_uids(self, kg):
+        triples, vocab = graph_to_id_triples(kg)
+        named = {
+            (kg.entity(t.head).name, vocab[t.relation], kg.entity(t.tail).name)
+            for t in triples
+        }
+        assert named == set(kg.triples())
+
+    def test_order_is_source_major(self, kg):
+        triples, _vocab = graph_to_id_triples(kg)
+        heads = [t.head for t in triples]
+        assert heads == sorted(heads)
+
+    def test_vocabulary_is_the_graph_predicate_order(self, kg):
+        _triples, vocab = graph_to_id_triples(kg)
+        assert vocab == kg.predicates()
+
+    def test_edgeless_graph_gives_nothing(self):
+        graph = KnowledgeGraph()
+        graph.add_entity("Lonely", "T")
+        assert graph_to_id_triples(graph) == ([], [])
+
+    def test_triple_is_a_frozen_value(self):
+        triple = Triple(1, 0, 2)
+        assert triple == Triple(1, 0, 2)
+        assert len({triple, Triple(1, 0, 2), Triple(2, 0, 1)}) == 2
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            triple.head = 3
 
 
 class TestPath:

@@ -1,0 +1,142 @@
+"""The reach profiler (``scripts/reach_profile.py``): its function table,
+its per-process hook and the entry points it runs, without running them."""
+
+import importlib.util
+import os
+import sys
+import threading
+from pathlib import Path
+
+import pytest
+
+from repro.embedding.trainer import TrainingReport, train_predicate_space
+from repro.kg.triples import graph_to_id_triples
+from repro.serve.service import QueryService
+from repro.serve.workload import _build_parser, main as workload_main
+from repro.utils.heap import MaxHeap
+
+REPO = Path(__file__).resolve().parent.parent
+SCRIPT = REPO / "scripts" / "reach_profile.py"
+
+
+def _load_profiler():
+    """A fresh copy of the script, so its hook starts with nothing seen."""
+    spec = importlib.util.spec_from_file_location("reach_profile", SCRIPT)
+    profiler = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(profiler)
+    return profiler
+
+
+CLI_RUNS = _load_profiler().CLI_RUNS
+
+
+@pytest.fixture(scope="module")
+def profiler():
+    return _load_profiler()
+
+
+@pytest.fixture(scope="module")
+def functions(profiler):
+    return profiler.defined_functions()
+
+
+def _key(function):
+    code = function.__code__
+    return (code.co_filename, code.co_firstlineno)
+
+
+@pytest.mark.parametrize(
+    "function",
+    [
+        MaxHeap.push,
+        graph_to_id_triples,
+        train_predicate_space,
+        QueryService.search_many,
+        QueryService._coerce,  # decorated: keyed by the decorator's line
+        TrainingReport.final_loss.fget,
+    ],
+    ids=lambda f: f.__qualname__,
+)
+def test_function_table_keys_match_code_objects(functions, function):
+    # The hook reports (co_filename, co_firstlineno); the parsed table has
+    # to be keyed the same way or every function would read as unreached.
+    assert functions[_key(function)] == function.__qualname__
+
+
+def test_nested_functions_are_listed_under_their_parent(functions):
+    names = set(functions.values())
+    assert "backtracking_match.<locals>._assign" in names
+    assert "QGABaseline._rank.<locals>.node_candidates" in names
+
+
+def test_no_deleted_function_is_defined(functions):
+    deleted = {
+        "read_triples", "write_triples", "iter_predicate_contexts",
+        "nth_root_product", "calibrate_assembly_seconds_per_match",
+        "evaluate_link_prediction", "QueryService.submit_batch",
+        "MaxHeap.peek_max", "MaxHeap.drain", "MaxHeap.max_priority",
+        "MaxHeap.__iter__", "MinHeap.push", "MinHeap.pop_min",
+        "SyntheticKGBuilder._withhold_types", "TranslationalModel.parameter_count",
+    }
+    assert deleted.isdisjoint(functions.values())
+    files = {Path(path).name for path, _line in functions}
+    assert files.isdisjoint(
+        {"transh.py", "transr.py", "evaluation.py", "typing_model.py"}
+    )
+
+
+def test_hook_reports_each_function_once(tmp_path):
+    profiler = _load_profiler()
+    previous = sys.getprofile()
+    profiler.install(str(tmp_path))
+    try:
+        heap = MaxHeap()
+        heap.push(1.0, "a")
+        heap.push(2.0, "b")
+        heap.pop_max()
+    finally:
+        sys.setprofile(previous)
+        threading.setprofile(None)
+        if profiler._out["fd"] is not None:
+            os.close(profiler._out["fd"])
+
+    (report,) = tmp_path.glob("*.tsv")
+    rows = report.read_text(encoding="utf-8").splitlines()
+    reached = [(path, int(line)) for path, line in (r.split("\t") for r in rows)]
+    assert reached.count(_key(MaxHeap.push)) == 1
+    assert _key(MaxHeap.pop_max) in reached
+    assert all(path.startswith(profiler.PREFIX) for path, _line in reached)
+
+
+def test_entry_points_cover_examples_cli_and_builders(profiler, tmp_path):
+    runs = profiler.entry_points(tmp_path, benches=False)
+    scripts = [argv[1] for argv, _code in runs if argv[1] != "-m"]
+    examples = sorted(str(p) for p in (REPO / "examples").glob("*.py"))
+    assert examples and set(examples) <= set(scripts)
+    assert "scripts/build_scenarios.py" in scripts
+    assert "benchmarks/ledger/run.py" in scripts
+    cli = [argv[3:] for argv, _code in runs if argv[1:3] == ["-m", "repro.serve"]]
+    assert cli == [args for args, _code in profiler.CLI_RUNS]
+    assert not any("pytest" in argv for argv, _code in runs)
+
+
+def test_benches_run_as_one_pytest_call(profiler, tmp_path):
+    without = profiler.entry_points(tmp_path, benches=False)
+    with_benches = profiler.entry_points(tmp_path, benches=True)
+    assert with_benches[:-1] == without
+    argv, code = with_benches[-1]
+    assert argv[1:3] == ["-m", "pytest"] and code == 0
+    benches = sorted(p.name for p in (REPO / "benchmarks").glob("bench_*.py"))
+    assert sorted(Path(a).name for a in argv if a.endswith(".py")) == benches
+
+
+@pytest.mark.parametrize(
+    "args, code", CLI_RUNS, ids=[f"run{i}" for i in range(len(CLI_RUNS))]
+)
+def test_cli_runs_use_flags_the_workload_driver_accepts(args, code):
+    if code == 0:
+        _build_parser().parse_args(args)
+    else:
+        with pytest.raises(SystemExit) as refused:
+            workload_main(args)
+        assert refused.value.code == code

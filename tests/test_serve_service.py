@@ -50,6 +50,8 @@ def service(small_bundle):
 def test_configuration_surface_snapshot():
     """What can be set, spelled out: a PR that adds (or re-adds) a
     selector has to edit these lists in the open."""
+    from repro.embedding.trainer import TrainingConfig
+    from repro.kg.generator import GeneratorConfig
     from repro.kg.graph import GraphReader
     from repro.serve.workload import _build_parser
 
@@ -110,6 +112,14 @@ def test_configuration_surface_snapshot():
         "--retries", "--scale", "--scenario", "--seed", "--shard-strategy",
         "--shards", "--supervised", "--tbq-fraction",
         "--workers",
+    ]
+    # The dataset and embedding knobs: one negative-sampling strategy
+    # and fully typed graphs, so neither has a selector.
+    assert [f.name for f in dataclasses.fields(GeneratorConfig)] == [
+        "seed", "scale", "density", "hub_bias", "coherence",
+    ]
+    assert [f.name for f in dataclasses.fields(TrainingConfig)] == [
+        "dim", "epochs", "batch_size", "learning_rate", "margin", "seed",
     ]
 
 
@@ -176,18 +186,37 @@ class TestCacheSharing:
 
 
 class TestSubmission:
-    def test_submit_batch_preserves_order(self, service, small_bundle):
-        requests = [
-            QueryRequest(query=q.query, k=4, tag=q.qid)
-            for q in small_bundle.workload[:3]
+    def test_search_many_preserves_order(self, service, small_bundle):
+        # Requests and bare query graphs, interleaved: every result comes
+        # back in its item's submission slot.
+        queries = [q.query for q in small_bundle.workload[:4]]
+        items = [
+            QueryRequest(query=query, k=4) if i % 2 == 0 else query
+            for i, query in enumerate(queries)
         ]
-        futures = service.submit_batch(requests)
-        results = [f.result() for f in futures]
+        results = service.search_many(items, k=4)
         engine = SemanticGraphQueryEngine(
             small_bundle.kg, small_bundle.space, small_bundle.library
         )
-        for request, result in zip(requests, results):
-            _results_equal(engine.search(request.query, k=4), result)
+        assert len(results) == len(queries)
+        for query, result in zip(queries, results):
+            _results_equal(engine.search(query, k=4), result)
+
+    def test_search_many_of_nothing_is_empty(self, service):
+        assert service.search_many([]) == []
+        assert service.stats_snapshot().submitted == 0
+
+    def test_search_many_applies_k_to_bare_queries_only(self, service, small_bundle):
+        query = _product_query()
+        bare, request = service.search_many(
+            [query, QueryRequest(query=query, k=2)], k=5
+        )
+        engine = SemanticGraphQueryEngine(
+            small_bundle.kg, small_bundle.space, small_bundle.library
+        )
+        _results_equal(engine.search(query, k=5), bare)
+        _results_equal(engine.search(query, k=2), request)
+        assert len(request.matches) < len(bare.matches)
 
     def test_deadline_maps_to_time_bounded_search(self, service):
         result = service.submit(_product_query(), k=5, deadline=0.5).result()

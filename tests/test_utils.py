@@ -1,4 +1,4 @@
-"""Unit tests for repro.utils (heaps, clocks, rng, statistics)."""
+"""Unit tests for repro.utils (heap, clocks, rng, statistics)."""
 
 import math
 
@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 
 from repro.errors import TimeBudgetError
-from repro.utils.heap import MaxHeap, MinHeap
+from repro.utils.heap import MaxHeap
 from repro.utils.rng import derive_rng, stable_hash
 from repro.utils.stats import (
     geometric_mean,
     mean,
-    nth_root_product,
     pearson_correlation,
 )
 from repro.utils.timing import BudgetClock, Stopwatch, WallClock
@@ -32,12 +31,6 @@ class TestMaxHeap:
         assert heap.pop_max()[1] == "first"
         assert heap.pop_max()[1] == "second"
 
-    def test_peek_does_not_remove(self):
-        heap = MaxHeap()
-        heap.push(1.0, "x")
-        assert heap.peek_max() == (1.0, "x")
-        assert len(heap) == 1
-
     def test_empty_pop_raises(self):
         with pytest.raises(IndexError):
             MaxHeap().pop_max()
@@ -48,42 +41,42 @@ class TestMaxHeap:
         heap.push(1.0, "x")
         assert heap and len(heap) == 1
 
-    def test_iteration_is_descending_and_nonconsuming(self):
+    def test_ties_stay_fifo_across_interleaved_pops(self):
         heap = MaxHeap()
-        for priority in (0.2, 0.8, 0.5):
+        heap.push(0.5, "a")
+        heap.push(0.5, "b")
+        assert heap.pop_max()[1] == "a"
+        heap.push(0.5, "c")
+        heap.push(0.9, "d")
+        assert [heap.pop_max()[1] for _ in range(3)] == ["d", "b", "c"]
+
+    def test_items_need_not_be_comparable(self):
+        # The insertion counter decides ties, so items are never compared.
+        heap = MaxHeap()
+        heap.push(0.5, {"id": 1})
+        heap.push(0.5, {"id": 2})
+        assert heap.pop_max() == (0.5, {"id": 1})
+        assert heap.pop_max() == (0.5, {"id": 2})
+
+    def test_priorities_come_back_as_pushed(self):
+        heap = MaxHeap()
+        for priority in (-2.5, 0.0, math.inf, 1e-300):
             heap.push(priority, priority)
-        listed = [p for p, _item in heap]
-        assert listed == [0.8, 0.5, 0.2]
+        popped = [heap.pop_max() for _ in range(4)]
+        assert popped == [(p, p) for p in (math.inf, 1e-300, 0.0, -2.5)]
+
+    def test_len_tracks_pushes_and_pops(self):
+        heap = MaxHeap()
+        for i in range(5):
+            heap.push(float(i), i)
+        heap.pop_max()
+        heap.pop_max()
         assert len(heap) == 3
-
-    def test_drain_empties(self):
-        heap = MaxHeap()
-        heap.push(1.0, "a")
-        heap.push(2.0, "b")
-        assert [i for _p, i in heap.drain()] == ["b", "a"]
-        assert not heap
-
-    def test_max_priority_property(self):
-        heap = MaxHeap()
-        assert heap.max_priority is None
-        heap.push(0.4, "x")
-        heap.push(0.6, "y")
-        assert heap.max_priority == 0.6
-
-
-class TestMinHeap:
-    def test_pop_order_ascending(self):
-        heap = MinHeap()
-        for priority in (3.0, 1.0, 2.0):
-            heap.push(priority, priority)
-        assert [heap.pop_min()[0] for _ in range(3)] == [1.0, 2.0, 3.0]
-
-    def test_peek_min(self):
-        heap = MinHeap()
-        heap.push(2.0, "b")
-        heap.push(1.0, "a")
-        assert heap.peek_min() == (1.0, "a")
-        assert len(heap) == 2
+        while heap:
+            heap.pop_max()
+        assert len(heap) == 0
+        with pytest.raises(IndexError):
+            heap.pop_max()
 
 
 class TestClocks:
@@ -153,14 +146,6 @@ class TestStats:
 
     def test_geometric_mean_no_underflow_on_long_paths(self):
         assert geometric_mean([0.8] * 500) == pytest.approx(0.8)
-
-    def test_nth_root_product_matches_eq7_form(self):
-        # (0.9 * 0.8) ** (1/4)
-        assert nth_root_product([0.9, 0.8], 4) == pytest.approx((0.72) ** 0.25)
-
-    def test_nth_root_product_rejects_bad_order(self):
-        with pytest.raises(ValueError):
-            nth_root_product([0.5], 0)
 
     def test_mean(self):
         assert mean([1.0, 2.0, 3.0]) == 2.0
