@@ -50,7 +50,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -194,17 +194,12 @@ class CompactGraph:
         np.cumsum(out_degree + in_degree, out=indptr[1:])
         out_pairs = list(chain.from_iterable(outs))
         in_pairs = list(chain.from_iterable(ins))
-        # kg's own (edge, neighbor) pairs in slot order: node_slots is
-        # built from them, so its neighbor ints are the ones kg holds.
-        slot_pairs = list(
-            chain.from_iterable(map(kg.incident_list, range(num_nodes)))
-        )
         num_edges = len(out_pairs)
         if not (  # pragma: no cover - append-only invariant
-            len(slot_pairs) == indptr[-1] == 2 * len(in_pairs) == 2 * num_edges
+            indptr[-1] == 2 * len(in_pairs) == 2 * num_edges == 2 * kg.num_edges
         ):
             raise GraphError(
-                f"incidence slots ({len(slot_pairs)}) disagree with edge "
+                f"incidence slots ({int(indptr[-1])}) disagree with edge "
                 f"count ({num_edges}); graph mutated during freeze?"
             )
         edges: List[Edge] = list(map(itemgetter(0), out_pairs))
@@ -225,8 +220,6 @@ class CompactGraph:
             dtype=np.int64,
             count=num_edges,
         )
-        # Dropped before the slot triples are built: alive beside them,
-        # they add ~1 MB per freeze to the set-up peak RSS.
         del edge_id, out_pairs, in_pairs
 
         # Undirected-incidence CSR, slot order == KnowledgeGraph.incident
@@ -275,7 +268,6 @@ class CompactGraph:
             slot_forward=slot_forward,
             name_blob=name_blob,
             name_offsets=name_offsets,
-            _node_slots=_node_slot_triples(slot_pairs, slot_predicate, indptr),
             _edges=edges,
             _names=names,
         )
@@ -366,23 +358,25 @@ class CompactGraph:
         compact view, the sharded gather and the ``view_incident_us``
         probe.  The array search kernel reads the flat list mirrors
         (:meth:`indptr_list`, :meth:`slot_neighbor_list`,
-        :meth:`slot_predicate_list`) instead.  Built eagerly by
-        :meth:`freeze`, lazily (once, O(V + E)) on unpickled or attached
-        kernels, so an attached worker that only runs the array kernel
-        never pays for it.
+        :meth:`slot_predicate_list`) instead.  Built once (O(V + E)) on
+        first use, on every kernel — frozen, unpickled or attached — so
+        a service that only runs the array kernel never pays for it.
         """
         if self._node_slots is None:
+            edges = self._edge_table()
+            triples = [
+                (edges[eid], neighbor, pid)
+                for eid, neighbor, pid in zip(
+                    self.slot_edge.tolist(),
+                    self.slot_neighbor.tolist(),
+                    self.slot_predicate.tolist(),
+                )
+            ]
+            bounds = self.indptr.tolist()
             object.__setattr__(
                 self,
                 "_node_slots",
-                _node_slot_triples(
-                    zip(
-                        map(self._edge_table().__getitem__, self.slot_edge.tolist()),
-                        self.slot_neighbor.tolist(),
-                    ),
-                    self.slot_predicate,
-                    self.indptr,
-                ),
+                [tuple(triples[start:end]) for start, end in zip(bounds, bounds[1:])],
             )
         return self._node_slots
 
@@ -498,21 +492,6 @@ class CompactGraph:
             f"CompactGraph(nodes={self.num_nodes}, edges={self.num_edges}, "
             f"predicates={len(self.predicate_names)}, types={len(self.type_names)})"
         )
-
-
-def _node_slot_triples(
-    slot_pairs: Iterable[Tuple[Edge, int]],
-    slot_predicate: np.ndarray,
-    indptr: np.ndarray,
-) -> List[Tuple[Tuple[Edge, int, int], ...]]:
-    """Per-node ``(edge, neighbor, predicate id)`` tuples from slot-ordered
-    ``(edge, neighbor)`` pairs: one flat list, cut at ``indptr``."""
-    triples = [
-        (edge, neighbor, pid)
-        for (edge, neighbor), pid in zip(slot_pairs, slot_predicate.tolist())
-    ]
-    bounds = indptr.tolist()
-    return [tuple(triples[start:end]) for start, end in zip(bounds, bounds[1:])]
 
 
 # ----------------------------------------------------------------------

@@ -60,20 +60,30 @@ def _simple_walks_to_pivot(
 ) -> List[Tuple[Tuple[str, ...], Tuple[QueryEdge, ...]]]:
     """All simple walks (node sequences + edges) from start to pivot."""
     walks: List[Tuple[Tuple[str, ...], Tuple[QueryEdge, ...]]] = []
-
-    def _extend(path_nodes: List[str], path_edges: List[QueryEdge]) -> None:
-        current = path_nodes[-1]
-        if current == pivot_label and path_edges:
-            walks.append((tuple(path_nodes), tuple(path_edges)))
-            return
-        for edge in query.edges_at(current):
-            neighbor = edge.other(current)
-            if neighbor in path_nodes:
-                continue
-            _extend(path_nodes + [neighbor], path_edges + [edge])
-
-    _extend([start_label], [])
+    _extend_walks(query, pivot_label, [start_label], [], walks)
     return walks
+
+
+def _extend_walks(
+    query: QueryGraph,
+    pivot_label: str,
+    path_nodes: List[str],
+    path_edges: List[QueryEdge],
+    walks: List[Tuple[Tuple[str, ...], Tuple[QueryEdge, ...]]],
+) -> None:
+    # Module-level, not a closure: a closure that calls itself is a
+    # function <-> cell cycle, garbage for the collector on every query.
+    current = path_nodes[-1]
+    if current == pivot_label and path_edges:
+        walks.append((tuple(path_nodes), tuple(path_edges)))
+        return
+    for edge in query.edges_at(current):
+        neighbor = edge.other(current)
+        if neighbor in path_nodes:
+            continue
+        _extend_walks(
+            query, pivot_label, path_nodes + [neighbor], path_edges + [edge], walks
+        )
 
 
 def _walk_to_subquery(

@@ -256,7 +256,8 @@ class SupervisedBackend(ExecutionBackend):
             structurally (inline).
         fallback_factory: zero-arg callable building the degraded-mode
             backend (typically inline in the parent process), built
-            lazily the first time the circuit opens.
+            lazily the first time the circuit opens.  :meth:`close`
+            drops it and ``rebuild``.
         on_complete: the service's accounting hook; invoked exactly once
             per request, strictly before the returned future resolves.
 
@@ -465,6 +466,10 @@ class SupervisedBackend(ExecutionBackend):
             self._closed = True
             inner = self._inner
             fallback = self._fallback
+            # A closed supervisor never rebuilds or falls back, and these
+            # are the owner's methods: holding them would keep the owner
+            # alive through a cycle after it closed.
+            self._rebuild = self._fallback_factory = None
         inner.close(wait=wait)
         if fallback is not None:
             fallback.close(wait=wait)

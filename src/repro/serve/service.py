@@ -45,7 +45,7 @@ import threading
 import time
 from concurrent.futures import Future
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.config import SearchConfig
 from repro.core.engine import EngineSpec, SemanticGraphQueryEngine, build_engine
@@ -98,6 +98,38 @@ _REQUEST_COUNTERS = ("submitted", "completed", "failed", "time_bounded")
 #: A service's shared-memory graph lease: one segment for the single
 #: compact graph, one segment per shard for the sharded store.
 GraphLease = Union[SharedCompactGraph, SharedShardedGraph]
+
+
+class _RequestCounts:
+    """A service's request counters, :data:`_REQUEST_COUNTERS` by name.
+
+    Its own object so that a backend's ``on_complete`` is
+    :meth:`record`, not a method of the service: a backend holding the
+    service would make the pair a reference cycle, and a closed service
+    would keep its engine and store until the next full collection.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._counts = dict.fromkeys(_REQUEST_COUNTERS, 0)
+
+    def submitted(self, time_bounded: bool) -> None:
+        with self._lock:
+            self._counts["submitted"] += 1
+            if time_bounded:
+                self._counts["time_bounded"] += 1
+
+    def record(self, success: bool) -> None:
+        # Runs on the execution path, strictly before the request's
+        # future resolves (see ExecutionBackend.on_complete).  Under
+        # supervision it fires exactly once per request (final outcome),
+        # never once per attempt.
+        with self._lock:
+            self._counts["completed" if success else "failed"] += 1
+
+    def read(self) -> Dict[str, int]:
+        with self._lock:
+            return dict(self._counts)
 
 
 @dataclass(frozen=True)
@@ -342,8 +374,7 @@ class QueryService:
 
         self.backend_name = backend
         self.workers = workers if backend != "inline" else 1
-        self._counts = dict.fromkeys(_REQUEST_COUNTERS, 0)
-        self._stats_lock = threading.Lock()
+        self._counts = _RequestCounts()
         self._lock = threading.Lock()
         self._closed = False
         self._graph_lease: Optional[GraphLease] = None
@@ -413,7 +444,7 @@ class QueryService:
         self._runner = runner
         self._init_answer_cache(answer_cache, EngineFingerprint.from_engine(engine))
         inner = InlineBackend(
-            runner, on_complete=None if supervised else self._record_outcome
+            runner, on_complete=None if supervised else self._counts.record
         )
         self._backend = (
             self._supervise(inner, rebuildable=False) if supervised else inner
@@ -453,7 +484,7 @@ class QueryService:
             breaker=self._breaker,
             rebuild=self._rebuild_pool if rebuildable else None,
             fallback_factory=self._build_fallback if rebuildable else None,
-            on_complete=self._record_outcome,
+            on_complete=self._counts.record,
         )
 
     def _build_pool(self) -> ProcessBackend:
@@ -481,7 +512,7 @@ class QueryService:
                 spec,
                 self.workers,
                 start_method=self._start_method,
-                on_complete=None if self._supervised else self._record_outcome,
+                on_complete=None if self._supervised else self._counts.record,
             )
         except BaseException:
             if lease is not None:
@@ -653,10 +684,7 @@ class QueryService:
             # Count before executing: the inline backend completes the
             # request inside submit, and `submitted` must already cover it
             # when its completion is recorded.
-            with self._stats_lock:
-                self._counts["submitted"] += 1
-                if request.deadline is not None:
-                    self._counts["time_bounded"] += 1
+            self._counts.submitted(request.deadline is not None)
             # TBQ results are clock-dependent (anytime semantics): they
             # bypass the answer cache unconditionally.
             if self._answer_cache is not None and request.deadline is None:
@@ -667,7 +695,7 @@ class QueryService:
                 # The request never entered the pool (e.g. a broken
                 # process pool): no on_complete will ever fire, so settle
                 # the accounting here or in_flight drifts forever.
-                self._record_outcome(False)
+                self._counts.record(False)
                 raise
 
     def _submit_cached(self, request: QueryRequest) -> "Future[QueryResult]":
@@ -684,7 +712,7 @@ class QueryService:
         key = canonicalize(request, self._fingerprint)
         state, value = cache.acquire(key)  # counts the hit, miss or follower
         if state == "hit":
-            self._record_outcome(True)
+            self._counts.record(True)
             future: "Future[QueryResult]" = Future()
             future.set_result(value.to_result())
             return future
@@ -695,10 +723,10 @@ class QueryService:
         try:
             inner = self._backend.submit(request, time.time())
         except BaseException as exc:
-            self._record_outcome(False)
+            self._counts.record(False)
             followers, _payload, _error = cache.complete(flight, error=exc)
             for follower in followers:
-                self._record_outcome(False)
+                self._counts.record(False)
                 follower.set_exception(exc)
             raise
         inner.add_done_callback(lambda fut: self._settle_flight(flight, fut))
@@ -711,7 +739,7 @@ class QueryService:
         after the leader's own outcome was recorded by the backend (or
         synchronously inside ``submit`` on the inline backend).  Each
         follower is a distinct submitted request, so it gets its own
-        ``_record_outcome`` before its future resolves, preserving the
+        completion recorded before its future resolves, preserving the
         completion-before-resolution ordering every backend guarantees.
         """
         cache = self._answer_cache
@@ -724,21 +752,13 @@ class QueryService:
             payload = QueryResultPayload.from_result(fut.result())
             followers, payload, _ = cache.complete(flight, payload=payload)
             for follower in followers:
-                self._record_outcome(True)
+                self._counts.record(True)
                 follower.set_result(payload.to_result())
         else:
             followers, _, _ = cache.complete(flight, error=error)
             for follower in followers:
-                self._record_outcome(False)
+                self._counts.record(False)
                 follower.set_exception(error)
-
-    def _record_outcome(self, success: bool) -> None:
-        # Runs on the execution path, strictly before the request's
-        # future resolves (see ExecutionBackend.on_complete).  Under
-        # supervision it fires exactly once per request (final outcome),
-        # never once per attempt.
-        with self._stats_lock:
-            self._counts["completed" if success else "failed"] += 1
 
     def search_many(
         self,
@@ -773,8 +793,7 @@ class QueryService:
         """Every counter now, each read from its owner (see
         :class:`ServiceStats`); diff two with :meth:`ServiceStats.since`."""
         backend = self._backend
-        with self._stats_lock:
-            counts = dict(self._counts)
+        counts = self._counts.read()
         per_worker = backend.stats_scope == "per-worker"
         return ServiceStats(
             backend=self.backend_name,

@@ -1,5 +1,7 @@
 """Tests for the benchmark infrastructure (metrics, workloads, runners)."""
 
+import time
+
 import pytest
 
 from repro.bench.annotators import (
@@ -21,6 +23,7 @@ from repro.bench.metrics import (
 )
 from repro.bench.reporting import format_sweep, format_table
 from repro.bench.runner import (
+    MethodAdapter,
     baseline_adapters,
     effectiveness_sweep,
     run_method,
@@ -37,6 +40,7 @@ from repro.bench.workloads import (
     workload_for,
     yago2_workload,
 )
+from repro.core.engine import SemanticGraphQueryEngine
 from repro.errors import ReproError
 
 
@@ -187,6 +191,46 @@ class TestRunner:
         adapter = tbq_adapter(small_bundle, time_fraction=0.9)
         answers = adapter.answer(small_bundle.workload[0], 5)
         assert isinstance(answers, list)
+
+    def test_run_method_times_the_answer_not_the_preparation(self, small_bundle):
+        """A method's seconds exclude its ``prepare`` step."""
+        calls = []
+
+        def prepare(query, k):
+            calls.append(("prepare", query.qid, k))
+            time.sleep(0.05)
+
+        def answer(query, k):
+            calls.append(("answer", query.qid, k))
+            return []
+
+        queries = small_bundle.workload[:2]
+        adapter = MethodAdapter("stub", answer, prepare)
+        runs = run_method(adapter, queries, small_bundle.truth, 5)
+        assert calls == [
+            (step, query.qid, 5) for query in queries for step in ("prepare", "answer")
+        ]
+        assert all(run.seconds < 0.05 for run in runs)
+
+    def test_tbq_adapter_calibrates_in_prepare(self, small_bundle, monkeypatch):
+        """The SGQ run that sets TBQ's bound is the prepare step: answering
+        a prepared query runs only the bounded search."""
+        exact = []
+        search = SemanticGraphQueryEngine.search
+
+        def counting(engine, *args, **kwargs):
+            exact.append(args[0])
+            return search(engine, *args, **kwargs)
+
+        monkeypatch.setattr(SemanticGraphQueryEngine, "search", counting)
+        adapter = tbq_adapter(small_bundle, time_fraction=0.9)
+        query = small_bundle.workload[0]
+        adapter.prepare(query, 5)
+        assert exact == [query.query]
+        adapter.answer(query, 5)
+        assert exact == [query.query]
+        adapter.answer(query, 5)  # not prepared again: calibrates itself
+        assert exact == [query.query] * 2
 
     def test_baseline_adapters_all_names(self, small_bundle):
         adapters = baseline_adapters(
