@@ -169,6 +169,13 @@ def decompose_query(
 ) -> Decomposition:
     """Decompose ``query`` into sub-query path graphs around a pivot.
 
+    Declaration order breaks ties: among equal-cost pivots the target
+    declared first wins, and among equal-cost covers the one enumerated
+    first, which follows the declared order of the specific nodes and of
+    each node's edges.  Two permutations of one query can therefore
+    decompose differently, which is why the answer-cache key
+    (:func:`repro.serve.answer_cache.canonicalize`) keeps that order.
+
     Args:
         query: the general query graph.
         kg: knowledge graph used for degree statistics (optional; a default

@@ -6,19 +6,21 @@ queries each repaid the full A*-search + TA-assembly cost.  This module
 closes that gap with three pieces:
 
 - :func:`canonicalize` derives a picklable :class:`CanonicalQueryKey`
-  from a request's *structural* form — node-order permutations and
-  alias spellings of the same query collapse to one key.  Node names and
-  types are canonicalised through the
-  :class:`~repro.query.transform.TransformationLibrary` (``Car`` and
-  ``Automobile`` share a φ-candidate set, so they may share an answer);
-  node labels are erased by a positional binding (nodes sorted by
-  signature, edges re-expressed over positions, ties resolved by the
-  lexicographically minimal edge encoding); predicates are interned into
-  a sorted id table (kept verbatim — predicate *paraphrases* go through
-  the embedding space and must **not** collapse).  ``k``, the engine's
-  (τ, n̂, ``min_weight``, scoring, visited-policy) configuration and the
-  graph epoch all enter the key via the :class:`EngineFingerprint`
-  token.
+  from a request *as it was declared*: the node signatures in declared
+  order, the edges as ``(source position, predicate, target position)``
+  in declared order, ``k``, the strategy and an explicit pivot's
+  position.  Node labels are erased (a relabelled spelling of the same
+  query shares the key) and node names and types are canonicalised
+  through the :class:`~repro.query.transform.TransformationLibrary`
+  (``Car`` and ``Automobile`` share a φ-candidate set, so they may share
+  an answer); predicates are kept verbatim (predicate *paraphrases* go
+  through the embedding space and must **not** collapse).  Declaration
+  order is kept because decomposition reads it: it breaks ties between
+  equal-cost pivots and between equal-cost edge covers, so two
+  permutations of one query can return different answers and must not
+  share a key.  The engine's (τ, n̂, ``min_weight``, scoring,
+  visited-policy) configuration and the graph epoch enter the key via
+  the :class:`EngineFingerprint` token.
 - :class:`AnswerCache` is a bounded, thread-safe store of detached
   :class:`~repro.core.results.QueryResultPayload` entries that **keeps
   what is expensive to recompute**: an entry's retention priority is
@@ -44,12 +46,10 @@ Scope and safety:
 - Only **exact** (SGQ, ``deadline is None``) results are cached.  A
   time-bounded answer is a function of the clock by design (anytime
   semantics), so TBQ requests always bypass the cache.
-- ``strategy="random"`` decomposition is seeded by *declaration order*,
-  so permutation collapsing would change which pivot the replayed seed
-  picks; those keys keep the literal label binding (identical requests
-  still hit, permuted spellings do not).
-- An explicit ``pivot`` enters the key as its canonical *position*, so
-  forcing different pivots of the same shape never shares an answer.
+- An explicit ``pivot`` enters the key as its declared *position*, so
+  forcing different pivots of the same shape never shares an answer;
+  a pivot label the query does not declare is a
+  :class:`~repro.errors.QueryError`, as it is on an uncached service.
 - Cached payloads are shared by reference between hits (the same
   read-only contract process workers already rely on); a hit re-inflates
   via :meth:`~repro.core.results.QueryResultPayload.to_result` without
@@ -58,7 +58,6 @@ Scope and safety:
 
 from __future__ import annotations
 
-import itertools
 import threading
 from collections import OrderedDict
 from concurrent.futures import Future
@@ -69,9 +68,8 @@ from typing import List, Optional, Tuple
 from repro.core.config import SearchConfig
 from repro.core.engine import store_identity
 from repro.core.results import QueryResultPayload
-from repro.errors import ServeError
+from repro.errors import QueryError, ServeError
 from repro.kg.sharded import ShardedViewFactory
-from repro.query.model import QueryGraph
 from repro.query.transform import TransformationLibrary, normalize_label
 
 __all__ = [
@@ -81,14 +79,6 @@ __all__ = [
     "EngineFingerprint",
     "canonicalize",
 ]
-
-#: Above this many signature-consistent node orderings the canonical
-#: binding falls back to declaration order (still correct — identical
-#: requests hit — just not permutation-invariant for that one query).
-#: Query graphs are tiny (Table VI caps at a handful of nodes), so the
-#: cap only ever triggers on adversarial all-identical-node shapes.
-PERMUTATION_CAP = 5040
-
 
 # ----------------------------------------------------------------------
 # engine fingerprint (the cache's epoch)
@@ -189,32 +179,26 @@ class EngineFingerprint:
 class CanonicalQueryKey:
     """A picklable, hashable fingerprint of one answerable request.
 
-    ``nodes`` is the sorted multiset of canonical node signatures
-    ``(is_target, has_type, canonical type, has_name, canonical name)``;
-    ``predicates`` the sorted interned predicate table; ``edges`` the
-    minimal encoding ``(source position, predicate id, target position)``
-    under the positional binding; ``pivot_position`` the canonical
-    position of an explicitly forced pivot (−1 = engine chooses);
-    ``labels`` is empty except on the order-faithful fallback paths
-    (``strategy="random"`` or a permutation-group blowup), where it pins
-    the declaration order the engine's tie-breaking depends on.
+    ``nodes`` holds one signature per node in declared order,
+    ``(is_target, is_untyped, canonical type, canonical name)``;
+    ``edges`` one ``(source position, predicate, target position)``
+    triple per edge in declared order; ``pivot_position`` the declared
+    position of an explicitly forced pivot (−1 = engine chooses).
     ``fingerprint`` is the :class:`EngineFingerprint` token — the graph
     epoch, space shape and (τ, policy, …) configuration.
     """
 
     fingerprint: Tuple
-    nodes: Tuple
-    predicates: Tuple[str, ...]
-    edges: Tuple[Tuple[int, int, int], ...]
+    nodes: Tuple[Tuple[bool, bool, str, str], ...]
+    edges: Tuple[Tuple[int, str, int], ...]
     k: int
     strategy: str
     pivot_position: int = -1
-    labels: Tuple[str, ...] = ()
 
 
 def _node_signature(
     node, library: Optional[TransformationLibrary]
-) -> Tuple[bool, bool, str, bool, str]:
+) -> Tuple[bool, bool, str, str]:
     """Alias-insensitive node signature (None-ness encoded explicitly)."""
     if library is not None:
         ctype = "" if node.etype is None else library.canonical_type(node.etype)
@@ -222,76 +206,7 @@ def _node_signature(
     else:
         ctype = "" if node.etype is None else normalize_label(node.etype)
         cname = "" if node.name is None else normalize_label(node.name)
-    return (node.name is None, node.etype is None, ctype, node.name is None, cname)
-
-
-def _canonical_binding(
-    query: QueryGraph,
-    pivot: Optional[str],
-    library: Optional[TransformationLibrary],
-) -> Tuple[Tuple, Tuple[str, ...], Tuple, int, Tuple[str, ...]]:
-    """The positional node binding: (nodes, predicates, edges, pivot, labels).
-
-    Nodes are sorted by signature; within equal-signature groups every
-    consistent ordering is enumerated (bounded by
-    :data:`PERMUTATION_CAP`) and the lexicographically minimal
-    ``(edge encoding, pivot position)`` wins — a permutation-invariant
-    canonical form for the tiny graphs queries are.  Past the cap the
-    binding keeps declaration order inside groups and records the label
-    sequence, trading invariance for correctness.
-    """
-    nodes = query.nodes()
-    sigs = [_node_signature(node, library) for node in nodes]
-    predicates = tuple(sorted({edge.predicate for edge in query.edges()}))
-    pred_id = {predicate: i for i, predicate in enumerate(predicates)}
-    index_of = {node.label: i for i, node in enumerate(nodes)}
-    raw_edges = [
-        (index_of[e.source], pred_id[e.predicate], index_of[e.target])
-        for e in query.edges()
-    ]
-    pivot_index = index_of[pivot] if pivot is not None else None
-
-    order = sorted(range(len(nodes)), key=lambda i: sigs[i])
-    groups: List[List[int]] = []
-    for i in order:
-        if groups and sigs[groups[-1][-1]] == sigs[i]:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-
-    total = 1
-    for group in groups:
-        for size in range(2, len(group) + 1):
-            total *= size
-        if total > PERMUTATION_CAP:
-            break
-    node_tuple = tuple(sigs[i] for i in order)
-
-    if total > PERMUTATION_CAP:
-        position = {node_index: p for p, node_index in enumerate(order)}
-        edges = tuple(sorted((position[s], p, position[t]) for s, p, t in raw_edges))
-        pivot_pos = position[pivot_index] if pivot_index is not None else -1
-        return node_tuple, predicates, edges, pivot_pos, tuple(n.label for n in nodes)
-
-    best: Optional[Tuple[Tuple, int]] = None
-    for arrangement in itertools.product(
-        *(itertools.permutations(group) for group in groups)
-    ):
-        position = {}
-        p = 0
-        for group in arrangement:
-            for node_index in group:
-                position[node_index] = p
-                p += 1
-        encoding = tuple(
-            sorted((position[s], p_, position[t]) for s, p_, t in raw_edges)
-        )
-        pivot_pos = position[pivot_index] if pivot_index is not None else -1
-        candidate = (encoding, pivot_pos)
-        if best is None or candidate < best:
-            best = candidate
-    assert best is not None
-    return node_tuple, predicates, best[0], best[1], ()
+    return (node.name is None, node.etype is None, ctype, cname)
 
 
 def canonicalize(request, engine_fingerprint: EngineFingerprint) -> CanonicalQueryKey:
@@ -300,29 +215,33 @@ def canonicalize(request, engine_fingerprint: EngineFingerprint) -> CanonicalQue
     Pure function of ``(request, engine_fingerprint)`` — usable from any
     backend, any process.  Raises :class:`~repro.errors.ServeError` on a
     time-bounded request: TBQ answers are clock-dependent and must never
-    be cached.
+    be cached; :class:`~repro.errors.QueryError` on a pivot label the
+    query does not declare.
     """
     if request.deadline is not None:
         raise ServeError(
             "time-bounded (TBQ) requests are never answer-cached — a "
             "deadline-bounded result is a function of the clock"
         )
-    nodes, predicates, edges, pivot_pos, labels = _canonical_binding(
-        request.query, request.pivot, engine_fingerprint.library
-    )
-    if request.strategy == "random":
-        # The random pivot draw consumes declaration order; collapsing
-        # permutations would replay the seed against a different order.
-        labels = tuple(n.label for n in request.query.nodes())
+    query = request.query
+    nodes = query.nodes()
+    position = {node.label: i for i, node in enumerate(nodes)}
+    pivot_position = -1
+    if request.pivot is not None:
+        if request.pivot not in position:
+            raise QueryError(f"unknown query node {request.pivot!r}")
+        pivot_position = position[request.pivot]
+    library = engine_fingerprint.library
     return CanonicalQueryKey(
         fingerprint=engine_fingerprint.token,
-        nodes=nodes,
-        predicates=predicates,
-        edges=edges,
+        nodes=tuple(_node_signature(node, library) for node in nodes),
+        edges=tuple(
+            (position[e.source], e.predicate, position[e.target])
+            for e in query.edges()
+        ),
         k=request.k,
         strategy=request.strategy,
-        pivot_position=pivot_pos,
-        labels=labels,
+        pivot_position=pivot_position,
     )
 
 

@@ -18,8 +18,8 @@ budgets.  :class:`QueryService` is the serving seam between the two:
   same role;
 - an optional **result-level answer cache**
   (:mod:`repro.serve.answer_cache`): exact answers memoized under a
-  canonical query fingerprint (permutation/alias-insensitive, bound to
-  the graph epoch) with singleflight dedup, front-of-process so hits
+  key of the request as declared (label/alias-insensitive, order-keeping,
+  bound to the graph epoch) with singleflight dedup, front-of-process so hits
   skip the execution backend entirely;
 - **per-query deadlines** map onto the existing
   :class:`~repro.core.time_bounded.TimeBoundedCoordinator` — a request
@@ -709,7 +709,17 @@ class QueryService:
         """
         cache = self._answer_cache
         assert cache is not None and self._fingerprint is not None
-        key = canonicalize(request, self._fingerprint)
+        try:
+            key = canonicalize(request, self._fingerprint)
+        except Exception as exc:
+            # A request no key can be built for (an undeclared pivot)
+            # fails the way the backend would fail it: counted, and on
+            # its future, so in_flight settles and the error type matches
+            # an uncached service's.
+            self._counts.record(False)
+            failed: "Future[QueryResult]" = Future()
+            failed.set_exception(exc)
+            return failed
         state, value = cache.acquire(key)  # counts the hit, miss or follower
         if state == "hit":
             self._counts.record(True)

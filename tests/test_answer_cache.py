@@ -1,13 +1,14 @@
-"""Answer-cache suite: canonical keys, retention/TTL, singleflight, composition.
+"""Answer-cache suite: canonical keys, retention, singleflight, composition.
 
 Covers the three claims the result-level cache makes:
 
-1. :func:`~repro.serve.answer_cache.canonicalize` is a *canonical form* —
-   node-order permutations and alias spellings of the same query collapse
-   to one picklable key, while anything result-relevant (``k``, τ,
-   visited policy, pivot, strategy, predicates) keeps keys apart;
+1. :func:`~repro.serve.answer_cache.canonicalize` is a *sound* key —
+   relabelled and alias spellings of the same declared query share one
+   picklable key, while anything result-relevant (``k``, τ, visited
+   policy, pivot, strategy, predicates, declaration order) keeps keys
+   apart, and equal keys always mean equal engine answers;
 2. :class:`~repro.serve.answer_cache.AnswerCache` is a correct bounded
-   store (+ TTL) that retains by hits × measured search time over an
+   store that retains by hits × measured search time over an
    aging floor (LRU on ties), with a singleflight protocol: N
    concurrent identical misses run the engine exactly once;
 3. composed into :class:`~repro.serve.service.QueryService`, a hit is
@@ -28,10 +29,11 @@ from hypothesis import strategies as st
 
 from repro.bench.equivalence import final_matches_differ
 from repro.core.config import SearchConfig, VisitedPolicy
-from repro.errors import OverloadError, ServeError
+from repro.core.engine import SemanticGraphQueryEngine
+from repro.errors import OverloadError, QueryError, ServeError
 from repro.kg.schema import preset_schema
 from repro.query.builder import QueryGraphBuilder
-from repro.query.model import QueryGraph
+from repro.query.model import QueryEdge, QueryGraph, QueryNode
 from repro.query.transform import TransformationLibrary
 from repro.scenarios.suite import WorkloadBuilder
 from repro.serve.answer_cache import (
@@ -71,6 +73,35 @@ def _flipped_product_query():
     )
 
 
+def _relabelled_product_query():
+    """Same query as :func:`_product_query`, every label renamed."""
+    return (
+        QueryGraphBuilder()
+        .target("car", "Automobile")
+        .specific("origin", "Germany", "Country")
+        .edge("made_in", "car", "product", "origin")
+        .build()
+    )
+
+
+def _two_target_chain(country_first):
+    """``Person_211 -team-> ?SoccerClub -friendlyMatchIn-> ?Country
+    <-assembly- Automobile_122``: both targets cost the same as a pivot,
+    so the one declared first wins the tie and is what gets answered."""
+    builder = QueryGraphBuilder().specific("p", "Person_211", "Person")
+    if country_first:
+        builder = builder.target("c", "Country").target("s", "SoccerClub")
+    else:
+        builder = builder.target("s", "SoccerClub").target("c", "Country")
+    return (
+        builder.specific("a", "Automobile_122", "Automobile")
+        .edge("e1", "p", "team", "s")
+        .edge("e2", "s", "friendlyMatchIn", "c")
+        .edge("e3", "a", "assembly", "c")
+        .build()
+    )
+
+
 def _request(query, **kwargs):
     kwargs.setdefault("k", K)
     return QueryRequest(query=query, **kwargs)
@@ -93,11 +124,35 @@ class TestCanonicalQueryKey:
         assert a == b
         assert hash(a) == hash(b)
 
-    def test_node_order_permutation_collapses(self):
+    def test_relabelling_collapses_but_node_order_does_not(self):
+        """Labels are erased; declaration order is kept, because the
+        decomposition breaks its ties by it."""
         fp = _fingerprint()
         a = canonicalize(_request(_product_query()), fp)
-        b = canonicalize(_request(_flipped_product_query()), fp)
-        assert a == b
+        assert a == canonicalize(_request(_relabelled_product_query()), fp)
+        assert a != canonicalize(_request(_flipped_product_query()), fp)
+
+    def test_tied_pivots_in_another_order_are_keyed_apart(self, small_bundle):
+        """The collision a permutation-invariant key had: two spellings
+        of one two-target chain decompose around different pivots, and
+        a cached service returns for each what an uncached engine does."""
+        spellings = [_two_target_chain(False), _two_target_chain(True)]
+        fp = _fingerprint(library=small_bundle.library)
+        keys = [canonicalize(_request(query), fp) for query in spellings]
+        assert keys[0] != keys[1]
+        engine = SemanticGraphQueryEngine(
+            small_bundle.kg, small_bundle.space, small_bundle.library
+        )
+        expected = [engine.search(query, k=K) for query in spellings]
+        assert expected[0].answer_uids() != expected[1].answer_uids()
+        with QueryService.build(
+            small_bundle.kg, small_bundle.space, small_bundle.library,
+            backend="inline", answer_cache=8,
+        ) as service:
+            served = [service.submit(query, k=K).result() for query in spellings]
+            assert service.stats_snapshot().answer_misses == 2
+        for want, got in zip(expected, served):
+            _assert_same_answer(want, got)
 
     def test_alias_spellings_collapse_through_the_library(self, dbpedia_library):
         fp = _fingerprint(library=dbpedia_library)
@@ -172,25 +227,37 @@ class TestCanonicalQueryKey:
         on_v2 = canonicalize(_request(_product_query(), pivot="v2"), fp)
         assert base != on_v1
         assert on_v1 != on_v2
-        # The *position* is canonical: the same pivot forced on a
-        # permuted spelling still shares the key.
-        flipped = canonicalize(_request(_flipped_product_query(), pivot="v2"), fp)
-        assert on_v2 == flipped
+        # The declared *position* is keyed: the same pivot forced on a
+        # relabelled spelling shares the key, on a permuted one it does not.
+        relabelled = canonicalize(
+            _request(_relabelled_product_query(), pivot="car"), fp
+        )
+        flipped = canonicalize(_request(_flipped_product_query(), pivot="v1"), fp)
+        assert on_v1 == relabelled
+        assert on_v1 != flipped
+        assert (on_v1.pivot_position, flipped.pivot_position) == (0, 1)
+
+    def test_undeclared_pivot_is_a_query_error(self):
+        with pytest.raises(QueryError):
+            canonicalize(_request(_product_query(), pivot="nope"), _fingerprint())
 
     def test_random_strategy_pins_declaration_order(self):
-        """The random pivot draw consumes declaration order, so permuted
-        spellings must not collapse — identical requests still do."""
+        """The random pivot draw indexes declaration order, which every
+        key holds: permuted spellings stay apart, relabelled ones and
+        identical requests share a key, and the strategy is keyed."""
         fp = _fingerprint()
         a = canonicalize(_request(_product_query(), strategy="random"), fp)
         b = canonicalize(_request(_product_query(), strategy="random"), fp)
+        relabelled = canonicalize(
+            _request(_relabelled_product_query(), strategy="random"), fp
+        )
         flipped = canonicalize(
             _request(_flipped_product_query(), strategy="random"), fp
         )
         plain = canonicalize(_request(_product_query()), fp)
-        assert a == b
+        assert a == b == relabelled
         assert a != flipped
         assert a != plain
-        assert a.labels == ("v1", "v2")
 
     def test_deadline_requests_are_rejected(self):
         with pytest.raises(ServeError):
@@ -220,6 +287,8 @@ class TestCanonicalizationProperties:
 
     @pytest.fixture(scope="class")
     def workload_queries(self):
+        # The default domain is small_bundle's graph (dbpedia, scale 1.0,
+        # generator seed 11), so every query here is answerable there.
         workload = (
             WorkloadBuilder("answer-cache-props", seed=13)
             .domain("dbpedia")
@@ -230,21 +299,62 @@ class TestCanonicalizationProperties:
         return [q.query for q in workload.queries]
 
     @pytest.fixture(scope="class")
+    def engine(self, small_bundle):
+        return SemanticGraphQueryEngine(
+            small_bundle.kg, small_bundle.space, small_bundle.library
+        )
+
+    @pytest.fixture(scope="class")
     def library(self):
         return TransformationLibrary.from_schema(preset_schema("dbpedia"))
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
-    def test_permutation_invariance(self, workload_queries, library, data):
+    def test_relabelling_invariance(self, workload_queries, library, data):
+        """Renaming labels keeps the key; reordering nodes keeps it only
+        when the declared signature sequence is unchanged."""
         query = data.draw(st.sampled_from(workload_queries))
-        nodes = list(query.nodes())
-        permuted = QueryGraph(
-            data.draw(st.permutations(nodes)), list(query.edges())
-        )
         fp = _fingerprint(library=library)
-        assert canonicalize(_request(query), fp) == canonicalize(
-            _request(permuted), fp
+        key = canonicalize(_request(query), fp)
+        relabelled = _respell(data, query, library, reorder=False)
+        assert canonicalize(_request(relabelled), fp) == key
+        nodes = query.nodes()
+        permuted = QueryGraph(data.draw(st.permutations(nodes)), query.edges())
+        if [(n.name, n.etype) for n in permuted.nodes()] != [
+            (n.name, n.etype) for n in nodes
+        ]:
+            assert canonicalize(_request(permuted), fp) != key
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_equal_keys_mean_equal_answers(
+        self, workload_queries, library, engine, data
+    ):
+        """Key soundness: two spellings of one query that draw node and
+        edge declaration orders, label renamings and alias respellings
+        independently get equal uncached outcomes (answers and scores, or
+        the error) whenever their keys are equal — and equal keys whenever
+        only labels and aliases differ."""
+        query = data.draw(
+            st.sampled_from(
+                workload_queries + [_two_target_chain(False), _two_target_chain(True)]
+            )
         )
+        strategy = data.draw(st.sampled_from(["min_cost", "random"]))
+        fp = EngineFingerprint.from_engine(engine)
+        first = _respell(data, query, library, reorder=True)
+        same_order = data.draw(st.booleans())
+        second = _respell(
+            data, first if same_order else query, library, reorder=not same_order
+        )
+        keys = [
+            canonicalize(_request(q, strategy=strategy), fp) for q in (first, second)
+        ]
+        if same_order:
+            assert keys[0] == keys[1]
+        if keys[0] != keys[1]:
+            return
+        assert _outcome(engine, first, strategy) == _outcome(engine, second, strategy)
 
     @settings(max_examples=30, deadline=None)
     @given(data=st.data(), delta=st.integers(min_value=1, max_value=20))
@@ -265,6 +375,55 @@ class TestCanonicalizationProperties:
         assert hash(clone) == hash(key)
 
 
+def _outcome(engine, query, strategy):
+    """What a cache would store for ``query``: answers and scores, or the
+    type of the error an undecomposable query raises."""
+    try:
+        result = engine.search(query, k=K, strategy=strategy)
+    except QueryError as exc:
+        return type(exc)
+    return result.answer_uids(), [match.score for match in result.matches]
+
+
+def _respell(data, query, library, *, reorder):
+    """``query`` with its labels renamed (a drawn permutation of the
+    label set, so two nodes may swap names), each name and type drawn
+    from its alias family, and — when ``reorder`` — its nodes and edges
+    declared in drawn orders."""
+    nodes, edges = query.nodes(), query.edges()
+    node_labels = [n.label for n in nodes]
+    edge_labels = [e.label for e in edges]
+    node_label = dict(zip(node_labels, data.draw(st.permutations(node_labels))))
+    edge_label = dict(zip(edge_labels, data.draw(st.permutations(edge_labels))))
+
+    def alias(text, variants):
+        if text is None:
+            return None
+        return data.draw(st.sampled_from([text, *variants(text)]))
+
+    nodes = [
+        QueryNode(
+            label=node_label[n.label],
+            etype=alias(n.etype, library.type_variants),
+            name=alias(n.name, library.name_variants),
+        )
+        for n in nodes
+    ]
+    edges = [
+        QueryEdge(
+            label=edge_label[e.label],
+            source=node_label[e.source],
+            predicate=e.predicate,
+            target=node_label[e.target],
+        )
+        for e in edges
+    ]
+    if reorder:
+        nodes = data.draw(st.permutations(nodes))
+        edges = data.draw(st.permutations(edges))
+    return QueryGraph(nodes, edges)
+
+
 # ----------------------------------------------------------------------
 # the cache data structure
 # ----------------------------------------------------------------------
@@ -273,7 +432,6 @@ def _key(i):
     return CanonicalQueryKey(
         fingerprint=("epoch",),
         nodes=(),
-        predicates=(),
         edges=(),
         k=i,
         strategy="min_cost",
@@ -535,13 +693,32 @@ class TestServiceIntegration:
         ) as service:
             first = service.submit(_product_query(), k=K).result()
             second = service.submit(_product_query(), k=K).result()
-            permuted = service.submit(_flipped_product_query(), k=K).result()
+            relabelled = service.submit(_relabelled_product_query(), k=K).result()
             snap = service.stats_snapshot()
+            # A permuted spelling is its own key: a miss, answered afresh.
+            service.submit(_flipped_product_query(), k=K).result()
+            permuted = service.stats_snapshot().since(snap).answers
         _assert_same_answer(first, second)
-        _assert_same_answer(first, permuted)
+        _assert_same_answer(first, relabelled)
         assert snap.answer_misses == 1
         assert snap.answer_hits == 2
         assert snap.completed == 3
+        assert (permuted.hits, permuted.misses) == (0, 1)
+
+    @pytest.mark.parametrize("answer_cache", [None, 8])
+    def test_undeclared_pivot_fails_and_is_counted(self, small_bundle, answer_cache):
+        """Cached or not, an undeclared pivot is a QueryError on the
+        request's future, counted as a failure, and nothing stays in
+        flight."""
+        request = _request(_product_query(), pivot="nope")
+        with QueryService.build(
+            small_bundle.kg, small_bundle.space, small_bundle.library,
+            backend="inline", answer_cache=answer_cache,
+        ) as service:
+            with pytest.raises(QueryError):
+                service.submit_request(request).result()
+            snap = service.stats_snapshot()
+        assert (snap.submitted, snap.failed, snap.in_flight) == (1, 1, 0)
 
     def test_tbq_requests_bypass_the_cache(self, small_bundle):
         with QueryService.build(
