@@ -70,6 +70,7 @@ CLI_RUNS: List[Tuple[List[str], int]] = [
       "--retries", "5"], 0),
     (["--scenario", SCENARIO, "--repeats", "2", "--answer-cache", "32",
       "--popularity", "zipf:1.1"], 0),
+    (["--scenario", SCENARIO, "--repeats", "2", "--answer-cache", "32"], 0),
     (["--scenario", SCENARIO, "--repeats", "2", "--shards", "4"], 0),
     (["--scenario", SCENARIO, "--repeats", "2", "--backend", "process",
       "--workers", "2", "--shards", "4", "--shard-strategy",

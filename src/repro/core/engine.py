@@ -271,32 +271,6 @@ class SemanticGraphQueryEngine:
         self.weight_cache = weight_cache
         self.view_factory: ViewFactory = view_factory or lazy_view_factory
 
-    def to_spec(self) -> EngineSpec:
-        """The :class:`EngineSpec` this engine could be rebuilt from.
-
-        Read off the view factory: the compact and sharded factories
-        describe the frozen kernel / shard set they already hold (so
-        workers skip the re-freeze).  The kernel names are not part of a
-        spec — a rebuilt engine runs the production pair, which returns
-        the same answers.  The lazy view (the oracle) and any other
-        ``view_factory`` have no spec and raise.
-        """
-        factory = self.view_factory
-        if isinstance(factory, CompactViewFactory):
-            store = factory.compact_graph(self.kg)
-        elif isinstance(factory, ShardedViewFactory):
-            store = factory.sharded
-        else:
-            raise SearchError(
-                "only an engine over a frozen store is described by an "
-                "EngineSpec (the lazy view is the oracle, and a custom "
-                "view_factory may close over unpicklable state); construct "
-                "it via EngineSpec/build_engine"
-            )
-        # A frozen reader is rebuilt from the store on the other side.
-        kg = self.kg if isinstance(self.kg, KnowledgeGraph) else None
-        return EngineSpec(store, self.space, self.library, self.config, kg=kg)
-
     def _make_view(self) -> WeightedGraphView:
         """A per-query ``SG_Q`` view, shared-cache-backed when configured."""
         return self.view_factory(

@@ -32,14 +32,11 @@ closes that gap with three pieces:
   executes, N−1 followers get futures resolved from the leader's
   payload (their latency is the wait for the leader, never a second
   search).
-- **Epoch invalidation**: the cache binds to an
-  :class:`EngineFingerprint` the way
-  :class:`~repro.serve.cache.SemanticGraphCache.bind` pins a weight
-  cache — identity-compared anchors (graph, space) plus a picklable
-  token — but *self-clears* on mismatch instead of raising: a rebuilt
-  KG invalidates every cached answer and serving continues cold.  A
-  served store is immutable, so within one epoch an entry never goes
-  stale: there is no time-to-live.
+- **One cache, one service**: a :class:`~repro.serve.service.QueryService`
+  builds its own cache and no other service reads it.  The store it
+  serves is immutable, so an entry never goes stale: there is no
+  time-to-live and no invalidation.  A rebuilt KG is a new service with
+  a new, empty cache.
 
 Scope and safety:
 
@@ -92,25 +89,17 @@ class EngineFingerprint:
     predicate-space shape and the result-relevant
     :class:`~repro.core.config.SearchConfig` knobs (τ, n̂,
     ``min_weight``, scoring mode, visited policy, expansion cap).
-    ``anchors`` are strong identity references (graph, space) compared
-    the way :meth:`SemanticGraphCache.bind` compares its fingerprint —
-    holding them alive guarantees a recycled address can never
-    impersonate the bound graph.  ``library`` is the transformation
+    ``library`` is the transformation
     library used to canonicalise node aliases (``None`` = identical
     matches only, mirroring :meth:`TransformationLibrary.empty`).
     """
 
-    __slots__ = ("token", "anchors", "library")
+    __slots__ = ("token", "library")
 
     def __init__(
-        self,
-        token: Tuple,
-        *,
-        anchors: Tuple = (),
-        library: Optional[TransformationLibrary] = None,
+        self, token: Tuple, *, library: Optional[TransformationLibrary] = None
     ):
         self.token = token
-        self.anchors = anchors
         self.library = library
 
     @staticmethod
@@ -141,7 +130,7 @@ class EngineFingerprint:
             ("space", len(engine.space), engine.space.dim),
             cls._config_token(engine.config),
         )
-        return cls(token, anchors=(kg, engine.space), library=engine.library)
+        return cls(token, library=engine.library)
 
     @classmethod
     def from_spec(cls, spec) -> "EngineFingerprint":
@@ -156,19 +145,7 @@ class EngineFingerprint:
             ("space", len(spec.space), spec.space.dim),
             cls._config_token(spec.config),
         )
-        anchor = spec.kg if spec.kg is not None else spec.store
-        return cls(token, anchors=(anchor, spec.space), library=spec.library)
-
-    def matches(self, other: "EngineFingerprint") -> bool:
-        """Same epoch?  Identity-or-equality, mirroring ``bind()``."""
-        if self.token != other.token:
-            return False
-        if len(self.anchors) != len(other.anchors):
-            return False
-        return all(
-            ours is theirs or ours == theirs
-            for ours, theirs in zip(self.anchors, other.anchors)
-        )
+        return cls(token, library=spec.library)
 
 
 # ----------------------------------------------------------------------
@@ -257,7 +234,6 @@ class AnswerCacheStats:
     misses: int = 0
     singleflight_collapsed: int = 0
     evictions: int = 0
-    invalidations: int = 0
     entries: int = 0
     in_flight: int = 0
     #: Σ ``cost`` over every hit and collapsed follower: the engine
@@ -294,8 +270,7 @@ class AnswerCacheStats:
             f"saved={self.saved_seconds * 1000:.1f}ms "
             f"(hits={self.hits}, misses={self.misses}, "
             f"collapsed={self.singleflight_collapsed}, "
-            f"evictions={self.evictions}, "
-            f"invalidations={self.invalidations}, entries={self.entries})"
+            f"evictions={self.evictions}, entries={self.entries})"
         )
 
 
@@ -383,43 +358,11 @@ class AnswerCache:
         self._entries: "OrderedDict[CanonicalQueryKey, _Entry]" = OrderedDict()
         self._floor = 0.0
         self._flights: dict = {}
-        self._fingerprint: Optional[EngineFingerprint] = None
         self._hits = 0
         self._misses = 0
         self._collapsed = 0
         self._evictions = 0
-        self._invalidations = 0
         self._saved_seconds = 0.0
-
-    # -- epoch binding --------------------------------------------------
-    def bind(self, fingerprint: EngineFingerprint) -> None:
-        """Pin the cache to one engine epoch; **self-clear** on change.
-
-        Mirrors :meth:`SemanticGraphCache.bind` (identity-compared
-        anchors + token) with the opposite failure mode: where the
-        weight cache raises — serving weights across graphs would be
-        silent corruption — the answer cache just drops every entry and
-        rebinds, because a cold answer cache is merely slow.  This is
-        what keeps a rebuilt/regrown KG correct: the new service's bind
-        invalidates every answer computed against the old epoch.
-        """
-        with self._lock:
-            if self._fingerprint is None:
-                self._fingerprint = fingerprint
-                return
-            if self._fingerprint.matches(fingerprint):
-                # Prefer the newest anchors (keeps the live objects of
-                # the binding service alive, not a dead predecessor's).
-                self._fingerprint = fingerprint
-                return
-            self._entries.clear()
-            self._invalidations += 1
-            self._fingerprint = fingerprint
-
-    @property
-    def fingerprint(self) -> Optional[EngineFingerprint]:
-        with self._lock:
-            return self._fingerprint
 
     # -- retention (callers hold the lock) -----------------------------
     def _insert(
@@ -524,7 +467,6 @@ class AnswerCache:
                 misses=self._misses,
                 singleflight_collapsed=self._collapsed,
                 evictions=self._evictions,
-                invalidations=self._invalidations,
                 entries=len(self._entries),
                 in_flight=len(self._flights),
                 saved_seconds=self._saved_seconds,
@@ -535,6 +477,6 @@ class AnswerCache:
             return len(self._entries)
 
     def clear(self) -> None:
-        """Drop all entries (binding, flights and counters survive)."""
+        """Drop all entries (flights and counters survive)."""
         with self._lock:
             self._entries.clear()

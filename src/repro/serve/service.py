@@ -173,8 +173,7 @@ class ServiceStats:
     - ``answers``: :meth:`AnswerCache.stats
       <repro.serve.answer_cache.AnswerCache.stats>`, zeros without a
       cache.  The cache is one front-side instance whatever the backend,
-      so this row is always shared — and an instance shared by several
-      services counts for all of them.
+      so this row is always shared; it belongs to this service alone.
     - ``resilience``: :meth:`SupervisedBackend.resilience_stats
       <repro.serve.resilience.SupervisedBackend.resilience_stats>`,
       zeros on an unsupervised service.
@@ -270,27 +269,21 @@ class ServiceStats:
 class QueryService:
     """Concurrent, cache-backed front-end over one query engine.
 
+    Built by :meth:`build`, which freezes the graph and hands the
+    constructor the :class:`~repro.core.engine.EngineSpec` it made.
+
     Args:
-        engine: the engine to serve (the inline backend executes on it
-            directly; the process backend ships ``engine.to_spec()`` to
-            its workers, so it refuses a lazy-view engine).  May be
-            ``None`` when ``spec`` is given — the process backend then
-            never builds a parent-side engine at all.
-        spec: a picklable :class:`~repro.core.engine.EngineSpec`
-            describing the engine; required (directly or via ``engine``)
-            for the process backend.  The process backend publishes a
-            store given by value into shared memory and ships workers a
-            handle (O(metadata) warmup, one physical graph copy
-            pool-wide, bit-identical results); the service owns those
-            segments and unlinks them on :meth:`close` (after the pool is
-            down) or by a finalizer if the owner crashes.  A spec that
-            already carries a handle ships as given.
+        spec: the engine to serve, its store held by value (a
+            ``CompactGraph`` or ``ShardedGraph``; a shared-memory handle
+            is refused).  The inline backend builds its engine from it
+            with a private :class:`SemanticGraphCache`; the process
+            backend publishes the store into shared memory and ships
+            workers a handle (O(metadata) warmup, one physical graph
+            copy pool-wide, bit-identical results).  The service owns
+            those segments and unlinks them on :meth:`close` (after the
+            pool is down) or by a finalizer if the owner crashes.
         backend: ``"inline"`` (default) or ``"process"``.
         workers: process-pool size (ignored by ``inline``).
-        cache: explicit :class:`SemanticGraphCache` to share (e.g. between
-            services over the same graph); default builds a private one.
-            Inline backend only — process workers own private caches by
-            construction.
         start_method: multiprocessing start method for the process
             backend (``None`` = platform default).
         supervised: wrap the backend in a
@@ -314,15 +307,9 @@ class QueryService:
         max_pending: bounded admission — submissions beyond this many
             unresolved requests raise
             :class:`~repro.errors.OverloadError` instead of queueing.
-        breaker_threshold / breaker_cooldown: consecutive pool breaks
-            that open the circuit, and seconds before a half-open probe.
-        answer_cache: result-level answer caching
-            (:mod:`repro.serve.answer_cache`).  An ``int`` enables a
-            private cache of that capacity; an
-            :class:`~repro.serve.answer_cache.AnswerCache` instance is
-            shared (e.g. across services over the same graph — it binds
-            to this engine's fingerprint and self-clears on epoch
-            change); ``None``/``0`` (default) disables.  The cache sits
+        answer_cache: the capacity of this service's own result-level
+            answer cache (:mod:`repro.serve.answer_cache`);
+            ``None``/``0`` (default) disables it.  The cache sits
             *front-of-process*: hits and collapsed singleflight
             followers never reach the execution backend — a hit skips
             IPC on the process backend and, under supervision, consumes
@@ -335,22 +322,20 @@ class QueryService:
 
     def __init__(
         self,
-        engine: Optional[SemanticGraphQueryEngine] = None,
+        spec: EngineSpec,
         *,
-        spec: Optional[EngineSpec] = None,
         backend: str = "inline",
         workers: int = 4,
-        cache: Optional[SemanticGraphCache] = None,
         start_method: Optional[str] = None,
         supervised: bool = False,
         fault_plan: Optional[FaultPlan] = None,
         retry_policy: Optional[BackoffPolicy] = None,
         hard_timeout: Optional[float] = None,
         max_pending: Optional[int] = None,
-        breaker_threshold: int = 3,
-        breaker_cooldown: float = 5.0,
-        answer_cache: Union[None, int, AnswerCache] = None,
+        answer_cache: Optional[int] = None,
     ):
+        # Every refusal comes before any worker, reply-reader thread or
+        # shared-memory segment exists to be stranded by the raise.
         if backend not in EXECUTION_BACKENDS:
             raise ServeError(
                 f"unknown execution backend {backend!r} "
@@ -358,12 +343,27 @@ class QueryService:
             )
         if workers < 1:
             raise ServeError(f"workers must be at least 1, got {workers}")
-        if engine is None and spec is None:
-            raise ServeError("QueryService needs an engine or an EngineSpec")
+        if not isinstance(spec, EngineSpec) or not isinstance(
+            spec.store, (CompactGraph, ShardedGraph)
+        ):
+            raise ServeError(
+                "a service serves an EngineSpec whose store it holds by "
+                "value and publishes itself; build it with QueryService.build"
+            )
         if fault_plan is not None and not isinstance(fault_plan, FaultPlan):
             raise ServeError(
                 f"fault_plan must be a FaultPlan, got {type(fault_plan).__name__}"
             )
+        if answer_cache is not None and (
+            not isinstance(answer_cache, int) or isinstance(answer_cache, bool)
+        ):
+            raise ServeError(
+                "answer_cache must be None or a capacity int, got "
+                f"{type(answer_cache).__name__}"
+            )
+        self._answer_cache: Optional[AnswerCache] = (
+            AnswerCache(answer_cache) if answer_cache else None
+        )
         supervised = bool(
             supervised
             or fault_plan is not None
@@ -371,6 +371,8 @@ class QueryService:
             or hard_timeout is not None
             or max_pending is not None
         )
+        if supervised:
+            check_supervision_limits(hard_timeout, max_pending)
 
         self.backend_name = backend
         self.workers = workers if backend != "inline" else 1
@@ -385,93 +387,41 @@ class QueryService:
         )
         self._hard_timeout = hard_timeout
         self._max_pending = max_pending
-        self._breaker: Optional[CircuitBreaker] = None
-        if supervised:
-            # Refused here, before any worker, reply-reader thread or
-            # shared-memory segment exists to be stranded by the raise.
-            check_supervision_limits(hard_timeout, max_pending)
-            self._breaker = CircuitBreaker(
-                threshold=breaker_threshold, cooldown_seconds=breaker_cooldown
-            )
+        self._breaker = CircuitBreaker() if supervised else None
+        self.spec = spec
 
         if backend == "process":
-            if cache is not None:
-                raise ServeError(
-                    "the process backend cannot share a SemanticGraphCache "
-                    "across workers — each worker owns a private cache; "
-                    "drop the cache argument"
-                )
-            if spec is None:
-                assert engine is not None
-                spec = engine.to_spec()  # raises on unpicklable setups
-            self.engine = engine
-            self.cache = None
-            # The pre-share spec (store still by value, unless the caller
-            # gave a handle) is what a pool *rebuild* republishes the
+            self.engine: Optional[SemanticGraphQueryEngine] = None
+            self.cache: Optional[SemanticGraphCache] = None
+            # The by-value spec is what a pool *rebuild* republishes the
             # shared segments from, and what the circuit-breaker fallback
-            # builds its inline engine from; self.spec below is the
+            # builds its inline engine from; self.spec is the
             # handle-carrying variant of the current pool generation.
             self._base_spec = spec
             self._start_method = start_method
-            self.spec: Optional[EngineSpec] = spec
-            # Fingerprint from the pre-share base spec: a pool rebuild
-            # republishes the same graph, so the epoch is unchanged.
-            self._init_answer_cache(
-                answer_cache, EngineFingerprint.from_spec(self._base_spec)
-            )
+            # A pool rebuild republishes the same graph: the epoch holds.
+            self._fingerprint = EngineFingerprint.from_spec(spec)
             inner: ExecutionBackend = self._build_pool()
             self._backend: ExecutionBackend = (
                 self._supervise(inner, rebuildable=True) if supervised else inner
             )
             return
 
-        if engine is None:
-            assert spec is not None
-            engine = build_engine(spec)
-        if cache is not None:
-            engine.weight_cache = cache
-        elif engine.weight_cache is None:
-            engine.weight_cache = SemanticGraphCache()
-        self.engine = engine
-        self.cache = engine.weight_cache
-        self.spec = spec
+        self.cache = SemanticGraphCache()
+        self.engine = build_engine(spec, weight_cache=self.cache)
         faults = None
         if fault_plan is not None and fault_plan.active:
             # In-process injection: crashes surface as WorkerCrashError
             # (killing the only process would defeat the point).
             faults = fault_plan.activate(allow_kill=False)
-        runner = _EngineRunner(engine, faults=faults)
-        self._runner = runner
-        self._init_answer_cache(answer_cache, EngineFingerprint.from_engine(engine))
+        self._fingerprint = EngineFingerprint.from_engine(self.engine)
         inner = InlineBackend(
-            runner, on_complete=None if supervised else self._counts.record
+            _EngineRunner(self.engine, faults=faults),
+            on_complete=None if supervised else self._counts.record,
         )
         self._backend = (
             self._supervise(inner, rebuildable=False) if supervised else inner
         )
-
-    def _init_answer_cache(
-        self,
-        answer_cache: Union[None, int, AnswerCache],
-        fingerprint: EngineFingerprint,
-    ) -> None:
-        """Resolve the ``answer_cache`` argument and bind the epoch."""
-        if answer_cache is None or answer_cache == 0:
-            self._answer_cache: Optional[AnswerCache] = None
-            self._fingerprint: Optional[EngineFingerprint] = None
-            return
-        if isinstance(answer_cache, AnswerCache):
-            cache = answer_cache
-        elif isinstance(answer_cache, int) and not isinstance(answer_cache, bool):
-            cache = AnswerCache(answer_cache)
-        else:
-            raise ServeError(
-                "answer_cache must be None, a capacity int or an "
-                f"AnswerCache, got {type(answer_cache).__name__}"
-            )
-        cache.bind(fingerprint)
-        self._answer_cache = cache
-        self._fingerprint = fingerprint
 
     def _supervise(
         self, inner: ExecutionBackend, *, rebuildable: bool
@@ -492,21 +442,19 @@ class QueryService:
 
         Stamps the current fault plan into the worker-bound spec (so
         chaos rides the same vehicle as the engine description) and
-        publishes a store given by value into fresh shared-memory
-        segments — one for a ``CompactGraph``, one per shard for a
-        ``ShardedGraph`` — shipping workers the handle instead (``kg``
-        dropped, so the pickle is O(metadata)).  On construction failure
-        the just-acquired lease is released with a stranded-segment
-        probe — the pool never came up, so nobody else will.
+        publishes the store into fresh shared-memory segments — one for
+        a ``CompactGraph``, one per shard for a ``ShardedGraph`` —
+        shipping workers the handle instead (``kg`` dropped, so the
+        pickle is O(metadata)).  On construction failure the
+        just-acquired lease is released with a stranded-segment probe —
+        the pool never came up, so nobody else will.
         """
         spec = self._base_spec
         plan = self._fault_plan
         if plan is not None and plan.active:
             spec = replace(spec, fault_plan=plan)
-        lease = None
-        if isinstance(spec.store, (CompactGraph, ShardedGraph)):
-            lease = spec.store.to_shared()
-            spec = replace(spec, kg=None, store=lease.handle)
+        lease = spec.store.to_shared()
+        spec = replace(spec, kg=None, store=lease.handle)
         try:
             backend = ProcessBackend(
                 spec,
@@ -515,8 +463,7 @@ class QueryService:
                 on_complete=None if self._supervised else self._counts.record,
             )
         except BaseException:
-            if lease is not None:
-                self._release_lease(lease)
+            self._release_lease(lease)
             raise
         self._graph_lease = lease
         self.spec = spec
@@ -585,7 +532,6 @@ class QueryService:
         workers: int = 4,
         shards: int = 0,
         shard_strategy: str = "hash",
-        shard_seed: int = 0,
         compact: bool = True,
         shared_graph: Optional[bool] = None,
         **kwargs,
@@ -599,12 +545,10 @@ class QueryService:
         kernel into N entity-owned shards (:mod:`repro.kg.sharded`)
         served through the rank-merged view — one row source for the
         shard set in the engine's cache, one shm segment per shard on
-        the process backend; ``shard_strategy`` / ``shard_seed`` pick
-        the partitioner.  Exact results are identical under every
-        combination.  The paper's lazy view is the test oracle: a caller
-        who wants it, its own ``view_factory`` or the reference kernels
-        builds the engine and passes it to :class:`QueryService`
-        directly.
+        the process backend; ``shard_strategy`` picks the partitioner.
+        Exact results are identical under every combination.  The
+        paper's lazy view and the reference kernels are test oracles,
+        built as a :class:`SemanticGraphQueryEngine` and never served.
 
         ``compact`` and ``shared_graph`` say nothing: they are accepted
         only as the frozen perf ledger spells them (``compact=True``, and
@@ -633,9 +577,7 @@ class QueryService:
             # ``kg`` stays out of the spec so all backends uniformly
             # read entities from the shard set's own node columns.
             spec = EngineSpec(
-                ShardedGraph.build(
-                    kg, shards, strategy=shard_strategy, seed=shard_seed
-                ),
+                ShardedGraph.build(kg, shards, strategy=shard_strategy),
                 space,
                 library,
                 config,
@@ -644,8 +586,7 @@ class QueryService:
             spec = EngineSpec(
                 CompactGraph.freeze(kg), space, library, config, kg=kg
             )
-        engine = None if backend == "process" else build_engine(spec)
-        return cls(engine, spec=spec, backend=backend, workers=workers, **kwargs)
+        return cls(spec, backend=backend, workers=workers, **kwargs)
 
     # ------------------------------------------------------------------
     # submission API
@@ -708,7 +649,7 @@ class QueryService:
         retry budget (it never becomes an attempt).
         """
         cache = self._answer_cache
-        assert cache is not None and self._fingerprint is not None
+        assert cache is not None
         try:
             key = canonicalize(request, self._fingerprint)
         except Exception as exc:
@@ -867,7 +808,7 @@ class QueryService:
     @property
     def graph_lease(self) -> Optional[GraphLease]:
         """The shared-memory graph lease (``None`` off the process
-        backend, and when the spec arrived carrying a handle).
+        backend).
 
         Under supervision the lease changes identity across pool
         rebuilds (release old, publish fresh); read it anew rather than

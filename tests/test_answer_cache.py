@@ -270,17 +270,6 @@ class TestCanonicalQueryKey:
         assert hash(clone) == hash(key)
         assert {key: "answer"}[clone] == "answer"
 
-    def test_fingerprint_matches_is_identity_or_equality(self, small_bundle):
-        from repro.core.engine import SemanticGraphQueryEngine
-
-        engine = SemanticGraphQueryEngine(
-            small_bundle.kg, small_bundle.space, small_bundle.library
-        )
-        a = EngineFingerprint.from_engine(engine)
-        b = EngineFingerprint.from_engine(engine)
-        assert a.matches(b)
-        assert not a.matches(_fingerprint())
-
 
 class TestCanonicalizationProperties:
     """Hypothesis: the invariants hold over generated scenario queries."""
@@ -557,16 +546,6 @@ class TestAnswerCacheUnit:
         assert cache.stats().saved_seconds >= oracle.saved_seconds
         assert cache.stats().evictions > 0
 
-    def test_bind_self_clears_on_epoch_change(self):
-        cache = AnswerCache(4)
-        cache.bind(_fingerprint())
-        cache.store(_key(1), _Answer("one"))
-        cache.bind(_fingerprint())  # same token: entries survive
-        assert len(cache) == 1
-        cache.bind(_fingerprint(graph=("kg", "other", 7, 9)))
-        assert len(cache) == 0
-        assert cache.stats().invalidations == 1
-
     def test_singleflight_protocol(self):
         answer = _Answer("answer")
         cache = AnswerCache(4)
@@ -604,7 +583,6 @@ _CACHE_OPS = st.lists(
         st.tuples(st.just("complete"), _KEY_INDEX, st.booleans()),
         st.tuples(st.just("store"), _KEY_INDEX),
         st.tuples(st.just("clear")),
-        st.tuples(st.just("bind"), st.integers(min_value=0, max_value=1)),
     ),
     max_size=80,
 )
@@ -656,10 +634,8 @@ class TestAnswerCacheSequences:
                     settle(op[1], fail=op[2])
             elif op[0] == "store":
                 cache.store(_key(op[1]), _Answer(str(op[1]), costs[op[1]]))
-            elif op[0] == "clear":
-                cache.clear()
             else:
-                cache.bind(_fingerprint(graph=("kg", "epoch", op[1], op[1])))
+                cache.clear()
 
             assert len(cache) <= capacity
             for key, entry in cache._entries.items():
@@ -768,24 +744,20 @@ class TestServiceIntegration:
         assert (cumulative.hits, cumulative.misses) == (4, 4)
         assert "hit_rate=1.000" in answers.describe()
 
-    def test_shared_cache_survives_across_services(self, small_bundle):
-        cache = AnswerCache(8)
-        build = dict(backend="inline", answer_cache=cache)
-        with QueryService.build(
-            small_bundle.kg, small_bundle.space, small_bundle.library, **build
-        ) as service:
-            service.submit(_product_query(), k=K).result()
-        assert len(cache) == 1
-        # Same engine inputs -> same epoch: the second service hits warm.
-        with QueryService.build(
-            small_bundle.kg, small_bundle.space, small_bundle.library, **build
-        ) as service:
-            service.submit(_product_query(), k=K).result()
-            assert service.stats_snapshot().answer_hits == 1
-        # A different epoch self-clears instead of serving stale answers.
-        cache.bind(_fingerprint(graph=("kg", "rebuilt", 1, 1)))
-        assert len(cache) == 0
-        assert cache.stats().invalidations == 1
+    def test_each_service_owns_its_answer_cache(self, small_bundle):
+        build = dict(backend="inline", answer_cache=8)
+        caches = []
+        for _ in range(2):
+            # Same inputs, same key: still the second service's first
+            # request is a miss, because no cache outlives its service.
+            with QueryService.build(
+                small_bundle.kg, small_bundle.space, small_bundle.library, **build
+            ) as service:
+                service.submit(_product_query(), k=K).result()
+                answers = service.stats_snapshot().answers
+                caches.append(service.answer_cache)
+            assert (answers.hits, answers.misses, answers.entries) == (0, 1, 1)
+        assert caches[0] is not caches[1]
 
     def test_cache_argument_validated(self, small_bundle):
         with pytest.raises(ServeError):
@@ -793,6 +765,49 @@ class TestServiceIntegration:
                 small_bundle.kg, small_bundle.space, small_bundle.library,
                 answer_cache="big",
             )
+
+
+    @pytest.mark.parametrize(
+        "refused",
+        [AnswerCache(8), True, False, 8.0, -1],
+        ids=["AnswerCache", "True", "False", "float", "negative"],
+    )
+    def test_answer_cache_is_a_capacity_int(self, small_bundle, refused):
+        with pytest.raises(ServeError):
+            QueryService.build(
+                small_bundle.kg, small_bundle.space, small_bundle.library,
+                answer_cache=refused,
+            )
+
+    @pytest.mark.parametrize("capacity", [None, 0], ids=["None", "zero"])
+    def test_no_capacity_means_no_answer_cache(self, small_bundle, capacity):
+        with QueryService.build(
+            small_bundle.kg, small_bundle.space, small_bundle.library,
+            answer_cache=capacity,
+        ) as service:
+            assert service.answer_cache is None
+            service.submit(_product_query(), k=K).result()
+            service.submit(_product_query(), k=K).result()
+            snap = service.stats_snapshot()
+        assert (snap.answer_hits, snap.answer_misses) == (0, 0)
+        assert snap.completed == 2
+
+    def test_the_engine_fingerprint_keys_the_service_cache(self, small_bundle):
+        """An inline service keys answers by its engine's fingerprint, so
+        ``canonicalize(request, EngineFingerprint.from_engine(engine))``
+        finds what it served (the perf ledger's cache probe)."""
+        request = QueryRequest(_product_query(), k=K)
+        with QueryService.build(
+            small_bundle.kg, small_bundle.space, small_bundle.library,
+            answer_cache=8,
+        ) as service:
+            served = service.submit_request(request).result()
+            key = canonicalize(request, EngineFingerprint.from_engine(service.engine))
+            payload = service.answer_cache.lookup(key)
+        assert payload is not None
+        assert [m.pivot_uid for m in payload.matches] == [
+            m.pivot_uid for m in served.matches
+        ]
 
 
 class TestSingleflight:

@@ -17,13 +17,11 @@ Each test checks equality where value semantics exist and behaviour
 
 import pickle
 from contextlib import ExitStack
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.bench.equivalence import final_matches_differ
-from repro.core.compact_view import CompactViewFactory
 from repro.core.engine import EngineSpec, SemanticGraphQueryEngine, build_engine
 from repro.core.results import QueryResultPayload
 from repro.kg.compact import CompactGraph
@@ -174,41 +172,6 @@ class TestEngineSpec:
                 assert problem is None, problem
                 assert expected.ta_accesses == actual.ta_accesses
 
-    def test_engine_to_spec_roundtrip(self, small_bundle):
-        engine = SemanticGraphQueryEngine(
-            small_bundle.kg, small_bundle.space, small_bundle.library,
-            view_factory=CompactViewFactory(CompactGraph.freeze(small_bundle.kg)),
-        )
-        spec = engine.to_spec()
-        # The already-frozen kernel rides along — workers skip the freeze.
-        assert spec.store is engine.view_factory.frozen_graph
-        assert spec.kg is small_bundle.kg
-        thawed = _roundtrip(spec)
-        assert isinstance(thawed.store, CompactGraph)
-        assert thawed.store.num_edges == small_bundle.kg.num_edges
-
-    def test_to_spec_of_a_spec_built_engine_ships_the_same_kernel(
-        self, small_bundle
-    ):
-        """An engine built from a compact spec ships the kernel it was
-        given, so process workers never redo the O(V+E) freeze."""
-        frozen = CompactGraph.freeze(small_bundle.kg)
-        spec = EngineSpec(
-            store=frozen,
-            space=small_bundle.space,
-            library=small_bundle.library,
-            kg=small_bundle.kg,
-        )
-        shipped = build_engine(spec).to_spec()
-        assert shipped.store is frozen and shipped.kg is small_bundle.kg
-        # A kernel frozen here remembers its graph; one that crossed a
-        # pickle does not, so a frozen reader stands in — and stays home.
-        shipped = build_engine(replace(spec, kg=None)).to_spec()
-        assert shipped.store is frozen and shipped.kg is small_bundle.kg
-        thawed = _roundtrip(frozen)
-        shipped = build_engine(replace(spec, store=thawed, kg=None)).to_spec()
-        assert shipped.store is thawed and shipped.kg is None
-
     def test_store_must_be_one_of_the_four_forms(self, small_bundle):
         from repro.errors import SearchError
         from repro.kg.compact import FrozenGraphReader
@@ -218,18 +181,6 @@ class TestEngineSpec:
         for not_a_store in (small_bundle.kg, reader, None, "dbpedia"):
             with pytest.raises(SearchError, match="store"):
                 EngineSpec(store=not_a_store, space=small_bundle.space)
-
-    @pytest.mark.parametrize("factory", ["lazy", "custom"])
-    def test_only_a_frozen_store_engine_has_a_spec(self, small_bundle, factory):
-        from repro.core.semantic_graph import SemanticGraphView
-        from repro.errors import SearchError
-
-        engine = SemanticGraphQueryEngine(
-            small_bundle.kg, small_bundle.space, small_bundle.library,
-            view_factory=SemanticGraphView if factory == "custom" else None,
-        )
-        with pytest.raises(SearchError, match="frozen store"):
-            engine.to_spec()
 
 
 class TestQueryRequest:

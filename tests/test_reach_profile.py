@@ -3,6 +3,8 @@ its per-process hook and the entry points it runs, without running them."""
 
 import importlib.util
 import os
+import re
+import shlex
 import sys
 import threading
 from pathlib import Path
@@ -17,6 +19,7 @@ from repro.utils.heap import MaxHeap
 
 REPO = Path(__file__).resolve().parent.parent
 SCRIPT = REPO / "scripts" / "reach_profile.py"
+CI = REPO / ".github" / "workflows" / "ci.yml"
 
 
 def _load_profiler():
@@ -140,3 +143,60 @@ def test_cli_runs_use_flags_the_workload_driver_accepts(args, code):
         with pytest.raises(SystemExit) as refused:
             workload_main(args)
         assert refused.value.code == code
+
+
+def _run_scripts(workflow):
+    """Every step's ``run:`` script in a workflow file as the shell reads
+    it: a folded (``>-``) block joined by spaces, a literal (``|``) block
+    with its backslash continuations joined."""
+    lines = workflow.splitlines()
+    scripts = []
+    for index, line in enumerate(lines):
+        match = re.match(r"^(\s*)(?:- )?run: ?(.*)$", line)
+        if match is None:
+            continue
+        indent, value = len(match.group(1)), match.group(2)
+        if value not in (">-", "|"):
+            scripts.append(value)
+            continue
+        block = []
+        for following in lines[index + 1:]:
+            if following.strip() and len(following) - len(following.lstrip()) <= indent:
+                break
+            block.append(following.strip())
+        joined = (" " if value == ">-" else "\n").join(block)
+        scripts.append(joined.replace("\\\n", " "))
+    return scripts
+
+
+def _workload_driver_runs(workflow):
+    """The argument list of every ``repro-serve-workload`` and
+    ``-m repro.serve`` call in a workflow, up to its first shell operator."""
+    runs = []
+    for script in _run_scripts(workflow):
+        for line in script.splitlines():
+            if "repro-serve-workload" not in line and "-m repro.serve" not in line:
+                continue
+            words = shlex.split(line)
+            if "repro-serve-workload" in words:
+                start = words.index("repro-serve-workload") + 1
+            else:
+                start = next(
+                    i + 2 for i in range(len(words) - 1)
+                    if words[i:i + 2] == ["-m", "repro.serve"]
+                )
+            args = []
+            for word in words[start:]:
+                if word in (">", "|", "||", "&&", ";"):
+                    break
+                args.append(word)
+            runs.append(args)
+    return runs
+
+
+def test_cli_runs_are_the_ci_workload_driver_runs():
+    ci_runs = _workload_driver_runs(CI.read_text(encoding="utf-8"))
+    assert ci_runs, "no workload-driver run found in the CI workflow"
+    missing = [args for args in ci_runs if args not in [a for a, _c in CLI_RUNS]]
+    assert missing == []
+    assert len(ci_runs) == len(CLI_RUNS)

@@ -380,15 +380,22 @@ class TestProcessRecovery:
         assert new_lease != old_lease
         assert leaked_segments() == []
 
-    def test_breaker_opens_onto_inline_fallback(self, small_bundle, reference):
+    def test_breaker_opens_onto_inline_fallback(
+        self, small_bundle, reference, monkeypatch
+    ):
         # Every rebuild is poisoned too (worker init fails for many
         # epochs), so the breaker must open and route to the fallback.
+        # The service builds its breaker at the defaults; a lower
+        # threshold and a long cooldown open it sooner and keep it open.
+        monkeypatch.setattr(
+            "repro.serve.service.CircuitBreaker",
+            partial(CircuitBreaker, threshold=2, cooldown_seconds=600.0),
+        )
         plan = FaultPlan(fail_shm_attach=True, epochs=10)
         with QueryService.build(
             small_bundle.kg, small_bundle.space, small_bundle.library,
             backend="process", workers=2,
             fault_plan=plan, retry_policy=FAST_POLICY,
-            breaker_threshold=2, breaker_cooldown=600.0,
         ) as service:
             results = service.search_many(_queries(small_bundle), k=5)
             stats = service.stats_snapshot()

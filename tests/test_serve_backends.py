@@ -16,7 +16,7 @@ import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import ExitStack, contextmanager
+from contextlib import contextmanager
 from multiprocessing import active_children
 
 import pytest
@@ -30,7 +30,6 @@ from repro.kg.shm import leaked_segments
 from repro.query.builder import QueryGraphBuilder
 from repro.scenarios.replay import answer_digest
 from repro.serve.backends import EXECUTION_BACKENDS, ProcessBackend, WorkerSnapshot
-from repro.serve.cache import SemanticGraphCache
 from repro.serve.faults import FaultPlan
 from repro.serve.service import QueryRequest, QueryService, ServiceStats
 from repro.utils.lru import CacheStats
@@ -82,10 +81,10 @@ def _exact_digest(kg, items, results):
 
 
 class TestStoreForms:
-    """One spec describes one frozen store; every store form — by value
-    (published into shared memory by a process-backend service) or by a
-    caller's shared-memory handle (shipped as given), in this process or
-    a worker — serves the reference kernels' answers."""
+    """A service freezes (or partitions) its graph once and serves that
+    store: by value in this process, and through shared-memory segments
+    it publishes itself on a process pool.  Every form serves the
+    reference kernels' answers."""
 
     @pytest.fixture(scope="class")
     def oracle_digest(self, small_bundle):
@@ -99,30 +98,24 @@ class TestStoreForms:
         )
 
     @pytest.mark.parametrize("backend", EXECUTION_BACKENDS)
-    @pytest.mark.parametrize(
-        "form", ["compact", "compact-handle", "sharded", "sharded-handle"]
-    )
+    @pytest.mark.parametrize("shards", [0, 2], ids=["compact", "sharded"])
     def test_every_store_form_returns_the_same_digest(
-        self, small_bundle, oracle_digest, form, backend
+        self, small_bundle, oracle_digest, shards, backend
     ):
         kg, items = small_bundle.kg, small_bundle.workload
-        with ExitStack() as stack:
-            if form.startswith("compact"):
-                store = CompactGraph.freeze(kg)
+        store_type = ShardedGraph if shards else CompactGraph
+        with QueryService.build(
+            kg, small_bundle.space, small_bundle.library,
+            backend=backend, workers=1, shards=shards,
+        ) as service:
+            lease = service.graph_lease
+            if backend == "process":
+                # Published by the service: workers get its handle.
+                assert service.spec.store is lease.handle
             else:
-                store = ShardedGraph.build(kg, 2)
-            if form.endswith("-handle"):
-                store = stack.enter_context(store.to_shared()).handle
-            spec = EngineSpec(store, small_bundle.space, small_bundle.library)
-            with QueryService(spec=spec, backend=backend, workers=1) as service:
-                lease = service.graph_lease
-                if backend == "process" and not form.endswith("-handle"):
-                    # Published by the service: workers get a handle.
-                    assert type(service.spec.store) is type(lease.handle)
-                else:  # nothing to publish, or shipped as given
-                    assert lease is None
-                    assert service.spec.store is store
-                served = service.search_many([item.query for item in items], k=K)
+                assert lease is None
+                assert type(service.spec.store) is store_type
+            served = service.search_many([item.query for item in items], k=K)
         assert _exact_digest(kg, items, served) == oracle_digest
         assert leaked_segments() == []
 
@@ -218,35 +211,12 @@ class TestProcessBackend:
             assert after.cache.misses == 0
             assert after.cache.hits > 0
 
-    def test_shared_cache_rejected(self, small_bundle):
-        engine = SemanticGraphQueryEngine(
-            small_bundle.kg, small_bundle.space, small_bundle.library
-        )
-        with pytest.raises(ServeError):
-            QueryService(
-                engine, backend="process", cache=SemanticGraphCache()
-            )
-
-    def test_custom_view_factory_rejected(self, small_bundle):
-        from repro.core.semantic_graph import SemanticGraphView
-        from repro.errors import SearchError
-
-        engine = SemanticGraphQueryEngine(
-            small_bundle.kg,
-            small_bundle.space,
-            small_bundle.library,
-            view_factory=SemanticGraphView,
-        )
-        # No picklable description to ship to the workers.
-        with pytest.raises(SearchError):
-            QueryService(engine, backend="process")
-
     def test_unknown_backend_rejected(self, small_bundle):
-        engine = SemanticGraphQueryEngine(
-            small_bundle.kg, small_bundle.space, small_bundle.library
-        )
         with pytest.raises(ServeError):
-            QueryService(engine, backend="greenlet")
+            QueryService.build(
+                small_bundle.kg, small_bundle.space, small_bundle.library,
+                backend="greenlet",
+            )
 
 
 @contextmanager

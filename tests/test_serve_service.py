@@ -4,6 +4,7 @@ import dataclasses
 import inspect
 import multiprocessing
 import threading
+from contextlib import ExitStack
 
 import numpy as np
 import pytest
@@ -14,8 +15,10 @@ from repro.core.time_bounded import TimeBoundedCoordinator
 from repro.embedding.predicate_space import PredicateSpace
 from repro.errors import ReproError, SearchError, ServeError
 from repro.kg.compact import CompactGraph
+from repro.kg.sharded import ShardedGraph
 from repro.kg.shm import leaked_segments
 from repro.scenarios import WorkloadBuilder
+from repro.serve.answer_cache import AnswerCache
 from repro.serve.backends import EXECUTION_BACKENDS
 from repro.serve.cache import SemanticGraphCache
 from repro.serve.resilience import BackoffPolicy, CircuitBreaker
@@ -63,15 +66,14 @@ def test_configuration_surface_snapshot():
         "num_entities", "types",
     ]
     assert list(inspect.signature(QueryService.__init__).parameters) == [
-        "self", "engine", "spec", "backend", "workers", "cache",
-        "start_method", "supervised", "fault_plan",
-        "retry_policy", "hard_timeout", "max_pending", "breaker_threshold",
-        "breaker_cooldown", "answer_cache",
+        "self", "spec", "backend", "workers", "start_method", "supervised",
+        "fault_plan", "retry_policy", "hard_timeout", "max_pending",
+        "answer_cache",
     ]
     assert list(inspect.signature(QueryService.build).parameters) == [
         "kg", "space", "library", "config",
         "backend", "workers",
-        "shards", "shard_strategy", "shard_seed",
+        "shards", "shard_strategy",
         # ROADMAP 1A(f): the frozen ledger's spellings, accepted only as
         # it spells them (compact=True, shared_graph=True on process).
         "compact", "shared_graph",
@@ -172,17 +174,24 @@ class TestCacheSharing:
         assert pass_misses == 0
         assert warm.hit_rate > cold.hit_rate
 
-    @pytest.mark.parametrize("given_to", ["service", "engine"])
-    def test_explicit_cache_is_attached_and_shared(self, small_bundle, given_to):
-        cache = SemanticGraphCache()
-        engine = SemanticGraphQueryEngine(
-            small_bundle.kg, small_bundle.space, small_bundle.library,
-            weight_cache=cache if given_to == "engine" else None,
-        )
-        with QueryService(engine, cache=cache if given_to == "service" else None) as svc:
-            assert engine.weight_cache is cache and svc.cache is cache
-            svc.submit(_product_query(), k=3).result()
-        assert cache.stats.misses > 0
+
+    @pytest.mark.parametrize("shards", [0, 2], ids=["compact", "sharded"])
+    def test_each_inline_service_owns_its_weight_cache(self, small_bundle, shards):
+        """No weight cache outlives its service: a second service built
+        from the same inputs starts cold and counts what the first did."""
+        caches, counts = [], []
+        for _ in range(2):
+            with QueryService.build(
+                small_bundle.kg, small_bundle.space, small_bundle.library,
+                shards=shards,
+            ) as service:
+                assert service.engine.weight_cache is service.cache
+                service.submit(_product_query(), k=3).result()
+                caches.append(service.cache)
+                counts.append((service.cache.stats.hits, service.cache.stats.misses))
+        assert caches[0] is not caches[1]
+        assert counts[0] == counts[1]
+        assert counts[0][1] > 0
 
 
 class TestSubmission:
@@ -313,50 +322,103 @@ class TestLifecycle:
         assert svc.closed
 
     def test_invalid_construction(self, small_bundle):
-        engine = SemanticGraphQueryEngine(
-            small_bundle.kg, small_bundle.space, small_bundle.library
-        )
+        bundle = (small_bundle.kg, small_bundle.space, small_bundle.library)
         with pytest.raises(ServeError):
-            QueryService(engine, workers=0)
+            QueryService.build(*bundle, workers=0)
         # 'thread' is refused like any unknown backend name.
         with pytest.raises(ServeError, match="unknown execution backend 'thread'"):
-            QueryService(engine, backend="thread")
+            QueryService.build(*bundle, backend="thread")
+        # The breaker a supervised service builds runs at its defaults;
+        # the breaker itself still validates what it is given.
+        with pytest.raises(ServeError, match="must be"):
+            CircuitBreaker(threshold=0)
 
     @pytest.mark.parametrize(
         "refused, match",
         [
             ({"hard_timeout": float("nan")}, "must be"),
             ({"max_pending": 0}, "must be"),
-            ({"supervised": True, "breaker_threshold": 0}, "must be"),
-            ({"supervised": True, "breaker_cooldown": float("nan")}, "must be"),
             ({"compact": False}, "frozen store"),
             ({"shared_graph": False}, "shared memory"),
-            ("lazy engine", "lazy view is the oracle"),
+            ({"answer_cache": AnswerCache(8)}, "capacity int"),
+            ({"answer_cache": True}, "capacity int"),
+            ("handle spec", "holds by value"),
         ],
         ids=[
-            "hard_timeout", "max_pending", "breaker_threshold",
-            "breaker_cooldown", "compact=False", "shared_graph=False",
-            "lazy engine",
+            "hard_timeout", "max_pending", "compact=False",
+            "shared_graph=False", "answer_cache=AnswerCache",
+            "answer_cache=True", "handle spec",
         ],
     )
     def test_refused_process_build_starts_nothing(self, small_bundle, refused, match):
-        children = set(multiprocessing.active_children())
-        threads = set(threading.enumerate())
-        segments = set(leaked_segments())
-        with pytest.raises(ReproError, match=match):
-            if refused == "lazy engine":
-                engine = SemanticGraphQueryEngine(
-                    small_bundle.kg, small_bundle.space, small_bundle.library
+        with ExitStack() as stack:
+            if refused == "handle spec":
+                lease = stack.enter_context(
+                    CompactGraph.freeze(small_bundle.kg).to_shared()
                 )
-                QueryService(engine, backend="process", workers=1)
+            children = set(multiprocessing.active_children())
+            threads = set(threading.enumerate())
+            segments = set(leaked_segments())
+            with pytest.raises(ServeError, match=match):
+                if refused == "handle spec":
+                    spec = EngineSpec(
+                        lease.handle, small_bundle.space, small_bundle.library
+                    )
+                    QueryService(spec, backend="process", workers=1)
+                else:
+                    QueryService.build(
+                        small_bundle.kg, small_bundle.space, small_bundle.library,
+                        backend="process", workers=1, **refused,
+                    )
+            assert set(multiprocessing.active_children()) - children == set()
+            assert set(threading.enumerate()) - threads == set()
+            assert set(leaked_segments()) - segments == set()
+
+    @pytest.mark.parametrize("backend", EXECUTION_BACKENDS)
+    @pytest.mark.parametrize(
+        "given", ["lazy engine", "compact engine", "compact-handle", "sharded-handle"]
+    )
+    def test_only_a_by_value_spec_is_served(self, small_bundle, given, backend):
+        """An engine (the lazy oracle or one over a frozen store) is no
+        way into a service, and neither is a spec whose store is a
+        caller's shared-memory handle."""
+        kg, space, library = small_bundle.kg, small_bundle.space, small_bundle.library
+        with ExitStack() as stack:
+            if given == "lazy engine":
+                refused = SemanticGraphQueryEngine(kg, space, library)
+            elif given == "compact engine":
+                refused = build_engine(
+                    EngineSpec(CompactGraph.freeze(kg), space, library, kg=kg)
+                )
             else:
-                QueryService.build(
-                    small_bundle.kg, small_bundle.space, small_bundle.library,
-                    backend="process", workers=1, **refused,
+                store = (
+                    CompactGraph.freeze(kg) if given == "compact-handle"
+                    else ShardedGraph.build(kg, 2)
                 )
-        assert set(multiprocessing.active_children()) - children == set()
-        assert set(threading.enumerate()) - threads == set()
-        assert set(leaked_segments()) - segments == set()
+                lease = stack.enter_context(store.to_shared())
+                refused = EngineSpec(lease.handle, space, library)
+            children = set(multiprocessing.active_children())
+            with pytest.raises(ServeError, match="holds by value"):
+                QueryService(refused, backend=backend, workers=1)
+            assert set(multiprocessing.active_children()) - children == set()
+        assert leaked_segments() == []
+
+    @pytest.mark.parametrize("supervised", [False, True], ids=["plain", "supervised"])
+    def test_breaker_runs_at_its_defaults(self, small_bundle, monkeypatch, supervised):
+        made = []
+
+        def recording_breaker(*args, **kwargs):
+            made.append(CircuitBreaker(*args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr("repro.serve.service.CircuitBreaker", recording_breaker)
+        with QueryService.build(
+            small_bundle.kg, small_bundle.space, small_bundle.library,
+            supervised=supervised,
+        ) as service:
+            service.submit(_product_query(), k=3).result()
+        expected = [(3, 5.0)] if supervised else []
+        assert [(b.threshold, b.cooldown_seconds) for b in made] == expected
 
     @pytest.mark.parametrize(
         "backend, spelling",
