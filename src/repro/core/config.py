@@ -32,10 +32,16 @@ class VisitedPolicy(enum.Enum):
     moment it is first pushed, so later (possibly better) partial paths to
     it are dropped — which silently prunes answers whose best path shares a
     node with an earlier-explored worse path (recall saturates well below
-    the reachable set).  ``EXPAND`` is the textbook-A* variant: states
-    close at expansion and may be re-opened by a better partial path, which
-    makes the optimality guarantee (Theorem 2) hold unconditionally; it is
-    the default, and the ablation bench quantifies the gap.
+    the reachable set).  ``EXPAND`` is the textbook-A* variant and the
+    default: states close at expansion and a better partial path re-opens
+    them, so no state is dropped for being reached first, and each
+    sub-query stream still emits in non-increasing pss order.  It does not
+    make Theorem 2 hold for simple paths: the closed set's key
+    ``(uid, segment, hops_total, hops_in_segment)`` ignores a state's
+    ancestors, so a dominating state that cannot extend along a simple path
+    can hide the dominated one that could, and some pivots' best matches
+    are never emitted (ROADMAP item 3 measures the loss and lists the
+    fixes).  The ablation bench quantifies the gap to ``GENERATE``.
     """
 
     GENERATE = "generate"

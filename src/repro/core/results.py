@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import lru_cache
+from itertools import islice
+from operator import attrgetter
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from repro.kg.graph import KnowledgeGraph
-from repro.kg.paths import Path
+from repro.kg.graph import Edge, KnowledgeGraph
+from repro.kg.paths import Path, PathStep
 
 
 @dataclass(frozen=True)
@@ -244,22 +247,34 @@ class QueryResult:
         return total
 
 
+#: SearchStats fields in declaration order: a payload's wire stats row.
+_stats_row = attrgetter(*(f.name for f in fields(SearchStats)))
+
+
 @dataclass(frozen=True)
 class QueryResultPayload:
     """A detached, picklable snapshot of one :class:`QueryResult`.
 
     The request/response boundary of the multiprocess serving backend:
     a worker process cannot hand back anything referencing its live
-    engine (views, caches, searches), so it flattens the result into
+    engine (views, caches, searches), so it detaches the result into
     this payload — the final matches (``FinalMatch``/``PathMatch``/
     ``Path`` are pure value objects sharing nothing with the engine),
-    the per-sub-query :class:`SearchStats`, the TA bookkeeping, and
-    every derived counter *materialised* as a plain field so consumers
-    on the other side of the pickle need no recomputation contract.
+    the per-sub-query :class:`SearchStats` and the TA bookkeeping.  The
+    derived counters (``expansions``, ``search_seconds``, …) are not
+    stored: :meth:`to_result` recomputes them from ``subquery_stats``,
+    so each number crosses the boundary once.
+
+    In memory a payload holds the object form, which is what the answer
+    cache stores and re-inflates on a hit without building anything.  It
+    *pickles* as builtins only (see :meth:`__reduce__`): tuples of ints,
+    floats, strs, bools and ``None`` that :func:`_payload_from_wire`
+    turns back into equal value objects.
 
     :meth:`from_result` / :meth:`to_result` are inverses for everything
-    a conformance check compares: matches, scores, components, stats
-    and counters round-trip bit-identically.
+    a conformance check compares: matches, scores, component order,
+    stats and counters round-trip bit-identically, through ``pickle``
+    too.
     """
 
     matches: Tuple[FinalMatch, ...]
@@ -271,15 +286,6 @@ class QueryResultPayload:
     ta_truncated: bool
     assembly_seconds: float
     time_bound: Optional[float]
-    # Derived counters, frozen at capture time (QueryResult recomputes
-    # them from subquery_stats; the payload states them outright).
-    search_seconds: float
-    expansions: int
-    pruned_by_tau: int
-    pruned_by_visited: int
-    pruned_by_reach: int
-    stale_pops: int
-    max_queue_size: int
 
     @classmethod
     def from_result(cls, result: QueryResult) -> "QueryResultPayload":
@@ -293,22 +299,10 @@ class QueryResultPayload:
             ta_truncated=result.ta_truncated,
             assembly_seconds=result.assembly_seconds,
             time_bound=result.time_bound,
-            search_seconds=result.search_seconds,
-            expansions=result.expansions,
-            pruned_by_tau=result.pruned_by_tau,
-            pruned_by_visited=result.pruned_by_visited,
-            pruned_by_reach=result.pruned_by_reach,
-            stale_pops=result.stale_pops,
-            max_queue_size=result.max_queue_size,
         )
 
     def to_result(self) -> QueryResult:
-        """Reinflate a :class:`QueryResult` (the serving layer's unit).
-
-        The derived counters of the returned result are recomputed from
-        ``subquery_stats`` — they agree with the frozen fields because
-        both came from the same stats.
-        """
+        """Reinflate a :class:`QueryResult` (the serving layer's unit)."""
         return QueryResult(
             matches=list(self.matches),
             elapsed_seconds=self.elapsed_seconds,
@@ -324,3 +318,80 @@ class QueryResultPayload:
     def answer_uids(self) -> List[int]:
         """The answer entities (pivot matches), best first."""
         return [match.pivot_uid for match in self.matches]
+
+    def __reduce__(self):
+        """Pickle as builtins: what crosses the process seam per request.
+
+        ``steps`` holds every hop of every path, four fields each (edge
+        source, predicate, target, forward), in match → component →
+        path order.  A final match is ``(pivot, score,
+        expected_components, components)`` with its components in
+        insertion order, each ``(sub-query index, pivot, pss, path
+        start, hop count)``.  A stats row is the :class:`SearchStats`
+        fields in declaration order.
+        """
+        steps: List[object] = []
+        finals = []
+        for final in self.matches:
+            components = []
+            for index, match in final.components.items():
+                path = match.path
+                for step in path.steps:
+                    edge = step.edge
+                    steps += (edge.source, edge.predicate, edge.target, step.forward)
+                components.append(
+                    (index, match.pivot_uid, match.pss, path.start, len(path.steps))
+                )
+            finals.append(
+                (final.pivot_uid, final.score, final.expected_components,
+                 tuple(components))
+            )
+        return _payload_from_wire, (
+            tuple(steps),
+            tuple(finals),
+            tuple(map(_stats_row, self.subquery_stats)),
+            self.elapsed_seconds,
+            self.approximate,
+            self.ta_accesses,
+            self.ta_rounds,
+            self.ta_truncated,
+            self.assembly_seconds,
+            self.time_bound,
+        )
+
+
+@lru_cache(maxsize=4096)
+def _wire_step(source: int, predicate: str, target: int, forward: bool) -> PathStep:
+    """A path step named on the wire, one object per distinct step.
+
+    Steps are immutable values and top-k paths keep walking the same
+    edges, so the replies that name a step share one object instead of
+    building an ``Edge`` and a ``PathStep`` each time.
+    """
+    return PathStep(Edge(source, predicate, target), forward)
+
+
+def _payload_from_wire(
+    steps, finals, stats, elapsed, approximate, accesses, rounds, truncated,
+    assembly, bound,
+) -> QueryResultPayload:
+    """Rebuild a payload from its pickled form (see ``__reduce__``)."""
+    hops = map(_wire_step, steps[0::4], steps[1::4], steps[2::4], steps[3::4])
+    matches = []
+    for pivot, score, expected, components in finals:
+        built = {}
+        for index, match_pivot, pss, start, count in components:
+            path = Path(start, tuple(islice(hops, count)))
+            built[index] = PathMatch(index, path, match_pivot, pss)
+        matches.append(FinalMatch(pivot, built, score, expected))
+    return QueryResultPayload(
+        tuple(matches),
+        elapsed,
+        approximate,
+        tuple(SearchStats(*row) for row in stats),
+        accesses,
+        rounds,
+        truncated,
+        assembly,
+        bound,
+    )

@@ -28,6 +28,10 @@ class UnknownEntityError(GraphError):
         super().__init__(f"unknown entity: {key!r}")
         self.key = key
 
+    def __reduce__(self):
+        # The default re-calls __init__ with the formatted message.
+        return type(self), (self.key,)
+
 
 class UnknownPredicateError(GraphError):
     """Raised when a predicate is not present in the graph or space."""
@@ -35,6 +39,9 @@ class UnknownPredicateError(GraphError):
     def __init__(self, predicate: str):
         super().__init__(f"unknown predicate: {predicate!r}")
         self.predicate = predicate
+
+    def __reduce__(self):
+        return type(self), (self.predicate,)
 
 
 class SchemaError(ReproError):

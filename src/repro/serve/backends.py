@@ -14,8 +14,10 @@ Two backends share one contract (:class:`ExecutionBackend`):
   with its own :class:`~repro.serve.cache.SemanticGraphCache` and
   predicate-space row cache, across every request it serves.  True
   multi-core parallelism; requests and results cross the boundary as
-  picklable :class:`~repro.serve.service.QueryRequest` /
-  :class:`~repro.core.results.QueryResultPayload` values.
+  :class:`~repro.serve.service.QueryRequest` /
+  :class:`~repro.core.results.QueryResultPayload` values, each of which
+  (like the :class:`WorkerSnapshot` riding on a reply) pickles as
+  builtins plus one module-level rebuild function.
 
 Results are bit-identical across backends for exact (SGQ) requests: the
 engine is deterministic, caches only change cost, and a worker's engine
@@ -41,9 +43,10 @@ import time
 import traceback
 from collections import deque
 from concurrent.futures import Future
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from itertools import count
 from multiprocessing.connection import wait
+from operator import attrgetter
 from typing import Callable, Dict, List, Optional, Set
 
 import multiprocessing
@@ -104,6 +107,29 @@ class WorkerSnapshot:
             cache=self.cache.since(baseline.cache),
             space=self.space.since(baseline.space),
         )
+
+    def __reduce__(self):
+        """Pickle as builtins: a process worker sends one per reply."""
+        return _snapshot_from_wire, (
+            self.worker_id,
+            self.queries,
+            _cache_row(self.cache),
+            _cache_row(self.space),
+            self.max_rss_kb,
+        )
+
+
+#: CacheStats fields in declaration order: a snapshot's wire row.
+_cache_row = attrgetter(*(f.name for f in fields(CacheStats)))
+
+
+def _snapshot_from_wire(
+    worker_id, queries, cache, space, max_rss_kb
+) -> WorkerSnapshot:
+    """Rebuild a :class:`WorkerSnapshot` from its pickled form."""
+    return WorkerSnapshot(
+        worker_id, queries, CacheStats(*cache), CacheStats(*space), max_rss_kb
+    )
 
 
 def execute_request(

@@ -56,7 +56,7 @@ from repro.kg.compact import CompactGraph, SharedCompactGraph
 from repro.kg.graph import KnowledgeGraph
 from repro.kg.sharded import SHARD_STRATEGIES, ShardedGraph, SharedShardedGraph
 from repro.kg.shm import leaked_segments
-from repro.query.model import QueryGraph
+from repro.query.model import QueryEdge, QueryGraph, QueryNode
 from repro.query.transform import TransformationLibrary
 from repro.serve.answer_cache import (
     AnswerCache,
@@ -140,8 +140,9 @@ class QueryRequest:
     path; ``None`` means exact SGQ.  ``pivot``/``strategy`` pass through to
     decomposition; ``tag`` is an opaque caller label echoed in errors.
 
-    Requests are picklable (the query graph is plain value objects), so
-    one request value serves every execution backend unchanged.
+    Requests are picklable, so one request value serves every execution
+    backend unchanged.  A request pickles as builtins only (see
+    :meth:`__reduce__`): it crosses the process seam once per call.
     """
 
     query: QueryGraph
@@ -150,6 +151,36 @@ class QueryRequest:
     pivot: Optional[str] = None
     strategy: str = "min_cost"
     tag: Optional[str] = None
+
+    def __reduce__(self):
+        """The query graph as node and edge field tuples, then the options.
+
+        The graph is rebuilt through its constructor, which declares the
+        nodes and edges in the order they were declared here.
+        """
+        query = self.query
+        return _request_from_wire, (
+            tuple((node.label, node.etype, node.name) for node in query.nodes()),
+            tuple(
+                (edge.label, edge.source, edge.predicate, edge.target)
+                for edge in query.edges()
+            ),
+            self.k,
+            self.deadline,
+            self.pivot,
+            self.strategy,
+            self.tag,
+        )
+
+
+def _request_from_wire(
+    nodes, edges, k, deadline, pivot, strategy, tag
+) -> QueryRequest:
+    """Rebuild a :class:`QueryRequest` from its pickled form."""
+    query = QueryGraph(
+        [QueryNode(*node) for node in nodes], [QueryEdge(*edge) for edge in edges]
+    )
+    return QueryRequest(query, k, deadline, pivot, strategy, tag)
 
 
 @dataclass(frozen=True)
