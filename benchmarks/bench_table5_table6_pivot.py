@@ -11,6 +11,8 @@ should be at least as accurate and faster on average.
 
 from __future__ import annotations
 
+import statistics
+
 import pytest
 
 from repro.bench.metrics import evaluate_answers
@@ -88,6 +90,13 @@ def test_table5_pivot_example(dbpedia_bundle, benchmark):
 def test_table6_pivot_strategy(dbpedia_bundle, benchmark):
     bundle = dbpedia_bundle
     engine = SemanticGraphQueryEngine(bundle.kg, bundle.space, bundle.library)
+    strategies = ("min_cost", "random")
+    # One untimed pass of both strategies first: the space's similarity
+    # rows are then warm for both, not paid by whichever runs first.
+    for query in bundle.workload:
+        k = max(len(bundle.truth[query.qid]), 1)
+        for strategy in strategies:
+            engine.search(query.query, k=k, strategy=strategy)
 
     rows = []
     aggregate = {}
@@ -95,21 +104,27 @@ def test_table6_pivot_strategy(dbpedia_bundle, benchmark):
         queries = bundle.queries_of(complexity)
         if not queries:
             continue
-        for strategy in ("min_cost", "random"):
-            if complexity == "simple" and strategy == "random":
-                continue  # the paper skips Random for 1-sub-query queries
-            accuracies = []
-            seconds = []
-            for query in queries:
-                truth = bundle.truth[query.qid]
-                k = max(len(truth), 1)
-                watch = Stopwatch()
-                result = engine.search(query.query, k=k, strategy=strategy)
-                seconds.append(watch.elapsed())
+        # The paper skips Random for 1-sub-query queries.
+        compared = strategies[:1] if complexity == "simple" else strategies
+        accuracies = {strategy: [] for strategy in compared}
+        seconds = {strategy: [] for strategy in compared}
+        for index, query in enumerate(queries):
+            truth = bundle.truth[query.qid]
+            k = max(len(truth), 1)
+            # Alternate which strategy goes first, and take the median
+            # of three runs, so neither side carries the other's noise.
+            for strategy in compared if index % 2 == 0 else compared[::-1]:
+                runs = []
+                for _ in range(3):
+                    watch = Stopwatch()
+                    result = engine.search(query.query, k=k, strategy=strategy)
+                    runs.append(watch.elapsed())
+                seconds[strategy].append(statistics.median(runs))
                 scores = evaluate_answers(result.answer_uids(), truth)
-                accuracies.append(scores.precision)  # P = R at k = |truth|
-            mean_accuracy = sum(accuracies) / len(accuracies)
-            mean_seconds = sum(seconds) / len(seconds)
+                accuracies[strategy].append(scores.precision)  # P = R at k = |truth|
+        for strategy in compared:
+            mean_accuracy = sum(accuracies[strategy]) / len(queries)
+            mean_seconds = sum(seconds[strategy]) / len(queries)
             aggregate[(complexity, strategy)] = (mean_accuracy, mean_seconds)
             rows.append(
                 (

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import QueryError
 from repro.kg.graph import KnowledgeGraph
@@ -23,9 +23,6 @@ class BaselineResult:
     answers: List[int]
     scores: List[float]
     elapsed_seconds: float
-
-    def answer_names(self, kg: KnowledgeGraph) -> List[str]:
-        return [kg.entity(uid).name for uid in self.answers]
 
 
 class GraphQueryMethod:

@@ -8,7 +8,7 @@ generation plus ground-truth computation is the expensive part.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.bench.groundtruth import compute_truth
@@ -40,12 +40,6 @@ class DatasetBundle:
         if complexity is None:
             return list(self.workload)
         return [q for q in self.workload if q.complexity == complexity]
-
-    def truth_of(self, qid: str) -> Set[int]:
-        try:
-            return self.truth[qid]
-        except KeyError:
-            raise ReproError(f"unknown workload query id {qid!r}") from None
 
 
 _CACHE: Dict[Tuple, DatasetBundle] = {}

@@ -13,7 +13,7 @@ anchor in the query), it is reachable by at least one correct schema.
 
 from __future__ import annotations
 
-from typing import Dict, Set
+from typing import Set
 
 from repro.bench.workloads import TruthConstraint, WorkloadQuery
 from repro.errors import ReproError
@@ -48,21 +48,3 @@ def compute_truth(kg: KnowledgeGraph, workload_query: WorkloadQuery) -> Set[int]
         satisfied = constraint_truth(kg, constraint)
         truth = satisfied if index == 0 else truth & satisfied
     return truth
-
-
-def truth_by_schema(
-    kg: KnowledgeGraph, constraint: TruthConstraint
-) -> Dict[int, Set[int]]:
-    """Per-schema answer sets (the "# answers" column of Fig. 1)."""
-    anchors = kg.entities_named(constraint.anchor_name)
-    out: Dict[int, Set[int]] = {}
-    for index, pattern in enumerate(constraint.patterns):
-        reached: Set[int] = set()
-        for anchor in anchors:
-            reached |= follow_pattern(kg, anchor, pattern)
-        if constraint.answer_type is not None:
-            reached = {
-                uid for uid in reached if kg.entity(uid).etype == constraint.answer_type
-            }
-        out[index] = reached
-    return out

@@ -50,10 +50,8 @@ the unpruned search; only ``expansions`` / ``states_generated`` /
 ``stale_pops`` / ``max_queue_size`` and the ``pruned_by_*`` split fall.
 Under ``GENERATE`` a dead arrival marks ``(u, segment)`` visited and
 blocks later live ones, so dropping it would change Algorithm 1's
-literal output (and not monotonically); that policy runs unpruned.  With
-``max_expansions`` set the cap now buys more live work, so a capped
-search may emit more than it used to.  The array kernel makes the same
-decisions, including the reach prune.
+literal output (and not monotonically); that policy runs unpruned.  The
+array kernel makes the same decisions, including the reach prune.
 """
 
 from __future__ import annotations
@@ -61,7 +59,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.core.config import PssMode, SearchConfig, VisitedPolicy
+from repro.core.config import SearchConfig, VisitedPolicy
 from repro.core.pss import estimate_pss, exact_pss_from_log, log_weight
 from repro.core.results import PathMatch, SearchStats
 from repro.core.semantic_graph import WeightedGraphView
@@ -466,12 +464,6 @@ class SubQuerySearch:
         """
         if self._exhausted:
             return None
-        if (
-            self.config.max_expansions is not None
-            and self.stats.expansions >= self.config.max_expansions
-        ):
-            self._exhausted = True
-            return None
         state = self._pop()
         if state is None:
             self._exhausted = True
@@ -572,7 +564,7 @@ def brute_force_matches(
         for edge, neighbor, weight in view.weighted_incident(uid, predicates[segment]):
             if weight <= 0.0:
                 continue
-            if path.contains_node(neighbor):
+            if neighbor in path.nodes():
                 continue  # simple paths only, matching the A*'s visited set
             step = PathStep(edge=edge, forward=(edge.source == uid))
             extended = path.extend(step)

@@ -446,11 +446,6 @@ class CompactViewFactory:
         self._graph = graph
         self._freeze_lock = threading.Lock()
 
-    @property
-    def frozen_graph(self) -> Optional[CompactGraph]:
-        """The kernel currently held (``None`` before first use)."""
-        return self._graph
-
     def compact_graph(self, kg: KnowledgeGraph) -> CompactGraph:
         """The (re)frozen kernel for ``kg``.
 

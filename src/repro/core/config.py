@@ -10,8 +10,7 @@ policy).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 from repro.errors import ConfigError
 from repro.utils.stats import finite_positive
@@ -62,12 +61,6 @@ class SearchConfig:
             already clamped to [0, 1]).
         scoring: pss aggregation mode.
         visited_policy: see :class:`VisitedPolicy` (default EXPAND).
-        max_expansions: hard safety cap on A* expansions per sub-query
-            (None = unlimited); exceeded caps raise nothing — the search
-            just reports exhaustion, which keeps worst-case bench queries
-            bounded.  The reach prune (:mod:`repro.core.astar`) spends
-            no expansion on states that cannot finish, so a cap buys
-            more live work than it did before that prune existed.
         assembly_seconds_per_match: the empirical constant ``t`` of
             Algorithm 3 (estimated TA time per collected match).
         alert_ratio: the ``r%`` of Algorithm 3 (default 0.8: launch
@@ -80,7 +73,6 @@ class SearchConfig:
     min_weight: float = 0.0
     scoring: PssMode = PssMode.GEOMETRIC
     visited_policy: VisitedPolicy = VisitedPolicy.EXPAND
-    max_expansions: Optional[int] = None
     assembly_seconds_per_match: float = 2e-5
     alert_ratio: float = 0.8
 
@@ -91,8 +83,6 @@ class SearchConfig:
             raise ConfigError("path_bound (n̂) must be at least 1")
         if not 0.0 <= self.min_weight <= 1.0:
             raise ConfigError("min_weight must be in [0, 1]")
-        if self.max_expansions is not None and self.max_expansions < 1:
-            raise ConfigError("max_expansions must be positive when set")
         if not finite_positive(self.assembly_seconds_per_match, allow_zero=True):
             raise ConfigError("assembly_seconds_per_match must be finite and >= 0")
         if not 0.0 < self.alert_ratio <= 1.0:

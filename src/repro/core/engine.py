@@ -106,7 +106,7 @@ def store_identity(store: GraphStore) -> Tuple:
             store.kg_name,
             store.num_nodes,
             store.num_edges,
-            store.num_shards,
+            len(store.shards),
             store.strategy,
             store.seed,
         )

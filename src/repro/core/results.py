@@ -227,9 +227,6 @@ class QueryResult:
         """The answer entities (pivot matches), best first."""
         return [match.pivot_uid for match in self.matches]
 
-    def answer_names(self, kg: KnowledgeGraph) -> List[str]:
-        return [kg.entity(uid).name for uid in self.answer_uids()]
-
     def total_stats(self) -> SearchStats:
         """The per-search counters summed across sub-queries.
 
@@ -314,10 +311,6 @@ class QueryResultPayload:
             assembly_seconds=self.assembly_seconds,
             time_bound=self.time_bound,
         )
-
-    def answer_uids(self) -> List[int]:
-        """The answer entities (pivot matches), best first."""
-        return [match.pivot_uid for match in self.matches]
 
     def __reduce__(self):
         """Pickle as builtins: what crosses the process seam per request.

@@ -268,9 +268,8 @@ class VectorizedSubQuerySearch:
         # it, and a finished query's state pools would wait for the cyclic
         # collector instead of dying with the search.
         self._loop = (
-            config.max_expansions, config.path_bound, config.tau,
-            self.clock.tick, subquery_index, self._num_segments,
-            self._geometric, self._generate, self._total_bound,
+            config.path_bound, config.tau, self.clock.tick, subquery_index,
+            self._num_segments, self._geometric, self._generate, self._total_bound,
             self._stride, self._hops_mult, self._his_mult,
             self._indptr_l, self._nbr_l, self._spred_l, self._visited,
             self._best_g, self._emitted_pivots, self.generated_goals,
@@ -498,7 +497,7 @@ class VectorizedSubQuerySearch:
 
         One iteration is the reference's ``step`` — one ``clock.tick()``
         per expansion, one ``charge()`` per iteration including the one
-        that finds the queue empty or hits ``max_expansions`` — and every
+        that finds the queue empty — and every
         branch mirrors the reference's pop / arrivals / τ / push
         sequence: same order, same counters.  Everything an iteration
         reads is bound to a local once per call (at ~3 generated states
@@ -514,8 +513,8 @@ class VectorizedSubQuerySearch:
         if self._exhausted:
             return None
         (
-            max_expansions, bound, tau, tick, subquery_index, num_segments,
-            geometric, generate, total_bound, stride, hops_mult, his_mult,
+            bound, tau, tick, subquery_index, num_segments, geometric,
+            generate, total_bound, stride, hops_mult, his_mult,
             indptr_l, nbr_l, spred_l, visited, best_g, emitted, goals, heap,
             heap_push, heap_pop, exp, log_prune, new_tuple,
         ) = self._loop
@@ -531,20 +530,19 @@ class VectorizedSubQuerySearch:
             while True:
                 match = None
                 entry = None
-                if max_expansions is None or expansions < max_expansions:
-                    while heap:
-                        entry = heap_pop(heap)
-                        (
-                            neg_priority, _, log_product, key, uid, segment,
-                            hops, his, weight_sum, anc, _, _,
-                        ) = entry
-                        if generate:
-                            break
-                        best = best_g.get(key)
-                        if best is None or log_product >= best:
-                            break
-                        stale_pops += 1  # superseded by a better path
-                        entry = None
+                while heap:
+                    entry = heap_pop(heap)
+                    (
+                        neg_priority, _, log_product, key, uid, segment,
+                        hops, his, weight_sum, anc, _, _,
+                    ) = entry
+                    if generate:
+                        break
+                    best = best_g.get(key)
+                    if best is None or log_product >= best:
+                        break
+                    stale_pops += 1  # superseded by a better path
+                    entry = None
                 if entry is None:
                     self._exhausted = True
                 else:

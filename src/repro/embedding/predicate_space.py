@@ -5,9 +5,8 @@ the rest of the system asks:
 
 - ``similarity(a, b)`` — the cosine of Eq. 5, used as semantic-graph edge
   weights;
-- ``similarity_row(p)`` / ``similarity_matrix(preds)`` — the cosines of
-  one (or several) predicates against **all** predicates at once, one
-  matvec per row.  The compact graph kernel
+- ``similarity_row(p)`` — the cosines of one predicate against **all**
+  predicates at once, one matvec per row.  The compact graph kernel
   (:mod:`repro.core.compact_view`) materialises a whole query predicate's
   weights this way instead of one pair at a time;
 - ``top_similar(p, n)`` — the n most similar predicates, used by the edge-
@@ -29,7 +28,7 @@ serve from the same matvec output.
 from __future__ import annotations
 
 import threading
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -106,10 +105,6 @@ class PredicateSpace:
         except KeyError:
             raise UnknownPredicateError(predicate) from None
 
-    def vector(self, predicate: str) -> np.ndarray:
-        """The (unit-normalised) vector of ``predicate``."""
-        return self._matrix[self.index_of(predicate)]
-
     # ------------------------------------------------------------------
     def _row(self, index: int) -> np.ndarray:
         """The memoised cosine row of predicate ``index`` (read-only)."""
@@ -150,18 +145,6 @@ class PredicateSpace:
         by :meth:`index_of`.  ``row[index_of(predicate)]`` is exactly 1.0.
         """
         return self._row(self.index_of(predicate))
-
-    def similarity_matrix(self, predicates: Sequence[str]) -> np.ndarray:
-        """Stacked :meth:`similarity_row` for several predicates.
-
-        Shape ``(len(predicates), len(space))``, row order following the
-        argument.  Rows come from (and feed) the same cache as
-        :meth:`similarity_row`, so values are bit-identical to the scalar
-        path.
-        """
-        if len(predicates) == 0:
-            return np.empty((0, len(self._names)))
-        return np.stack([self.similarity_row(p) for p in predicates])
 
     # The lock is process-local; pickling (e.g. shipping a space to a
     # multiprocess worker next to a pickled CompactGraph) drops it and
@@ -218,14 +201,3 @@ class PredicateSpace:
         )
         clone._rows_lock = threading.Lock()
         return clone
-
-    # ------------------------------------------------------------------
-    def subspace(self, predicates: Iterable[str]) -> "PredicateSpace":
-        """A new space restricted to the given predicates."""
-        return PredicateSpace({name: self.vector(name) for name in predicates})
-
-    def with_vector(self, predicate: str, vector: np.ndarray) -> "PredicateSpace":
-        """A new space with one vector added or replaced."""
-        vectors = {name: self._matrix[i] for name, i in self._index.items()}
-        vectors[predicate] = np.asarray(vector, dtype=float)
-        return PredicateSpace(vectors)

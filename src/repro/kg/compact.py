@@ -323,11 +323,6 @@ class CompactGraph:
             **columns,
         )
 
-    @property
-    def shared(self) -> bool:
-        """Whether this kernel serves from an attached shared mapping."""
-        return self._shm_block is not None
-
     # ------------------------------------------------------------------
     # lazily rebuilt derived state
     # ------------------------------------------------------------------
@@ -404,19 +399,6 @@ class CompactGraph:
         """
         return self._edge_table()[eid]
 
-    def to_edge(self, eid: int) -> Edge:
-        """Alias of :meth:`edge` (the documented escape-hatch name)."""
-        return self._edge_table()[eid]
-
-    @property
-    def edges(self) -> List[Edge]:
-        """The edge table (edge id → :class:`Edge`); do not mutate."""
-        return self._edge_table()
-
-    def degree(self, uid: int) -> int:
-        """Undirected degree of ``uid`` (CSR row length)."""
-        return int(self.indptr[uid + 1] - self.indptr[uid])
-
     def indptr_list(self) -> List[int]:
         """Python-int mirror of ``indptr``, built once per kernel.
 
@@ -487,12 +469,6 @@ class CompactGraph:
         for name, value in state.items():
             object.__setattr__(self, name, value)
 
-    def __repr__(self) -> str:
-        return (
-            f"CompactGraph(nodes={self.num_nodes}, edges={self.num_edges}, "
-            f"predicates={len(self.predicate_names)}, types={len(self.type_names)})"
-        )
-
 
 # ----------------------------------------------------------------------
 # shared-memory handle + owner lease
@@ -558,13 +534,6 @@ class SharedCompactGraph:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
-
-    def __repr__(self) -> str:
-        state = "closed" if self.closed else "open"
-        return (
-            f"SharedCompactGraph({self.name!r}, {state}, "
-            f"nodes={self.handle.num_nodes}, edges={self.handle.num_edges})"
-        )
 
 
 # ----------------------------------------------------------------------
@@ -639,9 +608,3 @@ class FrozenGraphReader:
     def types(self) -> List[str]:
         """All distinct entity types, in first-use order."""
         return list(self._store.type_names)
-
-    def __repr__(self) -> str:
-        return (
-            f"FrozenGraphReader(name={self.name!r}, "
-            f"entities={self.num_entities}, edges={self.num_edges})"
-        )

@@ -74,8 +74,8 @@ class SyntheticKGBuilder:
     >>> from repro.kg.schema import dbpedia_like_schema
     >>> builder = SyntheticKGBuilder(dbpedia_like_schema(), GeneratorConfig(seed=1))
     >>> kg = builder.build()
-    >>> kg.entity_by_name("Germany").etype
-    'Country'
+    >>> [kg.entity(uid).etype for uid in kg.entities_named("Germany")]
+    ['Country']
     """
 
     def __init__(self, schema: DomainSchema, config: Optional[GeneratorConfig] = None):

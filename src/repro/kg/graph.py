@@ -6,9 +6,9 @@ directed predicate-labelled edges.  This module provides:
 - :class:`Entity` — an immutable node record ``(uid, name, etype)``;
 - :class:`Edge` — an immutable directed edge ``(source, predicate, target)``;
 - :class:`KnowledgeGraph` — adjacency storage with the label indexes the
-  search layer needs: entities by type, entities by name, predicates by
-  (source type, target type) signature, and *undirected* incident-edge
-  iteration (the paper's path definition ignores edge direction, footnote 1);
+  search layer needs: entities by type and by name, predicates in
+  first-use order, and *undirected* incident-edge iteration (the paper's
+  path definition ignores edge direction, footnote 1);
 - :class:`GraphReader` — the seven members of it the online engine reads.
 
 The store is append-only: experiments build a graph once and query it many
@@ -18,7 +18,7 @@ consistent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 from typing import Dict, Iterator, List, Optional, Protocol, Set, Tuple
 
@@ -32,9 +32,6 @@ class Entity:
     uid: int
     name: str
     etype: str
-
-    def __str__(self) -> str:
-        return f"{self.name}<{self.etype}>"
 
 
 @dataclass(frozen=True)
@@ -52,21 +49,6 @@ class Edge:
         if uid == self.target:
             return self.source
         raise GraphError(f"entity {uid} is not an endpoint of {self}")
-
-    def __str__(self) -> str:
-        return f"({self.source})-[{self.predicate}]->({self.target})"
-
-
-@dataclass
-class GraphStatistics:
-    """Aggregate statistics used by cost models and reports."""
-
-    num_entities: int = 0
-    num_edges: int = 0
-    num_types: int = 0
-    num_predicates: int = 0
-    average_degree: float = 0.0
-    max_degree: int = 0
 
 
 class GraphReader(Protocol):
@@ -126,7 +108,7 @@ class KnowledgeGraph:
         self._incident_in: Dict[int, List[Tuple[Edge, int]]] = {}
         self._by_type: Dict[str, List[int]] = {}
         self._by_name: Dict[str, List[int]] = {}
-        self._predicates: Dict[str, int] = {}
+        self._predicates: Dict[str, None] = {}  # first-use order
         self._edge_set: Set[Tuple[int, str, int]] = set()
 
     # ------------------------------------------------------------------
@@ -168,7 +150,7 @@ class KnowledgeGraph:
         self._edge_set.add(key)
         self._incident_out[source].append((edge, target))
         self._incident_in[target].append((edge, source))
-        self._predicates[predicate] = self._predicates.get(predicate, 0) + 1
+        self._predicates.setdefault(predicate, None)
         return edge
 
     # ------------------------------------------------------------------
@@ -195,15 +177,6 @@ class KnowledgeGraph:
         """All entity ids with the given exact name (empty list if none)."""
         return list(self._by_name.get(name, []))
 
-    def entity_by_name(self, name: str) -> Entity:
-        """The unique entity with ``name``; raises if absent or ambiguous."""
-        uids = self._by_name.get(name, [])
-        if not uids:
-            raise UnknownEntityError(name)
-        if len(uids) > 1:
-            raise GraphError(f"entity name {name!r} is ambiguous ({len(uids)} hits)")
-        return self._entities[uids[0]]
-
     def has_edge(self, source: int, predicate: str, target: int) -> bool:
         """Whether the exact directed edge exists."""
         return (source, predicate, target) in self._edge_set
@@ -220,14 +193,6 @@ class KnowledgeGraph:
         self._check_uid(uid)
         return [edge for edge, _other in self._incident_out[uid]]
 
-    def in_edges(self, uid: int) -> List[Edge]:
-        """Directed edges entering ``uid`` (a fresh O(degree) list).
-
-        Loop-heavy callers should prefer :meth:`in_incident`.
-        """
-        self._check_uid(uid)
-        return [edge for edge, _other in self._incident_in[uid]]
-
     def out_incident(self, uid: int) -> List[Tuple[Edge, int]]:
         """Live ``(edge, target)`` pairs for edges leaving ``uid``.
 
@@ -241,7 +206,7 @@ class KnowledgeGraph:
         """Live ``(edge, source)`` pairs for edges entering ``uid``.
 
         The returned list is the stored index — callers must not mutate
-        it.  Zero-copy counterpart of :meth:`in_edges`.
+        it.
         """
         self._check_uid(uid)
         return self._incident_in[uid]
@@ -266,31 +231,6 @@ class KnowledgeGraph:
             return iter(into)
         return chain(out, into)
 
-    def incident_list(self, uid: int) -> List[Tuple[Edge, int]]:
-        """The precomputed ``(edge, neighbour_uid)`` incidence of ``uid``.
-
-        A fresh concatenated list in :meth:`incident` order.  Freeze-time
-        consumers (:mod:`repro.kg.compact`) use this to avoid walking the
-        two direction indexes themselves.
-        """
-        self._check_uid(uid)
-        return self._incident_out[uid] + self._incident_in[uid]
-
-    def degree(self, uid: int) -> int:
-        """Undirected degree of ``uid``."""
-        self._check_uid(uid)
-        return len(self._incident_out[uid]) + len(self._incident_in[uid])
-
-    def neighbors(self, uid: int) -> List[int]:
-        """Distinct neighbour ids of ``uid`` (undirected)."""
-        seen: Set[int] = set()
-        out: List[int] = []
-        for _edge, other in self.incident(uid):
-            if other not in seen:
-                seen.add(other)
-                out.append(other)
-        return out
-
     # ------------------------------------------------------------------
     # aggregate views
     # ------------------------------------------------------------------
@@ -306,39 +246,6 @@ class KnowledgeGraph:
         """All distinct predicates, in first-use order."""
         return list(self._predicates)
 
-    def predicate_frequency(self, predicate: str) -> int:
-        """Number of edges carrying ``predicate`` (0 if unused)."""
-        return self._predicates.get(predicate, 0)
-
     def types(self) -> List[str]:
         """All distinct entity types, in first-use order."""
         return list(self._by_type)
-
-    def statistics(self) -> GraphStatistics:
-        """Compute aggregate statistics (O(V))."""
-        degrees = [self.degree(u) for u in range(self.num_entities)]
-        return GraphStatistics(
-            num_entities=self.num_entities,
-            num_edges=self.num_edges,
-            num_types=len(self._by_type),
-            num_predicates=len(self._predicates),
-            average_degree=(sum(degrees) / len(degrees)) if degrees else 0.0,
-            max_degree=max(degrees) if degrees else 0,
-        )
-
-    def triples(self) -> Iterator[Tuple[str, str, str]]:
-        """Iterate ``(head name, predicate, tail name)`` string triples,
-        source-major in uid order."""
-        for uid in range(self.num_entities):
-            for edge, _other in self._incident_out[uid]:
-                yield (
-                    self._entities[edge.source].name,
-                    edge.predicate,
-                    self._entities[edge.target].name,
-                )
-
-    def __repr__(self) -> str:
-        return (
-            f"KnowledgeGraph(name={self.name!r}, entities={self.num_entities}, "
-            f"edges={self.num_edges})"
-        )

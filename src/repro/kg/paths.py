@@ -44,7 +44,10 @@ class PathStep:
 class Path:
     """An undirected walk: start node plus a tuple of steps.
 
-    >>> # built via Path.from_steps; nodes() yields start..end inclusive
+    >>> hop = PathStep(Edge(source=0, predicate="assembly", target=1), forward=True)
+    >>> path = Path.single_node(0).extend(hop)
+    >>> path.nodes(), path.end, path.hops
+    ([0, 1], 1, 1)
     """
 
     start: int
@@ -54,12 +57,6 @@ class Path:
     def single_node(cls, uid: int) -> "Path":
         """A zero-length path (the start node itself)."""
         return cls(start=uid, steps=())
-
-    @classmethod
-    def from_steps(cls, start: int, steps: Sequence[PathStep]) -> "Path":
-        path = cls(start=start, steps=tuple(steps))
-        path.nodes()  # validates connectivity
-        return path
 
     def nodes(self) -> List[int]:
         """All node uids along the path, start to end inclusive."""
@@ -76,28 +73,9 @@ class Path:
     def hops(self) -> int:
         return len(self.steps)
 
-    def predicates(self) -> List[str]:
-        return [step.predicate for step in self.steps]
-
     def extend(self, step: PathStep) -> "Path":
         """A new path with one more hop appended."""
         return Path(start=self.start, steps=self.steps + (step,))
-
-    def contains_node(self, uid: int) -> bool:
-        return uid in self.nodes()
-
-    def is_simple(self) -> bool:
-        """True when no node repeats."""
-        nodes = self.nodes()
-        return len(nodes) == len(set(nodes))
-
-    def concat(self, other: "Path") -> "Path":
-        """Join two paths sharing an endpoint (``self.end == other.start``)."""
-        if self.end != other.start:
-            raise GraphError(
-                f"cannot concatenate: path ends at {self.end}, next starts at {other.start}"
-            )
-        return Path(start=self.start, steps=self.steps + other.steps)
 
     def describe(self, kg: KnowledgeGraph) -> str:
         """Human-readable rendering, e.g. ``Audi_TT -assembly-> Germany``."""
@@ -173,15 +151,3 @@ def follow_pattern(
         if not frontier:
             break
     return frontier
-
-
-def reverse_pattern(pattern: Sequence[PatternStep]) -> List[PatternStep]:
-    """The same pattern walked from the other end.
-
-    ``follow_pattern(kg, a, p)`` contains ``b`` iff
-    ``follow_pattern(kg, b, reverse_pattern(p))`` contains ``a``.
-    """
-    return [
-        (predicate, "-" if direction == "+" else "+")
-        for predicate, direction in reversed(pattern)
-    ]

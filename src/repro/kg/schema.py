@@ -18,7 +18,7 @@ with a larger type vocabulary; YAGO2-like is geo/biographic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import SchemaError
 
@@ -173,9 +173,6 @@ class DomainSchema:
     # ------------------------------------------------------------------
     # lookups
     # ------------------------------------------------------------------
-    def types(self) -> List[str]:
-        return [p.etype for p in self.populations]
-
     def population(self, etype: str) -> TypePopulation:
         for pop in self.populations:
             if pop.etype == etype:

@@ -195,12 +195,6 @@ class GraphShard:
         state["_rank_list"] = None
         return state
 
-    def __repr__(self) -> str:
-        return (
-            f"GraphShard(id={self.shard_id}, edges={self.graph.num_edges}, "
-            f"cut={self.cut_edges})"
-        )
-
 
 def _slice_shards(
     full: CompactGraph, shard_of: np.ndarray, num_shards: int
@@ -289,10 +283,6 @@ class ShardedGraphHandle:
     strategy: str
     seed: int
 
-    @property
-    def num_shards(self) -> int:
-        return len(self.shards)
-
 
 class ShardedGraph:
     """N entity-partitioned :class:`GraphShard`\\ s over one frozen graph.
@@ -363,10 +353,6 @@ class ShardedGraph:
         )
 
     # ------------------------------------------------------------------
-    @property
-    def num_shards(self) -> int:
-        return len(self.shards)
-
     @property
     def cut_edges(self) -> int:
         """Edges whose endpoints live on different shards."""
@@ -486,13 +472,6 @@ class ShardedGraph:
             state[name] = None
         return state
 
-    def __repr__(self) -> str:
-        return (
-            f"ShardedGraph(name={self.kg_name!r}, shards={self.num_shards}, "
-            f"nodes={self.num_nodes}, edges={self.num_edges}, "
-            f"cut={self.cut_edges}, strategy={self.strategy!r})"
-        )
-
 
 class SharedShardedGraph:
     """The owner's multi-lease on a published shard set.
@@ -515,11 +494,6 @@ class SharedShardedGraph:
         return tuple(block.name for block in self._blocks)
 
     @property
-    def name(self) -> str:
-        """A display name covering all shard segments."""
-        return ",".join(self.names)
-
-    @property
     def closed(self) -> bool:
         return all(block.closed for block in self._blocks)
 
@@ -534,13 +508,6 @@ class SharedShardedGraph:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
-
-    def __repr__(self) -> str:
-        state = "closed" if self.closed else "open"
-        return (
-            f"SharedShardedGraph({len(self._blocks)} shards, {state}, "
-            f"nodes={self.handle.num_nodes}, edges={self.handle.num_edges})"
-        )
 
 
 # ----------------------------------------------------------------------

@@ -100,10 +100,6 @@ class ShmArraySpec:
             total *= dim
         return total
 
-    @property
-    def nbytes(self) -> int:
-        return self.count * np.dtype(self.dtype).itemsize
-
 
 @dataclass(frozen=True)
 class ShmBlockHandle:
@@ -125,10 +121,6 @@ class ShmBlockHandle:
             f"shared block {self.name!r} has no column {key!r} "
             f"(columns: {[s.key for s in self.specs]})"
         )
-
-    @property
-    def keys(self) -> Tuple[str, ...]:
-        return tuple(spec.key for spec in self.specs)
 
 
 class _Backing:
@@ -372,11 +364,3 @@ class ShmArrayBlock:
                 f"{self.name!r}"
             )
         self._backing.unlink()
-
-    def __repr__(self) -> str:
-        role = "owner" if self.owner else "attached"
-        state = "closed" if self.closed else "open"
-        return (
-            f"ShmArrayBlock({self.name!r}, {role}, {state}, "
-            f"{len(self.handle.specs)} columns, {self.handle.size} bytes)"
-        )

@@ -26,13 +26,13 @@ baseline), or force a specific pivot label (Table V).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 from repro.errors import DecompositionError
 from repro.kg.graph import GraphReader
-from repro.query.model import QueryEdge, QueryGraph, QueryNode, SubQueryGraph, SubQueryStep
+from repro.query.model import QueryEdge, QueryGraph, SubQueryGraph, SubQueryStep
 from repro.query.transform import NodeMatcher
 from repro.utils.rng import derive_rng
 
@@ -45,10 +45,6 @@ class Decomposition:
     pivot_label: str
     subqueries: List[SubQueryGraph]
     cost: float
-
-    @property
-    def pivot(self) -> QueryNode:
-        return self.query.node(self.pivot_label)
 
     def describe(self) -> str:
         walks = ", ".join(g.describe() for g in self.subqueries)

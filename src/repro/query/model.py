@@ -15,8 +15,8 @@ paired with the walk orientation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import QueryError
 
@@ -44,10 +44,6 @@ class QueryNode:
         """True for ``?``-nodes — Def. 2's ``V^t``."""
         return self.name is None
 
-    def __str__(self) -> str:
-        shown = self.name if self.name is not None else f"?{self.label}"
-        return f"{shown}<{self.etype or '*'}>"
-
 
 @dataclass(frozen=True)
 class QueryEdge:
@@ -64,9 +60,6 @@ class QueryEdge:
         if node_label == self.target:
             return self.source
         raise QueryError(f"node {node_label!r} is not an endpoint of edge {self.label!r}")
-
-    def __str__(self) -> str:
-        return f"{self.source} -{self.predicate}-> {self.target}"
 
 
 class QueryGraph:
@@ -138,12 +131,6 @@ class QueryGraph:
         except KeyError:
             raise QueryError(f"unknown query node {label!r}") from None
 
-    def edge(self, label: str) -> QueryEdge:
-        try:
-            return self._edge_index[label]
-        except KeyError:
-            raise QueryError(f"unknown query edge {label!r}") from None
-
     def nodes(self) -> List[QueryNode]:
         return list(self._nodes.values())
 
@@ -160,17 +147,6 @@ class QueryGraph:
         self.node(label)
         return list(self._adjacency[label])
 
-    def degree(self, label: str) -> int:
-        return len(self.edges_at(label))
-
-    @property
-    def num_nodes(self) -> int:
-        return len(self._nodes)
-
-    @property
-    def num_edges(self) -> int:
-        return len(self._edges)
-
     def replace_node(self, node: QueryNode) -> "QueryGraph":
         """A copy with one node swapped (used by noise injection)."""
         nodes = [node if n.label == node.label else n for n in self._nodes.values()]
@@ -184,11 +160,6 @@ class QueryGraph:
             raise QueryError(f"unknown query edge {edge.label!r}")
         edges = [edge if e.label == edge.label else e for e in self._edges]
         return QueryGraph(list(self._nodes.values()), edges)
-
-    def __str__(self) -> str:
-        nodes = ", ".join(str(n) for n in self._nodes.values())
-        edges = "; ".join(str(e) for e in self._edges)
-        return f"QueryGraph[{nodes} | {edges}]"
 
 
 @dataclass(frozen=True)
@@ -241,20 +212,8 @@ class SubQueryGraph:
         """The specific node the search starts from (``v^s``)."""
         return self.query.node(self.node_labels[0])
 
-    @property
-    def end(self) -> QueryNode:
-        """The pivot-side endpoint (``v^t``)."""
-        return self.query.node(self.node_labels[-1])
-
-    @property
-    def num_edges(self) -> int:
-        return len(self.steps)
-
     def predicates(self) -> List[str]:
         return [step.predicate for step in self.steps]
-
-    def edge_labels(self) -> List[str]:
-        return [step.edge.label for step in self.steps]
 
     def describe(self) -> str:
         parts = [self.node_labels[0]]

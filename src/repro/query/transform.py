@@ -20,8 +20,7 @@ Matching is the paper's three-case relation φ:
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import QueryError
 from repro.kg.graph import GraphReader
@@ -68,11 +67,6 @@ class TransformationLibrary:
         for family in schema.synonym_families:
             library.add_family(family)
         return library
-
-    @classmethod
-    def empty(cls) -> "TransformationLibrary":
-        """A library with no families: only identical matches succeed."""
-        return cls()
 
     # ------------------------------------------------------------------
     def _canonicalize(self, table: Dict[str, Tuple[str, str]], text: str) -> Tuple[str, str]:
@@ -158,7 +152,7 @@ class NodeMatcher:
 
     def __init__(self, kg: GraphReader, library: Optional[TransformationLibrary] = None):
         self.kg = kg
-        self.library = library if library is not None else TransformationLibrary.empty()
+        self.library = library if library is not None else TransformationLibrary()
         self._lock = threading.Lock()
         self._cache: Dict[Tuple[Optional[str], Optional[str]], List[int]] = {}
         # (name, etype, uid) -> φ-match verdict (see is_match).

@@ -111,7 +111,6 @@ class EngineFingerprint:
             config.min_weight,
             config.scoring.value,
             config.visited_policy.value,
-            config.max_expansions,
         )
 
     @classmethod
@@ -454,12 +453,7 @@ class AnswerCache:
             entry = self._entries.get(key)
             return entry.payload if entry is not None else None
 
-    def store(self, key: CanonicalQueryKey, payload: QueryResultPayload) -> None:
-        """Insert one answer outside the singleflight protocol."""
-        with self._lock:
-            self._insert(key, payload, 1)
-
-    # -- introspection / maintenance -----------------------------------
+    # -- introspection -------------------------------------------------
     def stats(self) -> AnswerCacheStats:
         with self._lock:
             return AnswerCacheStats(
@@ -471,12 +465,3 @@ class AnswerCache:
                 in_flight=len(self._flights),
                 saved_seconds=self._saved_seconds,
             )
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def clear(self) -> None:
-        """Drop all entries (flights and counters survive)."""
-        with self._lock:
-            self._entries.clear()

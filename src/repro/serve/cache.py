@@ -108,19 +108,10 @@ class SemanticGraphCache:
             self._rows.put((kind, key), row)
 
     # ------------------------------------------------------------------
-    # introspection / maintenance
+    # introspection
     # ------------------------------------------------------------------
     @property
     def stats(self) -> CacheStats:
         """Consistent snapshot of counters and entry count."""
         with self._lock:
             return self._rows.stats()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._rows.entries)
-
-    def clear(self) -> None:
-        """Drop all entries (the binding and counters survive)."""
-        with self._lock:
-            self._rows.entries.clear()

@@ -214,11 +214,6 @@ class FaultInjector:
     _count: int = field(default=0, repr=False)
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
-    @property
-    def requests_seen(self) -> int:
-        with self._lock:
-            return self._count
-
     def on_worker_init(self) -> None:
         """Fault hook run once when a worker bootstraps its engine."""
         if self.plan.active and self.plan.fail_shm_attach:

@@ -225,10 +225,6 @@ class ServiceStats:
     shards: Tuple = ()  # always empty: kept while the perf ledger reads it
 
     @property
-    def in_flight(self) -> int:
-        return self.submitted - self.completed - self.failed
-
-    @property
     def workers_reporting(self) -> int:
         return len(self.workers)
 
@@ -666,7 +662,7 @@ class QueryService:
             except BaseException:
                 # The request never entered the pool (e.g. a broken
                 # process pool): no on_complete will ever fire, so settle
-                # the accounting here or in_flight drifts forever.
+                # the accounting here or ``submitted`` never balances.
                 self._counts.record(False)
                 raise
 
@@ -686,7 +682,7 @@ class QueryService:
         except Exception as exc:
             # A request no key can be built for (an undeclared pivot)
             # fails the way the backend would fail it: counted, and on
-            # its future, so in_flight settles and the error type matches
+            # its future, so the counts balance and the error type matches
             # an uncached service's.
             self._counts.record(False)
             failed: "Future[QueryResult]" = Future()
@@ -846,11 +842,6 @@ class QueryService:
         caching the object.
         """
         return self._graph_lease
-
-    @property
-    def supervised(self) -> bool:
-        """Whether the backend runs under a :class:`SupervisedBackend`."""
-        return self._supervised
 
     @property
     def answer_cache(self) -> Optional[AnswerCache]:

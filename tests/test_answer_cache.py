@@ -21,14 +21,14 @@ import pickle
 import random
 from collections import OrderedDict
 from concurrent.futures import Future
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bench.equivalence import final_matches_differ
-from repro.core.config import SearchConfig, VisitedPolicy
+from repro.core.config import PssMode, SearchConfig, VisitedPolicy
 from repro.core.engine import SemanticGraphQueryEngine
 from repro.errors import OverloadError, QueryError, ServeError
 from repro.kg.schema import preset_schema
@@ -213,6 +213,28 @@ class TestCanonicalQueryKey:
         )
         request = _request(_product_query())
         assert canonicalize(request, expand) != canonicalize(request, generate)
+
+    # One non-default value per search knob.  The exact-answer knobs key
+    # the cache; Algorithm 3's two constants only steer deadline requests,
+    # which never reach it.
+    KNOB_VALUES = {
+        "tau": 0.5, "path_bound": 2, "min_weight": 0.3,
+        "scoring": PssMode.ARITHMETIC, "visited_policy": VisitedPolicy.GENERATE,
+        "assembly_seconds_per_match": 1e-3, "alert_ratio": 0.5,
+    }
+    TBQ_ONLY = {"assembly_seconds_per_match", "alert_ratio"}
+
+    @pytest.mark.parametrize("knob", [f.name for f in fields(SearchConfig)])
+    def test_every_exact_answer_knob_enters_the_key(self, knob):
+        assert set(self.KNOB_VALUES) == {f.name for f in fields(SearchConfig)}
+        default = SearchConfig()
+        changed = replace(default, **{knob: self.KNOB_VALUES[knob]})
+        assert getattr(changed, knob) != getattr(default, knob)
+        request = _request(_product_query())
+        same = canonicalize(request, _fingerprint(config=default)) == canonicalize(
+            request, _fingerprint(config=changed)
+        )
+        assert same == (knob in self.TBQ_ONLY)
 
     def test_graph_epoch_enters_the_key(self):
         request = _request(_product_query())
@@ -435,6 +457,13 @@ class _Answer:
     elapsed_seconds: float = 0.0
 
 
+def _fill(cache, key, answer):
+    """Cache ``answer`` under a fresh ``key``: lead a flight and settle it."""
+    state, flight = cache.acquire(key)
+    assert state == "lead"
+    cache.complete(flight, payload=answer)
+
+
 def _request_through(cache, key, cost):
     """One request served the way the service does: hit, or lead + settle."""
     state, value = cache.acquire(key)
@@ -468,10 +497,10 @@ class TestAnswerCacheUnit:
         """Payloads that report no search time tie on priority: pure LRU."""
         one, two, three = _Answer("one"), _Answer("two"), _Answer("three")
         cache = AnswerCache(2)
-        cache.store(_key(1), one)
-        cache.store(_key(2), two)
+        _fill(cache, _key(1), one)
+        _fill(cache, _key(2), two)
         assert cache.acquire(_key(1)) == ("hit", one)  # touch 1 -> 2 is oldest
-        cache.store(_key(3), three)
+        _fill(cache, _key(3), three)
         assert cache.lookup(_key(2)) is None
         assert cache.lookup(_key(1)) is one
         assert cache.lookup(_key(3)) is three
@@ -480,20 +509,20 @@ class TestAnswerCacheUnit:
     def test_lookup_is_policy_neutral(self):
         """A probe neither reorders nor counts: it cannot save an entry."""
         cache = AnswerCache(2)
-        cache.store(_key(1), _Answer("one", 0.005))
-        cache.store(_key(2), _Answer("two", 0.005))
+        _fill(cache, _key(1), _Answer("one", 0.005))
+        _fill(cache, _key(2), _Answer("two", 0.005))
+        before = cache.stats()
         assert cache.lookup(_key(1)).name == "one"
-        cache.store(_key(3), _Answer("three", 0.005))
+        assert cache.stats() == before
+        _fill(cache, _key(3), _Answer("three", 0.005))
         assert cache.lookup(_key(1)) is None
         assert cache.lookup(_key(2)).name == "two"
-        stats = cache.stats()
-        assert (stats.hits, stats.misses, stats.saved_seconds) == (0, 0, 0.0)
 
     def test_equal_cost_equal_count_evicts_in_lru_order(self):
         capacity = 3
         cache = AnswerCache(capacity)
         for i in range(10):
-            cache.store(_key(i), _Answer(str(i), 0.005))
+            _fill(cache, _key(i), _Answer(str(i), 0.005))
             held = [j for j in range(i + 1) if cache.lookup(_key(j)) is not None]
             assert held == list(range(max(0, i - capacity + 1), i + 1))
 
@@ -501,20 +530,20 @@ class TestAnswerCacheUnit:
         capacity = 8
         cache = AnswerCache(capacity)
         hot = _key(0)
-        cache.store(hot, _Answer("hot", 0.030))
+        _fill(cache, hot, _Answer("hot", 0.030))
         assert cache.acquire(hot)[0] == "hit"
         assert cache.acquire(hot)[0] == "hit"
         # A scan of one-shot cheap keys, as long as the cache: under LRU
         # the hot entry would be gone by the end of it.
         for i in range(1, 2 * capacity):
-            cache.store(_key(i), _Answer("scan", 0.001))
+            _fill(cache, _key(i), _Answer("scan", 0.001))
         assert cache.lookup(hot) is not None
-        assert len(cache) == capacity
+        assert cache.stats().entries == capacity
         # The floor keeps rising under the scan; the favourite nobody
         # asks for any more is overtaken eventually.
         inserts = 2 * capacity
         while cache.lookup(hot) is not None:
-            cache.store(_key(inserts), _Answer("scan", 0.001))
+            _fill(cache, _key(inserts), _Answer("scan", 0.001))
             inserts += 1
             assert inserts < 200 * capacity, "hot entry never aged out"
 
@@ -573,7 +602,7 @@ class TestAnswerCacheUnit:
         assert (followers, payload, error) == ([], None, boom)
         state, _ = cache.acquire(_key(1))
         assert state == "lead"
-        assert len(cache) == 0
+        assert cache.stats().entries == 0
 
 
 _KEY_INDEX = st.integers(min_value=0, max_value=7)
@@ -581,8 +610,6 @@ _CACHE_OPS = st.lists(
     st.one_of(
         st.tuples(st.just("acquire"), _KEY_INDEX),
         st.tuples(st.just("complete"), _KEY_INDEX, st.booleans()),
-        st.tuples(st.just("store"), _KEY_INDEX),
-        st.tuples(st.just("clear")),
     ),
     max_size=80,
 )
@@ -629,15 +656,10 @@ class TestAnswerCacheSequences:
                     outstanding[op[1]][1].append(value)
                 else:
                     assert value == _Answer(str(op[1]), costs[op[1]])
-            elif op[0] == "complete":
-                if op[1] in outstanding:
-                    settle(op[1], fail=op[2])
-            elif op[0] == "store":
-                cache.store(_key(op[1]), _Answer(str(op[1]), costs[op[1]]))
-            else:
-                cache.clear()
+            elif op[1] in outstanding:
+                settle(op[1], fail=op[2])
 
-            assert len(cache) <= capacity
+            assert len(cache._entries) <= capacity
             for key, entry in cache._entries.items():
                 assert entry.key == key
                 assert entry.hits >= 1
@@ -694,7 +716,7 @@ class TestServiceIntegration:
             with pytest.raises(QueryError):
                 service.submit_request(request).result()
             snap = service.stats_snapshot()
-        assert (snap.submitted, snap.failed, snap.in_flight) == (1, 1, 0)
+        assert (snap.submitted, snap.completed, snap.failed) == (1, 0, 1)
 
     def test_tbq_requests_bypass_the_cache(self, small_bundle):
         with QueryService.build(
@@ -854,7 +876,7 @@ class TestSingleflight:
                 with pytest.raises(RuntimeError):
                     future.result(timeout=60)
             del service.engine.search
-            assert len(service.answer_cache) == 0
+            assert service.answer_cache.stats().entries == 0
             snap = service.stats_snapshot()
             assert snap.failed == 4
             # A retry after the failure leads a fresh flight and succeeds.

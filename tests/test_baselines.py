@@ -32,7 +32,7 @@ def setup():
     schema = dbpedia_like_schema()
     kg = build_dataset("dbpedia", seed=1, scale=1.0)
     library = TransformationLibrary.from_schema(schema)
-    germany = kg.entity_by_name("Germany").uid
+    (germany,) = kg.entities_named("Germany")
     one_hop = {
         uid
         for uid in follow_pattern(kg, germany, [("assembly", "-")])

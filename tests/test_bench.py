@@ -1,5 +1,6 @@
 """Tests for the benchmark infrastructure (metrics, workloads, runners)."""
 
+import dataclasses
 import time
 
 import pytest
@@ -13,7 +14,7 @@ from repro.bench.annotators import (
     sample_cross_group_pairs,
 )
 from repro.bench.datasets import load_bundle
-from repro.bench.groundtruth import compute_truth, constraint_truth, truth_by_schema
+from repro.bench.groundtruth import compute_truth, constraint_truth
 from repro.bench.metrics import (
     EffectivenessScores,
     evaluate_answers,
@@ -97,7 +98,7 @@ class TestWorkloads:
         assert set(variants) == {"G1", "G2", "G3", "G4"}
         assert variants["G1"].node("v1").etype == "Car"
         assert variants["G2"].node("v2").name == "GER"
-        assert variants["G3"].edge("e1").predicate == "product"
+        assert [e.predicate for e in variants["G3"].edges()] == ["product"]
 
     def test_workload_for_unknown(self):
         with pytest.raises(ReproError):
@@ -113,13 +114,18 @@ class TestGroundTruth:
             small_bundle.kg.entity(uid).etype == "Automobile" for uid in truth
         )
 
-    def test_truth_by_schema_partitions(self, small_bundle):
-        constraint = q117_truth_constraint()
-        per_schema = truth_by_schema(small_bundle.kg, constraint)
-        union = set()
-        for answers in per_schema.values():
-            union |= answers
-        assert union == constraint_truth(small_bundle.kg, constraint)
+    @pytest.mark.parametrize("preset", ["dbpedia", "freebase", "yago2"])
+    def test_a_constraint_is_the_union_of_its_schemas(self, preset):
+        """Fig. 1's per-schema answer sets: an entity satisfies a
+        constraint iff one of its correct schemas alone reaches it."""
+        bundle = load_bundle(preset, scale=1.0, seed=11, use_cache=False)
+        for query in bundle.workload:
+            for constraint in query.truth_constraints:
+                per_schema = set()
+                for pattern in constraint.patterns:
+                    alone = dataclasses.replace(constraint, patterns=(pattern,))
+                    per_schema |= constraint_truth(bundle.kg, alone)
+                assert per_schema == constraint_truth(bundle.kg, constraint), query.qid
 
     def test_missing_anchor_raises(self, small_bundle):
         constraint = TruthConstraint("Wakanda", ((("assembly", "-"),),), "Automobile")
@@ -146,11 +152,7 @@ class TestBundles:
         assert small_bundle.preset == "dbpedia"
         assert small_bundle.workload
         for query in small_bundle.workload:
-            assert small_bundle.truth_of(query.qid)
-
-    def test_unknown_qid(self, small_bundle):
-        with pytest.raises(ReproError):
-            small_bundle.truth_of("Z99")
+            assert small_bundle.truth[query.qid]
 
     def test_queries_of_filters(self, small_bundle):
         simple = small_bundle.queries_of("simple")
@@ -279,7 +281,7 @@ class TestAnnotators:
             medium_bundle.kg, medium_bundle.space, medium_bundle.library
         )
         query = medium_bundle.workload[0]
-        truth = medium_bundle.truth_of(query.qid)
+        truth = medium_bundle.truth[query.qid]
         result = engine.search(query.query, k=len(truth))
         answers = [
             RankedAnswer(

@@ -68,7 +68,7 @@ def reference_freeze(kg: KnowledgeGraph) -> Dict[str, object]:
     cursor = 0
     for uid in range(num_nodes):
         triples = []
-        for edge, neighbor in kg.incident_list(uid):
+        for edge, neighbor in kg.incident(uid):
             eid = edge_id[edge]
             pid = int(edge_predicate[eid])
             slot_neighbor[cursor] = neighbor
@@ -115,10 +115,9 @@ def assert_freeze_matches_reference(kg: KnowledgeGraph) -> CompactGraph:
     assert compact.node_slots == expected["node_slots"]
     assert compact.entity_names() == expected["names"]
     # The edge table holds the source graph's own Edge objects.
-    assert len(compact.edges) == len(expected["edges"])
-    assert all(
-        got is want for got, want in zip(compact.edges, expected["edges"])
-    )
+    edges = [compact.edge(eid) for eid in range(compact.num_edges)]
+    assert len(edges) == len(expected["edges"])
+    assert all(got is want for got, want in zip(edges, expected["edges"]))
     assert all(
         got[0] is want[0]
         for got_row, want_row in zip(compact.node_slots, expected["node_slots"])
@@ -199,7 +198,7 @@ class TestFreezeAgainstReference:
         kg.add_edge(1, "p", 2)
         kg.add_edge(1, "q", 2)
         compact = assert_freeze_matches_reference(kg)
-        assert compact.degree(2) == 3
+        assert compact.indptr[3] - compact.indptr[2] == 3
         assert not compact.slot_forward[compact.indptr[2]:].any()
 
     @pytest.mark.parametrize(

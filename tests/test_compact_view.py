@@ -55,11 +55,11 @@ class TestCompactGraphFreeze:
             for eid in range(compact.num_edges)
         )
 
-    def test_to_edge_roundtrip_and_forward_flag(self, fig2_kg):
+    def test_edge_roundtrip_and_forward_flag(self, fig2_kg):
         compact = CompactGraph.freeze(fig2_kg)
         for uid in range(fig2_kg.num_entities):
             for s in range(int(compact.indptr[uid]), int(compact.indptr[uid + 1])):
-                edge = compact.to_edge(int(compact.slot_edge[s]))
+                edge = compact.edge(int(compact.slot_edge[s]))
                 assert edge.other(uid) == int(compact.slot_neighbor[s])
                 assert bool(compact.slot_forward[s]) == (edge.source == uid)
                 pid = int(compact.slot_predicate[s])
@@ -68,7 +68,8 @@ class TestCompactGraphFreeze:
     def test_degrees_match(self, fig2_kg):
         compact = CompactGraph.freeze(fig2_kg)
         for uid in range(fig2_kg.num_entities):
-            assert compact.degree(uid) == fig2_kg.degree(uid)
+            row = int(compact.indptr[uid + 1] - compact.indptr[uid])
+            assert row == len(list(fig2_kg.incident(uid)))
 
     def test_staleness_detection(self, fig2_kg):
         compact = CompactGraph.freeze(fig2_kg)
@@ -91,7 +92,9 @@ class TestCompactGraphFreeze:
         assert clone.kg is None
         assert not clone.is_stale()
         # ...yet the rebuilt edge table and slot mirror are equal.
-        assert [clone.edge(i) for i in range(clone.num_edges)] == compact.edges
+        assert [clone.edge(i) for i in range(clone.num_edges)] == [
+            compact.edge(i) for i in range(compact.num_edges)
+        ]
         assert clone.node_slots == compact.node_slots
         # A view over the shipped kernel answers like the original.
         original = CompactSemanticGraphView(compact, fig2_space)

@@ -99,15 +99,6 @@ class TestFig2Example:
         with pytest.raises(SearchError):
             search.run(k=0)
 
-    def test_max_expansions_cap(self, fig2_kg, fig2_space, fig2_matcher):
-        config = SearchConfig(tau=0.5, path_bound=4, max_expansions=1)
-        search = build_search(
-            fig2_kg, fig2_space, product_query(), fig2_matcher, config=config
-        )
-        search.run(k=10)
-        assert search.exhausted
-        assert search.stats.expansions <= 1
-
 
 class TestOptimalityAgainstBruteForce:
     """Theorem 2 on generated graphs: A* (EXPAND policy) finds exactly the

@@ -65,8 +65,10 @@ class TestSearchConfig:
             {"tau": -0.1},
             {"path_bound": 0},
             {"min_weight": 2.0},
-            {"max_expansions": 0},
+            {"min_weight": -0.1},
             {"assembly_seconds_per_match": -1},
+            {"assembly_seconds_per_match": float("inf")},
+            {"assembly_seconds_per_match": float("nan")},
             {"alert_ratio": 0.0},
             {"alert_ratio": 1.2},
         ],
@@ -99,11 +101,6 @@ class TestSGQEngine:
         result = engine.search(product_query(), k=10)
         for uid in result.answer_uids():
             assert engine.kg.entity(uid).etype == "Automobile"
-
-    def test_answer_names_align(self, engine):
-        result = engine.search(product_query(), k=5)
-        names = result.answer_names(engine.kg)
-        assert names == [engine.kg.entity(u).name for u in result.answer_uids()]
 
     def test_chain_query_assembles_components(self, engine):
         result = engine.search(chain_query(), k=8)

@@ -132,18 +132,18 @@ class TestSemanticGraphView:
         assert view.materialized_pairs == 1
 
     def test_weighted_incident_materializes_node(self, view, fig2_kg):
-        germany = fig2_kg.entity_by_name("Germany").uid
+        (germany,) = fig2_kg.entities_named("Germany")
         triples = list(view.weighted_incident(germany, "product"))
         assert len(triples) == 3  # assembly in, nationality in, language out
         assert view.touched_nodes == 1
 
     def test_max_adjacent_weight_is_max(self, view, fig2_kg, fig2_space):
-        germany = fig2_kg.entity_by_name("Germany").uid
+        (germany,) = fig2_kg.entities_named("Germany")
         m = view.max_adjacent_weight(germany, "product")
         assert m == pytest.approx(fig2_space.similarity("product", "assembly"))
 
     def test_max_adjacent_weight_any(self, view, fig2_kg):
-        germany = fig2_kg.entity_by_name("Germany").uid
+        (germany,) = fig2_kg.entities_named("Germany")
         combined = view.max_adjacent_weight_any(germany, ["product", "language"])
         assert combined == pytest.approx(1.0)  # language matches itself
 
@@ -152,6 +152,6 @@ class TestSemanticGraphView:
         assert view.weight("product", "language") == 0.0
 
     def test_materialization_ratio(self, view, fig2_kg):
-        germany = fig2_kg.entity_by_name("Germany").uid
+        (germany,) = fig2_kg.entities_named("Germany")
         list(view.weighted_incident(germany, "product"))
         assert view.materialization_ratio() == pytest.approx(1 / fig2_kg.num_entities)

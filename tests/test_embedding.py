@@ -252,8 +252,11 @@ class TestTrainer:
         expected = trainer.predicate_space(model)
         assert report.model_name == "TransE"
         assert len(report.loss_history) == 2
+        assert space.predicates() == expected.predicates()
         for name in kg.predicates():
-            assert np.array_equal(space.vector(name), expected.vector(name))
+            assert np.array_equal(
+                space.similarity_row(name), expected.similarity_row(name)
+            )
 
     def test_edgeless_graph_is_refused(self):
         graph = KnowledgeGraph()
@@ -282,19 +285,6 @@ class TestPredicateSpace:
         assert all(name != "product" for name, _ in top)
         scores = [s for _n, s in top]
         assert scores == sorted(scores, reverse=True)
-
-    def test_subspace(self):
-        space = oracle_predicate_space(dbpedia_like_schema(), seed=3)
-        sub = space.subspace(["product", "assembly"])
-        assert len(sub) == 2
-        assert sub.similarity("product", "assembly") == pytest.approx(
-            space.similarity("product", "assembly")
-        )
-
-    def test_with_vector_replaces(self):
-        space = PredicateSpace({"a": np.array([1.0, 0.0])})
-        extended = space.with_vector("b", np.array([0.0, 1.0]))
-        assert "b" in extended and "b" not in space
 
     def test_validation(self):
         with pytest.raises(EmbeddingError):
@@ -327,14 +317,6 @@ class TestSimilarityRows:
         row = space.similarity_row(space.predicates()[0])
         with pytest.raises(ValueError):
             row[0] = 0.5
-
-    def test_similarity_matrix_stacks_rows(self, space):
-        names = space.predicates()[:4]
-        matrix = space.similarity_matrix(names)
-        assert matrix.shape == (4, len(space))
-        for i, name in enumerate(names):
-            assert (matrix[i] == space.similarity_row(name)).all()
-        assert space.similarity_matrix([]).shape == (0, len(space))
 
     def test_symmetry_exact_across_rows(self, space):
         names = space.predicates()

@@ -68,7 +68,7 @@ class TestFullPipeline:
         bundle = load_bundle("dbpedia", scale=0.6, seed=5, space_source="transe")
         engine = SemanticGraphQueryEngine(bundle.kg, bundle.space, bundle.library)
         result = engine.search(q117_variants()["G4"], k=10)
-        germany = bundle.kg.entity_by_name("Germany").uid
+        (germany,) = bundle.kg.entities_named("Germany")
         direct = [
             uid
             for uid in result.answer_uids()

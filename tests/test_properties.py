@@ -1,5 +1,6 @@
 """Property-based tests (hypothesis) for core invariants."""
 
+import functools
 import itertools
 import math
 
@@ -10,7 +11,8 @@ from repro.bench.metrics import f1_score, jaccard
 from repro.core.assembly import MatchStream, assemble_top_k
 from repro.core.pss import estimate_pss, exact_pss
 from repro.core.results import PathMatch
-from repro.kg.paths import Path, reverse_pattern
+from repro.kg.generator import build_dataset
+from repro.kg.paths import Path, follow_pattern
 from repro.utils.heap import MaxHeap
 from repro.utils.stats import geometric_mean, pearson_correlation
 
@@ -97,15 +99,26 @@ class TestMetricsProperties:
         assert -1.0 - 1e-9 <= pearson_correlation(xs, ys) <= 1.0 + 1e-9
 
 
+@functools.lru_cache(maxsize=None)
+def _pattern_graph():
+    return build_dataset("dbpedia", seed=3, scale=0.3)
+
+
 class TestPatternProperties:
-    @given(
-        st.lists(
-            st.tuples(st.text(min_size=1, max_size=3), st.sampled_from(["+", "-"])),
-            max_size=6,
-        )
-    )
-    def test_reverse_pattern_involution(self, pattern):
-        assert reverse_pattern(reverse_pattern(pattern)) == list(map(tuple, pattern))
+    @given(st.data())
+    def test_a_pattern_walks_step_by_step(self, data):
+        """``follow_pattern`` over ``head + tail`` is the union of ``tail``
+        walked from every node ``head`` reaches: the ground-truth sets of
+        a multi-hop schema compose hop by hop."""
+        kg = _pattern_graph()
+        step = st.tuples(st.sampled_from(kg.predicates()), st.sampled_from("+-"))
+        head = data.draw(st.lists(step, max_size=2))
+        tail = data.draw(st.lists(step, min_size=1, max_size=2))
+        start = data.draw(st.integers(0, kg.num_entities - 1))
+        stepwise = set()
+        for middle in follow_pattern(kg, start, head):
+            stepwise |= follow_pattern(kg, middle, tail)
+        assert follow_pattern(kg, start, head + tail) == stepwise
 
 
 def _match(pivot, pss, stream=0):

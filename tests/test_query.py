@@ -89,11 +89,18 @@ class TestQueryModel:
     def test_replace_edge(self):
         query = simple_query()
         replaced = query.replace_edge(QueryEdge("e1", "v1", "assembly", "v2"))
-        assert replaced.edge("e1").predicate == "assembly"
+        assert [e.predicate for e in replaced.edges()] == ["assembly"]
 
-    def test_edges_at_and_degree(self):
+    def test_replace_rejects_unknown_labels(self):
+        query = simple_query()
+        with pytest.raises(QueryError):
+            query.replace_node(QueryNode("v9", "Country", "GER"))
+        with pytest.raises(QueryError):
+            query.replace_edge(QueryEdge("e9", "v1", "assembly", "v2"))
+
+    def test_edges_at(self):
         query = chain_query()
-        assert query.degree("v1") == 2
+        assert len(query.edges_at("v1")) == 2
         assert {e.label for e in query.edges_at("v3")} == {"e2", "e3"}
 
     def test_builder_auto_edge_labels(self):
@@ -104,41 +111,41 @@ class TestQueryModel:
             .edge(None, "v1", "p", "v2")
             .build()
         )
-        assert query.edge("e1").predicate == "p"
+        assert [(e.label, e.predicate) for e in query.edges()] == [("e1", "p")]
 
 
 class TestSubQueryGraph:
     def test_walk_consistency_checked(self):
         query = chain_query()
+        e1 = query.edges()[0]
         with pytest.raises(QueryError):
             SubQueryGraph(
                 query=query,
                 node_labels=("v2", "v3"),
-                steps=(SubQueryStep(query.edge("e1"), True),),
+                steps=(SubQueryStep(e1, True),),
             )
 
     def test_must_start_specific(self):
         query = chain_query()
+        e1 = query.edges()[0]
         with pytest.raises(QueryError):
             SubQueryGraph(
                 query=query,
                 node_labels=("v1", "v2"),
-                steps=(SubQueryStep(query.edge("e1"), True),),
+                steps=(SubQueryStep(e1, True),),
             )
 
     def test_describe_and_predicates(self):
         query = chain_query()
+        _e1, e2, e3 = query.edges()
         sub = SubQueryGraph(
             query=query,
             node_labels=("v4", "v3", "v1"),
-            steps=(
-                SubQueryStep(query.edge("e3"), False),
-                SubQueryStep(query.edge("e2"), False),
-            ),
+            steps=(SubQueryStep(e3, False), SubQueryStep(e2, False)),
         )
         assert sub.predicates() == ["manufacturer", "engine"]
         assert sub.start.label == "v4"
-        assert sub.end.label == "v1"
+        assert sub.node_labels[-1] == "v1"
         assert "v4" in sub.describe()
 
 
@@ -176,14 +183,14 @@ class TestTransformationLibrary:
         assert "ger" in variants and "frg" in variants
 
     def test_empty_library_identical_only(self):
-        library = TransformationLibrary.empty()
+        library = TransformationLibrary()
         assert library.match_type("Car", "Automobile") is None
         assert library.match_type("Car", "Car") == MATCH_IDENTICAL
 
     def test_bad_family_kind(self):
         from repro.kg.schema import SynonymFamily
 
-        library = TransformationLibrary.empty()
+        library = TransformationLibrary()
         with pytest.raises(QueryError):
             library.add_family(SynonymFamily("x", kind="verb"))
 
@@ -198,16 +205,24 @@ class TestNodeMatcher:
         library = TransformationLibrary.from_schema(dbpedia_like_schema())
         return kg, NodeMatcher(kg, library)
 
+    def test_without_a_library_only_identical_labels_match(self, setup):
+        kg, _matcher = setup
+        plain = NodeMatcher(kg)
+        assert plain.matches(QueryNode("v", "Country", "GER")) == []
+        assert plain.matches(QueryNode("v", "Country", "Germany")) == kg.entities_named(
+            "Germany"
+        )
+
     def test_specific_by_name(self, setup):
         kg, matcher = setup
         node = QueryNode("v", "Country", "Germany")
         matches = matcher.matches(node)
-        assert matches == [kg.entity_by_name("Germany").uid]
+        assert matches == kg.entities_named("Germany")
 
     def test_specific_via_abbreviation(self, setup):
         kg, matcher = setup
         node = QueryNode("v", "Country", "GER")
-        assert matcher.matches(node) == [kg.entity_by_name("Germany").uid]
+        assert matcher.matches(node) == kg.entities_named("Germany")
 
     def test_target_by_type_synonym(self, setup):
         kg, matcher = setup
@@ -325,20 +340,16 @@ class TestDecomposition:
 
 
 class TestAverageDegreeWithoutTheScan:
-    """``decompose_query`` reads d̄ as ``2|E| / |V|`` instead of calling
-    ``statistics()`` (an O(|V|) degree scan) on every call.  (That every
-    frozen reader decomposes alike is ``TestGraphReaderConformance``.)"""
-
-    def test_same_float_as_statistics(self, small_bundle):
-        kg = small_bundle.kg
-        shortcut = 2 * kg.num_edges / kg.num_entities
-        assert shortcut == kg.statistics().average_degree
+    """``decompose_query`` reads d̄ as ``2|E| / |V|`` instead of an O(|V|)
+    degree scan on every call.  (That every frozen reader decomposes alike
+    is ``TestGraphReaderConformance``.)"""
 
     def test_decompositions_unchanged(self, small_bundle):
         kg = small_bundle.kg
         matcher = NodeMatcher(kg, small_bundle.library)
+        degrees = [len(list(kg.incident(uid))) for uid in range(kg.num_entities)]
         scanned = CostModel(
-            average_degree=max(kg.statistics().average_degree, 2.0), path_bound=4
+            average_degree=max(sum(degrees) / len(degrees), 2.0), path_bound=4
         )
         for item in small_bundle.workload:
             chosen = decompose_query(item.query, kg=kg, matcher=matcher)
@@ -378,7 +389,7 @@ class TestNoise:
     def test_edge_noise_swaps_to_similar(self, resources):
         _library, space = resources
         noisy = add_edge_noise(simple_query(), space, seed=1, top_n=5)
-        new_predicate = noisy.edge("e1").predicate
+        (new_predicate,) = [e.predicate for e in noisy.edges()]
         assert new_predicate != "product"
         top5 = [name for name, _s in space.top_similar("product", 5)]
         assert new_predicate in top5
@@ -397,7 +408,7 @@ class TestNoise:
         changed = sum(
             1
             for original, new in zip(queries, noisy)
-            if new.edge("e1").predicate != original.edge("e1").predicate
+            if new.edges()[0].predicate != original.edges()[0].predicate
         )
         assert changed == 4
 

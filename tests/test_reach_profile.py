@@ -80,8 +80,41 @@ def test_no_deleted_function_is_defined(functions):
         "MaxHeap.peek_max", "MaxHeap.drain", "MaxHeap.max_priority",
         "MaxHeap.__iter__", "MinHeap.push", "MinHeap.pop_min",
         "SyntheticKGBuilder._withhold_types", "TranslationalModel.parameter_count",
+        # The second pass: accessors only tests called, and the
+        # expansion cap nothing set.
+        "Entity.__str__", "Edge.__str__", "KnowledgeGraph.entity_by_name",
+        "KnowledgeGraph.in_edges", "KnowledgeGraph.incident_list",
+        "KnowledgeGraph.degree", "KnowledgeGraph.neighbors",
+        "KnowledgeGraph.predicate_frequency", "KnowledgeGraph.statistics",
+        "KnowledgeGraph.triples", "KnowledgeGraph.__repr__",
+        "CompactGraph.shared", "CompactGraph.to_edge", "CompactGraph.edges",
+        "CompactGraph.degree", "CompactGraph.__repr__",
+        "SharedCompactGraph.__repr__", "FrozenGraphReader.__repr__",
+        "Path.from_steps", "Path.predicates", "Path.contains_node",
+        "Path.is_simple", "Path.concat", "reverse_pattern",
+        "DomainSchema.types", "GraphShard.__repr__", "ShardedGraph.__repr__",
+        "SharedShardedGraph.__repr__", "SharedShardedGraph.name",
+        "ShardedGraph.num_shards", "ShardedGraphHandle.num_shards",
+        "ShmArraySpec.nbytes", "ShmBlockHandle.keys", "ShmArrayBlock.__repr__",
+        "Decomposition.pivot", "QueryNode.__str__", "QueryEdge.__str__",
+        "QueryGraph.edge", "QueryGraph.degree", "QueryGraph.num_nodes",
+        "QueryGraph.num_edges", "QueryGraph.__str__", "SubQueryGraph.end",
+        "SubQueryGraph.num_edges", "SubQueryGraph.edge_labels",
+        "TransformationLibrary.empty", "PredicateSpace.vector",
+        "PredicateSpace.similarity_matrix", "PredicateSpace.subspace",
+        "PredicateSpace.with_vector", "QueryResult.answer_names",
+        "QueryResultPayload.answer_uids", "CompactViewFactory.frozen_graph",
+        "AnswerCache.store", "AnswerCache.__len__", "AnswerCache.clear",
+        "SemanticGraphCache.__len__", "SemanticGraphCache.clear",
+        "FaultInjector.requests_seen", "ServiceStats.in_flight",
+        "QueryService.supervised",
+        "BaselineResult.answer_names", "DatasetBundle.truth_of",
+        "truth_by_schema",
     }
     assert deleted.isdisjoint(functions.values())
+    from repro.kg import graph
+
+    assert not hasattr(graph, "GraphStatistics")
     files = {Path(path).name for path, _line in functions}
     assert files.isdisjoint(
         {"transh.py", "transr.py", "evaluation.py", "typing_model.py"}

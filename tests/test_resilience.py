@@ -135,7 +135,6 @@ class TestFaultPlanSpec:
     def test_inactive_plan_injects_nothing(self):
         injector = FaultPlan(transient_at=(1,), epochs=0).activate()
         injector.on_request()  # would raise if the plan were active
-        assert injector.requests_seen == 0
 
 
 class TestCircuitBreaker:
@@ -175,7 +174,6 @@ class TestInlineSupervision:
         ) as service:
             results = service.search_many(_queries(small_bundle), k=5)
             stats = service.stats_snapshot()
-            assert service.supervised
             # The supervisor is the one counter of its events.
             assert stats.resilience == service._backend.resilience_stats()
         assert _signatures(results) == reference
@@ -234,7 +232,6 @@ class TestInlineSupervision:
             small_bundle.kg, small_bundle.space, small_bundle.library,
             backend="inline",
         ) as service:
-            assert not service.supervised
             assert service.stats_snapshot().resilience == ResilienceStats()
 
 

@@ -195,20 +195,6 @@ class TestRandomizedConformance:
         # The harvest must actually reach past what has popped.
         assert unpopped > 0
 
-    def test_max_expansions_cap_identical(self, rand_bundle):
-        engine = _compact_engine(rand_bundle.kg, rand_bundle.space, rand_bundle.library)
-        config = SearchConfig(tau=0.5, max_expansions=25)
-        query = rand_bundle.workload[0]
-        decomposition = engine.decompose(query.query)
-        reference, vectorized = build_pair(
-            rand_bundle, decomposition.subqueries[0], engine.matcher, config
-        )
-        ref_matches = reference.run(10**6)
-        vec_matches = materialised(vectorized, vectorized.run(10**6))
-        assert path_matches_differ("cap", ref_matches, vec_matches) is None
-        assert search_stats_differ("cap", reference.stats, vectorized.stats) is None
-        assert reference.stats.expansions == vectorized.stats.expansions <= 25
-
 
 class TestBruteForceOracle:
     """Theorem 2 spot-checks: the vectorized kernel against the
@@ -643,23 +629,11 @@ class TestFusedLoop:
         assert switches >= 3
 
     @pytest.mark.parametrize("policy", list(VisitedPolicy))
-    def test_max_expansions_cuts_mid_stream(self, two_segment, policy):
-        """The cap lands inside a ``next_match`` call that has already
-        expanded states: it returns ``None``, charges once more, and
-        leaves the counters where the reference's are."""
+    def test_exhaustion_charges_alike(self, two_segment, policy):
+        """Drained match by match to an empty queue, both kernels charge
+        once per iteration, the one that finds the queue empty included,
+        and an exhausted search answers ``None`` without a charge."""
         config = SearchConfig(tau=0.5, path_bound=2, visited_policy=policy)
-        probe, _ = two_segment(config)
-        marks = []  # expansions spent when each match popped
-        while probe.next_match() is not None:
-            marks.append(probe.stats.expansions)
-        gaps = [after - before for before, after in zip(marks, marks[1:])]
-        widest = max(range(len(gaps)), key=gaps.__getitem__)
-        assert gaps[widest] >= 4
-        expected = widest + 1  # matches out before the widest gap
-        cap = marks[widest] + gaps[widest] // 2  # lands inside it
-        capped = SearchConfig(
-            tau=0.5, path_bound=2, visited_policy=policy, max_expansions=cap
-        )
 
         class Budget:
             charges = 0
@@ -667,29 +641,23 @@ class TestFusedLoop:
             def charge(self):
                 self.charges += 1
 
-        view_pair = two_segment(capped)
-        budgets = []
-        outcomes = []
-        for search in view_pair:
+        budgets, outcomes = [], []
+        searches = two_segment(config)
+        for search in searches:
             budget = Budget()
             search._charge = budget.charge
             matches = []
-            while True:
-                match = search.next_match()
-                if match is None:
-                    break
+            while (match := search.next_match()) is not None:
                 matches.append(search.materialise(match))
-            assert search.next_match() is None  # stays exhausted, no charge
+            assert search.exhausted
+            assert search.next_match() is None
             budgets.append(budget.charges)
             outcomes.append(matches)
-        reference, vectorized = view_pair
-        assert len(outcomes[0]) == expected
-        assert path_matches_differ("cap", *outcomes) is None
-        assert search_stats_differ("cap", reference.stats, vectorized.stats) is None
-        assert reference.stats.expansions == vectorized.stats.expansions == cap
-        assert reference.exhausted and vectorized.exhausted
-        # One charge per iteration, the capped one included.
-        assert budgets[0] == budgets[1] == cap + 1
+        reference, vectorized = searches
+        assert outcomes[0]
+        assert path_matches_differ("drain", *outcomes) is None
+        assert search_stats_differ("drain", reference.stats, vectorized.stats) is None
+        assert budgets[0] == budgets[1] == reference.stats.expansions + 1
 
     @pytest.mark.parametrize("policy", list(VisitedPolicy))
     def test_budget_clock_ticks_and_alert_expansion(self, small_bundle, policy):
@@ -814,7 +782,7 @@ class TestSetUpIndependentOfEdges:
             fig2_matcher.library,
             SearchConfig(tau=0.5, path_bound=2),
         )
-        graph = engine.view_factory.frozen_graph
+        graph = engine.view_factory.compact_graph(kg)
         num_predicates = len(graph.predicate_names)
         assert graph.num_edges >= 20 * graph.num_nodes >= 200 * num_predicates
         query = (

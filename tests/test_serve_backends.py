@@ -335,7 +335,7 @@ class TestSharedBackends:
             assert (report.scope, report.backend) == ("shared", "inline")
             assert service.cache is not None
             assert report.cache == service.cache.stats
-            assert (report.submitted, report.completed, report.in_flight) == (3, 3, 0)
+            assert (report.submitted, report.completed, report.failed) == (3, 3, 0)
 
     def test_client_threads_phase_diff_of_shared_counters(self, small_bundle):
         """Client threads over one inline service share its caches and
@@ -374,7 +374,7 @@ def test_stats_since_matches_workers_by_id():
     )
     phase = after.since(before)
     assert (phase.submitted, phase.completed, phase.failed) == (20, 19, 1)
-    assert (phase.time_bounded, phase.in_flight) == (3, 0)
+    assert phase.time_bounded == 3
     assert phase.workers == (
         WorkerSnapshot(
             "1", 900, CacheStats(900, 900, 900, 1004, 1005),
@@ -476,7 +476,6 @@ class TestSeededReplayDeterminism:
         for index in reference:
             expected, actual = reference[index], payloads[index]
             # Payload-level identity on everything except wall time.
-            assert actual.answer_uids() == expected.answer_uids()
             assert actual.approximate == expected.approximate
             _assert_identical(
                 f"process/item{index}", expected.to_result(), actual.to_result()

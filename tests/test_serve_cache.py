@@ -37,7 +37,7 @@ class TestLruBounds:
         cache.put_row("bounds", "product", [0.8])
         assert cache.get_row("weights", "product") == [0.9]
         assert cache.get_row("bounds", "product") == [0.8]
-        assert len(cache) == 2
+        assert cache.stats.entries == 2
 
     def test_invalid_capacity_rejected(self):
         with pytest.raises(ServeError):
@@ -66,15 +66,6 @@ class TestStats:
         phase = cache.stats.since(before)
         assert (phase.hits, phase.misses, phase.entries) == (1, 0, 1)
 
-    def test_clear_drops_entries_keeps_binding(self):
-        cache = SemanticGraphCache()
-        cache.bind(("fp",))
-        cache.put_row("weights", "a", [0.4])
-        cache.clear()
-        assert len(cache) == 0
-        with pytest.raises(ServeError):
-            cache.bind(("other",))
-
 
 class TestBinding:
     def test_rebinding_needs_the_same_fingerprint(self):
@@ -93,15 +84,15 @@ class TestBinding:
 
 def test_lazy_view_shares_its_hop_label_and_nothing_else(fig2_kg, fig2_space):
     cache = SemanticGraphCache()
-    germany = fig2_kg.entities_named("Germany")[0]
+    (germany,) = fig2_kg.entities_named("Germany")
     first = SemanticGraphView(fig2_kg, fig2_space, cache=cache)
     first.weight("product", "assembly")
     first.weight("product", "assembly")  # memoised for the query
     assert first.edges_weighted == 1
     first.max_adjacent_weight(germany, "product")
-    assert len(cache) == 0 and cache.stats.lookups == 0
+    assert cache.stats.entries == 0 and cache.stats.lookups == 0
     label = first.hop_label(("Germany", "Country"), [germany], 4)
-    assert len(cache) == 1
+    assert cache.stats.entries == 1
 
     second = SemanticGraphView(fig2_kg, fig2_space, cache=cache)
     assert second.hop_label(("Germany", "Country"), [germany], 4) is label

@@ -88,6 +88,12 @@ def test_configuration_surface_snapshot():
     assert [f.name for f in dataclasses.fields(EngineSpec)] == [
         "store", "space", "library", "config", "kg", "fault_plan",
     ]
+    # The search knobs: τ, n̂, the weight floor, Eq. 3's aggregation, the
+    # visited policy and Algorithm 3's two constants; no expansion cap.
+    assert [f.name for f in dataclasses.fields(SearchConfig)] == [
+        "tau", "path_bound", "min_weight", "scoring", "visited_policy",
+        "assembly_seconds_per_match", "alert_ratio",
+    ]
     assert list(inspect.signature(SemanticGraphCache.__init__).parameters) == [
         "self", "max_rows",
     ]
@@ -257,9 +263,7 @@ class TestSubmission:
     def test_stats_track_completion(self, service, small_bundle):
         service.search_many([q.query for q in small_bundle.workload[:3]], k=3)
         stats = service.stats_snapshot()
-        assert stats.submitted == 3
-        assert stats.completed == 3
-        assert stats.in_flight == 0
+        assert (stats.submitted, stats.completed, stats.failed) == (3, 3, 0)
 
 
 def _submit_with_deadline(bundle, deadline):

@@ -19,6 +19,7 @@ from repro.core.engine import (
     EngineSpec,
     SemanticGraphQueryEngine,
     build_engine,
+    store_identity,
 )
 from repro.errors import GraphError, ServeError
 from repro.kg.compact import CompactGraph, FrozenGraphReader
@@ -237,7 +238,7 @@ class TestShmLifecycle:
             for sid, name in enumerate(lease.names):
                 assert name.startswith(f"{SHARD_SEGMENT_PREFIX}{sid}")
             attached = ShardedGraph.from_handle(lease.handle)
-            assert attached.num_shards == sharded4.num_shards
+            assert len(attached.shards) == len(sharded4.shards)
             assert np.array_equal(attached.shard_of, sharded4.shard_of)
             for mine, theirs in zip(sharded4.shards, attached.shards):
                 assert mine.cut_edges == theirs.cut_edges
@@ -296,6 +297,26 @@ class TestShmLifecycle:
                 )
                 assert problem is None, problem
         assert leaked_segments() == []
+
+
+class TestStoreIdentity:
+    """The graph part of the answer cache's epoch token: a store and its
+    shared-memory handle read alike, and every partitioning is its own
+    epoch."""
+
+    @pytest.mark.parametrize("shards", [0, 2, 4], ids=["compact", "sharded2", "sharded4"])
+    def test_a_handle_reads_its_store_identity(self, small_bundle, frozen, shards):
+        store = frozen if shards == 0 else ShardedGraph.build(small_bundle.kg, shards)
+        with store.to_shared() as lease:
+            assert store_identity(lease.handle) == store_identity(store)
+
+    def test_every_partitioning_is_its_own_epoch(self, small_bundle, frozen):
+        identities = [store_identity(frozen)] + [
+            store_identity(ShardedGraph.build(small_bundle.kg, shards, strategy=strategy))
+            for shards in (1, 2, 4)
+            for strategy in SHARD_STRATEGIES
+        ]
+        assert len(set(identities)) == len(identities)
 
 
 class TestValidation:
