@@ -30,6 +30,14 @@ a search over the compact kernel expands states in the same sequence as
 one over the object graph — which is what makes the two views'
 results byte-identical, heap tie-breaks included.
 
+:meth:`CompactGraph.freeze` reads no incidence list.  The graph keeps
+its edges as three append-only int columns too (source, target,
+interned predicate id, in insertion order), and the freeze builds every
+edge and slot column from *copies* of them with numpy alone: a stable
+argsort by source numbers the edges, a stable argsort by target orders
+the in-slots, two scatters fill the CSR.  Copies, not views: a column
+that exported its buffer could not grow.
+
 The store is append-only (no deletions), so freezing is safe: a frozen
 kernel is immutable and :meth:`CompactGraph.is_stale` detects a graph
 that has since grown.  All index state is plain int arrays — picklable
@@ -48,8 +56,7 @@ are served straight from the shared mapping.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
-from operator import itemgetter
+from operator import attrgetter
 from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -156,9 +163,15 @@ class CompactGraph:
     def freeze(cls, kg: KnowledgeGraph) -> "CompactGraph":
         """Snapshot ``kg`` into interned tables + an incidence CSR.
 
-        O(V + E), and each column is written whole — one ``np.fromiter``
-        per column or one scatter — never slot by slot, so the cost is a
-        few passes over the source graph's incidence lists.
+        Every edge and slot column comes from copies of the graph's
+        insertion-ordered edge columns (:meth:`KnowledgeGraph.edge_columns`)
+        by numpy alone: a stable argsort by source numbers the edges
+        source-major, a stable argsort by target orders each node's
+        in-slots, and two scatters fill the CSR.  No Python code runs per
+        edge, and none per node beyond C-level ``map`` calls over the
+        names; the edge table of ``Edge`` objects is gathered on first
+        use (:meth:`edge`).  Nothing is memoised on ``kg``: every call
+        copies the columns and sorts afresh.
         """
         entities = list(kg.entities())
         num_nodes = len(entities)
@@ -167,60 +180,54 @@ class CompactGraph:
         type_names = kg.types()
         type_index = {name: i for i, name in enumerate(type_names)}
 
-        entity_type = np.fromiter(
-            (type_index[entity.etype] for entity in entities),
-            dtype=np.int32,
-            count=num_nodes,
-        )
+        entity_type = np.empty(num_nodes, dtype=np.int32)
+        for tid, etype in enumerate(type_names):
+            entity_type[kg.entities_of_type(etype)] = tid
 
         # Entity names as one UTF-8 blob + offsets: with these on board
         # the snapshot fully describes the graph, which is what lets a
         # shared-memory worker rebuild Entity records without the object
         # graph (see FrozenGraphReader).
-        names = [entity.name for entity in entities]
-        encoded = [name.encode("utf-8") for name in names]
+        names = list(map(attrgetter("name"), entities))
+        joined = "".join(names)
+        blob = joined.encode("utf-8")
+        if len(blob) == len(joined):  # all ASCII: a byte per character
+            lengths = map(len, names)
+        else:
+            lengths = map(len, map(str.encode, names))
         name_offsets = np.zeros(num_nodes + 1, dtype=np.int64)
-        if encoded:
-            np.cumsum([len(b) for b in encoded], out=name_offsets[1:])
-        name_blob = np.frombuffer(b"".join(encoded), dtype=np.uint8)
+        np.cumsum(
+            np.fromiter(lengths, dtype=np.int64, count=num_nodes),
+            out=name_offsets[1:],
+        )
+        name_blob = np.frombuffer(blob, dtype=np.uint8)
 
-        # Edge table: one deterministic id per directed edge, in per-source
-        # insertion order.  The Edge objects are shared with kg, not copied.
-        outs = [kg.out_incident(uid) for uid in range(num_nodes)]
-        ins = [kg.in_incident(uid) for uid in range(num_nodes)]
-        out_degree = np.fromiter(map(len, outs), dtype=np.int64, count=num_nodes)
-        in_degree = np.fromiter(map(len, ins), dtype=np.int64, count=num_nodes)
+        # Edge ids are source-major, each source's out-edges in insertion
+        # order: a stable sort of the insertion-ordered source column is
+        # exactly that numbering.  The Edge objects behind the ids are
+        # looked up lazily (_edge_table).
+        source, target, predicate = kg.edge_columns()
+        num_edges = len(source)
+        if not num_edges == len(target) == len(predicate):  # pragma: no cover
+            raise GraphError(
+                f"edge columns disagree ({num_edges}, {len(target)}, "
+                f"{len(predicate)}); graph mutated during freeze?"
+            )
+        order = _stable_argsort(source, num_nodes)
+        edge_source = source[order]
+        edge_target = target[order]
+        edge_predicate = predicate[order]
+        rank = np.arange(num_edges, dtype=np.int64)
+        edge_id = np.empty(num_edges, dtype=np.int64)
+        edge_id[order] = rank
+        # A node's in-list is in insertion order: a stable sort of the
+        # target column lists every in-edge, target-major, in that order.
+        in_edge = edge_id[_stable_argsort(target, num_nodes)]
+        del source, target, predicate, order, edge_id
+        out_degree = np.bincount(edge_source, minlength=num_nodes)
+        in_degree = np.bincount(edge_target, minlength=num_nodes)
         indptr = np.zeros(num_nodes + 1, dtype=np.int64)
         np.cumsum(out_degree + in_degree, out=indptr[1:])
-        out_pairs = list(chain.from_iterable(outs))
-        in_pairs = list(chain.from_iterable(ins))
-        num_edges = len(out_pairs)
-        if not (  # pragma: no cover - append-only invariant
-            indptr[-1] == 2 * len(in_pairs) == 2 * num_edges == 2 * kg.num_edges
-        ):
-            raise GraphError(
-                f"incidence slots ({int(indptr[-1])}) disagree with edge "
-                f"count ({num_edges}); graph mutated during freeze?"
-            )
-        edges: List[Edge] = list(map(itemgetter(0), out_pairs))
-        edge_source = np.repeat(np.arange(num_nodes, dtype=np.int64), out_degree)
-        edge_target = np.fromiter(
-            map(itemgetter(1), out_pairs), dtype=np.int64, count=num_edges
-        )
-        edge_predicate = np.fromiter(
-            (predicate_index[edge.predicate] for edge in edges),
-            dtype=np.int32,
-            count=num_edges,
-        )
-        # An in-list holds the very Edge objects the out-lists do, so the
-        # id map is keyed by identity: an int probe, not Edge.__hash__.
-        edge_id = dict(zip(map(id, edges), range(num_edges)))
-        in_edge = np.fromiter(
-            map(edge_id.__getitem__, map(id, map(itemgetter(0), in_pairs))),
-            dtype=np.int64,
-            count=num_edges,
-        )
-        del edge_id, out_pairs, in_pairs
 
         # Undirected-incidence CSR, slot order == KnowledgeGraph.incident
         # order (load-bearing: it keeps compact and lazy searches
@@ -230,7 +237,6 @@ class CompactGraph:
         # v in slot ``indptr[v] + out_degree[v] + r``.
         first_out = np.cumsum(out_degree) - out_degree
         first_in = np.cumsum(in_degree) - in_degree
-        rank = np.arange(num_edges, dtype=np.int64)
         out_slot = rank + np.repeat(indptr[:-1] - first_out, out_degree)
         in_slot = rank + np.repeat(
             indptr[:-1] + out_degree - first_in, in_degree
@@ -268,7 +274,6 @@ class CompactGraph:
             slot_forward=slot_forward,
             name_blob=name_blob,
             name_offsets=name_offsets,
-            _edges=edges,
             _names=names,
         )
 
@@ -326,22 +331,32 @@ class CompactGraph:
     # ------------------------------------------------------------------
     # lazily rebuilt derived state
     # ------------------------------------------------------------------
-    # The builders are idempotent pure functions of the arrays, so a
-    # benign race between threads only duplicates work; the last write
-    # wins with an identical value.
+    # The builders are idempotent pure functions of the arrays (and of
+    # the source graph's append-only out-lists), so a benign race between
+    # threads only duplicates work; the last write wins with an identical
+    # value.
 
     def _edge_table(self) -> List[Edge]:
         if self._edges is None:
-            predicate_names = self.predicate_names
-            edges = [
-                Edge(source=source, predicate=predicate_names[pid],
-                     target=target)
-                for source, pid, target in zip(
-                    self.edge_source.tolist(),
-                    self.edge_predicate.tolist(),
-                    self.edge_target.tolist(),
+            if self.kg is not None:
+                # The source graph's own Edge objects.  Its out-lists only
+                # grow, so the out-degrees seen at freeze time pick exactly
+                # this snapshot's edges, however the graph has grown since.
+                out_degree = np.bincount(
+                    self.edge_source, minlength=self.num_nodes
                 )
-            ]
+                edges = self.kg.out_edge_prefixes(out_degree.tolist())
+            else:
+                predicate_names = self.predicate_names
+                edges = [
+                    Edge(source=source, predicate=predicate_names[pid],
+                         target=target)
+                    for source, pid, target in zip(
+                        self.edge_source.tolist(),
+                        self.edge_predicate.tolist(),
+                        self.edge_target.tolist(),
+                    )
+                ]
             object.__setattr__(self, "_edges", edges)
         return self._edges
 
@@ -468,6 +483,20 @@ class CompactGraph:
                 object.__setattr__(self, name, None)
         for name, value in state.items():
             object.__setattr__(self, name, value)
+
+
+def _stable_argsort(keys: np.ndarray, bound: int) -> np.ndarray:
+    """Stable argsort of non-negative int keys below ``bound`` (< 2**32).
+
+    An LSD radix sort by 16-bit digits, one ``uint16`` stable argsort per
+    digit — numpy sorts 16-bit keys stably by radix, several times faster
+    than its stable sort of wider ints.  ``astype`` keeps the low digit.
+    """
+    order = np.argsort(keys.astype(np.uint16), kind="stable")
+    if bound > 1 << 16:
+        high = (keys[order] >> 16).astype(np.uint16)
+        order = order[np.argsort(high, kind="stable")]
+    return order
 
 
 # ----------------------------------------------------------------------

@@ -18,9 +18,15 @@ consistent.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from itertools import chain
-from typing import Dict, Iterator, List, Optional, Protocol, Set, Tuple
+from operator import getitem, itemgetter
+from typing import (
+    Dict, Iterator, List, Optional, Protocol, Sequence, Set, Tuple,
+)
+
+import numpy as np
 
 from repro.errors import GraphError, UnknownEntityError
 
@@ -86,6 +92,14 @@ class GraphReader(Protocol):
 class KnowledgeGraph:
     """Adjacency-indexed knowledge graph (Definition 1).
 
+    Besides the per-node incidence lists the search walks, the graph
+    keeps three append-only ``uint32`` edge columns — source, target and
+    interned predicate id, one entry per accepted edge in insertion
+    order (12 bytes an edge).  Predicate ids follow first use, i.e.
+    index into :meth:`predicates`.  :meth:`edge_columns` hands out copies
+    of them, which is all :meth:`~repro.kg.compact.CompactGraph.freeze`
+    needs to build the CSR with numpy alone.
+
     >>> kg = KnowledgeGraph()
     >>> audi = kg.add_entity("Audi_TT", "Automobile")
     >>> germany = kg.add_entity("Germany", "Country")
@@ -108,8 +122,18 @@ class KnowledgeGraph:
         self._incident_in: Dict[int, List[Tuple[Edge, int]]] = {}
         self._by_type: Dict[str, List[int]] = {}
         self._by_name: Dict[str, List[int]] = {}
-        self._predicates: Dict[str, None] = {}  # first-use order
+        # Predicate -> interned id; ids (and the dict's order) follow
+        # first use.
+        self._predicates: Dict[str, int] = {}
         self._edge_set: Set[Tuple[int, str, int]] = set()
+        # The edge columns, appended together by add_edge only, after
+        # every check.  Unsigned: ids are never negative, and "I" appends
+        # about twice as fast as "i".  Nothing may hold a buffer view of
+        # them: an array that exports its buffer refuses to grow
+        # (BufferError), so readers get copies.
+        self._edge_source = array("I")
+        self._edge_target = array("I")
+        self._edge_predicate = array("I")
 
     # ------------------------------------------------------------------
     # construction
@@ -146,11 +170,15 @@ class KnowledgeGraph:
         key = (source, predicate, target)
         if key in self._edge_set:
             return None
+        pid = self._predicates.get(predicate, len(self._predicates))
+        self._edge_source.append(source)
+        self._edge_target.append(target)
+        self._edge_predicate.append(pid)
         edge = Edge(source=source, predicate=predicate, target=target)
         self._edge_set.add(key)
         self._incident_out[source].append((edge, target))
         self._incident_in[target].append((edge, source))
-        self._predicates.setdefault(predicate, None)
+        self._predicates.setdefault(predicate, pid)
         return edge
 
     # ------------------------------------------------------------------
@@ -230,6 +258,29 @@ class KnowledgeGraph:
         if not out:
             return iter(into)
         return chain(out, into)
+
+    def edge_columns(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(source, target, predicate id)`` of every edge, insertion order.
+
+        Fresh ``int64`` / ``int64`` / ``int32`` arrays copied from the
+        edge columns, never views of them — a view would pin the
+        columns' buffers and the next :meth:`add_edge` would fail.
+        """
+        return (
+            np.array(self._edge_source, dtype=np.int64),
+            np.array(self._edge_target, dtype=np.int64),
+            np.array(self._edge_predicate, dtype=np.int32),
+        )
+
+    def out_edge_prefixes(self, counts: Sequence[int]) -> List[Edge]:
+        """The first ``counts[u]`` out-edges of each node ``u < len(counts)``.
+
+        One list, node by node in uid order, each node's edges in
+        insertion order: the graph's own :class:`Edge` objects, gathered
+        by a C-level flatten of the out-lists.
+        """
+        prefixes = map(getitem, self._incident_out.values(), map(slice, counts))
+        return list(map(itemgetter(0), chain.from_iterable(prefixes)))
 
     # ------------------------------------------------------------------
     # aggregate views

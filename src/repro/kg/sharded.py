@@ -326,18 +326,14 @@ class ShardedGraph:
         *,
         strategy: str = "hash",
         seed: int = 0,
-        compact: Optional[CompactGraph] = None,
     ) -> "ShardedGraph":
         """Partition ``kg`` into ``num_shards`` shards.
 
         The full freeze is transient scaffolding: it exists long enough
         to take the global slot order (the rank table) and is dropped
-        once the shards are sliced.  Pass ``compact`` to reuse an
-        existing fresh freeze.
+        once the shards are sliced.
         """
-        full = compact
-        if full is None or full.is_stale(kg):
-            full = CompactGraph.freeze(kg)
+        full = CompactGraph.freeze(kg)
         shard_of = partition_entities(
             full, num_shards, strategy=strategy, seed=seed
         )

@@ -137,8 +137,9 @@ class NodeMatcher:
     Results are memoised per query node signature; the same query node is
     looked up by decomposition, by every sub-query search and by assembly.
 
-    Thread safety: a matcher is shared by every worker of the ``thread``
-    backend.  All memo *writes* and lazy index builds take ``_lock``;
+    Thread safety: a matcher is shared by every client thread of an
+    ``inline`` service, which run their searches concurrently on the
+    callers' own threads.  All memo *writes* and lazy index builds take ``_lock``;
     reads are deliberately lock-free ``dict.get`` probes.  On a GIL build
     each probe is atomic, and on free-threaded 3.13 builds per-object
     dict locking keeps a get/set pair memory-safe — the only race left

@@ -1,15 +1,20 @@
 """``CompactGraph.freeze`` against a per-slot reference loop.
 
-The production freeze writes each CSR column whole (one ``np.fromiter``
-or one scatter per column).  The reference below walks the graph slot by
-slot, storing one scalar per column per slot — the obvious loop, kept
-here as the oracle.  Every shared column must agree in dtype, shape and
-values, and so must the derived state a search reads (``node_slots``,
-the entity names, and the edge table down to object identity).
+The production freeze builds each CSR column whole, with numpy, from the
+graph's insertion-ordered edge columns.  The reference below walks the
+graph's incidence lists slot by slot, storing one scalar per column per
+slot — the obvious loop, kept here as the oracle.  Every shared column
+must agree in dtype, shape and values, and so must the derived state a
+search reads (``node_slots``, the entity names, and the edge table down
+to object identity).  The edge columns themselves are checked against
+the incidence lists after any sequence of construction calls, refused
+ones included.
 """
 
 from __future__ import annotations
 
+import copy
+import pickle
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -18,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bench.datasets import load_bundle
+from repro.errors import GraphError, UnknownEntityError
 from repro.kg.compact import SHARED_COLUMNS, CompactGraph
 from repro.kg.graph import Edge, KnowledgeGraph
 
@@ -207,3 +213,147 @@ class TestFreezeAgainstReference:
     )
     def test_bundle_presets(self, preset, scale):
         assert_freeze_matches_reference(load_bundle(preset, scale=scale, seed=11).kg)
+
+
+# ----------------------------------------------------------------------
+# the graph's edge columns
+# ----------------------------------------------------------------------
+def assert_columns_match_incidence(kg: KnowledgeGraph) -> None:
+    """The three columns hold one entry per stored edge, and each node's
+    column entries, in column order, are its out- and in-lists."""
+    source, target, predicate = kg.edge_columns()
+    assert (source.dtype, target.dtype, predicate.dtype) == (
+        np.int64, np.int64, np.int32,
+    )
+    assert len(source) == len(target) == len(predicate) == kg.num_edges
+    names = kg.predicates()
+    assert sorted(set(predicate.tolist())) == list(range(len(names)))
+    # First use: predicate id i first appears before id i + 1.
+    firsts = [predicate.tolist().index(pid) for pid in range(len(names))]
+    assert firsts == sorted(firsts)
+    triples = [
+        (s, names[p], t)
+        for s, t, p in zip(source.tolist(), target.tolist(), predicate.tolist())
+    ]
+    for uid in range(kg.num_entities):
+        assert [(e.source, e.predicate, e.target) for e, _ in kg.out_incident(uid)] == [
+            triple for triple in triples if triple[0] == uid
+        ]
+        assert [(e.source, e.predicate, e.target) for e, _ in kg.in_incident(uid)] == [
+            triple for triple in triples if triple[2] == uid
+        ]
+
+
+_CALLS = st.one_of(
+    st.tuples(st.just("entity"), _NAMES, _TYPES),
+    st.tuples(
+        st.just("edge"),
+        st.integers(-1, 9),
+        st.sampled_from(["born_in", "works_for", "knows", ""]),
+        st.integers(-1, 9),
+    ),
+)
+
+
+class TestEdgeColumns:
+    @settings(max_examples=120, deadline=None)
+    @given(st.lists(_CALLS, max_size=60))
+    def test_any_call_sequence(self, calls):
+        kg = KnowledgeGraph("calls")
+        accepted: List[Tuple[int, str, int]] = []
+        for call in calls:
+            if call[0] == "entity":
+                kg.add_entity(call[1], call[2])
+                continue
+            _, source, predicate, target = call
+            before = kg.edge_columns()
+            try:
+                edge = kg.add_edge(source, predicate, target)
+            except GraphError:  # empty predicate, self-loop, unknown uid
+                edge = None
+            if edge is not None:
+                accepted.append((source, predicate, target))
+                continue
+            # Refused or a duplicate: nothing appended.
+            for column, was in zip(kg.edge_columns(), before):
+                assert np.array_equal(column, was)
+        assert kg.num_edges == len(accepted)
+        assert_columns_match_incidence(kg)
+
+    def test_each_refusal_appends_nothing(self):
+        kg = KnowledgeGraph("refusals")
+        for name in ("a", "b"):
+            kg.add_entity(name, "Thing")
+        assert kg.add_edge(0, "p", 1) is not None
+        assert kg.add_edge(0, "p", 1) is None  # duplicate
+        with pytest.raises(GraphError):
+            kg.add_edge(0, "p", 0)  # self-loop
+        with pytest.raises(UnknownEntityError):
+            kg.add_edge(0, "p", 7)
+        with pytest.raises(GraphError):
+            kg.add_edge(0, "", 1)
+        assert kg.predicates() == ["p"]
+        assert [column.tolist() for column in kg.edge_columns()] == [[0], [1], [0]]
+        assert_columns_match_incidence(kg)
+
+    def test_freeze_grow_refreeze(self):
+        kg = KnowledgeGraph("grow")
+        for name in ("a", "b", "c"):
+            kg.add_entity(name, "Thing")
+        kg.add_edge(2, "p", 0)
+        kg.add_edge(1, "q", 0)
+        kg.add_edge(0, "p", 1)
+        first = CompactGraph.freeze(kg)
+        first_edges = reference_freeze(kg)["edges"]
+        snapshot = {name: getattr(first, name).copy() for name in SHARED_COLUMNS}
+        held = kg.edge_columns()  # a reader's copies must not pin the columns
+        # The graph keeps accepting edges, before and after a new node,
+        # including out-edges of nodes that sort before the old ones.
+        assert kg.add_edge(0, "q", 2) is not None
+        kg.add_entity("d", "Other")
+        assert kg.add_edge(3, "r", 0) is not None
+        assert kg.add_edge(0, "r", 3) is not None
+        assert len(held[0]) == 3
+        second = assert_freeze_matches_reference(kg)
+        assert second.num_edges == 6 and first.is_stale()
+        for name, column in snapshot.items():
+            assert np.array_equal(getattr(first, name), column), name
+        # The first snapshot's edge table, first read after the growth,
+        # still numbers only the edges it froze.
+        edges = [first.edge(eid) for eid in range(first.num_edges)]
+        assert all(got is want for got, want in zip(edges, first_edges))
+        assert len(edges) == len(first_edges)
+        assert_columns_match_incidence(kg)
+
+    @pytest.mark.parametrize(
+        "roundtrip",
+        [lambda kg: pickle.loads(pickle.dumps(kg)), copy.deepcopy],
+        ids=["pickle", "deepcopy"],
+    )
+    def test_roundtrip_freezes_identically(self, roundtrip):
+        kg = load_bundle("dbpedia", scale=1.0, seed=11).kg
+        twin = roundtrip(kg)
+        want = CompactGraph.freeze(kg)
+        got = assert_freeze_matches_reference(twin)
+        for name in SHARED_COLUMNS:
+            assert getattr(got, name).dtype == getattr(want, name).dtype, name
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        # The copy's columns are its own: it grows, the original does not.
+        uid = twin.add_entity("Fresh", "Thing").uid
+        assert twin.add_edge(uid, "knows", 0) is not None
+        assert twin.num_edges == kg.num_edges + 1
+        assert len(kg.edge_columns()[0]) == kg.num_edges
+        assert_columns_match_incidence(twin)
+
+    def test_uids_past_sixteen_bits(self):
+        # The freeze sorts node ids by 16-bit digits; pair uids that share
+        # their low digit so only the high one orders them.
+        kg = KnowledgeGraph("wide")
+        for uid in range(70_000):
+            kg.add_entity(f"n{uid}", "Thing")
+        for source, target in [
+            (65_541, 5), (5, 65_541), (65_541, 3), (3, 5), (69_999, 4_463),
+            (4_463, 65_541), (5, 69_999), (1, 65_537), (65_537, 1),
+        ]:
+            kg.add_edge(source, "p", target)
+        assert_freeze_matches_reference(kg)
