@@ -106,18 +106,14 @@ class AssemblyResult:
     """Top-k final matches plus TA bookkeeping.
 
     ``rounds`` counts every TA round, including the final probe round in
-    which all streams report exhaustion.  ``truncated`` is True when a
-    ``max_rounds`` cap stopped the TA while streams still had matches —
-    distinguishable from both a clean drain (``terminated_early=False,
-    truncated=False``) and Theorem 3 termination (``terminated_early=
-    True``).
+    which all streams report exhaustion.  ``terminated_early`` tells
+    Theorem 3 termination from a clean drain.
     """
 
     matches: List[FinalMatch]
     accesses: int
     terminated_early: bool
     rounds: int = 0
-    truncated: bool = False
 
 
 def assemble_top_k(
@@ -125,7 +121,6 @@ def assemble_top_k(
     k: int,
     *,
     exhaustive: bool = False,
-    max_rounds: Optional[int] = None,
     kernel: str = "vectorized",
 ) -> AssemblyResult:
     """Run the TA until the top-k final matches are certain.
@@ -136,7 +131,6 @@ def assemble_top_k(
         exhaustive: disable the early-termination check (ablation; drains
             every stream and then ranks — Theorem 3 says the result set is
             identical).
-        max_rounds: optional safety cap on TA rounds.
         kernel: ``"vectorized"`` (default) runs the incremental kernel
             (:mod:`repro.core.assembly_kernel`); ``"reference"`` runs
             the pure-Python transcription below.  Both return
@@ -155,17 +149,13 @@ def assemble_top_k(
     if kernel == "vectorized":
         from repro.core.assembly_kernel import assemble_top_k_incremental
 
-        return assemble_top_k_incremental(
-            streams, k, exhaustive=exhaustive, max_rounds=max_rounds
-        )
+        return assemble_top_k_incremental(streams, k, exhaustive=exhaustive)
     if kernel != "reference":
         raise SearchError(
             f"unknown assembly kernel {kernel!r} "
             f"(expected one of {ASSEMBLY_KERNELS})"
         )
-    return _assemble_reference(
-        streams, k, exhaustive=exhaustive, max_rounds=max_rounds
-    )
+    return _assemble_reference(streams, k, exhaustive=exhaustive)
 
 
 def _assemble_reference(
@@ -173,7 +163,6 @@ def _assemble_reference(
     k: int,
     *,
     exhaustive: bool = False,
-    max_rounds: Optional[int] = None,
 ) -> AssemblyResult:
     """The pure-Python TA (Eq. 8-11 / Theorem 3, conformance baseline)."""
     if k < 1:
@@ -185,7 +174,6 @@ def _assemble_reference(
     candidates: Dict[int, FinalMatch] = {}
     rounds = 0
     terminated_early = False
-    truncated = False
 
     def upper_bound(candidate: FinalMatch) -> float:
         """Eq. 10-11: seen components exactly (the candidate's running
@@ -233,9 +221,6 @@ def _assemble_reference(
         if not exhaustive and termination_reached():
             terminated_early = True
             break
-        if max_rounds is not None and rounds >= max_rounds:
-            truncated = True
-            break
 
     ranked = sorted(candidates.values(), key=lambda c: (-c.score, c.pivot_uid))
     total_accesses = sum(stream.accesses for stream in streams)
@@ -244,5 +229,4 @@ def _assemble_reference(
         accesses=total_accesses,
         terminated_early=terminated_early,
         rounds=rounds,
-        truncated=truncated,
     )

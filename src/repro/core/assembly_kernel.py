@@ -57,8 +57,8 @@ defeats it and the groups are not visited at all.  A complete candidate
 outside the top-k has ``U = lower ≤ L_k`` and is filed nowhere.
 
 The same streams are pulled in the same rounds as the reference, so
-matches, scores, components, ``accesses``, ``rounds`` and both flags are
-identical.  Conformance is enforced by ``tests/test_assembly_kernel.py``
+matches, scores, components, ``accesses``, ``rounds`` and
+``terminated_early`` are identical.  Conformance is enforced by ``tests/test_assembly_kernel.py``
 (grid-valued streams, exact ties) and ``tests/test_properties.py``
 (arbitrary floats, pulls that raise mid-round).
 """
@@ -78,7 +78,6 @@ def assemble_top_k_incremental(
     k: int,
     *,
     exhaustive: bool = False,
-    max_rounds: Optional[int] = None,
 ) -> AssemblyResult:
     """Drop-in replacement for the reference ``assemble_top_k`` loop.
 
@@ -116,7 +115,6 @@ def assemble_top_k_incremental(
     groups: Dict[int, Tuple[List[Tuple[float, int]], Tuple[int, ...]]] = {}
     rounds = 0
     terminated_early = False
-    truncated = False
 
     try:
         while True:
@@ -223,9 +221,6 @@ def assemble_top_k_incremental(
                     else:
                         terminated_early = True
                         break
-            if max_rounds is not None and rounds >= max_rounds:
-                truncated = True
-                break
     finally:
         for stream, pull, last_pss, count in zip(streams, pulls, last, counts):
             stream.exhausted = pull is None
@@ -237,7 +232,6 @@ def assemble_top_k_incremental(
         accesses=sum(counts),
         terminated_early=terminated_early,
         rounds=rounds,
-        truncated=truncated,
     )
 
 

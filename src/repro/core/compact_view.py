@@ -33,17 +33,15 @@ conformance suite in ``tests/test_compact_view.py`` pins all of this.
 
 from __future__ import annotations
 
-import threading
-import weakref
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.pss import log_weight
 from repro.embedding.predicate_space import PredicateSpace
-from repro.errors import UnknownPredicateError
+from repro.errors import ServeError, UnknownPredicateError
 from repro.kg.compact import CompactGraph
-from repro.kg.graph import Edge, KnowledgeGraph
+from repro.kg.graph import Edge, GraphReader, KnowledgeGraph
 from repro.core.semantic_graph import (
     PhiKey,
     SemanticGraphView,
@@ -56,48 +54,6 @@ from repro.core.semantic_graph import (
 # a per-query WeightedGraphView.  `lazy_view_factory` is the default;
 # `CompactViewFactory` instances satisfy it over a shared frozen kernel.
 ViewFactory = Callable[..., WeightedGraphView]
-
-# Per-(frozen graph, space) memo of the graph-predicate-id -> space-index
-# mapping: pure, cheap to rebuild, but rebuilt once per *query* without
-# the memo.  Weak on both sides — weak-keyed on the kernel so dropping a
-# graph drops its entries, and holding only a weakref to the space so a
-# retired space (embedding refresh) is not pinned for the kernel's
-# lifetime.  A dead or recycled space entry just recomputes.
-_SPACE_INDEX_MEMO: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-
-def _space_index_for(
-    graph: CompactGraph, space: PredicateSpace
-) -> Tuple[np.ndarray, np.ndarray]:
-    """``(index, known)`` arrays mapping graph predicate ids into ``space``.
-
-    ``index[pid]`` is the space row of graph predicate ``pid`` (-1 when
-    the space cannot embed it — weight 0); ``known`` is the >= 0 mask.
-    Races just duplicate a pure computation.
-    """
-    per_graph = _SPACE_INDEX_MEMO.get(graph)
-    if per_graph is None:
-        per_graph = {}
-        _SPACE_INDEX_MEMO[graph] = per_graph
-    entry = per_graph.get(id(space))
-    if entry is not None and entry[0]() is space:
-        return entry[1], entry[2]
-    # Purge entries whose space died so retired spaces' arrays don't
-    # accumulate for the kernel's lifetime (one entry per live space).
-    dead = [key for key, (ref, _index, _known) in per_graph.items() if ref() is None]
-    for key in dead:
-        del per_graph[key]
-    index = np.full(len(graph.predicate_names), -1, dtype=np.int64)
-    for pid, name in enumerate(graph.predicate_names):
-        try:
-            index[pid] = space.index_of(name)
-        except UnknownPredicateError:
-            pass
-    known = index >= 0
-    index.flags.writeable = False
-    known.flags.writeable = False
-    per_graph[id(space)] = (weakref.ref(space), index, known)
-    return index, known
 
 
 def shared_weight_row(
@@ -114,7 +70,10 @@ def shared_weight_row(
     ``float64`` vector, the documented row contract); a computed row is
     one :meth:`PredicateSpace.similarity_row` scattered onto the
     interned ids, clamped exactly as the lazy view clamps (Eq. 5,
-    [0, 1], ``min_weight`` zeroing).  Counts ``cache_hits`` and
+    [0, 1], ``min_weight`` zeroing); the view's first computed row also
+    maps the graph's predicate ids to space rows (``_space_index``: the
+    row of each, -1 where the space cannot embed it, and the >= 0 mask)
+    for the rest of the query.  Counts ``cache_hits`` and
     ``edges_weighted`` on the view, as :func:`shared_hop_label` does.
     """
     entry = view._weight_rows.get(query_predicate)
@@ -125,7 +84,15 @@ def shared_weight_row(
     if row is not None:
         view.cache_hits += 1
     else:
-        index, known = _space_index_for(graph, view.space)
+        if view._space_index is None:
+            index = np.full(len(graph.predicate_names), -1, dtype=np.int64)
+            for pid, name in enumerate(graph.predicate_names):
+                try:
+                    index[pid] = view.space.index_of(name)
+                except UnknownPredicateError:
+                    pass  # the space cannot embed it: weight 0
+            view._space_index = (index, index >= 0)
+        index, known = view._space_index
         row = np.zeros(len(graph.predicate_names))
         try:
             space_row = view.space.similarity_row(query_predicate)
@@ -222,6 +189,9 @@ class CompactSemanticGraphView:
         # by shared_weight_row.  The list mirror serves the scalar hot
         # loop (python floats, no np.float64 boxing per element).
         self._weight_rows: Dict[str, Tuple[np.ndarray, List[float]]] = {}
+        # Graph predicate id -> space row, built on the first computed
+        # weight row (see shared_weight_row).
+        self._space_index: Optional[Tuple[np.ndarray, np.ndarray]] = None
         # L1, per query: query predicate -> read-only per-node m(u)
         # array (what the vectorized search kernel consumes), plus a
         # plain-list mirror built only for the scalar callers.
@@ -434,51 +404,36 @@ class CompactSemanticGraphView:
 
 
 class CompactViewFactory:
-    """Builds :class:`CompactSemanticGraphView`\\ s over one shared kernel.
+    """Builds :class:`CompactSemanticGraphView`\\ s over one frozen kernel.
 
-    Freezes the graph on first use and re-freezes automatically if the
-    append-only graph has grown since (``CompactGraph.is_stale``), so an
-    engine can keep one factory for its lifetime.  Matches the engine's
-    ``view_factory`` callable seam.
+    Matches the engine's ``view_factory`` seam.  The kernel is fixed for
+    the factory's life: a source graph that grew after the freeze
+    (``CompactGraph.is_stale``) raises :class:`~repro.errors.ServeError`
+    rather than serve rows and ``m(u)`` bounds that miss its new edges —
+    freeze it again and build a new engine.
     """
 
-    def __init__(self, graph: Optional[CompactGraph] = None):
-        self._graph = graph
-        self._freeze_lock = threading.Lock()
-
-    def compact_graph(self, kg: KnowledgeGraph) -> CompactGraph:
-        """The (re)frozen kernel for ``kg``.
-
-        Locked: concurrent QueryService workers warming up would
-        otherwise each run the O(V+E) freeze before racing the
-        assignment.  A held kernel whose source graph is gone (an
-        unpickled snapshot shipped to a worker process, ``kg is None``)
-        is kept as long as its entity/edge counts still match ``kg`` —
-        that is the complete staleness check for the append-only store,
-        and re-freezing would throw away exactly the work shipping the
-        snapshot saved.
-        """
-        with self._freeze_lock:
-            graph = self._graph
-            if (
-                graph is None
-                or graph.is_stale(kg)
-                or (graph.kg is not None and graph.kg is not kg)
-            ):
-                graph = CompactGraph.freeze(kg)
-                self._graph = graph
-            return graph
+    def __init__(self, graph: CompactGraph):
+        self.graph = graph
 
     def __call__(
         self,
-        kg: KnowledgeGraph,
+        kg: GraphReader,
         space: PredicateSpace,
         *,
         min_weight: float = 0.0,
         cache: Optional[WeightCache] = None,
     ) -> CompactSemanticGraphView:
+        graph = self.graph
+        if graph.is_stale(kg):
+            raise ServeError(
+                f"the graph has {kg.num_entities} entities and "
+                f"{kg.num_edges} edges, but was frozen at {graph.num_nodes} "
+                f"and {graph.num_edges}: freeze it again and build a new "
+                "engine"
+            )
         return CompactSemanticGraphView(
-            self.compact_graph(kg), space, min_weight=min_weight, cache=cache
+            graph, space, min_weight=min_weight, cache=cache
         )
 
 

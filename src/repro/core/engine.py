@@ -92,27 +92,6 @@ GraphStore = Union[
 ]
 
 
-def store_identity(store: GraphStore) -> Tuple:
-    """``(kind, name, nodes, edges[, shards, strategy, seed])`` of a store.
-
-    The graph part of the answer cache's epoch token.  A store and its
-    shared-memory handle read the same identity (a pool rebuild keeps
-    the epoch); the sharded forms add the partitioning, because
-    resharding is an epoch change even though answers are identical.
-    """
-    if isinstance(store, (ShardedGraph, ShardedGraphHandle)):
-        return (
-            "sharded",
-            store.kg_name,
-            store.num_nodes,
-            store.num_edges,
-            len(store.shards),
-            store.strategy,
-            store.seed,
-        )
-    return ("kg", store.kg_name, store.num_nodes, store.num_edges)
-
-
 @dataclass(frozen=True)
 class EngineSpec:
     """A frozen, picklable description of one engine over one graph store.
@@ -186,8 +165,7 @@ def build_engine(
         store = ShardedGraph.from_handle(store)
     if isinstance(store, CompactGraph):
         # A kernel frozen in this process still knows its source graph,
-        # and its view factory re-freezes it when asked to serve any
-        # other object — so that graph is the one to read entities from.
+        # the one to read entities from.
         kg = spec.kg if spec.kg is not None else store.kg
         view_factory = CompactViewFactory(store)
     else:
@@ -364,7 +342,6 @@ class SemanticGraphQueryEngine:
             subquery_stats=[search.stats for search in searches],
             ta_accesses=assembly.accesses,
             ta_rounds=assembly.rounds,
-            ta_truncated=assembly.truncated,
             assembly_seconds=assembly_seconds,
             time_bound=time_bound,
         )

@@ -162,10 +162,8 @@ class QueryResult:
     recording the bound it ran under.  ``elapsed_seconds`` is the measured
     system response time.
 
-    TA bookkeeping: ``ta_accesses`` counts sorted accesses, ``ta_rounds``
-    the assembly rounds, and ``ta_truncated`` is True when a
-    ``max_rounds`` cap cut the TA short (distinct from a clean drain or
-    Theorem 3 early termination).  ``assembly_seconds`` is the time spent
+    TA bookkeeping: ``ta_accesses`` counts sorted accesses and
+    ``ta_rounds`` the assembly rounds.  ``assembly_seconds`` is the time spent
     inside the TA itself — sorted-access pull time (which for SGQ *is*
     the A* search) is excluded, so ``search_seconds`` +
     ``assembly_seconds`` ≈ ``elapsed_seconds``.
@@ -177,7 +175,6 @@ class QueryResult:
     subquery_stats: List[SearchStats] = field(default_factory=list)
     ta_accesses: int = 0
     ta_rounds: int = 0
-    ta_truncated: bool = False
     assembly_seconds: float = 0.0
     time_bound: Optional[float] = None
 
@@ -280,7 +277,6 @@ class QueryResultPayload:
     subquery_stats: Tuple[SearchStats, ...]
     ta_accesses: int
     ta_rounds: int
-    ta_truncated: bool
     assembly_seconds: float
     time_bound: Optional[float]
 
@@ -293,7 +289,6 @@ class QueryResultPayload:
             subquery_stats=tuple(result.subquery_stats),
             ta_accesses=result.ta_accesses,
             ta_rounds=result.ta_rounds,
-            ta_truncated=result.ta_truncated,
             assembly_seconds=result.assembly_seconds,
             time_bound=result.time_bound,
         )
@@ -307,7 +302,6 @@ class QueryResultPayload:
             subquery_stats=list(self.subquery_stats),
             ta_accesses=self.ta_accesses,
             ta_rounds=self.ta_rounds,
-            ta_truncated=self.ta_truncated,
             assembly_seconds=self.assembly_seconds,
             time_bound=self.time_bound,
         )
@@ -347,7 +341,6 @@ class QueryResultPayload:
             self.approximate,
             self.ta_accesses,
             self.ta_rounds,
-            self.ta_truncated,
             self.assembly_seconds,
             self.time_bound,
         )
@@ -365,8 +358,8 @@ def _wire_step(source: int, predicate: str, target: int, forward: bool) -> PathS
 
 
 def _payload_from_wire(
-    steps, finals, stats, elapsed, approximate, accesses, rounds, truncated,
-    assembly, bound,
+    steps, finals, stats, elapsed, approximate, accesses, rounds, assembly,
+    bound,
 ) -> QueryResultPayload:
     """Rebuild a payload from its pickled form (see ``__reduce__``)."""
     hops = map(_wire_step, steps[0::4], steps[1::4], steps[2::4], steps[3::4])
@@ -384,7 +377,6 @@ def _payload_from_wire(
         tuple(SearchStats(*row) for row in stats),
         accesses,
         rounds,
-        truncated,
         assembly,
         bound,
     )

@@ -42,7 +42,7 @@ class PredicateSpace:
     Args:
         vectors: predicate name → vector mapping (normalised internally).
         max_cached_rows: LRU bound on memoised similarity rows.  Each row
-            costs ``8 × len(space)`` bytes; eviction only ever costs a
+            costs 8 bytes per predicate; eviction only ever costs a
             recomputed matvec.
 
     >>> import numpy as np
@@ -85,18 +85,11 @@ class PredicateSpace:
         return LruMap(max_cached_rows)
 
     # ------------------------------------------------------------------
-    @property
-    def dim(self) -> int:
-        return self._matrix.shape[1]
-
     def predicates(self) -> List[str]:
         return list(self._names)
 
     def __contains__(self, predicate: str) -> bool:
         return predicate in self._index
-
-    def __len__(self) -> int:
-        return len(self._names)
 
     def index_of(self, predicate: str) -> int:
         """The stable row index of ``predicate`` in this space."""

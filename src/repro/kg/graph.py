@@ -61,9 +61,9 @@ class GraphReader(Protocol):
     """What the online engine reads of a graph: its entity directory.
 
     φ(v) node matching (Def. 3), Eq. 1's minCost pivot choice (``|V|``,
-    ``|E|``), answer rendering and the answer cache's epoch stamp go
-    through these seven members and nothing else — every edge the search
-    sees comes from its ``WeightedGraphView``.  :class:`KnowledgeGraph`
+    ``|E|``) and answer rendering go through these seven members and
+    nothing else — every edge the search sees comes from its
+    ``WeightedGraphView``.  :class:`KnowledgeGraph`
     satisfies the protocol; a frozen store (by value, attached from
     shared memory, sharded) is read through
     :class:`~repro.kg.compact.FrozenGraphReader`.  Implementations agree

@@ -553,8 +553,9 @@ class ShardedGraphView:
         self.min_weight = min_weight
         self._cache = cache
         # L1, per query: query predicate -> (row array, row list), filled
-        # by shared_weight_row.
+        # by shared_weight_row, which also fills the space index.
         self._weight_rows: Dict[str, Tuple[np.ndarray, List[float]]] = {}
+        self._space_index: Optional[Tuple[np.ndarray, np.ndarray]] = None
         # L1, per query: query predicate -> plain-list mirror of the
         # merged m(u) row, for the per-state probes.
         self._bounds_rows: Dict[str, List[float]] = {}
@@ -716,10 +717,6 @@ class ShardedViewFactory:
 
     def __init__(self, sharded: ShardedGraph):
         self._sharded = sharded
-
-    @property
-    def sharded(self) -> ShardedGraph:
-        return self._sharded
 
     def __call__(
         self,

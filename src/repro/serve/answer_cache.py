@@ -18,9 +18,9 @@ closes that gap with three pieces:
   order is kept because decomposition reads it: it breaks ties between
   equal-cost pivots and between equal-cost edge covers, so two
   permutations of one query can return different answers and must not
-  share a key.  The engine's (τ, n̂, ``min_weight``, scoring,
-  visited-policy) configuration and the graph epoch enter the key via
-  the :class:`EngineFingerprint` token.
+  share a key.  Nothing of the engine enters the key: one cache serves
+  one service, whose graph, space and search configuration never
+  change.
 - :class:`AnswerCache` is a bounded, thread-safe store of detached
   :class:`~repro.core.results.QueryResultPayload` entries that **keeps
   what is expensive to recompute**: an entry's retention priority is
@@ -62,11 +62,8 @@ from dataclasses import dataclass, fields, replace
 from operator import attrgetter
 from typing import List, Optional, Tuple
 
-from repro.core.config import SearchConfig
-from repro.core.engine import store_identity
 from repro.core.results import QueryResultPayload
 from repro.errors import QueryError, ServeError
-from repro.kg.sharded import ShardedViewFactory
 from repro.query.transform import TransformationLibrary, normalize_label
 
 __all__ = [
@@ -78,73 +75,34 @@ __all__ = [
 ]
 
 # ----------------------------------------------------------------------
-# engine fingerprint (the cache's epoch)
+# engine fingerprint
 # ----------------------------------------------------------------------
 
 class EngineFingerprint:
-    """What an answer is a pure function of, beyond the query itself.
+    """What a key depends on beyond the request itself.
 
-    ``token`` is the picklable epoch stamp embedded into every
-    :class:`CanonicalQueryKey`: graph shape (entity/edge counts + name),
-    predicate-space shape and the result-relevant
-    :class:`~repro.core.config.SearchConfig` knobs (τ, n̂,
-    ``min_weight``, scoring mode, visited policy, expansion cap).
-    ``library`` is the transformation
-    library used to canonicalise node aliases (``None`` = identical
-    matches only, mirroring :meth:`TransformationLibrary.empty`).
+    Only ``library``, the transformation library used to canonicalise
+    node aliases (``None`` = identical matches only, mirroring
+    :meth:`TransformationLibrary.empty`).  Everything else an answer is
+    a function of — the graph, the space, the search configuration — is
+    fixed for the life of the one service whose cache holds the key, so
+    it is the same for every key and enters none.
     """
 
-    __slots__ = ("token", "library")
+    __slots__ = ("library",)
 
-    def __init__(
-        self, token: Tuple, *, library: Optional[TransformationLibrary] = None
-    ):
-        self.token = token
+    def __init__(self, library: Optional[TransformationLibrary] = None):
         self.library = library
-
-    @staticmethod
-    def _config_token(config: Optional[SearchConfig]) -> Tuple:
-        config = config if config is not None else SearchConfig()
-        return (
-            config.tau,
-            config.path_bound,
-            config.min_weight,
-            config.scoring.value,
-            config.visited_policy.value,
-        )
 
     @classmethod
     def from_engine(cls, engine) -> "EngineFingerprint":
         """Fingerprint a live engine (the inline backend)."""
-        kg = engine.kg
-        factory = getattr(engine, "view_factory", None)
-        if isinstance(factory, ShardedViewFactory):
-            # The shard set stamps the epoch whatever reads the entities:
-            # the fan-out seam is what answers flow through.
-            graph = store_identity(factory.sharded)
-        else:
-            graph = ("kg", kg.name, kg.num_entities, kg.num_edges)
-        token = (
-            graph,
-            ("space", len(engine.space), engine.space.dim),
-            cls._config_token(engine.config),
-        )
-        return cls(token, library=engine.library)
+        return cls(engine.library)
 
     @classmethod
     def from_spec(cls, spec) -> "EngineFingerprint":
-        """Fingerprint a picklable spec (the process backend's parent side).
-
-        Whatever form the spec's store takes, it and its shared-memory
-        handle read the same :func:`~repro.core.engine.store_identity`,
-        so a pool rebuild (same store, fresh segments) keeps the epoch.
-        """
-        token = (
-            store_identity(spec.store),
-            ("space", len(spec.space), spec.space.dim),
-            cls._config_token(spec.config),
-        )
-        return cls(token, library=spec.library)
+        """Fingerprint a picklable spec (the process backend's parent side)."""
+        return cls(spec.library)
 
 
 # ----------------------------------------------------------------------
@@ -160,11 +118,8 @@ class CanonicalQueryKey:
     ``edges`` one ``(source position, predicate, target position)``
     triple per edge in declared order; ``pivot_position`` the declared
     position of an explicitly forced pivot (−1 = engine chooses).
-    ``fingerprint`` is the :class:`EngineFingerprint` token — the graph
-    epoch, space shape and (τ, policy, …) configuration.
     """
 
-    fingerprint: Tuple
     nodes: Tuple[Tuple[bool, bool, str, str], ...]
     edges: Tuple[Tuple[int, str, int], ...]
     k: int
@@ -209,7 +164,6 @@ def canonicalize(request, engine_fingerprint: EngineFingerprint) -> CanonicalQue
         pivot_position = position[request.pivot]
     library = engine_fingerprint.library
     return CanonicalQueryKey(
-        fingerprint=engine_fingerprint.token,
         nodes=tuple(_node_signature(node, library) for node in nodes),
         edges=tuple(
             (position[e.source], e.predicate, position[e.target])

@@ -18,9 +18,10 @@ budgets.  :class:`QueryService` is the serving seam between the two:
   same role;
 - an optional **result-level answer cache**
   (:mod:`repro.serve.answer_cache`): exact answers memoized under a
-  key of the request as declared (label/alias-insensitive, order-keeping,
-  bound to the graph epoch) with singleflight dedup, front-of-process so hits
-  skip the execution backend entirely;
+  key of the request as declared (label/alias-insensitive, order-keeping)
+  with singleflight dedup, owned by the one service whose immutable store
+  it answers for, front-of-process so hits skip the execution backend
+  entirely;
 - **per-query deadlines** map onto the existing
   :class:`~repro.core.time_bounded.TimeBoundedCoordinator` — a request
   with ``deadline=T`` runs the paper's TBQ (Algorithms 2-3) with the time
@@ -426,7 +427,6 @@ class QueryService:
             # handle-carrying variant of the current pool generation.
             self._base_spec = spec
             self._start_method = start_method
-            # A pool rebuild republishes the same graph: the epoch holds.
             self._fingerprint = EngineFingerprint.from_spec(spec)
             inner: ExecutionBackend = self._build_pool()
             self._backend: ExecutionBackend = (

@@ -116,7 +116,6 @@ class ReplayReport:
     elapsed_seconds: float
     latencies: List[float]
     rate: Optional[float]
-    truncated: int = 0
     breakdown: Optional[List[Tuple[str, QueryResult]]] = None
     class_latencies: Dict[str, List[float]] = field(default_factory=dict)
     arrival: str = "uniform"
@@ -189,10 +188,6 @@ class ReplayReport:
                 )
         if self.stats is not None:
             lines.append(self.stats.describe())
-        if self.truncated:
-            lines.append(
-                f"ta: {self.truncated} queries hit the assembly round cap"
-            )
         if self.breakdown:
             results = [result for _qid, result in self.breakdown]
             total = sum(result.elapsed_seconds for result in results)
@@ -219,7 +214,6 @@ class ReplayReport:
             for qid, row in sorted(
                 self.breakdown, key=lambda pair: -pair[1].assembly_seconds
             ):
-                flag = " TRUNCATED" if row.ta_truncated else ""
                 row_share = (
                     row.assembly_seconds / row.elapsed_seconds
                     if row.elapsed_seconds > 0
@@ -233,7 +227,7 @@ class ReplayReport:
                     f" {row.ta_rounds} rounds; {row.expansions} exp,"
                     f" {row.pruned_by_tau}+{row.pruned_by_visited}"
                     f"+{row.pruned_by_reach} pruned,"
-                    f" q<={row.max_queue_size}){flag}"
+                    f" q<={row.max_queue_size})"
                 )
         return "\n".join(lines)
 
@@ -443,7 +437,6 @@ def replay(
     class_latencies: Dict[str, List[float]] = {}
     failures = [0]
     hook_errors: List[Exception] = []
-    truncated = [0]
     tbq_flags: List[bool] = []  # QueryResult.approximate per TBQ answer
     splits: List[Tuple[str, QueryResult]] = []
     lock = threading.Lock()
@@ -481,8 +474,6 @@ def replay(
                         class_latencies.setdefault(classes[index], []).append(
                             latency
                         )
-                    if result.ta_truncated:
-                        truncated[0] += 1
                     if request.deadline is not None:
                         tbq_flags.append(result.approximate)
                     if breakdown:
@@ -530,7 +521,6 @@ def replay(
         elapsed_seconds=elapsed,
         latencies=sorted(latencies),
         rate=rate,
-        truncated=truncated[0],
         breakdown=splits if breakdown else None,
         class_latencies={
             cls: sorted(values) for cls, values in class_latencies.items()

@@ -4,9 +4,11 @@ Covers the three claims the result-level cache makes:
 
 1. :func:`~repro.serve.answer_cache.canonicalize` is a *sound* key —
    relabelled and alias spellings of the same declared query share one
-   picklable key, while anything result-relevant (``k``, τ, visited
-   policy, pivot, strategy, predicates, declaration order) keeps keys
-   apart, and equal keys always mean equal engine answers;
+   picklable key, while anything of the request that is result-relevant
+   (``k``, pivot, strategy, predicates, declaration order) keeps keys
+   apart, and equal keys always mean equal engine answers; the engine's
+   graph, space and configuration enter no key, because a cache serves
+   the one service that owns it;
 2. :class:`~repro.serve.answer_cache.AnswerCache` is a correct bounded
    store that retains by hits × measured search time over an
    aging floor (LRU on ties), with a singleflight protocol: N
@@ -21,14 +23,13 @@ import pickle
 import random
 from collections import OrderedDict
 from concurrent.futures import Future
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bench.equivalence import final_matches_differ
-from repro.core.config import PssMode, SearchConfig, VisitedPolicy
 from repro.core.engine import SemanticGraphQueryEngine
 from repro.errors import OverloadError, QueryError, ServeError
 from repro.kg.schema import preset_schema
@@ -47,9 +48,8 @@ from repro.serve.service import QueryRequest, QueryService
 K = 5
 
 
-def _fingerprint(library=None, config=None, graph=("kg", "test", 100, 400)):
-    token = (graph, ("space", 12, 16), EngineFingerprint._config_token(config))
-    return EngineFingerprint(token, library=library)
+def _fingerprint(library=None):
+    return EngineFingerprint(library)
 
 
 def _product_query(target_type="Automobile", name="Germany", name_type="Country"):
@@ -197,50 +197,6 @@ class TestCanonicalQueryKey:
         assert canonicalize(_request(_product_query(), k=5), fp) != canonicalize(
             _request(_product_query(), k=6), fp
         )
-
-    def test_tau_enters_the_key(self):
-        low = _fingerprint(config=SearchConfig(tau=0.5))
-        high = _fingerprint(config=SearchConfig(tau=0.9))
-        request = _request(_product_query())
-        assert canonicalize(request, low) != canonicalize(request, high)
-
-    def test_visited_policy_enters_the_key(self):
-        expand = _fingerprint(
-            config=SearchConfig(visited_policy=VisitedPolicy.EXPAND)
-        )
-        generate = _fingerprint(
-            config=SearchConfig(visited_policy=VisitedPolicy.GENERATE)
-        )
-        request = _request(_product_query())
-        assert canonicalize(request, expand) != canonicalize(request, generate)
-
-    # One non-default value per search knob.  The exact-answer knobs key
-    # the cache; Algorithm 3's two constants only steer deadline requests,
-    # which never reach it.
-    KNOB_VALUES = {
-        "tau": 0.5, "path_bound": 2, "min_weight": 0.3,
-        "scoring": PssMode.ARITHMETIC, "visited_policy": VisitedPolicy.GENERATE,
-        "assembly_seconds_per_match": 1e-3, "alert_ratio": 0.5,
-    }
-    TBQ_ONLY = {"assembly_seconds_per_match", "alert_ratio"}
-
-    @pytest.mark.parametrize("knob", [f.name for f in fields(SearchConfig)])
-    def test_every_exact_answer_knob_enters_the_key(self, knob):
-        assert set(self.KNOB_VALUES) == {f.name for f in fields(SearchConfig)}
-        default = SearchConfig()
-        changed = replace(default, **{knob: self.KNOB_VALUES[knob]})
-        assert getattr(changed, knob) != getattr(default, knob)
-        request = _request(_product_query())
-        same = canonicalize(request, _fingerprint(config=default)) == canonicalize(
-            request, _fingerprint(config=changed)
-        )
-        assert same == (knob in self.TBQ_ONLY)
-
-    def test_graph_epoch_enters_the_key(self):
-        request = _request(_product_query())
-        a = canonicalize(request, _fingerprint(graph=("kg", "test", 100, 400)))
-        b = canonicalize(request, _fingerprint(graph=("kg", "test", 101, 404)))
-        assert a != b
 
     def test_explicit_pivot_is_keyed_positionally(self):
         fp = _fingerprint()
@@ -441,7 +397,6 @@ def _respell(data, query, library, *, reorder):
 
 def _key(i):
     return CanonicalQueryKey(
-        fingerprint=("epoch",),
         nodes=(),
         edges=(),
         k=i,

@@ -114,15 +114,17 @@ class TestCompactGraphFreeze:
         assert "node_slots" not in state
         assert "_edges" not in state
 
-    def test_factory_refreezes_on_growth(self, fig2_kg):
-        factory = CompactViewFactory()
-        first = factory.compact_graph(fig2_kg)
-        assert factory.compact_graph(fig2_kg) is first  # stable while unchanged
-        extra = fig2_kg.add_entity("Porsche", "Automobile")
-        fig2_kg.add_edge(extra.uid, "assembly", 3)
-        second = factory.compact_graph(fig2_kg)
-        assert second is not first
-        assert second.num_nodes == fig2_kg.num_entities
+    def test_growth_under_a_cacheless_engine_raises(self, fig2_kg, fig2_space):
+        # The factory holds one kernel for its life and never re-freezes:
+        # with no weight cache to bind, its own count check is what stops
+        # a grown graph being searched through the old kernel.
+        factory = CompactViewFactory(CompactGraph.freeze(fig2_kg))
+        engine = SemanticGraphQueryEngine(fig2_kg, fig2_space, view_factory=factory)
+        assert engine._make_view().graph is factory.graph
+        grown = fig2_kg.add_entity("Porsche", "Automobile")
+        fig2_kg.add_edge(grown.uid, "assembly", 3)
+        with pytest.raises(ServeError):
+            engine._make_view()
 
 
 # ----------------------------------------------------------------------

@@ -161,12 +161,6 @@ class TestAssembly:
         with pytest.raises(SearchError):
             assemble_top_k(figure10_streams(), k=1, kernel="gpu")
 
-    def test_max_rounds_cap(self, kernel):
-        result = assemble_top_k(
-            figure10_streams(), k=4, max_rounds=1, exhaustive=True, kernel=kernel
-        )
-        assert result.accesses == 2  # one access per stream
-
     def test_ties_break_by_pivot_uid(self, kernel):
         m1 = [match(0, 5, 0.8), match(0, 3, 0.8)]
         result = assemble_top_k(
@@ -175,39 +169,21 @@ class TestAssembly:
         assert [m.pivot_uid for m in result.matches] == [3, 5]
 
 
-class TestRoundsAndTruncation:
-    """Satellite: `rounds` and `truncated` disambiguate how the TA ended."""
+class TestRounds:
+    """`rounds` and `terminated_early` say how the TA ended."""
 
-    def test_clean_drain_is_not_truncated(self, kernel):
+    def test_clean_drain_counts_the_probe_round(self, kernel):
         stream = MatchStream.from_list([match(0, 1, 0.9)])
         result = assemble_top_k([stream], k=5, kernel=kernel)
-        assert not result.truncated
         assert not result.terminated_early
         # One productive round plus the final all-exhausted probe round.
         assert result.rounds == 2
 
-    def test_early_termination_is_not_truncated(self, kernel):
+    def test_early_termination(self, kernel):
         result = assemble_top_k(figure10_streams(), k=2, kernel=kernel)
         assert result.terminated_early
-        assert not result.truncated
         assert result.rounds >= 1
-
-    def test_max_rounds_sets_truncated(self, kernel):
-        result = assemble_top_k(
-            figure10_streams(), k=4, max_rounds=1, exhaustive=True, kernel=kernel
-        )
-        assert result.truncated
-        assert not result.terminated_early
-        assert result.rounds == 1
-
-    def test_generous_max_rounds_not_truncated(self, kernel):
-        result = assemble_top_k(
-            figure10_streams(), k=4, max_rounds=100, exhaustive=True, kernel=kernel
-        )
-        assert not result.truncated
-        assert result.rounds < 100
 
     def test_default_fields(self):
         result = AssemblyResult(matches=[], accesses=0, terminated_early=False)
         assert result.rounds == 0
-        assert not result.truncated

@@ -150,7 +150,11 @@ class TestSGQEngine:
         resources = build_resources(workload)
         engine = SemanticGraphQueryEngine(
             resources.kg, resources.space, resources.library, resources.config,
-            view_factory=CompactViewFactory() if compact else None,
+            view_factory=(
+                CompactViewFactory(CompactGraph.freeze(resources.kg))
+                if compact
+                else None
+            ),
         )
         query = next(
             q.query for q in workload.queries

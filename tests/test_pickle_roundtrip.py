@@ -231,7 +231,6 @@ class TestQueryResultPayload:
         # round-tripped subquery stats.
         assert rebuilt.expansions == result.expansions
         assert rebuilt.stale_pops == result.stale_pops
-        assert rebuilt.ta_truncated == result.ta_truncated
         assert rebuilt.approximate == result.approximate
 
 

@@ -1,7 +1,9 @@
 """The reach profiler (``scripts/reach_profile.py``): its function table,
 its per-process hook and the entry points it runs, without running them."""
 
+import dataclasses
 import importlib.util
+import inspect
 import os
 import re
 import shlex
@@ -11,10 +13,13 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.assembly import AssemblyResult, assemble_top_k
+from repro.core.results import QueryResult, QueryResultPayload
 from repro.embedding.trainer import TrainingReport, train_predicate_space
 from repro.kg.triples import graph_to_id_triples
+from repro.serve.answer_cache import CanonicalQueryKey, EngineFingerprint
 from repro.serve.service import QueryService
-from repro.serve.workload import _build_parser, main as workload_main
+from repro.serve.workload import ReplayReport, _build_parser, main as workload_main
 from repro.utils.heap import MaxHeap
 
 REPO = Path(__file__).resolve().parent.parent
@@ -110,11 +115,30 @@ def test_no_deleted_function_is_defined(functions):
         "QueryService.supervised",
         "BaselineResult.answer_names", "DatasetBundle.truth_of",
         "truth_by_schema",
+        # The cross-engine guards a service that owns its engine, store
+        # and caches does not need.
+        "store_identity", "EngineFingerprint._config_token",
+        "CompactViewFactory.compact_graph", "_space_index_for",
+        "ShardedViewFactory.sharded", "PredicateSpace.dim",
+        "PredicateSpace.__len__",
     }
     assert deleted.isdisjoint(functions.values())
+    from repro.core import compact_view
     from repro.kg import graph
 
     assert not hasattr(graph, "GraphStatistics")
+    assert not hasattr(compact_view, "_SPACE_INDEX_MEMO")
+    assert EngineFingerprint.__slots__ == ("library",)
+    # The TA round cap nothing set, with every field that reported it.
+    assert "max_rounds" not in inspect.signature(assemble_top_k).parameters
+    for cls, name in (
+        (AssemblyResult, "truncated"),
+        (QueryResult, "ta_truncated"),
+        (QueryResultPayload, "ta_truncated"),
+        (ReplayReport, "truncated"),
+        (CanonicalQueryKey, "fingerprint"),
+    ):
+        assert name not in {f.name for f in dataclasses.fields(cls)}, cls
     files = {Path(path).name for path, _line in functions}
     assert files.isdisjoint(
         {"transh.py", "transr.py", "evaluation.py", "typing_model.py"}

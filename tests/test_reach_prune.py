@@ -54,13 +54,11 @@ class NullLabelView(CompactSemanticGraphView):
         return bytes([1]) * self.graph.num_nodes
 
 
-def null_label_factory():
-    factory = CompactViewFactory()
+def null_label_factory(kg):
+    graph = CompactGraph.freeze(kg)
 
     def build(kg, space, *, min_weight=0.0, cache=None):
-        return NullLabelView(
-            factory.compact_graph(kg), space, min_weight=min_weight, cache=cache
-        )
+        return NullLabelView(graph, space, min_weight=min_weight, cache=cache)
 
     return build
 
@@ -90,7 +88,7 @@ def judged(stats):
 def both_views(kg, space, cache=None):
     return (
         SemanticGraphView(kg, space, cache=cache),
-        CompactViewFactory()(kg, space, cache=cache),
+        CompactViewFactory(CompactGraph.freeze(kg))(kg, space, cache=cache),
     )
 
 
@@ -203,7 +201,7 @@ class TestHopLabel:
             kg = random_graph(
                 rng, num_nodes, rng.randint(0, 3 * num_nodes), isolated=isolated
             )
-            compact = CompactViewFactory()(kg, fig2_space)
+            compact = CompactViewFactory(CompactGraph.freeze(kg))(kg, fig2_space)
             shards = ShardedGraph.build(kg, num_shards, strategy=strategy, seed=trial)
             sharded = ShardedViewFactory(shards)(kg, fig2_space)
             for predicate in PREDICATES:
@@ -243,8 +241,8 @@ class TestDeletionOnly:
     def test_streams_and_harvests_identical_work_only_falls(self, bundle, kernel):
         engine = _compact_engine(bundle.kg, bundle.space, bundle.library)
         config = SearchConfig(tau=0.5)
-        labelled_factory = CompactViewFactory()
-        null_factory = null_label_factory()
+        labelled_factory = engine.view_factory
+        null_factory = null_label_factory(bundle.kg)
         pruned = saved = 0
         for item in bundle.workload:
             decomposition = engine.decompose(item.query)
@@ -294,7 +292,10 @@ class TestDeletionOnly:
     def test_answers_and_ta_bookkeeping_identical(self, bundle):
         labelled = _compact_engine(bundle.kg, bundle.space, bundle.library)
         unpruned = SemanticGraphQueryEngine(
-            bundle.kg, bundle.space, bundle.library, view_factory=null_label_factory()
+            bundle.kg,
+            bundle.space,
+            bundle.library,
+            view_factory=null_label_factory(bundle.kg),
         )
         fewer = 0
         for item in bundle.workload:
@@ -335,7 +336,7 @@ class TestSoundness:
                 SemanticGraphView(kg, space), subquery, engine.matcher, config
             )
         }
-        unpruned_view = null_label_factory()(kg, space)
+        unpruned_view = null_label_factory(kg)(kg, space)
         pruned = 0
         for kernel in KERNELS:
             search, unpruned = (

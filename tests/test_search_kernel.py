@@ -64,7 +64,7 @@ def rand_bundle(request):
 def build_pair(bundle, subquery, matcher, config, view=None):
     """Reference and vectorized searches over one shared compact view."""
     if view is None:
-        view = CompactViewFactory()(
+        view = CompactViewFactory(CompactGraph.freeze(bundle.kg))(
             bundle.kg, bundle.space, min_weight=config.min_weight
         )
     reference = build_subquery_search(
@@ -216,7 +216,7 @@ class TestBruteForceOracle:
         query = bundle.workload[query_index]
         decomposition = engine.decompose(query.query)
         subquery = decomposition.subqueries[0]
-        view = CompactViewFactory()(
+        view = CompactViewFactory(CompactGraph.freeze(bundle.kg))(
             bundle.kg, bundle.space, min_weight=config.min_weight
         )
         astar = build_subquery_search(
@@ -782,7 +782,7 @@ class TestSetUpIndependentOfEdges:
             fig2_matcher.library,
             SearchConfig(tau=0.5, path_bound=2),
         )
-        graph = engine.view_factory.compact_graph(kg)
+        graph = engine.view_factory.graph
         num_predicates = len(graph.predicate_names)
         assert graph.num_edges >= 20 * graph.num_nodes >= 200 * num_predicates
         query = (

@@ -52,7 +52,6 @@ def _assert_identical(label, expected, actual):
     assert problem is None, problem
     assert expected.ta_accesses == actual.ta_accesses, label
     assert expected.ta_rounds == actual.ta_rounds, label
-    assert expected.ta_truncated == actual.ta_truncated, label
     assert expected.approximate == actual.approximate, label
     assert len(expected.subquery_stats) == len(actual.subquery_stats), label
     for index, (sa, sb) in enumerate(

@@ -5,8 +5,7 @@ detail*: the partitioner is seed-deterministic, every edge is owned by
 exactly one shard, the rank-merged view reproduces the unsharded view's
 incidence sequences bit for bit (so answers cannot drift), memory
 divides where it matters, and the serve layer composes it with shared
-memory, the engine's one row cache and the engine fingerprint without
-changing a single answer.  ``tests/test_held_out_conformance.py`` holds the 2- and
+memory and the engine's one row cache without changing a single answer.  ``tests/test_held_out_conformance.py`` holds the 2- and
 4-shard replays of the held-out scenario to its golden digest.
 """
 
@@ -15,12 +14,7 @@ import pytest
 
 from repro.bench.equivalence import final_matches_differ
 from repro.core.compact_view import CompactViewFactory
-from repro.core.engine import (
-    EngineSpec,
-    SemanticGraphQueryEngine,
-    build_engine,
-    store_identity,
-)
+from repro.core.engine import EngineSpec, SemanticGraphQueryEngine, build_engine
 from repro.errors import GraphError, ServeError
 from repro.kg.compact import CompactGraph, FrozenGraphReader
 from repro.kg.sharded import (
@@ -162,10 +156,8 @@ class TestViewConformance:
     compact view — same sequences, same bounds, same answers."""
 
     @pytest.fixture(scope="class")
-    def views(self, small_bundle, sharded4):
-        from repro.core.compact_view import CompactViewFactory
-
-        baseline = CompactViewFactory()(small_bundle.kg, small_bundle.space)
+    def views(self, small_bundle, frozen, sharded4):
+        baseline = CompactViewFactory(frozen)(small_bundle.kg, small_bundle.space)
         sharded_view = ShardedViewFactory(sharded4)(
             small_bundle.kg, small_bundle.space
         )
@@ -197,13 +189,13 @@ class TestViewConformance:
 class TestEngineConformance:
     @pytest.mark.parametrize("search_kernel", ["reference", "auto"])
     def test_end_to_end_payloads_identical(
-        self, small_bundle, sharded4, search_kernel
+        self, small_bundle, frozen, sharded4, search_kernel
     ):
         baseline = SemanticGraphQueryEngine(
             small_bundle.kg,
             small_bundle.space,
             small_bundle.library,
-            view_factory=CompactViewFactory(),
+            view_factory=CompactViewFactory(frozen),
             search_kernel="reference",
         )
         sharded_engine = SemanticGraphQueryEngine(
@@ -297,26 +289,6 @@ class TestShmLifecycle:
                 )
                 assert problem is None, problem
         assert leaked_segments() == []
-
-
-class TestStoreIdentity:
-    """The graph part of the answer cache's epoch token: a store and its
-    shared-memory handle read alike, and every partitioning is its own
-    epoch."""
-
-    @pytest.mark.parametrize("shards", [0, 2, 4], ids=["compact", "sharded2", "sharded4"])
-    def test_a_handle_reads_its_store_identity(self, small_bundle, frozen, shards):
-        store = frozen if shards == 0 else ShardedGraph.build(small_bundle.kg, shards)
-        with store.to_shared() as lease:
-            assert store_identity(lease.handle) == store_identity(store)
-
-    def test_every_partitioning_is_its_own_epoch(self, small_bundle, frozen):
-        identities = [store_identity(frozen)] + [
-            store_identity(ShardedGraph.build(small_bundle.kg, shards, strategy=strategy))
-            for shards in (1, 2, 4)
-            for strategy in SHARD_STRATEGIES
-        ]
-        assert len(set(identities)) == len(identities)
 
 
 class TestValidation:
@@ -414,34 +386,3 @@ class TestServeIntegration:
         assert sharded.space.misses == 0 and sharded.space.entries > 0
         assert sharded.cache.capacity == SemanticGraphCache().stats.capacity
         assert sharded.cache.misses == 0
-
-    def test_fingerprint_token_separates_layouts(
-        self, small_bundle, frozen, sharded4
-    ):
-        from repro.serve.answer_cache import EngineFingerprint
-
-        unsharded = EngineFingerprint.from_spec(
-            EngineSpec(
-                store=frozen,
-                space=small_bundle.space,
-                library=small_bundle.library, kg=small_bundle.kg,
-            )
-        )
-        sharded = EngineFingerprint.from_spec(
-            EngineSpec(
-                store=sharded4, space=small_bundle.space,
-                library=small_bundle.library,
-            )
-        )
-        assert sharded.token != unsharded.token
-        assert sharded.token[0][0] == "sharded"
-        # The handle spec (what a rebuilt pool worker sees) must keep
-        # the same token, or a pool rebuild would flush the cache epoch.
-        with sharded4.to_shared() as lease:
-            via_handle = EngineFingerprint.from_spec(
-                EngineSpec(
-                    store=lease.handle, space=small_bundle.space,
-                    library=small_bundle.library,
-                )
-            )
-            assert via_handle.token == sharded.token

@@ -141,8 +141,8 @@ class TestProcessAnswersAsInline:
             assert [list(f.components) for f in theirs.matches] == [
                 list(f.components) for f in local.matches
             ], request.tag
-            assert (theirs.ta_accesses, theirs.ta_rounds, theirs.ta_truncated) == (
-                local.ta_accesses, local.ta_rounds, local.ta_truncated,
+            assert (theirs.ta_accesses, theirs.ta_rounds) == (
+                local.ta_accesses, local.ta_rounds,
             ), request.tag
             assert theirs.approximate == local.approximate
             assert [
