@@ -23,13 +23,14 @@ import pickle
 import random
 from collections import OrderedDict
 from concurrent.futures import Future
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bench.equivalence import final_matches_differ
+from repro.core.config import PssMode, SearchConfig, VisitedPolicy
 from repro.core.engine import SemanticGraphQueryEngine
 from repro.errors import OverloadError, QueryError, ServeError
 from repro.kg.schema import preset_schema
@@ -735,6 +736,40 @@ class TestServiceIntegration:
                 caches.append(service.answer_cache)
             assert (answers.hits, answers.misses, answers.entries) == (0, 1, 1)
         assert caches[0] is not caches[1]
+
+    # One non-default value per search knob.  No key carries the
+    # configuration: what keeps one configuration's answers from another
+    # is that a cache serves only the service that owns it, and that
+    # service's configuration is fixed when it is built.
+    KNOB_VALUES = {
+        "tau": 0.5, "path_bound": 2, "min_weight": 0.3,
+        "scoring": PssMode.ARITHMETIC, "visited_policy": VisitedPolicy.GENERATE,
+        "assembly_seconds_per_match": 1e-3, "alert_ratio": 0.5,
+    }
+
+    @pytest.mark.parametrize("knob", [f.name for f in fields(SearchConfig)])
+    def test_every_knob_is_answered_by_its_own_service(self, small_bundle, knob):
+        assert set(self.KNOB_VALUES) == {f.name for f in fields(SearchConfig)}
+        default = SearchConfig()
+        changed = replace(default, **{knob: self.KNOB_VALUES[knob]})
+        assert getattr(changed, knob) != getattr(default, knob)
+        kg, space, library = small_bundle.kg, small_bundle.space, small_bundle.library
+        # Path bound, scoring and visited policy change this answer.
+        query = small_bundle.workload[2].query
+        for config in (default, changed):
+            expected = SemanticGraphQueryEngine(kg, space, library, config).search(
+                query, k=K
+            )
+            with QueryService.build(
+                kg, space, library, config, backend="inline", answer_cache=8
+            ) as service:
+                miss = service.submit(query, k=K).result()
+                hit = service.submit(query, k=K).result()
+                answers = service.stats_snapshot().answers
+                assert service.engine.config == config
+            assert (answers.hits, answers.misses) == (1, 1)
+            _assert_same_answer(expected, miss)
+            _assert_same_answer(expected, hit)
 
     def test_cache_argument_validated(self, small_bundle):
         with pytest.raises(ServeError):

@@ -117,6 +117,49 @@ class TestFuzzConformance:
         assert_identical(specs, k, **kwargs)
 
 
+def joined_scores(specs):
+    """The join both kernels must agree with: a pivot's exact score is
+    the sum, over the streams it appears in, of its best pss there."""
+    scores = {}
+    for matches in specs:
+        best = {}
+        for m in matches:
+            best[m.pivot_uid] = max(best.get(m.pivot_uid, 0.0), m.pss)
+        for pivot, pss in best.items():
+            scores[pivot] = scores.get(pivot, 0.0) + pss
+    return scores
+
+
+class TestJoinOracle:
+    """Each kernel against a direct join of the streams rather than
+    against the other kernel: an early stop (Theorem 3) returns pivots
+    whose exact scores are the k best, and a drain ranks pivots by exact
+    score, ties by uid."""
+
+    @pytest.mark.parametrize("seed", range(401, 421))
+    def test_early_termination_returns_the_true_top_k(self, seed):
+        rng = random.Random(seed)
+        specs = random_stream_specs(rng)
+        k = rng.randint(1, 8)
+        exact = joined_scores(specs)
+        best = sorted(exact.values(), reverse=True)[:k]
+        for kernel in ("reference", "vectorized"):
+            _, result = run_kernel(specs, k, kernel)
+            returned = sorted((exact[m.pivot_uid] for m in result.matches), reverse=True)
+            assert returned == best, kernel
+
+    def test_a_drain_ranks_every_pivot_by_its_join_score(self):
+        rng = random.Random(250)
+        specs = [
+            [grid_match(stream, rng.randrange(250), rng.randint(1, GRID)) for _ in range(100)]
+            for stream in range(3)
+        ]
+        ranked = sorted(joined_scores(specs).items(), key=lambda item: (-item[1], item[0]))
+        for kernel in ("reference", "vectorized"):
+            _, result = run_kernel(specs, 5, kernel, exhaustive=True)
+            assert [(m.pivot_uid, m.score) for m in result.matches] == ranked[:5], kernel
+
+
 class TestToleranceWiggleConformance:
     """Streams that rise by ≤1e-9 between pulls (the sortedness
     tolerance) exercise the kernel's lazy-heap liveness rules: ψ rises

@@ -10,12 +10,14 @@ import pytest
 
 from repro.bench.equivalence import final_matches_differ
 from repro.core.compact_view import CompactSemanticGraphView, CompactViewFactory
-from repro.core.engine import SemanticGraphQueryEngine
+from repro.core.engine import EngineSpec, SemanticGraphQueryEngine, build_engine
 from repro.core.semantic_graph import SemanticGraphView
 from repro.errors import ServeError
 from repro.kg.compact import CompactGraph, FrozenGraphReader
 from repro.kg.sharded import ShardedGraph, ShardedViewFactory
+from repro.query.builder import QueryGraphBuilder
 from repro.serve.cache import SemanticGraphCache
+from repro.serve.service import QueryService
 from repro.utils.rng import derive_rng
 
 
@@ -125,6 +127,45 @@ class TestCompactGraphFreeze:
         fig2_kg.add_edge(grown.uid, "assembly", 3)
         with pytest.raises(ServeError):
             engine._make_view()
+
+    @pytest.mark.parametrize("growth", ["entity", "edge"])
+    def test_either_count_growing_is_caught(self, fig2_kg, fig2_space, growth):
+        # An isolated new entity, or a new edge between old entities,
+        # moves only one of the two counts the guard compares.
+        factory = CompactViewFactory(CompactGraph.freeze(fig2_kg))
+        if growth == "entity":
+            fig2_kg.add_entity("Porsche", "Automobile")
+        else:
+            fig2_kg.add_edge(0, "designer", 5)  # Audi_TT -> Peter_Schreyer
+        with pytest.raises(ServeError):
+            factory(fig2_kg, fig2_space)
+
+    def test_a_spec_built_engine_refuses_a_grown_graph(self, fig2_kg, fig2_space):
+        # How a service builds its inline engine: a kernel frozen in this
+        # process reads entities from its source graph, the live one.
+        engine = build_engine(
+            EngineSpec(store=CompactGraph.freeze(fig2_kg), space=fig2_space)
+        )
+        assert engine.kg is fig2_kg
+        engine._make_view()
+        fig2_kg.add_entity("Porsche", "Automobile")
+        with pytest.raises(ServeError):
+            engine._make_view()
+
+    def test_an_inline_service_refuses_a_grown_graph(self, fig2_kg, fig2_space):
+        query = (
+            QueryGraphBuilder()
+            .target("v1", "Automobile")
+            .specific("v2", "Germany", "Country")
+            .edge("e1", "v1", "product", "v2")
+            .build()
+        )
+        with QueryService.build(fig2_kg, fig2_space) as service:
+            assert service.submit(query, k=2).result().answer_uids()
+            grown = fig2_kg.add_entity("Porsche", "Automobile")
+            fig2_kg.add_edge(grown.uid, "assembly", 3)
+            with pytest.raises(ServeError):
+                service.submit(query, k=2).result()
 
 
 # ----------------------------------------------------------------------

@@ -184,6 +184,29 @@ class TestRounds:
         assert result.terminated_early
         assert result.rounds >= 1
 
+    def test_a_drain_reads_every_match_and_probes_once(self, kernel):
+        long = MatchStream.from_list([match(0, i, 0.9 - i * 0.1) for i in range(4)])
+        short = MatchStream.from_list([match(1, i, 0.8 - i * 0.1) for i in range(2)])
+        result = assemble_top_k([long, short], k=2, exhaustive=True, kernel=kernel)
+        assert not result.terminated_early
+        assert (long.accesses, short.accesses, result.accesses) == (4, 2, 6)
+        # The longest stream's four rounds, then the all-exhausted probe.
+        assert result.rounds == 5
+
+    def test_a_round_reads_each_live_stream_once(self, kernel):
+        streams = figure10_streams()
+        result = assemble_top_k(streams, k=2, kernel=kernel)
+        assert [stream.accesses for stream in streams] == [result.rounds] * 2
+        assert result.accesses == 2 * result.rounds
+
+    def test_an_early_stop_ends_before_the_drain(self, kernel):
+        early = assemble_top_k(figure10_streams(), k=2, kernel=kernel)
+        drain = assemble_top_k(
+            figure10_streams(), k=2, exhaustive=True, kernel=kernel
+        )
+        assert drain.rounds == 5  # four matches per stream, then the probe
+        assert early.rounds < drain.rounds
+
     def test_default_fields(self):
         result = AssemblyResult(matches=[], accesses=0, terminated_early=False)
         assert result.rounds == 0

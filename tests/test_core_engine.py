@@ -1,5 +1,7 @@
 """Tests for the engine, TBQ (Algorithms 2-3) and config validation."""
 
+import gc
+
 import pytest
 
 from repro.bench.metrics import jaccard
@@ -254,6 +256,11 @@ class TestTBQ:
 
     def test_wall_clock_respects_bound_roughly(self, engine):
         bound = 0.05
+        # Collect first: a full collection over the heap earlier tests
+        # left behind (generated graphs held by session fixtures) takes
+        # ~0.1 s and, if its turn comes inside the window, is charged to
+        # the query.  The search's own collections still run and count.
+        gc.collect()
         result = engine.search_time_bounded(chain_query(), k=10, time_bound=bound)
         # Fig. 15(b): the response time stays within a small variation of
         # the bound; allow generous slack for CI jitter.

@@ -213,6 +213,48 @@ class TestEngineConformance:
             )
             assert problem is None, problem
 
+    @pytest.mark.parametrize(
+        "shards, strategy",
+        [pytest.param(0, None, id="compact")]
+        + [
+            pytest.param(shards, strategy, id=f"{strategy}-{shards}")
+            for shards in (1, 2, 4)
+            for strategy in SHARD_STRATEGIES
+        ],
+    )
+    def test_every_layout_answers_alike_through_its_handle(
+        self, small_bundle, frozen, shards, strategy
+    ):
+        """No layout enters an answer-cache key, and a rebuilt pool
+        worker reads its store through a shared-memory handle: both hold
+        because neither the partitioning nor the handle moves an answer."""
+        baseline = SemanticGraphQueryEngine(
+            small_bundle.kg,
+            small_bundle.space,
+            small_bundle.library,
+            view_factory=CompactViewFactory(frozen),
+        )
+        store = (
+            frozen
+            if shards == 0
+            else ShardedGraph.build(small_bundle.kg, shards, strategy=strategy)
+        )
+        with store.to_shared() as lease:
+            attached = build_engine(
+                EngineSpec(
+                    store=lease.handle, space=small_bundle.space,
+                    library=small_bundle.library,
+                )
+            )
+            for item in small_bundle.workload:
+                expected = baseline.search(item.query, k=5)
+                actual = attached.search(item.query, k=5)
+                problem = final_matches_differ(
+                    item.qid, expected.matches, actual.matches
+                )
+                assert problem is None, problem
+        assert leaked_segments() == []
+
 
 class TestShmLifecycle:
     def test_shard_prefix_is_covered_by_default_scan(self):
