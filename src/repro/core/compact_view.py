@@ -26,9 +26,10 @@ win composes with the kernel's cold-query win.
 
 Equivalence with the lazy view is exact, not approximate: both serve
 weights from the same cached ``PredicateSpace`` rows, slots keep
-``KnowledgeGraph.incident`` order (heap tie-breaks match), and ``Edge``
-objects are shared with the source graph (identity included).  The
-conformance suite in ``tests/test_compact_view.py`` pins all of this.
+``KnowledgeGraph.incident`` order (heap tie-breaks match), and the
+``Edge`` records built from the kernel's columns equal the source
+graph's.  The conformance suite in ``tests/test_compact_view.py`` pins
+all of this.
 """
 
 from __future__ import annotations
@@ -155,9 +156,9 @@ class CompactSemanticGraphView:
         min_weight: similarities below this materialise as 0 (same policy
             as :class:`~repro.core.semantic_graph.SemanticGraphView`).
         cache: optional shared
-            :class:`~repro.core.semantic_graph.WeightCache`.  The binding
-            fingerprint is the *source* graph's, so one cache may back
-            lazy and compact views of the same graph interchangeably.
+            :class:`~repro.core.semantic_graph.WeightCache`, bound to
+            ``(graph, space, min_weight)``: the kernel is immutable, so
+            its identity is the whole graph part of the binding.
     """
 
     def __init__(
@@ -169,21 +170,11 @@ class CompactSemanticGraphView:
         cache: Optional[WeightCache] = None,
     ):
         self.graph = graph
-        self.kg = graph.kg
         self.space = space
         self.min_weight = min_weight
         self._cache = cache
         if cache is not None:
-            # Same fingerprint as the lazy view — rows are functions of
-            # the source (graph, space, min_weight), however they are laid
-            # out, so both view kinds may share one cache — including the
-            # *frozen* shape: if the append-only source graph grew past
-            # this kernel (or past the cache's binding), sharing rows
-            # would serve stale m(u) bounds; binding raises instead.  An
-            # unpickled kernel carries no kg; the kernel object itself is
-            # then the identity anchor.
-            anchor = graph.kg if graph.kg is not None else graph
-            cache.bind((anchor, space, min_weight, graph.num_nodes, graph.num_edges))
+            cache.bind((graph, space, min_weight))
 
         # L1, per query: query predicate -> (row array, row list), filled
         # by shared_weight_row.  The list mirror serves the scalar hot
@@ -407,10 +398,12 @@ class CompactViewFactory:
     """Builds :class:`CompactSemanticGraphView`\\ s over one frozen kernel.
 
     Matches the engine's ``view_factory`` seam.  The kernel is fixed for
-    the factory's life: a source graph that grew after the freeze
-    (``CompactGraph.is_stale``) raises :class:`~repro.errors.ServeError`
-    rather than serve rows and ``m(u)`` bounds that miss its new edges —
-    freeze it again and build a new engine.
+    the factory's life.  An engine built over a frozen store reads that
+    store's own entities, so its counts always match; an engine built by
+    hand over a live ``KnowledgeGraph`` that grew after the freeze gets
+    :class:`~repro.errors.ServeError` rather than rows and ``m(u)``
+    bounds that miss its new edges — freeze it again and build a new
+    engine.
     """
 
     def __init__(self, graph: CompactGraph):
@@ -425,7 +418,7 @@ class CompactViewFactory:
         cache: Optional[WeightCache] = None,
     ) -> CompactSemanticGraphView:
         graph = self.graph
-        if graph.is_stale(kg):
+        if kg.num_entities != graph.num_nodes or kg.num_edges != graph.num_edges:
             raise ServeError(
                 f"the graph has {kg.num_entities} entities and "
                 f"{kg.num_edges} edges, but was frozen at {graph.num_nodes} "

@@ -106,16 +106,12 @@ class EngineSpec:
     request from it.
 
     ``store`` is exactly one :data:`GraphStore`, a frozen store by value
-    or by shared-memory handle.  A handle (what a process-backend
-    :class:`~repro.serve.service.QueryService` ships its workers) makes
-    the spec pickle O(metadata) instead of O(graph): workers attach the
-    segment(s) zero-copy.  A lazy-view engine has no spec.
-
-    ``kg`` optionally names the ``KnowledgeGraph`` the store was built
-    from, so entity lookups resolve through the caller's object graph;
-    when absent a
-    :class:`~repro.kg.compact.FrozenGraphReader` over the store's own
-    node columns serves them (see :func:`build_engine`).
+    or by shared-memory handle, and the only graph the engine reads —
+    entities and edges alike (see :func:`build_engine`).  A handle (what
+    a process-backend :class:`~repro.serve.service.QueryService` ships
+    its workers) makes the spec pickle O(metadata) instead of O(graph):
+    workers attach the segment(s) zero-copy.  A lazy-view engine has no
+    spec.
 
     ``fault_plan`` optionally carries a picklable chaos-injection plan
     (see :class:`repro.serve.faults.FaultPlan`) to the worker
@@ -124,17 +120,15 @@ class EngineSpec:
     it only rides along so deterministic fault injection reaches process
     workers through the same vehicle as the engine description.
 
-    Everything here must stay picklable: ``KnowledgeGraph`` is plain
-    dataclasses and dicts, ``PredicateSpace`` drops its lock on pickle,
-    ``CompactGraph`` ships only its numeric tables, and a handle ships
-    only segment names and column manifests.
+    Everything here must stay picklable: ``PredicateSpace`` drops its
+    lock on pickle, a frozen store ships only its numeric tables, and a
+    handle ships only segment names and column manifests.
     """
 
     store: GraphStore
     space: PredicateSpace
     library: Optional[TransformationLibrary] = None
     config: Optional[SearchConfig] = None
-    kg: Optional[KnowledgeGraph] = None
     fault_plan: Optional[object] = None
 
     def __post_init__(self) -> None:
@@ -154,9 +148,12 @@ def build_engine(
     ``weight_cache`` is deliberately *not* part of the spec — it is
     per-process runtime state; a multiprocess worker passes its own
     private cache here.  A handle store is *attached* from shared memory
-    (zero-copy, O(metadata)); a frozen or sharded store is served
-    through its view factory and — absent an explicit ``kg`` — read
-    through a :class:`~repro.kg.compact.FrozenGraphReader`.
+    (zero-copy, O(metadata)).  Every engine reads only its store: edges
+    through the store's view factory, entities through a
+    :class:`~repro.kg.compact.FrozenGraphReader` — so an engine built in
+    the caller's process, a process worker and a sharded engine answer
+    from the same snapshot, whatever happens to the source graph after
+    the freeze.
     """
     store = spec.store
     if isinstance(store, CompactGraphHandle):
@@ -164,16 +161,11 @@ def build_engine(
     elif isinstance(store, ShardedGraphHandle):
         store = ShardedGraph.from_handle(store)
     if isinstance(store, CompactGraph):
-        # A kernel frozen in this process still knows its source graph,
-        # the one to read entities from.
-        kg = spec.kg if spec.kg is not None else store.kg
         view_factory = CompactViewFactory(store)
     else:
-        kg, view_factory = spec.kg, ShardedViewFactory(store)
-    if kg is None:
-        kg = FrozenGraphReader(store)
+        view_factory = ShardedViewFactory(store)
     return SemanticGraphQueryEngine(
-        kg,
+        FrozenGraphReader(store),
         spec.space,
         spec.library,
         spec.config,

@@ -440,8 +440,9 @@ class VectorizedSubQuerySearch:
         """Build the path of a match this search emitted.
 
         Follows the parent entries from the match's goal state back to
-        its seed; the edges are the source graph's own ``Edge`` objects,
-        so the result equals the reference search's eager match.
+        its seed; each edge is built from the kernel's columns and equals
+        the source graph's, so the result equals the reference search's
+        eager match.
         """
         graph = self.graph
         slot_edge = graph.slot_edge

@@ -17,13 +17,14 @@ plus an **undirected-incidence CSR**:
 - ``slot_predicate[s]`` is the interned predicate id, the index into any
   per-query-predicate weight row (see
   :class:`repro.core.compact_view.CompactSemanticGraphView`);
-- ``slot_edge[s]`` is the edge id, an index into the edge table for the
-  rare moments a real :class:`~repro.kg.graph.Edge` is needed
-  (:meth:`CompactGraph.edge` — ``PathMatch`` assembly, result rendering);
+- ``slot_edge[s]`` is the edge id, an index into the three edge columns
+  for the rare moments a real :class:`~repro.kg.graph.Edge` is needed
+  (:meth:`CompactGraph.edge` builds it — ``PathMatch`` assembly, result
+  rendering);
 - ``name_blob`` / ``name_offsets`` carry the UTF-8 entity names, so a
-  snapshot is a *complete* description of the graph: workers attaching a
-  shared snapshot rebuild entity records without ever seeing the object
-  graph (:class:`FrozenGraphReader`).
+  snapshot is a *complete* description of the graph: every engine reads
+  its entity records from the snapshot (:class:`FrozenGraphReader`),
+  never from the object graph it was frozen from.
 
 Slot order within a node is exactly ``KnowledgeGraph.incident`` order, so
 a search over the compact kernel expands states in the same sequence as
@@ -38,17 +39,17 @@ argsort by source numbers the edges, a stable argsort by target orders
 the in-slots, two scatters fill the CSR.  Copies, not views: a column
 that exported its buffer could not grow.
 
-The store is append-only (no deletions), so freezing is safe: a frozen
-kernel is immutable and :meth:`CompactGraph.is_stale` detects a graph
-that has since grown.  All index state is plain int arrays — picklable
-and shardable, unlike the object graph.
+A frozen kernel keeps no reference to the graph it was frozen from: it
+is immutable, and a graph that grows afterwards changes nothing it
+serves.  All index state is plain int arrays — picklable and shardable,
+unlike the object graph.
 
 Beyond pickling, the columns can live in **named shared memory**
 (:mod:`repro.kg.shm`): :meth:`CompactGraph.to_shared` packs them into one
 segment and returns an owning :class:`SharedCompactGraph` lease whose
 :class:`CompactGraphHandle` pickles at O(metadata);
 :meth:`CompactGraph.from_handle` attaches zero-copy in a worker.  Derived
-object state (edge table, per-node slot mirror, entity names) is rebuilt
+object state (per-node slot mirror, entity names and records) is rebuilt
 **lazily**, so attaching costs metadata, not O(V + E) — the hot arrays
 are served straight from the shared mapping.
 """
@@ -86,11 +87,10 @@ SHARED_COLUMNS = (
 class CompactGraph:
     """Frozen CSR snapshot of a :class:`~repro.kg.graph.KnowledgeGraph`.
 
-    Build one with :meth:`freeze`; instances are immutable.  The original
-    graph is kept (``self.kg``) so weight caches bound to the object graph
-    can be shared with compact views, and so edge objects are *reused*
-    rather than copied — a path match from a compact search holds the very
-    same ``Edge`` instances a lazy search would.
+    Build one with :meth:`freeze`; instances are immutable and stand
+    alone: nothing refers back to the source graph, and the ``Edge``
+    records a search returns are built from the columns — equal to the
+    graph's own, not the same objects.
 
     >>> kg = KnowledgeGraph()
     >>> a = kg.add_entity("Audi_TT", "Automobile")
@@ -104,8 +104,7 @@ class CompactGraph:
     """
 
     __slots__ = (
-        "__weakref__",  # weak-keyed per-(graph, space) memos in compact_view
-        "kg",
+        "__weakref__",  # the store leak check in tests/test_service_lifecycle.py
         "kg_name",
         "num_nodes",
         "num_edges",
@@ -125,8 +124,8 @@ class CompactGraph:
         "name_blob",
         "name_offsets",
         "_node_slots",
-        "_edges",
         "_names",
+        "_entities",
         "_indptr_list",
         "_slot_neighbor_list",
         "_slot_predicate_list",
@@ -139,10 +138,9 @@ class CompactGraph:
     # mapping of an attached kernel and never travels.
     _TRANSIENT = (
         "__weakref__",
-        "kg",
         "_node_slots",
-        "_edges",
         "_names",
+        "_entities",
         "_indptr_list",
         "_slot_neighbor_list",
         "_slot_predicate_list",
@@ -169,9 +167,10 @@ class CompactGraph:
         source-major, a stable argsort by target orders each node's
         in-slots, and two scatters fill the CSR.  No Python code runs per
         edge, and none per node beyond C-level ``map`` calls over the
-        names; the edge table of ``Edge`` objects is gathered on first
-        use (:meth:`edge`).  Nothing is memoised on ``kg``: every call
-        copies the columns and sorts afresh.
+        names.  The kernel keeps the graph's (immutable) ``Entity``
+        records and names, so its reader builds neither; it keeps no
+        reference to ``kg`` itself.  Nothing is memoised on ``kg``: every
+        call copies the columns and sorts afresh.
         """
         entities = list(kg.entities())
         num_nodes = len(entities)
@@ -204,8 +203,7 @@ class CompactGraph:
 
         # Edge ids are source-major, each source's out-edges in insertion
         # order: a stable sort of the insertion-ordered source column is
-        # exactly that numbering.  The Edge objects behind the ids are
-        # looked up lazily (_edge_table).
+        # exactly that numbering.
         source, target, predicate = kg.edge_columns()
         num_edges = len(source)
         if not num_edges == len(target) == len(predicate):  # pragma: no cover
@@ -255,7 +253,6 @@ class CompactGraph:
         slot_forward[out_slot] = True
 
         return cls(
-            kg=kg,
             kg_name=kg.name,
             num_nodes=num_nodes,
             num_edges=num_edges,
@@ -275,6 +272,7 @@ class CompactGraph:
             name_blob=name_blob,
             name_offsets=name_offsets,
             _names=names,
+            _entities=entities,
         )
 
     # ------------------------------------------------------------------
@@ -307,8 +305,8 @@ class CompactGraph:
         """Attach a shared snapshot zero-copy (O(metadata) warmup).
 
         The arrays are read-only views over the shared mapping; derived
-        object state (edge table, slot mirror, names) is rebuilt lazily
-        on first use.  Raises :class:`~repro.errors.GraphError` when the
+        object state (slot mirror, names, entity records) is rebuilt
+        lazily on first use.  Raises :class:`~repro.errors.GraphError` when the
         owner already unlinked the segment (service closed / owner died).
         """
         block = ShmArrayBlock.attach(handle.block)
@@ -316,7 +314,6 @@ class CompactGraph:
         type_names = list(handle.type_names)
         columns = {name: block.array(name) for name in SHARED_COLUMNS}
         return cls(
-            kg=None,
             kg_name=handle.kg_name,
             num_nodes=handle.num_nodes,
             num_edges=handle.num_edges,
@@ -331,34 +328,9 @@ class CompactGraph:
     # ------------------------------------------------------------------
     # lazily rebuilt derived state
     # ------------------------------------------------------------------
-    # The builders are idempotent pure functions of the arrays (and of
-    # the source graph's append-only out-lists), so a benign race between
-    # threads only duplicates work; the last write wins with an identical
-    # value.
-
-    def _edge_table(self) -> List[Edge]:
-        if self._edges is None:
-            if self.kg is not None:
-                # The source graph's own Edge objects.  Its out-lists only
-                # grow, so the out-degrees seen at freeze time pick exactly
-                # this snapshot's edges, however the graph has grown since.
-                out_degree = np.bincount(
-                    self.edge_source, minlength=self.num_nodes
-                )
-                edges = self.kg.out_edge_prefixes(out_degree.tolist())
-            else:
-                predicate_names = self.predicate_names
-                edges = [
-                    Edge(source=source, predicate=predicate_names[pid],
-                         target=target)
-                    for source, pid, target in zip(
-                        self.edge_source.tolist(),
-                        self.edge_predicate.tolist(),
-                        self.edge_target.tolist(),
-                    )
-                ]
-            object.__setattr__(self, "_edges", edges)
-        return self._edges
+    # The builders are idempotent pure functions of the arrays, so a
+    # benign race between threads only duplicates work; the last write
+    # wins with an equal value.
 
     @property
     def node_slots(self) -> List[Tuple[Tuple[Edge, int, int], ...]]:
@@ -373,7 +345,16 @@ class CompactGraph:
         a service that only runs the array kernel never pays for it.
         """
         if self._node_slots is None:
-            edges = self._edge_table()
+            # One Edge per edge id, shared by its two slots.
+            predicate_names = self.predicate_names
+            edges = [
+                Edge(source=source, predicate=predicate_names[pid], target=target)
+                for source, pid, target in zip(
+                    self.edge_source.tolist(),
+                    self.edge_predicate.tolist(),
+                    self.edge_target.tolist(),
+                )
+            ]
             triples = [
                 (edges[eid], neighbor, pid)
                 for eid, neighbor, pid in zip(
@@ -402,17 +383,38 @@ class CompactGraph:
             object.__setattr__(self, "_names", names)
         return self._names
 
+    def entity_records(self) -> List[Entity]:
+        """All ``Entity`` records, uid-ordered (do not mutate).
+
+        A just-frozen kernel holds the source graph's own records; an
+        attached or unpickled one builds them once from the names and
+        the type column.
+        """
+        if self._entities is None:
+            names = self.entity_names()
+            type_names = self.type_names
+            entities = [
+                Entity(uid=uid, name=names[uid], etype=type_names[tid])
+                for uid, tid in enumerate(self.entity_type.tolist())
+            ]
+            object.__setattr__(self, "_entities", entities)
+        return self._entities
+
     # ------------------------------------------------------------------
     # escape hatches back to the object graph
     # ------------------------------------------------------------------
     def edge(self, eid: int) -> Edge:
-        """The real :class:`Edge` behind edge id ``eid``.
+        """The :class:`Edge` behind edge id ``eid``, built from the columns.
 
-        Escape hatch for match assembly and rendering — the returned
-        object is the one the source graph stores, so identity-based
-        comparisons against lazy-view results hold.
+        Escape hatch for match assembly and rendering: a query reads a
+        few dozen, so each is built on demand rather than kept in a
+        table.  Equal to the source graph's record, not the same object.
         """
-        return self._edge_table()[eid]
+        return Edge(
+            source=int(self.edge_source[eid]),
+            predicate=self.predicate_names[self.edge_predicate[eid]],
+            target=int(self.edge_target[eid]),
+        )
 
     def indptr_list(self) -> List[int]:
         """Python-int mirror of ``indptr``, built once per kernel.
@@ -446,30 +448,11 @@ class CompactGraph:
         return self._slot_predicate_list
 
     # ------------------------------------------------------------------
-    def is_stale(self, kg: Optional[KnowledgeGraph] = None) -> bool:
-        """Whether the source graph grew after this freeze.
-
-        Append-only growth is the only possible mutation, so comparing
-        entity/edge counts is a complete staleness check.  An unpickled
-        kernel has no source graph (``self.kg is None``) and is a shipped
-        snapshot by definition — never stale unless a graph is passed in.
-        """
-        source = kg if kg is not None else self.kg
-        if source is None:
-            return False
-        return (
-            source.num_entities != self.num_nodes
-            or source.num_edges != self.num_edges
-        )
-
-    # ------------------------------------------------------------------
     # Pickle plumbing (__slots__ classes need it explicitly).  Only the
-    # numeric tables travel: the source-kg reference, the edge-object
-    # table, and the per-node slot mirror are dropped and rebuilt lazily
-    # on first use, so shipping a kernel to a worker process costs the
-    # arrays — not the object graph the kernel exists to replace.  An
-    # unpickled kernel has ``kg is None``; views fall back to the kernel
-    # itself as their cache-binding identity.
+    # numeric tables travel: the entity records, the per-node slot mirror
+    # and the list mirrors are dropped and rebuilt lazily on first use,
+    # so shipping a kernel to a worker process costs the arrays — not the
+    # object graph the kernel exists to replace.
     def __getstate__(self) -> Dict[str, object]:
         return {
             name: getattr(self, name)
@@ -576,23 +559,22 @@ class FrozenGraphReader:
     by value, unpickled or attached from shared memory, and a
     :class:`~repro.kg.sharded.ShardedGraph` (whose node columns are
     replicated per shard) — because it reads only what they share:
-    ``kg_name``, ``num_nodes``, ``num_edges``, ``entity_type``,
-    ``type_names`` and ``entity_names()``.  It has no edge surface on
+    ``kg_name``, ``num_nodes``, ``num_edges``, ``type_names`` and
+    ``entity_records()``.  It has no edge surface on
     purpose: edges are served by the store's view factory, and a
     traversal method here could answer from one shard's slice.
 
-    Construction is O(1); the entity table and the per-type index are
-    derived once on first use, in the source graph's order (entities by
-    uid, per-type uids ascending, types by first use), so node matching
-    and pivot selection behave bit-identically to the source graph.
-    The builders are idempotent, so a race between threads only
-    duplicates work.
+    Construction is O(1); the store keeps the entity records, and the
+    per-type index is derived once on first use, in the source graph's
+    order (entities by uid, per-type uids ascending, types by first
+    use), so node matching and pivot selection behave bit-identically
+    to the source graph.  The builder is idempotent, so a race between
+    threads only duplicates work.
     """
 
     def __init__(self, store):
         self._store = store
         self.name: str = store.kg_name
-        self._entities: Optional[List[Entity]] = None
         self._by_type: Optional[Dict[str, List[int]]] = None
 
     @property
@@ -603,25 +585,15 @@ class FrozenGraphReader:
     def num_edges(self) -> int:
         return self._store.num_edges
 
-    def _entity_table(self) -> List[Entity]:
-        if self._entities is None:
-            names = self._store.entity_names()
-            type_names = self._store.type_names
-            self._entities = [
-                Entity(uid=uid, name=names[uid], etype=type_names[tid])
-                for uid, tid in enumerate(self._store.entity_type.tolist())
-            ]
-        return self._entities
-
     def entity(self, uid: int) -> Entity:
         """The entity record for ``uid``."""
         if not 0 <= uid < self._store.num_nodes:
             raise UnknownEntityError(uid)
-        return self._entity_table()[uid]
+        return self._store.entity_records()[uid]
 
     def entities(self) -> Iterator[Entity]:
         """Iterate over all entities in insertion (uid) order."""
-        return iter(self._entity_table())
+        return iter(self._store.entity_records())
 
     def entities_of_type(self, etype: str) -> List[int]:
         """All entity ids with the given type (empty list if none)."""
@@ -629,7 +601,7 @@ class FrozenGraphReader:
             index: Dict[str, List[int]] = {
                 name: [] for name in self._store.type_names
             }
-            for entity in self._entity_table():
+            for entity in self._store.entity_records():
                 index[entity.etype].append(entity.uid)
             self._by_type = index
         return list(self._by_type.get(etype, []))

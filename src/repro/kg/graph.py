@@ -21,10 +21,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from itertools import chain
-from operator import getitem, itemgetter
-from typing import (
-    Dict, Iterator, List, Optional, Protocol, Sequence, Set, Tuple,
-)
+from typing import Dict, Iterator, List, Optional, Protocol, Set, Tuple
 
 import numpy as np
 
@@ -271,16 +268,6 @@ class KnowledgeGraph:
             np.array(self._edge_target, dtype=np.int64),
             np.array(self._edge_predicate, dtype=np.int32),
         )
-
-    def out_edge_prefixes(self, counts: Sequence[int]) -> List[Edge]:
-        """The first ``counts[u]`` out-edges of each node ``u < len(counts)``.
-
-        One list, node by node in uid order, each node's edges in
-        insertion order: the graph's own :class:`Edge` objects, gathered
-        by a C-level flatten of the out-lists.
-        """
-        prefixes = map(getitem, self._incident_out.values(), map(slice, counts))
-        return list(map(itemgetter(0), chain.from_iterable(prefixes)))
 
     # ------------------------------------------------------------------
     # aggregate views

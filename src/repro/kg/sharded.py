@@ -68,7 +68,7 @@ import numpy as np
 
 from repro.errors import GraphError
 from repro.kg.compact import SHARED_COLUMNS, CompactGraph, CompactGraphHandle
-from repro.kg.graph import Edge, KnowledgeGraph
+from repro.kg.graph import Edge, Entity, KnowledgeGraph
 from repro.kg.shm import SHM_PREFIX, ShmArrayBlock
 from repro.utils.rng import derive_rng
 
@@ -203,7 +203,8 @@ def _slice_shards(
 
     Pure array slicing over the full freeze — no per-shard ``add_edge``
     replay — so within-node slot order (and hence the rank table) is
-    taken straight from the global CSR.
+    taken straight from the global CSR.  Every shard shares the full
+    freeze's node columns, names and entity records.
     """
     num_nodes, num_edges = full.num_nodes, full.num_edges
     edge_owner = shard_of[np.asarray(full.edge_source)]
@@ -228,7 +229,6 @@ def _slice_shards(
         indptr = np.zeros(num_nodes + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])
         graph = CompactGraph(
-            kg=None,
             kg_name=f"{full.kg_name}#shard{sid}",
             num_nodes=num_nodes,
             num_edges=int(owned.size),
@@ -247,6 +247,8 @@ def _slice_shards(
             slot_forward=np.ascontiguousarray(full.slot_forward[sel]),
             name_blob=full.name_blob,
             name_offsets=full.name_offsets,
+            _names=full._names,
+            _entities=full._entities,
         )
         shards.append(
             GraphShard(
@@ -280,8 +282,6 @@ class ShardedGraphHandle:
     num_nodes: int
     num_edges: int
     cut_edges: Tuple[int, ...]
-    strategy: str
-    seed: int
 
 
 class ShardedGraph:
@@ -289,12 +289,9 @@ class ShardedGraph:
 
     Build with :meth:`build` (slices a transient full freeze), attach
     with :meth:`from_handle` (zero-copy per-shard shm mappings), publish
-    with :meth:`to_shared`.  Instances are immutable; pickling ships the
-    shard arrays and drops the source-graph reference, like
-    :class:`CompactGraph` itself.
+    with :meth:`to_shared`.  Instances are immutable and, like
+    :class:`CompactGraph` itself, keep no reference to the source graph.
     """
-
-    _TRANSIENT = ("kg",)
 
     def __init__(
         self,
@@ -304,18 +301,12 @@ class ShardedGraph:
         num_edges: int,
         shards: Sequence[GraphShard],
         shard_of: np.ndarray,
-        strategy: str,
-        seed: int,
-        kg: Optional[KnowledgeGraph] = None,
     ):
-        self.kg = kg
         self.kg_name = kg_name
         self.num_nodes = num_nodes
         self.num_edges = num_edges
         self.shards = list(shards)
         self.shard_of = shard_of
-        self.strategy = strategy
-        self.seed = seed
 
     # ------------------------------------------------------------------
     @classmethod
@@ -338,14 +329,11 @@ class ShardedGraph:
             full, num_shards, strategy=strategy, seed=seed
         )
         return cls(
-            kg=kg,
             kg_name=full.kg_name,
             num_nodes=full.num_nodes,
             num_edges=full.num_edges,
             shards=_slice_shards(full, shard_of, num_shards),
             shard_of=shard_of,
-            strategy=strategy,
-            seed=seed,
         )
 
     # ------------------------------------------------------------------
@@ -360,13 +348,9 @@ class ShardedGraph:
     def type_names(self) -> List[str]:
         return self.shards[0].graph.type_names
 
-    @property
-    def entity_type(self) -> np.ndarray:
-        return self.shards[0].graph.entity_type
-
-    def entity_names(self) -> List[str]:
-        """All entity names, uid-ordered."""
-        return self.shards[0].graph.entity_names()
+    def entity_records(self) -> List[Entity]:
+        """All entity records, uid-ordered (shard 0's, built once)."""
+        return self.shards[0].graph.entity_records()
 
     def resident_bytes(self) -> List[int]:
         """Per-shard resident bytes (what each shard's box would hold)."""
@@ -423,8 +407,6 @@ class ShardedGraph:
             num_nodes=self.num_nodes,
             num_edges=self.num_edges,
             cut_edges=tuple(shard.cut_edges for shard in self.shards),
-            strategy=self.strategy,
-            seed=self.seed,
         )
         return SharedShardedGraph(handle=handle, blocks=blocks)
 
@@ -451,22 +433,12 @@ class ShardedGraph:
                 )
             )
         return cls(
-            kg=None,
             kg_name=handle.kg_name,
             num_nodes=handle.num_nodes,
             num_edges=handle.num_edges,
             shards=shards,
             shard_of=shards[0].graph._shm_block.array(_SHARD_OF_COLUMN),
-            strategy=handle.strategy,
-            seed=handle.seed,
         )
-
-    # ------------------------------------------------------------------
-    def __getstate__(self) -> Dict[str, object]:
-        state = dict(self.__dict__)
-        for name in self._TRANSIENT:
-            state[name] = None
-        return state
 
 
 class SharedShardedGraph:

@@ -26,9 +26,10 @@ operations take one lock; the critical sections are dict lookups.
 The cache must be *bound* to exactly one (graph, space, ``min_weight``)
 combination before use (views do this automatically); re-binding to a
 different combination raises — serving weights from a different
-predicate space would corrupt results silently.  The fingerprint views
-bind also carries the graph's entity/edge counts, so growing the
-append-only graph under a live cache raises at the next view
+predicate space would corrupt results silently.  A frozen store is
+immutable, so its identity is the whole graph part of the fingerprint;
+the lazy view's fingerprint also carries the live graph's entity/edge
+counts, so growing it under a live cache raises at the next view
 construction instead of silently serving stale rows.
 """
 

@@ -471,8 +471,8 @@ class QueryService:
         chaos rides the same vehicle as the engine description) and
         publishes the store into fresh shared-memory segments — one for
         a ``CompactGraph``, one per shard for a ``ShardedGraph`` —
-        shipping workers the handle instead (``kg`` dropped, so the
-        pickle is O(metadata)).  On construction failure the
+        shipping workers the handle instead, so the pickle is
+        O(metadata).  On construction failure the
         just-acquired lease is released with a stranded-segment probe —
         the pool never came up, so nobody else will.
         """
@@ -481,7 +481,7 @@ class QueryService:
         if plan is not None and plan.active:
             spec = replace(spec, fault_plan=plan)
         lease = spec.store.to_shared()
-        spec = replace(spec, kg=None, store=lease.handle)
+        spec = replace(spec, store=lease.handle)
         try:
             backend = ProcessBackend(
                 spec,
@@ -599,20 +599,14 @@ class QueryService:
             )
         # Freeze / partition once in the parent: every backend (and every
         # process worker, via the shm handles) serves the same store
-        # instead of redoing the O(V+E) work.
-        if shards:
-            # ``kg`` stays out of the spec so all backends uniformly
-            # read entities from the shard set's own node columns.
-            spec = EngineSpec(
-                ShardedGraph.build(kg, shards, strategy=shard_strategy),
-                space,
-                library,
-                config,
-            )
-        else:
-            spec = EngineSpec(
-                CompactGraph.freeze(kg), space, library, config, kg=kg
-            )
+        # instead of redoing the O(V+E) work, and reads nothing else —
+        # growing ``kg`` afterwards changes no answer.
+        store = (
+            ShardedGraph.build(kg, shards, strategy=shard_strategy)
+            if shards
+            else CompactGraph.freeze(kg)
+        )
+        spec = EngineSpec(store, space, library, config)
         return cls(spec, backend=backend, workers=workers, **kwargs)
 
     # ------------------------------------------------------------------

@@ -5,8 +5,8 @@ graph's insertion-ordered edge columns.  The reference below walks the
 graph's incidence lists slot by slot, storing one scalar per column per
 slot — the obvious loop, kept here as the oracle.  Every shared column
 must agree in dtype, shape and values, and so must the derived state a
-search reads (``node_slots``, the entity names, and the edge table down
-to object identity).  The edge columns themselves are checked against
+search reads (``node_slots``, the entity names and records, and every
+edge the columns rebuild).  The edge columns themselves are checked against
 the incidence lists after any sequence of construction calls, refused
 ones included.
 """
@@ -120,15 +120,10 @@ def assert_freeze_matches_reference(kg: KnowledgeGraph) -> CompactGraph:
     assert compact.num_edges == kg.num_edges
     assert compact.node_slots == expected["node_slots"]
     assert compact.entity_names() == expected["names"]
-    # The edge table holds the source graph's own Edge objects.
+    assert compact.entity_records() == list(kg.entities())
+    # Every edge the columns rebuild equals the graph's own record.
     edges = [compact.edge(eid) for eid in range(compact.num_edges)]
-    assert len(edges) == len(expected["edges"])
-    assert all(got is want for got, want in zip(edges, expected["edges"]))
-    assert all(
-        got[0] is want[0]
-        for got_row, want_row in zip(compact.node_slots, expected["node_slots"])
-        for got, want in zip(got_row, want_row)
-    )
+    assert edges == expected["edges"]
     return compact
 
 
@@ -178,6 +173,7 @@ class TestFreezeAgainstReference:
     def test_refreeze_after_growth(self, kg, growth):
         before = CompactGraph.freeze(kg)
         snapshot = {name: getattr(before, name).copy() for name in SHARED_COLUMNS}
+        counts = (kg.num_entities, kg.num_edges)
         offset = kg.num_entities
         for entity in growth.entities():
             kg.add_entity(entity.name, entity.etype)
@@ -189,10 +185,9 @@ class TestFreezeAgainstReference:
             for uid in range(growth.num_entities):
                 kg.add_edge(uid % offset, "knows", offset + uid)
                 kg.add_edge(offset + uid, "located_in", (uid + 1) % offset)
-        grown = kg.num_entities != offset or kg.num_edges != before.num_edges
-        assert before.is_stale() == grown
         assert_freeze_matches_reference(kg)
         # The earlier snapshot is untouched by the growth.
+        assert (before.num_nodes, before.num_edges) == counts
         for name, column in snapshot.items():
             assert np.array_equal(getattr(before, name), column)
 
@@ -315,14 +310,12 @@ class TestEdgeColumns:
         assert kg.add_edge(0, "r", 3) is not None
         assert len(held[0]) == 3
         second = assert_freeze_matches_reference(kg)
-        assert second.num_edges == 6 and first.is_stale()
+        assert second.num_edges == 6 and first.num_edges == 3
         for name, column in snapshot.items():
             assert np.array_equal(getattr(first, name), column), name
-        # The first snapshot's edge table, first read after the growth,
-        # still numbers only the edges it froze.
-        edges = [first.edge(eid) for eid in range(first.num_edges)]
-        assert all(got is want for got, want in zip(edges, first_edges))
-        assert len(edges) == len(first_edges)
+        # The first snapshot's edges, first read after the growth, are
+        # still exactly the ones it froze.
+        assert [first.edge(eid) for eid in range(first.num_edges)] == first_edges
         assert_columns_match_incidence(kg)
 
     @pytest.mark.parametrize(

@@ -4,7 +4,9 @@ matches — standalone and backed by a shared SemanticGraphCache."""
 
 from __future__ import annotations
 
+import copy
 import pickle
+from contextlib import ExitStack
 
 import pytest
 
@@ -47,16 +49,6 @@ class TestCompactGraphFreeze:
             # the python mirror agrees with the arrays
             assert [(e, n) for e, n, _pid in compact.node_slots[uid]] == expected
 
-    def test_edges_are_shared_not_copied(self, fig2_kg):
-        compact = CompactGraph.freeze(fig2_kg)
-        kg_edges = {e for uid in range(fig2_kg.num_entities) for e in fig2_kg.out_edges(uid)}
-        assert all(compact.edge(eid) in kg_edges for eid in range(compact.num_edges))
-        # identity, not mere equality: match paths reuse kg's objects
-        assert all(
-            any(compact.edge(eid) is e for e in kg_edges)
-            for eid in range(compact.num_edges)
-        )
-
     def test_edge_roundtrip_and_forward_flag(self, fig2_kg):
         compact = CompactGraph.freeze(fig2_kg)
         for uid in range(fig2_kg.num_entities):
@@ -73,13 +65,21 @@ class TestCompactGraphFreeze:
             row = int(compact.indptr[uid + 1] - compact.indptr[uid])
             assert row == len(list(fig2_kg.incident(uid)))
 
-    def test_staleness_detection(self, fig2_kg):
+    def test_a_snapshot_keeps_nothing_of_its_source_graph(self, fig2_kg):
+        # The kernel and its reader describe the graph as frozen, however
+        # the graph grows afterwards.
         compact = CompactGraph.freeze(fig2_kg)
-        assert not compact.is_stale()
+        reader = FrozenGraphReader(compact)
+        entities = list(fig2_kg.entities())
+        edges = [compact.edge(eid) for eid in range(compact.num_edges)]
         extra = fig2_kg.add_entity("Porsche", "Automobile")
-        assert compact.is_stale()
         fig2_kg.add_edge(extra.uid, "assembly", 3)
-        assert compact.is_stale(fig2_kg)
+        assert (compact.num_nodes, compact.num_edges) == (8, 6)
+        assert (reader.num_entities, reader.num_edges) == (8, 6)
+        assert list(reader.entities()) == entities
+        assert reader.entities_of_type("Automobile") == [0, 1, 2]
+        assert [compact.edge(eid) for eid in range(compact.num_edges)] == edges
+        assert all(extra.uid not in (e.source, e.target) for e in edges)
 
     def test_pickle_roundtrip(self, fig2_kg, fig2_space):
         compact = CompactGraph.freeze(fig2_kg)
@@ -89,11 +89,9 @@ class TestCompactGraphFreeze:
         assert clone.predicate_names == compact.predicate_names
         assert (clone.indptr == compact.indptr).all()
         assert (clone.slot_neighbor == compact.slot_neighbor).all()
-        # Derived object state is rebuilt, not shipped: the payload
-        # excludes the source graph entirely...
-        assert clone.kg is None
-        assert not clone.is_stale()
-        # ...yet the rebuilt edge table and slot mirror are equal.
+        # Derived object state is rebuilt, not shipped, yet the rebuilt
+        # edges, entity records and slot mirror are equal.
+        assert clone.entity_records() == compact.entity_records()
         assert [clone.edge(i) for i in range(clone.num_edges)] == [
             compact.edge(i) for i in range(compact.num_edges)
         ]
@@ -112,9 +110,9 @@ class TestCompactGraphFreeze:
     def test_pickle_payload_excludes_object_graph(self, fig2_kg):
         compact = CompactGraph.freeze(fig2_kg)
         state = compact.__getstate__()
-        assert "kg" not in state
-        assert "node_slots" not in state
-        assert "_edges" not in state
+        assert "_node_slots" not in state
+        assert "_entities" not in state
+        assert "_names" not in state
 
     def test_growth_under_a_cacheless_engine_raises(self, fig2_kg, fig2_space):
         # The factory holds one kernel for its life and never re-freezes:
@@ -140,32 +138,72 @@ class TestCompactGraphFreeze:
         with pytest.raises(ServeError):
             factory(fig2_kg, fig2_space)
 
-    def test_a_spec_built_engine_refuses_a_grown_graph(self, fig2_kg, fig2_space):
-        # How a service builds its inline engine: a kernel frozen in this
-        # process reads entities from its source graph, the live one.
-        engine = build_engine(
-            EngineSpec(store=CompactGraph.freeze(fig2_kg), space=fig2_space)
-        )
-        assert engine.kg is fig2_kg
-        engine._make_view()
-        fig2_kg.add_entity("Porsche", "Automobile")
-        with pytest.raises(ServeError):
-            engine._make_view()
-
-    def test_an_inline_service_refuses_a_grown_graph(self, fig2_kg, fig2_space):
-        query = (
-            QueryGraphBuilder()
-            .target("v1", "Automobile")
-            .specific("v2", "Germany", "Country")
-            .edge("e1", "v1", "product", "v2")
-            .build()
-        )
-        with QueryService.build(fig2_kg, fig2_space) as service:
-            assert service.submit(query, k=2).result().answer_uids()
+    @pytest.mark.parametrize("store", ["compact", "handle", "sharded"])
+    def test_a_spec_built_engine_reads_only_its_store(
+        self, fig2_kg, fig2_space, store
+    ):
+        frozen = CompactGraph.freeze(fig2_kg)
+        entities = list(fig2_kg.entities())
+        with ExitStack() as stack:
+            if store == "compact":
+                spec_store = frozen
+            elif store == "handle":
+                spec_store = stack.enter_context(frozen.to_shared()).handle
+            else:
+                spec_store = ShardedGraph.build(fig2_kg, 2)
+            engine = build_engine(EngineSpec(spec_store, fig2_space))
             grown = fig2_kg.add_entity("Porsche", "Automobile")
             fig2_kg.add_edge(grown.uid, "assembly", 3)
-            with pytest.raises(ServeError):
-                service.submit(query, k=2).result()
+            reader = engine.kg
+            assert isinstance(reader, FrozenGraphReader)
+            assert (reader.num_entities, reader.num_edges) == (8, 6)
+            assert list(reader.entities()) == entities
+            assert reader.entities_of_type("Automobile") == [0, 1, 2]
+            # A store frozen in this process kept the graph's own records;
+            # an attached one rebuilt them from its columns.
+            assert (reader.entity(0) is entities[0]) == (store != "handle")
+            engine._make_view()  # the store's own counts: nothing to refuse
+
+    @pytest.mark.parametrize(
+        "options",
+        [dict(), dict(backend="process", workers=1), dict(shards=2)],
+        ids=["inline", "process", "sharded"],
+    )
+    def test_a_service_answers_from_its_snapshot_after_growth(
+        self, fig2_kg, fig2_space, options
+    ):
+        # A service reads only the store it froze: once the caller grows
+        # the graph, a cached hit and a fresh miss both answer exactly as
+        # a service over an ungrown copy does.
+        def germany_query(predicate):
+            return (
+                QueryGraphBuilder()
+                .target("v1", "Automobile")
+                .specific("v2", "Germany", "Country")
+                .edge("e1", "v1", predicate, "v2")
+                .build()
+            )
+
+        hit, miss = germany_query("product"), germany_query("assembly")
+        ungrown = copy.deepcopy(fig2_kg)
+        options = dict(options, answer_cache=8)
+        with QueryService.build(fig2_kg, fig2_space, **options) as service, \
+                QueryService.build(ungrown, fig2_space, **options) as reference:
+            service.submit(hit, k=5).result()
+            grown = fig2_kg.add_entity("Porsche", "Automobile")
+            fig2_kg.add_edge(grown.uid, "assembly", 3)
+            for query in (hit, miss):
+                problem = final_matches_differ(
+                    str(options),
+                    reference.submit(query, k=5).result().matches,
+                    service.submit(query, k=5).result().matches,
+                )
+                assert problem is None, problem
+            answers = service.stats_snapshot().answers
+            assert (answers.hits, answers.misses) == (1, 2)
+        # The growth does change the answer, for a store frozen after it.
+        with QueryService.build(fig2_kg, fig2_space) as refrozen:
+            assert grown.uid in refrozen.submit(miss, k=5).result().answer_uids()
 
 
 # ----------------------------------------------------------------------
@@ -286,27 +324,6 @@ class TestEngineConformance:
                     lazy.search(workload_query.query, k=10),
                     compact.search(workload_query.query, k=10),
                 )
-
-    def test_identical_matches_one_cache_shared_by_both_views(self, small_bundle):
-        # One SemanticGraphCache may back lazy AND compact views of the
-        # same graph: rows are pure functions of their key and the
-        # (graph, space, min_weight) binding, whichever view computed them.
-        bundle = small_bundle
-        cache = SemanticGraphCache()
-        lazy = SemanticGraphQueryEngine(
-            bundle.kg, bundle.space, bundle.library, weight_cache=cache
-        )
-        compact = _compact_engine(
-            bundle.kg, bundle.space, bundle.library, weight_cache=cache
-        )
-        for workload_query in bundle.workload:
-            _assert_same_results(
-                lazy.search(workload_query.query, k=10),
-                compact.search(workload_query.query, k=10),
-            )
-        stats = cache.stats
-        assert stats.entries > 0  # rows were published
-        assert stats.hits > 0  # and read back (hop labels, across the views)
 
     def test_compact_view_hits_shared_rows_across_queries(self, small_bundle):
         bundle = small_bundle

@@ -192,7 +192,7 @@ def test_tbq_meets_section_vi_at_both_ends_of_the_bound(workload, resources, gol
     engine = build_engine(
         EngineSpec(
             CompactGraph.freeze(resources.kg), resources.space,
-            resources.library, resources.config, kg=resources.kg,
+            resources.library, resources.config,
         )
     )
     tick = 1e-3

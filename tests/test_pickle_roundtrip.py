@@ -72,11 +72,9 @@ class TestCompactGraph:
     def test_derived_state_is_rebuilt(self, small_bundle):
         frozen = CompactGraph.freeze(small_bundle.kg)
         thawed = _roundtrip(frozen)
-        # The source-graph reference is dropped by design; the edge table
-        # and per-node slot mirror are rebuilt with value-equal edges.
-        assert thawed.kg is None
-        assert not thawed.is_stale()  # a shipped snapshot is never stale
-        assert not thawed.is_stale(small_bundle.kg)
+        # The entity records, edges and per-node slot mirror are rebuilt
+        # value-equal from the shipped columns.
+        assert thawed.entity_records() == frozen.entity_records()
         for eid in range(0, frozen.num_edges, max(frozen.num_edges // 50, 1)):
             assert thawed.edge(eid) == frozen.edge(eid)
         for uid in range(0, frozen.num_nodes, max(frozen.num_nodes // 50, 1)):
@@ -126,8 +124,6 @@ class TestShardedGraphHandle:
             assert isinstance(thawed, ShardedGraphHandle)
             assert thawed == lease.handle
             assert len(thawed.shards) == 2
-            assert thawed.strategy == "hash"
-            assert thawed.seed == 3
             attached = ShardedGraph.from_handle(thawed)
             assert np.array_equal(attached.shard_of, sharded.shard_of)
             for mine, theirs in zip(sharded.shards, attached.shards):

@@ -74,7 +74,7 @@ def test_production_pull_equals_the_oracle_pair(inputs, policy):
         kg, space, library, config, view_factory=CompactViewFactory(frozen),
         assembly_kernel="reference", search_kernel="reference",
     )
-    production = build_engine(EngineSpec(frozen, space, library, config, kg=kg))
+    production = build_engine(EngineSpec(frozen, space, library, config))
     pruned = 0
     for qid, query in queries:
         answer = production.search(query, k=TOP_K)
@@ -109,7 +109,7 @@ def test_sharded_engine_equals_the_compact_engine(shard_inputs, num_shards, stra
     queries, so both its miss and its hit path are checked."""
     kg, space, library, config, queries = shard_inputs
     compact = build_engine(
-        EngineSpec(CompactGraph.freeze(kg), space, library, config, kg=kg)
+        EngineSpec(CompactGraph.freeze(kg), space, library, config)
     )
     sharded = SemanticGraphQueryEngine(
         kg, space, library, config,

@@ -14,8 +14,11 @@ from pathlib import Path
 import pytest
 
 from repro.core.assembly import AssemblyResult, assemble_top_k
+from repro.core.engine import EngineSpec
 from repro.core.results import QueryResult, QueryResultPayload
 from repro.embedding.trainer import TrainingReport, train_predicate_space
+from repro.kg.compact import CompactGraph
+from repro.kg.sharded import ShardedGraph, ShardedGraphHandle
 from repro.kg.triples import graph_to_id_triples
 from repro.serve.answer_cache import CanonicalQueryKey, EngineFingerprint
 from repro.serve.service import QueryService
@@ -121,6 +124,9 @@ def test_no_deleted_function_is_defined(functions):
         "CompactViewFactory.compact_graph", "_space_index_for",
         "ShardedViewFactory.sharded", "PredicateSpace.dim",
         "PredicateSpace.__len__",
+        # The source-graph back-reference a frozen store no longer keeps.
+        "KnowledgeGraph.out_edge_prefixes", "CompactGraph.is_stale",
+        "CompactGraph._edge_table", "FrozenGraphReader._entity_table",
     }
     assert deleted.isdisjoint(functions.values())
     from repro.core import compact_view
@@ -129,6 +135,10 @@ def test_no_deleted_function_is_defined(functions):
     assert not hasattr(graph, "GraphStatistics")
     assert not hasattr(compact_view, "_SPACE_INDEX_MEMO")
     assert EngineFingerprint.__slots__ == ("library",)
+    assert {"kg", "_edges"}.isdisjoint(CompactGraph.__slots__)
+    assert {"kg", "strategy", "seed"}.isdisjoint(
+        inspect.signature(ShardedGraph.__init__).parameters
+    )
     # The TA round cap nothing set, with every field that reported it.
     assert "max_rounds" not in inspect.signature(assemble_top_k).parameters
     for cls, name in (
@@ -137,6 +147,9 @@ def test_no_deleted_function_is_defined(functions):
         (QueryResultPayload, "ta_truncated"),
         (ReplayReport, "truncated"),
         (CanonicalQueryKey, "fingerprint"),
+        (EngineSpec, "kg"),
+        (ShardedGraphHandle, "strategy"),
+        (ShardedGraphHandle, "seed"),
     ):
         assert name not in {f.name for f in dataclasses.fields(cls)}, cls
     files = {Path(path).name for path, _line in functions}

@@ -85,10 +85,10 @@ def judged(stats):
     return stats.pruned_by_tau + stats.pruned_by_visited + stats.states_generated
 
 
-def both_views(kg, space, cache=None):
+def both_views(kg, space):
     return (
-        SemanticGraphView(kg, space, cache=cache),
-        CompactViewFactory(CompactGraph.freeze(kg))(kg, space, cache=cache),
+        SemanticGraphView(kg, space),
+        CompactViewFactory(CompactGraph.freeze(kg))(kg, space),
     )
 
 
@@ -139,20 +139,26 @@ class TestHopLabel:
             assert view.hop_label(("d", None), [3], 4) == bytes([5, 5, 5, 5])
 
     def test_label_is_shared_across_views_through_the_row_cache(self, fig2_space):
+        # Two per-query views over one kernel, as consecutive queries of
+        # one engine build them, share the label through the cache.
         kg = random_graph(random.Random(9), 30, 60)
         cache = SemanticGraphCache()
-        lazy, compact = both_views(kg, fig2_space, cache=cache)
-        label = compact.hop_label(("Germany", "Country"), [3, 7], 4)
+        factory = CompactViewFactory(CompactGraph.freeze(kg))
+        first, second = (factory(kg, fig2_space, cache=cache) for _ in range(2))
+        label = first.hop_label(("Germany", "Country"), [3, 7], 4)
         assert cache.get_row("hop_label", ("Germany", "Country", 4)) is label
-        hits = lazy.cache_hits
-        assert lazy.hop_label(("Germany", "Country"), [3, 7], 4) is label
-        assert lazy.cache_hits == hits + 1
+        hits = second.cache_hits
+        assert second.hop_label(("Germany", "Country"), [3, 7], 4) is label
+        assert second.cache_hits == hits + 1
         # Memoised per view: the cache is asked once.
         row_hits = cache.stats.hits
-        assert lazy.hop_label(("Germany", "Country"), [3, 7], 4) is label
+        assert second.hop_label(("Germany", "Country"), [3, 7], 4) is label
         assert cache.stats.hits == row_hits
+        # The lazy oracle, on its own cache, computes the same bytes.
+        lazy = SemanticGraphView(kg, fig2_space, cache=SemanticGraphCache())
+        assert lazy.hop_label(("Germany", "Country"), [3, 7], 4) == label
         # The bound is part of the key.
-        assert compact.hop_label(("Germany", "Country"), [3, 7], 2) != label
+        assert first.hop_label(("Germany", "Country"), [3, 7], 2) != label
 
     @pytest.mark.parametrize("compact", [False, True], ids=["lazy", "compact"])
     @pytest.mark.parametrize("library_first", [False, True])
@@ -166,10 +172,14 @@ class TestHopLabel:
             .edge("e", "x", "assembly", "g").build()
         )
         cache = SemanticGraphCache()
+        # One store, as one cache backs one: every engine shares the kernel.
+        factory = CompactViewFactory(CompactGraph.freeze(bundle.kg)) if compact else None
 
         def answers(library):  # a fresh engine on the one cache
-            build = _compact_engine if compact else SemanticGraphQueryEngine
-            engine = build(bundle.kg, bundle.space, library, weight_cache=cache)
+            engine = SemanticGraphQueryEngine(
+                bundle.kg, bundle.space, library,
+                weight_cache=cache, view_factory=factory,
+            )
             return len(engine.search(query, k=10).matches)
 
         def labels():

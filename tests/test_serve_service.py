@@ -86,7 +86,7 @@ def test_configuration_surface_snapshot():
         assert inspect.signature(signature).parameters["backend"].default == "inline"
     assert _build_parser().get_default("backend") == "inline"
     assert [f.name for f in dataclasses.fields(EngineSpec)] == [
-        "store", "space", "library", "config", "kg", "fault_plan",
+        "store", "space", "library", "config", "fault_plan",
     ]
     # The search knobs: τ, n̂, the weight floor, Eq. 3's aggregation, the
     # visited policy and Algorithm 3's two constants; no expansion cap.
@@ -150,7 +150,7 @@ class TestEquivalence:
         cached = build_engine(
             EngineSpec(
                 CompactGraph.freeze(small_bundle.kg), small_bundle.space,
-                small_bundle.library, kg=small_bundle.kg,
+                small_bundle.library,
             ),
             weight_cache=SemanticGraphCache(max_rows=max_rows),
         )
@@ -392,7 +392,7 @@ class TestLifecycle:
                 refused = SemanticGraphQueryEngine(kg, space, library)
             elif given == "compact engine":
                 refused = build_engine(
-                    EngineSpec(CompactGraph.freeze(kg), space, library, kg=kg)
+                    EngineSpec(CompactGraph.freeze(kg), space, library)
                 )
             else:
                 store = (

@@ -359,7 +359,7 @@ class TestServeIntegration:
                 EngineSpec(
                     store=frozen,
                     space=small_bundle.space,
-                    library=small_bundle.library, kg=small_bundle.kg,
+                    library=small_bundle.library,
                 )
             )
             for item in small_bundle.workload[:3]:
