@@ -139,16 +139,20 @@ class PredicateSpace:
         """
         return self._row(self.index_of(predicate))
 
-    # The lock is process-local; pickling (e.g. shipping a space to a
-    # multiprocess worker next to a pickled CompactGraph) drops it and
-    # the receiving process recreates a fresh one.
+    # The lock is process-local and the memoised rows are recomputable,
+    # so pickling (e.g. shipping a space to a multiprocess worker) keeps
+    # only the row cache's capacity: the pickle's size then depends on
+    # the space, not on how warm the sender's cache happens to be.  The
+    # receiving process starts a fresh lock and an empty cache.
     def __getstate__(self) -> Dict[str, object]:
         state = dict(self.__dict__)
         del state["_rows_lock"]
+        state["_rows"] = self._rows.capacity
         return state
 
     def __setstate__(self, state: Dict[str, object]) -> None:
         self.__dict__.update(state)
+        self._rows = self._fresh_rows(state["_rows"])
         self._rows_lock = threading.Lock()
 
     def stats(self) -> CacheStats:

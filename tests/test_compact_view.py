@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import copy
 import pickle
-from contextlib import ExitStack
 
 import pytest
 
@@ -65,22 +64,6 @@ class TestCompactGraphFreeze:
             row = int(compact.indptr[uid + 1] - compact.indptr[uid])
             assert row == len(list(fig2_kg.incident(uid)))
 
-    def test_a_snapshot_keeps_nothing_of_its_source_graph(self, fig2_kg):
-        # The kernel and its reader describe the graph as frozen, however
-        # the graph grows afterwards.
-        compact = CompactGraph.freeze(fig2_kg)
-        reader = FrozenGraphReader(compact)
-        entities = list(fig2_kg.entities())
-        edges = [compact.edge(eid) for eid in range(compact.num_edges)]
-        extra = fig2_kg.add_entity("Porsche", "Automobile")
-        fig2_kg.add_edge(extra.uid, "assembly", 3)
-        assert (compact.num_nodes, compact.num_edges) == (8, 6)
-        assert (reader.num_entities, reader.num_edges) == (8, 6)
-        assert list(reader.entities()) == entities
-        assert reader.entities_of_type("Automobile") == [0, 1, 2]
-        assert [compact.edge(eid) for eid in range(compact.num_edges)] == edges
-        assert all(extra.uid not in (e.source, e.target) for e in edges)
-
     def test_pickle_roundtrip(self, fig2_kg, fig2_space):
         compact = CompactGraph.freeze(fig2_kg)
         clone = pickle.loads(pickle.dumps(compact))
@@ -138,31 +121,24 @@ class TestCompactGraphFreeze:
         with pytest.raises(ServeError):
             factory(fig2_kg, fig2_space)
 
-    @pytest.mark.parametrize("store", ["compact", "handle", "sharded"])
+    @pytest.mark.parametrize("store", ["compact", "sharded"])
     def test_a_spec_built_engine_reads_only_its_store(
         self, fig2_kg, fig2_space, store
     ):
-        frozen = CompactGraph.freeze(fig2_kg)
+        spec_store = (
+            CompactGraph.freeze(fig2_kg) if store == "compact"
+            else ShardedGraph.build(fig2_kg, 2)
+        )
         entities = list(fig2_kg.entities())
-        with ExitStack() as stack:
-            if store == "compact":
-                spec_store = frozen
-            elif store == "handle":
-                spec_store = stack.enter_context(frozen.to_shared()).handle
-            else:
-                spec_store = ShardedGraph.build(fig2_kg, 2)
-            engine = build_engine(EngineSpec(spec_store, fig2_space))
-            grown = fig2_kg.add_entity("Porsche", "Automobile")
-            fig2_kg.add_edge(grown.uid, "assembly", 3)
-            reader = engine.kg
-            assert isinstance(reader, FrozenGraphReader)
-            assert (reader.num_entities, reader.num_edges) == (8, 6)
-            assert list(reader.entities()) == entities
-            assert reader.entities_of_type("Automobile") == [0, 1, 2]
-            # A store frozen in this process kept the graph's own records;
-            # an attached one rebuilt them from its columns.
-            assert (reader.entity(0) is entities[0]) == (store != "handle")
-            engine._make_view()  # the store's own counts: nothing to refuse
+        engine = build_engine(EngineSpec(spec_store, fig2_space))
+        grown = fig2_kg.add_entity("Porsche", "Automobile")
+        fig2_kg.add_edge(grown.uid, "assembly", 3)
+        reader = engine.kg
+        assert isinstance(reader, FrozenGraphReader)
+        assert (reader.num_entities, reader.num_edges) == (8, 6)
+        assert list(reader.entities()) == entities
+        assert reader.entities_of_type("Automobile") == [0, 1, 2]
+        engine._make_view()  # the store's own counts: nothing to refuse
 
     @pytest.mark.parametrize(
         "options",

@@ -374,14 +374,20 @@ class TestSimilarityRows:
 
     def test_pickle_roundtrip_recreates_lock(self):
         # Multiprocess workers receive the space next to a pickled
-        # CompactGraph; the process-local lock must not block that.
+        # CompactGraph; the process-local lock must not block that.  The
+        # memoised rows stay behind: a warm space pickles to the same
+        # bytes as a cold one, and the clone recomputes rows on demand.
         import pickle
 
         space = oracle_predicate_space(dbpedia_like_schema(), seed=3)
+        cold = len(pickle.dumps(space))
         name = space.predicates()[0]
         space.similarity_row(name)  # warm an entry through the lock
+        assert len(pickle.dumps(space)) == cold
         clone = pickle.loads(pickle.dumps(space))
         assert clone.predicates() == space.predicates()
+        assert clone.stats().entries == 0
+        assert clone.stats().capacity == space.stats().capacity
         assert (clone.similarity_row(name) == space.similarity_row(name)).all()
         clone.similarity_row(clone.predicates()[-1])  # lock works post-load
 

@@ -191,11 +191,10 @@ class TestSharedGraphService:
         ) as service:
             spec = service.spec
             assert isinstance(spec.store, CompactGraphHandle)
-            # What the spec would carry by value.  Space and library ride
-            # in both specs, so the bar is on the store each one ships.
+            # What the spec would carry by value.
             by_value = replace(spec, store=CompactGraph.freeze(small_bundle.kg))
-            arrays_bytes = len(pickle.dumps(by_value.store))
-            handle_bytes = len(pickle.dumps(spec.store))
+            arrays_bytes = len(pickle.dumps(by_value))
+            handle_bytes = len(pickle.dumps(spec))
             assert handle_bytes * 10 <= arrays_bytes, (
                 handle_bytes, arrays_bytes,
             )
