@@ -35,6 +35,7 @@ from repro.bench.workloads import (
     dbpedia_workload,
 )
 from repro.core.engine import SemanticGraphQueryEngine
+from repro.kg.compact import CompactGraph
 
 
 def _methods(bundle):
@@ -54,7 +55,9 @@ def _methods(bundle):
 
 def test_table1_q117(dbpedia_bundle, benchmark):
     bundle = dbpedia_bundle
-    truth = constraint_truth(bundle.kg, q117_truth_constraint())
+    truth = constraint_truth(
+        bundle.kg, CompactGraph.freeze(bundle.kg), q117_truth_constraint()
+    )
     k = len(truth)
     variants = q117_variants()
     engine = SemanticGraphQueryEngine(bundle.kg, bundle.space, bundle.library)

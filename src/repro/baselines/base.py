@@ -6,6 +6,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import QueryError
+from repro.kg.compact import CompactGraph
 from repro.kg.graph import KnowledgeGraph
 from repro.query.model import QueryGraph, QueryNode
 from repro.utils.timing import Stopwatch
@@ -26,12 +27,15 @@ class BaselineResult:
 
 
 class GraphQueryMethod:
-    """Base class: a method answers a query graph with ranked entities."""
+    """Base class: a method answers a query graph with ranked entities.
+
+    Edge walks read ``store``, frozen once here, never per query."""
 
     name = "base"
 
     def __init__(self, kg: KnowledgeGraph):
         self.kg = kg
+        self.store = CompactGraph.freeze(kg)
 
     # ------------------------------------------------------------------
     def search(
@@ -85,15 +89,16 @@ def exact_name_type_matches(kg: KnowledgeGraph, node: QueryNode) -> List[int]:
 
 
 def bounded_distances(
-    kg: KnowledgeGraph, sources: List[int], max_hops: int
+    graph: CompactGraph, sources: List[int], max_hops: int
 ) -> Dict[int, int]:
     """Undirected BFS hop distances from a source set, capped at max_hops."""
+    node_slots = graph.node_slots
     distances: Dict[int, int] = {uid: 0 for uid in sources}
     frontier = list(sources)
     for depth in range(1, max_hops + 1):
         next_frontier: List[int] = []
         for uid in frontier:
-            for _edge, neighbor in kg.incident(uid):
+            for _edge, neighbor, _pid in node_slots[uid]:
                 if neighbor not in distances:
                     distances[neighbor] = depth
                     next_frontier.append(neighbor)

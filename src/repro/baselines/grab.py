@@ -63,7 +63,7 @@ class GraBBaseline(GraphQueryMethod):
                 return []  # exact anchor matching: a renamed anchor kills GraB
             expected = query_distances[specific.label]
             anchor_reach.append(
-                (expected, bounded_distances(self.kg, anchors, self.radius))
+                (expected, bounded_distances(self.store, anchors, self.radius))
             )
         if not anchor_reach:
             return []

@@ -88,7 +88,7 @@ class NeMaBaseline(GraphQueryMethod):
                     similarities[entity.uid] = sim
             seed_similarity[node.label] = similarities
             seed_distances[node.label] = bounded_distances(
-                self.kg, list(similarities), self.hop_bound + 2
+                self.store, list(similarities), self.hop_bound + 2
             )
 
         # Candidate answers: type-similar entities (NeMa does node

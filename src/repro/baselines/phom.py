@@ -85,7 +85,7 @@ class PHomBaseline(GraphQueryMethod):
         # for the path-shaped/star workloads used in evaluation reaching
         # every image set is the binding constraint.
         reach: Dict[str, Dict[int, int]] = {
-            label: bounded_distances(self.kg, list(image), self.path_bound)
+            label: bounded_distances(self.store, list(image), self.path_bound)
             for label, image in images.items()
         }
 

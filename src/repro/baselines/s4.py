@@ -96,7 +96,7 @@ class S4Baseline(GraphQueryMethod):
         for instance in instances:
             signatures: Set[Tuple[PatternStep, ...]] = set()
             for path in enumerate_paths(
-                self.kg, instance.object_uid, self.max_pattern_hops
+                self.store, instance.object_uid, self.max_pattern_hops
             ):
                 if path.end != instance.subject_uid:
                     continue
@@ -162,7 +162,7 @@ class S4Baseline(GraphQueryMethod):
                 patterns = self.patterns_for(predicate)
                 for pattern in patterns:
                     for uid, weight in reached.items():
-                        for target in follow_pattern(self.kg, uid, list(pattern.steps)):
+                        for target in follow_pattern(self.store, uid, list(pattern.steps)):
                             candidate_weight = weight + float(pattern.support)
                             if candidate_weight > next_reached.get(target, 0.0):
                                 next_reached[target] = candidate_weight

@@ -75,11 +75,9 @@ class SLQBaseline(GraphQueryMethod):
                 target_uid, edge.predicate, source_uid
             ):
                 return 1.0
-            for _kg_edge, target in self.kg.out_incident(source_uid):
-                if target == target_uid:
-                    return 0.6
-            for _kg_edge, target in self.kg.out_incident(target_uid):
-                if target == source_uid:
+            # An edge either way under another predicate: one slot walk.
+            for _kg_edge, neighbor, _pid in self.store.node_slots[source_uid]:
+                if neighbor == target_uid:
                     return 0.6
             return None
 

@@ -17,6 +17,7 @@ from repro.embedding.oracle import oracle_predicate_space
 from repro.embedding.predicate_space import PredicateSpace
 from repro.embedding.trainer import TrainingConfig, train_predicate_space
 from repro.errors import ReproError
+from repro.kg.compact import CompactGraph
 from repro.kg.generator import GeneratorConfig, SyntheticKGBuilder
 from repro.kg.graph import KnowledgeGraph
 from repro.kg.schema import DomainSchema, preset_schema
@@ -98,8 +99,9 @@ def load_bundle(
     workload = workload_for(preset)
     truth: Dict[str, Set[int]] = {}
     kept: List[WorkloadQuery] = []
+    graph = CompactGraph.freeze(kg)
     for query in workload:
-        answers = compute_truth(kg, query)
+        answers = compute_truth(kg, graph, query)
         if not answers and drop_empty_truth:
             continue
         truth[query.qid] = answers

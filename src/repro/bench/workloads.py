@@ -20,6 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.baselines.s4 import SemanticInstance
 from repro.errors import ReproError
+from repro.kg.compact import CompactGraph
 from repro.kg.graph import KnowledgeGraph
 from repro.kg.paths import PatternStep, follow_pattern
 from repro.kg.schema import DomainSchema
@@ -722,6 +723,7 @@ def s4_prior_instances(
     if not 0.0 <= coverage <= 1.0:
         raise ReproError("coverage must be in [0, 1]")
     rng = derive_rng(seed, "s4:instances")
+    graph = CompactGraph.freeze(kg)
     instances: List[SemanticInstance] = []
     for workload_query in queries:
         predicates = [e.predicate for e in workload_query.query.edges()]
@@ -735,7 +737,7 @@ def s4_prior_instances(
             for index in list(order)[:keep]:
                 pattern = patterns[index]
                 for anchor in anchors:
-                    reached = sorted(follow_pattern(kg, anchor, pattern))
+                    reached = sorted(follow_pattern(graph, anchor, pattern))
                     for uid in reached[:per_pattern]:
                         # The S4 instance relates the query's first
                         # predicate (the user phrasing) to this pair.

@@ -3,7 +3,7 @@
 from repro.core.compact_view import (
     CompactSemanticGraphView,
     CompactViewFactory,
-    lazy_view_factory,
+    LazyViewFactory,
 )
 from repro.core.config import PssMode, SearchConfig, VisitedPolicy
 from repro.core.engine import SemanticGraphQueryEngine
@@ -18,7 +18,7 @@ __all__ = [
     "SemanticGraphView",
     "CompactSemanticGraphView",
     "CompactViewFactory",
-    "lazy_view_factory",
+    "LazyViewFactory",
     "FinalMatch",
     "PathMatch",
     "QueryResult",

@@ -25,11 +25,9 @@ round-trip per query predicate — and the serving layer's warm-workload
 win composes with the kernel's cold-query win.
 
 Equivalence with the lazy view is exact, not approximate: both serve
-weights from the same cached ``PredicateSpace`` rows, slots keep
-``KnowledgeGraph.incident`` order (heap tie-breaks match), and the
-``Edge`` records built from the kernel's columns equal the source
-graph's.  The conformance suite in ``tests/test_compact_view.py`` pins
-all of this.
+weights from the same cached ``PredicateSpace`` rows and walk the same
+store's slots in the same order (heap tie-breaks match).  The
+conformance suite in ``tests/test_compact_view.py`` pins all of this.
 """
 
 from __future__ import annotations
@@ -40,9 +38,9 @@ import numpy as np
 
 from repro.core.pss import log_weight
 from repro.embedding.predicate_space import PredicateSpace
-from repro.errors import ServeError, UnknownPredicateError
-from repro.kg.compact import CompactGraph
-from repro.kg.graph import Edge, GraphReader, KnowledgeGraph
+from repro.errors import UnknownPredicateError
+from repro.kg.compact import CompactGraph, check_frozen_shape
+from repro.kg.graph import Edge, GraphReader
 from repro.core.semantic_graph import (
     PhiKey,
     SemanticGraphView,
@@ -52,8 +50,8 @@ from repro.core.semantic_graph import (
 )
 
 # The engine's view-construction seam: (kg, space, *, min_weight, cache) ->
-# a per-query WeightedGraphView.  `lazy_view_factory` is the default;
-# `CompactViewFactory` instances satisfy it over a shared frozen kernel.
+# a per-query WeightedGraphView.  `LazyViewFactory` is the default;
+# `CompactViewFactory` serves the CSR kernel over the same kind of store.
 ViewFactory = Callable[..., WeightedGraphView]
 
 
@@ -398,13 +396,11 @@ class CompactViewFactory:
     """Builds :class:`CompactSemanticGraphView`\\ s over one frozen kernel.
 
     Matches the engine's ``view_factory`` seam.  The kernel is fixed for
-    the factory's life.  An engine built over a frozen store reads that
-    store's own entities, so its counts always match; an engine built by
-    hand over a live ``KnowledgeGraph`` that grew after the freeze gets
-    :class:`~repro.errors.ServeError` rather than rows and ``m(u)``
-    bounds that miss its new edges — freeze it again and build a new
-    engine.
+    the factory's life, and every call first checks the reader it is
+    handed against it (:func:`~repro.kg.compact.check_frozen_shape`).
     """
+
+    view = CompactSemanticGraphView
 
     def __init__(self, graph: CompactGraph):
         self.graph = graph
@@ -416,26 +412,13 @@ class CompactViewFactory:
         *,
         min_weight: float = 0.0,
         cache: Optional[WeightCache] = None,
-    ) -> CompactSemanticGraphView:
-        graph = self.graph
-        if kg.num_entities != graph.num_nodes or kg.num_edges != graph.num_edges:
-            raise ServeError(
-                f"the graph has {kg.num_entities} entities and "
-                f"{kg.num_edges} edges, but was frozen at {graph.num_nodes} "
-                f"and {graph.num_edges}: freeze it again and build a new "
-                "engine"
-            )
-        return CompactSemanticGraphView(
-            graph, space, min_weight=min_weight, cache=cache
-        )
+    ) -> WeightedGraphView:
+        check_frozen_shape(kg, self.graph)
+        return self.view(self.graph, space, min_weight=min_weight, cache=cache)
 
 
-def lazy_view_factory(
-    kg: KnowledgeGraph,
-    space: PredicateSpace,
-    *,
-    min_weight: float = 0.0,
-    cache: Optional[WeightCache] = None,
-) -> SemanticGraphView:
-    """The default factory: a fresh per-query lazy ``SG_Q`` view."""
-    return SemanticGraphView(kg, space, min_weight=min_weight, cache=cache)
+class LazyViewFactory(CompactViewFactory):
+    """Builds the paper's per-query lazy ``SG_Q`` (the oracle) over one
+    frozen kernel — the engine's default view."""
+
+    view = SemanticGraphView

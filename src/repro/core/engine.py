@@ -23,7 +23,7 @@ from typing import Callable, List, Optional, Tuple, Union, get_args
 
 from repro.core.assembly import AssemblyResult, MatchStream, assemble_top_k
 from repro.core.astar import SubQuerySearch, build_subquery_search
-from repro.core.compact_view import CompactViewFactory, ViewFactory, lazy_view_factory
+from repro.core.compact_view import CompactViewFactory, LazyViewFactory, ViewFactory
 from repro.core.config import SearchConfig
 from repro.core.results import FinalMatch, QueryResult
 from repro.core.semantic_graph import SemanticGraphView, WeightCache, WeightedGraphView
@@ -83,7 +83,8 @@ def _materialise_paths(
 #: choice of view: a frozen ``CompactGraph`` (by value, or by shared-memory
 #: handle) is served through the CSR kernel, a ``ShardedGraph`` (by value
 #: or by handle) through the rank-merged fan-out view.  The paper's lazy
-#: view over a ``KnowledgeGraph`` is the test oracle, built directly.
+#: view is the test oracle: ``SemanticGraphQueryEngine(kg, ...)`` freezes
+#: ``kg`` and builds it directly, never from a spec.
 GraphStore = Union[
     CompactGraph,
     CompactGraphHandle,
@@ -178,10 +179,10 @@ class SemanticGraphQueryEngine:
     """Top-k semantic similarity search over one knowledge graph.
 
     Args:
-        kg: the knowledge graph to query — a ``KnowledgeGraph``, or any
-            :class:`~repro.kg.graph.GraphReader` when ``view_factory``
-            serves the edges (:func:`build_engine` does this for frozen
-            stores).
+        kg: the knowledge graph to query: a ``KnowledgeGraph``, frozen
+            once here, whose snapshot the engine then reads alone — or,
+            with a ``view_factory``, any
+            :class:`~repro.kg.graph.GraphReader` of the factory's store.
         space: predicate semantic space (trained embedding or oracle).
         library: synonym/abbreviation transformation library for node
             matching; ``None`` allows identical matches only.
@@ -197,8 +198,9 @@ class SemanticGraphQueryEngine:
         view_factory: the view-construction seam — a callable
             ``(kg, space, *, min_weight, cache) -> WeightedGraphView``.
             Default builds the paper's lazy :class:`SemanticGraphView`,
-            the oracle; :func:`build_engine` wires the frozen stores'
-            factories (same results, only cost changes).
+            the oracle, over the engine's own freeze; :func:`build_engine`
+            wires the frozen stores' factories (same results, only cost
+            changes).
         assembly_kernel / search_kernel: the oracle seam.  Production is
             ``"vectorized"`` TA assembly plus ``"auto"`` A* (the
             array-backed :mod:`repro.core.search_kernel` on every view
@@ -225,12 +227,16 @@ class SemanticGraphQueryEngine:
         assembly_kernel: str = "vectorized",
         search_kernel: str = "auto",
     ):
-        if view_factory is None and not isinstance(kg, KnowledgeGraph):
-            raise SearchError(
-                "the lazy view walks a KnowledgeGraph; a frozen store is "
-                "served through its view factory (got "
-                f"{type(kg).__name__} and no view_factory)"
-            )
+        if view_factory is None:
+            if not isinstance(kg, KnowledgeGraph):
+                raise SearchError(
+                    "the default engine freezes a KnowledgeGraph; a frozen "
+                    "store is served through its view factory (got "
+                    f"{type(kg).__name__} and no view_factory)"
+                )
+            store = CompactGraph.freeze(kg)
+            kg = FrozenGraphReader(store)
+            view_factory = LazyViewFactory(store)
         self.assembly_kernel = assembly_kernel
         self.search_kernel = search_kernel
         self.kg = kg
@@ -239,7 +245,7 @@ class SemanticGraphQueryEngine:
         self.config = config if config is not None else SearchConfig()
         self.matcher = NodeMatcher(kg, library)
         self.weight_cache = weight_cache
-        self.view_factory: ViewFactory = view_factory or lazy_view_factory
+        self.view_factory: ViewFactory = view_factory
 
     def _make_view(self) -> WeightedGraphView:
         """A per-query ``SG_Q`` view, shared-cache-backed when configured."""

@@ -13,9 +13,11 @@ negative cosine means "semantically opposite", which the search should
 treat as unrelated (weight 0 ⇒ pruned by any τ > 0).
 
 **The oracle, not the serving store.**  This view is the paper's one-shot
-``SG_Q``: two private dicts that live for one query.  The conformance
-suites and the golden pass run it as the definition the production path
-(:mod:`repro.core.compact_view` over a frozen store) is tested against.
+``SG_Q``: two private dicts that live for one query, over the per-node
+slots of a frozen :class:`~repro.kg.compact.CompactGraph`.  The
+conformance suites and the golden pass run it as the definition the
+production path (:mod:`repro.core.compact_view` over the same kind of
+store) is tested against.
 Cross-query sharing is a matter of whole-graph *rows* (see
 :class:`WeightCache`); the only row this view computes is its hop label,
 so that is all it reads from or publishes to a shared cache.
@@ -36,7 +38,8 @@ from typing import (
 
 from repro.embedding.predicate_space import PredicateSpace
 from repro.errors import UnknownPredicateError
-from repro.kg.graph import Edge, KnowledgeGraph
+from repro.kg.compact import CompactGraph
+from repro.kg.graph import Edge
 
 
 class WeightCache(Protocol):
@@ -126,14 +129,15 @@ class WeightedGraphView(Protocol):
 
 
 class SemanticGraphView:
-    """Lazy weighted view of a knowledge graph for one query's predicates.
+    """Lazy weighted view of a frozen graph for one query's predicates.
 
     One view is shared by all sub-query searches of a query: weights depend
     only on (query predicate, graph predicate), so the cache is global to
     the query, exactly like the paper's single ``SG_Q``.
 
     Args:
-        kg: the knowledge graph being viewed.
+        graph: the frozen store being viewed; the view walks its
+            ``node_slots``.
         space: predicate semantic space providing Eq. 5 similarities.
         min_weight: similarities below this materialise as 0.
         cache: optional shared :class:`WeightCache`; when given, the
@@ -142,25 +146,25 @@ class SemanticGraphView:
 
     def __init__(
         self,
-        kg: KnowledgeGraph,
+        graph: CompactGraph,
         space: PredicateSpace,
         *,
         min_weight: float = 0.0,
         cache: Optional[WeightCache] = None,
     ):
-        self.kg = kg
+        self.graph = graph
         self.space = space
         self.min_weight = min_weight
         self._cache = cache
         if cache is not None:
             # The fingerprint holds the objects themselves (not id()s):
             # the cache keeps them alive, so identity can never be
-            # recycled onto a different graph/space.  It also pins the
-            # graph's shape: the store is append-only, so a changed
-            # entity/edge count is the one possible mutation — and it
-            # invalidates cached rows, so a grown graph must get a
-            # fresh cache, loudly.
-            cache.bind((kg, space, min_weight, kg.num_entities, kg.num_edges))
+            # recycled onto a different graph/space.  The store is
+            # immutable, so its identity is the whole graph part; the
+            # leading class keeps the oracle off a cache a compact view
+            # over the same store fills, so the two never compare a row
+            # with itself.
+            cache.bind((SemanticGraphView, graph, space, min_weight))
         # (query predicate, graph predicate) -> clamped weight
         self._weight_cache: Dict[Tuple[str, str], float] = {}
         # (uid, query predicate) -> max adjacent weight (the m(u) of Lemma 1)
@@ -207,7 +211,7 @@ class SemanticGraphView:
         would duplicate that policy, so we don't.
         """
         self._touched_nodes.add(uid)
-        for edge, neighbor in self.kg.incident(uid):
+        for edge, neighbor, _pid in self.graph.node_slots[uid]:
             yield edge, neighbor, self.weight(query_predicate, edge.predicate)
 
     def max_adjacent_weight(self, uid: int, query_predicate: str) -> float:
@@ -264,13 +268,13 @@ class SemanticGraphView:
         """
 
         def breadth_first(cap: int) -> bytes:
-            incident = self.kg.incident
-            distance = bytearray([cap]) * self.kg.num_entities
+            node_slots = self.graph.node_slots
+            distance = bytearray([cap]) * self.graph.num_nodes
             frontier = list(phi)
             for hop in range(1, cap):
                 reached = []
                 for uid in frontier:
-                    for _edge, neighbor in incident(uid):
+                    for _edge, neighbor, _pid in node_slots[uid]:
                         if distance[neighbor] > hop:
                             distance[neighbor] = hop
                             reached.append(neighbor)
@@ -293,6 +297,6 @@ class SemanticGraphView:
     def materialization_ratio(self) -> float:
         """Fraction of graph nodes ever materialised (Example 5's
         "25% of nodes pruned" is 1 minus this, per sub-query)."""
-        if self.kg.num_entities == 0:
+        if self.graph.num_nodes == 0:
             return 0.0
-        return self.touched_nodes / self.kg.num_entities
+        return self.touched_nodes / self.graph.num_nodes

@@ -1,13 +1,12 @@
 """Compact, numpy-backed knowledge-graph kernel (frozen CSR incidence).
 
-:class:`~repro.kg.graph.KnowledgeGraph` is an object graph — ``Edge``
-dataclasses in per-node lists — which is the right shape for construction
-and for returning human-readable matches, but the wrong shape for the A*
-hot loop: every ``incident`` call walks Python objects, every weight is a
-dict probe, and every ``m(u)`` bound (Lemma 1) is a per-node Python scan.
+:class:`~repro.kg.graph.KnowledgeGraph` is a builder: it keeps its edges
+as three integer columns and nothing a walk could use.  Every edge
+reader — the engine's views, the test oracles, the baselines — walks a
+:class:`CompactGraph` instead.
 
-:class:`CompactGraph` freezes that object graph into interned id tables
-plus an **undirected-incidence CSR**:
+:class:`CompactGraph` freezes the builder into interned id tables plus
+an **undirected-incidence CSR**:
 
 - ``indptr[u] : indptr[u + 1]`` delimits node ``u``'s incidence slots
   (each edge occupies two slots, one per endpoint);
@@ -24,25 +23,24 @@ plus an **undirected-incidence CSR**:
 - ``name_blob`` / ``name_offsets`` carry the UTF-8 entity names, so a
   snapshot is a *complete* description of the graph: every engine reads
   its entity records from the snapshot (:class:`FrozenGraphReader`),
-  never from the object graph it was frozen from.
+  never from the builder it was frozen from.
 
-Slot order within a node is exactly ``KnowledgeGraph.incident`` order, so
-a search over the compact kernel expands states in the same sequence as
-one over the object graph — which is what makes the two views'
+Slot order within a node is the insertion-order rule: the node's
+out-edges, then its in-edges, each in the order ``add_edge`` accepted
+them.  Every view walks these slots, so the lazy oracle and the compact
+kernel expand states in the same sequence — which is what makes their
 results byte-identical, heap tie-breaks included.
 
-:meth:`CompactGraph.freeze` reads no incidence list.  The graph keeps
-its edges as three append-only int columns too (source, target,
-interned predicate id, in insertion order), and the freeze builds every
-edge and slot column from *copies* of them with numpy alone: a stable
+:meth:`CompactGraph.freeze` builds every edge and slot column from
+*copies* of the builder's three append-only columns (source, target,
+interned predicate id, in insertion order) with numpy alone: a stable
 argsort by source numbers the edges, a stable argsort by target orders
 the in-slots, two scatters fill the CSR.  Copies, not views: a column
 that exported its buffer could not grow.
 
 A frozen kernel keeps no reference to the graph it was frozen from: it
 is immutable, and a graph that grows afterwards changes nothing it
-serves.  All index state is plain int arrays — picklable and shardable,
-unlike the object graph.
+serves.  All index state is plain int arrays — picklable and shardable.
 
 Beyond pickling, the columns can live in **named shared memory**
 (:mod:`repro.kg.shm`): :meth:`CompactGraph.to_shared` packs them into one
@@ -62,13 +60,13 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.errors import GraphError, UnknownEntityError
-from repro.kg.graph import Edge, Entity, KnowledgeGraph
+from repro.errors import GraphError, ServeError, UnknownEntityError
+from repro.kg.graph import Edge, Entity, GraphReader, KnowledgeGraph
 from repro.kg.shm import ShmArrayBlock, ShmBlockHandle
 
 #: The columns :meth:`CompactGraph.to_shared` publishes — every numeric
 #: table plus the entity-name blob, i.e. everything a worker needs to
-#: serve queries without the object graph.
+#: serve queries without the builder.
 SHARED_COLUMNS = (
     "entity_type",
     "edge_source",
@@ -95,12 +93,15 @@ class CompactGraph:
     >>> kg = KnowledgeGraph()
     >>> a = kg.add_entity("Audi_TT", "Automobile")
     >>> g = kg.add_entity("Germany", "Country")
-    >>> _ = kg.add_edge(a.uid, "assembly", g.uid)
+    >>> kg.add_edge(a.uid, "assembly", g.uid)
+    True
     >>> compact = CompactGraph.freeze(kg)
     >>> compact.num_nodes, compact.num_edges
     (2, 1)
     >>> int(compact.slot_neighbor[compact.indptr[0]])
     1
+    >>> [(edge.predicate, neighbor) for edge, neighbor, _pid in compact.node_slots[1]]
+    [('assembly', 0)]
     """
 
     __slots__ = (
@@ -133,8 +134,7 @@ class CompactGraph:
     )
 
     # Derived-object state: reconstructable from the arrays, so pickling
-    # ships only numeric tables (plus name strings) — not the object
-    # graph the kernel exists to replace.  ``_shm_block`` pins the shared
+    # ships only numeric tables (plus name strings).  ``_shm_block`` pins the shared
     # mapping of an attached kernel and never travels.
     _TRANSIENT = (
         "__weakref__",
@@ -227,10 +227,9 @@ class CompactGraph:
         indptr = np.zeros(num_nodes + 1, dtype=np.int64)
         np.cumsum(out_degree + in_degree, out=indptr[1:])
 
-        # Undirected-incidence CSR, slot order == KnowledgeGraph.incident
-        # order (load-bearing: it keeps compact and lazy searches
-        # expanding in the same sequence): node u's out-edges, then its
-        # in-edges, each in insertion order.  Out-edge ``eid`` of u lands
+        # Undirected-incidence CSR in the insertion-order rule
+        # (load-bearing: it is the order every view expands in): node
+        # u's out-edges, then its in-edges, each in insertion order.  Out-edge ``eid`` of u lands
         # in slot ``indptr[u] + eid - first_out[u]``; the r-th in-edge of
         # v in slot ``indptr[v] + out_degree[v] + r``.
         first_out = np.cumsum(out_degree) - out_degree
@@ -334,11 +333,14 @@ class CompactGraph:
 
     @property
     def node_slots(self) -> List[Tuple[Tuple[Edge, int, int], ...]]:
-        """Per-node ``(edge, neighbor, predicate id)`` triples.
+        """Per-node ``(edge, neighbor, predicate id)`` triples, slot order.
 
-        What ``weighted_incident`` walks: the reference search over a
-        compact view, the sharded gather and the ``view_incident_us``
-        probe.  The array search kernel reads the flat list mirrors
+        The graph's one edge walk: ``weighted_incident`` of every view
+        (the lazy oracle, the reference search over a compact view, the
+        sharded gather, the ``view_incident_us`` probe), the path
+        oracles of :mod:`repro.kg.paths` and the baselines.  An edge's
+        direction is ``edge.source == uid``.  The array search kernel
+        reads the flat list mirrors
         (:meth:`indptr_list`, :meth:`slot_neighbor_list`,
         :meth:`slot_predicate_list`) instead.  Built once (O(V + E)) on
         first use, on every kernel — frozen, unpickled or attached — so
@@ -401,14 +403,14 @@ class CompactGraph:
         return self._entities
 
     # ------------------------------------------------------------------
-    # escape hatches back to the object graph
+    # edge records
     # ------------------------------------------------------------------
     def edge(self, eid: int) -> Edge:
         """The :class:`Edge` behind edge id ``eid``, built from the columns.
 
-        Escape hatch for match assembly and rendering: a query reads a
-        few dozen, so each is built on demand rather than kept in a
-        table.  Equal to the source graph's record, not the same object.
+        For match assembly and rendering: a query reads a few dozen, so
+        each is built on demand rather than kept in a table.  Equal to
+        the record ``node_slots`` holds for it, not the same object.
         """
         return Edge(
             source=int(self.edge_source[eid]),
@@ -451,8 +453,8 @@ class CompactGraph:
     # Pickle plumbing (__slots__ classes need it explicitly).  Only the
     # numeric tables travel: the entity records, the per-node slot mirror
     # and the list mirrors are dropped and rebuilt lazily on first use,
-    # so shipping a kernel to a worker process costs the arrays — not the
-    # object graph the kernel exists to replace.
+    # so shipping a kernel to a worker process costs the arrays, not
+    # Python objects per edge.
     def __getstate__(self) -> Dict[str, object]:
         return {
             name: getattr(self, name)
@@ -609,3 +611,17 @@ class FrozenGraphReader:
     def types(self) -> List[str]:
         """All distinct entity types, in first-use order."""
         return list(self._store.type_names)
+
+
+def check_frozen_shape(kg: GraphReader, store) -> None:
+    """Every view factory's guard: :class:`~repro.errors.ServeError` when
+    the reader an engine hands it has other counts than its store — a
+    live ``KnowledgeGraph`` that grew after the freeze — rather than
+    serve rows and ``m(u)`` bounds that miss the growth."""
+    if kg.num_entities != store.num_nodes or kg.num_edges != store.num_edges:
+        raise ServeError(
+            f"the graph has {kg.num_entities} entities and "
+            f"{kg.num_edges} edges, but was frozen at {store.num_nodes} "
+            f"and {store.num_edges}: freeze it again and build a new "
+            "engine"
+        )

@@ -1,27 +1,26 @@
-"""In-memory knowledge graph store (Definition 1 of the paper).
+"""Knowledge-graph builder (Definition 1 of the paper).
 
 A knowledge graph ``G = (V, E, L)`` has typed, named entity nodes and
 directed predicate-labelled edges.  This module provides:
 
 - :class:`Entity` — an immutable node record ``(uid, name, etype)``;
-- :class:`Edge` — an immutable directed edge ``(source, predicate, target)``;
-- :class:`KnowledgeGraph` — adjacency storage with the label indexes the
-  search layer needs: entities by type and by name, predicates in
-  first-use order, and *undirected* incident-edge iteration (the paper's
-  path definition ignores edge direction, footnote 1);
+- :class:`Edge` — an immutable directed edge ``(source, predicate, target)``,
+  the record a frozen store builds for a path (the builder keeps none);
+- :class:`KnowledgeGraph` — the builder: entities with their name and type
+  indexes, predicates in first-use order, and every edge as three integer
+  columns;
 - :class:`GraphReader` — the seven members of it the online engine reads.
 
-The store is append-only: experiments build a graph once and query it many
-times, so there is no node/edge deletion, which keeps the indexes trivially
-consistent.
+The builder is append-only and keeps no incidence: every edge walk —
+the engine's views, the test oracles, the baselines — reads a
+:class:`~repro.kg.compact.CompactGraph` frozen from its columns.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from itertools import chain
-from typing import Dict, Iterator, List, Optional, Protocol, Set, Tuple
+from typing import Dict, Iterator, List, Protocol, Set, Tuple
 
 import numpy as np
 
@@ -87,42 +86,38 @@ class GraphReader(Protocol):
 
 
 class KnowledgeGraph:
-    """Adjacency-indexed knowledge graph (Definition 1).
+    """Append-only knowledge-graph builder (Definition 1).
 
-    Besides the per-node incidence lists the search walks, the graph
-    keeps three append-only ``uint32`` edge columns — source, target and
-    interned predicate id, one entry per accepted edge in insertion
-    order (12 bytes an edge).  Predicate ids follow first use, i.e.
-    index into :meth:`predicates`.  :meth:`edge_columns` hands out copies
-    of them, which is all :meth:`~repro.kg.compact.CompactGraph.freeze`
-    needs to build the CSR with numpy alone.
+    Per edge the graph keeps three ``uint32`` column entries — source,
+    target and interned predicate id, in insertion order (12 bytes an
+    edge) — and one packed integer key that refuses duplicates and
+    answers :meth:`has_edge`.  It keeps no incidence: walk the graph
+    through :meth:`CompactGraph.freeze(kg) <repro.kg.compact.CompactGraph.freeze>`,
+    which builds its CSR from :meth:`edge_columns` with numpy alone.
+    Predicate ids follow first use, i.e. index into :meth:`predicates`.
 
     >>> kg = KnowledgeGraph()
     >>> audi = kg.add_entity("Audi_TT", "Automobile")
     >>> germany = kg.add_entity("Germany", "Country")
-    >>> _ = kg.add_edge(audi.uid, "assembly", germany.uid)
-    >>> [e.predicate for e, v in kg.incident(audi.uid)]
-    ['assembly']
+    >>> kg.add_edge(audi.uid, "assembly", germany.uid)
+    True
+    >>> kg.add_edge(audi.uid, "assembly", germany.uid)  # a duplicate
+    False
+    >>> kg.has_edge(audi.uid, "assembly", germany.uid), kg.num_edges
+    (True, 1)
     """
 
     def __init__(self, name: str = "kg"):
         self.name = name
         self._entities: List[Entity] = []
-        # The adjacency indexes: (edge, other endpoint) pairs precomputed
-        # at add_edge time, split by direction so undirected iteration
-        # keeps the historical out-edges-then-in-edges order (search
-        # tie-breaks depend on it).  incident() — the search layer's
-        # hottest graph call — is then a plain chained walk; the
-        # direction-specific edge lists are derived on demand (cold
-        # paths only), so each edge is indexed exactly twice.
-        self._incident_out: Dict[int, List[Tuple[Edge, int]]] = {}
-        self._incident_in: Dict[int, List[Tuple[Edge, int]]] = {}
         self._by_type: Dict[str, List[int]] = {}
         self._by_name: Dict[str, List[int]] = {}
         # Predicate -> interned id; ids (and the dict's order) follow
         # first use.
         self._predicates: Dict[str, int] = {}
-        self._edge_set: Set[Tuple[int, str, int]] = set()
+        # One packed int per edge (see _edge_key): ints are not tracked
+        # by the collector, so the set is one object however many edges.
+        self._edge_keys: Set[int] = set()
         # The edge columns, appended together by add_edge only, after
         # every check.  Unsigned: ids are never negative, and "I" appends
         # about twice as fast as "i".  Nothing may hold a buffer view of
@@ -146,14 +141,12 @@ class KnowledgeGraph:
         uid = len(self._entities)
         entity = Entity(uid=uid, name=name, etype=etype)
         self._entities.append(entity)
-        self._incident_out[uid] = []
-        self._incident_in[uid] = []
         self._by_type.setdefault(etype, []).append(uid)
         self._by_name.setdefault(name, []).append(uid)
         return entity
 
-    def add_edge(self, source: int, predicate: str, target: int) -> Optional[Edge]:
-        """Add a directed edge; returns ``None`` if it already exists.
+    def add_edge(self, source: int, predicate: str, target: int) -> bool:
+        """Add a directed edge; ``False`` if it already exists.
 
         Self-loops are rejected: the paper's schema paths never use them and
         they would let the A* search "stall" on a node.
@@ -164,19 +157,16 @@ class KnowledgeGraph:
             raise GraphError("self-loop edges are not supported")
         self._check_uid(source)
         self._check_uid(target)
-        key = (source, predicate, target)
-        if key in self._edge_set:
-            return None
         pid = self._predicates.get(predicate, len(self._predicates))
+        key = _edge_key(source, pid, target)
+        if key in self._edge_keys:
+            return False
         self._edge_source.append(source)
         self._edge_target.append(target)
         self._edge_predicate.append(pid)
-        edge = Edge(source=source, predicate=predicate, target=target)
-        self._edge_set.add(key)
-        self._incident_out[source].append((edge, target))
-        self._incident_in[target].append((edge, source))
+        self._edge_keys.add(key)
         self._predicates.setdefault(predicate, pid)
-        return edge
+        return True
 
     # ------------------------------------------------------------------
     # lookups
@@ -204,57 +194,14 @@ class KnowledgeGraph:
 
     def has_edge(self, source: int, predicate: str, target: int) -> bool:
         """Whether the exact directed edge exists."""
-        return (source, predicate, target) in self._edge_set
-
-    # ------------------------------------------------------------------
-    # traversal
-    # ------------------------------------------------------------------
-    def out_edges(self, uid: int) -> List[Edge]:
-        """Directed edges leaving ``uid`` (a fresh O(degree) list).
-
-        Loop-heavy callers should prefer :meth:`out_incident`, which
-        returns the stored pairs without copying.
-        """
-        self._check_uid(uid)
-        return [edge for edge, _other in self._incident_out[uid]]
-
-    def out_incident(self, uid: int) -> List[Tuple[Edge, int]]:
-        """Live ``(edge, target)`` pairs for edges leaving ``uid``.
-
-        The returned list is the stored index — callers must not mutate
-        it.  Zero-copy counterpart of :meth:`out_edges`.
-        """
-        self._check_uid(uid)
-        return self._incident_out[uid]
-
-    def in_incident(self, uid: int) -> List[Tuple[Edge, int]]:
-        """Live ``(edge, source)`` pairs for edges entering ``uid``.
-
-        The returned list is the stored index — callers must not mutate
-        it.
-        """
-        self._check_uid(uid)
-        return self._incident_in[uid]
-
-    def incident(self, uid: int) -> Iterator[Tuple[Edge, int]]:
-        """Iterate ``(edge, neighbour_uid)`` over all edges touching ``uid``.
-
-        Traversal is undirected (paper footnote 1): both outgoing and
-        incoming edges are yielded, paired with the opposite endpoint —
-        outgoing first, then incoming, each in insertion order (the
-        historical order; equal-score search tie-breaks depend on it).
-        The pairs are precomputed at :meth:`add_edge` time, so iteration
-        is a chained list walk — this is the search layer's hottest
-        graph call.
-        """
-        self._check_uid(uid)
-        out = self._incident_out[uid]
-        into = self._incident_in[uid]
-        if not into:
-            return iter(out)
-        if not out:
-            return iter(into)
-        return chain(out, into)
+        pid = self._predicates.get(predicate)
+        count = len(self._entities)
+        return (
+            pid is not None
+            and 0 <= source < count
+            and 0 <= target < count
+            and _edge_key(source, pid, target) in self._edge_keys
+        )
 
     def edge_columns(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(source, target, predicate id)`` of every edge, insertion order.
@@ -278,7 +225,7 @@ class KnowledgeGraph:
 
     @property
     def num_edges(self) -> int:
-        return len(self._edge_set)
+        return len(self._edge_source)
 
     def predicates(self) -> List[str]:
         """All distinct predicates, in first-use order."""
@@ -287,3 +234,8 @@ class KnowledgeGraph:
     def types(self) -> List[str]:
         """All distinct entity types, in first-use order."""
         return list(self._by_type)
+
+
+def _edge_key(source: int, pid: int, target: int) -> int:
+    """One int per ``(source, predicate id, target)``: uids are uint32."""
+    return (pid << 64) | (source << 32) | target

@@ -1,9 +1,10 @@
-"""Path objects and bounded path utilities over a knowledge graph.
+"""Path objects and bounded path utilities over a frozen knowledge graph.
 
 A *path* in the paper (footnote 1) is an undirected walk over directed
 edges; a match of a query edge is such a path between node matches.  This
 module defines the concrete :class:`Path` value used throughout the search
-and assembly layers, plus two traversal helpers:
+and assembly layers, plus two traversal helpers over a
+:class:`~repro.kg.compact.CompactGraph`'s ``node_slots``:
 
 - :func:`enumerate_paths` — bounded exhaustive enumeration (used by tests
   and by the brute-force reference oracle that validates the A* search);
@@ -17,7 +18,8 @@ from dataclasses import dataclass
 from typing import Iterator, List, Sequence, Set, Tuple
 
 from repro.errors import GraphError
-from repro.kg.graph import Edge, KnowledgeGraph
+from repro.kg.compact import CompactGraph
+from repro.kg.graph import Edge, GraphReader
 
 
 @dataclass(frozen=True)
@@ -77,7 +79,7 @@ class Path:
         """A new path with one more hop appended."""
         return Path(start=self.start, steps=self.steps + (step,))
 
-    def describe(self, kg: KnowledgeGraph) -> str:
+    def describe(self, kg: GraphReader) -> str:
         """Human-readable rendering, e.g. ``Audi_TT -assembly-> Germany``."""
         nodes = self.nodes()
         parts = [kg.entity(nodes[0]).name]
@@ -89,7 +91,7 @@ class Path:
 
 
 def enumerate_paths(
-    kg: KnowledgeGraph,
+    graph: CompactGraph,
     start: int,
     max_hops: int,
     *,
@@ -102,10 +104,11 @@ def enumerate_paths(
     """
     if max_hops < 1:
         return
+    node_slots = graph.node_slots
 
     def _walk(path: Path, visited: Set[int]) -> Iterator[Path]:
         current = path.end
-        for edge, neighbor in kg.incident(current):
+        for edge, neighbor, _pid in node_slots[current]:
             if simple_only and neighbor in visited:
                 continue
             step = PathStep(edge=edge, forward=(edge.source == current))
@@ -121,7 +124,7 @@ PatternStep = Tuple[str, str]  # (predicate, "+" | "-")
 
 
 def follow_pattern(
-    kg: KnowledgeGraph, start: int, pattern: Sequence[PatternStep]
+    graph: CompactGraph, start: int, pattern: Sequence[PatternStep]
 ) -> Set[int]:
     """Nodes reachable from ``start`` by following a directed pattern.
 
@@ -133,20 +136,17 @@ def follow_pattern(
 
     Returns the set of end nodes (may be empty).
     """
+    node_slots = graph.node_slots
     frontier = {start}
     for predicate, direction in pattern:
         if direction not in ("+", "-"):
             raise GraphError(f"pattern direction must be '+' or '-', got {direction!r}")
+        forward = direction == "+"
         next_frontier: Set[int] = set()
         for uid in frontier:
-            if direction == "+":
-                for edge, target in kg.out_incident(uid):
-                    if edge.predicate == predicate:
-                        next_frontier.add(target)
-            else:
-                for edge, source in kg.in_incident(uid):
-                    if edge.predicate == predicate:
-                        next_frontier.add(source)
+            for edge, neighbor, _pid in node_slots[uid]:
+                if edge.predicate == predicate and (edge.source == uid) == forward:
+                    next_frontier.add(neighbor)
         frontier = next_frontier
         if not frontier:
             break

@@ -67,7 +67,12 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import GraphError
-from repro.kg.compact import SHARED_COLUMNS, CompactGraph, CompactGraphHandle
+from repro.kg.compact import (
+    SHARED_COLUMNS,
+    CompactGraph,
+    CompactGraphHandle,
+    check_frozen_shape,
+)
 from repro.kg.graph import Edge, Entity, KnowledgeGraph
 from repro.kg.shm import SHM_PREFIX, ShmArrayBlock
 from repro.utils.rng import derive_rng
@@ -685,6 +690,7 @@ class ShardedViewFactory:
     engine's shared ``cache``, bound to the shard set's identity, and is
     computed from the engine's own space.  A sharded engine therefore
     reports exactly what an unsharded one does: one row cache, one space.
+    Every call first runs :func:`~repro.kg.compact.check_frozen_shape`.
     """
 
     def __init__(self, sharded: ShardedGraph):
@@ -698,6 +704,7 @@ class ShardedViewFactory:
         min_weight: float = 0.0,
         cache=None,
     ) -> ShardedGraphView:
+        check_frozen_shape(kg, self._sharded)
         if cache is not None:
             # The shard set is immutable, so its identity is the whole
             # graph part of the binding.

@@ -9,6 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
+from repro.kg.compact import CompactGraph
 from repro.kg.graph import KnowledgeGraph
 
 
@@ -28,13 +29,9 @@ def graph_to_id_triples(
 
     Entity ids are the graph uids; relation ids index into the returned
     vocabulary list (ordered by first use, matching
-    :meth:`KnowledgeGraph.predicates`).
+    :meth:`KnowledgeGraph.predicates`).  Triples come in the freeze's
+    edge order: source-major, each source's edges in insertion order.
     """
-    vocab = kg.predicates()
-    rel_index = {p: i for i, p in enumerate(vocab)}
-    triples = [
-        Triple(edge.source, rel_index[edge.predicate], edge.target)
-        for uid in range(kg.num_entities)
-        for edge in kg.out_edges(uid)
-    ]
-    return triples, vocab
+    graph = CompactGraph.freeze(kg)
+    columns = (graph.edge_source, graph.edge_predicate, graph.edge_target)
+    return list(map(Triple, *(c.tolist() for c in columns))), graph.predicate_names

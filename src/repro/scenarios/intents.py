@@ -2,9 +2,10 @@
 
 Five intent classes, each stressing a different part of the engine:
 
-- **star** — one target center with 2-3 specific anchor leaves: a
-  multi-edge decomposition (minCost must pick the pivot) assembled by
-  the TA across several sub-queries.
+- **star** — one target center with 2-3 specific anchor leaves: one
+  sub-query per leaf, assembled by the TA.  The center is the only
+  target node, hence the only feasible pivot, so minCost (Eq. 1)
+  chooses nothing here — no intent class gives it a choice.
 - **chain** — a two-hop path ending in a specific anchor: the
   longest-schema case, exercising the path bound n̂ and multi-hop pss.
 - **noisy-predicate** — a one-edge query phrased with a *cluster

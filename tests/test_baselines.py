@@ -20,6 +20,7 @@ from repro.baselines.base import (
 from repro.baselines.s4 import SemanticInstance
 from repro.bench.workloads import q117_variants, qga_aliases, s4_prior_instances
 from repro.errors import QueryError
+from repro.kg.compact import CompactGraph
 from repro.kg.generator import build_dataset
 from repro.kg.paths import follow_pattern
 from repro.kg.schema import dbpedia_like_schema
@@ -35,10 +36,15 @@ def setup():
     (germany,) = kg.entities_named("Germany")
     one_hop = {
         uid
-        for uid in follow_pattern(kg, germany, [("assembly", "-")])
+        for uid in follow_pattern(CompactGraph.freeze(kg), germany, [("assembly", "-")])
         if kg.entity(uid).etype == "Automobile"
     }
     return schema, kg, library, germany, one_hop
+
+
+@pytest.fixture(scope="module")
+def store(setup):
+    return CompactGraph.freeze(setup[1])
 
 
 class TestHelpers:
@@ -51,9 +57,9 @@ class TestHelpers:
         assert string_similarity("Car", "Automobile") == 0.0
         assert string_similarity("X", "X") == 1.0
 
-    def test_bounded_distances(self, setup):
-        _schema, kg, _library, germany, _one_hop = setup
-        distances = bounded_distances(kg, [germany], 2)
+    def test_bounded_distances(self, setup, store):
+        _schema, _kg, _library, germany, _one_hop = setup
+        distances = bounded_distances(store, [germany], 2)
         assert distances[germany] == 0
         assert all(d <= 2 for d in distances.values())
 
@@ -94,13 +100,13 @@ class TestSLQ:
             answers = set(slq.search(query, k=1000).answers)
             assert one_hop <= answers, f"variant {name} missed 1-hop answers"
 
-    def test_no_edge_to_path(self, setup):
+    def test_no_edge_to_path(self, setup, store):
         """SLQ cannot reach answers that need 2-hop schemas."""
         _schema, kg, library, germany, _one_hop = setup
         two_hop_only = {
             uid
             for uid in follow_pattern(
-                kg, germany, [("location", "-"), ("manufacturer", "-")]
+                store, germany, [("location", "-"), ("manufacturer", "-")]
             )
             if not kg.has_edge(uid, "assembly", germany)
         }
@@ -133,11 +139,11 @@ class TestNeMa:
 
 class TestS4:
     @pytest.fixture(scope="class")
-    def s4(self, setup):
+    def s4(self, setup, store):
         _schema, kg, _library, germany, _one_hop = setup
         instances = [
             SemanticInstance("product", uid, germany)
-            for uid in sorted(follow_pattern(kg, germany, [("assembly", "-")]))[:8]
+            for uid in sorted(follow_pattern(store, germany, [("assembly", "-")]))[:8]
         ]
         return S4Baseline(kg, instances)
 
@@ -161,11 +167,11 @@ class TestS4:
         assert s4.search(q117_variants()["G1"], k=100).answers == []
         assert s4.search(q117_variants()["G2"], k=100).answers == []
 
-    def test_pattern_cap(self, setup):
+    def test_pattern_cap(self, setup, store):
         _schema, kg, _library, germany, _one_hop = setup
         instances = [
             SemanticInstance("product", uid, germany)
-            for uid in sorted(follow_pattern(kg, germany, [("assembly", "-")]))[:8]
+            for uid in sorted(follow_pattern(store, germany, [("assembly", "-")]))[:8]
         ]
         s4 = S4Baseline(kg, instances, max_patterns=1)
         assert len(s4.patterns_for("product")) <= 1

@@ -43,6 +43,7 @@ from repro.bench.workloads import (
 )
 from repro.core.engine import SemanticGraphQueryEngine
 from repro.errors import ReproError
+from repro.kg.compact import CompactGraph
 
 
 class TestMetrics:
@@ -106,9 +107,13 @@ class TestWorkloads:
 
 
 class TestGroundTruth:
-    def test_q117_truth_nonempty(self, small_bundle):
+    @pytest.fixture(scope="class")
+    def graph(self, small_bundle):
+        return CompactGraph.freeze(small_bundle.kg)
+
+    def test_q117_truth_nonempty(self, small_bundle, graph):
         constraint = q117_truth_constraint()
-        truth = constraint_truth(small_bundle.kg, constraint)
+        truth = constraint_truth(small_bundle.kg, graph, constraint)
         assert truth
         assert all(
             small_bundle.kg.entity(uid).etype == "Automobile" for uid in truth
@@ -119,27 +124,28 @@ class TestGroundTruth:
         """Fig. 1's per-schema answer sets: an entity satisfies a
         constraint iff one of its correct schemas alone reaches it."""
         bundle = load_bundle(preset, scale=1.0, seed=11, use_cache=False)
+        graph = CompactGraph.freeze(bundle.kg)
         for query in bundle.workload:
             for constraint in query.truth_constraints:
                 per_schema = set()
                 for pattern in constraint.patterns:
                     alone = dataclasses.replace(constraint, patterns=(pattern,))
-                    per_schema |= constraint_truth(bundle.kg, alone)
-                assert per_schema == constraint_truth(bundle.kg, constraint), query.qid
+                    per_schema |= constraint_truth(bundle.kg, graph, alone)
+                assert per_schema == constraint_truth(bundle.kg, graph, constraint), query.qid
 
-    def test_missing_anchor_raises(self, small_bundle):
+    def test_missing_anchor_raises(self, small_bundle, graph):
         constraint = TruthConstraint("Wakanda", ((("assembly", "-"),),), "Automobile")
         with pytest.raises(ReproError):
-            constraint_truth(small_bundle.kg, constraint)
+            constraint_truth(small_bundle.kg, graph, constraint)
 
-    def test_multi_constraint_intersects(self, small_bundle):
+    def test_multi_constraint_intersects(self, small_bundle, graph):
         query = [q for q in dbpedia_workload() if q.qid == "D8"][0]
         try:
-            truth = compute_truth(small_bundle.kg, query)
+            truth = compute_truth(small_bundle.kg, graph, query)
         except ReproError:
             pytest.skip("anchor missing at this scale")
         for constraint in query.truth_constraints:
-            assert truth <= constraint_truth(small_bundle.kg, constraint)
+            assert truth <= constraint_truth(small_bundle.kg, graph, constraint)
 
 
 class TestBundles:

@@ -1,14 +1,16 @@
 """``CompactGraph.freeze`` against a per-slot reference loop.
 
 The production freeze builds each CSR column whole, with numpy, from the
-graph's insertion-ordered edge columns.  The reference below walks the
-graph's incidence lists slot by slot, storing one scalar per column per
-slot — the obvious loop, kept here as the oracle.  Every shared column
-must agree in dtype, shape and values, and so must the derived state a
-search reads (``node_slots``, the entity names and records, and every
-edge the columns rebuild).  The edge columns themselves are checked against
-the incidence lists after any sequence of construction calls, refused
-ones included.
+graph's insertion-ordered edge columns.  The reference below first
+builds each node's incidence from those columns in plain Python — its
+out-edges, then its in-edges, each in insertion order — and then walks
+it slot by slot, storing one scalar per column per slot: the obvious
+loop, kept here as the oracle, independent of the freeze.  Every shared
+column must agree in dtype, shape and values, and so must the derived
+state a search reads (``node_slots``, the entity names and records, and
+every edge the columns rebuild).  The edge columns themselves are checked
+against the accepted calls after any sequence of construction calls,
+refused ones included, and ``has_edge`` against the inserted triples.
 """
 
 from __future__ import annotations
@@ -28,6 +30,28 @@ from repro.kg.compact import SHARED_COLUMNS, CompactGraph
 from repro.kg.graph import Edge, KnowledgeGraph
 
 
+def column_incidence(
+    kg: KnowledgeGraph,
+) -> Tuple[List[List[Tuple[Edge, int]]], List[List[Tuple[Edge, int]]]]:
+    """Per node, its ``(edge, other endpoint)`` out-pairs and in-pairs,
+    each in insertion order, read straight off ``kg.edge_columns()``."""
+    names = kg.predicates()
+    out: List[List[Tuple[Edge, int]]] = [[] for _ in range(kg.num_entities)]
+    into: List[List[Tuple[Edge, int]]] = [[] for _ in range(kg.num_entities)]
+    source, target, predicate = (column.tolist() for column in kg.edge_columns())
+    for s, t, p in zip(source, target, predicate):
+        edge = Edge(source=s, predicate=names[p], target=t)
+        out[s].append((edge, t))
+        into[t].append((edge, s))
+    return out, into
+
+
+def slot_oracle(kg: KnowledgeGraph) -> List[List[Tuple[Edge, int]]]:
+    """Each node's slots by the insertion-order rule: out, then in."""
+    out, into = column_incidence(kg)
+    return [o + i for o, i in zip(out, into)]
+
+
 def reference_freeze(kg: KnowledgeGraph) -> Dict[str, object]:
     """Every column and the derived state, written one slot at a time."""
     num_nodes = kg.num_entities
@@ -45,10 +69,11 @@ def reference_freeze(kg: KnowledgeGraph) -> Dict[str, object]:
         np.cumsum([len(b) for b in encoded], out=name_offsets[1:])
     name_blob = np.frombuffer(b"".join(encoded), dtype=np.uint8)
 
+    out, _into = column_incidence(kg)
     edges: List[Edge] = []
     edge_id: Dict[Edge, int] = {}
     for uid in range(num_nodes):
-        for edge, _target in kg.out_incident(uid):
+        for edge, _target in out[uid]:
             edge_id[edge] = len(edges)
             edges.append(edge)
     num_edges = len(edges)
@@ -72,9 +97,9 @@ def reference_freeze(kg: KnowledgeGraph) -> Dict[str, object]:
     slot_forward = np.empty(num_slots, dtype=bool)
     node_slots: List[Tuple[Tuple[Edge, int, int], ...]] = []
     cursor = 0
-    for uid in range(num_nodes):
+    for uid, incidence in enumerate(slot_oracle(kg)):
         triples = []
-        for edge, neighbor in kg.incident(uid):
+        for edge, neighbor in incidence:
             eid = edge_id[edge]
             pid = int(edge_predicate[eid])
             slot_neighbor[cursor] = neighbor
@@ -177,9 +202,9 @@ class TestFreezeAgainstReference:
         offset = kg.num_entities
         for entity in growth.entities():
             kg.add_entity(entity.name, entity.etype)
-        for uid in range(growth.num_entities):
-            for edge, target in growth.out_incident(uid):
-                kg.add_edge(offset + uid, edge.predicate, offset + target)
+        names = growth.predicates()
+        for source, target, pid in zip(*(c.tolist() for c in growth.edge_columns())):
+            kg.add_edge(offset + source, names[pid], offset + target)
         if offset:
             # Link the old and the new part, both ways.
             for uid in range(growth.num_entities):
@@ -210,12 +235,59 @@ class TestFreezeAgainstReference:
         assert_freeze_matches_reference(load_bundle(preset, scale=scale, seed=11).kg)
 
 
+@st.composite
+def multigraph_calls(draw) -> Tuple[int, List[Tuple[int, str, int]]]:
+    """A node count and ``add_edge`` calls over few nodes and predicates:
+    parallel edges under several predicates, both directions, and
+    repeats the graph refuses, in any order."""
+    num_nodes = draw(st.integers(min_value=2, max_value=6))
+    node = st.integers(0, num_nodes - 1)
+    calls = draw(
+        st.lists(
+            st.tuples(node, _PREDICATES, node).filter(lambda t: t[0] != t[2]),
+            max_size=50,
+        )
+    )
+    repeats = draw(st.lists(st.sampled_from(calls), max_size=10)) if calls else []
+    return num_nodes, draw(st.permutations(calls + repeats))
+
+
+class TestMultigraphs:
+    @settings(max_examples=150, deadline=None)
+    @given(multigraph_calls())
+    def test_has_edge_and_slots_agree_with_the_inserted_triples(self, drawn):
+        num_nodes, calls = drawn
+        kg = KnowledgeGraph("multi")
+        for uid in range(num_nodes):
+            kg.add_entity(f"n{uid}", "Thing")
+        inserted = set()
+        accepted = []
+        for call in calls:
+            assert kg.add_edge(*call) is (call not in inserted)
+            if call not in inserted:
+                inserted.add(call)
+                accepted.append(call)
+        assert_columns_hold(kg, accepted)
+        uids = range(-1, num_nodes + 1)  # out-of-range ids included
+        for source in uids:
+            for predicate in ("born_in", "works_for", "located_in", "knows", "absent"):
+                for target in uids:
+                    assert kg.has_edge(source, predicate, target) == (
+                        (source, predicate, target) in inserted
+                    )
+        compact = CompactGraph.freeze(kg)
+        for uid, want in enumerate(slot_oracle(kg)):
+            assert [(e, n) for e, n, _pid in compact.node_slots[uid]] == want
+
+
 # ----------------------------------------------------------------------
 # the graph's edge columns
 # ----------------------------------------------------------------------
-def assert_columns_match_incidence(kg: KnowledgeGraph) -> None:
-    """The three columns hold one entry per stored edge, and each node's
-    column entries, in column order, are its out- and in-lists."""
+def assert_columns_hold(kg: KnowledgeGraph, accepted=None) -> None:
+    """The three columns hold one entry per stored edge, predicate ids
+    in first-use order, and no triple twice; ``has_edge`` answers every
+    one of them.  With ``accepted``, the columns are exactly those
+    ``(source, predicate, target)`` calls, in call order."""
     source, target, predicate = kg.edge_columns()
     assert (source.dtype, target.dtype, predicate.dtype) == (
         np.int64, np.int64, np.int32,
@@ -230,13 +302,10 @@ def assert_columns_match_incidence(kg: KnowledgeGraph) -> None:
         (s, names[p], t)
         for s, t, p in zip(source.tolist(), target.tolist(), predicate.tolist())
     ]
-    for uid in range(kg.num_entities):
-        assert [(e.source, e.predicate, e.target) for e, _ in kg.out_incident(uid)] == [
-            triple for triple in triples if triple[0] == uid
-        ]
-        assert [(e.source, e.predicate, e.target) for e, _ in kg.in_incident(uid)] == [
-            triple for triple in triples if triple[2] == uid
-        ]
+    assert len(set(triples)) == len(triples)
+    assert all(kg.has_edge(*triple) for triple in triples)
+    if accepted is not None:
+        assert triples == list(accepted)
 
 
 _CALLS = st.one_of(
@@ -263,24 +332,24 @@ class TestEdgeColumns:
             _, source, predicate, target = call
             before = kg.edge_columns()
             try:
-                edge = kg.add_edge(source, predicate, target)
+                added = kg.add_edge(source, predicate, target)
             except GraphError:  # empty predicate, self-loop, unknown uid
-                edge = None
-            if edge is not None:
+                added = False
+            if added:
                 accepted.append((source, predicate, target))
                 continue
             # Refused or a duplicate: nothing appended.
             for column, was in zip(kg.edge_columns(), before):
                 assert np.array_equal(column, was)
         assert kg.num_edges == len(accepted)
-        assert_columns_match_incidence(kg)
+        assert_columns_hold(kg, accepted)
 
     def test_each_refusal_appends_nothing(self):
         kg = KnowledgeGraph("refusals")
         for name in ("a", "b"):
             kg.add_entity(name, "Thing")
-        assert kg.add_edge(0, "p", 1) is not None
-        assert kg.add_edge(0, "p", 1) is None  # duplicate
+        assert kg.add_edge(0, "p", 1) is True
+        assert kg.add_edge(0, "p", 1) is False  # duplicate
         with pytest.raises(GraphError):
             kg.add_edge(0, "p", 0)  # self-loop
         with pytest.raises(UnknownEntityError):
@@ -289,7 +358,7 @@ class TestEdgeColumns:
             kg.add_edge(0, "", 1)
         assert kg.predicates() == ["p"]
         assert [column.tolist() for column in kg.edge_columns()] == [[0], [1], [0]]
-        assert_columns_match_incidence(kg)
+        assert_columns_hold(kg, [(0, "p", 1)])
 
     def test_freeze_grow_refreeze(self):
         kg = KnowledgeGraph("grow")
@@ -304,10 +373,10 @@ class TestEdgeColumns:
         held = kg.edge_columns()  # a reader's copies must not pin the columns
         # The graph keeps accepting edges, before and after a new node,
         # including out-edges of nodes that sort before the old ones.
-        assert kg.add_edge(0, "q", 2) is not None
+        assert kg.add_edge(0, "q", 2) is True
         kg.add_entity("d", "Other")
-        assert kg.add_edge(3, "r", 0) is not None
-        assert kg.add_edge(0, "r", 3) is not None
+        assert kg.add_edge(3, "r", 0) is True
+        assert kg.add_edge(0, "r", 3) is True
         assert len(held[0]) == 3
         second = assert_freeze_matches_reference(kg)
         assert second.num_edges == 6 and first.num_edges == 3
@@ -316,7 +385,10 @@ class TestEdgeColumns:
         # The first snapshot's edges, first read after the growth, are
         # still exactly the ones it froze.
         assert [first.edge(eid) for eid in range(first.num_edges)] == first_edges
-        assert_columns_match_incidence(kg)
+        assert_columns_hold(kg, [
+            (2, "p", 0), (1, "q", 0), (0, "p", 1), (0, "q", 2), (3, "r", 0),
+            (0, "r", 3),
+        ])
 
     @pytest.mark.parametrize(
         "roundtrip",
@@ -333,10 +405,11 @@ class TestEdgeColumns:
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
         # The copy's columns are its own: it grows, the original does not.
         uid = twin.add_entity("Fresh", "Thing").uid
-        assert twin.add_edge(uid, "knows", 0) is not None
+        assert twin.add_edge(uid, "knows", 0) is True
         assert twin.num_edges == kg.num_edges + 1
         assert len(kg.edge_columns()[0]) == kg.num_edges
-        assert_columns_match_incidence(twin)
+        assert_columns_hold(twin)
+        assert twin.has_edge(uid, "knows", 0) and not kg.has_edge(uid, "knows", 0)
 
     def test_uids_past_sixteen_bits(self):
         # The freeze sorts node ids by 16-bit digits; pair uids that share

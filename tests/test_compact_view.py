@@ -20,6 +20,7 @@ from repro.query.builder import QueryGraphBuilder
 from repro.serve.cache import SemanticGraphCache
 from repro.serve.service import QueryService
 from repro.utils.rng import derive_rng
+from test_compact_freeze import slot_oracle
 
 
 # ----------------------------------------------------------------------
@@ -35,10 +36,9 @@ class TestCompactGraphFreeze:
         assert len(compact.indptr) == compact.num_nodes + 1
         assert compact.indptr[-1] == 2 * compact.num_edges
 
-    def test_slot_order_mirrors_incident(self, fig2_kg):
+    def test_slot_order_is_the_insertion_order_rule(self, fig2_kg):
         compact = CompactGraph.freeze(fig2_kg)
-        for uid in range(fig2_kg.num_entities):
-            expected = list(fig2_kg.incident(uid))
+        for uid, expected in enumerate(slot_oracle(fig2_kg)):
             start, end = int(compact.indptr[uid]), int(compact.indptr[uid + 1])
             got = [
                 (compact.edge(int(compact.slot_edge[s])), int(compact.slot_neighbor[s]))
@@ -60,9 +60,9 @@ class TestCompactGraphFreeze:
 
     def test_degrees_match(self, fig2_kg):
         compact = CompactGraph.freeze(fig2_kg)
-        for uid in range(fig2_kg.num_entities):
+        for uid, expected in enumerate(slot_oracle(fig2_kg)):
             row = int(compact.indptr[uid + 1] - compact.indptr[uid])
-            assert row == len(list(fig2_kg.incident(uid)))
+            assert row == len(expected)
 
     def test_pickle_roundtrip(self, fig2_kg, fig2_space):
         compact = CompactGraph.freeze(fig2_kg)
@@ -186,9 +186,10 @@ class TestCompactGraphFreeze:
 # view-level conformance: weights and m(u)
 # ----------------------------------------------------------------------
 def _views(kg, space, *, min_weight=0.0, lazy_cache=None, compact_cache=None):
-    lazy = SemanticGraphView(kg, space, min_weight=min_weight, cache=lazy_cache)
+    graph = CompactGraph.freeze(kg)
+    lazy = SemanticGraphView(graph, space, min_weight=min_weight, cache=lazy_cache)
     compact = CompactSemanticGraphView(
-        CompactGraph.freeze(kg), space, min_weight=min_weight, cache=compact_cache
+        graph, space, min_weight=min_weight, cache=compact_cache
     )
     return lazy, compact
 
@@ -331,22 +332,39 @@ class TestEngineConformance:
             )
         _assert_same_results(results[0], results[1])
 
-    @pytest.mark.parametrize("compact", [False, True])
-    def test_graph_growth_under_live_cache_raises(
-        self, fig2_kg, fig2_space, compact
-    ):
-        # Cached m(u) bounds (and compact rows) are invalidated by graph
-        # growth; the binding fingerprint carries the entity/edge counts,
-        # so the next view construction fails loudly instead of serving
-        # stale bounds.
+    def test_graph_growth_under_live_cache_raises(self, fig2_kg, fig2_space):
+        # An engine built by hand over a live graph and a kernel frozen
+        # from it: once the graph grows, the next view construction fails
+        # loudly instead of serving rows and bounds that miss the growth.
         cache = SemanticGraphCache()
-        build = _compact_engine if compact else SemanticGraphQueryEngine
-        engine = build(fig2_kg, fig2_space, weight_cache=cache)
-        engine._make_view()  # binds at the current shape
+        engine = _compact_engine(fig2_kg, fig2_space, weight_cache=cache)
+        engine._make_view()  # binds the cache
         grown = fig2_kg.add_entity("Porsche", "Automobile")
         fig2_kg.add_edge(grown.uid, "assembly", 3)
         with pytest.raises(ServeError):
             engine._make_view()
+
+    def test_the_default_engine_serves_its_freeze_after_growth(
+        self, fig2_kg, fig2_space
+    ):
+        # The default engine freezes at construction and reads only that
+        # snapshot, so growing the graph afterwards changes nothing it
+        # answers; a new engine sees the growth.
+        query = (
+            QueryGraphBuilder().target("v1", "Automobile")
+            .specific("v2", "Germany", "Country")
+            .edge("e1", "v1", "product", "v2").build()
+        )
+        engine = SemanticGraphQueryEngine(
+            fig2_kg, fig2_space, weight_cache=SemanticGraphCache()
+        )
+        before = engine.search(query, k=5).answer_uids()
+        grown = fig2_kg.add_entity("Porsche", "Automobile")
+        fig2_kg.add_edge(grown.uid, "assembly", 3)
+        assert engine.search(query, k=5).answer_uids() == before
+        assert (engine.kg.num_entities, engine.kg.num_edges) == (8, 6)
+        fresh = SemanticGraphQueryEngine(fig2_kg, fig2_space)
+        assert grown.uid in fresh.search(query, k=5).answer_uids()
 
     def test_engine_stats_populated_by_compact_view(self, small_bundle):
         bundle = small_bundle

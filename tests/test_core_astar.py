@@ -7,6 +7,7 @@ from repro.core.config import SearchConfig, VisitedPolicy
 from repro.core.semantic_graph import SemanticGraphView
 from repro.embedding.oracle import oracle_predicate_space
 from repro.errors import SearchError
+from repro.kg.compact import CompactGraph
 from repro.kg.generator import build_dataset
 from repro.kg.schema import dbpedia_like_schema
 from repro.query.builder import QueryGraphBuilder
@@ -27,7 +28,7 @@ def product_query():
 def build_search(kg, space, query, matcher, config=None, pivot=None):
     config = config or SearchConfig(tau=0.5, path_bound=4)
     decomposition = decompose_query(query, kg=kg, matcher=matcher, pivot=pivot)
-    view = SemanticGraphView(kg, space)
+    view = SemanticGraphView(CompactGraph.freeze(kg), space)
     return SubQuerySearch(view, decomposition.subqueries[0], matcher, config)
 
 
@@ -126,12 +127,12 @@ class TestOptimalityAgainstBruteForce:
             tau=0.8, path_bound=3, visited_policy=VisitedPolicy.EXPAND
         )
         decomposition = decompose_query(query, kg=kg, matcher=matcher)
-        view = SemanticGraphView(kg, space)
+        view = SemanticGraphView(CompactGraph.freeze(kg), space)
         search = SubQuerySearch(view, decomposition.subqueries[0], matcher, config)
         astar = search.run(k=10**6)
 
         oracle = brute_force_matches(
-            SemanticGraphView(kg, space), decomposition.subqueries[0], matcher, config
+            SemanticGraphView(CompactGraph.freeze(kg), space), decomposition.subqueries[0], matcher, config
         )
         astar_by_pivot = {m.pivot_uid: m.pss for m in astar}
         oracle_by_pivot = {m.pivot_uid: m.pss for m in oracle}
@@ -154,13 +155,13 @@ class TestOptimalityAgainstBruteForce:
             tau=0.8, path_bound=2, visited_policy=VisitedPolicy.EXPAND
         )
         decomposition = decompose_query(query, kg=kg, matcher=matcher)
-        view = SemanticGraphView(kg, space)
+        view = SemanticGraphView(CompactGraph.freeze(kg), space)
         search = SubQuerySearch(view, decomposition.subqueries[0], matcher, config)
         astar = {m.pivot_uid: m.pss for m in search.run(k=10**6)}
         oracle = {
             m.pivot_uid: m.pss
             for m in brute_force_matches(
-                SemanticGraphView(kg, space),
+                SemanticGraphView(CompactGraph.freeze(kg), space),
                 decomposition.subqueries[0],
                 matcher,
                 config,
@@ -186,7 +187,7 @@ class TestOptimalityAgainstBruteForce:
             config = SearchConfig(tau=0.8, path_bound=3, visited_policy=policy)
             decomposition = decompose_query(query, kg=kg, matcher=matcher)
             search = SubQuerySearch(
-                SemanticGraphView(kg, space),
+                SemanticGraphView(CompactGraph.freeze(kg), space),
                 decomposition.subqueries[0],
                 matcher,
                 config,
@@ -208,11 +209,11 @@ class TestOptimalityAgainstBruteForce:
         )
         decomposition = decompose_query(query, kg=kg, matcher=matcher)
         search = SubQuerySearch(
-            SemanticGraphView(kg, space), decomposition.subqueries[0], matcher, config
+            SemanticGraphView(CompactGraph.freeze(kg), space), decomposition.subqueries[0], matcher, config
         )
         best = search.next_match()
         oracle = brute_force_matches(
-            SemanticGraphView(kg, space), decomposition.subqueries[0], matcher, config
+            SemanticGraphView(CompactGraph.freeze(kg), space), decomposition.subqueries[0], matcher, config
         )
         assert best is not None and oracle
         assert best.pss == pytest.approx(oracle[0].pss)

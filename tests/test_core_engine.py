@@ -94,8 +94,8 @@ class TestSGQEngine:
         [CompactGraph.freeze, lambda kg: ShardedGraph.build(kg, 2)],
         ids=["compact", "sharded"],
     )
-    def test_a_frozen_reader_needs_its_view_factory(self, engine, freeze):
-        reader = FrozenGraphReader(freeze(engine.kg))
+    def test_a_frozen_reader_needs_its_view_factory(self, engine, fig2_kg, freeze):
+        reader = FrozenGraphReader(freeze(fig2_kg))
         with pytest.raises(SearchError, match="through its view factory"):
             SemanticGraphQueryEngine(reader, engine.space, engine.library)
 
@@ -274,7 +274,8 @@ class TestVisitedPolicyAblation:
         for policy in VisitedPolicy:
             config = SearchConfig(visited_policy=policy)
             eng = SemanticGraphQueryEngine(
-                engine.kg, engine.space, None, config
+                engine.kg, engine.space, None, config,
+                view_factory=engine.view_factory,
             )
             eng.matcher = engine.matcher
             results[policy] = set(eng.search(product_query(), k=200).answer_uids())

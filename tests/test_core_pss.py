@@ -16,6 +16,7 @@ from repro.core.pss import (
 from repro.core.semantic_graph import SemanticGraphView
 from repro.embedding.predicate_space import PredicateSpace
 from repro.errors import SearchError
+from repro.kg.compact import CompactGraph
 from repro.kg.graph import KnowledgeGraph
 
 
@@ -116,7 +117,7 @@ class TestEstimate:
 class TestSemanticGraphView:
     @pytest.fixture()
     def view(self, fig2_kg, fig2_space):
-        return SemanticGraphView(fig2_kg, fig2_space)
+        return SemanticGraphView(CompactGraph.freeze(fig2_kg), fig2_space)
 
     def test_weight_is_clamped_cosine(self, view, fig2_space):
         weight = view.weight("product", "assembly")
@@ -148,7 +149,7 @@ class TestSemanticGraphView:
         assert combined == pytest.approx(1.0)  # language matches itself
 
     def test_min_weight_floor(self, fig2_kg, fig2_space):
-        view = SemanticGraphView(fig2_kg, fig2_space, min_weight=0.5)
+        view = SemanticGraphView(CompactGraph.freeze(fig2_kg), fig2_space, min_weight=0.5)
         assert view.weight("product", "language") == 0.0
 
     def test_materialization_ratio(self, view, fig2_kg):

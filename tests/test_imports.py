@@ -27,7 +27,7 @@ PUBLIC_SURFACE = {
     "repro.core": [
         "PssMode", "SearchConfig", "VisitedPolicy", "SemanticGraphQueryEngine",
         "SemanticGraphView", "CompactSemanticGraphView", "CompactViewFactory",
-        "lazy_view_factory", "FinalMatch", "PathMatch", "QueryResult",
+        "LazyViewFactory", "FinalMatch", "PathMatch", "QueryResult",
         "SearchStats",
     ],
     "repro.kg": [

@@ -7,6 +7,7 @@ from repro.bench.workloads import q117_truth_constraint, q117_variants
 from repro.bench.groundtruth import constraint_truth
 from repro.core.config import SearchConfig
 from repro.core.engine import SemanticGraphQueryEngine
+from repro.kg.compact import CompactGraph
 
 
 class TestFullPipeline:
@@ -25,7 +26,9 @@ class TestFullPipeline:
 
     def test_q117_beats_half_precision_at_small_k(self, medium_bundle):
         bundle = medium_bundle
-        truth = constraint_truth(bundle.kg, q117_truth_constraint())
+        truth = constraint_truth(
+            bundle.kg, CompactGraph.freeze(bundle.kg), q117_truth_constraint()
+        )
         engine = SemanticGraphQueryEngine(bundle.kg, bundle.space, bundle.library)
         result = engine.search(q117_variants()["G3"], k=20)
         scores = evaluate_answers(result.answer_uids(), truth)
@@ -41,7 +44,9 @@ class TestFullPipeline:
     def test_tau_tightening_monotone_recall(self, medium_bundle):
         """Lemma 3 end to end: a larger τ can only remove answers."""
         bundle = medium_bundle
-        truth = constraint_truth(bundle.kg, q117_truth_constraint())
+        truth = constraint_truth(
+            bundle.kg, CompactGraph.freeze(bundle.kg), q117_truth_constraint()
+        )
         recalls = []
         for tau in (0.6, 0.8, 0.9):
             engine = SemanticGraphQueryEngine(

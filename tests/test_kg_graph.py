@@ -1,5 +1,7 @@
-"""Unit tests for the knowledge-graph store and its read contract."""
+"""Unit tests for the knowledge-graph builder and its read contract."""
 
+import gc
+import tracemalloc
 from contextlib import ExitStack
 
 import pytest
@@ -35,9 +37,11 @@ class TestConstruction:
         with pytest.raises(GraphError):
             kg.add_entity("X", "")
 
-    def test_duplicate_edge_returns_none(self, kg):
-        assert kg.add_edge(0, "assembly", 1) is None
+    def test_add_edge_returns_whether_it_added(self, kg):
+        assert kg.add_edge(0, "assembly", 1) is False  # a duplicate
         assert kg.num_edges == 2
+        assert kg.add_edge(1, "assembly", 0) is True  # the other direction
+        assert kg.num_edges == 3
 
     def test_rejects_self_loop(self, kg):
         with pytest.raises(GraphError):
@@ -72,21 +76,28 @@ class TestLookups:
 
 
 class TestTraversal:
-    def test_incident_is_undirected(self, kg):
-        incident = list(kg.incident(1))
-        assert {other for _e, other in incident} == {0, 2}
+    """The insertion-order rule, read off a frozen store: a node's
+    slots are its out-edges, then its in-edges, each in insertion order."""
 
-    def test_incident_is_out_edges_then_in_edges(self, kg):
+    def test_slots_are_undirected(self, kg):
+        slots = CompactGraph.freeze(kg).node_slots[1]
+        assert {other for _e, other, _pid in slots} == {0, 2}
+
+    def test_slots_are_out_edges_then_in_edges(self, kg):
         kg.add_edge(1, "capital", 2)
-        assert [(e.predicate, other) for e, other in kg.incident(1)] == [
+        slots = CompactGraph.freeze(kg).node_slots[1]
+        assert [(e.predicate, other) for e, other, _pid in slots] == [
             ("capital", 2), ("assembly", 0), ("location", 2),
         ]
 
-    def test_out_and_in_edges(self, kg):
-        assert [e.predicate for e in kg.out_edges(0)] == ["assembly"]
-        assert [(e.predicate, source) for e, source in kg.in_incident(1)] == [
-            ("assembly", 0), ("location", 2)
+    def test_out_and_in_slots(self, kg):
+        store = CompactGraph.freeze(kg)
+        assert [e.predicate for e, _o, _p in store.node_slots[0] if e.source == 0] == [
+            "assembly"
         ]
+        assert [
+            (e.predicate, other) for e, other, _p in store.node_slots[1] if e.target == 1
+        ] == [("assembly", 0), ("location", 2)]
 
     def test_edge_other_endpoint(self):
         edge = Edge(source=3, predicate="p", target=7)
@@ -94,6 +105,41 @@ class TestTraversal:
         assert edge.other(7) == 3
         with pytest.raises(GraphError):
             edge.other(5)
+
+
+class TestPerEdgeCost:
+    """What an accepted edge costs the builder: its three column entries
+    and one packed key — no per-edge object the collector walks."""
+
+    EDGES = 20_000
+    #: Bytes an edge may add under tracemalloc.  About 150 on CPython
+    #: 3.11 at this size (12 in the columns, a 36-byte int key, its set
+    #: slot), ~170 at worst just after the key set resizes; an ``Edge``
+    #: and two incidence tuples per edge would cost over 340.
+    BYTES_PER_EDGE = 256
+
+    def test_an_edge_adds_few_bytes_and_no_tracked_object(self):
+        kg = KnowledgeGraph("cost")
+        for uid in range(300):
+            kg.add_entity(f"n{uid}", "Thing")
+        calls = [
+            (source, ("p", "q", "r")[(source + target) % 3], target)
+            for source in range(300)
+            for target in range(300)
+            if source != target
+        ][: self.EDGES]
+        gc.collect()
+        objects = len(gc.get_objects())
+        tracemalloc.start()
+        try:
+            for call in calls:
+                kg.add_edge(*call)
+            traced, _peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kg.num_edges == self.EDGES
+        assert traced / self.EDGES < self.BYTES_PER_EDGE
+        assert len(gc.get_objects()) - objects < self.EDGES
 
 
 class TestAggregates:

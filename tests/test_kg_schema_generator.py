@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import SchemaError
+from repro.kg.compact import CompactGraph
 from repro.kg.generator import (
     GeneratorConfig,
     SyntheticKGBuilder,
@@ -21,6 +22,13 @@ from repro.kg.schema import (
 )
 from repro.kg.triples import graph_to_id_triples
 from repro.utils.rng import derive_rng
+
+
+def _edges(kg):
+    """Every edge as ``(source, predicate, target)``, off the columns."""
+    names = kg.predicates()
+    source, target, predicate = (column.tolist() for column in kg.edge_columns())
+    return [(s, names[p], t) for s, t, p in zip(source, target, predicate)]
 
 
 class TestSchemaValidation:
@@ -114,11 +122,10 @@ class TestGenerator:
         kg = build_dataset("dbpedia", seed=1, scale=0.5)
         schema = dbpedia_like_schema()
         spec = {p.name: p for p in schema.predicates}
-        for uid in range(kg.num_entities):
-            for edge in kg.out_edges(uid):
-                declared = spec[edge.predicate]
-                assert kg.entity(edge.source).etype == declared.source_type
-                assert kg.entity(edge.target).etype == declared.target_type
+        for source, predicate, target in _edges(kg):
+            declared = spec[predicate]
+            assert kg.entity(source).etype == declared.source_type
+            assert kg.entity(target).etype == declared.target_type
 
     def test_coherence_binds_assembly_to_latent(self):
         builder = SyntheticKGBuilder(
@@ -126,12 +133,11 @@ class TestGenerator:
         )
         kg = builder.build()
         agree = total = 0
-        for uid in range(kg.num_entities):
-            for edge in kg.out_edges(uid):
-                if edge.predicate == "assembly":
-                    total += 1
-                    if builder.latent_of.get(edge.source) == edge.target:
-                        agree += 1
+        for source, predicate, target in _edges(kg):
+            if predicate == "assembly":
+                total += 1
+                if builder.latent_of.get(source) == target:
+                    agree += 1
         assert total > 0
         assert agree / total > 0.85  # assembly coherence is 0.97
 
@@ -143,14 +149,11 @@ class TestGenerator:
 
         def agreement(predicate):
             agree = total = 0
-            for uid in range(kg.num_entities):
-                for edge in kg.out_edges(uid):
-                    if edge.predicate == predicate:
-                        total += 1
-                        if builder.latent_of.get(edge.source) == builder.latent_of.get(
-                            edge.target
-                        ):
-                            agree += 1
+            for source, name, target in _edges(kg):
+                if name == predicate:
+                    total += 1
+                    if builder.latent_of.get(source) == builder.latent_of.get(target):
+                        agree += 1
             return agree / max(total, 1)
 
         assert agreement("engine") < agreement("assemblyCity")
@@ -176,6 +179,6 @@ class TestGenerator:
             dbpedia_like_schema(), GeneratorConfig(seed=1, hub_bias=0.6)
         ).build()
         def max_degree(kg):
-            return max(len(list(kg.incident(uid))) for uid in range(kg.num_entities))
+            return max(map(len, CompactGraph.freeze(kg).node_slots))
 
         assert max_degree(skewed) > max_degree(flat)

@@ -11,6 +11,7 @@ from repro.bench.metrics import f1_score, jaccard
 from repro.core.assembly import MatchStream, assemble_top_k
 from repro.core.pss import estimate_pss, exact_pss
 from repro.core.results import PathMatch
+from repro.kg.compact import CompactGraph
 from repro.kg.generator import build_dataset
 from repro.kg.paths import Path, follow_pattern
 from repro.utils.heap import MaxHeap
@@ -101,7 +102,7 @@ class TestMetricsProperties:
 
 @functools.lru_cache(maxsize=None)
 def _pattern_graph():
-    return build_dataset("dbpedia", seed=3, scale=0.3)
+    return CompactGraph.freeze(build_dataset("dbpedia", seed=3, scale=0.3))
 
 
 class TestPatternProperties:
@@ -110,15 +111,15 @@ class TestPatternProperties:
         """``follow_pattern`` over ``head + tail`` is the union of ``tail``
         walked from every node ``head`` reaches: the ground-truth sets of
         a multi-hop schema compose hop by hop."""
-        kg = _pattern_graph()
-        step = st.tuples(st.sampled_from(kg.predicates()), st.sampled_from("+-"))
+        graph = _pattern_graph()
+        step = st.tuples(st.sampled_from(graph.predicate_names), st.sampled_from("+-"))
         head = data.draw(st.lists(step, max_size=2))
         tail = data.draw(st.lists(step, min_size=1, max_size=2))
-        start = data.draw(st.integers(0, kg.num_entities - 1))
+        start = data.draw(st.integers(0, graph.num_nodes - 1))
         stepwise = set()
-        for middle in follow_pattern(kg, start, head):
-            stepwise |= follow_pattern(kg, middle, tail)
-        assert follow_pattern(kg, start, head + tail) == stepwise
+        for middle in follow_pattern(graph, start, head):
+            stepwise |= follow_pattern(graph, middle, tail)
+        assert follow_pattern(graph, start, head + tail) == stepwise
 
 
 def _match(pivot, pss, stream=0):

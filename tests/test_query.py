@@ -4,6 +4,7 @@ import pytest
 
 from repro.embedding.oracle import oracle_predicate_space
 from repro.errors import DecompositionError, QueryError
+from repro.kg.compact import CompactGraph
 from repro.kg.generator import build_dataset
 from repro.kg.schema import dbpedia_like_schema
 from repro.query.builder import QueryGraphBuilder
@@ -347,7 +348,7 @@ class TestAverageDegreeWithoutTheScan:
     def test_decompositions_unchanged(self, small_bundle):
         kg = small_bundle.kg
         matcher = NodeMatcher(kg, small_bundle.library)
-        degrees = [len(list(kg.incident(uid))) for uid in range(kg.num_entities)]
+        degrees = [len(slots) for slots in CompactGraph.freeze(kg).node_slots]
         scanned = CostModel(
             average_degree=max(sum(degrees) / len(degrees), 2.0), path_bound=4
         )

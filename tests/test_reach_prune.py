@@ -31,11 +31,16 @@ from repro.bench.equivalence import (
     path_matches_differ,
 )
 from repro.core.astar import brute_force_matches, build_subquery_search
-from repro.core.compact_view import CompactSemanticGraphView, CompactViewFactory
+from repro.core.compact_view import (
+    CompactSemanticGraphView,
+    CompactViewFactory,
+    LazyViewFactory,
+)
 from repro.core.config import SearchConfig, VisitedPolicy
 from repro.core.engine import SemanticGraphQueryEngine
 from repro.core.results import QueryResultPayload, SearchStats
 from repro.core.semantic_graph import SemanticGraphView
+from repro.errors import ServeError
 from repro.kg.compact import CompactGraph
 from repro.kg.graph import KnowledgeGraph
 from repro.kg.sharded import SHARD_STRATEGIES, ShardedGraph, ShardedViewFactory
@@ -86,10 +91,8 @@ def judged(stats):
 
 
 def both_views(kg, space):
-    return (
-        SemanticGraphView(kg, space),
-        CompactViewFactory(CompactGraph.freeze(kg))(kg, space),
-    )
+    graph = CompactGraph.freeze(kg)
+    return SemanticGraphView(graph, space), CompactViewFactory(graph)(kg, space)
 
 
 class TestHopLabel:
@@ -154,9 +157,14 @@ class TestHopLabel:
         row_hits = cache.stats.hits
         assert second.hop_label(("Germany", "Country"), [3, 7], 4) is label
         assert cache.stats.hits == row_hits
-        # The lazy oracle, on its own cache, computes the same bytes.
-        lazy = SemanticGraphView(kg, fig2_space, cache=SemanticGraphCache())
+        # The lazy oracle over the same store cannot bind the compact
+        # views' cache (it would read their label back); on its own
+        # cache it computes the same bytes.
+        with pytest.raises(ServeError):
+            SemanticGraphView(factory.graph, fig2_space, cache=cache)
+        lazy = SemanticGraphView(factory.graph, fig2_space, cache=SemanticGraphCache())
         assert lazy.hop_label(("Germany", "Country"), [3, 7], 4) == label
+        assert lazy.cache_hits == 0
         # The bound is part of the key.
         assert first.hop_label(("Germany", "Country"), [3, 7], 2) != label
 
@@ -173,7 +181,8 @@ class TestHopLabel:
         )
         cache = SemanticGraphCache()
         # One store, as one cache backs one: every engine shares the kernel.
-        factory = CompactViewFactory(CompactGraph.freeze(bundle.kg)) if compact else None
+        graph = CompactGraph.freeze(bundle.kg)
+        factory = (CompactViewFactory if compact else LazyViewFactory)(graph)
 
         def answers(library):  # a fresh engine on the one cache
             engine = SemanticGraphQueryEngine(
@@ -343,7 +352,10 @@ class TestSoundness:
         oracle = {
             match.pivot_uid: match.pss
             for match in brute_force_matches(
-                SemanticGraphView(kg, space), subquery, engine.matcher, config
+                SemanticGraphView(CompactGraph.freeze(kg), space),
+                subquery,
+                engine.matcher,
+                config,
             )
         }
         unpruned_view = null_label_factory(kg)(kg, space)

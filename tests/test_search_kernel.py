@@ -223,7 +223,7 @@ class TestBruteForceOracle:
             view, subquery, engine.matcher, config, kernel="vectorized"
         ).run(10**6)
         oracle = brute_force_matches(
-            SemanticGraphView(bundle.kg, bundle.space),
+            SemanticGraphView(view.graph, bundle.space),
             subquery,
             engine.matcher,
             config,

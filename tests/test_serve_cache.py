@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.semantic_graph import SemanticGraphView
 from repro.errors import ServeError
+from repro.kg.compact import CompactGraph
 from repro.serve.cache import SemanticGraphCache
 
 
@@ -77,15 +78,17 @@ class TestBinding:
 
     def test_views_with_different_min_weight_cannot_share(self, fig2_kg, fig2_space):
         cache = SemanticGraphCache()
-        SemanticGraphView(fig2_kg, fig2_space, cache=cache)
+        graph = CompactGraph.freeze(fig2_kg)
+        SemanticGraphView(graph, fig2_space, cache=cache)
         with pytest.raises(ServeError):
-            SemanticGraphView(fig2_kg, fig2_space, min_weight=0.5, cache=cache)
+            SemanticGraphView(graph, fig2_space, min_weight=0.5, cache=cache)
 
 
 def test_lazy_view_shares_its_hop_label_and_nothing_else(fig2_kg, fig2_space):
     cache = SemanticGraphCache()
     (germany,) = fig2_kg.entities_named("Germany")
-    first = SemanticGraphView(fig2_kg, fig2_space, cache=cache)
+    graph = CompactGraph.freeze(fig2_kg)
+    first = SemanticGraphView(graph, fig2_space, cache=cache)
     first.weight("product", "assembly")
     first.weight("product", "assembly")  # memoised for the query
     assert first.edges_weighted == 1
@@ -94,7 +97,7 @@ def test_lazy_view_shares_its_hop_label_and_nothing_else(fig2_kg, fig2_space):
     label = first.hop_label(("Germany", "Country"), [germany], 4)
     assert cache.stats.entries == 1
 
-    second = SemanticGraphView(fig2_kg, fig2_space, cache=cache)
+    second = SemanticGraphView(graph, fig2_space, cache=cache)
     assert second.hop_label(("Germany", "Country"), [germany], 4) is label
     second.weight("product", "assembly")
     assert first.cache_hits == 0

@@ -17,6 +17,7 @@ from repro.core.compact_view import CompactViewFactory
 from repro.core.engine import EngineSpec, SemanticGraphQueryEngine, build_engine
 from repro.errors import GraphError, ServeError
 from repro.kg.compact import CompactGraph, FrozenGraphReader
+from repro.kg.graph import KnowledgeGraph
 from repro.kg.sharded import (
     SHARD_SEGMENT_PREFIX,
     SHARD_STRATEGIES,
@@ -26,6 +27,7 @@ from repro.kg.sharded import (
     partition_entities,
 )
 from repro.kg.shm import SHM_PREFIX, ShmArrayBlock, leaked_segments
+from repro.query.builder import QueryGraphBuilder
 from repro.serve.cache import SemanticGraphCache
 from repro.serve.service import QueryService
 
@@ -344,6 +346,33 @@ class TestValidation:
             QueryService.build(
                 small_bundle.kg, shards=2, shard_strategy="modulo", **build
             )
+
+    @pytest.mark.parametrize("factory", [CompactViewFactory, ShardedViewFactory])
+    def test_a_grown_graph_is_refused_by_either_factory(self, fig2_space, factory):
+        # A hand-built engine over a live graph: once the graph grows
+        # past its store, the next query raises instead of answering from
+        # the old snapshot.
+        kg = KnowledgeGraph("two")
+        audi = kg.add_entity("Audi_TT", "Automobile")
+        germany = kg.add_entity("Germany", "Country")
+        kg.add_edge(audi.uid, "assembly", germany.uid)
+        store = (
+            CompactGraph.freeze(kg) if factory is CompactViewFactory
+            else ShardedGraph.build(kg, 2)
+        )
+        engine = SemanticGraphQueryEngine(
+            kg, fig2_space, view_factory=factory(store)
+        )
+        query = (
+            QueryGraphBuilder().target("x", "Automobile")
+            .specific("g", "Germany", "Country")
+            .edge("e", "x", "assembly", "g").build()
+        )
+        assert engine.search(query, k=5).answer_uids() == [audi.uid]
+        lamando = kg.add_entity("Lamando", "Automobile")
+        kg.add_edge(lamando.uid, "assembly", germany.uid)
+        with pytest.raises(ServeError, match="freeze it again"):
+            engine.search(query, k=5)
 
 
 class TestServeIntegration:
