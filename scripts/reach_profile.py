@@ -72,9 +72,8 @@ CLI_RUNS: List[Tuple[List[str], int]] = [
       "--popularity", "zipf:1.1"], 0),
     (["--scenario", SCENARIO, "--repeats", "2", "--answer-cache", "32"], 0),
     (["--scenario", SCENARIO, "--repeats", "2", "--shards", "4"], 0),
-    (["--scenario", SCENARIO, "--repeats", "2", "--backend", "process",
-      "--workers", "2", "--shards", "4", "--shard-strategy",
-      "balanced-degree"], 0),
+    (["--preset", "dbpedia", "--scale", "1.0", "--backend", "process",
+      "--workers", "2", "--shards", "4"], 2),
 ]
 
 

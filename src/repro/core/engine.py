@@ -32,7 +32,7 @@ from repro.embedding.predicate_space import PredicateSpace
 from repro.errors import SearchError
 from repro.kg.compact import CompactGraph, CompactGraphHandle, FrozenGraphReader
 from repro.kg.graph import GraphReader, KnowledgeGraph
-from repro.kg.sharded import ShardedGraph, ShardedGraphHandle, ShardedViewFactory
+from repro.kg.sharded import ShardedGraph, ShardedViewFactory
 from repro.query.decompose import Decomposition, decompose_query
 from repro.query.model import QueryGraph
 from repro.query.transform import NodeMatcher, TransformationLibrary
@@ -82,15 +82,10 @@ def _materialise_paths(
 #: What an :class:`EngineSpec` can be built over — the type *is* the
 #: choice of view: a frozen ``CompactGraph`` (by value, or by shared-memory
 #: handle) is served through the CSR kernel, a ``ShardedGraph`` (by value
-#: or by handle) through the rank-merged fan-out view.  The paper's lazy
-#: view is the test oracle: ``SemanticGraphQueryEngine(kg, ...)`` freezes
-#: ``kg`` and builds it directly, never from a spec.
-GraphStore = Union[
-    CompactGraph,
-    CompactGraphHandle,
-    ShardedGraph,
-    ShardedGraphHandle,
-]
+#: only) through the rank-merged fan-out view.  The paper's lazy view is
+#: the test oracle: ``SemanticGraphQueryEngine(kg, ...)`` freezes ``kg``
+#: and builds it directly, never from a spec.
+GraphStore = Union[CompactGraph, CompactGraphHandle, ShardedGraph]
 
 
 @dataclass(frozen=True)
@@ -111,7 +106,7 @@ class EngineSpec:
     entities and edges alike (see :func:`build_engine`).  A handle (what
     a process-backend :class:`~repro.serve.service.QueryService` ships
     its workers) makes the spec pickle O(metadata) instead of O(graph):
-    workers attach the segment(s) zero-copy.  A lazy-view engine has no
+    workers attach the one segment zero-copy.  A lazy-view engine has no
     spec.
 
     ``fault_plan`` optionally carries a picklable chaos-injection plan
@@ -123,7 +118,7 @@ class EngineSpec:
 
     Everything here must stay picklable: ``PredicateSpace`` drops its
     lock on pickle, a frozen store ships only its numeric tables, and a
-    handle ships only segment names and column manifests.
+    handle ships only a segment name and its column manifest.
     """
 
     store: GraphStore
@@ -135,8 +130,8 @@ class EngineSpec:
     def __post_init__(self) -> None:
         if not isinstance(self.store, get_args(GraphStore)):
             raise SearchError(
-                "an EngineSpec store must be a CompactGraph, ShardedGraph or "
-                "one of their shared-memory handles, got "
+                "an EngineSpec store must be a CompactGraph, its "
+                "shared-memory handle or a ShardedGraph, got "
                 f"{type(self.store).__name__}"
             )
 
@@ -159,8 +154,6 @@ def build_engine(
     store = spec.store
     if isinstance(store, CompactGraphHandle):
         store = CompactGraph.from_handle(store)
-    elif isinstance(store, ShardedGraphHandle):
-        store = ShardedGraph.from_handle(store)
     if isinstance(store, CompactGraph):
         view_factory = CompactViewFactory(store)
     else:

@@ -7,15 +7,15 @@ that grows with the graph) divide across N independent shards while
 results stay bit-identical to the unsharded kernel:
 
 - :func:`partition_entities` deterministically assigns every entity to a
-  shard (seeded ``"hash"`` mixing or greedy ``"balanced-degree"``);
+  shard (``"hash"`` mixing or greedy ``"balanced-degree"``);
 - every edge is **owned by exactly one shard** — the shard of its source
   entity — and both of its incidence slots live in that shard, one under
   each endpoint's CSR row.  A node's incidence is therefore *scattered*
   across shards (its in-edges live wherever their sources live), which is
   what makes ``weighted_incident`` an embarrassingly parallel per-shard
   gather;
-- each shard is a real :class:`CompactGraph` (independently freezable,
-  picklable, shm-publishable) whose CSR rows span **all** nodes but hold
+- each shard is a real :class:`CompactGraph` (independently freezable
+  and picklable) whose CSR rows span **all** nodes but hold
   only the shard's owned slots, in global relative order.  Entity columns
   (types, names, ``indptr``) are replicated per shard; edge columns are
   not — memory divides where it matters;
@@ -49,13 +49,10 @@ label per φ set — all in the engine's shared weight cache, bound to the
 shard set.  A sharded engine's caches and stats are therefore an
 unsharded engine's: one row cache, one space.
 
-Lifecycle mirrors the single-graph story: :meth:`ShardedGraph.to_shared`
-publishes one :class:`~repro.kg.shm.ShmArrayBlock` per shard (segment
-names keep the ``repro-cg`` prefix so the ``/dev/shm`` leak probes cover
-them) and returns a :class:`SharedShardedGraph` multi-lease whose
-O(metadata) :class:`ShardedGraphHandle` rides the
-:class:`~repro.core.engine.EngineSpec` to process workers;
-:meth:`ShardedGraph.from_handle` attaches every shard zero-copy.
+A shard set is served in the caller's process only: a process pool
+publishes and attaches one :class:`~repro.kg.compact.CompactGraph`
+segment, and a :class:`~repro.serve.service.QueryService` refuses a
+sharded store on the process backend.
 """
 
 from __future__ import annotations
@@ -67,30 +64,12 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import GraphError
-from repro.kg.compact import (
-    SHARED_COLUMNS,
-    CompactGraph,
-    CompactGraphHandle,
-    check_frozen_shape,
-)
+from repro.kg.compact import SHARED_COLUMNS, CompactGraph, check_frozen_shape
 from repro.kg.graph import Edge, Entity, KnowledgeGraph
-from repro.kg.shm import SHM_PREFIX, ShmArrayBlock
 from repro.utils.rng import derive_rng
 
 #: Supported entity-partitioning strategies.
 SHARD_STRATEGIES = ("hash", "balanced-degree")
-
-#: Per-shard shm segments are named ``repro-cg-shard<i>-<pid>-<hex>`` —
-#: still under :data:`~repro.kg.shm.SHM_PREFIX`, so the default
-#: ``leaked_segments()`` scan covers them.
-SHARD_SEGMENT_PREFIX = SHM_PREFIX + "-shard"
-
-#: Extra (non-``SHARED_COLUMNS``) columns each shard's shm block carries.
-_SHARD_EXTRA_COLUMNS = ("slot_rank", "owned_edges")
-
-#: The entity → shard assignment travels in shard 0's block, keeping the
-#: handle pickle O(metadata) like the single-graph handle.
-_SHARD_OF_COLUMN = "shard_of"
 
 
 def compact_resident_bytes(graph: CompactGraph) -> int:
@@ -105,21 +84,16 @@ def compact_resident_bytes(graph: CompactGraph) -> int:
 # ----------------------------------------------------------------------
 
 def partition_entities(
-    graph: CompactGraph,
-    num_shards: int,
-    *,
-    strategy: str = "hash",
-    seed: int = 0,
+    graph: CompactGraph, num_shards: int, *, strategy: str = "hash"
 ) -> np.ndarray:
     """Deterministic entity → shard assignment (``int32``, length V).
 
-    ``"hash"`` mixes each uid with a seed-derived salt through the
-    splitmix64 finalizer — stateless, uniform, and stable across runs
-    with the same seed.  ``"balanced-degree"`` sorts nodes by
-    ``(-degree, uid)`` and greedily assigns each to the least-loaded
-    shard (load = owned degree mass; ties break to the lowest shard id)
-    — deterministic by construction, so the seed only matters to the
-    hash strategy.  Same inputs → byte-identical assignment array.
+    ``"hash"`` mixes each uid with a fixed salt (derived from seed 0 and
+    the shard count) through the splitmix64 finalizer — stateless,
+    uniform, and stable across runs.  ``"balanced-degree"`` sorts nodes
+    by ``(-degree, uid)`` and greedily assigns each to the least-loaded
+    shard (load = owned degree mass; ties break to the lowest shard id).
+    Same inputs → byte-identical assignment array.
     """
     if num_shards < 1:
         raise GraphError(f"num_shards must be at least 1, got {num_shards}")
@@ -130,7 +104,7 @@ def partition_entities(
         )
     num_nodes = graph.num_nodes
     if strategy == "hash":
-        rng = derive_rng(seed, f"entity-shard-hash-{num_shards}")
+        rng = derive_rng(0, f"entity-shard-hash-{num_shards}")
         salt = np.uint64(int(rng.integers(0, 2**63)))
         uids = np.arange(num_nodes, dtype=np.uint64)
         with np.errstate(over="ignore"):
@@ -268,34 +242,15 @@ def _slice_shards(
 
 
 # ----------------------------------------------------------------------
-# the shard set + shared-memory lifecycle
+# the shard set
 # ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ShardedGraphHandle:
-    """Picklable pointer to a shm-resident shard set.
-
-    One :class:`~repro.kg.compact.CompactGraphHandle` per shard; the
-    entity → shard assignment rides in shard 0's block (column
-    ``shard_of``), so — like the single-graph handle — the pickle is
-    O(metadata), independent of V and E.  ``cut_edges`` is the
-    publisher's per-shard count, so attaching never recounts it.
-    """
-
-    shards: Tuple[CompactGraphHandle, ...]
-    kg_name: str
-    num_nodes: int
-    num_edges: int
-    cut_edges: Tuple[int, ...]
-
 
 class ShardedGraph:
     """N entity-partitioned :class:`GraphShard`\\ s over one frozen graph.
 
-    Build with :meth:`build` (slices a transient full freeze), attach
-    with :meth:`from_handle` (zero-copy per-shard shm mappings), publish
-    with :meth:`to_shared`.  Instances are immutable and, like
-    :class:`CompactGraph` itself, keep no reference to the source graph.
+    Build with :meth:`build` (slices a transient full freeze).
+    Instances are immutable and, like :class:`CompactGraph` itself, keep
+    no reference to the source graph.
     """
 
     def __init__(
@@ -316,12 +271,7 @@ class ShardedGraph:
     # ------------------------------------------------------------------
     @classmethod
     def build(
-        cls,
-        kg: KnowledgeGraph,
-        num_shards: int,
-        *,
-        strategy: str = "hash",
-        seed: int = 0,
+        cls, kg: KnowledgeGraph, num_shards: int, *, strategy: str = "hash"
     ) -> "ShardedGraph":
         """Partition ``kg`` into ``num_shards`` shards.
 
@@ -330,9 +280,7 @@ class ShardedGraph:
         once the shards are sliced.
         """
         full = CompactGraph.freeze(kg)
-        shard_of = partition_entities(
-            full, num_shards, strategy=strategy, seed=seed
-        )
+        shard_of = partition_entities(full, num_shards, strategy=strategy)
         return cls(
             kg_name=full.kg_name,
             num_nodes=full.num_nodes,
@@ -363,124 +311,6 @@ class ShardedGraph:
 
     def max_resident_bytes(self) -> int:
         return max(self.resident_bytes())
-
-    # ------------------------------------------------------------------
-    # shared-memory lifecycle
-    # ------------------------------------------------------------------
-    def to_shared(self) -> "SharedShardedGraph":
-        """Publish every shard into its own shm segment (multi-lease).
-
-        Returns the owning :class:`SharedShardedGraph`; close it after
-        the workers are gone.  On a mid-publish failure the blocks
-        already created are released before the error propagates, so a
-        partial publish cannot leak ``/dev/shm`` entries.
-        """
-        blocks: List[ShmArrayBlock] = []
-        handles: List[CompactGraphHandle] = []
-        try:
-            for shard in self.shards:
-                arrays = {
-                    name: getattr(shard.graph, name) for name in SHARED_COLUMNS
-                }
-                arrays["slot_rank"] = shard.slot_rank
-                arrays["owned_edges"] = shard.owned_edges
-                if shard.shard_id == 0:
-                    arrays[_SHARD_OF_COLUMN] = self.shard_of
-                block = ShmArrayBlock.create(
-                    arrays,
-                    prefix=f"{SHARD_SEGMENT_PREFIX}{shard.shard_id}",
-                )
-                blocks.append(block)
-                handles.append(
-                    CompactGraphHandle(
-                        block=block.handle,
-                        num_nodes=shard.graph.num_nodes,
-                        num_edges=shard.graph.num_edges,
-                        kg_name=shard.graph.kg_name,
-                        predicate_names=tuple(shard.graph.predicate_names),
-                        type_names=tuple(shard.graph.type_names),
-                    )
-                )
-        except BaseException:
-            for block in reversed(blocks):
-                block.close()
-                block.unlink()
-            raise
-        handle = ShardedGraphHandle(
-            shards=tuple(handles),
-            kg_name=self.kg_name,
-            num_nodes=self.num_nodes,
-            num_edges=self.num_edges,
-            cut_edges=tuple(shard.cut_edges for shard in self.shards),
-        )
-        return SharedShardedGraph(handle=handle, blocks=blocks)
-
-    @classmethod
-    def from_handle(cls, handle: ShardedGraphHandle) -> "ShardedGraph":
-        """Attach every shard zero-copy (O(metadata) per shard).
-
-        Raises :class:`~repro.errors.GraphError` when any segment is
-        gone — the owning service closed it or died.
-        """
-        shards: List[GraphShard] = []
-        for sid, shard_handle in enumerate(handle.shards):
-            graph = CompactGraph.from_handle(shard_handle)
-            # The shard's segment carries its extra columns beside the
-            # kernel's own.
-            block = graph._shm_block
-            shards.append(
-                GraphShard(
-                    shard_id=sid,
-                    graph=graph,
-                    slot_rank=block.array("slot_rank"),
-                    owned_edges=block.array("owned_edges"),
-                    cut_edges=handle.cut_edges[sid],
-                )
-            )
-        return cls(
-            kg_name=handle.kg_name,
-            num_nodes=handle.num_nodes,
-            num_edges=handle.num_edges,
-            shards=shards,
-            shard_of=shards[0].graph._shm_block.array(_SHARD_OF_COLUMN),
-        )
-
-
-class SharedShardedGraph:
-    """The owner's multi-lease on a published shard set.
-
-    One shm segment per shard; :meth:`close` releases them in reverse
-    publication order (idempotent) — the ordering the service leak probe
-    asserts on.  Usable as a context manager, like the single-graph
-    lease.
-    """
-
-    def __init__(
-        self, handle: ShardedGraphHandle, blocks: Sequence[ShmArrayBlock]
-    ):
-        self.handle = handle
-        self._blocks = list(blocks)
-
-    @property
-    def names(self) -> Tuple[str, ...]:
-        """Every shard segment's name (for ``/dev/shm`` leak probes)."""
-        return tuple(block.name for block in self._blocks)
-
-    @property
-    def closed(self) -> bool:
-        return all(block.closed for block in self._blocks)
-
-    def close(self) -> None:
-        """Detach and unlink every shard segment (idempotent)."""
-        for block in reversed(self._blocks):
-            block.close()
-            block.unlink()
-
-    def __enter__(self) -> "SharedShardedGraph":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
 
 
 # ----------------------------------------------------------------------

@@ -4,7 +4,8 @@ A process pool that shipped every worker the frozen CSR graph by value
 inside its pickled :class:`~repro.core.engine.EngineSpec` would hold N
 private copies of it — memory and per-worker warmup would scale with
 the pool.  This module is the sharing primitive every process pool reads
-its graph through instead:
+its graph through instead — one block per pool, holding one
+:class:`~repro.kg.compact.CompactGraph`'s columns:
 
 - :meth:`ShmArrayBlock.create` packs a set of named arrays into **one**
   POSIX shared-memory segment (64-byte-aligned columns, written once by
@@ -49,11 +50,7 @@ import numpy as np
 from repro.errors import GraphError
 
 #: Name prefix for every segment this module creates — greppable in
-#: ``/dev/shm`` so tests and CI can assert nothing leaked.  Derived
-#: prefixes (e.g. the sharded store's per-shard
-#: ``repro.kg.sharded.SHARD_SEGMENT_PREFIX``) must *extend* this string
-#: so the default :func:`leaked_segments` scan covers them too; the
-#: conformance tests pin that containment.
+#: ``/dev/shm`` so tests and CI can assert nothing leaked.
 SHM_PREFIX = "repro-cg"
 
 #: Column alignment inside a block (cache-line sized).
@@ -67,20 +64,17 @@ def _aligned(offset: int) -> int:
     return offset if remainder == 0 else offset + (_ALIGNMENT - remainder)
 
 
-def leaked_segments(prefix: str = SHM_PREFIX) -> List[str]:
+def leaked_segments() -> List[str]:
     """Live segments under ``/dev/shm`` carrying our prefix.
 
     The leak probe tests and CI use: after every owner is closed the
-    list must be empty.  The default prefix also covers every *derived*
-    segment family — per-shard segments are named
-    ``repro-cg-shard<i>-…``, so a leaked shard shows up in the same
-    scan with no extra argument.  Returns ``[]`` on platforms without a
+    list must be empty.  Returns ``[]`` on platforms without a
     ``/dev/shm`` (the scan is a Linux-ism, like the fast attach path).
     """
     if not os.path.isdir(_SHM_ROOT):
         return []
     return sorted(
-        name for name in os.listdir(_SHM_ROOT) if name.startswith(prefix)
+        name for name in os.listdir(_SHM_ROOT) if name.startswith(SHM_PREFIX)
     )
 
 
@@ -229,9 +223,7 @@ class ShmArrayBlock:
 
     # ------------------------------------------------------------------
     @classmethod
-    def create(
-        cls, arrays: Mapping[str, np.ndarray], *, prefix: str = SHM_PREFIX
-    ) -> "ShmArrayBlock":
+    def create(cls, arrays: Mapping[str, np.ndarray]) -> "ShmArrayBlock":
         """Pack ``arrays`` into one fresh segment; returns the owner block.
 
         Columns are laid out at 64-byte-aligned offsets and copied once;
@@ -258,7 +250,7 @@ class ShmArrayBlock:
 
         shm = None
         for _ in range(8):
-            name = f"{prefix}-{os.getpid()}-{secrets.token_hex(4)}"
+            name = f"{SHM_PREFIX}-{os.getpid()}-{secrets.token_hex(4)}"
             try:
                 shm = shared_memory.SharedMemory(
                     name=name, create=True, size=size

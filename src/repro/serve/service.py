@@ -7,10 +7,11 @@ budgets.  :class:`QueryService` is the serving seam between the two:
 - a pluggable **execution backend** (:mod:`repro.serve.backends`) runs
   the searches: ``inline`` (caller's thread — the reference; concurrent
   clients call it from their own threads) or ``process`` (true
-  multi-core parallelism; each worker attaches the
-  frozen store from shared memory, bootstraps a private engine once from
-  a pickled :class:`~repro.core.engine.EngineSpec` and reuses it across
-  requests);
+  multi-core parallelism; the service publishes its one
+  :class:`~repro.kg.compact.CompactGraph` into one shared-memory
+  segment, and each worker attaches it, bootstraps a private engine once
+  from a pickled :class:`~repro.core.engine.EngineSpec` and reuses it
+  across requests — a sharded store is served inline only);
 - a shared :class:`~repro.serve.cache.SemanticGraphCache` backs every
   query's semantic-graph view on the inline backend, so the
   workload amortises whole-graph weight, ``m(u)`` and hop-label rows
@@ -55,7 +56,7 @@ from repro.embedding.predicate_space import PredicateSpace
 from repro.errors import ServeError
 from repro.kg.compact import CompactGraph, SharedCompactGraph
 from repro.kg.graph import KnowledgeGraph
-from repro.kg.sharded import SHARD_STRATEGIES, ShardedGraph, SharedShardedGraph
+from repro.kg.sharded import SHARD_STRATEGIES, ShardedGraph
 from repro.kg.shm import leaked_segments
 from repro.query.model import QueryEdge, QueryGraph, QueryNode
 from repro.query.transform import TransformationLibrary
@@ -95,10 +96,6 @@ __all__ = [
 
 #: The service's own request counters, in :class:`ServiceStats` order.
 _REQUEST_COUNTERS = ("submitted", "completed", "failed", "time_bounded")
-
-#: A service's shared-memory graph lease: one segment for the single
-#: compact graph, one segment per shard for the sharded store.
-GraphLease = Union[SharedCompactGraph, SharedShardedGraph]
 
 
 class _RequestCounts:
@@ -305,11 +302,13 @@ class QueryService:
             ``CompactGraph`` or ``ShardedGraph``; a shared-memory handle
             is refused).  The inline backend builds its engine from it
             with a private :class:`SemanticGraphCache`; the process
-            backend publishes the store into shared memory and ships
-            workers a handle (O(metadata) warmup, one physical graph
-            copy pool-wide, bit-identical results).  The service owns
-            those segments and unlinks them on :meth:`close` (after the
-            pool is down) or by a finalizer if the owner crashes.
+            backend publishes the ``CompactGraph`` into one
+            shared-memory segment and ships workers its handle
+            (O(metadata) warmup, one physical graph copy pool-wide,
+            bit-identical results) and refuses a ``ShardedGraph``.  The
+            service owns that segment and unlinks it on :meth:`close`
+            (after the pool is down) or by a finalizer if the owner
+            crashes.
         backend: ``"inline"`` (default) or ``"process"``.
         workers: process-pool size (ignored by ``inline``).
         start_method: multiprocessing start method for the process
@@ -378,6 +377,11 @@ class QueryService:
                 "a service serves an EngineSpec whose store it holds by "
                 "value and publishes itself; build it with QueryService.build"
             )
+        if backend == "process" and isinstance(spec.store, ShardedGraph):
+            raise ServeError(
+                "a sharded store is served inline only: a process pool "
+                "publishes and attaches one unsharded CompactGraph"
+            )
         if fault_plan is not None and not isinstance(fault_plan, FaultPlan):
             raise ServeError(
                 f"fault_plan must be a FaultPlan, got {type(fault_plan).__name__}"
@@ -407,7 +411,7 @@ class QueryService:
         self._counts = _RequestCounts()
         self._lock = threading.Lock()
         self._closed = False
-        self._graph_lease: Optional[GraphLease] = None
+        self._graph_lease: Optional[SharedCompactGraph] = None
         self._supervised = supervised
         self._fault_plan = fault_plan
         self._retry_policy = (
@@ -469,12 +473,11 @@ class QueryService:
 
         Stamps the current fault plan into the worker-bound spec (so
         chaos rides the same vehicle as the engine description) and
-        publishes the store into fresh shared-memory segments — one for
-        a ``CompactGraph``, one per shard for a ``ShardedGraph`` —
-        shipping workers the handle instead, so the pickle is
-        O(metadata).  On construction failure the
-        just-acquired lease is released with a stranded-segment probe —
-        the pool never came up, so nobody else will.
+        publishes the store into one fresh shared-memory segment,
+        shipping workers its handle instead, so the pickle is
+        O(metadata).  On construction failure the just-acquired lease is
+        released with a stranded-segment probe — the pool never came up,
+        so nobody else will.
         """
         spec = self._base_spec
         plan = self._fault_plan
@@ -514,23 +517,13 @@ class QueryService:
         return self._build_pool()
 
     @staticmethod
-    def _release_lease(lease: GraphLease) -> None:
-        """Release an owned shm lease, asserting its segments vanished.
-
-        Duck-typed over single- and multi-segment leases: a sharded
-        lease exposes ``names`` (one segment per shard, released in
-        reverse publication order by its ``close``), a single-graph
-        lease only ``name`` — every segment is probed against
-        ``/dev/shm`` after the release.
-        """
-        names = tuple(getattr(lease, "names", None) or (lease.name,))
+    def _release_lease(lease: SharedCompactGraph) -> None:
+        """Release an owned shm lease, asserting its segment vanished."""
         lease.close()
-        leaked = set(leaked_segments())
-        still_present = [name for name in names if name in leaked]
-        if still_present:
+        if lease.name in leaked_segments():
             raise ServeError(
-                f"shared-memory segment(s) {still_present!r} still present "
-                "in /dev/shm after their lease was released — refusing to "
+                f"shared-memory segment {lease.name!r} still present in "
+                "/dev/shm after its lease was released — refusing to "
                 "continue with a leak"
             )
 
@@ -571,9 +564,10 @@ class QueryService:
         the store from shared memory.  ``shards=N`` partitions the frozen
         kernel into N entity-owned shards (:mod:`repro.kg.sharded`)
         served through the rank-merged view — one row source for the
-        shard set in the engine's cache, one shm segment per shard on
-        the process backend; ``shard_strategy`` picks the partitioner.
-        Exact results are identical under every combination.  The
+        shard set in the engine's cache — on the inline backend only (a
+        process pool is refused with a :class:`~repro.errors.ServeError`);
+        ``shard_strategy`` picks the partitioner.  Exact results are
+        identical under every combination.  The
         paper's lazy view and the reference kernels are test oracles,
         built as a :class:`SemanticGraphQueryEngine` and never served.
 
@@ -598,7 +592,7 @@ class QueryService:
                 f"(expected one of {SHARD_STRATEGIES})"
             )
         # Freeze / partition once in the parent: every backend (and every
-        # process worker, via the shm handles) serves the same store
+        # process worker, via the shm handle) serves the same store
         # instead of redoing the O(V+E) work, and reads nothing else —
         # growing ``kg`` afterwards changes no answer.
         store = (
@@ -819,15 +813,13 @@ class QueryService:
         # worker that had not attached yet (a worker attaches while it
         # boots).  Workers that are already attached only hold
         # mappings, which die with their processes.  Released through the
-        # leak probe — on a sharded service that walks every shard
-        # segment (reverse publication order) and asserts each left
-        # /dev/shm.
+        # leak probe, which asserts the segment left /dev/shm.
         lease, self._graph_lease = self._graph_lease, None
         if lease is not None:
             self._release_lease(lease)
 
     @property
-    def graph_lease(self) -> Optional[GraphLease]:
+    def graph_lease(self) -> Optional[SharedCompactGraph]:
         """The shared-memory graph lease (``None`` off the process
         backend).
 

@@ -632,10 +632,10 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help=(
             "partition the frozen CSR graph into N entity-owned shards: "
-            "one row source for the shard set in the engine's cache, "
-            "rank-merged incident rows, and — on the process backend — "
-            "one shm segment per shard.  Exact results are bit-identical to "
-            "the unsharded store (default: 0 = unsharded)"
+            "one row source for the shard set in the engine's cache and "
+            "rank-merged incident rows.  Inline backend only (--backend "
+            "process is refused, exit 2).  Exact results are bit-identical "
+            "to the unsharded store (default: 0 = unsharded)"
         ),
     )
     parser.add_argument(
@@ -643,7 +643,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default="hash",
         choices=SHARD_STRATEGIES,
         help=(
-            "entity partitioner for --shards: 'hash' (seeded uniform "
+            "entity partitioner for --shards: 'hash' (uniform "
             "mixing) or 'balanced-degree' (greedy degree-mass "
             "balancing).  Deterministic; identical answers either way "
             "(default: hash)"

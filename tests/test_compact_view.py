@@ -380,7 +380,7 @@ class TestEngineConformance:
         query = bundle.workload[0].query
         lazy = SemanticGraphQueryEngine(bundle.kg, bundle.space, bundle.library)
         compact = _compact_engine(bundle.kg, bundle.space, bundle.library)
-        sharded = ShardedGraph.build(bundle.kg, 2, strategy="hash", seed=0)
+        sharded = ShardedGraph.build(bundle.kg, 2, strategy="hash")
         sharded_engine = SemanticGraphQueryEngine(
             FrozenGraphReader(sharded),
             bundle.space,

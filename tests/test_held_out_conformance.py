@@ -54,8 +54,10 @@ FULL_COVERAGE_ARMS = {
     "process-spawn": dict(PROCESS, start_method="spawn"),
     "inline-2shards": dict(INLINE, shards=2),
     "inline-4shards": dict(INLINE, shards=4),
-    "process-2shards": dict(PROCESS, shards=2),
-    "process-4shards": dict(PROCESS, shards=4),
+    # The other partitioner; a sharded store is served inline only.
+    "inline-4shards-balanced": dict(
+        INLINE, shards=4, shard_strategy="balanced-degree"
+    ),
 }
 
 #: One worker SIGKILLed on its 3rd request (the whole pool breaks — the

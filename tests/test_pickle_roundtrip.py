@@ -1,14 +1,13 @@
 """Pickle round-trips for everything that crosses the process boundary.
 
-The process backend's correctness rests on six types surviving
+The process backend's correctness rests on seven types surviving
 ``pickle.loads(pickle.dumps(...))`` with their behaviour intact:
 :class:`~repro.core.engine.EngineSpec` (worker bootstrap),
 :class:`~repro.serve.service.QueryRequest` (task submission),
 :class:`~repro.core.results.QueryResultPayload` (result return),
 :class:`~repro.kg.compact.CompactGraph` (the shipped graph snapshot),
 :class:`~repro.kg.compact.CompactGraphHandle` (the shared-memory graph
-pointer), :class:`~repro.kg.sharded.ShardedGraphHandle` (the per-shard
-multi-segment pointer), :class:`~repro.query.decompose.Decomposition`
+pointer), :class:`~repro.query.decompose.Decomposition`
 (memoized per worker) and :class:`~repro.serve.faults.FaultPlan` (chaos
 injection riding the spec into workers).
 Each test checks equality where value semantics exist and behaviour
@@ -110,41 +109,9 @@ class TestCompactGraphHandle:
         assert handle_bytes * 10 <= graph_bytes, (handle_bytes, graph_bytes)
 
 
-class TestShardedGraphHandle:
-    """The multi-shard handle rides the EngineSpec pickle into process
-    workers exactly like the single-graph handle — value equality, an
-    O(metadata) pickle, and a behaviourally identical attach."""
-
-    def test_handle_roundtrips_and_attaches(self, small_bundle):
-        from repro.kg.sharded import ShardedGraphHandle
-
-        sharded = ShardedGraph.build(small_bundle.kg, 2, seed=3)
-        with sharded.to_shared() as lease:
-            thawed = _roundtrip(lease.handle)
-            assert isinstance(thawed, ShardedGraphHandle)
-            assert thawed == lease.handle
-            assert len(thawed.shards) == 2
-            attached = ShardedGraph.from_handle(thawed)
-            assert np.array_equal(attached.shard_of, sharded.shard_of)
-            for mine, theirs in zip(sharded.shards, attached.shards):
-                assert np.array_equal(mine.slot_rank, theirs.slot_rank)
-                assert np.array_equal(
-                    mine.graph.slot_neighbor, theirs.graph.slot_neighbor
-                )
-
-    def test_handle_pickle_is_metadata_sized(self, small_bundle):
-        sharded = ShardedGraph.build(small_bundle.kg, 4)
-        with sharded.to_shared() as lease:
-            handle_bytes = len(pickle.dumps(lease.handle))
-            shards_bytes = len(pickle.dumps(sharded))
-        # O(metadata) per shard, not O(graph): same bar as the
-        # single-graph handle.
-        assert handle_bytes * 10 <= shards_bytes, (handle_bytes, shards_bytes)
-
-
 class TestEngineSpec:
     @pytest.mark.parametrize(
-        "form", ["compact", "compact-handle", "sharded", "sharded-handle"]
+        "form", ["compact", "compact-handle", "sharded"]
     )
     def test_rebuilt_engine_is_behaviourally_identical(self, small_bundle, form):
         kg = small_bundle.kg
@@ -165,7 +132,7 @@ class TestEngineSpec:
                 assert problem is None, problem
                 assert expected.ta_accesses == actual.ta_accesses
 
-    def test_store_must_be_one_of_the_four_forms(self, small_bundle):
+    def test_store_must_be_one_of_the_three_forms(self, small_bundle):
         from repro.errors import SearchError
         from repro.kg.compact import FrozenGraphReader
 

@@ -18,7 +18,8 @@ from repro.core.engine import EngineSpec
 from repro.core.results import QueryResult, QueryResultPayload
 from repro.embedding.trainer import TrainingReport, train_predicate_space
 from repro.kg.compact import CompactGraph
-from repro.kg.sharded import ShardedGraph, ShardedGraphHandle
+from repro.kg.sharded import ShardedGraph, partition_entities
+from repro.kg.shm import ShmArrayBlock, leaked_segments
 from repro.kg.triples import graph_to_id_triples
 from repro.serve.answer_cache import CanonicalQueryKey, EngineFingerprint
 from repro.serve.service import QueryService
@@ -131,10 +132,17 @@ def test_no_deleted_function_is_defined(functions):
         "KnowledgeGraph.incident", "KnowledgeGraph.out_incident",
         "KnowledgeGraph.in_incident", "KnowledgeGraph.out_edges",
         "lazy_view_factory",
+        # The sharded store's shared-memory form: a process pool
+        # publishes and attaches one CompactGraph.
+        "ShardedGraph.to_shared", "ShardedGraph.from_handle",
+        "SharedShardedGraph.__init__", "SharedShardedGraph.names",
+        "SharedShardedGraph.closed", "SharedShardedGraph.close",
+        "SharedShardedGraph.__enter__", "SharedShardedGraph.__exit__",
     }
     assert deleted.isdisjoint(functions.values())
     from repro.core import compact_view
-    from repro.kg import graph
+    from repro.kg import graph, sharded
+    from repro.serve import service
 
     assert not hasattr(graph, "GraphStatistics")
     assert not hasattr(compact_view, "_SPACE_INDEX_MEMO")
@@ -143,6 +151,19 @@ def test_no_deleted_function_is_defined(functions):
     assert {"kg", "strategy", "seed"}.isdisjoint(
         inspect.signature(ShardedGraph.__init__).parameters
     )
+    for name in (
+        "ShardedGraphHandle", "SharedShardedGraph", "SHARD_SEGMENT_PREFIX",
+        "_SHARD_EXTRA_COLUMNS", "_SHARD_OF_COLUMN",
+    ):
+        assert not hasattr(sharded, name), name
+    assert not hasattr(service, "GraphLease")
+    for function, name in (
+        (ShardedGraph.build, "seed"),
+        (partition_entities, "seed"),
+        (ShmArrayBlock.create, "prefix"),
+        (leaked_segments, "prefix"),
+    ):
+        assert name not in inspect.signature(function).parameters, function
     # The TA round cap nothing set, with every field that reported it.
     assert "max_rounds" not in inspect.signature(assemble_top_k).parameters
     for cls, name in (
@@ -152,8 +173,6 @@ def test_no_deleted_function_is_defined(functions):
         (ReplayReport, "truncated"),
         (CanonicalQueryKey, "fingerprint"),
         (EngineSpec, "kg"),
-        (ShardedGraphHandle, "strategy"),
-        (ShardedGraphHandle, "seed"),
     ):
         assert name not in {f.name for f in dataclasses.fields(cls)}, cls
     files = {Path(path).name for path, _line in functions}

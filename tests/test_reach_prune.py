@@ -221,7 +221,7 @@ class TestHopLabel:
                 rng, num_nodes, rng.randint(0, 3 * num_nodes), isolated=isolated
             )
             compact = CompactViewFactory(CompactGraph.freeze(kg))(kg, fig2_space)
-            shards = ShardedGraph.build(kg, num_shards, strategy=strategy, seed=trial)
+            shards = ShardedGraph.build(kg, num_shards, strategy=strategy)
             sharded = ShardedViewFactory(shards)(kg, fig2_space)
             for predicate in PREDICATES:
                 assert (

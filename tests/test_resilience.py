@@ -346,10 +346,18 @@ class TestProcessRecovery:
         self, small_bundle, reference
     ):
         queries = _queries(small_bundle)
+        # Every request either worker can see in the two waves sleeps
+        # 0.1-0.3 s first, so the second wave is still in flight when the
+        # SIGKILL lands (a wave that had already been answered would leave
+        # nothing to fail, and no rebuild to count).  The default
+        # epochs=1 leaves the rebuilt pool without it.
+        hold = FaultPlan(
+            latency_at=range(1, 2 * len(queries) + 1), latency_seconds=0.2
+        )
         with QueryService.build(
             small_bundle.kg, small_bundle.space, small_bundle.library,
             backend="process", workers=2,
-            supervised=True, retry_policy=FAST_POLICY,
+            supervised=True, retry_policy=FAST_POLICY, fault_plan=hold,
         ) as service:
             service.warmup()
             old_lease = service.graph_lease.name

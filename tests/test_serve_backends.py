@@ -36,6 +36,14 @@ from repro.utils.lru import CacheStats
 
 K = 5
 
+#: Every served (store, backend) pair: a sharded store is served inline
+#: only.
+STORE_ARMS = pytest.mark.parametrize(
+    "shards, backend",
+    [(0, "inline"), (0, "process"), (2, "inline")],
+    ids=["compact-inline", "compact-process", "sharded-inline"],
+)
+
 
 def _product_query():
     return (
@@ -96,8 +104,7 @@ class TestStoreForms:
             kg, items, [oracle.search(item.query, k=K) for item in items]
         )
 
-    @pytest.mark.parametrize("backend", EXECUTION_BACKENDS)
-    @pytest.mark.parametrize("shards", [0, 2], ids=["compact", "sharded"])
+    @STORE_ARMS
     def test_every_store_form_returns_the_same_digest(
         self, small_bundle, oracle_digest, shards, backend
     ):
@@ -120,8 +127,7 @@ class TestStoreForms:
 
 
 class TestCrossBackendConformance:
-    @pytest.mark.parametrize("backend", EXECUTION_BACKENDS)
-    @pytest.mark.parametrize("shards", [0, 2], ids=["compact", "sharded"])
+    @STORE_ARMS
     def test_backend_matches_sequential_engine(
         self, small_bundle, reference_results, backend, shards
     ):

@@ -15,7 +15,6 @@ from repro.core.time_bounded import TimeBoundedCoordinator
 from repro.embedding.predicate_space import PredicateSpace
 from repro.errors import ReproError, SearchError, ServeError
 from repro.kg.compact import CompactGraph
-from repro.kg.sharded import ShardedGraph
 from repro.kg.shm import leaked_segments
 from repro.scenarios import WorkloadBuilder
 from repro.serve.answer_cache import AnswerCache
@@ -347,11 +346,12 @@ class TestLifecycle:
             ({"answer_cache": AnswerCache(8)}, "capacity int"),
             ({"answer_cache": True}, "capacity int"),
             ("handle spec", "holds by value"),
+            ({"shards": 2}, "served inline only"),
         ],
         ids=[
             "hard_timeout", "max_pending", "compact=False",
             "shared_graph=False", "answer_cache=AnswerCache",
-            "answer_cache=True", "handle spec",
+            "answer_cache=True", "handle spec", "shards=2",
         ],
     )
     def test_refused_process_build_starts_nothing(self, small_bundle, refused, match):
@@ -380,7 +380,7 @@ class TestLifecycle:
 
     @pytest.mark.parametrize("backend", EXECUTION_BACKENDS)
     @pytest.mark.parametrize(
-        "given", ["lazy engine", "compact engine", "compact-handle", "sharded-handle"]
+        "given", ["lazy engine", "compact engine", "compact-handle"]
     )
     def test_only_a_by_value_spec_is_served(self, small_bundle, given, backend):
         """An engine (the lazy oracle or one over a frozen store) is no
@@ -395,11 +395,7 @@ class TestLifecycle:
                     EngineSpec(CompactGraph.freeze(kg), space, library)
                 )
             else:
-                store = (
-                    CompactGraph.freeze(kg) if given == "compact-handle"
-                    else ShardedGraph.build(kg, 2)
-                )
-                lease = stack.enter_context(store.to_shared())
+                lease = stack.enter_context(CompactGraph.freeze(kg).to_shared())
                 refused = EngineSpec(lease.handle, space, library)
             children = set(multiprocessing.active_children())
             with pytest.raises(ServeError, match="holds by value"):

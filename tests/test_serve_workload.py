@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from repro.errors import ServeError
+from repro.kg.shm import leaked_segments
 from repro.serve.service import QueryRequest, QueryService
 from repro.serve.workload import ReplayReport, WorkloadItem, mix_deadlines, replay
 from repro.serve.workload import main as workload_main
@@ -303,18 +304,19 @@ class TestConsoleEntrypoint:
         assert "latency by complexity class:" in out
         assert "search totals:" in out
 
-    def test_main_reports_the_services_own_rejection(self, capsys):
+    @pytest.mark.parametrize("args, message", [
+        (["--answer-cache", "-1"], "answer cache capacity must be at least 1, got -1"),
+        (["--shards", "4", "--backend", "process"],
+         "a sharded store is served inline only"),
+    ], ids=["answer-cache", "sharded-process"])
+    def test_main_reports_the_services_own_rejection(self, capsys, args, message):
         """Combinations the service owns are not re-checked by the CLI:
         its ServeError comes back as an argparse error (exit 2)."""
         with pytest.raises(SystemExit) as exit_info:
-            workload_main(
-                ["--preset", "dbpedia", "--scale", "1.0", "--answer-cache", "-1"]
-            )
+            workload_main(["--preset", "dbpedia", "--scale", "1.0", *args])
         assert exit_info.value.code == 2
-        assert (
-            "answer cache capacity must be at least 1, got -1"
-            in capsys.readouterr().err
-        )
+        assert message in capsys.readouterr().err
+        assert leaked_segments() == []
 
     def test_main_process_backend(self, capsys):
         code = workload_main(self.SMALL + [

@@ -1,13 +1,16 @@
 """Sharded-store conformance: partitioning, rank merge, serve wiring.
 
 The sharded store's contract is that partitioning is an *implementation
-detail*: the partitioner is seed-deterministic, every edge is owned by
+detail*: the partitioner is deterministic, every edge is owned by
 exactly one shard, the rank-merged view reproduces the unsharded view's
 incidence sequences bit for bit (so answers cannot drift), memory
-divides where it matters, and the serve layer composes it with shared
-memory and the engine's one row cache without changing a single answer.  ``tests/test_held_out_conformance.py`` holds the 2- and
-4-shard replays of the held-out scenario to its golden digest.
+divides where it matters, and the inline service composes it with the
+engine's one row cache without changing a single answer.
+``tests/test_held_out_conformance.py`` holds the 2- and 4-shard replays
+of the held-out scenario to its golden digest.
 """
+
+from contextlib import ExitStack
 
 import numpy as np
 import pytest
@@ -19,14 +22,13 @@ from repro.errors import GraphError, ServeError
 from repro.kg.compact import CompactGraph, FrozenGraphReader
 from repro.kg.graph import KnowledgeGraph
 from repro.kg.sharded import (
-    SHARD_SEGMENT_PREFIX,
     SHARD_STRATEGIES,
     ShardedGraph,
     ShardedViewFactory,
     compact_resident_bytes,
     partition_entities,
 )
-from repro.kg.shm import SHM_PREFIX, ShmArrayBlock, leaked_segments
+from repro.kg.shm import leaked_segments
 from repro.query.builder import QueryGraphBuilder
 from repro.serve.cache import SemanticGraphCache
 from repro.serve.service import QueryService
@@ -39,7 +41,7 @@ def frozen(small_bundle):
 
 @pytest.fixture(scope="module")
 def sharded4(small_bundle):
-    return ShardedGraph.build(small_bundle.kg, 4, strategy="hash", seed=0)
+    return ShardedGraph.build(small_bundle.kg, 4, strategy="hash")
 
 
 def _sample_uids(graph, count=40):
@@ -52,16 +54,11 @@ def _sample_uids(graph, count=40):
 
 class TestPartitioner:
     @pytest.mark.parametrize("strategy", SHARD_STRATEGIES)
-    def test_same_seed_is_byte_identical(self, frozen, strategy):
-        first = partition_entities(frozen, 4, strategy=strategy, seed=13)
-        second = partition_entities(frozen, 4, strategy=strategy, seed=13)
+    def test_assignment_is_byte_identical(self, frozen, strategy):
+        first = partition_entities(frozen, 4, strategy=strategy)
+        second = partition_entities(frozen, 4, strategy=strategy)
         assert first.dtype == np.int32
         assert first.tobytes() == second.tobytes()
-
-    def test_hash_seed_changes_assignment(self, frozen):
-        a = partition_entities(frozen, 4, strategy="hash", seed=0)
-        b = partition_entities(frozen, 4, strategy="hash", seed=1)
-        assert not np.array_equal(a, b)
 
     @pytest.mark.parametrize("strategy", SHARD_STRATEGIES)
     def test_every_shard_is_used(self, frozen, strategy):
@@ -224,110 +221,33 @@ class TestEngineConformance:
             for strategy in SHARD_STRATEGIES
         ],
     )
-    def test_every_layout_answers_alike_through_its_handle(
+    def test_every_layout_answers_alike(
         self, small_bundle, frozen, shards, strategy
     ):
-        """No layout enters an answer-cache key, and a rebuilt pool
-        worker reads its store through a shared-memory handle: both hold
-        because neither the partitioning nor the handle moves an answer."""
+        """No layout enters an answer-cache key: neither the partitioning
+        nor the unsharded store's shared-memory handle (what a pool
+        worker reads) moves an answer."""
         baseline = SemanticGraphQueryEngine(
             small_bundle.kg,
             small_bundle.space,
             small_bundle.library,
             view_factory=CompactViewFactory(frozen),
         )
-        store = (
-            frozen
-            if shards == 0
-            else ShardedGraph.build(small_bundle.kg, shards, strategy=strategy)
-        )
-        with store.to_shared() as lease:
-            attached = build_engine(
+        with ExitStack() as stack:
+            store = (
+                stack.enter_context(frozen.to_shared()).handle
+                if shards == 0
+                else ShardedGraph.build(small_bundle.kg, shards, strategy=strategy)
+            )
+            served = build_engine(
                 EngineSpec(
-                    store=lease.handle, space=small_bundle.space,
+                    store=store, space=small_bundle.space,
                     library=small_bundle.library,
                 )
             )
             for item in small_bundle.workload:
                 expected = baseline.search(item.query, k=5)
-                actual = attached.search(item.query, k=5)
-                problem = final_matches_differ(
-                    item.qid, expected.matches, actual.matches
-                )
-                assert problem is None, problem
-        assert leaked_segments() == []
-
-
-class TestShmLifecycle:
-    def test_shard_prefix_is_covered_by_default_scan(self):
-        # The leak-probe contract: derived segment families must extend
-        # SHM_PREFIX so `leaked_segments()` needs no extra argument.
-        assert SHARD_SEGMENT_PREFIX.startswith(SHM_PREFIX)
-
-    def test_publish_attach_close(self, small_bundle, sharded4):
-        before = leaked_segments()
-        lease = sharded4.to_shared()
-        try:
-            assert len(lease.names) == 4
-            live = set(leaked_segments()) - set(before)
-            assert live == set(lease.names)
-            for sid, name in enumerate(lease.names):
-                assert name.startswith(f"{SHARD_SEGMENT_PREFIX}{sid}")
-            attached = ShardedGraph.from_handle(lease.handle)
-            assert len(attached.shards) == len(sharded4.shards)
-            assert np.array_equal(attached.shard_of, sharded4.shard_of)
-            for mine, theirs in zip(sharded4.shards, attached.shards):
-                assert mine.cut_edges == theirs.cut_edges
-                assert np.array_equal(mine.slot_rank, theirs.slot_rank)
-                assert np.array_equal(mine.owned_edges, theirs.owned_edges)
-                assert np.array_equal(
-                    mine.graph.slot_neighbor, theirs.graph.slot_neighbor
-                )
-        finally:
-            lease.close()
-        assert leaked_segments() == before
-        lease.close()  # idempotent
-
-    def test_failed_publish_releases_the_shards_already_published(
-        self, sharded4, monkeypatch
-    ):
-        real_create = ShmArrayBlock.create
-        published = []
-
-        def failing_create(arrays, *, prefix):
-            if len(published) == 2:
-                assert len(leaked_segments()) == 2  # really mid-publish
-                raise OSError("no space left on /dev/shm")
-            published.append(prefix)
-            return real_create(arrays, prefix=prefix)
-
-        monkeypatch.setattr(ShmArrayBlock, "create", failing_create)
-        with pytest.raises(OSError, match="no space left") as caught:
-            sharded4.to_shared()
-        # ``caught`` keeps the failed frame, and so the blocks, alive: the
-        # publish released them itself, not a finalizer at collection.
-        assert leaked_segments() == []
-        assert caught.traceback
-
-    def test_attached_engine_answers_identically(
-        self, small_bundle, sharded4
-    ):
-        baseline = build_engine(
-            EngineSpec(
-                store=sharded4, space=small_bundle.space,
-                library=small_bundle.library,
-            )
-        )
-        with sharded4.to_shared() as lease:
-            attached = build_engine(
-                EngineSpec(
-                    store=lease.handle, space=small_bundle.space,
-                    library=small_bundle.library,
-                )
-            )
-            for item in small_bundle.workload[:3]:
-                expected = baseline.search(item.query, k=5)
-                actual = attached.search(item.query, k=5)
+                actual = served.search(item.query, k=5)
                 problem = final_matches_differ(
                     item.qid, expected.matches, actual.matches
                 )
@@ -403,10 +323,7 @@ class TestServeIntegration:
             assert report.shards == ()
             assert "shard" not in report.describe()
 
-    @pytest.mark.parametrize("backend", ["inline", "process"])
-    def test_warm_service_reports_the_caches_its_searches_read(
-        self, small_bundle, backend
-    ):
+    def test_warm_service_reports_the_caches_its_searches_read(self, small_bundle):
         """The headline is the engine's one weight cache and the engine's
         space — the row source of the whole shard set."""
         queries = [item.query for item in small_bundle.workload[:3]]
@@ -415,14 +332,12 @@ class TestServeIntegration:
             small_bundle.space,
             small_bundle.library,
             shards=2,
-            backend=backend,
-            workers=1,
         ) as service:
             service.search_many(queries, k=5)  # cold
             before = service.stats_snapshot()
-            if backend == "inline":  # the engine's caches are readable live
-                assert before.cache == service.cache.stats
-                assert before.space == service.engine.space.stats()
+            # The engine's caches are readable live.
+            assert before.cache == service.cache.stats
+            assert before.space == service.engine.space.stats()
             service.search_many(queries, k=5)  # warm
             report = service.stats_snapshot().since(before)
         assert report.cache.hits > 0 and report.cache.misses == 0
