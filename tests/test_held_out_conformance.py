@@ -55,6 +55,9 @@ FULL_COVERAGE_ARMS = {
     "inline-2shards": dict(INLINE, shards=2),
     "inline-4shards": dict(INLINE, shards=4),
     # The other partitioner; a sharded store is served inline only.
+    "inline-2shards-balanced": dict(
+        INLINE, shards=2, shard_strategy="balanced-degree"
+    ),
     "inline-4shards-balanced": dict(
         INLINE, shards=4, shard_strategy="balanced-degree"
     ),

@@ -152,7 +152,10 @@ class TestGraphReaderConformance:
     over each store form — answers the seven members alike, so node
     matching and pivot choice cannot tell them apart."""
 
-    FORMS = ["kg", "frozen", "frozen-shm", "sharded2", "sharded4"]
+    FORMS = [
+        "kg", "frozen", "frozen-shm", "sharded2", "sharded4",
+        "sharded2-balanced", "sharded4-balanced",
+    ]
 
     @pytest.fixture(scope="class", params=FORMS)
     def reader(self, request, small_bundle):
@@ -163,7 +166,10 @@ class TestGraphReaderConformance:
         if form.startswith("frozen"):
             store = CompactGraph.freeze(kg)
         else:
-            store = ShardedGraph.build(kg, int(form[len("sharded")]))
+            strategy = "balanced-degree" if form.endswith("-balanced") else "hash"
+            store = ShardedGraph.build(
+                kg, int(form[len("sharded")]), strategy=strategy
+            )
         with ExitStack() as stack:
             if form.endswith("-shm"):
                 lease = stack.enter_context(store.to_shared())

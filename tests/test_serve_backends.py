@@ -24,7 +24,7 @@ import pytest
 from repro.bench.equivalence import final_matches_differ, search_stats_differ
 from repro.core.engine import EngineSpec, SemanticGraphQueryEngine
 from repro.errors import PoolBrokenError, ServeError
-from repro.kg.compact import CompactGraph
+from repro.kg.compact import CompactGraph, CompactGraphHandle, SharedCompactGraph
 from repro.kg.sharded import ShardedGraph
 from repro.kg.shm import leaked_segments
 from repro.query.builder import QueryGraphBuilder
@@ -40,8 +40,8 @@ K = 5
 #: only.
 STORE_ARMS = pytest.mark.parametrize(
     "shards, backend",
-    [(0, "inline"), (0, "process"), (2, "inline")],
-    ids=["compact-inline", "compact-process", "sharded-inline"],
+    [(0, "inline"), (0, "process"), (2, "inline"), (4, "inline")],
+    ids=["compact-inline", "compact-process", "sharded-inline", "sharded4-inline"],
 )
 
 
@@ -152,6 +152,22 @@ class TestCrossBackendConformance:
 
 
 class TestProcessBackend:
+    def test_pool_publishes_one_compact_graph_segment(self, small_bundle):
+        """A process pool has one store form and one lease: the frozen
+        graph in one shared-memory segment, released on close."""
+        before = set(leaked_segments())
+        with QueryService.build(
+            small_bundle.kg, small_bundle.space, small_bundle.library,
+            backend="process", workers=2,
+        ) as service:
+            lease = service.graph_lease
+            assert isinstance(lease, SharedCompactGraph)
+            assert isinstance(service.spec.store, CompactGraphHandle)
+            assert set(leaked_segments()) - before == {lease.name}
+            service.search_many([_product_query()], k=K)
+        assert lease.closed
+        assert set(leaked_segments()) == before
+
     def test_deadline_requests_run_time_bounded(self, small_bundle):
         with QueryService.build(
             small_bundle.kg, small_bundle.space, small_bundle.library,

@@ -15,6 +15,7 @@ from repro.core.time_bounded import TimeBoundedCoordinator
 from repro.embedding.predicate_space import PredicateSpace
 from repro.errors import ReproError, SearchError, ServeError
 from repro.kg.compact import CompactGraph
+from repro.kg.sharded import ShardedGraph
 from repro.kg.shm import leaked_segments
 from repro.scenarios import WorkloadBuilder
 from repro.serve.answer_cache import AnswerCache
@@ -347,11 +348,14 @@ class TestLifecycle:
             ({"answer_cache": True}, "capacity int"),
             ("handle spec", "holds by value"),
             ({"shards": 2}, "served inline only"),
+            ({"shards": 4, "shard_strategy": "balanced-degree"}, "served inline only"),
+            ("sharded spec", "served inline only"),
         ],
         ids=[
             "hard_timeout", "max_pending", "compact=False",
             "shared_graph=False", "answer_cache=AnswerCache",
             "answer_cache=True", "handle spec", "shards=2",
+            "shards=4-balanced", "sharded spec",
         ],
     )
     def test_refused_process_build_starts_nothing(self, small_bundle, refused, match):
@@ -369,6 +373,13 @@ class TestLifecycle:
                         lease.handle, small_bundle.space, small_bundle.library
                     )
                     QueryService(spec, backend="process", workers=1)
+                elif refused == "sharded spec":
+                    # A by-value spec the caller partitioned, not built.
+                    spec = EngineSpec(
+                        ShardedGraph.build(small_bundle.kg, 2),
+                        small_bundle.space, small_bundle.library,
+                    )
+                    QueryService(spec, backend="process", workers=1)
                 else:
                     QueryService.build(
                         small_bundle.kg, small_bundle.space, small_bundle.library,
@@ -380,7 +391,7 @@ class TestLifecycle:
 
     @pytest.mark.parametrize("backend", EXECUTION_BACKENDS)
     @pytest.mark.parametrize(
-        "given", ["lazy engine", "compact engine", "compact-handle"]
+        "given", ["lazy engine", "compact engine", "sharded engine", "compact-handle"]
     )
     def test_only_a_by_value_spec_is_served(self, small_bundle, given, backend):
         """An engine (the lazy oracle or one over a frozen store) is no
@@ -393,6 +404,10 @@ class TestLifecycle:
             elif given == "compact engine":
                 refused = build_engine(
                     EngineSpec(CompactGraph.freeze(kg), space, library)
+                )
+            elif given == "sharded engine":
+                refused = build_engine(
+                    EngineSpec(ShardedGraph.build(kg, 2), space, library)
                 )
             else:
                 lease = stack.enter_context(CompactGraph.freeze(kg).to_shared())

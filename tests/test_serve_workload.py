@@ -308,7 +308,10 @@ class TestConsoleEntrypoint:
         (["--answer-cache", "-1"], "answer cache capacity must be at least 1, got -1"),
         (["--shards", "4", "--backend", "process"],
          "a sharded store is served inline only"),
-    ], ids=["answer-cache", "sharded-process"])
+        (["--shards", "2", "--shard-strategy", "balanced-degree",
+          "--backend", "process"],
+         "a sharded store is served inline only"),
+    ], ids=["answer-cache", "sharded-process", "sharded2-balanced-process"])
     def test_main_reports_the_services_own_rejection(self, capsys, args, message):
         """Combinations the service owns are not re-checked by the CLI:
         its ServeError comes back as an argparse error (exit 2)."""
@@ -328,6 +331,17 @@ class TestConsoleEntrypoint:
         assert "warmed" in out
         assert "weight cache (per-worker sum" in out
         assert "space row cache: hit_rate=" in out
+
+    def test_main_sharded_store_runs_inline(self, capsys):
+        """--shards stays a CLI option: the default inline backend serves
+        the shard set."""
+        code = workload_main(self.SMALL + [
+            "--repeats", "1", "--shards", "4", "--shard-strategy", "balanced-degree",
+        ])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "sharded store: 4 shards (balanced-degree partitioner)" in out
+        assert leaked_segments() == []
 
     def test_main_poisson_and_tbq_mix(self, capsys):
         code = workload_main(self.SMALL + [

@@ -60,6 +60,22 @@ class TestPartitioner:
         assert first.dtype == np.int32
         assert first.tobytes() == second.tobytes()
 
+    @pytest.mark.parametrize("strategy, expected", [
+        ("hash", [3, 3, 1, 0, 3, 2, 2, 3, 2, 0, 0, 3]),
+        ("balanced-degree", [2, 3, 2, 0, 3, 0, 1, 2, 1, 3, 0, 1]),
+    ], ids=["hash", "balanced-degree"])
+    def test_assignment_is_pinned(self, strategy, expected):
+        """The layout the ledger's sharded arm measures does not move: the
+        hash salt is the one a seed of 0 gave before the seed was fixed."""
+        kg = KnowledgeGraph("pinned")
+        uids = [kg.add_entity(f"e{i}", "T").uid for i in range(12)]
+        for i in range(11):
+            for j in range(i % 3 + 1):
+                if i + j + 1 < 12:
+                    kg.add_edge(uids[i], "p", uids[i + j + 1])
+        graph = CompactGraph.freeze(kg)
+        assert partition_entities(graph, 4, strategy=strategy).tolist() == expected
+
     @pytest.mark.parametrize("strategy", SHARD_STRATEGIES)
     def test_every_shard_is_used(self, frozen, strategy):
         assignment = partition_entities(frozen, 4, strategy=strategy)
@@ -323,7 +339,10 @@ class TestServeIntegration:
             assert report.shards == ()
             assert "shard" not in report.describe()
 
-    def test_warm_service_reports_the_caches_its_searches_read(self, small_bundle):
+    @pytest.mark.parametrize("shards", [2, 4])
+    def test_warm_service_reports_the_caches_its_searches_read(
+        self, small_bundle, shards
+    ):
         """The headline is the engine's one weight cache and the engine's
         space — the row source of the whole shard set."""
         queries = [item.query for item in small_bundle.workload[:3]]
@@ -331,7 +350,7 @@ class TestServeIntegration:
             small_bundle.kg,
             small_bundle.space,
             small_bundle.library,
-            shards=2,
+            shards=shards,
         ) as service:
             service.search_many(queries, k=5)  # cold
             before = service.stats_snapshot()
