@@ -51,7 +51,9 @@ the unpruned search; only ``expansions`` / ``states_generated`` /
 Under ``GENERATE`` a dead arrival marks ``(u, segment)`` visited and
 blocks later live ones, so dropping it would change Algorithm 1's
 literal output (and not monotonically); that policy runs unpruned.  The
-array kernel makes the same decisions, including the reach prune.
+array kernel serves geometric scoring under ``EXPAND`` only and makes
+this search's decisions there, reach prune included; every other
+configuration runs here.
 """
 
 from __future__ import annotations
@@ -72,9 +74,9 @@ from repro.utils.timing import Clock, Stopwatch, WallClock
 
 #: Valid ``kernel=`` names for the per-sub-query search, owned here (the
 #: dispatch point) the way ``assembly.ASSEMBLY_KERNELS`` owns the TA
-#: kernel names.  ``"auto"`` resolves per view: the vectorized kernel
-#: when the view exposes the compact CSR surface, the reference search
-#: otherwise.
+#: kernel names.  ``"auto"`` resolves per view and configuration: the
+#: vectorized kernel when the view exposes the compact CSR surface and
+#: the configuration is the paper's, the reference search otherwise.
 SEARCH_KERNELS = ("auto", "vectorized", "reference")
 
 
@@ -92,11 +94,13 @@ def build_subquery_search(
     """Construct the A* search for one sub-query behind the kernel seam.
 
     ``kernel="reference"`` always builds :class:`SubQuerySearch` (the
-    Algorithm 1 transcription below); ``"vectorized"`` builds the
-    array-backed :class:`~repro.core.search_kernel.VectorizedSubQuerySearch`
-    and raises when the view cannot support it; ``"auto"`` (the default)
-    picks the vectorized kernel exactly when the view can feed it.  Both
-    kernels are decision-identical — same matches, same pss, same
+    Algorithm 1 transcription below), which serves every configuration;
+    ``"vectorized"`` builds the array-backed
+    :class:`~repro.core.search_kernel.VectorizedSubQuerySearch` and raises
+    when the view cannot feed it or the configuration is an ablation
+    (``config.ablated_fields()``); ``"auto"`` (the default) picks the
+    vectorized kernel exactly when it could be built.  Where both can
+    run they are decision-identical — same matches, same pss, same
     emission order, same search stats, same reach prune — so the choice
     only moves cost.
     ``budget`` is TBQ's :class:`~repro.core.time_bounded.
@@ -113,17 +117,19 @@ def build_subquery_search(
             supports_vectorized_search,
         )
 
-        if supports_vectorized_search(view):
-            return VectorizedSubQuerySearch(
-                view, subquery, matcher, config, subquery_index, clock, budget
-            )
-        if kernel == "vectorized":
+        compact = supports_vectorized_search(view)
+        if kernel == "vectorized" and not compact:
             raise SearchError(
                 "search kernel 'vectorized' needs a compact view exposing "
                 "the CSR surface (graph / weight_row_array / "
                 "bounds_row_array and their log twins / hop_label); "
                 f"{type(view).__name__} does not — build the engine "
                 "over a frozen store (build_engine) or pass kernel='auto'"
+            )
+        # Forced, an ablation config raises in the constructor.
+        if kernel == "vectorized" or (compact and not config.ablated_fields()):
+            return VectorizedSubQuerySearch(
+                view, subquery, matcher, config, subquery_index, clock, budget
             )
     return SubQuerySearch(
         view, subquery, matcher, config, subquery_index, clock, budget

@@ -110,19 +110,6 @@ def shared_weight_row(
     return entry
 
 
-def pair_weight(
-    space: PredicateSpace, min_weight: float, query_predicate: str, graph_predicate: str
-) -> float:
-    """One clamped pair weight straight off the space — the element
-    :func:`shared_weight_row` would hold for it, for scalar callers."""
-    try:
-        raw = space.similarity(query_predicate, graph_predicate)
-    except UnknownPredicateError:
-        return 0.0
-    clamped = min(max(raw, 0.0), 1.0)
-    return 0.0 if clamped < min_weight else clamped
-
-
 def _exact_log_array(values: np.ndarray) -> np.ndarray:
     """``log_weight`` over an array, bit-identical to the scalar path.
 
@@ -209,8 +196,8 @@ class CompactSemanticGraphView:
     def _bounds_row(self, query_predicate: str) -> List[float]:
         """Plain-list mirror of the ``m(u)`` row, for scalar reads.
 
-        Only :meth:`max_adjacent_weight` / :meth:`max_adjacent_weight_any`
-        (the reference search's per-state probes) come through here; the
+        Only :meth:`max_adjacent_weight_any` (the reference search's
+        per-state probe) comes through here; the
         vectorized kernel reads :meth:`bounds_row_array` and never pays
         the num_nodes-sized ``tolist``.
         """
@@ -239,21 +226,6 @@ class CompactSemanticGraphView:
     # ------------------------------------------------------------------
     # WeightedGraphView protocol
     # ------------------------------------------------------------------
-    def weight(self, query_predicate: str, graph_predicate: str) -> float:
-        """Clamped weight of one (query, graph) predicate pair.
-
-        Scalar convenience (tests, debugging); the search reads rows.
-        Unknown graph predicates weigh 0, mirroring the lazy view.
-        """
-        pid = self.graph.predicate_index.get(graph_predicate)
-        if pid is None:
-            # Predicate absent from the frozen graph: derive the weight
-            # directly so the scalar API covers the full space.
-            return pair_weight(
-                self.space, self.min_weight, query_predicate, graph_predicate
-            )
-        return self._weight_row(query_predicate)[1][pid]
-
     def weighted_incident(
         self, uid: int, query_predicate: str
     ) -> Iterable[Tuple[Edge, int, float]]:
@@ -275,10 +247,6 @@ class CompactSemanticGraphView:
         row_list = entry[1]
         for edge, neighbor, pid in slots:
             yield edge, neighbor, row_list[pid]
-
-    def max_adjacent_weight(self, uid: int, query_predicate: str) -> float:
-        """``m(u)`` of Lemma 1 — an array read off the segment-max row."""
-        return self._bounds_row(query_predicate)[uid]
 
     def max_adjacent_weight_any(
         self, uid: int, query_predicates: Iterable[str]

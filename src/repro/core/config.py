@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Tuple
 
 from repro.errors import ConfigError
 from repro.utils.stats import finite_positive
@@ -18,7 +19,8 @@ from repro.utils.stats import finite_positive
 
 class PssMode(enum.Enum):
     """Path-score aggregation: the paper's geometric mean, or the
-    arithmetic-mean ablation (``bench_ablation_scoring``)."""
+    arithmetic-mean ablation (``bench_ablation_scoring``), which runs on
+    the reference A*."""
 
     GEOMETRIC = "geometric"
     ARITHMETIC = "arithmetic"
@@ -41,6 +43,8 @@ class VisitedPolicy(enum.Enum):
     can hide the dominated one that could, and some pivots' best matches
     are never emitted (ROADMAP item 3 measures the loss and lists the
     fixes).  The ablation bench quantifies the gap to ``GENERATE``.
+    Only ``EXPAND`` runs on the array search kernel; ``GENERATE`` runs on
+    the reference A*, which ``build_subquery_search`` routes it to.
     """
 
     GENERATE = "generate"
@@ -87,3 +91,19 @@ class SearchConfig:
             raise ConfigError("assembly_seconds_per_match must be finite and >= 0")
         if not 0.0 < self.alert_ratio <= 1.0:
             raise ConfigError("alert_ratio must be in (0, 1]")
+
+    def ablated_fields(self) -> Tuple[str, ...]:
+        """The ablation fields set off the paper's search, in field order.
+
+        Empty for geometric scoring under ``EXPAND``, the one
+        configuration the array search kernel serves; any other runs on
+        the reference A* (see :func:`~repro.core.astar.build_subquery_search`).
+        """
+        return tuple(
+            name
+            for name, paper in (
+                ("scoring", PssMode.GEOMETRIC),
+                ("visited_policy", VisitedPolicy.EXPAND),
+            )
+            if getattr(self, name) is not paper
+        )

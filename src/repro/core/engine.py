@@ -197,11 +197,14 @@ class SemanticGraphQueryEngine:
         assembly_kernel / search_kernel: the oracle seam.  Production is
             ``"vectorized"`` TA assembly plus ``"auto"`` A* (the
             array-backed :mod:`repro.core.search_kernel` on every view
-            exposing the compact CSR surface, the Algorithm 1
-            transcription otherwise); ``"reference"`` selects the
-            pure-Python transcriptions the conformance suites and golden
-            passes compare against, ``search_kernel="vectorized"`` forces
-            the array kernel.  Results are identical; only cost changes.
+            exposing the compact CSR surface under the paper's
+            configuration, the Algorithm 1 transcription otherwise — so
+            an ablation ``config`` always searches on the transcription);
+            ``"reference"`` selects the pure-Python transcriptions the
+            conformance suites and golden passes compare against,
+            ``search_kernel="vectorized"`` forces the array kernel and
+            raises on an ablation.  Results are identical; only cost
+            changes.
             The names are validated where they are dispatched
             (:func:`~repro.core.assembly.assemble_top_k`,
             :func:`~repro.core.astar.build_subquery_search`), i.e. on

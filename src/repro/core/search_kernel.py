@@ -10,11 +10,15 @@ pop-and-expand loop is where D12-class queries spend ~90% of their time.
 
 :class:`VectorizedSubQuerySearch` re-implements the search over the
 compact CSR kernel (:class:`~repro.kg.compact.CompactGraph`, via
-:class:`~repro.core.compact_view.CompactSemanticGraphView`):
+:class:`~repro.core.compact_view.CompactSemanticGraphView`), for one
+configuration: the paper's geometric pss (Eq. 6) under the re-opening
+``EXPAND`` closed set.  The ablations (arithmetic scoring, the
+``GENERATE`` visited policy) run on the reference search, which
+:func:`~repro.core.astar.build_subquery_search` routes them to:
 
 - a **state is one tuple that is its own heap entry**:
   ``(-priority, counter, log_product, key, uid, segment, hops,
-  hops_in_segment, weight_sum, ancestors, parent, slot)`` — the heap
+  hops_in_segment, ancestors, parent, slot)`` — the heap
   orders on the first two fields (the counter is unique, so a comparison
   never reads further), ``key`` is the state's closed-set key, ``parent``
   the entry it was expanded from (``None`` on a seed) and ``slot`` the
@@ -37,7 +41,7 @@ compact CSR kernel (:class:`~repro.kg.compact.CompactGraph`, via
   cost of a weight probe, an ``is_match`` call and a per-predicate
   ``m(u)`` scan is a handful of indexed reads and one set probe;
 - **one loop per match**: ``next_match`` is a single pop → stale-check
-  → goal-or-expand loop; the heap, CSR mirrors and policy constants are
+  → goal-or-expand loop; the heap, CSR mirrors and search constants are
   bound to locals once per call and the segment table's rows only when
   a pop changes segment, and a popped state's CSR row runs a lean scalar
   loop over them in slot order, counting the reference's ``weight <= 0``
@@ -53,12 +57,11 @@ compact CSR kernel (:class:`~repro.kg.compact.CompactGraph`, via
   containment test per arrival.
 
 **Decision identity.**  The kernel makes the same decision as the
-reference search at every step under both visited policies: same seeds
-in the same order, same arrival order (advance before continue, CSR slot
-order), the same reach / τ / visited / bound prunes (the reach prune and
-why it only deletes work under ``EXPAND`` are in
-:mod:`repro.core.astar`; ``GENERATE`` reads an all-zero label here,
-which never fires), the same heap tie-breaking
+reference search at every step: same seeds in the same order, same
+arrival order (advance before continue, CSR slot order), the same
+reach / τ / visited / bound prunes (the reach prune and why it only
+deletes work under ``EXPAND`` are in :mod:`repro.core.astar`), the same
+heap tie-breaking
 (monotone insertion counter), and bit-identical priorities — which is
 why every transcendental stays on ``math.exp`` / ``math.log``: numpy's
 SIMD ``np.exp`` / ``np.log`` loops may differ from libm by an ulp, and
@@ -68,7 +71,7 @@ from the view as rows (``log_weight_row_array`` /
 across queries like the rows they mirror, so no log is taken per search.
 ``tests/test_search_kernel.py`` pins matches, pss, emission order, the
 materialised path of every emitted match and every search counter
-against the reference across randomized graphs, policies and τ sweeps.
+against the reference across randomized graphs and τ sweeps.
 
 The public surface mirrors :class:`SubQuerySearch` exactly —
 ``next_match`` / ``run`` / ``step`` / ``materialise`` / ``exhausted`` /
@@ -86,8 +89,8 @@ from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.core.config import PssMode, SearchConfig, VisitedPolicy
-from repro.core.pss import LOG_ZERO, estimate_pss
+from repro.core.config import SearchConfig
+from repro.core.pss import LOG_ZERO
 from repro.core.results import PathMatch, PendingMatch, SearchStats
 from repro.errors import SearchError
 from repro.kg.paths import Path, PathStep
@@ -101,7 +104,7 @@ _LOG_PRUNE = LOG_ZERO / 2
 
 #: Positions in a state entry (layout in the module docstring) that the
 #: cold paths index; the search loop unpacks a whole entry instead.
-_NEG_PRIORITY, _UID, _PARENT, _SLOT = 0, 4, 10, 11
+_NEG_PRIORITY, _UID, _PARENT, _SLOT = 0, 4, 9, 10
 
 
 def supports_vectorized_search(view) -> bool:
@@ -174,7 +177,9 @@ class VectorizedSubQuerySearch:
         subquery: the path-shaped sub-query to match.
         matcher: node-match relation φ (consulted once per boundary at
             construction to build the φ-match sets, never in the hot loop).
-        config: τ, n̂ and policy knobs (read once, at construction).
+        config: τ and n̂ (read once, at construction); an ablation
+            ``scoring`` or ``visited_policy`` raises
+            :class:`~repro.errors.SearchError` naming the field.
         subquery_index: position of this sub-query in the decomposition.
         clock: time source; TBQ passes a shared clock.
         budget: TBQ's coordinator, charged once per expansion by
@@ -197,6 +202,14 @@ class VectorizedSubQuerySearch:
                 "graph / weight_row_array / bounds_row_array, their log "
                 f"twins and hop_label; {type(view).__name__} does not"
             )
+        ablated = config.ablated_fields()
+        if ablated:
+            raise SearchError(
+                "vectorized search kernel serves geometric scoring under "
+                "the EXPAND visited policy only; "
+                + ", ".join(f"{name}={getattr(config, name).value}" for name in ablated)
+                + " runs on the reference search (kernel='auto' or 'reference')"
+            )
         self.view = view
         self.subquery = subquery
         self.matcher = matcher
@@ -214,20 +227,14 @@ class VectorizedSubQuerySearch:
         self._predicates = subquery.predicates()
         self._num_segments = len(self._predicates)
         self._total_bound = self._num_segments * config.path_bound
-        self._geometric = config.scoring is PssMode.GEOMETRIC
-        self._generate = config.visited_policy is VisitedPolicy.GENERATE
         # Closed-set keys are single ints (cheaper to build and hash than
-        # tuples): coarse = uid*(m+1)+segment — the paper's (node,
-        # segment) granularity, GENERATE's — and fine = ((coarse *
-        # hops_mult) + hops) * his_mult + hops_in_segment, EXPAND's.  Both
-        # are ``uid * stride`` plus a term every arrival of one pop
-        # shares, and injective, so the sets partition states exactly as
-        # the reference's tuple keys do.
-        self._hops_mult = self._total_bound + 1
-        self._his_mult = config.path_bound + 1
-        self._stride = self._num_segments + 1
-        if not self._generate:
-            self._stride *= self._hops_mult * self._his_mult
+        # tuples): ((uid * (m+1) + segment) * hops_mult + hops) * his_mult
+        # + hops_in_segment, i.e. ``uid * stride`` plus a term every
+        # arrival of one pop shares.  Injective, so the set partitions
+        # states exactly as the reference's ``fine_key`` tuples do.
+        hops_mult = self._total_bound + 1
+        his_mult = config.path_bound + 1
+        self._stride = (self._num_segments + 1) * hops_mult * his_mult
         # Per-boundary φ-match set: node_labels[1..m] close segments
         # 0..m-1; matcher.matches is the φ oracle and is consulted
         # exactly once per boundary, here.
@@ -238,8 +245,8 @@ class VectorizedSubQuerySearch:
             frozenset(matcher.matches(node)) for node in boundary_nodes
         ]
         self._phi_keys = [matcher.phi_key(node) for node in boundary_nodes]
-        # What GENERATE (and a goal advance) reads in place of a hop
-        # label: zeros never exceed a hop budget.
+        # What a goal advance reads in place of a hop label: zeros never
+        # exceed a hop budget.
         self._no_label = bytes(graph.num_nodes)
 
         # CSR scalars for the hot loop (python ints, no np boxing),
@@ -258,7 +265,6 @@ class VectorizedSubQuerySearch:
         # with ties broken by the insertion counter (the reference's
         # MaxHeap order).
         self._heap: List[tuple] = []
-        self._visited: Set[int] = set()
         self._best_g: Dict[int, float] = {}
         self._emitted_pivots: Set[int] = set()
         self._exhausted = False
@@ -269,11 +275,10 @@ class VectorizedSubQuerySearch:
         # collector instead of dying with the search.
         self._loop = (
             config.path_bound, config.tau, self.clock.tick, subquery_index,
-            self._num_segments, self._geometric, self._generate, self._total_bound,
-            self._stride, self._hops_mult, self._his_mult,
-            self._indptr_l, self._nbr_l, self._spred_l, self._visited,
-            self._best_g, self._emitted_pivots, self.generated_goals,
-            self._heap, heapq.heappush, heapq.heappop, math.exp, _LOG_PRUNE,
+            self._num_segments, self._total_bound, self._stride, hops_mult,
+            his_mult, self._indptr_l, self._nbr_l, self._spred_l, self._best_g,
+            self._emitted_pivots, self.generated_goals, self._heap,
+            heapq.heappush, heapq.heappop, math.exp, _LOG_PRUNE,
             tuple.__new__,  # builds a PendingMatch without its Python __new__
         )
         self._seed_start_states()
@@ -324,7 +329,7 @@ class VectorizedSubQuerySearch:
         The view memoises labels per φ key, so this is a dict probe after
         the process's first search against that key.
         """
-        if self._generate or segment == self._num_segments:
+        if segment == self._num_segments:
             return self._no_label
         return self.view.hop_label(
             self._phi_keys[segment], self._phi[segment], self.config.path_bound
@@ -360,51 +365,16 @@ class VectorizedSubQuerySearch:
         return table
 
     # ------------------------------------------------------------------
-    # scoring (bit-identical to repro.core.pss on the geometric path)
-    # ------------------------------------------------------------------
-    def _estimate(
-        self,
-        log_product: float,
-        hops: int,
-        weight_sum: float,
-        m: float,
-        log_m: float,
-    ) -> float:
-        """ψ̂ (Eq. 7) with the log of ``m`` precomputed.
-
-        The geometric fast path inlines ``estimate_pss`` with
-        ``log_weight(m)`` looked up instead of recomputed; the
-        arithmetic ablation delegates to the shared function (no
-        transcendentals there to amortise).  The expansion loop inlines
-        the geometric branch again — this method serves the cold call
-        sites (seeds, arithmetic mode).
-        """
-        if self._geometric:
-            if hops > self._total_bound:
-                return 0.0
-            if m <= 0.0:
-                return 0.0
-            if log_product <= _LOG_PRUNE:
-                return 0.0
-            return math.exp((log_product + log_m) / self._total_bound)
-        return estimate_pss(
-            log_product,
-            hops,
-            m,
-            self._total_bound,
-            mode=self.config.scoring,
-            weight_sum=weight_sum,
-        )
-
-    # ------------------------------------------------------------------
     # initialisation
     # ------------------------------------------------------------------
     def _seed_start_states(self) -> None:
-        """Push φ(start), reach-pruned, subject to the visited policy.
+        """Push φ(start), reach-pruned, subject to the closed set.
 
         The expansion loop inlines the same admit-then-push sequence for
         every later state; a seed is never a goal (a sub-query has at
-        least one edge).
+        least one edge).  Its Eq. 7 estimate is ``estimate_pss`` at zero
+        hops and an empty product: ``exp(log m(u) / N̂)``, or 0 where
+        ``m(u)`` is.
         """
         seeds = self.matcher.matches(self.subquery.start)
         if not seeds:
@@ -415,19 +385,16 @@ class VectorizedSubQuerySearch:
         stats = self.stats
         stats.pruned_by_reach += len(seeds) - len(live)
         m, log_m = self._m_any(0)
-        closed = self._visited if self._generate else self._best_g
+        best_g = self._best_g
         counter = 0
         for uid in live:
             key = uid * self._stride  # segment 0, no hops yet
-            if key in closed:  # a repeated seed: either policy drops it
+            if key in best_g:  # a repeated seed
                 stats.pruned_by_visited += 1
                 continue
-            if self._generate:
-                self._visited.add(key)
-            else:
-                self._best_g[key] = 0.0
-            priority = self._estimate(0.0, 0, 0.0, m[uid], log_m[uid])
-            seed = (-priority, counter, 0.0, key, uid, 0, 0, 0, 0.0, (uid,), None, -1)
+            best_g[key] = 0.0
+            priority = math.exp(log_m[uid] / self._total_bound) if m[uid] > 0.0 else 0.0
+            seed = (-priority, counter, 0.0, key, uid, 0, 0, 0, (uid,), None, -1)
             heapq.heappush(self._heap, seed)
             counter += 1
         stats.states_generated = counter
@@ -514,10 +481,10 @@ class VectorizedSubQuerySearch:
         if self._exhausted:
             return None
         (
-            bound, tau, tick, subquery_index, num_segments, geometric,
-            generate, total_bound, stride, hops_mult, his_mult,
-            indptr_l, nbr_l, spred_l, visited, best_g, emitted, goals, heap,
-            heap_push, heap_pop, exp, log_prune, new_tuple,
+            bound, tau, tick, subquery_index, num_segments, total_bound,
+            stride, hops_mult, his_mult, indptr_l, nbr_l, spred_l, best_g,
+            emitted, goals, heap, heap_push, heap_pop, exp, log_prune,
+            new_tuple,
         ) = self._loop
         (
             counter, expansions, by_tau, by_visited, by_bound, by_reach,
@@ -535,12 +502,10 @@ class VectorizedSubQuerySearch:
                     entry = heap_pop(heap)
                     (
                         neg_priority, _, log_product, key, uid, segment,
-                        hops, his, weight_sum, anc, _, _,
+                        hops, his, anc, _, _,
                     ) = entry
-                    if generate:
-                        break
-                    best = best_g.get(key)
-                    if best is None or log_product >= best:
+                    # Every pushed entry recorded its key.
+                    if log_product >= best_g[key]:
                         break
                     stale_pops += 1  # superseded by a better path
                     entry = None
@@ -582,12 +547,8 @@ class VectorizedSubQuerySearch:
                         hops_over = hops1 > total_bound
                         # An arrival's closed-set key is neighbor * stride
                         # plus what this pop fixes (see __init__).
-                        if generate:
-                            adv_key = segment1
-                            cont_key = segment
-                        else:
-                            adv_key = (segment1 * hops_mult + hops1) * his_mult
-                            cont_key = (segment * hops_mult + hops1) * his_mult + his1
+                        adv_key = (segment1 * hops_mult + hops1) * his_mult
+                        cont_key = (segment * hops_mult + hops1) * his_mult + his1
                         for slot in range(start, end):
                             pid = spred_l[slot]
                             w = w_l[pid]
@@ -598,52 +559,36 @@ class VectorizedSubQuerySearch:
                             if neighbor in anc:
                                 continue  # simple paths only
                             lp = log_product + lw_l[pid]
-                            ws = weight_sum + w
                             if neighbor in phi:
                                 if d_adv[neighbor] > bound:
                                     by_reach += 1  # cannot close the next segment
                                 else:
-                                    if advance_is_goal:
-                                        if not geometric:
-                                            priority = ws / hops1
-                                        elif lp <= log_prune:
+                                    if advance_is_goal:  # exact pss (Eq. 6)
+                                        if lp <= log_prune:
                                             priority = 0.0
                                         else:
                                             priority = exp(lp / hops1)
                                     else:
                                         m = m_adv_l[neighbor]
-                                        if geometric:
-                                            if hops_over or m <= 0.0 or lp <= log_prune:
-                                                priority = 0.0
-                                            else:
-                                                priority = exp(
-                                                    (lp + logm_adv_l[neighbor])
-                                                    / total_bound
-                                                )
+                                        if hops_over or m <= 0.0 or lp <= log_prune:
+                                            priority = 0.0
                                         else:
-                                            priority = self._estimate(lp, hops1, ws, m, 0.0)
-                                    # τ, then the visited policy, then the push.
+                                            priority = exp(
+                                                (lp + logm_adv_l[neighbor]) / total_bound
+                                            )
+                                    # τ, then the closed set, then the push.
                                     if priority < tau:
                                         by_tau += 1
                                     else:
                                         key = neighbor * stride + adv_key
-                                        if generate:
-                                            if key in visited:
-                                                by_visited += 1
-                                                key = None
-                                            else:
-                                                visited.add(key)
+                                        best = best_g.get(key)
+                                        if best is not None and lp <= best:
+                                            by_visited += 1
                                         else:
-                                            best = best_g.get(key)
-                                            if best is not None and lp <= best:
-                                                by_visited += 1
-                                                key = None
-                                            else:
-                                                best_g[key] = lp
-                                        if key is not None:
+                                            best_g[key] = lp
                                             child = (
                                                 -priority, counter, lp, key, neighbor,
-                                                segment1, hops1, 0, ws,
+                                                segment1, hops1, 0,
                                                 anc + (neighbor,), entry, slot,
                                             )
                                             heap_push(heap, child)
@@ -658,36 +603,25 @@ class VectorizedSubQuerySearch:
                                 by_reach += 1  # no φ-match within the hops left
                             else:
                                 m = m_cont_l[neighbor]
-                                if geometric:
-                                    priority = (
-                                        0.0
-                                        if hops_over or m <= 0.0 or lp <= log_prune
-                                        else exp(
-                                            (lp + logm_cont_l[neighbor]) / total_bound
-                                        )
-                                    )
-                                else:
-                                    priority = self._estimate(lp, hops1, ws, m, 0.0)
+                                priority = (
+                                    0.0
+                                    if hops_over or m <= 0.0 or lp <= log_prune
+                                    else exp((lp + logm_cont_l[neighbor]) / total_bound)
+                                )
                                 if priority < tau:
                                     by_tau += 1
                                 else:
                                     key = neighbor * stride + cont_key
-                                    if generate:
-                                        if key in visited:
-                                            by_visited += 1
-                                            continue
-                                        visited.add(key)
-                                    else:
-                                        best = best_g.get(key)
-                                        if best is not None and lp <= best:
-                                            by_visited += 1
-                                            continue
-                                        best_g[key] = lp
+                                    best = best_g.get(key)
+                                    if best is not None and lp <= best:
+                                        by_visited += 1
+                                        continue
+                                    best_g[key] = lp
                                     heap_push(
                                         heap,
                                         (
                                             -priority, counter, lp, key, neighbor,
-                                            segment, hops1, his1, ws,
+                                            segment, hops1, his1,
                                             anc + (neighbor,), entry, slot,
                                         ),
                                     )

@@ -169,11 +169,6 @@ class GraphShard:
             + int(self.owned_edges.nbytes)
         )
 
-    def __getstate__(self) -> Dict[str, object]:
-        state = dict(self.__dict__)
-        state["_rank_list"] = None
-        return state
-
 
 def _slice_shards(
     full: CompactGraph, shard_of: np.ndarray, num_shards: int
@@ -403,14 +398,6 @@ class ShardedGraphView:
         for _rank, edge, neighbor, weight in merged:
             yield edge, neighbor, weight
 
-    def weight(self, query_predicate: str, graph_predicate: str) -> float:
-        """Scalar pair weight (tests, debugging); the search reads rows."""
-        from repro.core.compact_view import pair_weight
-
-        return pair_weight(
-            self.space, self.min_weight, query_predicate, graph_predicate
-        )
-
     def _shard_rows(self) -> List[Tuple[CompactGraph, np.ndarray, np.ndarray]]:
         """``(shard kernel, starts of its non-empty rows, non-empty mask)``
         per shard holding any slot — ``reduceat`` needs non-empty
@@ -457,10 +444,6 @@ class ShardedGraphView:
             bounds = self.bounds_row_array(query_predicate).tolist()
             self._bounds_rows[query_predicate] = bounds
         return bounds
-
-    def max_adjacent_weight(self, uid: int, query_predicate: str) -> float:
-        """Global ``m(u)`` of Lemma 1 — a read off the merged row."""
-        return self._bounds_row(query_predicate)[uid]
 
     def max_adjacent_weight_any(
         self, uid: int, query_predicates: Iterable[str]

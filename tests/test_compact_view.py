@@ -86,9 +86,10 @@ class TestCompactGraphFreeze:
             assert list(shipped.weighted_incident(uid, "product")) == list(
                 original.weighted_incident(uid, "product")
             )
-            assert shipped.max_adjacent_weight(uid, "product") == (
-                original.max_adjacent_weight(uid, "product")
-            )
+        assert (
+            shipped.bounds_row_array("product").tolist()
+            == original.bounds_row_array("product").tolist()
+        )
 
     def test_pickle_payload_excludes_object_graph(self, fig2_kg):
         compact = CompactGraph.freeze(fig2_kg)
@@ -227,7 +228,7 @@ class TestViewConformance:
         for uid in range(fig2_kg.num_entities):
             for predicate in predicates:
                 assert lazy.max_adjacent_weight(uid, predicate) == (
-                    compact.max_adjacent_weight(uid, predicate)
+                    compact.bounds_row_array(predicate)[uid]
                 )
             assert lazy.max_adjacent_weight_any(uid, predicates) == (
                 compact.max_adjacent_weight_any(uid, predicates)
@@ -236,13 +237,15 @@ class TestViewConformance:
     def test_m_u_isolated_node_is_zero(self, fig2_kg, fig2_space):
         loner = fig2_kg.add_entity("Loner", "Person")
         _lazy, compact = _views(fig2_kg, fig2_space)
-        assert compact.max_adjacent_weight(loner.uid, "product") == 0.0
+        assert compact.bounds_row_array("product")[loner.uid] == 0.0
 
-    def test_scalar_weight_api(self, fig2_kg, fig2_space):
+    def test_weight_row_is_the_lazy_pair_weights(self, fig2_kg, fig2_space):
         lazy, compact = _views(fig2_kg, fig2_space)
+        names = compact.graph.predicate_names
         for qp in ("product", "language"):
-            for gp in ("assembly", "designer", "language"):
-                assert compact.weight(qp, gp) == lazy.weight(qp, gp)
+            assert compact.weight_row_array(qp).tolist() == [
+                lazy.weight(qp, gp) for gp in names
+            ]
 
     def test_bundle_views_agree_on_random_probes(self, small_bundle):
         kg, space = small_bundle.kg, small_bundle.space
@@ -256,7 +259,7 @@ class TestViewConformance:
                 compact.weighted_incident(uid, predicate)
             )
             assert lazy.max_adjacent_weight(uid, predicate) == (
-                compact.max_adjacent_weight(uid, predicate)
+                compact.bounds_row_array(predicate)[uid]
             )
 
 

@@ -7,9 +7,12 @@ equal pivots, bit-equal scores, equal components with equal pss and
 paths, equal ``ta_rounds`` and ``ta_accesses``, and every sub-query
 search equal counter for counter (``pruned_by_reach`` included: both
 sides take the same reach prune under ``EXPAND`` and none under
-``GENERATE``).  Checked over the small bundle and two generated pools
-(the perf ledger's recipe at smoke size) under both visited policies,
-not only by the ledger's uid judge.  The sharded engine is held to the
+``GENERATE``).  Under an ablation (``GENERATE``, arithmetic scoring) the
+production engine searches with the reference A* over its compact
+view, so the oracle pair reads the lazy view instead.  Checked over the
+small bundle and two generated pools (the perf ledger's recipe at smoke
+size) under the paper's configuration and each ablation, not only by
+the ledger's uid judge.  The sharded engine is held to the
 compact engine the same way, on the held-out scenario and the first
 pool.
 """
@@ -20,7 +23,7 @@ from pathlib import Path
 import pytest
 
 from repro.bench.equivalence import query_results_differ
-from repro.core.config import SearchConfig, VisitedPolicy
+from repro.core.config import PssMode, SearchConfig, VisitedPolicy
 from repro.core.compact_view import CompactViewFactory
 from repro.core.engine import EngineSpec, SemanticGraphQueryEngine, build_engine
 from repro.kg.compact import CompactGraph
@@ -65,13 +68,20 @@ def inputs(request, small_bundle):
     return ledger_pool(int(request.param.rsplit("-", 1)[1]))
 
 
-@pytest.mark.parametrize("policy", list(VisitedPolicy), ids=lambda p: p.value)
-def test_production_pull_equals_the_oracle_pair(inputs, policy):
+@pytest.mark.parametrize(
+    "setting",
+    [VisitedPolicy.GENERATE, VisitedPolicy.EXPAND, PssMode.ARITHMETIC],
+    ids=lambda setting: setting.value,
+)
+def test_production_pull_equals_the_oracle_pair(inputs, setting):
     kg, space, library, config, queries = inputs
-    config = dataclasses.replace(config or SearchConfig(), visited_policy=policy)
+    field = "scoring" if isinstance(setting, PssMode) else "visited_policy"
+    config = dataclasses.replace(config or SearchConfig(), **{field: setting})
     frozen = CompactGraph.freeze(kg)
+    # The default view factory is the lazy oracle view over its own freeze.
+    views = {} if config.ablated_fields() else {"view_factory": CompactViewFactory(frozen)}
     oracle = SemanticGraphQueryEngine(
-        kg, space, library, config, view_factory=CompactViewFactory(frozen),
+        kg, space, library, config, **views,
         assembly_kernel="reference", search_kernel="reference",
     )
     production = build_engine(EngineSpec(frozen, space, library, config))
@@ -81,7 +91,7 @@ def test_production_pull_equals_the_oracle_pair(inputs, policy):
         problem = query_results_differ(qid, oracle.search(query, k=TOP_K), answer)
         assert problem is None, problem
         pruned += answer.pruned_by_reach
-    assert (pruned > 0) == (policy is VisitedPolicy.EXPAND)
+    assert (pruned > 0) == (config.visited_policy is VisitedPolicy.EXPAND)
 
 
 def held_out_inputs():

@@ -138,14 +138,23 @@ def test_no_deleted_function_is_defined(functions):
         "SharedShardedGraph.__init__", "SharedShardedGraph.names",
         "SharedShardedGraph.closed", "SharedShardedGraph.close",
         "SharedShardedGraph.__enter__", "SharedShardedGraph.__exit__",
+        # The per-pair view reads only tests called, the shard pickle
+        # hook nothing reached, and the array kernel's ablation path
+        # (the ablations run on the reference A*).
+        "CompactSemanticGraphView.weight",
+        "CompactSemanticGraphView.max_adjacent_weight", "pair_weight",
+        "ShardedGraphView.weight", "ShardedGraphView.max_adjacent_weight",
+        "GraphShard.__getstate__", "VectorizedSubQuerySearch._estimate",
     }
     assert deleted.isdisjoint(functions.values())
-    from repro.core import compact_view
+    from repro.core import compact_view, search_kernel
     from repro.kg import graph, sharded
     from repro.serve import service
 
     assert not hasattr(graph, "GraphStatistics")
     assert not hasattr(compact_view, "_SPACE_INDEX_MEMO")
+    for name in ("PssMode", "VisitedPolicy", "estimate_pss"):
+        assert not hasattr(search_kernel, name), name
     assert EngineFingerprint.__slots__ == ("library",)
     assert {"kg", "_edges"}.isdisjoint(CompactGraph.__slots__)
     assert {"kg", "strategy", "seed"}.isdisjoint(

@@ -1,12 +1,16 @@
 """Cross-kernel conformance: array-backed A* search vs the reference.
 
 The vectorized kernel (`repro.core.search_kernel`) must make the same
-decision as the linked-state reference search at every step under both
-visited policies — so drained match streams (pivots, bit-equal pss,
-emission order, paths down to shared ``Edge`` objects) and every search
-counter (expansions, reach/τ/visited/bound prunes, stale pops, queue
-peak) must be identical, across randomized graphs, multi-segment sub-queries,
-τ sweeps and mid-stream ``next_match`` resumption.  The kernel emits
+decision as the linked-state reference search at every step — so
+drained match streams (pivots, bit-equal pss, emission order, paths down
+to shared ``Edge`` objects) and every search counter (expansions,
+reach/τ/visited/bound prunes, stale pops, queue peak) must be identical,
+across randomized graphs, multi-segment sub-queries, τ sweeps and
+mid-stream ``next_match`` resumption.  The kernel serves the paper's
+configuration only; under an ablation (``GENERATE``, arithmetic
+scoring) the parity suites hold what ``auto`` serves over the compact
+view — the reference search — to the reference over the lazy oracle
+view, decision for decision.  The kernel emits
 path-less pending matches, so the suites build the path of *every*
 emitted match (``materialised``) before comparing — not only of the
 top-k the engine would return.  The identity predicates are the shared
@@ -18,6 +22,7 @@ import gc
 import pickle
 import random
 import weakref
+from types import SimpleNamespace
 
 import pytest
 
@@ -35,7 +40,7 @@ from repro.core.astar import (
     build_subquery_search,
 )
 from repro.core.compact_view import CompactViewFactory
-from repro.core.config import SearchConfig, VisitedPolicy
+from repro.core.config import PssMode, SearchConfig, VisitedPolicy
 from repro.core.engine import SemanticGraphQueryEngine
 from repro.core.pss import log_weight
 from repro.core.results import PathMatch, PendingMatch, QueryResultPayload
@@ -53,6 +58,14 @@ from repro.utils.timing import BudgetClock
 
 BUNDLE_SPECS = (("dbpedia", 1.0, 11), ("dbpedia", 0.6, 3), ("freebase", 0.8, 5))
 TAUS = (0.0, 0.5, 0.8, 0.95)
+#: The paper's configuration (EXPAND, geometric) and one arm per ablation.
+SETTINGS = (VisitedPolicy.EXPAND, VisitedPolicy.GENERATE, PssMode.ARITHMETIC)
+
+
+def configured(setting, **fields):
+    """A config with one of ``SETTINGS`` and the other field at its default."""
+    name = "scoring" if isinstance(setting, PssMode) else "visited_policy"
+    return SearchConfig(**fields, **{name: setting})
 
 
 @pytest.fixture(scope="module", params=BUNDLE_SPECS, ids=lambda s: f"{s[0]}-s{s[2]}")
@@ -62,20 +75,31 @@ def rand_bundle(request):
 
 
 def build_pair(bundle, subquery, matcher, config, view=None):
-    """Reference and vectorized searches over one shared compact view."""
+    """The oracle search and the served (``auto``) one for a sub-query.
+
+    Under the paper's configuration ``auto`` builds the array kernel and
+    the oracle is the reference over the same compact view; under an
+    ablation ``auto`` builds the reference search over the compact view
+    and the oracle is the reference over the lazy view of its store.
+    """
     if view is None:
         view = CompactViewFactory(CompactGraph.freeze(bundle.kg))(
             bundle.kg, bundle.space, min_weight=config.min_weight
         )
+    served = build_subquery_search(view, subquery, matcher, config)
+    oracle_view = view
+    if config.ablated_fields():
+        assert type(served) is SubQuerySearch
+        oracle_view = SemanticGraphView(
+            view.graph, bundle.space, min_weight=config.min_weight
+        )
+    else:
+        assert isinstance(served, VectorizedSubQuerySearch)
     reference = build_subquery_search(
-        view, subquery, matcher, config, kernel="reference"
-    )
-    vectorized = build_subquery_search(
-        view, subquery, matcher, config, kernel="vectorized"
+        oracle_view, subquery, matcher, config, kernel="reference"
     )
     assert isinstance(reference, SubQuerySearch)
-    assert isinstance(vectorized, VectorizedSubQuerySearch)
-    return reference, vectorized
+    return reference, served
 
 
 def materialised(search, matches):
@@ -94,12 +118,12 @@ def _compact_engine(kg, *args, **kwargs):
 class TestRandomizedConformance:
     """Drained streams and counters identical on generated graphs."""
 
-    @pytest.mark.parametrize("policy", list(VisitedPolicy))
-    def test_full_drain_identical(self, rand_bundle, policy):
+    @pytest.mark.parametrize("setting", SETTINGS)
+    def test_full_drain_identical(self, rand_bundle, setting):
         engine = _compact_engine(rand_bundle.kg, rand_bundle.space, rand_bundle.library)
         exercised_stale = 0
         for tau in TAUS:
-            config = SearchConfig(tau=tau, visited_policy=policy)
+            config = configured(setting, tau=tau)
             for query in rand_bundle.workload:
                 decomposition = engine.decompose(query.query)
                 for index, subquery in enumerate(decomposition.subqueries):
@@ -108,7 +132,8 @@ class TestRandomizedConformance:
                     )
                     ref_matches = reference.run(10**6)
                     vec_matches = vectorized.run(10**6)
-                    assert all(type(m) is PendingMatch for m in vec_matches)
+                    if setting is VisitedPolicy.EXPAND:  # the array kernel
+                        assert all(type(m) is PendingMatch for m in vec_matches)
                     vec_matches = materialised(vectorized, vec_matches)
                     label = f"{query.qid}/g{index}/tau={tau}"
                     problem = path_matches_differ(label, ref_matches, vec_matches)
@@ -119,12 +144,12 @@ class TestRandomizedConformance:
                     assert problem is None, problem
                     assert reference.exhausted and vectorized.exhausted
                     exercised_stale += vectorized.stats.stale_pops
-        if policy is VisitedPolicy.EXPAND:
+        if setting is VisitedPolicy.GENERATE:
+            assert exercised_stale == 0  # GENERATE never re-opens
+        else:
             # The suite must actually exercise the stale-pop path (lazy
             # decrease-key re-opening), not just agree on zeros.
             assert exercised_stale > 0
-        else:
-            assert exercised_stale == 0  # GENERATE never re-opens
 
     def test_midstream_resumption_identical(self, rand_bundle):
         """Pull-by-pull interleaving pauses and resumes both kernels."""
@@ -159,12 +184,12 @@ class TestRandomizedConformance:
                 assert problem is None, problem
             assert reference.exhausted == vectorized.exhausted
 
-    @pytest.mark.parametrize("policy", list(VisitedPolicy))
-    def test_tbq_harvest_identical(self, rand_bundle, policy):
+    @pytest.mark.parametrize("setting", SETTINGS)
+    def test_tbq_harvest_identical(self, rand_bundle, setting):
         """Abandoned mid-search, both kernels hold the same M̂_i: the best
         generated goal per pivot, popped or not, in generation order."""
         engine = _compact_engine(rand_bundle.kg, rand_bundle.space, rand_bundle.library)
-        config = SearchConfig(tau=0.5, visited_policy=policy)
+        config = configured(setting, tau=0.5)
         query = rand_bundle.workload[0]
         decomposition = engine.decompose(query.query)
         unpopped = 0
@@ -279,6 +304,41 @@ class TestDispatch:
                 engine.config,
                 kernel="vectorized",
             )
+
+    def test_ablations_route_to_the_reference_search(self, small_bundle):
+        """The array kernel serves the paper's configuration only: ``auto``
+        builds the reference search for every ablation field, a forced
+        ``vectorized`` and the kernel's own constructor refuse it, naming
+        the field."""
+        engine = _compact_engine(
+            small_bundle.kg, small_bundle.space, small_bundle.library
+        )
+        subquery = engine.decompose(small_bundle.workload[0].query).subqueries[0]
+        view = engine._make_view()
+
+        def build(config, **kwargs):
+            return build_subquery_search(
+                view, subquery, engine.matcher, config, **kwargs
+            )
+
+        assert SearchConfig().ablated_fields() == ()
+        assert type(build(SearchConfig())) is VectorizedSubQuerySearch
+        for name, value in (
+            ("scoring", PssMode.ARITHMETIC),
+            ("visited_policy", VisitedPolicy.GENERATE),
+        ):
+            config = SearchConfig(**{name: value})
+            assert config.ablated_fields() == (name,)
+            assert type(build(config)) is SubQuerySearch
+            with pytest.raises(SearchError, match=name):
+                build(config, kernel="vectorized")
+            with pytest.raises(SearchError, match=name):
+                VectorizedSubQuerySearch(view, subquery, engine.matcher, config)
+        both = SearchConfig(
+            scoring=PssMode.ARITHMETIC, visited_policy=VisitedPolicy.GENERATE
+        )
+        assert both.ablated_fields() == ("scoring", "visited_policy")
+        assert type(build(both)) is SubQuerySearch
 
     def test_unknown_kernel_rejected(self, small_bundle):
         engine = _compact_engine(
@@ -586,20 +646,16 @@ class TestFusedLoop:
             view = engine.view_factory(
                 kg, fig2_space, min_weight=config.min_weight, cache=None
             )
-            return tuple(
-                build_subquery_search(
-                    view, subquery, engine.matcher, config, kernel=kernel
-                )
-                for kernel in ("reference", "vectorized")
-            )
+            bundle = SimpleNamespace(kg=kg, space=fig2_space)
+            return build_pair(bundle, subquery, engine.matcher, config, view)
 
         return pair
 
-    @pytest.mark.parametrize("policy", list(VisitedPolicy))
-    def test_pops_alternating_between_segments(self, two_segment, policy):
+    @pytest.mark.parametrize("setting", SETTINGS)
+    def test_pops_alternating_between_segments(self, two_segment, setting):
         """The segment table is re-bound inside a call whenever a pop
         changes segment."""
-        config = SearchConfig(tau=0.5, path_bound=2, visited_policy=policy)
+        config = configured(setting, tau=0.5, path_bound=2)
         reference, vectorized = two_segment(config)
         popped = []
         pop = reference._pop
@@ -616,7 +672,8 @@ class TestFusedLoop:
         assert ref_matches
         assert path_matches_differ("alternate", ref_matches, vec_matches) is None
         assert search_stats_differ("alternate", reference.stats, vectorized.stats) is None
-        assert sorted(vectorized._tables) == [0, 1]
+        if setting is VisitedPolicy.EXPAND:  # the array kernel
+            assert sorted(vectorized._tables) == [0, 1]
         # Identical decisions mean identical pop order; count the segment
         # switches between expansions of one call (a goal pop ends it).
         switches, previous = 0, None
@@ -628,12 +685,12 @@ class TestFusedLoop:
             previous = segment
         assert switches >= 3
 
-    @pytest.mark.parametrize("policy", list(VisitedPolicy))
-    def test_exhaustion_charges_alike(self, two_segment, policy):
+    @pytest.mark.parametrize("setting", SETTINGS)
+    def test_exhaustion_charges_alike(self, two_segment, setting):
         """Drained match by match to an empty queue, both kernels charge
         once per iteration, the one that finds the queue empty included,
         and an exhausted search answers ``None`` without a charge."""
-        config = SearchConfig(tau=0.5, path_bound=2, visited_policy=policy)
+        config = configured(setting, tau=0.5, path_bound=2)
 
         class Budget:
             charges = 0
@@ -659,19 +716,21 @@ class TestFusedLoop:
         assert search_stats_differ("drain", reference.stats, vectorized.stats) is None
         assert budgets[0] == budgets[1] == reference.stats.expansions + 1
 
-    @pytest.mark.parametrize("policy", list(VisitedPolicy))
-    def test_budget_clock_ticks_and_alert_expansion(self, small_bundle, policy):
+    @pytest.mark.parametrize("setting", SETTINGS)
+    def test_budget_clock_ticks_and_alert_expansion(self, small_bundle, setting):
         """TBQ under a BudgetClock: same tick count, same expansion at
-        which the alert fires, same harvest — under both policies."""
+        which the alert fires, same harvest — the served (``auto``)
+        compact engine against the reference one, or under an ablation
+        against the reference engine over the lazy oracle view."""
+        config = configured(setting, tau=0.5)
+        args = (small_bundle.kg, small_bundle.space, small_bundle.library, config)
         engines = {
-            kernel: _compact_engine(
-                small_bundle.kg,
-                small_bundle.space,
-                small_bundle.library,
-                SearchConfig(tau=0.5, visited_policy=policy),
-                search_kernel=kernel,
-            )
-            for kernel in ("reference", "vectorized")
+            "reference": (
+                SemanticGraphQueryEngine(*args, search_kernel="reference")
+                if config.ablated_fields()
+                else _compact_engine(*args, search_kernel="reference")
+            ),
+            "vectorized": _compact_engine(*args),
         }
         alerted = 0
         for item in small_bundle.workload[:4]:
@@ -683,7 +742,7 @@ class TestFusedLoop:
                 (reference, ref_ticks), (vectorized, vec_ticks) = (
                     runs["reference"], runs["vectorized"]
                 )
-                label = f"{item.qid}@{bound}/{policy.value}"
+                label = f"{item.qid}@{bound}/{setting.value}"
                 assert ref_ticks == vec_ticks == vectorized.expansions, label
                 assert reference.approximate == vectorized.approximate, label
                 alerted += vectorized.approximate

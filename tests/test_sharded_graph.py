@@ -194,11 +194,16 @@ class TestViewConformance:
                 uid, predicates
             ) == baseline.max_adjacent_weight_any(uid, predicates), uid
 
-    def test_weight_matrix_identical(self, views, small_bundle):
+    def test_weight_matrix_identical(self, views):
         baseline, sharded_view = views
         for qp in ("product", "country"):
-            for gp in small_bundle.space.predicates():
-                assert sharded_view.weight(qp, gp) == baseline.weight(qp, gp)
+            # The shard set's one weight row, per graph-predicate id.
+            assert sharded_view._weight_row(qp)[0].tolist() == (
+                baseline.weight_row_array(qp).tolist()
+            )
+            assert sharded_view.bounds_row_array(qp).tolist() == (
+                baseline.bounds_row_array(qp).tolist()
+            )
 
 
 class TestEngineConformance:
