@@ -21,28 +21,62 @@ K = 100
 def _evaluate(bundle, config, **search_kwargs):
     engine = SemanticGraphQueryEngine(bundle.kg, bundle.space, bundle.library, config)
     scores = []
-    accesses = 0
+    results = []
     for query in bundle.workload:
         result = engine.search(query.query, k=K, **search_kwargs)
         scores.append(evaluate_answers(result.answer_uids(), bundle.truth[query.qid]))
-        accesses += result.ta_accesses
-    return EffectivenessScores.average(scores), accesses
+        results.append(result)
+    return EffectivenessScores.average(scores), results
+
+
+def _ranking_differences(results_a, results_b):
+    """How many queries return a different top-k set, and how many the
+    same set in a different order, between two runs of one workload."""
+    sets = order = 0
+    for a, b in zip(results_a, results_b):
+        answers_a, answers_b = a.answer_uids(), b.answer_uids()
+        if set(answers_a) != set(answers_b):
+            sets += 1
+        elif answers_a != answers_b:
+            order += 1
+    return sets, order
+
+
+def _multi_hop_share(results):
+    """The share of answer components whose path has two or more hops:
+    on a one-hop path the geometric and arithmetic means are one weight."""
+    hops = [
+        len(component.path.steps)
+        for result in results
+        for match in result.matches
+        for component in match.components.values()
+    ]
+    return sum(h >= 2 for h in hops) / len(hops) if hops else 0.0
 
 
 def test_ablation_scoring(dbpedia_sweep_bundle, benchmark):
     bundle = dbpedia_sweep_bundle
-    geometric, _ = _evaluate(bundle, SearchConfig(scoring=PssMode.GEOMETRIC))
-    arithmetic, _ = _evaluate(bundle, SearchConfig(scoring=PssMode.ARITHMETIC))
+    geometric, geometric_results = _evaluate(
+        bundle, SearchConfig(scoring=PssMode.GEOMETRIC)
+    )
+    arithmetic, arithmetic_results = _evaluate(
+        bundle, SearchConfig(scoring=PssMode.ARITHMETIC)
+    )
+    sets, order = _ranking_differences(geometric_results, arithmetic_results)
     emit(
         "ablation_scoring",
         format_table(
-            ("scoring", "precision", "recall", "F1"),
+            ("scoring", "precision", "recall", "F1", "multi-hop components"),
             [
-                ("geometric (Eq. 6)", geometric.precision, geometric.recall, geometric.f1),
-                ("arithmetic", arithmetic.precision, arithmetic.recall, arithmetic.f1),
+                ("geometric (Eq. 6)", geometric.precision, geometric.recall,
+                 geometric.f1, _multi_hop_share(geometric_results)),
+                ("arithmetic", arithmetic.precision, arithmetic.recall,
+                 arithmetic.f1, _multi_hop_share(arithmetic_results)),
             ],
             title=f"Ablation — pss aggregation (k={K})",
-        ),
+        )
+        + f"\nqueries: {len(geometric_results)}; different top-k set: {sets};"
+        f" same set, different order: {order}",
     )
     # Both are usable; the assertion is only that neither collapses (the
     # interesting output is the table itself).

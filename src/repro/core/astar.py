@@ -58,6 +58,7 @@ configuration runs here.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -230,6 +231,9 @@ class SubQuerySearch:
         self.clock = clock if clock is not None else WallClock()
         self._charge = budget.charge if budget is not None else None
         self.stats = SearchStats()
+        #: Wall seconds spent inside :meth:`next_match`, summed (see the
+        #: array kernel's attribute of the same name).
+        self.pull_seconds = 0.0
         #: pivot -> the best goal state pushed for it so far, popped or
         #: not: Algorithm 2's harvest-on-generate set M̂_i.
         self.generated_goals: Dict[int, _State] = {}
@@ -509,6 +513,7 @@ class SubQuerySearch:
         raises out of this call.
         """
         charge = self._charge
+        entered = time.perf_counter()
         try:
             while not self._exhausted:
                 match = self.step()
@@ -518,6 +523,7 @@ class SubQuerySearch:
                     return match
             return None
         finally:
+            self.pull_seconds += time.perf_counter() - entered
             self.stats.elapsed_seconds = self._watch.elapsed()
 
     def run(self, k: int) -> List[PathMatch]:

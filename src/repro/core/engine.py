@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple, Union, get_args
+from typing import List, Optional, Tuple, Union, get_args
 
 from repro.core.assembly import AssemblyResult, MatchStream, assemble_top_k
 from repro.core.astar import SubQuerySearch, build_subquery_search
@@ -37,30 +37,6 @@ from repro.query.decompose import Decomposition, decompose_query
 from repro.query.model import QueryGraph
 from repro.query.transform import NodeMatcher, TransformationLibrary
 from repro.utils.timing import Clock, Stopwatch
-
-
-class _PullTimer:
-    """Accumulates wall time spent inside sorted-access pulls.
-
-    For SGQ the TA's sorted access *is* the A* search, so the engine
-    subtracts pull time from the assembly wall time to report an honest
-    search-vs-assembly split (``QueryResult.assembly_seconds``).
-    """
-
-    __slots__ = ("seconds",)
-
-    def __init__(self) -> None:
-        self.seconds = 0.0
-
-    def wrap(self, pull: Callable) -> Callable:
-        def timed():
-            started = time.perf_counter()
-            try:
-                return pull()
-            finally:
-                self.seconds += time.perf_counter() - started
-
-        return timed
 
 
 def _materialise_paths(
@@ -298,19 +274,20 @@ class SemanticGraphQueryEngine:
     ) -> Tuple[AssemblyResult, float]:
         """Lazy TA over the still-running searches — the whole of SGQ.
 
-        Returns the assembly and the seconds spent inside the TA itself
-        (sorted-access pull time, which *is* the A* search, subtracted).
+        Each sorted access is a search's own ``next_match``.  Returns the
+        assembly and the seconds spent inside the TA itself: its wall
+        time less the pull time the searches add up themselves
+        (``pull_seconds``), since a pull *is* the A* search.  The
+        searches are fresh, so all of their pull time is this TA's.
         """
-        pull_timer = _PullTimer()
-        streams = [
-            MatchStream(pull_timer.wrap(search.next_match)) for search in searches
-        ]
+        streams = [MatchStream(search.next_match) for search in searches]
         started = time.perf_counter()
         assembly = assemble_top_k(
             streams, k, exhaustive=exhaustive, kernel=self.assembly_kernel
         )
-        seconds = time.perf_counter() - started - pull_timer.seconds
-        return assembly, max(seconds, 0.0)
+        seconds = time.perf_counter() - started
+        pulled = sum(search.pull_seconds for search in searches)
+        return assembly, max(seconds - pulled, 0.0)
 
     def _result(
         self,

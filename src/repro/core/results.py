@@ -164,9 +164,11 @@ class QueryResult:
 
     TA bookkeeping: ``ta_accesses`` counts sorted accesses and
     ``ta_rounds`` the assembly rounds.  ``assembly_seconds`` is the time spent
-    inside the TA itself — sorted-access pull time (which for SGQ *is*
-    the A* search) is excluded, so ``search_seconds`` +
-    ``assembly_seconds`` ≈ ``elapsed_seconds``.
+    inside the TA itself: its wall time less the sorted-access pull time
+    (which for SGQ *is* the A* search), which each search adds up over
+    its own pulls (``pull_seconds``) — so ``search_seconds`` +
+    ``assembly_seconds`` = ``elapsed_seconds``.  When a TBQ alert fires,
+    it is the time of the replay over the harvested goals.
     """
 
     matches: List[FinalMatch]

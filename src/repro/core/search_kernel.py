@@ -41,12 +41,31 @@ configuration: the paper's geometric pss (Eq. 6) under the re-opening
   cost of a weight probe, an ``is_match`` call and a per-predicate
   ``m(u)`` scan is a handful of indexed reads and one set probe;
 - **one loop per match**: ``next_match`` is a single pop → stale-check
-  → goal-or-expand loop; the heap, CSR mirrors and search constants are
-  bound to locals once per call and the segment table's rows only when
-  a pop changes segment, and a popped state's CSR row runs a lean scalar
-  loop over them in slot order, counting the reference's ``weight <= 0``
-  prunes as it meets them (a vectorized τ-gather for hub rows measured
-  slower on the ledger and is gone);
+  → goal-or-expand loop, and it is itself TA assembly's sorted access
+  (no wrapper between them); the heap, CSR mirrors and search constants
+  are bound to locals once per call and the segment table's rows only
+  when a pop changes segment, and a popped state's CSR row runs a lean
+  scalar loop over them in slot order, counting the reference's
+  ``weight <= 0`` prunes as it meets them (a vectorized τ-gather for hub
+  rows measured slower on the ledger and is gone).  The nine search
+  counters have one home, the ``_counts`` tuple the loop unpacks on
+  entry and saves on exit; :attr:`VectorizedSubQuerySearch.stats` copies
+  them into the :class:`~repro.core.results.SearchStats` only when it is
+  read, and a pull's only clock reads are the two that add its wall
+  time to ``pull_seconds`` (plus a tick-counting clock's ``now``);
+- **a log-domain τ cut**: a continuing or advancing arrival's priority
+  is ``exp(x / N̂)`` with ``x = lp + log m(u)``, a goal's ``exp(lp /
+  hops)``.  Once per search the kernel computes ``N̂ · log_tau_cut(τ)``
+  (and per pop ``hops · log_tau_cut(τ)`` for goals), where
+  :func:`log_tau_cut` widens ``log τ`` downwards by a relative 1e-9 and
+  an absolute 1e-12; an ``x`` below it is counted ``pruned_by_tau``
+  without an ``exp``.  At or above it, ``exp`` and ``priority < τ`` run
+  as in the reference.  The margin is ~10⁷ times the few ulps that the
+  division, ``exp`` and ``log`` can round by, so an ``x`` below the cut
+  always has a float priority under τ, and every decision is the
+  reference's; an arrival at its segment's hop bound that closes no
+  segment is counted ``pruned_by_bound`` before its log product is
+  formed;
 - **paths are built on request**: a pop (or TBQ's ``harvest()``) emits a
   :class:`~repro.core.results.PendingMatch` — pivot, pss and the goal
   state's entry — and :meth:`VectorizedSubQuerySearch.materialise`
@@ -85,6 +104,8 @@ from __future__ import annotations
 
 import heapq
 import math
+import sys
+import time
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 import numpy as np
@@ -96,7 +117,7 @@ from repro.errors import SearchError
 from repro.kg.paths import Path, PathStep
 from repro.query.model import SubQueryGraph
 from repro.query.transform import NodeMatcher
-from repro.utils.timing import Clock, Stopwatch, WallClock
+from repro.utils.timing import Clock, WallClock
 
 #: Log-product collapse threshold, matching ``estimate_pss`` /
 #: ``exact_pss_from_log`` (anything at or below reads as weight 0).
@@ -105,6 +126,31 @@ _LOG_PRUNE = LOG_ZERO / 2
 #: Positions in a state entry (layout in the module docstring) that the
 #: cold paths index; the search loop unpacks a whole entry instead.
 _NEG_PRIORITY, _UID, _PARENT, _SLOT = 0, 4, 9, 10
+
+#: Relative and absolute widening of the log-domain τ cut: ~10⁷ ulps of
+#: ``log τ``, where the rounding of one division, one ``exp`` and one
+#: ``log`` is a few ulps (see :func:`log_tau_cut`).
+_CUT_RELATIVE, _CUT_ABSOLUTE = 1e-9, 1e-12
+
+
+def log_tau_cut(tau: float) -> float:
+    """A per-hop log bound below which every priority is under ``tau``.
+
+    ``log τ`` widened downwards by a relative 1e-9 and an absolute 1e-12:
+    for an arrival whose log numerator ``x`` (``lp + log m(u)``, or a
+    goal's ``lp``) satisfies ``x < n · log_tau_cut(τ)`` with ``n`` the
+    root it is taken over, the float ``exp(x / n)`` is below ``τ``.  The
+    margin is far wider than the few ulps those roundings can add, and
+    the absolute term covers ``τ = 1``, where ``log τ`` is 0 and
+    ``exp`` rounds a tiny negative argument up to 1.0.  ``-inf`` (no
+    cut) for ``τ`` below the smallest normal float, where ``exp``'s
+    subnormal results lose the relative precision the margin relies on
+    — and for ``τ <= 0``, where no priority is under ``τ``.
+    """
+    if not tau >= sys.float_info.min:
+        return -math.inf
+    log_tau = math.log(tau)
+    return log_tau - _CUT_RELATIVE * abs(log_tau) - _CUT_ABSOLUTE
 
 
 def supports_vectorized_search(view) -> bool:
@@ -181,7 +227,10 @@ class VectorizedSubQuerySearch:
             ``scoring`` or ``visited_policy`` raises
             :class:`~repro.errors.SearchError` naming the field.
         subquery_index: position of this sub-query in the decomposition.
-        clock: time source; TBQ passes a shared clock.
+        clock: time source; TBQ passes a shared clock.  Ticked once
+            per expansion unless it is a
+            :class:`~repro.utils.timing.WallClock`, whose tick is a
+            no-op.
         budget: TBQ's coordinator, charged once per expansion by
             :meth:`next_match`; ``None`` for SGQ.
     """
@@ -217,7 +266,10 @@ class VectorizedSubQuerySearch:
         self.subquery_index = subquery_index
         self.clock = clock if clock is not None else WallClock()
         self._charge = budget.charge if budget is not None else None
-        self.stats = SearchStats()
+        self._stats = SearchStats()
+        #: Wall seconds spent inside this search's pulls, summed; the
+        #: engine subtracts it from the TA's time (``assembly_seconds``).
+        self.pull_seconds = 0.0
         #: pivot -> entry of the best goal state pushed for it so far,
         #: popped or not: Algorithm 2's harvest-on-generate set M̂_i.
         self.generated_goals: Dict[int, tuple] = {}
@@ -268,28 +320,29 @@ class VectorizedSubQuerySearch:
         self._best_g: Dict[int, float] = {}
         self._emitted_pivots: Set[int] = set()
         self._exhausted = False
-        self._watch = Stopwatch(self.clock)
+        # The search's clock at construction and at the end of its last
+        # pull: ``stats.elapsed_seconds`` is their difference.
+        self._started = self._ended = self.clock.now()
+        # A wall clock's tick is a no-op, so the loop calls only a clock
+        # that counts ticks.
+        tick = None if isinstance(self.clock, WallClock) else self.clock.tick
+        log_cut = log_tau_cut(config.tau)
         # What _advance binds on entry, in one unpack.  It must hold no
         # bound method of this search: the tuple would then refer back to
         # it, and a finished query's state pools would wait for the cyclic
         # collector instead of dying with the search.
         self._loop = (
-            config.path_bound, config.tau, self.clock.tick, subquery_index,
-            self._num_segments, self._total_bound, self._stride, hops_mult,
-            his_mult, self._indptr_l, self._nbr_l, self._spred_l, self._best_g,
-            self._emitted_pivots, self.generated_goals, self._heap,
-            heapq.heappush, heapq.heappop, math.exp, _LOG_PRUNE,
+            config.path_bound, config.tau, log_cut, self._total_bound * log_cut,
+            tick, subquery_index, self._num_segments, self._total_bound,
+            self._stride, hops_mult, his_mult, self._indptr_l, self._nbr_l,
+            self._spred_l, self._best_g, self._emitted_pivots,
+            self.generated_goals, self._heap, heapq.heappush, heapq.heappop,
+            math.exp, _LOG_PRUNE, time.perf_counter,
             tuple.__new__,  # builds a PendingMatch without its Python __new__
         )
-        self._seed_start_states()
-        stats = self.stats
-        # The nine counters between two calls, in _advance's order.
-        self._counts = (
-            stats.states_generated, stats.expansions, stats.pruned_by_tau,
-            stats.pruned_by_visited, stats.pruned_by_bound,
-            stats.pruned_by_reach, stats.stale_pops, stats.goals_emitted,
-            stats.max_queue_size,
-        )
+        #: The nine search counters, in _advance's order — their one home;
+        #: :attr:`stats` copies them out when it is read.
+        self._counts = self._seed_start_states()
 
     # ------------------------------------------------------------------
     # precomputed tables
@@ -367,38 +420,38 @@ class VectorizedSubQuerySearch:
     # ------------------------------------------------------------------
     # initialisation
     # ------------------------------------------------------------------
-    def _seed_start_states(self) -> None:
+    def _seed_start_states(self) -> tuple:
         """Push φ(start), reach-pruned, subject to the closed set.
 
         The expansion loop inlines the same admit-then-push sequence for
         every later state; a seed is never a goal (a sub-query has at
         least one edge).  Its Eq. 7 estimate is ``estimate_pss`` at zero
         hops and an empty product: ``exp(log m(u) / N̂)``, or 0 where
-        ``m(u)`` is.
+        ``m(u)`` is.  Returns the counters the seeding leaves, in
+        :attr:`_counts` order.
         """
         seeds = self.matcher.matches(self.subquery.start)
         if not seeds:
-            return
+            return (0,) * 9
         bound = self.config.path_bound
         reach = self._reach(0)
         live = [uid for uid in seeds if reach[uid] <= bound]
-        stats = self.stats
-        stats.pruned_by_reach += len(seeds) - len(live)
         m, log_m = self._m_any(0)
         best_g = self._best_g
         counter = 0
         for uid in live:
             key = uid * self._stride  # segment 0, no hops yet
             if key in best_g:  # a repeated seed
-                stats.pruned_by_visited += 1
                 continue
             best_g[key] = 0.0
             priority = math.exp(log_m[uid] / self._total_bound) if m[uid] > 0.0 else 0.0
             seed = (-priority, counter, 0.0, key, uid, 0, 0, 0, (uid,), None, -1)
             heapq.heappush(self._heap, seed)
             counter += 1
-        stats.states_generated = counter
-        stats.max_queue_size = len(self._heap)
+        repeated = len(live) - counter
+        return (
+            counter, 0, 0, repeated, 0, len(seeds) - len(live), 0, 0, len(self._heap),
+        )
 
     # ------------------------------------------------------------------
     # matches
@@ -448,6 +501,25 @@ class VectorizedSubQuerySearch:
     def exhausted(self) -> bool:
         return self._exhausted
 
+    @property
+    def stats(self) -> SearchStats:
+        """The search's counters as of its last pull.
+
+        One :class:`~repro.core.results.SearchStats` per search, updated
+        from :attr:`_counts` on every read rather than on every pull;
+        ``elapsed_seconds`` is the clock's time from construction to the
+        end of the last pull.
+        """
+        stats = self._stats
+        (
+            stats.states_generated, stats.expansions, stats.pruned_by_tau,
+            stats.pruned_by_visited, stats.pruned_by_bound,
+            stats.pruned_by_reach, stats.stale_pops, stats.goals_emitted,
+            stats.max_queue_size,
+        ) = self._counts
+        stats.elapsed_seconds = self._ended - self._started
+        return stats
+
     def step(self) -> Optional[PendingMatch]:
         """One pop-and-expand iteration (same contract as the reference)."""
         return self._advance(None, True)
@@ -464,27 +536,36 @@ class VectorizedSubQuerySearch:
         """The search loop: pop, stale-check, then emit a goal or expand.
 
         One iteration is the reference's ``step`` — one ``clock.tick()``
-        per expansion, one ``charge()`` per iteration including the one
-        that finds the queue empty — and every
-        branch mirrors the reference's pop / arrivals / τ / push
-        sequence: same order, same counters.  Everything an iteration
-        reads is bound to a local once per call (at ~3 generated states
-        per pop the attribute and method dispatch cost as much as the
-        decisions); the counters live in locals too and are written back
-        in the ``finally``, which also runs when ``charge`` raises.  Both
-        come out of one tuple each (``_loop``, built at construction, and
-        ``_counts``, saved by the ``finally``), so a pull's set-up is two
-        unpacks.  ``states_generated`` is the insertion counter, and the
-        queue's peak is read once per expansion: the heap only grows
-        between two pops.
+        per expansion (skipped for a wall clock, whose tick is a no-op),
+        one ``charge()`` per iteration including the one that finds the
+        queue empty — and every branch mirrors the reference's pop /
+        arrivals / τ / push sequence: same order, same counters.
+        Everything an iteration reads is bound to a local once per call
+        (at ~3 generated states per pop the attribute and method dispatch
+        cost as much as the decisions); the counters live in locals too.
+        Both come out of one tuple each (``_loop``, built at
+        construction, and ``_counts``, the counters' one home), so a
+        pull's set-up is two unpacks and its ``finally`` — which also
+        runs when ``charge`` raises — saves the counters as one tuple and
+        adds the pull's wall time to :attr:`pull_seconds`.
+        ``states_generated`` is the insertion counter, and the queue's
+        peak is read once per expansion: the heap only grows between two
+        pops.
+
+        An arrival whose log numerator lies below the τ cut
+        (:func:`log_tau_cut`) takes priority 0.0 without an ``exp``: its
+        exact priority is under τ too, and a pruned arrival's priority
+        is read by nothing else.  An arrival at its segment's hop bound
+        that closes no segment is counted ``pruned_by_bound`` before its
+        log product is formed.
         """
         if self._exhausted:
             return None
         (
-            bound, tau, tick, subquery_index, num_segments, total_bound,
-            stride, hops_mult, his_mult, indptr_l, nbr_l, spred_l, best_g,
-            emitted, goals, heap, heap_push, heap_pop, exp, log_prune,
-            new_tuple,
+            bound, tau, log_cut, cut, tick, subquery_index, num_segments,
+            total_bound, stride, hops_mult, his_mult, indptr_l, nbr_l, spred_l,
+            best_g, emitted, goals, heap, heap_push, heap_pop, exp, log_prune,
+            now, new_tuple,
         ) = self._loop
         (
             counter, expansions, by_tau, by_visited, by_bound, by_reach,
@@ -494,6 +575,7 @@ class VectorizedSubQuerySearch:
         bound_segment = -1
         w_l = lw_l = phi = m_adv_l = logm_adv_l = m_cont_l = logm_cont_l = None
         d_cont = d_adv = None
+        entered = now()
         try:
             while True:
                 match = None
@@ -513,7 +595,8 @@ class VectorizedSubQuerySearch:
                     self._exhausted = True
                 else:
                     expansions += 1
-                    tick()
+                    if tick is not None:
+                        tick()
                     if segment == num_segments:
                         # EXPAND policy can re-pop a pivot; keep the first.
                         if uid not in emitted:
@@ -544,6 +627,7 @@ class VectorizedSubQuerySearch:
                         slack = bound - his1  # hops a continuing arrival has left
                         segment1 = segment + 1
                         advance_is_goal = segment1 == num_segments
+                        goal_cut = hops1 * log_cut  # a goal's root is its hops
                         hops_over = hops1 > total_bound
                         # An arrival's closed-set key is neighbor * stride
                         # plus what this pop fixes (see __init__).
@@ -551,31 +635,32 @@ class VectorizedSubQuerySearch:
                         cont_key = (segment * hops_mult + hops1) * his_mult + his1
                         for slot in range(start, end):
                             pid = spred_l[slot]
-                            w = w_l[pid]
-                            if w <= 0.0:
+                            if w_l[pid] <= 0.0:
                                 by_tau += 1  # the reference's weight <= 0 prune
                                 continue
                             neighbor = nbr_l[slot]
                             if neighbor in anc:
                                 continue  # simple paths only
-                            lp = log_product + lw_l[pid]
                             if neighbor in phi:
+                                lp = log_product + lw_l[pid]
                                 if d_adv[neighbor] > bound:
                                     by_reach += 1  # cannot close the next segment
                                 else:
                                     if advance_is_goal:  # exact pss (Eq. 6)
-                                        if lp <= log_prune:
+                                        if lp < goal_cut or lp <= log_prune:
                                             priority = 0.0
                                         else:
                                             priority = exp(lp / hops1)
                                     else:
-                                        m = m_adv_l[neighbor]
-                                        if hops_over or m <= 0.0 or lp <= log_prune:
+                                        x = lp + logm_adv_l[neighbor]
+                                        if (
+                                            x < cut or hops_over
+                                            or m_adv_l[neighbor] <= 0.0
+                                            or lp <= log_prune
+                                        ):
                                             priority = 0.0
                                         else:
-                                            priority = exp(
-                                                (lp + logm_adv_l[neighbor]) / total_bound
-                                            )
+                                            priority = exp(x / total_bound)
                                     # τ, then the closed set, then the push.
                                     if priority < tau:
                                         by_tau += 1
@@ -597,16 +682,19 @@ class VectorizedSubQuerySearch:
                                                 held = goals.get(neighbor)
                                                 if held is None or child[0] < held[0]:
                                                     goals[neighbor] = child
+                            elif continuing:
+                                lp = log_product + lw_l[pid]
                             if not continuing:
                                 by_bound += 1
                             elif d_cont[neighbor] > slack:
                                 by_reach += 1  # no φ-match within the hops left
                             else:
-                                m = m_cont_l[neighbor]
+                                x = lp + logm_cont_l[neighbor]
                                 priority = (
                                     0.0
-                                    if hops_over or m <= 0.0 or lp <= log_prune
-                                    else exp((lp + logm_cont_l[neighbor]) / total_bound)
+                                    if x < cut or hops_over
+                                    or m_cont_l[neighbor] <= 0.0 or lp <= log_prune
+                                    else exp(x / total_bound)
                                 )
                                 if priority < tau:
                                     by_tau += 1
@@ -637,17 +725,9 @@ class VectorizedSubQuerySearch:
                 counter, expansions, by_tau, by_visited, by_bound, by_reach,
                 stale_pops, goals_emitted, max_queue,
             )
-            stats = self.stats
-            stats.expansions = expansions
-            stats.states_generated = counter
-            stats.pruned_by_tau = by_tau
-            stats.pruned_by_visited = by_visited
-            stats.pruned_by_bound = by_bound
-            stats.pruned_by_reach = by_reach
-            stats.stale_pops = stale_pops
-            stats.goals_emitted = goals_emitted
-            stats.max_queue_size = max_queue
-            stats.elapsed_seconds = self._watch.elapsed()
+            ended = now()
+            self.pull_seconds += ended - entered
+            self._ended = ended if tick is None else self.clock.now()
 
     def run(self, k: int) -> List[PendingMatch]:
         """Collect up to ``k`` matches (Algorithm 1 in one call)."""

@@ -36,6 +36,7 @@ into the pool.
 
 from __future__ import annotations
 
+import gc
 import os
 import pickle
 import threading
@@ -334,8 +335,17 @@ def _process_worker_main(spec_pickle: bytes, calls, replies) -> None:
     statistics fresh without control messages — and ``(ticket, False,
     (exception, traceback text))`` fails one.  A bootstrap that raises
     ends the process unannounced: to the parent, a worker death.
+
+    The worker owns its process, so it freezes its heap twice: first
+    thing after the fork — with no collection first, which would walk and
+    dirty every inherited page — so its collections never touch the gc
+    headers of what it inherited (and so never copy those pages), and
+    again once its engine is built, so a request's collections walk only
+    what requests allocate.
     """
+    gc.freeze()
     runner = _process_worker_init(spec_pickle)
+    gc.freeze()
     pid = str(os.getpid())
     replies.put((None, True, pid))
     for ticket, request, submitted_wall in iter(calls.get, None):

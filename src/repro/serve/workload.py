@@ -48,6 +48,7 @@ with pass 1's ends the run with exit status 1.  ``--backend
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 import threading
 import time
@@ -844,14 +845,17 @@ def _preset_run(args):
     return workload, resources
 
 
-def _serve_passes(args, parser, workload, resources) -> int:
+def _serve_passes(args, parser, workload, resources, *, freeze: bool) -> int:
     """Serve ``workload`` as the flags describe, ``--repeats`` passes.
 
     Combinations the service rejects exit through ``parser.error`` with
     the service's own message.  Every pass prints its report and the
     digest of its exact answers — identical seeds must print an
     identical digest on every pass, run and backend; a pass that
-    disagrees with pass 1 ends the run with exit status 1.
+    disagrees with pass 1 ends the run with exit status 1.  With
+    ``freeze``, the heap built so far (graph, store, service) is frozen
+    before the first pass, so the passes' collections walk only what
+    requests allocate.
     """
     from repro.scenarios.replay import replay_pass, scenario_items
 
@@ -908,6 +912,8 @@ def _serve_passes(args, parser, workload, resources) -> int:
         )
     except (ServeError, SearchError) as exc:
         parser.error(str(exc))
+    if freeze:
+        gc.freeze()
     with service:
         if args.backend == "process":
             warmed = service.warmup()
@@ -942,7 +948,14 @@ def _serve_passes(args, parser, workload, resources) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Entry point for the ``repro-serve-workload`` console script."""
+    """Entry point for the ``repro-serve-workload`` console script.
+
+    Called without ``argv`` — as the console script and ``python -m
+    repro.serve`` call it — the driver owns its process and freezes the
+    heap once the service is built (``gc.freeze()``).  A caller that
+    passes ``argv`` keeps its own heap unfrozen: a frozen object is never
+    collected, even once it becomes cyclic garbage.
+    """
     parser = _build_parser()
     args = parser.parse_args(argv)
     if not finite_positive(args.scale):
@@ -972,4 +985,4 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         workload, resources = _scenario_run(args, parser)
     else:
         workload, resources = _preset_run(args)
-    return _serve_passes(args, parser, workload, resources)
+    return _serve_passes(args, parser, workload, resources, freeze=argv is None)

@@ -145,13 +145,17 @@ def test_no_deleted_function_is_defined(functions):
         "CompactSemanticGraphView.max_adjacent_weight", "pair_weight",
         "ShardedGraphView.weight", "ShardedGraphView.max_adjacent_weight",
         "GraphShard.__getstate__", "VectorizedSubQuerySearch._estimate",
+        # The per-pull wrapper: a search times its own pulls.
+        "_PullTimer.__init__", "_PullTimer.wrap",
+        "_PullTimer.wrap.<locals>.timed",
     }
     assert deleted.isdisjoint(functions.values())
-    from repro.core import compact_view, search_kernel
+    from repro.core import compact_view, engine, search_kernel
     from repro.kg import graph, sharded
     from repro.serve import service
 
     assert not hasattr(graph, "GraphStatistics")
+    assert not hasattr(engine, "_PullTimer")
     assert not hasattr(compact_view, "_SPACE_INDEX_MEMO")
     for name in ("PssMode", "VisitedPolicy", "estimate_pss"):
         assert not hasattr(search_kernel, name), name

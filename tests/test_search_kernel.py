@@ -19,11 +19,14 @@ in what they check.
 """
 
 import gc
+import math
 import pickle
 import random
+import sys
 import weakref
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from repro.bench.datasets import load_bundle
@@ -42,18 +45,21 @@ from repro.core.astar import (
 from repro.core.compact_view import CompactViewFactory
 from repro.core.config import PssMode, SearchConfig, VisitedPolicy
 from repro.core.engine import SemanticGraphQueryEngine
-from repro.core.pss import log_weight
+from repro.core.pss import LOG_ZERO, log_weight
 from repro.core.results import PathMatch, PendingMatch, QueryResultPayload
 from repro.core.search_kernel import (
     VectorizedSubQuerySearch,
     _SegmentTable,
+    log_tau_cut,
     supports_vectorized_search,
 )
 from repro.core.semantic_graph import SemanticGraphView
 from repro.errors import SearchError
-from repro.kg.compact import CompactGraph
+from repro.kg.compact import CompactGraph, FrozenGraphReader
 from repro.kg.graph import KnowledgeGraph
 from repro.query.builder import QueryGraphBuilder
+from repro.query.decompose import decompose_query
+from repro.query.transform import NodeMatcher
 from repro.utils.timing import BudgetClock
 
 BUNDLE_SPECS = (("dbpedia", 1.0, 11), ("dbpedia", 0.6, 3), ("freebase", 0.8, 5))
@@ -926,3 +932,136 @@ class TestReturnedAnswersAreDetached:
         # The boundary ships exactly what the eager kernel's result does.
         expected = pickle.dumps(QueryResultPayload.from_result(run(reference)))
         assert len(blob) == len(expected)
+
+
+def _ulps_around(x, count=4):
+    """``x`` and the ``count`` floats on either side of it."""
+    below, above, out = x, x, [x]
+    for _ in range(count):
+        below = math.nextafter(below, -math.inf)
+        above = math.nextafter(above, math.inf)
+        out += [below, above]
+    return out
+
+
+class _RowView:
+    """A compact-surface view whose four rows the test sets by hand: every
+    weight is 0.5 and every ``m(u)`` 1.0, with the given logs, so an
+    arrival's log numerator can sit on any float the test picks."""
+
+    def __init__(self, graph, log_weights, log_bounds):
+        self.graph = graph
+        self._w = np.full(len(log_weights), 0.5)
+        self._lw = np.asarray(log_weights, dtype=np.float64)
+        self._m = np.ones(len(log_bounds))
+        self._logm = np.asarray(log_bounds, dtype=np.float64)
+
+    def weight_row_array(self, predicate):
+        return self._w
+
+    def log_weight_row_array(self, predicate):
+        return self._lw
+
+    def bounds_row_array(self, predicate):
+        return self._m
+
+    def log_bounds_row_array(self, predicate):
+        return self._logm
+
+    def hop_label(self, key, members, bound):
+        return bytes(self.graph.num_nodes)  # every φ-match in reach
+
+
+class TestTauCut:
+    """The log-domain τ cut skips ``exp`` only where the priority it
+    would compute is under τ: at its edge, the kernel prunes exactly the
+    arrivals whose ``math.exp(x / n)`` is below τ."""
+
+    @staticmethod
+    def _probes(tau):
+        """(log weight, log m) pairs whose goal numerator ``lw`` (root 1)
+        or continuing numerator ``lw + log m`` (root N̂ = 2) lies within a
+        few ulps of ``n · log τ`` or of ``n · log_tau_cut(τ)``."""
+        if tau == 0.0:  # log τ = -inf: numerators as low as floats go
+            lows = [-math.inf, LOG_ZERO, -1e300, -746.0, -745.0, -1.0, 0.0]
+            return [(lw, logm) for lw in lows for logm in (0.0, -1e300)]
+        log_tau, cut = math.log(tau), log_tau_cut(tau)
+        probes = []
+        for edge in (log_tau, cut):
+            for lw in _ulps_around(edge):  # goals; continuing near 2·log τ
+                probes.append((lw, log_tau))
+            for x in _ulps_around(2 * edge):  # continuing arrivals
+                probes.append((log_tau, x - log_tau))
+        if tau == 1.0:  # exp rounds arguments above -2**-53 up to 1.0
+            for x in (-5e-324, -1e-300, -1e-17, -1.1102230246251565e-16,
+                      -2.220446049250313e-16, -1e-15, -1e-12):
+                for y in _ulps_around(x, 2):
+                    probes += [(y, 0.0), (0.0, y)]
+        return probes
+
+    @pytest.mark.parametrize("tau", [1.0, 0.8, 0.0])
+    def test_prunes_exactly_when_the_priority_is_under_tau(self, tau):
+        probes = self._probes(tau)
+        kg = KnowledgeGraph("tau-cut")
+        germany = kg.add_entity("Germany", "Country").uid
+        uids = [
+            kg.add_entity(f"car{index}", "Automobile").uid
+            for index in range(len(probes))
+        ]
+        for index, car in enumerate(uids):
+            kg.add_edge(car, f"p{index}", germany)
+        graph = CompactGraph.freeze(kg)
+        reader = FrozenGraphReader(graph)
+        matcher = NodeMatcher(reader, None)
+        query = (
+            QueryGraphBuilder()
+            .target("v1", "Automobile")
+            .specific("v2", "Germany", "Country")
+            .edge("e1", "v1", "product", "v2")
+            .build()
+        )
+        (subquery,) = decompose_query(
+            query, kg=reader, matcher=matcher, path_bound=2
+        ).subqueries
+        log_weights = [0.0] * len(graph.predicate_names)
+        log_bounds = [0.0] * graph.num_nodes
+        cars = {}
+        for index, (car, (lw, logm)) in enumerate(zip(uids, probes)):
+            log_weights[graph.predicate_index[f"p{index}"]] = lw
+            log_bounds[car] = logm
+            cars[car] = (lw, logm)
+        search = VectorizedSubQuerySearch(
+            _RowView(graph, log_weights, log_bounds), subquery, matcher,
+            SearchConfig(tau=tau, path_bound=2),
+        )
+        assert search.step() is None  # pops Germany, the one seed
+        goals = {uid for uid, (lw, _) in cars.items() if not math.exp(lw / 1) < tau}
+        continuing = {
+            uid for uid, (lw, logm) in cars.items()
+            if not math.exp((lw + logm) / 2) < tau
+        }
+        pushed = {entry[4] for entry in search._heap if entry[5] == 0}
+        assert set(search.generated_goals) == goals
+        assert pushed == continuing
+        stats = search.stats
+        assert stats.expansions == 1
+        assert stats.pruned_by_tau == 2 * len(cars) - len(goals) - len(continuing)
+        assert stats.states_generated == 1 + len(goals) + len(continuing)
+        if 0.0 < tau < 1.0:  # the edge is exercised from both sides
+            assert 0 < len(goals) < len(cars) and 0 < len(continuing) < len(cars)
+
+    @pytest.mark.parametrize(
+        "tau", [1.0, 0.999999, 0.8, 0.5, 1e-3, 1e-300, sys.float_info.min]
+    )
+    def test_below_the_cut_the_priority_is_under_tau(self, tau):
+        cut = log_tau_cut(tau)
+        assert cut < math.log(tau)
+        for root in range(1, 9):
+            edge = root * cut
+            for x in _ulps_around(edge, 64) + _ulps_around(root * math.log(tau), 64):
+                if x < edge:
+                    assert math.exp(x / root) < tau, (tau, root, x)
+
+    @pytest.mark.parametrize("tau", [0.0, 5e-324, sys.float_info.min / 2])
+    def test_no_cut_where_exp_loses_precision(self, tau):
+        assert log_tau_cut(tau) == -math.inf

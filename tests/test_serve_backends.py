@@ -240,6 +240,81 @@ class TestProcessBackend:
             )
 
 
+def _report_worker_freeze(spec_pickle, conn):
+    """Fork-started child: run the worker body over local queues (its
+    call queue already holds the stop sentinel) and send back the order
+    of its heap freezes and engine build, and the collector's freeze
+    count once it serves."""
+    import gc
+    import queue
+
+    from repro.serve import backends
+
+    events = []
+    freeze, build = gc.freeze, backends._process_worker_init
+
+    def recording_freeze():
+        events.append("freeze")
+        freeze()
+
+    def recording_build(spec):
+        events.append("build")
+        return build(spec)
+
+    gc.freeze = recording_freeze  # this process's own module object
+    backends._process_worker_init = recording_build
+    calls, replies = queue.SimpleQueue(), queue.SimpleQueue()
+    calls.put(None)
+    backends._process_worker_main(spec_pickle, calls, replies)
+    announced = replies.get_nowait() == (None, True, str(os.getpid()))
+    conn.send((events, gc.get_freeze_count(), announced))
+    conn.close()
+
+
+class TestWorkerHeapFreeze:
+    """A process worker owns its process and freezes its heap."""
+
+    def test_worker_freezes_after_fork_and_after_build(self, small_bundle):
+        import gc
+        import multiprocessing
+        import pickle
+
+        spec = EngineSpec(
+            CompactGraph.freeze(small_bundle.kg), small_bundle.space,
+            small_bundle.library,
+        )
+        context = multiprocessing.get_context("fork")
+        receive, send = context.Pipe(duplex=False)
+        parent_count = gc.get_freeze_count()
+        child = context.Process(
+            target=_report_worker_freeze, args=(pickle.dumps(spec), send)
+        )
+        child.start()
+        send.close()
+        try:
+            assert receive.poll(60), "the worker child sent nothing"
+            events, child_count, announced = receive.recv()
+        finally:
+            child.join(30)
+        assert child.exitcode == 0
+        assert announced
+        # Frozen before the build, so what it inherited is out of its
+        # collections, and again after it, so is its engine.
+        assert events == ["freeze", "build", "freeze"]
+        assert child_count > parent_count
+        assert gc.get_freeze_count() == parent_count
+
+    def test_inline_service_leaves_the_callers_heap_unfrozen(self, small_bundle):
+        import gc
+
+        before = gc.get_freeze_count()
+        with QueryService.build(
+            small_bundle.kg, small_bundle.space, small_bundle.library
+        ) as service:
+            assert service.search_many([_product_query()], k=K)
+        assert gc.get_freeze_count() == before
+
+
 @contextmanager
 def _bare_pool(bundle, workers, fault_plan, outcomes):
     """A :class:`ProcessBackend` with no service or supervisor around it,

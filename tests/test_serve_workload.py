@@ -1,5 +1,6 @@
 """Tests for the workload replay driver (repro.serve.workload)."""
 
+import sys
 import threading
 from pathlib import Path
 
@@ -276,8 +277,49 @@ class TestMixDeadlines:
         assert "mix: 2 sgq + 2 tbq requests" in report.describe()
 
 
+def _report_cli_freeze(argv, conn):
+    """Fork-started child: run the driver as its console script does
+    (its own command line, no ``argv``) and send back the exit status and
+    the collector's freeze count."""
+    import gc
+    import io
+    from contextlib import redirect_stdout
+
+    sys.argv = ["repro-serve-workload", *argv]
+    with redirect_stdout(io.StringIO()):
+        code = workload_main()
+    conn.send((code, gc.get_freeze_count()))
+    conn.close()
+
+
 class TestConsoleEntrypoint:
     SMALL = ["--preset", "dbpedia", "--scale", "1.0", "--seed", "11", "--k", "4"]
+
+    def test_the_console_script_freezes_its_heap(self):
+        """Run as the console script, the driver owns its process and
+        freezes the heap after the build; called with ``argv`` it leaves
+        its caller's heap as it found it."""
+        import gc
+        import multiprocessing
+
+        context = multiprocessing.get_context("fork")
+        receive, send = context.Pipe(duplex=False)
+        parent_count = gc.get_freeze_count()
+        child = context.Process(
+            target=_report_cli_freeze,
+            args=(self.SMALL + ["--repeats", "1"], send),
+        )
+        child.start()
+        send.close()
+        try:
+            assert receive.poll(120), "the driver child sent nothing"
+            code, child_count = receive.recv()
+        finally:
+            child.join(30)
+        assert (code, child.exitcode) == (0, 0)
+        assert child_count > parent_count
+        assert workload_main(self.SMALL + ["--repeats", "1"]) == 0
+        assert gc.get_freeze_count() == parent_count
 
     def test_main_smoke(self, capsys):
         code = workload_main(self.SMALL + ["--repeats", "2"])
