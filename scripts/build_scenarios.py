@@ -6,8 +6,8 @@ takes the held-out split, and writes three artifacts under
 ``benchmarks/scenarios/``:
 
 - ``held_out_v1.pkl`` — the frozen :class:`~repro.scenarios.Workload`
-  (the thing ``repro-serve-workload --scenario`` and
-  ``tests/test_held_out_conformance.py`` replay);
+  (the thing ``repro-serve-workload --scenario`` replays and the
+  held-out row of ``tests/test_conformance.py`` reads);
 - ``held_out_v1.manifest.json`` — the pure-JSON manifest of the same
   workload, for human diffing and format-drift detection in review;
 - ``held_out_v1.golden.json`` — the recorded exact-query answer sets

@@ -27,7 +27,8 @@ win composes with the kernel's cold-query win.
 Equivalence with the lazy view is exact, not approximate: both serve
 weights from the same cached ``PredicateSpace`` rows and walk the same
 store's slots in the same order (heap tie-breaks match).  The
-conformance suite in ``tests/test_compact_view.py`` pins all of this.
+view-level suite in ``tests/test_compact_view.py`` and the engine
+columns of ``tests/test_conformance.py`` pin all of this.
 """
 
 from __future__ import annotations

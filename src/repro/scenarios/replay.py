@@ -19,8 +19,8 @@ and the serving stack:
   service around one pass; the ``repro-serve-workload`` CLI loops
   :func:`replay_pass` over one service;
 - :func:`load_golden` reads the recorded answers every replay is judged
-  against (``tests/test_held_out_conformance.py`` holds every backend,
-  shard count, cache state and an injected crash to them).
+  against (``tests/test_conformance.py`` holds every backend, shard
+  count, cache state and an injected crash to them).
 
 Deadline items stay out of the *replay* digest and the golden
 comparison: on the wall clock a bounded result depends on how far the

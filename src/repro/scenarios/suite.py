@@ -42,7 +42,7 @@ from repro.utils.stats import finite_positive
 WORKLOAD_FORMAT_VERSION = 1
 
 #: Default per-intent p95 latency budget (milliseconds), asserted by
-#: ``tests/test_held_out_conformance.py``.  Generous on purpose: scenario
+#: ``tests/test_conformance.py``.  Generous on purpose: scenario
 #: queries run in single-digit milliseconds at the checked-in scale, so
 #: the budget catches order-of-magnitude regressions without flaking on
 #: shared-runner noise.

@@ -36,9 +36,9 @@ sequentially on **every** backend: caches store pure
 functions of the graph/space, decompositions are deterministic, worker
 scheduling never reorders per-query state, and a process worker's
 engine reads the same frozen store, space and library.  The
-cross-backend conformance suite (``tests/test_serve_backends.py``) and
-the held-out replay against its golden answers
-(``tests/test_held_out_conformance.py``) pin this.
+conformance matrix (``tests/test_conformance.py``) pins this: every
+backend, cache state and shard layout against one oracle, and the
+held-out scenario against its golden answers.
 """
 
 from __future__ import annotations

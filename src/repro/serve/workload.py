@@ -31,8 +31,7 @@ the way a load generator would hit a deployed system:
   query's ``(qid, QueryResult)``, whose instrumentation splits search
   from assembly time and carries the A*-side counters (expansions,
   τ/visited prunes, peak queue size), so assembly-bound queries (the D12
-  class) can be told apart from search-bound ones; TA round-cap
-  truncations are counted on every run.
+  class) can be told apart from search-bound ones.
 
 The module doubles as the ``repro-serve-workload`` console entrypoint
 (see ``setup.py``).  Every run is one frozen

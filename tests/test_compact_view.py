@@ -1,6 +1,7 @@
 """Cross-view conformance: the compact CSR kernel must be indistinguishable
-from the lazy semantic-graph view — same weights, same m(u) bounds, same
-matches — standalone and backed by a shared SemanticGraphCache."""
+from the lazy semantic-graph view — same weights and m(u) bounds,
+standalone and backed by a shared SemanticGraphCache.  Its engine's
+answers are cells of ``tests/test_conformance.py``."""
 
 from __future__ import annotations
 
@@ -264,47 +265,16 @@ class TestViewConformance:
 
 
 # ----------------------------------------------------------------------
-# engine-level conformance: identical matches, with and without caches
+# the engine over the compact view (its answers are judged in
+# tests/test_conformance.py): shared rows, growth, statistics
 # ----------------------------------------------------------------------
-def _assert_same_results(a, b):
-    problem = final_matches_differ("lazy vs compact", a.matches, b.matches)
-    assert problem is None, problem
-
-
 def _compact_engine(kg, *args, **kwargs):
     """An engine served through the frozen CSR kernel of ``kg``."""
     factory = CompactViewFactory(CompactGraph.freeze(kg))
     return SemanticGraphQueryEngine(kg, *args, view_factory=factory, **kwargs)
 
 
-class TestEngineConformance:
-    def test_identical_matches_uncached(self, small_bundle):
-        bundle = small_bundle
-        lazy = SemanticGraphQueryEngine(bundle.kg, bundle.space, bundle.library)
-        compact = _compact_engine(bundle.kg, bundle.space, bundle.library)
-        for workload_query in bundle.workload:
-            _assert_same_results(
-                lazy.search(workload_query.query, k=10),
-                compact.search(workload_query.query, k=10),
-            )
-
-    def test_identical_matches_each_with_own_shared_cache(self, small_bundle):
-        bundle = small_bundle
-        lazy = SemanticGraphQueryEngine(
-            bundle.kg, bundle.space, bundle.library,
-            weight_cache=SemanticGraphCache(),
-        )
-        compact = _compact_engine(
-            bundle.kg, bundle.space, bundle.library,
-            weight_cache=SemanticGraphCache(),
-        )
-        for _pass in range(2):  # pass 2 serves from warm caches
-            for workload_query in bundle.workload:
-                _assert_same_results(
-                    lazy.search(workload_query.query, k=10),
-                    compact.search(workload_query.query, k=10),
-                )
-
+class TestCompactEngine:
     def test_compact_view_hits_shared_rows_across_queries(self, small_bundle):
         bundle = small_bundle
         cache = SemanticGraphCache()
@@ -317,23 +287,6 @@ class TestEngineConformance:
         engine.search(query, k=5)
         warm = cache.stats
         assert warm.hits > cold.hits  # second query reused rows
-
-    def test_time_bounded_equivalent_under_budget_clock(self, small_bundle):
-        # With a generous deterministic budget both kernels harvest the
-        # same matches through the TBQ path.
-        from repro.utils.timing import BudgetClock
-
-        bundle = small_bundle
-        query = bundle.workload[0].query
-        results = []
-        for build in (SemanticGraphQueryEngine, _compact_engine):
-            engine = build(bundle.kg, bundle.space, bundle.library)
-            results.append(
-                engine.search_time_bounded(
-                    query, k=5, time_bound=1e6, clock=BudgetClock(1e-4)
-                )
-            )
-        _assert_same_results(results[0], results[1])
 
     def test_graph_growth_under_live_cache_raises(self, fig2_kg, fig2_space):
         # An engine built by hand over a live graph and a kernel frozen

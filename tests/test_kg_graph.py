@@ -2,17 +2,12 @@
 
 import gc
 import tracemalloc
-from contextlib import ExitStack
 
 import pytest
 
 from repro.errors import GraphError, UnknownEntityError
 from repro.kg.compact import CompactGraph, FrozenGraphReader
 from repro.kg.graph import Edge, KnowledgeGraph
-from repro.kg.sharded import ShardedGraph
-from repro.kg.shm import leaked_segments
-from repro.query.decompose import decompose_query
-from repro.query.transform import NodeMatcher
 
 
 @pytest.fixture()
@@ -147,59 +142,9 @@ class TestAggregates:
         assert kg.predicates() == ["assembly", "location"]
 
 
-class TestGraphReaderConformance:
-    """Every ``GraphReader`` — the object graph, and the one frozen reader
-    over each store form — answers the seven members alike, so node
-    matching and pivot choice cannot tell them apart."""
-
-    FORMS = [
-        "kg", "frozen", "frozen-shm", "sharded2", "sharded4",
-        "sharded2-balanced", "sharded4-balanced",
-    ]
-
-    @pytest.fixture(scope="class", params=FORMS)
-    def reader(self, request, small_bundle):
-        kg, form = small_bundle.kg, request.param
-        if form == "kg":
-            yield kg
-            return
-        if form.startswith("frozen"):
-            store = CompactGraph.freeze(kg)
-        else:
-            strategy = "balanced-degree" if form.endswith("-balanced") else "hash"
-            store = ShardedGraph.build(
-                kg, int(form[len("sharded")]), strategy=strategy
-            )
-        with ExitStack() as stack:
-            if form.endswith("-shm"):
-                lease = stack.enter_context(store.to_shared())
-                store = CompactGraph.from_handle(lease.handle)
-            yield FrozenGraphReader(store)
-        assert leaked_segments() == []
-
-    def test_seven_members_equal_the_source_graph(self, small_bundle, reader):
-        kg = small_bundle.kg
-        assert reader.name == kg.name
-        assert reader.num_entities == kg.num_entities
-        assert reader.num_edges == kg.num_edges
-        assert list(reader.entities()) == list(kg.entities())
-        for uid in (0, kg.num_entities - 1):
-            assert reader.entity(uid) == kg.entity(uid)
-        for uid in (-1, kg.num_entities):
-            with pytest.raises(UnknownEntityError):
-                reader.entity(uid)
-        assert reader.types() == kg.types()
-        for etype in kg.types() + ["NoSuchType"]:
-            assert reader.entities_of_type(etype) == kg.entities_of_type(etype)
-
-    def test_decomposes_like_the_source_graph(self, small_bundle, reader):
-        kg, library = small_bundle.kg, small_bundle.library
-        source, ours = NodeMatcher(kg, library), NodeMatcher(reader, library)
-        for item in small_bundle.workload:
-            assert decompose_query(
-                item.query, kg=reader, matcher=ours
-            ) == decompose_query(item.query, kg=kg, matcher=source), item.qid
-
-    def test_the_frozen_reader_has_no_edge_surface(self):
-        for name in ("incident", "has_edge", "out_edges", "statistics", "triples"):
-            assert not hasattr(FrozenGraphReader, name)
+# That every frozen reader answers the seven members and every
+# decomposition like its source graph is checked by each cell of
+# tests/test_conformance.py that builds its engine in this process.
+def test_the_frozen_reader_has_no_edge_surface():
+    for name in ("incident", "has_edge", "out_edges", "statistics", "triples"):
+        assert not hasattr(FrozenGraphReader, name)

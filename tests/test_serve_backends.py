@@ -1,13 +1,11 @@
-"""Cross-backend conformance suite for the execution-backend seam.
+"""The execution-backend seam: the process pool's own contract.
 
-The seam's contract (`repro.serve.backends`): exact (SGQ) results are
-bit-identical on the inline and process backends — same final
-matches, bit-equal scores, same components, same TA bookkeeping and the
-same per-sub-query decision counters — and the same as the lazy-view
-oracle's.  Cache
-materialisation counters (``nodes_touched`` / ``edges_weighted``) are
-excluded: they measure cache warmth, which per-worker caches change by
-design (same exclusion the view-kernel conformance suite makes).
+What a backend answers is judged in ``tests/test_conformance.py``, one
+column per backend.  This module holds what the seam promises besides
+answers: one shared-memory segment per pool, deadlines and failures
+that cross it, per-worker statistics and their phase diffs, the
+worker's heap freeze, and a pool that breaks, never blocks a submitter
+and loses no request.
 """
 
 import os
@@ -21,28 +19,17 @@ from multiprocessing import active_children
 
 import pytest
 
-from repro.bench.equivalence import final_matches_differ, search_stats_differ
-from repro.core.engine import EngineSpec, SemanticGraphQueryEngine
+from repro.core.engine import EngineSpec
 from repro.errors import PoolBrokenError, ServeError
 from repro.kg.compact import CompactGraph, CompactGraphHandle, SharedCompactGraph
-from repro.kg.sharded import ShardedGraph
 from repro.kg.shm import leaked_segments
 from repro.query.builder import QueryGraphBuilder
-from repro.scenarios.replay import answer_digest
-from repro.serve.backends import EXECUTION_BACKENDS, ProcessBackend, WorkerSnapshot
+from repro.serve.backends import ProcessBackend, WorkerSnapshot
 from repro.serve.faults import FaultPlan
 from repro.serve.service import QueryRequest, QueryService, ServiceStats
 from repro.utils.lru import CacheStats
 
 K = 5
-
-#: Every served (store, backend) pair: a sharded store is served inline
-#: only.
-STORE_ARMS = pytest.mark.parametrize(
-    "shards, backend",
-    [(0, "inline"), (0, "process"), (2, "inline"), (4, "inline")],
-    ids=["compact-inline", "compact-process", "sharded-inline", "sharded4-inline"],
-)
 
 
 def _product_query():
@@ -53,102 +40,6 @@ def _product_query():
         .edge("e1", "v1", "product", "v2")
         .build()
     )
-
-
-def _assert_identical(label, expected, actual):
-    problem = final_matches_differ(label, expected.matches, actual.matches)
-    assert problem is None, problem
-    assert expected.ta_accesses == actual.ta_accesses, label
-    assert expected.ta_rounds == actual.ta_rounds, label
-    assert expected.approximate == actual.approximate, label
-    assert len(expected.subquery_stats) == len(actual.subquery_stats), label
-    for index, (sa, sb) in enumerate(
-        zip(expected.subquery_stats, actual.subquery_stats)
-    ):
-        problem = search_stats_differ(f"{label}/g{index}", sa, sb)
-        assert problem is None, problem
-
-
-@pytest.fixture(scope="module")
-def reference_results(small_bundle):
-    """Sequential results of the lazy-view oracle per qid — the ground truth."""
-    engine = SemanticGraphQueryEngine(
-        small_bundle.kg, small_bundle.space, small_bundle.library
-    )
-    return {q.qid: engine.search(q.query, k=K) for q in small_bundle.workload}
-
-
-def _exact_digest(kg, items, results):
-    return answer_digest(
-        {
-            item.qid: sorted(kg.entity(uid).name for uid in result.answer_uids())
-            for item, result in zip(items, results)
-        }
-    )
-
-
-class TestStoreForms:
-    """A service freezes (or partitions) its graph once and serves that
-    store: by value in this process, and through shared-memory segments
-    it publishes itself on a process pool.  Every form serves the
-    reference kernels' answers."""
-
-    @pytest.fixture(scope="class")
-    def oracle_digest(self, small_bundle):
-        kg, items = small_bundle.kg, small_bundle.workload
-        oracle = SemanticGraphQueryEngine(
-            kg, small_bundle.space, small_bundle.library,
-            assembly_kernel="reference", search_kernel="reference",
-        )
-        return _exact_digest(
-            kg, items, [oracle.search(item.query, k=K) for item in items]
-        )
-
-    @STORE_ARMS
-    def test_every_store_form_returns_the_same_digest(
-        self, small_bundle, oracle_digest, shards, backend
-    ):
-        kg, items = small_bundle.kg, small_bundle.workload
-        store_type = ShardedGraph if shards else CompactGraph
-        with QueryService.build(
-            kg, small_bundle.space, small_bundle.library,
-            backend=backend, workers=1, shards=shards,
-        ) as service:
-            lease = service.graph_lease
-            if backend == "process":
-                # Published by the service: workers get its handle.
-                assert service.spec.store is lease.handle
-            else:
-                assert lease is None
-                assert type(service.spec.store) is store_type
-            served = service.search_many([item.query for item in items], k=K)
-        assert _exact_digest(kg, items, served) == oracle_digest
-        assert leaked_segments() == []
-
-
-class TestCrossBackendConformance:
-    @STORE_ARMS
-    def test_backend_matches_sequential_engine(
-        self, small_bundle, reference_results, backend, shards
-    ):
-        queries = small_bundle.workload
-        with QueryService.build(
-            small_bundle.kg,
-            small_bundle.space,
-            small_bundle.library,
-            backend=backend,
-            workers=2,
-            shards=shards,
-        ) as service:
-            # Two passes: warm caches must not change results.
-            for run in (1, 2):
-                results = service.search_many([q.query for q in queries], k=K)
-                for q, result in zip(queries, results):
-                    _assert_identical(
-                        f"{backend}/shards{shards}/pass{run}/{q.qid}",
-                        reference_results[q.qid],
-                        result,
-                    )
 
 
 class TestProcessBackend:
@@ -484,131 +375,3 @@ def test_stats_since_matches_workers_by_id():
     assert min(phase.queries, phase.cache.hits, phase.space.misses) >= 0
     assert "per-worker sum, 2 workers reporting" in phase.describe()
     assert after.since(after).queries == 0
-
-
-class TestSeededReplayDeterminism:
-    """Seeded replay schedules and deadline mixes are backend-invariant.
-
-    The scenario subsystem freezes ``(arrival, seed)`` and a deadline mix
-    into replayable artifacts, so the primitives underneath must be
-    strictly deterministic: the same seed always yields the same Poisson
-    schedule and stamps the same items time-bounded, and a seeded replay
-    returns payload-identical results on every execution backend.
-    """
-
-    def test_poisson_schedule_is_seed_deterministic(self):
-        from repro.serve.workload import _arrival_schedule
-
-        first = _arrival_schedule(20, 200.0, "poisson", seed=7)
-        second = _arrival_schedule(20, 200.0, "poisson", seed=7)
-        assert first == second  # bit-equal floats, not approximate
-        assert len(first) == 20
-        assert all(b > a for a, b in zip(first, second[1:]))
-        other = _arrival_schedule(20, 200.0, "poisson", seed=8)
-        assert other != first
-
-    def test_mix_deadlines_selection_is_seed_deterministic(self, small_bundle):
-        from repro.serve.workload import WorkloadItem, mix_deadlines
-
-        items = [
-            WorkloadItem(query=q.query, k=K, qid=q.qid)
-            for q in small_bundle.workload[:8]
-        ]
-        first = mix_deadlines(items, 0.25, 5.0, seed=3)
-        second = mix_deadlines(items, 0.25, 5.0, seed=3)
-        assert [i.deadline for i in first] == [i.deadline for i in second]
-        assert sum(1 for i in first if i.deadline is not None) == 2
-        # A different seed is allowed to pick a different slice; the
-        # stamped count stays fixed either way.
-        other = mix_deadlines(items, 0.25, 5.0, seed=4)
-        assert sum(1 for i in other if i.deadline is not None) == 2
-
-    def test_seeded_replay_payloads_identical_across_backends(
-        self, small_bundle
-    ):
-        """poisson arrivals + seeded TBQ mix -> identical payloads."""
-        from repro.core.results import QueryResultPayload
-        from repro.serve.workload import WorkloadItem, mix_deadlines, replay
-
-        items = [
-            WorkloadItem(query=q.query, k=K, qid=q.qid)
-            for q in small_bundle.workload[:4]
-        ]
-        # A deliberately generous deadline: the TBQ slice runs through the
-        # time-bounded coordinator but always certifies these millisecond
-        # queries before the alert, so its answers are the exact ones on
-        # every backend.
-        items = mix_deadlines(items, 0.25, 5.0, seed=3)
-
-        def run(backend):
-            payloads = {}
-
-            def _collect(index, request, result):
-                payloads[index] = QueryResultPayload.from_result(result)
-
-            with QueryService.build(
-                small_bundle.kg,
-                small_bundle.space,
-                small_bundle.library,
-                backend=backend,
-                workers=2,
-            ) as service:
-                report = replay(
-                    service,
-                    items,
-                    rate=200.0,
-                    arrival="poisson",
-                    seed=7,
-                    on_result=_collect,
-                )
-            assert report.failed == 0
-            assert report.deadline_requests == 1
-            return payloads
-
-        reference = run("inline")
-        assert len(reference) == len(items)
-        payloads = run("process")
-        assert payloads.keys() == reference.keys()
-        for index in reference:
-            expected, actual = reference[index], payloads[index]
-            # Payload-level identity on everything except wall time.
-            assert actual.approximate == expected.approximate
-            _assert_identical(
-                f"process/item{index}", expected.to_result(), actual.to_result()
-            )
-
-
-class TestAnswerCacheConformance:
-    """The answer cache must be invisible to results: cache on vs off,
-    cold vs warm, every backend — bit-identical exact answers."""
-
-    @pytest.mark.parametrize("backend", EXECUTION_BACKENDS)
-    def test_cache_on_off_bit_identical_cold_and_warm(
-        self, small_bundle, reference_results, backend
-    ):
-        queries = small_bundle.workload[:4]
-        with QueryService.build(
-            small_bundle.kg,
-            small_bundle.space,
-            small_bundle.library,
-            backend=backend,
-            workers=2,
-            answer_cache=32,
-        ) as service:
-            # Pass 1 is all cold misses; pass 2 is all warm hits.  Both
-            # must reproduce the sequential engine bit for bit.
-            for run in (1, 2):
-                results = service.search_many([q.query for q in queries], k=K)
-                for q, result in zip(queries, results):
-                    _assert_identical(
-                        f"{backend}/cache/pass{run}/{q.qid}",
-                        reference_results[q.qid],
-                        result,
-                    )
-            snap = service.stats_snapshot()
-            # The one counter of hits and misses is the cache itself.
-            assert snap.answers == service.answer_cache.stats()
-        # The warm pass was served without a single extra engine run.
-        assert snap.answer_misses == len(queries)
-        assert snap.answer_hits + snap.singleflight_collapsed == len(queries)
-        assert snap.completed == 2 * len(queries)

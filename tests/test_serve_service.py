@@ -132,17 +132,6 @@ def test_configuration_surface_snapshot():
 
 
 class TestEquivalence:
-    def test_search_many_matches_sequential_engine(self, small_bundle, service):
-        engine = SemanticGraphQueryEngine(
-            small_bundle.kg, small_bundle.space, small_bundle.library
-        )
-        queries = [q.query for q in small_bundle.workload]
-        sequential = [engine.search(q, k=10) for q in queries]
-        served = service.search_many(queries, k=10)
-        assert len(served) == len(sequential)
-        for seq, srv in zip(sequential, served):
-            _results_equal(seq, srv)
-
     @pytest.mark.parametrize("max_rows", [1024, 2], ids=["roomy", "tight"])
     def test_equivalence_under_tight_lru(self, small_bundle, max_rows):
         """Cache-backed search equals plain search, cold and warm; eviction

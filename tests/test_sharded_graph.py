@@ -5,21 +5,18 @@ detail*: the partitioner is deterministic, every edge is owned by
 exactly one shard, the rank-merged view reproduces the unsharded view's
 incidence sequences bit for bit (so answers cannot drift), memory
 divides where it matters, and the inline service composes it with the
-engine's one row cache without changing a single answer.
-``tests/test_held_out_conformance.py`` holds the 2- and 4-shard replays
-of the held-out scenario to its golden digest.
+engine's one row cache.  That no layout changes a single answer is
+judged in ``tests/test_conformance.py``, one column per shard count and
+strategy.
 """
-
-from contextlib import ExitStack
 
 import numpy as np
 import pytest
 
-from repro.bench.equivalence import final_matches_differ
 from repro.core.compact_view import CompactViewFactory
-from repro.core.engine import EngineSpec, SemanticGraphQueryEngine, build_engine
+from repro.core.engine import SemanticGraphQueryEngine
 from repro.errors import GraphError, ServeError
-from repro.kg.compact import CompactGraph, FrozenGraphReader
+from repro.kg.compact import CompactGraph
 from repro.kg.graph import KnowledgeGraph
 from repro.kg.sharded import (
     SHARD_STRATEGIES,
@@ -28,7 +25,6 @@ from repro.kg.sharded import (
     compact_resident_bytes,
     partition_entities,
 )
-from repro.kg.shm import leaked_segments
 from repro.query.builder import QueryGraphBuilder
 from repro.serve.cache import SemanticGraphCache
 from repro.serve.service import QueryService
@@ -206,76 +202,6 @@ class TestViewConformance:
             )
 
 
-class TestEngineConformance:
-    @pytest.mark.parametrize("search_kernel", ["reference", "auto"])
-    def test_end_to_end_payloads_identical(
-        self, small_bundle, frozen, sharded4, search_kernel
-    ):
-        baseline = SemanticGraphQueryEngine(
-            small_bundle.kg,
-            small_bundle.space,
-            small_bundle.library,
-            view_factory=CompactViewFactory(frozen),
-            search_kernel="reference",
-        )
-        sharded_engine = SemanticGraphQueryEngine(
-            FrozenGraphReader(sharded4),
-            small_bundle.space,
-            small_bundle.library,
-            view_factory=ShardedViewFactory(sharded4),
-            search_kernel=search_kernel,
-        )
-        for item in small_bundle.workload:
-            expected = baseline.search(item.query, k=5)
-            actual = sharded_engine.search(item.query, k=5)
-            problem = final_matches_differ(
-                item.qid, expected.matches, actual.matches
-            )
-            assert problem is None, problem
-
-    @pytest.mark.parametrize(
-        "shards, strategy",
-        [pytest.param(0, None, id="compact")]
-        + [
-            pytest.param(shards, strategy, id=f"{strategy}-{shards}")
-            for shards in (1, 2, 4)
-            for strategy in SHARD_STRATEGIES
-        ],
-    )
-    def test_every_layout_answers_alike(
-        self, small_bundle, frozen, shards, strategy
-    ):
-        """No layout enters an answer-cache key: neither the partitioning
-        nor the unsharded store's shared-memory handle (what a pool
-        worker reads) moves an answer."""
-        baseline = SemanticGraphQueryEngine(
-            small_bundle.kg,
-            small_bundle.space,
-            small_bundle.library,
-            view_factory=CompactViewFactory(frozen),
-        )
-        with ExitStack() as stack:
-            store = (
-                stack.enter_context(frozen.to_shared()).handle
-                if shards == 0
-                else ShardedGraph.build(small_bundle.kg, shards, strategy=strategy)
-            )
-            served = build_engine(
-                EngineSpec(
-                    store=store, space=small_bundle.space,
-                    library=small_bundle.library,
-                )
-            )
-            for item in small_bundle.workload:
-                expected = baseline.search(item.query, k=5)
-                actual = served.search(item.query, k=5)
-                problem = final_matches_differ(
-                    item.qid, expected.matches, actual.matches
-                )
-                assert problem is None, problem
-        assert leaked_segments() == []
-
-
 class TestValidation:
     def test_service_validates_shard_arguments(self, small_bundle):
         build = dict(
@@ -317,7 +243,9 @@ class TestValidation:
 
 
 class TestServeIntegration:
-    def test_sharded_service_answers_and_stats(self, small_bundle, frozen):
+    def test_sharded_service_stats(self, small_bundle):
+        """What a sharded service answers is a column of
+        ``tests/test_conformance.py``; its report has no shard lines."""
         with QueryService.build(
             small_bundle.kg,
             small_bundle.space,
@@ -325,20 +253,7 @@ class TestServeIntegration:
             shards=2,
             shard_strategy="balanced-degree",
         ) as service:
-            baseline = build_engine(
-                EngineSpec(
-                    store=frozen,
-                    space=small_bundle.space,
-                    library=small_bundle.library,
-                )
-            )
-            for item in small_bundle.workload[:3]:
-                expected = baseline.search(item.query, k=5)
-                actual = service.search_many([item.query], k=5)[0]
-                problem = final_matches_differ(
-                    item.qid, expected.matches, actual.matches
-                )
-                assert problem is None, problem
+            service.search_many([item.query for item in small_bundle.workload[:3]], k=5)
             report = service.serving_stats()  # the perf ledger's name
             assert QueryService.serving_stats is QueryService.stats_snapshot
             assert report.shards == ()

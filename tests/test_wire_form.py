@@ -5,10 +5,11 @@ and a :class:`~repro.serve.backends.WorkerSnapshot`, and receives a
 :class:`~repro.serve.service.QueryRequest`; each pickles as builtins only
 and is rebuilt into equal value objects by one module-level function.
 These tests hold that form to the object form on a five-intent query pool
-(the perf ledger's smoke recipe): equal results, the components' order,
-no class but the rebuild function named in a pickle, and a process
-service that answers as the inline one does.  A worker's failure crosses
-the same seam, so every library error must survive ``pickle`` too.
+(the perf ledger's smoke recipe): equal results, the components' order
+and no class but the rebuild function named in a pickle.  That a process
+service answers as the oracle does is a column of
+``tests/test_conformance.py``.  A worker's failure crosses the same
+seam, so every library error must survive ``pickle`` too.
 """
 
 import inspect
@@ -19,7 +20,6 @@ import pickletools
 import pytest
 
 import repro.errors as errors
-from repro.bench.equivalence import SEARCH_STAT_FIELDS, final_matches_differ
 from repro.core.results import QueryResultPayload
 from repro.scenarios import WorkloadBuilder, build_resources
 from repro.serve.service import QueryRequest, QueryService
@@ -125,33 +125,6 @@ class TestPayloadWireForm:
         _assert_builtins_only(blob, "repro.serve.backends._snapshot_from_wire")
         assert pickle.loads(blob) == snapshot
         assert snapshot.cache.lookups > 0
-
-
-class TestProcessAnswersAsInline:
-    def test_matches_and_decision_counters_agree(self, pool, answered):
-        _workload, res = pool
-        with QueryService.build(
-            res.kg, res.space, res.library, res.config, backend="process", workers=2
-        ) as service:
-            futures = [service.submit_request(request) for _i, request, _r in answered]
-            remote = [future.result() for future in futures]
-        for (_intent, request, local), theirs in zip(answered, remote):
-            problem = final_matches_differ(request.tag, local.matches, theirs.matches)
-            assert problem is None, problem
-            assert [list(f.components) for f in theirs.matches] == [
-                list(f.components) for f in local.matches
-            ], request.tag
-            assert (theirs.ta_accesses, theirs.ta_rounds) == (
-                local.ta_accesses, local.ta_rounds,
-            ), request.tag
-            assert theirs.approximate == local.approximate
-            assert [
-                [getattr(stats, name) for name in SEARCH_STAT_FIELDS]
-                for stats in theirs.subquery_stats
-            ] == [
-                [getattr(stats, name) for name in SEARCH_STAT_FIELDS]
-                for stats in local.subquery_stats
-            ], request.tag
 
 
 def _error_classes():
